@@ -82,13 +82,13 @@ fn bench_churn_reconverge(c: &mut Criterion) {
                 let mut state = converged.state.clone();
                 for (old, new) in [(&up, &down), (&down, &up)] {
                     let dirty = dirty_rows_after_change(old, new);
-                    let out = par_iterate_dirty_traced(
+                    let out = iterate_dirty_with(
                         &alg,
                         new,
                         &state,
                         &dirty,
                         4 * n,
-                        t,
+                        &Pooled::shared(t),
                         &mut NoopSink,
                     );
                     assert!(out.converged);

@@ -10,13 +10,12 @@
 //! 1024-wide slab is ~1.6 GB and the whole computation streams through
 //! memory block by block.
 //!
-//! Each block runs the same frontier discipline as
-//! [`crate::sync::iterate_traced`]: round 1 sweeps every row, later rounds
-//! recompute only the dependants of rows that changed, the change test is
-//! fused into the streaming write, and the needs/prev/flags triple keeps
-//! the idle buffer refreshed without full-slab copies.  The per-block
-//! trajectory is therefore exactly what the square iteration would produce
-//! for those columns — blocking changes memory traffic, never results.
+//! Each block is the fixed-point kernel ([`crate::kernel`]) over a column
+//! window instead of the whole row — the same stepper, the same windowed
+//! row kernel and the same full-sweep contract as
+//! [`crate::sync::iterate_traced`].  The per-block trajectory is therefore
+//! exactly what the square iteration would produce for those columns —
+//! blocking changes memory traffic, never results.
 //!
 //! Results are digested, not materialised: the [`BlockedOutcome`] carries
 //! an FNV-1a digest of the per-destination column digests in destination
@@ -26,8 +25,9 @@
 //! is a pure memory-layout choice, like `--row-order` and `--threads`.
 
 use crate::adjacency::AdjacencyMatrix;
-use crate::sync::update_needs;
+use crate::kernel::{FixedPoint, Inline};
 use dbf_algebra::RoutingAlgebra;
+use dbf_telemetry::NoopSink;
 
 /// The outcome of a destination-blocked fixed-point computation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,62 +50,6 @@ pub struct BlockedOutcome {
     pub converged: bool,
 }
 
-/// One row of the slab σ round, fused with the change test: recompute
-/// `σ(cur)[i][j0..j0+w]` into `out` and report whether it differs from
-/// `cur`'s row.  The diagonal override applies when `i` lies inside the
-/// block's destination window.
-fn slab_row_changed<A: RoutingAlgebra>(
-    alg: &A,
-    adj: &AdjacencyMatrix<A>,
-    cur: &[A::Route],
-    w: usize,
-    j0: usize,
-    i: usize,
-    out: &mut [A::Route],
-) -> bool {
-    let old = &cur[i * w..(i + 1) * w];
-    let diag = (i >= j0 && i < j0 + w).then(|| i - j0);
-    let mut changed = false;
-    match adj.row(i).split_last() {
-        None => {
-            for (jl, (d, o)) in out.iter_mut().zip(old.iter()).enumerate() {
-                let v = if diag == Some(jl) {
-                    alg.trivial()
-                } else {
-                    alg.invalid()
-                };
-                changed |= v != *o;
-                *d = v;
-            }
-        }
-        Some(((last_k, last_f), rest)) => {
-            for r in out.iter_mut() {
-                *r = alg.invalid();
-            }
-            for (k, f) in rest {
-                let src = &cur[k * w..(k + 1) * w];
-                for (d, s) in out.iter_mut().zip(src.iter()) {
-                    let candidate = alg.extend(f, s);
-                    *d = alg.choice(d, &candidate);
-                }
-            }
-            // The adjacency row never contains `i` itself, so reading
-            // `cur[last_k]` while writing row `i` cannot alias.
-            let src = &cur[last_k * w..(last_k + 1) * w];
-            for (jl, ((d, s), o)) in out.iter_mut().zip(src.iter()).zip(old.iter()).enumerate() {
-                let v = if diag == Some(jl) {
-                    alg.trivial()
-                } else {
-                    alg.choice(d, &alg.extend(last_f, s))
-                };
-                changed |= v != *o;
-                *d = v;
-            }
-        }
-    }
-    changed
-}
-
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x1000_0000_01b3;
 
@@ -121,7 +65,7 @@ fn fnv_update(h: &mut u64, bytes: &[u8]) {
 ///
 /// `max_rounds` is the per-block round budget; a block that exhausts it
 /// clears `converged` but the remaining blocks still run (the digest then
-/// covers whatever states the budget left, exactly like a non-converged
+/// covers the states `max_rounds` rounds left, exactly like a non-converged
 /// square iteration).  Progress can be observed via `on_block`, called
 /// after each block with `(block_index, rounds, row_recomputations)`.
 ///
@@ -138,7 +82,6 @@ pub fn blocked_fixed_point<A: RoutingAlgebra>(
     let n = adj.node_count();
     assert!(block > 0, "block width must be positive");
     assert!(n > 0, "blocked iteration needs at least one node");
-    let dependants = adj.dependants();
     let mut digest = FNV_OFFSET;
     let mut blocks = 0usize;
     let mut rounds_total = 0u64;
@@ -146,63 +89,20 @@ pub fn blocked_fixed_point<A: RoutingAlgebra>(
     let mut work = 0u64;
     let mut converged = true;
 
-    let mut cur: Vec<A::Route> = Vec::new();
-    let mut next: Vec<A::Route> = Vec::new();
-    let mut needs = vec![true; n];
-    let mut prev = vec![true; n];
-    let mut flags = vec![false; n];
-
+    // One stepper for all blocks: its buffers are reused and only
+    // reallocate when the final ragged block shrinks the window.
     let mut j0 = 0usize;
-    while j0 < n {
-        let w = block.min(n - j0);
-        // The identity slab: ∞̄ everywhere, 0̄ where the row owns one of the
-        // block's destinations.  Buffers are reused across blocks; they
-        // only reallocate when the final ragged block shrinks `w`.
-        cur.clear();
-        cur.resize(n * w, alg.invalid());
-        for i in j0..j0 + w {
-            cur[i * w + (i - j0)] = alg.trivial();
-        }
-        next.clear();
-        next.resize(n * w, alg.invalid());
-        needs.fill(true);
-        prev.fill(true);
-
-        let mut block_rounds = max_rounds;
-        let mut block_converged = false;
-        let mut block_work = 0u64;
-        for round in 0..=max_rounds {
-            let mut changed = 0u64;
-            for ((i, slot), flag) in next.chunks_mut(w).enumerate().zip(flags.iter_mut()) {
-                *flag = if needs[i] {
-                    block_work += 1;
-                    slab_row_changed(alg, adj, &cur, w, j0, i, slot)
-                } else {
-                    if prev[i] {
-                        let src = &cur[i * w..(i + 1) * w];
-                        slot.clone_from_slice(src);
-                    }
-                    false
-                };
-                if *flag {
-                    changed += 1;
-                }
-            }
-            if changed == 0 {
-                block_rounds = round;
-                block_converged = true;
-                break;
-            }
-            update_needs(&dependants, &flags, &mut needs);
-            std::mem::swap(&mut prev, &mut flags);
-            std::mem::swap(&mut cur, &mut next);
-        }
+    let mut kernel = FixedPoint::identity_slab(alg, adj, j0, block.min(n));
+    loop {
+        let w = kernel.width();
+        let block_converged = kernel.run(alg, adj, max_rounds, &Inline, &mut NoopSink)
+            || kernel.verify(alg, adj, &Inline, &mut NoopSink);
 
         // Digest column by column: each destination's column is complete
         // inside this block, so hashing columns independently and folding
         // them in destination order makes the digest block-width-invariant.
         let mut cols = vec![FNV_OFFSET; w];
-        for (i, row) in cur.chunks(w).enumerate() {
+        for (i, row) in kernel.rows().chunks(w).enumerate() {
             for (jl, r) in row.iter().enumerate() {
                 let j = j0 + jl;
                 fnv_update(&mut cols[jl], format!("({i},{j})={r:?};").as_bytes());
@@ -212,12 +112,16 @@ pub fn blocked_fixed_point<A: RoutingAlgebra>(
             fnv_update(&mut digest, format!("{h:016x}").as_bytes());
         }
         blocks += 1;
-        rounds_total += block_rounds as u64;
-        rounds_max = rounds_max.max(block_rounds);
-        work += block_work;
+        rounds_total += kernel.iterations() as u64;
+        rounds_max = rounds_max.max(kernel.iterations());
+        work += kernel.row_recomputations();
         converged &= block_converged;
-        on_block(blocks - 1, block_rounds, block_work);
+        on_block(blocks - 1, kernel.iterations(), kernel.row_recomputations());
         j0 += w;
+        if j0 == n {
+            break;
+        }
+        kernel.reset_slab(alg, j0, block.min(n - j0));
     }
 
     BlockedOutcome {

@@ -1,10 +1,10 @@
 //! Incremental (dirty-row) synchronous iteration.
 //!
-//! The full iteration in [`crate::sync`] recomputes every node's table
-//! every round, even though most rounds change only a shrinking frontier of
-//! tables — and after a topology change only the region around the edit is
-//! perturbed at all ("Dynamic Asynchronous Iterations" makes exactly this
-//! observation).  This module tracks *dirty rows* instead:
+//! A full sweep recomputes every node's table in round 1 even though after
+//! a topology change only the region around the edit is perturbed at all
+//! ("Dynamic Asynchronous Iterations" makes exactly this observation).
+//! This module starts the fixed-point kernel ([`crate::kernel`]) from a
+//! *dirty mask* instead:
 //!
 //! * row `i` of `σ(X)` depends only on the rows `k` with `A_ik` present
 //!   (node `i`'s import neighbourhood), so a row whose inputs have not
@@ -17,24 +17,16 @@
 //! Because clean rows provably satisfy `σ(X)[i] = X[i]`, the produced
 //! sequence of states is *identical* to the full synchronous iteration —
 //! for every algebra, not just the strictly-increasing ones — while the
-//! work per round shrinks to the active frontier.  The dirty set itself is
-//! an epoch-stamped [`Frontier`] work queue, so the per-round bookkeeping
-//! is `O(|frontier|)` too — no `O(n)` mask scan, no per-row allocation
-//! (recomputed rows are staged in a buffer reused across rounds).
-//! Starting from a fixed
-//! point of a previous topology, [`dirty_rows_after_change`] computes the
-//! only rows the edit can perturb, which is what makes reconvergence after
-//! a change `O(perturbed region)` instead of `O(n · |E|)` per round.
+//! work per round is the active frontier.  Starting from a fixed point of
+//! a previous topology, [`dirty_rows_after_change`] computes the only rows
+//! the edit can perturb, which is what makes reconvergence after a change
+//! `O(perturbed region)` instead of `O(n · |E|)` per round.
 
 use crate::adjacency::AdjacencyMatrix;
-use crate::frontier::Frontier;
-use crate::parallel::{par_recompute_rows_into, ParallelAlgebra};
-use crate::sigma::sigma_row_into_changed;
+use crate::kernel::{Executor, FixedPoint, Inline, Start};
 use crate::state::RoutingState;
-use crate::sync::emit_settles;
 use dbf_algebra::RoutingAlgebra;
 use dbf_telemetry::{NoopSink, TelemetrySink};
-use std::time::Instant;
 
 /// The outcome of an incremental iteration run.
 #[derive(Clone, Debug)]
@@ -48,14 +40,9 @@ pub struct IncrementalOutcome<A: RoutingAlgebra> {
     /// comparable to [`crate::sync::SyncOutcome::iterations`].
     pub row_recomputations: u64,
     /// Whether the dirty set emptied (a fixed point was reached) within the
-    /// round budget.
+    /// round budget.  A caller that wants to resume an exhausted iteration
+    /// holds the [`FixedPoint`] stepper itself instead of this outcome.
     pub converged: bool,
-    /// The residual dirty mask when `converged` is false: exactly the rows
-    /// still scheduled for recomputation, so the iteration can be resumed
-    /// (`x0 = state`, `dirty0 = dirty`) and will reproduce the uninterrupted
-    /// trajectory — the Jacobi staging makes the split point invisible.
-    /// Empty when `converged` is true.
-    pub dirty: Vec<bool>,
 }
 
 /// The rows a topology change can perturb directly: every row whose import
@@ -115,270 +102,46 @@ where
     A: RoutingAlgebra,
     S: TelemetrySink + ?Sized,
 {
-    let n = adj.node_count();
-    run_dirty_loop(
-        adj,
-        x0,
-        dirty0,
-        max_rounds,
-        |state, worklist, staging, changed| {
-            let need = worklist.len() * n;
-            if staging.len() < need {
-                staging.resize(need, alg.invalid());
-            }
-            changed.clear();
-            changed.resize(worklist.len(), false);
-            for (pos, &i) in worklist.iter().enumerate() {
-                let slot = &mut staging[pos * n..(pos + 1) * n];
-                changed[pos] = sigma_row_into_changed(alg, adj, state, i, slot);
-            }
-        },
-        tel,
-    )
+    iterate_dirty_with(alg, adj, x0, dirty0, max_rounds, &Inline, tel)
 }
 
-/// The shared dirty-set engine behind the sequential and sharded dirty-row
-/// iterations: the round loop, the frontier bookkeeping and the outcome
-/// accounting live here *once*, parameterised only by how a round's work
-/// list is recomputed.
-///
-/// Each round drains the epoch-stamped [`Frontier`] into a sorted work
-/// list (`O(|frontier| log |frontier|)`, not an `O(n)` mask scan) and
-/// hands `recompute` the previous round's state plus two buffers that are
-/// reused across rounds: `staging` must end up holding the recomputed row
-/// for work-list position `pos` at `staging[pos·n .. (pos+1)·n]`, and
-/// `changed[pos]` must say whether that row differs from the current one.
-/// Both the sequential kernel and
-/// [`crate::parallel::par_recompute_rows_into`] fill the same
-/// position-major layout, so the trajectory is identical by construction
-/// rather than by keeping two loops in lockstep — and neither allocates
-/// per round once the buffers have grown to the peak frontier size.
-fn run_dirty_loop<A, S>(
-    adj: &AdjacencyMatrix<A>,
-    x0: &RoutingState<A>,
-    dirty0: &[bool],
-    max_rounds: usize,
-    mut recompute: impl FnMut(&RoutingState<A>, &[usize], &mut Vec<A::Route>, &mut Vec<bool>),
-    tel: &mut S,
-) -> IncrementalOutcome<A>
-where
-    A: RoutingAlgebra,
-    S: TelemetrySink + ?Sized,
-{
-    let n = adj.node_count();
-    assert_eq!(
-        n,
-        x0.node_count(),
-        "adjacency and state dimensions must match"
-    );
-    assert_eq!(n, dirty0.len(), "dirty mask length must match");
-
-    // dependants[k] = the rows that read row k (the nodes importing from k).
-    let dependants = adj.dependants();
-
-    let on = tel.enabled();
-    let mut last_changed = vec![0u64; if on { n } else { 0 }];
-    let mut state = x0.clone();
-    let mut frontier = Frontier::new(n);
-    let mut next_frontier = Frontier::new(n);
-    for (i, &d) in dirty0.iter().enumerate() {
-        if d {
-            frontier.insert(i);
-        }
-    }
-    // Reused across rounds: one staging row per work-list position plus the
-    // matching change flags — zero per-round allocation once they reach the
-    // peak frontier size.
-    let mut staging: Vec<A::Route> = Vec::new();
-    let mut changed_flags: Vec<bool> = Vec::new();
-    let mut rounds = 0usize;
-    let mut row_recomputations = 0u64;
-
-    while !frontier.is_empty() {
-        if rounds == max_rounds {
-            if on {
-                emit_settles(tel, &last_changed);
-            }
-            let mut residual = vec![false; n];
-            for &i in frontier.sorted() {
-                residual[i] = true;
-            }
-            return IncrementalOutcome {
-                state,
-                rounds,
-                row_recomputations,
-                converged: false,
-                dirty: residual,
-            };
-        }
-        rounds += 1;
-        let wl_len = frontier.len() as u64;
-        row_recomputations += wl_len;
-        let t0 = on.then(Instant::now);
-        tel.round_start(rounds as u64, wl_len, wl_len);
-        let worklist = frontier.sorted();
-        // Changed rows are staged and applied after the whole work list is
-        // recomputed, so every recomputation reads the *previous* round's
-        // values (Jacobi order) — this is what keeps the trajectory
-        // identical to the full σ iteration.
-        recompute(&state, worklist, &mut staging, &mut changed_flags);
-        let mut changed_rows = 0u64;
-        for (pos, &i) in worklist.iter().enumerate() {
-            if !changed_flags[pos] {
-                continue;
-            }
-            changed_rows += 1;
-            state
-                .row_mut(i)
-                .clone_from_slice(&staging[pos * n..(pos + 1) * n]);
-            if on {
-                last_changed[i] = rounds as u64;
-            }
-            for &d in &dependants[i] {
-                next_frontier.insert(d);
-            }
-        }
-        let wall_ns = t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
-        tel.round_end(rounds as u64, wl_len, changed_rows, wall_ns);
-        std::mem::swap(&mut frontier, &mut next_frontier);
-        next_frontier.clear();
-    }
-    if on {
-        emit_settles(tel, &last_changed);
-    }
-    IncrementalOutcome {
-        state,
-        rounds,
-        row_recomputations,
-        converged: true,
-        dirty: Vec::new(),
-    }
-}
-
-/// [`iterate_dirty_to_fixed_point`] with each round's dirty-row work list
-/// sharded across up to `threads` worker threads (see [`crate::parallel`]).
-///
-/// The trajectory is identical to the sequential engine for every thread
-/// count: a round recomputes exactly the dirty rows from the previous
-/// round's buffered state (each row by exactly one worker), the changed
-/// rows are applied in ascending row order, and the dirty bookkeeping is
-/// single-threaded — so `state`, `rounds` and `row_recomputations` are all
-/// pure functions of the problem.  `threads <= 1` runs the sequential
-/// engine directly.
+/// The dirty-row iteration on the fixed-point kernel, with the executor as
+/// an argument: [`Inline`] is the sequential engine,
+/// [`crate::parallel::Pooled`] shards each round's work list over a worker
+/// pool.  `state`, `rounds`, `row_recomputations` and the deterministic
+/// event stream are pure functions of the problem for every executor.
 ///
 /// # Panics
 ///
 /// Panics if `adj`, `x0` and `dirty0` do not agree on the node count.
-pub fn par_iterate_dirty_to_fixed_point<A>(
+pub fn iterate_dirty_with<A, E, S>(
     alg: &A,
     adj: &AdjacencyMatrix<A>,
     x0: &RoutingState<A>,
     dirty0: &[bool],
     max_rounds: usize,
-    threads: usize,
-) -> IncrementalOutcome<A>
-where
-    A: ParallelAlgebra,
-    A::Route: Send + Sync,
-    A::Edge: Sync,
-{
-    if threads <= 1 {
-        return iterate_dirty_to_fixed_point(alg, adj, x0, dirty0, max_rounds);
-    }
-    run_dirty_loop(
-        adj,
-        x0,
-        dirty0,
-        max_rounds,
-        |state, worklist, staging, changed| {
-            par_recompute_rows_into(alg, adj, state, worklist, threads, staging, changed)
-        },
-        &mut NoopSink,
-    )
-}
-
-/// [`par_iterate_dirty_to_fixed_point`] with a telemetry sink.  The
-/// deterministic event stream — round indices, work-list sizes, changed-row
-/// counts, settle rounds — is identical to [`iterate_dirty_traced`] for
-/// every thread count, because the dirty bookkeeping (and the sink) stay on
-/// the coordinating thread and the sharded recomputation returns changed
-/// rows in the sequential order.
-pub fn par_iterate_dirty_traced<A, S>(
-    alg: &A,
-    adj: &AdjacencyMatrix<A>,
-    x0: &RoutingState<A>,
-    dirty0: &[bool],
-    max_rounds: usize,
-    threads: usize,
+    exec: &E,
     tel: &mut S,
 ) -> IncrementalOutcome<A>
 where
-    A: ParallelAlgebra,
-    A::Route: Send + Sync,
-    A::Edge: Sync,
+    A: RoutingAlgebra,
+    E: Executor<A>,
     S: TelemetrySink + ?Sized,
 {
-    if threads <= 1 {
-        return iterate_dirty_traced(alg, adj, x0, dirty0, max_rounds, tel);
+    let mut kernel = FixedPoint::new(adj, x0.clone(), Start::Dirty(dirty0));
+    let converged = kernel.run(alg, adj, max_rounds, exec, tel);
+    IncrementalOutcome {
+        rounds: kernel.rounds(),
+        row_recomputations: kernel.row_recomputations(),
+        converged,
+        state: kernel.finish(tel),
     }
-    run_dirty_loop(
-        adj,
-        x0,
-        dirty0,
-        max_rounds,
-        |state, worklist, staging, changed| {
-            par_recompute_rows_into(alg, adj, state, worklist, threads, staging, changed)
-        },
-        tel,
-    )
-}
-
-/// [`par_iterate_dirty_traced`] against an explicit [`WorkerPool`](crate::pool::WorkerPool) instead
-/// of the process-wide shared one.
-///
-/// The route server runs its reconvergences on a dedicated pool for two
-/// reasons: an armed [`FaultPlan`](crate::faults::FaultPlan) keys its
-/// triggers on epoch indices, which are only deterministic on a pool whose
-/// history the server controls; and a fault that kills or stalls a worker
-/// must not perturb unrelated work sharing the process-wide pool.
-/// `threads <= 1` still runs the sequential engine (the pool is unused).
-#[allow(clippy::too_many_arguments)]
-pub fn par_iterate_dirty_traced_on<A, S>(
-    pool: &crate::pool::WorkerPool,
-    alg: &A,
-    adj: &AdjacencyMatrix<A>,
-    x0: &RoutingState<A>,
-    dirty0: &[bool],
-    max_rounds: usize,
-    threads: usize,
-    tel: &mut S,
-) -> IncrementalOutcome<A>
-where
-    A: ParallelAlgebra,
-    A::Route: Send + Sync,
-    A::Edge: Sync,
-    S: TelemetrySink + ?Sized,
-{
-    if threads <= 1 {
-        return iterate_dirty_traced(alg, adj, x0, dirty0, max_rounds, tel);
-    }
-    run_dirty_loop(
-        adj,
-        x0,
-        dirty0,
-        max_rounds,
-        |state, worklist, staging, changed| {
-            crate::parallel::par_recompute_rows_into_on(
-                pool, alg, adj, state, worklist, threads, staging, changed,
-            )
-        },
-        tel,
-    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::Pooled;
     use crate::sync::{is_stable, iterate_to_fixed_point};
     use dbf_algebra::prelude::*;
     use dbf_topology::generators;
@@ -499,9 +262,13 @@ mod tests {
         let alg = ShortestPaths::new();
         let adj = weighted_ring(23);
         let x0 = RoutingState::identity(&alg, 23);
+        let sharded =
+            |adj: &AdjacencyMatrix<ShortestPaths>, x0: &RoutingState<_>, dirty: &[bool], t| {
+                iterate_dirty_with(&alg, adj, x0, dirty, 300, &Pooled::shared(t), &mut NoopSink)
+            };
         let seq = iterate_dirty_to_fixed_point(&alg, &adj, &x0, &[true; 23], 300);
         for threads in [2, 3, 8] {
-            let par = par_iterate_dirty_to_fixed_point(&alg, &adj, &x0, &[true; 23], 300, threads);
+            let par = sharded(&adj, &x0, &[true; 23], threads);
             assert_eq!(par.state, seq.state, "threads={threads}");
             assert_eq!(par.rounds, seq.rounds, "threads={threads}");
             assert_eq!(
@@ -516,7 +283,7 @@ mod tests {
         cut.set(1, 0, None);
         let dirty = dirty_rows_after_change(&adj, &cut);
         let seq2 = iterate_dirty_to_fixed_point(&alg, &cut, &seq.state, &dirty, 300);
-        let par2 = par_iterate_dirty_to_fixed_point(&alg, &cut, &seq.state, &dirty, 300, 4);
+        let par2 = sharded(&cut, &seq.state, &dirty, 4);
         assert_eq!(par2.state, seq2.state);
         assert_eq!(par2.rounds, seq2.rounds);
         assert_eq!(par2.row_recomputations, seq2.row_recomputations);

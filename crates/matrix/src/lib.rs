@@ -14,24 +14,29 @@
 //! * [`sigma`](mod@crate::sigma) — one synchronous round
 //!   `σ(X) = A(X) ⊕ I` (Equation 5) and
 //!   per-entry recomputation reused by the asynchronous iterate `δ`;
-//! * [`sync`] — repeated synchronous iteration to a fixed point, stability
-//!   testing (Definition 4) and iteration counting (the quantity studied in
-//!   Section 8.1);
-//! * [`incremental`] — dirty-row iteration: only rows whose inputs changed
-//!   are recomputed, reproducing the full σ trajectory while making
-//!   reconvergence after a topology change proportional to the perturbed
-//!   region rather than to the whole network;
-//! * [`frontier`] — the epoch-stamped work queue behind the dirty-row
-//!   loops: O(1) dedup-insert, O(|frontier|) drain, and clearing by
-//!   generation bump instead of an O(n) scan per round;
+//! * [`kernel`] — the one fixed-point loop: a resumable Jacobi stepper
+//!   ([`FixedPoint`]) parameterised by *initial frontier* (all rows | a
+//!   dirty mask), *executor* (inline | a worker pool), *column window*
+//!   (whole row | a slab) and telemetry *sink*; every engine below is a
+//!   short forward to it;
+//! * [`sync`] — full-sweep iteration to a fixed point, stability testing
+//!   (Definition 4), iteration counting (the quantity studied in
+//!   Section 8.1) and the iteration budget;
+//! * [`incremental`] — dirty-row iteration: the kernel started from the
+//!   rows a topology change perturbs, making reconvergence proportional to
+//!   the perturbed region rather than to the whole network;
+//! * [`blocked`] — destination-blocked σ: the kernel over column windows,
+//!   for fixed points whose square state does not fit in memory;
+//! * [`frontier`] — the epoch-stamped work queue the kernel drains: O(1)
+//!   dedup-insert, O(|frontier|) drain, and clearing by generation bump
+//!   instead of an O(n) scan per round;
 //! * [`permute`] — cache-conscious node relabelings (degree-sorted,
 //!   reverse-Cuthill-McKee): σ is permutation-equivariant, so engines may
 //!   iterate in a bandwidth-friendly row order and un-permute the fixed
 //!   point bit for bit;
-//! * [`parallel`] — the same sweeps sharded across worker threads: the
-//!   Jacobi round is row-parallel by construction, so degree-balanced
-//!   contiguous row bands computed by a scoped worker pool produce results
-//!   **bit-identical** to the sequential iteration at any thread count;
+//! * [`parallel`] — the pooled executor: a round's work list cut into
+//!   degree-balanced bands computed by a worker pool, **bit-identical** to
+//!   the inline sweep at any thread count;
 //! * [`pool`] — the persistent worker pool behind those sweeps: parked
 //!   workers and epoch-stamped band work lists replace per-round thread
 //!   spawning, worker panics surface as recoverable errors instead of
@@ -82,6 +87,7 @@ pub mod blocked;
 pub mod faults;
 pub mod frontier;
 pub mod incremental;
+pub mod kernel;
 pub mod oracle;
 pub mod parallel;
 pub mod permute;
@@ -96,17 +102,17 @@ pub use faults::{Fault, FaultKind, FaultPlan};
 pub use frontier::Frontier;
 pub use incremental::{
     dirty_rows_after_change, iterate_dirty_to_fixed_point, iterate_dirty_traced,
-    par_iterate_dirty_to_fixed_point, par_iterate_dirty_traced, par_iterate_dirty_traced_on,
-    IncrementalOutcome,
+    iterate_dirty_with, IncrementalOutcome,
 };
-pub use parallel::{
-    par_iterate_to_fixed_point, par_iterate_traced, par_sigma_into, ParallelAlgebra,
-};
+pub use kernel::{Executor, FixedPoint, Inline, Start};
+pub use parallel::{par_iterate_to_fixed_point, ParallelAlgebra, Pooled};
 pub use permute::{NodePermutation, RowOrder};
 pub use pool::{PoolScope, PoolStats, WorkerPool};
 pub use sigma::{sigma, sigma_entry, sigma_into, sigma_row_into, sigma_row_into_changed};
 pub use state::RoutingState;
-pub use sync::{is_stable, iterate_to_fixed_point, iterate_traced, iteration_budget, SyncOutcome};
+pub use sync::{
+    is_stable, iterate_to_fixed_point, iterate_traced, iterate_with, iteration_budget, SyncOutcome,
+};
 
 /// Commonly used items, suitable for a glob import.
 pub mod prelude {
@@ -116,13 +122,11 @@ pub mod prelude {
     pub use crate::frontier::Frontier;
     pub use crate::incremental::{
         dirty_rows_after_change, iterate_dirty_to_fixed_point, iterate_dirty_traced,
-        par_iterate_dirty_to_fixed_point, par_iterate_dirty_traced, par_iterate_dirty_traced_on,
-        IncrementalOutcome,
+        iterate_dirty_with, IncrementalOutcome,
     };
+    pub use crate::kernel::{Executor, FixedPoint, Inline, Start};
     pub use crate::oracle::exhaustive_path_optimum;
-    pub use crate::parallel::{
-        par_iterate_to_fixed_point, par_iterate_traced, par_sigma_into, ParallelAlgebra,
-    };
+    pub use crate::parallel::{par_iterate_to_fixed_point, ParallelAlgebra, Pooled};
     pub use crate::permute::{NodePermutation, RowOrder};
     pub use crate::pool::{PoolScope, PoolStats, WorkerPool};
     pub use crate::sigma::{
@@ -130,6 +134,7 @@ pub mod prelude {
     };
     pub use crate::state::RoutingState;
     pub use crate::sync::{
-        is_stable, iterate_to_fixed_point, iterate_traced, iteration_budget, SyncOutcome,
+        is_stable, iterate_to_fixed_point, iterate_traced, iterate_with, iteration_budget,
+        SyncOutcome,
     };
 }

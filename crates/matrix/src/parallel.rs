@@ -1,40 +1,40 @@
-//! Deterministic multi-threaded σ: the row sweep sharded across worker
-//! threads.
+//! Deterministic multi-threaded σ: a round's work list sharded across
+//! worker threads.
 //!
-//! One Jacobi round `σ(X)` computes every row of the next state from the
+//! One Jacobi round computes every row of the next state from the
 //! *previous* state only, so the row sweep is embarrassingly parallel: the
-//! sweep is partitioned into contiguous row bands, each band is written by
-//! exactly one worker into its disjoint slice of the double buffer, and the
-//! result is **bit-identical** to the sequential sweep for every thread
-//! count — no reduction order, no scheduling dependence, nothing for a
-//! thread to race on.  The differential checker therefore treats the
-//! parallel engine exactly like the sequential one: same digests, same
-//! iteration counts, same JSON.
+//! round's sorted work list is cut into contiguous bands, each band is
+//! recomputed by exactly one worker into its disjoint slice of the
+//! kernel's staging buffer, and the calling thread applies the changed
+//! rows afterwards — the result is **bit-identical** to the sequential
+//! sweep for every thread count: no reduction order, no scheduling
+//! dependence, nothing for a thread to race on.  [`Pooled`] is that band
+//! dispatcher, as an [`Executor`] of the fixed-point kernel
+//! ([`crate::kernel`]); the differential checker treats a pooled run
+//! exactly like an inline one: same digests, same counts, same JSON.
 //!
 //! Bands are balanced by *work*, not by row count: one row of `σ(X)` costs
 //! `O(deg(i) · n)`, and real fabrics are skewed (a leaf–spine spine imports
 //! from thousands of leaves while a leaf imports from four spines), so
 //! equal-row bands would leave most workers idle behind the one holding the
-//! hubs.  The internal `balanced_chunks` planner cuts the row list at
+//! hubs.  The internal `balanced_chunks` planner cuts the work list at
 //! cumulative-degree boundaries instead.
 //!
-//! Bands run on the persistent shared [`WorkerPool`]: workers are spawned
-//! once per process and parked between rounds, each round hands them an
-//! epoch-stamped band work list, and the calling thread executes the first
-//! band itself — so `threads = t` uses up to `t` OS threads without any
-//! per-round spawn/join cost.  A worker panic does not abort the process:
-//! the pool returns the payload to the coordinator, which re-raises it
-//! here so the engine layer above can report it as an engine error.
+//! Bands run on a persistent [`WorkerPool`]: workers are spawned once and
+//! parked between rounds, each round hands them an epoch-stamped band work
+//! list, and the calling thread executes the first band itself — so
+//! `threads = t` uses up to `t` OS threads without any per-round
+//! spawn/join cost.  A worker panic does not abort the process: the pool
+//! returns the payload to the coordinator, which re-raises it here so the
+//! layer above can report it as an engine error or retry the round.
 
 use crate::adjacency::AdjacencyMatrix;
+use crate::kernel::{Executor, Inline, Sweep};
 use crate::pool::WorkerPool;
-use crate::sigma::{sigma_into, sigma_row_into_changed};
 use crate::state::RoutingState;
-use crate::sync::{
-    emit_settles, iterate_to_fixed_point, iterate_traced, update_needs, SyncOutcome,
-};
+use crate::sync::{iterate_with, SyncOutcome};
 use dbf_algebra::RoutingAlgebra;
-use dbf_telemetry::TelemetrySink;
+use dbf_telemetry::{NoopSink, TelemetrySink};
 use std::ops::Range;
 use std::time::Instant;
 
@@ -94,153 +94,112 @@ pub(crate) fn balanced_chunks(
     bounds.windows(2).map(|w| w[0]..w[1]).collect()
 }
 
-/// Band weight of row `i` under row-skip: a computed row costs
-/// `O(deg(i) · n)`, a freshly-settled row (changed last round but outside
-/// the frontier now) is a single memcpy weighted as a light constant, and
-/// a row quiet for two rounds costs nothing at all — a band whose rows are
-/// all quiet therefore has weight 0 and is short-circuited without even
-/// dispatching to a worker.
-fn band_weight<A: RoutingAlgebra>(
-    adj: &AdjacencyMatrix<A>,
-    needs: &[bool],
-    prev: &[bool],
-    i: usize,
-) -> u64 {
-    if needs[i] {
-        adj.row(i).len() as u64 + 1
-    } else if prev[i] {
-        1
-    } else {
-        0
+/// Shard every round over up to `threads` workers of `pool` (the calling
+/// thread included).  `threads <= 1`, or a work list of fewer than two
+/// rows, runs [`Inline`] without waking the pool.
+#[derive(Clone, Copy)]
+pub struct Pooled<'p> {
+    /// The pool whose parked workers take the bands.  The route server
+    /// brings its own: an armed [`FaultPlan`](crate::faults::FaultPlan)
+    /// keys its triggers on epoch indices, which are only deterministic on
+    /// a pool whose history the server controls.
+    pub pool: &'p WorkerPool,
+    /// The most OS threads a round may use.
+    pub threads: usize,
+}
+
+impl Pooled<'static> {
+    /// `threads` workers of the process-wide [`WorkerPool::shared`].
+    pub fn shared(threads: usize) -> Self {
+        Pooled {
+            pool: WorkerPool::shared(),
+            threads,
+        }
     }
 }
 
-/// One parallel round: compute `σ(cur)` into `next` across `threads`
-/// workers, filling `flags[i]` with whether row `i` changed.  Rows outside
-/// the active frontier (`needs[i] == false`) provably satisfy
-/// `σ(cur)[i] = cur[i]` and are copied (if freshly settled) or skipped
-/// outright (if quiet for two rounds, the idle buffer already holds the
-/// current value) — the same row-skip as the sequential sweep, so the
-/// trajectory stays bit-identical; a band whose rows are all quiet is not
-/// dispatched at all.  The change test rides the streaming write so the
-/// fixed-point loop needs no second full-matrix comparison pass.
-#[allow(clippy::too_many_arguments)]
-fn par_step<A>(
-    alg: &A,
-    adj: &AdjacencyMatrix<A>,
-    cur: &RoutingState<A>,
-    next: &mut RoutingState<A>,
-    threads: usize,
-    needs: &[bool],
-    prev: &[bool],
-    flags: &mut [bool],
-) where
+impl<A> Executor<A> for Pooled<'_>
+where
     A: ParallelAlgebra,
     A::Route: Send + Sync,
     A::Edge: Sync,
 {
-    let n = adj.node_count();
-    let chunks = balanced_chunks(n, threads, |i| band_weight(adj, needs, prev, i));
-    let sweep_band = |band: &mut [A::Route], rows: Range<usize>, flags: &mut [bool]| {
-        for ((slot, i), flag) in band.chunks_mut(n).zip(rows).zip(flags.iter_mut()) {
-            *flag = if needs[i] {
-                sigma_row_into_changed(alg, adj, cur, i, slot)
-            } else {
-                if prev[i] {
-                    slot.clone_from_slice(cur.row(i));
-                }
-                false
+    /// Each worker owns one contiguous, degree-weighted segment of the
+    /// work list and writes its disjoint slice of `staging`/`changed`, so
+    /// the staged rows are independent of the thread count by
+    /// construction.  With a live sink every band also times itself into
+    /// its own slot and, after the join, the *coordinating* thread emits
+    /// one `band_sweep` per band in band order — workers never touch the
+    /// sink, so trace ordering is deterministic.
+    fn sweep<S: TelemetrySink + ?Sized>(
+        &self,
+        job: &Sweep<'_, A>,
+        staging: &mut [A::Route],
+        changed: &mut [bool],
+        tel: &mut S,
+    ) {
+        let len = job.worklist.len();
+        if self.threads <= 1 || len < 2 {
+            return Inline.sweep(job, staging, changed, tel);
+        }
+        let weight = |pos: usize| job.adj.row(job.worklist[pos]).len() as u64 + 1;
+        let chunks = balanced_chunks(len, self.threads, weight);
+        let on = tel.enabled();
+        let mut walls = vec![0u64; chunks.len()];
+        let band =
+            |range: Range<usize>, stage: &mut [A::Route], flags: &mut [bool], wall: &mut u64| {
+                let t0 = on.then(Instant::now);
+                job.recompute(range, stage, flags);
+                *wall = t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
             };
-        }
-    };
-    let mut rest = next.entries_mut();
-    let mut flags_rest = flags;
-    #[allow(clippy::type_complexity)]
-    let mut first: Option<(&mut [A::Route], Range<usize>, &mut [bool])> = None;
-    let outcome = WorkerPool::shared().scoped(|scope| {
-        for rows in chunks {
-            let (band, tail) = std::mem::take(&mut rest).split_at_mut((rows.end - rows.start) * n);
-            rest = tail;
-            let (frow, ftail) = std::mem::take(&mut flags_rest).split_at_mut(rows.end - rows.start);
-            flags_rest = ftail;
-            if rows.clone().all(|i| band_weight(adj, needs, prev, i) == 0) {
-                // Per-band short-circuit: every row is quiet, the buffer
-                // band is already current — clear the flags and move on
-                // without waking a worker.
-                frow.fill(false);
-                continue;
+        let (mut stage_rest, mut flag_rest) = (staging, changed);
+        let mut wall_rest = walls.as_mut_slice();
+        let mut first = None;
+        let outcome = self.pool.scoped(|scope| {
+            for range in chunks.iter().cloned() {
+                let (stage, tail) =
+                    std::mem::take(&mut stage_rest).split_at_mut(range.len() * job.w);
+                stage_rest = tail;
+                let (flags, tail) = std::mem::take(&mut flag_rest).split_at_mut(range.len());
+                flag_rest = tail;
+                let (wall, tail) = std::mem::take(&mut wall_rest)
+                    .split_first_mut()
+                    .expect("one wall slot per band");
+                wall_rest = tail;
+                if first.is_none() {
+                    // The calling thread works too instead of idling at the
+                    // join, so `threads` means `threads`, not `threads + 1`.
+                    first = Some((range, stage, flags, wall));
+                } else {
+                    scope.execute(move || band(range, stage, flags, wall));
+                }
             }
-            if first.is_none() {
-                // The calling thread works too instead of idling at the
-                // join, so `threads` means `threads`, not `threads + 1`.
-                first = Some((band, rows, frow));
-            } else {
-                scope.execute(move || sweep_band(band, rows, frow));
+            if let Some((range, stage, flags, wall)) = first.take() {
+                band(range, stage, flags, wall);
+            }
+        });
+        if let Err(payload) = outcome {
+            // Re-raise the worker's own panic (payload intact) instead of
+            // aborting behind a generic expect message: the layer above
+            // catches it and reports the failing engine or retries.
+            std::panic::resume_unwind(payload);
+        }
+        if on {
+            for (b, range) in chunks.iter().enumerate() {
+                let weight = range.clone().map(weight).sum();
+                tel.band_sweep(job.round, b as u64, range.len() as u64, weight, walls[b]);
             }
         }
-        if let Some((band, rows, frow)) = first.take() {
-            sweep_band(band, rows, frow);
-        }
-    });
-    if let Err(payload) = outcome {
-        // Re-raise the worker's own panic (payload intact) instead of
-        // aborting behind a generic expect message: the engine dispatch
-        // layer catches it and reports the failing engine plus a
-        // reproduction command.
-        std::panic::resume_unwind(payload);
-    }
-}
-
-/// One synchronous round `σ(X)` written into an existing buffer, with the
-/// row sweep sharded across up to `threads` worker threads.
-///
-/// The output is bit-identical to [`crate::sigma::sigma_into`] for every
-/// thread count (each row is computed by exactly one worker from the same
-/// immutable previous state); `threads <= 1` runs the sequential sweep
-/// directly.
-///
-/// # Panics
-///
-/// Panics if `adj`, `x` and `out` do not all have the same node count.
-pub fn par_sigma_into<A>(
-    alg: &A,
-    adj: &AdjacencyMatrix<A>,
-    x: &RoutingState<A>,
-    out: &mut RoutingState<A>,
-    threads: usize,
-) where
-    A: ParallelAlgebra,
-    A::Route: Send + Sync,
-    A::Edge: Sync,
-{
-    let n = adj.node_count();
-    assert_eq!(
-        n,
-        x.node_count(),
-        "adjacency and state dimensions must match"
-    );
-    assert_eq!(n, out.node_count(), "output state dimension must match");
-    if threads <= 1 || n < 2 {
-        sigma_into(alg, adj, x, out);
-    } else {
-        // A one-shot σ has no previous round to justify skipping anything:
-        // every row is in the frontier.
-        let needs = vec![true; n];
-        let prev = vec![true; n];
-        let mut flags = vec![false; n];
-        par_step(alg, adj, x, out, threads, &needs, &prev, &mut flags);
     }
 }
 
 /// Iterate `σ` to a fixed point exactly like
 /// [`crate::sync::iterate_to_fixed_point`], but with every round's row
-/// sweep sharded across up to `threads` worker threads.
+/// sweep sharded across up to `threads` workers of the shared pool.
 ///
 /// The returned outcome — state, iteration count and convergence flag — is
-/// identical to the sequential iteration for every thread count, because
-/// each round is a pure function of the previous double-buffered state and
-/// the convergence test (`no row changed this round`) is exactly the
-/// sequential `next == cur` comparison.
+/// identical to the sequential iteration for every thread count (see
+/// [`Pooled`]).
 pub fn par_iterate_to_fixed_point<A>(
     alg: &A,
     adj: &AdjacencyMatrix<A>,
@@ -253,355 +212,16 @@ where
     A::Route: Send + Sync,
     A::Edge: Sync,
 {
-    let n = adj.node_count();
-    if threads <= 1 || n < 2 {
-        return iterate_to_fixed_point(alg, adj, x0, max_iterations);
-    }
-    // The same row-skip bookkeeping as the sequential loop: round 1 sweeps
-    // everything, later rounds recompute only the dependants of the rows
-    // that changed — so the parallel and sequential schedules (and hence
-    // the trajectories) stay identical for every thread count.
-    let dependants = adj.dependants();
-    let mut needs = vec![true; n];
-    let mut prev = vec![true; n];
-    let mut flags = vec![false; n];
-    let mut cur = x0.clone();
-    let mut next = cur.clone();
-    for k in 0..max_iterations {
-        par_step(
-            alg, adj, &cur, &mut next, threads, &needs, &prev, &mut flags,
-        );
-        if !flags.iter().any(|&f| f) {
-            return SyncOutcome {
-                state: cur,
-                iterations: k,
-                converged: true,
-            };
-        }
-        update_needs(&dependants, &flags, &mut needs);
-        std::mem::swap(&mut prev, &mut flags);
-        std::mem::swap(&mut cur, &mut next);
-    }
-    // Mirror the sequential budget-boundary check: one last round into the
-    // idle buffer decides convergence without moving the reported state.
-    par_step(
-        alg, adj, &cur, &mut next, threads, &needs, &prev, &mut flags,
-    );
-    SyncOutcome {
-        state: cur,
-        iterations: max_iterations,
-        converged: !flags.iter().any(|&f| f),
-    }
-}
-
-/// One instrumented parallel round: like `par_step`, but each worker also
-/// records which of its rows changed into its disjoint slice of a per-row
-/// flag vector and its own band sweep time into a per-band slot.  After the
-/// join, the *coordinating* thread emits one `band_sweep` event per band in
-/// band-index order — workers never touch the sink, so trace ordering is
-/// deterministic — and returns the flags for the caller to fold.
-///
-/// Only called on the enabled-telemetry path, so the per-round wall
-/// allocations and `Instant` reads are never paid by untraced runs.
-#[allow(clippy::too_many_arguments)]
-fn par_step_traced<A, S>(
-    alg: &A,
-    adj: &AdjacencyMatrix<A>,
-    cur: &RoutingState<A>,
-    next: &mut RoutingState<A>,
-    threads: usize,
-    needs: &[bool],
-    prev: &[bool],
-    flags: &mut [bool],
-    round: u64,
-    tel: &mut S,
-) where
-    A: ParallelAlgebra,
-    A::Route: Send + Sync,
-    A::Edge: Sync,
-    S: TelemetrySink + ?Sized,
-{
-    let n = adj.node_count();
-    let chunks = balanced_chunks(n, threads, |i| band_weight(adj, needs, prev, i));
-    let mut walls = vec![0u64; chunks.len()];
-    let sweep_band = |band: &mut [A::Route], rows: Range<usize>, flags: &mut [bool]| -> u64 {
-        let t0 = Instant::now();
-        for ((slot, i), flag) in band.chunks_mut(n).zip(rows).zip(flags.iter_mut()) {
-            *flag = if needs[i] {
-                sigma_row_into_changed(alg, adj, cur, i, slot)
-            } else {
-                if prev[i] {
-                    slot.clone_from_slice(cur.row(i));
-                }
-                false
-            };
-        }
-        t0.elapsed().as_nanos() as u64
-    };
-    // One worker's share of the round: its disjoint band of the double
-    // buffer, the row range it covers, its change flags and its wall slot.
-    type BandWork<'a, R> = (&'a mut [R], Range<usize>, &'a mut [bool], &'a mut [u64]);
-    let mut rest = next.entries_mut();
-    let mut flags_rest = flags;
-    let mut walls_rest = walls.as_mut_slice();
-    let outcome = WorkerPool::shared().scoped(|scope| {
-        let mut first: Option<BandWork<'_, A::Route>> = None;
-        for rows in chunks.iter().cloned() {
-            let (band, tail) = std::mem::take(&mut rest).split_at_mut((rows.end - rows.start) * n);
-            rest = tail;
-            let (frow, ftail) = std::mem::take(&mut flags_rest).split_at_mut(rows.end - rows.start);
-            flags_rest = ftail;
-            let (wslot, wtail) = std::mem::take(&mut walls_rest).split_at_mut(1);
-            walls_rest = wtail;
-            if rows.clone().all(|i| band_weight(adj, needs, prev, i) == 0) {
-                // Per-band short-circuit: all rows quiet, the buffer band
-                // is already current — no dispatch, zero wall time.
-                frow.fill(false);
-                continue;
-            }
-            if first.is_none() {
-                first = Some((band, rows, frow, wslot));
-            } else {
-                scope.execute(move || {
-                    wslot[0] = sweep_band(band, rows, frow);
-                });
-            }
-        }
-        if let Some((band, rows, frow, wslot)) = first.take() {
-            wslot[0] = sweep_band(band, rows, frow);
-        }
-    });
-    if let Err(payload) = outcome {
-        std::panic::resume_unwind(payload);
-    }
-    for (b, rows) in chunks.iter().enumerate() {
-        let weight: u64 = rows.clone().map(|i| band_weight(adj, needs, prev, i)).sum();
-        tel.band_sweep(
-            round,
-            b as u64,
-            (rows.end - rows.start) as u64,
-            weight,
-            walls[b],
-        );
-    }
-}
-
-/// [`par_iterate_to_fixed_point`] with a telemetry sink: per-round
-/// `round_start`/`round_end` events, per-band `band_sweep` profiling (the
-/// band-balance evidence: rows, degree weight, and worker sweep time per
-/// band), and per-node `node_settled` events once the loop stops.
-///
-/// The outcome — and every deterministic event argument (round indices,
-/// rows recomputed/changed, settle rounds) — is identical to the
-/// sequential [`iterate_traced`] for every thread count; only the band
-/// events and wall times depend on the execution geometry.  With a
-/// disabled sink this forwards to the untraced [`par_iterate_to_fixed_point`].
-pub fn par_iterate_traced<A, S>(
-    alg: &A,
-    adj: &AdjacencyMatrix<A>,
-    x0: &RoutingState<A>,
-    max_iterations: usize,
-    threads: usize,
-    tel: &mut S,
-) -> SyncOutcome<A>
-where
-    A: ParallelAlgebra,
-    A::Route: Send + Sync,
-    A::Edge: Sync,
-    S: TelemetrySink + ?Sized,
-{
-    if !tel.enabled() {
-        return par_iterate_to_fixed_point(alg, adj, x0, max_iterations, threads);
-    }
-    let n = adj.node_count();
-    if threads <= 1 || n < 2 {
-        return iterate_traced(alg, adj, x0, max_iterations, tel);
-    }
-    let mut last_changed = vec![0u64; n];
-    let round_traced = |cur: &RoutingState<A>,
-                        next: &mut RoutingState<A>,
-                        round: u64,
-                        needs: &[bool],
-                        prev: &[bool],
-                        flags: &mut [bool],
-                        last_changed: &mut [u64],
-                        tel: &mut S|
-     -> u64 {
-        let t0 = Instant::now();
-        let frontier = needs.iter().filter(|&&d| d).count() as u64;
-        tel.round_start(round, n as u64, frontier);
-        par_step_traced(alg, adj, cur, next, threads, needs, prev, flags, round, tel);
-        let mut changed = 0u64;
-        for (i, &flag) in flags.iter().enumerate() {
-            if flag {
-                changed += 1;
-                last_changed[i] = round;
-            }
-        }
-        tel.round_end(round, frontier, changed, t0.elapsed().as_nanos() as u64);
-        changed
-    };
-    // Row-skip bookkeeping, identical to the sequential loop so every
-    // deterministic event argument stays thread-invariant.
-    let dependants = adj.dependants();
-    let mut needs = vec![true; n];
-    let mut prev = vec![true; n];
-    let mut flags = vec![false; n];
-    let mut cur = x0.clone();
-    let mut next = cur.clone();
-    let mut round = 0u64;
-    for k in 0..max_iterations {
-        round = k as u64 + 1;
-        if round_traced(
-            &cur,
-            &mut next,
-            round,
-            &needs,
-            &prev,
-            &mut flags,
-            &mut last_changed,
-            tel,
-        ) == 0
-        {
-            emit_settles(tel, &last_changed);
-            return SyncOutcome {
-                state: cur,
-                iterations: k,
-                converged: true,
-            };
-        }
-        update_needs(&dependants, &flags, &mut needs);
-        std::mem::swap(&mut prev, &mut flags);
-        std::mem::swap(&mut cur, &mut next);
-    }
-    // Mirror the sequential budget-boundary check: one last round into the
-    // idle buffer decides convergence without moving the reported state.
-    let changed = round_traced(
-        &cur,
-        &mut next,
-        round + 1,
-        &needs,
-        &prev,
-        &mut flags,
-        &mut last_changed,
-        tel,
-    );
-    emit_settles(tel, &last_changed);
-    SyncOutcome {
-        state: cur,
-        iterations: max_iterations,
-        converged: changed == 0,
-    }
-}
-
-/// Recompute the rows of `worklist` (ascending, deduplicated) from `state`
-/// across up to `threads` workers, into the caller's reusable buffers:
-/// `staging[pos·n .. (pos+1)·n]` receives the new table of row
-/// `worklist[pos]` and `changed[pos]` whether it differs from the current
-/// one.  `staging` grows on demand but is never shrunk, so a fixed-point
-/// loop that calls this every round allocates only while the frontier is
-/// still widening.
-///
-/// This is the per-round kernel of the sharded incremental engine
-/// ([`crate::incremental::par_iterate_dirty_to_fixed_point`]): each worker
-/// owns one contiguous segment of the work list (degree-weighted, like the
-/// full sweep) and writes its disjoint slice of `staging`/`changed`, so
-/// the result — and therefore the whole trajectory — is independent of the
-/// thread count by construction.
-pub(crate) fn par_recompute_rows_into<A>(
-    alg: &A,
-    adj: &AdjacencyMatrix<A>,
-    state: &RoutingState<A>,
-    worklist: &[usize],
-    threads: usize,
-    staging: &mut Vec<A::Route>,
-    changed: &mut Vec<bool>,
-) where
-    A: ParallelAlgebra,
-    A::Route: Send + Sync,
-    A::Edge: Sync,
-{
-    par_recompute_rows_into_on(
-        WorkerPool::shared(),
-        alg,
-        adj,
-        state,
-        worklist,
-        threads,
-        staging,
-        changed,
-    )
-}
-
-/// [`par_recompute_rows_into`] against an explicit pool instead of the
-/// process-wide shared one.  The route server uses a dedicated pool so
-/// that fault plans keyed on epoch indices are deterministic (the shared
-/// pool's epoch counter depends on whatever else the process ran).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn par_recompute_rows_into_on<A>(
-    pool: &WorkerPool,
-    alg: &A,
-    adj: &AdjacencyMatrix<A>,
-    state: &RoutingState<A>,
-    worklist: &[usize],
-    threads: usize,
-    staging: &mut Vec<A::Route>,
-    changed: &mut Vec<bool>,
-) where
-    A: ParallelAlgebra,
-    A::Route: Send + Sync,
-    A::Edge: Sync,
-{
-    let n = adj.node_count();
-    let need = worklist.len() * n;
-    if staging.len() < need {
-        staging.resize(need, alg.invalid());
-    }
-    changed.clear();
-    changed.resize(worklist.len(), false);
-    let recompute_segment = |rows: &[usize], stage: &mut [A::Route], flags: &mut [bool]| {
-        for ((&i, slot), flag) in rows.iter().zip(stage.chunks_mut(n)).zip(flags.iter_mut()) {
-            *flag = sigma_row_into_changed(alg, adj, state, i, slot);
-        }
-    };
-    if threads <= 1 || worklist.len() < 2 {
-        recompute_segment(worklist, &mut staging[..need], changed);
-        return;
-    }
-    let chunks = balanced_chunks(worklist.len(), threads, |pos| {
-        adj.row(worklist[pos]).len() as u64 + 1
-    });
-    let mut stage_rest = &mut staging[..need];
-    let mut flag_rest = changed.as_mut_slice();
-    #[allow(clippy::type_complexity)]
-    let mut first: Option<(&[usize], &mut [A::Route], &mut [bool])> = None;
-    let outcome = pool.scoped(|scope| {
-        for range in chunks {
-            let rows = &worklist[range.clone()];
-            let (stage, stail) =
-                std::mem::take(&mut stage_rest).split_at_mut((range.end - range.start) * n);
-            stage_rest = stail;
-            let (fl, ftail) = std::mem::take(&mut flag_rest).split_at_mut(range.end - range.start);
-            flag_rest = ftail;
-            if first.is_none() {
-                first = Some((rows, stage, fl));
-            } else {
-                scope.execute(move || recompute_segment(rows, stage, fl));
-            }
-        }
-        if let Some((rows, stage, fl)) = first.take() {
-            recompute_segment(rows, stage, fl);
-        }
-    });
-    if let Err(payload) = outcome {
-        std::panic::resume_unwind(payload);
-    }
+    let exec = Pooled::shared(threads);
+    iterate_with(alg, adj, x0, max_iterations, &exec, &mut NoopSink)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::{FixedPoint, Start};
     use crate::sigma::sigma;
+    use crate::sync::iterate_to_fixed_point;
     use dbf_algebra::prelude::*;
     use dbf_topology::generators;
 
@@ -663,9 +283,9 @@ mod tests {
             RoutingState::<WidestPaths>::from_fn(n, |i, j| NatInf::fin(((i * 3 + j) % 40) as u64));
         let expected = sigma(&alg, &adj, &x);
         for threads in [1, 2, 3, 5, 8] {
-            let mut out = RoutingState::uniform(n, NatInf::fin(777));
-            par_sigma_into(&alg, &adj, &x, &mut out, threads);
-            assert_eq!(out, expected, "threads={threads}");
+            let mut kernel = FixedPoint::new(&adj, x.clone(), Start::AllRows);
+            kernel.step(&alg, &adj, &Pooled::shared(threads), &mut NoopSink);
+            assert_eq!(kernel.finish(&mut NoopSink), expected, "threads={threads}");
         }
     }
 
@@ -708,7 +328,7 @@ mod tests {
         let mut deterministic_sides = Vec::new();
         for threads in [1usize, 2, 8] {
             let mut sink = AggregatingSink::new();
-            let out = par_iterate_traced(&alg, &adj, &x0, 500, threads, &mut sink);
+            let out = iterate_with(&alg, &adj, &x0, 500, &Pooled::shared(threads), &mut sink);
             assert_eq!(out.state, untraced.state, "threads={threads}");
             assert_eq!(out.iterations, untraced.iterations, "threads={threads}");
             let report = sink.finish();
@@ -731,30 +351,35 @@ mod tests {
     }
 
     #[test]
-    fn par_recompute_rows_into_is_thread_invariant_and_flags_changes() {
+    fn pooled_sweep_is_thread_invariant_and_flags_changes() {
         let alg = BoundedHopCount::new(12);
         let n = 24;
         let topo = generators::line(n).with_weights(|_, _| 1u64);
         let adj = AdjacencyMatrix::<BoundedHopCount>::from_topology(&topo);
         let x0 = RoutingState::identity(&alg, n);
         let worklist: Vec<usize> = (0..n).collect();
-        let mut seq_stage = Vec::new();
-        let mut seq_flags = Vec::new();
-        par_recompute_rows_into(
-            &alg,
-            &adj,
-            &x0,
-            &worklist,
-            1,
-            &mut seq_stage,
-            &mut seq_flags,
-        );
+        let job = Sweep {
+            alg: &alg,
+            adj: &adj,
+            rows: x0.as_slice(),
+            w: n,
+            j0: 0,
+            worklist: &worklist,
+            round: 1,
+        };
+        let sweep = |threads: usize| {
+            let mut stage = vec![alg.invalid(); n * n];
+            let mut flags = vec![false; n];
+            Pooled::shared(threads).sweep(&job, &mut stage, &mut flags, &mut NoopSink);
+            (stage, flags)
+        };
+        let (seq_stage, seq_flags) = sweep(1);
         for threads in [2, 3, 8] {
-            let mut stage = Vec::new();
-            let mut flags = Vec::new();
-            par_recompute_rows_into(&alg, &adj, &x0, &worklist, threads, &mut stage, &mut flags);
-            assert_eq!(flags, seq_flags, "threads={threads}");
-            assert_eq!(stage, seq_stage, "threads={threads}");
+            assert_eq!(
+                sweep(threads),
+                (seq_stage.clone(), seq_flags.clone()),
+                "threads={threads}"
+            );
         }
         // The flags are exactly "the staged table differs from the current
         // one", and from the identity every line node learns a new route.
@@ -763,19 +388,5 @@ mod tests {
             assert_eq!(seq_flags[pos], slot != x0.row(i), "row {i}");
             assert!(seq_flags[pos], "row {i} learns one-hop routes");
         }
-        // The staging buffer is reused, not reallocated: a narrower
-        // worklist keeps the old capacity and only the flag vector shrinks.
-        let cap = seq_stage.len();
-        par_recompute_rows_into(
-            &alg,
-            &adj,
-            &x0,
-            &worklist[..3],
-            2,
-            &mut seq_stage,
-            &mut seq_flags,
-        );
-        assert_eq!(seq_stage.len(), cap);
-        assert_eq!(seq_flags.len(), 3);
     }
 }

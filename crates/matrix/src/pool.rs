@@ -2,7 +2,7 @@
 //! epoch-stamped band work lists.
 //!
 //! The first parallel σ implementation spawned a fresh set of scoped
-//! threads *every round* (`crossbeam::thread::scope` inside `par_step`),
+//! threads *every round* (`crossbeam::thread::scope` inside the round),
 //! which costs two thread creations plus two joins per worker per round —
 //! measurable once rounds are short, and fatal to the route-server goal of
 //! sustaining 10⁵+ events against a warm routing table.  This module
@@ -284,10 +284,10 @@ impl WorkerPool {
     /// The process-wide shared pool, created on first use with one worker
     /// per available hardware thread beyond the coordinator (and at least
     /// one, so the cross-thread paths are exercised even on a single
-    /// core).  All the `par_*` kernels and the scenario sweep/fuzz
-    /// executors share this instance; requesting more bands than there
-    /// are workers is fine — the surplus jobs queue and the coordinator
-    /// helps drain them.
+    /// core).  The kernel's [`Pooled`](crate::parallel::Pooled) executor
+    /// and the scenario sweep/fuzz executors share this instance;
+    /// requesting more bands than there are workers is fine — the surplus
+    /// jobs queue and the coordinator helps drain them.
     pub fn shared() -> &'static WorkerPool {
         static SHARED: OnceLock<WorkerPool> = OnceLock::new();
         SHARED.get_or_init(|| {

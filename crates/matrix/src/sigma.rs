@@ -37,9 +37,9 @@ pub fn sigma_entry<A: RoutingAlgebra>(
 
 /// One synchronous round `σ(X)`, written into an existing state buffer.
 ///
-/// This is the allocation-free work-horse behind [`sigma`] and the
-/// double-buffered fixed-point loop in [`crate::sync`].  It sweeps row-wise:
-/// node `i`'s next table is the ⊕-fold of `A_ik` applied pointwise to
+/// This is the allocation-free work-horse behind [`sigma`], the plain
+/// whole-state σ the fixed-point kernel is tested against.  It sweeps
+/// row-wise: node `i`'s next table is the ⊕-fold of `A_ik` applied pointwise to
 /// neighbour `k`'s *entire current table*, so both the read of `X[k][·]`
 /// and the write of `σ(X)[i][·]` stream over contiguous memory — at
 /// `n = 10⁴` this is the difference between being memory-bandwidth-bound
@@ -69,9 +69,8 @@ pub fn sigma_into<A: RoutingAlgebra>(
 /// Recompute node `i`'s entire next table `σ(X)[i][·]` into `out` (a slice
 /// of length `n`).
 ///
-/// This is one row of [`sigma_into`], exposed so the incremental engine in
-/// [`crate::incremental`] can recompute only the rows a topology change (or
-/// a neighbour's update) actually perturbs.  The write streams over `out`
+/// This is one row of [`sigma_into`]; the fixed-point kernel recomputes
+/// rows with the fused, windowed form below.  The write streams over `out`
 /// once per present link, so the cost is `O(deg(i) · n)`.
 ///
 /// # Panics
@@ -108,8 +107,9 @@ pub fn sigma_row_into<A: RoutingAlgebra>(
 /// [`sigma_row_into`] fused with the change test: recompute node `i`'s
 /// next table into `out` and report whether it differs from the current
 /// row `X[i][·]` — the comparison happens *during* the final streaming
-/// write, so the fixed-point loops need no second full-row `Eq` pass over
-/// a row that was just computed.
+/// write, so the fixed-point kernel needs no second full-row `Eq` pass over
+/// a row that was just computed.  This is the windowed row kernel over
+/// the whole-row window `(0, n)`.
 ///
 /// # Panics
 ///
@@ -129,13 +129,39 @@ pub fn sigma_row_into_changed<A: RoutingAlgebra>(
         "adjacency and state dimensions must match"
     );
     assert_eq!(n, out.len(), "output row length must match");
-    let old = x.row(i);
+    sigma_row_window_changed(alg, adj, x.as_slice(), n, 0, i, out)
+}
+
+/// The one fused row kernel: recompute `σ(cur)[i][j0..j0+w]` into `out`
+/// and report whether it differs from `cur`'s row `i`, where `cur` is a
+/// row-major `n × w` store holding destination columns `j0..j0+w` of the
+/// state (σ is column-separable, so a column window iterates on its own —
+/// see [`crate::blocked`]).  The square state is the window `(0, n)`.  The
+/// diagonal override applies when `i` lies inside the window.
+pub(crate) fn sigma_row_window_changed<A: RoutingAlgebra>(
+    alg: &A,
+    adj: &AdjacencyMatrix<A>,
+    cur: &[A::Route],
+    w: usize,
+    j0: usize,
+    i: NodeId,
+    out: &mut [A::Route],
+) -> bool {
+    let old = &cur[i * w..(i + 1) * w];
+    // Window-local position of the diagonal entry.  For a row outside the
+    // window the subtraction wraps (or lands at `>= w`), so it matches no
+    // local column and no override happens.
+    let diag = i.wrapping_sub(j0);
     let mut changed = false;
     match adj.row(i).split_last() {
         None => {
             // No imports: the row is ∞̄ everywhere except the diagonal.
             for (j, (d, o)) in out.iter_mut().zip(old.iter()).enumerate() {
-                let v = if j == i { alg.trivial() } else { alg.invalid() };
+                let v = if j == diag {
+                    alg.trivial()
+                } else {
+                    alg.invalid()
+                };
                 changed |= v != *o;
                 *d = v;
             }
@@ -145,7 +171,7 @@ pub fn sigma_row_into_changed<A: RoutingAlgebra>(
                 *r = alg.invalid();
             }
             for (k, f) in rest {
-                let src = x.row(*k);
+                let src = &cur[k * w..(k + 1) * w];
                 for (d, s) in out.iter_mut().zip(src.iter()) {
                     let candidate = alg.extend(f, s);
                     *d = alg.choice(d, &candidate);
@@ -154,9 +180,9 @@ pub fn sigma_row_into_changed<A: RoutingAlgebra>(
             // The last import's pass doubles as the write-out-and-compare
             // pass (the adjacency row never contains `i`, so `last_k != i`
             // and the diagonal override cannot alias the source row).
-            let src = x.row(*last_k);
+            let src = &cur[last_k * w..(last_k + 1) * w];
             for (j, ((d, s), o)) in out.iter_mut().zip(src.iter()).zip(old.iter()).enumerate() {
-                let v = if j == i {
+                let v = if j == diag {
                     alg.trivial()
                 } else {
                     alg.choice(d, &alg.extend(last_f, s))

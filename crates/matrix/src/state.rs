@@ -91,11 +91,22 @@ impl<A: RoutingAlgebra> RoutingState<A> {
     }
 
     /// The row-major backing storage (`n · n` routes, row `i` at
-    /// `[i·n, (i+1)·n)`).  The parallel row sweep in [`crate::parallel`]
-    /// splits this into disjoint contiguous row bands, one per worker, so
-    /// every thread writes its own region without synchronisation.
-    pub(crate) fn entries_mut(&mut self) -> &mut [A::Route] {
-        &mut self.entries
+    /// `[i·n, (i+1)·n)`), as the windowed row kernel reads it.
+    pub(crate) fn as_slice(&self) -> &[A::Route] {
+        &self.entries
+    }
+
+    /// Give up the row-major backing storage: the fixed-point kernel takes
+    /// a state over as its row store without copying it.
+    pub(crate) fn into_entries(self) -> Vec<A::Route> {
+        self.entries
+    }
+
+    /// Wrap a row-major `n · n` storage back into a state (the inverse of
+    /// [`RoutingState::into_entries`]).
+    pub(crate) fn from_entries(n: usize, entries: Vec<A::Route>) -> Self {
+        assert_eq!(entries.len(), n * n, "a state holds n · n routes");
+        Self { n, entries }
     }
 
     /// Iterate over all entries as `(i, j, &route)`, in row-major order.

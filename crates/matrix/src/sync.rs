@@ -2,18 +2,18 @@
 //! (Definition 4).
 
 use crate::adjacency::AdjacencyMatrix;
-use crate::sigma::{sigma, sigma_row_into_changed};
+use crate::kernel::{Executor, FixedPoint, Inline, Start};
+use crate::sigma::sigma_row_into_changed;
 use crate::state::RoutingState;
 use dbf_algebra::RoutingAlgebra;
 use dbf_telemetry::{NoopSink, TelemetrySink};
-use std::time::Instant;
 
 /// The outcome of a synchronous iteration run.
 #[derive(Clone, Debug)]
 pub struct SyncOutcome<A: RoutingAlgebra> {
     /// The final state (a fixed point when `converged` is true).
     pub state: RoutingState<A>,
-    /// The number of applications of `σ` that were performed.
+    /// The number of applications of `σ` that changed the state.
     pub iterations: usize,
     /// Whether a fixed point was reached within the iteration budget.
     pub converged: bool,
@@ -49,12 +49,17 @@ pub fn iteration_budget(n: usize, predicted_bound: Option<u64>) -> usize {
 /// Is `X` stable, i.e. a fixed point of `σ` (Definition 4)?  Equivalently:
 /// no node can improve any of its selected routes by unilaterally
 /// re-running its selection — a *local* optimum.
+///
+/// Checked row by row with the fused row kernel into one row-sized buffer
+/// — no second `n²` state is materialised, and the first row that would
+/// change ends the test.
 pub fn is_stable<A: RoutingAlgebra>(
     alg: &A,
     adj: &AdjacencyMatrix<A>,
     x: &RoutingState<A>,
 ) -> bool {
-    sigma(alg, adj, x) == *x
+    let mut row = vec![alg.invalid(); adj.node_count()];
+    (0..adj.node_count()).all(|i| !sigma_row_into_changed(alg, adj, x, i, &mut row))
 }
 
 /// Iterate `σ` from `x0` until a fixed point is reached or `max_iterations`
@@ -73,97 +78,6 @@ pub fn iterate_to_fixed_point<A: RoutingAlgebra>(
     max_iterations: usize,
 ) -> SyncOutcome<A> {
     iterate_traced(alg, adj, x0, max_iterations, &mut NoopSink)
-}
-
-/// One instrumented σ round: sweep every row of `σ(cur)` into `next` and
-/// report how many rows changed.  Rows outside the active frontier
-/// (`needs[i] == false`: no import neighbour changed last round) provably
-/// satisfy `σ(cur)[i] = cur[i]` and are not recomputed; of those, rows that
-/// also did not change *themselves* last round (`prev[i] == false`) already
-/// hold the current value in the idle double buffer (it lags exactly one
-/// round behind) and are not even copied — the late-convergence rounds
-/// where only a few rows still move cost a frontier-sized σ sweep plus a
-/// memcpy per freshly-settled row, nothing per long-quiet row.  The change
-/// test rides the streaming write ([`sigma_row_into_changed`]), so there is
-/// no second full-row `Eq` pass either.  Telemetry-only work — the
-/// wall-clock read and the settle bookkeeping — is guarded behind
-/// `tel.enabled()`, so the `NoopSink` monomorphization is the plain sweep.
-#[allow(clippy::too_many_arguments)]
-fn traced_round<A, S>(
-    alg: &A,
-    adj: &AdjacencyMatrix<A>,
-    cur: &RoutingState<A>,
-    next: &mut RoutingState<A>,
-    round: u64,
-    needs: &[bool],
-    prev: &[bool],
-    flags: &mut [bool],
-    last_changed: &mut [u64],
-    tel: &mut S,
-) -> u64
-where
-    A: RoutingAlgebra,
-    S: TelemetrySink + ?Sized,
-{
-    let n = adj.node_count();
-    let on = tel.enabled();
-    let t0 = on.then(Instant::now);
-    let frontier = needs.iter().filter(|&&d| d).count() as u64;
-    tel.round_start(round, n as u64, frontier);
-    let mut changed = 0u64;
-    for ((i, slot), flag) in next
-        .entries_mut()
-        .chunks_mut(n.max(1))
-        .enumerate()
-        .zip(flags.iter_mut())
-    {
-        *flag = if needs[i] {
-            sigma_row_into_changed(alg, adj, cur, i, slot)
-        } else {
-            if prev[i] {
-                // Freshly settled row: σ(cur)[i] = cur[i], but the idle
-                // buffer still holds the value from two rounds ago, so
-                // refresh it by copy instead of recomputing.
-                slot.clone_from_slice(cur.row(i));
-            }
-            // else: quiet for two rounds — the idle buffer already holds
-            // the current value, skip the row entirely.
-            false
-        };
-        if *flag {
-            changed += 1;
-            if on {
-                last_changed[i] = round;
-            }
-        }
-    }
-    let wall_ns = t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
-    tel.round_end(round, frontier, changed, wall_ns);
-    changed
-}
-
-/// Recompute the next round's active frontier: exactly the dependants of
-/// the rows whose tables changed this round need a σ recomputation; every
-/// other row is provably stable and may be copied.  Shared by the
-/// sequential loop here and the parallel loops in [`crate::parallel`] so
-/// the two engines' schedules (and telemetry) stay identical.
-pub(crate) fn update_needs(dependants: &[Vec<usize>], flags: &[bool], needs: &mut [bool]) {
-    needs.fill(false);
-    for (i, &changed) in flags.iter().enumerate() {
-        if changed {
-            for &d in &dependants[i] {
-                needs[d] = true;
-            }
-        }
-    }
-}
-
-/// Emit `node_settled` for every node, in node order: the round in which
-/// the node's row last changed (0 if it never moved).
-pub(crate) fn emit_settles<S: TelemetrySink + ?Sized>(tel: &mut S, last_changed: &[u64]) {
-    for (node, &round) in last_changed.iter().enumerate() {
-        tel.node_settled(node, round);
-    }
 }
 
 /// [`iterate_to_fixed_point`] with a telemetry sink: emits
@@ -186,77 +100,39 @@ where
     A: RoutingAlgebra,
     S: TelemetrySink + ?Sized,
 {
-    // Double-buffered: `σ` streams into a reusable second state and the
-    // buffers are swapped each round, so the loop performs no per-round
-    // allocation (at n = 10⁴ a state is ~1.6 GB, so this matters).
-    let n = adj.node_count();
-    let on = tel.enabled();
-    let mut last_changed = vec![0u64; if on { n } else { 0 }];
-    // Row-skip bookkeeping: round 1 must recompute everything (x0 is
-    // arbitrary), after which only the dependants of last round's changed
-    // rows can move.  `changed == 0` over the active frontier therefore
-    // certifies a genuine fixed point: every skipped row already satisfied
-    // σ(X)[i] = X[i] by the frontier invariant.  `prev`/`flags` alternate
-    // as last round's and this round's change sets (prev starts all-true
-    // so round 2 refreshes whatever round 1 left stale in the idle buffer).
-    let dependants = adj.dependants();
-    let mut needs = vec![true; n];
-    let mut prev = vec![true; n];
-    let mut flags = vec![false; n];
-    let mut cur = x0.clone();
-    let mut next = cur.clone();
-    let mut round = 0u64;
-    for k in 0..max_iterations {
-        round = k as u64 + 1;
-        if traced_round(
-            alg,
-            adj,
-            &cur,
-            &mut next,
-            round,
-            &needs,
-            &prev,
-            &mut flags,
-            &mut last_changed,
-            tel,
-        ) == 0
-        {
-            if on {
-                emit_settles(tel, &last_changed);
-            }
-            return SyncOutcome {
-                state: cur,
-                iterations: k,
-                converged: true,
-            };
-        }
-        update_needs(&dependants, &flags, &mut needs);
-        std::mem::swap(&mut prev, &mut flags);
-        std::mem::swap(&mut cur, &mut next);
-    }
-    // One last check so that a state that becomes stable exactly at the
-    // budget boundary is still reported as converged — into the idle
-    // buffer, not a fresh allocation.  The frontier invariant still holds
-    // here, so checking only the active rows is the full stability test.
-    let changed = traced_round(
-        alg,
-        adj,
-        &cur,
-        &mut next,
-        round + 1,
-        &needs,
-        &prev,
-        &mut flags,
-        &mut last_changed,
-        tel,
-    );
-    if on {
-        emit_settles(tel, &last_changed);
-    }
+    iterate_with(alg, adj, x0, max_iterations, &Inline, tel)
+}
+
+/// The full-sweep iteration on the fixed-point kernel, with the executor
+/// as an argument: [`Inline`] is the sequential iteration,
+/// [`crate::parallel::Pooled`] shards every round over a worker pool, and
+/// the outcome — and every deterministic event — is identical for both.
+///
+/// Round 1 sweeps every row (`x0` is arbitrary); later rounds recompute
+/// only the dependants of the rows that changed.  A round that changes
+/// nothing certifies the fixed point, so `iterations` counts the rounds
+/// before it; at the budget boundary one uncommitted verifying sweep
+/// decides whether the state became stable exactly there.
+pub fn iterate_with<A, E, S>(
+    alg: &A,
+    adj: &AdjacencyMatrix<A>,
+    x0: &RoutingState<A>,
+    max_iterations: usize,
+    exec: &E,
+    tel: &mut S,
+) -> SyncOutcome<A>
+where
+    A: RoutingAlgebra,
+    E: Executor<A>,
+    S: TelemetrySink + ?Sized,
+{
+    let mut kernel = FixedPoint::new(adj, x0.clone(), Start::AllRows);
+    let converged =
+        kernel.run(alg, adj, max_iterations, exec, tel) || kernel.verify(alg, adj, exec, tel);
     SyncOutcome {
-        state: cur,
-        iterations: max_iterations,
-        converged: changed == 0,
+        iterations: kernel.iterations(),
+        converged,
+        state: kernel.finish(tel),
     }
 }
 

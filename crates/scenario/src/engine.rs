@@ -54,9 +54,8 @@ use dbf_async::sim::{EventSim, SimConfig};
 use dbf_async::{run_delta, DeltaOutcome};
 use dbf_bgp::algebra::BgpAlgebra;
 use dbf_matrix::{
-    dirty_rows_after_change, is_stable, par_iterate_dirty_to_fixed_point, par_iterate_dirty_traced,
-    par_iterate_to_fixed_point, par_iterate_traced, AdjacencyMatrix, IncrementalOutcome,
-    NodePermutation, RoutingState, RowOrder, SyncOutcome,
+    dirty_rows_after_change, is_stable, iterate_dirty_with, iterate_with, AdjacencyMatrix,
+    NodePermutation, Pooled, RoutingState, RowOrder,
 };
 use dbf_protocols::bgp::{BgpConfig, BgpEngine};
 use dbf_protocols::rip::{RipConfig, RipEngine};
@@ -487,49 +486,6 @@ fn sync_iteration_budget<A: RoutingAlgebra>(p: &Problem<A>) -> usize {
     dbf_matrix::iteration_budget(p.adj.node_count(), p.round_budget)
 }
 
-/// One synchronous σ phase: traced when the sink is live, untraced (all
-/// instrumentation compiled out) when it is not.
-fn sigma_phase<A: ScenarioAlgebra>(
-    alg: &A,
-    adj: &AdjacencyMatrix<A>,
-    state: &RoutingState<A>,
-    budget: usize,
-    threads: usize,
-    tel: &mut dyn TelemetrySink,
-) -> SyncOutcome<A>
-where
-    A::Route: Send + Sync + 'static,
-    A::Edge: PartialEq + Send + Sync + 'static,
-{
-    if tel.enabled() {
-        par_iterate_traced(alg, adj, state, budget, threads, tel)
-    } else {
-        par_iterate_to_fixed_point(alg, adj, state, budget, threads)
-    }
-}
-
-/// One incremental dirty-row σ phase, traced or untraced like
-/// [`sigma_phase`].
-fn dirty_phase<A: ScenarioAlgebra>(
-    alg: &A,
-    adj: &AdjacencyMatrix<A>,
-    state: &RoutingState<A>,
-    dirty: &[bool],
-    budget: usize,
-    threads: usize,
-    tel: &mut dyn TelemetrySink,
-) -> IncrementalOutcome<A>
-where
-    A::Route: Send + Sync + 'static,
-    A::Edge: PartialEq + Send + Sync + 'static,
-{
-    if tel.enabled() {
-        par_iterate_dirty_traced(alg, adj, state, dirty, budget, threads, tel)
-    } else {
-        par_iterate_dirty_to_fixed_point(alg, adj, state, dirty, budget, threads)
-    }
-}
-
 fn schedule_for(faults: &FaultSpec, n: usize, seed: u64) -> Schedule {
     match faults.schedule {
         ScheduleSpec::AdversarialStale { victim, period } => Schedule::adversarial_stale(
@@ -662,6 +618,7 @@ where
         tel: &mut dyn TelemetrySink,
     ) -> EngineRun {
         tel.run_start("sync", "sync");
+        let exec = Pooled::shared(threads);
         let mut state = RoutingState::identity(alg, problems[0].adj.node_count());
         let mut phases = Vec::with_capacity(problems.len());
         for p in problems {
@@ -675,7 +632,7 @@ where
             tel.phase_start(&p.label, n);
             let start = Instant::now();
             let out = if perm.is_identity() {
-                sigma_phase(alg, &p.adj, &state, sync_iteration_budget(p), threads, tel)
+                iterate_with(alg, &p.adj, &state, sync_iteration_budget(p), &exec, tel)
             } else {
                 let padj = p.adj.permuted(&perm);
                 let pstate = state.permuted(&perm);
@@ -683,12 +640,12 @@ where
                     inner: &mut *tel,
                     perm: &perm,
                 };
-                let mut out = sigma_phase(
+                let mut out = iterate_with(
                     alg,
                     &padj,
                     &pstate,
                     sync_iteration_budget(p),
-                    threads,
+                    &exec,
                     &mut relabel,
                 );
                 out.state = out.state.unpermuted(&perm);
@@ -765,6 +722,7 @@ where
         tel: &mut dyn TelemetrySink,
     ) -> EngineRun {
         tel.run_start("incremental", "incremental");
+        let exec = Pooled::shared(threads);
         let mut state = RoutingState::identity(alg, problems[0].adj.node_count());
         let mut phases = Vec::with_capacity(problems.len());
         // The dirty-start optimisation is only sound from a fixed point of
@@ -786,13 +744,13 @@ where
                 _ => vec![true; n],
             };
             let out = if perm.is_identity() {
-                dirty_phase(
+                iterate_dirty_with(
                     alg,
                     &p.adj,
                     &state,
                     &dirty,
                     sync_iteration_budget(p),
-                    threads,
+                    &exec,
                     tel,
                 )
             } else {
@@ -803,13 +761,13 @@ where
                     inner: &mut *tel,
                     perm: &perm,
                 };
-                let mut out = dirty_phase(
+                let mut out = iterate_dirty_with(
                     alg,
                     &padj,
                     &pstate,
                     &pdirty,
                     sync_iteration_budget(p),
-                    threads,
+                    &exec,
                     &mut relabel,
                 );
                 out.state = out.state.unpermuted(&perm);

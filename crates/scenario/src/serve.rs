@@ -73,8 +73,8 @@ use crate::spec::{ChangeSpec, SpecError, TopologySpec, WeightRule};
 use dbf_algebra::algebra::SplitMix64;
 use dbf_algebra::prelude::*;
 use dbf_matrix::{
-    dirty_rows_after_change, iteration_budget, par_iterate_dirty_traced_on, AdjacencyMatrix,
-    FaultPlan, IncrementalOutcome, PoolStats, RoutingState, WorkerPool,
+    dirty_rows_after_change, iteration_budget, AdjacencyMatrix, FaultPlan, FixedPoint, PoolStats,
+    Pooled, RoutingState, Start, WorkerPool,
 };
 use dbf_telemetry::{SettleSummary, TelemetrySink};
 use dbf_topology::Topology;
@@ -710,10 +710,11 @@ impl ServeStats {
     }
 }
 
-/// A parked, partially-converged flush: the server went over its
-/// deadline, kept the old stable table for queries, and resumes this
-/// work incrementally.  The residual dirty mask makes resumption exact —
-/// the chunked trajectory is the uninterrupted trajectory.
+/// A flush in progress — parked in `RouteServer::degraded` when the
+/// server went over its deadline, kept the old stable table for queries,
+/// and resumes this work incrementally.  It holds the fixed-point stepper
+/// itself, so resuming costs nothing per round and the chunked trajectory
+/// is the uninterrupted trajectory.
 struct DegradedWork<A>
 where
     A: ScenarioAlgebra,
@@ -721,10 +722,7 @@ where
     A::Edge: PartialEq + Send + Sync + 'static,
 {
     adj: AdjacencyMatrix<A>,
-    state: RoutingState<A>,
-    dirty: Vec<bool>,
-    rounds: u64,
-    recomps: u64,
+    kernel: FixedPoint<A>,
     naive_dirty: u64,
     batch_dirty: u64,
     batch_len: u64,
@@ -821,25 +819,25 @@ where
     /// point).
     pub fn initial_converge(&mut self, tel: &mut dyn TelemetrySink) -> Result<(), SpecError> {
         let n = self.adj.node_count();
-        let dirty = vec![true; n];
-        let outcome = kernel_retry(
+        let mut kernel =
+            FixedPoint::new(&self.adj, self.state.clone(), Start::Dirty(&vec![true; n]));
+        let converged = kernel_retry(
             &self.pool,
             &self.alg,
             &self.adj,
-            &self.state,
-            &dirty,
+            &mut kernel,
             iteration_budget(n, None),
             self.threads,
             &mut self.stats.flush_retries,
             tel,
         )
         .map_err(SpecError::from)?;
-        if !outcome.converged {
+        if !converged {
             return Err(SpecError::new(
                 "initial convergence exhausted its iteration budget",
             ));
         }
-        self.state = outcome.state;
+        self.state = kernel.finish(tel);
         Ok(())
     }
 
@@ -963,10 +961,9 @@ where
         tel: &mut dyn TelemetrySink,
     ) -> Result<ServeAnswer, ServeProblem> {
         let t0 = Instant::now();
-        if self.degraded.is_some() {
-            self.advance_degraded(1, tel)?;
-        } else {
-            self.flush(tel)?;
+        match self.degraded.take() {
+            Some(work) => self.drive(work, Some(1), tel)?,
+            None => self.flush(tel)?,
         }
         let stale = self.degraded.is_some();
         let n = self.adj.node_count();
@@ -1064,66 +1061,68 @@ where
         let work = DegradedWork {
             budget: iteration_budget(n, None),
             bound: self.bound.rounds(n, &self.overrides),
+            kernel: FixedPoint::new(&new_adj, x0, Start::Dirty(&dirty)),
             adj: new_adj,
-            state: x0,
-            dirty,
-            rounds: 0,
-            recomps: 0,
             naive_dirty,
             batch_dirty,
             batch_len: batch.len() as u64,
             stale_served: 0,
             started: t0,
         };
-        self.converge(work, tel)
+        self.drive(work, None, tel)
     }
 
-    /// Drive `work` to a fixed point, or park it on deadline overrun.
+    /// Drive `work` towards its fixed point.  A fresh flush (`parked:
+    /// None`) runs until it converges or overruns its deadline and is
+    /// parked; a parked one (`Some(k)`) advances at most `k` rounds and is
+    /// parked again unless it converged.
     ///
-    /// With a deadline in force the kernel runs one round per call so
-    /// the overrun check lands between rounds; the chunked trajectory is
-    /// identical to the unchunked one (Jacobi staging — each round reads
-    /// only the previous round's state, and the frontier is rebuilt from
-    /// the sorted residual dirty mask), so deterministic counters are
-    /// unaffected by the chunk size.
-    fn converge(
+    /// With a deadline in force the stepper advances one round per call
+    /// so the overrun check lands between rounds; the stepper is resumable
+    /// (Jacobi staging — each round reads only the previous round's rows),
+    /// so deterministic counters are unaffected by the chunk size.
+    fn drive(
         &mut self,
         mut work: DegradedWork<A>,
+        parked: Option<usize>,
         tel: &mut dyn TelemetrySink,
     ) -> Result<(), ServeProblem> {
-        let deadline = self.deadline_duration();
-        let chunk = if deadline.is_some() { 1 } else { work.budget };
+        let deadline = match parked {
+            None => self.deadline_duration(),
+            Some(_) => None,
+        };
+        let chunk = parked.unwrap_or(if deadline.is_some() { 1 } else { work.budget });
         loop {
-            let left = work.budget.saturating_sub(work.rounds as usize).max(1);
-            let outcome = kernel_retry(
+            let until = work.kernel.rounds().saturating_add(chunk).min(work.budget);
+            let converged = kernel_retry(
                 &self.pool,
                 &self.alg,
                 &work.adj,
-                &work.state,
-                &work.dirty,
-                chunk.min(left),
+                &mut work.kernel,
+                until,
                 self.threads,
                 &mut self.stats.flush_retries,
                 tel,
             )?;
-            work.rounds += outcome.rounds as u64;
-            work.recomps += outcome.row_recomputations;
-            work.state = outcome.state;
-            if outcome.converged {
+            let rounds = work.kernel.rounds() as u64;
+            if converged {
+                if parked.is_some() {
+                    tel.serve_restored(self.stats.batches, rounds, work.stale_served);
+                }
                 self.commit(work, tel);
                 return Ok(());
             }
-            work.dirty = outcome.dirty;
-            if work.rounds >= work.budget as u64 {
+            if rounds >= work.budget as u64 {
                 return Err(ServeProblem::budget(self.stats.batches));
             }
-            if let Some(d) = deadline {
-                if work.started.elapsed() >= d {
-                    self.stats.deadline_overruns += 1;
-                    tel.serve_degraded(self.stats.batches, work.rounds);
-                    self.degraded = Some(work);
-                    return Ok(());
-                }
+            let overrun = deadline.is_some_and(|d| work.started.elapsed() >= d);
+            if overrun {
+                self.stats.deadline_overruns += 1;
+                tel.serve_degraded(self.stats.batches, rounds);
+            }
+            if overrun || parked.is_some() {
+                self.degraded = Some(work);
+                return Ok(());
             }
         }
     }
@@ -1132,30 +1131,32 @@ where
     /// the bound, update the per-round cost EMA, and install the new
     /// adjacency and table.
     fn commit(&mut self, work: DegradedWork<A>, tel: &mut dyn TelemetrySink) {
+        let rounds = work.kernel.rounds() as u64;
         self.stats.batches += 1;
         self.stats.naive_dirty_rows += work.naive_dirty;
         self.stats.batch_dirty_rows += work.batch_dirty;
-        self.stats.rounds += work.rounds;
-        self.stats.row_recomputations += work.recomps;
-        if work.rounds > self.stats.worst_flush_rounds {
-            self.stats.worst_flush_rounds = work.rounds;
+        self.stats.rounds += rounds;
+        self.stats.row_recomputations += work.kernel.row_recomputations();
+        if rounds > self.stats.worst_flush_rounds {
+            self.stats.worst_flush_rounds = rounds;
             self.stats.worst_flush_bound = work.bound.unwrap_or(0);
         }
         if let Some(b) = work.bound {
-            if work.rounds <= b {
+            if rounds <= b {
                 self.stats.bound_ok += 1;
             }
         }
+        self.state = work.kernel.finish(tel);
         tel.serve_batch(
             self.stats.batches - 1,
             work.batch_len,
             work.naive_dirty,
             work.batch_dirty,
-            work.rounds,
+            rounds,
         );
         let us = work.started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-        if work.rounds > 0 {
-            let per = us as f64 / work.rounds as f64;
+        if rounds > 0 {
+            let per = us as f64 / rounds as f64;
             self.ema_us_per_round = if self.ema_us_per_round > 0.0 {
                 0.8 * self.ema_us_per_round + 0.2 * per
             } else {
@@ -1163,53 +1164,14 @@ where
             };
         }
         self.adj = work.adj;
-        self.state = work.state;
         self.stats.convergence_us.push(us);
-    }
-
-    /// Advance a parked reconvergence by up to `chunk` rounds.  Returns
-    /// `true` when the server left degraded mode (or was never in it).
-    fn advance_degraded(
-        &mut self,
-        chunk: usize,
-        tel: &mut dyn TelemetrySink,
-    ) -> Result<bool, ServeProblem> {
-        let Some(mut work) = self.degraded.take() else {
-            return Ok(true);
-        };
-        let left = work.budget.saturating_sub(work.rounds as usize).max(1);
-        let outcome = kernel_retry(
-            &self.pool,
-            &self.alg,
-            &work.adj,
-            &work.state,
-            &work.dirty,
-            chunk.min(left),
-            self.threads,
-            &mut self.stats.flush_retries,
-            tel,
-        )?;
-        work.rounds += outcome.rounds as u64;
-        work.recomps += outcome.row_recomputations;
-        work.state = outcome.state;
-        if outcome.converged {
-            tel.serve_restored(self.stats.batches, work.rounds, work.stale_served);
-            self.commit(work, tel);
-            return Ok(true);
-        }
-        work.dirty = outcome.dirty;
-        if work.rounds >= work.budget as u64 {
-            return Err(ServeProblem::budget(self.stats.batches));
-        }
-        self.degraded = Some(work);
-        Ok(false)
     }
 
     /// Run a parked reconvergence to completion (re-entering normal
     /// operation).  A no-op when not degraded.
     pub fn complete_degraded(&mut self, tel: &mut dyn TelemetrySink) -> Result<(), ServeProblem> {
-        while self.degraded.is_some() {
-            self.advance_degraded(64, tel)?;
+        while let Some(work) = self.degraded.take() {
+            self.drive(work, Some(64), tel)?;
         }
         Ok(())
     }
@@ -1257,22 +1219,24 @@ where
     }
 }
 
-/// Run the σ kernel with supervision and bounded-backoff retry: a
-/// panicking sweep (poisoned pool, injected fault) is caught, the pool's
-/// dead workers are replaced, and the sweep is retried up to 3 times
+/// Run the σ kernel up to `until` rounds in total, with supervision and
+/// bounded-backoff retry: a panicking sweep (poisoned pool, injected
+/// fault) is caught — the stepper commits nothing before a round's sweep
+/// has returned, so it is exactly where the last good round left it — the
+/// pool's dead workers are replaced, and the run is resumed up to 3 times
 /// with 1/2/4ms backoff before surfacing a structured `kernel` problem.
+/// Returns whether the fixed point was reached.
 #[allow(clippy::too_many_arguments)]
 fn kernel_retry<A>(
     pool: &PoolHandle,
     alg: &A,
     adj: &AdjacencyMatrix<A>,
-    x0: &RoutingState<A>,
-    dirty0: &[bool],
-    max_rounds: usize,
+    kernel: &mut FixedPoint<A>,
+    until: usize,
     threads: usize,
     retries: &mut u64,
     tel: &mut dyn TelemetrySink,
-) -> Result<IncrementalOutcome<A>, ServeProblem>
+) -> Result<bool, ServeProblem>
 where
     A: ScenarioAlgebra,
     A::Route: Send + Sync + 'static,
@@ -1282,11 +1246,12 @@ where
     loop {
         let p = pool.get();
         p.supervise();
+        let exec = Pooled { pool: p, threads };
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            par_iterate_dirty_traced_on(p, alg, adj, x0, dirty0, max_rounds, threads, tel)
+            kernel.run(alg, adj, until, &exec, tel)
         }));
         match result {
-            Ok(outcome) => return Ok(outcome),
+            Ok(converged) => return Ok(converged),
             Err(payload) => {
                 p.supervise();
                 p.note_retry();

@@ -40,7 +40,7 @@
 //! feed the `metrics` side of a report carry only quantities that are pure
 //! functions of (problem, seed) — round indices, row counts, settle rounds,
 //! message counters — while wall-clock durations and band geometry flow to
-//! the `timing` side only.  See the repository's ARCHITECTURE.md
+//! the `timing` side only.  See the repository's docs/ARCHITECTURE.md
 //! "Observability" section for the full argument.
 
 #![forbid(unsafe_code)]
