@@ -63,13 +63,20 @@ impl<A: RoutingAlgebra> AdjacencyMatrix<A> {
     /// algebra's edge functions: the topology edge `i → j` becomes `A_ij`.
     pub fn from_topology(topo: &Topology<A::Edge>) -> Self {
         let n = topo.node_count();
-        let mut adj = Self::empty(n);
+        // size every row once (degree count), then fill: no row grows
+        // through reallocation
+        let mut degree = vec![0usize; n];
+        for (i, _, _) in topo.edges() {
+            degree[i] += 1;
+        }
+        let mut rows: Vec<Vec<(NodeId, A::Edge)>> =
+            degree.into_iter().map(Vec::with_capacity).collect();
         // `Topology::edges` iterates in sorted `(i, j)` order, so each row is
         // built already sorted.
         for (i, j, w) in topo.edges() {
-            adj.rows[i].push((j, w.clone()));
+            rows[i].push((j, w.clone()));
         }
-        adj
+        Self { n, rows }
     }
 
     /// The number of nodes.

@@ -24,10 +24,14 @@
 //!
 //! Formats are versioned line-oriented text (`# dbf-checkpoint v1`,
 //! `# dbf-wal v1`), written atomically (temp file + rename) for the
-//! snapshot and append-plus-flush for the WAL.
+//! snapshot and append-plus-flush for the WAL.  "Flush" is to the OS:
+//! nothing here calls `fsync`, so the store is **process-crash safe, not
+//! power-loss safe** — a killed process loses nothing the OS had
+//! accepted, a machine that loses power may lose the page cache.
 
 use crate::report::Digest;
 use dbf_algebra::prelude::NatInf;
+use std::fmt::Write as _;
 use std::fs;
 use std::io::{self, Seek, Write};
 use std::path::{Path, PathBuf};
@@ -44,19 +48,43 @@ const WAL_FILE: &str = "events.wal";
 /// Route types the snapshot can persist: a whitespace-free text codec
 /// whose round trip is exact (`decode(encode(r)) == r`).
 pub trait PersistRoute: Sized {
+    /// Append the route to `out` as a single whitespace-free token (the
+    /// form the snapshot encoder streams a whole table through).
+    fn encode_into(&self, out: &mut String);
     /// Render the route as a single whitespace-free token.
-    fn encode(&self) -> String;
+    fn encode(&self) -> String {
+        let mut out = String::new();
+        self.encode_into(&mut out);
+        out
+    }
     /// Parse a token produced by [`PersistRoute::encode`].
     fn decode(s: &str) -> Option<Self>;
+}
+
+/// Append `v` in decimal.  A snapshot is thousands of small numbers (one
+/// per table entry and two per edge); formatting each through `fmt` costs
+/// several times the digits themselves.
+fn push_decimal(out: &mut String, mut v: u64) {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits"));
 }
 
 /// Both serve algebras (bounded hop count, shortest paths) route over
 /// `ℕ∞`: finite values are decimal, infinity is `inf`.
 impl PersistRoute for NatInf {
-    fn encode(&self) -> String {
+    fn encode_into(&self, out: &mut String) {
         match self.as_fin() {
-            Some(v) => v.to_string(),
-            None => "inf".to_string(),
+            Some(v) => push_decimal(out, v),
+            None => out.push_str("inf"),
         }
     }
     fn decode(s: &str) -> Option<Self> {
@@ -70,9 +98,9 @@ impl PersistRoute for NatInf {
 
 /// Everything a route server needs to resume exactly where it stopped.
 ///
-/// The routing rows are kept as encoded tokens so the document stays
-/// algebra-agnostic; [`PersistRoute`] does the typed round trip at the
-/// serve layer.  Note the *pending* batch is persisted rather than
+/// The routing table is kept as its encoded `row` lines so the document
+/// stays algebra-agnostic; [`PersistRoute`] does the typed round trip at
+/// the serve layer.  Note the *pending* batch is persisted rather than
 /// force-flushed: batching alignment (and hence `stats.batches`) stays
 /// identical to an uninterrupted run.
 #[derive(Debug, Clone, PartialEq)]
@@ -98,44 +126,49 @@ pub struct Snapshot {
     pub stats: [u64; 10],
     /// The FNV state of the answers digest at `offset`.
     pub answers_state: u64,
-    /// The converged routing table, row-major, encoded per
-    /// [`PersistRoute`].
-    pub rows: Vec<Vec<String>>,
+    /// The converged routing table as the document's own
+    /// `row <i> <token> … <token>\n` lines, in row order, one
+    /// single-space-separated [`PersistRoute`] token per destination —
+    /// one buffer the encoder streams into and [`Snapshot::to_text`]
+    /// copies out whole.
+    pub rows: String,
 }
 
 impl Snapshot {
-    /// Render the snapshot body (everything before the `digest` line).
-    fn body(&self) -> String {
-        let mut out = String::new();
-        out.push_str(SNAPSHOT_HEADER);
-        out.push('\n');
-        out.push_str(&format!("offset {}\n", self.offset));
-        out.push_str(&format!("algebra {}\n", self.algebra));
-        out.push_str(&format!("nodes {}\n", self.nodes));
-        let stats: Vec<String> = self.stats.iter().map(|v| v.to_string()).collect();
-        out.push_str(&format!("stats {}\n", stats.join(" ")));
-        out.push_str(&format!("answers {}\n", self.answers_state));
-        for (a, b) in &self.edges {
-            out.push_str(&format!("edge {a} {b}\n"));
-        }
-        for (a, b, w) in &self.overrides {
-            out.push_str(&format!("override {a} {b} {w}\n"));
-        }
-        for line in &self.pending {
-            out.push_str(&format!("pending {line}\n"));
-        }
-        for (i, row) in self.rows.iter().enumerate() {
-            out.push_str(&format!("row {i} {}\n", row.join(" ")));
-        }
-        out
-    }
-
     /// Render the full document: body plus trailing integrity digest.
     pub fn to_text(&self) -> String {
-        let body = self.body();
+        let lines = self.edges.len() + self.overrides.len() + self.pending.len();
+        let mut out = String::with_capacity(self.rows.len() + 24 * lines + 256);
+        out.push_str(SNAPSHOT_HEADER);
+        out.push('\n');
+        let _ = writeln!(out, "offset {}", self.offset);
+        let _ = writeln!(out, "algebra {}", self.algebra);
+        let _ = writeln!(out, "nodes {}", self.nodes);
+        out.push_str("stats");
+        for v in &self.stats {
+            let _ = write!(out, " {v}");
+        }
+        out.push('\n');
+        let _ = writeln!(out, "answers {}", self.answers_state);
+        for &(a, b) in &self.edges {
+            out.push_str("edge ");
+            push_decimal(&mut out, a as u64);
+            out.push(' ');
+            push_decimal(&mut out, b as u64);
+            out.push('\n');
+        }
+        for (a, b, w) in &self.overrides {
+            let _ = writeln!(out, "override {a} {b} {w}");
+        }
+        for line in &self.pending {
+            let _ = writeln!(out, "pending {line}");
+        }
+        out.push_str(&self.rows);
+        // the digest covers everything before its own line
         let mut d = Digest::default();
-        d.update(&body);
-        format!("{body}digest {}\n", d.finish())
+        d.update(&out);
+        let _ = writeln!(out, "digest {}", d.finish());
+        out
     }
 
     /// Parse and verify a snapshot document.
@@ -169,7 +202,9 @@ impl Snapshot {
         let mut edges = Vec::new();
         let mut overrides = Vec::new();
         let mut pending = Vec::new();
-        let mut rows: Vec<(usize, Vec<String>)> = Vec::new();
+        let mut rows = String::new();
+        let mut row_count = 0usize;
+        let mut rows_in_order = true;
         for (k, raw) in lines.enumerate() {
             let line = raw.trim();
             if line.is_empty() {
@@ -203,17 +238,19 @@ impl Snapshot {
                 }
                 "pending" => pending.push(toks[1..].join(" ")),
                 "row" => {
-                    let i = num(1)? as usize;
-                    rows.push((i, toks[2..].iter().map(|t| t.to_string()).collect()));
+                    rows_in_order &= num(1)? as usize == row_count;
+                    row_count += 1;
+                    rows.push_str(&toks.join(" "));
+                    rows.push('\n');
                 }
                 other => return Err(bad(&format!("unknown record {other:?}"))),
             }
         }
         let nodes = nodes.ok_or("checkpoint has no nodes line")?;
-        if rows.len() != nodes || rows.iter().enumerate().any(|(k, (i, _))| k != *i) {
+        if row_count != nodes || !rows_in_order {
             return Err("checkpoint rows are missing or out of order".into());
         }
-        if rows.iter().any(|(_, r)| r.len() != nodes) {
+        if rows.lines().any(|l| l.split(' ').count() != nodes + 2) {
             return Err("checkpoint row width disagrees with the node count".into());
         }
         Ok(Snapshot {
@@ -225,7 +262,7 @@ impl Snapshot {
             pending,
             stats: stats.ok_or("checkpoint has no stats line")?,
             answers_state: answers.ok_or("checkpoint has no answers line")?,
-            rows: rows.into_iter().map(|(_, r)| r).collect(),
+            rows,
         })
     }
 }
@@ -329,7 +366,7 @@ impl CheckpointStore {
             self.wal = Some(w);
         }
         let w = self.wal.as_mut().expect("just opened");
-        w.write_all(format!("e {offset} {} {line}\n", wal_checksum(offset, line)).as_bytes())?;
+        writeln!(w, "e {offset} {} {line}", wal_checksum(offset, line))?;
         w.flush()
     }
 
@@ -387,10 +424,7 @@ impl CheckpointStore {
         self.wal = None;
         let mut text = format!("{WAL_HEADER}\n");
         for (offset, line) in records {
-            text.push_str(&format!(
-                "e {offset} {} {line}\n",
-                wal_checksum(*offset, line)
-            ));
+            let _ = writeln!(text, "e {offset} {} {line}", wal_checksum(*offset, line));
         }
         fs::write(self.wal_path(), text)
     }
@@ -461,8 +495,29 @@ mod tests {
             pending: vec!["set_link 0 1".into()],
             stats: [5, 2, 1, 10, 4, 7, 30, 7, 100, 1],
             answers_state: 0xdead_beef,
-            rows: vec![vec!["0".into(), "1".into()], vec!["1".into(), "0".into()]],
+            rows: "row 0 0 1\nrow 1 1 0\n".into(),
         }
+    }
+
+    #[test]
+    fn route_tokens_round_trip_in_both_forms() {
+        for r in [
+            NatInf::fin(0),
+            NatInf::fin(907),
+            NatInf::fin(u64::MAX),
+            NatInf::Inf,
+        ] {
+            let mut streamed = String::from("row 3 ");
+            r.encode_into(&mut streamed);
+            assert_eq!(
+                streamed,
+                format!("row 3 {}", r.encode()),
+                "appends, never clears"
+            );
+            assert_eq!(NatInf::decode(&r.encode()), Some(r));
+        }
+        assert_eq!(NatInf::Inf.encode(), "inf");
+        assert_eq!(NatInf::fin(u64::MAX).encode(), u64::MAX.to_string());
     }
 
     #[test]

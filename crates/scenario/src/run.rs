@@ -24,8 +24,8 @@ use dbf_bgp::policy::Policy;
 use dbf_bgp::spp::SppAlgebra;
 use dbf_matrix::AdjacencyMatrix;
 use dbf_telemetry::{NoopSink, TelemetrySink};
-use dbf_topology::generators::{self, TierRelation};
-use dbf_topology::{Topology, TopologyChange};
+use dbf_topology::generators;
+use dbf_topology::Topology;
 
 /// Run-time knobs that are *not* part of the scenario spec: they may change
 /// how fast a report is produced, never what it contains (wall-clock timing
@@ -218,51 +218,31 @@ pub fn build_shape(spec: &TopologySpec) -> Result<Topology<()>, SpecError> {
     })
 }
 
-/// Translate a spec-level change into [`TopologyChange`]s over a weightless
-/// shape.  (Shared with the route server, which applies the same change
-/// vocabulary one batch at a time.)
-pub(crate) fn lower_changes(changes: &[ChangeSpec]) -> Vec<TopologyChange<()>> {
-    let mut out = Vec::new();
-    for c in changes {
-        match *c {
-            ChangeSpec::SetLink { a, b } => {
-                out.push(TopologyChange::SetEdge {
-                    from: a,
-                    to: b,
-                    weight: (),
-                });
-                out.push(TopologyChange::SetEdge {
-                    from: b,
-                    to: a,
-                    weight: (),
-                });
-            }
-            ChangeSpec::SetEdge { from, to } => out.push(TopologyChange::SetEdge {
-                from,
-                to,
-                weight: (),
-            }),
-            // The weight itself lives outside the weightless shape: the
-            // route server records it in its weight-override map and the
-            // rebuilt adjacency picks it up.  Here it only ensures the
-            // edge exists.
-            ChangeSpec::SetWeight { from, to, .. } => out.push(TopologyChange::SetEdge {
-                from,
-                to,
-                weight: (),
-            }),
-            ChangeSpec::RemoveEdge { from, to } => {
-                out.push(TopologyChange::RemoveEdge { from, to })
-            }
-            ChangeSpec::FailLink { a, b } => out.push(TopologyChange::FailLink { a, b }),
-            ChangeSpec::AddNode => out.push(TopologyChange::AddNode),
+/// Apply a spec-level change to a weightless shape, in place.  (Shared
+/// with the route server, which folds the same change vocabulary into its
+/// shape one batch at a time.)
+pub(crate) fn apply_change(c: &ChangeSpec, shape: &mut Topology<()>) {
+    match *c {
+        ChangeSpec::SetLink { a, b } => shape.set_link(a, b, ()),
+        // The weight itself lives outside the weightless shape: the route
+        // server records it in its weight-override map and the rebuilt
+        // adjacency picks it up.  Here it only ensures the edge exists.
+        ChangeSpec::SetEdge { from, to } | ChangeSpec::SetWeight { from, to, .. } => {
+            shape.set_edge(from, to, ())
+        }
+        ChangeSpec::RemoveEdge { from, to } => {
+            shape.remove_edge(from, to);
+        }
+        ChangeSpec::FailLink { a, b } => shape.remove_link(a, b),
+        ChangeSpec::AddNode => {
+            shape.add_node();
         }
     }
-    out
 }
 
 /// The sequence of shapes the phases run on: each phase applies its
-/// changes (via [`TopologyChange::apply_all`]) to the previous shape.
+/// changes in place to the previous shape (one copy per phase, for the
+/// stored shape).
 fn shape_phases(spec: &Scenario) -> Result<Vec<(String, Topology<()>, FaultSpec)>, SpecError> {
     let mut shape = build_shape(&spec.topology)?;
     let mut out = Vec::with_capacity(spec.phases.len());
@@ -271,7 +251,7 @@ fn shape_phases(spec: &Scenario) -> Result<Vec<(String, Topology<()>, FaultSpec)
         // earlier AddNode in the same phase introduced.
         for c in &phase.changes {
             check_change_bounds(c, shape.node_count())?;
-            shape = TopologyChange::apply_all(&lower_changes(std::slice::from_ref(c)), &shape);
+            apply_change(c, &mut shape);
         }
         out.push((phase.label.clone(), shape.clone(), phase.faults));
     }
@@ -334,14 +314,13 @@ fn gao_rexford_problems(spec: &Scenario) -> Result<Vec<Problem<GaoRexford>>, Spe
     let alg = GaoRexford::new(topo.node_count());
     let mut out = Vec::with_capacity(spec.phases.len());
     for phase in &spec.phases {
-        let mut changes: Vec<TopologyChange<TierRelation>> = Vec::new();
         for c in &phase.changes {
             check_change_bounds(c, topo.node_count())?;
             match *c {
                 ChangeSpec::RemoveEdge { from, to } => {
-                    changes.push(TopologyChange::RemoveEdge { from, to })
+                    topo.remove_edge(from, to);
                 }
-                ChangeSpec::FailLink { a, b } => changes.push(TopologyChange::FailLink { a, b }),
+                ChangeSpec::FailLink { a, b } => topo.remove_link(a, b),
                 other => {
                     return Err(SpecError::new(format!(
                         "gao_rexford scenarios only support removals, got {other:?}"
@@ -349,7 +328,6 @@ fn gao_rexford_problems(spec: &Scenario) -> Result<Vec<Problem<GaoRexford>>, Spe
                 }
             }
         }
-        topo = TopologyChange::apply_all(&changes, &topo);
         out.push(Problem {
             label: phase.label.clone(),
             adj: alg.adjacency_from_hierarchy(&topo),

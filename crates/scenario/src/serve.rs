@@ -79,7 +79,7 @@ use dbf_matrix::{
 use dbf_telemetry::{SettleSummary, TelemetrySink};
 use dbf_topology::Topology;
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -755,6 +755,9 @@ where
     batch_max: usize,
     removal_restart: bool,
     pending: Vec<ChangeSpec>,
+    /// How many of `pending` are `add_node` (kept beside the batch so the
+    /// per-event bounds check never rescans it).
+    pending_adds: usize,
     stats: ServeStats,
     pool: PoolHandle,
     deadline: DeadlineCfg,
@@ -789,6 +792,7 @@ where
             batch_max: batch_max.max(1),
             removal_restart: false,
             pending: Vec::new(),
+            pending_adds: 0,
             stats: ServeStats::default(),
             pool: PoolHandle::Shared,
             deadline: DeadlineCfg::Off,
@@ -936,13 +940,14 @@ where
     ) -> Result<(), ServeProblem> {
         // Bounds are checked against the *post-pending* node count so a
         // buffered add_node can be referenced by the very next event.
-        let n = self.pending_node_count();
+        let n = self.shape.node_count() + self.pending_adds;
         if !change.in_bounds(n) {
             return Err(ServeProblem::out_of_range(format!(
                 "change {change:?} is out of range for a {n}-node topology"
             )));
         }
         self.stats.changes += 1;
+        self.pending_adds += usize::from(matches!(change, ChangeSpec::AddNode));
         self.pending.push(change);
         if self.pending.len() >= self.batch_max {
             self.flush(tel)?;
@@ -1008,6 +1013,7 @@ where
             }
         }
         let batch: Vec<ChangeSpec> = std::mem::take(&mut self.pending);
+        self.pending_adds = 0;
         // The structural one-at-a-time cost: each event would have
         // dirtied (at least) its endpoint rows.
         let naive_dirty: u64 = batch.iter().map(rows_touched).sum();
@@ -1027,10 +1033,7 @@ where
                 }
                 ChangeSpec::AddNode => {}
             }
-            self.shape = dbf_topology::TopologyChange::apply_all(
-                &crate::run::lower_changes(std::slice::from_ref(c)),
-                &self.shape,
-            );
+            crate::run::apply_change(c, &mut self.shape);
         }
         let new_adj = (self.rebuild)(&self.shape, &self.overrides);
         let n = new_adj.node_count();
@@ -1206,17 +1209,6 @@ where
             }
         }
     }
-
-    /// The node count the shape will have once pending changes apply
-    /// (only `add_node` moves it).
-    fn pending_node_count(&self) -> usize {
-        self.shape.node_count()
-            + self
-                .pending
-                .iter()
-                .filter(|c| matches!(c, ChangeSpec::AddNode))
-                .count()
-    }
 }
 
 /// Run the σ kernel up to `until` rounds in total, with supervision and
@@ -1303,9 +1295,20 @@ where
     /// force-flushed) so that batching alignment — and hence every
     /// deterministic counter — is identical to an uninterrupted run.
     pub fn snapshot(&self, offset: u64, algebra: &str, answers: &Digest) -> Snapshot {
-        let mut edges: Vec<(usize, usize)> = self.shape.edges().map(|(i, j, _)| (i, j)).collect();
-        edges.sort_unstable();
+        // `Topology::edges` iterates in sorted `(i, j)` order already
+        let edges: Vec<(usize, usize)> = self.shape.edges().map(|(i, j, _)| (i, j)).collect();
         let n = self.state.node_count();
+        // ≈ 3 bytes a token at the serve sizes (`inf`, or a small decimal
+        // and its space)
+        let mut rows = String::with_capacity(n * (3 * n + 8));
+        for i in 0..n {
+            let _ = write!(rows, "row {i}");
+            for r in self.state.row(i) {
+                rows.push(' ');
+                r.encode_into(&mut rows);
+            }
+            rows.push('\n');
+        }
         let s = &self.stats;
         Snapshot {
             offset,
@@ -1331,9 +1334,7 @@ where
                 s.bound_ok,
             ],
             answers_state: answers.value(),
-            rows: (0..n)
-                .map(|i| self.state.row(i).iter().map(|r| r.encode()).collect())
-                .collect(),
+            rows,
         }
     }
 
@@ -1364,24 +1365,26 @@ where
         if adj.node_count() != snap.nodes {
             return Err("snapshot adjacency does not match its node count".to_string());
         }
-        if snap.rows.len() != snap.nodes {
-            return Err("snapshot table does not match its node count".to_string());
-        }
-        let mut rows: Vec<Vec<A::Route>> = Vec::with_capacity(snap.nodes);
-        for (i, row) in snap.rows.iter().enumerate() {
-            if row.len() != snap.nodes {
-                return Err(format!("snapshot row {i} has the wrong width"));
-            }
-            let mut out = Vec::with_capacity(snap.nodes);
-            for tok in row {
-                out.push(
+        // every token is at least a byte and its separator
+        let mut table: Vec<A::Route> = Vec::with_capacity(snap.rows.len() / 2);
+        let mut rows = 0;
+        for line in snap.rows.lines() {
+            // skip the line's own `row <i>` prefix
+            for tok in line.split_whitespace().skip(2) {
+                table.push(
                     A::Route::decode(tok)
-                        .ok_or_else(|| format!("snapshot row {i}: bad route token {tok:?}"))?,
+                        .ok_or_else(|| format!("snapshot row {rows}: bad route token {tok:?}"))?,
                 );
             }
-            rows.push(out);
+            rows += 1;
+            if table.len() != rows * snap.nodes {
+                return Err(format!("snapshot row {} has the wrong width", rows - 1));
+            }
         }
-        let state = RoutingState::from_fn(snap.nodes, |i, j| rows[i][j].clone());
+        if rows != snap.nodes {
+            return Err("snapshot table does not match its node count".to_string());
+        }
+        let state = RoutingState::from_fn(snap.nodes, |i, j| table[i * snap.nodes + j].clone());
         let mut pending = Vec::with_capacity(snap.pending.len());
         for line in &snap.pending {
             match parse_event_line(line) {
@@ -1416,6 +1419,10 @@ where
             threads: threads.max(1),
             batch_max: batch_max.max(1),
             removal_restart: false,
+            pending_adds: pending
+                .iter()
+                .filter(|c| matches!(c, ChangeSpec::AddNode))
+                .count(),
             pending,
             stats,
             pool: PoolHandle::Shared,

@@ -6,9 +6,11 @@
 //! algebra is unique, so how the event stream is partitioned into
 //! reconvergences cannot change where it lands).
 
+use dbf_matrix::{FaultKind, FaultPlan};
 use dbf_scenario::prelude::*;
 use dbf_scenario::telemetry::NoopSink;
 use std::process::Command;
+use std::sync::Arc;
 
 fn scenarios_bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_scenarios"))
@@ -135,6 +137,108 @@ fn coalescing_lands_on_the_same_fixed_point_for_every_batch_size() {
                 b.answers_digest, one.answers_digest,
                 "{algebra:?} batch={batch}: query answers diverged"
             );
+        }
+    }
+}
+
+/// A trace that grows the network inside one batch (`generate_trace` never
+/// emits `add_node`).  Between the queries at offsets 1 and 11 sit nine
+/// changes: two `add_node`s, links to the new nodes — each only in bounds
+/// once the pending `add_node` before it is counted — weights on the new
+/// link, a `fail_link` and a re-`set_link` that clears those weights.
+fn growth_trace(algebra: &str) -> ChurnTrace {
+    ChurnTrace::parse(&format!(
+        "# dbf-churn-trace v2\n\
+         topology ring 8\n\
+         algebra {algebra}\n\
+         set_link 0 4\n\
+         query 0 4\n\
+         add_node\n\
+         set_link 8 2\n\
+         set_weight 8 2 5\n\
+         set_weight 2 8 3\n\
+         fail_link 8 2\n\
+         set_link 8 2\n\
+         add_node\n\
+         set_edge 9 8\n\
+         set_weight 3 4 6\n\
+         query 8 0\n\
+         query 9 2\n\
+         query 2 9\n\
+         fail_link 3 4\n\
+         query 3 4\n"
+    ))
+    .expect("hand-written trace parses")
+}
+
+#[test]
+fn a_batch_that_grows_the_network_lands_where_one_event_at_a_time_does() {
+    for algebra in ["hopcount 32", "shortest"] {
+        let trace = growth_trace(algebra);
+        let one = replay_trace(&trace, 1, 1, &mut NoopSink).expect("replay");
+        assert_eq!(one.nodes, 10);
+        for batch in [2, 64] {
+            let b = replay_trace(&trace, 2, batch, &mut NoopSink).expect("replay");
+            assert_eq!(b.final_digest, one.final_digest, "{algebra} batch={batch}");
+            assert_eq!(
+                b.answers_digest, one.answers_digest,
+                "{algebra} batch={batch}"
+            );
+            if batch == 64 {
+                assert_eq!(b.stats.batches, 3, "the growth is one flush");
+            }
+        }
+    }
+}
+
+#[test]
+fn a_kill_mid_growth_batch_recovers_with_its_pending_add_nodes() {
+    for algebra in ["hopcount 32", "shortest"] {
+        let trace = growth_trace(algebra);
+        let clean = replay_trace(&trace, 1, 64, &mut NoopSink).expect("clean replay");
+        // Snapshots land after events 4 and 8, both inside the growth
+        // batch; the WAL tail then holds an event that names a node only a
+        // *persisted* pending `add_node` makes addressable.
+        for crash_at in [5, 10] {
+            let dir = temp_dir(&format!("growth-{}-{crash_at}", &algebra[..4]));
+            let opts = ServeOptions {
+                threads: 1,
+                batch_max: 64,
+                checkpoint_dir: Some(dir.clone()),
+                checkpoint_every: 4,
+                ..ServeOptions::default()
+            };
+            let crashed = replay_trace_opts(
+                &trace,
+                &ServeOptions {
+                    faults: Some(Arc::new(
+                        FaultPlan::new(1).with(FaultKind::CrashAtEvent, crash_at),
+                    )),
+                    ..opts.clone()
+                },
+                &mut NoopSink,
+            )
+            .expect("crash run returns a partial report");
+            assert_eq!(crashed.failure.expect("the crash fires").kind, "crash");
+            let snapshot = std::fs::read_to_string(dir.join("snapshot.ckpt")).expect("snapshot");
+            assert!(snapshot.contains("pending add_node\n"), "{snapshot}");
+
+            let recovered = replay_trace_opts(
+                &trace,
+                &ServeOptions {
+                    recover: true,
+                    ..opts
+                },
+                &mut NoopSink,
+            )
+            .expect("recovery replay");
+            assert!(recovered.failure.is_none(), "{:?}", recovered.failure);
+            assert_eq!(recovered.nodes, 10);
+            assert_eq!(recovered.final_digest, clean.final_digest, "{algebra}");
+            assert_eq!(recovered.answers_digest, clean.answers_digest, "{algebra}");
+            assert_eq!(recovered.stats.batches, clean.stats.batches, "{algebra}");
+            assert_eq!(recovered.stats.rounds, clean.stats.rounds, "{algebra}");
+            std::fs::remove_dir_all(&dir).ok();
         }
     }
 }

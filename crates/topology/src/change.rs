@@ -42,29 +42,40 @@ pub enum TopologyChange<W> {
 }
 
 impl<W: Clone> TopologyChange<W> {
+    /// Apply the change to `topo` in place: the cost is the edit, not the
+    /// network.
+    pub fn apply_to(&self, topo: &mut Topology<W>) {
+        match self {
+            TopologyChange::SetEdge { from, to, weight } => {
+                topo.set_edge(*from, *to, weight.clone());
+            }
+            TopologyChange::RemoveEdge { from, to } => {
+                topo.remove_edge(*from, *to);
+            }
+            TopologyChange::FailLink { a, b } => {
+                topo.remove_link(*a, *b);
+            }
+            TopologyChange::AddNode => {
+                topo.add_node();
+            }
+        }
+    }
+
     /// Apply the change to a topology, returning the updated topology.
     pub fn apply(&self, topo: &Topology<W>) -> Topology<W> {
         let mut out = topo.clone();
-        match self {
-            TopologyChange::SetEdge { from, to, weight } => {
-                out.set_edge(*from, *to, weight.clone());
-            }
-            TopologyChange::RemoveEdge { from, to } => {
-                out.remove_edge(*from, *to);
-            }
-            TopologyChange::FailLink { a, b } => {
-                out.remove_link(*a, *b);
-            }
-            TopologyChange::AddNode => {
-                out.add_node();
-            }
-        }
+        self.apply_to(&mut out);
         out
     }
 
-    /// Apply a sequence of changes in order.
+    /// Apply a sequence of changes in order (one copy of `topo`, however
+    /// long the sequence).
     pub fn apply_all(changes: &[Self], topo: &Topology<W>) -> Topology<W> {
-        changes.iter().fold(topo.clone(), |t, c| c.apply(&t))
+        let mut out = topo.clone();
+        for c in changes {
+            c.apply_to(&mut out);
+        }
+        out
     }
 }
 

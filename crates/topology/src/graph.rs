@@ -130,11 +130,16 @@ impl<W> Topology<W> {
 
     /// Map every edge weight, preserving the shape.
     pub fn map_weights<W2>(&self, mut f: impl FnMut(NodeId, NodeId, &W) -> W2) -> Topology<W2> {
-        let mut out = Topology::new(self.nodes);
-        for (i, j, w) in self.edges() {
-            out.set_edge(i, j, f(i, j, w));
+        // the keys arrive sorted and already validated, so the map is built
+        // in bulk rather than one checked insert per edge
+        Topology {
+            nodes: self.nodes,
+            edges: self
+                .edges
+                .iter()
+                .map(|(&(i, j), w)| ((i, j), f(i, j, w)))
+                .collect(),
         }
-        out
     }
 
     /// Attach weights to a shape: every existing edge gets `f(i, j)`.
