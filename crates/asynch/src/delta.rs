@@ -15,6 +15,7 @@
 use crate::schedule::Schedule;
 use dbf_algebra::RoutingAlgebra;
 use dbf_matrix::{is_stable, AdjacencyMatrix, RoutingState};
+use dbf_paths::NodeId;
 use dbf_telemetry::{NoopSink, TelemetrySink};
 use std::collections::VecDeque;
 use std::time::Instant;
@@ -31,16 +32,17 @@ pub struct DeltaOutcome<A: RoutingAlgebra> {
     /// `σ` — i.e. genuinely stable, not merely unchanged because the
     /// schedule stopped delivering fresh data.
     pub sigma_stable: bool,
-    /// The number of (node, time) activations that actually recomputed a
-    /// table row.
+    /// The number of (node, time) pairs with `i ∈ α(t)`: how often the
+    /// schedule asked a node to recompute its table row.
     pub activations: usize,
+    /// The row evaluations actually performed: the activations whose
+    /// imports were not all the very versions the node's previous
+    /// evaluation read.  `recomputations ÷ activations` is the share of
+    /// attempts that did any work.
+    pub recomputations: usize,
 }
 
 /// Run the asynchronous iterate `δ` under a schedule.
-///
-/// The evaluator keeps a sliding window of past states of length
-/// `schedule.max_lag() + 1`, which is exactly the history the data-flow
-/// function can reference.
 pub fn run_delta<A: RoutingAlgebra>(
     alg: &A,
     adj: &AdjacencyMatrix<A>,
@@ -70,110 +72,239 @@ where
     A: RoutingAlgebra,
     S: TelemetrySink + ?Sized,
 {
-    let n = adj.node_count();
-    assert_eq!(n, x0.node_count(), "adjacency/state dimension mismatch");
-    assert_eq!(
-        n,
-        schedule.node_count(),
-        "adjacency/schedule dimension mismatch"
-    );
+    let mut run = DeltaRun::new(alg, adj, x0, schedule);
+    for _ in 0..schedule.horizon() {
+        run.step(tel);
+    }
+    run.finish(tel)
+}
 
-    let window = schedule.max_lag() + 1;
-    // history[k] is the state at time (current_time - (history.len() - 1 - k)).
-    let mut history: VecDeque<RoutingState<A>> = VecDeque::with_capacity(window + 1);
-    history.push_back(x0.clone());
+/// One retained version of a node's table row.
+struct Version<R> {
+    /// The time step that wrote it (0 for the start state).  A row gets at
+    /// most one version per step, so this is also the version's identity.
+    written: usize,
+    row: Vec<R>,
+}
 
-    let on = tel.enabled();
-    let mut last_changed = vec![0u64; if on { n } else { 0 }];
-    let mut quiescent_from = Some(0usize);
-    let mut activations = 0usize;
+/// Index of the version of a row that is live at time `beta`: the newest
+/// one written at or before it.
+fn live_at<R>(versions: &VecDeque<Version<R>>, beta: usize) -> usize {
+    versions
+        .iter()
+        .rposition(|v| v.written <= beta)
+        .expect("history is pruned only below what max_lag can reach")
+}
 
-    for t in 1..=schedule.horizon() {
-        let prev = history.back().expect("history is never empty").clone();
-        let mut next = prev.clone();
-        let mut changed = false;
-        let mut activated = 0u64;
-        let mut rows_changed = 0u64;
+/// The evaluator of `δ`, one time step per [`DeltaRun::step`].
+///
+/// `δᵗ(X)ᵢ` is a pure function of the rows `δ^{β(t,i,k)}(X)ₖ` of `i`'s
+/// imports `k`, so the evaluator keeps, per row, only the versions a read
+/// can still reach (`max_lag` steps back) and recomputes a row only when
+/// one of those inputs is a different version from the one it last read.
+pub struct DeltaRun<'a, A: RoutingAlgebra> {
+    alg: &'a A,
+    adj: &'a AdjacencyMatrix<A>,
+    schedule: &'a Schedule,
+    max_lag: usize,
+    /// Steps taken so far.
+    t: usize,
+    /// `history[k]`: the versions of row `k`, oldest first, never empty.
+    history: Vec<VecDeque<Version<A::Route>>>,
+    /// `last_read[i]`: the write times of the versions of `adj.row(i)`'s
+    /// imports that `i`'s last evaluation read (`None` before the first).
+    last_read: Vec<Option<Vec<usize>>>,
+    /// Rows written during the current step.  They join `history` when the
+    /// step ends, so no read at `t` can see data written at `t` (S2).
+    staged: Vec<(NodeId, Vec<A::Route>)>,
+    /// Per activation: which version of each import is read.
+    picks: Vec<usize>,
+    /// The row being evaluated, and retired rows to evaluate into next.
+    scratch: Vec<A::Route>,
+    spare: Vec<Vec<A::Route>>,
+    last_changed: Vec<u64>,
+    quiescent_from: Option<usize>,
+    activations: usize,
+    recomputations: usize,
+}
+
+impl<'a, A: RoutingAlgebra> DeltaRun<'a, A> {
+    /// An evaluator at time 0, holding `x0`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `adj`, `x0` and `schedule` disagree on the node count.
+    pub fn new(
+        alg: &'a A,
+        adj: &'a AdjacencyMatrix<A>,
+        x0: &RoutingState<A>,
+        schedule: &'a Schedule,
+    ) -> Self {
+        let n = adj.node_count();
+        assert_eq!(n, x0.node_count(), "adjacency/state dimension mismatch");
+        assert_eq!(
+            n,
+            schedule.node_count(),
+            "adjacency/schedule dimension mismatch"
+        );
+        let history = (0..n)
+            .map(|i| {
+                VecDeque::from([Version {
+                    written: 0,
+                    row: x0.row(i).to_vec(),
+                }])
+            })
+            .collect();
+        Self {
+            alg,
+            adj,
+            schedule,
+            max_lag: schedule.max_lag(),
+            t: 0,
+            history,
+            last_read: vec![None; n],
+            staged: Vec::new(),
+            picks: Vec::new(),
+            scratch: vec![alg.invalid(); n],
+            spare: Vec::new(),
+            last_changed: vec![0; n],
+            quiescent_from: Some(0),
+            activations: 0,
+            recomputations: 0,
+        }
+    }
+
+    /// The number of steps taken.
+    pub fn time(&self) -> usize {
+        self.t
+    }
+
+    /// How many versions of row `i` are retained.
+    pub fn retained_versions(&self, i: NodeId) -> usize {
+        self.history[i].len()
+    }
+
+    /// Advance one time step.
+    ///
+    /// # Panics
+    ///
+    /// Panics past the schedule's horizon, or on a read that violates S2.
+    pub fn step<S: TelemetrySink + ?Sized>(&mut self, tel: &mut S) {
+        let t = self.t + 1;
+        let n = self.adj.node_count();
+        let on = tel.enabled();
         let t0 = on.then(Instant::now);
         if on {
-            // For δ the activation set *is* the frontier: every activated
-            // node recomputes, so the two round_start arguments coincide.
-            let activations = (0..n).filter(|&i| schedule.activates(t, i)).count() as u64;
-            tel.round_start(t as u64, activations, activations);
+            // For δ the activation set *is* the frontier, so the two
+            // round_start arguments coincide.
+            let active = (0..n).filter(|&i| self.schedule.activates(t, i)).count() as u64;
+            tel.round_start(t as u64, active, active);
         }
 
-        // `last_changed` is intentionally empty when telemetry is off, so
-        // the node loop cannot be rewritten over it.
-        #[allow(clippy::needless_range_loop)]
+        // No read at `t` or later reaches below `oldest`: a version that was
+        // superseded by then is dead.
+        let oldest = t.saturating_sub(self.max_lag);
+        for versions in &mut self.history {
+            while versions.len() > 1 && versions[1].written <= oldest {
+                let dead = versions.pop_front().expect("len > 1");
+                self.spare.push(dead.row);
+            }
+        }
+
+        let mut activated = 0u64;
         for i in 0..n {
-            if !schedule.activates(t, i) {
+            if !self.schedule.activates(t, i) {
                 continue;
             }
-            activations += 1;
             activated += 1;
-            let mut node_changed = false;
-            for j in 0..n {
-                let new_route = if i == j {
-                    alg.trivial()
-                } else {
-                    let mut best = alg.invalid();
-                    for k in 0..n {
-                        if k == i {
-                            continue;
-                        }
-                        let beta = schedule.data_time(t, i, k);
-                        // Translate the absolute time β into an index into
-                        // the retained window.
-                        let newest_time = t - 1;
-                        let offset = newest_time - beta;
-                        debug_assert!(offset < history.len(), "window too small for schedule lag");
-                        let idx = history.len() - 1 - offset;
-                        let snapshot = &history[idx];
-                        let candidate = adj.apply(alg, i, k, snapshot.get(k, j));
-                        best = alg.choice(&best, &candidate);
-                    }
-                    best
-                };
-                if &new_route != next.get(i, j) {
-                    node_changed = true;
-                }
-                next.set(i, j, new_route);
+            let imports = self.adj.row(i);
+            let lags = self.schedule.lags(t, i);
+            self.picks.clear();
+            self.picks.extend(imports.iter().map(|(k, _)| {
+                let lag = lags[*k] as usize;
+                assert!(
+                    (1..=t).contains(&lag),
+                    "S2 violated: β({t}, {i}, {k}) ≥ {t}"
+                );
+                live_at(&self.history[*k], t - lag)
+            }));
+            let read = || {
+                imports
+                    .iter()
+                    .zip(&self.picks)
+                    .map(|((k, _), &p)| self.history[*k][p].written)
+            };
+            // Same inputs, same row: the node's current row is what that
+            // evaluation produced, so it cannot change.
+            if self.last_read[i]
+                .as_ref()
+                .is_some_and(|last| read().eq(last.iter().copied()))
+            {
+                continue;
             }
-            if node_changed {
-                changed = true;
-                rows_changed += 1;
-                if on {
-                    last_changed[i] = t as u64;
+            let last = self.last_read[i].get_or_insert_with(Vec::new);
+            last.clear();
+            last.extend(read());
+            self.recomputations += 1;
+
+            let out = &mut self.scratch;
+            for r in out.iter_mut() {
+                *r = self.alg.invalid();
+            }
+            for ((k, f), &p) in imports.iter().zip(&self.picks) {
+                let src = &self.history[*k][p].row;
+                for (d, s) in out.iter_mut().zip(src) {
+                    *d = self.alg.choice(d, &self.alg.extend(f, s));
                 }
             }
+            out[i] = self.alg.trivial();
+
+            let current = &self.history[i].back().expect("never empty").row;
+            if out != current {
+                let next = self
+                    .spare
+                    .pop()
+                    .unwrap_or_else(|| vec![self.alg.invalid(); n]);
+                let row = std::mem::replace(&mut self.scratch, next);
+                self.staged.push((i, row));
+            }
+        }
+        self.activations += activated as usize;
+
+        let rows_changed = self.staged.len() as u64;
+        for (i, row) in self.staged.drain(..) {
+            self.history[i].push_back(Version { written: t, row });
+            self.last_changed[i] = t as u64;
         }
         let wall_ns = t0.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
         tel.round_end(t as u64, activated, rows_changed, wall_ns);
 
-        if changed {
-            quiescent_from = None;
-        } else if quiescent_from.is_none() {
-            quiescent_from = Some(t);
+        if rows_changed > 0 {
+            self.quiescent_from = None;
+        } else if self.quiescent_from.is_none() {
+            self.quiescent_from = Some(t);
         }
-
-        history.push_back(next);
-        while history.len() > window {
-            history.pop_front();
-        }
+        self.t = t;
     }
 
-    if on {
-        for (node, &round) in last_changed.iter().enumerate() {
-            tel.node_settled(node, round);
+    /// Report the settle times and assemble the outcome from each row's
+    /// newest version.
+    pub fn finish<S: TelemetrySink + ?Sized>(self, tel: &mut S) -> DeltaOutcome<A> {
+        if tel.enabled() {
+            for (node, &round) in self.last_changed.iter().enumerate() {
+                tel.node_settled(node, round);
+            }
         }
-    }
-    let final_state = history.back().expect("history is never empty").clone();
-    let sigma_stable = is_stable(alg, adj, &final_state);
-    DeltaOutcome {
-        final_state,
-        quiescent_from,
-        sigma_stable,
-        activations,
+        let newest = |i: NodeId| &self.history[i].back().expect("never empty").row;
+        let final_state = RoutingState::from_fn(self.adj.node_count(), |i, j| newest(i)[j].clone());
+        let sigma_stable = is_stable(self.alg, self.adj, &final_state);
+        DeltaOutcome {
+            final_state,
+            quiescent_from: self.quiescent_from,
+            sigma_stable,
+            activations: self.activations,
+            recomputations: self.recomputations,
+        }
     }
 }
 
@@ -290,6 +421,29 @@ mod tests {
         // a 4-ring converges in 2 rounds of σ; quiescence observed at the
         // first unchanged application, i.e. round 3
         assert!(q <= 4, "quiesced at {q}");
+    }
+
+    #[test]
+    fn unchanged_inputs_are_not_recomputed() {
+        let (alg, adj) = ring_setup(4);
+        let x0 = RoutingState::identity(&alg, 4);
+        let out = run_delta(&alg, &adj, &x0, &Schedule::synchronous(4, 50));
+        assert_eq!(out.activations, 4 * 50);
+        // Rows change at t = 1, 2; the evaluations at t = 3 read new
+        // versions and find nothing to change; from t = 4 on every
+        // activation reads what it read before.
+        assert_eq!(out.recomputations, 4 * 3);
+        assert_eq!(out.quiescent_from, Some(3));
+    }
+
+    #[test]
+    #[should_panic(expected = "S2 violated")]
+    fn reads_from_the_present_are_rejected() {
+        let (alg, adj) = ring_setup(4);
+        let x0 = RoutingState::identity(&alg, 4);
+        let mut sched = Schedule::synchronous(4, 10);
+        sched.set_data_time(3, 0, 1, 3);
+        let _ = run_delta(&alg, &adj, &x0, &sched);
     }
 
     #[test]

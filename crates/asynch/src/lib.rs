@@ -40,7 +40,7 @@ pub mod sim;
 pub mod trace;
 
 pub use convergence::{check_absolute_convergence, AbsoluteConvergence, ConvergenceFailure};
-pub use delta::{run_delta, run_delta_traced, DeltaOutcome};
+pub use delta::{run_delta, run_delta_traced, DeltaOutcome, DeltaRun};
 pub use schedule::{Schedule, ScheduleParams};
 pub use sim::{EventSim, SimConfig, SimOutcome, SimStats};
 pub use trace::{AxiomViolation, ScheduleTrace};
@@ -50,7 +50,7 @@ pub mod prelude {
     pub use crate::convergence::{
         check_absolute_convergence, AbsoluteConvergence, ConvergenceFailure,
     };
-    pub use crate::delta::{run_delta, run_delta_traced, DeltaOutcome};
+    pub use crate::delta::{run_delta, run_delta_traced, DeltaOutcome, DeltaRun};
     pub use crate::dynamic::{DynamicEvent, DynamicRun};
     pub use crate::schedule::{Schedule, ScheduleParams};
     pub use crate::sim::{EventSim, SimConfig, SimOutcome, SimStats};

@@ -69,6 +69,14 @@ impl ScheduleParams {
     }
 }
 
+/// Times up to the horizon are stored as 32-bit lags.
+fn assert_fits(horizon: usize) {
+    assert!(
+        u32::try_from(horizon).is_ok(),
+        "a schedule's times are stored in 32 bits"
+    );
+}
+
 /// A finite-horizon schedule `(α, β)`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schedule {
@@ -76,8 +84,12 @@ pub struct Schedule {
     horizon: usize,
     /// `activations[t-1][i]`: does node `i` activate at time `t`?
     activations: Vec<Vec<bool>>,
-    /// `data_flow[t-1][i][j] = β(t, i, j)`.
-    data_flow: Vec<Vec<Vec<usize>>>,
+    /// The data-flow function as staleness: `lags[((t−1)·n + i)·n + j] =
+    /// t − β(t, i, j)`, one flat allocation for the whole horizon.  The
+    /// subtraction wraps, so a cell that violates S2 (`β ≥ t`, which only
+    /// [`Schedule::set_data_time`] can write) still reads back as the `β`
+    /// that was stored: it holds a lag of `0` or one above `t`.
+    lags: Vec<u32>,
 }
 
 impl Schedule {
@@ -99,67 +111,58 @@ impl Schedule {
 
     /// The data-flow function `β(t, i, j)`.
     pub fn data_time(&self, t: usize, i: usize, j: usize) -> usize {
+        (t as u32).wrapping_sub(self.lags(t, i)[j]) as usize
+    }
+
+    /// Node `i`'s reads at time `t` as staleness: entry `j` is
+    /// `t − β(t, i, j)`.  The one accessor everything that reads `β` goes
+    /// through.
+    pub(crate) fn lags(&self, t: usize, i: usize) -> &[u32] {
+        let start = self.row_start(t, i);
+        &self.lags[start..start + self.n]
+    }
+
+    /// Where node `i`'s `n` reads at time `t` start in `lags`.
+    fn row_start(&self, t: usize, i: usize) -> usize {
         assert!((1..=self.horizon).contains(&t), "time out of range");
-        self.data_flow[t - 1][i][j]
+        assert!(i < self.n, "node out of range");
+        ((t - 1) * self.n + i) * self.n
     }
 
     /// The maximum staleness `max_t (t − β(t, i, j))` over the whole
-    /// schedule.  The δ evaluator uses this to bound how much history it
-    /// must retain.
+    /// schedule (at least 1).  The δ evaluator uses this to bound how much
+    /// history it must retain.
     pub fn max_lag(&self) -> usize {
-        let mut lag = 1;
-        for t in 1..=self.horizon {
-            for i in 0..self.n {
-                for j in 0..self.n {
-                    lag = lag.max(t - self.data_flow[t - 1][i][j]);
-                }
-            }
+        self.lags.iter().copied().max().unwrap_or(1).max(1) as usize
+    }
+
+    /// A schedule over `horizon` steps in which every read is of the
+    /// previous step (`β(t, i, j) = t − 1`).
+    fn with_fresh_reads(n: usize, horizon: usize, activations: Vec<Vec<bool>>) -> Self {
+        assert_fits(horizon);
+        Self {
+            n,
+            horizon,
+            activations,
+            lags: vec![1; horizon * n * n],
         }
-        lag
     }
 
     /// The fully synchronous schedule: every node activates at every step
     /// and always uses the previous step's data (`β(t, i, j) = t − 1`).
     /// Running `δ` under this schedule recovers `σ` exactly.
     pub fn synchronous(n: usize, horizon: usize) -> Self {
-        Self {
-            n,
-            horizon,
-            activations: vec![vec![true; n]; horizon],
-            data_flow: vec![vec![vec![0; n]; n]; horizon]
-                .into_iter()
-                .enumerate()
-                .map(|(t0, mut per_i)| {
-                    for row in per_i.iter_mut() {
-                        for b in row.iter_mut() {
-                            *b = t0; // β(t, i, j) = t − 1 (t = t0 + 1)
-                        }
-                    }
-                    per_i
-                })
-                .collect(),
-        }
+        Self::with_fresh_reads(n, horizon, vec![vec![true; n]; horizon])
     }
 
     /// A round-robin schedule: exactly one node activates per step (node
     /// `t mod n`), always reading the freshest available data.
     pub fn round_robin(n: usize, horizon: usize) -> Self {
         let mut activations = vec![vec![false; n]; horizon];
-        let mut data_flow = vec![vec![vec![0; n]; n]; horizon];
-        for t in 1..=horizon {
-            activations[t - 1][(t - 1) % n] = true;
-            for row in data_flow[t - 1].iter_mut() {
-                for beta in row.iter_mut() {
-                    *beta = t - 1;
-                }
-            }
+        for (t0, step) in activations.iter_mut().enumerate() {
+            step[t0 % n] = true;
         }
-        Self {
-            n,
-            horizon,
-            activations,
-            data_flow,
-        }
+        Self::with_fresh_reads(n, horizon, activations)
     }
 
     /// A random schedule with message delay, duplication and reordering,
@@ -171,30 +174,33 @@ impl Schedule {
     /// (so S3's finite form holds too).
     pub fn random(n: usize, horizon: usize, params: ScheduleParams, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut activations = vec![vec![false; n]; horizon];
-        let mut data_flow = vec![vec![vec![0usize; n]; n]; horizon];
-        // Previous β per (i, j), used for duplication.
-        let mut prev_beta = vec![vec![0usize; n]; n];
+        let mut sched = Self::with_fresh_reads(n, horizon, vec![vec![false; n]; horizon]);
         // Steps since last activation, to enforce the S1 window.
         let mut since_active = vec![0usize; n];
         let window = ((1.0 / params.activation_prob.clamp(0.05, 1.0)).ceil() as usize) * 4;
 
         for t in 1..=horizon {
-            for i in 0..n {
-                since_active[i] += 1;
-                let forced = since_active[i] >= window;
+            for (i, since) in since_active.iter_mut().enumerate() {
+                *since += 1;
+                let forced = *since >= window;
                 if forced || rng.gen_bool(params.activation_prob.clamp(0.0, 1.0)) {
-                    activations[t - 1][i] = true;
-                    since_active[i] = 0;
+                    sched.activations[t - 1][i] = true;
+                    *since = 0;
                 }
             }
             for i in 0..n {
                 for j in 0..n {
                     let oldest = t.saturating_sub(params.max_delay.max(1));
                     let newest = t - 1;
+                    // The previous step's read, used for duplication.
+                    let prev_beta = if t > 1 {
+                        sched.data_time(t - 1, i, j)
+                    } else {
+                        0
+                    };
                     let beta = if rng.gen_bool(params.duplicate_prob.clamp(0.0, 1.0)) {
                         // duplication: observe exactly the same data again
-                        prev_beta[i][j].min(newest)
+                        prev_beta.min(newest)
                     } else if rng.gen_bool(params.reorder_prob.clamp(0.0, 1.0)) {
                         // reordering: jump to an arbitrary (possibly older
                         // than previously seen) time in the window
@@ -202,23 +208,17 @@ impl Schedule {
                     } else {
                         // "normal" progress: somewhere between the last
                         // observation and now
-                        let lo = prev_beta[i][j].clamp(oldest, newest);
+                        let lo = prev_beta.clamp(oldest, newest);
                         rng.gen_range(lo..=newest)
                     };
                     // S3's finite form: never read data older than the lag
                     // bound (stale information is eventually replaced).
                     let beta = beta.max(oldest);
-                    data_flow[t - 1][i][j] = beta;
-                    prev_beta[i][j] = beta;
+                    sched.set_data_time(t, i, j, beta);
                 }
             }
         }
-        Self {
-            n,
-            horizon,
-            activations,
-            data_flow,
-        }
+        sched
     }
 
     /// An adversarial schedule in which one node (`victim`) activates only
@@ -237,7 +237,7 @@ impl Schedule {
                 sched.activations[t - 1][victim] = false;
             }
             for j in 0..n {
-                sched.data_flow[t - 1][victim][j] = t.saturating_sub(max_lag);
+                sched.set_data_time(t, victim, j, t.saturating_sub(max_lag));
             }
         }
         sched
@@ -275,7 +275,7 @@ impl Schedule {
         for t in 1..=self.horizon {
             for i in 0..self.n {
                 for j in 0..self.n {
-                    if self.data_flow[t - 1][i][j] >= t {
+                    if self.data_time(t, i, j) >= t {
                         return false;
                     }
                 }
@@ -292,8 +292,10 @@ impl Schedule {
     /// Overwrite `β(t, i, j)` (used by tests to build deliberately broken
     /// schedules).
     pub fn set_data_time(&mut self, t: usize, i: usize, j: usize, beta: usize) {
-        assert!((1..=self.horizon).contains(&t), "time out of range");
-        self.data_flow[t - 1][i][j] = beta;
+        assert!(j < self.n, "node out of range");
+        let beta = u32::try_from(beta).expect("a schedule's times are stored in 32 bits");
+        let cell = self.row_start(t, i) + j;
+        self.lags[cell] = (t as u32).wrapping_sub(beta);
     }
 
     /// Overwrite an activation entry (used by tests).
@@ -306,11 +308,11 @@ impl Schedule {
     /// reading the previous step).  Used by convergence drivers that need a
     /// little more time.
     pub fn extend_synchronously(&mut self, extra: usize) {
-        for t in self.horizon + 1..=self.horizon + extra {
-            self.activations.push(vec![true; self.n]);
-            self.data_flow.push(vec![vec![t - 1; self.n]; self.n]);
-        }
-        self.horizon += extra;
+        let horizon = self.horizon + extra;
+        assert_fits(horizon);
+        self.activations.resize(horizon, vec![true; self.n]);
+        self.lags.resize(horizon * self.n * self.n, 1);
+        self.horizon = horizon;
     }
 }
 
@@ -430,6 +432,21 @@ mod tests {
         // very stale data at step 9
         s.set_data_time(9, 0, 2, 0);
         assert!(!s.check_s3_lag(4));
+    }
+
+    #[test]
+    fn lag_storage_reads_back_every_data_time() {
+        // Legal cells, the stalest legal cell, and both kinds of S2
+        // violation (β = t and β > t) survive the `t − β` encoding.
+        let mut s = Schedule::synchronous(3, 10);
+        for (t, beta) in [(7, 6), (7, 0), (7, 7), (4, 9), (1, 1)] {
+            s.set_data_time(t, 1, 2, beta);
+            assert_eq!(s.data_time(t, 1, 2), beta, "β({t}, 1, 2)");
+            assert_eq!(s.check_s2(), beta < t);
+            s.set_data_time(t, 1, 2, t - 1);
+        }
+        assert_eq!(s, Schedule::synchronous(3, 10));
+        assert_eq!(Schedule::synchronous(3, 0).max_lag(), 1);
     }
 
     #[test]

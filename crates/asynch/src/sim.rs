@@ -174,6 +174,9 @@ impl<R> Ord for Message<R> {
 pub struct EventSim<'a, A: RoutingAlgebra> {
     alg: &'a A,
     adj: &'a AdjacencyMatrix<A>,
+    /// `exports[j]`: the nodes that import from `j` (`A_ij` present), i.e.
+    /// the peers `j` announces to, in ascending order.
+    exports: Vec<Vec<NodeId>>,
     config: SimConfig,
     rng: StdRng,
     now: u64,
@@ -221,6 +224,7 @@ impl<'a, A: RoutingAlgebra> EventSim<'a, A> {
         let mut sim = Self {
             alg,
             adj,
+            exports: adj.dependants(),
             config,
             rng: StdRng::seed_from_u64(config.seed),
             now: 0,
@@ -241,13 +245,6 @@ impl<'a, A: RoutingAlgebra> EventSim<'a, A> {
         sim
     }
 
-    fn neighbors_importing_from(&self, j: NodeId) -> Vec<NodeId> {
-        // Nodes i with A_ij present import from j, i.e. j announces to them.
-        (0..self.adj.node_count())
-            .filter(|&i| i != j && self.adj.get(i, j).is_some())
-            .collect()
-    }
-
     fn advertise_full_table(&mut self, i: NodeId) {
         let n = self.adj.node_count();
         for dest in 0..n {
@@ -259,7 +256,8 @@ impl<'a, A: RoutingAlgebra> EventSim<'a, A> {
     fn send_advert(&mut self, from: NodeId, dest: NodeId, route: A::Route) {
         self.send_gen[from][dest] += 1;
         let gen = self.send_gen[from][dest];
-        for to in self.neighbors_importing_from(from) {
+        for idx in 0..self.exports[from].len() {
+            let to = self.exports[from][idx];
             self.stats.sent += 1;
             if self.rng.gen_bool(self.config.loss_prob.clamp(0.0, 1.0)) {
                 self.stats.lost += 1;
@@ -302,16 +300,14 @@ impl<'a, A: RoutingAlgebra> EventSim<'a, A> {
     /// immediately follows and would otherwise duplicate every changed
     /// entry on the wire.
     fn recompute_entry_impl(&mut self, i: NodeId, dest: NodeId, advertise: bool) -> bool {
-        let n = self.adj.node_count();
         let new_route = if i == dest {
             self.alg.trivial()
         } else {
+            // A missing `A_ik` is the constant-∞̄ function and ∞̄ is the
+            // identity of ⊕: only the links that exist contribute.
             let mut best = self.alg.invalid();
-            for k in 0..n {
-                if k == i {
-                    continue;
-                }
-                let candidate = self.adj.apply(self.alg, i, k, &self.adverts[i][k][dest]);
+            for (k, f) in self.adj.row(i) {
+                let candidate = self.alg.extend(f, &self.adverts[i][*k][dest]);
                 best = self.alg.choice(&best, &candidate);
             }
             best

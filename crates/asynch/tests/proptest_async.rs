@@ -1,9 +1,12 @@
 //! Property-based tests for schedules (S1–S3), the asynchronous iterate `δ`
 //! and the event simulator.
 
+mod common;
+
 use dbf_algebra::prelude::*;
 use dbf_async::prelude::*;
 use dbf_matrix::prelude::*;
+use dbf_paths::prelude::*;
 use dbf_topology::generators;
 use proptest::prelude::*;
 
@@ -68,6 +71,31 @@ proptest! {
         let out = run_delta(&alg, &adj, &garbage, &sched);
         prop_assert!(out.sigma_stable, "schedule params {p:?} broke convergence");
         prop_assert_eq!(out.final_state, reference.state);
+    }
+
+    /// Whatever the activation rate, delay, duplication and reordering, δ is
+    /// the dense windowed evaluator's iterate: same state, same quiescence
+    /// time, same activation count, same telemetry — on path-vector routes
+    /// from a garbage start, where rows keep changing long enough for the
+    /// version history to fill.
+    #[test]
+    fn delta_matches_the_dense_oracle(n in 3usize..7, p in params(), seed in 0u64..500) {
+        let pv = PathVector::new(ShortestPaths::new(), n);
+        let topo = generators::connected_random(n, 0.4, seed)
+            .with_weights(|i, j| NatInf::fin(((i + 3 * j) % 4 + 1) as u64));
+        let adj = lift_topology(&pv, &topo);
+        let pool = pv.sample_routes(seed, 24);
+        let garbage = &dbf_async::convergence::state_ensemble(&pv, n, &pool, 1, seed)[1];
+        let sched = Schedule::random(n, 80, p, seed ^ 0x5EED);
+
+        let want = common::oracle(&pv, &adj, garbage, &sched);
+        let mut recorder = common::Recorder::default();
+        let got = run_delta_traced(&pv, &adj, garbage, &sched, &mut recorder);
+        prop_assert!(got.final_state == want.final_state, "params {p:?}");
+        prop_assert_eq!(got.quiescent_from, want.quiescent_from);
+        prop_assert_eq!(got.activations, want.activations);
+        prop_assert_eq!(recorder.0, want.events);
+        prop_assert!(got.recomputations <= got.activations);
     }
 
     /// The event simulator's outcome is independent of loss/duplication

@@ -119,6 +119,9 @@ impl Ord for Scheduled {
 pub struct BgpEngine {
     alg: BgpAlgebra,
     adj: AdjacencyMatrix<BgpAlgebra>,
+    /// `listeners[j]`: the neighbours that import from node `j` (the peers
+    /// `j` announces to), in ascending order.
+    listeners: Vec<Vec<NodeId>>,
     config: BgpConfig,
     n: usize,
     rng: StdRng,
@@ -164,6 +167,7 @@ impl BgpEngine {
             .collect();
         let mut engine = Self {
             alg,
+            listeners: adj.dependants(),
             adj,
             config,
             n,
@@ -184,11 +188,11 @@ impl BgpEngine {
         // run.
         for _ in 0..config.session_resets {
             let a = engine.rng.gen_range(0..n);
-            let neighbors = engine.neighbors_of(a);
+            let neighbors = engine.adj.row(a);
             if neighbors.is_empty() {
                 continue;
             }
-            let b = neighbors[engine.rng.gen_range(0..neighbors.len())];
+            let b = neighbors[engine.rng.gen_range(0..neighbors.len())].0;
             let at = engine.rng.gen_range(1..=config.max_time / 2);
             engine.seq += 1;
             engine.queue.push(Scheduled {
@@ -200,19 +204,6 @@ impl BgpEngine {
             });
         }
         engine
-    }
-
-    /// The neighbours node `i` imports from.
-    fn neighbors_of(&self, i: NodeId) -> Vec<NodeId> {
-        self.adj.import_neighbors(i)
-    }
-
-    /// The neighbours that import from node `j` (i.e. the peers `j`
-    /// announces to).
-    fn listeners_of(&self, j: NodeId) -> Vec<NodeId> {
-        (0..self.n)
-            .filter(|&i| i != j && self.adj.get(i, j).is_some())
-            .collect()
     }
 
     /// Encode and enqueue one update (announcement or withdrawal) on the
@@ -244,7 +235,8 @@ impl BgpEngine {
 
     fn announce_to_neighbors(&mut self, i: NodeId, dest: NodeId) {
         let route = self.loc_rib[i][dest].clone();
-        for to in self.listeners_of(i) {
+        for idx in 0..self.listeners[i].len() {
+            let to = self.listeners[i][idx];
             self.send_update(i, to, dest, &route);
         }
     }
@@ -256,9 +248,8 @@ impl BgpEngine {
             return false;
         }
         let mut best = self.alg.invalid();
-        for k in self.neighbors_of(i) {
-            let announced = &self.rib_in[i][k][dest];
-            let candidate = self.adj.apply(&self.alg, i, k, announced);
+        for (k, f) in self.adj.row(i) {
+            let candidate = self.alg.extend(f, &self.rib_in[i][*k][dest]);
             best = self.alg.choice(&best, &candidate);
         }
         if best != self.loc_rib[i][dest] {

@@ -107,6 +107,9 @@ where
     let table_changes = Arc::new(AtomicU64::new(0));
     let final_rows: SharedRows<A::Route> = Arc::new(Mutex::new(vec![None; n]));
 
+    // Who does each router announce to?  Everyone that imports from it.
+    let mut exports = adj.dependants();
+
     let start = std::time::Instant::now();
     let mut handles = Vec::with_capacity(n);
     for (i, receiver) in receivers.iter().enumerate() {
@@ -121,12 +124,9 @@ where
         let table_changes = Arc::clone(&table_changes);
         let final_rows = Arc::clone(&final_rows);
         let mut table: Vec<A::Route> = initial.row(i).to_vec();
+        let listeners: Vec<NodeId> = std::mem::take(&mut exports[i]);
 
         handles.push(std::thread::spawn(move || {
-            // Who do I announce to?  Everyone that imports from me.
-            let listeners: Vec<NodeId> = (0..n)
-                .filter(|&k| k != i && adj.get(k, i).is_some())
-                .collect();
             // Last advert heard, per neighbour per destination.
             let mut adverts: Vec<Vec<A::Route>> = vec![vec![alg.invalid(); n]; n];
 
@@ -154,11 +154,8 @@ where
                     return alg.trivial();
                 }
                 let mut best = alg.invalid();
-                for (k, heard) in adverts.iter().enumerate() {
-                    if k == i {
-                        continue;
-                    }
-                    let candidate = adj.apply(&alg, i, k, &heard[dest]);
+                for (k, f) in adj.row(i) {
+                    let candidate = alg.extend(f, &adverts[*k][dest]);
                     best = alg.choice(&best, &candidate);
                 }
                 best
