@@ -129,12 +129,6 @@ impl<A: RoutingAlgebra> AdjacencyMatrix<A> {
         &self.rows[i]
     }
 
-    /// The neighbours `j` from which node `i` can import routes
-    /// (`A_ij` present).
-    pub fn import_neighbors(&self, i: NodeId) -> Vec<NodeId> {
-        self.rows[i].iter().map(|&(j, _)| j).collect()
-    }
-
     /// Apply `A_ij` to a route, treating a missing entry as the constant-∞̄
     /// function.
     pub fn apply(&self, alg: &A, i: NodeId, j: NodeId, r: &A::Route) -> A::Route {
@@ -225,8 +219,8 @@ mod tests {
         assert_eq!(adj.get(1, 0), None);
         assert_eq!(adj.node_count(), 3);
         assert_eq!(adj.link_count(), 1);
-        assert_eq!(adj.import_neighbors(0), vec![1]);
-        assert!(adj.import_neighbors(2).is_empty());
+        assert_eq!(adj.row(0), &[(1, NatInf::fin(5))]);
+        assert!(adj.row(2).is_empty());
     }
 
     #[test]
@@ -256,7 +250,11 @@ mod tests {
         assert_eq!(adj.get(1, 2), Some(&NatInf::fin(9)));
         adj.set(1, 2, None); // clear
         assert_eq!(adj.get(1, 2), None);
-        assert_eq!(adj.import_neighbors(1), vec![0, 3]);
+        assert_eq!(
+            adj.row(1),
+            &[(0, NatInf::fin(1)), (3, NatInf::fin(3))],
+            "the cleared entry is gone, its neighbours keep their order"
+        );
         adj.set(1, 2, None); // clearing a missing entry is a no-op
         assert_eq!(adj.link_count(), 2);
         assert!(adj.row(0).is_empty());

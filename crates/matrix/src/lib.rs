@@ -40,7 +40,9 @@
 //! * [`pool`] — the persistent worker pool behind those sweeps: parked
 //!   workers and epoch-stamped band work lists replace per-round thread
 //!   spawning, worker panics surface as recoverable errors instead of
-//!   taking the process down, and a supervisor replaces workers that die;
+//!   taking the process down, and a supervisor replaces workers that die.
+//!   Its [`WorkerPool::map`] is the workspace's one order-preserving
+//!   parallel map (sweep replicates and fuzz cases fan out through it);
 //! * [`faults`] — a seeded, deterministic fault plane: once-firing
 //!   injectable faults (kill a worker, stall a band, fail an epoch, crash
 //!   at an event offset, tamper with a WAL tail) consulted by the pool and
@@ -107,7 +109,7 @@ pub use incremental::{
 pub use kernel::{Executor, FixedPoint, Inline, Start};
 pub use parallel::{par_iterate_to_fixed_point, ParallelAlgebra, Pooled};
 pub use permute::{NodePermutation, RowOrder};
-pub use pool::{PoolScope, PoolStats, WorkerPool};
+pub use pool::{default_jobs, PoolScope, PoolStats, WorkerPool};
 pub use sigma::{sigma, sigma_entry, sigma_into, sigma_row_into, sigma_row_into_changed};
 pub use state::RoutingState;
 pub use sync::{

@@ -2,9 +2,9 @@
 //! epoch-stamped band work lists.
 //!
 //! The first parallel σ implementation spawned a fresh set of scoped
-//! threads *every round* (`crossbeam::thread::scope` inside the round),
-//! which costs two thread creations plus two joins per worker per round —
-//! measurable once rounds are short, and fatal to the route-server goal of
+//! threads *every round* (a `thread::scope` inside the round), which costs
+//! two thread creations plus two joins per worker per round — measurable
+//! once rounds are short, and fatal to the route-server goal of
 //! sustaining 10⁵+ events against a warm routing table.  This module
 //! replaces that with a pool that is created once and reused: workers park
 //! on a condvar, the coordinator hands each σ round (or sweep batch, or
@@ -29,12 +29,24 @@
 //! them inline — so a pool with fewer workers than requested bands (or
 //! even zero workers) still completes every epoch, just with less overlap.
 //!
+//! ## Fan-out
+//!
+//! [`WorkerPool::map`] is the one order-preserving parallel map in the
+//! workspace (sweep replicates and fuzz cases run through it): one epoch
+//! per call, in which `jobs − 1` pool jobs and the caller each loop
+//! claiming the next item index with one atomic add and writing the result
+//! into that index's slot.  Output order is input order for any `jobs`,
+//! which is what keeps `--jobs 1` and `--jobs 8` reports byte-identical.
+//! A task may itself open epochs on the same pool (a sweep run sharding
+//! its σ rows): the nested coordinator steals its own jobs back, so the
+//! nesting cannot deadlock however busy the workers are.
+//!
 //! ## Panics
 //!
 //! A panicking job does **not** take down the pool or the process: the
 //! worker catches the payload, records it against the job's epoch, keeps
 //! serving later epochs, and [`WorkerPool::scoped`] returns the payload as
-//! `Err` — mirroring `crossbeam::thread::scope`'s contract.  The engine
+//! `Err`, as a joined thread would.  The engine
 //! layer above turns that into a reported engine error with a reproduction
 //! command instead of an abort.
 //!
@@ -57,7 +69,7 @@
 use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -163,6 +175,11 @@ impl PoolStats {
         let on_workers: u64 = self.worker_jobs.iter().sum();
         on_workers as f64 / self.jobs as f64
     }
+}
+
+/// The default fan-out width: one job per available hardware thread.
+pub fn default_jobs() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// A persistent pool of parked worker threads executing epoch-stamped job
@@ -290,24 +307,16 @@ impl WorkerPool {
     /// jobs queue and the coordinator helps drain them.
     pub fn shared() -> &'static WorkerPool {
         static SHARED: OnceLock<WorkerPool> = OnceLock::new();
-        SHARED.get_or_init(|| {
-            let workers = std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .saturating_sub(1)
-                .max(1);
-            WorkerPool::new(workers)
-        })
+        SHARED.get_or_init(|| WorkerPool::new(default_jobs().saturating_sub(1).max(1)))
     }
 
     /// Open an epoch: run `f` with a scope whose jobs may borrow from the
     /// enclosing stack, and return once every job submitted in the scope
     /// has completed.
     ///
-    /// Mirrors the `crossbeam::thread::scope` contract: a panic in `f`
-    /// itself resumes on the caller (after the epoch drains), while the
-    /// first *job* panic is returned as `Err(payload)` — the pool and its
-    /// workers survive either way.
+    /// A panic in `f` itself resumes on the caller (after the epoch
+    /// drains), while the first *job* panic is returned as `Err(payload)`
+    /// — the pool and its workers survive either way.
     pub fn scoped<'pool, 'scope, F, R>(&'pool self, f: F) -> std::thread::Result<R>
     where
         'pool: 'scope,
@@ -334,14 +343,68 @@ impl WorkerPool {
             sync.panic.take()
         };
         match result {
-            // As in crossbeam, the scope closure's own panic takes
-            // precedence over job panics.
+            // The scope closure's own panic takes precedence over job
+            // panics.
             Err(payload) => resume_unwind(payload),
             Ok(value) => match job_panic {
                 None => Ok(value),
                 Some(payload) => Err(payload),
             },
         }
+    }
+
+    /// Apply `f` to every item on up to `jobs` threads (the caller
+    /// included) and return the results in input order, so callers observe
+    /// the same output for any `jobs`.
+    ///
+    /// `jobs` is clamped to `1..=items.len()`.  With one job, or fewer
+    /// than two items, the items are processed inline on the calling
+    /// thread and no epoch is opened.  A panicking task ends the loop that
+    /// ran it; the remaining loops still drain every other item, and the
+    /// first panic is then re-raised on the caller with its own payload.
+    pub fn map<T, R, F>(&self, jobs: usize, items: Vec<T>, f: F) -> Vec<R>
+    where
+        T: Send,
+        R: Send,
+        F: Fn(T) -> R + Sync,
+    {
+        let n = items.len();
+        let jobs = jobs.clamp(1, n.max(1));
+        if jobs == 1 {
+            return items.into_iter().map(f).collect();
+        }
+        let inputs: Vec<Mutex<Option<T>>> =
+            items.into_iter().map(|t| Mutex::new(Some(t))).collect();
+        let outputs: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
+        // Relaxed: the counter only hands out distinct indices; the items
+        // themselves are published by their slot mutexes.
+        let next = AtomicUsize::new(0);
+        let drain = || loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break;
+            }
+            let item = inputs[i].lock().unwrap_or_else(|p| p.into_inner()).take();
+            let result = f(item.expect("an index is claimed once"));
+            *outputs[i].lock().unwrap_or_else(|p| p.into_inner()) = Some(result);
+        };
+        let outcome = self.scoped(|scope| {
+            for _ in 1..jobs {
+                scope.execute(drain);
+            }
+            drain();
+        });
+        if let Err(payload) = outcome {
+            resume_unwind(payload);
+        }
+        outputs
+            .into_iter()
+            .map(|slot| {
+                slot.into_inner()
+                    .unwrap_or_else(|p| p.into_inner())
+                    .expect("every slot is filled once the epoch drains")
+            })
+            .collect()
     }
 
     /// Retry `f` under [`WorkerPool::scoped`] up to `attempts` times with
@@ -771,6 +834,165 @@ mod tests {
             .expect("the pool survived six concurrent panicking scopes");
         assert_eq!(x, 1);
         assert_eq!(pool.stats().deaths, 0);
+    }
+
+    // ---- `WorkerPool::map`: the fan-out contract sweep and fuzz rely on ----
+
+    #[test]
+    fn results_preserve_input_order() {
+        let items: Vec<usize> = (0..100).collect();
+        let expected: Vec<usize> = items.iter().map(|x| x * x).collect();
+        for jobs in [1, 2, 8] {
+            let got = WorkerPool::shared().map(jobs, items.clone(), |x| x * x);
+            assert_eq!(got, expected, "jobs = {jobs}");
+        }
+    }
+
+    #[test]
+    fn every_task_runs_exactly_once() {
+        let counter = AtomicUsize::new(0);
+        let results = WorkerPool::shared().map(4, (0..57).collect::<Vec<_>>(), |x| {
+            counter.fetch_add(1, Ordering::SeqCst);
+            x
+        });
+        assert_eq!(results, (0..57).collect::<Vec<_>>());
+        assert_eq!(counter.load(Ordering::SeqCst), 57);
+    }
+
+    #[test]
+    fn empty_and_singleton_inputs() {
+        let pool = WorkerPool::shared();
+        let empty: Vec<u32> = pool.map(8, Vec::new(), |x: u32| x);
+        assert!(empty.is_empty());
+        assert_eq!(pool.map(8, vec![7], |x| x + 1), vec![8]);
+    }
+
+    #[test]
+    fn jobs_zero_clamps_to_one_and_runs_inline() {
+        // Regression: `jobs = 0` must behave exactly like `jobs = 1` —
+        // every item processed inline on the calling thread.
+        let caller = std::thread::current().id();
+        let items: Vec<usize> = (0..32).collect();
+        let got = WorkerPool::shared().map(0, items.clone(), |x| {
+            assert_eq!(std::thread::current().id(), caller, "inline means inline");
+            x * 2
+        });
+        assert_eq!(got, items.iter().map(|x| x * 2).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn empty_lists_return_without_spawning_for_any_geometry() {
+        let pool = WorkerPool::new(2);
+        for jobs in [0, 1, 8] {
+            let empty: Vec<u32> = pool.map(jobs, Vec::new(), |x: u32| x);
+            assert!(empty.is_empty(), "jobs = {jobs}");
+            assert_eq!(pool.map(jobs, vec![1u32], |x| x), vec![1], "jobs = {jobs}");
+        }
+        assert_eq!(pool.stats().epochs, 0, "nothing to fan out opens no epoch");
+    }
+
+    #[test]
+    fn default_jobs_is_positive() {
+        assert!(default_jobs() >= 1);
+    }
+
+    #[test]
+    fn order_is_preserved_under_uneven_task_durations() {
+        // Early tasks sleep longest, so with naive completion-order
+        // collection the results would come back reversed.
+        let items: Vec<u64> = (0..24).collect();
+        let expected: Vec<u64> = items.iter().map(|x| x * 10).collect();
+        let got = WorkerPool::shared().map(6, items, |x| {
+            std::thread::sleep(Duration::from_millis(24 - x));
+            x * 10
+        });
+        assert_eq!(got, expected);
+    }
+
+    #[test]
+    fn jobs_1_and_jobs_8_produce_identical_results() {
+        let items: Vec<u64> = (0..200).collect();
+        let f = |x: u64| x.wrapping_mul(0x9E37_79B9).rotate_left(7);
+        let sequential = WorkerPool::shared().map(1, items.clone(), f);
+        let parallel = WorkerPool::shared().map(8, items, f);
+        assert_eq!(sequential, parallel);
+    }
+
+    #[test]
+    #[should_panic(expected = "task 13 exploded")]
+    fn a_panicking_task_propagates_when_the_worker_scope_joins() {
+        WorkerPool::shared().map(4, (0..57).collect::<Vec<i32>>(), |x| {
+            if x == 13 {
+                panic!("task 13 exploded");
+            }
+            x
+        });
+    }
+
+    #[test]
+    fn the_re_raised_payload_is_the_tasks_own() {
+        // Not a wrapper message, not a "slot unfilled" expect: the very
+        // `&str` the task panicked with — whichever thread ran the task.
+        for jobs in [2, 8] {
+            let payload = catch_unwind(|| {
+                WorkerPool::shared().map(jobs, (0..57).collect::<Vec<i32>>(), |x| {
+                    if x == 13 {
+                        panic!("task 13 exploded");
+                    }
+                    x
+                })
+            })
+            .expect_err("the task panic must reach the caller");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"task 13 exploded"));
+        }
+    }
+
+    #[test]
+    fn surviving_tasks_still_run_when_one_panics() {
+        // A panicking task ends the loop that claimed it, but the panic is
+        // only re-raised after the other loop has drained the remaining
+        // items — no task is silently dropped without a panic surfacing.
+        let ran = AtomicUsize::new(0);
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            WorkerPool::shared().map(2, (0..40).collect::<Vec<i32>>(), |x| {
+                if x == 0 {
+                    panic!("first task dies");
+                }
+                ran.fetch_add(1, Ordering::SeqCst);
+                x
+            });
+        }));
+        assert!(result.is_err(), "the panic must propagate to the caller");
+        assert_eq!(
+            ran.load(Ordering::SeqCst),
+            39,
+            "the surviving loop drains every other item"
+        );
+    }
+
+    #[test]
+    fn a_map_task_can_fan_out_on_the_same_pool() {
+        // The sweep-inside-jobs nesting: every outer task opens its own
+        // epochs on the pool its loop is running on — a nested `map`, and a
+        // σ iteration whose rounds are `Pooled` sweeps — while the workers
+        // are all busy with outer loops.  Each nested coordinator steals its
+        // own jobs back, so this completes on any worker count.
+        use crate::parallel::par_iterate_to_fixed_point;
+        use dbf_algebra::prelude::*;
+        let alg = BoundedHopCount::new(12);
+        let topo = dbf_topology::generators::ring(9).with_weights(|_, _| 1u64);
+        let adj = crate::AdjacencyMatrix::<BoundedHopCount>::from_topology(&topo);
+        let x0 = crate::RoutingState::identity(&alg, 9);
+        let reference = crate::iterate_to_fixed_point(&alg, &adj, &x0, 50);
+        assert!(reference.converged);
+        let pool = WorkerPool::shared();
+        let got = pool.map(4, (0..12u64).collect(), |k| {
+            let inner: u64 = pool.map(3, (0..10u64).collect(), |x| x + k).iter().sum();
+            let sigma = par_iterate_to_fixed_point(&alg, &adj, &x0, 50, 3);
+            (inner, sigma.state == reference.state)
+        });
+        let expected: Vec<(u64, bool)> = (0..12u64).map(|k| (45 + 10 * k, true)).collect();
+        assert_eq!(got, expected);
     }
 
     #[test]

@@ -68,7 +68,8 @@ fn check_against_dense(ops: &[Op]) -> Result<(), proptest::test_runner::TestCase
                 .enumerate()
                 .filter_map(|(j, e)| e.is_some().then_some(j))
                 .collect();
-            prop_assert_eq!(sparse.import_neighbors(i), dense_neighbors);
+            let keys: Vec<usize> = row.iter().map(|&(j, _)| j).collect();
+            prop_assert_eq!(keys, dense_neighbors);
         }
         let dense_links = dense.iter().flatten().filter(|e| e.is_some()).count();
         prop_assert_eq!(sparse.link_count(), dense_links);

@@ -33,10 +33,8 @@ pub struct HeightMetric<A: RoutingAlgebra> {
 impl<A: FiniteCarrier> HeightMetric<A> {
     /// Build the metric by enumerating and sorting the algebra's carrier.
     pub fn new(alg: A) -> Self {
-        let mut sorted = alg.all_routes();
-        sorted.sort_by(|a, b| alg.route_cmp(a, b));
-        sorted.dedup();
-        Self { alg, sorted }
+        let routes = dbf_algebra::distinct_routes(&alg);
+        Self::from_routes(alg, routes)
     }
 }
 

@@ -23,8 +23,7 @@
 //! delays or session resets — which is what the tests verify.
 
 use crate::stats::ProtocolStats;
-use crate::wire::BgpUpdate;
-use bytes::Bytes;
+use crate::wire::{BgpUpdate, MAX_NODES};
 use dbf_algebra::RoutingAlgebra;
 use dbf_bgp::algebra::BgpAlgebra;
 use dbf_bgp::policy::Policy;
@@ -81,7 +80,7 @@ enum Payload {
     /// A wire-encoded [`BgpUpdate`]: an announcement (route present) or a
     /// withdrawal (route absent).  Delivery decodes the bytes again, so the
     /// codec of [`crate::wire`] runs on every session message.
-    Update(Bytes),
+    Update(Vec<u8>),
     /// Tear down and re-establish the session between the two endpoints.
     ResetSession,
 }
@@ -152,12 +151,21 @@ impl BgpEngine {
     /// Create an engine directly from an algebra and its adjacency of edge
     /// functions — the constructor the scenario layer uses, so the engine
     /// selects routes with *exactly* the algebra instance σ iterates.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the network has more than [`MAX_NODES`] nodes (ids and
+    /// path lengths are u16 wire fields).
     pub fn from_parts(
         alg: BgpAlgebra,
         adj: AdjacencyMatrix<BgpAlgebra>,
         config: BgpConfig,
     ) -> Self {
         let n = adj.node_count();
+        assert!(
+            n <= MAX_NODES,
+            "{n} nodes do not fit the u16 wire fields (at most {MAX_NODES})"
+        );
         let loc_rib: Vec<Vec<BgpRoute>> = (0..n)
             .map(|i| {
                 (0..n)
@@ -279,7 +287,7 @@ impl BgpEngine {
             match msg.payload {
                 Payload::Update(bytes) => {
                     self.stats.updates_processed += 1;
-                    let update = BgpUpdate::decode(bytes)
+                    let update = BgpUpdate::decode(&bytes)
                         .expect("the engine only delivers messages it encoded");
                     let route = update
                         .to_route()
@@ -474,6 +482,17 @@ mod tests {
         // Every session message crossed the wire codec (a withdrawal is the
         // 5-byte minimum).
         assert!(report.stats.bytes_sent >= 5 * report.stats.messages_sent());
+    }
+
+    #[test]
+    #[should_panic(expected = "do not fit the u16 wire fields")]
+    fn a_network_wider_than_the_wire_ids_is_rejected_at_construction() {
+        let n = MAX_NODES + 1;
+        let _ = BgpEngine::from_parts(
+            BgpAlgebra::new(n),
+            AdjacencyMatrix::empty(n),
+            BgpConfig::default(),
+        );
     }
 
     #[test]

@@ -16,10 +16,11 @@
 //!   policy language.  Because the policy language is safe by design, any
 //!   configuration converges;
 //! * [`runtime`] — a genuinely concurrent runtime: one OS thread per router
-//!   exchanging messages over `crossbeam` channels, used to show that the
-//!   convergence results are not an artefact of the simulators' determinism;
-//! * [`wire`] — a compact binary wire format (built on `bytes`) for the
-//!   update messages of both engines, with encode/decode round-trip tests;
+//!   exchanging messages over `std::sync::mpsc` channels, used to show that
+//!   the convergence results are not an artefact of the simulators'
+//!   determinism;
+//! * [`wire`] — a compact binary wire format for the update messages of
+//!   both engines, pinned byte-for-byte by golden vectors;
 //! * [`stats`] — shared convergence/traffic statistics.
 
 #![forbid(unsafe_code)]

@@ -21,8 +21,7 @@
 //! exactly that against the synchronous fixed point.
 
 use crate::stats::ProtocolStats;
-use crate::wire::{RipUpdate, WIRE_INFINITY};
-use bytes::Bytes;
+use crate::wire::{RipUpdate, MAX_NODES, WIRE_INFINITY};
 use dbf_algebra::instances::hopcount::BoundedHopCount;
 use dbf_algebra::instances::nat_inf::NatInf;
 use dbf_matrix::{is_stable, AdjacencyMatrix, RoutingState};
@@ -194,7 +193,7 @@ pub struct RipEngine {
     queue: BinaryHeap<Scheduled>,
     /// Wire-encoded updates in flight; delivery decodes them again, so the
     /// encode/decode path of [`crate::wire`] runs on every message.
-    messages: Vec<Bytes>,
+    messages: Vec<Vec<u8>>,
     tables: Vec<Vec<TableEntry>>,
     stats: ProtocolStats,
 }
@@ -221,7 +220,9 @@ impl RipEngine {
     /// # Panics
     ///
     /// Panics if `config.hop_limit` does not fit the u32 wire metric
-    /// (metrics above [`WIRE_INFINITY`] would be ambiguous on the wire).
+    /// (metrics above [`WIRE_INFINITY`] would be ambiguous on the wire), or
+    /// if the network has more than [`MAX_NODES`] nodes (ids and entry
+    /// counts are u16 wire fields).
     pub fn from_adjacency(adj: AdjacencyMatrix<BoundedHopCount>, config: RipConfig) -> Self {
         assert!(
             config.hop_limit < WIRE_INFINITY as u64,
@@ -229,6 +230,10 @@ impl RipEngine {
             config.hop_limit
         );
         let n = adj.node_count();
+        assert!(
+            n <= MAX_NODES,
+            "{n} nodes do not fit the u16 wire fields (at most {MAX_NODES})"
+        );
         let mut listeners: Vec<Vec<NodeId>> = vec![Vec::new(); n];
         for i in 0..n {
             for (j, _) in adj.row(i) {
@@ -409,7 +414,7 @@ impl RipEngine {
 
     fn process_advert(&mut self, from: NodeId, to: NodeId, msg: usize) -> bool {
         let mut changed = false;
-        let update = RipUpdate::decode(self.messages[msg].clone())
+        let update = RipUpdate::decode(&self.messages[msg])
             .expect("the engine only delivers messages it encoded");
         // The hop cost of the link the advert crossed (`A_{to,from}`); the
         // link exists because `to` listens to `from`.
@@ -667,6 +672,13 @@ mod tests {
         assert!(report.converged, "{}", report.stats);
         assert_eq!(report.final_state, reference(&cut, 15));
         let _ = alg;
+    }
+
+    #[test]
+    #[should_panic(expected = "do not fit the u16 wire fields")]
+    fn a_network_wider_than_the_wire_ids_is_rejected_at_construction() {
+        let adj = AdjacencyMatrix::<BoundedHopCount>::empty(MAX_NODES + 1);
+        let _ = RipEngine::from_adjacency(adj, RipConfig::default());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! The simulators in `dbf-async` model asynchrony; this module *is*
 //! asynchronous: every router runs on its own OS thread, exchanging
-//! advertisement messages over unbounded `crossbeam` channels.  Delivery
+//! advertisement messages over unbounded `std::sync::mpsc` channels.  Delivery
 //! order between different senders is whatever the operating system's
 //! scheduler produces, so every run is a fresh sample from the space of
 //! schedules of Section 3 — and, for increasing algebras, every run must
@@ -25,13 +25,11 @@
 //! recomputation announced its wiped table.)
 
 use crate::stats::ProtocolStats;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use dbf_algebra::RoutingAlgebra;
 use dbf_matrix::{is_stable, AdjacencyMatrix, RoutingState};
 use dbf_paths::NodeId;
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::channel;
 use std::time::Duration;
 
 /// Configuration of the threaded runtime.
@@ -72,14 +70,14 @@ struct Advert<R> {
     route: R,
 }
 
-/// Per-router mailboxes: one channel pair per router.
-type Mailboxes<R> = (Vec<Sender<Advert<R>>>, Vec<Receiver<Advert<R>>>);
-
-/// The rows each router publishes when it halts.
-type SharedRows<R> = Arc<Mutex<Vec<Option<Vec<R>>>>>;
-
 /// Run one genuinely concurrent DBF computation over the given adjacency,
 /// starting from `initial` (row `i` is handed to router `i`).
+///
+/// # Panics
+///
+/// A panic on a router thread (an algebra's `extend`/`choice` panicking,
+/// say) is re-raised here with its own payload once every thread has been
+/// joined; the surviving routers halt at the wall-clock limit at the latest.
 pub fn run_threaded<A>(
     alg: &A,
     adj: &AdjacencyMatrix<A>,
@@ -87,176 +85,169 @@ pub fn run_threaded<A>(
     config: ThreadedConfig,
 ) -> ThreadedReport<A>
 where
-    A: RoutingAlgebra + Clone + Send + Sync + 'static,
-    A::Route: Send + 'static,
-    A::Edge: Send + Sync + 'static,
+    A: RoutingAlgebra + Sync,
+    A::Route: Send,
+    A::Edge: Sync,
 {
     let n = adj.node_count();
     assert_eq!(n, initial.node_count(), "initial state dimension mismatch");
 
-    let (senders, receivers): Mailboxes<A::Route> = (0..n).map(|_| unbounded()).unzip();
-    let in_flight = Arc::new(AtomicI64::new(0));
+    // One mailbox per router.
+    let (senders, receivers): (Vec<_>, Vec<_>) =
+        (0..n).map(|_| channel::<Advert<A::Route>>()).unzip();
+    let in_flight = &AtomicI64::new(0);
     // Routers that have completed their cold-start announcements; quiescence
     // is only meaningful once every router has started.
-    let started = Arc::new(AtomicU64::new(0));
+    let started = &AtomicU64::new(0);
     // Routers that have completed their first full idle recomputation (and
     // sent any updates it produced).  Until every router has, the in-flight
     // counter may transiently read zero while a table change is still coming.
-    let settled = Arc::new(AtomicU64::new(0));
-    let messages_sent = Arc::new(AtomicU64::new(0));
-    let table_changes = Arc::new(AtomicU64::new(0));
-    let final_rows: SharedRows<A::Route> = Arc::new(Mutex::new(vec![None; n]));
+    let settled = &AtomicU64::new(0);
+    let messages_sent = &AtomicU64::new(0);
+    let table_changes = &AtomicU64::new(0);
 
     // Who does each router announce to?  Everyone that imports from it.
     let mut exports = adj.dependants();
 
     let start = std::time::Instant::now();
-    let mut handles = Vec::with_capacity(n);
-    for (i, receiver) in receivers.iter().enumerate() {
-        let alg = alg.clone();
-        let adj = adj.clone();
-        let rx = receiver.clone();
-        let txs = senders.clone();
-        let in_flight = Arc::clone(&in_flight);
-        let started = Arc::clone(&started);
-        let settled = Arc::clone(&settled);
-        let messages_sent = Arc::clone(&messages_sent);
-        let table_changes = Arc::clone(&table_changes);
-        let final_rows = Arc::clone(&final_rows);
-        let mut table: Vec<A::Route> = initial.row(i).to_vec();
-        let listeners: Vec<NodeId> = std::mem::take(&mut exports[i]);
+    // Scoped threads: every router borrows the algebra, the adjacency and
+    // the counters, owns its mailbox's receiver, and hands its final row
+    // back through its join handle.  Each is joined explicitly, so a panic
+    // arrives as that router's own payload.
+    let joined: Vec<std::thread::Result<Vec<A::Route>>> = std::thread::scope(|s| {
+        let mut handles = Vec::with_capacity(n);
+        for (i, rx) in receivers.into_iter().enumerate() {
+            // Every router keeps a sender to every mailbox, its own
+            // included, so `rx` cannot read `Disconnected` while it runs.
+            let txs = senders.clone();
+            let mut table: Vec<A::Route> = initial.row(i).to_vec();
+            let listeners: Vec<NodeId> = std::mem::take(&mut exports[i]);
 
-        handles.push(std::thread::spawn(move || {
-            // Last advert heard, per neighbour per destination.
-            let mut adverts: Vec<Vec<A::Route>> = vec![vec![alg.invalid(); n]; n];
+            handles.push(s.spawn(move || {
+                // Last advert heard, per neighbour per destination.
+                let mut adverts: Vec<Vec<A::Route>> = vec![vec![alg.invalid(); n]; n];
 
-            let send_route = |dest: NodeId,
-                              route: &A::Route,
-                              in_flight: &AtomicI64,
-                              messages_sent: &AtomicU64| {
-                for &k in &listeners {
-                    in_flight.fetch_add(1, Ordering::SeqCst);
-                    messages_sent.fetch_add(1, Ordering::SeqCst);
-                    // Unbounded channel: send only fails if the receiver is
-                    // gone, which cannot happen before global quiescence.
-                    let _ = txs[k].send(Advert {
-                        from: i,
-                        dest,
-                        route: route.clone(),
-                    });
-                }
-            };
-
-            // Best-response selection for one destination, over everything
-            // heard so far.
-            let decide = |adverts: &[Vec<A::Route>], dest: NodeId| -> A::Route {
-                if dest == i {
-                    return alg.trivial();
-                }
-                let mut best = alg.invalid();
-                for (k, f) in adj.row(i) {
-                    let candidate = alg.extend(f, &adverts[*k][dest]);
-                    best = alg.choice(&best, &candidate);
-                }
-                best
-            };
-
-            // Cold start: advertise the whole initial table.
-            for (dest, route) in table.iter().enumerate() {
-                send_route(dest, route, &in_flight, &messages_sent);
-            }
-            started.fetch_add(1, Ordering::SeqCst);
-
-            // `adverts` changed since the last idle recomputation?  Starts
-            // true so every router performs at least one full decision
-            // (schedule axiom S1) before it may quiesce.
-            let mut dirty = true;
-            let mut has_settled = false;
-
-            loop {
-                match rx.recv_timeout(config.idle_poll) {
-                    Ok(advert) => {
-                        adverts[advert.from][advert.dest] = advert.route;
-                        dirty = true;
-                        let dest = advert.dest;
-                        let new_route = decide(&adverts, dest);
-                        if new_route != table[dest] {
-                            table[dest] = new_route.clone();
-                            table_changes.fetch_add(1, Ordering::SeqCst);
-                            send_route(dest, &new_route, &in_flight, &messages_sent);
-                        }
-                        // Only now is this message fully accounted for.
-                        in_flight.fetch_sub(1, Ordering::SeqCst);
+                let send_route = |dest: NodeId, route: &A::Route| {
+                    for &k in &listeners {
+                        in_flight.fetch_add(1, Ordering::SeqCst);
+                        messages_sent.fetch_add(1, Ordering::SeqCst);
+                        // Unbounded channel: send only fails once the receiving
+                        // router has halted, which cannot happen before global
+                        // quiescence (or the wall-clock limit, where the message
+                        // no longer matters).
+                        let _ = txs[k].send(Advert {
+                            from: i,
+                            dest,
+                            route: route.clone(),
+                        });
                     }
-                    Err(_) => {
-                        let all_started = started.load(Ordering::SeqCst) as usize == n;
-                        // Idle: re-run the full decision over everything
-                        // heard so far — the operational form of schedule
-                        // axiom S1 (every node activates even when no
-                        // messages arrive; a newly isolated router must
-                        // still drop its stale routes).  Only once everyone
-                        // has started (so cold-start adverts are not racing
-                        // a premature wipe of a stale initial table), and
-                        // only when an advert actually arrived since the
-                        // last recomputation (the inputs are otherwise
-                        // unchanged, so the result would be too).
-                        let mut changed = false;
-                        if dirty && all_started {
-                            for (dest, entry) in table.iter_mut().enumerate() {
-                                let new_route = decide(&adverts, dest);
-                                if new_route != *entry {
-                                    *entry = new_route.clone();
-                                    table_changes.fetch_add(1, Ordering::SeqCst);
-                                    send_route(dest, &new_route, &in_flight, &messages_sent);
-                                    changed = true;
+                };
+
+                // Best-response selection for one destination, over everything
+                // heard so far.
+                let decide = |adverts: &[Vec<A::Route>], dest: NodeId| -> A::Route {
+                    if dest == i {
+                        return alg.trivial();
+                    }
+                    let mut best = alg.invalid();
+                    for (k, f) in adj.row(i) {
+                        let candidate = alg.extend(f, &adverts[*k][dest]);
+                        best = alg.choice(&best, &candidate);
+                    }
+                    best
+                };
+
+                // Cold start: advertise the whole initial table.
+                for (dest, route) in table.iter().enumerate() {
+                    send_route(dest, route);
+                }
+                started.fetch_add(1, Ordering::SeqCst);
+
+                // `adverts` changed since the last idle recomputation?  Starts
+                // true so every router performs at least one full decision
+                // (schedule axiom S1) before it may quiesce.
+                let mut dirty = true;
+                let mut has_settled = false;
+
+                loop {
+                    match rx.recv_timeout(config.idle_poll) {
+                        Ok(advert) => {
+                            adverts[advert.from][advert.dest] = advert.route;
+                            dirty = true;
+                            let dest = advert.dest;
+                            let new_route = decide(&adverts, dest);
+                            if new_route != table[dest] {
+                                table[dest] = new_route.clone();
+                                table_changes.fetch_add(1, Ordering::SeqCst);
+                                send_route(dest, &new_route);
+                            }
+                            // Only now is this message fully accounted for.
+                            in_flight.fetch_sub(1, Ordering::SeqCst);
+                        }
+                        Err(_) => {
+                            let all_started = started.load(Ordering::SeqCst) as usize == n;
+                            // Idle: re-run the full decision over everything
+                            // heard so far — the operational form of schedule
+                            // axiom S1 (every node activates even when no
+                            // messages arrive; a newly isolated router must
+                            // still drop its stale routes).  Only once everyone
+                            // has started (so cold-start adverts are not racing
+                            // a premature wipe of a stale initial table), and
+                            // only when an advert actually arrived since the
+                            // last recomputation (the inputs are otherwise
+                            // unchanged, so the result would be too).
+                            let mut changed = false;
+                            if dirty && all_started {
+                                for (dest, entry) in table.iter_mut().enumerate() {
+                                    let new_route = decide(&adverts, dest);
+                                    if new_route != *entry {
+                                        *entry = new_route.clone();
+                                        table_changes.fetch_add(1, Ordering::SeqCst);
+                                        send_route(dest, &new_route);
+                                        changed = true;
+                                    }
+                                }
+                                dirty = false;
+                                if !has_settled {
+                                    // Counted only after the recomputation's
+                                    // updates are on the wire, so a peer that
+                                    // reads `settled == n` and then
+                                    // `in_flight == 0` cannot miss them.
+                                    has_settled = true;
+                                    settled.fetch_add(1, Ordering::SeqCst);
                                 }
                             }
-                            dirty = false;
-                            if !has_settled {
-                                // Counted only after the recomputation's
-                                // updates are on the wire, so a peer that
-                                // reads `settled == n` and then
-                                // `in_flight == 0` cannot miss them.
-                                has_settled = true;
-                                settled.fetch_add(1, Ordering::SeqCst);
+                            // Then quiesce when every router has performed its
+                            // first full decision, everything heard has been
+                            // decided on and nothing is in flight anywhere — or
+                            // bail out at the wall-clock limit.  (After every
+                            // router settles, a table change can only be a
+                            // response to an in-flight message, so observing
+                            // `settled == n && in_flight == 0` really is global
+                            // quiescence.)
+                            let all_settled = settled.load(Ordering::SeqCst) as usize == n;
+                            if (!changed
+                                && !dirty
+                                && all_settled
+                                && in_flight.load(Ordering::SeqCst) == 0)
+                                || start.elapsed() > config.wall_clock_limit
+                            {
+                                break;
                             }
-                        }
-                        // Then quiesce when every router has performed its
-                        // first full decision, everything heard has been
-                        // decided on and nothing is in flight anywhere — or
-                        // bail out at the wall-clock limit.  (After every
-                        // router settles, a table change can only be a
-                        // response to an in-flight message, so observing
-                        // `settled == n && in_flight == 0` really is global
-                        // quiescence.)
-                        let all_settled = settled.load(Ordering::SeqCst) as usize == n;
-                        if (!changed
-                            && !dirty
-                            && all_settled
-                            && in_flight.load(Ordering::SeqCst) == 0)
-                            || start.elapsed() > config.wall_clock_limit
-                        {
-                            break;
                         }
                     }
                 }
-            }
-            final_rows.lock()[i] = Some(table);
-        }));
-    }
-
-    for h in handles {
-        let _ = h.join();
-    }
-    let timed_out = start.elapsed() > config.wall_clock_limit;
-
-    let rows = final_rows.lock();
-    let final_state = RoutingState::from_fn(n, |i, j| {
-        rows[i]
-            .as_ref()
-            .expect("every router thread publishes its table")[j]
-            .clone()
+                table
+            }));
+        }
+        handles.into_iter().map(|h| h.join()).collect()
     });
+    let timed_out = start.elapsed() > config.wall_clock_limit;
+    let rows: Vec<Vec<A::Route>> = joined
+        .into_iter()
+        .map(|row| row.unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
+        .collect();
+    let final_state = RoutingState::from_fn(n, |i, j| rows[i][j].clone());
     let sigma_stable = is_stable(alg, adj, &final_state);
     let stats = ProtocolStats {
         updates_sent: messages_sent.load(Ordering::SeqCst),
@@ -356,6 +347,40 @@ mod tests {
             assert_eq!(report.final_state.get(1, 0), &alg.invalid());
             assert_eq!(report.final_state.get(1, 2), &alg.invalid());
         }
+    }
+
+    /// Shortest paths whose every extension panics.
+    #[derive(Debug, Clone)]
+    struct Exploding;
+
+    impl RoutingAlgebra for Exploding {
+        type Route = NatInf;
+        type Edge = NatInf;
+        fn choice(&self, a: &NatInf, b: &NatInf) -> NatInf {
+            *a.min(b)
+        }
+        fn extend(&self, _f: &NatInf, _r: &NatInf) -> NatInf {
+            panic!("extend exploded")
+        }
+        fn trivial(&self) -> NatInf {
+            NatInf::fin(0)
+        }
+        fn invalid(&self) -> NatInf {
+            NatInf::Inf
+        }
+    }
+
+    #[test]
+    fn a_router_panic_is_re_raised_with_its_own_payload() {
+        let adj = AdjacencyMatrix::<Exploding>::from_topology(
+            &generators::line(2).with_weights(|_, _| NatInf::fin(1)),
+        );
+        let x0 = RoutingState::identity(&Exploding, 2);
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_threaded(&Exploding, &adj, &x0, ThreadedConfig::default())
+        }))
+        .expect_err("the router panic must reach the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"extend exploded"));
     }
 
     #[test]

@@ -13,7 +13,6 @@
 //! length-prefixed sequences) but strict: decoders reject truncated or
 //! trailing input.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use dbf_bgp::route::{BgpRoute, CommunitySet};
 use dbf_paths::{NodeId, SimplePath};
 use std::fmt;
@@ -44,6 +43,65 @@ impl std::error::Error for WireError {}
 /// The metric value used on the wire for "unreachable".
 pub const WIRE_INFINITY: u32 = u32::MAX;
 
+/// The largest network the format carries.  Node ids, entry counts and
+/// path lengths are u16 fields, and a full-table RIP update has one entry
+/// per node, so the *count* `n` itself must fit — not just the ids below
+/// it.  The engines assert this at construction and the scenario layer
+/// rejects larger specs, so [`RipUpdate::encode`]/[`BgpUpdate::encode`]
+/// panic on a wider value instead of truncating it.
+pub const MAX_NODES: usize = u16::MAX as usize;
+
+/// Append a node id, entry count or path length as its u16 wire field.
+fn put_u16(buf: &mut Vec<u8>, x: usize) {
+    let x = u16::try_from(x).expect("node ids and counts fit the u16 wire fields (n <= MAX_NODES)");
+    buf.extend_from_slice(&x.to_be_bytes());
+}
+
+fn put_u32(buf: &mut Vec<u8>, x: u32) {
+    buf.extend_from_slice(&x.to_be_bytes());
+}
+
+fn be_u16(b: &[u8]) -> u16 {
+    u16::from_be_bytes([b[0], b[1]])
+}
+
+fn be_u32(b: &[u8]) -> u32 {
+    u32::from_be_bytes([b[0], b[1], b[2], b[3]])
+}
+
+/// A checked big-endian read cursor over a received message: every read
+/// that would pass the end is [`WireError::Truncated`], and a sequence's
+/// bytes are claimed (so its length is bounded by the input) before
+/// anything is allocated for it.
+struct Reader<'a>(&'a [u8]);
+
+impl<'a> Reader<'a> {
+    fn bytes(&mut self, n: usize) -> Result<&'a [u8], WireError> {
+        let (head, rest) = self.0.split_at_checked(n).ok_or(WireError::Truncated)?;
+        self.0 = rest;
+        Ok(head)
+    }
+
+    fn u8(&mut self) -> Result<u8, WireError> {
+        Ok(self.bytes(1)?[0])
+    }
+
+    fn u16(&mut self) -> Result<u16, WireError> {
+        self.bytes(2).map(be_u16)
+    }
+
+    fn u32(&mut self) -> Result<u32, WireError> {
+        self.bytes(4).map(be_u32)
+    }
+
+    fn finish(self) -> Result<(), WireError> {
+        match self.0.len() {
+            0 => Ok(()),
+            n => Err(WireError::TrailingBytes(n)),
+        }
+    }
+}
+
 /// A RIP-style update: a vector of `(destination, metric)` pairs, where
 /// `WIRE_INFINITY` encodes an unreachable destination.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,36 +114,28 @@ pub struct RipUpdate {
 
 impl RipUpdate {
     /// Encode to bytes.
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(6 + self.entries.len() * 6);
-        buf.put_u16(self.from as u16);
-        buf.put_u16(self.entries.len() as u16);
+    pub fn encode(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(self.wire_size());
+        put_u16(&mut buf, self.from);
+        put_u16(&mut buf, self.entries.len());
         for (dest, metric) in &self.entries {
-            buf.put_u16(*dest as u16);
-            buf.put_u32(*metric);
+            put_u16(&mut buf, *dest);
+            put_u32(&mut buf, *metric);
         }
-        buf.freeze()
+        buf
     }
 
     /// Decode from bytes.
-    pub fn decode(mut buf: Bytes) -> Result<Self, WireError> {
-        if buf.remaining() < 4 {
-            return Err(WireError::Truncated);
-        }
-        let from = buf.get_u16() as NodeId;
-        let count = buf.get_u16() as usize;
-        let mut entries = Vec::with_capacity(count);
-        for _ in 0..count {
-            if buf.remaining() < 6 {
-                return Err(WireError::Truncated);
-            }
-            let dest = buf.get_u16() as NodeId;
-            let metric = buf.get_u32();
-            entries.push((dest, metric));
-        }
-        if buf.has_remaining() {
-            return Err(WireError::TrailingBytes(buf.remaining()));
-        }
+    pub fn decode(buf: &[u8]) -> Result<Self, WireError> {
+        let mut r = Reader(buf);
+        let from = r.u16()? as NodeId;
+        let count = r.u16()? as usize;
+        let entries = r
+            .bytes(count * 6)?
+            .chunks_exact(6)
+            .map(|e| (be_u16(e) as NodeId, be_u32(&e[2..])))
+            .collect();
+        r.finish()?;
         Ok(Self { from, entries })
     }
 
@@ -154,56 +204,49 @@ impl BgpUpdate {
     }
 
     /// Encode to bytes.
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(16);
-        buf.put_u16(self.from as u16);
-        buf.put_u16(self.dest as u16);
+    pub fn encode(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(16);
+        put_u16(&mut buf, self.from);
+        put_u16(&mut buf, self.dest);
         match &self.route {
-            None => buf.put_u8(0),
+            None => buf.push(0),
             Some(r) => {
-                buf.put_u8(1);
-                buf.put_u32(r.level);
-                buf.put_u16(r.communities.len() as u16);
+                buf.push(1);
+                put_u32(&mut buf, r.level);
+                put_u16(&mut buf, r.communities.len());
                 for c in &r.communities {
-                    buf.put_u32(*c);
+                    put_u32(&mut buf, *c);
                 }
-                buf.put_u16(r.path.len() as u16);
+                put_u16(&mut buf, r.path.len());
                 for n in &r.path {
-                    buf.put_u16(*n as u16);
+                    put_u16(&mut buf, *n);
                 }
             }
         }
-        buf.freeze()
+        buf
     }
 
     /// Decode from bytes.
-    pub fn decode(mut buf: Bytes) -> Result<Self, WireError> {
-        if buf.remaining() < 5 {
-            return Err(WireError::Truncated);
-        }
-        let from = buf.get_u16() as NodeId;
-        let dest = buf.get_u16() as NodeId;
-        let tag = buf.get_u8();
-        let route = match tag {
+    pub fn decode(buf: &[u8]) -> Result<Self, WireError> {
+        let mut r = Reader(buf);
+        let from = r.u16()? as NodeId;
+        let dest = r.u16()? as NodeId;
+        let route = match r.u8()? {
             0 => None,
             1 => {
-                if buf.remaining() < 6 {
-                    return Err(WireError::Truncated);
-                }
-                let level = buf.get_u32();
-                let comm_count = buf.get_u16() as usize;
-                if buf.remaining() < comm_count * 4 {
-                    return Err(WireError::Truncated);
-                }
-                let communities = (0..comm_count).map(|_| buf.get_u32()).collect();
-                if buf.remaining() < 2 {
-                    return Err(WireError::Truncated);
-                }
-                let path_len = buf.get_u16() as usize;
-                if buf.remaining() < path_len * 2 {
-                    return Err(WireError::Truncated);
-                }
-                let path = (0..path_len).map(|_| buf.get_u16() as NodeId).collect();
+                let level = r.u32()?;
+                let comm_count = r.u16()? as usize;
+                let communities = r
+                    .bytes(comm_count * 4)?
+                    .chunks_exact(4)
+                    .map(be_u32)
+                    .collect();
+                let path_len = r.u16()? as usize;
+                let path = r
+                    .bytes(path_len * 2)?
+                    .chunks_exact(2)
+                    .map(|n| be_u16(n) as NodeId)
+                    .collect();
                 Some(AnnouncedRoute {
                     level,
                     communities,
@@ -212,9 +255,7 @@ impl BgpUpdate {
             }
             _ => return Err(WireError::Malformed("unknown announcement tag")),
         };
-        if buf.has_remaining() {
-            return Err(WireError::TrailingBytes(buf.remaining()));
-        }
+        r.finish()?;
         Ok(Self { from, dest, route })
     }
 
@@ -236,7 +277,7 @@ mod tests {
         };
         let bytes = upd.encode();
         assert_eq!(bytes.len(), upd.wire_size());
-        let decoded = RipUpdate::decode(bytes).unwrap();
+        let decoded = RipUpdate::decode(&bytes).unwrap();
         assert_eq!(decoded, upd);
     }
 
@@ -248,17 +289,17 @@ mod tests {
         };
         let bytes = upd.encode();
         // truncated
-        let short = bytes.slice(0..bytes.len() - 1);
+        let short = &bytes[..bytes.len() - 1];
         assert_eq!(RipUpdate::decode(short), Err(WireError::Truncated));
         // trailing bytes
-        let mut extended = BytesMut::from(&bytes[..]);
-        extended.put_u8(0xFF);
+        let mut extended = bytes.clone();
+        extended.push(0xFF);
         assert_eq!(
-            RipUpdate::decode(extended.freeze()),
+            RipUpdate::decode(&extended),
             Err(WireError::TrailingBytes(1))
         );
         // empty
-        assert_eq!(RipUpdate::decode(Bytes::new()), Err(WireError::Truncated));
+        assert_eq!(RipUpdate::decode(&[]), Err(WireError::Truncated));
     }
 
     #[test]
@@ -275,7 +316,7 @@ mod tests {
         );
         let bytes = announce.encode();
         assert_eq!(bytes.len(), announce.wire_size());
-        let decoded = BgpUpdate::decode(bytes).unwrap();
+        let decoded = BgpUpdate::decode(&bytes).unwrap();
         assert_eq!(decoded, announce);
         let route = decoded.to_route().unwrap();
         assert_eq!(route.level(), Some(30));
@@ -283,7 +324,7 @@ mod tests {
         assert_eq!(route.simple_path().unwrap().nodes(), &[2, 4, 5]);
 
         let withdraw = BgpUpdate::from_route(2, 5, &BgpRoute::Invalid);
-        let decoded = BgpUpdate::decode(withdraw.encode()).unwrap();
+        let decoded = BgpUpdate::decode(&withdraw.encode()).unwrap();
         assert_eq!(decoded.route, None);
         assert_eq!(decoded.to_route().unwrap(), BgpRoute::Invalid);
     }
@@ -301,17 +342,17 @@ mod tests {
         };
         let bytes = announce.encode();
         for cut in 1..bytes.len() {
-            let short = bytes.slice(0..bytes.len() - cut);
+            let short = &bytes[..bytes.len() - cut];
             assert_eq!(
                 BgpUpdate::decode(short),
                 Err(WireError::Truncated),
                 "cut {cut}"
             );
         }
-        let mut bad_tag = BytesMut::from(&bytes[..]);
+        let mut bad_tag = bytes.clone();
         bad_tag[4] = 7;
         assert!(matches!(
-            BgpUpdate::decode(bad_tag.freeze()),
+            BgpUpdate::decode(&bad_tag),
             Err(WireError::Malformed(_))
         ));
         // a looping AS path is rejected when converting to a route
@@ -324,8 +365,91 @@ mod tests {
                 path: vec![0, 1, 0],
             }),
         };
-        let decoded = BgpUpdate::decode(looping.encode()).unwrap();
+        let decoded = BgpUpdate::decode(&looping.encode()).unwrap();
         assert!(matches!(decoded.to_route(), Err(WireError::Malformed(_))));
+    }
+
+    // The three vectors below were recorded from the `bytes`-backed encoder
+    // at the commit before the codec moved to `std`.  Together with the
+    // per-phase `bytes` counters in dbf-scenario's `pinned_counters.txt`
+    // they pin the format: fix the encoder, never these arrays.
+    const GOLDEN_RIP: [u8; 22] = [
+        1, 2, 0, 3, 0, 0, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 0, 5, 255, 255, 255, 255,
+    ];
+    const GOLDEN_ANNOUNCE: [u8; 27] = [
+        0, 2, 3, 5, 1, 0, 0, 0, 30, 0, 2, 0, 0, 0, 1, 10, 11, 12, 13, 0, 3, 0, 2, 1, 4, 3, 5,
+    ];
+    const GOLDEN_WITHDRAW: [u8; 5] = [0, 2, 3, 5, 0];
+
+    fn golden_rip() -> RipUpdate {
+        RipUpdate {
+            from: 0x0102,
+            entries: vec![(0, 1), (0x0203, 0x0405_0607), (5, WIRE_INFINITY)],
+        }
+    }
+
+    fn golden_bgp(route: Option<AnnouncedRoute>) -> BgpUpdate {
+        BgpUpdate {
+            from: 2,
+            dest: 0x0305,
+            route,
+        }
+    }
+
+    fn golden_announce() -> BgpUpdate {
+        golden_bgp(Some(AnnouncedRoute {
+            level: 30,
+            communities: vec![1, 0x0A0B_0C0D],
+            path: vec![2, 0x0104, 0x0305],
+        }))
+    }
+
+    #[test]
+    fn golden_vectors_pin_every_emitted_byte() {
+        assert_eq!(golden_rip().encode(), GOLDEN_RIP);
+        assert_eq!(RipUpdate::decode(&GOLDEN_RIP), Ok(golden_rip()));
+        assert_eq!(golden_announce().encode(), GOLDEN_ANNOUNCE);
+        assert_eq!(BgpUpdate::decode(&GOLDEN_ANNOUNCE), Ok(golden_announce()));
+        assert_eq!(golden_bgp(None).encode(), GOLDEN_WITHDRAW);
+        assert_eq!(BgpUpdate::decode(&GOLDEN_WITHDRAW), Ok(golden_bgp(None)));
+    }
+
+    #[test]
+    fn every_strict_prefix_is_truncated_and_one_extra_byte_is_trailing() {
+        fn check<T: std::fmt::Debug + PartialEq>(
+            name: &str,
+            golden: &[u8],
+            decode: fn(&[u8]) -> Result<T, WireError>,
+        ) {
+            for cut in 0..golden.len() {
+                assert_eq!(
+                    decode(&golden[..cut]).unwrap_err(),
+                    WireError::Truncated,
+                    "{name} prefix of {cut} bytes"
+                );
+            }
+            let mut extended = golden.to_vec();
+            extended.push(0xEE);
+            assert_eq!(
+                decode(&extended).unwrap_err(),
+                WireError::TrailingBytes(1),
+                "{name} plus one byte"
+            );
+        }
+        check("rip", &GOLDEN_RIP, RipUpdate::decode);
+        check("announce", &GOLDEN_ANNOUNCE, BgpUpdate::decode);
+        check("withdraw", &GOLDEN_WITHDRAW, BgpUpdate::decode);
+    }
+
+    #[test]
+    #[should_panic(expected = "u16 wire fields")]
+    fn a_node_id_wider_than_its_wire_field_panics_instead_of_truncating() {
+        BgpUpdate {
+            from: MAX_NODES + 1,
+            dest: 0,
+            route: None,
+        }
+        .encode();
     }
 
     #[test]

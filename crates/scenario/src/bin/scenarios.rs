@@ -37,9 +37,9 @@
 //! match the expectation, so the binary doubles as an integration gate; on
 //! failure both print the exact reproduction command.
 
+use dbf_matrix::default_jobs;
 use dbf_scenario::bench::{bench_json, bench_sweeps_json, BenchRecord};
 use dbf_scenario::fuzz::replay_corpus;
-use dbf_scenario::pool::default_jobs;
 use dbf_scenario::prelude::*;
 use dbf_scenario::telemetry::{AggregatingSink, Tee, TraceSink};
 use std::path::PathBuf;
@@ -152,6 +152,7 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
+#[derive(Default)]
 struct Options {
     engines: Option<Vec<EngineKind>>,
     seeds: Option<Vec<u64>>,
@@ -284,46 +285,36 @@ const SCALE_RUN_OPTS: &[&str] = &[
     "--out",
 ];
 
+/// The argument after `flag`, or the error naming what it should have been.
+fn text<'a>(
+    flag: &str,
+    what: &str,
+    it: &mut impl Iterator<Item = &'a String>,
+) -> Result<&'a String, String> {
+    it.next().ok_or_else(|| format!("{flag} needs {what}"))
+}
+
+/// The argument after `flag`, parsed (a `String` field takes it verbatim).
+fn value<'a, T>(
+    flag: &str,
+    what: &str,
+    it: &mut impl Iterator<Item = &'a String>,
+) -> Result<T, String>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    text(flag, what, it)?
+        .parse()
+        .map_err(|e| format!("bad {flag}: {e}"))
+}
+
 /// Parse options, rejecting any flag the current command does not use —
 /// a silently ignored `--seeds` on a sweep (which derives its own seeds)
 /// would mislead far more than an error does.
 fn parse_options(args: &[String], allowed: &[&str]) -> Result<Options, String> {
-    let mut opts = Options {
-        engines: None,
-        seeds: None,
-        json: false,
-        out: None,
-        jobs: None,
-        threads: None,
-        row_order: None,
-        timing: false,
-        point: None,
-        replicate: None,
-        cases: None,
-        seed: None,
-        case: None,
-        corpus: None,
-        trace: None,
-        metrics: false,
-        check_bounds: false,
-        replay: None,
-        batch: None,
-        nodes: None,
-        events: None,
-        topology: None,
-        algebra: None,
-        queries: None,
-        m: None,
-        block: None,
-        weights: None,
-        deadline_ms: None,
-        checkpoint: None,
-        checkpoint_every: None,
-        recover: None,
-        faults: None,
-        crash_at: None,
-    };
-    let mut it = args.iter();
+    let mut opts = Options::default();
+    let it = &mut args.iter();
     while let Some(arg) = it.next() {
         if arg.starts_with("--") && !allowed.contains(&arg.as_str()) {
             return Err(format!(
@@ -334,41 +325,41 @@ fn parse_options(args: &[String], allowed: &[&str]) -> Result<Options, String> {
         match arg.as_str() {
             "--json" => opts.json = true,
             "--timing" => opts.timing = true,
-            "--jobs" => {
-                let v = it.next().ok_or("--jobs needs a value")?;
-                opts.jobs = Some(v.parse::<usize>().map_err(|e| format!("bad --jobs: {e}"))?);
-            }
-            "--threads" => {
-                let v = it.next().ok_or("--threads needs a value")?;
-                opts.threads = Some(
-                    v.parse::<usize>()
-                        .map_err(|e| format!("bad --threads: {e}"))?,
-                );
-            }
+            "--metrics" => opts.metrics = true,
+            "--check-bounds" => opts.check_bounds = true,
+            "--jobs" => opts.jobs = Some(value(arg, "a value", it)?),
+            "--threads" => opts.threads = Some(value(arg, "a value", it)?),
+            "--point" => opts.point = Some(value(arg, "a value", it)?),
+            "--replicate" => opts.replicate = Some(value(arg, "a value", it)?),
+            "--cases" => opts.cases = Some(value(arg, "a value", it)?),
+            "--seed" => opts.seed = Some(value(arg, "a value", it)?),
+            "--case" => opts.case = Some(value(arg, "a value", it)?),
+            "--batch" => opts.batch = Some(value(arg, "a value", it)?),
+            "--nodes" => opts.nodes = Some(value(arg, "a value", it)?),
+            "--events" => opts.events = Some(value(arg, "a value", it)?),
+            "--queries" => opts.queries = Some(value(arg, "a value", it)?),
+            "--m" => opts.m = Some(value(arg, "a value", it)?),
+            "--block" => opts.block = Some(value(arg, "a value", it)?),
+            "--weights" => opts.weights = Some(value(arg, "a value", it)?),
+            "--crash-at" => opts.crash_at = Some(value(arg, "an event offset", it)?),
+            "--out" => opts.out = Some(value(arg, "a value", it)?),
+            "--corpus" => opts.corpus = Some(value(arg, "a value", it)?),
+            "--trace" => opts.trace = Some(value(arg, "a value", it)?),
+            "--replay" => opts.replay = Some(value(arg, "a value", it)?),
+            "--topology" => opts.topology = Some(value(arg, "a value", it)?),
+            "--algebra" => opts.algebra = Some(value(arg, "a value", it)?),
+            "--faults" => opts.faults = Some(value(arg, "a value", it)?),
+            "--checkpoint" => opts.checkpoint = Some(value(arg, "a directory", it)?),
+            "--recover" => opts.recover = Some(value(arg, "a directory", it)?),
             "--row-order" => {
-                let v = it.next().ok_or("--row-order needs a value")?;
+                let v = text(arg, "a value", it)?;
                 opts.row_order = Some(
                     RowOrder::parse(v)
                         .ok_or_else(|| format!("bad --row-order {v:?} (none|degree|rcm)"))?,
                 );
             }
-            "--point" => {
-                let v = it.next().ok_or("--point needs a value")?;
-                opts.point = Some(
-                    v.parse::<usize>()
-                        .map_err(|e| format!("bad --point: {e}"))?,
-                );
-            }
-            "--replicate" => {
-                let v = it.next().ok_or("--replicate needs a value")?;
-                opts.replicate = Some(
-                    v.parse::<usize>()
-                        .map_err(|e| format!("bad --replicate: {e}"))?,
-                );
-            }
             "--engines" => {
-                let list = it.next().ok_or("--engines needs a value")?;
-                let engines = list
+                let engines = text(arg, "a value", it)?
                     .split(',')
                     .filter(|s| !s.is_empty())
                     .map(|s| EngineKind::parse(s.trim()).map_err(|e| e.to_string()))
@@ -379,8 +370,7 @@ fn parse_options(args: &[String], allowed: &[&str]) -> Result<Options, String> {
                 opts.engines = Some(engines);
             }
             "--seeds" => {
-                let list = it.next().ok_or("--seeds needs a value")?;
-                let seeds = list
+                let seeds = text(arg, "a value", it)?
                     .split(',')
                     .filter(|s| !s.is_empty())
                     .map(|s| {
@@ -394,108 +384,20 @@ fn parse_options(args: &[String], allowed: &[&str]) -> Result<Options, String> {
                 }
                 opts.seeds = Some(seeds);
             }
-            "--out" => opts.out = Some(it.next().ok_or("--out needs a value")?.clone()),
-            "--cases" => {
-                let v = it.next().ok_or("--cases needs a value")?;
-                opts.cases = Some(
-                    v.parse::<usize>()
-                        .map_err(|e| format!("bad --cases: {e}"))?,
-                );
-            }
-            "--seed" => {
-                let v = it.next().ok_or("--seed needs a value")?;
-                opts.seed = Some(v.parse::<u64>().map_err(|e| format!("bad --seed: {e}"))?);
-            }
-            "--case" => {
-                let v = it.next().ok_or("--case needs a value")?;
-                opts.case = Some(v.parse::<usize>().map_err(|e| format!("bad --case: {e}"))?);
-            }
-            "--corpus" => opts.corpus = Some(it.next().ok_or("--corpus needs a value")?.clone()),
-            "--trace" => opts.trace = Some(it.next().ok_or("--trace needs a value")?.clone()),
-            "--metrics" => opts.metrics = true,
-            "--check-bounds" => opts.check_bounds = true,
-            "--replay" => opts.replay = Some(it.next().ok_or("--replay needs a value")?.clone()),
-            "--batch" => {
-                let v = it.next().ok_or("--batch needs a value")?;
-                opts.batch = Some(
-                    v.parse::<usize>()
-                        .map_err(|e| format!("bad --batch: {e}"))?,
-                );
-            }
-            "--nodes" => {
-                let v = it.next().ok_or("--nodes needs a value")?;
-                opts.nodes = Some(
-                    v.parse::<usize>()
-                        .map_err(|e| format!("bad --nodes: {e}"))?,
-                );
-            }
-            "--events" => {
-                let v = it.next().ok_or("--events needs a value")?;
-                opts.events = Some(
-                    v.parse::<usize>()
-                        .map_err(|e| format!("bad --events: {e}"))?,
-                );
-            }
-            "--topology" => {
-                opts.topology = Some(it.next().ok_or("--topology needs a value")?.clone())
-            }
-            "--algebra" => opts.algebra = Some(it.next().ok_or("--algebra needs a value")?.clone()),
-            "--queries" => {
-                let v = it.next().ok_or("--queries needs a value")?;
-                opts.queries = Some(
-                    v.parse::<u32>()
-                        .map_err(|e| format!("bad --queries: {e}"))?,
-                );
-            }
-            "--m" => {
-                let v = it.next().ok_or("--m needs a value")?;
-                opts.m = Some(v.parse::<usize>().map_err(|e| format!("bad --m: {e}"))?);
-            }
-            "--block" => {
-                let v = it.next().ok_or("--block needs a value")?;
-                opts.block = Some(
-                    v.parse::<usize>()
-                        .map_err(|e| format!("bad --block: {e}"))?,
-                );
-            }
-            "--weights" => {
-                let v = it.next().ok_or("--weights needs a value")?;
-                opts.weights = Some(
-                    v.parse::<u32>()
-                        .map_err(|e| format!("bad --weights: {e}"))?,
-                );
-            }
             "--deadline-ms" => {
-                let v = it.next().ok_or("--deadline-ms needs a value (auto|N|0)")?;
+                let v = text(arg, "a value (auto|N|0)", it)?;
                 if v != "auto" {
                     v.parse::<u64>()
                         .map_err(|e| format!("bad --deadline-ms {v:?} (auto|N|0): {e}"))?;
                 }
                 opts.deadline_ms = Some(v.clone());
             }
-            "--checkpoint" => {
-                opts.checkpoint = Some(it.next().ok_or("--checkpoint needs a directory")?.clone())
-            }
             "--checkpoint-every" => {
-                let v = it.next().ok_or("--checkpoint-every needs a value")?;
-                let every = v
-                    .parse::<u64>()
-                    .map_err(|e| format!("bad --checkpoint-every: {e}"))?;
+                let every: u64 = value(arg, "a value", it)?;
                 if every == 0 {
                     return Err("--checkpoint-every must be >= 1".into());
                 }
                 opts.checkpoint_every = Some(every);
-            }
-            "--recover" => {
-                opts.recover = Some(it.next().ok_or("--recover needs a directory")?.clone())
-            }
-            "--faults" => opts.faults = Some(it.next().ok_or("--faults needs a value")?.clone()),
-            "--crash-at" => {
-                let v = it.next().ok_or("--crash-at needs an event offset")?;
-                opts.crash_at = Some(
-                    v.parse::<u64>()
-                        .map_err(|e| format!("bad --crash-at: {e}"))?,
-                );
             }
             other => return Err(format!("unknown option {other:?}")),
         }
@@ -1256,7 +1158,6 @@ fn serve_options(opts: &Options, threads: usize, batch: usize) -> Result<ServeOp
         checkpoint_every: opts.checkpoint_every.unwrap_or(64),
         recover,
         faults: plan.map(std::sync::Arc::new),
-        dedicated_pool: false,
     })
 }
 
@@ -1458,33 +1359,22 @@ fn main() -> ExitCode {
         },
         "run" => match args.get(1) {
             None => return usage(),
-            Some(target) => match parse_options(&args[2..], RUN_OPTS) {
-                Ok(opts) => cmd_run(target, &opts),
-                Err(e) => Err(e),
-            },
+            Some(target) => parse_options(&args[2..], RUN_OPTS).and_then(|o| cmd_run(target, &o)),
         },
         "profile" => match args.get(1) {
             None => return usage(),
-            Some(target) => match parse_options(&args[2..], PROFILE_OPTS) {
-                Ok(opts) => cmd_profile(target, &opts),
-                Err(e) => Err(e),
-            },
+            Some(target) => {
+                parse_options(&args[2..], PROFILE_OPTS).and_then(|o| cmd_profile(target, &o))
+            }
         },
-        "run-all" => match parse_options(&args[1..], RUN_ALL_OPTS) {
-            Ok(opts) => cmd_run_all(&opts),
-            Err(e) => Err(e),
-        },
+        "run-all" => parse_options(&args[1..], RUN_ALL_OPTS).and_then(|o| cmd_run_all(&o)),
         "bounds" => match args.get(1) {
             None => return usage(),
-            Some(target) => match parse_options(&args[2..], BOUNDS_OPTS) {
-                Ok(opts) => cmd_bounds(target, &opts),
-                Err(e) => Err(e),
-            },
+            Some(target) => {
+                parse_options(&args[2..], BOUNDS_OPTS).and_then(|o| cmd_bounds(target, &o))
+            }
         },
-        "bench" => match parse_options(&args[1..], BENCH_OPTS) {
-            Ok(opts) => cmd_bench(&opts),
-            Err(e) => Err(e),
-        },
+        "bench" => parse_options(&args[1..], BENCH_OPTS).and_then(|o| cmd_bench(&o)),
         "list-sweeps" => {
             for s in sweeps::all() {
                 println!(
@@ -1507,42 +1397,22 @@ fn main() -> ExitCode {
         },
         "sweep" => match args.get(1) {
             None => return usage(),
-            Some(target) => match parse_options(&args[2..], SWEEP_OPTS) {
-                Ok(opts) => cmd_sweep(target, &opts),
-                Err(e) => Err(e),
-            },
+            Some(target) => {
+                parse_options(&args[2..], SWEEP_OPTS).and_then(|o| cmd_sweep(target, &o))
+            }
         },
-        "sweep-bench" => match parse_options(&args[1..], SWEEP_BENCH_OPTS) {
-            Ok(opts) => cmd_sweep_bench(&opts),
-            Err(e) => Err(e),
-        },
-        "fuzz" => match parse_options(&args[1..], FUZZ_OPTS) {
-            Ok(opts) => cmd_fuzz(&opts),
-            Err(e) => Err(e),
-        },
+        "sweep-bench" => {
+            parse_options(&args[1..], SWEEP_BENCH_OPTS).and_then(|o| cmd_sweep_bench(&o))
+        }
+        "fuzz" => parse_options(&args[1..], FUZZ_OPTS).and_then(|o| cmd_fuzz(&o)),
         "replay" => match args.get(1) {
             None => return usage(),
-            Some(dir) => match parse_options(&args[2..], REPLAY_OPTS) {
-                Ok(_) => cmd_replay(dir),
-                Err(e) => Err(e),
-            },
+            Some(dir) => parse_options(&args[2..], REPLAY_OPTS).and_then(|_| cmd_replay(dir)),
         },
-        "gen-trace" => match parse_options(&args[1..], GEN_TRACE_OPTS) {
-            Ok(opts) => cmd_gen_trace(&opts),
-            Err(e) => Err(e),
-        },
-        "scale-run" => match parse_options(&args[1..], SCALE_RUN_OPTS) {
-            Ok(opts) => cmd_scale_run(&opts),
-            Err(e) => Err(e),
-        },
-        "serve" => match parse_options(&args[1..], SERVE_OPTS) {
-            Ok(opts) => cmd_serve(&opts),
-            Err(e) => Err(e),
-        },
-        "chaos" => match parse_options(&args[1..], CHAOS_OPTS) {
-            Ok(opts) => cmd_chaos(&opts),
-            Err(e) => Err(e),
-        },
+        "gen-trace" => parse_options(&args[1..], GEN_TRACE_OPTS).and_then(|o| cmd_gen_trace(&o)),
+        "scale-run" => parse_options(&args[1..], SCALE_RUN_OPTS).and_then(|o| cmd_scale_run(&o)),
+        "serve" => parse_options(&args[1..], SERVE_OPTS).and_then(|o| cmd_serve(&o)),
+        "chaos" => parse_options(&args[1..], CHAOS_OPTS).and_then(|o| cmd_chaos(&o)),
         _ => return usage(),
     };
     match result {
@@ -1555,5 +1425,87 @@ fn main() -> ExitCode {
             eprintln!("error: {msg}");
             ExitCode::from(2)
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str], allowed: &[&str]) -> Result<Options, String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        parse_options(&args, allowed)
+    }
+
+    #[test]
+    fn a_flag_the_command_does_not_take_is_rejected_with_the_allow_list() {
+        let err = parse(&["--seeds", "1,2"], SWEEP_OPTS)
+            .err()
+            .expect("rejected");
+        assert_eq!(
+            err,
+            format!(
+                "option --seeds does not apply to this command (valid here: {})",
+                SWEEP_OPTS.join(", ")
+            )
+        );
+    }
+
+    #[test]
+    fn a_missing_value_names_the_flag_and_what_it_needs() {
+        for (args, allowed, want) in [
+            (&["--jobs"][..], SWEEP_OPTS, "--jobs needs a value"),
+            (&["--json", "--out"][..], RUN_OPTS, "--out needs a value"),
+            (
+                &["--recover"][..],
+                SERVE_OPTS,
+                "--recover needs a directory",
+            ),
+            (
+                &["--crash-at"][..],
+                SERVE_OPTS,
+                "--crash-at needs an event offset",
+            ),
+            (
+                &["--deadline-ms"][..],
+                SERVE_OPTS,
+                "--deadline-ms needs a value (auto|N|0)",
+            ),
+        ] {
+            assert_eq!(parse(args, allowed).err().as_deref(), Some(want));
+        }
+    }
+
+    #[test]
+    fn a_bad_value_names_the_flag_and_the_parse_error() {
+        for (args, allowed, want) in [
+            (
+                &["--jobs", "many"][..],
+                SWEEP_OPTS,
+                "bad --jobs: invalid digit found in string",
+            ),
+            (
+                &["--queries", "-1"][..],
+                GEN_TRACE_OPTS,
+                "bad --queries: invalid digit found in string",
+            ),
+            (
+                &["--crash-at", ""][..],
+                SERVE_OPTS,
+                "bad --crash-at: cannot parse integer from empty string",
+            ),
+            (
+                &["--checkpoint-every", "0"][..],
+                SERVE_OPTS,
+                "--checkpoint-every must be >= 1",
+            ),
+        ] {
+            assert_eq!(parse(args, allowed).err().as_deref(), Some(want));
+        }
+        let ok = parse(&["--jobs", "8", "--json", "--out", "f.json"], SWEEP_OPTS).expect("valid");
+        assert_eq!(
+            (ok.jobs, ok.json, ok.out.as_deref()),
+            (Some(8), true, Some("f.json"))
+        );
     }
 }

@@ -45,7 +45,9 @@
 //! ```
 
 use crate::report::{Digest, EngineRun, PhaseOutcome};
-use crate::spec::{AlgebraSpec, EngineKind, FaultSpec, Scenario, ScheduleSpec, SpecError};
+use crate::spec::{
+    AlgebraSpec, ChangeSpec, EngineKind, FaultSpec, Scenario, ScheduleSpec, SpecError,
+};
 use dbf_algebra::prelude::BoundedHopCount;
 use dbf_algebra::RoutingAlgebra;
 use dbf_async::run_delta_traced;
@@ -64,8 +66,9 @@ use dbf_telemetry::{EventClass, MessageCounters, TelemetrySink};
 use std::any::Any;
 use std::time::Instant;
 
-/// The algebra bounds every engine can rely on: the threaded runtime needs
-/// `Send + Sync + 'static`, the parallel σ row sweep shares routes across
+/// The algebra bounds every engine can rely on: the threaded runtime shares
+/// the algebra between router threads and sends routes across them (`Sync`,
+/// `Route: Send`), the parallel σ row sweep shares routes across
 /// workers (`Route: Sync`), the incremental engine compares adjacency rows
 /// (`Edge: PartialEq`), and the protocol adapters downcast the algebra and
 /// adjacency (`'static`).  Blanket-implemented for every qualifying
@@ -179,6 +182,29 @@ fn supports_any(_spec: &Scenario) -> Result<(), SpecError> {
     Ok(())
 }
 
+/// The wire format carries node ids, entry counts and path lengths as u16,
+/// so a network that ever grows past [`dbf_protocols::wire::MAX_NODES`]
+/// (the initial shape plus every `add_node`) is rejected here rather than
+/// silently corrupted (the engine constructors assert the same bound).
+fn fits_wire_ids(engine: &str, spec: &Scenario) -> Result<(), SpecError> {
+    let added = spec
+        .phases
+        .iter()
+        .flat_map(|p| &p.changes)
+        .filter(|c| matches!(c, ChangeSpec::AddNode))
+        .count();
+    let nodes = spec.topology.initial_nodes().unwrap_or(0) + added;
+    let max = dbf_protocols::wire::MAX_NODES;
+    if nodes > max {
+        return Err(SpecError::new(format!(
+            "engine {engine:?} encodes node ids, entry counts and path lengths as u16 on \
+             the wire; {nodes} nodes (the initial topology plus every add_node) do not fit \
+             (at most {max})"
+        )));
+    }
+    Ok(())
+}
+
 fn supports_hopcount(spec: &Scenario) -> Result<(), SpecError> {
     match spec.algebra {
         // The wire format carries metrics as u32 with u32::MAX meaning ∞;
@@ -192,7 +218,7 @@ fn supports_hopcount(spec: &Scenario) -> Result<(), SpecError> {
                 dbf_protocols::wire::WIRE_INFINITY
             )))
         }
-        AlgebraSpec::Hopcount { .. } => Ok(()),
+        AlgebraSpec::Hopcount { .. } => fits_wire_ids("rip", spec),
         ref other => Err(SpecError::new(format!(
             "engine \"rip\" runs the RIP protocol machinery and requires the hopcount \
              algebra, got {other:?}"
@@ -202,7 +228,7 @@ fn supports_hopcount(spec: &Scenario) -> Result<(), SpecError> {
 
 fn supports_bgp(spec: &Scenario) -> Result<(), SpecError> {
     match spec.algebra {
-        AlgebraSpec::Bgp { .. } => Ok(()),
+        AlgebraSpec::Bgp { .. } => fits_wire_ids("bgp", spec),
         ref other => Err(SpecError::new(format!(
             "engine \"bgp\" runs the BGP protocol machinery and requires the bgp \
              algebra, got {other:?}"

@@ -20,25 +20,19 @@
 //! Determinism contract: the same `(seed, cases)` pair produces the same
 //! cases, the same verdicts and byte-identical [`FuzzReport::to_json`]
 //! output regardless of `--jobs` (execution fans out through the
-//! order-preserving, chunk-dispatched [`crate::pool::parallel_map_chunked`]).
+//! order-preserving [`WorkerPool::map`]).
 
 use crate::gen::{case_seed, scenario_case, sweep_case};
-use crate::pool::parallel_map_chunked;
 use crate::report::Json;
 use crate::run::run_scenario;
 use crate::spec::{FaultSpec, Scenario, ScheduleSpec, SpecError, TopologySpec};
 use crate::sweep::{run_sweep, SweepRunOptions};
+use dbf_matrix::WorkerPool;
 use std::path::{Path, PathBuf};
 
 /// Every `SWEEP_EVERY`-th case is a sweep grid instead of a single
 /// scenario.
 const SWEEP_EVERY: u64 = 8;
-
-/// Cases handed to a worker per queue round-trip.  Small enough that an
-/// unlucky chunk of slow cases cannot starve the other workers, large
-/// enough to amortise the channel/lock overhead of dispatching cases that
-/// often run in single-digit milliseconds.
-const FUZZ_DISPATCH_CHUNK: usize = 4;
 
 /// Options for [`run_fuzz`].
 #[derive(Debug, Clone)]
@@ -235,11 +229,9 @@ pub fn run_fuzz(opts: &FuzzOptions) -> Result<FuzzReport, SpecError> {
             None => SpecError::new("--cases must be at least 1"),
         });
     }
-    // Chunked dispatch: most cases are a few milliseconds of work, so
-    // grouping a handful per queue round-trip keeps the workers fed
-    // instead of contending on the channel (results stay in input order,
-    // which is what keeps the JSON byte-identical across --jobs).
-    let results = parallel_map_chunked(opts.jobs, FUZZ_DISPATCH_CHUNK, indices, |index| {
+    // Results come back in input order, which is what keeps the JSON
+    // byte-identical across --jobs.
+    let results = WorkerPool::shared().map(opts.jobs, indices, |index| {
         let seed = case_seed(opts.seed, index as u64);
         if (index as u64) % SWEEP_EVERY == SWEEP_EVERY - 1 {
             let sweep = sweep_case(seed);

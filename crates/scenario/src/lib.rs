@@ -43,9 +43,10 @@
 //!   be observed through [`run::run_scenario_traced`];
 //! * [`sweep`] / [`sweeps`] / [`agg`] — **parameter sweeps**: a base
 //!   scenario plus axes (topology size up to 10⁴+ nodes, loss rate, delay
-//!   bound) expands into a grid of runs, fanned out across worker threads
-//!   with deterministic per-run seeds and reduced to per-grid-point
-//!   mean/median/p95 statistics — convergence *as a function of* network
+//!   bound) expands into a grid of runs, fanned out through
+//!   `dbf_matrix::WorkerPool::map` (the workspace's one order-preserving
+//!   parallel map) with deterministic per-run seeds and reduced to
+//!   per-grid-point mean/median/p95 statistics — convergence *as a function of* network
 //!   size and fault rate, with the differential checker on for every run;
 //! * [`gen`] / [`fuzz`] — **property-based fuzzing**: seeded random
 //!   generators for complete scenario specs and sweep grids, funnelled
@@ -140,7 +141,6 @@ pub mod engine;
 pub mod fuzz;
 pub mod gen;
 pub mod metrics;
-pub mod pool;
 pub mod report;
 pub mod run;
 pub mod serve;

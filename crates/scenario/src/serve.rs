@@ -624,8 +624,6 @@ pub struct ServeOptions {
     /// A deterministic fault schedule to run under.  Forces a dedicated
     /// pool so fault epochs are reproducible.
     pub faults: Option<Arc<FaultPlan>>,
-    /// Run on a dedicated (non-shared) worker pool even without faults.
-    pub dedicated_pool: bool,
 }
 
 impl Default for ServeOptions {
@@ -638,7 +636,6 @@ impl Default for ServeOptions {
             checkpoint_every: 64,
             recover: false,
             faults: None,
-            dedicated_pool: false,
         }
     }
 }
@@ -1647,11 +1644,10 @@ where
 {
     let threads = opts.threads.max(1);
     let algebra_tag = trace.algebra.tag();
-    // Chaos runs (and anyone asking) get a dedicated pool: fault epochs
-    // are counted relative to arm time, so a fresh pool makes the
-    // schedule deterministic and keeps injected faults away from
-    // unrelated work on the shared pool.
-    let pool = if opts.dedicated_pool || opts.faults.is_some() {
+    // Chaos runs get a dedicated pool: fault epochs are counted relative
+    // to arm time, so a fresh pool makes the schedule deterministic and
+    // keeps injected faults away from unrelated work on the shared pool.
+    let pool = if opts.faults.is_some() {
         PoolHandle::Owned(Arc::new(WorkerPool::new(threads.saturating_sub(1).max(1))))
     } else {
         PoolHandle::Shared

@@ -30,10 +30,10 @@
 
 use crate::agg::{PointReport, ReplicateMetrics, SweepReport};
 use crate::builtins;
-use crate::pool::parallel_map;
 use crate::report::Digest;
 use crate::run::{run_scenario_with, RunConfig};
 use crate::spec::{Scenario, SpecError, TopologySpec};
+use dbf_matrix::WorkerPool;
 use toml::{Table, Value};
 
 /// A parameter a sweep axis can vary.
@@ -665,7 +665,7 @@ pub fn run_sweep(sweep: &Sweep, opts: &SweepRunOptions) -> Result<SweepReport, S
         threads: opts.threads.max(1),
         row_order: opts.row_order,
     };
-    let results = parallel_map(
+    let results = WorkerPool::shared().map(
         opts.jobs,
         tasks,
         |(point_index, replicate, seed, scenario)| {

@@ -154,6 +154,36 @@ fn every_registered_engine_meets_the_contract() {
 /// deterministic counters, and exactly the message-driven engines
 /// advertise message events.
 #[test]
+fn protocol_engines_reject_networks_wider_than_the_u16_wire_fields() {
+    // Decided from the spec alone — nothing this size has to run.
+    const MAX: usize = dbf_protocols::wire::MAX_NODES;
+    let hopcount = builtins::by_name("count-to-infinity").expect("a hopcount builtin");
+    let bgp = synthesized_specs().remove(0);
+    for (kind, mut spec) in [(EngineKind::Rip, hopcount), (EngineKind::Bgp, bgp)] {
+        let supports = descriptor(kind).supports;
+        spec.topology = TopologySpec::Ring { n: MAX };
+        spec.phases = vec![PhaseSpec::quiet("baseline")];
+        assert!(supports(&spec).is_ok(), "{kind:?}: {MAX} nodes fit");
+        spec.phases.push(PhaseSpec {
+            label: "grow".into(),
+            changes: vec![ChangeSpec::AddNode],
+            faults: FaultSpec::default(),
+        });
+        let err = supports(&spec).expect_err("one add_node too many");
+        assert!(
+            err.message.contains("u16 on the wire") && err.message.contains("65536 nodes"),
+            "{kind:?}: {err}"
+        );
+        spec.phases.pop();
+        spec.topology = TopologySpec::Line { n: MAX + 1 };
+        assert!(
+            supports(&spec).is_err(),
+            "{kind:?}: too wide from the start"
+        );
+    }
+}
+
+#[test]
 fn registry_advertises_telemetry_coverage() {
     for d in descriptors() {
         assert_eq!(
