@@ -93,8 +93,8 @@ impl FilteredShortestPaths {
     /// Apply a policy to a (valid, finite) distance.
     fn apply(&self, pol: &FilterPolicy, dist: u64) -> NatInf {
         match pol {
-            FilterPolicy::Add(w) => NatInf::fin(dist.saturating_add(*w)),
-            FilterPolicy::Reject => NatInf::Inf,
+            FilterPolicy::Add(w) => NatInf::saturated(dist.saturating_add(*w)),
+            FilterPolicy::Reject => NatInf::INF,
             FilterPolicy::IfBelow {
                 threshold,
                 then_pol,
@@ -119,9 +119,9 @@ impl RoutingAlgebra for FilteredShortestPaths {
     }
 
     fn extend(&self, f: &FilterPolicy, r: &NatInf) -> NatInf {
-        match r {
-            NatInf::Inf => NatInf::Inf,
-            NatInf::Fin(d) => self.apply(f, *d),
+        match r.as_fin() {
+            None => NatInf::INF,
+            Some(d) => self.apply(f, d),
         }
     }
 
@@ -130,7 +130,7 @@ impl RoutingAlgebra for FilteredShortestPaths {
     }
 
     fn invalid(&self) -> NatInf {
-        NatInf::Inf
+        NatInf::INF
     }
 }
 
@@ -194,9 +194,9 @@ mod tests {
         let alg = FilteredShortestPaths::new();
         assert_eq!(
             alg.extend(&FilterPolicy::Reject, &NatInf::fin(4)),
-            NatInf::Inf
+            NatInf::INF
         );
-        assert_eq!(alg.extend(&FilterPolicy::Reject, &NatInf::Inf), NatInf::Inf);
+        assert_eq!(alg.extend(&FilterPolicy::Reject, &NatInf::INF), NatInf::INF);
     }
 
     #[test]

@@ -10,6 +10,8 @@
 //! carrier + strictly increasing), making it the work-horse algebra of the
 //! distance-vector convergence experiments.
 
+#![warn(clippy::missing_inline_in_public_items)]
+
 use crate::algebra::{
     Distributive, FiniteCarrier, Increasing, RoutingAlgebra, SampleableAlgebra, SplitMix64,
     StrictlyIncreasing,
@@ -34,17 +36,20 @@ impl BoundedHopCount {
     /// Panics if `limit == 0` (the algebra would contain only `0̄` and `∞̄`
     /// and no edge could be strictly increasing on `0̄`... it can, but such a
     /// degenerate network can reach nothing, so we forbid it).
+    #[inline]
     pub fn new(limit: u64) -> Self {
         assert!(limit >= 1, "hop-count limit must be at least 1");
         Self { limit }
     }
 
     /// The RIP algebra (limit 15).
+    #[inline]
     pub fn rip() -> Self {
         Self::new(Self::RIP_LIMIT)
     }
 
     /// The configured hop limit.
+    #[inline]
     pub fn limit(&self) -> u64 {
         self.limit
     }
@@ -54,12 +59,14 @@ impl BoundedHopCount {
     /// # Panics
     ///
     /// Panics if `hops == 0`.
+    #[inline]
     pub fn edge(&self, hops: u64) -> u64 {
         assert!(hops >= 1, "hop-count edges must add at least one hop");
         hops
     }
 
     /// The single-hop edge (the common case).
+    #[inline]
     pub fn hop(&self) -> u64 {
         1
     }
@@ -69,30 +76,31 @@ impl RoutingAlgebra for BoundedHopCount {
     type Route = NatInf;
     type Edge = u64;
 
+    #[inline]
     fn choice(&self, a: &NatInf, b: &NatInf) -> NatInf {
         (*a).min(*b)
     }
 
+    #[inline]
     fn extend(&self, f: &u64, r: &NatInf) -> NatInf {
-        match r {
-            NatInf::Inf => NatInf::Inf,
-            NatInf::Fin(h) => {
-                let nh = h.saturating_add(*f);
-                if nh > self.limit {
-                    NatInf::Inf
-                } else {
-                    NatInf::Fin(nh)
-                }
-            }
+        // Branch-free: ∞ absorbs the addition and then exceeds the limit
+        // like any other over-long count.
+        let nh = r.saturating_add(NatInf::saturated(*f));
+        if nh > NatInf::saturated(self.limit) {
+            NatInf::INF
+        } else {
+            nh
         }
     }
 
+    #[inline]
     fn trivial(&self) -> NatInf {
         NatInf::ZERO
     }
 
+    #[inline]
     fn invalid(&self) -> NatInf {
-        NatInf::Inf
+        NatInf::INF
     }
 }
 
@@ -100,14 +108,18 @@ impl Increasing for BoundedHopCount {}
 impl StrictlyIncreasing for BoundedHopCount {}
 impl Distributive for BoundedHopCount {}
 
+// Enumerating a carrier allocates: cold by construction.
+#[allow(clippy::missing_inline_in_public_items)]
 impl FiniteCarrier for BoundedHopCount {
     fn all_routes(&self) -> Vec<NatInf> {
         let mut routes: Vec<NatInf> = (0..=self.limit).map(NatInf::fin).collect();
-        routes.push(NatInf::Inf);
+        routes.push(NatInf::INF);
         routes
     }
 }
 
+// Sampling allocates and draws from an RNG: cold by construction.
+#[allow(clippy::missing_inline_in_public_items)]
 impl SampleableAlgebra for BoundedHopCount {
     fn sample_routes(&self, seed: u64, count: usize) -> Vec<NatInf> {
         let all = self.all_routes();
@@ -147,9 +159,9 @@ mod tests {
     fn extension_saturates_to_invalid_past_the_limit() {
         let alg = BoundedHopCount::rip();
         assert_eq!(alg.extend(&1, &NatInf::fin(14)), NatInf::fin(15));
-        assert_eq!(alg.extend(&1, &NatInf::fin(15)), NatInf::Inf);
-        assert_eq!(alg.extend(&1, &NatInf::Inf), NatInf::Inf);
-        assert_eq!(alg.extend(&7, &NatInf::fin(10)), NatInf::Inf);
+        assert_eq!(alg.extend(&1, &NatInf::fin(15)), NatInf::INF);
+        assert_eq!(alg.extend(&1, &NatInf::INF), NatInf::INF);
+        assert_eq!(alg.extend(&7, &NatInf::fin(10)), NatInf::INF);
     }
 
     #[test]

@@ -52,7 +52,7 @@ impl RoutingAlgebra for LongestPaths {
     }
 
     fn trivial(&self) -> NatInf {
-        NatInf::Inf
+        NatInf::INF
     }
 
     fn invalid(&self) -> NatInf {

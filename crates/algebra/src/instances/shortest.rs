@@ -9,6 +9,8 @@
 //! apply (infinite carrier), and indeed plain distance-vector shortest paths
 //! suffers count-to-infinity when started from arbitrary states (Section 5).
 
+#![warn(clippy::missing_inline_in_public_items)]
+
 use crate::algebra::{
     Distributive, Increasing, RoutingAlgebra, SampleableAlgebra, SplitMix64, StrictlyIncreasing,
 };
@@ -32,6 +34,7 @@ impl ShortestPaths {
     pub const MIN_STRICT_WEIGHT: u64 = 1;
 
     /// Create the algebra.
+    #[inline]
     pub fn new() -> Self {
         Self { _priv: () }
     }
@@ -42,6 +45,7 @@ impl ShortestPaths {
     ///
     /// Panics if `w == 0`; use [`Self::raw_edge`] if you deliberately need a
     /// non-increasing edge.
+    #[inline]
     pub fn edge(&self, w: u64) -> NatInf {
         assert!(
             w >= Self::MIN_STRICT_WEIGHT,
@@ -54,14 +58,16 @@ impl ShortestPaths {
     /// An additive edge of arbitrary weight, including `0` (the identity
     /// function, which violates strict increase) and `∞` (the constant-∞
     /// filter).
+    #[inline]
     pub fn raw_edge(&self, w: NatInf) -> NatInf {
         w
     }
 
     /// The always-filtering edge (constant `∞` function), used to model a
     /// missing or administratively down link.
+    #[inline]
     pub fn unreachable_edge(&self) -> NatInf {
-        NatInf::Inf
+        NatInf::INF
     }
 }
 
@@ -69,25 +75,25 @@ impl RoutingAlgebra for ShortestPaths {
     type Route = NatInf;
     type Edge = NatInf;
 
+    #[inline]
     fn choice(&self, a: &NatInf, b: &NatInf) -> NatInf {
         (*a).min(*b)
     }
 
+    #[inline]
     fn extend(&self, f: &NatInf, r: &NatInf) -> NatInf {
-        // ∞ is a fixed point of every edge function.
-        if r.is_inf() {
-            NatInf::Inf
-        } else {
-            f.saturating_add(*r)
-        }
+        // ∞ absorbs, so it is a fixed point of every edge function.
+        f.saturating_add(*r)
     }
 
+    #[inline]
     fn trivial(&self) -> NatInf {
         NatInf::ZERO
     }
 
+    #[inline]
     fn invalid(&self) -> NatInf {
-        NatInf::Inf
+        NatInf::INF
     }
 }
 
@@ -97,6 +103,8 @@ impl Increasing for ShortestPaths {}
 impl StrictlyIncreasing for ShortestPaths {}
 impl Distributive for ShortestPaths {}
 
+// Sampling allocates and draws from an RNG: cold by construction.
+#[allow(clippy::missing_inline_in_public_items)]
 impl SampleableAlgebra for ShortestPaths {
     fn sample_routes(&self, seed: u64, count: usize) -> Vec<NatInf> {
         let mut rng = SplitMix64::new(seed);
@@ -109,7 +117,7 @@ impl SampleableAlgebra for ShortestPaths {
 
     fn sample_edges(&self, seed: u64, count: usize) -> Vec<NatInf> {
         let mut rng = SplitMix64::new(seed ^ 0xD1F7);
-        let mut out = vec![NatInf::Inf];
+        let mut out = vec![NatInf::INF];
         while out.len() < count.max(1) {
             out.push(NatInf::fin(1 + rng.next_below(100)));
         }
@@ -126,7 +134,7 @@ mod tests {
     fn choice_is_min() {
         let alg = ShortestPaths::new();
         assert_eq!(alg.choice(&NatInf::fin(3), &NatInf::fin(8)), NatInf::fin(3));
-        assert_eq!(alg.choice(&NatInf::Inf, &NatInf::fin(8)), NatInf::fin(8));
+        assert_eq!(alg.choice(&NatInf::INF, &NatInf::fin(8)), NatInf::fin(8));
     }
 
     #[test]
@@ -134,10 +142,10 @@ mod tests {
         let alg = ShortestPaths::new();
         let f = alg.edge(4);
         assert_eq!(alg.extend(&f, &NatInf::fin(6)), NatInf::fin(10));
-        assert_eq!(alg.extend(&f, &NatInf::Inf), NatInf::Inf);
+        assert_eq!(alg.extend(&f, &NatInf::INF), NatInf::INF);
         assert_eq!(
             alg.extend(&alg.unreachable_edge(), &NatInf::fin(6)),
-            NatInf::Inf
+            NatInf::INF
         );
     }
 

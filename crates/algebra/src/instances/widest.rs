@@ -13,6 +13,8 @@
 //! it serves as the canonical increasing-but-not-strict algebra for
 //! exercising Theorem 11 through the path-vector lifting.
 
+#![warn(clippy::missing_inline_in_public_items)]
+
 use crate::algebra::{Distributive, Increasing, RoutingAlgebra, SampleableAlgebra, SplitMix64};
 use crate::instances::nat_inf::NatInf;
 
@@ -24,18 +26,21 @@ pub struct WidestPaths {
 
 impl WidestPaths {
     /// Create the algebra.
+    #[inline]
     pub fn new() -> Self {
         Self { _priv: () }
     }
 
     /// An edge of capacity `c` (the route is throttled to `min(c, route)`).
+    #[inline]
     pub fn edge(&self, c: u64) -> NatInf {
         NatInf::fin(c)
     }
 
     /// An edge of unbounded capacity (the identity on valid routes).
+    #[inline]
     pub fn unbounded_edge(&self) -> NatInf {
-        NatInf::Inf
+        NatInf::INF
     }
 }
 
@@ -43,19 +48,23 @@ impl RoutingAlgebra for WidestPaths {
     type Route = NatInf;
     type Edge = NatInf;
 
+    #[inline]
     fn choice(&self, a: &NatInf, b: &NatInf) -> NatInf {
         (*a).max(*b)
     }
 
+    #[inline]
     fn extend(&self, f: &NatInf, r: &NatInf) -> NatInf {
         // min with the capacity; the invalid route 0 is automatically fixed.
         (*f).min(*r)
     }
 
+    #[inline]
     fn trivial(&self) -> NatInf {
-        NatInf::Inf
+        NatInf::INF
     }
 
+    #[inline]
     fn invalid(&self) -> NatInf {
         NatInf::ZERO
     }
@@ -64,6 +73,8 @@ impl RoutingAlgebra for WidestPaths {
 impl Increasing for WidestPaths {}
 impl Distributive for WidestPaths {}
 
+// Sampling allocates and draws from an RNG: cold by construction.
+#[allow(clippy::missing_inline_in_public_items)]
 impl SampleableAlgebra for WidestPaths {
     fn sample_routes(&self, seed: u64, count: usize) -> Vec<NatInf> {
         let mut rng = SplitMix64::new(seed);
@@ -76,7 +87,7 @@ impl SampleableAlgebra for WidestPaths {
 
     fn sample_edges(&self, seed: u64, count: usize) -> Vec<NatInf> {
         let mut rng = SplitMix64::new(seed ^ 0x71DE);
-        let mut out = vec![NatInf::Inf];
+        let mut out = vec![NatInf::INF];
         while out.len() < count.max(1) {
             out.push(NatInf::fin(1 + rng.next_below(10_000)));
         }

@@ -14,7 +14,7 @@ fn nat_inf() -> impl Strategy<Value = NatInf> {
     prop_oneof![
         8 => (0u64..5_000).prop_map(NatInf::fin),
         1 => Just(NatInf::ZERO),
-        1 => Just(NatInf::Inf),
+        1 => Just(NatInf::INF),
     ]
 }
 
@@ -129,12 +129,11 @@ proptest! {
     fn hopcount_stays_within_carrier(limit in 1u64..32, hops in 1u64..5, a in nat_inf()) {
         let alg = BoundedHopCount::new(limit);
         let out = alg.extend(&hops, &a);
-        match out {
-            NatInf::Fin(h) => prop_assert!(h <= limit),
-            NatInf::Inf => {}
+        if let Some(h) = out.as_fin() {
+            prop_assert!(h <= limit);
         }
         // strictly increasing on non-invalid routes that are inside the carrier
-        if let NatInf::Fin(h) = a {
+        if let Some(h) = a.as_fin() {
             if h <= limit {
                 prop_assert!(alg.route_lt(&a, &out));
             }

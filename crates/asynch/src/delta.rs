@@ -394,7 +394,7 @@ mod tests {
         // Node 0 learned its one-hop neighbours but nothing further (its
         // neighbours never recomputed, so they never offered longer routes).
         assert_eq!(out.final_state.get(0, 1), &NatInf::fin(1));
-        assert_eq!(out.final_state.get(0, 2), &NatInf::Inf);
+        assert_eq!(out.final_state.get(0, 2), &NatInf::INF);
         assert!(!out.sigma_stable);
     }
 

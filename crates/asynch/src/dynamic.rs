@@ -192,7 +192,7 @@ mod tests {
         assert!(outcomes[1].outcome.sigma_stable);
         assert_eq!(
             final_state.get(0, 2),
-            &NatInf::Inf,
+            &NatInf::INF,
             "0 can no longer reach 2"
         );
         assert_eq!(final_state.get(0, 1), &NatInf::fin(1), "0 still reaches 1");

@@ -557,7 +557,7 @@ mod tests {
         let adj = AdjacencyMatrix::from_topology(&topo);
         let out = EventSim::new(&alg, &adj, SimConfig::default()).run();
         assert!(out.sigma_stable);
-        assert_eq!(out.final_state.get(0, 2), &NatInf::Inf);
+        assert_eq!(out.final_state.get(0, 2), &NatInf::INF);
         assert_eq!(out.final_state.get(0, 1), &NatInf::fin(1));
     }
 }

@@ -229,7 +229,7 @@ mod tests {
         let topo = generators::line(3).with_weights(|_, _| NatInf::fin(1));
         let adj: AdjacencyMatrix<ShortestPaths> = AdjacencyMatrix::from_topology(&topo);
         assert_eq!(adj.apply(&alg, 0, 1, &NatInf::fin(3)), NatInf::fin(4));
-        assert_eq!(adj.apply(&alg, 0, 2, &NatInf::fin(3)), NatInf::Inf);
+        assert_eq!(adj.apply(&alg, 0, 2, &NatInf::fin(3)), NatInf::INF);
     }
 
     #[test]

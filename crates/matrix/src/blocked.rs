@@ -6,9 +6,9 @@
 //! destinations is the concatenation of independent fixed points over
 //! destination *blocks*.  A block of `w` destinations iterates an `n × w`
 //! slab (two buffers of `n·w` routes) instead of the square `n × n` state:
-//! at `n = 10⁵`, where a single square buffer would be ~160 GB, a
-//! 1024-wide slab is ~1.6 GB and the whole computation streams through
-//! memory block by block.
+//! at `n = 10⁵`, where a single square buffer would be ~80 GB (8 bytes per
+//! integer route), a 1024-wide slab is ~0.8 GB and the whole computation
+//! streams through memory block by block.
 //!
 //! Each block is the fixed-point kernel ([`crate::kernel`]) over a column
 //! window instead of the whole row — the same stepper, the same windowed
@@ -28,6 +28,7 @@ use crate::adjacency::AdjacencyMatrix;
 use crate::kernel::{FixedPoint, Inline};
 use dbf_algebra::RoutingAlgebra;
 use dbf_telemetry::NoopSink;
+use std::fmt::{self, Write as _};
 
 /// The outcome of a destination-blocked fixed-point computation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,13 +51,51 @@ pub struct BlockedOutcome {
     pub converged: bool,
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x1000_0000_01b3;
+/// A running 64-bit FNV-1a hash — the fold behind every digest in the
+/// workspace.  It is a [`fmt::Write`] sink, so a table entry is digested by
+/// `write!`-ing its text straight into the hash: a 10⁶-entry table costs
+/// no allocation at all, where one `format!` per entry cost 10⁶.
+///
+/// `PRIME` is the per-byte multiplier, by default the standard FNV prime
+/// (what the scenario reports hash with).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fnv1a<const PRIME: u64 = 0x0000_0100_0000_01b3>(u64);
 
-fn fnv_update(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= b as u64;
-        *h = h.wrapping_mul(FNV_PRIME);
+/// The column digests below have always multiplied by this transposition
+/// of the standard prime; every recorded blocked digest (the scale runs,
+/// the benchmark's own column digest) pins it.
+type ColumnHash = Fnv1a<0x1000_0000_01b3>;
+
+impl<const PRIME: u64> Default for Fnv1a<PRIME> {
+    fn default() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl<const PRIME: u64> Fnv1a<PRIME> {
+    /// Resume from a value [`Fnv1a::value`] returned.
+    pub fn from_state(state: u64) -> Self {
+        Fnv1a(state)
+    }
+
+    /// Fold `bytes` into the hash.
+    pub fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(PRIME);
+        }
+    }
+
+    /// The hash of everything folded so far.
+    pub fn value(&self) -> u64 {
+        self.0
+    }
+}
+
+impl<const PRIME: u64> fmt::Write for Fnv1a<PRIME> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.update(s.as_bytes());
+        Ok(())
     }
 }
 
@@ -82,7 +121,7 @@ pub fn blocked_fixed_point<A: RoutingAlgebra>(
     let n = adj.node_count();
     assert!(block > 0, "block width must be positive");
     assert!(n > 0, "blocked iteration needs at least one node");
-    let mut digest = FNV_OFFSET;
+    let mut digest = ColumnHash::default();
     let mut blocks = 0usize;
     let mut rounds_total = 0u64;
     let mut rounds_max = 0usize;
@@ -101,15 +140,16 @@ pub fn blocked_fixed_point<A: RoutingAlgebra>(
         // Digest column by column: each destination's column is complete
         // inside this block, so hashing columns independently and folding
         // them in destination order makes the digest block-width-invariant.
-        let mut cols = vec![FNV_OFFSET; w];
+        // (Writing into an `Fnv1a` cannot fail.)
+        let mut cols = vec![ColumnHash::default(); w];
         for (i, row) in kernel.rows().chunks(w).enumerate() {
-            for (jl, r) in row.iter().enumerate() {
+            for (jl, (col, r)) in cols.iter_mut().zip(row).enumerate() {
                 let j = j0 + jl;
-                fnv_update(&mut cols[jl], format!("({i},{j})={r:?};").as_bytes());
+                let _ = write!(col, "({i},{j})={r:?};");
             }
         }
-        for h in &cols {
-            fnv_update(&mut digest, format!("{h:016x}").as_bytes());
+        for col in &cols {
+            let _ = write!(digest, "{:016x}", col.value());
         }
         blocks += 1;
         rounds_total += kernel.iterations() as u64;
@@ -125,7 +165,7 @@ pub fn blocked_fixed_point<A: RoutingAlgebra>(
     }
 
     BlockedOutcome {
-        digest: format!("{digest:016x}"),
+        digest: format!("{:016x}", digest.value()),
         blocks,
         rounds_total,
         rounds_max,
@@ -150,9 +190,19 @@ mod tests {
         )
     }
 
+    /// The fold the blocked digest used before it streamed: one `format!`
+    /// per entry into a byte loop with its own constants.
+    fn fnv_update(h: &mut u64, bytes: &[u8]) {
+        for &b in bytes {
+            *h ^= b as u64;
+            *h = h.wrapping_mul(0x1000_0000_01b3);
+        }
+    }
+
     /// The square-state digest in the blocked convention (folded
     /// per-column digests), for cross-checking.
     fn square_digest<A: RoutingAlgebra>(state: &RoutingState<A>) -> String {
+        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         let n = state.node_count();
         let mut h = FNV_OFFSET;
         for j in 0..n {
@@ -186,6 +236,27 @@ mod tests {
             // worst block takes exactly as many rounds as the square run.
             assert_eq!(out.rounds_max, square.iterations, "block={block}");
         }
+    }
+
+    #[test]
+    fn recorded_blocked_digests_still_hold() {
+        // Recorded from the `format!`-per-entry fold at the commit before
+        // the digest streamed (ring of 17; limit 5 leaves `∞` entries).
+        let (_, adj) = ring_adj(17);
+        for (limit, recorded) in [(16, "c1b96452686a848f"), (5, "2d4532d497c15429")] {
+            let alg = BoundedHopCount::new(limit);
+            let out = blocked_fixed_point(&alg, &adj, 4, 200, |_, _, _| {});
+            assert_eq!(out.digest, recorded, "limit={limit}");
+        }
+    }
+
+    #[test]
+    fn the_standard_hash_is_fnv1a_64() {
+        // The published FNV-1a 64 test vectors for "" and "a".
+        let mut h: Fnv1a = Fnv1a::default();
+        assert_eq!(h.value(), 0xcbf2_9ce4_8422_2325);
+        let _ = write!(h, "a");
+        assert_eq!(h.value(), 0xaf63_dc4c_8601_ec8c);
     }
 
     #[test]

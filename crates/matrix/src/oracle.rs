@@ -116,7 +116,7 @@ mod tests {
         topo.set_link(2, 3, NatInf::fin(1));
         let adj = AdjacencyMatrix::from_topology(&topo);
         let oracle = exhaustive_path_optimum(&alg, &adj);
-        assert_eq!(oracle.get(0, 2), &NatInf::Inf);
+        assert_eq!(oracle.get(0, 2), &NatInf::INF);
         assert_eq!(oracle.get(0, 1), &NatInf::fin(1));
         assert_eq!(oracle.get(1, 1), &NatInf::fin(0));
     }

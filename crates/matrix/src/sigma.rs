@@ -152,45 +152,60 @@ pub(crate) fn sigma_row_window_changed<A: RoutingAlgebra>(
     // window the subtraction wraps (or lands at `>= w`), so it matches no
     // local column and no override happens.
     let diag = i.wrapping_sub(j0);
-    let mut changed = false;
+    let trivial = alg.trivial();
     match adj.row(i).split_last() {
-        None => {
-            // No imports: the row is ∞̄ everywhere except the diagonal.
-            for (j, (d, o)) in out.iter_mut().zip(old.iter()).enumerate() {
-                let v = if j == diag {
-                    alg.trivial()
-                } else {
-                    alg.invalid()
-                };
-                changed |= v != *o;
-                *d = v;
-            }
-        }
+        // No imports: the row is ∞̄ everywhere except the diagonal.
+        None => commit_row(out, old, old, diag, trivial, |_, _| alg.invalid()),
         Some(((last_k, last_f), rest)) => {
-            for r in out.iter_mut() {
-                *r = alg.invalid();
-            }
-            for (k, f) in rest {
-                let src = &cur[k * w..(k + 1) * w];
-                for (d, s) in out.iter_mut().zip(src.iter()) {
-                    let candidate = alg.extend(f, s);
-                    *d = alg.choice(d, &candidate);
+            // The first import *writes* `out` rather than folding into a
+            // row pre-filled with ∞̄ (`∞̄ ⊕ x = x` is a required law), the
+            // middle ones fold into it, and the last import's pass doubles
+            // as the write-out-and-compare pass (the adjacency row never
+            // contains `i`, so `last_k != i` and the diagonal override
+            // cannot alias the source row).
+            let row = |k: NodeId| &cur[k * w..(k + 1) * w];
+            let last = row(*last_k);
+            match rest.split_first() {
+                None => commit_row(out, last, old, diag, trivial, |_, s| alg.extend(last_f, s)),
+                Some(((first_k, first_f), middle)) => {
+                    for (d, s) in out.iter_mut().zip(row(*first_k)) {
+                        *d = alg.extend(first_f, s);
+                    }
+                    for (k, f) in middle {
+                        for (d, s) in out.iter_mut().zip(row(*k)) {
+                            *d = alg.choice(d, &alg.extend(f, s));
+                        }
+                    }
+                    commit_row(out, last, old, diag, trivial, |d, s| {
+                        alg.choice(d, &alg.extend(last_f, s))
+                    })
                 }
             }
-            // The last import's pass doubles as the write-out-and-compare
-            // pass (the adjacency row never contains `i`, so `last_k != i`
-            // and the diagonal override cannot alias the source row).
-            let src = &cur[last_k * w..(last_k + 1) * w];
-            for (j, ((d, s), o)) in out.iter_mut().zip(src.iter()).zip(old.iter()).enumerate() {
-                let v = if j == diag {
-                    alg.trivial()
-                } else {
-                    alg.choice(d, &alg.extend(last_f, s))
-                };
-                changed |= v != *o;
-                *d = v;
-            }
         }
+    }
+}
+
+/// The write-out-and-compare pass of the row kernel: `out[j]` becomes
+/// `value(out[j], src[j])` (`0̄` at the window-local diagonal `diag`), and
+/// the result says whether the finished row differs from `old`.
+#[inline]
+fn commit_row<R: Clone + PartialEq>(
+    out: &mut [R],
+    src: &[R],
+    old: &[R],
+    diag: usize,
+    trivial: R,
+    value: impl Fn(&R, &R) -> R,
+) -> bool {
+    let mut changed = false;
+    for (j, ((d, s), o)) in out.iter_mut().zip(src).zip(old).enumerate() {
+        let v = if j == diag {
+            trivial.clone()
+        } else {
+            value(d, s)
+        };
+        changed |= v != *o;
+        *d = v;
     }
     changed
 }
@@ -258,7 +273,7 @@ mod tests {
         assert_eq!(x1.get(0, 1), &NatInf::fin(1));
         assert_eq!(x1.get(1, 2), &NatInf::fin(1));
         // two-hop destination not learned yet
-        assert_eq!(x1.get(0, 2), &NatInf::Inf);
+        assert_eq!(x1.get(0, 2), &NatInf::INF);
         let x2 = sigma(&alg, &adj, &x1);
         assert_eq!(x2.get(0, 2), &NatInf::fin(2));
     }
@@ -315,7 +330,7 @@ mod tests {
         let id = RoutingState::identity(&alg, 2);
         let mut out = vec![alg.invalid(); 2];
         assert!(!sigma_row_into_changed(&alg, &lonely, &id, 0, &mut out));
-        assert_eq!(out, vec![NatInf::fin(0), NatInf::Inf]);
+        assert_eq!(out, vec![NatInf::fin(0), NatInf::INF]);
         let garbage = RoutingState::<ShortestPaths>::uniform(2, NatInf::fin(9));
         assert!(sigma_row_into_changed(&alg, &lonely, &garbage, 0, &mut out));
     }

@@ -228,7 +228,7 @@ mod tests {
                 if a == b {
                     assert_eq!(i3.get(a, b), &NatInf::fin(0));
                 } else {
-                    assert_eq!(i3.get(a, b), &NatInf::Inf);
+                    assert_eq!(i3.get(a, b), &NatInf::INF);
                 }
             }
         }
@@ -243,8 +243,8 @@ mod tests {
         assert_eq!(x.entries().count(), 4);
         assert_eq!(x.invalid_count(&alg), 0);
         let mut y = x.clone();
-        y.set(0, 1, NatInf::Inf);
-        assert_eq!(y.get(0, 1), &NatInf::Inf);
+        y.set(0, 1, NatInf::INF);
+        assert_eq!(y.get(0, 1), &NatInf::INF);
         assert_eq!(x.disagreements(&y), 1);
         assert_eq!(x.disagreements(&x), 0);
         assert!(x.differs(&y));
@@ -283,7 +283,7 @@ mod tests {
         assert_eq!(g.node_count(), 4);
         assert_eq!(g.get(1, 1), x.get(1, 1));
         assert_eq!(g.get(3, 3), &NatInf::fin(0));
-        assert_eq!(g.get(2, 3), &NatInf::Inf);
+        assert_eq!(g.get(2, 3), &NatInf::INF);
 
         let s = g.without_node(0);
         assert_eq!(s.node_count(), 3);

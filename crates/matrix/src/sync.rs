@@ -227,7 +227,7 @@ mod tests {
         assert!(out.converged);
         for (i, j, r) in out.state.entries() {
             if i != j {
-                assert_eq!(r, &NatInf::Inf, "entry ({i},{j}) saturates");
+                assert_eq!(r, &NatInf::INF, "entry ({i},{j}) saturates");
             }
         }
         // The true longest *simple* path between adjacent ring nodes has

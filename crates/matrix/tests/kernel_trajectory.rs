@@ -342,12 +342,35 @@ fn every_way_of_driving_the_kernel_walks_the_naive_sigma_trajectory() {
     let adj = AdjacencyMatrix::from_topology(&topo);
     let garbage = RoutingState::<WidestPaths>::from_fn(11, |i, j| {
         if i == j {
-            NatInf::Inf
+            NatInf::INF
         } else {
             NatInf::fin(((i * 3 + j) % 40) as u64)
         }
     });
     check_cell(&alg, &adj, &garbage, None, (0, 11), "fabric/all/whole");
+
+    // Shortest paths with weights a third of the way to the ∞ sentinel:
+    // two hops still add, the third lands on `u64::MAX` (or past it, on
+    // the heavier edges) and saturates to ∞ mid-run, so the far side of
+    // the ring stays unreachable.
+    let alg = ShortestPaths::new();
+    let n = 7;
+    let third = u64::MAX / 3;
+    let topo = generators::ring(n).with_weights(|i, _| NatInf::fin(third + (i % 2) as u64));
+    let adj = AdjacencyMatrix::from_topology(&topo);
+    let identity = RoutingState::identity(&alg, n);
+    let far = check_cell(&alg, &adj, &identity, None, (0, n), "ring/near-sentinel");
+    assert_eq!(far.rows[2], NatInf::fin(2 * third + 1), "0 → 1 → 2 adds");
+    assert_eq!(far.rows[3], NatInf::INF, "0 → 1 → 2 → 3 saturates");
+    assert_eq!(far.iterations, 2);
+    check_cell(
+        &alg,
+        &adj,
+        &identity,
+        None,
+        (2, 3),
+        "ring/near-sentinel/slab",
+    );
 }
 
 #[test]

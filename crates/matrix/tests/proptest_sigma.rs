@@ -11,7 +11,7 @@ fn nat_inf() -> impl Strategy<Value = NatInf> {
     prop_oneof![
         8 => (0u64..500).prop_map(NatInf::fin),
         1 => Just(NatInf::ZERO),
-        1 => Just(NatInf::Inf),
+        1 => Just(NatInf::INF),
     ]
 }
 
@@ -41,7 +41,54 @@ fn build_state(entries: &[NatInf]) -> RoutingState<ShortestPaths> {
     RoutingState::from_fn(N, |i, j| entries[i * N + j])
 }
 
+/// Row `i` of the fused kernel against the two-pass [`sigma_row_into`],
+/// once on `x` as given and once with `x`'s row `i` already at its σ value
+/// (so the change flag is exercised both ways).
+fn fused_row_matches_two_pass<A>(
+    alg: &A,
+    adj: &AdjacencyMatrix<A>,
+    mut x: RoutingState<A>,
+    i: usize,
+) -> TestCaseResult
+where
+    A: RoutingAlgebra<Route = NatInf>,
+{
+    let mut plain = vec![alg.invalid(); N];
+    sigma_row_into(alg, adj, &x, i, &mut plain);
+    for _ in 0..2 {
+        // a garbage buffer: every entry must be overwritten
+        let mut fused = vec![NatInf::fin(77); N];
+        let changed = sigma_row_into_changed(alg, adj, &x, i, &mut fused);
+        prop_assert_eq!(&fused, &plain);
+        prop_assert_eq!(changed, plain[..] != *x.row(i));
+        x.row_mut(i).copy_from_slice(&plain);
+    }
+    Ok(())
+}
+
 proptest! {
+    /// The four row shapes the fused kernel distinguishes — no import (the
+    /// identity row), one (written and compared in a single pass), two
+    /// (written, then folded-and-compared) and many (written, folded,
+    /// folded-and-compared) — under `min`/`+` and under `max`/`min`, whose
+    /// `∞̄` is `0`: writing the first import must equal folding it into `∞̄`.
+    #[test]
+    fn fused_row_kernel_matches_the_two_pass_row_at_every_degree(
+        degree in prop_oneof![Just(0usize), Just(1), Just(2), Just(N - 1)],
+        i in 0..N,
+        w in proptest::collection::vec(1u64..600, N),
+        entries in state(),
+    ) {
+        let imports = |a: usize, k: usize| a == i && k != i && (k + N - i - 1) % N < degree;
+        let edge = |a: usize, k: usize| imports(a, k).then(|| NatInf::fin(w[k]));
+        let shortest = AdjacencyMatrix::<ShortestPaths>::from_fn(N, edge);
+        prop_assert_eq!(shortest.row(i).len(), degree);
+        fused_row_matches_two_pass(&ShortestPaths::new(), &shortest, build_state(&entries), i)?;
+        let widest = AdjacencyMatrix::<WidestPaths>::from_fn(N, edge);
+        let x = RoutingState::<WidestPaths>::from_fn(N, |a, b| entries[a * N + b]);
+        fused_row_matches_two_pass(&WidestPaths::new(), &widest, x, i)?;
+    }
+
     /// Lemma 1: after one application of σ every diagonal entry is the
     /// trivial route, whatever the starting state and topology.
     #[test]
@@ -120,7 +167,7 @@ proptest! {
                 NatInf::fin(0)
             } else {
                 let v = entries[i * N + j];
-                if v >= 10 { NatInf::Inf } else { NatInf::fin(v) }
+                if v >= 10 { NatInf::INF } else { NatInf::fin(v) }
             }
         });
         let from_garbage = iterate_to_fixed_point(&alg, &adj, &garbage, 300);

@@ -292,29 +292,22 @@ mod tests {
                 (*a).min(*b)
             }
             fn extend(&self, f: &u64, r: &NatInf) -> NatInf {
-                match r {
-                    NatInf::Inf => NatInf::Inf,
-                    NatInf::Fin(h) => {
-                        let nh = h + f;
-                        if nh > 4 {
-                            NatInf::Inf
-                        } else {
-                            NatInf::Fin(nh)
-                        }
-                    }
-                }
+                r.as_fin()
+                    .map(|h| h + f)
+                    .filter(|&nh| nh <= 4)
+                    .map_or(NatInf::INF, NatInf::fin)
             }
             fn trivial(&self) -> NatInf {
                 NatInf::ZERO
             }
             fn invalid(&self) -> NatInf {
-                NatInf::Inf
+                NatInf::INF
             }
         }
         impl FiniteCarrier for LazyHop {
             fn all_routes(&self) -> Vec<NatInf> {
                 let mut v: Vec<NatInf> = (0..=4).map(NatInf::fin).collect();
-                v.push(NatInf::Inf);
+                v.push(NatInf::INF);
                 v
             }
         }

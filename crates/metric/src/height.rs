@@ -149,7 +149,7 @@ mod tests {
         assert_eq!(m.route_distance(&NatInf::fin(2), &NatInf::fin(2)), 0);
         // d(x, y) = max(h(x), h(y)) = h(best of the two)
         assert_eq!(
-            m.route_distance(&NatInf::fin(2), &NatInf::Inf),
+            m.route_distance(&NatInf::fin(2), &NatInf::INF),
             m.height(&NatInf::fin(2))
         );
         assert_eq!(
@@ -183,7 +183,7 @@ mod tests {
         let m = HeightMetric::from_routes(
             alg,
             vec![
-                NatInf::Inf,
+                NatInf::INF,
                 NatInf::fin(10),
                 NatInf::fin(3),
                 NatInf::fin(10),
@@ -193,6 +193,6 @@ mod tests {
         assert_eq!(m.max_height(), 3);
         assert_eq!(m.height(&NatInf::fin(3)), 3);
         assert_eq!(m.height(&NatInf::fin(10)), 2);
-        assert_eq!(m.height(&NatInf::Inf), 1);
+        assert_eq!(m.height(&NatInf::INF), 1);
     }
 }

@@ -115,7 +115,7 @@ mod tests {
 
     #[test]
     fn discrete_metric_satisfies_the_axioms() {
-        let routes = vec![NatInf::fin(0), NatInf::fin(1), NatInf::fin(7), NatInf::Inf];
+        let routes = vec![NatInf::fin(0), NatInf::fin(1), NatInf::fin(7), NatInf::INF];
         check_ultrametric_axioms::<ShortestPaths, _>(&Discrete, &routes).unwrap();
     }
 
@@ -138,7 +138,7 @@ mod tests {
             fn route_distance(&self, x: &NatInf, y: &NatInf) -> u64 {
                 if x == y {
                     0
-                } else if matches!(x, NatInf::Inf) {
+                } else if x.is_inf() {
                     2
                 } else {
                     1
@@ -148,7 +148,7 @@ mod tests {
                 2
             }
         }
-        let routes = vec![NatInf::fin(0), NatInf::Inf];
+        let routes = vec![NatInf::fin(0), NatInf::INF];
         let err = check_ultrametric_axioms::<ShortestPaths, _>(&Asym, &routes).unwrap_err();
         assert!(err.law.contains("M2"));
 
@@ -169,9 +169,9 @@ mod tests {
         struct Linear;
         impl RouteUltrametric<ShortestPaths> for Linear {
             fn route_distance(&self, x: &NatInf, y: &NatInf) -> u64 {
-                match (x, y) {
-                    (NatInf::Fin(a), NatInf::Fin(b)) => a.abs_diff(*b),
-                    (NatInf::Inf, NatInf::Inf) => 0,
+                match (x.as_fin(), y.as_fin()) {
+                    (Some(a), Some(b)) => a.abs_diff(b),
+                    (None, None) => 0,
                     _ => 1_000,
                 }
             }

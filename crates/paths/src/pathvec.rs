@@ -382,7 +382,7 @@ mod tests {
     #[should_panic(expected = "invalid route of the lifting")]
     fn lift_route_rejects_the_base_invalid_value() {
         let alg = pv();
-        let _ = alg.lift_route(NatInf::Inf, SimplePath::empty());
+        let _ = alg.lift_route(NatInf::INF, SimplePath::empty());
     }
 
     #[test]

@@ -37,18 +37,16 @@ use std::collections::BinaryHeap;
 /// asserts fits in a `u32` — so the conversion is lossless, never a clamp
 /// to some *different* finite value.
 fn metric_to_wire(m: NatInf) -> u32 {
-    match m {
-        NatInf::Inf => WIRE_INFINITY,
-        NatInf::Fin(v) => {
-            u32::try_from(v).expect("hop metrics fit the wire (asserted at construction)")
-        }
+    match m.as_fin() {
+        None => WIRE_INFINITY,
+        Some(v) => u32::try_from(v).expect("hop metrics fit the wire (asserted at construction)"),
     }
 }
 
 /// Decode a wire metric (`WIRE_INFINITY` ⇒ `∞`).
 fn metric_from_wire(m: u32) -> NatInf {
     if m == WIRE_INFINITY {
-        NatInf::Inf
+        NatInf::INF
     } else {
         NatInf::fin(m as u64)
     }
@@ -246,7 +244,7 @@ impl RipEngine {
             let mut row = Vec::with_capacity(n);
             for j in 0..n {
                 row.push(TableEntry {
-                    metric: if i == j { NatInf::fin(0) } else { NatInf::Inf },
+                    metric: if i == j { NatInf::fin(0) } else { NatInf::INF },
                     next_hop: None,
                     refreshed_at: 0,
                 });
@@ -348,7 +346,7 @@ impl RipEngine {
                 }
                 SplitHorizon::PoisonReverse => {
                     if entry.next_hop == Some(to) {
-                        NatInf::Inf
+                        NatInf::INF
                     } else {
                         entry.metric
                     }
@@ -402,7 +400,7 @@ impl RipEngine {
             if entry.metric.is_fin()
                 && self.now.saturating_sub(entry.refreshed_at) > self.config.route_timeout
             {
-                entry.metric = NatInf::Inf;
+                entry.metric = NatInf::INF;
                 entry.next_hop = None;
                 changed = true;
                 self.stats.table_changes += 1;
@@ -426,17 +424,11 @@ impl RipEngine {
                 continue;
             }
             // across the link, saturating at the hop limit
-            let candidate = match metric_from_wire(advertised) {
-                NatInf::Inf => NatInf::Inf,
-                NatInf::Fin(m) => {
-                    let nm = m.saturating_add(hops);
-                    if nm > self.config.hop_limit {
-                        NatInf::Inf
-                    } else {
-                        NatInf::Fin(nm)
-                    }
-                }
-            };
+            let candidate = metric_from_wire(advertised)
+                .as_fin()
+                .map(|m| m.saturating_add(hops))
+                .filter(|&nm| nm <= self.config.hop_limit)
+                .map_or(NatInf::INF, NatInf::fin);
             let entry = &mut self.tables[to][dest];
             let via_current_next_hop = entry.next_hop == Some(from);
             if via_current_next_hop {
@@ -606,8 +598,8 @@ mod tests {
             report.converged,
             "the hop limit must eventually cure count-to-infinity"
         );
-        assert_eq!(report.final_state.get(0, 2), &NatInf::Inf);
-        assert_eq!(report.final_state.get(1, 2), &NatInf::Inf);
+        assert_eq!(report.final_state.get(0, 2), &NatInf::INF);
+        assert_eq!(report.final_state.get(1, 2), &NatInf::INF);
         // the cure required many advertisements
         assert!(report.stats.table_changes > 5);
     }

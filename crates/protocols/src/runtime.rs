@@ -366,7 +366,7 @@ mod tests {
             NatInf::fin(0)
         }
         fn invalid(&self) -> NatInf {
-            NatInf::Inf
+            NatInf::INF
         }
     }
 

@@ -975,7 +975,7 @@ fn cmd_gen_trace(opts: &Options) -> Result<bool, String> {
 ///
 /// This is the path to fabrics whose square routing state does not fit in
 /// memory: at the default `--nodes 100000` a square state would need
-/// ~160 GB, while a 1024-wide destination slab streams through ~3 GB.
+/// ~80 GB, while a 1024-wide destination slab streams through ~1.6 GB.
 /// The emitted record (printed, and written via `--out`) is what
 /// `BENCH_sweeps.json` carries under `scale_runs`.
 fn cmd_scale_run(opts: &Options) -> Result<bool, String> {

@@ -30,6 +30,7 @@
 //! accepted, a machine that loses power may lose the page cache.
 
 use crate::report::Digest;
+use crate::spec::finite_weight;
 use dbf_algebra::prelude::NatInf;
 use std::fmt::Write as _;
 use std::fs;
@@ -89,9 +90,9 @@ impl PersistRoute for NatInf {
     }
     fn decode(s: &str) -> Option<Self> {
         if s == "inf" {
-            Some(NatInf::Inf)
+            Some(NatInf::INF)
         } else {
-            s.parse::<u64>().ok().map(NatInf::fin)
+            s.parse::<u64>().ok().and_then(NatInf::try_fin)
         }
     }
 }
@@ -234,7 +235,8 @@ impl Snapshot {
                 "answers" => answers = Some(num(1)?),
                 "edge" => edges.push((num(1)? as usize, num(2)? as usize)),
                 "override" => {
-                    overrides.push((num(1)? as usize, num(2)? as usize, num(3)?));
+                    let weight = finite_weight(num(3)?).map_err(|e| bad(&e))?;
+                    overrides.push((num(1)? as usize, num(2)? as usize, weight));
                 }
                 "pending" => pending.push(toks[1..].join(" ")),
                 "row" => {
@@ -504,8 +506,8 @@ mod tests {
         for r in [
             NatInf::fin(0),
             NatInf::fin(907),
-            NatInf::fin(u64::MAX),
-            NatInf::Inf,
+            NatInf::fin(u64::MAX - 1),
+            NatInf::INF,
         ] {
             let mut streamed = String::from("row 3 ");
             r.encode_into(&mut streamed);
@@ -516,8 +518,26 @@ mod tests {
             );
             assert_eq!(NatInf::decode(&r.encode()), Some(r));
         }
-        assert_eq!(NatInf::Inf.encode(), "inf");
-        assert_eq!(NatInf::fin(u64::MAX).encode(), u64::MAX.to_string());
+        assert_eq!(NatInf::INF.encode(), "inf");
+        assert_eq!(
+            NatInf::fin(u64::MAX - 1).encode(),
+            (u64::MAX - 1).to_string()
+        );
+        // the ∞ sentinel is not a finite route: only `inf` decodes to ∞
+        assert_eq!(NatInf::decode(&u64::MAX.to_string()), None);
+    }
+
+    #[test]
+    fn an_override_of_the_infinity_sentinel_is_rejected_with_its_line() {
+        let mut snap = sample_snapshot();
+        snap.overrides = vec![(0, 1, u64::MAX - 1)];
+        assert_eq!(Snapshot::parse(&snap.to_text()).expect("a weight"), snap);
+        snap.overrides = vec![(0, 1, u64::MAX)];
+        let err = Snapshot::parse(&snap.to_text()).expect_err("u64::MAX stands for ∞");
+        assert!(
+            err.starts_with("checkpoint line ") && err.contains("out of range"),
+            "{err}"
+        );
     }
 
     #[test]

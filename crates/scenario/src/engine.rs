@@ -64,6 +64,7 @@ use dbf_protocols::rip::{RipConfig, RipEngine};
 use dbf_protocols::runtime::{run_threaded, ThreadedConfig};
 use dbf_telemetry::{EventClass, MessageCounters, TelemetrySink};
 use std::any::Any;
+use std::fmt::Write as _;
 use std::time::Instant;
 
 /// The algebra bounds every engine can rely on: the threaded runtime shares
@@ -489,7 +490,8 @@ where
 pub fn state_digest<A: RoutingAlgebra>(state: &RoutingState<A>) -> String {
     let mut d = Digest::default();
     for (i, j, r) in state.entries() {
-        d.update(&format!("({i},{j})={r:?};"));
+        // (writing into a digest cannot fail)
+        let _ = write!(d, "({i},{j})={r:?};");
     }
     d.finish()
 }

@@ -5,6 +5,7 @@
 //! every entry), so the differential checker can compare runs of *any*
 //! algebra without the report types being generic.
 
+use dbf_matrix::blocked::Fnv1a;
 use std::fmt;
 
 /// A minimal JSON value (the build environment has no serde; this covers
@@ -115,45 +116,46 @@ impl fmt::Display for Json {
     }
 }
 
-/// A stable 64-bit digest builder (FNV-1a).
-#[derive(Debug, Clone)]
+/// A stable 64-bit digest builder: [`Fnv1a`] with the report's hex
+/// rendering.  Like the hash it wraps it is a [`fmt::Write`] sink —
+/// `write!` text into it rather than `format!`-ing a `String` to
+/// [`Digest::update`] with.
+#[derive(Debug, Clone, Default)]
 pub struct Digest {
-    state: u64,
-}
-
-impl Default for Digest {
-    fn default() -> Self {
-        Self {
-            state: 0xcbf2_9ce4_8422_2325,
-        }
-    }
+    hash: Fnv1a,
 }
 
 impl Digest {
     /// Fold a string into the digest.
     pub fn update(&mut self, s: &str) {
-        for b in s.bytes() {
-            self.state ^= b as u64;
-            self.state = self.state.wrapping_mul(0x0000_0100_0000_01B3);
-        }
+        self.hash.update(s.as_bytes());
     }
 
     /// The digest as a fixed-width hex string.
     pub fn finish(&self) -> String {
-        format!("{:016x}", self.state)
+        format!("{:016x}", self.hash.value())
     }
 
     /// The raw 64-bit digest value (used for deterministic seed
     /// derivation in the sweep engine).
     pub fn value(&self) -> u64 {
-        self.state
+        self.hash.value()
     }
 
     /// Resume a digest from a previously saved [`Digest::value`], so a
     /// running digest (the route server's answers digest) can survive a
     /// checkpoint/recover cycle mid-stream.
     pub fn from_state(state: u64) -> Digest {
-        Digest { state }
+        Digest {
+            hash: Fnv1a::from_state(state),
+        }
+    }
+}
+
+impl fmt::Write for Digest {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.update(s);
+        Ok(())
     }
 }
 

@@ -69,7 +69,7 @@ use crate::checkpoint::{CheckpointStore, PersistRoute, Snapshot, WalError};
 use crate::engine::{state_digest, ScenarioAlgebra};
 use crate::report::{Digest, Json};
 use crate::run::build_shape;
-use crate::spec::{ChangeSpec, SpecError, TopologySpec, WeightRule};
+use crate::spec::{finite_weight, ChangeSpec, SpecError, TopologySpec, WeightRule};
 use dbf_algebra::algebra::SplitMix64;
 use dbf_algebra::prelude::*;
 use dbf_matrix::{
@@ -236,7 +236,7 @@ pub(crate) fn parse_event_line(line: &str) -> Result<ServeEvent, String> {
             Ok(ServeEvent::Change(ChangeSpec::SetWeight {
                 from: num(1)?,
                 to: num(2)?,
-                weight: num(3)? as u64,
+                weight: finite_weight(num(3)? as u64)?,
             }))
         }
         "query" => {
@@ -2100,6 +2100,31 @@ mod tests {
             "# dbf-churn-trace v1\ntopology ring 5\nalgebra hopcount 9\nset_weight 1 2\n"
         )
         .is_err());
+    }
+
+    #[test]
+    fn the_infinity_sentinel_is_not_a_trace_weight() {
+        let with_weight = |w: u64| {
+            ChurnTrace::parse(&format!(
+                "{TRACE_HEADER_V2}\ntopology ring 5\nalgebra shortest\nset_weight 1 2 {w}\n"
+            ))
+        };
+        let err = with_weight(u64::MAX).expect_err("u64::MAX stands for ∞");
+        assert!(
+            err.message.contains("line 4") && err.message.contains("out of range"),
+            "{err}"
+        );
+        // the same parser reads a snapshot's pending batch back
+        assert!(parse_event_line(&format!("set_weight 1 2 {}", u64::MAX)).is_err());
+        let trace = with_weight(u64::MAX - 1).expect("the largest weight parses");
+        assert_eq!(
+            trace.events,
+            vec![ServeEvent::Change(ChangeSpec::SetWeight {
+                from: 1,
+                to: 2,
+                weight: u64::MAX - 1
+            })]
+        );
     }
 
     #[test]

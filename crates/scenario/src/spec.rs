@@ -12,6 +12,7 @@
 //! Specs serialize to TOML via [`Scenario::to_toml_string`] and parse back
 //! via [`Scenario::from_toml_str`]; the round trip is lossless.
 
+use dbf_algebra::prelude::NatInf;
 use std::fmt;
 use toml::{Table, Value};
 
@@ -484,6 +485,20 @@ impl fmt::Display for SpecError {
 
 impl std::error::Error for SpecError {}
 
+/// An edge weight arriving from outside the program (a spec, a trace or
+/// WAL line, a snapshot): `u64::MAX` is how [`NatInf`] represents `∞`, so
+/// it is not a weight.  The error is a bare message; callers attach their
+/// own file/line context.
+pub(crate) fn finite_weight(w: u64) -> Result<u64, String> {
+    match NatInf::try_fin(w) {
+        Some(_) => Ok(w),
+        None => Err(format!(
+            "weight {w} is out of range (weights are 0..={}; u64::MAX stands for ∞)",
+            u64::MAX - 1
+        )),
+    }
+}
+
 // ---------------------------------------------------------------------
 // Validation
 // ---------------------------------------------------------------------
@@ -564,6 +579,16 @@ impl Scenario {
                 ));
             }
             _ => {}
+        }
+        if let AlgebraSpec::Shortest { weights } | AlgebraSpec::Widest { weights } = &self.algebra {
+            // `x mod m + base` tops out at `m − 1 + base`: if that is a
+            // weight, every weight the rule derives is one.
+            weights
+                .base
+                .checked_add(weights.modulus.max(1) - 1)
+                .ok_or_else(|| "weight rule overflows u64".to_string())
+                .and_then(finite_weight)
+                .map_err(SpecError::new)?;
         }
         let changes_allowed = !matches!(self.algebra, AlgebraSpec::Spp { .. });
         // Simulate the node count through the phases so out-of-range
@@ -1100,7 +1125,7 @@ impl ChangeSpec {
             "set_weight" => Ok(ChangeSpec::SetWeight {
                 from: req_usize(v, "from")?,
                 to: req_usize(v, "to")?,
-                weight: req_u64(v, "weight")?,
+                weight: finite_weight(req_u64(v, "weight")?).map_err(SpecError::new)?,
             }),
             "add_node" => Ok(ChangeSpec::AddNode),
             other => Err(SpecError::new(format!("unknown change op {other:?}"))),
@@ -1255,6 +1280,44 @@ mod tests {
         assert!(s.validate().is_ok(), "{:?}", s.validate());
         s.phases[1].changes = vec![ChangeSpec::SetLink { a: 0, b: 7 }];
         assert!(s.validate().is_err(), "node 7 was never added");
+    }
+
+    #[test]
+    fn the_infinity_sentinel_is_not_a_weight() {
+        // `weight = -1` is how u64::MAX arrives through TOML's i64.
+        let reweigh = |weight| {
+            let mut s = demo();
+            s.phases[1].changes = vec![ChangeSpec::SetWeight {
+                from: 0,
+                to: 1,
+                weight,
+            }];
+            Scenario::from_toml_str(&s.to_toml_string())
+        };
+        let err = reweigh(u64::MAX).expect_err("u64::MAX stands for ∞");
+        assert!(err.message.contains("out of range"), "{err}");
+        assert!(reweigh(u64::MAX - 1).is_ok());
+
+        // ... and a weight rule that could derive it is rejected whole.
+        let ruled = |modulus, base| {
+            let mut s = demo();
+            s.algebra = AlgebraSpec::Shortest {
+                weights: WeightRule {
+                    mul_i: 7,
+                    mul_j: 13,
+                    modulus,
+                    base,
+                },
+            };
+            s.validate()
+        };
+        let err = ruled(1, u64::MAX).expect_err("uniform ∞");
+        assert!(err.message.contains("out of range"), "{err}");
+        let err = ruled(9, u64::MAX - 8).expect_err("tops out at u64::MAX");
+        assert!(err.message.contains("out of range"), "{err}");
+        let err = ruled(9, u64::MAX - 3).expect_err("wraps");
+        assert!(err.message.contains("overflows"), "{err}");
+        assert!(ruled(9, u64::MAX - 9).is_ok());
     }
 
     #[test]

@@ -105,3 +105,37 @@ fn recovery_from_the_fixture_lands_on_the_uninterrupted_digests() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn a_route_token_of_the_infinity_sentinel_fails_recovery_cleanly() {
+    // `u64::MAX` is how ∞ is represented in memory, never how it is
+    // written (`inf`): a table carrying it as a number is damaged, and
+    // recovery must say so rather than panic or read it as ∞.  (Editing
+    // through `Snapshot` re-seals the integrity digest, so the decoder is
+    // what has to catch it.)
+    let mut snap = Snapshot::parse(SNAPSHOT).expect("fixture snapshot parses");
+    snap.rows = snap.rows.replacen(" inf", &format!(" {}", u64::MAX), 1);
+    let trace = ChurnTrace::parse(TRACE).expect("fixture trace parses");
+    let dir = temp_dir("sentinel");
+    std::fs::write(dir.join("snapshot.ckpt"), snap.to_text()).expect("write snapshot");
+    std::fs::write(dir.join("events.wal"), WAL).expect("copy WAL");
+    let report = replay_trace_opts(
+        &trace,
+        &ServeOptions {
+            recover: true,
+            ..fixture_opts(&dir)
+        },
+        &mut NoopSink,
+    )
+    .expect("a structured failure, not an error");
+    let failure = report.failure.expect("recovery refuses the table");
+    assert_eq!(failure.kind, "checkpoint");
+    assert!(
+        failure
+            .message
+            .contains("bad route token \"18446744073709551615\""),
+        "{}",
+        failure.message
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -65,7 +65,7 @@ fn main() {
 
     // The dead spine is unreachable from everyone.
     for leaf in 3..9 {
-        assert_eq!(after.get(leaf, 0), &NatInf::Inf);
+        assert_eq!(after.get(leaf, 0), &NatInf::INF);
     }
     println!("spine 0 is correctly unreachable from every leaf");
 }

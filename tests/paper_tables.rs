@@ -206,7 +206,7 @@ fn table2_algebras_solve_their_path_problems() {
         if out.converged {
             for (i, j, r) in out.state.entries() {
                 if i != j {
-                    assert_eq!(r, &NatInf::Inf);
+                    assert_eq!(r, &NatInf::INF);
                 }
             }
         }
