@@ -9,6 +9,7 @@
 //! the property matrix printed by the Table 1 experiment.
 
 use crate::algebra::{FiniteCarrier, RoutingAlgebra, SampleableAlgebra};
+use std::cmp::Ordering;
 use std::fmt;
 
 /// A witnessed violation of an algebraic law.
@@ -136,6 +137,37 @@ pub fn check_invalid_fixed_point<A: RoutingAlgebra>(alg: &A, edges: &[A::Edge]) 
     Ok(())
 }
 
+/// The order the algebra reports is the order `⊕` derives: `route_le(a, b)`
+/// exactly when `a ⊕ b = a`, and `route_cmp` is that order with `Equal`
+/// only for equal routes.  An algebra may override both to compare by
+/// reference; every fold that selects through them instead of through
+/// `choice` relies on this.
+pub fn check_derived_order<A: RoutingAlgebra>(alg: &A, routes: &[A::Route]) -> CheckResult {
+    for a in routes {
+        for b in routes {
+            let le = alg.choice(a, b) == *a;
+            let cmp = if a == b {
+                Ordering::Equal
+            } else if le {
+                Ordering::Less
+            } else {
+                Ordering::Greater
+            };
+            let (got_le, got_cmp) = (alg.route_le(a, b), alg.route_cmp(a, b));
+            if got_le != le || got_cmp != cmp {
+                return Err(Violation::new(
+                    "≤ is the order ⊕ derives",
+                    format!(
+                        "a={a:?} b={b:?}: route_le={got_le}, route_cmp={got_cmp:?}, \
+                         but a⊕b=a is {le} ({cmp:?})"
+                    ),
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
 /// The algebra is increasing (Definition 2): `a ≤ f(a)` for all `f`, `a`.
 pub fn check_increasing<A: RoutingAlgebra>(
     alg: &A,
@@ -203,8 +235,9 @@ pub fn check_distributive<A: RoutingAlgebra>(
     Ok(())
 }
 
-/// Check all the *required* laws of Definition 1 at once, collecting every
-/// violation rather than stopping at the first.
+/// Check all the *required* laws of Definition 1 at once — and that the
+/// reported order is the derived one — collecting every violation rather
+/// than stopping at the first.
 pub fn check_required_laws<A: RoutingAlgebra>(
     alg: &A,
     routes: &[A::Route],
@@ -217,6 +250,7 @@ pub fn check_required_laws<A: RoutingAlgebra>(
         check_trivial_annihilator(alg, routes),
         check_invalid_identity(alg, routes),
         check_invalid_fixed_point(alg, edges),
+        check_derived_order(alg, routes),
     ];
     let violations: Vec<Violation> = checks.into_iter().filter_map(Result::err).collect();
     if violations.is_empty() {
@@ -480,6 +514,43 @@ mod tests {
         let edges = vec![1u8];
         let errs = check_required_laws(&Broken, &routes, &edges).unwrap_err();
         assert!(errs.len() >= 3, "expected several violations, got {errs:?}");
+    }
+
+    #[test]
+    fn an_order_override_that_disagrees_with_choice_is_a_violation() {
+        // Shortest paths whose by-reference order forgets that ∞̄ is last.
+        #[derive(Debug)]
+        struct Skewed;
+        impl RoutingAlgebra for Skewed {
+            type Route = Option<u8>;
+            type Edge = u8;
+            fn choice(&self, a: &Option<u8>, b: &Option<u8>) -> Option<u8> {
+                match (a, b) {
+                    (Some(x), Some(y)) => Some(*x.min(y)),
+                    _ => a.or(*b),
+                }
+            }
+            fn extend(&self, f: &u8, r: &Option<u8>) -> Option<u8> {
+                r.and_then(|r| r.checked_add(*f))
+            }
+            fn trivial(&self) -> Option<u8> {
+                Some(0)
+            }
+            fn invalid(&self) -> Option<u8> {
+                None
+            }
+            fn route_le(&self, a: &Option<u8>, b: &Option<u8>) -> bool {
+                a <= b
+            }
+        }
+        let routes = vec![Some(0), Some(3), None];
+        let errs = check_required_laws(&Skewed, &routes, &[1]).unwrap_err();
+        assert_eq!(errs.len(), 1, "{errs:?}");
+        assert_eq!(errs[0].law, "≤ is the order ⊕ derives");
+        assert!(errs[0].witness.contains("None"), "{}", errs[0].witness);
+        // The default order is derived from `choice`, so it cannot disagree.
+        let alg = ShortestPaths::new();
+        check_derived_order(&alg, &alg.sample_routes(5, 32)).unwrap();
     }
 
     #[test]

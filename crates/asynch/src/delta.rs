@@ -254,7 +254,11 @@ impl<'a, A: RoutingAlgebra> DeltaRun<'a, A> {
             for ((k, f), &p) in imports.iter().zip(&self.picks) {
                 let src = &self.history[*k][p].row;
                 for (d, s) in out.iter_mut().zip(src) {
-                    *d = self.alg.choice(d, &self.alg.extend(f, s));
+                    // `*d = d ⊕ f(s)` without cloning the winner.
+                    let c = self.alg.extend(f, s);
+                    if !self.alg.route_le(d, &c) {
+                        *d = c;
+                    }
                 }
             }
             out[i] = self.alg.trivial();

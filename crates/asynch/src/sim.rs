@@ -16,6 +16,9 @@
 //! route `k` advertised for `j` (`adv[k][j]`), and recomputes
 //! `table[j] = I_ij ⊕ ⨁_k A_ik(adv[k][j])` whenever an advertisement
 //! arrives.  Changed table entries are re-advertised to every neighbour.
+//! What a node stores is the *imported* `A_ik(adv[k][j])` (a
+//! [`RibIn`]), so a delivery costs one import and a fold over what is
+//! already there.
 //!
 //! Like the real protocols it models (BGP's ordered transport, RIP's
 //! freshest-route rule), a receiver discards an advert that has been
@@ -26,11 +29,12 @@
 //! which is what schedule axiom S3 rules out.
 
 use dbf_algebra::RoutingAlgebra;
-use dbf_matrix::{is_stable, AdjacencyMatrix, RoutingState};
+use dbf_matrix::{is_stable, AdjacencyMatrix, RibIn, RoutingState};
 use dbf_paths::NodeId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BinaryHeap;
+use std::rc::Rc;
 
 /// Fault-injection and scheduling parameters of the simulated network.
 #[derive(Debug, Clone, Copy)]
@@ -146,7 +150,8 @@ struct Message<R> {
     from: NodeId,
     to: NodeId,
     dest: NodeId,
-    route: R,
+    /// One advert, shared by every listener's copy and duplicate.
+    route: Rc<R>,
 }
 
 // BinaryHeap is a max-heap; invert the ordering to get earliest-first.
@@ -184,16 +189,16 @@ pub struct EventSim<'a, A: RoutingAlgebra> {
     queue: BinaryHeap<Message<A::Route>>,
     /// `tables[i][j]`: node `i`'s current best route to `j`.
     tables: Vec<Vec<A::Route>>,
-    /// `adverts[i][k][j]`: the last route for destination `j` that node `i`
-    /// has heard from neighbour `k` (∞̄ if none yet).
-    adverts: Vec<Vec<Vec<A::Route>>>,
+    /// `ribs[i]`: what node `i` has heard, as imported — per link `k` and
+    /// destination `j`, `A_ik` of the last route `k` advertised for `j`.
+    ribs: Vec<RibIn<A>>,
     /// `send_gen[i][j]`: how many adverts node `i` has sent for
     /// destination `j` (stamped onto outgoing messages).
     send_gen: Vec<Vec<u64>>,
-    /// `seen_gen[i][k][j]`: the newest generation node `i` has accepted
-    /// from neighbour `k` for destination `j`; older arrivals are
-    /// superseded and ignored.
-    seen_gen: Vec<Vec<Vec<u64>>>,
+    /// `seen_gen[i][ribs[i].slot(k's link, j)]`: the newest generation node
+    /// `i` has accepted from neighbour `k` for destination `j`; older
+    /// arrivals are superseded and ignored.
+    seen_gen: Vec<Vec<u64>>,
     stats: SimStats,
     /// Simulated time of each node's last table change (settle tracking).
     node_last_change: Vec<u64>,
@@ -220,7 +225,8 @@ impl<'a, A: RoutingAlgebra> EventSim<'a, A> {
         let n = adj.node_count();
         assert_eq!(n, initial.node_count(), "initial state dimension mismatch");
         let tables: Vec<Vec<A::Route>> = (0..n).map(|i| initial.row(i).to_vec()).collect();
-        let adverts = vec![vec![vec![alg.invalid(); n]; n]; n];
+        let ribs: Vec<RibIn<A>> = (0..n).map(|i| RibIn::new(alg, i, adj.row(i), n)).collect();
+        let seen_gen = ribs.iter().map(|rib| vec![0; rib.slot_count()]).collect();
         let mut sim = Self {
             alg,
             adj,
@@ -231,9 +237,9 @@ impl<'a, A: RoutingAlgebra> EventSim<'a, A> {
             seq: 0,
             queue: BinaryHeap::new(),
             tables,
-            adverts,
+            ribs,
             send_gen: vec![vec![0; n]; n],
-            seen_gen: vec![vec![vec![0; n]; n]; n],
+            seen_gen,
             stats: SimStats::default(),
             node_last_change: vec![0; n],
         };
@@ -253,9 +259,14 @@ impl<'a, A: RoutingAlgebra> EventSim<'a, A> {
         }
     }
 
+    /// Announce `route` to everyone importing from `from`.  The draws —
+    /// loss, duplicate, then each copy's delay, listener by listener in
+    /// ascending order — are what every message count and settle time
+    /// hangs on.
     fn send_advert(&mut self, from: NodeId, dest: NodeId, route: A::Route) {
         self.send_gen[from][dest] += 1;
         let gen = self.send_gen[from][dest];
+        let route = Rc::new(route);
         for idx in 0..self.exports[from].len() {
             let to = self.exports[from][idx];
             self.stats.sent += 1;
@@ -284,7 +295,7 @@ impl<'a, A: RoutingAlgebra> EventSim<'a, A> {
                     from,
                     to,
                     dest,
-                    route: route.clone(),
+                    route: Rc::clone(&route),
                 });
             }
         }
@@ -300,30 +311,19 @@ impl<'a, A: RoutingAlgebra> EventSim<'a, A> {
     /// immediately follows and would otherwise duplicate every changed
     /// entry on the wire.
     fn recompute_entry_impl(&mut self, i: NodeId, dest: NodeId, advertise: bool) -> bool {
-        let new_route = if i == dest {
-            self.alg.trivial()
-        } else {
-            // A missing `A_ik` is the constant-∞̄ function and ∞̄ is the
-            // identity of ⊕: only the links that exist contribute.
-            let mut best = self.alg.invalid();
-            for (k, f) in self.adj.row(i) {
-                let candidate = self.alg.extend(f, &self.adverts[i][*k][dest]);
-                best = self.alg.choice(&best, &candidate);
-            }
-            best
-        };
-        if new_route != self.tables[i][dest] {
-            self.tables[i][dest] = new_route.clone();
-            self.stats.table_changes += 1;
-            self.stats.last_change_time = self.now;
-            self.node_last_change[i] = self.now;
-            if advertise {
-                self.send_advert(i, dest, new_route);
-            }
-            true
-        } else {
-            false
+        let best = self.ribs[i].best(self.alg, dest);
+        if *best == self.tables[i][dest] {
+            return false;
         }
+        let new_route = best.clone();
+        self.tables[i][dest] = new_route.clone();
+        self.stats.table_changes += 1;
+        self.stats.last_change_time = self.now;
+        self.node_last_change[i] = self.now;
+        if advertise {
+            self.send_advert(i, dest, new_route);
+        }
+        true
     }
 
     /// Deliver queued messages until the queue drains, the total delivery
@@ -340,15 +340,22 @@ impl<'a, A: RoutingAlgebra> EventSim<'a, A> {
             let msg = self.queue.pop().expect("queue is non-empty");
             self.now = msg.deliver_at;
             self.stats.delivered += 1;
+            let imports = self.adj.row(msg.to);
+            let rib = &mut self.ribs[msg.to];
+            let Some(link) = rib.link(imports, msg.from) else {
+                // Adverts only travel to nodes that import from the sender.
+                continue;
+            };
+            let seen = &mut self.seen_gen[msg.to][rib.slot(link, msg.dest)];
             // A superseded advert (an older generation overtaken in flight)
             // is discarded; a duplicate of the newest generation is
             // re-applied, which is idempotent.
-            if msg.gen < self.seen_gen[msg.to][msg.from][msg.dest] {
+            if msg.gen < *seen {
                 continue;
             }
-            self.seen_gen[msg.to][msg.from][msg.dest] = msg.gen;
-            // Record the advertisement and recompute the affected entry.
-            self.adverts[msg.to][msg.from][msg.dest] = msg.route;
+            *seen = msg.gen;
+            // Import the advertisement and recompute the affected entry.
+            rib.import(self.alg, imports, link, msg.dest, &msg.route);
             self.recompute_entry(msg.to, msg.dest);
         }
         false

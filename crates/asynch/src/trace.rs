@@ -100,10 +100,10 @@ pub struct ScheduleTrace {
     n: usize,
     /// `activations[t-1][i]` — recorded α.
     activations: Vec<Vec<bool>>,
-    /// `reads[t-1][i][j]` — recorded β, `None` until the read happens
+    /// `reads[t-1][i·n + j]` — recorded β, `None` until the read happens
     /// (a node that does not activate reads nothing; the reconstruction
     /// fills those cells with the freshest legal time `t − 1`).
-    reads: Vec<Vec<Vec<Option<usize>>>>,
+    reads: Vec<Vec<Option<usize>>>,
 }
 
 impl ScheduleTrace {
@@ -131,7 +131,7 @@ impl ScheduleTrace {
     /// [`Self::read`] calls attach to it.
     pub fn begin_step(&mut self) {
         self.activations.push(vec![false; self.n]);
-        self.reads.push(vec![vec![None; self.n]; self.n]);
+        self.reads.push(vec![None; self.n * self.n]);
     }
 
     /// Record that node `i` activated during the current step.
@@ -146,7 +146,8 @@ impl ScheduleTrace {
     pub fn read(&mut self, i: usize, j: usize, beta: usize) {
         let t = self.horizon();
         assert!(t > 0, "begin_step before recording events");
-        self.reads[t - 1][i][j] = Some(beta);
+        assert!(i < self.n && j < self.n, "node index out of range");
+        self.reads[t - 1][i * self.n + j] = Some(beta);
     }
 
     /// Replay a whole [`Schedule`] through a fresh recorder.
@@ -171,11 +172,9 @@ impl ScheduleTrace {
     /// with no recorded reads (matching [`Schedule::max_lag`]).
     pub fn max_lag(&self) -> usize {
         let mut lag = 1;
-        for (t0, per_i) in self.reads.iter().enumerate() {
-            for row in per_i {
-                for beta in row.iter().flatten() {
-                    lag = lag.max((t0 + 1).saturating_sub(*beta));
-                }
+        for (t0, step) in self.reads.iter().enumerate() {
+            for beta in step.iter().flatten() {
+                lag = lag.max((t0 + 1).saturating_sub(*beta));
             }
         }
         lag
@@ -190,7 +189,7 @@ impl ScheduleTrace {
         for t in 1..=horizon {
             for i in 0..self.n {
                 for j in 0..self.n {
-                    let Some(beta) = self.reads[t - 1][i][j] else {
+                    let Some(beta) = self.reads[t - 1][i * self.n + j] else {
                         continue;
                     };
                     if beta >= t {
@@ -242,7 +241,7 @@ impl ScheduleTrace {
             for i in 0..self.n {
                 schedule.set_activation(t, i, self.activations[t - 1][i]);
                 for j in 0..self.n {
-                    let beta = self.reads[t - 1][i][j].unwrap_or(t - 1);
+                    let beta = self.reads[t - 1][i * self.n + j].unwrap_or(t - 1);
                     schedule.set_data_time(t, i, j, beta);
                 }
             }

@@ -109,9 +109,48 @@ impl RoutingAlgebra for BgpAlgebra {
     type Edge = BgpEdge;
 
     fn choice(&self, a: &BgpRoute, b: &BgpRoute) -> BgpRoute {
+        if self.route_cmp(a, b) == Ordering::Greater {
+            b.clone()
+        } else {
+            a.clone()
+        }
+    }
+
+    fn extend(&self, f: &BgpEdge, r: &BgpRoute) -> BgpRoute {
+        let BgpRoute::Valid {
+            level,
+            communities,
+            path,
+        } = r
+        else {
+            return BgpRoute::Invalid;
+        };
+        // Adjacency and loop filtering: (i, j) must be a valid extension of
+        // the announced path.
+        let Ok(extended) = path.try_extend(f.importer, f.announcer) else {
+            return BgpRoute::Invalid;
+        };
+        // Policy application on the extended route (so conditions can see
+        // the new path): the one path allocation of an extension.
+        f.policy.apply_owned(BgpRoute::Valid {
+            level: *level,
+            communities: communities.clone(),
+            path: extended,
+        })
+    }
+
+    fn route_le(&self, a: &BgpRoute, b: &BgpRoute) -> bool {
+        self.route_cmp(a, b) != Ordering::Greater
+    }
+
+    /// The decision procedure itself, by reference: ∞̄ last, then
+    /// `cmp_valid`.  `Equal` only for equal routes, so this is the order
+    /// `choice` derives.
+    fn route_cmp(&self, a: &BgpRoute, b: &BgpRoute) -> Ordering {
         match (a, b) {
-            (BgpRoute::Invalid, _) => b.clone(),
-            (_, BgpRoute::Invalid) => a.clone(),
+            (BgpRoute::Invalid, BgpRoute::Invalid) => Ordering::Equal,
+            (BgpRoute::Invalid, _) => Ordering::Greater,
+            (_, BgpRoute::Invalid) => Ordering::Less,
             (
                 BgpRoute::Valid {
                     level: al,
@@ -123,38 +162,8 @@ impl RoutingAlgebra for BgpAlgebra {
                     communities: bc,
                     path: bp,
                 },
-            ) => {
-                if self.cmp_valid(*al, ap, ac, *bl, bp, bc) == Ordering::Greater {
-                    b.clone()
-                } else {
-                    a.clone()
-                }
-            }
+            ) => self.cmp_valid(*al, ap, ac, *bl, bp, bc),
         }
-    }
-
-    fn extend(&self, f: &BgpEdge, r: &BgpRoute) -> BgpRoute {
-        let (level, communities, path) = match r {
-            BgpRoute::Invalid => return BgpRoute::Invalid,
-            BgpRoute::Valid {
-                level,
-                communities,
-                path,
-            } => (*level, communities.clone(), path),
-        };
-        // Adjacency and loop filtering: (i, j) must be a valid extension of
-        // the announced path.
-        let extended = match path.try_extend(f.importer, f.announcer) {
-            Ok(p) => p,
-            Err(_) => return BgpRoute::Invalid,
-        };
-        // Policy application on the extended route (so conditions can see
-        // the new path).
-        f.policy.apply(&BgpRoute::Valid {
-            level,
-            communities,
-            path: extended,
-        })
     }
 
     fn trivial(&self) -> BgpRoute {
@@ -354,9 +363,52 @@ mod tests {
     #[test]
     fn required_laws_hold_on_samples() {
         let a = alg();
-        let routes = a.sample_routes(3, 48);
+        let mut routes = a.sample_routes(3, 48);
+        // Routes that differ only in their communities: the last tie-break
+        // of the order, which `route_le`/`route_cmp` must reproduce.
+        let path = SimplePath::from_nodes(vec![1, 2, 3]).unwrap();
+        for tags in [vec![], vec![2], vec![2, 9], vec![3]] {
+            routes.push(BgpRoute::valid(
+                4,
+                CommunitySet::from_iter(tags),
+                path.clone(),
+            ));
+        }
         let edges = a.sample_edges(3, 16);
         properties::check_required_laws(&a, &routes, &edges).unwrap();
+    }
+
+    #[test]
+    fn the_order_is_the_decision_procedure_by_reference() {
+        let a = alg();
+        let route = |level, tags: &[u32], nodes: &[NodeId]| {
+            BgpRoute::valid(
+                level,
+                CommunitySet::from_iter(tags.iter().copied()),
+                SimplePath::from_nodes(nodes.to_vec()).unwrap(),
+            )
+        };
+        // Ascending: level, then path length, then path, then communities,
+        // then ∞̄.
+        let ascending = [
+            a.trivial(),
+            route(1, &[], &[1, 2, 3, 4]),
+            route(5, &[7], &[1, 2]),
+            route(5, &[], &[1, 4]),
+            route(5, &[3], &[1, 4]),
+            route(5, &[], &[1, 2, 4]),
+            BgpRoute::Invalid,
+        ];
+        for (x, better) in ascending.iter().enumerate() {
+            for (y, worse) in ascending.iter().enumerate() {
+                assert_eq!(
+                    a.route_cmp(better, worse),
+                    x.cmp(&y),
+                    "{better:?} {worse:?}"
+                );
+                assert_eq!(a.route_le(better, worse), x <= y, "{better:?} {worse:?}");
+            }
+        }
     }
 
     #[test]

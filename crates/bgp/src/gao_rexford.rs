@@ -173,9 +173,24 @@ impl RoutingAlgebra for GaoRexford {
     type Edge = GrEdge;
 
     fn choice(&self, a: &GrRoute, b: &GrRoute) -> GrRoute {
+        if self.route_cmp(a, b) == Ordering::Greater {
+            b.clone()
+        } else {
+            a.clone()
+        }
+    }
+
+    fn route_le(&self, a: &GrRoute, b: &GrRoute) -> bool {
+        self.route_cmp(a, b) != Ordering::Greater
+    }
+
+    /// The preference order by reference: ∞̄ last, then `cmp_valid`.
+    /// `Equal` only for equal routes, so this is the order `choice` derives.
+    fn route_cmp(&self, a: &GrRoute, b: &GrRoute) -> Ordering {
         match (a, b) {
-            (GrRoute::Invalid, _) => b.clone(),
-            (_, GrRoute::Invalid) => a.clone(),
+            (GrRoute::Invalid, GrRoute::Invalid) => Ordering::Equal,
+            (GrRoute::Invalid, _) => Ordering::Greater,
+            (_, GrRoute::Invalid) => Ordering::Less,
             (
                 GrRoute::Valid {
                     class: ac,
@@ -185,13 +200,7 @@ impl RoutingAlgebra for GaoRexford {
                     class: bc,
                     path: bp,
                 },
-            ) => {
-                if self.cmp_valid(*ac, ap, *bc, bp) == Ordering::Greater {
-                    b.clone()
-                } else {
-                    a.clone()
-                }
-            }
+            ) => self.cmp_valid(*ac, ap, *bc, bp),
         }
     }
 

@@ -9,7 +9,7 @@
 //! language is *safe by design*.
 
 use crate::route::{BgpRoute, Community, CommunitySet, Level};
-use dbf_paths::NodeId;
+use dbf_paths::{NodeId, SimplePath};
 use std::fmt;
 
 /// A predicate over routes (the `Condition` data type of Section 7).
@@ -50,12 +50,7 @@ impl Condition {
     }
 
     /// Evaluate the condition on a valid route's attributes.
-    pub fn evaluate(
-        &self,
-        level: Level,
-        communities: &CommunitySet,
-        path: &dbf_paths::SimplePath,
-    ) -> bool {
+    pub fn evaluate(&self, level: Level, communities: &CommunitySet, path: &SimplePath) -> bool {
         match self {
             Condition::And(a, b) => {
                 a.evaluate(level, communities, path) && b.evaluate(level, communities, path)
@@ -133,38 +128,49 @@ impl Policy {
 
     /// Apply the policy to a route (the `apply` function of Section 7).
     pub fn apply(&self, r: &BgpRoute) -> BgpRoute {
-        let (level, communities, path) = match r {
-            BgpRoute::Invalid => return BgpRoute::Invalid,
-            BgpRoute::Valid {
-                level,
-                communities,
-                path,
-            } => (*level, communities.clone(), path.clone()),
-        };
+        self.apply_owned(r.clone())
+    }
+
+    /// [`apply`](Self::apply) on a route the caller no longer needs: the
+    /// route is edited in place and no part of it is copied.
+    pub(crate) fn apply_owned(&self, mut r: BgpRoute) -> BgpRoute {
+        if let BgpRoute::Valid {
+            level,
+            communities,
+            path,
+        } = &mut r
+        {
+            if !self.edit(level, communities, path) {
+                return BgpRoute::Invalid;
+            }
+        }
+        r
+    }
+
+    /// One walk of the policy tree over a valid route's attributes; `false`
+    /// when the route is rejected (the attributes are then unspecified).
+    /// Policies cannot touch the path, so every condition sees the path
+    /// the route arrived with and the attributes as edited so far.
+    fn edit(&self, level: &mut Level, communities: &mut CommunitySet, path: &SimplePath) -> bool {
         match self {
-            Policy::Reject => BgpRoute::Invalid,
-            Policy::IncrPrefBy(x) => BgpRoute::Valid {
-                level: level.saturating_add(*x),
-                communities,
-                path,
-            },
-            Policy::AddComm(c) => BgpRoute::Valid {
-                level,
-                communities: communities.with(*c),
-                path,
-            },
-            Policy::DelComm(c) => BgpRoute::Valid {
-                level,
-                communities: communities.without(*c),
-                path,
-            },
-            Policy::Compose(p, q) => q.apply(&p.apply(r)),
+            Policy::Reject => false,
+            Policy::IncrPrefBy(x) => {
+                *level = level.saturating_add(*x);
+                true
+            }
+            Policy::AddComm(c) => {
+                communities.insert(*c);
+                true
+            }
+            Policy::DelComm(c) => {
+                communities.remove(*c);
+                true
+            }
+            Policy::Compose(p, q) => {
+                p.edit(level, communities, path) && q.edit(level, communities, path)
+            }
             Policy::Condition(c, p) => {
-                if c.evaluate(level, &communities, &path) {
-                    p.apply(r)
-                } else {
-                    r.clone()
-                }
+                !c.evaluate(*level, communities, path) || p.edit(level, communities, path)
             }
         }
     }
@@ -196,7 +202,87 @@ impl fmt::Debug for Policy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dbf_paths::SimplePath;
+    use crate::algebra::{random_policy, BgpAlgebra};
+    use dbf_algebra::algebra::SplitMix64;
+    use dbf_algebra::SampleableAlgebra;
+
+    /// `Policy::apply` as it was before it edited routes in place: a fresh
+    /// route at every node of the policy tree.  Kept as the reference the
+    /// in-place walk is compared against.
+    fn apply_by_copying(policy: &Policy, r: &BgpRoute) -> BgpRoute {
+        let (level, communities, path) = match r {
+            BgpRoute::Invalid => return BgpRoute::Invalid,
+            BgpRoute::Valid {
+                level,
+                communities,
+                path,
+            } => (*level, communities.clone(), path.clone()),
+        };
+        match policy {
+            Policy::Reject => BgpRoute::Invalid,
+            Policy::IncrPrefBy(x) => BgpRoute::Valid {
+                level: level.saturating_add(*x),
+                communities,
+                path,
+            },
+            Policy::AddComm(c) => BgpRoute::Valid {
+                level,
+                communities: communities.with(*c),
+                path,
+            },
+            Policy::DelComm(c) => BgpRoute::Valid {
+                level,
+                communities: communities.without(*c),
+                path,
+            },
+            Policy::Compose(p, q) => apply_by_copying(q, &apply_by_copying(p, r)),
+            Policy::Condition(c, p) => {
+                if c.evaluate(level, &communities, &path) {
+                    apply_by_copying(p, r)
+                } else {
+                    r.clone()
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn in_place_application_agrees_with_the_copying_reference() {
+        let routes = BgpAlgebra::new(6).sample_routes(17, 64);
+        let mut rng = SplitMix64::new(0x9017C7);
+        let mut policies: Vec<Policy> = (0..=3)
+            .flat_map(|depth| (0..40).map(move |_| depth))
+            .map(|depth| random_policy(&mut rng, depth))
+            .collect();
+        // A rejection inside a composition (before and after an edit) and
+        // behind a condition that holds for some sampled routes and fails
+        // for others, then one that always and one that never holds.
+        let sometimes = Condition::InComm(1);
+        let always = Condition::or(sometimes.clone(), Condition::not(sometimes.clone()));
+        policies.extend([
+            Policy::AddComm(1).then(Policy::Reject),
+            Policy::Reject.then(Policy::AddComm(1)),
+            Policy::when(sometimes.clone(), Policy::Reject),
+            Policy::AddComm(1).then(Policy::when(sometimes.clone(), Policy::Reject)),
+            Policy::DelComm(1).then(Policy::when(sometimes.clone(), Policy::Reject)),
+            Policy::when(always.clone(), Policy::IncrPrefBy(2).then(Policy::Reject)),
+            Policy::when(Condition::not(always), Policy::Reject).then(Policy::AddComm(3)),
+            Policy::when(
+                Condition::LprefEq(0),
+                Policy::IncrPrefBy(1).then(Policy::when(Condition::LprefEq(1), Policy::AddComm(9))),
+            ),
+        ]);
+        let (mut rejected, mut edited) = (0, 0);
+        for policy in &policies {
+            for r in &routes {
+                let expected = apply_by_copying(policy, r);
+                assert_eq!(policy.apply(r), expected, "{policy:?} on {r:?}");
+                rejected += usize::from(expected.is_invalid() && !r.is_invalid());
+                edited += usize::from(!expected.is_invalid() && expected != *r);
+            }
+        }
+        assert!(rejected > 100 && edited > 100, "{rejected} {edited}");
+    }
 
     fn sample_route() -> BgpRoute {
         BgpRoute::valid(

@@ -11,6 +11,11 @@
 //! * [`state::RoutingState`] — the global routing state `X ∈ 𝕄ₙ(S)`, where
 //!   row `i` is node `i`'s routing table and `X[i][j]` is node `i`'s current
 //!   best route to destination `j`, together with the identity matrix `I`;
+//! * [`rib::RibIn`] — one node's adj-RIB-in: the imported candidate
+//!   `A_ik(advert)` per link and destination, and the selection fold over
+//!   them — what the message-level engines of `dbf-async` and
+//!   `dbf-protocols` keep instead of re-importing every neighbour's advert
+//!   on every delivery;
 //! * [`sigma`](mod@crate::sigma) — one synchronous round
 //!   `σ(X) = A(X) ⊕ I` (Equation 5) and
 //!   per-entry recomputation reused by the asynchronous iterate `δ`;
@@ -94,6 +99,7 @@ pub mod oracle;
 pub mod parallel;
 pub mod permute;
 pub mod pool;
+pub mod rib;
 pub mod sigma;
 pub mod state;
 pub mod sync;
@@ -110,6 +116,7 @@ pub use kernel::{Executor, FixedPoint, Inline, Start};
 pub use parallel::{par_iterate_to_fixed_point, ParallelAlgebra, Pooled};
 pub use permute::{NodePermutation, RowOrder};
 pub use pool::{default_jobs, PoolScope, PoolStats, WorkerPool};
+pub use rib::RibIn;
 pub use sigma::{sigma, sigma_entry, sigma_into, sigma_row_into, sigma_row_into_changed};
 pub use state::RoutingState;
 pub use sync::{
@@ -131,6 +138,7 @@ pub mod prelude {
     pub use crate::parallel::{par_iterate_to_fixed_point, ParallelAlgebra, Pooled};
     pub use crate::permute::{NodePermutation, RowOrder};
     pub use crate::pool::{PoolScope, PoolStats, WorkerPool};
+    pub use crate::rib::RibIn;
     pub use crate::sigma::{
         sigma, sigma_entry, sigma_into, sigma_k, sigma_row_into, sigma_row_into_changed,
     };

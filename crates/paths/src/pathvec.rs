@@ -165,9 +165,24 @@ impl<A: RoutingAlgebra> RoutingAlgebra for PathVector<A> {
     type Edge = PvEdge<A::Edge>;
 
     fn choice(&self, a: &Self::Route, b: &Self::Route) -> Self::Route {
+        if self.route_cmp(a, b) == Ordering::Greater {
+            b.clone()
+        } else {
+            a.clone()
+        }
+    }
+
+    fn route_le(&self, a: &Self::Route, b: &Self::Route) -> bool {
+        self.route_cmp(a, b) != Ordering::Greater
+    }
+
+    /// The preference order by reference: ∞̄ last, then `cmp_valid`.
+    /// `Equal` only for equal routes, so this is the order `choice` derives.
+    fn route_cmp(&self, a: &Self::Route, b: &Self::Route) -> Ordering {
         match (a, b) {
-            (PvRoute::Invalid, _) => b.clone(),
-            (_, PvRoute::Invalid) => a.clone(),
+            (PvRoute::Invalid, PvRoute::Invalid) => Ordering::Equal,
+            (PvRoute::Invalid, _) => Ordering::Greater,
+            (_, PvRoute::Invalid) => Ordering::Less,
             (
                 PvRoute::Valid {
                     value: av,
@@ -177,13 +192,7 @@ impl<A: RoutingAlgebra> RoutingAlgebra for PathVector<A> {
                     value: bv,
                     path: bp,
                 },
-            ) => {
-                if self.cmp_valid(av, ap, bv, bp) == Ordering::Greater {
-                    b.clone()
-                } else {
-                    a.clone()
-                }
-            }
+            ) => self.cmp_valid(av, ap, bv, bp),
         }
     }
 

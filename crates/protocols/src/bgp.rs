@@ -5,8 +5,9 @@
 //!
 //! * every router originates one destination (itself);
 //! * routers maintain an **adj-RIB-in** per neighbour (the last route each
-//!   neighbour announced per destination) and a **loc-RIB** (the selected
-//!   best routes);
+//!   neighbour announced per destination, stored as imported — after the
+//!   neighbour's import policy) and a **loc-RIB** (the selected best
+//!   routes);
 //! * selection applies the configured import [`Policy`] of the Section 7
 //!   algebra and its decision procedure (level, then path length, then
 //!   tie-break), with loop detection on the AS path;
@@ -28,12 +29,13 @@ use dbf_algebra::RoutingAlgebra;
 use dbf_bgp::algebra::BgpAlgebra;
 use dbf_bgp::policy::Policy;
 use dbf_bgp::route::BgpRoute;
-use dbf_matrix::{is_stable, AdjacencyMatrix, RoutingState};
+use dbf_matrix::{is_stable, AdjacencyMatrix, RibIn, RoutingState};
 use dbf_paths::NodeId;
 use dbf_topology::Topology;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BinaryHeap;
+use std::rc::Rc;
 
 /// Configuration of the BGP-like engine.
 #[derive(Debug, Clone, Copy)]
@@ -78,9 +80,10 @@ pub struct BgpReport {
 #[derive(Debug, Clone)]
 enum Payload {
     /// A wire-encoded [`BgpUpdate`]: an announcement (route present) or a
-    /// withdrawal (route absent).  Delivery decodes the bytes again, so the
-    /// codec of [`crate::wire`] runs on every session message.
-    Update(Vec<u8>),
+    /// withdrawal (route absent), encoded once per announcement and shared
+    /// by its listeners' messages.  Delivery decodes the bytes again, so
+    /// the decoder of [`crate::wire`] runs on every session message.
+    Update(Rc<[u8]>),
     /// Tear down and re-establish the session between the two endpoints.
     ResetSession,
 }
@@ -130,9 +133,9 @@ pub struct BgpEngine {
     /// In-order delivery: per ordered pair (from, to), the earliest time the
     /// next message may be delivered.
     session_clock: Vec<Vec<u64>>,
-    /// adj-RIB-in: `rib_in[i][k][dest]` = last route neighbour `k` announced
-    /// to `i` for `dest`.
-    rib_in: Vec<Vec<Vec<BgpRoute>>>,
+    /// adj-RIB-in: `rib_in[i]` holds, per neighbour `k` and `dest`, the
+    /// last route `k` announced to `i` for `dest`, as imported by `A_ik`.
+    rib_in: Vec<RibIn<BgpAlgebra>>,
     /// loc-RIB: `loc_rib[i][dest]` = node `i`'s selected route.
     loc_rib: Vec<Vec<BgpRoute>>,
     stats: ProtocolStats,
@@ -173,6 +176,7 @@ impl BgpEngine {
                     .collect()
             })
             .collect();
+        let rib_in = (0..n).map(|i| RibIn::new(&alg, i, adj.row(i), n)).collect();
         let mut engine = Self {
             alg,
             listeners: adj.dependants(),
@@ -184,7 +188,7 @@ impl BgpEngine {
             seq: 0,
             queue: BinaryHeap::new(),
             session_clock: vec![vec![0; n]; n],
-            rib_in: vec![vec![vec![BgpRoute::Invalid; n]; n]; n],
+            rib_in,
             loc_rib,
             stats: ProtocolStats::default(),
         };
@@ -214,9 +218,10 @@ impl BgpEngine {
         engine
     }
 
-    /// Encode and enqueue one update (announcement or withdrawal) on the
-    /// reliable, in-order session `from → to`.
-    fn send_update(&mut self, from: NodeId, to: NodeId, dest: NodeId, route: &BgpRoute) {
+    /// Enqueue one encoded update (announcement or withdrawal) on the
+    /// reliable, in-order session `from → to`.  One delay is drawn per
+    /// call: the order of calls is the order of the RNG stream.
+    fn send_update(&mut self, from: NodeId, to: NodeId, withdrawal: bool, encoded: &Rc<[u8]>) {
         // Reliable, in-order per session: the delivery time is monotone per
         // (from, to) pair.
         let delay = self
@@ -225,43 +230,43 @@ impl BgpEngine {
         let at = (self.now + delay).max(self.session_clock[from][to] + 1);
         self.session_clock[from][to] = at;
         self.seq += 1;
-        if route.is_invalid() {
+        if withdrawal {
             self.stats.withdrawals_sent += 1;
         } else {
             self.stats.updates_sent += 1;
         }
-        let encoded = BgpUpdate::from_route(from, dest, route).encode();
         self.stats.bytes_sent += encoded.len() as u64;
         self.queue.push(Scheduled {
             at,
             seq: self.seq,
             from,
             to,
-            payload: Payload::Update(encoded),
+            payload: Payload::Update(Rc::clone(encoded)),
         });
     }
 
+    /// Node `i`'s loc-RIB entry for `dest` on the wire, and whether it is a
+    /// withdrawal.
+    fn encode(&self, i: NodeId, dest: NodeId) -> (bool, Rc<[u8]>) {
+        let route = &self.loc_rib[i][dest];
+        let encoded = BgpUpdate::from_route(i, dest, route).encode();
+        (route.is_invalid(), encoded.into())
+    }
+
     fn announce_to_neighbors(&mut self, i: NodeId, dest: NodeId) {
-        let route = self.loc_rib[i][dest].clone();
+        let (withdrawal, encoded) = self.encode(i, dest);
         for idx in 0..self.listeners[i].len() {
             let to = self.listeners[i][idx];
-            self.send_update(i, to, dest, &route);
+            self.send_update(i, to, withdrawal, &encoded);
         }
     }
 
     /// Re-run best-path selection at node `i` for destination `dest`;
     /// returns whether the loc-RIB changed.
     fn decide(&mut self, i: NodeId, dest: NodeId) -> bool {
-        if i == dest {
-            return false;
-        }
-        let mut best = self.alg.invalid();
-        for (k, f) in self.adj.row(i) {
-            let candidate = self.alg.extend(f, &self.rib_in[i][*k][dest]);
-            best = self.alg.choice(&best, &candidate);
-        }
-        if best != self.loc_rib[i][dest] {
-            self.loc_rib[i][dest] = best;
+        let best = self.rib_in[i].best(&self.alg, dest);
+        if *best != self.loc_rib[i][dest] {
+            self.loc_rib[i][dest] = best.clone();
             self.stats.table_changes += 1;
             self.stats.last_change_time = self.now;
             true
@@ -272,8 +277,17 @@ impl BgpEngine {
 
     fn full_readvertise(&mut self, i: NodeId, to: NodeId) {
         for dest in 0..self.n {
-            let route = self.loc_rib[i][dest].clone();
-            self.send_update(i, to, dest, &route);
+            let (withdrawal, encoded) = self.encode(i, dest);
+            self.send_update(i, to, withdrawal, &encoded);
+        }
+    }
+
+    /// Forget what `i` heard from `k`.  Edges are directed: a reset clears
+    /// both directions whether or not the reverse link exists.
+    fn clear_session(&mut self, i: NodeId, k: NodeId) {
+        let imports = self.adj.row(i);
+        if let Some(link) = self.rib_in[i].link(imports, k) {
+            self.rib_in[i].withdraw(&self.alg, imports, link);
         }
     }
 
@@ -293,19 +307,25 @@ impl BgpEngine {
                         .to_route()
                         .expect("the engine only announces simple paths");
                     let dest = update.dest;
-                    self.rib_in[msg.to][msg.from][dest] = route;
-                    if self.decide(msg.to, dest) {
-                        self.announce_to_neighbors(msg.to, dest);
+                    let imports = self.adj.row(msg.to);
+                    // An update over a link `msg.to` has no import policy
+                    // for (a reset re-advertises in both directions) is
+                    // processed and dropped: no decision could read it.
+                    if let Some(link) = self.rib_in[msg.to].link(imports, msg.from) {
+                        self.rib_in[msg.to].import(&self.alg, imports, link, dest, &route);
+                        if self.decide(msg.to, dest) {
+                            self.announce_to_neighbors(msg.to, dest);
+                        }
                     }
                 }
                 Payload::ResetSession => {
                     // Clear what each endpoint heard from the other and
                     // re-advertise, as a BGP session reset does.
                     let (a, b) = (msg.from, msg.to);
+                    self.clear_session(a, b);
+                    self.clear_session(b, a);
                     let mut changed: Vec<(NodeId, NodeId)> = Vec::new();
                     for dest in 0..self.n {
-                        self.rib_in[a][b][dest] = BgpRoute::Invalid;
-                        self.rib_in[b][a][dest] = BgpRoute::Invalid;
                         if self.decide(a, dest) {
                             changed.push((a, dest));
                         }
@@ -406,6 +426,39 @@ mod tests {
         assert!(calm.converged && stormy.converged);
         assert_eq!(calm.final_state, stormy.final_state);
         assert!(stormy.stats.messages_sent() > calm.stats.messages_sent());
+    }
+
+    #[test]
+    fn session_resets_on_one_way_links_are_harmless() {
+        // A directed ring: node i imports from i+1 and nothing flows the
+        // other way, so every reset clears, and re-advertises over, a
+        // direction no import policy exists for.  Those updates are
+        // processed and dropped.
+        let n = 5;
+        let mut topo: Topology<Policy> = Topology::new(n);
+        for i in 0..n {
+            topo.set_edge(i, (i + 1) % n, Policy::AddComm(i as u32));
+        }
+        let run = |seed, session_resets| {
+            let cfg = BgpConfig {
+                seed,
+                session_resets,
+                ..BgpConfig::default()
+            };
+            BgpEngine::new(&topo, cfg).run()
+        };
+        let (calm, stormy) = (run(1, 0), run(2, 8));
+        assert!(calm.converged && stormy.converged);
+        assert_eq!(calm.final_state, stormy.final_state);
+        let r = stormy.final_state.get(0, 3);
+        assert_eq!(r.simple_path().unwrap().nodes(), &[0, 1, 2, 3]);
+        // Each reset re-advertises a full table in both directions.
+        assert!(
+            stormy.stats.updates_processed >= calm.stats.updates_processed + 8 * 2 * n as u64,
+            "{:?} vs {:?}",
+            stormy.stats,
+            calm.stats
+        );
     }
 
     #[test]

@@ -26,7 +26,7 @@
 
 use crate::stats::ProtocolStats;
 use dbf_algebra::RoutingAlgebra;
-use dbf_matrix::{is_stable, AdjacencyMatrix, RoutingState};
+use dbf_matrix::{is_stable, AdjacencyMatrix, RibIn, RoutingState};
 use dbf_paths::NodeId;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::mpsc::channel;
@@ -124,8 +124,10 @@ where
             let listeners: Vec<NodeId> = std::mem::take(&mut exports[i]);
 
             handles.push(s.spawn(move || {
-                // Last advert heard, per neighbour per destination.
-                let mut adverts: Vec<Vec<A::Route>> = vec![vec![alg.invalid(); n]; n];
+                // Last advert heard, per neighbour per destination, as
+                // imported.
+                let imports = adj.row(i);
+                let mut rib = RibIn::new(alg, i, imports, n);
 
                 let send_route = |dest: NodeId, route: &A::Route| {
                     for &k in &listeners {
@@ -144,17 +146,16 @@ where
                 };
 
                 // Best-response selection for one destination, over everything
-                // heard so far.
-                let decide = |adverts: &[Vec<A::Route>], dest: NodeId| -> A::Route {
-                    if dest == i {
-                        return alg.trivial();
+                // heard so far: update the entry and announce it if it moved.
+                let decide = |rib: &RibIn<A>, entry: &mut A::Route, dest: NodeId| -> bool {
+                    let best = rib.best(alg, dest);
+                    if best == entry {
+                        return false;
                     }
-                    let mut best = alg.invalid();
-                    for (k, f) in adj.row(i) {
-                        let candidate = alg.extend(f, &adverts[*k][dest]);
-                        best = alg.choice(&best, &candidate);
-                    }
-                    best
+                    *entry = best.clone();
+                    table_changes.fetch_add(1, Ordering::SeqCst);
+                    send_route(dest, entry);
+                    true
                 };
 
                 // Cold start: advertise the whole initial table.
@@ -172,14 +173,13 @@ where
                 loop {
                     match rx.recv_timeout(config.idle_poll) {
                         Ok(advert) => {
-                            adverts[advert.from][advert.dest] = advert.route;
-                            dirty = true;
                             let dest = advert.dest;
-                            let new_route = decide(&adverts, dest);
-                            if new_route != table[dest] {
-                                table[dest] = new_route.clone();
-                                table_changes.fetch_add(1, Ordering::SeqCst);
-                                send_route(dest, &new_route);
+                            // A router announces only to those importing
+                            // from it, so the link exists.
+                            if let Some(link) = rib.link(imports, advert.from) {
+                                rib.import(alg, imports, link, dest, &advert.route);
+                                dirty = true;
+                                decide(&rib, &mut table[dest], dest);
                             }
                             // Only now is this message fully accounted for.
                             in_flight.fetch_sub(1, Ordering::SeqCst);
@@ -199,13 +199,7 @@ where
                             let mut changed = false;
                             if dirty && all_started {
                                 for (dest, entry) in table.iter_mut().enumerate() {
-                                    let new_route = decide(&adverts, dest);
-                                    if new_route != *entry {
-                                        *entry = new_route.clone();
-                                        table_changes.fetch_add(1, Ordering::SeqCst);
-                                        send_route(dest, &new_route);
-                                        changed = true;
-                                    }
+                                    changed |= decide(&rib, entry, dest);
                                 }
                                 dirty = false;
                                 if !has_settled {

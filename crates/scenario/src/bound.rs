@@ -72,7 +72,10 @@ pub fn algebra_height(alg: &AlgebraSpec, n: u64) -> Option<HeightBound> {
         // Reachable distances are sums of ≤ n−1 edge weights, each at most
         // `base + modulus − 1`, so the chain is {0..(n−1)·w_max, ∞}.
         AlgebraSpec::Shortest { weights } => {
-            let w_max = weights.base + weights.modulus.max(1) - 1;
+            // Saturating: a rule this overflows for is one `validate`
+            // rejects, and an unvalidated spec must not get a wrapped
+            // (unsound) height.
+            let w_max = weights.base.saturating_add(weights.modulus.max(1) - 1);
             Some(HeightBound::exact(
                 n.saturating_sub(1).saturating_mul(w_max).saturating_add(2),
                 "(n−1)·w_max + 2: longest simple path weight",
@@ -296,6 +299,22 @@ mod tests {
         .unwrap();
         // varied: base 1, modulus 9 → w_max = 9.
         assert_eq!(varied.height, 4 * 9 + 2);
+    }
+
+    #[test]
+    fn a_weight_rule_past_the_finite_range_saturates_and_is_rejected_by_validate() {
+        let weights = WeightRule {
+            modulus: 9,
+            base: u64::MAX - 3,
+            ..WeightRule::varied()
+        };
+        let algebra = AlgebraSpec::Shortest { weights };
+        // `base + modulus − 1` does not fit: no panic, no wrapped height.
+        assert_eq!(algebra_height(&algebra, 5).unwrap().height, u64::MAX);
+        let spec = spec_with(algebra, vec![PhaseSpec::quiet("p")]);
+        assert_eq!(bound_table(&spec)[0].sync_bound, Some(u64::MAX));
+        let err = spec.validate().expect_err("the rule derives no weight");
+        assert!(err.message.contains("overflows"), "{err}");
     }
 
     #[test]

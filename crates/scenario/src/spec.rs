@@ -207,8 +207,16 @@ impl WeightRule {
     }
 
     /// Evaluate the rule for the directed edge `i → j`.
+    ///
+    /// The coefficients are arbitrary `u64`s and the rule only has to be
+    /// deterministic, so the arithmetic wraps, in every build profile.  On
+    /// a rule [`Scenario::validate`] accepts only the mix can: the largest
+    /// weight `modulus − 1 + base` is then inside the finite range.
     pub fn weight(&self, i: usize, j: usize) -> u64 {
-        (i as u64 * self.mul_i + j as u64 * self.mul_j) % self.modulus.max(1) + self.base
+        let mix = (i as u64)
+            .wrapping_mul(self.mul_i)
+            .wrapping_add((j as u64).wrapping_mul(self.mul_j));
+        (mix % self.modulus.max(1)).wrapping_add(self.base)
     }
 }
 
@@ -1405,6 +1413,23 @@ mod tests {
     #[test]
     fn weight_rules_evaluate() {
         assert_eq!(WeightRule::uniform(3).weight(5, 9), 3);
+        // Coefficients whose products and sum leave u64 wrap, in debug
+        // builds as in release ones, and the weight stays inside the
+        // rule's range.
+        let huge = WeightRule {
+            mul_i: u64::MAX,
+            mul_j: u64::MAX - 6,
+            modulus: 9,
+            base: 1,
+        };
+        assert_eq!(
+            huge.weight(3, 5),
+            3u64.wrapping_mul(u64::MAX)
+                .wrapping_add(5u64.wrapping_mul(u64::MAX - 6))
+                % 9
+                + 1
+        );
+        assert!((0..40).all(|k| (1..=9).contains(&huge.weight(k, 40 - k))));
         let varied = WeightRule::varied();
         assert_eq!(varied.weight(1, 2), (7 + 26) % 9 + 1);
     }
