@@ -173,6 +173,7 @@ pub fn state_ensemble<A: RoutingAlgebra>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schedule::ScheduleParams;
     use dbf_algebra::prelude::*;
     use dbf_algebra::FiniteCarrier;
     use dbf_matrix::prelude::*;
@@ -192,6 +193,20 @@ mod tests {
         // and the unique fixed point is the synchronous one
         let sync = iterate_to_fixed_point(&alg, &adj, &RoutingState::identity(&alg, 5), 100);
         assert_eq!(result.fixed_point, sync.state);
+
+        // ... and as the network grows: RIP's limit on sparser graphs of
+        // 4, 8 and 16 nodes, one harsh schedule from a garbage state.
+        for n in [4, 8, 16] {
+            let alg = BoundedHopCount::rip();
+            let topo = generators::connected_random(n, 0.35, 51).with_weights(|_, _| 1u64);
+            let adj = AdjacencyMatrix::from_topology(&topo);
+            let garbage = &state_ensemble(&alg, n, &alg.sample_routes(53, 64), 1, 53)[1];
+            let harsh = Schedule::random(n, 300, ScheduleParams::harsh(), 55);
+            let out = run_delta(&alg, &adj, garbage, &harsh);
+            assert!(out.sigma_stable, "n = {n}");
+            let sync = iterate_to_fixed_point(&alg, &adj, &RoutingState::identity(&alg, n), 100);
+            assert_eq!(out.final_state, sync.state, "n = {n}");
+        }
     }
 
     #[test]
@@ -208,6 +223,21 @@ mod tests {
             .expect("Theorem 11: increasing path algebras converge absolutely");
         let sync = iterate_to_fixed_point(&pv, &adj, &RoutingState::identity(&pv, 4), 100);
         assert_eq!(result.fixed_point, sync.state);
+
+        // ... and on random graphs of 4, 6 and 8 nodes, one harsh schedule
+        // from a state of inconsistent routes.
+        for n in [4, 6, 8] {
+            let pv: Pv = PathVector::new(ShortestPaths::new(), n);
+            let topo = generators::connected_random(n, 0.35, 61)
+                .with_weights(|i, j| NatInf::fin(((i * 7 + j * 13) % 9 + 1) as u64));
+            let adj = lift_topology(&pv, &topo);
+            let stale = &state_ensemble(&pv, n, &pv.sample_routes(63, 64), 1, 63)[1];
+            let harsh = Schedule::random(n, 300, ScheduleParams::harsh(), 65);
+            let out = run_delta(&pv, &adj, stale, &harsh);
+            assert!(out.sigma_stable, "n = {n}");
+            let sync = iterate_to_fixed_point(&pv, &adj, &RoutingState::identity(&pv, n), 100);
+            assert_eq!(out.final_state, sync.state, "n = {n}");
+        }
     }
 
     #[test]

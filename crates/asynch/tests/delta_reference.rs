@@ -19,7 +19,8 @@ use dbf_bgp::algebra::random_policy;
 use dbf_bgp::prelude::*;
 use dbf_matrix::prelude::*;
 use dbf_paths::prelude::*;
-use dbf_topology::Topology;
+use dbf_telemetry::NoopSink;
+use dbf_topology::{generators, Topology, TopologyChange};
 
 const N: usize = 6;
 
@@ -144,7 +145,7 @@ fn history_is_bounded_by_the_lag_and_collapses_after_quiescence() {
         let lag = schedule.max_lag();
         let mut run = DeltaRun::new(&alg, &adj, garbage, &schedule);
         for _ in 0..schedule.horizon() {
-            run.step(&mut dbf_telemetry::NoopSink);
+            run.step(&mut NoopSink);
             for i in 0..N {
                 let kept = run.retained_versions(i);
                 assert!(kept <= lag + 1, "{name}: row {i} holds {kept} at lag {lag}");
@@ -152,10 +153,176 @@ fn history_is_bounded_by_the_lag_and_collapses_after_quiescence() {
             }
         }
         let retained: Vec<usize> = (0..N).map(|i| run.retained_versions(i)).collect();
-        let out = run.finish(&mut dbf_telemetry::NoopSink);
+        let out = run.finish(&mut NoopSink);
         if let Some(q) = out.quiescent_from.filter(|q| q + lag <= schedule.horizon()) {
             assert_eq!(retained, vec![1; N], "{name}: quiescent from {q}");
         }
     }
     assert!(most > 2, "some schedule must actually build up history");
+}
+
+/// On a 400-step random schedule δ lands on σ's fixed point, evaluates
+/// fewer than a quarter of its activations (the rest read the versions
+/// they read last time), and `max_lag` steps past quiescence every row is
+/// down to one version.
+fn lands_on_sigmas_fixed_point_mostly_idle<A: RoutingAlgebra>(
+    label: &str,
+    alg: &A,
+    adj: &AdjacencyMatrix<A>,
+) {
+    let n = adj.node_count();
+    let x0 = RoutingState::identity(alg, n);
+    let schedule = Schedule::random(n, 400, ScheduleParams::default(), 1);
+    let whole = run_delta(alg, adj, &x0, &schedule);
+    let reference = iterate_to_fixed_point(alg, adj, &x0, 4 * n);
+    assert!(reference.converged && whole.sigma_stable, "{label}");
+    assert!(
+        whole.final_state == reference.state,
+        "{label}: δ missed σ's fixed point"
+    );
+    assert!(
+        whole.recomputations * 4 < whole.activations,
+        "{label}: {} of {} activations were evaluated; the run is mostly quiet",
+        whole.recomputations,
+        whole.activations
+    );
+
+    let quiet_from = whole.quiescent_from.expect("a 400-step horizon is enough");
+    let settled = quiet_from + schedule.max_lag();
+    assert!(settled <= schedule.horizon(), "{label}: quiet too late");
+    let mut run = DeltaRun::new(alg, adj, &x0, &schedule);
+    for _ in 0..settled {
+        run.step(&mut NoopSink);
+    }
+    assert!(
+        (0..n).all(|i| run.retained_versions(i) == 1),
+        "{label}: history outlives quiescence + max_lag"
+    );
+}
+
+#[test]
+fn delta_lands_on_sigmas_fixed_point_and_then_costs_nothing() {
+    // The `policy-diff` shape: a dense random graph under Section 7 routes.
+    let n = 20;
+    let bgp = BgpAlgebra::new(n);
+    let mut rng = dbf_algebra::algebra::SplitMix64::new(0xC0FFEE);
+    let topo =
+        generators::connected_random(n, 0.4, 5).with_weights(|_, _| random_policy(&mut rng, 2));
+    lands_on_sigmas_fixed_point_mostly_idle(
+        "dense random 20, bgp",
+        &bgp,
+        &bgp.adjacency_from_topology(&topo),
+    );
+
+    // A sparse integer one.
+    let ring = generators::ring(64).with_weights(|_, _| 1u64);
+    lands_on_sigmas_fixed_point_mostly_idle(
+        "ring 64, hop count",
+        &BoundedHopCount::new(64),
+        &AdjacencyMatrix::from_topology(&ring),
+    );
+}
+
+/// Section 3.2's dynamic network, written out: each epoch is a fresh δ run
+/// on the epoch's adjacency from the state the previous epoch ended in.
+fn run_epochs(
+    alg: &BoundedHopCount,
+    epochs: &[(&Topology<u64>, Schedule)],
+) -> Vec<DeltaOutcome<BoundedHopCount>> {
+    let mut state = RoutingState::identity(alg, epochs[0].0.node_count());
+    let mut outcomes = Vec::new();
+    for (topo, schedule) in epochs {
+        let out = run_delta(alg, &AdjacencyMatrix::from_topology(topo), &state, schedule);
+        state = out.final_state.clone();
+        outcomes.push(out);
+    }
+    outcomes
+}
+
+#[test]
+fn reconvergence_after_a_link_failure() {
+    // A ring loses a link; the protocol must re-converge to the line
+    // distances from the stale ring state.
+    let alg = BoundedHopCount::new(10);
+    let ring = generators::ring(6).with_weights(|_, _| 1u64);
+    let line = TopologyChange::FailLink { a: 0, b: 5 }.apply(&ring);
+    let outcomes = run_epochs(
+        &alg,
+        &[
+            (
+                &ring,
+                Schedule::random(6, 300, ScheduleParams::default(), 1),
+            ),
+            (&line, Schedule::random(6, 400, ScheduleParams::harsh(), 2)),
+        ],
+    );
+    assert!(outcomes[0].sigma_stable, "ring epoch converged");
+    assert!(outcomes[1].sigma_stable, "post-failure epoch reconverged");
+
+    // After the failure the network is a line: hop distance = |i - j|.
+    let reference = iterate_to_fixed_point(
+        &alg,
+        &AdjacencyMatrix::from_topology(&line),
+        &RoutingState::identity(&alg, 6),
+        100,
+    );
+    assert_eq!(outcomes[1].final_state, reference.state);
+    // and the distances really did change: 0→5 is now 5 hops, not 1
+    assert_eq!(outcomes[0].final_state.get(0, 5), &NatInf::fin(1));
+    assert_eq!(outcomes[1].final_state.get(0, 5), &NatInf::fin(5));
+}
+
+#[test]
+fn reconvergence_after_adding_a_shortcut() {
+    let alg = BoundedHopCount::new(12);
+    let line = generators::line(7).with_weights(|_, _| 1u64);
+    let mut with_chord = line.clone();
+    with_chord.set_link(0, 6, 1u64);
+    let outcomes = run_epochs(
+        &alg,
+        &[
+            (
+                &line,
+                Schedule::random(7, 300, ScheduleParams::default(), 4),
+            ),
+            (
+                &with_chord,
+                Schedule::random(7, 300, ScheduleParams::default(), 5),
+            ),
+        ],
+    );
+    assert!(outcomes[1].sigma_stable);
+    assert_eq!(outcomes[0].final_state.get(0, 6), &NatInf::fin(6));
+    assert_eq!(outcomes[1].final_state.get(0, 6), &NatInf::fin(1));
+    assert_eq!(outcomes[1].final_state.get(1, 6), &NatInf::fin(2));
+}
+
+#[test]
+fn a_partition_leaves_unreachable_destinations_invalid() {
+    let alg = BoundedHopCount::new(10);
+    let ring = generators::ring(4).with_weights(|_, _| 1u64);
+    // Fail two links, partitioning {0,1} from {2,3}.
+    let cut = TopologyChange::apply_all(
+        &[
+            TopologyChange::FailLink { a: 1, b: 2 },
+            TopologyChange::FailLink { a: 3, b: 0 },
+        ],
+        &ring,
+    );
+    let outcomes = run_epochs(
+        &alg,
+        &[
+            (&ring, Schedule::synchronous(4, 30)),
+            (&cut, Schedule::random(4, 400, ScheduleParams::default(), 8)),
+        ],
+    );
+    let final_state = &outcomes[1].final_state;
+    assert!(outcomes[1].sigma_stable);
+    assert_eq!(
+        final_state.get(0, 2),
+        &NatInf::INF,
+        "0 can no longer reach 2"
+    );
+    assert_eq!(final_state.get(0, 1), &NatInf::fin(1), "0 still reaches 1");
+    assert_eq!(final_state.get(2, 3), &NatInf::fin(1), "2 still reaches 3");
 }

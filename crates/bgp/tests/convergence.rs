@@ -44,6 +44,18 @@ fn section7_algebra_converges_absolutely_under_arbitrary_policies() {
     let sync = iterate_to_fixed_point(&alg, &adj, &RoutingState::identity(&alg, 5), 200);
     assert!(sync.converged);
     assert_eq!(result.fixed_point, sync.state);
+
+    // ... and as the network grows: 4, 6 and 8 nodes, one harsh schedule
+    // from a state of inconsistent routes.
+    for n in [4, 6, 8] {
+        let (alg, adj) = random_policy_network(n, 67);
+        let stale = &state_ensemble(&alg, n, &alg.sample_routes(69, 64), 1, 69)[1];
+        let harsh = Schedule::random(n, 300, ScheduleParams::harsh(), 65);
+        let out = run_delta(&alg, &adj, stale, &harsh);
+        assert!(out.sigma_stable, "n = {n}");
+        let sync = iterate_to_fixed_point(&alg, &adj, &RoutingState::identity(&alg, n), 200);
+        assert_eq!(out.final_state, sync.state, "n = {n}");
+    }
 }
 
 #[test]
@@ -57,25 +69,44 @@ fn section7_algebra_survives_the_message_level_simulator() {
         assert!(out.sigma_stable, "seed {seed} failed to stabilise");
         assert_eq!(out.final_state, reference.state, "seed {seed} diverged");
     }
+    // Faults only ever cost messages: up to every second one lost and every
+    // fourth duplicated, the outcome stays put.
+    for loss in [0.0, 0.1, 0.3, 0.5] {
+        let cfg = SimConfig {
+            loss_prob: loss,
+            duplicate_prob: loss / 2.0,
+            min_delay: 1,
+            max_delay: 15,
+            seed: 5,
+            ..SimConfig::default()
+        };
+        let out = EventSim::new(&alg, &adj, cfg).run();
+        assert!(out.sigma_stable && !out.truncated, "loss {loss}");
+        assert_eq!(out.final_state, reference.state, "loss {loss}");
+    }
 }
 
 #[test]
 fn gao_rexford_hierarchies_converge() {
-    let (topo, _tiers) = generators::tiered_hierarchy(&[2, 3, 6], 0.4, 0.25, 7);
-    let n = topo.node_count();
-    let alg = GaoRexford::new(n);
-    let adj = alg.adjacency_from_hierarchy(&topo);
-    let pool = alg.sample_routes(5, 32);
-    let states = state_ensemble(&alg, n, &pool, 2, 3);
-    let schedules = schedule_ensemble(n, 300, 2, 5);
-    let result = check_absolute_convergence(&alg, &adj, &states, &schedules)
-        .expect("Gao-Rexford policies are increasing, so they converge absolutely");
-    // Every node that has any route to a destination holds a valley-free one:
-    // once the route has left a customer edge (class Peer/Provider at some
-    // holder) it can only keep going down — here we simply check the final
-    // state is the synchronous fixed point and stable.
-    let sync = iterate_to_fixed_point(&alg, &adj, &RoutingState::identity(&alg, n), 300);
-    assert_eq!(result.fixed_point, sync.state);
+    // Three tiers of 11 nodes, then four tiers of 45.
+    for (tiers, seed) in [(&[2, 3, 6][..], 7), (&[3, 6, 12, 24][..], 81)] {
+        let (topo, _tiers) = generators::tiered_hierarchy(tiers, 0.4, 0.25, seed);
+        let n = topo.node_count();
+        let alg = GaoRexford::new(n);
+        let adj = alg.adjacency_from_hierarchy(&topo);
+        let pool = alg.sample_routes(5, 32);
+        let states = state_ensemble(&alg, n, &pool, 2, 3);
+        let schedules = schedule_ensemble(n, 300, 2, 5);
+        let result = check_absolute_convergence(&alg, &adj, &states, &schedules)
+            .expect("Gao-Rexford policies are increasing, so they converge absolutely");
+        // Every node that has any route to a destination holds a valley-free
+        // one: once the route has left a customer edge (class Peer/Provider
+        // at some holder) it can only keep going down — here we simply check
+        // the final state is the synchronous fixed point and stable.
+        let sync = iterate_to_fixed_point(&alg, &adj, &RoutingState::identity(&alg, n), 400);
+        assert!(sync.converged, "{tiers:?}");
+        assert_eq!(result.fixed_point, sync.state, "{tiers:?}");
+    }
 }
 
 #[test]

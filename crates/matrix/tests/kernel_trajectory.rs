@@ -405,3 +405,65 @@ fn a_changed_row_without_dependants_still_gets_its_verifying_round() {
     let idle = check_cell(&alg, &adj, &fixed, Some(&clean), (0, n), "sink-row/clean");
     assert_eq!((idle.rounds, idle.converged), (0, true));
 }
+
+/// The pre-frontier baseline: recompute **every** row each round until a
+/// full sweep changes nothing.  Returns (state, rounds); cost is exactly
+/// `n · rounds` row recomputations.
+fn full_scan(
+    alg: &WidestPaths,
+    adj: &AdjacencyMatrix<WidestPaths>,
+    x0: &RoutingState<WidestPaths>,
+    max_rounds: usize,
+) -> (RoutingState<WidestPaths>, usize) {
+    let mut cur = x0.clone();
+    let mut next = cur.clone();
+    for k in 0..max_rounds {
+        sigma_into(alg, adj, &cur, &mut next);
+        if next == cur {
+            return (cur, k);
+        }
+        std::mem::swap(&mut cur, &mut next);
+    }
+    (cur, max_rounds)
+}
+
+#[test]
+fn the_frontier_reconverges_a_large_fabric_like_a_full_scan_at_half_the_rows() {
+    // The incremental engine's bread and butter at the
+    // `widest-fabric-scaling` size: a converged 4-spine, 996-leaf fabric
+    // loses the spine–leaf link 0 — 65, leaf 65's one wide uplink (95
+    // against 10, 15 and 20), so its row really moves.  The dirty-row work
+    // queue must land on the state the recompute-everything loop lands
+    // on, for at most half the row recomputations.
+    let n = 1_000;
+    let alg = WidestPaths::new();
+    let topo = generators::leaf_spine(4, n - 4)
+        .with_weights(|i, j| NatInf::fin(((i * 11 + j * 5) % 90 + 10) as u64));
+    let adj = AdjacencyMatrix::from_topology(&topo);
+    let baseline = iterate_to_fixed_point(&alg, &adj, &RoutingState::identity(&alg, n), 4 * n);
+    assert!(baseline.converged);
+
+    let mut changed = adj.clone();
+    changed.set(0, 65, None);
+    changed.set(65, 0, None);
+    let dirty = dirty_rows_after_change(&adj, &changed);
+    let budget = 4 * n;
+
+    let (scan_state, scan_rounds) = full_scan(&alg, &changed, &baseline.state, budget);
+    let frontier = iterate_dirty_to_fixed_point(&alg, &changed, &baseline.state, &dirty, budget);
+    assert!(frontier.converged, "the frontier did not converge");
+    assert!(
+        frontier.state == scan_state,
+        "frontier and full-scan fixed points differ"
+    );
+    assert!(
+        scan_state != baseline.state,
+        "the failure must move the table"
+    );
+    let scan_work = (n * scan_rounds.max(1)) as u64;
+    assert!(
+        2 * frontier.row_recomputations <= scan_work,
+        "the frontier did {} row recomputations, the full scan {scan_work}",
+        frontier.row_recomputations
+    );
+}
