@@ -16,9 +16,6 @@
 //! * [`convergence`] — absolute-convergence testing across ensembles of
 //!   starting states and schedules: every run must reach the *same*
 //!   σ-stable state;
-//! * [`dynamic`] — the dynamic-network semantics of Section 3.2: topology
-//!   changes create a new problem instance whose starting state is the
-//!   current (now possibly stale and inconsistent) routing state;
 //! * [`trace`] — an observed-schedule recorder: reconstruct the `(α, β)`
 //!   an execution actually followed and certify the finite forms of
 //!   S1–S3 against the `(w, ℓ)` parameters the convergence bounds use,
@@ -34,7 +31,6 @@
 
 pub mod convergence;
 pub mod delta;
-pub mod dynamic;
 pub mod schedule;
 pub mod sim;
 pub mod trace;
@@ -51,7 +47,6 @@ pub mod prelude {
         check_absolute_convergence, AbsoluteConvergence, ConvergenceFailure,
     };
     pub use crate::delta::{run_delta, run_delta_traced, DeltaOutcome, DeltaRun};
-    pub use crate::dynamic::{DynamicEvent, DynamicRun};
     pub use crate::schedule::{Schedule, ScheduleParams};
     pub use crate::sim::{EventSim, SimConfig, SimOutcome, SimStats};
     pub use crate::trace::{AxiomViolation, ScheduleTrace};

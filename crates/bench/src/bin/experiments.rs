@@ -8,9 +8,8 @@
 //! cargo run -p dbf-bench --bin experiments -- table1   # run one experiment
 //! ```
 //!
-//! Experiment identifiers (see DESIGN.md §3): `table1`, `table2`, `figure1`,
-//! `figure2`, `eq1`, `theorem7`, `count_to_infinity`, `theorem11`,
-//! `section7`, `gadgets`, `gao_rexford`, `rate`, `robustness`.
+//! Experiment identifiers: see [`EXPERIMENTS`]; an unknown one is an error
+//! (exit status 2) that lists them.
 
 use dbf_algebra::combinators::prod::DirectProduct;
 use dbf_algebra::instances::longest::LongestPaths;
@@ -25,51 +24,45 @@ use dbf_matrix::prelude::*;
 use dbf_metric::prelude::*;
 use dbf_paths::prelude::*;
 use dbf_protocols::prelude::*;
+use dbf_scenario::run::policy_for_edge;
+use dbf_telemetry::NoopSink;
 use dbf_topology::generators;
+use std::time::Instant;
+
+/// Every experiment, in the order a bare `experiments` runs them.
+const EXPERIMENTS: [(&str, fn()); 14] = [
+    ("table1", table1),
+    ("table2", table2),
+    ("figure1", figure1),
+    ("figure2", figure2),
+    ("eq1", eq1),
+    ("theorem7", theorem7),
+    ("count_to_infinity", count_to_infinity),
+    ("theorem11", theorem11),
+    ("section7", section7),
+    ("gadgets", gadgets),
+    ("gao_rexford", gao_rexford),
+    ("rate", rate),
+    ("robustness", robustness),
+    ("engines", engines),
+];
 
 fn main() {
     let which: Vec<String> = std::env::args().skip(1).collect();
-    let all = which.is_empty();
-    let want = |name: &str| all || which.iter().any(|w| w == name);
-
-    if want("table1") {
-        table1();
+    if let Some(unknown) = which
+        .iter()
+        .find(|w| !EXPERIMENTS.iter().any(|(name, _)| name == w))
+    {
+        eprintln!(
+            "unknown experiment {unknown:?}\nusage: experiments [NAME...]   NAME one of: {}",
+            EXPERIMENTS.map(|(name, _)| name).join(", ")
+        );
+        std::process::exit(2);
     }
-    if want("table2") {
-        table2();
-    }
-    if want("figure1") {
-        figure1();
-    }
-    if want("figure2") {
-        figure2();
-    }
-    if want("eq1") {
-        eq1();
-    }
-    if want("theorem7") {
-        theorem7();
-    }
-    if want("count_to_infinity") {
-        count_to_infinity();
-    }
-    if want("theorem11") {
-        theorem11();
-    }
-    if want("section7") {
-        section7();
-    }
-    if want("gadgets") {
-        gadgets();
-    }
-    if want("gao_rexford") {
-        gao_rexford();
-    }
-    if want("rate") {
-        rate();
-    }
-    if want("robustness") {
-        robustness();
+    for (name, run) in EXPERIMENTS {
+        if which.is_empty() || which.iter().any(|w| w == name) {
+            run();
+        }
     }
 }
 
@@ -766,6 +759,113 @@ fn robustness() {
     print_table(
         "Experiment E9 (Section 3): convergence under loss/duplication/reordering sweeps",
         ("fault injection", "outcome"),
+        &rows,
+    );
+}
+
+/// δ's cost per time step on a 400-step random schedule: a fresh run up to
+/// the step at which the state stops changing, then the steps left once
+/// every row is down to one version.
+fn delta_step_cost<A: RoutingAlgebra>(alg: &A, adj: &AdjacencyMatrix<A>) -> String {
+    let n = adj.node_count();
+    let x0 = RoutingState::identity(alg, n);
+    let schedule = Schedule::random(n, 400, ScheduleParams::default(), 1);
+    let quiet_from = run_delta(alg, adj, &x0, &schedule)
+        .quiescent_from
+        .expect("a 400-step horizon is enough");
+    let settled = quiet_from + schedule.max_lag();
+    let mut run = DeltaRun::new(alg, adj, &x0, &schedule);
+    let mut ns_per_step = |until: usize| {
+        let steps = until - run.time();
+        let t0 = Instant::now();
+        for _ in 0..steps {
+            run.step(&mut NoopSink);
+        }
+        t0.elapsed().as_nanos() / steps.max(1) as u128
+    };
+    let active = ns_per_step(quiet_from);
+    ns_per_step(settled); // histories drain: neither regime
+    let quiet = ns_per_step(schedule.horizon());
+    format!(
+        "{active} ns per step over the {quiet_from} active steps, {quiet} ns over the {} quiet ones",
+        schedule.horizon() - settled
+    )
+}
+
+/// What a delivered message costs the two seeded message-level engines on
+/// the `policy-rich-bgp` builtin's network — at n = 20, the size the repo
+/// benchmark's `policy-diff` workload records, and at n = 40, which nothing
+/// else runs — under the builtin's second-phase faults; and what a time
+/// step costs δ before and after the state goes quiet.  One `Instant`
+/// around one run each: numbers to read, not to gate on.
+fn engines() {
+    let network = |n| {
+        let alg = BgpAlgebra::new(n);
+        let topo = generators::connected_random(n, 0.4, 5)
+            .with_weights(|i, j| policy_for_edge(0xBEEF, i, j, 2));
+        (alg, alg.adjacency_from_topology(&topo))
+    };
+    let mut rows = Vec::new();
+    for n in [20usize, 40] {
+        let (alg, adj) = network(n);
+        let reference = iterate_to_fixed_point(&alg, &adj, &RoutingState::identity(&alg, n), 4 * n);
+
+        let cfg = SimConfig {
+            loss_prob: 0.2,
+            duplicate_prob: 0.2,
+            seed: 1,
+            refresh_rounds: 64,
+            ..SimConfig::default()
+        };
+        let t0 = Instant::now();
+        let out = EventSim::new(&alg, &adj, cfg).run();
+        let ns = t0.elapsed().as_nanos() as u64;
+        rows.push((
+            format!("sim, n={n} (20 % loss and duplication)"),
+            format!(
+                "delivered={} sent={} {} ns per delivered message, on σ's fixed point = {}",
+                out.stats.delivered,
+                out.stats.sent,
+                ns / out.stats.delivered,
+                out.sigma_stable && out.final_state == reference.state
+            ),
+        ));
+
+        let cfg = BgpConfig {
+            max_delay: 5,
+            session_resets: 2,
+            max_time: 200_000,
+            seed: 1,
+            ..BgpConfig::default()
+        };
+        let t0 = Instant::now();
+        let report = BgpEngine::from_parts(alg, adj, cfg).run();
+        let ns = t0.elapsed().as_nanos() as u64;
+        rows.push((
+            format!("bgp, n={n} (2 session resets)"),
+            format!(
+                "delivered={} sent={} bytes={} {} ns per delivered message, on σ's fixed point = {}",
+                report.stats.updates_processed,
+                report.stats.messages_sent(),
+                report.stats.bytes_sent,
+                ns / report.stats.updates_processed,
+                report.converged && report.final_state == reference.state
+            ),
+        ));
+    }
+    let (alg, adj) = network(20);
+    rows.push(("δ, the n=20 network".into(), delta_step_cost(&alg, &adj)));
+    let ring = generators::ring(64).with_weights(|_, _| 1u64);
+    rows.push((
+        "δ, ring of 64, hop count".into(),
+        delta_step_cost(
+            &BoundedHopCount::new(64),
+            &AdjacencyMatrix::from_topology(&ring),
+        ),
+    ));
+    print_table(
+        "Experiment engines: cost per delivered message (sim, bgp) and per time step (δ)",
+        ("engine, workload", "one run"),
         &rows,
     );
 }

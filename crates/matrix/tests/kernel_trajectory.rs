@@ -406,27 +406,6 @@ fn a_changed_row_without_dependants_still_gets_its_verifying_round() {
     assert_eq!((idle.rounds, idle.converged), (0, true));
 }
 
-/// The pre-frontier baseline: recompute **every** row each round until a
-/// full sweep changes nothing.  Returns (state, rounds); cost is exactly
-/// `n · rounds` row recomputations.
-fn full_scan(
-    alg: &WidestPaths,
-    adj: &AdjacencyMatrix<WidestPaths>,
-    x0: &RoutingState<WidestPaths>,
-    max_rounds: usize,
-) -> (RoutingState<WidestPaths>, usize) {
-    let mut cur = x0.clone();
-    let mut next = cur.clone();
-    for k in 0..max_rounds {
-        sigma_into(alg, adj, &cur, &mut next);
-        if next == cur {
-            return (cur, k);
-        }
-        std::mem::swap(&mut cur, &mut next);
-    }
-    (cur, max_rounds)
-}
-
 #[test]
 fn the_frontier_reconverges_a_large_fabric_like_a_full_scan_at_half_the_rows() {
     // The incremental engine's bread and butter at the
@@ -449,18 +428,20 @@ fn the_frontier_reconverges_a_large_fabric_like_a_full_scan_at_half_the_rows() {
     let dirty = dirty_rows_after_change(&adj, &changed);
     let budget = 4 * n;
 
-    let (scan_state, scan_rounds) = full_scan(&alg, &changed, &baseline.state, budget);
+    // The scan baseline is this file's reference: whole-state σ until a
+    // sweep changes nothing, `n` row recomputations per sweep.
+    let scan = reference(&alg, &changed, &baseline.state, None, (0, n), budget);
     let frontier = iterate_dirty_to_fixed_point(&alg, &changed, &baseline.state, &dirty, budget);
-    assert!(frontier.converged, "the frontier did not converge");
+    assert!(scan.converged && frontier.converged);
     assert!(
-        frontier.state == scan_state,
+        window(&frontier.state, (0, n)) == scan.rows,
         "frontier and full-scan fixed points differ"
     );
     assert!(
-        scan_state != baseline.state,
+        frontier.state != baseline.state,
         "the failure must move the table"
     );
-    let scan_work = (n * scan_rounds.max(1)) as u64;
+    let scan_work = (n * scan.iterations.max(1)) as u64;
     assert!(
         2 * frontier.row_recomputations <= scan_work,
         "the frontier did {} row recomputations, the full scan {scan_work}",

@@ -232,13 +232,8 @@ impl RipEngine {
             n <= MAX_NODES,
             "{n} nodes do not fit the u16 wire fields (at most {MAX_NODES})"
         );
-        let mut listeners: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-        for i in 0..n {
-            for (j, _) in adj.row(i) {
-                // i imports from j, so j advertises to i.
-                listeners[*j].push(i);
-            }
-        }
+        // i imports from j, so j advertises to i.
+        let listeners = adj.dependants();
         let mut tables = Vec::with_capacity(n);
         for i in 0..n {
             let mut row = Vec::with_capacity(n);

@@ -28,7 +28,7 @@
 //! and is shrunk by the fuzzer into a replayable corpus case.
 
 use crate::engine::descriptor;
-use crate::spec::{AlgebraSpec, ChangeSpec, EngineKind, FaultSpec, Scenario, ScheduleSpec};
+use crate::spec::{AlgebraSpec, EngineKind, FaultSpec, Scenario, ScheduleSpec};
 use dbf_algebra::HeightBound;
 
 /// The predicted convergence bounds of one phase, derived from the spec.
@@ -133,14 +133,9 @@ pub fn schedule_window(faults: &FaultSpec) -> (u64, u64) {
 /// Pure in the spec: the same TOML yields byte-identical bounds at any
 /// `--threads`/`--jobs` setting, which the engine-contract tests pin.
 pub fn bound_table(spec: &Scenario) -> Vec<PhaseBound> {
-    let mut n = spec.topology.initial_nodes().unwrap_or(0) as u64;
     let mut out = Vec::with_capacity(spec.phases.len());
-    for phase in &spec.phases {
-        n += phase
-            .changes
-            .iter()
-            .filter(|c| matches!(c, ChangeSpec::AddNode))
-            .count() as u64;
+    for (phase, n) in spec.phases.iter().zip(spec.phase_node_counts()) {
+        let n = n as u64;
         let height = algebra_height(&spec.algebra, n);
         let (window, lag) = schedule_window(&phase.faults);
         let sync_bound = height.map(|h| n.saturating_mul(h.height));
@@ -175,7 +170,7 @@ pub fn bound_for_engine(kind: EngineKind, phase: &PhaseBound) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{PhaseSpec, TopologySpec, WeightRule};
+    use crate::spec::{ChangeSpec, PhaseSpec, TopologySpec, WeightRule};
 
     fn spec_with(algebra: AlgebraSpec, phases: Vec<PhaseSpec>) -> Scenario {
         Scenario {

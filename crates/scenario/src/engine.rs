@@ -45,9 +45,7 @@
 //! ```
 
 use crate::report::{Digest, EngineRun, PhaseOutcome};
-use crate::spec::{
-    AlgebraSpec, ChangeSpec, EngineKind, FaultSpec, Scenario, ScheduleSpec, SpecError,
-};
+use crate::spec::{AlgebraSpec, EngineKind, FaultSpec, Scenario, ScheduleSpec, SpecError};
 use dbf_algebra::prelude::BoundedHopCount;
 use dbf_algebra::RoutingAlgebra;
 use dbf_async::run_delta_traced;
@@ -188,13 +186,7 @@ fn supports_any(_spec: &Scenario) -> Result<(), SpecError> {
 /// (the initial shape plus every `add_node`) is rejected here rather than
 /// silently corrupted (the engine constructors assert the same bound).
 fn fits_wire_ids(engine: &str, spec: &Scenario) -> Result<(), SpecError> {
-    let added = spec
-        .phases
-        .iter()
-        .flat_map(|p| &p.changes)
-        .filter(|c| matches!(c, ChangeSpec::AddNode))
-        .count();
-    let nodes = spec.topology.initial_nodes().unwrap_or(0) + added;
+    let nodes = spec.phase_node_counts().last().copied().unwrap_or(0);
     let max = dbf_protocols::wire::MAX_NODES;
     if nodes > max {
         return Err(SpecError::new(format!(

@@ -136,6 +136,20 @@ impl ServeAlgebra {
             ServeAlgebra::Shortest => "shortest".to_string(),
         }
     }
+
+    /// A hop limit must be one `BoundedHopCount::new` takes (at least 1)
+    /// and a finite point of `ℕ∞` (`u64::MAX` stands for ∞).
+    fn validate(&self) -> Result<(), SpecError> {
+        match *self {
+            ServeAlgebra::Hopcount { limit } if limit == 0 || NatInf::try_fin(limit).is_none() => {
+                Err(SpecError::new(format!(
+                    "hop-count limit {limit} is out of range (limits are 1..={}; u64::MAX stands for ∞)",
+                    u64::MAX - 1
+                )))
+            }
+            _ => Ok(()),
+        }
+    }
 }
 
 /// A replayable churn trace: the initial topology, the routing algebra,
@@ -338,9 +352,13 @@ impl ChurnTrace {
                 }
                 "algebra" => {
                     algebra = Some(match &toks[1..] {
-                        ["hopcount", _] => ServeAlgebra::Hopcount {
-                            limit: num(2)? as u64,
-                        },
+                        ["hopcount", _] => {
+                            let algebra = ServeAlgebra::Hopcount {
+                                limit: num(2)? as u64,
+                            };
+                            algebra.validate().map_err(|e| bad(k, &e.message))?;
+                            algebra
+                        }
                         ["shortest"] => ServeAlgebra::Shortest,
                         _ => return Err(bad(k, "expected `hopcount <limit>` or `shortest`")),
                     });
@@ -399,6 +417,7 @@ pub struct TraceSpec {
 /// accepted by the replayer but not generated, so a 10⁶-event trace does
 /// not grow the network without bound).
 pub fn generate_trace(spec: &TraceSpec) -> Result<ChurnTrace, SpecError> {
+    spec.algebra.validate()?;
     let shape = build_shape(&spec.topology)?;
     let n = shape.node_count();
     if n < 3 {
@@ -570,10 +589,11 @@ impl BoundRule {
         let n = n as u64;
         match self {
             BoundRule::None => None,
-            BoundRule::Hopcount { limit } => Some(n * (limit + 2)),
+            BoundRule::Hopcount { limit } => Some(n.saturating_mul(limit.saturating_add(2))),
             BoundRule::Shortest => {
                 let w_max = overrides.values().copied().max().unwrap_or(1).max(1);
-                Some(n * (n.saturating_sub(1) * w_max + 2))
+                let height = n.saturating_sub(1).saturating_mul(w_max).saturating_add(2);
+                Some(n.saturating_mul(height))
             }
         }
     }
@@ -1511,6 +1531,7 @@ pub fn replay_trace_opts(
     opts: &ServeOptions,
     tel: &mut dyn TelemetrySink,
 ) -> Result<ReplayReport, SpecError> {
+    trace.algebra.validate()?;
     let shape = build_shape(&trace.topology)?;
     match trace.algebra {
         ServeAlgebra::Hopcount { limit } => {
@@ -1951,7 +1972,8 @@ pub fn serve_json(report: &ReplayReport, threads: usize, batch: usize) -> Json {
                 ),
                 (
                     "worst_flush_bound".into(),
-                    Json::Int(s.worst_flush_bound as i64),
+                    // a saturated bound must not read as −1
+                    Json::Int(i64::try_from(s.worst_flush_bound).unwrap_or(i64::MAX)),
                 ),
                 ("bound_ok".into(), Json::Int(s.bound_ok as i64)),
                 ("final_digest".into(), Json::str(&report.final_digest)),
@@ -2124,6 +2146,67 @@ mod tests {
                 to: 2,
                 weight: u64::MAX - 1
             })]
+        );
+    }
+
+    #[test]
+    fn a_hop_limit_the_carrier_cannot_hold_is_not_a_trace_algebra() {
+        let with_limit = |limit: u64| {
+            ChurnTrace::parse(&format!(
+                "{TRACE_HEADER}\ntopology ring 4\nalgebra hopcount {limit}\nfail_link 0 1\nquery 0 2\n"
+            ))
+        };
+        for limit in [0, u64::MAX] {
+            let err = with_limit(limit).expect_err("no such hop-count algebra");
+            assert!(
+                err.message.contains("line 3") && err.message.contains("out of range"),
+                "{err}"
+            );
+            // the generator and a hand-built trace are held to the same rule
+            let algebra = ServeAlgebra::Hopcount { limit };
+            let spec = TraceSpec {
+                topology: TopologySpec::Ring { n: 4 },
+                algebra,
+                events: 8,
+                seed: 1,
+                query_permille: 100,
+                weight_permille: 0,
+            };
+            let err = generate_trace(&spec).expect_err("no such hop-count algebra");
+            assert!(err.message.contains("out of range"), "{err}");
+            let built = ChurnTrace {
+                topology: TopologySpec::Ring { n: 4 },
+                algebra,
+                events: vec![ServeEvent::Query { from: 0, to: 2 }],
+            };
+            assert!(replay_trace(&built, 1, 16, &mut NoopSink).is_err());
+        }
+        // The largest limit is an algebra, and its bound saturates instead
+        // of wrapping to a small number.
+        let trace = with_limit(u64::MAX - 1).expect("the largest limit parses");
+        let report = replay_trace(&trace, 1, 16, &mut NoopSink).expect("replay");
+        assert!(report.failure.is_none());
+        assert_eq!(report.stats.worst_flush_bound, u64::MAX);
+    }
+
+    #[test]
+    fn flush_bounds_saturate() {
+        let none = WeightOverrides::new();
+        let huge = BoundRule::Hopcount {
+            limit: u64::MAX - 1,
+        };
+        assert_eq!(huge.rounds(4, &none), Some(u64::MAX));
+        assert_eq!(
+            BoundRule::Hopcount { limit: 8 }.rounds(4, &none),
+            Some(40),
+            "n·(limit + 2)"
+        );
+        let heavy = WeightOverrides::from([((0, 1), u64::MAX - 1)]);
+        assert_eq!(BoundRule::Shortest.rounds(4, &heavy), Some(u64::MAX));
+        assert_eq!(
+            BoundRule::Shortest.rounds(4, &none),
+            Some(20),
+            "n·((n−1)·1 + 2)"
         );
     }
 

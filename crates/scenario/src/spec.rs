@@ -545,9 +545,33 @@ impl ChangeSpec {
             ChangeSpec::AddNode => true,
         }
     }
+
+    /// How many nodes the change adds to the network.
+    pub fn added_nodes(&self) -> usize {
+        usize::from(matches!(self, ChangeSpec::AddNode))
+    }
 }
 
 impl Scenario {
+    /// The node count each phase runs on: the initial topology's (0 for a
+    /// gadget, which carries its own shape and takes no changes) plus every
+    /// `add_node` up to and including the phase's own.  Never shrinks, so
+    /// the last entry is the largest network the scenario reaches.
+    pub fn phase_node_counts(&self) -> Vec<usize> {
+        let mut n = self.topology.initial_nodes().unwrap_or(0);
+        self.phases
+            .iter()
+            .map(|phase| {
+                n += phase
+                    .changes
+                    .iter()
+                    .map(ChangeSpec::added_nodes)
+                    .sum::<usize>();
+                n
+            })
+            .collect()
+    }
+
     /// Check cross-field invariants that the type system cannot express.
     pub fn validate(&self) -> Result<(), SpecError> {
         if self.name.is_empty() {
@@ -618,9 +642,7 @@ impl Scenario {
                             phase.label
                         )));
                     }
-                    if matches!(c, ChangeSpec::AddNode) {
-                        *n += 1;
-                    }
+                    *n += c.added_nodes();
                 }
             }
             if let ScheduleSpec::AdversarialStale { period, .. } = phase.faults.schedule {
@@ -1288,6 +1310,10 @@ mod tests {
         assert!(s.validate().is_ok(), "{:?}", s.validate());
         s.phases[1].changes = vec![ChangeSpec::SetLink { a: 0, b: 7 }];
         assert!(s.validate().is_err(), "node 7 was never added");
+        assert_eq!(s.phase_node_counts(), [7, 7]);
+        s.phases[1].changes = vec![ChangeSpec::AddNode, ChangeSpec::AddNode];
+        assert_eq!(s.phase_node_counts(), [7, 9]);
+        assert_eq!(demo().phase_node_counts(), [6, 6]);
     }
 
     #[test]

@@ -18,7 +18,7 @@ fn temp_dir(name: &str) -> std::path::PathBuf {
     dir
 }
 
-/// The acceptance criterion: a fuzz run over the generated case stream is
+/// The acceptance test: a fuzz run over the generated case stream is
 /// green — every strictly-increasing random spec agrees across all engines
 /// — and the report is byte-identical for any worker count.
 #[test]

@@ -300,6 +300,26 @@ fn serve_cli_rejects_missing_and_malformed_traces() {
         .expect("run serve");
     assert!(!run.status.success());
     assert!(String::from_utf8_lossy(&run.stderr).contains("not a churn trace"));
+
+    // A header naming a hop-count algebra that does not exist — no hops at
+    // all, or the ∞ sentinel as the limit — is a usage error, not a panic.
+    for limit in ["0", "18446744073709551615"] {
+        std::fs::write(
+            &bad,
+            format!("# dbf-churn-trace v1\ntopology ring 4\nalgebra hopcount {limit}\nquery 0 2\n"),
+        )
+        .unwrap();
+        let run = scenarios_bin()
+            .args(["serve", "--replay", bad.to_str().unwrap()])
+            .output()
+            .expect("run serve");
+        assert_eq!(run.status.code(), Some(2), "limit {limit}");
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert!(
+            stderr.contains("trace line 3") && stderr.contains("out of range"),
+            "{stderr}"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -17,7 +17,7 @@
 //! | [`topology`] | network topologies and generators | — |
 //! | [`matrix`] | adjacency matrices, routing states, `σ`, synchronous iteration | §2.2–2.3 |
 //! | [`metric`] | ultrametrics, heights, contraction checkers | §3.3, §4.1, §5.2 |
-//! | [`asynch`] | schedules (S1–S3), the asynchronous iterate `δ`, simulators, dynamic networks | §3 |
+//! | [`asynch`] | schedules (S1–S3), the asynchronous iterate `δ`, the event simulator | §3 |
 //! | [`bgp`] | the safe-by-design policy-rich algebra, Gao-Rexford, SPP gadgets | §7 |
 //! | [`protocols`] | RIP-like and BGP-like engines, threaded runtime, wire formats | — |
 //! | [`telemetry`] | zero-cost-when-off instrumentation: sinks, metrics, JSONL traces | — |

@@ -127,39 +127,36 @@ fn dynamic_policy_and_topology_changes_reconverge() {
     let mut failed = filtered.clone();
     failed.remove_link(3, 4);
 
-    let mut run = DynamicRun::new();
-    run.push_epoch(
-        "baseline",
-        alg.adjacency_from_topology(&base),
-        Schedule::random(n, 300, ScheduleParams::default(), 1),
-    );
-    run.push_epoch(
-        "policy change: 0 filters 1",
-        alg.adjacency_from_topology(&filtered),
-        Schedule::random(n, 300, ScheduleParams::harsh(), 2),
-    );
-    run.push_epoch(
-        "link 3–4 fails",
-        alg.adjacency_from_topology(&failed),
-        Schedule::random(n, 400, ScheduleParams::harsh(), 3),
-    );
-
-    let outcomes = run.execute(&alg, &RoutingState::identity(&alg, n));
-    for epoch in &outcomes {
-        assert!(
-            epoch.outcome.sigma_stable,
-            "epoch '{}' must reconverge",
-            epoch.label
-        );
+    let epochs = [
+        (
+            "baseline",
+            &base,
+            Schedule::random(n, 300, ScheduleParams::default(), 1),
+        ),
+        (
+            "policy change: 0 filters 1",
+            &filtered,
+            Schedule::random(n, 300, ScheduleParams::harsh(), 2),
+        ),
+        (
+            "link 3–4 fails",
+            &failed,
+            Schedule::random(n, 400, ScheduleParams::harsh(), 3),
+        ),
+    ];
+    let mut last = RoutingState::identity(&alg, n);
+    for (label, topo, schedule) in &epochs {
+        let outcome = run_delta(&alg, &alg.adjacency_from_topology(topo), &last, schedule);
+        assert!(outcome.sigma_stable, "epoch '{label}' must reconverge");
+        last = outcome.final_state;
     }
-    let last = &outcomes[2].outcome.final_state;
     let reference = iterate_to_fixed_point(
         &alg,
         &alg.adjacency_from_topology(&failed),
         &RoutingState::identity(&alg, n),
         200,
     );
-    assert_eq!(last, &reference.state);
+    assert_eq!(last, reference.state);
 }
 
 /// The ultrametric machinery certifies convergence for the same systems the
