@@ -138,29 +138,6 @@ impl<A: RoutingAlgebra> AdjacencyMatrix<A> {
         }
     }
 
-    /// The adjacency relabeled by `perm`: the new matrix has
-    /// `A'[p(i)][p(j)] = A[i][j]`.  Edge *values* are untouched (a
-    /// path-vector annotation still names the original endpoints), which is
-    /// what lets the engines un-permute the fixed point and recover the
-    /// original-space digest bit for bit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `perm` is not over exactly this matrix's node count.
-    pub fn permuted(&self, perm: &crate::permute::NodePermutation) -> Self {
-        assert_eq!(self.n, perm.len(), "permutation size must match");
-        let mut rows: Vec<Vec<(NodeId, A::Edge)>> = vec![Vec::new(); self.n];
-        for (i, row) in self.rows.iter().enumerate() {
-            let mut new_row: Vec<(NodeId, A::Edge)> = row
-                .iter()
-                .map(|(j, e)| (perm.forward(*j), e.clone()))
-                .collect();
-            new_row.sort_unstable_by_key(|&(j, _)| j);
-            rows[perm.forward(i)] = new_row;
-        }
-        Self { n: self.n, rows }
-    }
-
     /// `dependants[k]` = the rows that import from row `k` (the transpose
     /// of the sparsity pattern).  This is the propagation structure both
     /// dirty-row engines and the full-sweep row-skip walk each round: when

@@ -22,7 +22,7 @@
 //! order, where column `j`'s digest is FNV-1a over `({i},{j})={route:?};`
 //! for rows `i` in order.  Every column lives entirely inside one block,
 //! so the combined digest is **invariant under the block width** — `--block`
-//! is a pure memory-layout choice, like `--row-order` and `--threads`.
+//! is a pure memory-layout choice, like `--threads`.
 
 use crate::adjacency::AdjacencyMatrix;
 use crate::kernel::{FixedPoint, Inline};

@@ -35,10 +35,6 @@
 //! * [`frontier`] — the epoch-stamped work queue the kernel drains: O(1)
 //!   dedup-insert, O(|frontier|) drain, and clearing by generation bump
 //!   instead of an O(n) scan per round;
-//! * [`permute`] — cache-conscious node relabelings (degree-sorted,
-//!   reverse-Cuthill-McKee): σ is permutation-equivariant, so engines may
-//!   iterate in a bandwidth-friendly row order and un-permute the fixed
-//!   point bit for bit;
 //! * [`parallel`] — the pooled executor: a round's work list cut into
 //!   degree-balanced bands computed by a worker pool, **bit-identical** to
 //!   the inline sweep at any thread count;
@@ -97,7 +93,6 @@ pub mod incremental;
 pub mod kernel;
 pub mod oracle;
 pub mod parallel;
-pub mod permute;
 pub mod pool;
 pub mod rib;
 pub mod sigma;
@@ -114,7 +109,6 @@ pub use incremental::{
 };
 pub use kernel::{Executor, FixedPoint, Inline, Start};
 pub use parallel::{par_iterate_to_fixed_point, ParallelAlgebra, Pooled};
-pub use permute::{NodePermutation, RowOrder};
 pub use pool::{default_jobs, PoolScope, PoolStats, WorkerPool};
 pub use rib::RibIn;
 pub use sigma::{sigma, sigma_entry, sigma_into, sigma_row_into, sigma_row_into_changed};
@@ -136,7 +130,6 @@ pub mod prelude {
     pub use crate::kernel::{Executor, FixedPoint, Inline, Start};
     pub use crate::oracle::exhaustive_path_optimum;
     pub use crate::parallel::{par_iterate_to_fixed_point, ParallelAlgebra, Pooled};
-    pub use crate::permute::{NodePermutation, RowOrder};
     pub use crate::pool::{PoolScope, PoolStats, WorkerPool};
     pub use crate::rib::RibIn;
     pub use crate::sigma::{

@@ -147,25 +147,6 @@ impl<A: RoutingAlgebra> RoutingState<A> {
             .any(|(a, b)| a != b)
     }
 
-    /// The state relabeled by `perm`: `X'[p(i)][p(j)] = X[i][j]`.  Route
-    /// values are cloned untouched, so [`RoutingState::unpermuted`] is an
-    /// exact inverse (see [`crate::permute`] for the equivariance
-    /// argument).
-    pub fn permuted(&self, perm: &crate::permute::NodePermutation) -> Self {
-        assert_eq!(self.n, perm.len(), "permutation size must match");
-        Self::from_fn(self.n, |i, j| {
-            self.get(perm.inverse(i), perm.inverse(j)).clone()
-        })
-    }
-
-    /// Undo [`RoutingState::permuted`]: `X'[i][j] = X[p(i)][p(j)]`.
-    pub fn unpermuted(&self, perm: &crate::permute::NodePermutation) -> Self {
-        assert_eq!(self.n, perm.len(), "permutation size must match");
-        Self::from_fn(self.n, |i, j| {
-            self.get(perm.forward(i), perm.forward(j)).clone()
-        })
-    }
-
     /// The number of invalid entries (useful as a crude progress metric).
     pub fn invalid_count(&self, alg: &A) -> usize {
         self.entries.iter().filter(|r| alg.is_invalid(r)).count()

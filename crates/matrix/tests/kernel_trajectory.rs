@@ -448,3 +448,47 @@ fn the_frontier_reconverges_a_large_fabric_like_a_full_scan_at_half_the_rows() {
         frontier.row_recomputations
     );
 }
+
+#[test]
+fn sigma_is_equivariant_under_relabeling() {
+    // For any node permutation P, σ_{PAP⁻¹}(PXP⁻¹) = P σ_A(X) P⁻¹: the
+    // ⊕-fold over a row's imports is order-independent (⊕ is associative,
+    // commutative and selective) and route values are untouched, so the
+    // row kernel may not depend on how the nodes happen to be numbered.
+    let alg = WidestPaths::new();
+    let topo = generators::leaf_spine(4, 17)
+        .with_weights(|i, j| NatInf::fin(((i * 11 + j * 5) % 90 + 10) as u64));
+    let adj = AdjacencyMatrix::<WidestPaths>::from_topology(&topo);
+    let n = adj.node_count();
+    let x = RoutingState::identity(&alg, n);
+    let one = sigma(&alg, &adj, &x);
+    let full = iterate_to_fixed_point(&alg, &adj, &x, 200);
+    assert!(full.converged);
+    // `to[old] = new`: hubs moved to the back, and a stride coprime to n.
+    let reversed: Vec<usize> = (0..n).rev().collect();
+    let strided: Vec<usize> = (0..n).map(|i| i * 8 % n).collect();
+    for (name, to) in [("reversed", reversed), ("strided", strided)] {
+        let mut from = vec![usize::MAX; n];
+        for (old, &new) in to.iter().enumerate() {
+            from[new] = old;
+        }
+        assert!(from.iter().all(|&old| old < n), "{name}: not a permutation");
+        let padj =
+            AdjacencyMatrix::<WidestPaths>::from_fn(n, |i, j| adj.get(from[i], from[j]).copied());
+        assert_eq!(padj.link_count(), adj.link_count(), "{name}");
+        let relabeled = |x: &RoutingState<WidestPaths>| {
+            RoutingState::<WidestPaths>::from_fn(n, |i, j| *x.get(from[i], from[j]))
+        };
+        let restored = |x: &RoutingState<WidestPaths>| {
+            RoutingState::<WidestPaths>::from_fn(n, |i, j| *x.get(to[i], to[j]))
+        };
+        // One round commutes ...
+        let pone = sigma(&alg, &padj, &relabeled(&x));
+        assert_eq!(restored(&pone), one, "{name}: one σ round");
+        // ... and so does the whole fixed-point iteration.
+        let pfull = iterate_to_fixed_point(&alg, &padj, &relabeled(&x), 200);
+        assert!(pfull.converged, "{name}");
+        assert_eq!(pfull.iterations, full.iterations, "{name}: same rounds");
+        assert_eq!(restored(&pfull.state), full.state, "{name}");
+    }
+}

@@ -258,7 +258,7 @@ impl PointReport {
 
     fn to_json(&self, include_timing: bool) -> Json {
         let mut fields = vec![
-            ("index".into(), Json::Int(self.index as i64)),
+            ("index".into(), Json::uint(self.index as u64)),
             ("label".into(), Json::str(&self.label)),
             (
                 "params".into(),
@@ -269,7 +269,7 @@ impl PointReport {
                         .collect(),
                 ),
             ),
-            ("replicates".into(), Json::Int(self.replicates as i64)),
+            ("replicates".into(), Json::uint(self.replicates as u64)),
             (
                 "seeds".into(),
                 Json::Arr(
@@ -304,7 +304,7 @@ impl PointReport {
                         .iter()
                         .map(|f| {
                             Json::Obj(vec![
-                                ("replicate".into(), Json::Int(f.replicate as i64)),
+                                ("replicate".into(), Json::uint(f.replicate as u64)),
                                 ("seed".into(), Json::str(format!("{:#018x}", f.seed))),
                                 ("converges".into(), Json::Bool(f.converges)),
                                 ("agreement".into(), Json::Bool(f.agreement)),
@@ -358,10 +358,10 @@ impl SweepReport {
             ("sweep".into(), Json::str(&self.sweep)),
             ("description".into(), Json::str(&self.description)),
             ("base".into(), Json::str(&self.base)),
-            ("replicates".into(), Json::Int(self.replicates as i64)),
+            ("replicates".into(), Json::uint(self.replicates as u64)),
         ];
         if include_timing {
-            fields.push(("threads".into(), Json::Int(self.threads as i64)));
+            fields.push(("threads".into(), Json::uint(self.threads as u64)));
         }
         fields.push(("ok".into(), Json::Bool(self.ok())));
         fields.push((

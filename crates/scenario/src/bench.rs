@@ -20,11 +20,11 @@ pub struct BenchRecord {
 
 fn settle_json(s: &SettleSummary) -> Json {
     Json::Obj(vec![
-        ("count".into(), Json::Int(s.count as i64)),
-        ("p50".into(), Json::Int(s.p50 as i64)),
-        ("p95".into(), Json::Int(s.p95 as i64)),
-        ("p99".into(), Json::Int(s.p99 as i64)),
-        ("max".into(), Json::Int(s.max as i64)),
+        ("count".into(), Json::uint(s.count)),
+        ("p50".into(), Json::uint(s.p50)),
+        ("p95".into(), Json::uint(s.p95)),
+        ("p99".into(), Json::uint(s.p99)),
+        ("max".into(), Json::uint(s.max)),
     ])
 }
 
@@ -51,7 +51,7 @@ pub fn bench_json(records: &[BenchRecord], threads: usize) -> Json {
     Json::Obj(vec![
         ("suite".into(), Json::str("dbf-scenario builtins")),
         ("schema_version".into(), Json::Int(3)),
-        ("threads".into(), Json::Int(threads.max(1) as i64)),
+        ("threads".into(), Json::uint(threads.max(1) as u64)),
         (
             "scenarios".into(),
             Json::Arr(
@@ -61,7 +61,7 @@ pub fn bench_json(records: &[BenchRecord], threads: usize) -> Json {
                         let r = &rec.report;
                         Json::Obj(vec![
                             ("name".into(), Json::str(&r.scenario)),
-                            ("phases".into(), Json::Int(r.phase_labels.len() as i64)),
+                            ("phases".into(), Json::uint(r.phase_labels.len() as u64)),
                             ("converges".into(), Json::Bool(r.verdict.converges)),
                             ("agreement".into(), Json::Bool(r.verdict.agreement)),
                             ("bounds_ok".into(), Json::Bool(r.verdict.bounds_ok)),
@@ -96,10 +96,10 @@ pub fn bench_json(records: &[BenchRecord], threads: usize) -> Json {
                                                 });
                                             Json::Obj(vec![
                                                 ("engine".into(), Json::str(&run.engine)),
-                                                ("rounds".into(), Json::Int(rounds as i64)),
-                                                ("work".into(), Json::Int(work as i64)),
-                                                ("messages".into(), Json::Int(messages as i64)),
-                                                ("bytes".into(), Json::Int(bytes as i64)),
+                                                ("rounds".into(), Json::uint(rounds)),
+                                                ("work".into(), Json::uint(work)),
+                                                ("messages".into(), Json::uint(messages)),
+                                                ("bytes".into(), Json::uint(bytes)),
                                                 (
                                                     "tightness".into(),
                                                     tightness.map_or(Json::Null, |t| {
@@ -136,13 +136,13 @@ pub fn bench_json(records: &[BenchRecord], threads: usize) -> Json {
                                                                     ),
                                                                     (
                                                                         "rounds".into(),
-                                                                        Json::Int(p.rounds as i64),
+                                                                        Json::uint(p.rounds),
                                                                     ),
                                                                     (
                                                                         "predicted_bound".into(),
                                                                         p.predicted_bound.map_or(
                                                                             Json::Null,
-                                                                            |b| Json::Int(b as i64),
+                                                                            Json::uint,
                                                                         ),
                                                                     ),
                                                                     (
@@ -160,7 +160,7 @@ pub fn bench_json(records: &[BenchRecord], threads: usize) -> Json {
                                                                     ),
                                                                     (
                                                                         "work".into(),
-                                                                        Json::Int(p.work as i64),
+                                                                        Json::uint(p.work),
                                                                     ),
                                                                     (
                                                                         "settle".into(),

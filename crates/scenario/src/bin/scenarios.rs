@@ -98,10 +98,6 @@ fn usage() -> ExitCode {
          \x20                  bit-identical for any value).  Default: hardware threads\n\
          \x20                  for run/run-all/bench, 1 for sweeps (which already\n\
          \x20                  parallelize across runs via --jobs)\n\
-         \x20 --row-order O    cache-conscious row ordering for the sigma engines:\n\
-         \x20                  none|degree|rcm (default none).  Pure memory layout —\n\
-         \x20                  every digest and deterministic counter is bit-identical\n\
-         \x20                  for every ordering\n\
          \x20 --timing         include wall-clock stats in the sweep JSON\n\
          \x20 --point K        run only grid point K of a sweep\n\
          \x20 --replicate R    run only replicate R of a sweep\n\
@@ -160,7 +156,6 @@ struct Options {
     out: Option<String>,
     jobs: Option<usize>,
     threads: Option<usize>,
-    row_order: Option<RowOrder>,
     timing: bool,
     point: Option<usize>,
     replicate: Option<usize>,
@@ -197,7 +192,6 @@ const RUN_ALL_OPTS: &[&str] = &[
     "--json",
     "--out",
     "--threads",
-    "--row-order",
     "--check-bounds",
 ];
 /// The options `bounds` accepts (a pure spec computation: no engine
@@ -212,17 +206,15 @@ const RUN_OPTS: &[&str] = &[
     "--json",
     "--out",
     "--threads",
-    "--row-order",
     "--trace",
     "--metrics",
 ];
 /// The options `profile` accepts.
-const PROFILE_OPTS: &[&str] = &["--engines", "--seeds", "--threads", "--row-order"];
+const PROFILE_OPTS: &[&str] = &["--engines", "--seeds", "--threads"];
 /// The options `sweep` accepts.
 const SWEEP_OPTS: &[&str] = &[
     "--jobs",
     "--threads",
-    "--row-order",
     "--json",
     "--timing",
     "--point",
@@ -230,8 +222,8 @@ const SWEEP_OPTS: &[&str] = &[
     "--out",
 ];
 /// The options the bench commands accept.
-const BENCH_OPTS: &[&str] = &["--out", "--threads", "--row-order"];
-const SWEEP_BENCH_OPTS: &[&str] = &["--jobs", "--threads", "--row-order", "--out"];
+const BENCH_OPTS: &[&str] = &["--out", "--threads"];
+const SWEEP_BENCH_OPTS: &[&str] = &["--jobs", "--threads", "--out"];
 /// The options `fuzz` accepts.
 const FUZZ_OPTS: &[&str] = &[
     "--cases", "--seed", "--case", "--jobs", "--corpus", "--json", "--out",
@@ -351,13 +343,6 @@ fn parse_options(args: &[String], allowed: &[&str]) -> Result<Options, String> {
             "--faults" => opts.faults = Some(value(arg, "a value", it)?),
             "--checkpoint" => opts.checkpoint = Some(value(arg, "a directory", it)?),
             "--recover" => opts.recover = Some(value(arg, "a directory", it)?),
-            "--row-order" => {
-                let v = text(arg, "a value", it)?;
-                opts.row_order = Some(
-                    RowOrder::parse(v)
-                        .ok_or_else(|| format!("bad --row-order {v:?} (none|degree|rcm)"))?,
-                );
-            }
             "--engines" => {
                 let engines = text(arg, "a value", it)?
                     .split(',')
@@ -467,7 +452,6 @@ fn run_threads(opts: &Options) -> usize {
 fn run_config(opts: &Options) -> RunConfig {
     RunConfig {
         threads: run_threads(opts),
-        row_order: opts.row_order.unwrap_or_default(),
     }
 }
 
@@ -604,7 +588,6 @@ fn run_one_sweep(sweep: &Sweep, target: &str, opts: &Options) -> Result<SweepRep
         // default to 1; `--threads` opts in (e.g. for grids whose wall time
         // is one huge point, or single-cell reproductions).
         threads: opts.threads.unwrap_or(1),
-        row_order: opts.row_order.unwrap_or_default(),
     };
     let report = run_sweep(sweep, &run_opts).map_err(|e| e.to_string())?;
     for point in &report.points {
@@ -734,26 +717,26 @@ fn cmd_bounds(target: &str, opts: &Options) -> Result<bool, String> {
                     .map(|pb| {
                         Json::Obj(vec![
                             ("label".into(), Json::str(&pb.label)),
-                            ("n".into(), Json::Int(pb.n as i64)),
+                            ("n".into(), Json::uint(pb.n)),
                             (
                                 "height".into(),
                                 pb.height.map_or(Json::Null, |h| {
                                     Json::Obj(vec![
-                                        ("h".into(), Json::Int(h.height as i64)),
+                                        ("h".into(), Json::uint(h.height)),
                                         ("exact".into(), Json::Bool(h.exact)),
                                         ("provenance".into(), Json::str(h.provenance)),
                                     ])
                                 }),
                             ),
-                            ("window".into(), Json::Int(pb.window as i64)),
-                            ("lag".into(), Json::Int(pb.lag as i64)),
+                            ("window".into(), Json::uint(pb.window)),
+                            ("lag".into(), Json::uint(pb.lag)),
                             (
                                 "sync_bound".into(),
-                                pb.sync_bound.map_or(Json::Null, |b| Json::Int(b as i64)),
+                                pb.sync_bound.map_or(Json::Null, Json::uint),
                             ),
                             (
                                 "async_bound".into(),
-                                pb.async_bound.map_or(Json::Null, |b| Json::Int(b as i64)),
+                                pb.async_bound.map_or(Json::Null, Json::uint),
                             ),
                         ])
                     })
@@ -1034,19 +1017,19 @@ fn cmd_scale_run(opts: &Options) -> Result<bool, String> {
     let json = Json::Obj(vec![
         ("run".into(), Json::str("scale")),
         ("family".into(), Json::str("as_graph")),
-        ("nodes".into(), Json::Int(n as i64)),
-        ("m".into(), Json::Int(m as i64)),
-        ("seed".into(), Json::Int(seed as i64)),
+        ("nodes".into(), Json::uint(n as u64)),
+        ("m".into(), Json::uint(m as u64)),
+        ("seed".into(), Json::uint(seed)),
         ("algebra".into(), Json::str(algebra)),
-        ("edges".into(), Json::Int(links as i64)),
-        ("block".into(), Json::Int(block as i64)),
-        ("blocks".into(), Json::Int(out.blocks as i64)),
+        ("edges".into(), Json::uint(links as u64)),
+        ("block".into(), Json::uint(block as u64)),
+        ("blocks".into(), Json::uint(out.blocks as u64)),
         ("converged".into(), Json::Bool(out.converged)),
-        ("rounds_max".into(), Json::Int(out.rounds_max as i64)),
-        ("rounds_total".into(), Json::Int(out.rounds_total as i64)),
+        ("rounds_max".into(), Json::uint(out.rounds_max as u64)),
+        ("rounds_total".into(), Json::uint(out.rounds_total as u64)),
         (
             "row_recomputations".into(),
-            Json::Int(out.row_recomputations as i64),
+            Json::uint(out.row_recomputations as u64),
         ),
         ("state_digest".into(), Json::str(out.digest.clone())),
         ("wall_ms".into(), Json::Num((wall_ms * 10.0).round() / 10.0)),

@@ -316,7 +316,7 @@ pub fn policy_rich_bgp() -> Scenario {
 
 /// Shortest paths on a preferential-attachment AS graph: the heavy-tailed
 /// degree profile (a few hubs, many degree-`m` leaves) is the shape the
-/// row-ordering and frontier machinery is built for, and failing the
+/// frontier and band-balancing machinery is built for, and failing the
 /// link between the two oldest (best-connected) nodes forces a global
 /// change-phase reconvergence through the hubs.
 pub fn as_hierarchy() -> Scenario {

@@ -371,8 +371,8 @@ pub fn chaos_json(outcomes: &[ChaosOutcome], threads: usize, batch: usize) -> Js
     Json::Obj(vec![
         ("schema_version".into(), Json::Int(1)),
         ("suite".into(), Json::str("dbf-chaos")),
-        ("threads".into(), Json::Int(threads as i64)),
-        ("batch".into(), Json::Int(batch as i64)),
+        ("threads".into(), Json::uint(threads as u64)),
+        ("batch".into(), Json::uint(batch as u64)),
         (
             "plans".into(),
             Json::Arr(
@@ -381,13 +381,13 @@ pub fn chaos_json(outcomes: &[ChaosOutcome], threads: usize, batch: usize) -> Js
                     .map(|o| {
                         Json::Obj(vec![
                             ("plan".into(), Json::str(&o.plan)),
-                            ("faults_fired".into(), Json::Int(o.faults_fired as i64)),
+                            ("faults_fired".into(), Json::uint(o.faults_fired as u64)),
                             ("crashed".into(), Json::Bool(o.crashed)),
                             ("recovered".into(), Json::Bool(o.recovered)),
                             ("digests_match".into(), Json::Bool(o.digests_match)),
                             ("answers_match".into(), Json::Bool(o.answers_match)),
                             ("bound_respected".into(), Json::Bool(o.bound_respected)),
-                            ("stale_answers".into(), Json::Int(o.stale_answers as i64)),
+                            ("stale_answers".into(), Json::uint(o.stale_answers)),
                             (
                                 "expected_failure".into(),
                                 match &o.expected_failure {

@@ -1,21 +1,25 @@
-//! The pluggable [`Engine`] trait and its registry.
+//! The engine registry and the one phase loop every engine runs in.
 //!
 //! Every way this repository can execute a routing problem — the
 //! synchronous σ-iteration, the incremental dirty-row σ, the asynchronous
 //! iterate δ, the fault-injecting event simulator, the genuinely concurrent
 //! threaded runtime, and the message-level RIP/BGP protocol engines — is
-//! one implementation of [`Engine`].  The registry turns the engine list
-//! into *data*: the scenario runner, the TOML codec, the sweep deriver, the
-//! fuzz generator and the `scenarios` CLI all consult [`descriptors`]
-//! instead of matching on engine kinds, so adding an engine is one trait
-//! impl plus one registration and nothing else.
+//! one [`EngineKind`] handed to [`run_engine`].  Theorems 7 and 11 say all
+//! of them land on one fixed point, so they may differ only in *how one
+//! phase is iterated*: the driver owns the run (label, carried state,
+//! telemetry bracket, clock, digest, [`PhaseOutcome`]) and an engine is a
+//! step function.  The registry turns the engine list into *data*: the
+//! scenario runner, the TOML codec, the sweep deriver, the fuzz generator
+//! and the `scenarios` CLI all consult [`descriptors`] instead of matching
+//! on engine kinds, so adding an engine is one descriptor, one step
+//! function and one arm in [`run_engine`].
 //!
 //! Running a single engine against a hand-built problem:
 //!
 //! ```
 //! use dbf_algebra::prelude::*;
 //! use dbf_matrix::AdjacencyMatrix;
-//! use dbf_scenario::engine::{engine_for, Problem};
+//! use dbf_scenario::engine::{run_engine, Problem};
 //! use dbf_scenario::spec::{EngineKind, FaultSpec};
 //! use dbf_telemetry::NoopSink;
 //! use dbf_topology::generators;
@@ -28,16 +32,14 @@
 //!     FaultSpec::default(),
 //! )];
 //!
-//! // The registry hands back any engine by kind; `rip` here exchanges real
-//! // wire-encoded protocol messages and must land on the same fixed point
-//! // as the synchronous reference.  The `threads` argument is the
-//! // worker-thread count: parallelizable engines shard their row sweep
-//! // across it and the result is bit-identical for every value.  The final
-//! // argument is a telemetry sink; `NoopSink` keeps instrumentation off.
-//! let sync = engine_for::<BoundedHopCount>(EngineKind::Sync);
-//! let rip = engine_for::<BoundedHopCount>(EngineKind::Rip);
-//! let a = sync.run(&alg, &problems, 1, 2, &mut NoopSink);
-//! let b = rip.run(&alg, &problems, 1, 1, &mut NoopSink);
+//! // Any engine runs by kind; `rip` here exchanges real wire-encoded
+//! // protocol messages and must land on the same fixed point as the
+//! // synchronous reference.  After the seed comes the worker-thread
+//! // count: parallelizable engines shard their row sweep across it and
+//! // the result is bit-identical for every value.  The final argument is
+//! // a telemetry sink; `NoopSink` keeps instrumentation off.
+//! let a = run_engine(EngineKind::Sync, &alg, &problems, 1, 2, &mut NoopSink);
+//! let b = run_engine(EngineKind::Rip, &alg, &problems, 1, 1, &mut NoopSink);
 //! assert!(a.phases[0].sigma_stable && b.phases[0].sigma_stable);
 //! assert_eq!(a.phases[0].digest, b.phases[0].digest);
 //! assert!(b.phases[0].bytes.unwrap() > 0, "protocol engines report wire bytes");
@@ -48,18 +50,17 @@ use crate::report::{Digest, EngineRun, PhaseOutcome};
 use crate::spec::{AlgebraSpec, EngineKind, FaultSpec, Scenario, ScheduleSpec, SpecError};
 use dbf_algebra::prelude::BoundedHopCount;
 use dbf_algebra::RoutingAlgebra;
-use dbf_async::run_delta_traced;
 use dbf_async::schedule::{Schedule, ScheduleParams};
 use dbf_async::sim::{EventSim, SimConfig};
-use dbf_async::{run_delta, DeltaOutcome};
+use dbf_async::{run_delta, run_delta_traced};
 use dbf_bgp::algebra::BgpAlgebra;
 use dbf_matrix::{
-    dirty_rows_after_change, is_stable, iterate_dirty_with, iterate_with, AdjacencyMatrix,
-    NodePermutation, Pooled, RoutingState, RowOrder,
+    dirty_rows_after_change, is_stable, AdjacencyMatrix, FixedPoint, Pooled, RoutingState, Start,
 };
 use dbf_protocols::bgp::{BgpConfig, BgpEngine};
 use dbf_protocols::rip::{RipConfig, RipEngine};
 use dbf_protocols::runtime::{run_threaded, ThreadedConfig};
+use dbf_protocols::ProtocolStats;
 use dbf_telemetry::{EventClass, MessageCounters, TelemetrySink};
 use std::any::Any;
 use std::fmt::Write as _;
@@ -229,8 +230,8 @@ fn supports_bgp(spec: &Scenario) -> Result<(), SpecError> {
     }
 }
 
-/// The registered engines, in presentation order.  **This table and
-/// [`engine_for`] are the only places a new engine must be added.**
+/// The registered engines, in presentation order.  **This table and the
+/// match in [`run_engine`] are the only places a new engine must be added.**
 pub fn descriptors() -> &'static [EngineInfo] {
     static DESCRIPTORS: [EngineInfo; 7] = [
         EngineInfo {
@@ -390,92 +391,18 @@ pub fn eligible_engines(
         .collect()
 }
 
-/// An execution engine: anything that can take a sequence of phase
-/// [`Problem`]s to (per phase) a claimed fixed point.
-///
-/// The contract every implementation must honour (and that
-/// `tests/engine_contract.rs` enforces for each registered engine):
-///
-/// * one [`PhaseOutcome`] per problem, in order, carrying that phase's
-///   final-state digest produced by [`state_digest`];
-/// * `sigma_stable` is true only if the phase's final state is genuinely
-///   σ-stable on the phase's adjacency;
-/// * on strictly-increasing algebras the final digest must agree with the
-///   synchronous engine (Theorems 7/11 — this is what the differential
-///   checker asserts);
-/// * runs are deterministic in `(problems, seed)` — **including the thread
-///   count**: a [parallelizable](EngineInfo::parallelizable) engine must
-///   produce bit-identical outcomes for every `threads` value (only
-///   `wall_ms` may differ), and non-parallelizable engines ignore it;
-/// * telemetry is honest: with an enabled sink the engine brackets every
-///   phase with `phase_start`/`phase_end`, emits exactly the event classes
-///   its [`EngineInfo::events`] advertises, and (when
-///   [`EngineInfo::deterministic_counters`]) every event except wall-clock
-///   durations is a pure function of `(problems, seed)`.
-pub trait Engine<A: ScenarioAlgebra>
-where
-    A::Route: Send + Sync + 'static,
-    A::Edge: PartialEq + Send + Sync + 'static,
-{
-    /// The engine's static metadata.
-    fn info(&self) -> &'static EngineInfo;
-
-    /// Execute the phase sequence.  Deterministic engines receive the first
-    /// scenario seed and may ignore it; `threads` is the intra-run
-    /// worker-thread budget for parallelizable engines; `tel` receives the
-    /// engine's telemetry events (pass
-    /// [`NoopSink`](dbf_telemetry::NoopSink) to keep instrumentation off —
-    /// the kernels skip all telemetry-only work for a disabled sink).
-    fn run(
-        &self,
-        alg: &A,
-        problems: &[Problem<A>],
-        seed: u64,
-        threads: usize,
-        tel: &mut dyn TelemetrySink,
-    ) -> EngineRun;
-
-    /// [`run`](Engine::run) under a cache-conscious row ordering.  σ is
-    /// equivariant under node relabeling, so the outcome — every digest,
-    /// round count and deterministic telemetry counter — is bit-identical
-    /// for every [`RowOrder`]; only wall time may move.  The default
-    /// ignores the ordering (it only shapes the σ engines' memory layout);
-    /// [`SyncEngine`] and [`IncrementalEngine`] override it to relabel each
-    /// phase at setup and invert the relabeling before digesting.
-    fn run_ordered(
-        &self,
-        alg: &A,
-        problems: &[Problem<A>],
-        seed: u64,
-        threads: usize,
-        _row_order: RowOrder,
-        tel: &mut dyn TelemetrySink,
-    ) -> EngineRun {
-        self.run(alg, problems, seed, threads, tel)
+/// The report label of one engine invocation: the registry name, tagged
+/// with the seed for the engines that consume one.  The one source of the
+/// label — the run's telemetry marker, the returned [`EngineRun`] and the
+/// placeholder `run.rs` synthesizes for an engine that panicked all read it
+/// here.
+pub(crate) fn engine_label(kind: EngineKind, seed: u64) -> String {
+    let info = descriptor(kind);
+    match info.determinism {
+        Determinism::Fixed => info.name.to_string(),
+        Determinism::Seeded => format!("{}[{seed}]", info.name),
     }
 }
-
-/// Look up the runner for an engine kind.  **This match and
-/// [`descriptors`] are the only places a new engine must be added.**
-pub fn engine_for<A: ScenarioAlgebra>(kind: EngineKind) -> Box<dyn Engine<A>>
-where
-    A::Route: Send + Sync + 'static,
-    A::Edge: PartialEq + Send + Sync + 'static,
-{
-    match kind {
-        EngineKind::Sync => Box::new(SyncEngine),
-        EngineKind::Incremental => Box::new(IncrementalEngine),
-        EngineKind::Delta => Box::new(DeltaEngine),
-        EngineKind::Sim => Box::new(SimEngine),
-        EngineKind::Threaded => Box::new(ThreadedEngine),
-        EngineKind::Rip => Box::new(RipCheckerEngine),
-        EngineKind::Bgp => Box::new(BgpCheckerEngine),
-    }
-}
-
-// ---------------------------------------------------------------------
-// Shared helpers
-// ---------------------------------------------------------------------
 
 /// The stable digest of a routing state (FNV-1a over the `Debug` rendering
 /// of every entry) — the currency of the differential checker.
@@ -488,464 +415,175 @@ pub fn state_digest<A: RoutingAlgebra>(state: &RoutingState<A>) -> String {
     d.finish()
 }
 
-/// Carry a state into a phase whose problem may have more nodes (a node
-/// joined the network).
-fn carry<A: RoutingAlgebra>(alg: &A, state: RoutingState<A>, n: usize) -> RoutingState<A> {
-    if state.node_count() < n {
-        state.grown(alg, n)
-    } else {
-        state
-    }
-}
-
-/// The σ iterate budget of one phase: `bound + 1` when the bound oracle
-/// annotated the problem (the extra round turns an off-by-one in a bound
-/// formula into a visible bound violation instead of a convergence
-/// failure), otherwise the quadratic fallback.
-fn sync_iteration_budget<A: RoutingAlgebra>(p: &Problem<A>) -> usize {
-    dbf_matrix::iteration_budget(p.adj.node_count(), p.round_budget)
-}
-
-fn schedule_for(faults: &FaultSpec, n: usize, seed: u64) -> Schedule {
-    match faults.schedule {
-        ScheduleSpec::AdversarialStale { victim, period } => Schedule::adversarial_stale(
-            n,
-            faults.horizon.max(1),
-            victim % n.max(1),
-            (period.max(1)) as usize,
-            (faults.max_delay as usize).max(1),
-        ),
-        ScheduleSpec::Random => {
-            let params = ScheduleParams {
-                activation_prob: faults.activation.clamp(0.05, 1.0),
-                max_delay: (faults.max_delay as usize).max(1),
-                duplicate_prob: faults.duplicate.clamp(0.0, 1.0),
-                reorder_prob: faults.reorder.clamp(0.0, 1.0),
-            };
-            Schedule::random(n, faults.horizon.max(1), params, seed)
-        }
-    }
-}
-
-fn sim_config_for(faults: &FaultSpec, seed: u64) -> SimConfig {
-    SimConfig {
-        loss_prob: faults.loss.clamp(0.0, 1.0),
-        duplicate_prob: faults.duplicate.clamp(0.0, 1.0),
-        min_delay: faults.min_delay.max(1),
-        max_delay: faults.max_delay.max(faults.min_delay.max(1)),
+/// Execute a phase sequence on one engine: take every [`Problem`] to (per
+/// phase) a claimed fixed point.
+///
+/// Deterministic engines receive the first scenario seed and ignore it;
+/// `threads` is the intra-run worker-thread budget for parallelizable
+/// engines; `tel` receives the run's telemetry events (pass
+/// [`NoopSink`](dbf_telemetry::NoopSink) to keep instrumentation off — the
+/// kernels skip all telemetry-only work for a disabled sink).
+///
+/// This function is the whole run: the label, the identity start, the
+/// state carried from phase to phase, the `phase_start`/clock/`phase_end`
+/// bracket, the digest and the assembly of every [`PhaseOutcome`].  An
+/// engine contributes only what differs — how a [`FaultSpec`] maps to its
+/// configuration (computed before the clock starts) and how one phase is
+/// iterated.  The contract every engine honours (and that
+/// `tests/engine_contract.rs` enforces for each registered kind):
+///
+/// * one [`PhaseOutcome`] per problem, in order, carrying that phase's
+///   final-state digest produced by [`state_digest`];
+/// * `sigma_stable` is true only if the phase's final state is genuinely
+///   σ-stable on the phase's adjacency;
+/// * on strictly-increasing algebras the final digest must agree with the
+///   synchronous engine (Theorems 7/11 — this is what the differential
+///   checker asserts);
+/// * runs are deterministic in `(problems, seed)` — **including the thread
+///   count**: a [parallelizable](EngineInfo::parallelizable) engine must
+///   produce bit-identical outcomes for every `threads` value (only
+///   `wall_ms` may differ), and non-parallelizable engines ignore it;
+/// * telemetry is honest: exactly one `run_start` carrying the returned
+///   label, one `phase_start`/`phase_end` pair per problem, in between
+///   exactly the event classes the engine's [`EngineInfo::events`]
+///   advertises, and (when [`EngineInfo::deterministic_counters`]) every
+///   event except wall-clock durations is a pure function of
+///   `(problems, seed)`.
+pub fn run_engine<A: ScenarioAlgebra>(
+    kind: EngineKind,
+    alg: &A,
+    problems: &[Problem<A>],
+    seed: u64,
+    threads: usize,
+    tel: &mut dyn TelemetrySink,
+) -> EngineRun
+where
+    A::Route: Send + Sync + 'static,
+    A::Edge: PartialEq + Send + Sync + 'static,
+{
+    let run = Run {
+        kind,
+        alg,
+        problems,
         seed,
-        max_events: 2_000_000,
-        refresh_rounds: 64,
+        threads,
+    };
+    // **This match and [`descriptors`] are the only places a new engine
+    // must be added.**
+    match kind {
+        EngineKind::Sync | EngineKind::Incremental => run.drive(tel, Phase::executor, Phase::sigma),
+        EngineKind::Delta => run.drive(tel, Phase::schedule, Phase::delta),
+        EngineKind::Sim => run.drive(tel, Phase::sim_config, Phase::sim),
+        EngineKind::Threaded => run.drive(tel, |_| (), Phase::threaded),
+        EngineKind::Rip => run.drive(tel, Phase::rip_config, Phase::rip),
+        EngineKind::Bgp => run.drive(tel, Phase::bgp_config, Phase::bgp),
     }
 }
 
-/// Downcast helper for the algebra-specific protocol adapters: the
-/// registry is generic over `A`, the RIP/BGP machinery is not.
-fn downcast<Src: Any, Dst: Any>(value: &Src) -> Option<&Dst> {
-    (value as &dyn Any).downcast_ref::<Dst>()
+/// The arguments of one [`run_engine`] call.
+struct Run<'a, A: RoutingAlgebra> {
+    kind: EngineKind,
+    alg: &'a A,
+    problems: &'a [Problem<A>],
+    seed: u64,
+    threads: usize,
 }
 
-/// Translates `node_settled` events from a permuted iteration space back
-/// into original node ids, so settle histograms (and traces) are identical
-/// whatever row ordering the engine iterated under.  Every other event is
-/// forwarded untouched — round counts, frontier sizes and change counts are
-/// permutation-invariant already.
-struct RelabelSink<'a> {
-    inner: &'a mut dyn TelemetrySink,
-    perm: &'a NodePermutation,
+/// One phase of a run, as an engine's step sees it.
+struct Phase<'a, A: RoutingAlgebra> {
+    kind: EngineKind,
+    alg: &'a A,
+    problem: &'a Problem<A>,
+    /// The previous phase's adjacency, when that phase ended σ-stable: the
+    /// carried state is then a fixed point of it.
+    settled_on: Option<&'a AdjacencyMatrix<A>>,
+    /// The phase's position in the run.
+    index: usize,
+    seed: u64,
+    threads: usize,
 }
 
-impl TelemetrySink for RelabelSink<'_> {
-    fn enabled(&self) -> bool {
-        self.inner.enabled()
-    }
-    fn run_start(&mut self, run: &str, engine: &str) {
-        self.inner.run_start(run, engine);
-    }
-    fn phase_start(&mut self, label: &str, nodes: usize) {
-        self.inner.phase_start(label, nodes);
-    }
-    fn phase_end(&mut self, label: &str) {
-        self.inner.phase_end(label);
-    }
-    fn round_start(&mut self, round: u64, scheduled: u64, frontier: u64) {
-        self.inner.round_start(round, scheduled, frontier);
-    }
-    fn round_end(&mut self, round: u64, recomputed: u64, changed: u64, wall_ns: u64) {
-        self.inner.round_end(round, recomputed, changed, wall_ns);
-    }
-    fn band_sweep(&mut self, round: u64, band: u64, rows: u64, weight: u64, wall_ns: u64) {
-        self.inner.band_sweep(round, band, rows, weight, wall_ns);
-    }
-    fn node_settled(&mut self, node: usize, round: u64) {
-        self.inner.node_settled(self.perm.inverse(node), round);
-    }
-    fn messages(&mut self, counters: &MessageCounters) {
-        self.inner.messages(counters);
-    }
-    fn serve_batch(
-        &mut self,
-        batch: u64,
-        events: u64,
-        naive_dirty: u64,
-        batch_dirty: u64,
-        rounds: u64,
-    ) {
-        self.inner
-            .serve_batch(batch, events, naive_dirty, batch_dirty, rounds);
-    }
-    fn pool_utilization(&mut self, workers: u64, epochs: u64, jobs: u64, worker_share: f64) {
-        self.inner
-            .pool_utilization(workers, epochs, jobs, worker_share);
-    }
+/// What a step hands back: the state to carry on and the phase's readings.
+struct Step<A: RoutingAlgebra> {
+    state: RoutingState<A>,
+    /// Is `state` σ-stable on the phase's adjacency?  `None` leaves the
+    /// answer to the driver's [`is_stable`] sweep, which runs after the
+    /// clock has stopped so that `wall_ms` entries stay comparable across
+    /// the benchmark trajectory.
+    stable: Option<bool>,
+    rounds: u64,
+    work: u64,
+    messages: Option<u64>,
+    bytes: Option<u64>,
+    /// The message plane's counters, for the `messages` telemetry event.
+    counters: Option<MessageCounters>,
+    /// Per node, when its table row last changed — for an engine that
+    /// learns settle times only from its finished run (the σ kernel and δ
+    /// emit theirs themselves).
+    settled: Vec<u64>,
 }
 
-// ---------------------------------------------------------------------
-// Engine 1: synchronous σ
-// ---------------------------------------------------------------------
-
-/// Synchronous σ-iteration to a fixed point (`dbf-matrix`) — the reference
-/// semantics every other engine is checked against.
-pub struct SyncEngine;
-
-impl<A: ScenarioAlgebra> Engine<A> for SyncEngine
+impl<'a, A: ScenarioAlgebra> Run<'a, A>
 where
     A::Route: Send + Sync + 'static,
     A::Edge: PartialEq + Send + Sync + 'static,
 {
-    fn info(&self) -> &'static EngineInfo {
-        descriptor(EngineKind::Sync)
-    }
-
-    fn run(
+    /// The one phase loop.  `plan` maps the phase's fault profile to the
+    /// engine's configuration before the clock starts; `step` iterates the
+    /// phase on the clock.
+    fn drive<C>(
         &self,
-        alg: &A,
-        problems: &[Problem<A>],
-        seed: u64,
-        threads: usize,
         tel: &mut dyn TelemetrySink,
+        plan: impl Fn(&Phase<'a, A>) -> C,
+        step: impl Fn(&Phase<'a, A>, C, RoutingState<A>, &mut dyn TelemetrySink) -> Step<A>,
     ) -> EngineRun {
-        self.run_ordered(alg, problems, seed, threads, RowOrder::None, tel)
-    }
-
-    fn run_ordered(
-        &self,
-        alg: &A,
-        problems: &[Problem<A>],
-        _seed: u64,
-        threads: usize,
-        row_order: RowOrder,
-        tel: &mut dyn TelemetrySink,
-    ) -> EngineRun {
-        tel.run_start("sync", "sync");
-        let exec = Pooled::shared(threads);
-        let mut state = RoutingState::identity(alg, problems[0].adj.node_count());
-        let mut phases = Vec::with_capacity(problems.len());
-        for p in problems {
-            let n = p.adj.node_count();
-            state = carry(alg, state, n);
-            // The relabeling is pure setup: σ is equivariant under it, so
-            // iterating the permuted problem and inverting the permutation
-            // afterwards lands on the exact state — and digest — the
-            // unpermuted iteration produces.
-            let perm = NodePermutation::for_order(row_order, &p.adj);
-            tel.phase_start(&p.label, n);
-            let start = Instant::now();
-            let out = if perm.is_identity() {
-                iterate_with(alg, &p.adj, &state, sync_iteration_budget(p), &exec, tel)
-            } else {
-                let padj = p.adj.permuted(&perm);
-                let pstate = state.permuted(&perm);
-                let mut relabel = RelabelSink {
-                    inner: &mut *tel,
-                    perm: &perm,
-                };
-                let mut out = iterate_with(
-                    alg,
-                    &padj,
-                    &pstate,
-                    sync_iteration_budget(p),
-                    &exec,
-                    &mut relabel,
-                );
-                out.state = out.state.unpermuted(&perm);
-                out
+        let label = engine_label(self.kind, self.seed);
+        tel.run_start(&label, descriptor(self.kind).name);
+        let mut state = RoutingState::identity(self.alg, self.problems[0].adj.node_count());
+        let mut phases: Vec<PhaseOutcome> = Vec::with_capacity(self.problems.len());
+        for (index, problem) in self.problems.iter().enumerate() {
+            let n = problem.adj.node_count();
+            // A node may have joined the network since the last phase.
+            if state.node_count() < n {
+                state = state.grown(self.alg, n);
+            }
+            let phase = Phase {
+                kind: self.kind,
+                alg: self.alg,
+                problem,
+                settled_on: match phases.last() {
+                    Some(prev) if prev.sigma_stable => Some(&self.problems[index - 1].adj),
+                    _ => None,
+                },
+                index,
+                seed: self.seed,
+                threads: self.threads,
             };
-            let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-            tel.phase_end(&p.label);
-            // A converged iteration *is* the stability proof (the last
-            // round changed no row); re-running σ to check would cost a
-            // full extra round plus an n² allocation — at n = 10⁴ a large
-            // slice of the phase's run time.  The fallback only fires on
-            // budget exhaustion, and sits outside the timed window like
-            // the pre-parallel engine's check did, keeping wall_ms
-            // entries comparable across the benchmark trajectory.
-            let sigma_stable = out.converged || is_stable(alg, &p.adj, &out.state);
-            state = out.state;
-            phases.push(PhaseOutcome {
-                label: p.label.clone(),
-                sigma_stable,
-                rounds: out.iterations as u64,
-                predicted_bound: None,
-                work: out.iterations as u64,
-                messages: None,
-                bytes: None,
-                wall_ms,
-                digest: state_digest(&state),
-            });
-        }
-        EngineRun {
-            engine: "sync".into(),
-            phases,
-            error: None,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Engine 2: incremental dirty-row σ
-// ---------------------------------------------------------------------
-
-/// Incremental σ (`dbf-matrix::incremental`): tracks dirty rows so a
-/// topology change recomputes only the perturbed region, while reproducing
-/// the synchronous trajectory state-for-state.  `work` counts row
-/// recomputations (a full σ round costs `n` of them).
-pub struct IncrementalEngine;
-
-impl<A: ScenarioAlgebra> Engine<A> for IncrementalEngine
-where
-    A::Route: Send + Sync + 'static,
-    A::Edge: PartialEq + Send + Sync + 'static,
-{
-    fn info(&self) -> &'static EngineInfo {
-        descriptor(EngineKind::Incremental)
-    }
-
-    fn run(
-        &self,
-        alg: &A,
-        problems: &[Problem<A>],
-        seed: u64,
-        threads: usize,
-        tel: &mut dyn TelemetrySink,
-    ) -> EngineRun {
-        self.run_ordered(alg, problems, seed, threads, RowOrder::None, tel)
-    }
-
-    fn run_ordered(
-        &self,
-        alg: &A,
-        problems: &[Problem<A>],
-        _seed: u64,
-        threads: usize,
-        row_order: RowOrder,
-        tel: &mut dyn TelemetrySink,
-    ) -> EngineRun {
-        tel.run_start("incremental", "incremental");
-        let exec = Pooled::shared(threads);
-        let mut state = RoutingState::identity(alg, problems[0].adj.node_count());
-        let mut phases = Vec::with_capacity(problems.len());
-        // The dirty-start optimisation is only sound from a fixed point of
-        // the previous phase; a phase that failed to converge (budget
-        // exhausted on a non-increasing algebra) poisons it.
-        let mut prev: Option<(usize, bool)> = None;
-        for (k, p) in problems.iter().enumerate() {
-            let n = p.adj.node_count();
-            state = carry(alg, state, n);
-            let perm = NodePermutation::for_order(row_order, &p.adj);
-            tel.phase_start(&p.label, n);
+            let config = plan(&phase);
+            tel.phase_start(&problem.label, n);
             let start = Instant::now();
-            // The dirty mask is diffed in the original node space (the
-            // spec's adjacency pair), then relabeled alongside the state:
-            // the permuted worklists are the same row *sets*, so rounds and
-            // row-recomputation counts are identical for every ordering.
-            let dirty = match prev {
-                Some((prev_k, true)) => dirty_rows_after_change(&problems[prev_k].adj, &p.adj),
-                _ => vec![true; n],
-            };
-            let out = if perm.is_identity() {
-                iterate_dirty_with(
-                    alg,
-                    &p.adj,
-                    &state,
-                    &dirty,
-                    sync_iteration_budget(p),
-                    &exec,
-                    tel,
-                )
-            } else {
-                let padj = p.adj.permuted(&perm);
-                let pstate = state.permuted(&perm);
-                let pdirty = perm.permute_mask(&dirty);
-                let mut relabel = RelabelSink {
-                    inner: &mut *tel,
-                    perm: &perm,
-                };
-                let mut out = iterate_dirty_with(
-                    alg,
-                    &padj,
-                    &pstate,
-                    &pdirty,
-                    sync_iteration_budget(p),
-                    &exec,
-                    &mut relabel,
-                );
-                out.state = out.state.unpermuted(&perm);
-                out
-            };
-            let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-            tel.phase_end(&p.label);
-            state = out.state;
-            prev = Some((k, out.converged));
-            phases.push(PhaseOutcome {
-                label: p.label.clone(),
-                // An empty dirty set is a proof of σ-stability (every row
-                // was recomputed after its inputs last changed), so no
-                // separate full-σ stability sweep is needed — that sweep
-                // would cost more than the incremental phase itself.
-                sigma_stable: out.converged,
-                rounds: out.rounds as u64,
-                predicted_bound: None,
-                work: out.row_recomputations,
-                messages: None,
-                bytes: None,
-                wall_ms,
-                digest: state_digest(&state),
-            });
-        }
-        EngineRun {
-            engine: "incremental".into(),
-            phases,
-            error: None,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Engine 3: the asynchronous iterate δ
-// ---------------------------------------------------------------------
-
-/// The asynchronous iterate δ under seeded random (or worst-case
-/// adversarial-staleness) schedules (`dbf-async`).
-pub struct DeltaEngine;
-
-impl<A: ScenarioAlgebra> Engine<A> for DeltaEngine
-where
-    A::Route: Send + Sync + 'static,
-    A::Edge: PartialEq + Send + Sync + 'static,
-{
-    fn info(&self) -> &'static EngineInfo {
-        descriptor(EngineKind::Delta)
-    }
-
-    fn run(
-        &self,
-        alg: &A,
-        problems: &[Problem<A>],
-        seed: u64,
-        _threads: usize,
-        tel: &mut dyn TelemetrySink,
-    ) -> EngineRun {
-        let label = format!("delta[{seed}]");
-        tel.run_start(&label, "delta");
-        let mut state = RoutingState::identity(alg, problems[0].adj.node_count());
-        let mut phases = Vec::with_capacity(problems.len());
-        for (k, p) in problems.iter().enumerate() {
-            let n = p.adj.node_count();
-            state = carry(alg, state, n);
-            let sched = schedule_for(&p.faults, n, seed.wrapping_add(k as u64 * 0x9E37));
-            tel.phase_start(&p.label, n);
-            let start = Instant::now();
-            let out: DeltaOutcome<A> = if tel.enabled() {
-                run_delta_traced(alg, &p.adj, &state, &sched, &mut *tel)
-            } else {
-                run_delta(alg, &p.adj, &state, &sched)
-            };
-            let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-            tel.phase_end(&p.label);
-            state = out.final_state;
-            phases.push(PhaseOutcome {
-                label: p.label.clone(),
-                sigma_stable: out.sigma_stable,
-                // Quiescence time: how deep into the schedule the state
-                // kept changing (the full horizon if it never settled).
-                rounds: out.quiescent_from.unwrap_or(sched.horizon()) as u64,
-                predicted_bound: None,
-                work: out.activations as u64,
-                messages: None,
-                bytes: None,
-                wall_ms,
-                digest: state_digest(&state),
-            });
-        }
-        EngineRun {
-            engine: label,
-            phases,
-            error: None,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Engine 4: the discrete-event message simulator
-// ---------------------------------------------------------------------
-
-/// The fault-injecting discrete-event message simulator (`dbf-async`).
-pub struct SimEngine;
-
-impl<A: ScenarioAlgebra> Engine<A> for SimEngine
-where
-    A::Route: Send + Sync + 'static,
-    A::Edge: PartialEq + Send + Sync + 'static,
-{
-    fn info(&self) -> &'static EngineInfo {
-        descriptor(EngineKind::Sim)
-    }
-
-    fn run(
-        &self,
-        alg: &A,
-        problems: &[Problem<A>],
-        seed: u64,
-        _threads: usize,
-        tel: &mut dyn TelemetrySink,
-    ) -> EngineRun {
-        let label = format!("sim[{seed}]");
-        tel.run_start(&label, "sim");
-        let mut state = RoutingState::identity(alg, problems[0].adj.node_count());
-        let mut phases = Vec::with_capacity(problems.len());
-        for (k, p) in problems.iter().enumerate() {
-            let n = p.adj.node_count();
-            state = carry(alg, state, n);
-            let cfg = sim_config_for(&p.faults, seed.wrapping_add(k as u64 * 0xA5A5));
-            tel.phase_start(&p.label, n);
-            let start = Instant::now();
-            let out = EventSim::with_initial_state(alg, &p.adj, cfg, &state).run();
+            let out = step(&phase, config, state, &mut *tel);
             let wall_ms = start.elapsed().as_secs_f64() * 1e3;
             if tel.enabled() {
-                tel.messages(&MessageCounters {
-                    sent: out.stats.sent,
-                    delivered: out.stats.delivered,
-                    dropped: out.stats.lost,
-                    duplicated: out.stats.duplicated,
-                    bytes: None,
-                });
-                // Settle times in simulated time: when each node's table
-                // row last changed (deterministic in the seed).
-                for (node, &t) in out.node_last_change.iter().enumerate() {
+                if let Some(counters) = &out.counters {
+                    tel.messages(counters);
+                }
+                for (node, &t) in out.settled.iter().enumerate() {
                     tel.node_settled(node, t);
                 }
             }
-            tel.phase_end(&p.label);
-            state = out.final_state;
+            tel.phase_end(&problem.label);
+            state = out.state;
             phases.push(PhaseOutcome {
-                label: p.label.clone(),
-                sigma_stable: out.sigma_stable && !out.truncated,
-                rounds: out.stats.last_change_time,
+                label: problem.label.clone(),
+                sigma_stable: out
+                    .stable
+                    .unwrap_or_else(|| is_stable(self.alg, &problem.adj, &state)),
+                rounds: out.rounds,
                 predicted_bound: None,
-                work: out.stats.delivered,
-                messages: Some(out.stats.sent),
-                bytes: None,
+                work: out.work,
+                messages: out.messages,
+                bytes: out.bytes,
                 wall_ms,
                 digest: state_digest(&state),
             });
@@ -958,90 +596,223 @@ where
     }
 }
 
-// ---------------------------------------------------------------------
-// Engine 5: the threaded runtime
-// ---------------------------------------------------------------------
+/// Why a protocol adapter's downcast cannot fail.
+const GATED: &str = "the engine's algebra gate (EngineInfo::supports) admitted this scenario";
 
-/// The genuinely concurrent one-thread-per-router runtime
-/// (`dbf-protocols`).
-pub struct ThreadedEngine;
+/// The algebra-specific protocol adapters see the generic problem through
+/// `Any`: the registry is generic over `A`, the RIP/BGP machinery is not.
+fn downcast<Src: Any, Dst: Any>(value: &Src) -> &Dst {
+    (value as &dyn Any).downcast_ref().expect(GATED)
+}
 
-impl<A: ScenarioAlgebra> Engine<A> for ThreadedEngine
+/// [`downcast`] by value, for the state a protocol adapter hands back.
+fn downcast_owned<Src: Any, Dst: Any>(value: Src) -> Dst {
+    *(Box::new(value) as Box<dyn Any>).downcast().expect(GATED)
+}
+
+impl<A: ScenarioAlgebra> Phase<'_, A>
 where
     A::Route: Send + Sync + 'static,
     A::Edge: PartialEq + Send + Sync + 'static,
 {
-    fn info(&self) -> &'static EngineInfo {
-        descriptor(EngineKind::Threaded)
+    /// The phase's seed for a seeded engine: each engine strides the run
+    /// seed by its own constant (the pinned counters depend on them).
+    fn seed(&self, stride: u64) -> u64 {
+        self.seed.wrapping_add(self.index as u64 * stride)
     }
 
-    fn run(
+    /// The σ engines' workers: the run's thread budget on the process-wide
+    /// pool (which the first call starts — before the clock, like every
+    /// other piece of setup).
+    fn executor(&self) -> Pooled<'static> {
+        Pooled::shared(self.threads)
+    }
+
+    /// Engines 1 and 2, the synchronous σ-iteration (`dbf-matrix`) — the
+    /// reference semantics every other engine is checked against — and its
+    /// incremental form, which reproduces the synchronous trajectory
+    /// state-for-state while recomputing only the perturbed region after a
+    /// topology change.  One kernel run; the two differ in the first
+    /// frontier, in what certifies the fixed point, and in the two kernel
+    /// counters they report (`work` is σ iterations for sync, row
+    /// recomputations — a full round costs `n` of them — for incremental).
+    fn sigma(
         &self,
-        alg: &A,
-        problems: &[Problem<A>],
-        _seed: u64,
-        _threads: usize,
+        exec: Pooled<'static>,
+        state: RoutingState<A>,
         tel: &mut dyn TelemetrySink,
-    ) -> EngineRun {
-        // OS scheduling decides every counter here, so the engine emits
-        // only the run/phase markers — anything more would poison the
-        // deterministic `metrics` section (deterministic_counters: false).
-        tel.run_start("threaded", "threaded");
-        let mut state = RoutingState::identity(alg, problems[0].adj.node_count());
-        let mut phases = Vec::with_capacity(problems.len());
-        for p in problems {
-            let n = p.adj.node_count();
-            state = carry(alg, state, n);
-            tel.phase_start(&p.label, n);
-            let start = Instant::now();
-            let report = run_threaded(alg, &p.adj, &state, ThreadedConfig::default());
-            let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-            tel.phase_end(&p.label);
-            state = report.final_state;
-            phases.push(PhaseOutcome {
-                label: p.label.clone(),
-                sigma_stable: report.sigma_stable && !report.timed_out,
-                rounds: 0,
-                predicted_bound: None,
-                work: report.stats.table_changes,
-                messages: Some(report.stats.updates_sent),
-                bytes: None,
-                wall_ms,
-                digest: state_digest(&state),
-            });
-        }
-        EngineRun {
-            engine: "threaded".into(),
-            phases,
-            error: None,
+    ) -> Step<A> {
+        let adj = &self.problem.adj;
+        let n = adj.node_count();
+        // `bound + 1` rounds when the bound oracle annotated the problem
+        // (the extra round turns an off-by-one in a bound formula into a
+        // visible bound violation instead of a convergence failure),
+        // otherwise the quadratic fallback.
+        let budget = dbf_matrix::iteration_budget(n, self.problem.round_budget);
+        let incremental = self.kind == EngineKind::Incremental;
+        // The dirty-start optimisation is only sound from a fixed point of
+        // the previous phase; a phase that failed to converge (budget
+        // exhausted on a non-increasing algebra) poisons it.
+        let dirty = incremental.then(|| match self.settled_on {
+            Some(old) => dirty_rows_after_change(old, adj),
+            None => vec![true; n],
+        });
+        let start = dirty.as_deref().map_or(Start::AllRows, Start::Dirty);
+        let mut kernel = FixedPoint::new(adj, state, start);
+        // A full sweep that runs out of budget may have become stable
+        // exactly at the boundary: one uncommitted verifying round decides.
+        let converged = kernel.run(self.alg, adj, budget, &exec, tel)
+            || (!incremental && kernel.verify(self.alg, adj, &exec, tel));
+        let (rounds, work) = if incremental {
+            (kernel.rounds() as u64, kernel.row_recomputations())
+        } else {
+            (kernel.iterations() as u64, kernel.iterations() as u64)
+        };
+        Step {
+            // A converged iteration *is* the stability proof (the last
+            // round changed no row; an empty dirty set means every row was
+            // recomputed after its inputs last changed): re-running σ to
+            // check would cost a full extra round — at n = 10⁴ a large
+            // slice of the phase's run time.  Only a full sweep that
+            // exhausted its budget falls back to the driver's check.
+            stable: if converged || incremental {
+                Some(converged)
+            } else {
+                None
+            },
+            state: kernel.finish(tel),
+            rounds,
+            work,
+            messages: None,
+            bytes: None,
+            counters: None,
+            settled: Vec::new(),
         }
     }
-}
 
-// ---------------------------------------------------------------------
-// Engine 6: the RIP protocol engine
-// ---------------------------------------------------------------------
+    fn schedule(&self) -> Schedule {
+        let faults = &self.problem.faults;
+        let n = self.problem.adj.node_count();
+        match faults.schedule {
+            ScheduleSpec::AdversarialStale { victim, period } => Schedule::adversarial_stale(
+                n,
+                faults.horizon.max(1),
+                victim % n.max(1),
+                (period.max(1)) as usize,
+                (faults.max_delay as usize).max(1),
+            ),
+            ScheduleSpec::Random => {
+                let params = ScheduleParams {
+                    activation_prob: faults.activation.clamp(0.05, 1.0),
+                    max_delay: (faults.max_delay as usize).max(1),
+                    duplicate_prob: faults.duplicate.clamp(0.0, 1.0),
+                    reorder_prob: faults.reorder.clamp(0.0, 1.0),
+                };
+                Schedule::random(n, faults.horizon.max(1), params, self.seed(0x9E37))
+            }
+        }
+    }
 
-/// The message-level RIP engine (`dbf-protocols::rip`) as a checker
-/// engine: routers exchange wire-encoded periodic and triggered updates
-/// with split horizon and route timeouts, each phase carrying the previous
-/// phase's (stale) tables, and the result is projected back into a
-/// [`RoutingState`] for the differential oracle.
-///
-/// The adapter keeps the oracle sound by not forwarding the simulator's
-/// loss probability: RIP cures ghost routes with its route timeout, and a
-/// run whose horizon falls inside a loss-induced expiry/recovery window
-/// would read as a spurious disagreement.  Lossy RIP convergence is
-/// exercised directly by `dbf-protocols`' own tests; the scenario layer
-/// samples schedules via per-message delays and per-router timer jitter,
-/// which the seed controls.
-pub struct RipCheckerEngine;
+    /// Engine 3, the asynchronous iterate δ under seeded random (or
+    /// worst-case adversarial-staleness) schedules (`dbf-async`).
+    fn delta(
+        &self,
+        sched: Schedule,
+        state: RoutingState<A>,
+        tel: &mut dyn TelemetrySink,
+    ) -> Step<A> {
+        let adj = &self.problem.adj;
+        let out = if tel.enabled() {
+            run_delta_traced(self.alg, adj, &state, &sched, tel)
+        } else {
+            run_delta(self.alg, adj, &state, &sched)
+        };
+        Step {
+            state: out.final_state,
+            stable: Some(out.sigma_stable),
+            // Quiescence time: how deep into the schedule the state kept
+            // changing (the full horizon if it never settled).
+            rounds: out.quiescent_from.unwrap_or(sched.horizon()) as u64,
+            work: out.activations as u64,
+            messages: None,
+            bytes: None,
+            counters: None,
+            settled: Vec::new(),
+        }
+    }
 
-impl RipCheckerEngine {
-    fn config(alg: &BoundedHopCount, faults: &FaultSpec, seed: u64) -> RipConfig {
+    fn sim_config(&self) -> SimConfig {
+        let faults = &self.problem.faults;
+        SimConfig {
+            loss_prob: faults.loss.clamp(0.0, 1.0),
+            duplicate_prob: faults.duplicate.clamp(0.0, 1.0),
+            min_delay: faults.min_delay.max(1),
+            max_delay: faults.max_delay.max(faults.min_delay.max(1)),
+            seed: self.seed(0xA5A5),
+            max_events: 2_000_000,
+            refresh_rounds: 64,
+        }
+    }
+
+    /// Engine 4, the fault-injecting discrete-event message simulator
+    /// (`dbf-async`).  Settle times are in simulated time: when each
+    /// node's table row last changed (deterministic in the seed).
+    fn sim(&self, cfg: SimConfig, state: RoutingState<A>, _: &mut dyn TelemetrySink) -> Step<A> {
+        let out = EventSim::with_initial_state(self.alg, &self.problem.adj, cfg, &state).run();
+        Step {
+            state: out.final_state,
+            stable: Some(out.sigma_stable && !out.truncated),
+            rounds: out.stats.last_change_time,
+            work: out.stats.delivered,
+            messages: Some(out.stats.sent),
+            bytes: None,
+            counters: Some(MessageCounters {
+                sent: out.stats.sent,
+                delivered: out.stats.delivered,
+                dropped: out.stats.lost,
+                duplicated: out.stats.duplicated,
+                bytes: None,
+            }),
+            settled: out.node_last_change,
+        }
+    }
+
+    /// Engine 5, the genuinely concurrent one-thread-per-router runtime
+    /// (`dbf-protocols`).  OS scheduling decides every counter here, so the
+    /// engine reports nothing to the sink beyond the driver's run/phase
+    /// markers — anything more would poison the deterministic `metrics`
+    /// section (`deterministic_counters: false`).
+    fn threaded(&self, _: (), state: RoutingState<A>, _: &mut dyn TelemetrySink) -> Step<A> {
+        let report = run_threaded(
+            self.alg,
+            &self.problem.adj,
+            &state,
+            ThreadedConfig::default(),
+        );
+        Step {
+            state: report.final_state,
+            stable: Some(report.sigma_stable && !report.timed_out),
+            rounds: 0,
+            work: report.stats.table_changes,
+            messages: Some(report.stats.updates_sent),
+            bytes: None,
+            counters: None,
+            settled: Vec::new(),
+        }
+    }
+
+    /// The adapter keeps the oracle sound by not forwarding the simulator's
+    /// loss probability: RIP cures ghost routes with its route timeout, and
+    /// a run whose horizon falls inside a loss-induced expiry/recovery
+    /// window would read as a spurious disagreement.  Lossy RIP convergence
+    /// is exercised directly by `dbf-protocols`' own tests; the scenario
+    /// layer samples schedules via per-message delays and per-router timer
+    /// jitter, which the seed controls.
+    fn rip_config(&self) -> RipConfig {
+        let faults = &self.problem.faults;
         let min_delay = faults.min_delay.clamp(1, 10);
         RipConfig {
-            hop_limit: alg.limit(),
+            hop_limit: downcast::<A, BoundedHopCount>(self.alg).limit(),
             update_interval: 30,
             route_timeout: 150,
             split_horizon: dbf_protocols::rip::SplitHorizon::PoisonReverse,
@@ -1052,90 +823,25 @@ impl RipCheckerEngine {
             // Generous: stale carried entries expire at `route_timeout` and
             // the hop limit bounds any counting episode after that.
             max_time: 6_000,
-            seed,
+            seed: self.seed(0x51F1),
         }
     }
-}
 
-impl<A: ScenarioAlgebra> Engine<A> for RipCheckerEngine
-where
-    A::Route: Send + Sync + 'static,
-    A::Edge: PartialEq + Send + Sync + 'static,
-{
-    fn info(&self) -> &'static EngineInfo {
-        descriptor(EngineKind::Rip)
+    /// Engine 6, the message-level RIP engine (`dbf-protocols::rip`) as a
+    /// checker engine: routers exchange wire-encoded periodic and triggered
+    /// updates with split horizon and route timeouts, each phase carrying
+    /// the previous phase's (stale) tables, and the result is projected
+    /// back into a [`RoutingState`] for the differential oracle.
+    fn rip(&self, cfg: RipConfig, state: RoutingState<A>, _: &mut dyn TelemetrySink) -> Step<A> {
+        let adj: &AdjacencyMatrix<BoundedHopCount> = downcast(&self.problem.adj);
+        let report = RipEngine::from_adjacency(adj.clone(), cfg)
+            .with_initial_state(downcast(&state))
+            .run();
+        Step::of_protocol(downcast_owned(report.final_state), &report.stats)
     }
 
-    fn run(
-        &self,
-        alg: &A,
-        problems: &[Problem<A>],
-        seed: u64,
-        _threads: usize,
-        tel: &mut dyn TelemetrySink,
-    ) -> EngineRun {
-        let hop_alg: &BoundedHopCount = downcast(alg)
-            .expect("the rip engine supports only the hopcount algebra (enforced by validate)");
-        let label = format!("rip[{seed}]");
-        tel.run_start(&label, "rip");
-        let mut state = RoutingState::identity(hop_alg, problems[0].adj.node_count());
-        let mut phases = Vec::with_capacity(problems.len());
-        for (k, p) in problems.iter().enumerate() {
-            let adj: &AdjacencyMatrix<BoundedHopCount> =
-                downcast(&p.adj).expect("a hopcount scenario builds hopcount adjacencies");
-            let n = adj.node_count();
-            state = carry(hop_alg, state, n);
-            let cfg = Self::config(hop_alg, &p.faults, seed.wrapping_add(k as u64 * 0x51F1));
-            tel.phase_start(&p.label, n);
-            let start = Instant::now();
-            let report = RipEngine::from_adjacency(adj.clone(), cfg)
-                .with_initial_state(&state)
-                .run();
-            let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-            if tel.enabled() {
-                tel.messages(&report.stats.counters());
-            }
-            tel.phase_end(&p.label);
-            state = report.final_state;
-            phases.push(PhaseOutcome {
-                label: p.label.clone(),
-                sigma_stable: is_stable(hop_alg, adj, &state),
-                rounds: report.stats.last_change_time,
-                predicted_bound: None,
-                work: report.stats.updates_processed,
-                messages: Some(report.stats.messages_sent()),
-                bytes: Some(report.stats.bytes_sent),
-                wall_ms,
-                digest: state_digest(&state),
-            });
-        }
-        EngineRun {
-            engine: label,
-            phases,
-            error: None,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Engine 7: the BGP protocol engine
-// ---------------------------------------------------------------------
-
-/// The message-level BGP engine (`dbf-protocols::bgp`) as a checker
-/// engine: per-neighbour sessions with reliable in-order delivery,
-/// adj-RIB-in bookkeeping, incremental wire-encoded announcements and
-/// withdrawals, and seeded session resets.
-///
-/// BGP is a *hard-state* protocol: a topology change tears sessions down
-/// and the loc-RIB is re-derived entirely from what the re-established
-/// sessions announce.  Each phase therefore starts from session
-/// establishment rather than from the previous phase's tables — Theorem 11
-/// makes the fixed point unique, so the digests must (and do) agree with
-/// the stale-state-carrying engines.
-pub struct BgpCheckerEngine;
-
-impl BgpCheckerEngine {
-    fn config(faults: &FaultSpec, seed: u64) -> BgpConfig {
+    fn bgp_config(&self) -> BgpConfig {
+        let faults = &self.problem.faults;
         let min_delay = faults.min_delay.clamp(1, 10);
         BgpConfig {
             min_delay,
@@ -1148,62 +854,41 @@ impl BgpCheckerEngine {
                 0
             },
             max_time: 200_000,
-            seed,
+            seed: self.seed(0xB690),
         }
+    }
+
+    /// Engine 7, the message-level BGP engine (`dbf-protocols::bgp`) as a
+    /// checker engine: per-neighbour sessions with reliable in-order
+    /// delivery, adj-RIB-in bookkeeping, incremental wire-encoded
+    /// announcements and withdrawals, and seeded session resets.
+    ///
+    /// BGP is a *hard-state* protocol: a topology change tears sessions
+    /// down and the loc-RIB is re-derived entirely from what the
+    /// re-established sessions announce.  Each phase therefore starts from
+    /// session establishment and ignores the carried tables — Theorem 11
+    /// makes the fixed point unique, so the digests must (and do) agree
+    /// with the stale-state-carrying engines.
+    fn bgp(&self, cfg: BgpConfig, _: RoutingState<A>, _: &mut dyn TelemetrySink) -> Step<A> {
+        let alg: &BgpAlgebra = downcast(self.alg);
+        let adj: &AdjacencyMatrix<BgpAlgebra> = downcast(&self.problem.adj);
+        let report = BgpEngine::from_parts(*alg, adj.clone(), cfg).run();
+        Step::of_protocol(downcast_owned(report.final_state), &report.stats)
     }
 }
 
-impl<A: ScenarioAlgebra> Engine<A> for BgpCheckerEngine
-where
-    A::Route: Send + Sync + 'static,
-    A::Edge: PartialEq + Send + Sync + 'static,
-{
-    fn info(&self) -> &'static EngineInfo {
-        descriptor(EngineKind::Bgp)
-    }
-
-    fn run(
-        &self,
-        alg: &A,
-        problems: &[Problem<A>],
-        seed: u64,
-        _threads: usize,
-        tel: &mut dyn TelemetrySink,
-    ) -> EngineRun {
-        let bgp_alg: &BgpAlgebra = downcast(alg)
-            .expect("the bgp engine supports only the bgp algebra (enforced by validate)");
-        let label = format!("bgp[{seed}]");
-        tel.run_start(&label, "bgp");
-        let mut phases = Vec::with_capacity(problems.len());
-        for (k, p) in problems.iter().enumerate() {
-            let adj: &AdjacencyMatrix<BgpAlgebra> =
-                downcast(&p.adj).expect("a bgp scenario builds bgp adjacencies");
-            let cfg = Self::config(&p.faults, seed.wrapping_add(k as u64 * 0xB690));
-            tel.phase_start(&p.label, adj.node_count());
-            let start = Instant::now();
-            let report = BgpEngine::from_parts(*bgp_alg, adj.clone(), cfg).run();
-            let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-            if tel.enabled() {
-                tel.messages(&report.stats.counters());
-            }
-            tel.phase_end(&p.label);
-            let state = report.final_state;
-            phases.push(PhaseOutcome {
-                label: p.label.clone(),
-                sigma_stable: is_stable(bgp_alg, adj, &state),
-                rounds: report.stats.last_change_time,
-                predicted_bound: None,
-                work: report.stats.updates_processed,
-                messages: Some(report.stats.messages_sent()),
-                bytes: Some(report.stats.bytes_sent),
-                wall_ms,
-                digest: state_digest(&state),
-            });
-        }
-        EngineRun {
-            engine: label,
-            phases,
-            error: None,
+impl<A: RoutingAlgebra> Step<A> {
+    /// The readings of a wire-protocol run.
+    fn of_protocol(state: RoutingState<A>, stats: &ProtocolStats) -> Self {
+        Step {
+            state,
+            stable: None,
+            rounds: stats.last_change_time,
+            work: stats.updates_processed,
+            messages: Some(stats.messages_sent()),
+            bytes: Some(stats.bytes_sent),
+            counters: Some(stats.counters()),
+            settled: Vec::new(),
         }
     }
 }

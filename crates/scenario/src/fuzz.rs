@@ -118,8 +118,8 @@ impl FuzzReport {
     /// so the output is byte-identical for any `--jobs` value.
     pub fn to_json(&self) -> Json {
         Json::Obj(vec![
-            ("seed".into(), Json::Int(self.seed as i64)),
-            ("cases".into(), Json::Int(self.cases as i64)),
+            ("seed".into(), Json::uint(self.seed)),
+            ("cases".into(), Json::uint(self.cases as u64)),
             ("ok".into(), Json::Bool(self.ok())),
             (
                 "results".into(),
@@ -128,7 +128,7 @@ impl FuzzReport {
                         .iter()
                         .map(|r| {
                             Json::Obj(vec![
-                                ("case".into(), Json::Int(r.index as i64)),
+                                ("case".into(), Json::uint(r.index as u64)),
                                 (
                                     "case_seed".into(),
                                     Json::str(format!("{:#018x}", r.case_seed)),
@@ -149,12 +149,12 @@ impl FuzzReport {
                         .iter()
                         .map(|f| {
                             Json::Obj(vec![
-                                ("case".into(), Json::Int(f.index as i64)),
+                                ("case".into(), Json::uint(f.index as u64)),
                                 (
                                     "case_seed".into(),
                                     Json::str(format!("{:#018x}", f.case_seed)),
                                 ),
-                                ("shrink_steps".into(), Json::Int(f.shrink_steps as i64)),
+                                ("shrink_steps".into(), Json::uint(f.shrink_steps as u64)),
                                 ("repro".into(), Json::str(&f.repro)),
                                 (
                                     "written_to".into(),

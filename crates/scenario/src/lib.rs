@@ -2,7 +2,7 @@
 //! execution
 //!
 //! The repository has seven independent execution engines for the same
-//! routing problems, all behind the pluggable [`engine::Engine`] trait —
+//! routing problems, all run by the one phase loop [`engine::run_engine`] —
 //! the synchronous σ-iteration and its incremental dirty-row variant
 //! (`dbf-matrix`), the schedule-driven asynchronous iterate δ and the
 //! fault-injecting discrete-event simulator (`dbf-async`), the genuinely
@@ -25,11 +25,11 @@
 //!   threading each epoch's final (stale) state into the next, and
 //!   computes the **differential verdict**: did every run converge, and
 //!   did they all land on the same fixed point?
-//! * [`engine`] — the pluggable [`engine::Engine`] trait and its registry:
+//! * [`engine`] — the phase loop [`engine::run_engine`] and the registry:
 //!   per-engine descriptors (name, determinism/seed handling, size
 //!   capability, algebra support) that `run`, `spec`, `sweep`, `gen`, the
-//!   builtins and the CLI all consult — adding an engine is one trait
-//!   impl plus one registration;
+//!   builtins and the CLI all consult — adding an engine is one
+//!   descriptor plus one step function;
 //! * [`builtins`] — a library of ready-made scenarios covering
 //!   count-to-infinity, the BGP wedgie, the BAD GADGET, flapping links,
 //!   partition-and-heal, adversarial loss, widest-path fabrics, growing
@@ -156,10 +156,9 @@ pub use agg::{PointReport, Stats, SweepReport};
 pub use bound::{algebra_height, bound_for_engine, bound_table, schedule_window, PhaseBound};
 pub use chaos::{builtin_plan, builtin_plan_names, chaos_json, load_plan, run_chaos, ChaosOutcome};
 pub use checkpoint::{CheckpointStore, PersistRoute, Snapshot, WalError};
-pub use dbf_matrix::RowOrder;
 pub use engine::{
-    descriptor, descriptors, engine_for, engine_seeds, planned_runs, Determinism, Engine,
-    EngineInfo, Problem, ScenarioAlgebra,
+    descriptor, descriptors, engine_seeds, planned_runs, run_engine, Determinism, EngineInfo,
+    Problem, ScenarioAlgebra,
 };
 pub use fuzz::{run_fuzz, shrink_scenario, FuzzOptions, FuzzReport, ReplayOutcome};
 pub use metrics::{metrics_json, metrics_table, profile_table, timing_json, with_telemetry};
@@ -188,8 +187,8 @@ pub mod prelude {
     };
     pub use crate::checkpoint::{CheckpointStore, PersistRoute, Snapshot, WalError};
     pub use crate::engine::{
-        descriptor, descriptors, engine_for, engine_seeds, planned_runs, Determinism, Engine,
-        EngineInfo, Problem, ScenarioAlgebra,
+        descriptor, descriptors, engine_seeds, planned_runs, run_engine, Determinism, EngineInfo,
+        Problem, ScenarioAlgebra,
     };
     pub use crate::fuzz::{run_fuzz, shrink_scenario, FuzzOptions, FuzzReport, ReplayOutcome};
     pub use crate::gen;
@@ -213,5 +212,4 @@ pub mod prelude {
     };
     pub use crate::sweeps;
     pub use crate::telemetry;
-    pub use crate::RowOrder;
 }

@@ -16,28 +16,24 @@
 use crate::report::Json;
 use dbf_telemetry::{MetricsReport, PhaseMetrics, PhaseTiming};
 
-fn int(v: u64) -> Json {
-    Json::Int(v as i64)
-}
-
 fn phase_metrics_json(p: &PhaseMetrics) -> Json {
     Json::Obj(vec![
         ("run".into(), Json::str(&p.run)),
         ("phase".into(), Json::str(&p.phase)),
-        ("rounds".into(), int(p.rounds)),
-        ("rows_recomputed".into(), int(p.rows_recomputed)),
-        ("rows_changed".into(), int(p.rows_changed)),
-        ("max_scheduled".into(), int(p.max_scheduled)),
-        ("peak_frontier".into(), int(p.peak_frontier)),
+        ("rounds".into(), Json::uint(p.rounds)),
+        ("rows_recomputed".into(), Json::uint(p.rows_recomputed)),
+        ("rows_changed".into(), Json::uint(p.rows_changed)),
+        ("max_scheduled".into(), Json::uint(p.max_scheduled)),
+        ("peak_frontier".into(), Json::uint(p.peak_frontier)),
         (
             "settle".into(),
             p.settle.map_or(Json::Null, |s| {
                 Json::Obj(vec![
-                    ("count".into(), int(s.count)),
-                    ("p50".into(), int(s.p50)),
-                    ("p95".into(), int(s.p95)),
-                    ("p99".into(), int(s.p99)),
-                    ("max".into(), int(s.max)),
+                    ("count".into(), Json::uint(s.count)),
+                    ("p50".into(), Json::uint(s.p50)),
+                    ("p95".into(), Json::uint(s.p95)),
+                    ("p99".into(), Json::uint(s.p99)),
+                    ("max".into(), Json::uint(s.max)),
                 ])
             }),
         ),
@@ -45,11 +41,11 @@ fn phase_metrics_json(p: &PhaseMetrics) -> Json {
             "messages".into(),
             p.messages.map_or(Json::Null, |m| {
                 Json::Obj(vec![
-                    ("sent".into(), int(m.sent)),
-                    ("delivered".into(), int(m.delivered)),
-                    ("dropped".into(), int(m.dropped)),
-                    ("duplicated".into(), int(m.duplicated)),
-                    ("bytes".into(), m.bytes.map_or(Json::Null, int)),
+                    ("sent".into(), Json::uint(m.sent)),
+                    ("delivered".into(), Json::uint(m.delivered)),
+                    ("dropped".into(), Json::uint(m.dropped)),
+                    ("duplicated".into(), Json::uint(m.duplicated)),
+                    ("bytes".into(), m.bytes.map_or(Json::Null, Json::uint)),
                 ])
             }),
         ),
@@ -60,7 +56,7 @@ fn phase_timing_json(t: &PhaseTiming) -> Json {
     Json::Obj(vec![
         ("run".into(), Json::str(&t.run)),
         ("phase".into(), Json::str(&t.phase)),
-        ("round_wall_ns".into(), int(t.round_wall_ns)),
+        ("round_wall_ns".into(), Json::uint(t.round_wall_ns)),
         (
             "bands".into(),
             Json::Arr(
@@ -68,11 +64,11 @@ fn phase_timing_json(t: &PhaseTiming) -> Json {
                     .iter()
                     .map(|b| {
                         Json::Obj(vec![
-                            ("band".into(), int(b.band)),
-                            ("sweeps".into(), int(b.sweeps)),
-                            ("rows".into(), int(b.rows)),
-                            ("weight".into(), int(b.weight)),
-                            ("wall_ns".into(), int(b.wall_ns)),
+                            ("band".into(), Json::uint(b.band)),
+                            ("sweeps".into(), Json::uint(b.sweeps)),
+                            ("rows".into(), Json::uint(b.rows)),
+                            ("weight".into(), Json::uint(b.weight)),
+                            ("wall_ns".into(), Json::uint(b.wall_ns)),
                         ])
                     })
                     .collect(),
@@ -100,7 +96,7 @@ pub fn metrics_json(report: &MetricsReport) -> Json {
 /// The non-deterministic `timing` section: wall times and band geometry.
 pub fn timing_json(report: &MetricsReport, threads: usize) -> Json {
     Json::Obj(vec![
-        ("threads".into(), Json::Int(threads.max(1) as i64)),
+        ("threads".into(), Json::uint(threads.max(1) as u64)),
         (
             "phases".into(),
             Json::Arr(report.timing.iter().map(phase_timing_json).collect()),

@@ -33,6 +33,14 @@ impl Json {
     pub fn str(s: impl Into<String>) -> Self {
         Json::Str(s.into())
     }
+
+    /// Build an integer value from an unsigned counter.  [`Json::Int`]
+    /// holds an `i64`; a counter past `i64::MAX` (a hop limit near
+    /// `u64::MAX`, a saturated bound) clamps there instead of wrapping to
+    /// a negative number.
+    pub fn uint(v: u64) -> Self {
+        Json::Int(i64::try_from(v).unwrap_or(i64::MAX))
+    }
 }
 
 fn escape_json(s: &str, out: &mut String) {
@@ -304,25 +312,20 @@ impl ScenarioReport {
                                                         "sigma_stable".into(),
                                                         Json::Bool(p.sigma_stable),
                                                     ),
-                                                    ("rounds".into(), Json::Int(p.rounds as i64)),
+                                                    ("rounds".into(), Json::uint(p.rounds)),
                                                     (
                                                         "predicted_bound".into(),
-                                                        p.predicted_bound.map_or(Json::Null, |b| {
-                                                            Json::Int(b as i64)
-                                                        }),
+                                                        p.predicted_bound
+                                                            .map_or(Json::Null, Json::uint),
                                                     ),
-                                                    ("work".into(), Json::Int(p.work as i64)),
+                                                    ("work".into(), Json::uint(p.work)),
                                                     (
                                                         "messages".into(),
-                                                        p.messages.map_or(Json::Null, |m| {
-                                                            Json::Int(m as i64)
-                                                        }),
+                                                        p.messages.map_or(Json::Null, Json::uint),
                                                     ),
                                                     (
                                                         "bytes".into(),
-                                                        p.bytes.map_or(Json::Null, |b| {
-                                                            Json::Int(b as i64)
-                                                        }),
+                                                        p.bytes.map_or(Json::Null, Json::uint),
                                                     ),
                                                     ("wall_ms".into(), Json::Num(p.wall_ms)),
                                                     ("digest".into(), Json::str(&p.digest)),
@@ -440,6 +443,14 @@ mod tests {
         assert!(text.contains("\\\"b\\\\c\\nd"));
         assert!(text.contains("\"xs\": [\n"));
         assert!(text.contains("1.5"));
+    }
+
+    #[test]
+    fn unsigned_counters_clamp_instead_of_wrapping_negative() {
+        assert_eq!(Json::uint(0), Json::Int(0));
+        assert_eq!(Json::uint(i64::MAX as u64), Json::Int(i64::MAX));
+        assert_eq!(Json::uint(i64::MAX as u64 + 1), Json::Int(i64::MAX));
+        assert_eq!(Json::uint(u64::MAX).to_string(), i64::MAX.to_string());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! σ-stable state (Theorems 7/11); for the non-increasing SPP gadgets it
 //! exhibits exactly the wedgies and oscillation the theorems rule out.
 
-use crate::engine::{descriptor, engine_for, engine_seeds, Determinism, Problem, ScenarioAlgebra};
+use crate::engine::{descriptor, engine_label, engine_seeds, run_engine, Problem, ScenarioAlgebra};
 use crate::report::{Agreement, EngineRun, PhaseOutcome, ScenarioReport};
 use crate::spec::{
     AlgebraSpec, ChangeSpec, EngineKind, FaultSpec, Scenario, SpecError, SppGadget, TopologySpec,
@@ -38,20 +38,11 @@ pub struct RunConfig {
     /// many OS threads *within a single run*.  `0`/`1` means sequential.
     /// Results are bit-identical for every value.
     pub threads: usize,
-    /// Cache-conscious row ordering for the σ engines (`--row-order`): the
-    /// sync and incremental engines relabel each phase's nodes at setup and
-    /// invert the relabeling before digesting.  σ is equivariant under node
-    /// relabeling, so every digest and deterministic counter is
-    /// bit-identical for every ordering; only wall time may move.
-    pub row_order: dbf_matrix::RowOrder,
 }
 
 impl Default for RunConfig {
     fn default() -> Self {
-        Self {
-            threads: 1,
-            row_order: dbf_matrix::RowOrder::None,
-        }
+        Self { threads: 1 }
     }
 }
 
@@ -345,7 +336,7 @@ fn gao_rexford_problems(spec: &Scenario) -> Result<Vec<Problem<GaoRexford>>, Spe
 /// Run every requested engine over the phase problems and compute the
 /// differential verdict.  Pure registry dispatch: the engine list is data,
 /// and every engine — including the protocol adapters and any future
-/// addition — arrives here through [`crate::engine::engine_for`].  The
+/// addition — arrives here through [`crate::engine::run_engine`].  The
 /// thread budget reaches exactly the engines whose descriptor opts into
 /// intra-run parallelism; everything else stays sequential by construction.
 ///
@@ -372,7 +363,6 @@ where
     }
     let mut runs = Vec::new();
     for &kind in &spec.engines {
-        let engine = engine_for::<A>(kind);
         let threads = if descriptor(kind).parallelizable {
             cfg.threads.max(1)
         } else {
@@ -380,7 +370,7 @@ where
         };
         for &seed in engine_seeds(kind, spec) {
             let mut run = guarded(kind, seed, &*problems, || {
-                engine.run_ordered(alg, &*problems, seed, threads, cfg.row_order, &mut *tel)
+                run_engine(kind, alg, &*problems, seed, threads, &mut *tel)
             });
             for (phase, pb) in run.phases.iter_mut().zip(&bounds) {
                 phase.predicted_bound = crate::bound::bound_for_engine(kind, pb);
@@ -401,7 +391,7 @@ where
 }
 
 /// Run one engine invocation with a panic firewall.  A panic out of
-/// `engine.run` — typically a σ sweep worker's, re-raised with its original
+/// `run_engine` — typically a σ sweep worker's, re-raised with its original
 /// payload by the persistent [`dbf_matrix::pool::WorkerPool`] — becomes an
 /// errored [`EngineRun`] instead of aborting the process, so `scenarios
 /// run` can still print the report, pinpoint the failing engine, and hand
@@ -423,17 +413,6 @@ where
             problems,
             panic_message(payload.as_ref()),
         ),
-    }
-}
-
-/// The report label an engine invocation uses, reconstructed from the
-/// registry descriptor — needed when the engine panics before returning
-/// the run that would normally carry it.
-fn engine_label(kind: EngineKind, seed: u64) -> String {
-    let info = descriptor(kind);
-    match info.determinism {
-        Determinism::Fixed => info.name.to_string(),
-        Determinism::Seeded => format!("{}[{seed}]", info.name),
     }
 }
 
@@ -558,14 +537,7 @@ mod tests {
         spec.engines.push(EngineKind::Incremental);
         let base = run_scenario(&spec).unwrap();
         for threads in [2, 8] {
-            let par = run_scenario_with(
-                &spec,
-                &RunConfig {
-                    threads,
-                    ..RunConfig::default()
-                },
-            )
-            .unwrap();
+            let par = run_scenario_with(&spec, &RunConfig { threads }).unwrap();
             assert_eq!(par.verdict, base.verdict, "threads={threads}");
             for (a, b) in base.runs.iter().zip(par.runs.iter()) {
                 assert_eq!(a.engine, b.engine);
@@ -573,33 +545,6 @@ mod tests {
                     assert_eq!(p.digest, q.digest, "{} {}", a.engine, p.label);
                     assert_eq!(p.work, q.work, "{} {}", a.engine, p.label);
                     assert_eq!(p.sigma_stable, q.sigma_stable);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn the_row_order_knob_never_changes_a_report() {
-        // σ is equivariant under node relabeling: every digest, round
-        // count and work counter must be bit-identical whatever ordering
-        // (and thread count) the σ engines iterate under.
-        use dbf_matrix::RowOrder;
-        let mut spec = hopcount_ring();
-        spec.engines = vec![EngineKind::Sync, EngineKind::Incremental];
-        let base = run_scenario(&spec).unwrap();
-        assert!(base.verdict.agreement, "{}", base.summary());
-        for row_order in [RowOrder::Degree, RowOrder::Rcm] {
-            for threads in [1, 4] {
-                let cfg = RunConfig { threads, row_order };
-                let run = run_scenario_with(&spec, &cfg).unwrap();
-                assert_eq!(run.verdict, base.verdict, "{row_order} threads={threads}");
-                for (a, b) in base.runs.iter().zip(run.runs.iter()) {
-                    assert_eq!(a.engine, b.engine);
-                    for (p, q) in a.phases.iter().zip(b.phases.iter()) {
-                        assert_eq!(p.digest, q.digest, "{} {} {row_order}", a.engine, p.label);
-                        assert_eq!(p.rounds, q.rounds, "{} {} {row_order}", a.engine, p.label);
-                        assert_eq!(p.work, q.work, "{} {} {row_order}", a.engine, p.label);
-                    }
                 }
             }
         }
@@ -713,26 +658,6 @@ mod tests {
         });
         assert_eq!(run.engine, "delta[7]");
         assert_eq!(run.error.as_deref(), Some("band 3 exploded"));
-    }
-
-    #[test]
-    fn engine_labels_match_the_engines_own_report_labels() {
-        // The reconstruction used for panicked engines must agree with the
-        // labels the engines emit themselves, or reports would pinpoint a
-        // non-existent engine.
-        let report = run_scenario(&hopcount_ring()).unwrap();
-        let labels: Vec<&str> = report.runs.iter().map(|r| r.engine.as_str()).collect();
-        for (kind, seed) in [
-            (EngineKind::Sync, 1),
-            (EngineKind::Delta, 1),
-            (EngineKind::Delta, 2),
-            (EngineKind::Sim, 2),
-        ] {
-            assert!(
-                labels.contains(&engine_label(kind, seed).as_str()),
-                "{kind:?}[{seed}] not in {labels:?}"
-            );
-        }
     }
 
     #[test]

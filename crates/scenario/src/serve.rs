@@ -1885,11 +1885,11 @@ fn summary_json(samples: &[u64]) -> Json {
     match SettleSummary::from_samples(samples) {
         None => Json::Null,
         Some(s) => Json::Obj(vec![
-            ("count".into(), Json::Int(s.count as i64)),
-            ("p50".into(), Json::Int(s.p50 as i64)),
-            ("p95".into(), Json::Int(s.p95 as i64)),
-            ("p99".into(), Json::Int(s.p99 as i64)),
-            ("max".into(), Json::Int(s.max as i64)),
+            ("count".into(), Json::uint(s.count)),
+            ("p50".into(), Json::uint(s.p50)),
+            ("p95".into(), Json::uint(s.p95)),
+            ("p99".into(), Json::uint(s.p99)),
+            ("max".into(), Json::uint(s.max)),
         ]),
     }
 }
@@ -1908,12 +1908,12 @@ pub fn serve_json(report: &ReplayReport, threads: usize, batch: usize) -> Json {
         Some(f) => Json::Obj(vec![
             ("kind".into(), Json::str(&f.kind)),
             ("message".into(), Json::str(&f.message)),
-            ("offset".into(), Json::Int(f.offset as i64)),
+            ("offset".into(), Json::uint(f.offset)),
             (
                 "last_checkpoint".into(),
                 match f.last_checkpoint {
                     None => Json::Null,
-                    Some(o) => Json::Int(o as i64),
+                    Some(o) => Json::uint(o),
                 },
             ),
         ]),
@@ -1925,57 +1925,51 @@ pub fn serve_json(report: &ReplayReport, threads: usize, batch: usize) -> Json {
                 "snapshot_offset".into(),
                 match r.snapshot_offset {
                     None => Json::Null,
-                    Some(o) => Json::Int(o as i64),
+                    Some(o) => Json::uint(o),
                 },
             ),
-            ("wal_replayed".into(), Json::Int(r.wal_replayed as i64)),
+            ("wal_replayed".into(), Json::uint(r.wal_replayed)),
         ]),
     };
     Json::Obj(vec![
         ("schema_version".into(), Json::Int(2)),
         ("suite".into(), Json::str("dbf-serve")),
-        ("threads".into(), Json::Int(threads as i64)),
-        ("batch".into(), Json::Int(batch as i64)),
+        ("threads".into(), Json::uint(threads as u64)),
+        ("batch".into(), Json::uint(batch as u64)),
         (
             "trace".into(),
             Json::Obj(vec![
-                ("nodes".into(), Json::Int(report.nodes as i64)),
-                ("events".into(), Json::Int(report.events as i64)),
-                ("changes".into(), Json::Int(s.changes as i64)),
-                ("queries".into(), Json::Int(s.queries as i64)),
+                ("nodes".into(), Json::uint(report.nodes as u64)),
+                ("events".into(), Json::uint(report.events)),
+                ("changes".into(), Json::uint(s.changes)),
+                ("queries".into(), Json::uint(s.queries)),
             ]),
         ),
         (
             "serve".into(),
             Json::Obj(vec![
-                ("batches".into(), Json::Int(s.batches as i64)),
-                (
-                    "naive_dirty_rows".into(),
-                    Json::Int(s.naive_dirty_rows as i64),
-                ),
-                (
-                    "batch_dirty_rows".into(),
-                    Json::Int(s.batch_dirty_rows as i64),
-                ),
+                ("batches".into(), Json::uint(s.batches)),
+                ("naive_dirty_rows".into(), Json::uint(s.naive_dirty_rows)),
+                ("batch_dirty_rows".into(), Json::uint(s.batch_dirty_rows)),
                 (
                     "coalesce_ratio".into(),
                     Json::Num((s.coalesce_ratio() * 1e4).round() / 1e4),
                 ),
-                ("rounds".into(), Json::Int(s.rounds as i64)),
+                ("rounds".into(), Json::uint(s.rounds)),
                 (
                     "row_recomputations".into(),
-                    Json::Int(s.row_recomputations as i64),
+                    Json::uint(s.row_recomputations),
                 ),
                 (
                     "worst_flush_rounds".into(),
-                    Json::Int(s.worst_flush_rounds as i64),
+                    Json::uint(s.worst_flush_rounds),
                 ),
                 (
                     "worst_flush_bound".into(),
                     // a saturated bound must not read as −1
-                    Json::Int(i64::try_from(s.worst_flush_bound).unwrap_or(i64::MAX)),
+                    Json::uint(s.worst_flush_bound),
                 ),
-                ("bound_ok".into(), Json::Int(s.bound_ok as i64)),
+                ("bound_ok".into(), Json::uint(s.bound_ok)),
                 ("final_digest".into(), Json::str(&report.final_digest)),
                 ("answers_digest".into(), Json::str(&report.answers_digest)),
             ]),
@@ -1986,29 +1980,26 @@ pub fn serve_json(report: &ReplayReport, threads: usize, batch: usize) -> Json {
             Json::Obj(vec![
                 ("wall_ms".into(), Json::Num(report.wall_ms)),
                 ("events_per_sec".into(), Json::Num(report.events_per_sec())),
-                ("stale_answers".into(), Json::Int(s.stale_answers as i64)),
-                (
-                    "deadline_overruns".into(),
-                    Json::Int(s.deadline_overruns as i64),
-                ),
-                ("flush_retries".into(), Json::Int(s.flush_retries as i64)),
-                ("checkpoints".into(), Json::Int(report.checkpoints as i64)),
+                ("stale_answers".into(), Json::uint(s.stale_answers)),
+                ("deadline_overruns".into(), Json::uint(s.deadline_overruns)),
+                ("flush_retries".into(), Json::uint(s.flush_retries)),
+                ("checkpoints".into(), Json::uint(report.checkpoints)),
                 ("recovery".into(), recovery),
                 ("convergence_us".into(), summary_json(&s.convergence_us)),
                 ("query_us".into(), summary_json(&s.query_us)),
                 (
                     "pool".into(),
                     Json::Obj(vec![
-                        ("workers".into(), Json::Int(report.pool.workers as i64)),
-                        ("epochs".into(), Json::Int(report.pool.epochs as i64)),
-                        ("jobs".into(), Json::Int(report.pool.jobs as i64)),
+                        ("workers".into(), Json::uint(report.pool.workers as u64)),
+                        ("epochs".into(), Json::uint(report.pool.epochs)),
+                        ("jobs".into(), Json::uint(report.pool.jobs)),
                         (
                             "worker_share".into(),
                             Json::Num((report.pool.worker_share() * 1e4).round() / 1e4),
                         ),
-                        ("deaths".into(), Json::Int(report.pool.deaths as i64)),
-                        ("restarts".into(), Json::Int(report.pool.restarts as i64)),
-                        ("retries".into(), Json::Int(report.pool.retries as i64)),
+                        ("deaths".into(), Json::uint(report.pool.deaths)),
+                        ("restarts".into(), Json::uint(report.pool.restarts)),
+                        ("retries".into(), Json::uint(report.pool.retries)),
                     ]),
                 ),
             ]),

@@ -224,10 +224,10 @@ impl WeightRule {
 ///
 /// This enum is purely nominal: names, parsing, seed handling, size
 /// capabilities and algebra support all live in the engine registry
-/// ([`crate::engine::descriptors`]), and execution is dispatched through
-/// the [`crate::engine::Engine`] trait — adding an engine means adding a
-/// variant here, a descriptor there, and one trait impl; no other dispatch
-/// site exists.
+/// ([`crate::engine::descriptors`]), and execution is dispatched by
+/// [`crate::engine::run_engine`] — adding an engine means adding a variant
+/// here, a descriptor there, and one step function; no other dispatch site
+/// exists.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineKind {
     /// Synchronous σ-iteration to a fixed point (`dbf-matrix`).

@@ -130,7 +130,7 @@ impl AxisValue {
 
     pub(crate) fn to_json(self) -> crate::report::Json {
         match self {
-            AxisValue::Int(v) => crate::report::Json::Int(v as i64),
+            AxisValue::Int(v) => crate::report::Json::uint(v),
             AxisValue::Float(v) => crate::report::Json::Num(v),
         }
     }
@@ -612,10 +612,6 @@ pub struct SweepRunOptions {
     /// reproduction or grids dominated by one huge point).  Never changes
     /// the aggregated report, only its wall-clock section.
     pub threads: usize,
-    /// Cache-conscious row ordering for the σ engines within each run.
-    /// Like `threads`, a pure layout knob: the aggregated report is
-    /// bit-identical for every ordering.
-    pub row_order: dbf_matrix::RowOrder,
 }
 
 /// Execute a sweep: expand the grid, fan the runs out across `jobs` worker
@@ -663,7 +659,6 @@ pub fn run_sweep(sweep: &Sweep, opts: &SweepRunOptions) -> Result<SweepReport, S
     }
     let run_cfg = RunConfig {
         threads: opts.threads.max(1),
-        row_order: opts.row_order,
     };
     let results = WorkerPool::shared().map(
         opts.jobs,

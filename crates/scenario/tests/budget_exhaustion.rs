@@ -11,7 +11,7 @@
 
 use dbf_algebra::prelude::*;
 use dbf_matrix::AdjacencyMatrix;
-use dbf_scenario::engine::{engine_for, Problem};
+use dbf_scenario::engine::{run_engine, Problem};
 use dbf_scenario::prelude::*;
 use dbf_telemetry::NoopSink;
 use dbf_topology::generators;
@@ -30,17 +30,17 @@ fn ring_problems(budget: Option<u64>) -> Vec<Problem<BoundedHopCount>> {
 fn budget_exhausted_phases_report_instability_instead_of_panicking() {
     let alg = BoundedHopCount::new(16);
     for kind in [EngineKind::Sync, EngineKind::Incremental] {
-        let engine = engine_for::<BoundedHopCount>(kind);
+        let run = |budget| run_engine(kind, &alg, &ring_problems(budget), 1, 1, &mut NoopSink);
         // A zero budget cannot reach the fixed point on a 6-ring…
-        let starved = engine.run(&alg, &ring_problems(Some(0)), 1, 1, &mut NoopSink);
+        let starved = run(Some(0));
         assert!(
             !starved.phases[0].sigma_stable,
             "engine {kind:?}: an exhausted budget must report instability"
         );
         // …while the default (no bound ⇒ the legacy 4n² + 64 horizon) and a
         // generous bound both converge to the same digest.
-        let unbounded = engine.run(&alg, &ring_problems(None), 1, 1, &mut NoopSink);
-        let bounded = engine.run(&alg, &ring_problems(Some(200)), 1, 1, &mut NoopSink);
+        let unbounded = run(None);
+        let bounded = run(Some(200));
         assert!(unbounded.phases[0].sigma_stable, "engine {kind:?}");
         assert!(bounded.phases[0].sigma_stable, "engine {kind:?}");
         assert_eq!(
@@ -56,8 +56,14 @@ fn budget_exhausted_phases_report_instability_instead_of_panicking() {
 #[test]
 fn truncated_outcomes_fail_the_bound_check_downstream() {
     let alg = BoundedHopCount::new(16);
-    let engine = engine_for::<BoundedHopCount>(EngineKind::Sync);
-    let mut run = engine.run(&alg, &ring_problems(Some(0)), 1, 1, &mut NoopSink);
+    let mut run = run_engine(
+        EngineKind::Sync,
+        &alg,
+        &ring_problems(Some(0)),
+        1,
+        1,
+        &mut NoopSink,
+    );
     // Annotate the way `run.rs` does: the budget came from this bound.
     run.phases[0].predicted_bound = Some(0);
     let phase = &run.phases[0];

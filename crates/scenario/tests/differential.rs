@@ -183,6 +183,43 @@ fn cli_runs_scenarios_from_toml_files() {
 }
 
 #[test]
+fn cli_bounds_json_never_prints_a_negative_bound() {
+    // A hop limit of i64::MAX is a valid spec (heights count the ∞ route
+    // too, so h is one more); its bounds saturate at u64::MAX and every
+    // one of them must reach the JSON clamped, not wrapped negative.
+    let mut scenario = builtins::by_name("count-to-infinity").unwrap();
+    scenario.algebra = AlgebraSpec::Hopcount {
+        limit: i64::MAX as u64,
+    };
+    scenario.engines = vec![EngineKind::Sync, EngineKind::Incremental];
+    let dir = std::env::temp_dir().join("dbf-scenario-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("huge-hop-limit.toml");
+    std::fs::write(&path, scenario.to_toml_string()).unwrap();
+
+    let out = scenarios_bin()
+        .args(["bounds", path.to_str().unwrap(), "--json"])
+        .output()
+        .expect("spawn scenarios");
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_balanced_json(&stdout);
+    let max = format!(": {}", i64::MAX);
+    for key in ["\"h\"", "\"sync_bound\"", "\"async_bound\""] {
+        let lines: Vec<&str> = stdout.lines().filter(|l| l.contains(key)).collect();
+        assert!(!lines.is_empty(), "no {key} in:\n{stdout}");
+        for line in lines {
+            assert!(line.contains(&max), "{key} must clamp at i64::MAX: {line}");
+        }
+    }
+    assert!(!stdout.contains(": -"), "a negative number in:\n{stdout}");
+}
+
+#[test]
 fn cli_bench_writes_the_benchmark_document() {
     let dir = std::env::temp_dir().join("dbf-scenario-test");
     std::fs::create_dir_all(&dir).unwrap();

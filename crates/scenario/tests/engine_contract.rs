@@ -304,14 +304,7 @@ fn predicted_bounds_are_identical_across_thread_counts() {
     let mut spec = builtins::by_name("widest-fabric").unwrap();
     spec.engines = vec![EngineKind::Sync, EngineKind::Incremental, EngineKind::Delta];
     let snapshot = |threads: usize| -> Vec<(String, Option<u64>, Option<String>)> {
-        let report = run_scenario_with(
-            &spec,
-            &RunConfig {
-                threads,
-                ..RunConfig::default()
-            },
-        )
-        .unwrap();
+        let report = run_scenario_with(&spec, &RunConfig { threads }).unwrap();
         assert!(report.verdict.bounds_ok, "threads={threads}");
         report
             .runs
@@ -338,54 +331,66 @@ fn predicted_bounds_are_identical_across_thread_counts() {
     );
 }
 
-/// The row-ordering axis of the contract: `run_ordered` must be outcome-
-/// invariant for **every** registered engine — the σ engines relabel and
-/// invert (σ equivariance), everything else ignores the knob — so the
-/// differential verdict and every digest and deterministic counter are
-/// identical whatever ordering the run requests.
+/// The driver's bracket, stated in one place for every engine: a recording
+/// sink sees exactly one `run_start`, whose label is the one the returned
+/// [`EngineRun`] carries, then one `phase_start`/`phase_end` pair per
+/// problem, in order, with the problem's label and node count — whatever
+/// else the engine emits in between.
 #[test]
-fn every_engine_is_invariant_under_row_ordering() {
-    use dbf_scenario::RowOrder;
+fn every_engine_brackets_each_phase_under_the_label_it_returns() {
+    use dbf_algebra::prelude::BoundedHopCount;
+    use dbf_bgp::algebra::BgpAlgebra;
+    use dbf_bgp::policy::Policy;
+    use dbf_matrix::AdjacencyMatrix;
+    use dbf_scenario::engine::run_engine;
+    use dbf_topology::generators;
+
+    #[derive(Default)]
+    struct Markers(Vec<String>);
+    impl telemetry::TelemetrySink for Markers {
+        fn run_start(&mut self, run: &str, engine: &str) {
+            self.0.push(format!("run {run} {engine}"));
+        }
+        fn phase_start(&mut self, label: &str, nodes: usize) {
+            self.0.push(format!("start {label} {nodes}"));
+        }
+        fn phase_end(&mut self, label: &str) {
+            self.0.push(format!("end {label}"));
+        }
+    }
+
+    fn check<A: ScenarioAlgebra>(kind: EngineKind, alg: &A, adjs: [AdjacencyMatrix<A>; 2])
+    where
+        A::Route: Send + Sync + 'static,
+        A::Edge: PartialEq + Send + Sync + 'static,
+    {
+        // The second phase has one node more: the carried state grows.
+        let problems = adjs.map(|adj| {
+            let label = format!("ring of {}", adj.node_count());
+            Problem::new(label, adj, FaultSpec::default())
+        });
+        let mut tel = Markers::default();
+        let run = run_engine(kind, alg, &problems, 7, 1, &mut tel);
+        let mut expected = vec![format!("run {} {}", run.engine, descriptor(kind).name)];
+        for p in &problems {
+            expected.push(format!("start {} {}", p.label, p.adj.node_count()));
+            expected.push(format!("end {}", p.label));
+        }
+        assert_eq!(tel.0, expected, "engine {kind:?}");
+        let labels: Vec<&str> = run.phases.iter().map(|p| p.label.as_str()).collect();
+        assert_eq!(labels, ["ring of 5", "ring of 6"], "engine {kind:?}");
+    }
+
     for kind in EngineKind::all() {
-        let mut spec = conformance_scenarios(kind)
-            .into_iter()
-            .next()
-            .expect("every engine has conformance scenarios");
-        spec.engines = if kind == EngineKind::Sync {
-            vec![EngineKind::Sync]
+        if kind == EngineKind::Bgp {
+            let alg = BgpAlgebra::new(6);
+            let ring = |n| generators::ring(n).with_weights(|_, _| Policy::identity());
+            let adjs = [5, 6].map(|n| alg.adjacency_from_topology(&ring(n)));
+            check(kind, &alg, adjs);
         } else {
-            vec![EngineKind::Sync, kind]
-        };
-        let name = spec.name.clone();
-        let base = run_scenario(&spec).unwrap();
-        for row_order in [RowOrder::Degree, RowOrder::Rcm] {
-            let cfg = RunConfig {
-                threads: 2,
-                row_order,
-            };
-            let reordered = run_scenario_with(&spec, &cfg).unwrap();
-            assert_eq!(
-                reordered.verdict, base.verdict,
-                "engine {kind:?} on {name}: verdict moved under {row_order}"
-            );
-            for (a, b) in base.runs.iter().zip(reordered.runs.iter()) {
-                assert_eq!(a.engine, b.engine, "{name}");
-                assert_eq!(
-                    digests(a),
-                    digests(b),
-                    "engine {kind:?} on {name}: digests must not depend on {row_order}"
-                );
-                if kind != EngineKind::Threaded {
-                    for (pa, pb) in a.phases.iter().zip(b.phases.iter()) {
-                        assert_eq!(
-                            (pa.rounds, pa.work),
-                            (pb.rounds, pb.work),
-                            "engine {kind:?} on {name} phase {:?} under {row_order}",
-                            pa.label
-                        );
-                    }
-                }
-            }
+            let ring = |n| generators::ring(n).with_weights(|_, _| 1u64);
+            let adjs = [5, 6].map(|n| AdjacencyMatrix::from_topology(&ring(n)));
+            check(kind, &BoundedHopCount::new(16), adjs);
         }
     }
 }

@@ -27,15 +27,8 @@ fn fabric_scenario() -> Scenario {
 /// Run a scenario traced and return (report, metrics-section JSON text).
 fn traced_metrics(spec: &Scenario, threads: usize) -> (ScenarioReport, String) {
     let mut sink = AggregatingSink::new();
-    let report = run_scenario_traced(
-        spec,
-        &RunConfig {
-            threads,
-            ..RunConfig::default()
-        },
-        &mut sink,
-    )
-    .expect("spec is valid");
+    let report =
+        run_scenario_traced(spec, &RunConfig { threads }, &mut sink).expect("spec is valid");
     let metrics = metrics_json(&sink.finish()).to_string();
     (report, metrics)
 }
@@ -145,10 +138,7 @@ fn tracing_does_not_perturb_the_run() {
     // The observation contract: attaching the aggregator must not change
     // the differential outcome or any deterministic counter.
     let spec = fabric_scenario();
-    let cfg = RunConfig {
-        threads: 2,
-        ..RunConfig::default()
-    };
+    let cfg = RunConfig { threads: 2 };
     let untraced = run_scenario_with(&spec, &cfg).expect("spec is valid");
     let mut sink = AggregatingSink::new();
     let traced = run_scenario_traced(&spec, &cfg, &mut sink).expect("spec is valid");
