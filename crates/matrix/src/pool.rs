@@ -62,9 +62,10 @@
 //! joins dead workers and respawns replacements under the same index, so
 //! the pool returns to full strength without caller involvement.  Deaths,
 //! restarts, and epoch retries are counted in [`PoolStats`] and flow into
-//! the route server's pool-health telemetry.  [`WorkerPool::scoped_retry`]
-//! wraps `scoped` with bounded exponential backoff for transient (e.g.
-//! injected) epoch failures.
+//! the route server's pool-health telemetry.  The pool itself never
+//! retries: a failed epoch returns its payload, and the one retry loop
+//! (the route server's flush) reports each attempt through
+//! [`WorkerPool::note_retry`].
 
 use std::collections::VecDeque;
 use std::marker::PhantomData;
@@ -160,8 +161,8 @@ pub struct PoolStats {
     pub deaths: u64,
     /// Dead workers replaced by the supervisor.
     pub restarts: u64,
-    /// Epoch retries after transient failures ([`WorkerPool::scoped_retry`]
-    /// attempts plus retries reported via [`WorkerPool::note_retry`]).
+    /// Epoch retries after transient failures, as reported via
+    /// [`WorkerPool::note_retry`].
     pub retries: u64,
 }
 
@@ -407,41 +408,6 @@ impl WorkerPool {
             .collect()
     }
 
-    /// Retry `f` under [`WorkerPool::scoped`] up to `attempts` times with
-    /// exponential backoff starting at `backoff_ms`, for transient epoch
-    /// failures (a fault-injected panic, a killed worker's retried
-    /// epoch).  Returns the first success or the last failure's payload.
-    pub fn scoped_retry<'pool, 'scope, F, R>(
-        &'pool self,
-        attempts: u32,
-        backoff_ms: u64,
-        mut f: F,
-    ) -> ScopedResult<R>
-    where
-        'pool: 'scope,
-        F: FnMut(&PoolScope<'pool, 'scope>) -> R,
-    {
-        let attempts = attempts.max(1);
-        let mut delay = backoff_ms;
-        let mut attempt = 0;
-        loop {
-            match self.scoped(&mut f) {
-                Ok(value) => return Ok(value),
-                Err(payload) => {
-                    attempt += 1;
-                    if attempt >= attempts {
-                        return Err(payload);
-                    }
-                    self.note_retry();
-                    if delay > 0 {
-                        std::thread::sleep(Duration::from_millis(delay));
-                    }
-                    delay = (delay.max(1) * 2).min(100);
-                }
-            }
-        }
-    }
-
     /// Arm a fault plan: subsequent epochs are matched against the plan's
     /// triggers, with epoch indices counted from this call (so the same
     /// plan means the same thing regardless of pool history).
@@ -488,7 +454,7 @@ impl WorkerPool {
 
     /// Record an epoch retry performed by a caller that drives its own
     /// retry loop (the route server's flush retry) so pool-health
-    /// telemetry sees it alongside [`WorkerPool::scoped_retry`]'s.
+    /// telemetry sees it.
     pub fn note_retry(&self) {
         self.inner.retries.fetch_add(1, Ordering::SeqCst);
     }
@@ -1041,37 +1007,5 @@ mod tests {
         assert_eq!(stats.restarts, 1, "the dead worker was respawned once");
         assert_eq!(stats.workers, 2, "the worker set is back to full strength");
         pool.disarm_faults();
-    }
-
-    #[test]
-    fn scoped_retry_recovers_from_an_injected_epoch_failure() {
-        use crate::faults::{FaultKind, FaultPlan};
-        let pool = WorkerPool::new(1);
-        let plan = Arc::new(FaultPlan::new(3).with(FaultKind::FailEpoch, 0));
-        pool.arm_faults(Arc::clone(&plan));
-        let done = AtomicUsize::new(0);
-        let value = pool
-            .scoped_retry(3, 0, |scope| {
-                scope.execute(|| {
-                    done.fetch_add(1, Ordering::SeqCst);
-                });
-                42u32
-            })
-            .expect("the second attempt runs fault-free");
-        assert_eq!(value, 42);
-        assert_eq!(plan.fired_count(), 1, "the fault fired exactly once");
-        assert_eq!(pool.stats().retries, 1, "one retry was recorded");
-        assert!(done.load(Ordering::SeqCst) >= 1);
-        pool.disarm_faults();
-    }
-
-    #[test]
-    fn scoped_retry_gives_up_after_its_attempt_budget() {
-        let pool = WorkerPool::new(1);
-        let outcome = pool.scoped_retry(2, 0, |scope| {
-            scope.execute(|| panic!("permanent failure"));
-        });
-        assert!(outcome.is_err(), "a persistent panic still surfaces");
-        assert_eq!(pool.stats().retries, 1, "attempts - 1 retries");
     }
 }

@@ -1213,79 +1213,6 @@ fn cmd_chaos(opts: &Options) -> Result<bool, String> {
     Ok(true)
 }
 
-fn serve_summary(report: &ReplayReport, threads: usize, batch: usize) -> String {
-    let s = &report.stats;
-    let mut out = format!(
-        "serve: {} events ({} changes, {} queries) on {} nodes (threads={threads}, batch<={batch})\n\
-         \x20 {} batches dirtied {} rows (one-at-a-time estimate {}, coalesce ratio {:.3})\n\
-         \x20 {} rounds, {} row recomputations\n\
-         \x20 final digest {}  answers digest {}\n\
-         \x20 {:.0} events/sec over {:.1} ms",
-        report.events,
-        s.changes,
-        s.queries,
-        report.nodes,
-        s.batches,
-        s.batch_dirty_rows,
-        s.naive_dirty_rows,
-        s.coalesce_ratio(),
-        s.rounds,
-        s.row_recomputations,
-        report.final_digest,
-        report.answers_digest,
-        report.events_per_sec(),
-        report.wall_ms,
-    );
-    for (label, samples) in [("convergence", &s.convergence_us), ("query", &s.query_us)] {
-        if let Some(sum) = telemetry::SettleSummary::from_samples(samples) {
-            out.push_str(&format!(
-                "\n  {label} latency us: p50={} p95={} p99={} max={} ({} samples)",
-                sum.p50, sum.p95, sum.p99, sum.max, sum.count
-            ));
-        }
-    }
-    out.push_str(&format!(
-        "\n  pool: {} workers, {} epochs, {} jobs ({:.0}% on workers)",
-        report.pool.workers,
-        report.pool.epochs,
-        report.pool.jobs,
-        report.pool.worker_share() * 100.0,
-    ));
-    if let Some(rec) = &report.recovery {
-        let snap = match rec.snapshot_offset {
-            Some(off) => format!("snapshot at offset {off}"),
-            None => "no snapshot".into(),
-        };
-        out.push_str(&format!(
-            "\n  recovered: {snap}, {} WAL events replayed",
-            rec.wal_replayed
-        ));
-    }
-    if report.checkpoints > 0 || report.last_checkpoint.is_some() {
-        let last = match report.last_checkpoint {
-            Some(off) => format!(" (last at offset {off})"),
-            None => String::new(),
-        };
-        out.push_str(&format!(
-            "\n  checkpoints: {} snapshots written{last}",
-            report.checkpoints
-        ));
-    }
-    if s.stale_answers > 0 || s.deadline_overruns > 0 || s.flush_retries > 0 {
-        out.push_str(&format!(
-            "\n  degradation: {} deadline overruns, {} stale answers, {} flush retries",
-            s.deadline_overruns, s.stale_answers, s.flush_retries
-        ));
-    }
-    if let Some(f) = &report.failure {
-        out.push_str(&format!(
-            "\n  FAILED ({}) at event offset {}: {}",
-            f.kind, f.offset, f.message
-        ));
-    }
-    out
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = args.first() else {

@@ -21,12 +21,16 @@
 
 use crate::checkpoint::CheckpointStore;
 use crate::report::Json;
-use crate::serve::{replay_trace_opts, ChurnTrace, DeadlineCfg, ReplayReport, ServeOptions};
+use crate::serve::{
+    replay_clocked, replay_trace_opts, ChurnTrace, Clock, DeadlineCfg, ReplayReport, ScriptedClock,
+    ServeOptions, SystemClock,
+};
 use crate::spec::SpecError;
 use dbf_matrix::{FaultKind, FaultPlan};
 use dbf_telemetry::TelemetrySink;
 use std::path::Path;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Names of the built-in fault plans, in the order `scenarios chaos`
 /// runs them.
@@ -174,7 +178,10 @@ fn bound_held(r: &ReplayReport) -> bool {
 ///   corruption — fail cleanly with a structured `wal` error.
 /// * Plans with a flush delay run under a tight fixed deadline so the
 ///   degradation path is exercised; stale answers are expected there,
-///   so only the final-table digest is compared.
+///   so only the final-table digest is compared.  They run on a
+///   [`ScriptedClock`]: the injected delay advances the clock instead of
+///   sleeping, and how many flushes overrun and how many answers are
+///   stale is the same number on every machine and thread count.
 ///
 /// Kill/stall/fail-epoch faults act on the worker pool, so `threads`
 /// should be ≥ 2 for them to bite.
@@ -204,6 +211,16 @@ pub fn run_chaos(
         DeadlineCfg::Millis(5)
     } else {
         DeadlineCfg::Off
+    };
+    // One clock per faulted replay (a recovery is a new process).  A
+    // microsecond per reading keeps an undelayed flush — one reading a
+    // round — far inside the deadline.
+    let clock = || -> Arc<dyn Clock> {
+        if has_delay {
+            Arc::new(ScriptedClock::new(Duration::from_micros(1)))
+        } else {
+            Arc::new(SystemClock::default())
+        }
     };
 
     let clean = replay_trace_opts(
@@ -238,7 +255,7 @@ pub fn run_chaos(
 
     let final_report = if has_crash {
         let _ = std::fs::remove_dir_all(dir);
-        let crash_run = replay_trace_opts(
+        let crash_run = replay_clocked(
             trace,
             &ServeOptions {
                 threads,
@@ -249,6 +266,7 @@ pub fn run_chaos(
                 faults: Some(plan.clone()),
                 ..ServeOptions::default()
             },
+            clock(),
             tel,
         )?;
         match &crash_run.failure {
@@ -270,7 +288,7 @@ pub fn run_chaos(
             tampered.map_err(|e| SpecError::new(format!("chaos tamper: {e}")))?;
             tel.fault_injected(kind.name(), 0);
         }
-        replay_trace_opts(
+        replay_clocked(
             trace,
             &ServeOptions {
                 threads,
@@ -281,10 +299,11 @@ pub fn run_chaos(
                 recover: true,
                 ..ServeOptions::default()
             },
+            clock(),
             tel,
         )?
     } else {
-        replay_trace_opts(
+        replay_clocked(
             trace,
             &ServeOptions {
                 threads,
@@ -293,6 +312,7 @@ pub fn run_chaos(
                 faults: Some(plan.clone()),
                 ..ServeOptions::default()
             },
+            clock(),
             tel,
         )?
     };

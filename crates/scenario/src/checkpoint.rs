@@ -532,12 +532,15 @@ mod tests {
         let mut snap = sample_snapshot();
         snap.overrides = vec![(0, 1, u64::MAX - 1)];
         assert_eq!(Snapshot::parse(&snap.to_text()).expect("a weight"), snap);
-        snap.overrides = vec![(0, 1, u64::MAX)];
-        let err = Snapshot::parse(&snap.to_text()).expect_err("u64::MAX stands for ∞");
-        assert!(
-            err.starts_with("checkpoint line ") && err.contains("out of range"),
-            "{err}"
-        );
+        // ... and neither is 0: not strictly increasing
+        for not_a_weight in [u64::MAX, 0] {
+            snap.overrides = vec![(0, 1, not_a_weight)];
+            let err = Snapshot::parse(&snap.to_text()).expect_err("u64::MAX stands for ∞");
+            assert!(
+                err.starts_with("checkpoint line ") && err.contains("out of range"),
+                "{err}"
+            );
+        }
     }
 
     #[test]

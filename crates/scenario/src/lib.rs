@@ -60,7 +60,10 @@
 //!   on the persistent worker pool and answering route queries from the
 //!   converged table — replayable seeded churn traces, thread-count- and
 //!   batch-size-invariant digests, and the `BENCH_serve.json`
-//!   throughput/latency document;
+//!   throughput/latency document.  A directory of small files: the trace
+//!   format, the server (a state machine whose inputs include time — it
+//!   reads a [`serve::Clock`], never the machine's), the replay driver
+//!   and the report;
 //! * [`checkpoint`] / [`chaos`] — **crash safety, proven**: periodic
 //!   snapshots plus a write-ahead log make a replay killed at any event
 //!   offset recoverable to a byte-identical report; bound-derived flush
@@ -165,9 +168,10 @@ pub use metrics::{metrics_json, metrics_table, profile_table, timing_json, with_
 pub use report::{Agreement, EngineRun, Json, PhaseOutcome, ScenarioReport};
 pub use run::{run_scenario, run_scenario_traced, run_scenario_with, RunConfig};
 pub use serve::{
-    generate_trace, replay_trace, replay_trace_opts, serve_json, BoundRule, ChurnTrace,
-    DeadlineCfg, PoolHandle, RecoveryInfo, ReplayReport, RouteServer, ServeAlgebra, ServeAnswer,
-    ServeEvent, ServeFailure, ServeOptions, ServeProblem, ServeStats, TraceSpec, WeightOverrides,
+    generate_trace, replay_trace, replay_trace_opts, serve_json, serve_summary, BoundRule,
+    ChurnTrace, Clock, DeadlineCfg, PoolHandle, RecoveryInfo, ReplayReport, RouteServer,
+    ScriptedClock, ServeAlgebra, ServeAnswer, ServeEvent, ServeFailure, ServeOptions, ServeProblem,
+    ServeStats, SystemClock, TraceSpec, WeightOverrides,
 };
 pub use spec::{
     AlgebraSpec, ChangeSpec, EngineKind, Expectation, FaultSpec, PhaseSpec, Scenario, ScheduleSpec,
@@ -198,10 +202,10 @@ pub mod prelude {
     pub use crate::report::{Agreement, EngineRun, Json, PhaseOutcome, ScenarioReport};
     pub use crate::run::{run_scenario, run_scenario_traced, run_scenario_with, RunConfig};
     pub use crate::serve::{
-        generate_trace, replay_trace, replay_trace_opts, serve_json, BoundRule, ChurnTrace,
-        DeadlineCfg, PoolHandle, RecoveryInfo, ReplayReport, RouteServer, ServeAlgebra,
-        ServeAnswer, ServeEvent, ServeFailure, ServeOptions, ServeProblem, ServeStats, TraceSpec,
-        WeightOverrides,
+        generate_trace, replay_trace, replay_trace_opts, serve_json, serve_summary, BoundRule,
+        ChurnTrace, Clock, DeadlineCfg, PoolHandle, RecoveryInfo, ReplayReport, RouteServer,
+        ScriptedClock, ServeAlgebra, ServeAnswer, ServeEvent, ServeFailure, ServeOptions,
+        ServeProblem, ServeStats, SystemClock, TraceSpec, WeightOverrides,
     };
     pub use crate::spec::{
         AlgebraSpec, ChangeSpec, EngineKind, Expectation, FaultSpec, PhaseSpec, Scenario,

@@ -1,0 +1,876 @@
+//! [`RouteServer`]: the state machine.
+//!
+//! It is in one of two states — *idle* (a converged table and a pending
+//! batch) or *degraded* (the same, plus one parked [`Flush`] whose
+//! deadline passed; queries answer stale from the old table) — and
+//! *converging* is the transient in between, inside [`RouteServer::flush`].
+//! Its inputs are changes, queries, `finish`, and time: every reading of
+//! the clock and every wait goes through its [`Clock`], and nothing here
+//! opens a file (snapshots are values; the replay driver stores them).
+
+use super::clock::{Clock, SystemClock};
+use super::trace::{change_to_line, parse_event_line, ServeEvent, MAX_NODES};
+use super::types::{
+    BoundRule, DeadlineCfg, PoolHandle, ServeAnswer, ServeProblem, ServeStats, WeightOverrides,
+};
+use crate::checkpoint::{PersistRoute, Snapshot};
+use crate::engine::{state_digest, ScenarioAlgebra};
+use crate::report::Digest;
+use crate::spec::{finite_weight, ChangeSpec, SpecError};
+use dbf_matrix::{
+    dirty_rows_after_change, iteration_budget, AdjacencyMatrix, FaultPlan, FixedPoint, PoolStats,
+    Pooled, RoutingState, Start,
+};
+use dbf_telemetry::TelemetrySink;
+use dbf_topology::Topology;
+use std::fmt::Write as _;
+use std::sync::Arc;
+use std::time::Duration;
+
+/// A flush in progress — parked in `RouteServer::parked` when the
+/// server went over its deadline, kept the old stable table for queries,
+/// and resumes this work incrementally.  It holds the fixed-point stepper
+/// itself, so resuming costs nothing per round and the chunked trajectory
+/// is the uninterrupted trajectory.
+struct Flush<A>
+where
+    A: ScenarioAlgebra,
+    A::Route: Send + Sync + 'static,
+    A::Edge: PartialEq + Send + Sync + 'static,
+{
+    adj: AdjacencyMatrix<A>,
+    kernel: FixedPoint<A>,
+    naive_dirty: u64,
+    batch_dirty: u64,
+    batch_len: u64,
+    budget: usize,
+    bound: Option<u64>,
+    stale_served: u64,
+    /// The clock's reading when the flush began.
+    started: Duration,
+}
+
+/// A long-lived incremental route server over one algebra.
+///
+/// `rebuild` derives the weighted adjacency from the current weightless
+/// shape and the `set_weight` override map; it must be a pure function
+/// of the two so that replaying the same trace always rebuilds the same
+/// matrices.
+pub struct RouteServer<A, F>
+where
+    A: ScenarioAlgebra,
+    A::Route: Send + Sync + 'static,
+    A::Edge: PartialEq + Send + Sync + 'static,
+    F: Fn(&Topology<()>, &WeightOverrides) -> AdjacencyMatrix<A>,
+{
+    alg: A,
+    shape: Topology<()>,
+    overrides: WeightOverrides,
+    rebuild: F,
+    adj: AdjacencyMatrix<A>,
+    state: RoutingState<A>,
+    threads: usize,
+    batch_max: usize,
+    removal_restart: bool,
+    pending: Vec<ChangeSpec>,
+    /// How many of `pending` are `add_node` (kept beside the batch so the
+    /// per-event bounds check never rescans it).
+    pending_adds: usize,
+    stats: ServeStats,
+    pool: PoolHandle,
+    deadline: DeadlineCfg,
+    bound: BoundRule,
+    faults: Option<Arc<FaultPlan>>,
+    /// The flush that overran its deadline, if one is still in flight.
+    parked: Option<Flush<A>>,
+    ema_us_per_round: f64,
+    clock: Arc<dyn Clock>,
+}
+
+impl<A, F> RouteServer<A, F>
+where
+    A: ScenarioAlgebra,
+    A::Route: Send + Sync + 'static,
+    A::Edge: PartialEq + Send + Sync + 'static,
+    F: Fn(&Topology<()>, &WeightOverrides) -> AdjacencyMatrix<A>,
+{
+    /// Build a server without converging it (state = identity).  Chain
+    /// the builders, then call [`RouteServer::initial_converge`].
+    pub fn raw(alg: A, shape: Topology<()>, rebuild: F, threads: usize, batch_max: usize) -> Self {
+        let overrides = WeightOverrides::new();
+        Self::assemble(alg, shape, overrides, rebuild, None, threads, batch_max)
+    }
+
+    /// The one place the field list is written: a server on `shape` and
+    /// `overrides` holding `state` (the identity when `None`), with
+    /// nothing pending, zeroed counters and every builder at its default.
+    fn assemble(
+        alg: A,
+        shape: Topology<()>,
+        overrides: WeightOverrides,
+        rebuild: F,
+        state: Option<RoutingState<A>>,
+        threads: usize,
+        batch_max: usize,
+    ) -> Self {
+        let adj = rebuild(&shape, &overrides);
+        let state = state.unwrap_or_else(|| RoutingState::identity(&alg, adj.node_count()));
+        Self {
+            alg,
+            shape,
+            overrides,
+            rebuild,
+            adj,
+            state,
+            threads: threads.max(1),
+            batch_max: batch_max.max(1),
+            removal_restart: false,
+            pending: Vec::new(),
+            pending_adds: 0,
+            stats: ServeStats::default(),
+            pool: PoolHandle::Shared,
+            deadline: DeadlineCfg::Off,
+            bound: BoundRule::None,
+            faults: None,
+            parked: None,
+            ema_us_per_round: 0.0,
+            clock: Arc::new(SystemClock::default()),
+        }
+    }
+
+    /// Bring up a server on `shape` and converge the initial table (a
+    /// full sweep: every row starts dirty; not counted in the stats).
+    pub fn new(
+        alg: A,
+        shape: Topology<()>,
+        rebuild: F,
+        threads: usize,
+        batch_max: usize,
+        tel: &mut dyn TelemetrySink,
+    ) -> Result<Self, SpecError> {
+        let mut s = Self::raw(alg, shape, rebuild, threads, batch_max);
+        s.initial_converge(tel)?;
+        Ok(s)
+    }
+
+    /// Converge the initial table (deadline-exempt: there is no previous
+    /// stable table to serve from, so startup always runs to a fixed
+    /// point).
+    pub fn initial_converge(&mut self, tel: &mut dyn TelemetrySink) -> Result<(), SpecError> {
+        let n = self.adj.node_count();
+        let mut kernel =
+            FixedPoint::new(&self.adj, self.state.clone(), Start::Dirty(&vec![true; n]));
+        let converged = kernel_retry(
+            &self.pool,
+            &self.alg,
+            &self.adj,
+            &mut kernel,
+            iteration_budget(n, None),
+            self.threads,
+            &mut self.stats.flush_retries,
+            &*self.clock,
+            tel,
+        )
+        .map_err(SpecError::from)?;
+        if !converged {
+            return Err(SpecError::new(
+                "initial convergence exhausted its iteration budget",
+            ));
+        }
+        self.state = kernel.finish(tel);
+        Ok(())
+    }
+
+    /// Reconverge from scratch (identity state, every row dirty) on any
+    /// batch containing a route-worsening event (`remove_edge` /
+    /// `fail_link` / `set_weight`), instead of incrementally from the
+    /// cached table.
+    ///
+    /// This is required for algebras with an *infinite* carrier, such as
+    /// plain shortest paths over ℕ∞: Theorem 7's termination guarantee
+    /// needs a finite carrier, and reconverging from the old fixed point
+    /// after a disconnection counts to infinity (the paper's Section 5) —
+    /// route values climb one round at a time and never reach ∞, so the
+    /// iteration budget exhausts.  Additions only improve routes, so
+    /// addition-only batches stay incremental either way; the classic
+    /// route-withdrawal full recomputation applies only where it must.
+    pub fn restart_on_removal(mut self, on: bool) -> Self {
+        self.removal_restart = on;
+        self
+    }
+
+    /// Audit every flush against a convergence-bound rule (builder).
+    pub fn with_bound(mut self, bound: BoundRule) -> Self {
+        self.bound = bound;
+        self
+    }
+
+    /// Set the per-flush deadline policy (builder).
+    pub fn with_deadline(mut self, deadline: DeadlineCfg) -> Self {
+        self.deadline = deadline;
+        self
+    }
+
+    /// Run σ sweeps on this pool instead of the shared one (builder).
+    pub fn with_pool(mut self, pool: PoolHandle) -> Self {
+        self.pool = pool;
+        self
+    }
+
+    /// Consult this fault plan's serve-side hooks (flush delays)
+    /// (builder).
+    pub fn with_faults(mut self, faults: Option<Arc<FaultPlan>>) -> Self {
+        self.faults = faults;
+        self
+    }
+
+    /// Read time and wait through this clock instead of the machine's
+    /// (builder).  A replay driver that times itself shares the clock.
+    pub fn with_clock(mut self, clock: Arc<dyn Clock>) -> Self {
+        self.clock = clock;
+        self
+    }
+
+    /// Current network size.
+    pub fn node_count(&self) -> usize {
+        self.adj.node_count()
+    }
+
+    /// Lifetime counters.
+    pub fn stats(&self) -> &ServeStats {
+        &self.stats
+    }
+
+    /// Stats of the pool this server runs on.
+    pub fn pool_stats(&self) -> PoolStats {
+        self.pool.get().stats()
+    }
+
+    /// Is a deadline-overrun reconvergence still in flight (queries are
+    /// being answered stale)?
+    pub fn is_degraded(&self) -> bool {
+        self.parked.is_some()
+    }
+
+    /// The digest of the converged table.  Flush before calling this when
+    /// comparing replays (the digest ignores pending events).
+    pub fn digest(&self) -> String {
+        state_digest(&self.state)
+    }
+
+    /// Ingest one event.  Changes are buffered (flushing when the batch
+    /// cap is hit); queries answer from the converged table — or from
+    /// the last stable table, flagged stale, while degraded.
+    pub fn submit(
+        &mut self,
+        event: &ServeEvent,
+        tel: &mut dyn TelemetrySink,
+    ) -> Result<Option<ServeAnswer>, ServeProblem> {
+        match event {
+            ServeEvent::Change(c) => {
+                self.push_change(*c, tel)?;
+                Ok(None)
+            }
+            ServeEvent::Query { from, to } => self.query(*from, *to, tel).map(Some),
+        }
+    }
+
+    /// Buffer a change, flushing when the batch cap is reached.
+    pub fn push_change(
+        &mut self,
+        change: ChangeSpec,
+        tel: &mut dyn TelemetrySink,
+    ) -> Result<(), ServeProblem> {
+        // Bounds are checked against the *post-pending* node count so a
+        // buffered add_node can be referenced by the very next event.
+        let n = self.shape.node_count() + self.pending_adds;
+        if !change.in_bounds(n) {
+            return Err(ServeProblem::out_of_range(format!(
+                "change {change:?} is out of range for a {n}-node topology"
+            )));
+        }
+        match change {
+            ChangeSpec::SetWeight { weight, .. } => {
+                finite_weight(weight).map_err(ServeProblem::out_of_range)?;
+            }
+            ChangeSpec::AddNode if n >= MAX_NODES => {
+                return Err(ServeProblem::out_of_range(format!(
+                    "add_node would grow the network past {MAX_NODES} nodes"
+                )));
+            }
+            _ => {}
+        }
+        self.stats.changes += 1;
+        self.pending_adds += usize::from(matches!(change, ChangeSpec::AddNode));
+        self.pending.push(change);
+        if self.pending.len() >= self.batch_max {
+            self.flush(tel)?;
+        }
+        Ok(())
+    }
+
+    /// Answer a route query.  Normal operation flushes first and answers
+    /// from the converged table; degraded operation advances the parked
+    /// reconvergence one round, then answers from the last stable table
+    /// with [`ServeAnswer::stale`] set.
+    pub fn query(
+        &mut self,
+        from: usize,
+        to: usize,
+        tel: &mut dyn TelemetrySink,
+    ) -> Result<ServeAnswer, ServeProblem> {
+        let t0 = self.clock.now();
+        match self.parked.take() {
+            Some(work) => self.drive(work, Some(1), tel)?,
+            None => self.flush(tel)?,
+        }
+        let stale = self.parked.is_some();
+        let n = self.adj.node_count();
+        if from >= n || to >= n {
+            if stale {
+                // The in-flight batch may be growing the network; finish
+                // it and re-check against the new table.
+                self.complete_degraded(tel)?;
+                return self.query(from, to, tel);
+            }
+            return Err(ServeProblem::out_of_range(format!(
+                "query ({from}, {to}) is out of range for a {n}-node topology"
+            )));
+        }
+        let text = format!("{:?}", self.state.get(from, to));
+        if stale {
+            self.stats.stale_answers += 1;
+            if let Some(w) = self.parked.as_mut() {
+                w.stale_served += 1;
+            }
+        }
+        self.stats.queries += 1;
+        let took = self.clock.now().saturating_sub(t0);
+        self.stats.query_us.push(micros(took));
+        Ok(ServeAnswer { text, stale })
+    }
+
+    /// Reconverge on everything buffered since the last flush.  A no-op
+    /// when nothing is pending.  If a degraded reconvergence is still in
+    /// flight it is completed first (batches stay serialized).
+    pub fn flush(&mut self, tel: &mut dyn TelemetrySink) -> Result<(), ServeProblem> {
+        self.complete_degraded(tel)?;
+        if self.pending.is_empty() {
+            return Ok(());
+        }
+        let t0 = self.clock.now();
+        if let Some(plan) = &self.faults {
+            if let Some(ms) = plan.flush_delay(self.stats.batches) {
+                tel.fault_injected("delay_flush", self.stats.batches);
+                self.clock.sleep(Duration::from_millis(ms));
+            }
+        }
+        let batch: Vec<ChangeSpec> = std::mem::take(&mut self.pending);
+        self.pending_adds = 0;
+        // The structural one-at-a-time cost: each event would have
+        // dirtied (at least) its endpoint rows.
+        let naive_dirty: u64 = batch.iter().map(rows_touched).sum();
+        for c in &batch {
+            // Weight overrides follow the edge lifecycle: explicit edge
+            // (re)creation or removal resets the edge to rule weight.
+            match c {
+                ChangeSpec::SetWeight { from, to, weight } => {
+                    self.overrides.insert((*from, *to), *weight);
+                }
+                ChangeSpec::SetEdge { from, to } | ChangeSpec::RemoveEdge { from, to } => {
+                    self.overrides.remove(&(*from, *to));
+                }
+                ChangeSpec::SetLink { a, b } | ChangeSpec::FailLink { a, b } => {
+                    self.overrides.remove(&(*a, *b));
+                    self.overrides.remove(&(*b, *a));
+                }
+                ChangeSpec::AddNode => {}
+            }
+            crate::run::apply_change(c, &mut self.shape);
+        }
+        let new_adj = (self.rebuild)(&self.shape, &self.overrides);
+        let n = new_adj.node_count();
+        let dirty = dirty_rows_after_change(&self.adj, &new_adj);
+        let batch_dirty = dirty.iter().filter(|&&d| d).count() as u64;
+        let worsened = batch.iter().any(|c| {
+            matches!(
+                c,
+                ChangeSpec::RemoveEdge { .. }
+                    | ChangeSpec::FailLink { .. }
+                    | ChangeSpec::SetWeight { .. }
+            )
+        });
+        // On an infinite carrier a removal (or a weight increase) can
+        // leave the cached table unreachably optimistic
+        // (count-to-infinity); restart from the identity unless the
+        // batch coalesced to no adjacency change.
+        let (x0, dirty) = if self.removal_restart && worsened && batch_dirty > 0 {
+            (RoutingState::identity(&self.alg, n), vec![true; n])
+        } else {
+            let x0 = if self.state.node_count() < n {
+                self.state.grown(&self.alg, n)
+            } else {
+                self.state.clone()
+            };
+            (x0, dirty)
+        };
+        let work = Flush {
+            budget: iteration_budget(n, None),
+            bound: self.bound.rounds(n, &self.overrides),
+            kernel: FixedPoint::new(&new_adj, x0, Start::Dirty(&dirty)),
+            adj: new_adj,
+            naive_dirty,
+            batch_dirty,
+            batch_len: batch.len() as u64,
+            stale_served: 0,
+            started: t0,
+        };
+        self.drive(work, None, tel)
+    }
+
+    /// Drive `work` towards its fixed point.  A fresh flush (`parked:
+    /// None`) runs until it converges or overruns its deadline and is
+    /// parked; a parked one (`Some(k)`) advances at most `k` rounds and is
+    /// parked again unless it converged.
+    ///
+    /// With a deadline in force the stepper advances one round per call
+    /// so the overrun check lands between rounds; the stepper is resumable
+    /// (Jacobi staging — each round reads only the previous round's rows),
+    /// so deterministic counters are unaffected by the chunk size.
+    fn drive(
+        &mut self,
+        mut work: Flush<A>,
+        parked: Option<usize>,
+        tel: &mut dyn TelemetrySink,
+    ) -> Result<(), ServeProblem> {
+        let deadline = match parked {
+            None => self.deadline_duration(),
+            Some(_) => None,
+        };
+        let chunk = parked.unwrap_or(if deadline.is_some() { 1 } else { work.budget });
+        loop {
+            let until = work.kernel.rounds().saturating_add(chunk).min(work.budget);
+            let converged = kernel_retry(
+                &self.pool,
+                &self.alg,
+                &work.adj,
+                &mut work.kernel,
+                until,
+                self.threads,
+                &mut self.stats.flush_retries,
+                &*self.clock,
+                tel,
+            )?;
+            let rounds = work.kernel.rounds() as u64;
+            if converged {
+                if parked.is_some() {
+                    tel.serve_restored(self.stats.batches, rounds, work.stale_served);
+                }
+                self.commit(work, tel);
+                return Ok(());
+            }
+            if rounds >= work.budget as u64 {
+                return Err(ServeProblem::budget(self.stats.batches));
+            }
+            let overrun =
+                deadline.is_some_and(|d| self.clock.now().saturating_sub(work.started) >= d);
+            if overrun {
+                self.stats.deadline_overruns += 1;
+                tel.serve_degraded(self.stats.batches, rounds);
+            }
+            if overrun || parked.is_some() {
+                self.parked = Some(work);
+                return Ok(());
+            }
+        }
+    }
+
+    /// Adopt a converged flush: fold its counters into the stats, audit
+    /// the bound, update the per-round cost EMA, and install the new
+    /// adjacency and table.
+    fn commit(&mut self, work: Flush<A>, tel: &mut dyn TelemetrySink) {
+        let rounds = work.kernel.rounds() as u64;
+        self.stats.batches += 1;
+        self.stats.naive_dirty_rows += work.naive_dirty;
+        self.stats.batch_dirty_rows += work.batch_dirty;
+        self.stats.rounds += rounds;
+        self.stats.row_recomputations += work.kernel.row_recomputations();
+        if rounds > self.stats.worst_flush_rounds {
+            self.stats.worst_flush_rounds = rounds;
+            self.stats.worst_flush_bound = work.bound.unwrap_or(0);
+        }
+        if let Some(b) = work.bound {
+            if rounds <= b {
+                self.stats.bound_ok += 1;
+            }
+        }
+        self.state = work.kernel.finish(tel);
+        tel.serve_batch(
+            self.stats.batches - 1,
+            work.batch_len,
+            work.naive_dirty,
+            work.batch_dirty,
+            rounds,
+        );
+        let us = micros(self.clock.now().saturating_sub(work.started));
+        if rounds > 0 {
+            let per = us as f64 / rounds as f64;
+            self.ema_us_per_round = if self.ema_us_per_round > 0.0 {
+                0.8 * self.ema_us_per_round + 0.2 * per
+            } else {
+                per
+            };
+        }
+        self.adj = work.adj;
+        self.stats.convergence_us.push(us);
+    }
+
+    /// Run a parked reconvergence to completion (re-entering normal
+    /// operation).  A no-op when not degraded.
+    pub fn complete_degraded(&mut self, tel: &mut dyn TelemetrySink) -> Result<(), ServeProblem> {
+        while let Some(work) = self.parked.take() {
+            self.drive(work, Some(64), tel)?;
+        }
+        Ok(())
+    }
+
+    /// Finish serving: complete any degraded work and flush the pending
+    /// batch.
+    pub fn finish(&mut self, tel: &mut dyn TelemetrySink) -> Result<(), ServeProblem> {
+        self.complete_degraded(tel)?;
+        self.flush(tel)
+    }
+
+    /// The effective deadline for the next flush, if any.
+    fn deadline_duration(&self) -> Option<Duration> {
+        match self.deadline {
+            DeadlineCfg::Off => None,
+            DeadlineCfg::Millis(ms) => Some(Duration::from_millis(ms.max(1))),
+            DeadlineCfg::Auto => {
+                let n = self.adj.node_count();
+                let bound = self
+                    .bound
+                    .rounds(n, &self.overrides)
+                    .unwrap_or(iteration_budget(n, None) as u64);
+                // No measurement yet: assume 50µs/round, a generous
+                // figure for the sizes the serve path handles.
+                let per = if self.ema_us_per_round > 0.0 {
+                    self.ema_us_per_round
+                } else {
+                    50.0
+                };
+                let us = (bound as f64 * per * 4.0).max(1_000.0);
+                Some(Duration::from_micros(us as u64))
+            }
+        }
+    }
+}
+
+/// Run the σ kernel up to `until` rounds in total, with supervision and
+/// bounded-backoff retry: a panicking sweep (poisoned pool, injected
+/// fault) is caught — the stepper commits nothing before a round's sweep
+/// has returned, so it is exactly where the last good round left it — the
+/// pool's dead workers are replaced, and the run is resumed up to 3 times
+/// with 1/2/4ms backoff before surfacing a structured `kernel` problem.
+/// Returns whether the fixed point was reached.
+#[allow(clippy::too_many_arguments)]
+fn kernel_retry<A>(
+    pool: &PoolHandle,
+    alg: &A,
+    adj: &AdjacencyMatrix<A>,
+    kernel: &mut FixedPoint<A>,
+    until: usize,
+    threads: usize,
+    retries: &mut u64,
+    clock: &dyn Clock,
+    tel: &mut dyn TelemetrySink,
+) -> Result<bool, ServeProblem>
+where
+    A: ScenarioAlgebra,
+    A::Route: Send + Sync + 'static,
+    A::Edge: PartialEq + Send + Sync + 'static,
+{
+    let mut attempt = 0u32;
+    loop {
+        let p = pool.get();
+        p.supervise();
+        let exec = Pooled { pool: p, threads };
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            kernel.run(alg, adj, until, &exec, tel)
+        }));
+        match result {
+            Ok(converged) => return Ok(converged),
+            Err(payload) => {
+                p.supervise();
+                p.note_retry();
+                attempt += 1;
+                *retries += 1;
+                if attempt >= 3 {
+                    let msg = payload
+                        .downcast_ref::<&str>()
+                        .map(|s| s.to_string())
+                        .or_else(|| payload.downcast_ref::<String>().cloned())
+                        .unwrap_or_else(|| "σ sweep panicked".to_string());
+                    return Err(ServeProblem {
+                        kind: "kernel",
+                        message: format!("σ kernel failed after {attempt} attempts: {msg}"),
+                    });
+                }
+                clock.sleep(Duration::from_millis(1u64 << (attempt - 1)));
+            }
+        }
+    }
+}
+
+/// A span of the clock as a latency sample, microseconds.
+fn micros(d: Duration) -> u64 {
+    d.as_micros().min(u128::from(u64::MAX)) as u64
+}
+
+/// The rows a change dirties under one-at-a-time processing (a
+/// structural lower bound: both endpoint rows, or the joining row for
+/// `add_node`).  The coalesce telemetry compares this against the
+/// batched adjacency diff.
+fn rows_touched(c: &ChangeSpec) -> u64 {
+    match c {
+        ChangeSpec::SetLink { .. } | ChangeSpec::FailLink { .. } => 2,
+        ChangeSpec::SetEdge { .. } | ChangeSpec::RemoveEdge { .. } => 2,
+        ChangeSpec::SetWeight { .. } => 2,
+        ChangeSpec::AddNode => 1,
+    }
+}
+
+impl<A, F> RouteServer<A, F>
+where
+    A: ScenarioAlgebra,
+    A::Route: PersistRoute + Send + Sync + 'static,
+    A::Edge: PartialEq + Send + Sync + 'static,
+    F: Fn(&Topology<()>, &WeightOverrides) -> AdjacencyMatrix<A>,
+{
+    /// Capture the server as a checkpoint snapshot at trace offset
+    /// `offset`.  The *pending* batch is persisted as-is (never
+    /// force-flushed) so that batching alignment — and hence every
+    /// deterministic counter — is identical to an uninterrupted run.
+    pub fn snapshot(&self, offset: u64, algebra: &str, answers: &Digest) -> Snapshot {
+        // `Topology::edges` iterates in sorted `(i, j)` order already
+        let edges: Vec<(usize, usize)> = self.shape.edges().map(|(i, j, _)| (i, j)).collect();
+        let n = self.state.node_count();
+        // ≈ 3 bytes a token at the serve sizes (`inf`, or a small decimal
+        // and its space)
+        let mut rows = String::with_capacity(n * (3 * n + 8));
+        for i in 0..n {
+            let _ = write!(rows, "row {i}");
+            for r in self.state.row(i) {
+                rows.push(' ');
+                r.encode_into(&mut rows);
+            }
+            rows.push('\n');
+        }
+        let s = &self.stats;
+        Snapshot {
+            offset,
+            algebra: algebra.to_string(),
+            nodes: self.shape.node_count(),
+            edges,
+            overrides: self
+                .overrides
+                .iter()
+                .map(|(&(a, b), &w)| (a, b, w))
+                .collect(),
+            pending: self.pending.iter().map(change_to_line).collect(),
+            stats: [
+                s.changes,
+                s.queries,
+                s.batches,
+                s.naive_dirty_rows,
+                s.batch_dirty_rows,
+                s.rounds,
+                s.row_recomputations,
+                s.worst_flush_rounds,
+                s.worst_flush_bound,
+                s.bound_ok,
+            ],
+            answers_state: answers.value(),
+            rows,
+        }
+    }
+
+    /// Rebuild a server from a checkpoint snapshot: shape, weight
+    /// overrides, the converged table (no reconvergence needed — the
+    /// snapshot *is* a fixed point), the pending batch, and the
+    /// deterministic counters.  Chain the builders afterwards.
+    pub fn restore(
+        alg: A,
+        rebuild: F,
+        snap: &Snapshot,
+        threads: usize,
+        batch_max: usize,
+    ) -> Result<Self, String> {
+        let mut shape = Topology::new(snap.nodes);
+        for &(a, b) in &snap.edges {
+            if a >= snap.nodes || b >= snap.nodes {
+                return Err(format!("snapshot edge ({a}, {b}) is out of range"));
+            }
+            shape.set_edge(a, b, ());
+        }
+        let overrides: WeightOverrides = snap
+            .overrides
+            .iter()
+            .map(|&(a, b, w)| ((a, b), w))
+            .collect();
+        // every token is at least a byte and its separator
+        let mut table: Vec<A::Route> = Vec::with_capacity(snap.rows.len() / 2);
+        let mut rows = 0;
+        for line in snap.rows.lines() {
+            // skip the line's own `row <i>` prefix
+            for tok in line.split_whitespace().skip(2) {
+                table.push(
+                    A::Route::decode(tok)
+                        .ok_or_else(|| format!("snapshot row {rows}: bad route token {tok:?}"))?,
+                );
+            }
+            rows += 1;
+            if table.len() != rows * snap.nodes {
+                return Err(format!("snapshot row {} has the wrong width", rows - 1));
+            }
+        }
+        if rows != snap.nodes {
+            return Err("snapshot table does not match its node count".to_string());
+        }
+        let state = RoutingState::from_fn(snap.nodes, |i, j| table[i * snap.nodes + j].clone());
+        let mut pending = Vec::with_capacity(snap.pending.len());
+        for line in &snap.pending {
+            match parse_event_line(line) {
+                Ok(ServeEvent::Change(c)) => pending.push(c),
+                Ok(ServeEvent::Query { .. }) => {
+                    return Err(format!("snapshot pending line {line:?} is not a change"))
+                }
+                Err(e) => return Err(format!("snapshot pending line {line:?}: {e}")),
+            }
+        }
+        let st = &snap.stats;
+        let stats = ServeStats {
+            changes: st[0],
+            queries: st[1],
+            batches: st[2],
+            naive_dirty_rows: st[3],
+            batch_dirty_rows: st[4],
+            rounds: st[5],
+            row_recomputations: st[6],
+            worst_flush_rounds: st[7],
+            worst_flush_bound: st[8],
+            bound_ok: st[9],
+            ..ServeStats::default()
+        };
+        let state = Some(state);
+        let mut server = Self::assemble(alg, shape, overrides, rebuild, state, threads, batch_max);
+        if server.adj.node_count() != snap.nodes {
+            return Err("snapshot adjacency does not match its node count".to_string());
+        }
+        server.pending_adds = pending
+            .iter()
+            .filter(|c| matches!(c, ChangeSpec::AddNode))
+            .count();
+        server.pending = pending;
+        server.stats = stats;
+        Ok(server)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::serve::tests::hop_rebuild;
+    use crate::serve::ScriptedClock;
+    use dbf_algebra::prelude::BoundedHopCount;
+    use dbf_telemetry::NoopSink;
+
+    /// Everything about a server that no snapshot carries — what the
+    /// builders set and what the constructor defaults — in comparable
+    /// form.  The destructuring is exhaustive: a new field has to be
+    /// sorted into one half or the other here before this compiles.
+    fn settings<A, F>(server: &RouteServer<A, F>) -> impl PartialEq + std::fmt::Debug
+    where
+        A: ScenarioAlgebra,
+        A::Route: Send + Sync + 'static,
+        A::Edge: PartialEq + Send + Sync + 'static,
+        F: Fn(&Topology<()>, &WeightOverrides) -> AdjacencyMatrix<A>,
+    {
+        let RouteServer {
+            // restored from the snapshot (or derived from what is)
+            alg: _,
+            rebuild: _,
+            shape: _,
+            overrides: _,
+            adj: _,
+            state: _,
+            pending: _,
+            pending_adds: _,
+            stats: _,
+            // not in a snapshot
+            threads,
+            batch_max,
+            removal_restart,
+            pool,
+            deadline,
+            bound,
+            faults,
+            parked,
+            ema_us_per_round,
+            clock,
+        } = server;
+        let pool = match pool {
+            PoolHandle::Shared => None,
+            PoolHandle::Owned(p) => Some(Arc::as_ptr(p)),
+        };
+        (
+            (*threads, *batch_max, *removal_restart, pool),
+            (*deadline, *bound, faults.as_ref().map(Arc::as_ptr)),
+            (parked.is_none(), *ema_us_per_round),
+            Arc::as_ptr(clock).cast::<()>(),
+        )
+    }
+
+    #[test]
+    fn a_restored_server_differs_from_a_fresh_one_only_in_what_the_snapshot_holds() {
+        let shape = crate::run::build_shape(&crate::spec::TopologySpec::Ring { n: 8 }).unwrap();
+        let alg = BoundedHopCount::new(16);
+        let mut donor =
+            RouteServer::new(alg, shape.clone(), hop_rebuild(), 1, 64, &mut NoopSink).unwrap();
+        for change in [
+            ChangeSpec::FailLink { a: 0, b: 1 },
+            ChangeSpec::SetWeight {
+                from: 2,
+                to: 3,
+                weight: 4,
+            },
+        ] {
+            donor.push_change(change, &mut NoopSink).unwrap();
+        }
+        donor.flush(&mut NoopSink).unwrap();
+        donor
+            .push_change(ChangeSpec::AddNode, &mut NoopSink)
+            .unwrap();
+        let answers = Digest::default();
+        let snap = donor.snapshot(3, "hopcount 16", &answers);
+
+        let pool = PoolHandle::Owned(Arc::new(dbf_matrix::WorkerPool::new(1)));
+        let faults = Some(Arc::new(FaultPlan::new(1)));
+        let clock: Arc<dyn Clock> = Arc::new(ScriptedClock::new(Duration::ZERO));
+        let fresh = RouteServer::raw(alg, shape, hop_rebuild(), 3, 5);
+        let restored = RouteServer::restore(alg, hop_rebuild(), &snap, 3, 5).expect("restores");
+        let build = |s: RouteServer<_, _>| {
+            s.restart_on_removal(true)
+                .with_bound(BoundRule::Hopcount { limit: 16 })
+                .with_deadline(DeadlineCfg::Millis(7))
+                .with_pool(pool.clone())
+                .with_faults(faults.clone())
+                .with_clock(clock.clone())
+        };
+        let (fresh, restored) = (build(fresh), build(restored));
+        assert_eq!(settings(&fresh), settings(&restored));
+        // ... and the restored half is the donor's, to the byte.
+        assert_eq!(restored.snapshot(3, "hopcount 16", &answers), snap);
+        assert_eq!(restored.pending_adds, 1);
+    }
+}

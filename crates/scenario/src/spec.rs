@@ -180,7 +180,8 @@ pub struct WeightRule {
     pub mul_j: u64,
     /// Modulus (≥ 1).
     pub modulus: u64,
-    /// Offset added after the modulus (keeps weights non-zero).
+    /// Offset added after the modulus: at least 1, which keeps every
+    /// weight non-zero ([`Scenario::validate`] refuses a rule with 0).
     pub base: u64,
 }
 
@@ -494,14 +495,20 @@ impl fmt::Display for SpecError {
 impl std::error::Error for SpecError {}
 
 /// An edge weight arriving from outside the program (a spec, a trace or
-/// WAL line, a snapshot): `u64::MAX` is how [`NatInf`] represents `∞`, so
-/// it is not a weight.  The error is a bare message; callers attach their
-/// own file/line context.
+/// WAL line, a snapshot, a change handed to the route server): `u64::MAX`
+/// is how [`NatInf`] represents `∞`, so it is not a weight, and neither
+/// is 0 — across a zero-weight edge hop count and shortest paths only
+/// *increase*, not strictly, the fixed point stops being unique
+/// (Theorem 7), and a stale route can circulate a zero-weight cycle
+/// forever.  The error is a bare message; callers attach their own
+/// file/line context.
 pub(crate) fn finite_weight(w: u64) -> Result<u64, String> {
     match NatInf::try_fin(w) {
-        Some(_) => Ok(w),
-        None => Err(format!(
-            "weight {w} is out of range (weights are 0..={}; u64::MAX stands for ∞)",
+        Some(_) if w > 0 => Ok(w),
+        _ => Err(format!(
+            "weight {w} is out of range (weights are 1..={}: a zero weight is not \
+             strictly increasing, so the fixed point would not be unique; \
+             u64::MAX stands for ∞)",
             u64::MAX - 1
         )),
     }
@@ -613,12 +620,13 @@ impl Scenario {
             _ => {}
         }
         if let AlgebraSpec::Shortest { weights } | AlgebraSpec::Widest { weights } = &self.algebra {
-            // `x mod m + base` tops out at `m − 1 + base`: if that is a
-            // weight, every weight the rule derives is one.
-            weights
-                .base
-                .checked_add(weights.modulus.max(1) - 1)
-                .ok_or_else(|| "weight rule overflows u64".to_string())
+            // `x mod m + base` runs from `base` to `m − 1 + base`: if both
+            // ends are weights, every weight the rule derives is one.
+            finite_weight(weights.base)
+                .and_then(|base| {
+                    base.checked_add(weights.modulus.max(1) - 1)
+                        .ok_or_else(|| "weight rule overflows u64".to_string())
+                })
                 .and_then(finite_weight)
                 .map_err(SpecError::new)?;
         }
@@ -635,6 +643,9 @@ impl Scenario {
                 ));
             }
             for c in &phase.changes {
+                if let ChangeSpec::SetWeight { weight, .. } = c {
+                    finite_weight(*weight).map_err(SpecError::new)?;
+                }
                 if let Some(n) = nodes.as_mut() {
                     if !c.in_bounds(*n) {
                         return Err(SpecError::new(format!(
@@ -1331,6 +1342,18 @@ mod tests {
         let err = reweigh(u64::MAX).expect_err("u64::MAX stands for ∞");
         assert!(err.message.contains("out of range"), "{err}");
         assert!(reweigh(u64::MAX - 1).is_ok());
+        // Zero is not a weight either — merely increasing, so the fixed
+        // point would not be unique — from TOML or from a spec built in code.
+        let err = reweigh(0).expect_err("not strictly increasing");
+        assert!(err.message.contains("strictly increasing"), "{err}");
+        assert!(reweigh(1).is_ok());
+        let mut built = demo();
+        built.phases[1].changes = vec![ChangeSpec::SetWeight {
+            from: 0,
+            to: 1,
+            weight: 0,
+        }];
+        assert!(built.validate().is_err());
 
         // ... and a weight rule that could derive it is rejected whole.
         let ruled = |modulus, base| {
@@ -1352,6 +1375,10 @@ mod tests {
         let err = ruled(9, u64::MAX - 3).expect_err("wraps");
         assert!(err.message.contains("overflows"), "{err}");
         assert!(ruled(9, u64::MAX - 9).is_ok());
+        // ... or 0: `x mod m + 0` is 0 whenever m divides x.
+        let err = ruled(9, 0).expect_err("bottoms out at 0");
+        assert!(err.message.contains("strictly increasing"), "{err}");
+        assert!(ruled(1, 0).is_err(), "uniform 0");
     }
 
     #[test]

@@ -243,6 +243,201 @@ fn a_kill_mid_growth_batch_recovers_with_its_pending_add_nodes() {
     }
 }
 
+/// ~60 events that exercise everything a snapshot carries: growth
+/// (`add_node` and links to the new nodes), weight overrides and their
+/// clearing, removals (restarts, on `shortest`), and queries between them.
+fn eventful_trace(algebra: &str) -> ChurnTrace {
+    let mut text = format!("# dbf-churn-trace v2\ntopology ring 6\nalgebra {algebra}\n");
+    let mut rng = dbf_algebra::algebra::SplitMix64::new(23);
+    let mut n = 6;
+    for k in 0..60 {
+        let (a, b) = (rng.next_below(n) as usize, rng.next_below(n - 1) as usize);
+        let b = if b >= a { b + 1 } else { b };
+        text += &match k % 10 {
+            3 => {
+                n += 1;
+                format!("add_node\nset_link {} {a}\n", n - 1)
+            }
+            0 | 5 => format!("set_weight {a} {b} {}\n", 1 + rng.next_below(7)),
+            1 | 6 => format!("fail_link {a} {b}\n"),
+            2 | 7 => format!("query {a} {b}\n"),
+            4 => format!("set_edge {a} {b}\n"),
+            8 => format!("remove_edge {a} {b}\n"),
+            _ => format!("set_link {a} {b}\n"),
+        };
+    }
+    ChurnTrace::parse(&text).expect("generated trace parses")
+}
+
+#[test]
+fn a_crash_at_every_offset_recovers_to_the_uninterrupted_report() {
+    for algebra in ["hopcount 24", "shortest"] {
+        let trace = eventful_trace(algebra);
+        assert!(trace.events.len() > 60 && trace.query_count() >= 12);
+        let dir = temp_dir(&format!("every-offset-{}", &algebra[..4]));
+        let opts = ServeOptions {
+            threads: 1,
+            batch_max: 5,
+            checkpoint_dir: Some(dir.clone()),
+            checkpoint_every: 7,
+            ..ServeOptions::default()
+        };
+        let clean = replay_trace_opts(
+            &trace,
+            &ServeOptions {
+                checkpoint_dir: None,
+                ..opts.clone()
+            },
+            &mut NoopSink,
+        )
+        .expect("clean replay");
+        assert!(clean.failure.is_none(), "{:?}", clean.failure);
+        assert_eq!(clean.nodes, 12);
+        let want = strip_timing(&serve_json(&clean, 1, 5).to_string());
+        // `len` is a crash point too: after the last event, before `finish`.
+        for crash_at in 0..=trace.events.len() as u64 {
+            std::fs::remove_dir_all(&dir).ok();
+            let crashed = replay_trace_opts(
+                &trace,
+                &ServeOptions {
+                    faults: Some(Arc::new(
+                        FaultPlan::new(1).with(FaultKind::CrashAtEvent, crash_at),
+                    )),
+                    ..opts.clone()
+                },
+                &mut NoopSink,
+            )
+            .expect("crash run returns a partial report");
+            if crash_at < trace.events.len() as u64 {
+                let failure = crashed.failure.expect("the crash fires");
+                assert_eq!((failure.kind.as_str(), failure.offset), ("crash", crash_at));
+                assert_eq!(
+                    failure.last_checkpoint,
+                    Some(crash_at / 7 * 7).filter(|&o| o > 0)
+                );
+            } else {
+                // the crash hook sits before an event: none is left to fire it
+                assert!(crashed.failure.is_none());
+            }
+            let recovered = replay_trace_opts(
+                &trace,
+                &ServeOptions {
+                    recover: true,
+                    ..opts.clone()
+                },
+                &mut NoopSink,
+            )
+            .expect("recovery replay");
+            let info = recovered.recovery.expect("recovery info");
+            assert_eq!(
+                info.snapshot_offset.unwrap_or(0) + info.wal_replayed,
+                crash_at.min(trace.events.len() as u64),
+                "{algebra} crash_at={crash_at}: recovery resumes where the crash was"
+            );
+            assert_eq!(
+                strip_timing(&serve_json(&recovered, 1, 5).to_string()),
+                want,
+                "{algebra} crash_at={crash_at}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// One line-level mutation of `lines`: flip a byte of a line, delete a
+/// line, insert a line from a small vocabulary of near-misses, or
+/// duplicate a line.
+fn mutate(lines: &mut Vec<String>, rng: &mut dbf_algebra::algebra::SplitMix64) {
+    const INSERTS: [&str; 10] = [
+        "add_node",
+        "topology complete 3",
+        "topology star 70",
+        "algebra shortest",
+        "algebra hopcount 3",
+        "set_weight 0 1 0",
+        "set_weight 1 0 18446744073709551614",
+        "query 99 0",
+        "fail_link 0 0",
+        "",
+    ];
+    let at = rng.next_below(lines.len() as u64) as usize;
+    match rng.next_below(4) {
+        0 => {
+            let mut bytes = std::mem::take(&mut lines[at]).into_bytes();
+            if !bytes.is_empty() {
+                let k = rng.next_below(bytes.len() as u64) as usize;
+                bytes[k] ^= 1 << rng.next_below(7);
+            }
+            lines[at] = String::from_utf8_lossy(&bytes).into_owned();
+        }
+        1 if lines.len() > 1 => {
+            lines.remove(at);
+        }
+        2 => lines.insert(at, INSERTS[rng.next_below(10) as usize].to_string()),
+        _ => lines.insert(at, lines[at].clone()),
+    }
+}
+
+#[test]
+fn the_trace_parser_and_the_server_survive_mutated_traces() {
+    let seed = generate_trace(&TraceSpec {
+        topology: TopologySpec::Ring { n: 8 },
+        algebra: ServeAlgebra::Hopcount { limit: 12 },
+        events: 40,
+        seed: 3,
+        query_permille: 200,
+        weight_permille: 250,
+    })
+    .expect("generator accepts the spec")
+    .to_text();
+    assert!(seed.starts_with("# dbf-churn-trace v2"));
+    let mut rng = dbf_algebra::algebra::SplitMix64::new(0xf022);
+    let (mut parsed, mut replayed, mut failed) = (0, 0, 0);
+    for case in 0..2000 {
+        let mut lines: Vec<String> = seed.lines().map(str::to_string).collect();
+        for _ in 0..=rng.next_below(3) {
+            mutate(&mut lines, &mut rng);
+        }
+        let text = lines.join("\n");
+        // `parse` returns; it does not panic, abort or hang.
+        let Ok(trace) = ChurnTrace::parse(&text) else {
+            continue;
+        };
+        parsed += 1;
+        if trace.topology.initial_nodes().is_none_or(|n| n > 64) {
+            continue;
+        }
+        // What parses replays to a report — a shape the family refuses
+        // (`ring 2`) is the one configuration error left — and a replay
+        // that stops early says why in a known vocabulary.
+        match replay_trace(&trace, 1, 4, &mut NoopSink) {
+            Ok(report) => {
+                replayed += 1;
+                if let Some(f) = &report.failure {
+                    failed += 1;
+                    assert!(
+                        ["out_of_range", "budget"].contains(&f.kind.as_str()),
+                        "case {case}: {f:?}\n{text}"
+                    );
+                    assert!(f.offset < trace.events.len() as u64, "case {case}\n{text}");
+                } else {
+                    assert_eq!(report.events, trace.events.len() as u64);
+                }
+            }
+            Err(e) => assert!(
+                e.message.contains("needs at least"),
+                "case {case}: {e}\n{text}"
+            ),
+        }
+    }
+    // The mutations are gentle enough that all three outcomes are common.
+    assert!(parsed > 400 && parsed < 1900, "{parsed} parsed");
+    assert!(
+        replayed > 400 && failed > 50,
+        "{replayed} replayed, {failed} failed"
+    );
+}
+
 #[test]
 fn queries_after_convergence_are_stable_until_the_next_change() {
     let trace = ring_trace(ServeAlgebra::Hopcount { limit: 32 }, 200);
@@ -320,6 +515,42 @@ fn serve_cli_rejects_missing_and_malformed_traces() {
             "{stderr}"
         );
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn serve_cli_refuses_a_node_count_it_cannot_hold() {
+    // Four lines that used to build 4·10⁹ links until the allocator (or the
+    // OOM killer) aborted the process: now a usage error, at once.
+    let dir = temp_dir("toomany");
+    let big = dir.join("big.trace");
+    std::fs::write(
+        &big,
+        "# dbf-churn-trace v1\ntopology line 4000000000\nalgebra hopcount 16\nquery 0 1\n",
+    )
+    .unwrap();
+    let started = std::time::Instant::now();
+    let runs = [
+        scenarios_bin()
+            .args(["serve", "--replay", big.to_str().unwrap()])
+            .output()
+            .expect("run serve"),
+        scenarios_bin()
+            .args(["gen-trace", "--nodes", "4000000000", "--out"])
+            .arg(dir.join("never.trace"))
+            .output()
+            .expect("run gen-trace"),
+    ];
+    assert!(started.elapsed() < std::time::Duration::from_secs(5));
+    for run in runs {
+        assert_eq!(run.status.code(), Some(2));
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert!(
+            stderr.contains("more than a route server holds"),
+            "{stderr}"
+        );
+    }
+    assert!(!dir.join("never.trace").exists());
     std::fs::remove_dir_all(&dir).ok();
 }
 
