@@ -9,17 +9,14 @@
 //!   and the data-flow function `β(t, i, j)` saying how stale the data node
 //!   `i` uses from node `j` is.  Constructors produce synchronous,
 //!   round-robin, randomly delayed/reordered/duplicated and adversarial
-//!   schedules; checkers verify (finite-horizon strengthenings of) the
-//!   axioms **S1–S3**;
+//!   schedules; [`Schedule::certify`] decides the finite-horizon
+//!   strengthenings of the axioms **S1–S3** against the `(w, ℓ)` the
+//!   convergence bounds use, with an explicit witness on violation;
 //! * [`delta`] — the asynchronous iterate `δ` defined from a schedule, with
 //!   convergence detection (Definitions 6–8);
 //! * [`convergence`] — absolute-convergence testing across ensembles of
 //!   starting states and schedules: every run must reach the *same*
 //!   σ-stable state;
-//! * [`trace`] — an observed-schedule recorder: reconstruct the `(α, β)`
-//!   an execution actually followed and certify the finite forms of
-//!   S1–S3 against the `(w, ℓ)` parameters the convergence bounds use,
-//!   with explicit witnesses on violation;
 //! * [`sim`] — a message-level discrete-event simulator with loss,
 //!   duplication, reordering and bounded delay.  Every execution of the
 //!   simulator corresponds to *some* schedule `(α, β)`, so the convergence
@@ -33,13 +30,11 @@ pub mod convergence;
 pub mod delta;
 pub mod schedule;
 pub mod sim;
-pub mod trace;
 
 pub use convergence::{check_absolute_convergence, AbsoluteConvergence, ConvergenceFailure};
 pub use delta::{run_delta, run_delta_traced, DeltaOutcome, DeltaRun};
-pub use schedule::{Schedule, ScheduleParams};
+pub use schedule::{AxiomViolation, Schedule, ScheduleParams};
 pub use sim::{EventSim, SimConfig, SimOutcome, SimStats};
-pub use trace::{AxiomViolation, ScheduleTrace};
 
 /// Commonly used items, suitable for a glob import.
 pub mod prelude {
@@ -47,7 +42,6 @@ pub mod prelude {
         check_absolute_convergence, AbsoluteConvergence, ConvergenceFailure,
     };
     pub use crate::delta::{run_delta, run_delta_traced, DeltaOutcome, DeltaRun};
-    pub use crate::schedule::{Schedule, ScheduleParams};
+    pub use crate::schedule::{AxiomViolation, Schedule, ScheduleParams};
     pub use crate::sim::{EventSim, SimConfig, SimOutcome, SimStats};
-    pub use crate::trace::{AxiomViolation, ScheduleTrace};
 }

@@ -29,11 +29,10 @@
 //! which is what schedule axiom S3 rules out.
 
 use dbf_algebra::RoutingAlgebra;
-use dbf_matrix::{is_stable, AdjacencyMatrix, RibIn, RoutingState};
+use dbf_matrix::{is_stable, AdjacencyMatrix, EventQueue, RibIn, RoutingState};
 use dbf_paths::NodeId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BinaryHeap;
 use std::rc::Rc;
 
 /// Fault-injection and scheduling parameters of the simulated network.
@@ -136,8 +135,6 @@ pub struct SimOutcome<A: RoutingAlgebra> {
 
 #[derive(Debug)]
 struct Message<R> {
-    deliver_at: u64,
-    seq: u64,
     /// Per-`(from, dest)` send generation.  Receivers discard a message
     /// that has been superseded by a newer advert from the same sender for
     /// the same destination — the miniature of BGP's ordered transport and
@@ -154,27 +151,6 @@ struct Message<R> {
     route: Rc<R>,
 }
 
-// BinaryHeap is a max-heap; invert the ordering to get earliest-first.
-impl<R> PartialEq for Message<R> {
-    fn eq(&self, other: &Self) -> bool {
-        self.deliver_at == other.deliver_at && self.seq == other.seq
-    }
-}
-impl<R> Eq for Message<R> {}
-impl<R> PartialOrd for Message<R> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<R> Ord for Message<R> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other
-            .deliver_at
-            .cmp(&self.deliver_at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
 /// The message-level simulator.
 pub struct EventSim<'a, A: RoutingAlgebra> {
     alg: &'a A,
@@ -185,8 +161,7 @@ pub struct EventSim<'a, A: RoutingAlgebra> {
     config: SimConfig,
     rng: StdRng,
     now: u64,
-    seq: u64,
-    queue: BinaryHeap<Message<A::Route>>,
+    queue: EventQueue<Message<A::Route>>,
     /// `tables[i][j]`: node `i`'s current best route to `j`.
     tables: Vec<Vec<A::Route>>,
     /// `ribs[i]`: what node `i` has heard, as imported — per link `k` and
@@ -234,8 +209,7 @@ impl<'a, A: RoutingAlgebra> EventSim<'a, A> {
             config,
             rng: StdRng::seed_from_u64(config.seed),
             now: 0,
-            seq: 0,
-            queue: BinaryHeap::new(),
+            queue: EventQueue::default(),
             tables,
             ribs,
             send_gen: vec![vec![0; n]; n],
@@ -287,16 +261,16 @@ impl<'a, A: RoutingAlgebra> EventSim<'a, A> {
                 let delay = self.rng.gen_range(
                     self.config.min_delay..=self.config.max_delay.max(self.config.min_delay),
                 );
-                self.seq += 1;
-                self.queue.push(Message {
-                    deliver_at: self.now + delay,
-                    seq: self.seq,
-                    gen,
-                    from,
-                    to,
-                    dest,
-                    route: Rc::clone(&route),
-                });
+                self.queue.push(
+                    self.now + delay,
+                    Message {
+                        gen,
+                        from,
+                        to,
+                        dest,
+                        route: Rc::clone(&route),
+                    },
+                );
             }
         }
     }
@@ -337,8 +311,8 @@ impl<'a, A: RoutingAlgebra> EventSim<'a, A> {
             if slice_end.is_some_and(|e| self.stats.delivered as usize >= e) {
                 return false;
             }
-            let msg = self.queue.pop().expect("queue is non-empty");
-            self.now = msg.deliver_at;
+            let (at, msg) = self.queue.pop().expect("queue is non-empty");
+            self.now = at;
             self.stats.delivered += 1;
             let imports = self.adj.row(msg.to);
             let rib = &mut self.ribs[msg.to];

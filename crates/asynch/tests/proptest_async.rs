@@ -24,18 +24,6 @@ fn params() -> impl Strategy<Value = ScheduleParams> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Every generated schedule satisfies the finite forms of S1–S3.
-    #[test]
-    fn random_schedules_satisfy_the_axioms(n in 2usize..7, p in params(), seed in 0u64..1000) {
-        let horizon = 120;
-        let s = Schedule::random(n, horizon, p, seed);
-        prop_assert!(s.check_s2());
-        prop_assert!(s.check_s3_lag(p.max_delay.max(1)));
-        let window = ((1.0 / p.activation_prob.clamp(0.05, 1.0)).ceil() as usize) * 4;
-        prop_assert!(s.check_s1_window(window.min(horizon)));
-        prop_assert!(s.max_lag() >= 1);
-    }
-
     /// δ under the synchronous schedule is exactly σ iteration, for any
     /// horizon.
     #[test]
@@ -126,29 +114,24 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// ScheduleTrace: the observed-schedule recorder certifies S1–S3 for every
-// fault profile the generator emits, with the SAME `(w, ℓ)` parameters the
-// convergence bounds are computed from (`dbf_scenario::bound::schedule_window`
-// uses `w = ⌈1 / activation.clamp(0.05, 1.0)⌉·4` for random schedules,
-// `w = period` for adversarial-stale ones, and `ℓ = max_delay.max(1)`).
+// `Schedule::certify` accepts every fault profile the generator emits under
+// the SAME `(w, ℓ)` parameters the convergence bounds are computed from
+// (`dbf_scenario::bound::schedule_window` uses `w = params.s1_window()` for
+// random schedules, `w = period` for adversarial-stale ones, and
+// `ℓ = max_delay.max(1)`).
 // ---------------------------------------------------------------------------
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Every random fault profile — activation rate, delay, duplication,
-    /// reordering — yields an execution whose recorded trace certifies
-    /// S1(w), S2 and S3(ℓ), and the recording is lossless.
+    /// reordering — yields a schedule that certifies S1(w), S2 and S3(ℓ).
     #[test]
     fn recorded_random_schedules_certify(n in 2usize..7, p in params(), seed in 0u64..1000) {
         let horizon = 120;
         let s = Schedule::random(n, horizon, p, seed);
-        let trace = ScheduleTrace::record(&s);
-        let window = ((1.0 / p.activation_prob.clamp(0.05, 1.0)).ceil() as usize) * 4;
-        let lag = p.max_delay.max(1);
-        prop_assert_eq!(trace.certify(window, lag), Ok(()));
-        prop_assert_eq!(trace.max_lag(), s.max_lag());
-        prop_assert_eq!(trace.into_schedule(), s);
+        prop_assert_eq!(s.certify(p.s1_window(), p.max_delay.max(1)), Ok(()));
+        prop_assert!(s.max_lag() >= 1);
     }
 
     /// The adversarial-stale profile — one node activating every `period`
@@ -164,20 +147,18 @@ proptest! {
         let horizon = 60;
         let victim = (seed as usize) % n;
         let s = Schedule::adversarial_stale(n, horizon, victim, period, max_lag);
-        let trace = ScheduleTrace::record(&s);
-        prop_assert_eq!(trace.certify(period, max_lag), Ok(()));
+        prop_assert_eq!(s.certify(period, max_lag), Ok(()));
         // Tightness of the certificate: the victim really is `max_lag`
         // stale once the horizon allows it, so any smaller ℓ is refused.
         if max_lag > 1 && horizon > max_lag {
             prop_assert!(matches!(
-                trace.certify(period, max_lag - 1),
+                s.certify(period, max_lag - 1),
                 Err(AxiomViolation::S3 { .. })
             ));
         }
-        prop_assert_eq!(trace.into_schedule(), s);
     }
 
-    /// Corrupting a single cell of a certified trace flips certification
+    /// Corrupting a single cell of a certified schedule flips certification
     /// and the witness names the corrupted coordinate.
     #[test]
     fn corrupted_traces_are_rejected_with_a_witness(
@@ -193,8 +174,7 @@ proptest! {
 
         // S3 corruption: a read staler than the bound.
         s.set_data_time(t, i, j, t - lag - 1);
-        let trace = ScheduleTrace::record(&s);
-        match trace.certify(horizon, lag) {
+        match s.certify(horizon, lag) {
             Err(AxiomViolation::S3 { t: wt, i: wi, j: wj, .. }) => {
                 // An earlier organic violation cannot exist (the generator
                 // respects the default max_delay = 4 = lag), so the witness
@@ -206,9 +186,8 @@ proptest! {
 
         // S2 corruption: a read from the future.
         s.set_data_time(t, i, j, t);
-        let trace = ScheduleTrace::record(&s);
         prop_assert!(matches!(
-            trace.certify(horizon, lag),
+            s.certify(horizon, lag),
             Err(AxiomViolation::S2 { .. })
         ));
     }

@@ -15,7 +15,8 @@
 //!   `A_ik(advert)` per link and destination, and the selection fold over
 //!   them — what the message-level engines of `dbf-async` and
 //!   `dbf-protocols` keep instead of re-importing every neighbour's advert
-//!   on every delivery;
+//!   on every delivery — and [`rib::EventQueue`], the earliest-first event
+//!   queue those engines run their simulated time on;
 //! * [`sigma`](mod@crate::sigma) — one synchronous round
 //!   `σ(X) = A(X) ⊕ I` (Equation 5) and
 //!   per-entry recomputation reused by the asynchronous iterate `δ`;
@@ -110,7 +111,7 @@ pub use incremental::{
 pub use kernel::{Executor, FixedPoint, Inline, Start};
 pub use parallel::{par_iterate_to_fixed_point, ParallelAlgebra, Pooled};
 pub use pool::{default_jobs, PoolScope, PoolStats, WorkerPool};
-pub use rib::RibIn;
+pub use rib::{EventQueue, RibIn};
 pub use sigma::{sigma, sigma_entry, sigma_into, sigma_row_into, sigma_row_into_changed};
 pub use state::RoutingState;
 pub use sync::{
@@ -131,7 +132,7 @@ pub mod prelude {
     pub use crate::oracle::exhaustive_path_optimum;
     pub use crate::parallel::{par_iterate_to_fixed_point, ParallelAlgebra, Pooled};
     pub use crate::pool::{PoolScope, PoolStats, WorkerPool};
-    pub use crate::rib::RibIn;
+    pub use crate::rib::{EventQueue, RibIn};
     pub use crate::sigma::{
         sigma, sigma_entry, sigma_into, sigma_k, sigma_row_into, sigma_row_into_changed,
     };

@@ -9,9 +9,79 @@
 //! message, not one per neighbour.  [`RibIn`] is that store — the `deg × n`
 //! slots a node can ever hear on, against the `n²` of a table indexed by
 //! every possible sender — and the one selection fold the engines share.
+//!
+//! [`EventQueue`] is the other thing those engines share: simulated time.
+//! The event simulator and the RIP and BGP engines each deliver what they
+//! scheduled earliest-first, ties in the order scheduled.
 
 use dbf_algebra::RoutingAlgebra;
 use dbf_paths::NodeId;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
+
+/// A discrete-event queue: items come out by ascending time, and items
+/// scheduled for the same time in the order they were pushed — so a run is
+/// a function of what was pushed, never of the heap's internals.
+#[derive(Debug)]
+pub struct EventQueue<T> {
+    heap: BinaryHeap<Entry<T>>,
+    /// How many items have been pushed: the next one's tie-breaker.
+    seq: u64,
+}
+
+#[derive(Debug)]
+struct Entry<T> {
+    at: u64,
+    seq: u64,
+    item: T,
+}
+
+impl<T> Default for EventQueue<T> {
+    fn default() -> Self {
+        Self {
+            heap: BinaryHeap::new(),
+            seq: 0,
+        }
+    }
+}
+
+impl<T> EventQueue<T> {
+    /// Schedule `item` for time `at`.
+    pub fn push(&mut self, at: u64, item: T) {
+        self.seq += 1;
+        let seq = self.seq;
+        self.heap.push(Entry { at, seq, item });
+    }
+
+    /// The earliest item and its time.
+    pub fn pop(&mut self) -> Option<(u64, T)> {
+        self.heap.pop().map(|e| (e.at, e.item))
+    }
+
+    /// Is nothing scheduled?
+    pub fn is_empty(&self) -> bool {
+        self.heap.is_empty()
+    }
+}
+
+// `BinaryHeap` is a max-heap: the ordering is reversed to pop the earliest
+// `(at, seq)` first.  `seq` is unique per queue, so this is a total order.
+impl<T> Ord for Entry<T> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (other.at, other.seq).cmp(&(self.at, self.seq))
+    }
+}
+impl<T> PartialOrd for Entry<T> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl<T> PartialEq for Entry<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+impl<T> Eq for Entry<T> {}
 
 /// Node `i`'s adj-RIB-in over its import row `adj.row(i)`.
 ///
@@ -136,6 +206,23 @@ mod tests {
         adj.set(1, 0, Some(NatInf::fin(5)));
         adj.set(1, 3, Some(NatInf::fin(1)));
         (ShortestPaths::new(), adj)
+    }
+
+    #[test]
+    fn events_pop_by_time_then_in_the_order_pushed() {
+        let mut q = EventQueue::default();
+        assert!(q.is_empty() && q.pop().is_none());
+        for (at, item) in [(5, 'a'), (2, 'b'), (5, 'c'), (2, 'd'), (0, 'e'), (5, 'f')] {
+            q.push(at, item);
+        }
+        // Popping and pushing interleave: a later push for an earlier time
+        // still comes out first, behind nothing but its own time's elders.
+        assert_eq!(q.pop(), Some((0, 'e')));
+        q.push(2, 'g');
+        let rest: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        let want = [(2, 'b'), (2, 'd'), (2, 'g'), (5, 'a'), (5, 'c'), (5, 'f')];
+        assert_eq!(rest, want);
+        assert!(q.is_empty());
     }
 
     #[test]

@@ -29,12 +29,11 @@ use dbf_algebra::RoutingAlgebra;
 use dbf_bgp::algebra::BgpAlgebra;
 use dbf_bgp::policy::Policy;
 use dbf_bgp::route::BgpRoute;
-use dbf_matrix::{is_stable, AdjacencyMatrix, RibIn, RoutingState};
+use dbf_matrix::{is_stable, AdjacencyMatrix, EventQueue, RibIn, RoutingState};
 use dbf_paths::NodeId;
 use dbf_topology::Topology;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BinaryHeap;
 use std::rc::Rc;
 
 /// Configuration of the BGP-like engine.
@@ -88,33 +87,12 @@ enum Payload {
     ResetSession,
 }
 
+/// One scheduled session event between two endpoints.
 #[derive(Debug)]
 struct Scheduled {
-    at: u64,
-    seq: u64,
     from: NodeId,
     to: NodeId,
     payload: Payload,
-}
-
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for Scheduled {}
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
 }
 
 /// The BGP-like engine.
@@ -128,8 +106,7 @@ pub struct BgpEngine {
     n: usize,
     rng: StdRng,
     now: u64,
-    seq: u64,
-    queue: BinaryHeap<Scheduled>,
+    queue: EventQueue<Scheduled>,
     /// In-order delivery: per ordered pair (from, to), the earliest time the
     /// next message may be delivered.
     session_clock: Vec<Vec<u64>>,
@@ -185,8 +162,7 @@ impl BgpEngine {
             n,
             rng: StdRng::seed_from_u64(config.seed),
             now: 0,
-            seq: 0,
-            queue: BinaryHeap::new(),
+            queue: EventQueue::default(),
             session_clock: vec![vec![0; n]; n],
             rib_in,
             loc_rib,
@@ -206,14 +182,14 @@ impl BgpEngine {
             }
             let b = neighbors[engine.rng.gen_range(0..neighbors.len())].0;
             let at = engine.rng.gen_range(1..=config.max_time / 2);
-            engine.seq += 1;
-            engine.queue.push(Scheduled {
+            engine.queue.push(
                 at,
-                seq: engine.seq,
-                from: a,
-                to: b,
-                payload: Payload::ResetSession,
-            });
+                Scheduled {
+                    from: a,
+                    to: b,
+                    payload: Payload::ResetSession,
+                },
+            );
         }
         engine
     }
@@ -229,20 +205,20 @@ impl BgpEngine {
             .gen_range(self.config.min_delay..=self.config.max_delay.max(self.config.min_delay));
         let at = (self.now + delay).max(self.session_clock[from][to] + 1);
         self.session_clock[from][to] = at;
-        self.seq += 1;
         if withdrawal {
             self.stats.withdrawals_sent += 1;
         } else {
             self.stats.updates_sent += 1;
         }
         self.stats.bytes_sent += encoded.len() as u64;
-        self.queue.push(Scheduled {
+        self.queue.push(
             at,
-            seq: self.seq,
-            from,
-            to,
-            payload: Payload::Update(Rc::clone(encoded)),
-        });
+            Scheduled {
+                from,
+                to,
+                payload: Payload::Update(Rc::clone(encoded)),
+            },
+        );
     }
 
     /// Node `i`'s loc-RIB entry for `dest` on the wire, and whether it is a
@@ -293,11 +269,11 @@ impl BgpEngine {
 
     /// Run the engine and report.
     pub fn run(mut self) -> BgpReport {
-        while let Some(msg) = self.queue.pop() {
-            if msg.at > self.config.max_time {
+        while let Some((at, msg)) = self.queue.pop() {
+            if at > self.config.max_time {
                 break;
             }
-            self.now = msg.at;
+            self.now = at;
             match msg.payload {
                 Payload::Update(bytes) => {
                     self.stats.updates_processed += 1;

@@ -24,12 +24,11 @@ use crate::stats::ProtocolStats;
 use crate::wire::{RipUpdate, MAX_NODES, WIRE_INFINITY};
 use dbf_algebra::instances::hopcount::BoundedHopCount;
 use dbf_algebra::instances::nat_inf::NatInf;
-use dbf_matrix::{is_stable, AdjacencyMatrix, RoutingState};
+use dbf_matrix::{is_stable, AdjacencyMatrix, EventQueue, RoutingState};
 use dbf_paths::NodeId;
 use dbf_topology::Topology;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BinaryHeap;
 
 /// Encode a metric for the wire (`∞` ⇒ [`WIRE_INFINITY`]).
 ///
@@ -147,27 +146,6 @@ enum Event {
     },
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Scheduled {
-    at: u64,
-    seq: u64,
-    event: Event,
-}
-
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
 #[derive(Debug, Clone)]
 struct TableEntry {
     metric: NatInf,
@@ -187,8 +165,7 @@ pub struct RipEngine {
     n: usize,
     rng: StdRng,
     now: u64,
-    seq: u64,
-    queue: BinaryHeap<Scheduled>,
+    queue: EventQueue<Event>,
     /// Wire-encoded updates in flight; delivery decodes them again, so the
     /// encode/decode path of [`crate::wire`] runs on every message.
     messages: Vec<Vec<u8>>,
@@ -253,8 +230,7 @@ impl RipEngine {
             n,
             rng: StdRng::seed_from_u64(config.seed),
             now: 0,
-            seq: 0,
-            queue: BinaryHeap::new(),
+            queue: EventQueue::default(),
             messages: Vec::new(),
             tables,
             stats: ProtocolStats::default(),
@@ -264,7 +240,7 @@ impl RipEngine {
             let jitter = engine
                 .rng
                 .gen_range(0..engine.config.update_interval.max(1));
-            engine.schedule(jitter, Event::Periodic(i));
+            engine.queue.push(jitter, Event::Periodic(i));
         }
         engine
     }
@@ -316,15 +292,6 @@ impl RipEngine {
         self
     }
 
-    fn schedule(&mut self, at: u64, event: Event) {
-        self.seq += 1;
-        self.queue.push(Scheduled {
-            at,
-            seq: self.seq,
-            event,
-        });
-    }
-
     /// Build the advertisement `from` sends to `to`, honouring split
     /// horizon.
     fn build_advert(&self, from: NodeId, to: NodeId) -> Vec<(NodeId, NatInf)> {
@@ -373,7 +340,8 @@ impl RipEngine {
             .gen_range(self.config.min_delay..=self.config.max_delay.max(self.config.min_delay));
         self.messages.push(encoded);
         let msg = self.messages.len() - 1;
-        self.schedule(self.now + delay, Event::Delivery { from, to, msg });
+        self.queue
+            .push(self.now + delay, Event::Delivery { from, to, msg });
     }
 
     fn broadcast(&mut self, from: NodeId) {
@@ -460,18 +428,18 @@ impl RipEngine {
 
     /// Run the engine to `max_time` and report.
     pub fn run(mut self) -> RipReport {
-        while let Some(sched) = self.queue.pop() {
-            if sched.at > self.config.max_time {
+        while let Some((at, event)) = self.queue.pop() {
+            if at > self.config.max_time {
                 break;
             }
-            self.now = sched.at;
-            match sched.event {
+            self.now = at;
+            match event {
                 Event::Periodic(i) => {
                     self.stats.periodic_rounds += 1;
                     self.expire_routes(i);
                     self.broadcast(i);
                     let next = self.now + self.config.update_interval.max(1);
-                    self.schedule(next, Event::Periodic(i));
+                    self.queue.push(next, Event::Periodic(i));
                 }
                 Event::Delivery { from, to, msg } => {
                     self.stats.updates_processed += 1;

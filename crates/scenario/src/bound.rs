@@ -12,9 +12,9 @@
 //!
 //! [`bound_table`] evaluates both formulas as a *pure function of the
 //! scenario spec* — no engine is run — tracking the per-phase node count
-//! (AddNode changes grow it) and mapping each phase's fault parameters
-//! onto `(w, ℓ)` exactly the way `crate::engine::schedule_for` constructs
-//! its schedules.  [`bound_for_engine`] then selects the applicable bound
+//! (AddNode changes grow it) and reading each phase's `(w, ℓ)` from the same
+//! mapping of its fault parameters the δ engine builds its schedules from
+//! ([`schedule_window`]).  [`bound_for_engine`] then selects the applicable bound
 //! per engine: synchronous-round engines (sync, incremental) get `n·h`,
 //! the schedule-driven δ engine gets the asynchronous bound, and engines
 //! whose round counters are in different units (event simulators, protocol
@@ -27,8 +27,8 @@
 //! miss fails a scenario the same way a cross-engine disagreement does —
 //! and is shrunk by the fuzzer into a replayable corpus case.
 
-use crate::engine::descriptor;
-use crate::spec::{AlgebraSpec, EngineKind, FaultSpec, Scenario, ScheduleSpec};
+use crate::engine::{descriptor, schedule_plan};
+use crate::spec::{AlgebraSpec, EngineKind, FaultSpec, Scenario};
 use dbf_algebra::HeightBound;
 
 /// The predicted convergence bounds of one phase, derived from the spec.
@@ -110,22 +110,14 @@ pub fn algebra_height(alg: &AlgebraSpec, n: u64) -> Option<HeightBound> {
     }
 }
 
-/// The `(w, ℓ)` pair of a phase's δ-schedules — mirrors how
-/// `crate::engine::schedule_for` builds them, and is asserted against the
-/// recorded traces by `dbf-asynch`'s schedule-axiom property tests.
+/// The `(w, ℓ)` pair of a phase's δ-schedules, read off the one mapping
+/// the δ engine builds them from (`engine::schedule_plan`).  That every
+/// schedule the engine runs certifies under exactly this pair is a test
+/// over the builtins and generated specs
+/// (`engine::tests::the_schedules_delta_runs_certify_under_the_oracles_window`).
 pub fn schedule_window(faults: &FaultSpec) -> (u64, u64) {
-    let lag = faults.max_delay.max(1);
-    match faults.schedule {
-        // The victim activates every `period` steps; everyone else is
-        // synchronous, so the S1 window is the period.
-        ScheduleSpec::AdversarialStale { period, .. } => (period.max(1), lag),
-        // `Schedule::random` forces an activation after
-        // `⌈1 / activation⌉ · 4` idle steps.
-        ScheduleSpec::Random => {
-            let window = (1.0 / faults.activation.clamp(0.05, 1.0)).ceil() as u64 * 4;
-            (window, lag)
-        }
-    }
+    let (params, window) = schedule_plan(faults);
+    (window as u64, params.max_delay as u64)
 }
 
 /// Evaluate the bound formulas for every phase of a spec.

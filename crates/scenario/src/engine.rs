@@ -73,18 +73,21 @@ use std::time::Instant;
 /// (`Edge: PartialEq`), and the protocol adapters downcast the algebra and
 /// adjacency (`'static`).  Blanket-implemented for every qualifying
 /// [`RoutingAlgebra`].
-pub trait ScenarioAlgebra: RoutingAlgebra + Clone + Send + Sync + 'static
-where
-    Self::Route: Send + Sync + 'static,
-    Self::Edge: PartialEq + Send + Sync + 'static,
+pub trait ScenarioAlgebra:
+    RoutingAlgebra<Route: Send + Sync + 'static, Edge: PartialEq + Send + Sync + 'static>
+    + Clone
+    + Send
+    + Sync
+    + 'static
 {
 }
 
-impl<A> ScenarioAlgebra for A
-where
-    A: RoutingAlgebra + Clone + Send + Sync + 'static,
-    A::Route: Send + Sync + 'static,
-    A::Edge: PartialEq + Send + Sync + 'static,
+impl<A> ScenarioAlgebra for A where
+    A: RoutingAlgebra<Route: Send + Sync + 'static, Edge: PartialEq + Send + Sync + 'static>
+        + Clone
+        + Send
+        + Sync
+        + 'static
 {
 }
 
@@ -456,11 +459,7 @@ pub fn run_engine<A: ScenarioAlgebra>(
     seed: u64,
     threads: usize,
     tel: &mut dyn TelemetrySink,
-) -> EngineRun
-where
-    A::Route: Send + Sync + 'static,
-    A::Edge: PartialEq + Send + Sync + 'static,
-{
+) -> EngineRun {
     let run = Run {
         kind,
         alg,
@@ -523,11 +522,7 @@ struct Step<A: RoutingAlgebra> {
     settled: Vec<u64>,
 }
 
-impl<'a, A: ScenarioAlgebra> Run<'a, A>
-where
-    A::Route: Send + Sync + 'static,
-    A::Edge: PartialEq + Send + Sync + 'static,
-{
+impl<'a, A: ScenarioAlgebra> Run<'a, A> {
     /// The one phase loop.  `plan` maps the phase's fault profile to the
     /// engine's configuration before the clock starts; `step` iterates the
     /// phase on the clock.
@@ -610,11 +605,29 @@ fn downcast_owned<Src: Any, Dst: Any>(value: Src) -> Dst {
     *(Box::new(value) as Box<dyn Any>).downcast().expect(GATED)
 }
 
-impl<A: ScenarioAlgebra> Phase<'_, A>
-where
-    A::Route: Send + Sync + 'static,
-    A::Edge: PartialEq + Send + Sync + 'static,
-{
+/// How a fault profile maps onto the δ-schedule generators: their
+/// parameters with every clamp applied, and the S1 window `w` of the
+/// schedule they produce (S3's `ℓ` is the parameters' `max_delay`).  The δ
+/// engine builds its schedule from this pair and the bound oracle
+/// ([`crate::bound::schedule_window`]) multiplies the same pair into
+/// `n·h·(w + ℓ + 1)`, so the two cannot drift.
+pub(crate) fn schedule_plan(faults: &FaultSpec) -> (ScheduleParams, usize) {
+    let params = ScheduleParams {
+        activation_prob: faults.activation.clamp(0.05, 1.0),
+        max_delay: (faults.max_delay as usize).max(1),
+        duplicate_prob: faults.duplicate.clamp(0.0, 1.0),
+        reorder_prob: faults.reorder.clamp(0.0, 1.0),
+    };
+    let window = match faults.schedule {
+        // The victim activates every `period` steps; everyone else is
+        // synchronous.
+        ScheduleSpec::AdversarialStale { period, .. } => (period as usize).max(1),
+        ScheduleSpec::Random => params.s1_window(),
+    };
+    (params, window)
+}
+
+impl<A: ScenarioAlgebra> Phase<'_, A> {
     /// The phase's seed for a seeded engine: each engine strides the run
     /// seed by its own constant (the pinned counters depend on them).
     fn seed(&self, stride: u64) -> u64 {
@@ -690,26 +703,18 @@ where
         }
     }
 
+    /// The δ engine's schedule for the phase, from [`schedule_plan`].
     fn schedule(&self) -> Schedule {
         let faults = &self.problem.faults;
         let n = self.problem.adj.node_count();
+        let horizon = faults.horizon.max(1);
+        let (params, window) = schedule_plan(faults);
         match faults.schedule {
-            ScheduleSpec::AdversarialStale { victim, period } => Schedule::adversarial_stale(
-                n,
-                faults.horizon.max(1),
-                victim % n.max(1),
-                (period.max(1)) as usize,
-                (faults.max_delay as usize).max(1),
-            ),
-            ScheduleSpec::Random => {
-                let params = ScheduleParams {
-                    activation_prob: faults.activation.clamp(0.05, 1.0),
-                    max_delay: (faults.max_delay as usize).max(1),
-                    duplicate_prob: faults.duplicate.clamp(0.0, 1.0),
-                    reorder_prob: faults.reorder.clamp(0.0, 1.0),
-                };
-                Schedule::random(n, faults.horizon.max(1), params, self.seed(0x9E37))
+            // The victim's S1 window is its activation period.
+            ScheduleSpec::AdversarialStale { victim, .. } => {
+                Schedule::adversarial_stale(n, horizon, victim % n.max(1), window, params.max_delay)
             }
+            ScheduleSpec::Random => Schedule::random(n, horizon, params, self.seed(0x9E37)),
         }
     }
 
@@ -890,5 +895,85 @@ impl<A: RoutingAlgebra> Step<A> {
             counters: Some(stats.counters()),
             settled: Vec::new(),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::bound::schedule_window;
+
+    /// Certify every schedule the δ engine's plan builds for `spec` — one
+    /// per phase and scenario seed, through `Phase::schedule` itself, seed
+    /// stride included — under the `(w, ℓ)` the bound oracle reads off the
+    /// same phase.  Returns how many schedules that was.
+    fn certify_planned_schedules(spec: &Scenario) -> usize {
+        spec.validate()
+            .expect("builtins and generated cases validate");
+        let alg = BoundedHopCount::new(1);
+        let gadget_nodes = match spec.algebra {
+            AlgebraSpec::Spp { gadget } => gadget.algebra().node_count(),
+            _ => 0,
+        };
+        let mut certified = 0;
+        for &seed in engine_seeds(EngineKind::Delta, spec) {
+            for (index, (phase, n)) in spec.phases.iter().zip(spec.phase_node_counts()).enumerate()
+            {
+                // The schedule depends on the problem only through its node
+                // count and fault profile: a linkless network will do.
+                let n = n.max(gadget_nodes);
+                let problem = Problem::new(
+                    phase.label.clone(),
+                    AdjacencyMatrix::<BoundedHopCount>::from_fn(n, |_, _| None),
+                    phase.faults,
+                );
+                let plan = Phase {
+                    kind: EngineKind::Delta,
+                    alg: &alg,
+                    problem: &problem,
+                    settled_on: None,
+                    index,
+                    seed,
+                    threads: 1,
+                };
+                let (window, lag) = schedule_window(&phase.faults);
+                plan.schedule()
+                    .certify(window as usize, lag as usize)
+                    .unwrap_or_else(|v| {
+                        panic!(
+                            "{} phase {:?} seed {seed}: not ({window}, {lag})-bounded: {v}",
+                            spec.name, phase.label
+                        )
+                    });
+                certified += 1;
+            }
+        }
+        certified
+    }
+
+    /// The loop the bound oracle never closed: `n·h·(w + ℓ + 1)` is a
+    /// theorem about `(w, ℓ)`-bounded executions, so the schedules δ is
+    /// actually run under must be exactly that.
+    #[test]
+    fn the_schedules_delta_runs_certify_under_the_oracles_window() {
+        let mut certified = 0;
+        for spec in crate::builtins::all() {
+            if spec.engines.contains(&EngineKind::Delta) {
+                certified += certify_planned_schedules(&spec);
+            }
+        }
+        assert!(certified >= 20, "only {certified} builtin schedules");
+        let mut adversarial = 0;
+        for seed in 0..200 {
+            let spec = crate::gen::scenario_case(seed);
+            assert!(spec.engines.contains(&EngineKind::Delta), "case {seed}");
+            certify_planned_schedules(&spec);
+            adversarial += spec
+                .phases
+                .iter()
+                .filter(|p| matches!(p.faults.schedule, ScheduleSpec::AdversarialStale { .. }))
+                .count();
+        }
+        assert!(adversarial >= 20, "only {adversarial} adversarial phases");
     }
 }

@@ -13,8 +13,7 @@
 use crate::engine::{descriptor, engine_label, engine_seeds, run_engine, Problem, ScenarioAlgebra};
 use crate::report::{Agreement, EngineRun, PhaseOutcome, ScenarioReport};
 use crate::spec::{
-    AlgebraSpec, ChangeSpec, EngineKind, FaultSpec, Scenario, SpecError, SppGadget, TopologySpec,
-    WeightRule,
+    AlgebraSpec, ChangeSpec, EngineKind, FaultSpec, Scenario, SpecError, TopologySpec, WeightRule,
 };
 use dbf_algebra::algebra::SplitMix64;
 use dbf_algebra::prelude::*;
@@ -121,11 +120,7 @@ pub fn run_scenario_traced(
             Ok(execute(&alg, &mut problems, spec, cfg, tel))
         }
         AlgebraSpec::Spp { gadget } => {
-            let alg = match gadget {
-                SppGadget::Disagree => SppAlgebra::disagree(),
-                SppGadget::Bad => SppAlgebra::bad_gadget(),
-                SppGadget::Good => SppAlgebra::good_gadget(),
-            };
+            let alg = gadget.algebra();
             let adj = alg.adjacency();
             let mut problems: Vec<Problem<SppAlgebra>> = spec
                 .phases
@@ -352,11 +347,7 @@ fn execute<A: ScenarioAlgebra>(
     spec: &Scenario,
     cfg: &RunConfig,
     tel: &mut dyn TelemetrySink,
-) -> ScenarioReport
-where
-    A::Route: Send + Sync + 'static,
-    A::Edge: PartialEq + Send + Sync + 'static,
-{
+) -> ScenarioReport {
     let bounds = crate::bound::bound_table(spec);
     for (p, pb) in problems.iter_mut().zip(&bounds) {
         p.round_budget = pb.sync_bound;
@@ -401,11 +392,7 @@ fn guarded<A: ScenarioAlgebra>(
     seed: u64,
     problems: &[Problem<A>],
     f: impl FnOnce() -> EngineRun,
-) -> EngineRun
-where
-    A::Route: Send + Sync + 'static,
-    A::Edge: PartialEq + Send + Sync + 'static,
-{
+) -> EngineRun {
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
         Ok(run) => run,
         Err(payload) => panicked_run(
@@ -423,11 +410,7 @@ fn panicked_run<A: ScenarioAlgebra>(
     engine: String,
     problems: &[Problem<A>],
     message: String,
-) -> EngineRun
-where
-    A::Route: Send + Sync + 'static,
-    A::Edge: PartialEq + Send + Sync + 'static,
-{
+) -> EngineRun {
     let phases = problems
         .iter()
         .map(|p| PhaseOutcome {

@@ -239,8 +239,6 @@ impl Progress {
     ) -> Result<(), ServeFailure>
     where
         A: ScenarioAlgebra,
-        A::Route: Send + Sync + 'static,
-        A::Edge: PartialEq + Send + Sync + 'static,
         F: Fn(&Topology<()>, &WeightOverrides) -> AdjacencyMatrix<A>,
     {
         let answer = server
@@ -270,8 +268,7 @@ impl Progress {
     ) -> Result<(), ServeFailure>
     where
         A: ScenarioAlgebra,
-        A::Route: PersistRoute + Send + Sync + 'static,
-        A::Edge: PartialEq + Send + Sync + 'static,
+        A::Route: PersistRoute,
         F: Fn(&Topology<()>, &WeightOverrides) -> AdjacencyMatrix<A>,
     {
         if opts.recover {
@@ -378,8 +375,7 @@ fn replay_with<A, F>(
 ) -> Result<ReplayReport, SpecError>
 where
     A: ScenarioAlgebra,
-    A::Route: PersistRoute + Send + Sync + 'static,
-    A::Edge: PartialEq + Send + Sync + 'static,
+    A::Route: PersistRoute,
     F: Fn(&Topology<()>, &WeightOverrides) -> AdjacencyMatrix<A>,
 {
     let threads = opts.threads.max(1);

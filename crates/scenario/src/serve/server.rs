@@ -35,8 +35,6 @@ use std::time::Duration;
 struct Flush<A>
 where
     A: ScenarioAlgebra,
-    A::Route: Send + Sync + 'static,
-    A::Edge: PartialEq + Send + Sync + 'static,
 {
     adj: AdjacencyMatrix<A>,
     kernel: FixedPoint<A>,
@@ -59,8 +57,6 @@ where
 pub struct RouteServer<A, F>
 where
     A: ScenarioAlgebra,
-    A::Route: Send + Sync + 'static,
-    A::Edge: PartialEq + Send + Sync + 'static,
     F: Fn(&Topology<()>, &WeightOverrides) -> AdjacencyMatrix<A>,
 {
     alg: A,
@@ -90,8 +86,6 @@ where
 impl<A, F> RouteServer<A, F>
 where
     A: ScenarioAlgebra,
-    A::Route: Send + Sync + 'static,
-    A::Edge: PartialEq + Send + Sync + 'static,
     F: Fn(&Topology<()>, &WeightOverrides) -> AdjacencyMatrix<A>,
 {
     /// Build a server without converging it (state = identity).  Chain
@@ -587,8 +581,6 @@ fn kernel_retry<A>(
 ) -> Result<bool, ServeProblem>
 where
     A: ScenarioAlgebra,
-    A::Route: Send + Sync + 'static,
-    A::Edge: PartialEq + Send + Sync + 'static,
 {
     let mut attempt = 0u32;
     loop {
@@ -643,8 +635,7 @@ fn rows_touched(c: &ChangeSpec) -> u64 {
 impl<A, F> RouteServer<A, F>
 where
     A: ScenarioAlgebra,
-    A::Route: PersistRoute + Send + Sync + 'static,
-    A::Edge: PartialEq + Send + Sync + 'static,
+    A::Route: PersistRoute,
     F: Fn(&Topology<()>, &WeightOverrides) -> AdjacencyMatrix<A>,
 {
     /// Capture the server as a checkpoint snapshot at trace offset
@@ -792,8 +783,6 @@ mod tests {
     fn settings<A, F>(server: &RouteServer<A, F>) -> impl PartialEq + std::fmt::Debug
     where
         A: ScenarioAlgebra,
-        A::Route: Send + Sync + 'static,
-        A::Edge: PartialEq + Send + Sync + 'static,
         F: Fn(&Topology<()>, &WeightOverrides) -> AdjacencyMatrix<A>,
     {
         let RouteServer {

@@ -13,6 +13,7 @@
 //! via [`Scenario::from_toml_str`]; the round trip is lossless.
 
 use dbf_algebra::prelude::NatInf;
+use dbf_bgp::spp::SppAlgebra;
 use std::fmt;
 use toml::{Table, Value};
 
@@ -168,6 +169,17 @@ pub enum SppGadget {
     Bad,
     /// GOOD GADGET: converges despite the unconstrained algebra.
     Good,
+}
+
+impl SppGadget {
+    /// The gadget's algebra (which carries its own topology).
+    pub fn algebra(self) -> SppAlgebra {
+        match self {
+            SppGadget::Disagree => SppAlgebra::disagree(),
+            SppGadget::Bad => SppAlgebra::bad_gadget(),
+            SppGadget::Good => SppAlgebra::good_gadget(),
+        }
+    }
 }
 
 /// Deterministic edge-weight derivation: `w(i, j) = (i·mul_i + j·mul_j)
@@ -518,6 +530,15 @@ pub(crate) fn finite_weight(w: u64) -> Result<u64, String> {
 // Validation
 // ---------------------------------------------------------------------
 
+/// The most lag cells — `horizon · n²`, four bytes each — one phase's
+/// δ-schedule may hold: 2²⁷, half a gibibyte.  The schedule is built whole
+/// before δ takes its first step and a failed allocation aborts the process
+/// (no panic for the runner's firewall to catch), so a horizon arriving from
+/// outside — a TOML file, a sweep axis — is bounded here, before anything
+/// is built.  The cap admits the largest network the registry recommends δ
+/// for (512 nodes) at the default horizon of 400: 1.05·10⁸ cells.
+pub const MAX_SCHEDULE_CELLS: u64 = 1 << 27;
+
 impl TopologySpec {
     /// The node count of the initial shape, when the family determines it
     /// (`Gadget` carries its own shape, so it answers `None`).
@@ -631,6 +652,12 @@ impl Scenario {
                 .map_err(SpecError::new)?;
         }
         let changes_allowed = !matches!(self.algebra, AlgebraSpec::Spp { .. });
+        let runs_delta = self.engines.contains(&EngineKind::Delta);
+        // A gadget carries its own shape.
+        let gadget_nodes = match self.algebra {
+            AlgebraSpec::Spp { gadget } => gadget.algebra().node_count(),
+            _ => 0,
+        };
         // Simulate the node count through the phases so out-of-range
         // changes are rejected at spec-validation time, before any engine
         // runs.  `AddNode` grows the count, so later changes may reference
@@ -662,6 +689,20 @@ impl Scenario {
                         "adversarial_stale schedules need period >= 1",
                     ));
                 }
+            }
+            let (horizon, n) = (phase.faults.horizon, nodes.unwrap_or(gadget_nodes));
+            let cells = (n as u64)
+                .checked_mul(n as u64)
+                .and_then(|c| c.checked_mul(horizon as u64));
+            if runs_delta
+                && (u32::try_from(horizon).is_err() || cells.is_none_or(|c| c > MAX_SCHEDULE_CELLS))
+            {
+                return Err(SpecError::new(format!(
+                    "phase {:?}: horizon {horizon} over {n} nodes is more than a delta schedule \
+                     holds (horizon · n² lag cells, at most {MAX_SCHEDULE_CELLS}, and a horizon \
+                     below 2³²)",
+                    phase.label
+                )));
             }
             if matches!(self.algebra, AlgebraSpec::GaoRexford)
                 && phase.changes.iter().any(|c| {
@@ -1423,6 +1464,41 @@ mod tests {
             Scenario::from_toml_str(&s.to_toml_string()).is_err(),
             "period = 0 in TOML must surface the validation error"
         );
+    }
+
+    #[test]
+    fn a_horizon_delta_cannot_hold_is_refused_before_anything_is_built() {
+        // demo(): a 6-node ring, 36 lag cells per step.
+        let mut s = demo();
+        s.phases[1].faults.horizon = (MAX_SCHEDULE_CELLS / 36) as usize;
+        assert!(s.validate().is_ok(), "{:?}", s.validate());
+        for horizon in [s.phases[1].faults.horizon + 1, 4_000_000_000, 5_000_000_000] {
+            s.phases[1].faults.horizon = horizon;
+            let err = s.validate().expect_err("the schedule would not fit");
+            assert!(err.message.contains("phase \"failure\""), "{err}");
+            assert!(err.message.contains(&horizon.to_string()), "{err}");
+            // The same number in a file is the same error, not an abort.
+            assert_eq!(Scenario::from_toml_str(&s.to_toml_string()), Err(err));
+        }
+        // Only δ materialises a schedule.
+        s.engines = vec![EngineKind::Sync, EngineKind::Sim];
+        assert!(s.validate().is_ok());
+
+        // A gadget carries its own shape (DISAGREE: 3 nodes); `add_node`
+        // counts.
+        let mut g = crate::builtins::bgp_wedgie();
+        assert_eq!(g.engines, [EngineKind::Delta]);
+        g.phases[0].faults.horizon = (MAX_SCHEDULE_CELLS / 9) as usize;
+        assert!(g.validate().is_ok());
+        g.phases[0].faults.horizon += 1;
+        assert!(g.validate().is_err());
+        let mut s = demo();
+        s.phases[1].changes = vec![ChangeSpec::AddNode];
+        s.phases[1].faults.horizon = (MAX_SCHEDULE_CELLS / 49) as usize + 1;
+        assert!(s.validate().is_err());
+        s.phases[0].faults.horizon = s.phases[1].faults.horizon;
+        s.phases[1].faults.horizon = 400;
+        assert!(s.validate().is_ok(), "phase 0 still has 6 nodes");
     }
 
     #[test]

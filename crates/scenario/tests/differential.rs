@@ -220,6 +220,35 @@ fn cli_bounds_json_never_prints_a_negative_bound() {
 }
 
 #[test]
+fn cli_refuses_a_horizon_delta_cannot_hold() {
+    // `scenarios show count-to-infinity` with one number edited used to ask
+    // the allocator for 96 GB (120 GB at 5·10⁹) of activation rows and
+    // abort, past the runner's panic firewall: now a usage error, at once.
+    let dir = std::env::temp_dir().join("dbf-scenario-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("huge-horizon.toml");
+    let started = std::time::Instant::now();
+    for horizon in [4_000_000_000usize, 5_000_000_000] {
+        let mut scenario = builtins::by_name("count-to-infinity").unwrap();
+        scenario.phases[0].faults.horizon = horizon;
+        std::fs::write(&path, scenario.to_toml_string()).unwrap();
+        let out = scenarios_bin()
+            .args(["run", path.to_str().unwrap()])
+            .args(["--engines", "sync,delta", "--threads", "1"])
+            .output()
+            .expect("spawn scenarios");
+        assert_eq!(out.status.code(), Some(2), "horizon {horizon}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("horizon {horizon} over 4 nodes"))
+                && stderr.contains("more than a delta schedule holds"),
+            "{stderr}"
+        );
+    }
+    assert!(started.elapsed() < std::time::Duration::from_secs(5));
+}
+
+#[test]
 fn cli_bench_writes_the_benchmark_document() {
     let dir = std::env::temp_dir().join("dbf-scenario-test");
     std::fs::create_dir_all(&dir).unwrap();

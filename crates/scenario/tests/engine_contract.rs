@@ -359,11 +359,7 @@ fn every_engine_brackets_each_phase_under_the_label_it_returns() {
         }
     }
 
-    fn check<A: ScenarioAlgebra>(kind: EngineKind, alg: &A, adjs: [AdjacencyMatrix<A>; 2])
-    where
-        A::Route: Send + Sync + 'static,
-        A::Edge: PartialEq + Send + Sync + 'static,
-    {
+    fn check<A: ScenarioAlgebra>(kind: EngineKind, alg: &A, adjs: [AdjacencyMatrix<A>; 2]) {
         // The second phase has one node more: the carried state grows.
         let problems = adjs.map(|adj| {
             let label = format!("ring of {}", adj.node_count());
