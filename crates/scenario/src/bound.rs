@@ -14,8 +14,8 @@
 //! scenario spec* — no engine is run — tracking the per-phase node count
 //! (AddNode changes grow it) and reading each phase's `(w, ℓ)` from the same
 //! mapping of its fault parameters the δ engine builds its schedules from
-//! ([`schedule_window`]).  [`bound_for_engine`] then selects the applicable bound
-//! per engine: synchronous-round engines (sync, incremental) get `n·h`,
+//! ([`schedule_window`]).  [`bound_for_engine`] then selects the applicable
+//! bound per engine: synchronous-round engines (sync, incremental) get `n·h`,
 //! the schedule-driven δ engine gets the asynchronous bound, and engines
 //! whose round counters are in different units (event simulators, protocol
 //! adapters, the threaded runtime) get none — the registry's

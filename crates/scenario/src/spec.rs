@@ -690,19 +690,19 @@ impl Scenario {
                     ));
                 }
             }
-            let (horizon, n) = (phase.faults.horizon, nodes.unwrap_or(gadget_nodes));
-            let cells = (n as u64)
-                .checked_mul(n as u64)
-                .and_then(|c| c.checked_mul(horizon as u64));
-            if runs_delta
-                && (u32::try_from(horizon).is_err() || cells.is_none_or(|c| c > MAX_SCHEDULE_CELLS))
-            {
-                return Err(SpecError::new(format!(
-                    "phase {:?}: horizon {horizon} over {n} nodes is more than a delta schedule \
-                     holds (horizon · n² lag cells, at most {MAX_SCHEDULE_CELLS}, and a horizon \
-                     below 2³²)",
-                    phase.label
-                )));
+            if runs_delta {
+                let (horizon, n) = (phase.faults.horizon, nodes.unwrap_or(gadget_nodes));
+                let cells = (n as u64)
+                    .checked_mul(n as u64)
+                    .and_then(|c| c.checked_mul(horizon as u64));
+                if u32::try_from(horizon).is_err() || cells.is_none_or(|c| c > MAX_SCHEDULE_CELLS) {
+                    return Err(SpecError::new(format!(
+                        "phase {:?}: horizon {horizon} over {n} nodes is more than a delta \
+                         schedule holds (horizon · n² lag cells, at most {MAX_SCHEDULE_CELLS}, \
+                         and a horizon below 2³²)",
+                        phase.label
+                    )));
+                }
             }
             if matches!(self.algebra, AlgebraSpec::GaoRexford)
                 && phase.changes.iter().any(|c| {
