@@ -479,10 +479,6 @@ impl WorkerPool {
     }
 }
 
-/// The result of a scoped epoch: `Err` carries the first job panic's
-/// payload, as in `std::thread::Result`.
-pub type ScopedResult<R> = std::thread::Result<R>;
-
 impl Drop for WorkerPool {
     fn drop(&mut self) {
         {

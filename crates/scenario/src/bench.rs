@@ -4,8 +4,9 @@
 //! compare against.
 
 use crate::agg::SweepReport;
+use crate::metrics::settle_json;
 use crate::report::{Json, ScenarioReport};
-use dbf_telemetry::{MetricsReport, SettleSummary};
+use dbf_telemetry::MetricsReport;
 
 /// One benchmark record: a scenario's differential report plus the
 /// deterministic telemetry metrics collected while it ran (when the run
@@ -16,16 +17,6 @@ pub struct BenchRecord {
     /// Per-run/per-phase telemetry metrics (settle histograms, round
     /// counts) from an [`dbf_telemetry::AggregatingSink`].
     pub metrics: Option<MetricsReport>,
-}
-
-fn settle_json(s: &SettleSummary) -> Json {
-    Json::Obj(vec![
-        ("count".into(), Json::uint(s.count)),
-        ("p50".into(), Json::uint(s.p50)),
-        ("p95".into(), Json::uint(s.p95)),
-        ("p99".into(), Json::uint(s.p99)),
-        ("max".into(), Json::uint(s.max)),
-    ])
 }
 
 /// Aggregate a set of benchmark records into the `BENCH_scenarios.json`
@@ -164,9 +155,8 @@ pub fn bench_json(records: &[BenchRecord], threads: usize) -> Json {
                                                                     ),
                                                                     (
                                                                         "settle".into(),
-                                                                        settle.map_or(
-                                                                            Json::Null,
-                                                                            settle_json,
+                                                                        settle_json(
+                                                                            settle.copied(),
                                                                         ),
                                                                     ),
                                                                     (
@@ -216,7 +206,7 @@ pub fn bench_sweeps_json(reports: &[SweepReport]) -> Json {
 mod tests {
     use super::*;
     use crate::report::{Agreement, EngineRun, PhaseOutcome};
-    use dbf_telemetry::PhaseMetrics;
+    use dbf_telemetry::{PhaseMetrics, SettleSummary};
 
     #[test]
     fn bench_document_aggregates_work() {

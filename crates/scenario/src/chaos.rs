@@ -20,6 +20,7 @@
 //! reproducible.
 
 use crate::checkpoint::CheckpointStore;
+use crate::fields::{Fields, Item};
 use crate::report::Json;
 use crate::serve::{
     replay_clocked, replay_trace_opts, ChurnTrace, Clock, DeadlineCfg, ReplayReport, ScriptedClock,
@@ -84,53 +85,41 @@ pub fn builtin_plan(name: &str, events: usize) -> Option<FaultPlan> {
 /// ```
 pub fn load_plan(text: &str) -> Result<FaultPlan, SpecError> {
     let value = toml::from_str(text).map_err(|e| SpecError::new(format!("fault plan: {e}")))?;
-    let seed = value.get("seed").and_then(|v| v.as_integer()).unwrap_or(0) as u64;
-    let mut plan = FaultPlan::new(seed);
-    let faults = match value.get("fault") {
-        None => return Ok(plan),
-        Some(v) => v
-            .as_array()
-            .ok_or_else(|| SpecError::new("fault plan: `fault` must be an array of tables"))?,
+    Item::root(&value)
+        .table(|f| {
+            let mut plan = FaultPlan::new(f.or("seed", 0, Item::seed)?);
+            for (kind, at) in f.or("fault", Vec::new(), |v| v.each(|t| t.table(decode_fault)))? {
+                plan.push(kind, at);
+            }
+            Ok(plan)
+        })
+        .map_err(|e| SpecError::new(format!("fault plan: {}", e.message)))
+}
+
+/// One `[[fault]]` table: the fault and its trigger site.
+fn decode_fault(f: &mut Fields<'_>) -> Result<(FaultKind, u64), SpecError> {
+    let kind = f.req("kind")?;
+    let fault = match kind.string()?.as_str() {
+        "kill_worker" => FaultKind::KillWorker {
+            worker: f.or("worker", 0, Item::uint)?,
+        },
+        "stall_band" => FaultKind::StallBand {
+            millis: f.or("millis", 10, Item::uint)?,
+        },
+        "fail_epoch" => FaultKind::FailEpoch,
+        "crash" => FaultKind::CrashAtEvent,
+        "truncate_wal" => FaultKind::TruncateWal {
+            bytes: f.or("bytes", 8, Item::uint)?,
+        },
+        "corrupt_wal" => FaultKind::CorruptWal {
+            byte: f.or("byte", 0, Item::uint)?,
+        },
+        "delay_flush" => FaultKind::DelayFlush {
+            millis: f.or("millis", 25, Item::uint)?,
+        },
+        other => return Err(kind.err(format!("unknown kind {other:?}"))),
     };
-    for (k, f) in faults.iter().enumerate() {
-        let bad = |msg: String| SpecError::new(format!("fault {}: {msg}", k + 1));
-        let table = f
-            .as_table()
-            .ok_or_else(|| bad("must be a table".to_string()))?;
-        let kind_name = table
-            .get("kind")
-            .and_then(|v| v.as_str())
-            .ok_or_else(|| bad("missing `kind`".to_string()))?;
-        let at = table.get("at").and_then(|v| v.as_integer()).unwrap_or(0) as u64;
-        let field = |key: &str| {
-            table
-                .get(key)
-                .and_then(|v| v.as_integer())
-                .map(|v| v as u64)
-        };
-        let kind = match kind_name {
-            "kill_worker" => FaultKind::KillWorker {
-                worker: field("worker").unwrap_or(0) as usize,
-            },
-            "stall_band" => FaultKind::StallBand {
-                millis: field("millis").unwrap_or(10),
-            },
-            "fail_epoch" => FaultKind::FailEpoch,
-            "crash" => FaultKind::CrashAtEvent,
-            "truncate_wal" => FaultKind::TruncateWal {
-                bytes: field("bytes").unwrap_or(8),
-            },
-            "corrupt_wal" => FaultKind::CorruptWal {
-                byte: field("byte").unwrap_or(0),
-            },
-            "delay_flush" => FaultKind::DelayFlush {
-                millis: field("millis").unwrap_or(25),
-            },
-            other => return Err(bad(format!("unknown kind {other:?}"))),
-        };
-        plan.push(kind, at);
-    }
-    Ok(plan)
+    Ok((fault, f.or("at", 0, Item::uint)?))
 }
 
 /// The verified result of one chaos run.

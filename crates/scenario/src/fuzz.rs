@@ -23,7 +23,7 @@
 //! order-preserving [`WorkerPool::map`]).
 
 use crate::gen::{case_seed, scenario_case, sweep_case};
-use crate::report::Json;
+use crate::report::{Agreement, Json};
 use crate::run::run_scenario;
 use crate::spec::{FaultSpec, Scenario, ScheduleSpec, SpecError, TopologySpec};
 use crate::sweep::{run_sweep, SweepRunOptions};
@@ -193,22 +193,23 @@ impl FuzzReport {
     }
 }
 
+/// The fuzz invariant, in three legs: every run converges, every run
+/// agrees on the fixed point, and every bound-annotated phase converges
+/// within its predicted round bound — so a bound violation is shrunk and
+/// recorded in the corpus exactly like a differential failure.
+fn invariant_holds(verdict: &Agreement) -> bool {
+    verdict.converges && verdict.agreement && verdict.bounds_ok
+}
+
 /// Does a spec violate the fuzz invariant?  (Invalid specs do not count as
 /// failures — the shrinker uses this to discard over-aggressive
 /// candidates.)
-///
-/// The invariant has three legs: every run converges, every run agrees on
-/// the fixed point, and every bound-annotated phase converges within its
-/// predicted round bound — so a bound violation is shrunk and recorded in
-/// the corpus exactly like a differential failure.
 pub fn violates_invariant(spec: &Scenario) -> bool {
     if spec.validate().is_err() {
         return false;
     }
     match run_scenario(spec) {
-        Ok(report) => {
-            !(report.verdict.converges && report.verdict.agreement && report.verdict.bounds_ok)
-        }
+        Ok(report) => !invariant_holds(&report.verdict),
         Err(_) => false,
     }
 }
@@ -281,9 +282,7 @@ pub fn run_fuzz(opts: &FuzzOptions) -> Result<FuzzReport, SpecError> {
             let scenario = scenario_case(seed);
             match run_scenario(&scenario) {
                 Ok(report) => {
-                    let ok = report.verdict.converges
-                        && report.verdict.agreement
-                        && report.verdict.bounds_ok;
+                    let ok = invariant_holds(&report.verdict);
                     let detail = format!(
                         "converges={} agreement={} bounds_ok={} runs={}",
                         report.verdict.converges,

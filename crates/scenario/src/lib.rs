@@ -141,6 +141,7 @@ pub mod builtins;
 pub mod chaos;
 pub mod checkpoint;
 pub mod engine;
+mod fields;
 pub mod fuzz;
 pub mod gen;
 pub mod metrics;

@@ -14,7 +14,22 @@
 //!   *last* top-level key so consumers can strip it textually.
 
 use crate::report::Json;
-use dbf_telemetry::{MetricsReport, PhaseMetrics, PhaseTiming};
+use dbf_telemetry::{MetricsReport, PhaseMetrics, PhaseTiming, SettleSummary};
+
+/// A percentile summary as JSON (`null` when there were no samples): the
+/// one rendering the metrics section, `BENCH_scenarios.json` and
+/// `BENCH_serve.json` share.
+pub(crate) fn settle_json(s: Option<SettleSummary>) -> Json {
+    s.map_or(Json::Null, |s| {
+        Json::Obj(vec![
+            ("count".into(), Json::uint(s.count)),
+            ("p50".into(), Json::uint(s.p50)),
+            ("p95".into(), Json::uint(s.p95)),
+            ("p99".into(), Json::uint(s.p99)),
+            ("max".into(), Json::uint(s.max)),
+        ])
+    })
+}
 
 fn phase_metrics_json(p: &PhaseMetrics) -> Json {
     Json::Obj(vec![
@@ -25,18 +40,7 @@ fn phase_metrics_json(p: &PhaseMetrics) -> Json {
         ("rows_changed".into(), Json::uint(p.rows_changed)),
         ("max_scheduled".into(), Json::uint(p.max_scheduled)),
         ("peak_frontier".into(), Json::uint(p.peak_frontier)),
-        (
-            "settle".into(),
-            p.settle.map_or(Json::Null, |s| {
-                Json::Obj(vec![
-                    ("count".into(), Json::uint(s.count)),
-                    ("p50".into(), Json::uint(s.p50)),
-                    ("p95".into(), Json::uint(s.p95)),
-                    ("p99".into(), Json::uint(s.p99)),
-                    ("max".into(), Json::uint(s.max)),
-                ])
-            }),
-        ),
+        ("settle".into(), settle_json(p.settle)),
         (
             "messages".into(),
             p.messages.map_or(Json::Null, |m| {

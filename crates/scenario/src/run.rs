@@ -74,24 +74,24 @@ pub fn run_scenario_traced(
     match &spec.algebra {
         AlgebraSpec::Shortest { weights } => {
             let alg = ShortestPaths::new();
-            let mut problems = weighted_problems(spec, *weights, NatInf::fin)?;
+            let mut problems = weighted_problems(spec, *weights, NatInf::fin);
             Ok(execute(&alg, &mut problems, spec, cfg, tel))
         }
         AlgebraSpec::Widest { weights } => {
             let alg = WidestPaths::new();
-            let mut problems = weighted_problems(spec, *weights, NatInf::fin)?;
+            let mut problems = weighted_problems(spec, *weights, NatInf::fin);
             Ok(execute(&alg, &mut problems, spec, cfg, tel))
         }
         AlgebraSpec::Hopcount { limit } => {
             let alg = BoundedHopCount::new(*limit);
-            let mut problems = weighted_problems(spec, WeightRule::uniform(1), |w| w)?;
+            let mut problems = weighted_problems(spec, WeightRule::uniform(1), |w| w);
             Ok(execute(&alg, &mut problems, spec, cfg, tel))
         }
         AlgebraSpec::Bgp {
             policy_depth,
             policy_seed,
         } => {
-            let shapes = shape_phases(spec)?;
+            let shapes = shape_phases(spec);
             let n_max = shapes
                 .iter()
                 .map(|(_, t, _)| t.node_count())
@@ -114,7 +114,7 @@ pub fn run_scenario_traced(
             Ok(execute(&alg, &mut problems, spec, cfg, tel))
         }
         AlgebraSpec::GaoRexford => {
-            let mut problems = gao_rexford_problems(spec)?;
+            let mut problems = gao_rexford_problems(spec);
             let n = problems.first().map(|p| p.adj.node_count()).unwrap_or(0);
             let alg = GaoRexford::new(n);
             Ok(execute(&alg, &mut problems, spec, cfg, tel))
@@ -151,56 +151,30 @@ pub fn policy_for_edge(seed: u64, i: usize, j: usize, depth: usize) -> Policy {
     random_policy(&mut rng, depth)
 }
 
-/// Build the initial `Topology<()>` shape of a spec.
+/// Build the initial `Topology<()>` shape of a spec, once the family's
+/// size rule (the one [`Scenario::validate`] asks) admits it.
 pub fn build_shape(spec: &TopologySpec) -> Result<Topology<()>, SpecError> {
+    spec.check_shape()?;
     Ok(match spec {
         TopologySpec::Line { n } => generators::line(*n),
-        TopologySpec::Ring { n } => {
-            if *n < 3 {
-                return Err(SpecError::new("a ring needs at least 3 nodes"));
-            }
-            generators::ring(*n)
-        }
-        TopologySpec::Star { n } => {
-            if *n < 2 {
-                return Err(SpecError::new("a star needs at least 2 nodes"));
-            }
-            generators::star(*n)
-        }
+        TopologySpec::Ring { n } => generators::ring(*n),
+        TopologySpec::Star { n } => generators::star(*n),
         TopologySpec::Complete { n } => generators::complete(*n),
         TopologySpec::Grid { rows, cols } => generators::grid(*rows, *cols),
-        TopologySpec::ConnectedRandom { n, p, seed } => {
-            if *n < 3 {
-                return Err(SpecError::new("connected_random needs at least 3 nodes"));
-            }
-            generators::connected_random(*n, *p, *seed)
-        }
-        TopologySpec::AsGraph { n, m, seed } => {
-            if *m < 1 {
-                return Err(SpecError::new("as_graph needs m >= 1"));
-            }
-            if *n < 2 {
-                return Err(SpecError::new("as_graph needs at least 2 nodes"));
-            }
-            generators::as_graph(*n, *m, *seed)
-        }
+        TopologySpec::ConnectedRandom { n, p, seed } => generators::connected_random(*n, *p, *seed),
+        TopologySpec::AsGraph { n, m, seed } => generators::as_graph(*n, *m, *seed),
         TopologySpec::LeafSpine { spines, leaves } => generators::leaf_spine(*spines, *leaves),
         TopologySpec::Explicit { nodes, links } => {
             let mut t = Topology::new(*nodes);
             for &(a, b) in links {
-                if a >= *nodes || b >= *nodes || a == b {
-                    return Err(SpecError::new(format!("bad explicit link ({a}, {b})")));
-                }
                 t.set_link(a, b, ());
             }
             t
         }
-        TopologySpec::Tiered { .. } => {
-            return Err(SpecError::new(
-                "tiered topologies are only usable with the gao_rexford algebra",
-            ))
+        // A hierarchy carries edge relationships and a gadget its algebra's.
+        TopologySpec::Tiered { .. } | TopologySpec::Gadget => {
+            return Err(SpecError::new(format!("{spec:?} has no weightless shape")))
         }
-        TopologySpec::Gadget => return Err(SpecError::new("gadget topologies carry no shape")),
     })
 }
 
@@ -226,53 +200,29 @@ pub(crate) fn apply_change(c: &ChangeSpec, shape: &mut Topology<()>) {
     }
 }
 
-/// The sequence of shapes the phases run on: each phase applies its
-/// changes in place to the previous shape (one copy per phase, for the
-/// stored shape).
-fn shape_phases(spec: &Scenario) -> Result<Vec<(String, Topology<()>, FaultSpec)>, SpecError> {
-    let mut shape = build_shape(&spec.topology)?;
+/// The sequence of shapes a validated spec's phases run on: each phase
+/// applies its changes in place to the previous shape (one copy per phase,
+/// for the stored shape).
+fn shape_phases(spec: &Scenario) -> Vec<(String, Topology<()>, FaultSpec)> {
+    let mut shape = build_shape(&spec.topology).expect("validate admits the shape");
     let mut out = Vec::with_capacity(spec.phases.len());
     for phase in &spec.phases {
         // Apply change-by-change so that a SetLink may reference a node an
         // earlier AddNode in the same phase introduced.
         for c in &phase.changes {
-            check_change_bounds(c, shape.node_count())?;
             apply_change(c, &mut shape);
         }
         out.push((phase.label.clone(), shape.clone(), phase.faults));
     }
-    Ok(out)
+    out
 }
 
-fn check_change_bounds(c: &ChangeSpec, n: usize) -> Result<(), SpecError> {
-    if let ChangeSpec::SetWeight { .. } = c {
-        // Scenario phases derive every weight from the spec's weight rule;
-        // a per-edge re-weight only has meaning in churn traces, where the
-        // route server keeps an override map.
-        return Err(SpecError::new(format!(
-            "change {c:?} is serve/trace-level policy churn; scenario phases derive weights \
-             from the weight rule"
-        )));
-    }
-    if c.in_bounds(n) {
-        Ok(())
-    } else {
-        Err(SpecError::new(format!(
-            "change {c:?} is out of range for a {n}-node topology"
-        )))
-    }
-}
-
-fn weighted_problems<A, F>(
-    spec: &Scenario,
-    rule: WeightRule,
-    to_edge: F,
-) -> Result<Vec<Problem<A>>, SpecError>
+fn weighted_problems<A, F>(spec: &Scenario, rule: WeightRule, to_edge: F) -> Vec<Problem<A>>
 where
     A: RoutingAlgebra,
     F: Fn(u64) -> A::Edge,
 {
-    Ok(shape_phases(spec)?
+    shape_phases(spec)
         .into_iter()
         .map(|(label, shape, faults)| {
             let topo = shape.with_weights(|i, j| to_edge(rule.weight(i, j)));
@@ -283,10 +233,12 @@ where
                 round_budget: None,
             }
         })
-        .collect())
+        .collect()
 }
 
-fn gao_rexford_problems(spec: &Scenario) -> Result<Vec<Problem<GaoRexford>>, SpecError> {
+/// The phases of a validated Gao-Rexford spec: a tiered hierarchy that
+/// only loses edges.
+fn gao_rexford_problems(spec: &Scenario) -> Vec<Problem<GaoRexford>> {
     let TopologySpec::Tiered {
         tiers,
         p_peer,
@@ -294,24 +246,19 @@ fn gao_rexford_problems(spec: &Scenario) -> Result<Vec<Problem<GaoRexford>>, Spe
         seed,
     } = &spec.topology
     else {
-        return Err(SpecError::new("gao_rexford needs a tiered topology"));
+        unreachable!("validate pairs gao_rexford with a tiered topology");
     };
     let (mut topo, _tier_of) = generators::tiered_hierarchy(tiers, *p_peer, *p_extra, *seed);
     let alg = GaoRexford::new(topo.node_count());
     let mut out = Vec::with_capacity(spec.phases.len());
     for phase in &spec.phases {
         for c in &phase.changes {
-            check_change_bounds(c, topo.node_count())?;
             match *c {
                 ChangeSpec::RemoveEdge { from, to } => {
                     topo.remove_edge(from, to);
                 }
                 ChangeSpec::FailLink { a, b } => topo.remove_link(a, b),
-                other => {
-                    return Err(SpecError::new(format!(
-                        "gao_rexford scenarios only support removals, got {other:?}"
-                    )))
-                }
+                _ => unreachable!("validate admits only removals on gao_rexford"),
             }
         }
         out.push(Problem {
@@ -321,7 +268,7 @@ fn gao_rexford_problems(spec: &Scenario) -> Result<Vec<Problem<GaoRexford>>, Spe
             round_budget: None,
         });
     }
-    Ok(out)
+    out
 }
 
 // ---------------------------------------------------------------------
@@ -551,7 +498,7 @@ mod tests {
             changes: vec![ChangeSpec::SetLink { a: 0, b: 4 }],
             faults: FaultSpec::default(),
         });
-        let shapes = shape_phases(&spec).unwrap();
+        let shapes = shape_phases(&spec);
         assert_eq!(shapes.len(), 3);
         assert!(shapes[0].1.has_edge(0, 4));
         assert!(!shapes[1].1.has_edge(0, 4));

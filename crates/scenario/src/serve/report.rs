@@ -3,6 +3,7 @@
 //! prints.
 
 use super::types::ServeStats;
+use crate::metrics::settle_json;
 use crate::report::Json;
 use dbf_matrix::PoolStats;
 use dbf_telemetry::SettleSummary;
@@ -72,19 +73,6 @@ impl ReplayReport {
         } else {
             self.events as f64 / (self.wall_ms / 1000.0)
         }
-    }
-}
-
-fn summary_json(samples: &[u64]) -> Json {
-    match SettleSummary::from_samples(samples) {
-        None => Json::Null,
-        Some(s) => Json::Obj(vec![
-            ("count".into(), Json::uint(s.count)),
-            ("p50".into(), Json::uint(s.p50)),
-            ("p95".into(), Json::uint(s.p95)),
-            ("p99".into(), Json::uint(s.p99)),
-            ("max".into(), Json::uint(s.max)),
-        ]),
     }
 }
 
@@ -179,8 +167,14 @@ pub fn serve_json(report: &ReplayReport, threads: usize, batch: usize) -> Json {
                 ("flush_retries".into(), Json::uint(s.flush_retries)),
                 ("checkpoints".into(), Json::uint(report.checkpoints)),
                 ("recovery".into(), recovery),
-                ("convergence_us".into(), summary_json(&s.convergence_us)),
-                ("query_us".into(), summary_json(&s.query_us)),
+                (
+                    "convergence_us".into(),
+                    settle_json(SettleSummary::from_samples(&s.convergence_us)),
+                ),
+                (
+                    "query_us".into(),
+                    settle_json(SettleSummary::from_samples(&s.query_us)),
+                ),
                 (
                     "pool".into(),
                     Json::Obj(vec![

@@ -5,9 +5,8 @@
 //! [`event_to_line`] / [`parse_event_line`].
 
 use crate::run::build_shape;
-use crate::spec::{finite_weight, ChangeSpec, SpecError, TopologySpec};
+use crate::spec::{finite_weight, hop_limit, ChangeSpec, SpecError, TopologySpec};
 use dbf_algebra::algebra::SplitMix64;
-use dbf_algebra::prelude::NatInf;
 use dbf_topology::Topology;
 
 /// One event of a churn trace: a topology change or a route query.
@@ -60,17 +59,11 @@ impl ServeAlgebra {
         }
     }
 
-    /// A hop limit must be one `BoundedHopCount::new` takes (at least 1)
-    /// and a finite point of `ℕ∞` (`u64::MAX` stands for ∞).
+    /// A hop limit must pass [`hop_limit`], as a scenario's does.
     pub(super) fn validate(&self) -> Result<(), SpecError> {
         match *self {
-            ServeAlgebra::Hopcount { limit } if limit == 0 || NatInf::try_fin(limit).is_none() => {
-                Err(SpecError::new(format!(
-                    "hop-count limit {limit} is out of range (limits are 1..={}; u64::MAX stands for ∞)",
-                    u64::MAX - 1
-                )))
-            }
-            _ => Ok(()),
+            ServeAlgebra::Hopcount { limit } => hop_limit(limit),
+            ServeAlgebra::Shortest => Ok(()),
         }
     }
 }

@@ -12,6 +12,7 @@
 //! Specs serialize to TOML via [`Scenario::to_toml_string`] and parse back
 //! via [`Scenario::from_toml_str`]; the round trip is lossless.
 
+use crate::fields::{Fields, Item};
 use dbf_algebra::prelude::NatInf;
 use dbf_bgp::spp::SppAlgebra;
 use std::fmt;
@@ -526,6 +527,19 @@ pub(crate) fn finite_weight(w: u64) -> Result<u64, String> {
     }
 }
 
+/// A hop limit arriving from outside the program (a spec, a sweep axis, a
+/// trace header): one `BoundedHopCount::new` takes (at least 1) and a
+/// finite point of `ℕ∞` (`u64::MAX` stands for ∞).
+pub(crate) fn hop_limit(limit: u64) -> Result<(), SpecError> {
+    if limit > 0 && NatInf::try_fin(limit).is_some() {
+        return Ok(());
+    }
+    Err(SpecError::new(format!(
+        "hop-count limit {limit} is out of range (limits are 1..={}; u64::MAX stands for ∞)",
+        u64::MAX - 1
+    )))
+}
+
 // ---------------------------------------------------------------------
 // Validation
 // ---------------------------------------------------------------------
@@ -539,9 +553,18 @@ pub(crate) fn finite_weight(w: u64) -> Result<u64, String> {
 /// for (512 nodes) at the default horizon of 400: 1.05·10⁸ cells.
 pub const MAX_SCHEDULE_CELLS: u64 = 1 << 27;
 
+/// The most cells — `n²`, one route each — the dense state of a scenario
+/// may hold: 2²⁸, so at most 16 384 nodes.  Every engine keeps at least one
+/// `n × n` table, built before its first step, so a node count arriving
+/// from outside (a TOML file, a sweep axis) is bounded here, as the
+/// horizon is by [`MAX_SCHEDULE_CELLS`].  The cap admits the largest
+/// builtin sweep point, `n = 10⁴`.
+pub const MAX_STATE_CELLS: u64 = 1 << 28;
+
 impl TopologySpec {
     /// The node count of the initial shape, when the family determines it
-    /// (`Gadget` carries its own shape, so it answers `None`).
+    /// (`Gadget` carries its own shape, so it answers `None`).  Saturates
+    /// rather than wraps, so an oversized shape reads as one.
     pub fn initial_nodes(&self) -> Option<usize> {
         Some(match self {
             TopologySpec::Line { n }
@@ -550,12 +573,57 @@ impl TopologySpec {
             | TopologySpec::Complete { n }
             | TopologySpec::ConnectedRandom { n, .. }
             | TopologySpec::AsGraph { n, .. } => *n,
-            TopologySpec::Grid { rows, cols } => rows * cols,
-            TopologySpec::LeafSpine { spines, leaves } => spines + leaves,
-            TopologySpec::Tiered { tiers, .. } => tiers.iter().sum(),
+            TopologySpec::Grid { rows, cols } => rows.saturating_mul(*cols),
+            TopologySpec::LeafSpine { spines, leaves } => spines.saturating_add(*leaves),
+            TopologySpec::Tiered { tiers, .. } => tiers.iter().fold(0, |a, t| a.saturating_add(*t)),
             TopologySpec::Explicit { nodes, .. } => *nodes,
             TopologySpec::Gadget => return None,
         })
+    }
+
+    /// The one rule for which shapes a family can build: its minimum size,
+    /// explicit links between two distinct existing nodes, and a provider
+    /// tier above every non-empty tier of a hierarchy.
+    /// [`Scenario::validate`], [`crate::run::build_shape`] and
+    /// [`crate::sweep::resize_topology`] all ask it.
+    pub(crate) fn check_shape(&self) -> Result<(), SpecError> {
+        let least = |family: &str, n: usize, min: usize| {
+            if n >= min {
+                return Ok(());
+            }
+            Err(SpecError::new(format!(
+                "a {family} needs at least {min} nodes, got {n}"
+            )))
+        };
+        match self {
+            TopologySpec::Ring { n } => least("ring", *n, 3),
+            TopologySpec::Star { n } => least("star", *n, 2),
+            TopologySpec::ConnectedRandom { n, .. } => least("connected_random graph", *n, 3),
+            TopologySpec::AsGraph { m: 0, .. } => Err(SpecError::new("an as_graph needs m >= 1")),
+            TopologySpec::AsGraph { n, .. } => least("as_graph", *n, 2),
+            TopologySpec::Explicit { nodes, links } => links
+                .iter()
+                .find(|&&(a, b)| a >= *nodes || b >= *nodes || a == b)
+                .map_or(Ok(()), |(a, b)| {
+                    Err(SpecError::new(format!(
+                        "explicit link ({a}, {b}) is a self-loop or leaves the {nodes} nodes"
+                    )))
+                }),
+            TopologySpec::Tiered { tiers, .. }
+                if tiers.is_empty() || tiers.windows(2).any(|w| w[0] == 0 && w[1] > 0) =>
+            {
+                Err(SpecError::new(format!(
+                    "tiers {tiers:?}: a hierarchy needs at least one tier, and every node \
+                     below the top needs a provider in the tier above"
+                )))
+            }
+            TopologySpec::Line { .. }
+            | TopologySpec::Complete { .. }
+            | TopologySpec::Grid { .. }
+            | TopologySpec::LeafSpine { .. }
+            | TopologySpec::Tiered { .. }
+            | TopologySpec::Gadget => Ok(()),
+        }
     }
 }
 
@@ -590,17 +658,14 @@ impl Scenario {
         self.phases
             .iter()
             .map(|phase| {
-                n += phase
-                    .changes
-                    .iter()
-                    .map(ChangeSpec::added_nodes)
-                    .sum::<usize>();
+                n = n.saturating_add(phase.changes.iter().map(ChangeSpec::added_nodes).sum());
                 n
             })
             .collect()
     }
 
-    /// Check cross-field invariants that the type system cannot express.
+    /// Decide whether the spec can run: the one place every rule a spec
+    /// must meet is written (the engines and the shape builder assume them).
     pub fn validate(&self) -> Result<(), SpecError> {
         if self.name.is_empty() {
             return Err(SpecError::new("scenario name must not be empty"));
@@ -613,6 +678,23 @@ impl Scenario {
         }
         if self.seeds.is_empty() {
             return Err(SpecError::new("a scenario needs at least one seed"));
+        }
+        self.topology.check_shape()?;
+        // A gadget carries its own shape.
+        let gadget_nodes = match self.algebra {
+            AlgebraSpec::Spp { gadget } => gadget.algebra().node_count(),
+            _ => 0,
+        };
+        let counts = self.phase_node_counts();
+        let largest = counts.last().map_or(0, |&n| n.max(gadget_nodes)) as u64;
+        if largest
+            .checked_mul(largest)
+            .is_none_or(|cells| cells > MAX_STATE_CELLS)
+        {
+            return Err(SpecError::new(format!(
+                "{largest} nodes is more than a scenario holds (its dense n × n state has at \
+                 most {MAX_STATE_CELLS} cells)"
+            )));
         }
         // Capability gating lives in the registry: engines tied to one
         // algebra (the protocol adapters) reject everything else here, at
@@ -638,6 +720,11 @@ impl Scenario {
                     "family = \"gadget\" is only valid with an spp algebra",
                 ));
             }
+            (_, TopologySpec::Tiered { .. }) => {
+                return Err(SpecError::new(
+                    "family = \"tiered\" is only valid with the gao_rexford algebra",
+                ));
+            }
             _ => {}
         }
         if let AlgebraSpec::Shortest { weights } | AlgebraSpec::Widest { weights } = &self.algebra {
@@ -651,13 +738,11 @@ impl Scenario {
                 .and_then(finite_weight)
                 .map_err(SpecError::new)?;
         }
+        if let AlgebraSpec::Hopcount { limit } = self.algebra {
+            hop_limit(limit)?;
+        }
         let changes_allowed = !matches!(self.algebra, AlgebraSpec::Spp { .. });
         let runs_delta = self.engines.contains(&EngineKind::Delta);
-        // A gadget carries its own shape.
-        let gadget_nodes = match self.algebra {
-            AlgebraSpec::Spp { gadget } => gadget.algebra().node_count(),
-            _ => 0,
-        };
         // Simulate the node count through the phases so out-of-range
         // changes are rejected at spec-validation time, before any engine
         // runs.  `AddNode` grows the count, so later changes may reference
@@ -670,8 +755,26 @@ impl Scenario {
                 ));
             }
             for c in &phase.changes {
-                if let ChangeSpec::SetWeight { weight, .. } = c {
-                    finite_weight(*weight).map_err(SpecError::new)?;
+                if let ChangeSpec::SetWeight { .. } = c {
+                    // Phases derive every weight from the weight rule; a
+                    // per-edge re-weight is trace-level policy churn, which
+                    // only the route server's override map gives meaning.
+                    return Err(SpecError::new(format!(
+                        "change {c:?} in phase {:?} is serve/trace-level policy churn; scenario \
+                         phases derive weights from the weight rule",
+                        phase.label
+                    )));
+                }
+                if matches!(self.algebra, AlgebraSpec::GaoRexford)
+                    && !matches!(
+                        c,
+                        ChangeSpec::RemoveEdge { .. } | ChangeSpec::FailLink { .. }
+                    )
+                {
+                    return Err(SpecError::new(
+                        "gao_rexford scenarios only support edge/link removals (relationships of \
+                         fresh links would be ambiguous)",
+                    ));
                 }
                 if let Some(n) = nodes.as_mut() {
                     if !c.in_bounds(*n) {
@@ -683,12 +786,10 @@ impl Scenario {
                     *n += c.added_nodes();
                 }
             }
-            if let ScheduleSpec::AdversarialStale { period, .. } = phase.faults.schedule {
-                if period == 0 {
-                    return Err(SpecError::new(
-                        "adversarial_stale schedules need period >= 1",
-                    ));
-                }
+            if let ScheduleSpec::AdversarialStale { period: 0, .. } = phase.faults.schedule {
+                return Err(SpecError::new(
+                    "adversarial_stale schedules need period >= 1",
+                ));
             }
             if runs_delta {
                 let (horizon, n) = (phase.faults.horizon, nodes.unwrap_or(gadget_nodes));
@@ -703,21 +804,6 @@ impl Scenario {
                         phase.label
                     )));
                 }
-            }
-            if matches!(self.algebra, AlgebraSpec::GaoRexford)
-                && phase.changes.iter().any(|c| {
-                    matches!(
-                        c,
-                        ChangeSpec::AddNode
-                            | ChangeSpec::SetLink { .. }
-                            | ChangeSpec::SetEdge { .. }
-                    )
-                })
-            {
-                return Err(SpecError::new(
-                    "gao_rexford scenarios only support edge/link removals (relationships of \
-                     fresh links would be ambiguous)",
-                ));
             }
         }
         Ok(())
@@ -777,115 +863,34 @@ impl Scenario {
         Ok(scenario)
     }
 
-    /// Decode from a parsed TOML value.
+    /// Decode from a parsed TOML value (see the README for the format).
     pub fn from_toml(value: &Value) -> Result<Self, SpecError> {
-        let name = req_str(value, "name")?;
-        let description = opt_str(value, "description").unwrap_or_default();
-        let engines = match value.get("engines") {
-            None => vec![EngineKind::Sync, EngineKind::Sim],
-            Some(v) => v
-                .as_array()
-                .ok_or_else(|| SpecError::new("engines must be an array of strings"))?
-                .iter()
-                .map(|e| {
-                    e.as_str()
-                        .ok_or_else(|| SpecError::new("engines must be an array of strings"))
-                        .and_then(EngineKind::parse)
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-        };
-        let seeds = match value.get("seeds") {
-            None => vec![1],
-            Some(v) => v
-                .as_array()
-                .ok_or_else(|| SpecError::new("seeds must be an array of integers"))?
-                .iter()
-                .map(|e| {
-                    e.as_integer()
-                        .map(|i| i as u64)
-                        .ok_or_else(|| SpecError::new("seeds must be an array of integers"))
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-        };
-        let topology = TopologySpec::from_toml(
-            value
-                .get("topology")
-                .ok_or_else(|| SpecError::new("missing [topology]"))?,
-        )?;
-        let algebra = AlgebraSpec::from_toml(
-            value
-                .get("algebra")
-                .ok_or_else(|| SpecError::new("missing [algebra]"))?,
-        )?;
-        let expect = match value.get("expect") {
-            None => Expectation::default(),
-            Some(v) => Expectation {
-                converges: v.get("converges").and_then(Value::as_bool).unwrap_or(true),
-                agreement: v.get("agreement").and_then(Value::as_bool).unwrap_or(true),
-            },
-        };
-        let phases = match value.get("phases") {
-            None => vec![PhaseSpec::quiet("run")],
-            Some(v) => v
-                .as_array()
-                .ok_or_else(|| SpecError::new("phases must be an array of tables"))?
-                .iter()
-                .map(PhaseSpec::from_toml)
-                .collect::<Result<Vec<_>, _>>()?,
-        };
+        Item::root(value).table(Self::decode)
+    }
+
+    pub(crate) fn decode(f: &mut Fields<'_>) -> Result<Self, SpecError> {
         Ok(Self {
-            name,
-            description,
-            topology,
-            algebra,
-            engines,
-            seeds,
-            phases,
-            expect,
+            name: f.req("name")?.string()?,
+            description: f.or("description", String::new(), Item::string)?,
+            topology: f.req("topology")?.table(TopologySpec::decode)?,
+            algebra: f.req("algebra")?.table(AlgebraSpec::decode)?,
+            engines: f.or("engines", vec![EngineKind::Sync, EngineKind::Sim], |v| {
+                v.each(|e| e.parse(EngineKind::parse))
+            })?,
+            seeds: f.or("seeds", vec![1], |v| v.each(Item::seed))?,
+            phases: f.or("phases", vec![PhaseSpec::quiet("run")], |v| {
+                v.each(|p| p.table(PhaseSpec::decode))
+            })?,
+            expect: f.or("expect", Expectation::default(), |v| {
+                v.table(|e| {
+                    Ok(Expectation {
+                        converges: e.or("converges", true, Item::boolean)?,
+                        agreement: e.or("agreement", true, Item::boolean)?,
+                    })
+                })
+            })?,
         })
     }
-}
-
-fn req_str(v: &Value, key: &str) -> Result<String, SpecError> {
-    v.get(key)
-        .and_then(Value::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| SpecError::new(format!("missing or non-string key {key:?}")))
-}
-
-fn opt_str(v: &Value, key: &str) -> Option<String> {
-    v.get(key).and_then(Value::as_str).map(str::to_string)
-}
-
-fn req_usize(v: &Value, key: &str) -> Result<usize, SpecError> {
-    v.get(key)
-        .and_then(Value::as_integer)
-        .map(|i| i as usize)
-        .ok_or_else(|| SpecError::new(format!("missing or non-integer key {key:?}")))
-}
-
-fn req_u64(v: &Value, key: &str) -> Result<u64, SpecError> {
-    v.get(key)
-        .and_then(Value::as_integer)
-        .map(|i| i as u64)
-        .ok_or_else(|| SpecError::new(format!("missing or non-integer key {key:?}")))
-}
-
-fn opt_u64(v: &Value, key: &str, default: u64) -> u64 {
-    v.get(key)
-        .and_then(Value::as_integer)
-        .map(|i| i as u64)
-        .unwrap_or(default)
-}
-
-fn req_f64(v: &Value, key: &str) -> Result<f64, SpecError> {
-    v.get(key)
-        .and_then(Value::as_float)
-        .ok_or_else(|| SpecError::new(format!("missing or non-numeric key {key:?}")))
-}
-
-fn opt_f64(v: &Value, key: &str, default: f64) -> f64 {
-    v.get(key).and_then(Value::as_float).unwrap_or(default)
 }
 
 impl TopologySpec {
@@ -965,86 +970,45 @@ impl TopologySpec {
         Value::Table(t)
     }
 
-    fn from_toml(v: &Value) -> Result<Self, SpecError> {
-        let family = req_str(v, "family")?;
-        match family.as_str() {
-            "line" => Ok(TopologySpec::Line {
-                n: req_usize(v, "n")?,
-            }),
-            "ring" => Ok(TopologySpec::Ring {
-                n: req_usize(v, "n")?,
-            }),
-            "star" => Ok(TopologySpec::Star {
-                n: req_usize(v, "n")?,
-            }),
-            "complete" => Ok(TopologySpec::Complete {
-                n: req_usize(v, "n")?,
-            }),
-            "grid" => Ok(TopologySpec::Grid {
-                rows: req_usize(v, "rows")?,
-                cols: req_usize(v, "cols")?,
-            }),
-            "connected_random" => Ok(TopologySpec::ConnectedRandom {
-                n: req_usize(v, "n")?,
-                p: req_f64(v, "p")?,
-                seed: req_u64(v, "seed")?,
-            }),
-            "as_graph" => Ok(TopologySpec::AsGraph {
-                n: req_usize(v, "n")?,
-                m: req_usize(v, "m")?,
-                seed: opt_u64(v, "seed", 0),
-            }),
-            "leaf_spine" => Ok(TopologySpec::LeafSpine {
-                spines: req_usize(v, "spines")?,
-                leaves: req_usize(v, "leaves")?,
-            }),
-            "tiered" => {
-                let tiers = v
-                    .get("tiers")
-                    .and_then(Value::as_array)
-                    .ok_or_else(|| SpecError::new("tiered topology needs a tiers array"))?
-                    .iter()
-                    .map(|e| {
-                        e.as_integer()
-                            .map(|i| i as usize)
-                            .ok_or_else(|| SpecError::new("tiers must be integers"))
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok(TopologySpec::Tiered {
-                    tiers,
-                    p_peer: opt_f64(v, "p_peer", 0.35),
-                    p_extra: opt_f64(v, "p_extra", 0.25),
-                    seed: opt_u64(v, "seed", 0),
-                })
-            }
-            "explicit" => {
-                let links = v
-                    .get("links")
-                    .and_then(Value::as_array)
-                    .ok_or_else(|| SpecError::new("explicit topology needs a links array"))?
-                    .iter()
-                    .map(|pair| {
-                        let pair = pair
-                            .as_array()
-                            .filter(|p| p.len() == 2)
-                            .ok_or_else(|| SpecError::new("each link must be [a, b]"))?;
-                        let a = pair[0]
-                            .as_integer()
-                            .ok_or_else(|| SpecError::new("link endpoints must be integers"))?;
-                        let b = pair[1]
-                            .as_integer()
-                            .ok_or_else(|| SpecError::new("link endpoints must be integers"))?;
-                        Ok((a as usize, b as usize))
-                    })
-                    .collect::<Result<Vec<_>, SpecError>>()?;
-                Ok(TopologySpec::Explicit {
-                    nodes: req_usize(v, "nodes")?,
-                    links,
-                })
-            }
-            "gadget" => Ok(TopologySpec::Gadget),
-            other => Err(SpecError::new(format!("unknown topology family {other:?}"))),
-        }
+    fn decode(f: &mut Fields<'_>) -> Result<Self, SpecError> {
+        let family = f.req("family")?;
+        let n = |f: &mut Fields<'_>| f.req("n")?.uint::<usize>();
+        Ok(match family.string()?.as_str() {
+            "line" => TopologySpec::Line { n: n(f)? },
+            "ring" => TopologySpec::Ring { n: n(f)? },
+            "star" => TopologySpec::Star { n: n(f)? },
+            "complete" => TopologySpec::Complete { n: n(f)? },
+            "grid" => TopologySpec::Grid {
+                rows: f.req("rows")?.uint()?,
+                cols: f.req("cols")?.uint()?,
+            },
+            "connected_random" => TopologySpec::ConnectedRandom {
+                n: n(f)?,
+                p: f.req("p")?.float()?,
+                seed: f.req("seed")?.seed()?,
+            },
+            "as_graph" => TopologySpec::AsGraph {
+                n: n(f)?,
+                m: f.req("m")?.uint()?,
+                seed: f.or("seed", 0, Item::seed)?,
+            },
+            "leaf_spine" => TopologySpec::LeafSpine {
+                spines: f.req("spines")?.uint()?,
+                leaves: f.req("leaves")?.uint()?,
+            },
+            "tiered" => TopologySpec::Tiered {
+                tiers: f.req("tiers")?.each(Item::uint)?,
+                p_peer: f.or("p_peer", 0.35, Item::float)?,
+                p_extra: f.or("p_extra", 0.25, Item::float)?,
+                seed: f.or("seed", 0, Item::seed)?,
+            },
+            "explicit" => TopologySpec::Explicit {
+                nodes: f.req("nodes")?.uint()?,
+                links: f.req("links")?.each(Item::pair)?,
+            },
+            "gadget" => TopologySpec::Gadget,
+            other => return Err(family.err(format!("unknown topology family {other:?}"))),
+        })
     }
 }
 
@@ -1058,16 +1022,18 @@ impl WeightRule {
         Value::Table(t)
     }
 
-    fn from_toml(v: Option<&Value>) -> Self {
-        match v {
-            None => WeightRule::uniform(1),
-            Some(v) => WeightRule {
-                mul_i: opt_u64(v, "mul_i", 0),
-                mul_j: opt_u64(v, "mul_j", 0),
-                modulus: opt_u64(v, "modulus", 1),
-                base: opt_u64(v, "base", 1),
-            },
-        }
+    /// The `weights` table of `f` (every edge weighs 1 without one).
+    fn decode(f: &mut Fields<'_>) -> Result<Self, SpecError> {
+        f.or("weights", WeightRule::uniform(1), |v| {
+            v.table(|w| {
+                Ok(WeightRule {
+                    mul_i: w.or("mul_i", 0, Item::uint)?,
+                    mul_j: w.or("mul_j", 0, Item::uint)?,
+                    modulus: w.or("modulus", 1, Item::uint)?,
+                    base: w.or("base", 1, Item::uint)?,
+                })
+            })
+        })
     }
 }
 
@@ -1113,38 +1079,33 @@ impl AlgebraSpec {
         Value::Table(t)
     }
 
-    fn from_toml(v: &Value) -> Result<Self, SpecError> {
-        let kind = req_str(v, "kind")?;
-        match kind.as_str() {
-            "shortest" => Ok(AlgebraSpec::Shortest {
-                weights: WeightRule::from_toml(v.get("weights")),
-            }),
-            "widest" => Ok(AlgebraSpec::Widest {
-                weights: WeightRule::from_toml(v.get("weights")),
-            }),
-            "hopcount" => Ok(AlgebraSpec::Hopcount {
-                limit: opt_u64(v, "limit", 16),
-            }),
-            "bgp" => Ok(AlgebraSpec::Bgp {
-                policy_depth: opt_u64(v, "policy_depth", 2) as usize,
-                policy_seed: opt_u64(v, "policy_seed", 0),
-            }),
-            "gao_rexford" => Ok(AlgebraSpec::GaoRexford),
-            "spp" => {
-                let gadget = req_str(v, "gadget")?;
-                Ok(AlgebraSpec::Spp {
-                    gadget: match gadget.as_str() {
-                        "disagree" => SppGadget::Disagree,
-                        "bad" => SppGadget::Bad,
-                        "good" => SppGadget::Good,
-                        other => {
-                            return Err(SpecError::new(format!("unknown spp gadget {other:?}")))
-                        }
-                    },
-                })
-            }
-            other => Err(SpecError::new(format!("unknown algebra kind {other:?}"))),
-        }
+    fn decode(f: &mut Fields<'_>) -> Result<Self, SpecError> {
+        let kind = f.req("kind")?;
+        Ok(match kind.string()?.as_str() {
+            "shortest" => AlgebraSpec::Shortest {
+                weights: WeightRule::decode(f)?,
+            },
+            "widest" => AlgebraSpec::Widest {
+                weights: WeightRule::decode(f)?,
+            },
+            "hopcount" => AlgebraSpec::Hopcount {
+                limit: f.or("limit", 16, Item::uint)?,
+            },
+            "bgp" => AlgebraSpec::Bgp {
+                policy_depth: f.or("policy_depth", 2, Item::uint)?,
+                policy_seed: f.or("policy_seed", 0, Item::seed)?,
+            },
+            "gao_rexford" => AlgebraSpec::GaoRexford,
+            "spp" => AlgebraSpec::Spp {
+                gadget: f.req("gadget")?.parse(|g| match g {
+                    "disagree" => Ok(SppGadget::Disagree),
+                    "bad" => Ok(SppGadget::Bad),
+                    "good" => Ok(SppGadget::Good),
+                    other => Err(SpecError::new(format!("unknown spp gadget {other:?}"))),
+                })?,
+            },
+            other => return Err(kind.err(format!("unknown algebra kind {other:?}"))),
+        })
     }
 }
 
@@ -1185,33 +1146,33 @@ impl ChangeSpec {
         Value::Table(t)
     }
 
-    fn from_toml(v: &Value) -> Result<Self, SpecError> {
-        let op = req_str(v, "op")?;
-        match op.as_str() {
-            "set_link" => Ok(ChangeSpec::SetLink {
-                a: req_usize(v, "a")?,
-                b: req_usize(v, "b")?,
-            }),
-            "set_edge" => Ok(ChangeSpec::SetEdge {
-                from: req_usize(v, "from")?,
-                to: req_usize(v, "to")?,
-            }),
-            "remove_edge" => Ok(ChangeSpec::RemoveEdge {
-                from: req_usize(v, "from")?,
-                to: req_usize(v, "to")?,
-            }),
-            "fail_link" => Ok(ChangeSpec::FailLink {
-                a: req_usize(v, "a")?,
-                b: req_usize(v, "b")?,
-            }),
-            "set_weight" => Ok(ChangeSpec::SetWeight {
-                from: req_usize(v, "from")?,
-                to: req_usize(v, "to")?,
-                weight: finite_weight(req_u64(v, "weight")?).map_err(SpecError::new)?,
-            }),
-            "add_node" => Ok(ChangeSpec::AddNode),
-            other => Err(SpecError::new(format!("unknown change op {other:?}"))),
-        }
+    fn decode(f: &mut Fields<'_>) -> Result<Self, SpecError> {
+        let op = f.req("op")?;
+        Ok(match op.string()?.as_str() {
+            "set_link" => ChangeSpec::SetLink {
+                a: f.req("a")?.uint()?,
+                b: f.req("b")?.uint()?,
+            },
+            "set_edge" => ChangeSpec::SetEdge {
+                from: f.req("from")?.uint()?,
+                to: f.req("to")?.uint()?,
+            },
+            "remove_edge" => ChangeSpec::RemoveEdge {
+                from: f.req("from")?.uint()?,
+                to: f.req("to")?.uint()?,
+            },
+            "fail_link" => ChangeSpec::FailLink {
+                a: f.req("a")?.uint()?,
+                b: f.req("b")?.uint()?,
+            },
+            "set_weight" => ChangeSpec::SetWeight {
+                from: f.req("from")?.uint()?,
+                to: f.req("to")?.uint()?,
+                weight: f.req("weight")?.uint()?,
+            },
+            "add_node" => ChangeSpec::AddNode,
+            other => return Err(op.err(format!("unknown change op {other:?}"))),
+        })
     }
 }
 
@@ -1243,49 +1204,49 @@ impl PhaseSpec {
         Value::Table(t)
     }
 
-    fn from_toml(v: &Value) -> Result<Self, SpecError> {
-        let label = req_str(v, "label")?;
-        let changes = match v.get("changes") {
-            None => Vec::new(),
-            Some(c) => c
-                .as_array()
-                .ok_or_else(|| SpecError::new("changes must be an array"))?
-                .iter()
-                .map(ChangeSpec::from_toml)
-                .collect::<Result<Vec<_>, _>>()?,
-        };
+    fn decode(f: &mut Fields<'_>) -> Result<Self, SpecError> {
+        Ok(Self {
+            label: f.req("label")?.string()?,
+            changes: f.or("changes", Vec::new(), |v| {
+                v.each(|c| c.table(ChangeSpec::decode))
+            })?,
+            faults: f.or("faults", FaultSpec::default(), |v| {
+                v.table(FaultSpec::decode)
+            })?,
+        })
+    }
+}
+
+impl FaultSpec {
+    fn decode(f: &mut Fields<'_>) -> Result<Self, SpecError> {
         let d = FaultSpec::default();
-        let faults = match v.get("faults") {
-            None => d,
-            Some(f) => FaultSpec {
-                loss: opt_f64(f, "loss", d.loss),
-                duplicate: opt_f64(f, "duplicate", d.duplicate),
-                reorder: opt_f64(f, "reorder", d.reorder),
-                activation: opt_f64(f, "activation", d.activation),
-                min_delay: opt_u64(f, "min_delay", d.min_delay),
-                max_delay: opt_u64(f, "max_delay", d.max_delay),
-                horizon: opt_u64(f, "horizon", d.horizon as u64) as usize,
-                schedule: match f.get("schedule").and_then(Value::as_str) {
-                    None | Some("random") => ScheduleSpec::Random,
-                    // No clamping here: a `period = 0` typo must surface as
-                    // the validate() error, not be silently rewritten.
-                    Some("adversarial_stale") => ScheduleSpec::AdversarialStale {
-                        victim: opt_u64(f, "victim", 0) as usize,
-                        period: opt_u64(f, "period", 3),
-                    },
-                    Some(other) => {
-                        return Err(SpecError::new(format!(
-                            "unknown schedule kind {other:?} (expected \"random\" or \
-                             \"adversarial_stale\")"
-                        )))
-                    }
+        let schedule = match f.opt("schedule") {
+            None => ScheduleSpec::Random,
+            Some(kind) => match kind.string()?.as_str() {
+                "random" => ScheduleSpec::Random,
+                // No clamping here: a `period = 0` typo must surface as
+                // the validate() error, not be silently rewritten.
+                "adversarial_stale" => ScheduleSpec::AdversarialStale {
+                    victim: f.or("victim", 0, Item::uint)?,
+                    period: f.or("period", 3, Item::uint)?,
                 },
+                other => {
+                    return Err(kind.err(format!(
+                        "unknown schedule kind {other:?} (expected \"random\" or \
+                         \"adversarial_stale\")"
+                    )))
+                }
             },
         };
-        Ok(Self {
-            label,
-            changes,
-            faults,
+        Ok(FaultSpec {
+            loss: f.or("loss", d.loss, Item::float)?,
+            duplicate: f.or("duplicate", d.duplicate, Item::float)?,
+            reorder: f.or("reorder", d.reorder, Item::float)?,
+            activation: f.or("activation", d.activation, Item::float)?,
+            min_delay: f.or("min_delay", d.min_delay, Item::uint)?,
+            max_delay: f.or("max_delay", d.max_delay, Item::uint)?,
+            horizon: f.or("horizon", d.horizon, Item::uint)?,
+            schedule,
         })
     }
 }
@@ -1370,7 +1331,8 @@ mod tests {
 
     #[test]
     fn the_infinity_sentinel_is_not_a_weight() {
-        // `weight = -1` is how u64::MAX arrives through TOML's i64.
+        // `weight = -1` is how u64::MAX arrives through TOML's i64: the
+        // reader refuses it before anything can wrap it back to ∞.
         let reweigh = |weight| {
             let mut s = demo();
             s.phases[1].changes = vec![ChangeSpec::SetWeight {
@@ -1381,20 +1343,17 @@ mod tests {
             Scenario::from_toml_str(&s.to_toml_string())
         };
         let err = reweigh(u64::MAX).expect_err("u64::MAX stands for ∞");
-        assert!(err.message.contains("out of range"), "{err}");
-        assert!(reweigh(u64::MAX - 1).is_ok());
-        // Zero is not a weight either — merely increasing, so the fixed
-        // point would not be unique — from TOML or from a spec built in code.
-        let err = reweigh(0).expect_err("not strictly increasing");
-        assert!(err.message.contains("strictly increasing"), "{err}");
-        assert!(reweigh(1).is_ok());
-        let mut built = demo();
-        built.phases[1].changes = vec![ChangeSpec::SetWeight {
-            from: 0,
-            to: 1,
-            weight: 0,
-        }];
-        assert!(built.validate().is_err());
+        assert!(
+            err.message
+                .contains("phases[1].changes[0].weight: expected a non-negative integer, got -1"),
+            "{err}"
+        );
+        // A weight TOML can hold decodes, and validate refuses the change
+        // itself: a phase takes its weights from the weight rule.
+        for weight in [0, 1, i64::MAX as u64] {
+            let err = reweigh(weight).expect_err("set_weight is trace-level churn");
+            assert!(err.message.contains("policy churn"), "{err}");
+        }
 
         // ... and a weight rule that could derive it is rejected whole.
         let ruled = |modulus, base| {

@@ -30,6 +30,7 @@
 
 use crate::agg::{PointReport, ReplicateMetrics, SweepReport};
 use crate::builtins;
+use crate::fields::{Fields, Item};
 use crate::report::Digest;
 use crate::run::{run_scenario_with, RunConfig};
 use crate::spec::{Scenario, SpecError, TopologySpec};
@@ -295,9 +296,7 @@ impl Sweep {
         for &(param, value) in &point.assignments {
             match param {
                 AxisParam::N => {
-                    let n = value.as_u64().ok_or_else(|| {
-                        SpecError::new(format!("axis n needs integer values, got {value}"))
-                    })? as usize;
+                    let n = int_axis(param, value)? as usize;
                     s.topology = resize_topology(&s.topology, n)?;
                 }
                 AxisParam::Loss => for_each_phase(&mut s, |f| f.loss = value.as_f64()),
@@ -318,9 +317,6 @@ impl Sweep {
                 }
                 AxisParam::HopLimit => {
                     let v = int_axis(param, value)?;
-                    if v == 0 {
-                        return Err(SpecError::new("axis hop_limit needs values >= 1"));
-                    }
                     match &mut s.algebra {
                         crate::spec::AlgebraSpec::Hopcount { limit } => *limit = v,
                         other => {
@@ -378,79 +374,45 @@ fn for_each_phase(s: &mut Scenario, mut f: impl FnMut(&mut crate::spec::FaultSpe
 /// Resize a topology family to (approximately) `n` nodes.
 ///
 /// Families with a single size knob (`line`, `ring`, `star`, `complete`,
-/// `connected_random`) get exactly `n` nodes; `grid` gets the most square
-/// `rows × cols ≥ n` arrangement; `leaf_spine` keeps its spine count and
-/// resizes the leaf tier to `n - spines`.  Families whose shape is not
-/// parameterised by a node count (`tiered`, `explicit`, `gadget`) reject
-/// the `n` axis.
+/// `connected_random`, `as_graph`) get exactly `n` nodes; `grid` gets the
+/// most square `rows × cols ≥ n` arrangement; `leaf_spine` keeps its spine
+/// count and resizes the leaf tier to `n - spines`.  Families whose shape
+/// is not parameterised by a node count (`tiered`, `explicit`, `gadget`)
+/// reject the `n` axis.  The resized shape must pass the family's one
+/// size rule (`TopologySpec::check_shape`, which `Scenario::validate` asks).
 pub fn resize_topology(t: &TopologySpec, n: usize) -> Result<TopologySpec, SpecError> {
-    Ok(match t {
+    let resized = match *t {
         TopologySpec::Line { .. } => TopologySpec::Line { n },
-        TopologySpec::Ring { .. } => {
-            if n < 3 {
-                return Err(SpecError::new("axis n: a ring needs at least 3 nodes"));
-            }
-            TopologySpec::Ring { n }
-        }
-        TopologySpec::Star { .. } => {
-            if n < 2 {
-                return Err(SpecError::new("axis n: a star needs at least 2 nodes"));
-            }
-            TopologySpec::Star { n }
-        }
+        TopologySpec::Ring { .. } => TopologySpec::Ring { n },
+        TopologySpec::Star { .. } => TopologySpec::Star { n },
         TopologySpec::Complete { .. } => TopologySpec::Complete { n },
         TopologySpec::Grid { .. } => {
-            if n == 0 {
-                return Err(SpecError::new("axis n: a grid needs at least 1 node"));
-            }
             let rows = (n as f64).sqrt().floor().max(1.0) as usize;
             let cols = n.div_ceil(rows);
             TopologySpec::Grid { rows, cols }
         }
         TopologySpec::ConnectedRandom { p, seed, .. } => {
-            if n < 3 {
-                return Err(SpecError::new(
-                    "axis n: connected_random needs at least 3 nodes",
-                ));
-            }
-            TopologySpec::ConnectedRandom {
-                n,
-                p: *p,
-                seed: *seed,
-            }
+            TopologySpec::ConnectedRandom { n, p, seed }
         }
-        TopologySpec::AsGraph { m, seed, .. } => {
-            if n < m + 1 {
-                return Err(SpecError::new(format!(
-                    "axis n: an as_graph with m = {m} needs n >= {}",
-                    m + 1
-                )));
-            }
-            TopologySpec::AsGraph {
-                n,
-                m: *m,
-                seed: *seed,
-            }
-        }
-        TopologySpec::LeafSpine { spines, .. } => {
-            let leaves = n.checked_sub(*spines).filter(|&l| l >= 1).ok_or_else(|| {
+        TopologySpec::AsGraph { m, seed, .. } => TopologySpec::AsGraph { n, m, seed },
+        TopologySpec::LeafSpine { spines, .. } => TopologySpec::LeafSpine {
+            spines,
+            leaves: n.checked_sub(spines).ok_or_else(|| {
                 SpecError::new(format!(
-                    "axis n: a leaf_spine fabric with {spines} spines needs n > {spines}"
+                    "axis n: a leaf_spine fabric with {spines} spines needs n >= {spines}"
                 ))
-            })?;
-            TopologySpec::LeafSpine {
-                spines: *spines,
-                leaves,
-            }
-        }
-        other @ (TopologySpec::Tiered { .. }
+            })?,
+        },
+        ref other @ (TopologySpec::Tiered { .. }
         | TopologySpec::Explicit { .. }
         | TopologySpec::Gadget) => {
             return Err(SpecError::new(format!(
                 "the n axis cannot resize topology family {other:?}"
             )));
         }
-    })
+    };
+    resized.check_shape()?;
+    Ok(resized)
 }
 
 // ---------------------------------------------------------------------
@@ -513,81 +475,42 @@ impl Sweep {
 
     /// Decode from a parsed TOML value (see [`Sweep::from_toml_str`]).
     pub fn from_toml(value: &Value) -> Result<Self, SpecError> {
-        let name = value
-            .get("name")
-            .and_then(Value::as_str)
-            .map(str::to_string)
-            .ok_or_else(|| SpecError::new("missing or non-string key \"name\""))?;
-        let description = value
-            .get("description")
-            .and_then(Value::as_str)
-            .unwrap_or_default()
-            .to_string();
-        let replicates = match value.get("replicates") {
-            None => 1,
-            Some(v) => v
-                .as_integer()
-                .ok_or_else(|| SpecError::new("replicates must be an integer"))?,
-        };
-        if replicates < 1 {
-            return Err(SpecError::new("replicates must be >= 1"));
-        }
-        let replicates = replicates as usize;
-        let (base, base_ref) = match value.get("base") {
-            Some(Value::String(builtin)) => {
-                let scenario = builtins::by_name(builtin).ok_or_else(|| {
-                    SpecError::new(format!(
-                        "base {builtin:?} is not a built-in scenario; \
-                         `scenarios list` shows the builtins"
-                    ))
-                })?;
-                (scenario, Some(builtin.clone()))
-            }
-            Some(table @ Value::Table(_)) => (Scenario::from_toml(table)?, None),
-            Some(_) => {
-                return Err(SpecError::new(
-                    "base must be a built-in scenario name or an inline scenario table",
-                ))
-            }
-            None => return Err(SpecError::new("missing key \"base\"")),
-        };
-        let axes = value
-            .get("axes")
-            .and_then(Value::as_array)
-            .ok_or_else(|| SpecError::new("missing [[axes]] array"))?
-            .iter()
-            .map(|a| {
-                let param = AxisParam::parse(
-                    a.get("param")
-                        .and_then(Value::as_str)
-                        .ok_or_else(|| SpecError::new("each axis needs a string param"))?,
-                )?;
-                let values = a
-                    .get("values")
-                    .and_then(Value::as_array)
-                    .ok_or_else(|| SpecError::new("each axis needs a values array"))?
-                    .iter()
-                    .map(|v| match v {
-                        Value::Integer(i) if *i >= 0 => Ok(AxisValue::Int(*i as u64)),
-                        Value::Integer(i) => Err(SpecError::new(format!(
-                            "axis values must be non-negative, got {i}"
-                        ))),
-                        Value::Float(f) => Ok(AxisValue::Float(*f)),
-                        other => Err(SpecError::new(format!(
-                            "axis values must be numbers, got {other:?}"
-                        ))),
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok(Axis { param, values })
+        Item::root(value).table(|f| {
+            // A built-in scenario's name, or an inline scenario table.
+            let base = f.req("base")?;
+            let (base, base_ref) = match base.string() {
+                Ok(name) => {
+                    let scenario = builtins::by_name(&name).ok_or_else(|| {
+                        base.err(format!("{name:?} is not a built-in (`scenarios list`)"))
+                    })?;
+                    (scenario, Some(name))
+                }
+                Err(_) => (base.table(Scenario::decode)?, None),
+            };
+            Ok(Self {
+                name: f.req("name")?.string()?,
+                description: f.or("description", String::new(), Item::string)?,
+                base,
+                base_ref,
+                replicates: f.or("replicates", 1, Item::uint)?,
+                axes: f.req("axes")?.each(|axis| axis.table(Axis::decode))?,
             })
-            .collect::<Result<Vec<_>, SpecError>>()?;
-        Ok(Self {
-            name,
-            description,
-            base,
-            base_ref,
-            replicates,
-            axes,
+        })
+    }
+}
+
+impl Axis {
+    fn decode(f: &mut Fields<'_>) -> Result<Self, SpecError> {
+        Ok(Axis {
+            param: f.req("param")?.parse(AxisParam::parse)?,
+            // Integers and floats keep their TOML type (see `AxisValue`).
+            values: f.req("values")?.each(|v| {
+                if v.is_integer() {
+                    v.uint().map(AxisValue::Int)
+                } else {
+                    v.float().map(AxisValue::Float)
+                }
+            })?,
         })
     }
 }
