@@ -909,28 +909,14 @@ fn cmd_bench(opts: &Options) -> Result<bool, String> {
 /// text format the route server replays.
 fn cmd_gen_trace(opts: &Options) -> Result<bool, String> {
     let n = opts.nodes.unwrap_or(64);
-    let topology = match opts.topology.as_deref().unwrap_or("ring") {
-        "line" => TopologySpec::Line { n },
-        "ring" => TopologySpec::Ring { n },
-        "star" => TopologySpec::Star { n },
-        "complete" => TopologySpec::Complete { n },
-        other => {
-            return Err(format!(
-                "unknown trace topology {other:?} (line|ring|star|complete)"
-            ))
-        }
+    let topology = match opts.topology.as_deref() {
+        Some(family) => TopologySpec::sized(family, n).map_err(|e| e.to_string())?,
+        None => TopologySpec::Ring { n },
     };
-    let algebra = match opts.algebra.as_deref().unwrap_or("hopcount") {
-        // Any simple path has at most n-1 hops, so a limit of n never
-        // truncates a real route while keeping the carrier finite.
-        "hopcount" => ServeAlgebra::Hopcount { limit: n as u64 },
-        "shortest" => ServeAlgebra::Shortest,
-        other => {
-            return Err(format!(
-                "unknown trace algebra {other:?} (hopcount|shortest)"
-            ))
-        }
-    };
+    // Any simple path has at most n-1 hops, so a limit of n never
+    // truncates a real route while keeping the carrier finite.
+    let algebra = opts.algebra.as_deref().unwrap_or("hopcount");
+    let algebra = ServeAlgebra::named(algebra, n as u64).map_err(|e| e.to_string())?;
     let spec = TraceSpec {
         topology,
         algebra,
@@ -964,20 +950,15 @@ fn cmd_gen_trace(opts: &Options) -> Result<bool, String> {
 fn cmd_scale_run(opts: &Options) -> Result<bool, String> {
     use dbf_algebra::prelude::{BoundedHopCount, NatInf, ShortestPaths};
     use dbf_matrix::{blocked_fixed_point, AdjacencyMatrix, BlockedOutcome};
-    use dbf_topology::generators;
 
     let n = opts.nodes.unwrap_or(100_000);
     let m = opts.m.unwrap_or(2);
     let seed = opts.seed.unwrap_or(1);
     let block = opts.block.unwrap_or(1024).max(1);
-    if n < 2 {
-        return Err("scale-run needs --nodes >= 2".into());
-    }
-    if m < 1 {
-        return Err("scale-run needs --m >= 1".into());
-    }
     let algebra = opts.algebra.as_deref().unwrap_or("hopcount");
-    let shape = generators::as_graph(n, m, seed);
+    let carrier = ServeAlgebra::named(algebra, n as u64).map_err(|e| e.to_string())?;
+    let fabric = TopologySpec::AsGraph { n, m, seed };
+    let shape = dbf_scenario::run::build_shape(&fabric).map_err(|e| e.to_string())?;
     let links = shape.edge_count();
     let blocks_expected = n.div_ceil(block);
     eprintln!(
@@ -993,30 +974,25 @@ fn cmd_scale_run(opts: &Options) -> Result<bool, String> {
     // Any simple path visits at most n-1 nodes, so n rounds is a safe
     // per-block budget for every strictly-increasing algebra here.
     let t0 = std::time::Instant::now();
-    let out: BlockedOutcome = match algebra {
-        "hopcount" => {
-            // The same finite carrier gen-trace uses: a limit of n never
-            // truncates a real route.
+    let out: BlockedOutcome = match carrier {
+        // The same finite carrier gen-trace uses: a limit of n never
+        // truncates a real route.
+        ServeAlgebra::Hopcount { limit } => {
             let topo = shape.with_weights(|_, _| 1u64);
             let adj = AdjacencyMatrix::from_topology(&topo);
-            blocked_fixed_point(&BoundedHopCount::new(n as u64), &adj, block, n, progress)
+            blocked_fixed_point(&BoundedHopCount::new(limit), &adj, block, n, progress)
         }
-        "shortest" => {
+        ServeAlgebra::Shortest => {
             let rule = WeightRule::varied();
             let topo = shape.with_weights(|i, j| NatInf::fin(rule.weight(i, j)));
             let adj = AdjacencyMatrix::from_topology(&topo);
             blocked_fixed_point(&ShortestPaths::new(), &adj, block, n, progress)
         }
-        other => {
-            return Err(format!(
-                "unknown scale-run algebra {other:?} (hopcount|shortest)"
-            ))
-        }
     };
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     let json = Json::Obj(vec![
         ("run".into(), Json::str("scale")),
-        ("family".into(), Json::str("as_graph")),
+        ("family".into(), Json::str(fabric.family())),
         ("nodes".into(), Json::uint(n as u64)),
         ("m".into(), Json::uint(m as u64)),
         ("seed".into(), Json::uint(seed)),

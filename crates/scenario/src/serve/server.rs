@@ -17,17 +17,18 @@
 //! answers come from.
 
 use super::clock::{Clock, SystemClock};
-use super::trace::{change_to_line, parse_event_line, ServeEvent, MAX_NODES};
+use super::trace::{admit, check_node_count, parse_event_line, ServeEvent};
 use super::types::{
     BoundRule, DeadlineCfg, PoolHandle, ServeAnswer, ServeProblem, ServeStats, WeightOverrides,
 };
 use crate::checkpoint::{PersistRoute, Snapshot};
 use crate::engine::{state_digest, ScenarioAlgebra};
+use crate::fields::Keys;
 use crate::report::Digest;
-use crate::spec::{finite_weight, ChangeSpec, SpecError};
+use crate::spec::{ChangeSpec, SpecError};
 use dbf_matrix::{
-    dirty_rows_after_change, iteration_budget, AdjacencyMatrix, FaultPlan, FixedPoint, PoolStats,
-    Pooled, RoutingState, Start,
+    dirty_rows_after_change, iteration_budget, sigma_row_into_changed, AdjacencyMatrix, FaultPlan,
+    FixedPoint, PoolStats, Pooled, RoutingState, Start,
 };
 use dbf_telemetry::TelemetrySink;
 use dbf_topology::Topology;
@@ -290,24 +291,8 @@ where
     ) -> Result<(), ServeProblem> {
         // Bounds are checked against the *post-pending* node count so a
         // buffered add_node can be referenced by the very next event.
-        let n = self.shape.node_count() + self.pending_adds;
-        if !change.in_bounds(n) {
-            return Err(ServeProblem::out_of_range(format!(
-                "change {change:?} is out of range for a {n}-node topology"
-            )));
-        }
-        match change {
-            ChangeSpec::SetWeight { weight, .. } => {
-                finite_weight(weight).map_err(ServeProblem::out_of_range)?;
-            }
-            ChangeSpec::AddNode if n >= MAX_NODES => {
-                return Err(ServeProblem::out_of_range(format!(
-                    "add_node would grow the network past {MAX_NODES} nodes"
-                )));
-            }
-            _ => {}
-        }
-        self.stats.changes += 1;
+        admit(&change, self.shape.node_count() + self.pending_adds)?;
+        self.stats.changes = self.stats.changes.saturating_add(1);
         self.pending_adds += usize::from(matches!(change, ChangeSpec::AddNode));
         self.pending.push(change);
         if self.pending.len() >= self.batch_max {
@@ -351,7 +336,7 @@ where
                 w.stale_served += 1;
             }
         }
-        self.stats.queries += 1;
+        self.stats.queries = self.stats.queries.saturating_add(1);
         let took = self.clock.now().saturating_sub(t0);
         self.stats.query_us.push(micros(took));
         Ok(ServeAnswer { text, stale })
@@ -499,23 +484,25 @@ where
         }
     }
 
-    /// Adopt a converged flush: fold its counters into the stats, audit
-    /// the bound, update the per-round cost EMA, and copy the rows the
-    /// flush changed into the table.
+    /// Adopt a converged flush: fold its counters into the stats (they
+    /// saturate: a restored server's come from a file), audit the bound,
+    /// update the per-round cost EMA, and copy the changed rows.
     fn commit(&mut self, work: Flush, tel: &mut dyn TelemetrySink) {
         let rounds = self.kernel.rounds() as u64;
-        self.stats.batches += 1;
-        self.stats.naive_dirty_rows += work.naive_dirty;
-        self.stats.batch_dirty_rows += work.batch_dirty;
-        self.stats.rounds += rounds;
-        self.stats.row_recomputations += self.kernel.row_recomputations();
+        let rows = self.kernel.row_recomputations();
+        let s = &mut self.stats;
+        s.batches = s.batches.saturating_add(1);
+        s.naive_dirty_rows = s.naive_dirty_rows.saturating_add(work.naive_dirty);
+        s.batch_dirty_rows = s.batch_dirty_rows.saturating_add(work.batch_dirty);
+        s.rounds = s.rounds.saturating_add(rounds);
+        s.row_recomputations = s.row_recomputations.saturating_add(rows);
         if rounds > self.stats.worst_flush_rounds {
             self.stats.worst_flush_rounds = rounds;
             self.stats.worst_flush_bound = work.bound.unwrap_or(0);
         }
         if let Some(b) = work.bound {
             if rounds <= b {
-                self.stats.bound_ok += 1;
+                self.stats.bound_ok = self.stats.bound_ok.saturating_add(1);
             }
         }
         let n = self.adj.node_count();
@@ -748,7 +735,7 @@ where
                 .iter()
                 .map(|(&(a, b), &w)| (a, b, w))
                 .collect(),
-            pending: self.pending.iter().map(change_to_line).collect(),
+            pending: self.pending.iter().map(Keys::to_line).collect(),
             stats: [
                 s.changes,
                 s.queries,
@@ -767,9 +754,13 @@ where
     }
 
     /// Rebuild a server from a checkpoint snapshot: shape, weight
-    /// overrides, the converged table (no reconvergence needed — the
-    /// snapshot *is* a fixed point), the pending batch, and the
-    /// deterministic counters.  Chain the builders afterwards.
+    /// overrides, the converged table, the pending batch, and the
+    /// deterministic counters.  Nothing reconverges, but the table is
+    /// checked: one σ sweep over the rebuilt adjacency must leave it as it
+    /// is.  Both serve algebras are strictly increasing, so a σ-stable
+    /// table is the unique fixed point, and a stale or forged one is
+    /// refused, naming the first row σ would change.  Chain the builders
+    /// afterwards.
     pub fn restore(
         alg: A,
         rebuild: F,
@@ -777,10 +768,12 @@ where
         threads: usize,
         batch_max: usize,
     ) -> Result<Self, String> {
-        let mut shape = Topology::new(snap.nodes);
+        let n = snap.nodes;
+        check_node_count(n).map_err(|e| format!("snapshot: {}", e.message))?;
+        let mut shape = Topology::new(n);
         for &(a, b) in &snap.edges {
-            if a >= snap.nodes || b >= snap.nodes {
-                return Err(format!("snapshot edge ({a}, {b}) is out of range"));
+            if a >= n || b >= n || a == b {
+                return Err(format!("snapshot edge ({a}, {b}) is not a link"));
             }
             shape.set_edge(a, b, ());
         }
@@ -801,23 +794,28 @@ where
                 );
             }
             rows += 1;
-            if table.len() != rows * snap.nodes {
+            if table.len() != rows * n {
                 return Err(format!("snapshot row {} has the wrong width", rows - 1));
             }
         }
-        if rows != snap.nodes {
+        if rows != n {
             return Err("snapshot table does not match its node count".to_string());
         }
-        let state = RoutingState::from_fn(snap.nodes, |i, j| table[i * snap.nodes + j].clone());
+        let state = RoutingState::from_fn(n, |i, j| table[i * n + j].clone());
         let mut pending = Vec::with_capacity(snap.pending.len());
+        let mut adds = 0;
         for line in &snap.pending {
-            match parse_event_line(line) {
-                Ok(ServeEvent::Change(c)) => pending.push(c),
+            let change = match parse_event_line(line) {
+                Ok(ServeEvent::Change(c)) => c,
                 Ok(ServeEvent::Query { .. }) => {
                     return Err(format!("snapshot pending line {line:?} is not a change"))
                 }
                 Err(e) => return Err(format!("snapshot pending line {line:?}: {e}")),
-            }
+            };
+            admit(&change, n + adds)
+                .map_err(|p| format!("snapshot pending line {line:?}: {}", p.message))?;
+            adds += change.added_nodes();
+            pending.push(change);
         }
         let st = &snap.stats;
         let stats = ServeStats {
@@ -833,15 +831,24 @@ where
             bound_ok: st[9],
             ..ServeStats::default()
         };
-        let state = Some(state);
-        let mut server = Self::assemble(alg, shape, overrides, rebuild, state, threads, batch_max);
-        if server.adj.node_count() != snap.nodes {
+        let mut server = Self::assemble(
+            alg,
+            shape,
+            overrides,
+            rebuild,
+            Some(state),
+            threads,
+            batch_max,
+        );
+        if server.adj.node_count() != n {
             return Err("snapshot adjacency does not match its node count".to_string());
         }
-        server.pending_adds = pending
-            .iter()
-            .filter(|c| matches!(c, ChangeSpec::AddNode))
-            .count();
+        let mut row = vec![server.alg.invalid(); n];
+        let (alg, adj, table) = (&server.alg, &server.adj, &server.state);
+        if let Some(i) = (0..n).find(|&i| sigma_row_into_changed(alg, adj, table, i, &mut row)) {
+            return Err(format!("snapshot row {i} is not its shape's fixed point"));
+        }
+        server.pending_adds = adds;
         server.pending = pending;
         server.stats = stats;
         Ok(server)

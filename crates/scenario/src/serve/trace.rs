@@ -2,12 +2,17 @@
 //!
 //! One line vocabulary serves three files: a trace's events, the WAL's
 //! records and a snapshot's pending batch all go through
-//! [`event_to_line`] / [`parse_event_line`].
+//! [`event_to_line`] / [`parse_event_line`].  A change's line is its key
+//! list's line form and the algebra header line is [`ServeAlgebra`]'s, so
+//! each verb and each name is spelled once (see `crate::fields`).
 
+use super::types::ServeProblem;
+use crate::fields::{Form, Keys, Kind, Named, Tag, Uint, Visit};
 use crate::run::build_shape;
 use crate::spec::{finite_weight, hop_limit, ChangeSpec, SpecError, TopologySpec};
 use dbf_algebra::algebra::SplitMix64;
 use dbf_topology::Topology;
+use std::fmt::Write as _;
 
 /// One event of a churn trace: a topology change or a route query.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -51,18 +56,46 @@ pub enum ServeAlgebra {
 }
 
 impl ServeAlgebra {
-    /// Stable tag used in trace files and checkpoint snapshots.
+    /// Stable tag used in trace files and checkpoint snapshots: the line
+    /// form, `hopcount <limit>` or `shortest`.
     pub fn tag(&self) -> String {
-        match self {
-            ServeAlgebra::Hopcount { limit } => format!("hopcount {limit}"),
-            ServeAlgebra::Shortest => "shortest".to_string(),
-        }
+        self.to_line()
+    }
+
+    /// The algebra called `name`, a hop count limited to `limit` hops: what
+    /// `gen-trace --algebra` and `scale-run --algebra` name.
+    pub fn named(name: &str, limit: u64) -> Result<Self, SpecError> {
+        Ok(match Self::from_name(name)? {
+            ServeAlgebra::Hopcount { .. } => ServeAlgebra::Hopcount { limit },
+            shortest => shortest,
+        })
     }
 
     /// A hop limit must pass [`hop_limit`], as a scenario's does.
     pub(super) fn validate(&self) -> Result<(), SpecError> {
         match *self {
             ServeAlgebra::Hopcount { limit } => hop_limit(limit),
+            ServeAlgebra::Shortest => Ok(()),
+        }
+    }
+}
+
+impl Named for ServeAlgebra {
+    fn names() -> impl Iterator<Item = (&'static str, Self)> {
+        let hopcount = ServeAlgebra::Hopcount { limit: 0 };
+        [("hopcount", hopcount), ("shortest", ServeAlgebra::Shortest)].into_iter()
+    }
+}
+
+impl Keys for ServeAlgebra {
+    fn blank() -> Self {
+        ServeAlgebra::Shortest
+    }
+
+    fn keys(&mut self, f: &mut Form<'_, '_>) -> Visit {
+        f.req("kind", self, Tag)?;
+        match self {
+            ServeAlgebra::Hopcount { limit } => f.req("limit", limit, Uint),
             ServeAlgebra::Shortest => Ok(()),
         }
     }
@@ -90,7 +123,7 @@ pub struct ChurnTrace {
 pub(super) const MAX_NODES: usize = 1 << 12;
 
 /// Refuse a node count the server cannot hold (see [`MAX_NODES`]).
-fn check_node_count(n: usize) -> Result<(), SpecError> {
+pub(super) fn check_node_count(n: usize) -> Result<(), SpecError> {
     if n > MAX_NODES {
         return Err(SpecError::new(format!(
             "{n} nodes is more than a route server holds (at most {MAX_NODES}: \
@@ -98,6 +131,26 @@ fn check_node_count(n: usize) -> Result<(), SpecError> {
         )));
     }
     Ok(())
+}
+
+/// Can `change` join the batch of a network of `n` nodes (the batch's own
+/// `add_node`s counted)?  The one rule for a pushed change and a restored
+/// pending one.
+pub(super) fn admit(change: &ChangeSpec, n: usize) -> Result<(), ServeProblem> {
+    if !change.in_bounds(n) {
+        return Err(ServeProblem::out_of_range(format!(
+            "change {change:?} is out of range for a {n}-node topology"
+        )));
+    }
+    match *change {
+        ChangeSpec::SetWeight { weight, .. } => finite_weight(weight)
+            .map(drop)
+            .map_err(ServeProblem::out_of_range),
+        ChangeSpec::AddNode if n >= MAX_NODES => Err(ServeProblem::out_of_range(format!(
+            "add_node would grow the network past {MAX_NODES} nodes"
+        ))),
+        _ => Ok(()),
+    }
 }
 
 /// Build the initial shape of a served network, refusing a node count the
@@ -116,23 +169,11 @@ pub(super) const TRACE_HEADER: &str = "# dbf-churn-trace v1";
 /// traces keep round-tripping byte-identically.
 pub(super) const TRACE_HEADER_V2: &str = "# dbf-churn-trace v2";
 
-/// Render a change in the trace's line vocabulary (shared by the trace
-/// format, the WAL, and checkpoint pending-batch persistence).
-pub(super) fn change_to_line(c: &ChangeSpec) -> String {
-    match c {
-        ChangeSpec::SetLink { a, b } => format!("set_link {a} {b}"),
-        ChangeSpec::SetEdge { from, to } => format!("set_edge {from} {to}"),
-        ChangeSpec::RemoveEdge { from, to } => format!("remove_edge {from} {to}"),
-        ChangeSpec::FailLink { a, b } => format!("fail_link {a} {b}"),
-        ChangeSpec::AddNode => "add_node".to_string(),
-        ChangeSpec::SetWeight { from, to, weight } => format!("set_weight {from} {to} {weight}"),
-    }
-}
-
-/// Render an event in the trace's line vocabulary.
+/// Render an event in the trace's line vocabulary: a change's line form
+/// ([`Keys::to_line`]), or `query <from> <to>`.
 pub(super) fn event_to_line(e: &ServeEvent) -> String {
     match e {
-        ServeEvent::Change(c) => change_to_line(c),
+        ServeEvent::Change(c) => c.to_line(),
         ServeEvent::Query { from, to } => format!("query {from} {to}"),
     }
 }
@@ -140,72 +181,23 @@ pub(super) fn event_to_line(e: &ServeEvent) -> String {
 /// Parse one event line of the trace vocabulary.  The error is a bare
 /// message; callers attach file/line context.
 pub(super) fn parse_event_line(line: &str) -> Result<ServeEvent, String> {
-    let toks: Vec<&str> = line.split_whitespace().collect();
-    if toks.is_empty() {
-        return Err("empty event line".to_string());
+    let mut words = line.split_whitespace();
+    if words.next() != Some("query") {
+        let change = ChangeSpec::from_line(line)?;
+        if let ChangeSpec::SetWeight { weight, .. } = change {
+            finite_weight(weight)?;
+        }
+        return Ok(ServeEvent::Change(change));
     }
-    let word = toks[0];
-    let arity = |want: usize| -> Result<(), String> {
-        if toks.len() == want + 1 {
-            Ok(())
-        } else {
-            Err(format!("{word} takes {want} operand(s)"))
-        }
-    };
-    let num = |pos: usize| -> Result<usize, String> {
-        toks[pos]
-            .parse::<usize>()
-            .map_err(|e| format!("bad operand {:?}: {e}", toks[pos]))
-    };
-    match word {
-        "set_link" => {
-            arity(2)?;
-            Ok(ServeEvent::Change(ChangeSpec::SetLink {
-                a: num(1)?,
-                b: num(2)?,
-            }))
-        }
-        "set_edge" => {
-            arity(2)?;
-            Ok(ServeEvent::Change(ChangeSpec::SetEdge {
-                from: num(1)?,
-                to: num(2)?,
-            }))
-        }
-        "remove_edge" => {
-            arity(2)?;
-            Ok(ServeEvent::Change(ChangeSpec::RemoveEdge {
-                from: num(1)?,
-                to: num(2)?,
-            }))
-        }
-        "fail_link" => {
-            arity(2)?;
-            Ok(ServeEvent::Change(ChangeSpec::FailLink {
-                a: num(1)?,
-                b: num(2)?,
-            }))
-        }
-        "add_node" => {
-            arity(0)?;
-            Ok(ServeEvent::Change(ChangeSpec::AddNode))
-        }
-        "set_weight" => {
-            arity(3)?;
-            Ok(ServeEvent::Change(ChangeSpec::SetWeight {
-                from: num(1)?,
-                to: num(2)?,
-                weight: finite_weight(num(3)? as u64)?,
-            }))
-        }
-        "query" => {
-            arity(2)?;
+    match (words.next(), words.next(), words.next()) {
+        (Some(from), Some(to), None) => {
+            let node = |word| Uint.parse(word).map_err(|e| e.message);
             Ok(ServeEvent::Query {
-                from: num(1)?,
-                to: num(2)?,
+                from: node(from)?,
+                to: node(to)?,
             })
         }
-        other => Err(format!("unknown event {other:?}")),
+        _ => Err("query takes 2 operand(s)".to_string()),
     }
 }
 
@@ -237,15 +229,16 @@ impl ChurnTrace {
             TRACE_HEADER
         });
         out.push('\n');
-        let topo = match &self.topology {
-            TopologySpec::Line { n } => format!("line {n}"),
-            TopologySpec::Ring { n } => format!("ring {n}"),
-            TopologySpec::Star { n } => format!("star {n}"),
-            TopologySpec::Complete { n } => format!("complete {n}"),
-            other => panic!("unsupported serve topology {other:?} (validated on construction)"),
-        };
-        out.push_str(&format!("topology {topo}\n"));
-        out.push_str(&format!("algebra {}\n", self.algebra.tag()));
+        // Only a family of one node count has a `topology` line.
+        let (family, n) = (self.topology.family(), self.topology.initial_nodes());
+        let n = n.unwrap_or(0);
+        assert!(
+            TopologySpec::sized(family, n).is_ok_and(|t| t == self.topology),
+            "unsupported serve topology {:?} (validated on construction)",
+            self.topology
+        );
+        let _ = writeln!(out, "topology {family} {n}");
+        let _ = writeln!(out, "algebra {}", self.algebra.tag());
         for ev in &self.events {
             out.push_str(&event_to_line(ev));
             out.push('\n');
@@ -276,38 +269,21 @@ impl ChurnTrace {
             }
             let toks: Vec<&str> = line.split_whitespace().collect();
             let word = toks[0];
-            let num = |pos: usize| -> Result<usize, SpecError> {
-                toks[pos]
-                    .parse::<usize>()
-                    .map_err(|e| bad(k, &format!("bad operand {:?}: {e}", toks[pos])))
-            };
             match word {
                 "topology" => {
                     if toks.len() != 3 {
                         return Err(bad(k, "topology takes 2 operand(s)"));
                     }
-                    let n = num(2)?;
+                    let n = Uint.parse(toks[2]).map_err(|e| bad(k, &e.message))?;
                     check_node_count(n).map_err(|e| bad(k, &e.message))?;
-                    topology = Some(match toks[1] {
-                        "line" => TopologySpec::Line { n },
-                        "ring" => TopologySpec::Ring { n },
-                        "star" => TopologySpec::Star { n },
-                        "complete" => TopologySpec::Complete { n },
-                        other => return Err(bad(k, &format!("unknown topology {other:?}"))),
-                    });
+                    let sized = TopologySpec::sized(toks[1], n);
+                    topology = Some(sized.map_err(|e| bad(k, &e.message))?);
                 }
                 "algebra" => {
-                    algebra = Some(match &toks[1..] {
-                        ["hopcount", _] => {
-                            let algebra = ServeAlgebra::Hopcount {
-                                limit: num(2)? as u64,
-                            };
-                            algebra.validate().map_err(|e| bad(k, &e.message))?;
-                            algebra
-                        }
-                        ["shortest"] => ServeAlgebra::Shortest,
-                        _ => return Err(bad(k, "expected `hopcount <limit>` or `shortest`")),
-                    });
+                    let read = ServeAlgebra::from_line(&line[word.len()..]);
+                    let named = read.map_err(|e| bad(k, &e))?;
+                    named.validate().map_err(|e| bad(k, &e.message))?;
+                    algebra = Some(named);
                 }
                 _ => events.push(parse_event_line(line).map_err(|e| bad(k, &e))?),
             }

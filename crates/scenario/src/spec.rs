@@ -10,13 +10,15 @@
 //! convergence theorems ("the same fixed point under *every* schedule").
 //!
 //! Specs serialize to TOML via [`Scenario::to_toml_string`] and parse back
-//! via [`Scenario::from_toml_str`]; the round trip is lossless.
+//! via [`Scenario::from_toml_str`]; the round trip is lossless.  Each type
+//! declares its keys once, for both directions (see `crate::fields`).
 
-use crate::fields::{Fields, Item};
+use crate::fields::{
+    self, Flag, Float, Form, Keys, List, Named, Pair, Seed, Sub, Tag, Text, Uint, Visit,
+};
 use dbf_algebra::prelude::NatInf;
 use dbf_bgp::spp::SppAlgebra;
 use std::fmt;
-use toml::{Table, Value};
 
 /// A fully described routing experiment.
 #[derive(Debug, Clone, PartialEq)]
@@ -278,20 +280,7 @@ impl EngineKind {
 
     /// Parse a canonical name (consulting the engine registry).
     pub fn parse(s: &str) -> Result<Self, SpecError> {
-        crate::engine::descriptors()
-            .iter()
-            .find(|d| d.name == s)
-            .map(|d| d.kind)
-            .ok_or_else(|| {
-                SpecError::new(format!(
-                    "unknown engine {s:?} (registered: {})",
-                    crate::engine::descriptors()
-                        .iter()
-                        .map(|d| d.name)
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                ))
-            })
+        Self::from_name(s)
     }
 }
 
@@ -581,26 +570,52 @@ impl TopologySpec {
         })
     }
 
+    /// The family's name, as a spec's `family` key and a trace's
+    /// `topology` line spell it.
+    pub fn family(&self) -> &'static str {
+        self.name()
+    }
+
+    /// The family called `family` on `n` nodes, for the families whose one
+    /// key is the node count (`line`, `ring`, `star`, `complete`): what a
+    /// churn trace's `topology` line and `gen-trace --topology` name.
+    pub fn sized(family: &str, n: usize) -> Result<Self, SpecError> {
+        let mut sized = Self::from_name(family)?;
+        match &mut sized {
+            TopologySpec::Line { n: k }
+            | TopologySpec::Ring { n: k }
+            | TopologySpec::Star { n: k }
+            | TopologySpec::Complete { n: k } => *k = n,
+            _ => {
+                return Err(SpecError::new(format!(
+                    "a {family} takes more than a node count"
+                )))
+            }
+        }
+        Ok(sized)
+    }
+
     /// The one rule for which shapes a family can build: its minimum size,
     /// explicit links between two distinct existing nodes, and a provider
     /// tier above every non-empty tier of a hierarchy.
     /// [`Scenario::validate`], [`crate::run::build_shape`] and
     /// [`crate::sweep::resize_topology`] all ask it.
     pub(crate) fn check_shape(&self) -> Result<(), SpecError> {
-        let least = |family: &str, n: usize, min: usize| {
+        let least = |n: usize, min: usize| {
             if n >= min {
                 return Ok(());
             }
             Err(SpecError::new(format!(
-                "a {family} needs at least {min} nodes, got {n}"
+                "a {} needs at least {min} nodes, got {n}",
+                self.family()
             )))
         };
         match self {
-            TopologySpec::Ring { n } => least("ring", *n, 3),
-            TopologySpec::Star { n } => least("star", *n, 2),
-            TopologySpec::ConnectedRandom { n, .. } => least("connected_random graph", *n, 3),
+            TopologySpec::Ring { n } => least(*n, 3),
+            TopologySpec::Star { n } => least(*n, 2),
+            TopologySpec::ConnectedRandom { n, .. } => least(*n, 3),
             TopologySpec::AsGraph { m: 0, .. } => Err(SpecError::new("an as_graph needs m >= 1")),
-            TopologySpec::AsGraph { n, .. } => least("as_graph", *n, 2),
+            TopologySpec::AsGraph { n, .. } => least(*n, 2),
             TopologySpec::Explicit { nodes, links } => links
                 .iter()
                 .find(|&&(a, b)| a >= *nodes || b >= *nodes || a == b)
@@ -811,443 +826,288 @@ impl Scenario {
 }
 
 // ---------------------------------------------------------------------
-// TOML encoding
+// TOML and line forms: one key list per type (see `crate::fields`)
 // ---------------------------------------------------------------------
 
-fn str_val(s: &str) -> Value {
-    Value::String(s.to_string())
-}
-
-fn int_val(i: u64) -> Value {
-    Value::Integer(i as i64)
-}
-
 impl Scenario {
-    /// Serialize to a TOML document.
-    pub fn to_toml(&self) -> Value {
-        let mut root = Table::new();
-        root.insert("name".into(), str_val(&self.name));
-        root.insert("description".into(), str_val(&self.description));
-        root.insert(
-            "engines".into(),
-            Value::Array(self.engines.iter().map(|e| str_val(e.name())).collect()),
-        );
-        root.insert(
-            "seeds".into(),
-            Value::Array(self.seeds.iter().map(|&s| int_val(s)).collect()),
-        );
-        root.insert("topology".into(), self.topology.to_toml());
-        root.insert("algebra".into(), self.algebra.to_toml());
-        let mut expect = Table::new();
-        expect.insert("converges".into(), Value::Boolean(self.expect.converges));
-        expect.insert("agreement".into(), Value::Boolean(self.expect.agreement));
-        root.insert("expect".into(), Value::Table(expect));
-        root.insert(
-            "phases".into(),
-            Value::Array(self.phases.iter().map(PhaseSpec::to_toml).collect()),
-        );
-        Value::Table(root)
-    }
-
     /// Serialize to TOML text.
     pub fn to_toml_string(&self) -> String {
-        self.to_toml().to_string()
+        fields::write_toml(self)
     }
 
-    /// Parse a TOML document.
+    /// Parse and validate a TOML document (see the README for the format).
     pub fn from_toml_str(input: &str) -> Result<Self, SpecError> {
-        let value =
-            toml::from_str(input).map_err(|e| SpecError::new(format!("invalid TOML: {e}")))?;
-        let scenario = Self::from_toml(&value)?;
+        let scenario: Self = fields::read_toml(input)?;
         scenario.validate()?;
         Ok(scenario)
     }
+}
 
-    /// Decode from a parsed TOML value (see the README for the format).
-    pub fn from_toml(value: &Value) -> Result<Self, SpecError> {
-        Item::root(value).table(Self::decode)
+impl Keys for Scenario {
+    fn blank() -> Self {
+        Scenario {
+            name: String::new(),
+            description: String::new(),
+            topology: TopologySpec::Gadget,
+            algebra: AlgebraSpec::GaoRexford,
+            engines: vec![EngineKind::Sync, EngineKind::Sim],
+            seeds: vec![1],
+            phases: vec![PhaseSpec::quiet("run")],
+            expect: Expectation::default(),
+        }
     }
 
-    pub(crate) fn decode(f: &mut Fields<'_>) -> Result<Self, SpecError> {
-        Ok(Self {
-            name: f.req("name")?.string()?,
-            description: f.or("description", String::new(), Item::string)?,
-            topology: f.req("topology")?.table(TopologySpec::decode)?,
-            algebra: f.req("algebra")?.table(AlgebraSpec::decode)?,
-            engines: f.or("engines", vec![EngineKind::Sync, EngineKind::Sim], |v| {
-                v.each(|e| e.parse(EngineKind::parse))
-            })?,
-            seeds: f.or("seeds", vec![1], |v| v.each(Item::seed))?,
-            phases: f.or("phases", vec![PhaseSpec::quiet("run")], |v| {
-                v.each(|p| p.table(PhaseSpec::decode))
-            })?,
-            expect: f.or("expect", Expectation::default(), |v| {
-                v.table(|e| {
-                    Ok(Expectation {
-                        converges: e.or("converges", true, Item::boolean)?,
-                        agreement: e.or("agreement", true, Item::boolean)?,
-                    })
-                })
-            })?,
-        })
+    fn keys(&mut self, f: &mut Form<'_, '_>) -> Visit {
+        f.req("name", &mut self.name, Text)?;
+        f.opt("description", &mut self.description, Text)?;
+        f.req("topology", &mut self.topology, Sub)?;
+        f.req("algebra", &mut self.algebra, Sub)?;
+        f.opt("engines", &mut self.engines, List(Tag))?;
+        f.opt("seeds", &mut self.seeds, List(Seed))?;
+        f.opt("phases", &mut self.phases, List(Sub))?;
+        f.opt("expect", &mut self.expect, Sub)
     }
 }
 
-impl TopologySpec {
-    fn to_toml(&self) -> Value {
-        let mut t = Table::new();
+impl Named for EngineKind {
+    fn names() -> impl Iterator<Item = (&'static str, Self)> {
+        crate::engine::descriptors()
+            .iter()
+            .map(|d| (d.name, d.kind))
+    }
+}
+
+impl Named for TopologySpec {
+    #[rustfmt::skip]
+    fn names() -> impl Iterator<Item = (&'static str, Self)> {
+        use TopologySpec::*;
+        [
+            ("line", Line { n: 0 }),
+            ("ring", Ring { n: 0 }),
+            ("star", Star { n: 0 }),
+            ("complete", Complete { n: 0 }),
+            ("grid", Grid { rows: 0, cols: 0 }),
+            ("connected_random", ConnectedRandom { n: 0, p: 0.0, seed: 0 }),
+            ("as_graph", AsGraph { n: 0, m: 0, seed: 0 }),
+            ("leaf_spine", LeafSpine { spines: 0, leaves: 0 }),
+            ("tiered", Tiered { tiers: Vec::new(), p_peer: 0.35, p_extra: 0.25, seed: 0 }),
+            ("explicit", Explicit { nodes: 0, links: Vec::new() }),
+            ("gadget", Gadget),
+        ]
+        .into_iter()
+    }
+}
+
+impl Keys for TopologySpec {
+    fn blank() -> Self {
+        TopologySpec::Gadget
+    }
+
+    fn keys(&mut self, f: &mut Form<'_, '_>) -> Visit {
+        use TopologySpec::*;
+        f.req("family", self, Tag)?;
         match self {
-            TopologySpec::Line { n } => {
-                t.insert("family".into(), str_val("line"));
-                t.insert("n".into(), int_val(*n as u64));
+            Line { n } | Ring { n } | Star { n } | Complete { n } => f.req("n", n, Uint),
+            Grid { rows, cols } => {
+                f.req("rows", rows, Uint)?;
+                f.req("cols", cols, Uint)
             }
-            TopologySpec::Ring { n } => {
-                t.insert("family".into(), str_val("ring"));
-                t.insert("n".into(), int_val(*n as u64));
+            ConnectedRandom { n, p, seed } => {
+                f.req("n", n, Uint)?;
+                f.req("p", p, Float)?;
+                f.req("seed", seed, Seed)
             }
-            TopologySpec::Star { n } => {
-                t.insert("family".into(), str_val("star"));
-                t.insert("n".into(), int_val(*n as u64));
+            AsGraph { n, m, seed } => {
+                f.req("n", n, Uint)?;
+                f.req("m", m, Uint)?;
+                f.opt("seed", seed, Seed)
             }
-            TopologySpec::Complete { n } => {
-                t.insert("family".into(), str_val("complete"));
-                t.insert("n".into(), int_val(*n as u64));
+            LeafSpine { spines, leaves } => {
+                f.req("spines", spines, Uint)?;
+                f.req("leaves", leaves, Uint)
             }
-            TopologySpec::Grid { rows, cols } => {
-                t.insert("family".into(), str_val("grid"));
-                t.insert("rows".into(), int_val(*rows as u64));
-                t.insert("cols".into(), int_val(*cols as u64));
-            }
-            TopologySpec::ConnectedRandom { n, p, seed } => {
-                t.insert("family".into(), str_val("connected_random"));
-                t.insert("n".into(), int_val(*n as u64));
-                t.insert("p".into(), Value::Float(*p));
-                t.insert("seed".into(), int_val(*seed));
-            }
-            TopologySpec::AsGraph { n, m, seed } => {
-                t.insert("family".into(), str_val("as_graph"));
-                t.insert("n".into(), int_val(*n as u64));
-                t.insert("m".into(), int_val(*m as u64));
-                t.insert("seed".into(), int_val(*seed));
-            }
-            TopologySpec::LeafSpine { spines, leaves } => {
-                t.insert("family".into(), str_val("leaf_spine"));
-                t.insert("spines".into(), int_val(*spines as u64));
-                t.insert("leaves".into(), int_val(*leaves as u64));
-            }
-            TopologySpec::Tiered {
+            Tiered {
                 tiers,
                 p_peer,
                 p_extra,
                 seed,
             } => {
-                t.insert("family".into(), str_val("tiered"));
-                t.insert(
-                    "tiers".into(),
-                    Value::Array(tiers.iter().map(|&x| int_val(x as u64)).collect()),
-                );
-                t.insert("p_peer".into(), Value::Float(*p_peer));
-                t.insert("p_extra".into(), Value::Float(*p_extra));
-                t.insert("seed".into(), int_val(*seed));
+                f.req("tiers", tiers, List(Uint))?;
+                f.opt("p_peer", p_peer, Float)?;
+                f.opt("p_extra", p_extra, Float)?;
+                f.opt("seed", seed, Seed)
             }
-            TopologySpec::Explicit { nodes, links } => {
-                t.insert("family".into(), str_val("explicit"));
-                t.insert("nodes".into(), int_val(*nodes as u64));
-                t.insert(
-                    "links".into(),
-                    Value::Array(
-                        links
-                            .iter()
-                            .map(|&(a, b)| Value::Array(vec![int_val(a as u64), int_val(b as u64)]))
-                            .collect(),
-                    ),
-                );
+            Explicit { nodes, links } => {
+                f.req("nodes", nodes, Uint)?;
+                f.req("links", links, List(Pair))
             }
-            TopologySpec::Gadget => {
-                t.insert("family".into(), str_val("gadget"));
-            }
+            Gadget => Ok(()),
         }
-        Value::Table(t)
-    }
-
-    fn decode(f: &mut Fields<'_>) -> Result<Self, SpecError> {
-        let family = f.req("family")?;
-        let n = |f: &mut Fields<'_>| f.req("n")?.uint::<usize>();
-        Ok(match family.string()?.as_str() {
-            "line" => TopologySpec::Line { n: n(f)? },
-            "ring" => TopologySpec::Ring { n: n(f)? },
-            "star" => TopologySpec::Star { n: n(f)? },
-            "complete" => TopologySpec::Complete { n: n(f)? },
-            "grid" => TopologySpec::Grid {
-                rows: f.req("rows")?.uint()?,
-                cols: f.req("cols")?.uint()?,
-            },
-            "connected_random" => TopologySpec::ConnectedRandom {
-                n: n(f)?,
-                p: f.req("p")?.float()?,
-                seed: f.req("seed")?.seed()?,
-            },
-            "as_graph" => TopologySpec::AsGraph {
-                n: n(f)?,
-                m: f.req("m")?.uint()?,
-                seed: f.or("seed", 0, Item::seed)?,
-            },
-            "leaf_spine" => TopologySpec::LeafSpine {
-                spines: f.req("spines")?.uint()?,
-                leaves: f.req("leaves")?.uint()?,
-            },
-            "tiered" => TopologySpec::Tiered {
-                tiers: f.req("tiers")?.each(Item::uint)?,
-                p_peer: f.or("p_peer", 0.35, Item::float)?,
-                p_extra: f.or("p_extra", 0.25, Item::float)?,
-                seed: f.or("seed", 0, Item::seed)?,
-            },
-            "explicit" => TopologySpec::Explicit {
-                nodes: f.req("nodes")?.uint()?,
-                links: f.req("links")?.each(Item::pair)?,
-            },
-            "gadget" => TopologySpec::Gadget,
-            other => return Err(family.err(format!("unknown topology family {other:?}"))),
-        })
     }
 }
 
-impl WeightRule {
-    fn to_toml(self) -> Value {
-        let mut t = Table::new();
-        t.insert("mul_i".into(), int_val(self.mul_i));
-        t.insert("mul_j".into(), int_val(self.mul_j));
-        t.insert("modulus".into(), int_val(self.modulus));
-        t.insert("base".into(), int_val(self.base));
-        Value::Table(t)
+impl Keys for WeightRule {
+    fn blank() -> Self {
+        WeightRule::uniform(1)
     }
 
-    /// The `weights` table of `f` (every edge weighs 1 without one).
-    fn decode(f: &mut Fields<'_>) -> Result<Self, SpecError> {
-        f.or("weights", WeightRule::uniform(1), |v| {
-            v.table(|w| {
-                Ok(WeightRule {
-                    mul_i: w.or("mul_i", 0, Item::uint)?,
-                    mul_j: w.or("mul_j", 0, Item::uint)?,
-                    modulus: w.or("modulus", 1, Item::uint)?,
-                    base: w.or("base", 1, Item::uint)?,
-                })
-            })
-        })
+    fn keys(&mut self, f: &mut Form<'_, '_>) -> Visit {
+        f.opt("mul_i", &mut self.mul_i, Uint)?;
+        f.opt("mul_j", &mut self.mul_j, Uint)?;
+        f.opt("modulus", &mut self.modulus, Uint)?;
+        f.opt("base", &mut self.base, Uint)
     }
 }
 
-impl AlgebraSpec {
-    fn to_toml(&self) -> Value {
-        let mut t = Table::new();
+impl Named for AlgebraSpec {
+    #[rustfmt::skip]
+    fn names() -> impl Iterator<Item = (&'static str, Self)> {
+        use AlgebraSpec::*;
+        let weights = WeightRule::uniform(1);
+        [
+            ("shortest", Shortest { weights }),
+            ("widest", Widest { weights }),
+            ("hopcount", Hopcount { limit: 16 }),
+            ("bgp", Bgp { policy_depth: 2, policy_seed: 0 }),
+            ("gao_rexford", GaoRexford),
+            ("spp", Spp { gadget: SppGadget::Disagree }),
+        ]
+        .into_iter()
+    }
+}
+
+impl Keys for AlgebraSpec {
+    fn blank() -> Self {
+        AlgebraSpec::GaoRexford
+    }
+
+    fn keys(&mut self, f: &mut Form<'_, '_>) -> Visit {
+        use AlgebraSpec::*;
+        f.req("kind", self, Tag)?;
         match self {
-            AlgebraSpec::Shortest { weights } => {
-                t.insert("kind".into(), str_val("shortest"));
-                t.insert("weights".into(), weights.to_toml());
-            }
-            AlgebraSpec::Widest { weights } => {
-                t.insert("kind".into(), str_val("widest"));
-                t.insert("weights".into(), weights.to_toml());
-            }
-            AlgebraSpec::Hopcount { limit } => {
-                t.insert("kind".into(), str_val("hopcount"));
-                t.insert("limit".into(), int_val(*limit));
-            }
-            AlgebraSpec::Bgp {
+            Shortest { weights } | Widest { weights } => f.opt("weights", weights, Sub),
+            Hopcount { limit } => f.opt("limit", limit, Uint),
+            Bgp {
                 policy_depth,
                 policy_seed,
             } => {
-                t.insert("kind".into(), str_val("bgp"));
-                t.insert("policy_depth".into(), int_val(*policy_depth as u64));
-                t.insert("policy_seed".into(), int_val(*policy_seed));
+                f.opt("policy_depth", policy_depth, Uint)?;
+                f.opt("policy_seed", policy_seed, Seed)
             }
-            AlgebraSpec::GaoRexford => {
-                t.insert("kind".into(), str_val("gao_rexford"));
-            }
-            AlgebraSpec::Spp { gadget } => {
-                t.insert("kind".into(), str_val("spp"));
-                t.insert(
-                    "gadget".into(),
-                    str_val(match gadget {
-                        SppGadget::Disagree => "disagree",
-                        SppGadget::Bad => "bad",
-                        SppGadget::Good => "good",
-                    }),
-                );
-            }
+            GaoRexford => Ok(()),
+            Spp { gadget } => f.req("gadget", gadget, Tag),
         }
-        Value::Table(t)
-    }
-
-    fn decode(f: &mut Fields<'_>) -> Result<Self, SpecError> {
-        let kind = f.req("kind")?;
-        Ok(match kind.string()?.as_str() {
-            "shortest" => AlgebraSpec::Shortest {
-                weights: WeightRule::decode(f)?,
-            },
-            "widest" => AlgebraSpec::Widest {
-                weights: WeightRule::decode(f)?,
-            },
-            "hopcount" => AlgebraSpec::Hopcount {
-                limit: f.or("limit", 16, Item::uint)?,
-            },
-            "bgp" => AlgebraSpec::Bgp {
-                policy_depth: f.or("policy_depth", 2, Item::uint)?,
-                policy_seed: f.or("policy_seed", 0, Item::seed)?,
-            },
-            "gao_rexford" => AlgebraSpec::GaoRexford,
-            "spp" => AlgebraSpec::Spp {
-                gadget: f.req("gadget")?.parse(|g| match g {
-                    "disagree" => Ok(SppGadget::Disagree),
-                    "bad" => Ok(SppGadget::Bad),
-                    "good" => Ok(SppGadget::Good),
-                    other => Err(SpecError::new(format!("unknown spp gadget {other:?}"))),
-                })?,
-            },
-            other => return Err(kind.err(format!("unknown algebra kind {other:?}"))),
-        })
     }
 }
 
-impl ChangeSpec {
-    fn to_toml(self) -> Value {
-        let mut t = Table::new();
+impl Named for SppGadget {
+    fn names() -> impl Iterator<Item = (&'static str, Self)> {
+        use SppGadget::*;
+        [("disagree", Disagree), ("bad", Bad), ("good", Good)].into_iter()
+    }
+}
+
+impl Named for ChangeSpec {
+    #[rustfmt::skip]
+    fn names() -> impl Iterator<Item = (&'static str, Self)> {
+        use ChangeSpec::*;
+        [
+            ("set_link", SetLink { a: 0, b: 0 }),
+            ("set_edge", SetEdge { from: 0, to: 0 }),
+            ("remove_edge", RemoveEdge { from: 0, to: 0 }),
+            ("fail_link", FailLink { a: 0, b: 0 }),
+            ("set_weight", SetWeight { from: 0, to: 0, weight: 0 }),
+            ("add_node", AddNode),
+        ]
+        .into_iter()
+    }
+}
+
+/// A change is also a line — `set_link 3 9`, the tag and then each key's
+/// value in this order — in churn traces, the WAL and a snapshot's pending
+/// batch.
+impl Keys for ChangeSpec {
+    fn blank() -> Self {
+        ChangeSpec::AddNode
+    }
+
+    fn keys(&mut self, f: &mut Form<'_, '_>) -> Visit {
+        use ChangeSpec::*;
+        f.req("op", self, Tag)?;
         match self {
-            ChangeSpec::SetLink { a, b } => {
-                t.insert("op".into(), str_val("set_link"));
-                t.insert("a".into(), int_val(a as u64));
-                t.insert("b".into(), int_val(b as u64));
+            SetLink { a, b } | FailLink { a, b } => {
+                f.req("a", a, Uint)?;
+                f.req("b", b, Uint)
             }
-            ChangeSpec::SetEdge { from, to } => {
-                t.insert("op".into(), str_val("set_edge"));
-                t.insert("from".into(), int_val(from as u64));
-                t.insert("to".into(), int_val(to as u64));
+            SetEdge { from, to } | RemoveEdge { from, to } => {
+                f.req("from", from, Uint)?;
+                f.req("to", to, Uint)
             }
-            ChangeSpec::RemoveEdge { from, to } => {
-                t.insert("op".into(), str_val("remove_edge"));
-                t.insert("from".into(), int_val(from as u64));
-                t.insert("to".into(), int_val(to as u64));
+            SetWeight { from, to, weight } => {
+                f.req("from", from, Uint)?;
+                f.req("to", to, Uint)?;
+                f.req("weight", weight, Uint)
             }
-            ChangeSpec::FailLink { a, b } => {
-                t.insert("op".into(), str_val("fail_link"));
-                t.insert("a".into(), int_val(a as u64));
-                t.insert("b".into(), int_val(b as u64));
-            }
-            ChangeSpec::SetWeight { from, to, weight } => {
-                t.insert("op".into(), str_val("set_weight"));
-                t.insert("from".into(), int_val(from as u64));
-                t.insert("to".into(), int_val(to as u64));
-                t.insert("weight".into(), int_val(weight));
-            }
-            ChangeSpec::AddNode => {
-                t.insert("op".into(), str_val("add_node"));
-            }
+            AddNode => Ok(()),
         }
-        Value::Table(t)
-    }
-
-    fn decode(f: &mut Fields<'_>) -> Result<Self, SpecError> {
-        let op = f.req("op")?;
-        Ok(match op.string()?.as_str() {
-            "set_link" => ChangeSpec::SetLink {
-                a: f.req("a")?.uint()?,
-                b: f.req("b")?.uint()?,
-            },
-            "set_edge" => ChangeSpec::SetEdge {
-                from: f.req("from")?.uint()?,
-                to: f.req("to")?.uint()?,
-            },
-            "remove_edge" => ChangeSpec::RemoveEdge {
-                from: f.req("from")?.uint()?,
-                to: f.req("to")?.uint()?,
-            },
-            "fail_link" => ChangeSpec::FailLink {
-                a: f.req("a")?.uint()?,
-                b: f.req("b")?.uint()?,
-            },
-            "set_weight" => ChangeSpec::SetWeight {
-                from: f.req("from")?.uint()?,
-                to: f.req("to")?.uint()?,
-                weight: f.req("weight")?.uint()?,
-            },
-            "add_node" => ChangeSpec::AddNode,
-            other => return Err(op.err(format!("unknown change op {other:?}"))),
-        })
     }
 }
 
-impl PhaseSpec {
-    fn to_toml(&self) -> Value {
-        let mut t = Table::new();
-        t.insert("label".into(), str_val(&self.label));
-        t.insert(
-            "changes".into(),
-            Value::Array(self.changes.iter().map(|c| c.to_toml()).collect()),
-        );
-        let mut f = Table::new();
-        f.insert("loss".into(), Value::Float(self.faults.loss));
-        f.insert("duplicate".into(), Value::Float(self.faults.duplicate));
-        f.insert("reorder".into(), Value::Float(self.faults.reorder));
-        f.insert("activation".into(), Value::Float(self.faults.activation));
-        f.insert("min_delay".into(), int_val(self.faults.min_delay));
-        f.insert("max_delay".into(), int_val(self.faults.max_delay));
-        f.insert("horizon".into(), int_val(self.faults.horizon as u64));
-        match self.faults.schedule {
-            ScheduleSpec::Random => {}
-            ScheduleSpec::AdversarialStale { victim, period } => {
-                f.insert("schedule".into(), str_val("adversarial_stale"));
-                f.insert("victim".into(), int_val(victim as u64));
-                f.insert("period".into(), int_val(period));
-            }
-        }
-        t.insert("faults".into(), Value::Table(f));
-        Value::Table(t)
+impl Keys for PhaseSpec {
+    fn blank() -> Self {
+        PhaseSpec::quiet("")
     }
 
-    fn decode(f: &mut Fields<'_>) -> Result<Self, SpecError> {
-        Ok(Self {
-            label: f.req("label")?.string()?,
-            changes: f.or("changes", Vec::new(), |v| {
-                v.each(|c| c.table(ChangeSpec::decode))
-            })?,
-            faults: f.or("faults", FaultSpec::default(), |v| {
-                v.table(FaultSpec::decode)
-            })?,
-        })
+    fn keys(&mut self, f: &mut Form<'_, '_>) -> Visit {
+        f.req("label", &mut self.label, Text)?;
+        f.opt("changes", &mut self.changes, List(Sub))?;
+        f.opt("faults", &mut self.faults, Sub)
     }
 }
 
-impl FaultSpec {
-    fn decode(f: &mut Fields<'_>) -> Result<Self, SpecError> {
-        let d = FaultSpec::default();
-        let schedule = match f.opt("schedule") {
-            None => ScheduleSpec::Random,
-            Some(kind) => match kind.string()?.as_str() {
-                "random" => ScheduleSpec::Random,
-                // No clamping here: a `period = 0` typo must surface as
-                // the validate() error, not be silently rewritten.
-                "adversarial_stale" => ScheduleSpec::AdversarialStale {
-                    victim: f.or("victim", 0, Item::uint)?,
-                    period: f.or("period", 3, Item::uint)?,
-                },
-                other => {
-                    return Err(kind.err(format!(
-                        "unknown schedule kind {other:?} (expected \"random\" or \
-                         \"adversarial_stale\")"
-                    )))
-                }
-            },
-        };
-        Ok(FaultSpec {
-            loss: f.or("loss", d.loss, Item::float)?,
-            duplicate: f.or("duplicate", d.duplicate, Item::float)?,
-            reorder: f.or("reorder", d.reorder, Item::float)?,
-            activation: f.or("activation", d.activation, Item::float)?,
-            min_delay: f.or("min_delay", d.min_delay, Item::uint)?,
-            max_delay: f.or("max_delay", d.max_delay, Item::uint)?,
-            horizon: f.or("horizon", d.horizon, Item::uint)?,
-            schedule,
-        })
+impl Named for ScheduleSpec {
+    #[rustfmt::skip]
+    fn names() -> impl Iterator<Item = (&'static str, Self)> {
+        // No clamping of `period`: a `period = 0` typo must surface as the
+        // validate() error, not be silently rewritten.
+        [
+            ("random", ScheduleSpec::Random),
+            ("adversarial_stale", ScheduleSpec::AdversarialStale { victim: 0, period: 3 }),
+        ]
+        .into_iter()
+    }
+}
+
+impl Keys for FaultSpec {
+    fn blank() -> Self {
+        FaultSpec::default()
+    }
+
+    fn keys(&mut self, f: &mut Form<'_, '_>) -> Visit {
+        // A written file leaves the default schedule out.
+        f.opt_unless("schedule", &mut self.schedule, ScheduleSpec::Random, Tag)?;
+        if let ScheduleSpec::AdversarialStale { victim, period } = &mut self.schedule {
+            f.opt("victim", victim, Uint)?;
+            f.opt("period", period, Uint)?;
+        }
+        f.opt("loss", &mut self.loss, Float)?;
+        f.opt("duplicate", &mut self.duplicate, Float)?;
+        f.opt("reorder", &mut self.reorder, Float)?;
+        f.opt("activation", &mut self.activation, Float)?;
+        f.opt("min_delay", &mut self.min_delay, Uint)?;
+        f.opt("max_delay", &mut self.max_delay, Uint)?;
+        f.opt("horizon", &mut self.horizon, Uint)
+    }
+}
+
+impl Keys for Expectation {
+    fn blank() -> Self {
+        Expectation::default()
+    }
+
+    fn keys(&mut self, f: &mut Form<'_, '_>) -> Visit {
+        f.opt("converges", &mut self.converges, Flag)?;
+        f.opt("agreement", &mut self.agreement, Flag)
     }
 }
 

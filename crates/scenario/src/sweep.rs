@@ -30,12 +30,14 @@
 
 use crate::agg::{PointReport, ReplicateMetrics, SweepReport};
 use crate::builtins;
-use crate::fields::{Fields, Item};
+use crate::fields::{
+    self, Float, Form, Item, Keys, Kind, List, Named, Sub, Tag, Text, Uint, Visit,
+};
 use crate::report::Digest;
 use crate::run::{run_scenario_with, RunConfig};
 use crate::spec::{Scenario, SpecError, TopologySpec};
 use dbf_matrix::WorkerPool;
-use toml::{Table, Value};
+use toml::Value;
 
 /// A parameter a sweep axis can vary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,33 +67,25 @@ pub enum AxisParam {
 impl AxisParam {
     /// The canonical lowercase name used in TOML and point labels.
     pub fn name(self) -> &'static str {
-        match self {
-            AxisParam::N => "n",
-            AxisParam::Loss => "loss",
-            AxisParam::Duplicate => "duplicate",
-            AxisParam::Reorder => "reorder",
-            AxisParam::Activation => "activation",
-            AxisParam::MinDelay => "min_delay",
-            AxisParam::MaxDelay => "max_delay",
-            AxisParam::Horizon => "horizon",
-            AxisParam::HopLimit => "hop_limit",
-        }
+        Named::name(&self)
     }
+}
 
-    /// Parse a canonical name.
-    pub fn parse(s: &str) -> Result<Self, SpecError> {
-        Ok(match s {
-            "n" => AxisParam::N,
-            "loss" => AxisParam::Loss,
-            "duplicate" => AxisParam::Duplicate,
-            "reorder" => AxisParam::Reorder,
-            "activation" => AxisParam::Activation,
-            "min_delay" => AxisParam::MinDelay,
-            "max_delay" => AxisParam::MaxDelay,
-            "horizon" => AxisParam::Horizon,
-            "hop_limit" => AxisParam::HopLimit,
-            other => return Err(SpecError::new(format!("unknown axis param {other:?}"))),
-        })
+impl Named for AxisParam {
+    fn names() -> impl Iterator<Item = (&'static str, Self)> {
+        use AxisParam::*;
+        [
+            ("n", N),
+            ("loss", Loss),
+            ("duplicate", Duplicate),
+            ("reorder", Reorder),
+            ("activation", Activation),
+            ("min_delay", MinDelay),
+            ("max_delay", MaxDelay),
+            ("horizon", Horizon),
+            ("hop_limit", HopLimit),
+        ]
+        .into_iter()
     }
 }
 
@@ -119,13 +113,6 @@ impl AxisValue {
         match self {
             AxisValue::Int(v) => Some(v),
             AxisValue::Float(_) => None,
-        }
-    }
-
-    fn to_toml(self) -> Value {
-        match self {
-            AxisValue::Int(v) => Value::Integer(v as i64),
-            AxisValue::Float(v) => Value::Float(v),
         }
     }
 
@@ -416,102 +403,103 @@ pub fn resize_topology(t: &TopologySpec, n: usize) -> Result<TopologySpec, SpecE
 }
 
 // ---------------------------------------------------------------------
-// TOML codec
+// TOML codec: one key list per type (see `crate::fields`)
 // ---------------------------------------------------------------------
 
 impl Sweep {
-    /// Serialize to a TOML document.
-    pub fn to_toml(&self) -> Value {
-        let mut root = Table::new();
-        root.insert("name".into(), Value::String(self.name.clone()));
-        root.insert(
-            "description".into(),
-            Value::String(self.description.clone()),
-        );
-        root.insert("replicates".into(), Value::Integer(self.replicates as i64));
-        match &self.base_ref {
-            Some(name) => {
-                root.insert("base".into(), Value::String(name.clone()));
-            }
-            None => {
-                root.insert("base".into(), self.base.to_toml());
-            }
-        }
-        root.insert(
-            "axes".into(),
-            Value::Array(
-                self.axes
-                    .iter()
-                    .map(|a| {
-                        let mut t = Table::new();
-                        t.insert("param".into(), Value::String(a.param.name().into()));
-                        t.insert(
-                            "values".into(),
-                            Value::Array(a.values.iter().map(|v| v.to_toml()).collect()),
-                        );
-                        Value::Table(t)
-                    })
-                    .collect(),
-            ),
-        );
-        Value::Table(root)
-    }
-
     /// Serialize to TOML text.
     pub fn to_toml_string(&self) -> String {
-        self.to_toml().to_string()
+        fields::write_toml(self)
     }
 
-    /// Parse a TOML document.  A string `base` is resolved against the
-    /// built-in scenario library; a table `base` is parsed as an inline
-    /// scenario.
+    /// Parse and validate a TOML document.  A string `base` is resolved
+    /// against the built-in scenario library; a table `base` is parsed as
+    /// an inline scenario.
     pub fn from_toml_str(input: &str) -> Result<Self, SpecError> {
-        let value =
-            toml::from_str(input).map_err(|e| SpecError::new(format!("invalid TOML: {e}")))?;
-        let sweep = Self::from_toml(&value)?;
+        let sweep: Self = fields::read_toml(input)?;
         sweep.validate()?;
         Ok(sweep)
     }
+}
 
-    /// Decode from a parsed TOML value (see [`Sweep::from_toml_str`]).
-    pub fn from_toml(value: &Value) -> Result<Self, SpecError> {
-        Item::root(value).table(|f| {
-            // A built-in scenario's name, or an inline scenario table.
-            let base = f.req("base")?;
-            let (base, base_ref) = match base.string() {
-                Ok(name) => {
-                    let scenario = builtins::by_name(&name).ok_or_else(|| {
-                        base.err(format!("{name:?} is not a built-in (`scenarios list`)"))
-                    })?;
-                    (scenario, Some(name))
-                }
-                Err(_) => (base.table(Scenario::decode)?, None),
-            };
-            Ok(Self {
-                name: f.req("name")?.string()?,
-                description: f.or("description", String::new(), Item::string)?,
-                base,
-                base_ref,
-                replicates: f.or("replicates", 1, Item::uint)?,
-                axes: f.req("axes")?.each(|axis| axis.table(Axis::decode))?,
-            })
-        })
+impl Keys for Sweep {
+    fn blank() -> Self {
+        Sweep {
+            name: String::new(),
+            description: String::new(),
+            base: Scenario::blank(),
+            base_ref: None,
+            replicates: 1,
+            axes: Vec::new(),
+        }
+    }
+
+    fn keys(&mut self, f: &mut Form<'_, '_>) -> Visit {
+        // One key, two fields: a builtin's name is kept so the round trip
+        // writes the name back rather than the scenario it names.
+        let base = std::mem::replace(&mut self.base, Scenario::blank());
+        let mut base = (self.base_ref.take(), base);
+        f.req("base", &mut base, Base)?;
+        (self.base_ref, self.base) = base;
+        f.req("name", &mut self.name, Text)?;
+        f.opt("description", &mut self.description, Text)?;
+        f.opt("replicates", &mut self.replicates, Uint)?;
+        f.req("axes", &mut self.axes, List(Sub))
     }
 }
 
-impl Axis {
-    fn decode(f: &mut Fields<'_>) -> Result<Self, SpecError> {
-        Ok(Axis {
-            param: f.req("param")?.parse(AxisParam::parse)?,
-            // Integers and floats keep their TOML type (see `AxisValue`).
-            values: f.req("values")?.each(|v| {
-                if v.is_integer() {
-                    v.uint().map(AxisValue::Int)
-                } else {
-                    v.float().map(AxisValue::Float)
-                }
-            })?,
-        })
+/// A sweep's `base`: a built-in scenario's name, or an inline scenario
+/// table.
+struct Base;
+
+impl Kind<(Option<String>, Scenario)> for Base {
+    fn read(&self, item: &Item<'_>) -> Result<(Option<String>, Scenario), SpecError> {
+        let Ok(name) = item.string() else {
+            return Ok((None, Sub.read(item)?));
+        };
+        let scenario = builtins::by_name(&name)
+            .ok_or_else(|| item.err(format!("{name:?} is not a built-in (`scenarios list`)")))?;
+        Ok((Some(name), scenario))
+    }
+
+    fn write(&self, (name, scenario): &mut (Option<String>, Scenario)) -> Value {
+        match name {
+            Some(name) => Text.write(name),
+            None => Sub.write(scenario),
+        }
+    }
+}
+
+impl Keys for Axis {
+    fn blank() -> Self {
+        Axis {
+            param: AxisParam::N,
+            values: Vec::new(),
+        }
+    }
+
+    fn keys(&mut self, f: &mut Form<'_, '_>) -> Visit {
+        f.req("param", &mut self.param, Tag)?;
+        f.req("values", &mut self.values, List(Number))
+    }
+}
+
+/// An axis value keeps its TOML type: an integer stays an integer.
+struct Number;
+
+impl Kind<AxisValue> for Number {
+    fn read(&self, item: &Item<'_>) -> Result<AxisValue, SpecError> {
+        match item.is_integer() {
+            true => Uint.read(item).map(AxisValue::Int),
+            false => Float.read(item).map(AxisValue::Float),
+        }
+    }
+
+    fn write(&self, value: &mut AxisValue) -> Value {
+        match value {
+            AxisValue::Int(v) => Uint.write(v),
+            AxisValue::Float(v) => Float.write(v),
+        }
     }
 }
 
