@@ -55,10 +55,11 @@
 //! Workers can also *die* (today only by injection: a
 //! [`FaultPlan`] armed via
 //! [`WorkerPool::arm_faults`] can kill a worker mid-epoch).  A dying
-//! worker first requeues its in-flight task so the epoch still drains —
-//! the coordinator's steal-back loop guarantees progress even with every
-//! worker dead — and records its index for the supervisor.
-//! [`WorkerPool::supervise`] (called automatically at every epoch open)
+//! worker requeues its in-flight task, wakes that task's coordinator and
+//! records its index for the supervisor.  The coordinator looks at the
+//! queue again each time it wakes, so it runs the requeued job itself
+//! even if it had already parked: the epoch drains with every worker
+//! dead.  [`WorkerPool::supervise`] (called automatically at every epoch open)
 //! joins dead workers and respawns replacements under the same index, so
 //! the pool returns to full strength without caller involvement.  Deaths,
 //! restarts, and epoch retries are counted in [`PoolStats`] and flow into
@@ -218,11 +219,20 @@ fn worker_loop(index: usize, inner: Arc<Inner>) {
         // the death for the supervisor, and exit this thread.
         if let Some((plan, site)) = inner.fault_site(task.epoch) {
             if plan.kill_worker(site, index) {
+                let scope = Arc::clone(&task.scope);
                 {
                     let mut st = inner.state.lock().unwrap_or_else(|p| p.into_inner());
                     st.queue.push_front(task);
                 }
                 inner.work_ready.notify_one();
+                // The coordinator may already be parked with this job
+                // pending and no worker left to run it.  It looks at the
+                // queue under its epoch's lock, so waking it under that
+                // lock cannot fall between its look and its wait.
+                {
+                    let _sync = scope.sync.lock().unwrap_or_else(|p| p.into_inner());
+                    scope.done.notify_all();
+                }
                 inner
                     .dead
                     .lock()
@@ -495,8 +505,9 @@ impl Drop for WorkerPool {
 
 /// The job-submission surface handed to the [`WorkerPool::scoped`]
 /// closure.  Deliberately `!Send`/`!Sync`: jobs cannot capture the scope
-/// and submit further jobs from worker threads, which is what makes the
-/// coordinator's drain-then-park wait loop free of lost wakeups.
+/// and submit further jobs from worker threads, so once the closure has
+/// returned only a killed worker's requeue can put an epoch's job back on
+/// the queue (see `wait_all`).
 pub struct PoolScope<'pool, 'scope> {
     pool: &'pool WorkerPool,
     epoch: u64,
@@ -559,23 +570,27 @@ impl<'scope> PoolScope<'_, 'scope> {
 
     /// Block until the epoch has drained, stealing back own-epoch jobs
     /// and running them inline rather than idling.
+    ///
+    /// No new job can appear (`execute` is only reachable from the scope
+    /// closure, which has returned, and jobs cannot capture the scope), but
+    /// a worker killed mid-epoch puts the job it had popped back on the
+    /// queue.  So the queue is looked at under the epoch's lock, on every
+    /// wake-up, and the dying worker signals `done` under that same lock.
     fn wait_all(&self) {
-        while let Some(task) = self.steal_own() {
-            self.pool.inner.inline_jobs.fetch_add(1, Ordering::Relaxed);
-            run_task(task, &self.pool.inner);
-        }
-        // Everything still pending is running on a worker right now: the
-        // queue holds none of our jobs (just drained), and no new ones
-        // can appear because `execute` is only reachable from the scope
-        // closure, which has returned, and jobs cannot capture the scope
-        // (`PoolScope` is `!Sync`).  So a plain condvar wait suffices.
         let mut sync = self.state.sync.lock().unwrap_or_else(|p| p.into_inner());
         while sync.pending > 0 {
-            sync = self
-                .state
-                .done
-                .wait(sync)
-                .unwrap_or_else(|p| p.into_inner());
+            if let Some(task) = self.steal_own() {
+                drop(sync);
+                self.pool.inner.inline_jobs.fetch_add(1, Ordering::Relaxed);
+                run_task(task, &self.pool.inner);
+                sync = self.state.sync.lock().unwrap_or_else(|p| p.into_inner());
+            } else {
+                sync = self
+                    .state
+                    .done
+                    .wait(sync)
+                    .unwrap_or_else(|p| p.into_inner());
+            }
         }
     }
 }
@@ -1003,5 +1018,33 @@ mod tests {
         assert_eq!(stats.restarts, 1, "the dead worker was respawned once");
         assert_eq!(stats.workers, 2, "the worker set is back to full strength");
         pool.disarm_faults();
+    }
+
+    #[test]
+    fn a_sole_worker_killed_mid_epoch_cannot_strand_its_job() {
+        // One worker, one job per epoch, a kill armed for every epoch.
+        // When the worker pops the job after the coordinator has looked at
+        // the queue, the coordinator parks with the job pending and only
+        // the dying worker's requeue left to run it.  That used to hang
+        // within a few dozen epochs, hence the watchdog.
+        use crate::faults::{FaultKind, FaultPlan};
+        let (finished, watchdog) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let pool = WorkerPool::new(1);
+            for _ in 0..2_000 {
+                pool.arm_faults(Arc::new(
+                    FaultPlan::new(1).with(FaultKind::KillWorker { worker: 0 }, 0),
+                ));
+                let mut ran = false;
+                pool.scoped(|scope| scope.execute(|| ran = true))
+                    .expect("a kill is not a job panic");
+                assert!(ran, "the epoch drained without running its job");
+            }
+            let _ = finished.send(pool.stats());
+        });
+        let stats = watchdog
+            .recv_timeout(Duration::from_secs(60))
+            .expect("an epoch whose only worker was killed never drained (or the loop panicked)");
+        assert_eq!(stats.epochs, 2_000);
     }
 }
