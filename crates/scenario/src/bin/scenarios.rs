@@ -37,7 +37,7 @@
 //! match the expectation, so the binary doubles as an integration gate; on
 //! failure both print the exact reproduction command.
 
-use dbf_matrix::default_jobs;
+use dbf_matrix::{default_jobs, FaultKind};
 use dbf_scenario::bench::{bench_json, bench_sweeps_json, BenchRecord};
 use dbf_scenario::fuzz::replay_corpus;
 use dbf_scenario::prelude::*;
@@ -51,6 +51,9 @@ fn usage() -> ExitCode {
         .map(|d| d.name)
         .collect::<Vec<_>>()
         .join(",");
+    let fault_kinds = dbf_scenario::chaos::fault_kind_names()
+        .collect::<Vec<_>>()
+        .join(", ");
     eprintln!(
         "usage: scenarios <command> [options]\n\
          \n\
@@ -137,8 +140,7 @@ fn usage() -> ExitCode {
          \x20 --recover DIR    serve: restore the snapshot in DIR, replay the WAL tail,\n\
          \x20                  and continue the trace from the recorded offset\n\
          \x20 --faults FILE    serve/chaos: a TOML fault plan to inject (kinds:\n\
-         \x20                  kill_worker, stall_band, fail_epoch, crash, truncate_wal,\n\
-         \x20                  corrupt_wal, delay_flush)\n\
+         \x20                  {fault_kinds})\n\
          \x20 --crash-at E     serve: crash the process just before event offset E\n\
          \x20                  (shorthand for a one-fault crash plan)\n\
          \x20 --m M            scale-run: as_graph attachment edges per node (default 2)\n\
@@ -1060,8 +1062,8 @@ fn cmd_serve(opts: &Options) -> Result<bool, String> {
                 Some(off) => format!("last checkpoint at offset {off}"),
                 None => "no checkpoint written".into(),
             };
-            let hint = match (f.kind.as_str(), &serve_opts.checkpoint_dir) {
-                ("crash", Some(dir)) => {
+            let hint = match &serve_opts.checkpoint_dir {
+                Some(dir) if f.kind == FaultKind::CrashAtEvent.name() => {
                     format!("; rerun with --recover {} to continue", dir.display())
                 }
                 _ => String::new(),
@@ -1132,12 +1134,6 @@ fn cmd_chaos(opts: &Options) -> Result<bool, String> {
     let trace = ChurnTrace::parse(&text).map_err(|e| e.to_string())?;
     let threads = run_threads(opts);
     let batch = opts.batch.unwrap_or(64).max(1);
-    // Each plan gets a fresh store directory so a crashed run's WAL never
-    // leaks into the next plan's recovery.
-    let base = match &opts.checkpoint {
-        Some(dir) => PathBuf::from(dir),
-        None => std::env::temp_dir().join(format!("dbf-chaos-{}", std::process::id())),
-    };
     let plans: Vec<(String, dbf_matrix::FaultPlan)> = match opts.faults.as_deref() {
         Some(file) => {
             let text = std::fs::read_to_string(file)
@@ -1155,26 +1151,41 @@ fn cmd_chaos(opts: &Options) -> Result<bool, String> {
             })
             .collect(),
     };
-    let mut outcomes = Vec::new();
-    for (name, plan) in plans {
-        let dir = base.join(name.replace(['/', '\\'], "_"));
-        let outcome = run_chaos(
-            &trace,
-            &name,
-            plan,
-            threads,
-            batch,
-            &dir,
-            &mut telemetry::NoopSink,
-        )
-        .map_err(|e| format!("{name}: {e}"))?;
-        let verdict = if outcome.ok { "ok" } else { "FAILED" };
-        eprintln!(
-            "chaos {name}: {verdict} — {} ({} faults fired, {} stale answers)",
-            outcome.detail, outcome.faults_fired, outcome.stale_answers
-        );
-        outcomes.push(outcome);
+    // Each plan gets a fresh store directory so a crashed run's WAL never
+    // leaks into the next plan's recovery.  Without --checkpoint the stores
+    // live in a temp directory this command removes again.
+    let base = match &opts.checkpoint {
+        Some(dir) => PathBuf::from(dir),
+        None => std::env::temp_dir().join(format!("dbf-chaos-{}", std::process::id())),
+    };
+    let run_plans = || -> Result<Vec<_>, String> {
+        let mut outcomes = Vec::new();
+        for (name, plan) in plans {
+            let dir = base.join(name.replace(['/', '\\'], "_"));
+            let outcome = run_chaos(
+                &trace,
+                &name,
+                plan,
+                threads,
+                batch,
+                &dir,
+                &mut telemetry::NoopSink,
+            )
+            .map_err(|e| format!("{name}: {e}"))?;
+            let verdict = if outcome.ok { "ok" } else { "FAILED" };
+            eprintln!(
+                "chaos {name}: {verdict} — {} ({} faults fired, {} stale answers)",
+                outcome.detail, outcome.faults_fired, outcome.stale_answers
+            );
+            outcomes.push(outcome);
+        }
+        Ok(outcomes)
+    };
+    let outcomes = run_plans();
+    if opts.checkpoint.is_none() {
+        let _ = std::fs::remove_dir_all(&base);
     }
+    let outcomes = outcomes?;
     let failed = outcomes.iter().filter(|o| !o.ok).count();
     let json = chaos_json(&outcomes, threads, batch);
     let summary = format!(

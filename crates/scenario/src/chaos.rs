@@ -20,7 +20,7 @@
 //! reproducible.
 
 use crate::checkpoint::CheckpointStore;
-use crate::fields::{Fields, Item};
+use crate::fields::{self, Form, Keys, List, Named, Seed, Sub, Tag, Uint, Visit};
 use crate::report::Json;
 use crate::serve::{
     replay_clocked, replay_trace_opts, ChurnTrace, Clock, DeadlineCfg, ReplayReport, ScriptedClock,
@@ -84,42 +84,86 @@ pub fn builtin_plan(name: &str, events: usize) -> Option<FaultPlan> {
 /// byte = 5               # corrupt_wal
 /// ```
 pub fn load_plan(text: &str) -> Result<FaultPlan, SpecError> {
-    let value = toml::from_str(text).map_err(|e| SpecError::new(format!("fault plan: {e}")))?;
-    Item::root(&value)
-        .table(|f| {
-            let mut plan = FaultPlan::new(f.or("seed", 0, Item::seed)?);
-            for (kind, at) in f.or("fault", Vec::new(), |v| v.each(|t| t.table(decode_fault)))? {
-                plan.push(kind, at);
-            }
-            Ok(plan)
-        })
-        .map_err(|e| SpecError::new(format!("fault plan: {}", e.message)))
+    let file: PlanFile = fields::read_toml(text)
+        .map_err(|e| SpecError::new(format!("fault plan: {}", e.message)))?;
+    let mut plan = FaultPlan::new(file.seed);
+    for fault in file.faults {
+        plan.push(fault.kind, fault.at);
+    }
+    Ok(plan)
+}
+
+/// The fault kinds a plan file names, in the order of their table.
+pub fn fault_kind_names() -> impl Iterator<Item = &'static str> {
+    FaultKind::names().map(|(name, _)| name)
+}
+
+/// Each kind under [`FaultKind::name`], with the defaults of its keys.
+impl Named for FaultKind {
+    fn names() -> impl Iterator<Item = (&'static str, Self)> {
+        use FaultKind::*;
+        [
+            KillWorker { worker: 0 },
+            StallBand { millis: 10 },
+            FailEpoch,
+            CrashAtEvent,
+            TruncateWal { bytes: 8 },
+            CorruptWal { byte: 0 },
+            DelayFlush { millis: 25 },
+        ]
+        .into_iter()
+        .map(|kind| (kind.name(), kind))
+    }
+}
+
+/// A fault plan file: its seed and its `[[fault]]` tables.
+#[derive(Clone)]
+struct PlanFile {
+    seed: u64,
+    faults: Vec<PlannedFault>,
 }
 
 /// One `[[fault]]` table: the fault and its trigger site.
-fn decode_fault(f: &mut Fields<'_>) -> Result<(FaultKind, u64), SpecError> {
-    let kind = f.req("kind")?;
-    let fault = match kind.string()?.as_str() {
-        "kill_worker" => FaultKind::KillWorker {
-            worker: f.or("worker", 0, Item::uint)?,
-        },
-        "stall_band" => FaultKind::StallBand {
-            millis: f.or("millis", 10, Item::uint)?,
-        },
-        "fail_epoch" => FaultKind::FailEpoch,
-        "crash" => FaultKind::CrashAtEvent,
-        "truncate_wal" => FaultKind::TruncateWal {
-            bytes: f.or("bytes", 8, Item::uint)?,
-        },
-        "corrupt_wal" => FaultKind::CorruptWal {
-            byte: f.or("byte", 0, Item::uint)?,
-        },
-        "delay_flush" => FaultKind::DelayFlush {
-            millis: f.or("millis", 25, Item::uint)?,
-        },
-        other => return Err(kind.err(format!("unknown kind {other:?}"))),
-    };
-    Ok((fault, f.or("at", 0, Item::uint)?))
+#[derive(Clone)]
+struct PlannedFault {
+    kind: FaultKind,
+    at: u64,
+}
+
+impl Keys for PlanFile {
+    fn blank() -> Self {
+        PlanFile {
+            seed: 0,
+            faults: Vec::new(),
+        }
+    }
+
+    fn keys(&mut self, f: &mut Form<'_, '_>) -> Visit {
+        f.opt("seed", &mut self.seed, Seed)?;
+        f.opt("fault", &mut self.faults, List(Sub))
+    }
+}
+
+impl Keys for PlannedFault {
+    fn blank() -> Self {
+        PlannedFault {
+            kind: FaultKind::FailEpoch,
+            at: 0,
+        }
+    }
+
+    fn keys(&mut self, f: &mut Form<'_, '_>) -> Visit {
+        use FaultKind::*;
+        f.req("kind", &mut self.kind, Tag)?;
+        match &mut self.kind {
+            KillWorker { worker } => f.opt("worker", worker, Uint)?,
+            StallBand { millis } | DelayFlush { millis } => f.opt("millis", millis, Uint)?,
+            TruncateWal { bytes } => f.opt("bytes", bytes, Uint)?,
+            CorruptWal { byte } => f.opt("byte", byte, Uint)?,
+            FailEpoch | CrashAtEvent => {}
+        }
+        f.opt("at", &mut self.at, Uint)
+    }
 }
 
 /// The verified result of one chaos run.
@@ -259,7 +303,7 @@ pub fn run_chaos(
             tel,
         )?;
         match &crash_run.failure {
-            Some(f) if f.kind == "crash" => outcome.crashed = true,
+            Some(f) if f.kind == FaultKind::CrashAtEvent.name() => outcome.crashed = true,
             other => {
                 outcome.detail = format!("expected a structured crash failure, got {other:?}");
                 outcome.faults_fired = plan.fired_count();

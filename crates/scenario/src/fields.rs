@@ -146,17 +146,6 @@ impl<'a> Fields<'a> {
         self.opt(key)
             .ok_or_else(|| SpecError::new(format!("{}: missing", self.path_of(key))))
     }
-
-    /// `read` of the value under `key`, or `default` when the key is absent
-    /// (not when its value has the wrong type).
-    pub(crate) fn or<T>(
-        &mut self,
-        key: &'static str,
-        default: T,
-        read: impl FnOnce(&Item<'a>) -> Result<T, SpecError>,
-    ) -> Result<T, SpecError> {
-        self.opt(key).map_or(Ok(default), |item| read(&item))
-    }
 }
 
 /// A type that crosses a file boundary, as the list of its keys.

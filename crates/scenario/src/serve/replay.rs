@@ -12,7 +12,7 @@ use crate::engine::ScenarioAlgebra;
 use crate::report::Digest;
 use crate::spec::{SpecError, WeightRule};
 use dbf_algebra::prelude::*;
-use dbf_matrix::{AdjacencyMatrix, FaultPlan, WorkerPool};
+use dbf_matrix::{AdjacencyMatrix, FaultKind, FaultPlan, WorkerPool};
 use dbf_telemetry::TelemetrySink;
 use dbf_topology::Topology;
 use std::path::PathBuf;
@@ -325,8 +325,9 @@ impl Progress {
             let off = self.offset as u64;
             if let Some(plan) = &opts.faults {
                 if plan.crash_at_event(off) {
-                    tel.fault_injected("crash", off);
-                    return Err(self.failure("crash", format!("injected crash before event {off}")));
+                    let crash = FaultKind::CrashAtEvent.name();
+                    tel.fault_injected(crash, off);
+                    return Err(self.failure(crash, format!("injected crash before event {off}")));
                 }
             }
             if let Some(st) = store.as_deref_mut() {

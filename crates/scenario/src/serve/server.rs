@@ -27,8 +27,8 @@ use crate::fields::Keys;
 use crate::report::Digest;
 use crate::spec::{ChangeSpec, SpecError};
 use dbf_matrix::{
-    dirty_rows_after_change, iteration_budget, sigma_row_into_changed, AdjacencyMatrix, FaultPlan,
-    FixedPoint, PoolStats, Pooled, RoutingState, Start,
+    dirty_rows_after_change, iteration_budget, sigma_row_into_changed, AdjacencyMatrix, FaultKind,
+    FaultPlan, FixedPoint, PoolStats, Pooled, RoutingState, Start,
 };
 use dbf_telemetry::TelemetrySink;
 use dbf_topology::Topology;
@@ -353,7 +353,8 @@ where
         let t0 = self.clock.now();
         if let Some(plan) = &self.faults {
             if let Some(ms) = plan.flush_delay(self.stats.batches) {
-                tel.fault_injected("delay_flush", self.stats.batches);
+                let delay = FaultKind::DelayFlush { millis: ms }.name();
+                tel.fault_injected(delay, self.stats.batches);
                 self.clock.sleep(Duration::from_millis(ms));
             }
         }

@@ -120,6 +120,41 @@ fn a_plan_file_drives_one_verified_run() {
     let json = std::fs::read_to_string(&out).unwrap();
     assert!(json.contains("\"crashed\": true"));
     assert!(json.contains("\"ok\": true"));
+    assert!(
+        dir.join("stores").exists(),
+        "a --checkpoint directory is the caller's: it stays"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn without_checkpoint_the_stores_in_the_temp_dir_are_removed() {
+    let dir = temp_dir("tmp-stores");
+    let trace = gen_trace(&dir, "0");
+    let plan = dir.join("plan.toml");
+    std::fs::write(&plan, "seed = 3\n\n[[fault]]\nkind = \"crash\"\nat = 140\n").unwrap();
+    let tmp = dir.join("tmp");
+    std::fs::create_dir_all(&tmp).unwrap();
+    let run = scenarios_bin()
+        .env("TMPDIR", &tmp)
+        .args([
+            "chaos",
+            "--replay",
+            trace.to_str().unwrap(),
+            "--faults",
+            plan.to_str().unwrap(),
+            "--threads",
+            "2",
+        ])
+        .output()
+        .expect("run chaos");
+    assert!(
+        run.status.success(),
+        "{}",
+        String::from_utf8_lossy(&run.stderr)
+    );
+    let left: Vec<_> = std::fs::read_dir(&tmp).unwrap().flatten().collect();
+    assert!(left.is_empty(), "chaos left {left:?} in the temp dir");
     std::fs::remove_dir_all(&dir).ok();
 }
 
