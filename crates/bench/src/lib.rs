@@ -1,106 +1,65 @@
-//! Shared workload builders for the benchmarks and the `experiments`
-//! binary.
+//! The paper's tables and figures as experiments, and the workload
+//! builders they share.
 //!
-//! Every function here is deterministic in its seed so that benchmark runs
-//! and experiment tables are reproducible.
+//! [`EXPERIMENTS`] holds one function per paper artifact that writes the
+//! artifact's rows into a `String`.  The `experiments` binary prints them;
+//! `tests/expected.rs` compares each with `expected/<id>.txt` byte for
+//! byte, so the output is pinned.  Every builder is deterministic in its
+//! seed.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod paper;
+
+pub use paper::EXPERIMENTS;
+
 use dbf_algebra::algebra::SplitMix64;
 use dbf_algebra::prelude::*;
+use dbf_async::prelude::Schedule;
 use dbf_bgp::algebra::random_policy;
 use dbf_bgp::prelude::*;
 use dbf_matrix::prelude::*;
-use dbf_paths::prelude::*;
+use dbf_scenario::WeightRule;
 use dbf_topology::generators::{self, TierRelation};
 use dbf_topology::Topology;
+use std::fmt::{self, Write as _};
 
-/// A shortest-paths problem on a connected random graph with pseudo-random
-/// latencies.
-pub fn shortest_paths_network(
+/// An experiment: writes its table into the string it is given.
+pub type Experiment = fn(&mut String) -> fmt::Result;
+
+/// What `run` writes.
+pub fn render(run: Experiment) -> String {
+    let mut out = String::new();
+    run(&mut out).expect("writing to a String cannot fail");
+    out
+}
+
+/// A connected random graph on `n` nodes (edge probability 0.35) whose
+/// edge `i → j` carries `edge(rule.weight(i, j))`.
+pub fn random_network<E>(
     n: usize,
     seed: u64,
-) -> (ShortestPaths, AdjacencyMatrix<ShortestPaths>) {
-    let alg = ShortestPaths::new();
-    let topo = generators::connected_random(n, 0.35, seed)
-        .with_weights(|i, j| NatInf::fin(((i * 7 + j * 13) % 9 + 1) as u64));
-    let adj = AdjacencyMatrix::from_topology(&topo);
-    (alg, adj)
+    rule: WeightRule,
+    edge: impl Fn(u64) -> E,
+) -> Topology<E> {
+    generators::connected_random(n, 0.35, seed).with_weights(|i, j| edge(rule.weight(i, j)))
 }
 
-/// A widest-paths problem on a connected random graph with pseudo-random
-/// capacities.
-pub fn widest_paths_network(n: usize, seed: u64) -> (WidestPaths, AdjacencyMatrix<WidestPaths>) {
-    let alg = WidestPaths::new();
-    let topo = generators::connected_random(n, 0.35, seed)
-        .with_weights(|i, j| NatInf::fin(((i * 11 + j * 5) % 90 + 10) as u64));
-    let adj = AdjacencyMatrix::from_topology(&topo);
-    (alg, adj)
-}
-
-/// A most-reliable-paths problem on a connected random graph.
-pub fn reliability_network(
-    n: usize,
-    seed: u64,
-) -> (MostReliablePaths, AdjacencyMatrix<MostReliablePaths>) {
-    let alg = MostReliablePaths::new();
-    let topo = generators::connected_random(n, 0.35, seed)
-        .with_weights(|i, j| alg.edge(0.5 + 0.045 * (((i * 3 + j) % 10) as f64)));
-    let adj = AdjacencyMatrix::from_topology(&topo);
-    (alg, adj)
-}
-
-/// A bounded hop-count (RIP-style) problem on a connected random graph.
-pub fn hopcount_network(
-    n: usize,
-    limit: u64,
-    seed: u64,
-) -> (BoundedHopCount, AdjacencyMatrix<BoundedHopCount>) {
-    let alg = BoundedHopCount::new(limit);
-    let shape = generators::connected_random(n, 0.35, seed);
-    let adj = AdjacencyMatrix::from_fn(n, |i, j| {
-        if shape.has_edge(i, j) {
-            Some(1u64)
-        } else {
-            None
-        }
-    });
-    (alg, adj)
-}
-
-/// The path-vector lifting of shortest paths on a connected random graph.
-pub fn path_vector_network(
-    n: usize,
-    seed: u64,
-) -> (
-    PathVector<ShortestPaths>,
-    AdjacencyMatrix<PathVector<ShortestPaths>>,
-) {
-    let pv = PathVector::new(ShortestPaths::new(), n);
-    let topo = generators::connected_random(n, 0.35, seed)
-        .with_weights(|i, j| NatInf::fin(((i * 7 + j * 13) % 9 + 1) as u64));
-    let adj = lift_topology(&pv, &topo);
-    (PathVector::new(ShortestPaths::new(), n), adj)
-}
-
-/// A Section 7 policy-rich network: a connected random graph whose every
-/// directed edge carries a random (safe-by-design) policy.
-pub fn policy_rich_network(n: usize, seed: u64) -> (BgpAlgebra, AdjacencyMatrix<BgpAlgebra>) {
-    let alg = BgpAlgebra::new(n);
-    let shape = generators::connected_random(n, 0.4, seed);
-    let mut rng = SplitMix64::new(seed ^ 0x5EC7);
-    let topo = shape.with_weights(|_, _| random_policy(&mut rng, 2));
-    let adj = alg.adjacency_from_topology(&topo);
-    (alg, adj)
-}
-
-/// The same policy-rich network as a policy topology (for the protocol
-/// engine).
+/// A Section 7 policy-rich network as a policy topology: a connected
+/// random graph whose every directed edge carries a random
+/// (safe-by-design) policy.
 pub fn policy_rich_topology(n: usize, seed: u64) -> Topology<dbf_bgp::policy::Policy> {
     let shape = generators::connected_random(n, 0.4, seed);
     let mut rng = SplitMix64::new(seed ^ 0x5EC7);
     shape.with_weights(|_, _| random_policy(&mut rng, 2))
+}
+
+/// The same network as an algebra and its adjacency.
+pub fn policy_rich_network(n: usize, seed: u64) -> (BgpAlgebra, AdjacencyMatrix<BgpAlgebra>) {
+    let alg = BgpAlgebra::new(n);
+    let adj = alg.adjacency_from_topology(&policy_rich_topology(n, seed));
+    (alg, adj)
 }
 
 /// A Gao-Rexford problem on a tiered provider/customer hierarchy.
@@ -118,6 +77,20 @@ pub fn gao_rexford_network(
     (alg, adj, topo)
 }
 
+/// The two schedules that split DISAGREE (`SppAlgebra::disagree`) into its
+/// two stable states: synchronous over `horizon` steps, except that for
+/// the first ten steps node 2 (in the first) or node 1 (in the second)
+/// stays silent.
+pub fn disagree_schedules(horizon: usize) -> [Schedule; 2] {
+    [2, 1].map(|silent| {
+        let mut schedule = Schedule::synchronous(3, horizon);
+        for t in 1..=10 {
+            schedule.set_activation(t, silent, false);
+        }
+        schedule
+    })
+}
+
 /// Random starting states (diagonals kept trivial) drawn from an algebra's
 /// route sampler — the "arbitrary starting state" of the convergence
 /// theorems.
@@ -133,41 +106,47 @@ pub fn random_states<A: SampleableAlgebra>(
 
 /// The length of the synchronous convergence run (`σ` iterations to the
 /// fixed point) from the clean state.
-pub fn sync_iterations<A: dbf_algebra::RoutingAlgebra>(alg: &A, adj: &AdjacencyMatrix<A>) -> usize {
+pub fn sync_iterations<A: RoutingAlgebra>(alg: &A, adj: &AdjacencyMatrix<A>) -> usize {
     let n = adj.node_count();
-    let out = iterate_to_fixed_point(alg, adj, &RoutingState::identity(alg, n), 4 * n * n + 32);
+    let budget = iteration_budget(n, None);
+    let out = iterate_to_fixed_point(alg, adj, &RoutingState::identity(alg, n), budget);
     assert!(
         out.converged,
-        "workload did not converge within the 4n²+32 budget"
+        "workload did not converge within {budget} rounds"
     );
     out.iterations
 }
 
-/// Pretty-print a two-column table of (label, value) rows.
-pub fn print_table(title: &str, header: (&str, &str), rows: &[(String, String)]) {
-    println!("\n== {title} ==");
-    println!("{:<44} {}", header.0, header.1);
+/// Write a two-column table of (label, value) rows under a heading.
+pub fn write_table(
+    out: &mut String,
+    title: &str,
+    header: (&str, &str),
+    rows: &[(String, String)],
+) -> fmt::Result {
+    writeln!(out, "\n== {title} ==")?;
+    writeln!(out, "{:<44} {}", header.0, header.1)?;
     for (a, b) in rows {
-        println!("{a:<44} {b}");
+        writeln!(out, "{a:<44} {b}")?;
     }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dbf_paths::prelude::PathVector;
 
     #[test]
     fn workloads_build_and_converge() {
-        let (alg, adj) = shortest_paths_network(8, 1);
-        assert!(sync_iterations(&alg, &adj) >= 1);
-        let (alg, adj) = widest_paths_network(8, 2);
-        assert!(sync_iterations(&alg, &adj) >= 1);
-        let (alg, adj) = reliability_network(8, 3);
-        assert!(sync_iterations(&alg, &adj) >= 1);
-        let (alg, adj) = hopcount_network(8, 15, 4);
-        assert!(sync_iterations(&alg, &adj) >= 1);
-        let (alg, adj) = path_vector_network(6, 5);
-        assert!(sync_iterations(&alg, &adj) >= 1);
+        let varied = |n, seed| random_network(n, seed, WeightRule::varied(), NatInf::fin);
+        let adj = AdjacencyMatrix::from_topology(&varied(8, 1));
+        assert!(sync_iterations(&ShortestPaths::new(), &adj) >= 1);
+        let hops =
+            AdjacencyMatrix::from_topology(&random_network(8, 4, WeightRule::uniform(1), |w| w));
+        assert!(sync_iterations(&BoundedHopCount::new(15), &hops) >= 1);
+        let pv = PathVector::new(ShortestPaths::new(), 6);
+        assert!(sync_iterations(&pv, &lift_topology(&pv, &varied(6, 5))) >= 1);
         let (alg, adj) = policy_rich_network(6, 6);
         assert!(sync_iterations(&alg, &adj) >= 1);
         let (alg, adj, topo) = gao_rexford_network(&[2, 3, 5], 7);
@@ -177,7 +156,7 @@ mod tests {
 
     #[test]
     fn random_states_have_trivial_diagonals() {
-        let (alg, _) = hopcount_network(6, 10, 9);
+        let alg = BoundedHopCount::new(10);
         let states = random_states(&alg, 6, 3, 11);
         assert_eq!(states.len(), 4); // clean + 3 random
         for s in &states {
