@@ -1025,11 +1025,13 @@ mod tests {
         // One worker, one job per epoch, a kill armed for every epoch.
         // When the worker pops the job after the coordinator has looked at
         // the queue, the coordinator parks with the job pending and only
-        // the dying worker's requeue left to run it.  That used to hang
-        // within a few dozen epochs, hence the watchdog.
+        // the dying worker's requeue left to run it.  A wait that misses
+        // that requeue parks forever (within a few dozen epochs here),
+        // hence the watchdog.
         use crate::faults::{FaultKind, FaultPlan};
-        let (finished, watchdog) = std::sync::mpsc::channel();
-        std::thread::spawn(move || {
+        use std::sync::mpsc::{channel, RecvTimeoutError};
+        let (finished, watchdog) = channel();
+        let epochs = std::thread::spawn(move || {
             let pool = WorkerPool::new(1);
             for _ in 0..2_000 {
                 pool.arm_faults(Arc::new(
@@ -1040,11 +1042,15 @@ mod tests {
                     .expect("a kill is not a job panic");
                 assert!(ran, "the epoch drained without running its job");
             }
-            let _ = finished.send(pool.stats());
+            let _ = finished.send(());
+            pool.stats()
         });
-        let stats = watchdog
-            .recv_timeout(Duration::from_secs(60))
-            .expect("an epoch whose only worker was killed never drained (or the loop panicked)");
+        if let Err(RecvTimeoutError::Timeout) = watchdog.recv_timeout(Duration::from_secs(60)) {
+            panic!("an epoch whose only worker was killed never drained");
+        }
+        let stats = epochs
+            .join()
+            .unwrap_or_else(|payload| resume_unwind(payload));
         assert_eq!(stats.epochs, 2_000);
     }
 }
