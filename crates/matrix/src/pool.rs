@@ -59,8 +59,8 @@
 //! records its index for the supervisor.  The coordinator looks at the
 //! queue again each time it wakes, so it runs the requeued job itself
 //! even if it had already parked: the epoch drains with every worker
-//! dead.  [`WorkerPool::supervise`] (called automatically at every epoch open)
-//! joins dead workers and respawns replacements under the same index, so
+//! dead.  [`WorkerPool::supervise`] (called automatically at every epoch
+//! open) joins dead workers and respawns replacements under the same index, so
 //! the pool returns to full strength without caller involvement.  Deaths,
 //! restarts, and epoch retries are counted in [`PoolStats`] and flow into
 //! the route server's pool-health telemetry.  The pool itself never
