@@ -3,8 +3,9 @@
 //!
 //! [`EXPERIMENTS`] holds one function per paper artifact that writes the
 //! artifact's rows into a `String`.  The `experiments` binary prints them;
-//! `tests/expected.rs` compares each with `expected/<id>.txt` byte for
-//! byte, so the output is pinned.  Every builder is deterministic in its
+//! `tests/expected.rs` and, for the two tables, `tests/paper_tables.rs`
+//! compare each with `expected/<id>.txt` byte for byte, so the output is
+//! pinned.  Every builder is deterministic in its
 //! seed.
 
 #![forbid(unsafe_code)]

@@ -4,16 +4,19 @@
 //! `expected/<id>.txt` is what `experiments <id>` prints.  A mismatch
 //! means an experiment's computation moved; when that is intended, the
 //! file is re-recorded from the binary (`experiments <id> >
-//! crates/bench/expected/<id>.txt`) and the diff shown in review.
+//! crates/bench/expected/<id>.txt`) and the diff shown in review.  The two
+//! tables are checked in `tests/paper_tables.rs`, which also reads their
+//! rows.
 
-use dbf_bench::{render, EXPERIMENTS};
+mod pinned;
+
+use dbf_bench::EXPERIMENTS;
+use pinned::{expected_dir, TABLES};
 use std::collections::BTreeSet;
-use std::path::Path;
 
 #[test]
 fn every_experiment_writes_its_expected_file() {
-    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("expected");
-    let files: BTreeSet<String> = std::fs::read_dir(&dir)
+    let files: BTreeSet<String> = std::fs::read_dir(expected_dir())
         .expect("the expected directory")
         .map(|entry| entry.expect("a directory entry").file_name())
         .filter_map(|name| Some(name.to_str()?.strip_suffix(".txt")?.to_string()))
@@ -21,21 +24,10 @@ fn every_experiment_writes_its_expected_file() {
     let ids: BTreeSet<String> = EXPERIMENTS.iter().map(|(id, _)| id.to_string()).collect();
     assert_eq!(files, ids, "one expected file per deterministic experiment");
 
-    let mut moved = Vec::new();
-    for (id, run) in EXPERIMENTS {
-        let expected = std::fs::read_to_string(dir.join(format!("{id}.txt"))).expect("readable");
-        let got = render(run);
-        if got != expected {
-            let line = got
-                .lines()
-                .zip(expected.lines())
-                .position(|(g, e)| g != e)
-                .unwrap_or(got.lines().count().min(expected.lines().count()));
-            moved.push(format!(
-                "{id} (first difference at line {}):\n{got}",
-                line + 1
-            ));
-        }
-    }
+    let moved: Vec<String> = EXPERIMENTS
+        .iter()
+        .filter(|(id, _)| !TABLES.contains(id))
+        .filter_map(|(id, _)| pinned::output(id).err())
+        .collect();
     assert!(moved.is_empty(), "experiments moved:\n{}", moved.join("\n"));
 }
