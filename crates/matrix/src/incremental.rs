@@ -23,7 +23,7 @@
 //! `O(perturbed region)` instead of `O(n · |E|)` per round.
 
 use crate::adjacency::AdjacencyMatrix;
-use crate::kernel::{Executor, FixedPoint, Inline, Start};
+use crate::kernel::{FixedPoint, Inline, Start};
 use crate::state::RoutingState;
 use dbf_algebra::RoutingAlgebra;
 use dbf_telemetry::{NoopSink, TelemetrySink};
@@ -89,7 +89,13 @@ pub fn iterate_dirty_to_fixed_point<A: RoutingAlgebra>(
 /// `round_start`/`round_end` events carrying the dirty-set size (the work
 /// list is exactly the dirty rows), and per-node `node_settled` events once
 /// the loop stops.  The outcome is identical to the untraced iteration for
-/// every sink; with [`NoopSink`] the instrumentation compiles out.
+/// every sink; with [`NoopSink`] the instrumentation compiles out.  A
+/// caller that shards rounds over a worker pool drives the [`FixedPoint`]
+/// stepper with a [`crate::parallel::Pooled`] executor itself.
+///
+/// # Panics
+///
+/// Panics if `adj`, `x0` and `dirty0` do not agree on the node count.
 pub fn iterate_dirty_traced<A, S>(
     alg: &A,
     adj: &AdjacencyMatrix<A>,
@@ -102,34 +108,8 @@ where
     A: RoutingAlgebra,
     S: TelemetrySink + ?Sized,
 {
-    iterate_dirty_with(alg, adj, x0, dirty0, max_rounds, &Inline, tel)
-}
-
-/// The dirty-row iteration on the fixed-point kernel, with the executor as
-/// an argument: [`Inline`] is the sequential engine,
-/// [`crate::parallel::Pooled`] shards each round's work list over a worker
-/// pool.  `state`, `rounds`, `row_recomputations` and the deterministic
-/// event stream are pure functions of the problem for every executor.
-///
-/// # Panics
-///
-/// Panics if `adj`, `x0` and `dirty0` do not agree on the node count.
-pub fn iterate_dirty_with<A, E, S>(
-    alg: &A,
-    adj: &AdjacencyMatrix<A>,
-    x0: &RoutingState<A>,
-    dirty0: &[bool],
-    max_rounds: usize,
-    exec: &E,
-    tel: &mut S,
-) -> IncrementalOutcome<A>
-where
-    A: RoutingAlgebra,
-    E: Executor<A>,
-    S: TelemetrySink + ?Sized,
-{
     let mut kernel = FixedPoint::new(adj, x0.clone(), Start::Dirty(dirty0));
-    let converged = kernel.run(alg, adj, max_rounds, exec, tel);
+    let converged = kernel.run(alg, adj, max_rounds, &Inline, tel);
     IncrementalOutcome {
         rounds: kernel.rounds(),
         row_recomputations: kernel.row_recomputations(),
@@ -264,7 +244,14 @@ mod tests {
         let x0 = RoutingState::identity(&alg, 23);
         let sharded =
             |adj: &AdjacencyMatrix<ShortestPaths>, x0: &RoutingState<_>, dirty: &[bool], t| {
-                iterate_dirty_with(&alg, adj, x0, dirty, 300, &Pooled::shared(t), &mut NoopSink)
+                let mut kernel = FixedPoint::new(adj, x0.clone(), Start::Dirty(dirty));
+                let converged = kernel.run(&alg, adj, 300, &Pooled::shared(t), &mut NoopSink);
+                IncrementalOutcome {
+                    rounds: kernel.rounds(),
+                    row_recomputations: kernel.row_recomputations(),
+                    converged,
+                    state: kernel.finish(&mut NoopSink),
+                }
             };
         let seq = iterate_dirty_to_fixed_point(&alg, &adj, &x0, &[true; 23], 300);
         for threads in [2, 3, 8] {

@@ -35,7 +35,7 @@
 //! buffer reused across rounds and only then applies the rows that
 //! changed, so every recomputation reads the previous round's values
 //! (Jacobi order) and a round that panics in a worker leaves the stepper
-//! exactly as it was — the route server retries the same `step`.  When a
+//! exactly as it was — the route server parks the flush there.  When a
 //! work list covers all `n` rows the staging buffer *is* `σ(state)`, so
 //! the two buffers are swapped instead of copied; a cold start therefore
 //! costs two `n · w` buffers, a reconvergence one plus its peak frontier.

@@ -18,8 +18,7 @@
 //!   on every delivery — and [`rib::EventQueue`], the earliest-first event
 //!   queue those engines run their simulated time on;
 //! * [`sigma`](mod@crate::sigma) — one synchronous round
-//!   `σ(X) = A(X) ⊕ I` (Equation 5) and
-//!   per-entry recomputation reused by the asynchronous iterate `δ`;
+//!   `σ(X) = A(X) ⊕ I` (Equation 5), whole and row by row;
 //! * [`kernel`] — the one fixed-point loop: a resumable Jacobi stepper
 //!   ([`FixedPoint`]) parameterised by *initial frontier* (all rows | a
 //!   dirty mask), *executor* (inline | a worker pool), *column window*
@@ -41,14 +40,10 @@
 //!   the inline sweep at any thread count;
 //! * [`pool`] — the persistent worker pool behind those sweeps: parked
 //!   workers and epoch-stamped band work lists replace per-round thread
-//!   spawning, worker panics surface as recoverable errors instead of
-//!   taking the process down, and a supervisor replaces workers that die.
-//!   Its [`WorkerPool::map`] is the workspace's one order-preserving
-//!   parallel map (sweep replicates and fuzz cases fan out through it);
-//! * [`faults`] — a seeded, deterministic fault plane: once-firing
-//!   injectable faults (kill a worker, stall a band, fail an epoch, crash
-//!   at an event offset, tamper with a WAL tail) consulted by the pool and
-//!   by the scenario layer's chaos harness;
+//!   spawning, and job panics surface as recoverable errors instead of
+//!   taking the process down.  Its [`WorkerPool::map`] is the workspace's
+//!   one order-preserving parallel map (sweep replicates and fuzz cases
+//!   fan out through it);
 //! * [`oracle`] — an exhaustive all-simple-paths optimum used to cross-check
 //!   fixed points: for distributive algebras the fixed point must equal the
 //!   global path optimum (the classical theory), while policy-rich algebras
@@ -88,7 +83,6 @@
 
 pub mod adjacency;
 pub mod blocked;
-pub mod faults;
 pub mod frontier;
 pub mod incremental;
 pub mod kernel;
@@ -102,17 +96,15 @@ pub mod sync;
 
 pub use adjacency::AdjacencyMatrix;
 pub use blocked::{blocked_fixed_point, BlockedOutcome};
-pub use faults::{Fault, FaultKind, FaultPlan};
 pub use frontier::Frontier;
 pub use incremental::{
-    dirty_rows_after_change, iterate_dirty_to_fixed_point, iterate_dirty_traced,
-    iterate_dirty_with, IncrementalOutcome,
+    dirty_rows_after_change, iterate_dirty_to_fixed_point, iterate_dirty_traced, IncrementalOutcome,
 };
 pub use kernel::{Executor, FixedPoint, Inline, Start};
 pub use parallel::{par_iterate_to_fixed_point, ParallelAlgebra, Pooled};
 pub use pool::{default_jobs, PoolScope, PoolStats, WorkerPool};
 pub use rib::{EventQueue, RibIn};
-pub use sigma::{sigma, sigma_entry, sigma_into, sigma_row_into, sigma_row_into_changed};
+pub use sigma::{sigma, sigma_into, sigma_row_into, sigma_row_into_changed};
 pub use state::RoutingState;
 pub use sync::{
     is_stable, iterate_to_fixed_point, iterate_traced, iterate_with, iteration_budget, SyncOutcome,
@@ -122,20 +114,17 @@ pub use sync::{
 pub mod prelude {
     pub use crate::adjacency::{lift_topology, AdjacencyMatrix};
     pub use crate::blocked::{blocked_fixed_point, BlockedOutcome};
-    pub use crate::faults::{Fault, FaultKind, FaultPlan};
     pub use crate::frontier::Frontier;
     pub use crate::incremental::{
         dirty_rows_after_change, iterate_dirty_to_fixed_point, iterate_dirty_traced,
-        iterate_dirty_with, IncrementalOutcome,
+        IncrementalOutcome,
     };
     pub use crate::kernel::{Executor, FixedPoint, Inline, Start};
     pub use crate::oracle::exhaustive_path_optimum;
     pub use crate::parallel::{par_iterate_to_fixed_point, ParallelAlgebra, Pooled};
     pub use crate::pool::{PoolScope, PoolStats, WorkerPool};
     pub use crate::rib::{EventQueue, RibIn};
-    pub use crate::sigma::{
-        sigma, sigma_entry, sigma_into, sigma_k, sigma_row_into, sigma_row_into_changed,
-    };
+    pub use crate::sigma::{sigma, sigma_into, sigma_k, sigma_row_into, sigma_row_into_changed};
     pub use crate::state::RoutingState;
     pub use crate::sync::{
         is_stable, iterate_to_fixed_point, iterate_traced, iterate_with, iteration_budget,

@@ -26,7 +26,8 @@
 //! `threads = t` uses up to `t` OS threads without any per-round
 //! spawn/join cost.  A worker panic does not abort the process: the pool
 //! returns the payload to the coordinator, which re-raises it here so the
-//! layer above can report it as an engine error or retry the round.
+//! layer above can report it (an engine error, or the route server's
+//! `kernel` problem).
 
 use crate::adjacency::AdjacencyMatrix;
 use crate::kernel::{Executor, Inline, Sweep};
@@ -94,31 +95,26 @@ pub(crate) fn balanced_chunks(
     bounds.windows(2).map(|w| w[0]..w[1]).collect()
 }
 
-/// Shard every round over up to `threads` workers of `pool` (the calling
-/// thread included).  `threads <= 1`, or a work list of fewer than two
-/// rows, runs [`Inline`] without waking the pool.
-#[derive(Clone, Copy)]
-pub struct Pooled<'p> {
-    /// The pool whose parked workers take the bands.  The route server
-    /// brings its own: an armed [`FaultPlan`](crate::faults::FaultPlan)
-    /// keys its triggers on epoch indices, which are only deterministic on
-    /// a pool whose history the server controls.
-    pub pool: &'p WorkerPool,
-    /// The most OS threads a round may use.
-    pub threads: usize,
+/// Shard every round over up to `threads` threads: the calling thread and
+/// workers of the process-wide [`WorkerPool::shared`].  `threads <= 1`, or
+/// a work list of fewer than two rows, runs [`Inline`] without waking the
+/// pool.
+#[derive(Clone, Copy, Debug)]
+pub struct Pooled {
+    threads: usize,
 }
 
-impl Pooled<'static> {
-    /// `threads` workers of the process-wide [`WorkerPool::shared`].
+impl Pooled {
+    /// Up to `threads` threads a round.  Starts the shared pool if nothing
+    /// has yet, so a caller that builds its executor before its clock
+    /// starts does not time the spawn.
     pub fn shared(threads: usize) -> Self {
-        Pooled {
-            pool: WorkerPool::shared(),
-            threads,
-        }
+        WorkerPool::shared();
+        Pooled { threads }
     }
 }
 
-impl<A> Executor<A> for Pooled<'_>
+impl<A> Executor<A> for Pooled
 where
     A: ParallelAlgebra,
     A::Route: Send + Sync,
@@ -155,7 +151,7 @@ where
         let (mut stage_rest, mut flag_rest) = (staging, changed);
         let mut wall_rest = walls.as_mut_slice();
         let mut first = None;
-        let outcome = self.pool.scoped(|scope| {
+        let outcome = WorkerPool::shared().scoped(|scope| {
             for range in chunks.iter().cloned() {
                 let (stage, tail) =
                     std::mem::take(&mut stage_rest).split_at_mut(range.len() * job.w);
@@ -181,7 +177,7 @@ where
         if let Err(payload) = outcome {
             // Re-raise the worker's own panic (payload intact) instead of
             // aborting behind a generic expect message: the layer above
-            // catches it and reports the failing engine or retries.
+            // catches it and reports it.
             std::panic::resume_unwind(payload);
         }
         if on {

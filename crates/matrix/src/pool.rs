@@ -48,35 +48,17 @@
 //! serving later epochs, and [`WorkerPool::scoped`] returns the payload as
 //! `Err`, as a joined thread would.  The engine
 //! layer above turns that into a reported engine error with a reproduction
-//! command instead of an abort.
-//!
-//! ## Supervision and faults
-//!
-//! Workers can also *die* (today only by injection: a
-//! [`FaultPlan`] armed via
-//! [`WorkerPool::arm_faults`] can kill a worker mid-epoch).  A dying
-//! worker requeues its in-flight task, wakes that task's coordinator and
-//! records its index for the supervisor.  The coordinator looks at the
-//! queue again each time it wakes, so it runs the requeued job itself
-//! even if it had already parked: the epoch drains with every worker
-//! dead.  [`WorkerPool::supervise`] (called automatically at every epoch
-//! open) joins dead workers and respawns replacements under the same index, so
-//! the pool returns to full strength without caller involvement.  Deaths,
-//! restarts, and epoch retries are counted in [`PoolStats`] and flow into
-//! the route server's pool-health telemetry.  The pool itself never
-//! retries: a failed epoch returns its payload, and the one retry loop
-//! (the route server's flush) reports each attempt through
-//! [`WorkerPool::note_retry`].
+//! command instead of an abort, and the route server into a structured
+//! `kernel` problem.  Every job runs under that catch, so a worker leaves
+//! its loop only when the pool shuts down: there is no worker to replace
+//! and no job to hand back, and the pool never retries.
 
 use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
-use std::time::Duration;
-
-use crate::faults::FaultPlan;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 type PanicPayload = Box<dyn std::any::Any + Send + 'static>;
@@ -112,36 +94,6 @@ struct Inner {
     work_ready: Condvar,
     worker_jobs: Vec<AtomicU64>,
     inline_jobs: AtomicU64,
-    /// Fast-path guard so the per-task fault lookup costs one relaxed
-    /// load when no plan is armed (the common case).
-    faults_armed: AtomicBool,
-    faults: Mutex<Option<Arc<FaultPlan>>>,
-    /// Epoch counter value when the current plan was armed; fault
-    /// triggers are matched against epochs *relative* to this baseline,
-    /// so plans are independent of how much the pool ran beforehand.
-    fault_base: AtomicU64,
-    /// Indices of workers that have exited and await respawn.
-    dead: Mutex<Vec<usize>>,
-    deaths: AtomicU64,
-    restarts: AtomicU64,
-    retries: AtomicU64,
-}
-
-impl Inner {
-    /// The armed plan and the epoch's trigger site relative to the
-    /// arming baseline, or `None` when no plan is armed.
-    fn fault_site(&self, epoch: u64) -> Option<(Arc<FaultPlan>, u64)> {
-        if !self.faults_armed.load(Ordering::Relaxed) {
-            return None;
-        }
-        let plan = self
-            .faults
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .clone()?;
-        let base = self.fault_base.load(Ordering::Relaxed);
-        Some((plan, epoch.saturating_sub(base)))
-    }
 }
 
 /// A snapshot of the pool's lifetime counters, used by the route server's
@@ -158,13 +110,6 @@ pub struct PoolStats {
     pub worker_jobs: Vec<u64>,
     /// Jobs stolen back and executed inline by waiting coordinators.
     pub inline_jobs: u64,
-    /// Worker threads that died (fault-injected kills).
-    pub deaths: u64,
-    /// Dead workers replaced by the supervisor.
-    pub restarts: u64,
-    /// Epoch retries after transient failures, as reported via
-    /// [`WorkerPool::note_retry`].
-    pub retries: u64,
 }
 
 impl PoolStats {
@@ -188,16 +133,9 @@ pub fn default_jobs() -> usize {
 /// lists; see the module docs for the design.
 pub struct WorkerPool {
     inner: Arc<Inner>,
-    handles: Mutex<Vec<Option<JoinHandle<()>>>>,
+    handles: Vec<JoinHandle<()>>,
     epochs: AtomicU64,
     jobs: AtomicU64,
-}
-
-fn spawn_worker(index: usize, inner: Arc<Inner>) -> JoinHandle<()> {
-    std::thread::Builder::new()
-        .name(format!("dbf-pool-{index}"))
-        .spawn(move || worker_loop(index, inner))
-        .expect("spawning a pool worker thread")
 }
 
 fn worker_loop(index: usize, inner: Arc<Inner>) {
@@ -214,59 +152,16 @@ fn worker_loop(index: usize, inner: Arc<Inner>) {
                 st = inner.work_ready.wait(st).unwrap_or_else(|p| p.into_inner());
             }
         };
-        // Injected kill: hand the task back so the epoch still drains
-        // (another worker or the stealing coordinator runs it), record
-        // the death for the supervisor, and exit this thread.
-        if let Some((plan, site)) = inner.fault_site(task.epoch) {
-            if plan.kill_worker(site, index) {
-                let scope = Arc::clone(&task.scope);
-                {
-                    let mut st = inner.state.lock().unwrap_or_else(|p| p.into_inner());
-                    st.queue.push_front(task);
-                }
-                inner.work_ready.notify_one();
-                // The coordinator may already be parked with this job
-                // pending and no worker left to run it.  It looks at the
-                // queue under its epoch's lock, so waking it under that
-                // lock cannot fall between its look and its wait.
-                {
-                    let _sync = scope.sync.lock().unwrap_or_else(|p| p.into_inner());
-                    scope.done.notify_all();
-                }
-                inner
-                    .dead
-                    .lock()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .push(index);
-                inner.deaths.fetch_add(1, Ordering::SeqCst);
-                return;
-            }
-        }
         inner.worker_jobs[index].fetch_add(1, Ordering::Relaxed);
-        run_task(task, &inner);
+        run_task(task);
     }
 }
 
 /// Run one job, catching its panic and folding the outcome into its
 /// epoch's completion state.  Used identically by workers and by
-/// coordinators stealing their own epoch's jobs back.  Stall and
-/// fail-epoch faults are injected here, so they hit whichever executor
-/// picked the job up.
-fn run_task(task: Task, inner: &Inner) {
-    let mut inject_panic = false;
-    if let Some((plan, site)) = inner.fault_site(task.epoch) {
-        if let Some(millis) = plan.stall_band(site) {
-            std::thread::sleep(Duration::from_millis(millis));
-        }
-        if plan.fail_epoch(site) {
-            inject_panic = true;
-        }
-    }
-    let outcome = if inject_panic {
-        catch_unwind(|| panic!("injected fault: epoch failure"))
-    } else {
-        catch_unwind(AssertUnwindSafe(task.job))
-    };
+/// coordinators stealing their own epoch's jobs back.
+fn run_task(task: Task) {
+    let outcome = catch_unwind(AssertUnwindSafe(task.job));
     let mut sync = task.scope.sync.lock().unwrap_or_else(|p| p.into_inner());
     if let Err(payload) = outcome {
         sync.panic.get_or_insert(payload);
@@ -290,20 +185,19 @@ impl WorkerPool {
             work_ready: Condvar::new(),
             worker_jobs: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             inline_jobs: AtomicU64::new(0),
-            faults_armed: AtomicBool::new(false),
-            faults: Mutex::new(None),
-            fault_base: AtomicU64::new(0),
-            dead: Mutex::new(Vec::new()),
-            deaths: AtomicU64::new(0),
-            restarts: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
         });
         let handles = (0..workers)
-            .map(|index| Some(spawn_worker(index, Arc::clone(&inner))))
+            .map(|index| {
+                let inner = Arc::clone(&inner);
+                std::thread::Builder::new()
+                    .name(format!("dbf-pool-{index}"))
+                    .spawn(move || worker_loop(index, inner))
+                    .expect("spawning a pool worker thread")
+            })
             .collect();
         WorkerPool {
             inner,
-            handles: Mutex::new(handles),
+            handles,
             epochs: AtomicU64::new(0),
             jobs: AtomicU64::new(0),
         }
@@ -333,7 +227,6 @@ impl WorkerPool {
         'pool: 'scope,
         F: FnOnce(&PoolScope<'pool, 'scope>) -> R,
     {
-        self.supervise();
         let epoch = self.epochs.fetch_add(1, Ordering::Relaxed) + 1;
         let scope = PoolScope {
             pool: self,
@@ -418,57 +311,6 @@ impl WorkerPool {
             .collect()
     }
 
-    /// Arm a fault plan: subsequent epochs are matched against the plan's
-    /// triggers, with epoch indices counted from this call (so the same
-    /// plan means the same thing regardless of pool history).
-    pub fn arm_faults(&self, plan: Arc<FaultPlan>) {
-        *self.inner.faults.lock().unwrap_or_else(|p| p.into_inner()) = Some(plan);
-        self.inner
-            .fault_base
-            .store(self.epochs.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.inner.faults_armed.store(true, Ordering::SeqCst);
-    }
-
-    /// Disarm any armed fault plan.
-    pub fn disarm_faults(&self) {
-        self.inner.faults_armed.store(false, Ordering::SeqCst);
-        *self.inner.faults.lock().unwrap_or_else(|p| p.into_inner()) = None;
-    }
-
-    /// Replace workers that died, keeping their indices (so per-worker
-    /// job counters stay meaningful).  Called automatically at every
-    /// epoch open; the fast path is one atomic comparison.  Returns how
-    /// many workers were respawned by this call.
-    pub fn supervise(&self) -> u64 {
-        if self.inner.deaths.load(Ordering::SeqCst) == self.inner.restarts.load(Ordering::SeqCst) {
-            return 0;
-        }
-        let dead: Vec<usize> = {
-            let mut dead = self.inner.dead.lock().unwrap_or_else(|p| p.into_inner());
-            std::mem::take(&mut *dead)
-        };
-        let mut respawned = 0;
-        let mut handles = self.handles.lock().unwrap_or_else(|p| p.into_inner());
-        for index in dead {
-            // The dead worker registered itself just before returning, so
-            // this join is at most a brief wait for its final unwind.
-            if let Some(handle) = handles[index].take() {
-                let _ = handle.join();
-            }
-            handles[index] = Some(spawn_worker(index, Arc::clone(&self.inner)));
-            self.inner.restarts.fetch_add(1, Ordering::SeqCst);
-            respawned += 1;
-        }
-        respawned
-    }
-
-    /// Record an epoch retry performed by a caller that drives its own
-    /// retry loop (the route server's flush retry) so pool-health
-    /// telemetry sees it.
-    pub fn note_retry(&self) {
-        self.inner.retries.fetch_add(1, Ordering::SeqCst);
-    }
-
     /// Lifetime counters (workers, epochs, job placement); cheap to call.
     pub fn stats(&self) -> PoolStats {
         PoolStats {
@@ -482,9 +324,6 @@ impl WorkerPool {
                 .map(|c| c.load(Ordering::Relaxed))
                 .collect(),
             inline_jobs: self.inner.inline_jobs.load(Ordering::Relaxed),
-            deaths: self.inner.deaths.load(Ordering::SeqCst),
-            restarts: self.inner.restarts.load(Ordering::SeqCst),
-            retries: self.inner.retries.load(Ordering::SeqCst),
         }
     }
 }
@@ -496,8 +335,7 @@ impl Drop for WorkerPool {
             st.shutdown = true;
         }
         self.inner.work_ready.notify_all();
-        let mut handles = self.handles.lock().unwrap_or_else(|p| p.into_inner());
-        for handle in handles.iter_mut().filter_map(Option::take) {
+        for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
     }
@@ -506,8 +344,7 @@ impl Drop for WorkerPool {
 /// The job-submission surface handed to the [`WorkerPool::scoped`]
 /// closure.  Deliberately `!Send`/`!Sync`: jobs cannot capture the scope
 /// and submit further jobs from worker threads, so once the closure has
-/// returned only a killed worker's requeue can put an epoch's job back on
-/// the queue (see `wait_all`).
+/// returned the epoch's queue only shrinks (see `wait_all`).
 pub struct PoolScope<'pool, 'scope> {
     pool: &'pool WorkerPool,
     epoch: u64,
@@ -568,29 +405,24 @@ impl<'scope> PoolScope<'_, 'scope> {
         st.queue.remove(pos)
     }
 
-    /// Block until the epoch has drained, stealing back own-epoch jobs
-    /// and running them inline rather than idling.
+    /// Block until the epoch has drained: run this epoch's still-queued
+    /// jobs inline rather than idling, then wait for the ones workers hold.
     ///
-    /// No new job can appear (`execute` is only reachable from the scope
-    /// closure, which has returned, and jobs cannot capture the scope), but
-    /// a worker killed mid-epoch puts the job it had popped back on the
-    /// queue.  So the queue is looked at under the epoch's lock, on every
-    /// wake-up, and the dying worker signals `done` under that same lock.
+    /// No job of this epoch can enter the queue once the search comes up
+    /// empty: `execute` is only reachable from the scope closure, which has
+    /// returned, and jobs cannot capture the scope.
     fn wait_all(&self) {
+        while let Some(task) = self.steal_own() {
+            self.pool.inner.inline_jobs.fetch_add(1, Ordering::Relaxed);
+            run_task(task);
+        }
         let mut sync = self.state.sync.lock().unwrap_or_else(|p| p.into_inner());
         while sync.pending > 0 {
-            if let Some(task) = self.steal_own() {
-                drop(sync);
-                self.pool.inner.inline_jobs.fetch_add(1, Ordering::Relaxed);
-                run_task(task, &self.pool.inner);
-                sync = self.state.sync.lock().unwrap_or_else(|p| p.into_inner());
-            } else {
-                sync = self
-                    .state
-                    .done
-                    .wait(sync)
-                    .unwrap_or_else(|p| p.into_inner());
-            }
+            sync = self
+                .state
+                .done
+                .wait(sync)
+                .unwrap_or_else(|p| p.into_inner());
         }
     }
 }
@@ -598,7 +430,7 @@ impl<'scope> PoolScope<'_, 'scope> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::time::Duration;
 
     #[test]
     fn jobs_borrow_the_stack_and_all_complete() {
@@ -763,10 +595,7 @@ mod tests {
         pool.scoped(|scope| scope.execute(|| x = 7))
             .expect("the pool is healthy after 20 panicking epochs");
         assert_eq!(x, 7);
-        let stats = pool.stats();
-        assert_eq!(stats.workers, 2);
-        assert_eq!(stats.deaths, 0, "panics do not kill workers");
-        assert_eq!(stats.restarts, 0);
+        assert_eq!(pool.stats().workers, 2);
     }
 
     #[test]
@@ -810,7 +639,6 @@ mod tests {
         pool.scoped(|scope| scope.execute(|| x = 1))
             .expect("the pool survived six concurrent panicking scopes");
         assert_eq!(x, 1);
-        assert_eq!(pool.stats().deaths, 0);
     }
 
     // ---- `WorkerPool::map`: the fan-out contract sweep and fuzz rely on ----
@@ -970,87 +798,5 @@ mod tests {
         });
         let expected: Vec<(u64, bool)> = (0..12u64).map(|k| (45 + 10 * k, true)).collect();
         assert_eq!(got, expected);
-    }
-
-    #[test]
-    fn a_killed_worker_is_replaced_and_counted_deterministically() {
-        use crate::faults::{FaultKind, FaultPlan};
-        let pool = WorkerPool::new(2);
-        pool.arm_faults(Arc::new(
-            FaultPlan::new(1).with(FaultKind::KillWorker { worker: 0 }, 0),
-        ));
-        // Run epochs until the kill lands (worker 0 must pick up a job);
-        // plenty of jobs per epoch make that prompt.
-        let counter = AtomicUsize::new(0);
-        let mut submitted = 0usize;
-        for _ in 0..200 {
-            pool.scoped(|scope| {
-                for _ in 0..8 {
-                    scope.execute(|| {
-                        // Brief work so both workers participate in the
-                        // epoch and the victim reliably picks up a job.
-                        std::thread::sleep(Duration::from_millis(1));
-                        counter.fetch_add(1, Ordering::SeqCst);
-                    });
-                }
-            })
-            .expect("a kill is not a job panic");
-            submitted += 8;
-            if pool.stats().deaths == 1 {
-                break;
-            }
-        }
-        assert_eq!(
-            counter.load(Ordering::SeqCst),
-            submitted,
-            "the requeued in-flight job still ran exactly once"
-        );
-        assert_eq!(pool.stats().deaths, 1, "exactly one kill fault fired");
-        // The supervisor (invoked at the next epoch open) replaces it.
-        pool.scoped(|scope| {
-            scope.execute(|| {
-                counter.fetch_add(1, Ordering::SeqCst);
-            })
-        })
-        .expect("the pool works while/after supervision");
-        pool.supervise();
-        let stats = pool.stats();
-        assert_eq!(stats.restarts, 1, "the dead worker was respawned once");
-        assert_eq!(stats.workers, 2, "the worker set is back to full strength");
-        pool.disarm_faults();
-    }
-
-    #[test]
-    fn a_sole_worker_killed_mid_epoch_cannot_strand_its_job() {
-        // One worker, one job per epoch, a kill armed for every epoch.
-        // When the worker pops the job after the coordinator has looked at
-        // the queue, the coordinator parks with the job pending and only
-        // the dying worker's requeue left to run it.  A wait that misses
-        // that requeue parks forever (within a few dozen epochs here),
-        // hence the watchdog.
-        use crate::faults::{FaultKind, FaultPlan};
-        use std::sync::mpsc::{channel, RecvTimeoutError};
-        let (finished, watchdog) = channel();
-        let epochs = std::thread::spawn(move || {
-            let pool = WorkerPool::new(1);
-            for _ in 0..2_000 {
-                pool.arm_faults(Arc::new(
-                    FaultPlan::new(1).with(FaultKind::KillWorker { worker: 0 }, 0),
-                ));
-                let mut ran = false;
-                pool.scoped(|scope| scope.execute(|| ran = true))
-                    .expect("a kill is not a job panic");
-                assert!(ran, "the epoch drained without running its job");
-            }
-            let _ = finished.send(());
-            pool.stats()
-        });
-        if let Err(RecvTimeoutError::Timeout) = watchdog.recv_timeout(Duration::from_secs(60)) {
-            panic!("an epoch whose only worker was killed never drained");
-        }
-        let stats = epochs
-            .join()
-            .unwrap_or_else(|payload| resume_unwind(payload));
-        assert_eq!(stats.epochs, 2_000);
     }
 }

@@ -5,36 +5,6 @@ use crate::state::RoutingState;
 use dbf_algebra::RoutingAlgebra;
 use dbf_paths::NodeId;
 
-/// Recompute a single entry of `σ(X)` (Equation 5 of the paper):
-///
-/// ```text
-/// σ(X)[i][j] = 0̄                              if i = j
-///            = ⨁_k A_ik(X[k][j])              otherwise
-/// ```
-///
-/// This per-entry form is shared with the asynchronous iterate `δ`, which
-/// applies it to *stale* snapshots of the other nodes' tables.
-pub fn sigma_entry<A: RoutingAlgebra>(
-    alg: &A,
-    adj: &AdjacencyMatrix<A>,
-    x: &RoutingState<A>,
-    i: NodeId,
-    j: NodeId,
-) -> A::Route {
-    if i == j {
-        return alg.trivial();
-    }
-    // Only the links that exist contribute: a missing `A_ik` is the
-    // constant-∞̄ function and ∞̄ is the identity of ⊕, so folding over the
-    // sparse row is exactly the paper's sum over all `k`.
-    let mut best = alg.invalid();
-    for (k, f) in adj.row(i) {
-        let candidate = alg.extend(f, x.get(*k, j));
-        best = alg.choice(&best, &candidate);
-    }
-    best
-}
-
 /// One synchronous round `σ(X)`, written into an existing state buffer.
 ///
 /// This is the allocation-free work-horse behind [`sigma`], the plain
@@ -297,18 +267,6 @@ mod tests {
         let mut buf = RoutingState::<ShortestPaths>::uniform(3, NatInf::fin(77));
         sigma_into(&alg, &adj, &x, &mut buf);
         assert_eq!(buf, fresh);
-    }
-
-    #[test]
-    fn entry_recomputation_matches_full_sigma() {
-        let (alg, adj) = line3();
-        let x = RoutingState::<ShortestPaths>::from_fn(3, |i, j| NatInf::fin((3 * i + j) as u64));
-        let full = sigma(&alg, &adj, &x);
-        for i in 0..3 {
-            for j in 0..3 {
-                assert_eq!(&sigma_entry(&alg, &adj, &x, i, j), full.get(i, j));
-            }
-        }
     }
 
     #[test]

@@ -37,7 +37,7 @@
 //! match the expectation, so the binary doubles as an integration gate; on
 //! failure both print the exact reproduction command.
 
-use dbf_matrix::{default_jobs, FaultKind};
+use dbf_matrix::default_jobs;
 use dbf_scenario::bench::{bench_json, bench_sweeps_json, BenchRecord};
 use dbf_scenario::fuzz::replay_corpus;
 use dbf_scenario::prelude::*;
@@ -1108,8 +1108,8 @@ fn serve_options(opts: &Options, threads: usize, batch: usize) -> Result<ServeOp
         }
     };
     if let Some(offset) = opts.crash_at {
-        plan.get_or_insert_with(|| dbf_matrix::FaultPlan::new(0))
-            .push(dbf_matrix::FaultKind::CrashAtEvent, offset);
+        plan.get_or_insert_with(|| FaultPlan::new(0))
+            .push(FaultKind::CrashAtEvent, offset);
     }
     Ok(ServeOptions {
         threads,
@@ -1134,7 +1134,7 @@ fn cmd_chaos(opts: &Options) -> Result<bool, String> {
     let trace = ChurnTrace::parse(&text).map_err(|e| e.to_string())?;
     let threads = run_threads(opts);
     let batch = opts.batch.unwrap_or(64).max(1);
-    let plans: Vec<(String, dbf_matrix::FaultPlan)> = match opts.faults.as_deref() {
+    let plans: Vec<(String, FaultPlan)> = match opts.faults.as_deref() {
         Some(file) => {
             let text = std::fs::read_to_string(file)
                 .map_err(|e| format!("cannot read fault plan {file:?}: {e}"))?;

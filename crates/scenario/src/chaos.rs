@@ -8,16 +8,20 @@
 //! asynchronous model already prices in an adversarial environment
 //! (messages lost, duplicated, reordered; participants failing and
 //! rejoining), so a correctly built server must produce *bit-identical*
-//! results under any deterministic fault schedule — worker deaths,
-//! straggler bands, panicking epochs, process crashes at arbitrary
-//! event offsets, torn WAL tails, delayed flushes — or fail with a
-//! structured, attributable error.  `scenarios chaos --replay <trace>`
-//! drives [`run_chaos`] over the built-in plans or a TOML plan file.
+//! results under any deterministic fault schedule — process crashes at
+//! arbitrary event offsets, torn or corrupt WAL tails, delayed flushes —
+//! or fail with a structured, attributable error.  `scenarios chaos
+//! --replay <trace>` drives [`run_chaos`] over the built-in plans or a
+//! TOML plan file.
 //!
-//! The harness always runs the faulted side on a **dedicated worker
-//! pool** (see [`crate::serve::ServeOptions`]): fault epochs are counted
-//! relative to pool arm time, so a fresh pool makes the schedule
-//! reproducible.
+//! The fault plane is exactly the faults this process can have.  The
+//! network's faults are the engines' business (the simulator's loss,
+//! duplication and delay; δ's schedules).  A worker thread cannot die —
+//! every pool job runs under `catch_unwind` — and a σ round is a pure
+//! function of its inputs, so a round that panicked panics again when
+//! stepped again: neither a killed worker nor a retried round is a fault
+//! worth injecting.  What is left is a crash, what a crash leaves in the
+//! WAL, and a slow flush.
 
 use crate::checkpoint::CheckpointStore;
 use crate::fields::{self, Form, Keys, List, Named, Seed, Sub, Tag, Uint, Visit};
@@ -27,19 +31,169 @@ use crate::serve::{
     ServeOptions, SystemClock,
 };
 use crate::spec::SpecError;
-use dbf_matrix::{FaultKind, FaultPlan};
 use dbf_telemetry::TelemetrySink;
 use std::path::Path;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// What a single scheduled fault does when it fires.  The `at` trigger on
+/// the owning [`Fault`] is interpreted per kind: an **event offset** for
+/// `CrashAtEvent`, a **flush index** for `DelayFlush`, and unused for the
+/// WAL-tampering kinds (they apply to whatever WAL tail the crash left).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FaultKind {
+    /// Simulate a process crash immediately before applying the trace
+    /// event at the trigger offset.  The replay driver drops all
+    /// in-memory state and reports a structured crash.
+    CrashAtEvent,
+    /// After a crash, truncate `bytes` bytes off the WAL tail before
+    /// recovery — simulating a torn final write.
+    TruncateWal {
+        /// Number of trailing bytes to remove.
+        bytes: u64,
+    },
+    /// After a crash, flip one byte at `byte` (counted from just after
+    /// the WAL header) before recovery — recovery must detect the bad
+    /// checksum and fail cleanly.
+    CorruptWal {
+        /// Byte position, counted from just after the WAL header line.
+        byte: u64,
+    },
+    /// Sleep `millis` at the start of the triggering flush, simulating a
+    /// slow reconvergence that the deadline machinery must absorb.
+    DelayFlush {
+        /// How long the flush is delayed, in milliseconds.
+        millis: u64,
+    },
+}
+
+impl FaultKind {
+    /// Short stable name, used by telemetry events and plan files.
+    pub fn name(self) -> &'static str {
+        match self {
+            FaultKind::CrashAtEvent => "crash",
+            FaultKind::TruncateWal { .. } => "truncate_wal",
+            FaultKind::CorruptWal { .. } => "corrupt_wal",
+            FaultKind::DelayFlush { .. } => "delay_flush",
+        }
+    }
+
+    fn tampers_with_the_wal(self) -> bool {
+        matches!(
+            self,
+            FaultKind::TruncateWal { .. } | FaultKind::CorruptWal { .. }
+        )
+    }
+}
+
+/// One scheduled fault: a kind, a trigger point, and a once-firing latch.
+#[derive(Debug)]
+pub struct Fault {
+    /// What happens when the fault fires.
+    pub kind: FaultKind,
+    /// The trigger point; see [`FaultKind`] for per-kind interpretation.
+    pub at: u64,
+    fired: AtomicBool,
+}
+
+impl Fault {
+    /// Latch the fault if `site` has reached its trigger and it has not
+    /// fired yet.  Returns `true` exactly once per fault.
+    fn fire_at(&self, site: u64) -> bool {
+        site >= self.at && !self.fired.swap(true, Ordering::SeqCst)
+    }
+
+    /// Has this fault fired?
+    pub fn fired(&self) -> bool {
+        self.fired.load(Ordering::SeqCst)
+    }
+}
+
+/// A deterministic schedule of faults, shared (`Arc`) between the replay
+/// driver, the server and the harness.  Because the schedule is data, not
+/// randomness sampled at injection time, the same plan against the same
+/// trace fires the same faults.  Every fault is **once-firing**: its
+/// trigger latches the first time its site matches, so a recovered run
+/// sharing the plan does not re-crash in a loop.  The `seed` is carried
+/// for provenance; the schedule itself is explicit, not sampled.
+#[derive(Debug, Default)]
+pub struct FaultPlan {
+    seed: u64,
+    faults: Vec<Fault>,
+}
+
+impl FaultPlan {
+    /// An empty plan with a provenance seed.
+    pub fn new(seed: u64) -> FaultPlan {
+        FaultPlan {
+            seed,
+            faults: Vec::new(),
+        }
+    }
+
+    /// The provenance seed this plan was built from.
+    pub fn seed(&self) -> u64 {
+        self.seed
+    }
+
+    /// Append a fault triggered at `at` (builder style).
+    pub fn with(mut self, kind: FaultKind, at: u64) -> FaultPlan {
+        self.push(kind, at);
+        self
+    }
+
+    /// Append a fault triggered at `at`.
+    pub fn push(&mut self, kind: FaultKind, at: u64) {
+        self.faults.push(Fault {
+            kind,
+            at,
+            fired: AtomicBool::new(false),
+        });
+    }
+
+    /// The scheduled faults, in plan order.
+    pub fn faults(&self) -> &[Fault] {
+        &self.faults
+    }
+
+    /// How many faults have fired so far.
+    pub fn fired_count(&self) -> usize {
+        self.faults.iter().filter(|f| f.fired()).count()
+    }
+
+    /// Replay hook: simulate a process crash before applying the event at
+    /// `offset`?
+    pub fn crash_at_event(&self, offset: u64) -> bool {
+        self.faults
+            .iter()
+            .any(|f| f.kind == FaultKind::CrashAtEvent && f.fire_at(offset))
+    }
+
+    /// Server hook: delay (ms) for flush number `flush`, if scheduled.
+    pub fn flush_delay(&self, flush: u64) -> Option<u64> {
+        self.faults.iter().find_map(|f| match f.kind {
+            FaultKind::DelayFlush { millis } if f.fire_at(flush) => Some(millis),
+            _ => None,
+        })
+    }
+
+    /// Harness hook: the first WAL tampering the plan holds
+    /// (`TruncateWal` / `CorruptWal`), latched as fired — the harness
+    /// applies it once, between the crash and the recovery.
+    pub fn wal_tamper(&self) -> Option<FaultKind> {
+        self.faults
+            .iter()
+            .find(|f| f.kind.tampers_with_the_wal())
+            .filter(|f| f.fire_at(f.at))
+            .map(|f| f.kind)
+    }
+}
 
 /// Names of the built-in fault plans, in the order `scenarios chaos`
 /// runs them.
 pub fn builtin_plan_names() -> &'static [&'static str] {
     &[
-        "worker-kill",
-        "band-stall",
-        "fail-epoch",
         "process-crash",
         "wal-truncate",
         "wal-corrupt",
@@ -52,11 +206,6 @@ pub fn builtin_plan_names() -> &'static [&'static str] {
 pub fn builtin_plan(name: &str, events: usize) -> Option<FaultPlan> {
     let mid = (events as u64 / 2).max(1);
     Some(match name {
-        "worker-kill" => FaultPlan::new(1)
-            .with(FaultKind::KillWorker { worker: 0 }, 2)
-            .with(FaultKind::KillWorker { worker: 1 }, 5),
-        "band-stall" => FaultPlan::new(2).with(FaultKind::StallBand { millis: 20 }, 1),
-        "fail-epoch" => FaultPlan::new(3).with(FaultKind::FailEpoch, 1),
         "process-crash" => FaultPlan::new(4).with(FaultKind::CrashAtEvent, mid),
         "wal-truncate" => FaultPlan::new(5)
             .with(FaultKind::CrashAtEvent, mid)
@@ -75,19 +224,31 @@ pub fn builtin_plan(name: &str, events: usize) -> Option<FaultPlan> {
 /// seed = 7
 ///
 /// [[fault]]
-/// kind = "kill_worker"   # or stall_band / fail_epoch / crash /
-///                        #    truncate_wal / corrupt_wal / delay_flush
-/// at = 2                 # trigger site (see FaultKind docs)
-/// worker = 0             # kill_worker only
-/// millis = 20            # stall_band / delay_flush
+/// kind = "crash"         # or truncate_wal / corrupt_wal / delay_flush
+/// at = 40                # trigger site (see FaultKind docs)
+/// millis = 20            # delay_flush
 /// bytes = 7              # truncate_wal
 /// byte = 5               # corrupt_wal
 /// ```
+///
+/// A WAL tamper acts on the WAL a crash leaves behind, so a plan holding
+/// one without a `crash` is refused, naming the tamper.
 pub fn load_plan(text: &str) -> Result<FaultPlan, SpecError> {
     let file: PlanFile = fields::read_toml(text)
         .map_err(|e| SpecError::new(format!("fault plan: {}", e.message)))?;
+    let crashes = file
+        .faults
+        .iter()
+        .any(|f| f.kind == FaultKind::CrashAtEvent);
     let mut plan = FaultPlan::new(file.seed);
-    for fault in file.faults {
+    for (i, fault) in file.faults.into_iter().enumerate() {
+        if fault.kind.tampers_with_the_wal() && !crashes {
+            return Err(SpecError::new(format!(
+                "fault plan: fault[{i}]: {} tampers with the WAL a crash leaves behind, \
+                 and the plan has no crash fault",
+                fault.kind.name()
+            )));
+        }
         plan.push(fault.kind, fault.at);
     }
     Ok(plan)
@@ -103,9 +264,6 @@ impl Named for FaultKind {
     fn names() -> impl Iterator<Item = (&'static str, Self)> {
         use FaultKind::*;
         [
-            KillWorker { worker: 0 },
-            StallBand { millis: 10 },
-            FailEpoch,
             CrashAtEvent,
             TruncateWal { bytes: 8 },
             CorruptWal { byte: 0 },
@@ -147,7 +305,7 @@ impl Keys for PlanFile {
 impl Keys for PlannedFault {
     fn blank() -> Self {
         PlannedFault {
-            kind: FaultKind::FailEpoch,
+            kind: FaultKind::CrashAtEvent,
             at: 0,
         }
     }
@@ -156,11 +314,10 @@ impl Keys for PlannedFault {
         use FaultKind::*;
         f.req("kind", &mut self.kind, Tag)?;
         match &mut self.kind {
-            KillWorker { worker } => f.opt("worker", worker, Uint)?,
-            StallBand { millis } | DelayFlush { millis } => f.opt("millis", millis, Uint)?,
+            DelayFlush { millis } => f.opt("millis", millis, Uint)?,
             TruncateWal { bytes } => f.opt("bytes", bytes, Uint)?,
             CorruptWal { byte } => f.opt("byte", byte, Uint)?,
-            FailEpoch | CrashAtEvent => {}
+            CrashAtEvent => {}
         }
         f.opt("at", &mut self.at, Uint)
     }
@@ -202,22 +359,19 @@ fn bound_held(r: &ReplayReport) -> bool {
 /// Run `trace` under `plan` and verify the outcome against an unfaulted
 /// reference run.
 ///
-/// * Plans without a crash fault run once on a dedicated pool; the run
-///   must complete and match the reference digests exactly.
+/// * Plans without a crash fault run once; the run must complete and
+///   match the reference digests exactly.
 /// * Plans with a crash fault run with a checkpoint store in `dir`,
 ///   must fail with a structured `crash` report, then any scheduled WAL
-///   tampering is applied and a recovery run must either reproduce the
-///   reference digests (crash / torn tail) or — for interior WAL
-///   corruption — fail cleanly with a structured `wal` error.
+///   tampering is applied (and counts as fired) and a recovery run must
+///   either reproduce the reference digests (crash / torn tail) or — for
+///   interior WAL corruption — fail cleanly with a structured `wal` error.
 /// * Plans with a flush delay run under a tight fixed deadline so the
 ///   degradation path is exercised; stale answers are expected there,
 ///   so only the final-table digest is compared.  They run on a
 ///   [`ScriptedClock`]: the injected delay advances the clock instead of
 ///   sleeping, and how many flushes overrun and how many answers are
 ///   stale is the same number on every machine and thread count.
-///
-/// Kill/stall/fail-epoch faults act on the worker pool, so `threads`
-/// should be ≥ 2 for them to bite.
 pub fn run_chaos(
     trace: &ChurnTrace,
     name: &str,
@@ -231,12 +385,11 @@ pub fn run_chaos(
     let has_crash = plan
         .faults()
         .iter()
-        .any(|f| matches!(f.kind, FaultKind::CrashAtEvent));
+        .any(|f| f.kind == FaultKind::CrashAtEvent);
     let has_delay = plan
         .faults()
         .iter()
         .any(|f| matches!(f.kind, FaultKind::DelayFlush { .. }));
-    let tamper = plan.wal_tamper();
     // A delayed flush only exercises the robustness machinery if a
     // deadline is in force; pick one tight enough that the injected
     // delay always overruns it.
@@ -286,7 +439,7 @@ pub fn run_chaos(
         detail: String::new(),
     };
 
-    let final_report = if has_crash {
+    let (final_report, tamper) = if has_crash {
         let _ = std::fs::remove_dir_all(dir);
         let crash_run = replay_clocked(
             trace,
@@ -310,6 +463,7 @@ pub fn run_chaos(
                 return Ok(outcome);
             }
         }
+        let tamper = plan.wal_tamper();
         if let Some(kind) = tamper {
             let mut store = CheckpointStore::open(dir)
                 .map_err(|e| SpecError::new(format!("chaos store: {e}")))?;
@@ -321,7 +475,7 @@ pub fn run_chaos(
             tampered.map_err(|e| SpecError::new(format!("chaos tamper: {e}")))?;
             tel.fault_injected(kind.name(), 0);
         }
-        replay_clocked(
+        let recovery = replay_clocked(
             trace,
             &ServeOptions {
                 threads,
@@ -334,9 +488,10 @@ pub fn run_chaos(
             },
             clock(),
             tel,
-        )?
+        )?;
+        (recovery, tamper)
     } else {
-        replay_clocked(
+        let run = replay_clocked(
             trace,
             &ServeOptions {
                 threads,
@@ -347,7 +502,8 @@ pub fn run_chaos(
             },
             clock(),
             tel,
-        )?
+        )?;
+        (run, None)
     };
     outcome.faults_fired = plan.fired_count();
     outcome.stale_answers = final_report.stats.stale_answers;
@@ -488,16 +644,48 @@ mod tests {
     #[test]
     fn plan_files_round_trip_the_fault_vocabulary() {
         let plan = load_plan(
-            "seed = 9\n\n[[fault]]\nkind = \"kill_worker\"\nat = 2\nworker = 1\n\n\
+            "seed = 9\n\n[[fault]]\nkind = \"delay_flush\"\nat = 2\nmillis = 30\n\n\
              [[fault]]\nkind = \"crash\"\nat = 40\n\n\
              [[fault]]\nkind = \"truncate_wal\"\nbytes = 16\n",
         )
         .expect("plan parses");
         assert_eq!(plan.seed(), 9);
         assert_eq!(plan.faults().len(), 3);
-        assert_eq!(plan.faults()[0].kind, FaultKind::KillWorker { worker: 1 });
+        assert_eq!(plan.faults()[0].kind, FaultKind::DelayFlush { millis: 30 });
         assert_eq!(plan.faults()[1].at, 40);
         assert!(load_plan("[[fault]]\nkind = \"warp\"\n").is_err());
+        // A pool worker cannot die: there is no such fault to name.
+        assert!(load_plan("[[fault]]\nkind = \"kill_worker\"\n").is_err());
+    }
+
+    #[test]
+    fn faults_fire_exactly_once_at_or_past_their_trigger() {
+        let plan = FaultPlan::new(7).with(FaultKind::DelayFlush { millis: 9 }, 3);
+        assert_eq!(plan.flush_delay(0), None);
+        assert_eq!(plan.flush_delay(2), None);
+        assert_eq!(
+            plan.flush_delay(5),
+            Some(9),
+            "fires on the first site >= trigger"
+        );
+        assert_eq!(plan.flush_delay(5), None, "latched after firing");
+        assert_eq!(plan.fired_count(), 1);
+    }
+
+    #[test]
+    fn crash_and_tamper_hooks_are_independent() {
+        let plan = FaultPlan::new(2)
+            .with(FaultKind::CrashAtEvent, 10)
+            .with(FaultKind::TruncateWal { bytes: 16 }, 0);
+        assert!(!plan.crash_at_event(9));
+        assert!(plan.crash_at_event(10));
+        assert_eq!(plan.fired_count(), 1, "the crash does not latch the tamper");
+        assert_eq!(
+            plan.wal_tamper(),
+            Some(FaultKind::TruncateWal { bytes: 16 })
+        );
+        assert_eq!(plan.wal_tamper(), None, "applied once");
+        assert_eq!(plan.fired_count(), 2);
     }
 
     #[test]
@@ -529,18 +717,7 @@ mod tests {
             .expect("harness runs");
         assert!(outcome.crashed);
         assert_eq!(outcome.expected_failure.as_deref(), Some("wal"));
-        assert!(outcome.ok, "{}", outcome.detail);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn worker_kill_plan_survives_with_identical_digests() {
-        let trace = trace();
-        let dir = temp_dir("kill");
-        let plan = builtin_plan("worker-kill", trace.events.len()).unwrap();
-        let outcome = run_chaos(&trace, "worker-kill", plan, 4, 16, &dir, &mut NoopSink)
-            .expect("harness runs");
-        assert!(!outcome.crashed);
+        assert_eq!(outcome.faults_fired, 2, "the crash and the tamper");
         assert!(outcome.ok, "{}", outcome.detail);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -637,7 +637,7 @@ impl<A: ScenarioAlgebra> Phase<'_, A> {
     /// The σ engines' workers: the run's thread budget on the process-wide
     /// pool (which the first call starts — before the clock, like every
     /// other piece of setup).
-    fn executor(&self) -> Pooled<'static> {
+    fn executor(&self) -> Pooled {
         Pooled::shared(self.threads)
     }
 
@@ -649,12 +649,7 @@ impl<A: ScenarioAlgebra> Phase<'_, A> {
     /// frontier, in what certifies the fixed point, and in the two kernel
     /// counters they report (`work` is σ iterations for sync, row
     /// recomputations — a full round costs `n` of them — for incremental).
-    fn sigma(
-        &self,
-        exec: Pooled<'static>,
-        state: RoutingState<A>,
-        tel: &mut dyn TelemetrySink,
-    ) -> Step<A> {
+    fn sigma(&self, exec: Pooled, state: RoutingState<A>, tel: &mut dyn TelemetrySink) -> Step<A> {
         let adj = &self.problem.adj;
         let n = adj.node_count();
         // `bound + 1` rounds when the bound oracle annotated the problem

@@ -68,10 +68,10 @@
 //!   snapshots plus a write-ahead log make a replay killed at any event
 //!   offset recoverable to a byte-identical report; bound-derived flush
 //!   deadlines degrade to stale-flagged answers instead of blocking; and
-//!   a deterministic fault plane (`dbf_matrix::faults`) driven by
-//!   `scenarios chaos` injects worker kills, stalls, crashes, WAL
-//!   corruption and flush delays, verifying digest-identical recovery or
-//!   a clean structured failure for every plan.
+//!   a deterministic fault plane ([`chaos::FaultPlan`]) driven by
+//!   `scenarios chaos` injects process crashes, torn and corrupt WAL
+//!   tails and flush delays, verifying digest-identical recovery or a
+//!   clean structured failure for every plan.
 //!
 //! Running a built-in scenario through the differential oracle:
 //!
@@ -158,7 +158,10 @@ pub use dbf_telemetry as telemetry;
 
 pub use agg::{PointReport, Stats, SweepReport};
 pub use bound::{algebra_height, bound_for_engine, bound_table, schedule_window, PhaseBound};
-pub use chaos::{builtin_plan, builtin_plan_names, chaos_json, load_plan, run_chaos, ChaosOutcome};
+pub use chaos::{
+    builtin_plan, builtin_plan_names, chaos_json, load_plan, run_chaos, ChaosOutcome, FaultKind,
+    FaultPlan,
+};
 pub use checkpoint::{CheckpointStore, PersistRoute, Snapshot, WalError};
 pub use engine::{
     descriptor, descriptors, engine_seeds, planned_runs, run_engine, Determinism, EngineInfo,
@@ -170,9 +173,9 @@ pub use report::{Agreement, EngineRun, Json, PhaseOutcome, ScenarioReport};
 pub use run::{run_scenario, run_scenario_traced, run_scenario_with, RunConfig};
 pub use serve::{
     generate_trace, replay_trace, replay_trace_opts, serve_json, serve_summary, BoundRule,
-    ChurnTrace, Clock, DeadlineCfg, PoolHandle, RecoveryInfo, ReplayReport, RouteServer,
-    ScriptedClock, ServeAlgebra, ServeAnswer, ServeEvent, ServeFailure, ServeOptions, ServeProblem,
-    ServeStats, SystemClock, TraceSpec, WeightOverrides,
+    ChurnTrace, Clock, DeadlineCfg, RecoveryInfo, ReplayReport, RouteServer, ScriptedClock,
+    ServeAlgebra, ServeAnswer, ServeEvent, ServeFailure, ServeOptions, ServeProblem, ServeStats,
+    SystemClock, TraceSpec, WeightOverrides,
 };
 pub use spec::{
     AlgebraSpec, ChangeSpec, EngineKind, Expectation, FaultSpec, PhaseSpec, Scenario, ScheduleSpec,
@@ -189,6 +192,7 @@ pub mod prelude {
     pub use crate::builtins;
     pub use crate::chaos::{
         builtin_plan, builtin_plan_names, chaos_json, load_plan, run_chaos, ChaosOutcome,
+        FaultKind, FaultPlan,
     };
     pub use crate::checkpoint::{CheckpointStore, PersistRoute, Snapshot, WalError};
     pub use crate::engine::{
@@ -204,9 +208,9 @@ pub mod prelude {
     pub use crate::run::{run_scenario, run_scenario_traced, run_scenario_with, RunConfig};
     pub use crate::serve::{
         generate_trace, replay_trace, replay_trace_opts, serve_json, serve_summary, BoundRule,
-        ChurnTrace, Clock, DeadlineCfg, PoolHandle, RecoveryInfo, ReplayReport, RouteServer,
-        ScriptedClock, ServeAlgebra, ServeAnswer, ServeEvent, ServeFailure, ServeOptions,
-        ServeProblem, ServeStats, SystemClock, TraceSpec, WeightOverrides,
+        ChurnTrace, Clock, DeadlineCfg, RecoveryInfo, ReplayReport, RouteServer, ScriptedClock,
+        ServeAlgebra, ServeAnswer, ServeEvent, ServeFailure, ServeOptions, ServeProblem,
+        ServeStats, SystemClock, TraceSpec, WeightOverrides,
     };
     pub use crate::spec::{
         AlgebraSpec, ChangeSpec, EngineKind, Expectation, FaultSpec, PhaseSpec, Scenario,

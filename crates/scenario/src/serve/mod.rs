@@ -51,10 +51,10 @@
 //! so the deterministic counters and digests are unaffected.  The server
 //! reads time and waits only through its [`Clock`]: on the default
 //! [`SystemClock`] that is the machine's, on a [`ScriptedClock`] a
-//! deadline run is a pure function of (trace, options, script).  Transient
-//! kernel failures (a poisoned pool, an injected panic) are retried with
-//! bounded exponential backoff and supervision in between; persistent
-//! ones surface as a structured [`ServeProblem`].
+//! deadline run is a pure function of (trace, options, script).  A σ
+//! round that panics surfaces at once as a structured `kernel`
+//! [`ServeProblem`] and parks the flush, as an overrun does: the round is a
+//! pure function of its inputs, so stepping it again would panic again.
 //!
 //! [`replay_trace`] drives a server from a seeded [`ChurnTrace`] — the
 //! sustained-churn benchmark behind `scenarios serve --replay` and
@@ -103,6 +103,4 @@ pub use replay::{replay_trace, replay_trace_opts, ServeOptions};
 pub use report::{serve_json, serve_summary, RecoveryInfo, ReplayReport, ServeFailure};
 pub use server::RouteServer;
 pub use trace::{generate_trace, ChurnTrace, ServeAlgebra, ServeEvent, TraceSpec};
-pub use types::{
-    BoundRule, DeadlineCfg, PoolHandle, ServeAnswer, ServeProblem, ServeStats, WeightOverrides,
-};
+pub use types::{BoundRule, DeadlineCfg, ServeAnswer, ServeProblem, ServeStats, WeightOverrides};

@@ -6,13 +6,14 @@ use super::clock::{Clock, SystemClock};
 use super::report::{RecoveryInfo, ReplayReport, ServeFailure};
 use super::server::RouteServer;
 use super::trace::{event_to_line, serve_shape, ChurnTrace, ServeAlgebra, ServeEvent};
-use super::types::{BoundRule, DeadlineCfg, PoolHandle, ServeStats, WeightOverrides};
+use super::types::{BoundRule, DeadlineCfg, ServeStats, WeightOverrides};
+use crate::chaos::{FaultKind, FaultPlan};
 use crate::checkpoint::{CheckpointStore, PersistRoute, Snapshot, WalError};
 use crate::engine::ScenarioAlgebra;
 use crate::report::Digest;
 use crate::spec::{SpecError, WeightRule};
 use dbf_algebra::prelude::*;
-use dbf_matrix::{AdjacencyMatrix, FaultKind, FaultPlan, WorkerPool};
+use dbf_matrix::{AdjacencyMatrix, WorkerPool};
 use dbf_telemetry::TelemetrySink;
 use dbf_topology::Topology;
 use std::path::PathBuf;
@@ -35,8 +36,8 @@ pub struct ServeOptions {
     /// Restore the snapshot and replay the WAL tail before continuing
     /// the trace (requires `checkpoint_dir`).
     pub recover: bool,
-    /// A deterministic fault schedule to run under.  Forces a dedicated
-    /// pool so fault epochs are reproducible.
+    /// A deterministic fault schedule to run under: crash points for the
+    /// driver, flush delays for the server.
     pub faults: Option<Arc<FaultPlan>>,
 }
 
@@ -55,7 +56,7 @@ impl Default for ServeOptions {
 }
 
 /// Replay a churn trace through a route server with default options
-/// (no deadline, no checkpoints, shared pool).  `batch_max` caps how
+/// (no deadline, no checkpoints, no faults).  `batch_max` caps how
 /// many change events coalesce into one reconvergence; `threads` is the
 /// σ sweep's worker budget (results are bit-identical for every value).
 pub fn replay_trace(
@@ -356,9 +357,8 @@ impl Progress {
         server
             .finish(tel)
             .map_err(|p| self.failure(p.kind, p.message))?;
-        let ps = server.pool_stats();
+        let ps = WorkerPool::shared().stats();
         tel.pool_utilization(ps.workers as u64, ps.epochs, ps.jobs, ps.worker_share());
-        tel.pool_health(ps.workers as u64, ps.deaths, ps.restarts, ps.retries);
         Ok(())
     }
 }
@@ -381,17 +381,6 @@ where
     F: Fn(&Topology<()>, &WeightOverrides) -> AdjacencyMatrix<A>,
 {
     let threads = opts.threads.max(1);
-    // Chaos runs get a dedicated pool: fault epochs are counted relative
-    // to arm time, so a fresh pool makes the schedule deterministic and
-    // keeps injected faults away from unrelated work on the shared pool.
-    let pool = if opts.faults.is_some() {
-        PoolHandle::Owned(Arc::new(WorkerPool::new(threads.saturating_sub(1).max(1))))
-    } else {
-        PoolHandle::Shared
-    };
-    if let Some(plan) = &opts.faults {
-        pool.get().arm_faults(plan.clone());
-    }
     let mut store = match &opts.checkpoint_dir {
         Some(dir) => Some(
             CheckpointStore::open(dir)
@@ -415,7 +404,6 @@ where
             .restart_on_removal(removal_restart)
             .with_bound(bound)
             .with_deadline(opts.deadline)
-            .with_pool(pool.clone())
             .with_faults(opts.faults.clone())
             .with_clock(clock.clone()))
     };
@@ -433,10 +421,6 @@ where
                 .err()
         }
     };
-    if opts.faults.is_some() {
-        pool.get().disarm_faults();
-    }
-
     // The one exit: whatever was reached is what is reported.
     let (nodes, events, stats, final_digest, answers_digest) = match &server {
         Some(s) => (
@@ -455,7 +439,7 @@ where
         stats,
         final_digest,
         answers_digest,
-        pool: pool.get().stats(),
+        pool: WorkerPool::shared().stats(),
         wall_ms: clock.now().saturating_sub(t0).as_secs_f64() * 1000.0,
         failure,
         recovery: run.recovery,

@@ -164,7 +164,6 @@ pub fn serve_json(report: &ReplayReport, threads: usize, batch: usize) -> Json {
                 ("events_per_sec".into(), Json::Num(report.events_per_sec())),
                 ("stale_answers".into(), Json::uint(s.stale_answers)),
                 ("deadline_overruns".into(), Json::uint(s.deadline_overruns)),
-                ("flush_retries".into(), Json::uint(s.flush_retries)),
                 ("checkpoints".into(), Json::uint(report.checkpoints)),
                 ("recovery".into(), recovery),
                 (
@@ -185,9 +184,6 @@ pub fn serve_json(report: &ReplayReport, threads: usize, batch: usize) -> Json {
                             "worker_share".into(),
                             Json::Num((report.pool.worker_share() * 1e4).round() / 1e4),
                         ),
-                        ("deaths".into(), Json::uint(report.pool.deaths)),
-                        ("restarts".into(), Json::uint(report.pool.restarts)),
-                        ("retries".into(), Json::uint(report.pool.retries)),
                     ]),
                 ),
             ]),
@@ -255,10 +251,10 @@ pub fn serve_summary(report: &ReplayReport, threads: usize, batch: usize) -> Str
             report.checkpoints
         ));
     }
-    if s.stale_answers > 0 || s.deadline_overruns > 0 || s.flush_retries > 0 {
+    if s.stale_answers > 0 || s.deadline_overruns > 0 {
         out.push_str(&format!(
-            "\n  degradation: {} deadline overruns, {} stale answers, {} flush retries",
-            s.deadline_overruns, s.stale_answers, s.flush_retries
+            "\n  degradation: {} deadline overruns, {} stale answers",
+            s.deadline_overruns, s.stale_answers
         ));
     }
     if let Some(f) = &report.failure {

@@ -1,16 +1,17 @@
 //! The resident kernel, differentially: across random traces on both
-//! algebras — nodes joining, restart-on-removal, a scripted-clock
-//! deadline run and injected sweep panics — after every event the server's
+//! algebras — nodes joining, restart-on-removal and a scripted-clock
+//! deadline run — after every event the server's
 //! one stepper must hold the adjacency's dependants, and while idle its
 //! rows must be the table and the table a from-scratch solve; a stale
 //! answer must come from the pre-batch table.
 
 use super::tests::hop_rebuild;
 use super::*;
+use crate::chaos::{FaultKind, FaultPlan};
 use crate::engine::ScenarioAlgebra;
 use crate::spec::{ChangeSpec, TopologySpec, WeightRule};
 use dbf_algebra::prelude::*;
-use dbf_matrix::{AdjacencyMatrix, FaultKind, FaultPlan, WorkerPool};
+use dbf_matrix::AdjacencyMatrix;
 use dbf_telemetry::NoopSink;
 use dbf_topology::Topology;
 use std::sync::Arc;
@@ -60,9 +61,6 @@ enum Setting {
     /// A 5 ms deadline on a scripted clock, and flushes 0, 2, 5, 9 and
     /// 14 delayed 50 ms: each of those overruns and serves stale.
     Deadline,
-    /// Sweeps on a one-worker pool of their own, four of whose epochs
-    /// panic (each retried by `kernel_retry`).
-    FailingSweeps,
 }
 
 fn configure<A, F>(server: RouteServer<A, F>, setting: Setting) -> RouteServer<A, F>
@@ -81,17 +79,6 @@ where
                 .with_deadline(DeadlineCfg::Millis(5))
                 .with_faults(Some(Arc::new(plan)))
                 .with_clock(Arc::new(ScriptedClock::new(Duration::from_micros(10))))
-        }
-        Setting::FailingSweeps => {
-            let pool = PoolHandle::Owned(Arc::new(WorkerPool::new(1)));
-            let mut plan = FaultPlan::new(6);
-            for epoch in [3, 20, 45, 90] {
-                plan.push(FaultKind::FailEpoch, epoch);
-            }
-            pool.get().arm_faults(Arc::new(plan));
-            server
-                .with_pool(pool)
-                .with_clock(Arc::new(ScriptedClock::new(Duration::ZERO)))
         }
     }
 }
@@ -154,10 +141,4 @@ fn a_deadline_run_answers_stale_from_the_pre_batch_table() {
         assert!(s.deadline_overruns >= 1, "{s:?}");
     }
     assert!(stats.iter().any(|s| s.stale_answers > 0));
-}
-
-#[test]
-fn a_panicking_sweep_is_retried_and_the_kernel_stays_resident() {
-    let stats = check_both_algebras(Setting::FailingSweeps);
-    assert!(stats.iter().all(|s| s.flush_retries >= 1), "{stats:?}");
 }

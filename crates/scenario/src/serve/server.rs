@@ -19,16 +19,17 @@
 use super::clock::{Clock, SystemClock};
 use super::trace::{admit, check_node_count, parse_event_line, ServeEvent};
 use super::types::{
-    BoundRule, DeadlineCfg, PoolHandle, ServeAnswer, ServeProblem, ServeStats, WeightOverrides,
+    BoundRule, DeadlineCfg, ServeAnswer, ServeProblem, ServeStats, WeightOverrides,
 };
+use crate::chaos::{FaultKind, FaultPlan};
 use crate::checkpoint::{PersistRoute, Snapshot};
 use crate::engine::{state_digest, ScenarioAlgebra};
 use crate::fields::Keys;
 use crate::report::Digest;
 use crate::spec::{ChangeSpec, SpecError};
 use dbf_matrix::{
-    dirty_rows_after_change, iteration_budget, sigma_row_into_changed, AdjacencyMatrix, FaultKind,
-    FaultPlan, FixedPoint, PoolStats, Pooled, RoutingState, Start,
+    dirty_rows_after_change, iteration_budget, sigma_row_into_changed, AdjacencyMatrix, FixedPoint,
+    Pooled, RoutingState, Start,
 };
 use dbf_telemetry::TelemetrySink;
 use dbf_topology::Topology;
@@ -51,6 +52,10 @@ struct Flush {
     stale_served: u64,
     /// The clock's reading when the flush began.
     started: Duration,
+    /// Why the flush cannot finish, once its kernel or its budget failed.
+    /// A σ round is a pure function of its inputs, so a failed flush is not
+    /// stepped again: every later call reports this problem.
+    failed: Option<ServeProblem>,
 }
 
 /// A long-lived incremental route server over one algebra.
@@ -85,7 +90,6 @@ where
     /// per-event bounds check never rescans it).
     pending_adds: usize,
     stats: ServeStats,
-    pool: PoolHandle,
     deadline: DeadlineCfg,
     bound: BoundRule,
     faults: Option<Arc<FaultPlan>>,
@@ -137,7 +141,6 @@ where
             pending: Vec::new(),
             pending_adds: 0,
             stats: ServeStats::default(),
-            pool: PoolHandle::Shared,
             deadline: DeadlineCfg::Off,
             bound: BoundRule::None,
             faults: None,
@@ -168,18 +171,9 @@ where
     pub fn initial_converge(&mut self, tel: &mut dyn TelemetrySink) -> Result<(), SpecError> {
         let n = self.adj.node_count();
         self.kernel.reseed(Start::Dirty(&vec![true; n]));
-        let converged = kernel_retry(
-            &self.pool,
-            &self.alg,
-            &self.adj,
-            &mut self.kernel,
-            iteration_budget(n, None),
-            self.threads,
-            &mut self.stats.flush_retries,
-            &*self.clock,
-            tel,
-        )
-        .map_err(SpecError::from)?;
+        let converged = self
+            .run_kernel(iteration_budget(n, None), tel)
+            .map_err(SpecError::from)?;
         if !converged {
             return Err(SpecError::new(
                 "initial convergence exhausted its iteration budget",
@@ -219,12 +213,6 @@ where
         self
     }
 
-    /// Run σ sweeps on this pool instead of the shared one (builder).
-    pub fn with_pool(mut self, pool: PoolHandle) -> Self {
-        self.pool = pool;
-        self
-    }
-
     /// Consult this fault plan's serve-side hooks (flush delays)
     /// (builder).
     pub fn with_faults(mut self, faults: Option<Arc<FaultPlan>>) -> Self {
@@ -247,11 +235,6 @@ where
     /// Lifetime counters.
     pub fn stats(&self) -> &ServeStats {
         &self.stats
-    }
-
-    /// Stats of the pool this server runs on.
-    pub fn pool_stats(&self) -> PoolStats {
-        self.pool.get().stats()
     }
 
     /// Is a reconvergence still in flight — one that overran its deadline
@@ -313,6 +296,8 @@ where
     ) -> Result<ServeAnswer, ServeProblem> {
         let t0 = self.clock.now();
         match self.parked.take() {
+            // Stepping a failed flush would fail again: answer stale.
+            Some(work) if work.failed.is_some() => self.parked = Some(work),
             Some(work) => self.drive(work, Some(1), tel)?,
             None => self.flush(tel)?,
         }
@@ -413,6 +398,7 @@ where
             batch_len: batch.len() as u64,
             stale_served: 0,
             started: t0,
+            failed: None,
         };
         self.drive(work, None, tel)
     }
@@ -422,8 +408,9 @@ where
     /// overruns its deadline and is parked; a parked one (`Some(k)`)
     /// advances at most `k` rounds and is parked again unless it
     /// converged.  A flush that fails (its kernel, or its budget) is parked
-    /// too: the table stays the last converged one, and the next call
-    /// resumes the work where it stopped.
+    /// with its problem: the table stays the last converged one, queries
+    /// answer stale from it, and every later call reports the same problem
+    /// without stepping again.
     ///
     /// With a deadline in force the stepper advances one round per call
     /// so the overrun check lands between rounds; the stepper is resumable
@@ -431,10 +418,14 @@ where
     /// so deterministic counters are unaffected by the chunk size.
     fn drive(
         &mut self,
-        work: Flush,
+        mut work: Flush,
         parked: Option<usize>,
         tel: &mut dyn TelemetrySink,
     ) -> Result<(), ServeProblem> {
+        if let Some(problem) = work.failed.clone() {
+            self.parked = Some(work);
+            return Err(problem);
+        }
         let deadline = match parked {
             None => self.deadline_duration(),
             Some(_) => None,
@@ -442,17 +433,7 @@ where
         let chunk = parked.unwrap_or(if deadline.is_some() { 1 } else { work.budget });
         loop {
             let until = self.kernel.rounds().saturating_add(chunk).min(work.budget);
-            let converged = kernel_retry(
-                &self.pool,
-                &self.alg,
-                &self.adj,
-                &mut self.kernel,
-                until,
-                self.threads,
-                &mut self.stats.flush_retries,
-                &*self.clock,
-                tel,
-            );
+            let converged = self.run_kernel(until, tel);
             let rounds = self.kernel.rounds() as u64;
             let problem = match converged {
                 Ok(true) => {
@@ -469,6 +450,7 @@ where
                 Err(problem) => Some(problem),
             };
             if let Some(problem) = problem {
+                work.failed = Some(problem.clone());
                 self.parked = Some(work);
                 return Err(problem);
             }
@@ -546,6 +528,24 @@ where
         self.flush(tel)
     }
 
+    /// Step the resident kernel until it converges or has run `until`
+    /// rounds in total; whether it converged.  A round whose sweep panics
+    /// (an algebra whose `extend` panics) is caught and becomes a `kernel`
+    /// problem; the stepper commits nothing before a round's sweep has
+    /// returned, so it stays where the last good round left it.
+    fn run_kernel(
+        &mut self,
+        until: usize,
+        tel: &mut dyn TelemetrySink,
+    ) -> Result<bool, ServeProblem> {
+        let exec = Pooled::shared(self.threads);
+        let (alg, adj, kernel) = (&self.alg, &self.adj, &mut self.kernel);
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            kernel.run(alg, adj, until, &exec, tel)
+        }))
+        .map_err(|payload| ServeProblem::kernel(&*payload))
+    }
+
     /// The effective deadline for the next flush, if any.
     fn deadline_duration(&self) -> Option<Duration> {
         match self.deadline {
@@ -610,60 +610,6 @@ where
         );
         assert!(cold.converged);
         assert!(cold.state == self.state, "the table is not σ's fixed point");
-    }
-}
-
-/// Run the σ kernel up to `until` rounds in total, with supervision and
-/// bounded-backoff retry: a panicking sweep (poisoned pool, injected
-/// fault) is caught — the stepper commits nothing before a round's sweep
-/// has returned, so it is exactly where the last good round left it — the
-/// pool's dead workers are replaced, and the run is resumed up to 3 times
-/// with 1/2/4ms backoff before surfacing a structured `kernel` problem.
-/// Returns whether the fixed point was reached.
-#[allow(clippy::too_many_arguments)]
-fn kernel_retry<A>(
-    pool: &PoolHandle,
-    alg: &A,
-    adj: &AdjacencyMatrix<A>,
-    kernel: &mut FixedPoint<A>,
-    until: usize,
-    threads: usize,
-    retries: &mut u64,
-    clock: &dyn Clock,
-    tel: &mut dyn TelemetrySink,
-) -> Result<bool, ServeProblem>
-where
-    A: ScenarioAlgebra,
-{
-    let mut attempt = 0u32;
-    loop {
-        let p = pool.get();
-        p.supervise();
-        let exec = Pooled { pool: p, threads };
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            kernel.run(alg, adj, until, &exec, tel)
-        }));
-        match result {
-            Ok(converged) => return Ok(converged),
-            Err(payload) => {
-                p.supervise();
-                p.note_retry();
-                attempt += 1;
-                *retries += 1;
-                if attempt >= 3 {
-                    let msg = payload
-                        .downcast_ref::<&str>()
-                        .map(|s| s.to_string())
-                        .or_else(|| payload.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "σ sweep panicked".to_string());
-                    return Err(ServeProblem {
-                        kind: "kernel",
-                        message: format!("σ kernel failed after {attempt} attempts: {msg}"),
-                    });
-                }
-                clock.sleep(Duration::from_millis(1u64 << (attempt - 1)));
-            }
-        }
     }
 }
 
@@ -889,7 +835,6 @@ mod tests {
             threads,
             batch_max,
             removal_restart,
-            pool,
             deadline,
             bound,
             faults,
@@ -897,12 +842,8 @@ mod tests {
             ema_us_per_round,
             clock,
         } = server;
-        let pool = match pool {
-            PoolHandle::Shared => None,
-            PoolHandle::Owned(p) => Some(Arc::as_ptr(p)),
-        };
         (
-            (*threads, *batch_max, *removal_restart, pool),
+            (*threads, *batch_max, *removal_restart),
             (*deadline, *bound, faults.as_ref().map(Arc::as_ptr)),
             (parked.is_none(), *ema_us_per_round),
             Arc::as_ptr(clock).cast::<()>(),
@@ -917,7 +858,7 @@ mod tests {
         impl Fn(&Topology<()>, &WeightOverrides) -> AdjacencyMatrix<BoundedHopCount>,
     > {
         let shape = crate::run::build_shape(&crate::spec::TopologySpec::Ring { n: 12 }).unwrap();
-        let plan = FaultPlan::new(3).with(dbf_matrix::FaultKind::DelayFlush { millis: 50 }, 0);
+        let plan = FaultPlan::new(3).with(FaultKind::DelayFlush { millis: 50 }, 0);
         let mut server = RouteServer::raw(BoundedHopCount::new(24), shape, hop_rebuild(), 1, 64)
             .with_deadline(DeadlineCfg::Millis(5))
             .with_faults(Some(Arc::new(plan)))
@@ -963,7 +904,6 @@ mod tests {
         let answers = Digest::default();
         let snap = donor.snapshot(3, "hopcount 16", &answers);
 
-        let pool = PoolHandle::Owned(Arc::new(dbf_matrix::WorkerPool::new(1)));
         let faults = Some(Arc::new(FaultPlan::new(1)));
         let clock: Arc<dyn Clock> = Arc::new(ScriptedClock::new(Duration::ZERO));
         let fresh = RouteServer::raw(alg, shape, hop_rebuild(), 3, 5);
@@ -972,7 +912,6 @@ mod tests {
             s.restart_on_removal(true)
                 .with_bound(BoundRule::Hopcount { limit: 16 })
                 .with_deadline(DeadlineCfg::Millis(7))
-                .with_pool(pool.clone())
                 .with_faults(faults.clone())
                 .with_clock(clock.clone())
         };

@@ -1,11 +1,12 @@
 use super::trace::{parse_event_line, TRACE_HEADER, TRACE_HEADER_V2};
 use super::*;
+use crate::chaos::{FaultKind, FaultPlan};
 use crate::checkpoint::CheckpointStore;
 use crate::report::Digest;
 use crate::run::build_shape;
 use crate::spec::{ChangeSpec, TopologySpec, WeightRule};
 use dbf_algebra::prelude::*;
-use dbf_matrix::{AdjacencyMatrix, FaultKind, FaultPlan};
+use dbf_matrix::AdjacencyMatrix;
 use dbf_telemetry::NoopSink;
 use dbf_topology::Topology;
 use std::sync::Arc;
@@ -593,7 +594,6 @@ fn serve_json_separates_deterministic_and_timing_sections() {
         "events_per_sec",
         "stale_answers",
         "deadline_overruns",
-        "flush_retries",
         "checkpoints",
         "recovery",
         "convergence_us",
@@ -666,72 +666,76 @@ fn on_a_scripted_clock_a_deadline_run_is_a_pure_function_of_its_inputs() {
     assert_eq!(without_pool_block(&run(4)), json, "threads 1 vs 4");
 }
 
-/// A ring-12 hop-count server on its own two-thread pool and a scripted
-/// clock that only `sleep` advances, converged, with `plan` armed.
-#[allow(clippy::type_complexity)]
-fn faulted_server(
-    plan: FaultPlan,
-) -> (
-    RouteServer<
-        BoundedHopCount,
-        impl Fn(&Topology<()>, &WeightOverrides) -> AdjacencyMatrix<BoundedHopCount>,
-    >,
-    Arc<ScriptedClock>,
-) {
-    let pool = PoolHandle::Owned(Arc::new(dbf_matrix::WorkerPool::new(1)));
-    let clock = Arc::new(ScriptedClock::new(Duration::ZERO));
-    let shape = build_shape(&TopologySpec::Ring { n: 12 }).unwrap();
-    let mut server = RouteServer::raw(BoundedHopCount::new(24), shape, hop_rebuild(), 2, 64)
-        .with_pool(pool.clone())
-        .with_clock(clock.clone());
-    server.initial_converge(&mut NoopSink).expect("converges");
-    pool.get().arm_faults(Arc::new(plan));
-    (server, clock)
+/// Hop count, except that `extend` panics across an edge of weight
+/// [`Fragile::BROKEN`]: a round that fails the same way however often it
+/// is stepped, as every σ round whose algebra panics does.
+#[derive(Clone, Copy, Debug)]
+struct Fragile(BoundedHopCount);
+
+impl Fragile {
+    const BROKEN: u64 = 13;
+}
+
+impl RoutingAlgebra for Fragile {
+    type Route = NatInf;
+    type Edge = u64;
+
+    fn choice(&self, a: &NatInf, b: &NatInf) -> NatInf {
+        self.0.choice(a, b)
+    }
+
+    fn extend(&self, f: &u64, r: &NatInf) -> NatInf {
+        assert!(*f != Self::BROKEN, "extend across the broken edge");
+        self.0.extend(f, r)
+    }
+
+    fn trivial(&self) -> NatInf {
+        self.0.trivial()
+    }
+
+    fn invalid(&self) -> NatInf {
+        self.0.invalid()
+    }
 }
 
 #[test]
-fn a_failed_epoch_is_retried_after_a_backoff_on_the_clock() {
-    let (mut server, clock) = faulted_server(FaultPlan::new(1).with(FaultKind::FailEpoch, 0));
-    let (mut reference, _) = faulted_server(FaultPlan::new(1));
-    for s in [&mut server, &mut reference] {
-        s.push_change(ChangeSpec::FailLink { a: 0, b: 1 }, &mut NoopSink)
-            .unwrap();
-        s.flush(&mut NoopSink).expect("the second attempt succeeds");
+fn a_panicking_round_fails_its_flush_at_once_and_parks_it() {
+    for threads in [1, 2] {
+        // Only `sleep` moves this clock: a backoff would show.
+        let clock = Arc::new(ScriptedClock::new(Duration::ZERO));
+        let shape = build_shape(&TopologySpec::Ring { n: 12 }).unwrap();
+        let rebuild = |s: &Topology<()>, w: &WeightOverrides| {
+            AdjacencyMatrix::from_topology(
+                &s.with_weights(|i, j| w.get(&(i, j)).copied().unwrap_or(1)),
+            )
+        };
+        let alg = Fragile(BoundedHopCount::new(24));
+        let mut server =
+            RouteServer::raw(alg, shape, rebuild, threads, 64).with_clock(clock.clone());
+        server.initial_converge(&mut NoopSink).expect("converges");
+        let before = server.digest();
+        let table: Vec<String> = (0..12)
+            .map(|to| server.query(0, to, &mut NoopSink).unwrap().text)
+            .collect();
+        let broken = ChangeSpec::SetWeight {
+            from: 3,
+            to: 4,
+            weight: Fragile::BROKEN,
+        };
+        server.push_change(broken, &mut NoopSink).unwrap();
+        let problem = server.flush(&mut NoopSink).expect_err("the round panics");
+        assert_eq!(problem.kind, "kernel", "threads {threads}");
+        assert!(problem.message.contains("broken edge"), "{problem}");
+        assert_eq!(clock.now(), Duration::ZERO, "no backoff, no second attempt");
+        assert!(server.is_degraded());
+        for (to, text) in table.iter().enumerate() {
+            let answer = server.query(0, to, &mut NoopSink).expect("answered");
+            assert!(answer.stale, "0 → {to}");
+            assert_eq!(&answer.text, text, "the pre-batch table answers");
+        }
+        assert_eq!(server.digest(), before);
+        assert_eq!(server.finish(&mut NoopSink), Err(problem));
     }
-    assert_eq!(server.stats().flush_retries, 1);
-    assert_eq!(server.pool_stats().retries, 1, "the pool hears of it");
-    assert_eq!(clock.now(), Duration::from_millis(1), "one 1 ms backoff");
-    // The failed sweep committed nothing: same table, same accounting.
-    assert_eq!(server.digest(), reference.digest());
-    assert_eq!(server.stats().rounds, reference.stats().rounds);
-    assert_eq!(
-        server.stats().row_recomputations,
-        reference.stats().row_recomputations
-    );
-}
-
-#[test]
-fn a_persistently_failing_kernel_gives_up_with_a_structured_problem() {
-    // Enough faults that every epoch of the flush fails, bands and all.
-    let mut plan = FaultPlan::new(2);
-    for _ in 0..12 {
-        plan.push(FaultKind::FailEpoch, 0);
-    }
-    let (mut server, clock) = faulted_server(plan);
-    let before = server.digest();
-    server
-        .push_change(ChangeSpec::FailLink { a: 0, b: 1 }, &mut NoopSink)
-        .unwrap();
-    let problem = server.flush(&mut NoopSink).expect_err("three attempts");
-    assert_eq!(problem.kind, "kernel");
-    assert!(problem.message.contains("after 3 attempts"), "{problem}");
-    assert_eq!(server.stats().flush_retries, 3);
-    assert_eq!(clock.now(), Duration::from_millis(3), "1 ms + 2 ms backoff");
-    assert_eq!(
-        server.digest(),
-        before,
-        "no half-converged table is adopted"
-    );
 }
 
 /// Ring 4 minus the links {0,1} and {3,0} leaves node 0 unreachable; with

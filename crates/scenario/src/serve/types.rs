@@ -2,10 +2,8 @@
 //! the outcomes it hands back.
 
 use crate::spec::SpecError;
-use dbf_matrix::WorkerPool;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
 
 /// A structured, classified failure from a [`RouteServer`](super::RouteServer)
 /// operation.
@@ -26,6 +24,19 @@ impl ServeProblem {
         ServeProblem {
             kind: "out_of_range",
             message,
+        }
+    }
+
+    /// A σ round panicked: the panic's own message, when it has one.
+    pub(super) fn kernel(payload: &(dyn std::any::Any + Send)) -> ServeProblem {
+        let msg = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "σ sweep panicked".to_string());
+        ServeProblem {
+            kind: "kernel",
+            message: format!("σ kernel failed: {msg}"),
         }
     }
 
@@ -114,31 +125,6 @@ impl BoundRule {
     }
 }
 
-/// Which worker pool a server runs its σ sweeps on.
-///
-/// The process-wide shared pool is right for ordinary serving; chaos
-/// runs use a dedicated pool so that injected fault epochs (which are
-/// counted relative to pool arm time) are deterministic and cannot leak
-/// into unrelated work.
-#[derive(Clone, Default)]
-pub enum PoolHandle {
-    /// The lazily-created process-wide pool.
-    #[default]
-    Shared,
-    /// A pool owned by this server/replay.
-    Owned(Arc<WorkerPool>),
-}
-
-impl PoolHandle {
-    /// The pool to run on.
-    pub fn get(&self) -> &WorkerPool {
-        match self {
-            PoolHandle::Shared => WorkerPool::shared(),
-            PoolHandle::Owned(p) => p,
-        }
-    }
-}
-
 /// Per-edge weight overrides installed by `set_weight` events, keyed by
 /// directed edge.  Threaded into the rebuild closure so weight policy
 /// survives arbitrary topology churn and checkpoint/restore.
@@ -149,8 +135,8 @@ pub type WeightOverrides = BTreeMap<(usize, usize), u64>;
 /// Everything up to `bound_ok` is deterministic (identical across thread
 /// counts and crash/recover splits) and lands in the deterministic
 /// section of `BENCH_serve.json`; the wall-clock-dependent counters
-/// (`stale_answers`, `deadline_overruns`, `flush_retries`) and the
-/// latency samples land in its `timing` section.
+/// (`stale_answers`, `deadline_overruns`) and the latency samples land in
+/// its `timing` section.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServeStats {
     /// Change events ingested.
@@ -180,8 +166,8 @@ pub struct ServeStats {
     /// Flushes that overran their deadline and went degraded
     /// (wall-clock dependent).
     pub deadline_overruns: u64,
-    /// Transient σ-kernel failures absorbed by retry (wall-clock
-    /// dependent).
+    /// Always 0: a failed σ round is not retried (it would fail again).
+    /// Kept only while the repo benchmark still reads it.
     pub flush_retries: u64,
     /// Per-flush convergence latency samples, microseconds
     /// (non-deterministic; excluded from replay digests).

@@ -1,9 +1,9 @@
 //! CLI-level chaos tests: `scenarios chaos` runs every built-in fault
-//! plan (worker kill, band stall, epoch failure, process crash, WAL
-//! truncation, WAL corruption, flush delay) against one trace and
-//! verifies each ends in a verified recovery — digest-identical to the
-//! unfaulted run, `measured <= bound` — or, for the corruption plan, the
-//! clean structured failure it is *required* to produce.
+//! plan (process crash, WAL truncation, WAL corruption, flush delay)
+//! against one trace and verifies each ends in a verified recovery —
+//! digest-identical to the unfaulted run, `measured <= bound` — or, for
+//! the corruption plan, the clean structured failure it is *required* to
+//! produce.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -75,17 +75,17 @@ fn every_builtin_plan_ends_verified() {
     assert!(json.contains("\"suite\": \"dbf-chaos\""));
     assert!(json.contains("\"ok\": true"));
     assert!(!json.contains("\"ok\": false"));
-    for plan in [
-        "worker-kill",
-        "band-stall",
-        "fail-epoch",
-        "process-crash",
-        "wal-truncate",
-        "wal-corrupt",
-        "flush-delay",
+    // A tamper that was applied fired, beside the crash it follows.
+    for (plan, fired) in [
+        ("process-crash", 1),
+        ("wal-truncate", 2),
+        ("wal-corrupt", 2),
+        ("flush-delay", 1),
     ] {
-        assert!(json.contains(plan), "plan {plan} missing from the report");
+        let entry = format!("\"plan\": \"{plan}\",\n      \"faults_fired\": {fired},");
+        assert!(json.contains(&entry), "{plan} should fire {fired}:\n{json}");
     }
+    assert_eq!(json.matches("\"plan\": ").count(), 4, "{json}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -176,5 +176,40 @@ fn a_malformed_plan_file_is_rejected() {
         .expect("run chaos");
     assert!(!run.status.success());
     assert!(String::from_utf8_lossy(&run.stderr).contains("meteor-strike"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_wal_tamper_without_a_crash_is_refused_naming_it() {
+    // The harness tampers with the WAL a crash leaves behind: with no
+    // crash in the plan there is none, so nothing would be checked.
+    let dir = temp_dir("lone-tamper");
+    let trace = gen_trace(&dir, "0");
+    for (kind, key) in [("truncate_wal", "bytes = 7"), ("corrupt_wal", "byte = 5")] {
+        let plan = dir.join(format!("{kind}.toml"));
+        std::fs::write(
+            &plan,
+            format!("seed = 1\n\n[[fault]]\nkind = \"{kind}\"\n{key}\n"),
+        )
+        .unwrap();
+        let run = scenarios_bin()
+            .args([
+                "chaos",
+                "--replay",
+                trace.to_str().unwrap(),
+                "--faults",
+                plan.to_str().unwrap(),
+                "--threads",
+                "2",
+            ])
+            .output()
+            .expect("run chaos");
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(run.status.code(), Some(2), "{kind}: {stderr}");
+        assert!(
+            stderr.contains(kind) && stderr.contains("crash") && !stderr.contains("FAILED"),
+            "{kind} must be refused before it runs, naming the fault: {stderr}"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -7,9 +7,9 @@
 //! by older builds must keep recovering, so today's encoder has to write
 //! these bytes and today's decoder has to read them.
 
-use dbf_matrix::{FaultKind, FaultPlan};
 use dbf_scenario::prelude::*;
 use dbf_scenario::telemetry::NoopSink;
+use dbf_scenario::{FaultKind, FaultPlan};
 use std::sync::Arc;
 
 const TRACE: &str = include_str!("fixtures/checkpoint-v1/churn.trace");

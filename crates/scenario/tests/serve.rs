@@ -6,9 +6,9 @@
 //! algebra is unique, so how the event stream is partitioned into
 //! reconvergences cannot change where it lands).
 
-use dbf_matrix::{FaultKind, FaultPlan};
 use dbf_scenario::prelude::*;
 use dbf_scenario::telemetry::NoopSink;
+use dbf_scenario::{FaultKind, FaultPlan};
 use std::process::Command;
 use std::sync::Arc;
 

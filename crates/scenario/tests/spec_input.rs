@@ -59,11 +59,11 @@ fn a_misspelled_key_is_an_error_naming_it() {
 #[test]
 fn fault_plan_values_are_checked_like_spec_values() {
     let plan = |fault: &str| load_plan(&format!("seed = 1\n\n[[fault]]\n{fault}\n"));
-    assert!(plan("kind = \"kill_worker\"\nat = 2\nworker = 1").is_ok());
+    assert!(plan("kind = \"delay_flush\"\nat = 2\nmillis = 1").is_ok());
     assert_names(plan("kind = \"crash\"\nat = -1"), "fault[0].at");
     assert_names(
-        plan("kind = \"kill_worker\"\nworker = -1"),
-        "fault[0].worker",
+        plan("kind = \"delay_flush\"\nmillis = -1"),
+        "fault[0].millis",
     );
 }
 
@@ -243,14 +243,11 @@ fn mutated_specs_sweeps_and_fault_plans_never_panic() {
     assert!((100..1900).contains(&accepted), "sweep: {accepted}");
 
     let plan = "seed = 7\n\n\
-        [[fault]]\nkind = \"kill_worker\"\nat = 2\nworker = 1\n\n\
-        [[fault]]\nkind = \"stall_band\"\nat = 1\nmillis = 20\n\n\
-        [[fault]]\nkind = \"fail_epoch\"\nat = 3\n\n\
         [[fault]]\nkind = \"crash\"\nat = 40\n\n\
         [[fault]]\nkind = \"truncate_wal\"\nbytes = 7\n\n\
         [[fault]]\nkind = \"corrupt_wal\"\nbyte = 5\n\n\
-        [[fault]]\nkind = \"delay_flush\"\nmillis = 50\n";
-    assert_eq!(load_plan(plan).expect("valid").faults().len(), 7);
+        [[fault]]\nkind = \"delay_flush\"\nat = 1\nmillis = 50\n";
+    assert_eq!(load_plan(plan).expect("valid").faults().len(), 4);
     let accepted = mutants(plan, 100, 2000, load_plan, drop);
     assert!((100..1900).contains(&accepted), "plan: {accepted}");
 }

@@ -12,7 +12,6 @@
 use dbf_algebra::algebra::SplitMix64;
 use dbf_algebra::prelude::{BoundedHopCount, NatInf, ShortestPaths};
 use dbf_matrix::{iterate_to_fixed_point, iteration_budget, AdjacencyMatrix, RoutingState};
-use dbf_matrix::{FaultKind, FaultPlan};
 use dbf_scenario::engine::{state_digest, ScenarioAlgebra};
 use dbf_scenario::report::Digest;
 use dbf_scenario::telemetry::NoopSink;
@@ -20,6 +19,7 @@ use dbf_scenario::{
     generate_trace, replay_trace_opts, ChurnTrace, PersistRoute, RouteServer, ServeAlgebra,
     ServeOptions, Snapshot, TopologySpec, TraceSpec, WeightOverrides,
 };
+use dbf_scenario::{FaultKind, FaultPlan};
 use dbf_topology::Topology;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};

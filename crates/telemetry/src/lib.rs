@@ -31,10 +31,8 @@
 //! lifecycle: `serve_batch` (one coalesced reconvergence), `serve_degraded`
 //! / `serve_restored` (a flush overran its bound-derived deadline and
 //! queries were answered stale until it completed), `serve_recovery`
-//! (snapshot offset and WAL events replayed after a crash),
-//! `fault_injected` (the deterministic fault plane firing), and
-//! `pool_health` (worker deaths, restarts and retries absorbed by the
-//! supervised pool).
+//! (snapshot offset and WAL events replayed after a crash), and
+//! `fault_injected` (the deterministic fault plane firing).
 //!
 //! The determinism contract is the load-bearing design point: events that
 //! feed the `metrics` side of a report carry only quantities that are pure

@@ -51,8 +51,8 @@ pub enum EventClass {
     Bands,
     /// Fault-plane injections: `fault_injected`.
     Faults,
-    /// Robustness health events: `pool_health`, `serve_degraded`,
-    /// `serve_restored`, `serve_recovery`.
+    /// Robustness health events: `serve_degraded`, `serve_restored`,
+    /// `serve_recovery`.
     Health,
 }
 
@@ -152,13 +152,9 @@ pub trait TelemetrySink {
     fn pool_utilization(&mut self, _workers: u64, _epochs: u64, _jobs: u64, _worker_share: f64) {}
 
     /// A scheduled fault fired: `kind` is the stable fault name (e.g.
-    /// `kill_worker`, `crash`), `at` its trigger site.  Only emitted by
+    /// `crash`, `delay_flush`), `at` its trigger site.  Only emitted by
     /// chaos/fault-injected runs.
     fn fault_injected(&mut self, _kind: &str, _at: u64) {}
-
-    /// Worker-pool health counters after a serve flush or chaos phase:
-    /// worker `deaths`, supervisor `restarts`, and epoch `retries`.
-    fn pool_health(&mut self, _workers: u64, _deaths: u64, _restarts: u64, _retries: u64) {}
 
     /// A flush overran its reconvergence deadline: the server enters
     /// degraded mode and answers queries from the last stable table
@@ -253,10 +249,6 @@ impl TelemetrySink for Tee<'_> {
     fn fault_injected(&mut self, kind: &str, at: u64) {
         self.a.fault_injected(kind, at);
         self.b.fault_injected(kind, at);
-    }
-    fn pool_health(&mut self, workers: u64, deaths: u64, restarts: u64, retries: u64) {
-        self.a.pool_health(workers, deaths, restarts, retries);
-        self.b.pool_health(workers, deaths, restarts, retries);
     }
     fn serve_degraded(&mut self, flush: u64, rounds_done: u64) {
         self.a.serve_degraded(flush, rounds_done);

@@ -196,17 +196,6 @@ impl<W: Write> TelemetrySink for TraceSink<W> {
             &[("kind", Field::Str(kind)), ("at", Field::U64(at))],
         );
     }
-    fn pool_health(&mut self, workers: u64, deaths: u64, restarts: u64, retries: u64) {
-        self.line(
-            "pool_health",
-            &[
-                ("workers", Field::U64(workers)),
-                ("deaths", Field::U64(deaths)),
-                ("restarts", Field::U64(restarts)),
-                ("retries", Field::U64(retries)),
-            ],
-        );
-    }
     fn serve_degraded(&mut self, flush: u64, rounds_done: u64) {
         self.line(
             "serve_degraded",
