@@ -110,8 +110,8 @@ impl fmt::Debug for NatInf {
     #[allow(clippy::missing_inline_in_public_items)]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self.as_fin() {
-            Some(v) => write!(f, "{v}"),
-            None => write!(f, "∞"),
+            Some(v) => fmt::Display::fmt(&v, f),
+            None => f.write_str("∞"),
         }
     }
 }

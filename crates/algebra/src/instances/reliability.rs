@@ -26,14 +26,16 @@ impl Reliability {
     /// The unit probability (the trivial route).
     pub const ONE: Reliability = Reliability(1.0);
 
-    /// Construct a reliability, clamping into `[0, 1]`.
+    /// Construct a reliability, clamping into `[0, 1]`.  A negative zero
+    /// becomes `0.0`: the two are `==` but print differently, and equal
+    /// routes must print the same text (the table digests rely on it).
     ///
     /// # Panics
     ///
     /// Panics if `p` is NaN.
     pub fn new(p: f64) -> Self {
         assert!(!p.is_nan(), "reliability must not be NaN");
-        Reliability(p.clamp(0.0, 1.0))
+        Reliability(p.clamp(0.0, 1.0) + 0.0)
     }
 
     /// The inner probability.
@@ -147,6 +149,8 @@ mod tests {
     fn constructor_clamps() {
         assert_eq!(Reliability::new(2.0), Reliability::ONE);
         assert_eq!(Reliability::new(-0.5), Reliability::ZERO);
+        // `==` routes print the same text: no negative zero survives.
+        assert_eq!(format!("{:?}", Reliability::new(-0.0)), "0.000000");
     }
 
     #[test]

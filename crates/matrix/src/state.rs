@@ -91,8 +91,9 @@ impl<A: RoutingAlgebra> RoutingState<A> {
     }
 
     /// The row-major backing storage (`n · n` routes, row `i` at
-    /// `[i·n, (i+1)·n)`), as the windowed row kernel reads it.
-    pub(crate) fn as_slice(&self) -> &[A::Route] {
+    /// `[i·n, (i+1)·n)`), as the windowed row kernel and the digests read
+    /// it.
+    pub fn as_slice(&self) -> &[A::Route] {
         &self.entries
     }
 

@@ -32,6 +32,7 @@
 use crate::report::Digest;
 use crate::spec::finite_weight;
 use dbf_algebra::prelude::NatInf;
+use dbf_matrix::blocked::decimal;
 use std::fmt::Write as _;
 use std::fs;
 use std::io::{self, Seek, Write};
@@ -62,29 +63,13 @@ pub trait PersistRoute: Sized {
     fn decode(s: &str) -> Option<Self>;
 }
 
-/// Append `v` in decimal.  A snapshot is thousands of small numbers (one
-/// per table entry and two per edge); formatting each through `fmt` costs
-/// several times the digits themselves.
-fn push_decimal(out: &mut String, mut v: u64) {
-    let mut buf = [0u8; 20];
-    let mut at = buf.len();
-    loop {
-        at -= 1;
-        buf[at] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
-    }
-    out.push_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits"));
-}
-
 /// Both serve algebras (bounded hop count, shortest paths) route over
-/// `ℕ∞`: finite values are decimal, infinity is `inf`.
+/// `ℕ∞`: finite values are decimal, infinity is `inf`.  A snapshot is
+/// thousands of such numbers, so they skip `core::fmt`.
 impl PersistRoute for NatInf {
     fn encode_into(&self, out: &mut String) {
         match self.as_fin() {
-            Some(v) => push_decimal(out, v),
+            Some(v) => out.push_str(decimal(v, &mut [0; 20])),
             None => out.push_str("inf"),
         }
     }
@@ -151,11 +136,12 @@ impl Snapshot {
         }
         out.push('\n');
         let _ = writeln!(out, "answers {}", self.answers_state);
+        let mut digits = [0; 20];
         for &(a, b) in &self.edges {
             out.push_str("edge ");
-            push_decimal(&mut out, a as u64);
+            out.push_str(decimal(a as u64, &mut digits));
             out.push(' ');
-            push_decimal(&mut out, b as u64);
+            out.push_str(decimal(b as u64, &mut digits));
             out.push('\n');
         }
         for (a, b, w) in &self.overrides {
@@ -305,7 +291,9 @@ pub struct CheckpointStore {
 /// as 8 hex digits.
 fn wal_checksum(offset: u64, line: &str) -> String {
     let mut d = Digest::default();
-    d.update(&format!("{offset} {line}"));
+    d.update(decimal(offset, &mut [0; 20]));
+    d.update(" ");
+    d.update(line);
     format!("{:08x}", d.value() & 0xffff_ffff)
 }
 

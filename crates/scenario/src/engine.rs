@@ -54,6 +54,7 @@ use dbf_async::schedule::{Schedule, ScheduleParams};
 use dbf_async::sim::{EventSim, SimConfig};
 use dbf_async::{run_delta, run_delta_traced};
 use dbf_bgp::algebra::BgpAlgebra;
+use dbf_matrix::blocked::fold_entry_text;
 use dbf_matrix::{
     dirty_rows_after_change, is_stable, AdjacencyMatrix, FixedPoint, Pooled, RoutingState, Start,
 };
@@ -63,7 +64,6 @@ use dbf_protocols::runtime::{run_threaded, ThreadedConfig};
 use dbf_protocols::ProtocolStats;
 use dbf_telemetry::{EventClass, MessageCounters, TelemetrySink};
 use std::any::Any;
-use std::fmt::Write as _;
 use std::time::Instant;
 
 /// The algebra bounds every engine can rely on: the threaded runtime shares
@@ -407,14 +407,14 @@ pub(crate) fn engine_label(kind: EngineKind, seed: u64) -> String {
     }
 }
 
-/// The stable digest of a routing state (FNV-1a over the `Debug` rendering
-/// of every entry) — the currency of the differential checker.
+/// The stable digest of a routing state (FNV-1a over the entry text
+/// `(i,j)=r;` of every entry in row-major order, rendered by
+/// [`fold_entry_text`]) — the currency of the differential checker.
 pub fn state_digest<A: RoutingAlgebra>(state: &RoutingState<A>) -> String {
     let mut d = Digest::default();
-    for (i, j, r) in state.entries() {
-        // (writing into a digest cannot fail)
-        let _ = write!(d, "({i},{j})={r:?};");
-    }
+    fold_entry_text(state.as_slice(), 0, state.node_count(), |_, text| {
+        d.update(text)
+    });
     d.finish()
 }
 

@@ -125,9 +125,7 @@ impl fmt::Display for Json {
 }
 
 /// A stable 64-bit digest builder: [`Fnv1a`] with the report's hex
-/// rendering.  Like the hash it wraps it is a [`fmt::Write`] sink —
-/// `write!` text into it rather than `format!`-ing a `String` to
-/// [`Digest::update`] with.
+/// rendering.
 #[derive(Debug, Clone, Default)]
 pub struct Digest {
     hash: Fnv1a,
@@ -157,13 +155,6 @@ impl Digest {
         Digest {
             hash: Fnv1a::from_state(state),
         }
-    }
-}
-
-impl fmt::Write for Digest {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        self.update(s);
-        Ok(())
     }
 }
 

@@ -36,6 +36,7 @@ use crate::fields::{
 use crate::report::Digest;
 use crate::run::{run_scenario_with, RunConfig};
 use crate::spec::{Scenario, SpecError, TopologySpec};
+use dbf_matrix::blocked::decimal;
 use dbf_matrix::WorkerPool;
 use toml::Value;
 
@@ -261,7 +262,11 @@ impl Sweep {
     /// and execution order by construction.
     pub fn run_seed(&self, point: &GridPoint, replicate: usize) -> u64 {
         let mut d = Digest::default();
-        d.update(&format!("{}|{}|r{replicate}", self.name, point.label()));
+        d.update(&self.name);
+        d.update("|");
+        d.update(&point.label());
+        d.update("|r");
+        d.update(decimal(replicate as u64, &mut [0; 20]));
         // One SplitMix64 finalisation round so nearby labels do not yield
         // nearby seeds.
         let mut z = d.value().wrapping_add(0x9E37_79B9_7F4A_7C15);
