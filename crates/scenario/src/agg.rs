@@ -116,20 +116,14 @@ impl ReplicateMetrics {
         let mut sync_rounds = None;
         let mut tightness: Option<f64> = None;
         for run in &report.runs {
-            for t in run.phases.iter().filter_map(|p| p.tightness()) {
-                tightness = Some(tightness.map_or(t, |acc| acc.max(t)));
-            }
-            let run_work: u64 = run.phases.iter().map(|p| p.work).sum();
-            work += run_work;
-            messages += run
-                .phases
-                .iter()
-                .map(|p| p.messages.unwrap_or(0))
-                .sum::<u64>();
-            rounds += run.phases.iter().map(|p| p.rounds).sum::<u64>();
-            wall_ms += run.phases.iter().map(|p| p.wall_ms).sum::<f64>();
+            let t = run.totals();
+            tightness = tightness.into_iter().chain(t.tightness).reduce(f64::max);
+            work += t.work;
+            messages += t.messages;
+            rounds += t.rounds;
+            wall_ms += t.wall_ms;
             if run.engine == "sync" {
-                sync_rounds = Some(run_work);
+                sync_rounds = Some(t.work);
             }
         }
         Self {

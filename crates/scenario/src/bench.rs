@@ -63,43 +63,24 @@ pub fn bench_json(records: &[BenchRecord], threads: usize) -> Json {
                                     r.runs
                                         .iter()
                                         .map(|run| {
-                                            let rounds: u64 =
-                                                run.phases.iter().map(|p| p.rounds).sum();
-                                            let work: u64 = run.phases.iter().map(|p| p.work).sum();
-                                            let messages: u64 = run
-                                                .phases
-                                                .iter()
-                                                .map(|p| p.messages.unwrap_or(0))
-                                                .sum();
-                                            let bytes: u64 = run
-                                                .phases
-                                                .iter()
-                                                .map(|p| p.bytes.unwrap_or(0))
-                                                .sum();
-                                            let wall_ms: f64 =
-                                                run.phases.iter().map(|p| p.wall_ms).sum();
-                                            let tightness = run
-                                                .phases
-                                                .iter()
-                                                .filter_map(|p| p.tightness())
-                                                .fold(None::<f64>, |acc, t| {
-                                                    Some(acc.map_or(t, |a| a.max(t)))
-                                                });
+                                            let t = run.totals();
                                             Json::Obj(vec![
                                                 ("engine".into(), Json::str(&run.engine)),
-                                                ("rounds".into(), Json::uint(rounds)),
-                                                ("work".into(), Json::uint(work)),
-                                                ("messages".into(), Json::uint(messages)),
-                                                ("bytes".into(), Json::uint(bytes)),
+                                                ("rounds".into(), Json::uint(t.rounds)),
+                                                ("work".into(), Json::uint(t.work)),
+                                                ("messages".into(), Json::uint(t.messages)),
+                                                ("bytes".into(), Json::uint(t.bytes)),
                                                 (
                                                     "tightness".into(),
-                                                    tightness.map_or(Json::Null, |t| {
+                                                    t.tightness.map_or(Json::Null, |t| {
                                                         Json::Num((t * 10_000.0).round() / 10_000.0)
                                                     }),
                                                 ),
                                                 (
                                                     "wall_ms".into(),
-                                                    Json::Num((wall_ms * 1000.0).round() / 1000.0),
+                                                    Json::Num(
+                                                        (t.wall_ms * 1000.0).round() / 1000.0,
+                                                    ),
                                                 ),
                                                 (
                                                     "phases".into(),

@@ -1,37 +1,12 @@
 //! The `scenarios` command-line driver.
 //!
-//! ```text
-//! scenarios list
-//! scenarios show <builtin>
-//! scenarios run <builtin|file.toml> [--engines sync,delta,sim,threaded]
-//!                                   [--seeds 1,2,3] [--json] [--out FILE]
-//!                                   [--trace FILE.jsonl] [--metrics]
-//! scenarios profile <builtin|file.toml> [--engines LIST] [--seeds LIST]
-//!                                       [--threads N]
-//! scenarios run-all [--json] [--out FILE] [--check-bounds]
-//! scenarios bounds <builtin|file.toml> [--json] [--out FILE]
-//! scenarios bench [--out BENCH_scenarios.json]
-//! scenarios list-sweeps
-//! scenarios show-sweep <builtin>
-//! scenarios sweep <builtin|file.toml> [--jobs N] [--json] [--timing]
-//!                                     [--point K] [--replicate R] [--out FILE]
-//! scenarios sweep-bench [--jobs N] [--out BENCH_sweeps.json]
-//! scenarios fuzz [--cases N] [--seed S] [--case K] [--jobs J]
-//!                [--corpus DIR] [--json] [--out FILE]
-//! scenarios replay <dir>
-//! scenarios gen-trace [--out FILE] [--nodes N] [--events N] [--seed S]
-//!                     [--topology ring] [--algebra hopcount] [--queries PERMILLE]
-//!                     [--weights PERMILLE]
-//! scenarios scale-run [--nodes N] [--m M] [--seed S] [--algebra hopcount]
-//!                     [--block W] [--json] [--out FILE]
-//! scenarios serve --replay FILE [--threads N] [--batch N] [--json]
-//!                 [--out BENCH_serve.json] [--trace FILE.jsonl]
-//!                 [--deadline-ms auto|N|0] [--checkpoint DIR]
-//!                 [--checkpoint-every N] [--recover DIR]
-//!                 [--faults PLAN.toml] [--crash-at OFFSET]
-//! scenarios chaos --replay FILE [--faults PLAN.toml] [--threads N]
-//!                 [--batch N] [--checkpoint DIR] [--json] [--out FILE]
-//! ```
+//! Run `scenarios` with no arguments for the synopsis of every command and
+//! the help line of every flag.  Both are rendered from the two tables in
+//! `mod tables`: the flag declarations (name, value kind, help line) and
+//! `COMMANDS` (name, operand, one-line summary, the flags it takes,
+//! handler).  The same tables drive `Args::parse`, the one reader of the
+//! command line: it dispatches, refuses a flag the command does not take,
+//! and names the flag whose value is missing or malformed.
 //!
 //! `run` and `sweep` exit non-zero when the differential verdict does not
 //! match the expectation, so the binary doubles as an integration gate; on
@@ -41,12 +16,360 @@ use dbf_matrix::default_jobs;
 use dbf_scenario::bench::{bench_json, bench_sweeps_json, BenchRecord};
 use dbf_scenario::fuzz::replay_corpus;
 use dbf_scenario::prelude::*;
-use dbf_scenario::telemetry::{AggregatingSink, Tee, TraceSink};
-use std::path::PathBuf;
+use dbf_scenario::telemetry::{AggregatingSink, Tee, TelemetrySink, TraceSink};
+use std::any::Any;
+use std::collections::HashMap;
+use std::num::ParseIntError;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::str::FromStr;
+use tables::*;
 
-fn usage() -> ExitCode {
-    let engine_names = dbf_scenario::engine::descriptors()
+/// One flag: its name, the placeholder its value goes by in the usage
+/// text (empty for a switch), its help line, and the reader of its value.
+struct Flag<T> {
+    name: &'static str,
+    meta: &'static str,
+    help: &'static str,
+    read: fn(&str) -> Result<T, String>,
+}
+
+/// A flag whatever its value type, as a command lists it.
+trait AnyFlag {
+    fn name(&self) -> &'static str;
+    fn meta(&self) -> &'static str;
+    fn help(&self) -> &'static str;
+    /// Read the argument that follows the flag.
+    fn read(&self, text: &str) -> Result<Box<dyn Any>, String>;
+
+    /// The flag as the usage text writes it: name, then placeholder.
+    fn synopsis(&self) -> String {
+        match self.meta() {
+            "" => self.name().to_string(),
+            meta => format!("{} {meta}", self.name()),
+        }
+    }
+}
+
+impl<T: 'static> AnyFlag for Flag<T> {
+    fn name(&self) -> &'static str {
+        self.name
+    }
+    fn meta(&self) -> &'static str {
+        self.meta
+    }
+    fn help(&self) -> &'static str {
+        self.help
+    }
+    fn read(&self, text: &str) -> Result<Box<dyn Any>, String> {
+        Ok(Box::new((self.read)(text)?))
+    }
+}
+
+/// A command's handler: `Ok(true)` exits 0, `Ok(false)` (the verdict did
+/// not match the expectation) 1, and `Err` 2.
+type Handler = fn(&Args) -> Result<bool, String>;
+
+/// One command: its name, the operand it takes before any flag, its
+/// one-line summary, the flags it takes, and its handler.
+struct Command {
+    name: &'static str,
+    operand: Option<&'static str>,
+    summary: &'static str,
+    flags: &'static [&'static dyn AnyFlag],
+    run: Handler,
+}
+
+/// The two tables: one declaration per flag, one entry per command.  The
+/// usage text lists the commands in table order and the flags in the
+/// order the commands first name them; `{engines}` and `{fault_kinds}` in
+/// a help line stand for the registered names.
+#[rustfmt::skip]
+mod tables {
+    use super::*;
+
+    const fn flag<T>(
+        name: &'static str, meta: &'static str, read: fn(&str) -> Result<T, String>,
+        help: &'static str,
+    ) -> Flag<T> {
+        Flag { name, meta, help, read }
+    }
+
+    pub const ENGINES: Flag<Vec<EngineKind>> =
+        flag("--engines", "LIST", engine_list, "comma-separated subset of {engines}");
+    pub const SEEDS: Flag<Vec<u64>> =
+        flag("--seeds", "LIST", seed_list, "comma-separated seeds for the seeded engines");
+    pub const JSON: Flag<()> =
+        flag("--json", "", switch, "print the JSON report instead of the summary");
+    pub const OUT: Flag<String> =
+        flag("--out", "FILE", text, "write the JSON (gen-trace: the trace) to FILE");
+    pub const THREADS: Flag<usize> =
+        flag("--threads", "N", number, "threads per run (default: all cores; sweeps: 1)");
+    pub const TRACE: Flag<String> =
+        flag("--trace", "FILE", text, "write a JSONL event trace to FILE");
+    pub const METRICS: Flag<()> =
+        flag("--metrics", "", switch, "append the deterministic metrics table to the summary");
+    pub const CHECK_BOUNDS: Flag<()> =
+        flag("--check-bounds", "", switch, "fail if a bounded engine lacks or exceeds its bound");
+    pub const JOBS: Flag<usize> =
+        flag("--jobs", "N", number, "worker threads across runs (default: all cores)");
+    pub const TIMING: Flag<()> =
+        flag("--timing", "", switch, "include wall-clock statistics in the JSON");
+    pub const POINT: Flag<usize> = flag("--point", "K", number, "run only grid point K");
+    pub const REPLICATE: Flag<usize> = flag("--replicate", "R", number, "run only replicate R");
+    pub const CASES: Flag<usize> =
+        flag("--cases", "N", number, "random cases to run (default 100)");
+    pub const SEED: Flag<u64> =
+        flag("--seed", "S", number, "seed of the fuzz cases, events or fabric (default 1)");
+    pub const CASE: Flag<usize> =
+        flag("--case", "K", number, "run only case K (reproduction mode)");
+    pub const CORPUS: Flag<String> =
+        flag("--corpus", "DIR", text, "where minimized failures go (default corpus)");
+    pub const NODES: Flag<usize> =
+        flag("--nodes", "N", number, "node count (default: gen-trace 64, scale-run 100000)");
+    pub const EVENTS: Flag<usize> =
+        flag("--events", "N", number, "events to generate (default 100000)");
+    pub const TOPOLOGY: Flag<String> =
+        flag("--topology", "T", text, "line|ring|star|complete (default ring)");
+    pub const ALGEBRA: Flag<String> =
+        flag("--algebra", "A", text, "hopcount|shortest (default hopcount)");
+    pub const QUERIES: Flag<u32> =
+        flag("--queries", "P", number, "queries per 1000 events (default 100)");
+    pub const WEIGHTS: Flag<u32> =
+        flag("--weights", "P", number, "set_weight events per 1000 events (default 0)");
+    pub const M: Flag<usize> =
+        flag("--m", "M", number, "as_graph attachment edges per node (default 2)");
+    pub const BLOCK: Flag<usize> =
+        flag("--block", "W", number, "block width (default 1024; any width, same digest)");
+    pub const REPLAY: Flag<String> =
+        flag("--replay", "FILE", text, "the churn trace to replay (required)");
+    pub const BATCH: Flag<usize> =
+        flag("--batch", "N", number, "max change events per reconvergence (default 64)");
+    pub const DEADLINE_MS: Flag<DeadlineCfg> =
+        flag("--deadline-ms", "auto|N|0", deadline, "per-flush deadline (default auto; 0: none)");
+    pub const CHECKPOINT: Flag<String> =
+        flag("--checkpoint", "DIR", text, "checkpoint + WAL store (chaos: the plans' stores)");
+    pub const CHECKPOINT_EVERY: Flag<u64> =
+        flag("--checkpoint-every", "N", positive, "snapshot every N applied events (default 64)");
+    pub const RECOVER: Flag<String> =
+        flag("--recover", "DIR", text, "recover from the store in DIR and continue the trace");
+    pub const FAULTS: Flag<String> =
+        flag("--faults", "FILE", text, "a TOML fault plan (kinds: {fault_kinds})");
+    pub const CRASH_AT: Flag<u64> =
+        flag("--crash-at", "OFFSET", number, "crash just before event OFFSET (a one-fault plan)");
+
+    const fn cmd(
+        name: &'static str, operand: Option<&'static str>, summary: &'static str,
+        flags: &'static [&'static dyn AnyFlag], run: Handler,
+    ) -> Command {
+        Command { name, operand, summary, flags, run }
+    }
+    const SCENARIO: Option<&str> = Some("<builtin|file.toml>");
+    const BUILTIN: Option<&str> = Some("<builtin>");
+
+    pub const COMMANDS: &[Command] = &[
+        cmd("list", None, "list the built-in scenarios", &[], cmd_list),
+        cmd("list-engines", None, "list the registered engines", &[], cmd_list_engines),
+        cmd("show", BUILTIN, "print a built-in scenario as TOML", &[], cmd_show),
+        cmd("run", SCENARIO, "run a scenario on its engines and check that they agree",
+            &[&ENGINES, &SEEDS, &JSON, &OUT, &THREADS, &TRACE, &METRICS], cmd_run),
+        cmd("profile", SCENARIO, "run a scenario and print its per-phase telemetry",
+            &[&ENGINES, &SEEDS, &THREADS], cmd_profile),
+        cmd("run-all", None, "run every built-in scenario",
+            &[&ENGINES, &SEEDS, &JSON, &OUT, &THREADS, &CHECK_BOUNDS], cmd_run_all),
+        cmd("bounds", SCENARIO, "print the predicted round bound of every phase",
+            &[&JSON, &OUT], cmd_bounds),
+        cmd("bench", None, "run every builtin, write BENCH_scenarios.json",
+            &[&OUT, &THREADS], cmd_bench),
+        cmd("list-sweeps", None, "list the built-in sweeps", &[], cmd_list_sweeps),
+        cmd("show-sweep", BUILTIN, "print a built-in sweep as TOML", &[], cmd_show_sweep),
+        cmd("sweep", SCENARIO, "expand and run a parameter sweep",
+            &[&JOBS, &THREADS, &JSON, &TIMING, &POINT, &REPLICATE, &OUT], cmd_sweep),
+        cmd("sweep-bench", None, "run every built-in sweep, write BENCH_sweeps.json",
+            &[&JOBS, &THREADS, &OUT], cmd_sweep_bench),
+        cmd("fuzz", None, "run random specs through the differential checker",
+            &[&CASES, &SEED, &CASE, &JOBS, &CORPUS, &JSON, &OUT], cmd_fuzz),
+        cmd("replay", Some("<dir>"), "re-run every corpus TOML in a directory", &[], cmd_replay),
+        cmd("gen-trace", None, "write a seeded churn trace for the route server",
+            &[&OUT, &NODES, &EVENTS, &SEED, &TOPOLOGY, &ALGEBRA, &QUERIES, &WEIGHTS],
+            cmd_gen_trace),
+        cmd("scale-run", None, "converge one large fabric with the blocked sigma engine",
+            &[&NODES, &M, &SEED, &ALGEBRA, &BLOCK, &JSON, &OUT], cmd_scale_run),
+        cmd("serve", None, "replay a churn trace through the route server",
+            &[&REPLAY, &THREADS, &BATCH, &JSON, &OUT, &TRACE, &DEADLINE_MS, &CHECKPOINT,
+              &CHECKPOINT_EVERY, &RECOVER, &FAULTS, &CRASH_AT], cmd_serve),
+        cmd("chaos", None, "run fault plans against the route server and verify recovery",
+            &[&REPLAY, &THREADS, &BATCH, &JSON, &OUT, &FAULTS, &CHECKPOINT], cmd_chaos),
+    ];
+}
+
+// The readers of the flag values.  An error names what is wrong with the
+// value; `Args::parse` adds the flag.
+
+/// A switch: present or not.
+fn switch(_: &str) -> Result<(), String> {
+    Ok(())
+}
+
+/// A string, kept verbatim.
+fn text(s: &str) -> Result<String, String> {
+    Ok(s.to_string())
+}
+
+/// An unsigned integer that fits `T`.
+fn number<T: FromStr<Err = ParseIntError>>(s: &str) -> Result<T, String> {
+    s.parse().map_err(|e: ParseIntError| e.to_string())
+}
+
+fn positive(s: &str) -> Result<u64, String> {
+    match number(s)? {
+        0 => Err("must be at least 1".into()),
+        n => Ok(n),
+    }
+}
+
+fn engine_list(s: &str) -> Result<Vec<EngineKind>, String> {
+    list(s, |e| EngineKind::parse(e).map_err(|e| e.to_string()))
+}
+
+fn seed_list(s: &str) -> Result<Vec<u64>, String> {
+    list(s, |x| x.parse().map_err(|e| format!("seed {x:?}: {e}")))
+}
+
+/// `auto`, `0` (no deadline) or a millisecond budget; only the literal `0`
+/// switches deadlines off, `00` is a zero budget.
+fn deadline(s: &str) -> Result<DeadlineCfg, String> {
+    Ok(match s {
+        "auto" => DeadlineCfg::Auto,
+        "0" => DeadlineCfg::Off,
+        ms => DeadlineCfg::Millis(number(ms)?),
+    })
+}
+
+/// The non-empty items of a comma-separated list, each trimmed and read.
+fn list<T>(text: &str, read: impl Fn(&str) -> Result<T, String>) -> Result<Vec<T>, String> {
+    let items = text
+        .split(',')
+        .filter(|s| !s.is_empty())
+        .map(|s| read(s.trim()))
+        .collect::<Result<Vec<_>, _>>()?;
+    if items.is_empty() {
+        return Err("the list is empty".into());
+    }
+    Ok(items)
+}
+
+/// A command line, read against the flags of its command.
+struct Args {
+    /// The command's operand (empty for a command that takes none).
+    operand: String,
+    /// The flags given, each with its last value.
+    given: HashMap<&'static str, Box<dyn Any>>,
+}
+
+impl Args {
+    /// Read `argv` against `flags`, refusing any flag not among them — a
+    /// silently ignored `--seeds` on a sweep (which derives its own seeds)
+    /// would mislead far more than an error does.
+    fn parse(flags: &[&dyn AnyFlag], operand: &str, argv: &[String]) -> Result<Args, String> {
+        let mut given = HashMap::new();
+        let mut it = argv.iter();
+        while let Some(arg) = it.next() {
+            let Some(flag) = flags.iter().find(|f| f.name() == arg.as_str()) else {
+                if !arg.starts_with("--") {
+                    return Err(format!("unknown option {arg:?}"));
+                }
+                let valid: Vec<&str> = flags.iter().map(|f| f.name()).collect();
+                return Err(format!(
+                    "option {arg} does not apply to this command (valid here: {})",
+                    if valid.is_empty() {
+                        "none".into()
+                    } else {
+                        valid.join(", ")
+                    }
+                ));
+            };
+            let text = match flag.meta() {
+                "" => "",
+                meta => it
+                    .next()
+                    .ok_or_else(|| format!("{} needs a value ({meta})", flag.name()))?,
+            };
+            let value = flag
+                .read(text)
+                .map_err(|e| format!("bad {}: {e}", flag.name()))?;
+            given.insert(flag.name(), value);
+        }
+        Ok(Args {
+            operand: operand.to_string(),
+            given,
+        })
+    }
+
+    fn get<T: 'static>(&self, flag: &Flag<T>) -> Option<&T> {
+        let value = self.given.get(flag.name)?;
+        Some(value.downcast_ref().expect("a value has its flag's type"))
+    }
+
+    fn on(&self, flag: &Flag<()>) -> bool {
+        self.get(flag).is_some()
+    }
+
+    fn text(&self, flag: &Flag<String>) -> Option<&str> {
+        self.get(flag).map(String::as_str)
+    }
+}
+
+/// Append `head` and `words` to `out`, breaking before a word that would
+/// pass column 80 and indenting the continuation to `indent`.
+fn wrap(
+    out: &mut String,
+    head: &str,
+    indent: usize,
+    words: impl IntoIterator<Item = impl AsRef<str>>,
+) {
+    out.push_str(head);
+    let mut col = head.chars().count();
+    for word in words {
+        let word = word.as_ref();
+        let len = word.chars().count();
+        if col > indent && col + 1 + len > 80 {
+            out.push('\n');
+            out.push_str(&" ".repeat(indent));
+            col = indent;
+        } else {
+            out.push(' ');
+            col += 1;
+        }
+        out.push_str(word);
+        col += len;
+    }
+    out.push('\n');
+}
+
+/// Every flag, once each, in the order the commands first name them.
+fn every_flag() -> Vec<&'static dyn AnyFlag> {
+    let mut every: Vec<&dyn AnyFlag> = Vec::new();
+    for &flag in COMMANDS.iter().flat_map(|c| c.flags) {
+        if !every.iter().any(|f| f.name() == flag.name()) {
+            every.push(flag);
+        }
+    }
+    every
+}
+
+/// The synopsis of every command and the help line of every flag,
+/// rendered from the two tables.
+fn usage_text() -> String {
+    let mut out = String::from("usage: scenarios <command> [options]\n\ncommands:\n");
+    for cmd in COMMANDS {
+        let head = format!("  scenarios {}", cmd.name);
+        let flags = cmd.flags.iter().map(|f| format!("[{}]", f.synopsis()));
+        let words = cmd.operand.map(str::to_string).into_iter().chain(flags);
+        wrap(&mut out, &head, head.len() + 1, words);
+        wrap(&mut out, "     ", 6, cmd.summary.split_whitespace());
+    }
+    let engines = dbf_scenario::engine::descriptors()
         .iter()
         .map(|d| d.name)
         .collect::<Vec<_>>()
@@ -54,342 +377,24 @@ fn usage() -> ExitCode {
     let fault_kinds = dbf_scenario::chaos::fault_kind_names()
         .collect::<Vec<_>>()
         .join(", ");
-    eprintln!(
-        "usage: scenarios <command> [options]\n\
-         \n\
-         commands:\n\
-         \x20 list                       list built-in scenarios\n\
-         \x20 list-engines               list registered execution engines\n\
-         \x20 show <builtin>             print a built-in scenario as TOML\n\
-         \x20 run <builtin|file.toml>    execute a scenario on its engines\n\
-         \x20 profile <builtin|file.toml> execute a scenario and print the per-phase\n\
-         \x20                            telemetry breakdown (wall times, band balance)\n\
-         \x20 run-all                    execute every built-in scenario\n\
-         \x20 bounds <builtin|file.toml> print the predicted per-phase convergence-bound\n\
-         \x20                            table (the oracle the checker enforces)\n\
-         \x20 bench                      run all builtins, write BENCH_scenarios.json\n\
-         \x20 list-sweeps                list built-in parameter sweeps\n\
-         \x20 show-sweep <builtin>       print a built-in sweep as TOML\n\
-         \x20 sweep <builtin|file.toml>  expand and execute a parameter sweep\n\
-         \x20 sweep-bench                run all built-in sweeps, write BENCH_sweeps.json\n\
-         \x20 fuzz                       run random specs through the differential checker\n\
-         \x20 replay <dir>               re-run every minimized corpus TOML in a directory\n\
-         \x20 gen-trace                  write a seeded churn trace for the route server\n\
-         \x20 scale-run                  converge one preferential-attachment fabric with\n\
-         \x20                            the destination-blocked sigma engine (runs at\n\
-         \x20                            sizes where the square state exceeds memory)\n\
-         \x20 serve --replay FILE        replay a churn trace through the route server,\n\
-         \x20                            coalescing changes into incremental reconvergences;\n\
-         \x20                            optionally checkpointed, crash-recoverable, and\n\
-         \x20                            deadline-bounded (stale answers while degraded)\n\
-         \x20 chaos --replay FILE        run fault plans against the route server: inject\n\
-         \x20                            the schedule, recover, and verify digest-identity\n\
-         \x20                            plus measured<=bound (all built-in plans, or one\n\
-         \x20                            --faults PLAN.toml)\n\
-         \n\
-         options:\n\
-         \x20 --engines LIST   comma-separated subset of {engine_names}\n\
-         \x20                  (run/run-all: engines an algebra does not support are skipped;\n\
-         \x20                  run-all additionally skips the negative-control scenarios)\n\
-         \x20 --seeds LIST     comma-separated seeds for the seeded engines\n\
-         \x20 --json           print the full JSON report instead of a summary\n\
-         \x20 --out FILE       also write the JSON report/benchmark to FILE\n\
-         \x20 --jobs N         worker threads across runs for sweep/fuzz (default:\n\
-         \x20                  hardware threads)\n\
-         \x20 --threads N      worker threads within one run for the parallelizable\n\
-         \x20                  engines (sync/incremental row sweeps; results are\n\
-         \x20                  bit-identical for any value).  Default: hardware threads\n\
-         \x20                  for run/run-all/bench, 1 for sweeps (which already\n\
-         \x20                  parallelize across runs via --jobs)\n\
-         \x20 --timing         include wall-clock stats in the sweep JSON\n\
-         \x20 --point K        run only grid point K of a sweep\n\
-         \x20 --replicate R    run only replicate R of a sweep\n\
-         \x20 --trace FILE     run: write a schema-versioned JSONL event trace to FILE\n\
-         \x20 --metrics        run: append the deterministic telemetry table to the\n\
-         \x20                  summary (the JSON report always embeds a `metrics`\n\
-         \x20                  section and a trailing non-deterministic `timing` one)\n\
-         \x20 --check-bounds   run-all: additionally audit bound coverage — fail unless\n\
-         \x20                  every positive scenario with a bounded-rounds engine\n\
-         \x20                  carries predicted bounds and stays within them\n\
-         \x20 --cases N        fuzz: how many random cases to run (default 100)\n\
-         \x20 --seed S         fuzz: root seed of the case stream (default 1);\n\
-         \x20                  gen-trace: seed of the generated event stream\n\
-         \x20 --case K         fuzz: run only case K (reproduction mode)\n\
-         \x20 --corpus DIR     fuzz: where minimized failures are written (default corpus)\n\
-         \x20 --replay FILE    serve: the churn trace to replay\n\
-         \x20 --batch N        serve: max change events coalesced into one\n\
-         \x20                  reconvergence (default 64; results are identical for\n\
-         \x20                  any value)\n\
-         \x20 --nodes N        gen-trace: initial topology size (default 64);\n\
-         \x20                  scale-run: fabric size (default 100000)\n\
-         \x20 --events N       gen-trace: events to generate (default 100000)\n\
-         \x20 --topology T     gen-trace: line|ring|star|complete (default ring)\n\
-         \x20 --algebra A      gen-trace/scale-run: hopcount|shortest (default hopcount)\n\
-         \x20 --queries P      gen-trace: queries per 1000 events (default 100)\n\
-         \x20 --weights P      gen-trace: set_weight events per 1000 events (default 0;\n\
-         \x20                  policy churn for the weighted algebras)\n\
-         \x20 --deadline-ms D  serve: per-flush reconvergence deadline — auto (default:\n\
-         \x20                  convergence bound x measured per-round cost), a fixed\n\
-         \x20                  millisecond budget, or 0 to disable.  On overrun the\n\
-         \x20                  server answers from the last stable table (stale: true)\n\
-         \x20                  while reconvergence continues\n\
-         \x20 --checkpoint DIR serve: arm a checkpoint + WAL store in DIR (snapshots of\n\
-         \x20                  the converged table plus an append-only event log);\n\
-         \x20                  chaos: base directory for the per-plan stores\n\
-         \x20 --checkpoint-every N  serve: snapshot cadence in applied events (default 64)\n\
-         \x20 --recover DIR    serve: restore the snapshot in DIR, replay the WAL tail,\n\
-         \x20                  and continue the trace from the recorded offset\n\
-         \x20 --faults FILE    serve/chaos: a TOML fault plan to inject (kinds:\n\
-         \x20                  {fault_kinds})\n\
-         \x20 --crash-at E     serve: crash the process just before event offset E\n\
-         \x20                  (shorthand for a one-fault crash plan)\n\
-         \x20 --m M            scale-run: as_graph attachment edges per node (default 2)\n\
-         \x20 --block W        scale-run: destination-block width (default 1024;\n\
-         \x20                  pure memory layout, the digest is identical for any W)"
-    );
-    ExitCode::from(2)
-}
-
-#[derive(Default)]
-struct Options {
-    engines: Option<Vec<EngineKind>>,
-    seeds: Option<Vec<u64>>,
-    json: bool,
-    out: Option<String>,
-    jobs: Option<usize>,
-    threads: Option<usize>,
-    timing: bool,
-    point: Option<usize>,
-    replicate: Option<usize>,
-    cases: Option<usize>,
-    seed: Option<u64>,
-    case: Option<usize>,
-    corpus: Option<String>,
-    trace: Option<String>,
-    metrics: bool,
-    check_bounds: bool,
-    replay: Option<String>,
-    batch: Option<usize>,
-    nodes: Option<usize>,
-    events: Option<usize>,
-    topology: Option<String>,
-    algebra: Option<String>,
-    queries: Option<u32>,
-    m: Option<usize>,
-    block: Option<usize>,
-    weights: Option<u32>,
-    deadline_ms: Option<String>,
-    checkpoint: Option<String>,
-    checkpoint_every: Option<u64>,
-    recover: Option<String>,
-    faults: Option<String>,
-    crash_at: Option<u64>,
-}
-
-/// The options `run-all` accepts: the scenario options plus the bound
-/// audit.
-const RUN_ALL_OPTS: &[&str] = &[
-    "--engines",
-    "--seeds",
-    "--json",
-    "--out",
-    "--threads",
-    "--check-bounds",
-];
-/// The options `bounds` accepts (a pure spec computation: no engine
-/// options apply).
-const BOUNDS_OPTS: &[&str] = &["--json", "--out"];
-/// The options `run` accepts: the scenario options plus the telemetry
-/// outputs.  `run-all` deliberately rejects `--trace` (one trace file per
-/// run) and `--metrics`.
-const RUN_OPTS: &[&str] = &[
-    "--engines",
-    "--seeds",
-    "--json",
-    "--out",
-    "--threads",
-    "--trace",
-    "--metrics",
-];
-/// The options `profile` accepts.
-const PROFILE_OPTS: &[&str] = &["--engines", "--seeds", "--threads"];
-/// The options `sweep` accepts.
-const SWEEP_OPTS: &[&str] = &[
-    "--jobs",
-    "--threads",
-    "--json",
-    "--timing",
-    "--point",
-    "--replicate",
-    "--out",
-];
-/// The options the bench commands accept.
-const BENCH_OPTS: &[&str] = &["--out", "--threads"];
-const SWEEP_BENCH_OPTS: &[&str] = &["--jobs", "--threads", "--out"];
-/// The options `fuzz` accepts.
-const FUZZ_OPTS: &[&str] = &[
-    "--cases", "--seed", "--case", "--jobs", "--corpus", "--json", "--out",
-];
-/// The options `replay` accepts.
-const REPLAY_OPTS: &[&str] = &[];
-/// The options `serve` accepts.
-const SERVE_OPTS: &[&str] = &[
-    "--replay",
-    "--threads",
-    "--batch",
-    "--json",
-    "--out",
-    "--trace",
-    "--deadline-ms",
-    "--checkpoint",
-    "--checkpoint-every",
-    "--recover",
-    "--faults",
-    "--crash-at",
-];
-/// The options `chaos` accepts.
-const CHAOS_OPTS: &[&str] = &[
-    "--replay",
-    "--threads",
-    "--batch",
-    "--json",
-    "--out",
-    "--faults",
-    "--checkpoint",
-];
-/// The options `gen-trace` accepts.
-const GEN_TRACE_OPTS: &[&str] = &[
-    "--out",
-    "--nodes",
-    "--events",
-    "--seed",
-    "--topology",
-    "--algebra",
-    "--queries",
-    "--weights",
-];
-/// The options `scale-run` accepts.
-const SCALE_RUN_OPTS: &[&str] = &[
-    "--nodes",
-    "--m",
-    "--seed",
-    "--algebra",
-    "--block",
-    "--json",
-    "--out",
-];
-
-/// The argument after `flag`, or the error naming what it should have been.
-fn text<'a>(
-    flag: &str,
-    what: &str,
-    it: &mut impl Iterator<Item = &'a String>,
-) -> Result<&'a String, String> {
-    it.next().ok_or_else(|| format!("{flag} needs {what}"))
-}
-
-/// The argument after `flag`, parsed (a `String` field takes it verbatim).
-fn value<'a, T>(
-    flag: &str,
-    what: &str,
-    it: &mut impl Iterator<Item = &'a String>,
-) -> Result<T, String>
-where
-    T: std::str::FromStr,
-    T::Err: std::fmt::Display,
-{
-    text(flag, what, it)?
-        .parse()
-        .map_err(|e| format!("bad {flag}: {e}"))
-}
-
-/// Parse options, rejecting any flag the current command does not use —
-/// a silently ignored `--seeds` on a sweep (which derives its own seeds)
-/// would mislead far more than an error does.
-fn parse_options(args: &[String], allowed: &[&str]) -> Result<Options, String> {
-    let mut opts = Options::default();
-    let it = &mut args.iter();
-    while let Some(arg) = it.next() {
-        if arg.starts_with("--") && !allowed.contains(&arg.as_str()) {
-            return Err(format!(
-                "option {arg} does not apply to this command (valid here: {})",
-                allowed.join(", ")
-            ));
-        }
-        match arg.as_str() {
-            "--json" => opts.json = true,
-            "--timing" => opts.timing = true,
-            "--metrics" => opts.metrics = true,
-            "--check-bounds" => opts.check_bounds = true,
-            "--jobs" => opts.jobs = Some(value(arg, "a value", it)?),
-            "--threads" => opts.threads = Some(value(arg, "a value", it)?),
-            "--point" => opts.point = Some(value(arg, "a value", it)?),
-            "--replicate" => opts.replicate = Some(value(arg, "a value", it)?),
-            "--cases" => opts.cases = Some(value(arg, "a value", it)?),
-            "--seed" => opts.seed = Some(value(arg, "a value", it)?),
-            "--case" => opts.case = Some(value(arg, "a value", it)?),
-            "--batch" => opts.batch = Some(value(arg, "a value", it)?),
-            "--nodes" => opts.nodes = Some(value(arg, "a value", it)?),
-            "--events" => opts.events = Some(value(arg, "a value", it)?),
-            "--queries" => opts.queries = Some(value(arg, "a value", it)?),
-            "--m" => opts.m = Some(value(arg, "a value", it)?),
-            "--block" => opts.block = Some(value(arg, "a value", it)?),
-            "--weights" => opts.weights = Some(value(arg, "a value", it)?),
-            "--crash-at" => opts.crash_at = Some(value(arg, "an event offset", it)?),
-            "--out" => opts.out = Some(value(arg, "a value", it)?),
-            "--corpus" => opts.corpus = Some(value(arg, "a value", it)?),
-            "--trace" => opts.trace = Some(value(arg, "a value", it)?),
-            "--replay" => opts.replay = Some(value(arg, "a value", it)?),
-            "--topology" => opts.topology = Some(value(arg, "a value", it)?),
-            "--algebra" => opts.algebra = Some(value(arg, "a value", it)?),
-            "--faults" => opts.faults = Some(value(arg, "a value", it)?),
-            "--checkpoint" => opts.checkpoint = Some(value(arg, "a directory", it)?),
-            "--recover" => opts.recover = Some(value(arg, "a directory", it)?),
-            "--engines" => {
-                let engines = text(arg, "a value", it)?
-                    .split(',')
-                    .filter(|s| !s.is_empty())
-                    .map(|s| EngineKind::parse(s.trim()).map_err(|e| e.to_string()))
-                    .collect::<Result<Vec<_>, _>>()?;
-                if engines.is_empty() {
-                    return Err("--engines needs at least one engine".into());
-                }
-                opts.engines = Some(engines);
-            }
-            "--seeds" => {
-                let seeds = text(arg, "a value", it)?
-                    .split(',')
-                    .filter(|s| !s.is_empty())
-                    .map(|s| {
-                        s.trim()
-                            .parse::<u64>()
-                            .map_err(|e| format!("bad seed {s:?}: {e}"))
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                if seeds.is_empty() {
-                    return Err("--seeds needs at least one seed".into());
-                }
-                opts.seeds = Some(seeds);
-            }
-            "--deadline-ms" => {
-                let v = text(arg, "a value (auto|N|0)", it)?;
-                if v != "auto" {
-                    v.parse::<u64>()
-                        .map_err(|e| format!("bad --deadline-ms {v:?} (auto|N|0): {e}"))?;
-                }
-                opts.deadline_ms = Some(v.clone());
-            }
-            "--checkpoint-every" => {
-                let every: u64 = value(arg, "a value", it)?;
-                if every == 0 {
-                    return Err("--checkpoint-every must be >= 1".into());
-                }
-                opts.checkpoint_every = Some(every);
-            }
-            other => return Err(format!("unknown option {other:?}")),
-        }
+    out.push_str("\noptions:\n");
+    let listed = every_flag();
+    let width = listed.iter().map(|f| f.synopsis().len()).max().unwrap_or(0);
+    for flag in listed {
+        let help = flag
+            .help()
+            .replace("{engines}", &engines)
+            .replace("{fault_kinds}", &fault_kinds);
+        let head = format!("  {:<width$} ", flag.synopsis());
+        wrap(&mut out, &head, width + 4, help.split_whitespace());
     }
-    Ok(opts)
+    out
+}
+
+/// Print the usage text; the exit status of a usage error.
+fn usage() -> u8 {
+    eprint!("{}", usage_text());
+    2
 }
 
 fn load_scenario(name_or_path: &str) -> Result<Scenario, String> {
@@ -407,8 +412,8 @@ fn load_scenario(name_or_path: &str) -> Result<Scenario, String> {
     ))
 }
 
-fn apply_overrides(mut scenario: Scenario, opts: &Options) -> Scenario {
-    if let Some(engines) = &opts.engines {
+fn apply_overrides(mut scenario: Scenario, a: &Args) -> Scenario {
+    if let Some(engines) = a.get(&ENGINES) {
         // Keep only the engines that support this scenario's algebra
         // (protocol engines are algebra-gated): `run-all --engines
         // sync,rip,bgp` then exercises each engine exactly where it
@@ -418,43 +423,64 @@ fn apply_overrides(mut scenario: Scenario, opts: &Options) -> Scenario {
         // *why* instead of silently running nothing.
         let supported = dbf_scenario::engine::eligible_engines(&scenario, engines, true);
         scenario.engines = if supported.is_empty() {
-            engines.clone()
+            engines.to_vec()
         } else {
             supported
         };
     }
-    if let Some(seeds) = &opts.seeds {
-        scenario.seeds = seeds.clone();
+    if let Some(seeds) = a.get(&SEEDS) {
+        scenario.seeds = seeds.to_vec();
     }
     scenario
 }
 
-fn emit(opts: &Options, json: &Json, summary: &str) -> Result<(), String> {
-    if opts.json {
+/// Write a JSON document to `path`, newline-terminated.
+fn write_doc(path: &str, json: &Json) -> Result<(), String> {
+    std::fs::write(path, format!("{json}\n")).map_err(|e| format!("cannot write {path:?}: {e}"))?;
+    eprintln!("wrote {path}");
+    Ok(())
+}
+
+/// Print the JSON report under `--json` and the summary otherwise, and
+/// write the report to `--out` when one is given.
+fn emit(a: &Args, json: &Json, summary: &str) -> Result<(), String> {
+    if a.on(&JSON) {
         println!("{json}");
     } else {
         println!("{summary}");
     }
-    if let Some(path) = &opts.out {
-        std::fs::write(path, format!("{json}\n"))
-            .map_err(|e| format!("cannot write {path:?}: {e}"))?;
-        eprintln!("wrote {path}");
+    match a.text(&OUT) {
+        Some(path) => write_doc(path, json),
+        None => Ok(()),
     }
-    Ok(())
 }
 
-/// The intra-run thread budget of the single-run commands: every available
-/// core by default (a lone run has nothing else to share the machine
-/// with), overridable with `--threads`.
-fn run_threads(opts: &Options) -> usize {
-    opts.threads.unwrap_or_else(default_jobs).max(1)
-}
-
-/// The [`RunConfig`] of the single-run commands.
-fn run_config(opts: &Options) -> RunConfig {
+/// The [`RunConfig`] of the single-run commands: every available core by
+/// default (a lone run has nothing else to share the machine with),
+/// overridable with `--threads`.
+fn run_config(a: &Args) -> RunConfig {
     RunConfig {
-        threads: run_threads(opts),
+        threads: a.get(&THREADS).copied().unwrap_or_else(default_jobs).max(1),
     }
+}
+
+/// Run `f` on a sink writing the JSONL trace file `path`, when one was
+/// requested, and on a no-op sink otherwise.
+fn with_trace<T>(
+    path: Option<&str>,
+    f: impl FnOnce(&mut dyn TelemetrySink) -> Result<T, SpecError>,
+) -> Result<T, String> {
+    let Some(path) = path else {
+        return f(&mut telemetry::NoopSink).map_err(|e| e.to_string());
+    };
+    let mut tracer =
+        TraceSink::to_file(path).map_err(|e| format!("cannot create trace file {path:?}: {e}"))?;
+    let out = f(&mut tracer).map_err(|e| e.to_string())?;
+    tracer
+        .finish()
+        .map_err(|e| format!("cannot write trace file {path:?}: {e}"))?;
+    eprintln!("wrote {path}");
+    Ok(out)
 }
 
 /// Run a scenario with the aggregator attached, teeing the event stream
@@ -466,38 +492,97 @@ fn run_traced(
     trace: Option<&str>,
 ) -> Result<(ScenarioReport, telemetry::MetricsReport), String> {
     let mut agg = AggregatingSink::new();
-    let report = match trace {
-        Some(path) => {
-            let mut tracer = TraceSink::to_file(path)
-                .map_err(|e| format!("cannot create trace file {path:?}: {e}"))?;
-            let mut tee = Tee {
+    let report = with_trace(trace, |sink| {
+        run_scenario_traced(
+            scenario,
+            cfg,
+            &mut Tee {
                 a: &mut agg,
-                b: &mut tracer,
-            };
-            let report = run_scenario_traced(scenario, cfg, &mut tee).map_err(|e| e.to_string())?;
-            tracer
-                .finish()
-                .map_err(|e| format!("cannot write trace file {path:?}: {e}"))?;
-            eprintln!("wrote {path}");
-            report
-        }
-        None => run_scenario_traced(scenario, cfg, &mut agg).map_err(|e| e.to_string())?,
-    };
+                b: sink,
+            },
+        )
+    })?;
     Ok((report, agg.finish()))
 }
 
-fn cmd_run(target: &str, opts: &Options) -> Result<bool, String> {
-    let scenario = apply_overrides(load_scenario(target)?, opts);
-    let cfg = run_config(opts);
+fn cmd_list(_: &Args) -> Result<bool, String> {
+    for s in builtins::all() {
+        println!(
+            "{:<22} {}",
+            s.name,
+            s.description.split('.').next().unwrap_or("")
+        );
+    }
+    Ok(true)
+}
+
+fn cmd_list_engines(_: &Args) -> Result<bool, String> {
+    for d in dbf_scenario::engine::descriptors() {
+        let runs = match d.determinism {
+            dbf_scenario::engine::Determinism::Fixed => "once",
+            dbf_scenario::engine::Determinism::Seeded => "per-seed",
+        };
+        let max_n = d
+            .max_recommended_n
+            .map(|n| n.to_string())
+            .unwrap_or_else(|| "-".into());
+        let par = if d.parallelizable { "yes" } else { "no" };
+        let events = if d.events.is_empty() {
+            "-".into()
+        } else {
+            d.events
+                .iter()
+                .map(|e| e.name())
+                .collect::<Vec<_>>()
+                .join(",")
+        };
+        let det = if d.deterministic_counters { "" } else { "*" };
+        println!(
+            "{:<12} runs={:<8} max_n={:<6} parallel={:<4} events={}{:<22} {}",
+            d.name, runs, max_n, par, det, events, d.summary
+        );
+    }
+    Ok(true)
+}
+
+fn cmd_show(a: &Args) -> Result<bool, String> {
+    let name = &a.operand;
+    let s = builtins::by_name(name).ok_or_else(|| format!("unknown builtin {name:?}"))?;
+    println!("{}", s.to_toml_string());
+    Ok(true)
+}
+
+fn cmd_list_sweeps(_: &Args) -> Result<bool, String> {
+    for s in sweeps::all() {
+        println!(
+            "{:<28} {}",
+            s.name,
+            s.description.split('.').next().unwrap_or("")
+        );
+    }
+    Ok(true)
+}
+
+fn cmd_show_sweep(a: &Args) -> Result<bool, String> {
+    let name = &a.operand;
+    let s = sweeps::by_name(name).ok_or_else(|| format!("unknown built-in sweep {name:?}"))?;
+    println!("{}", s.to_toml_string());
+    Ok(true)
+}
+
+fn cmd_run(a: &Args) -> Result<bool, String> {
+    let target = &a.operand;
+    let scenario = apply_overrides(load_scenario(target)?, a);
+    let cfg = run_config(a);
     let threads = cfg.threads;
-    let (report, metrics) = run_traced(&scenario, &cfg, opts.trace.as_deref())?;
+    let (report, metrics) = run_traced(&scenario, &cfg, a.text(&TRACE))?;
     let json = with_telemetry(report.to_json(), &metrics, threads);
     let mut summary = report.summary();
-    if opts.metrics {
+    if a.on(&METRICS) {
         summary.push('\n');
         summary.push_str(&metrics_table(&metrics));
     }
-    emit(opts, &json, &summary)?;
+    emit(a, &json, &summary)?;
     let met = report.expectation_met();
     if !met {
         // Pinpoint the runs that broke the verdict and print the exact
@@ -556,9 +641,9 @@ fn cmd_run(target: &str, opts: &Options) -> Result<bool, String> {
 /// `scenarios profile`: run with telemetry on and print the per-phase
 /// breakdown — wall times, rows per round, settle p95 and the parallel
 /// band balance — instead of the differential summary.
-fn cmd_profile(target: &str, opts: &Options) -> Result<bool, String> {
-    let scenario = apply_overrides(load_scenario(target)?, opts);
-    let cfg = run_config(opts);
+fn cmd_profile(a: &Args) -> Result<bool, String> {
+    let scenario = apply_overrides(load_scenario(&a.operand)?, a);
+    let cfg = run_config(a);
     let threads = cfg.threads;
     let (report, metrics) = run_traced(&scenario, &cfg, None)?;
     println!("scenario {} (threads={threads})", report.scenario);
@@ -581,15 +666,15 @@ fn load_sweep(name_or_path: &str) -> Result<Sweep, String> {
     ))
 }
 
-fn run_one_sweep(sweep: &Sweep, target: &str, opts: &Options) -> Result<SweepReport, String> {
+fn run_one_sweep(sweep: &Sweep, target: &str, a: &Args) -> Result<SweepReport, String> {
     let run_opts = SweepRunOptions {
-        jobs: opts.jobs.unwrap_or_else(default_jobs),
-        point: opts.point,
-        replicate: opts.replicate,
+        jobs: a.get(&JOBS).copied().unwrap_or_else(default_jobs),
+        point: a.get(&POINT).copied(),
+        replicate: a.get(&REPLICATE).copied(),
         // Sweeps already parallelize across runs, so intra-run threads
         // default to 1; `--threads` opts in (e.g. for grids whose wall time
         // is one huge point, or single-cell reproductions).
-        threads: opts.threads.unwrap_or(1),
+        threads: a.get(&THREADS).copied().unwrap_or(1),
     };
     let report = run_sweep(sweep, &run_opts).map_err(|e| e.to_string())?;
     for point in &report.points {
@@ -612,43 +697,37 @@ fn run_one_sweep(sweep: &Sweep, target: &str, opts: &Options) -> Result<SweepRep
     Ok(report)
 }
 
-fn cmd_sweep(target: &str, opts: &Options) -> Result<bool, String> {
-    let sweep = load_sweep(target)?;
-    let report = run_one_sweep(&sweep, target, opts)?;
-    emit(opts, &report.to_json(opts.timing), &report.summary())?;
+fn cmd_sweep(a: &Args) -> Result<bool, String> {
+    let sweep = load_sweep(&a.operand)?;
+    let report = run_one_sweep(&sweep, &a.operand, a)?;
+    emit(a, &report.to_json(a.on(&TIMING)), &report.summary())?;
     Ok(report.ok())
 }
 
-fn cmd_sweep_bench(opts: &Options) -> Result<bool, String> {
+fn cmd_sweep_bench(a: &Args) -> Result<bool, String> {
     let mut reports = Vec::new();
     let mut all_ok = true;
     for sweep in sweeps::all() {
-        let report = run_one_sweep(&sweep, &sweep.name.clone(), opts)?;
+        let report = run_one_sweep(&sweep, &sweep.name, a)?;
         println!("{}", report.summary());
         all_ok &= report.ok();
         reports.push(report);
     }
-    let path = opts
-        .out
-        .clone()
-        .unwrap_or_else(|| "BENCH_sweeps.json".into());
-    let json = bench_sweeps_json(&reports);
-    std::fs::write(&path, format!("{json}\n"))
-        .map_err(|e| format!("cannot write {path:?}: {e}"))?;
-    eprintln!("wrote {path}");
+    let path = a.text(&OUT).unwrap_or("BENCH_sweeps.json");
+    write_doc(path, &bench_sweeps_json(&reports))?;
     Ok(all_ok)
 }
 
-fn cmd_fuzz(opts: &Options) -> Result<bool, String> {
+fn cmd_fuzz(a: &Args) -> Result<bool, String> {
     let fuzz_opts = FuzzOptions {
-        cases: opts.cases.unwrap_or(100),
-        seed: opts.seed.unwrap_or(1),
-        jobs: opts.jobs.unwrap_or_else(default_jobs),
-        case: opts.case,
-        corpus: Some(PathBuf::from(opts.corpus.as_deref().unwrap_or("corpus"))),
+        cases: a.get(&CASES).copied().unwrap_or(100),
+        seed: a.get(&SEED).copied().unwrap_or(1),
+        jobs: a.get(&JOBS).copied().unwrap_or_else(default_jobs),
+        case: a.get(&CASE).copied(),
+        corpus: Some(PathBuf::from(a.text(&CORPUS).unwrap_or("corpus"))),
     };
     let report = run_fuzz(&fuzz_opts).map_err(|e| e.to_string())?;
-    emit(opts, &report.to_json(), &report.summary())?;
+    emit(a, &report.to_json(), &report.summary())?;
     for failure in &report.failures {
         eprintln!(
             "fuzz failure: case #{} (seed {:#018x}); reproduce with: {}",
@@ -661,8 +740,9 @@ fn cmd_fuzz(opts: &Options) -> Result<bool, String> {
     Ok(report.ok())
 }
 
-fn cmd_replay(dir: &str) -> Result<bool, String> {
-    let results = replay_corpus(std::path::Path::new(dir)).map_err(|e| e.to_string())?;
+fn cmd_replay(a: &Args) -> Result<bool, String> {
+    let dir = &a.operand;
+    let results = replay_corpus(Path::new(dir)).map_err(|e| e.to_string())?;
     if results.is_empty() {
         println!("corpus {dir} holds no .toml specs");
         return Ok(true);
@@ -695,8 +775,8 @@ fn cmd_replay(dir: &str) -> Result<bool, String> {
 /// `scenarios bounds`: evaluate the bound oracle on a spec and print the
 /// per-phase table — no engine runs, everything is a pure function of the
 /// spec.
-fn cmd_bounds(target: &str, opts: &Options) -> Result<bool, String> {
-    let scenario = load_scenario(target)?;
+fn cmd_bounds(a: &Args) -> Result<bool, String> {
+    let scenario = load_scenario(&a.operand)?;
     scenario.validate().map_err(|e| e.to_string())?;
     let table = dbf_scenario::bound::bound_table(&scenario);
     let bounded: Vec<&str> = scenario
@@ -775,11 +855,12 @@ fn cmd_bounds(target: &str, opts: &Options) -> Result<bool, String> {
             )),
         }
     }
-    emit(opts, &json, &summary)?;
+    emit(a, &json, &summary)?;
     Ok(true)
 }
 
-fn cmd_run_all(opts: &Options) -> Result<bool, String> {
+fn cmd_run_all(a: &Args) -> Result<bool, String> {
+    let json_out = a.on(&JSON);
     let mut reports = Vec::new();
     let mut all_met = true;
     for scenario in builtins::all() {
@@ -787,9 +868,9 @@ fn cmd_run_all(opts: &Options) -> Result<bool, String> {
         // *positive* theorems: the negative controls (wedgie, bad gadget)
         // expect disagreement or divergence from their own specific engine
         // sets, which an override would invalidate.
-        if let Some(requested) = &opts.engines {
+        if let Some(requested) = a.get(&ENGINES) {
             if !(scenario.expect.converges && scenario.expect.agreement) {
-                if !opts.json {
+                if !json_out {
                     println!(
                         "scenario {:<24} skipped (negative control; engine overrides apply to \
                          the positive theorems)",
@@ -802,7 +883,7 @@ fn cmd_run_all(opts: &Options) -> Result<bool, String> {
             // support is skipped, not a hard error: `run-all --engines rip`
             // means "run rip everywhere it applies".
             if dbf_scenario::engine::eligible_engines(&scenario, requested, true).is_empty() {
-                if !opts.json {
+                if !json_out {
                     println!(
                         "scenario {:<24} skipped (none of the requested engines support \
                          its algebra)",
@@ -812,27 +893,25 @@ fn cmd_run_all(opts: &Options) -> Result<bool, String> {
                 continue;
             }
         }
-        let scenario = apply_overrides(scenario, opts);
-        let cfg = run_config(opts);
+        let scenario = apply_overrides(scenario, a);
+        let cfg = run_config(a);
         let report =
             run_scenario_with(&scenario, &cfg).map_err(|e| format!("{}: {e}", scenario.name))?;
-        if !opts.json {
+        if !json_out {
             println!("{}", report.summary());
         }
         all_met &= report.expectation_met();
-        if opts.check_bounds {
-            all_met &= audit_bounds(&scenario, &report, opts.json);
+        if a.on(&CHECK_BOUNDS) {
+            all_met &= audit_bounds(&scenario, &report, json_out);
         }
         reports.push(report);
     }
     let json = Json::Arr(reports.iter().map(ScenarioReport::to_json).collect());
-    if opts.json {
+    if json_out {
         println!("{json}");
     }
-    if let Some(path) = &opts.out {
-        std::fs::write(path, format!("{json}\n"))
-            .map_err(|e| format!("cannot write {path:?}: {e}"))?;
-        eprintln!("wrote {path}");
+    if let Some(path) = a.text(&OUT) {
+        write_doc(path, &json)?;
     }
     Ok(all_met)
 }
@@ -859,9 +938,8 @@ fn audit_bounds(scenario: &Scenario, report: &ScenarioReport, quiet: bool) -> bo
     let worst = report
         .runs
         .iter()
-        .flat_map(|r| &r.phases)
-        .filter_map(|p| p.tightness())
-        .fold(None::<f64>, |acc, t| Some(acc.map_or(t, |a| a.max(t))));
+        .filter_map(|r| r.totals().tightness)
+        .reduce(f64::max);
     let ok = report.verdict.bounds_ok && (!expects_bounds || annotated > 0);
     if !quiet {
         println!(
@@ -879,11 +957,10 @@ fn audit_bounds(scenario: &Scenario, report: &ScenarioReport, quiet: bool) -> bo
     ok
 }
 
-fn cmd_bench(opts: &Options) -> Result<bool, String> {
+fn cmd_bench(a: &Args) -> Result<bool, String> {
     let mut records = Vec::new();
     let mut all_met = true;
-    let cfg = run_config(opts);
-    let threads = cfg.threads;
+    let cfg = run_config(a);
     for scenario in builtins::all() {
         // Bench runs are traced so the BENCH document carries the
         // deterministic settle summaries alongside the wall times.
@@ -896,41 +973,35 @@ fn cmd_bench(opts: &Options) -> Result<bool, String> {
             metrics: Some(metrics),
         });
     }
-    let path = opts
-        .out
-        .clone()
-        .unwrap_or_else(|| "BENCH_scenarios.json".into());
-    let json = bench_json(&records, threads);
-    std::fs::write(&path, format!("{json}\n"))
-        .map_err(|e| format!("cannot write {path:?}: {e}"))?;
-    eprintln!("wrote {path}");
+    let path = a.text(&OUT).unwrap_or("BENCH_scenarios.json");
+    write_doc(path, &bench_json(&records, cfg.threads))?;
     Ok(all_met)
 }
 
 /// `scenarios gen-trace`: write a seeded churn trace in the line-oriented
 /// text format the route server replays.
-fn cmd_gen_trace(opts: &Options) -> Result<bool, String> {
-    let n = opts.nodes.unwrap_or(64);
-    let topology = match opts.topology.as_deref() {
+fn cmd_gen_trace(a: &Args) -> Result<bool, String> {
+    let n = a.get(&NODES).copied().unwrap_or(64);
+    let topology = match a.text(&TOPOLOGY) {
         Some(family) => TopologySpec::sized(family, n).map_err(|e| e.to_string())?,
         None => TopologySpec::Ring { n },
     };
     // Any simple path has at most n-1 hops, so a limit of n never
     // truncates a real route while keeping the carrier finite.
-    let algebra = opts.algebra.as_deref().unwrap_or("hopcount");
+    let algebra = a.text(&ALGEBRA).unwrap_or("hopcount");
     let algebra = ServeAlgebra::named(algebra, n as u64).map_err(|e| e.to_string())?;
     let spec = TraceSpec {
         topology,
         algebra,
-        events: opts.events.unwrap_or(100_000),
-        seed: opts.seed.unwrap_or(1),
-        query_permille: opts.queries.unwrap_or(100),
+        events: a.get(&EVENTS).copied().unwrap_or(100_000),
+        seed: a.get(&SEED).copied().unwrap_or(1),
+        query_permille: a.get(&QUERIES).copied().unwrap_or(100),
         // Off by default so traces regenerate byte-identically to the
         // pre-`set_weight` format for the same seed.
-        weight_permille: opts.weights.unwrap_or(0),
+        weight_permille: a.get(&WEIGHTS).copied().unwrap_or(0),
     };
     let trace = generate_trace(&spec).map_err(|e| e.to_string())?;
-    let path = opts.out.as_deref().unwrap_or("churn.trace");
+    let path = a.text(&OUT).unwrap_or("churn.trace");
     std::fs::write(path, trace.to_text()).map_err(|e| format!("cannot write {path:?}: {e}"))?;
     eprintln!(
         "wrote {path} ({} events: {} changes, {} queries)",
@@ -949,15 +1020,15 @@ fn cmd_gen_trace(opts: &Options) -> Result<bool, String> {
 /// ~80 GB, while a 1024-wide destination slab streams through ~1.6 GB.
 /// The emitted record (printed, and written via `--out`) is what
 /// `BENCH_sweeps.json` carries under `scale_runs`.
-fn cmd_scale_run(opts: &Options) -> Result<bool, String> {
+fn cmd_scale_run(a: &Args) -> Result<bool, String> {
     use dbf_algebra::prelude::{BoundedHopCount, NatInf, ShortestPaths};
     use dbf_matrix::{blocked_fixed_point, AdjacencyMatrix, BlockedOutcome};
 
-    let n = opts.nodes.unwrap_or(100_000);
-    let m = opts.m.unwrap_or(2);
-    let seed = opts.seed.unwrap_or(1);
-    let block = opts.block.unwrap_or(1024).max(1);
-    let algebra = opts.algebra.as_deref().unwrap_or("hopcount");
+    let n = a.get(&NODES).copied().unwrap_or(100_000);
+    let m = a.get(&M).copied().unwrap_or(2);
+    let seed = a.get(&SEED).copied().unwrap_or(1);
+    let block = a.get(&BLOCK).copied().unwrap_or(1024).max(1);
+    let algebra = a.text(&ALGEBRA).unwrap_or("hopcount");
     let carrier = ServeAlgebra::named(algebra, n as u64).map_err(|e| e.to_string())?;
     let fabric = TopologySpec::AsGraph { n, m, seed };
     let shape = dbf_scenario::run::build_shape(&fabric).map_err(|e| e.to_string())?;
@@ -1018,40 +1089,43 @@ fn cmd_scale_run(opts: &Options) -> Result<bool, String> {
          \x20 {} row recomputations, digest {}, {:.1} ms",
         out.converged, out.rounds_max, out.blocks, out.row_recomputations, out.digest, wall_ms,
     );
-    emit(opts, &json, &summary)?;
+    emit(a, &json, &summary)?;
     Ok(out.converged)
+}
+
+/// The input of `serve` and `chaos`: the `--replay` trace, the thread
+/// budget and the batch cap.
+fn replay_input(a: &Args, command: &str) -> Result<(ChurnTrace, usize, usize), String> {
+    let path = a.text(&REPLAY).ok_or_else(|| {
+        format!("{command} needs --replay FILE (generate one with `scenarios gen-trace`)")
+    })?;
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path:?}: {e}"))?;
+    let trace = ChurnTrace::parse(&text).map_err(|e| e.to_string())?;
+    Ok((
+        trace,
+        run_config(a).threads,
+        a.get(&BATCH).copied().unwrap_or(64).max(1),
+    ))
+}
+
+/// The fault plan in the TOML file at `path`.
+fn read_plan(path: &str) -> Result<FaultPlan, String> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read fault plan {path:?}: {e}"))?;
+    load_plan(&text).map_err(|e| e.to_string())
 }
 
 /// `scenarios serve`: replay a churn trace through the long-lived route
 /// server and report throughput, coalescing and latency percentiles as
 /// `BENCH_serve.json`.
-fn cmd_serve(opts: &Options) -> Result<bool, String> {
-    let path = opts
-        .replay
-        .as_deref()
-        .ok_or("serve needs --replay FILE (generate one with `scenarios gen-trace`)")?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path:?}: {e}"))?;
-    let trace = ChurnTrace::parse(&text).map_err(|e| e.to_string())?;
-    let threads = run_threads(opts);
-    let batch = opts.batch.unwrap_or(64).max(1);
-    let serve_opts = serve_options(opts, threads, batch)?;
-    let report = match opts.trace.as_deref() {
-        Some(tp) => {
-            let mut tracer = TraceSink::to_file(tp)
-                .map_err(|e| format!("cannot create trace file {tp:?}: {e}"))?;
-            let report =
-                replay_trace_opts(&trace, &serve_opts, &mut tracer).map_err(|e| e.to_string())?;
-            tracer
-                .finish()
-                .map_err(|e| format!("cannot write trace file {tp:?}: {e}"))?;
-            eprintln!("wrote {tp}");
-            report
-        }
-        None => replay_trace_opts(&trace, &serve_opts, &mut telemetry::NoopSink)
-            .map_err(|e| e.to_string())?,
-    };
+fn cmd_serve(a: &Args) -> Result<bool, String> {
+    let (trace, threads, batch) = replay_input(a, "serve")?;
+    let serve_opts = serve_options(a, threads, batch)?;
+    let report = with_trace(a.text(&TRACE), |sink| {
+        replay_trace_opts(&trace, &serve_opts, sink)
+    })?;
     let json = serve_json(&report, threads, batch);
-    emit(opts, &json, &serve_summary(&report, threads, batch))?;
+    emit(a, &json, &serve_summary(&report, threads, batch))?;
     match &report.failure {
         None => Ok(true),
         // Mid-replay failure: the partial report is already emitted (and
@@ -1078,46 +1152,39 @@ fn cmd_serve(opts: &Options) -> Result<bool, String> {
 
 /// Assemble the [`ServeOptions`] of a `serve` invocation from the CLI
 /// flags: deadline policy (`auto` unless overridden), checkpoint store,
-/// recovery, and the fault plan (`--faults FILE` and/or `--crash-at E`).
-fn serve_options(opts: &Options, threads: usize, batch: usize) -> Result<ServeOptions, String> {
-    let deadline = match opts.deadline_ms.as_deref() {
-        // The bound-derived deadline is the documented default: the
-        // convergence-bound oracle times the measured per-round cost,
-        // with generous headroom, so an unloaded run never degrades.
-        None | Some("auto") => DeadlineCfg::Auto,
-        Some("0") => DeadlineCfg::Off,
-        Some(ms) => DeadlineCfg::Millis(
-            ms.parse::<u64>()
-                .map_err(|e| format!("bad --deadline-ms: {e}"))?,
-        ),
-    };
-    let recover = opts.recover.is_some();
-    let checkpoint_dir = match (&opts.recover, &opts.checkpoint) {
-        (Some(dir), _) | (None, Some(dir)) => Some(PathBuf::from(dir)),
-        (None, None) => None,
-    };
-    if checkpoint_dir.is_none() && opts.checkpoint_every.is_some() {
+/// recovery, and the fault plan (`--faults FILE` and/or `--crash-at OFFSET`).
+fn serve_options(a: &Args, threads: usize, batch: usize) -> Result<ServeOptions, String> {
+    let (recover, checkpoint) = (a.text(&RECOVER), a.text(&CHECKPOINT));
+    // A recovered server keeps checkpointing into the store it recovered
+    // from, so a second, different store would silently go unused.
+    if let (Some(r), Some(c)) = (recover, checkpoint) {
+        if Path::new(r) != Path::new(c) {
+            return Err(format!(
+                "--checkpoint {c} and --recover {r} name different stores; a recovered \
+                 server checkpoints into the store it recovers from"
+            ));
+        }
+    }
+    let checkpoint_dir = recover.or(checkpoint).map(PathBuf::from);
+    let every = a.get(&CHECKPOINT_EVERY).copied();
+    if checkpoint_dir.is_none() && every.is_some() {
         return Err("--checkpoint-every needs --checkpoint DIR (or --recover DIR)".into());
     }
-    let mut plan = match opts.faults.as_deref() {
-        None => None,
-        Some(path) => {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| format!("cannot read fault plan {path:?}: {e}"))?;
-            Some(load_plan(&text).map_err(|e| e.to_string())?)
-        }
-    };
-    if let Some(offset) = opts.crash_at {
+    let mut plan = a.text(&FAULTS).map(read_plan).transpose()?;
+    if let Some(offset) = a.get(&CRASH_AT).copied() {
         plan.get_or_insert_with(|| FaultPlan::new(0))
             .push(FaultKind::CrashAtEvent, offset);
     }
     Ok(ServeOptions {
         threads,
         batch_max: batch,
-        deadline,
+        // The bound-derived deadline is the documented default: the
+        // convergence-bound oracle times the measured per-round cost,
+        // with generous headroom, so an unloaded run never degrades.
+        deadline: a.get(&DEADLINE_MS).copied().unwrap_or(DeadlineCfg::Auto),
         checkpoint_dir,
-        checkpoint_every: opts.checkpoint_every.unwrap_or(64),
-        recover,
+        checkpoint_every: every.unwrap_or(64),
+        recover: recover.is_some(),
         faults: plan.map(std::sync::Arc::new),
     })
 }
@@ -1125,24 +1192,10 @@ fn serve_options(opts: &Options, threads: usize, batch: usize) -> Result<ServeOp
 /// `scenarios chaos`: run fault plans against a churn trace, recover, and
 /// verify digest-identity plus the convergence-bound oracle.  With
 /// `--faults FILE` runs that one plan; without it, every built-in plan.
-fn cmd_chaos(opts: &Options) -> Result<bool, String> {
-    let path = opts
-        .replay
-        .as_deref()
-        .ok_or("chaos needs --replay FILE (generate one with `scenarios gen-trace`)")?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path:?}: {e}"))?;
-    let trace = ChurnTrace::parse(&text).map_err(|e| e.to_string())?;
-    let threads = run_threads(opts);
-    let batch = opts.batch.unwrap_or(64).max(1);
-    let plans: Vec<(String, FaultPlan)> = match opts.faults.as_deref() {
-        Some(file) => {
-            let text = std::fs::read_to_string(file)
-                .map_err(|e| format!("cannot read fault plan {file:?}: {e}"))?;
-            vec![(
-                file.to_string(),
-                load_plan(&text).map_err(|e| e.to_string())?,
-            )]
-        }
+fn cmd_chaos(a: &Args) -> Result<bool, String> {
+    let (trace, threads, batch) = replay_input(a, "chaos")?;
+    let plans: Vec<(String, FaultPlan)> = match a.text(&FAULTS) {
+        Some(file) => vec![(file.to_string(), read_plan(file)?)],
         None => builtin_plan_names()
             .iter()
             .map(|name| {
@@ -1154,7 +1207,7 @@ fn cmd_chaos(opts: &Options) -> Result<bool, String> {
     // Each plan gets a fresh store directory so a crashed run's WAL never
     // leaks into the next plan's recovery.  Without --checkpoint the stores
     // live in a temp directory this command removes again.
-    let base = match &opts.checkpoint {
+    let base = match a.text(&CHECKPOINT) {
         Some(dir) => PathBuf::from(dir),
         None => std::env::temp_dir().join(format!("dbf-chaos-{}", std::process::id())),
     };
@@ -1182,7 +1235,7 @@ fn cmd_chaos(opts: &Options) -> Result<bool, String> {
         Ok(outcomes)
     };
     let outcomes = run_plans();
-    if opts.checkpoint.is_none() {
+    if a.text(&CHECKPOINT).is_none() {
         let _ = std::fs::remove_dir_all(&base);
     }
     let outcomes = outcomes?;
@@ -1193,216 +1246,191 @@ fn cmd_chaos(opts: &Options) -> Result<bool, String> {
         outcomes.len() - failed,
         outcomes.len()
     );
-    emit(opts, &json, &summary)?;
+    emit(a, &json, &summary)?;
     if failed > 0 {
         return Err(format!("{failed} chaos plan(s) failed verification"));
     }
     Ok(true)
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(command) = args.first() else {
+/// Run the command line `argv` (without the program name) and return its
+/// exit status: 0 when the verdict matched, 1 when it did not, 2 on a
+/// usage or input error.
+fn status(argv: &[String]) -> u8 {
+    let Some(cmd) = argv
+        .first()
+        .and_then(|name| COMMANDS.iter().find(|c| c.name == name.as_str()))
+    else {
         return usage();
     };
-    let result: Result<bool, String> = match command.as_str() {
-        "list" => {
-            for s in builtins::all() {
-                println!(
-                    "{:<22} {}",
-                    s.name,
-                    s.description.split('.').next().unwrap_or("")
-                );
-            }
-            Ok(true)
-        }
-        "list-engines" => {
-            for d in dbf_scenario::engine::descriptors() {
-                let runs = match d.determinism {
-                    dbf_scenario::engine::Determinism::Fixed => "once",
-                    dbf_scenario::engine::Determinism::Seeded => "per-seed",
-                };
-                let max_n = d
-                    .max_recommended_n
-                    .map(|n| n.to_string())
-                    .unwrap_or_else(|| "-".into());
-                let par = if d.parallelizable { "yes" } else { "no" };
-                let events = if d.events.is_empty() {
-                    "-".into()
-                } else {
-                    d.events
-                        .iter()
-                        .map(|e| e.name())
-                        .collect::<Vec<_>>()
-                        .join(",")
-                };
-                let det = if d.deterministic_counters { "" } else { "*" };
-                println!(
-                    "{:<12} runs={:<8} max_n={:<6} parallel={:<4} events={}{:<22} {}",
-                    d.name, runs, max_n, par, det, events, d.summary
-                );
-            }
-            Ok(true)
-        }
-        "show" => match args.get(1) {
-            None => return usage(),
-            Some(name) => match builtins::by_name(name) {
-                None => Err(format!("unknown builtin {name:?}")),
-                Some(s) => {
-                    println!("{}", s.to_toml_string());
-                    Ok(true)
-                }
-            },
-        },
-        "run" => match args.get(1) {
-            None => return usage(),
-            Some(target) => parse_options(&args[2..], RUN_OPTS).and_then(|o| cmd_run(target, &o)),
-        },
-        "profile" => match args.get(1) {
-            None => return usage(),
-            Some(target) => {
-                parse_options(&args[2..], PROFILE_OPTS).and_then(|o| cmd_profile(target, &o))
-            }
-        },
-        "run-all" => parse_options(&args[1..], RUN_ALL_OPTS).and_then(|o| cmd_run_all(&o)),
-        "bounds" => match args.get(1) {
-            None => return usage(),
-            Some(target) => {
-                parse_options(&args[2..], BOUNDS_OPTS).and_then(|o| cmd_bounds(target, &o))
-            }
-        },
-        "bench" => parse_options(&args[1..], BENCH_OPTS).and_then(|o| cmd_bench(&o)),
-        "list-sweeps" => {
-            for s in sweeps::all() {
-                println!(
-                    "{:<28} {}",
-                    s.name,
-                    s.description.split('.').next().unwrap_or("")
-                );
-            }
-            Ok(true)
-        }
-        "show-sweep" => match args.get(1) {
-            None => return usage(),
-            Some(name) => match sweeps::by_name(name) {
-                None => Err(format!("unknown built-in sweep {name:?}")),
-                Some(s) => {
-                    println!("{}", s.to_toml_string());
-                    Ok(true)
-                }
-            },
-        },
-        "sweep" => match args.get(1) {
-            None => return usage(),
-            Some(target) => {
-                parse_options(&args[2..], SWEEP_OPTS).and_then(|o| cmd_sweep(target, &o))
-            }
-        },
-        "sweep-bench" => {
-            parse_options(&args[1..], SWEEP_BENCH_OPTS).and_then(|o| cmd_sweep_bench(&o))
-        }
-        "fuzz" => parse_options(&args[1..], FUZZ_OPTS).and_then(|o| cmd_fuzz(&o)),
-        "replay" => match args.get(1) {
-            None => return usage(),
-            Some(dir) => parse_options(&args[2..], REPLAY_OPTS).and_then(|_| cmd_replay(dir)),
-        },
-        "gen-trace" => parse_options(&args[1..], GEN_TRACE_OPTS).and_then(|o| cmd_gen_trace(&o)),
-        "scale-run" => parse_options(&args[1..], SCALE_RUN_OPTS).and_then(|o| cmd_scale_run(&o)),
-        "serve" => parse_options(&args[1..], SERVE_OPTS).and_then(|o| cmd_serve(&o)),
-        "chaos" => parse_options(&args[1..], CHAOS_OPTS).and_then(|o| cmd_chaos(&o)),
-        _ => return usage(),
+    let rest = &argv[1..];
+    let (operand, rest) = match (cmd.operand, rest.split_first()) {
+        (None, _) => ("", rest),
+        (Some(_), Some((operand, rest))) => (operand.as_str(), rest),
+        (Some(_), None) => return usage(),
     };
-    match result {
-        Ok(true) => ExitCode::SUCCESS,
+    match Args::parse(cmd.flags, operand, rest).and_then(|a| (cmd.run)(&a)) {
+        Ok(true) => 0,
         Ok(false) => {
             eprintln!("differential verdict did not match the scenario expectation");
-            ExitCode::FAILURE
+            1
         }
         Err(msg) => {
             eprintln!("error: {msg}");
-            ExitCode::from(2)
+            2
         }
     }
+}
+
+fn main() -> ExitCode {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    ExitCode::from(status(&argv))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn parse(args: &[&str], allowed: &[&str]) -> Result<Options, String> {
-        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
-        parse_options(&args, allowed)
+    fn strings(args: &[&str]) -> Vec<String> {
+        args.iter().map(|a| a.to_string()).collect()
+    }
+
+    /// A value the flag accepts.
+    fn accepted(flag: &dyn AnyFlag) -> &'static str {
+        ["8", "sync,delta"]
+            .into_iter()
+            .find(|v| flag.read(v).is_ok())
+            .unwrap_or_else(|| panic!("{} accepts no sample", flag.name()))
     }
 
     #[test]
-    fn a_flag_the_command_does_not_take_is_rejected_with_the_allow_list() {
-        let err = parse(&["--seeds", "1,2"], SWEEP_OPTS)
-            .err()
-            .expect("rejected");
+    fn every_command_takes_exactly_the_flags_it_declares() {
+        let every = every_flag();
+        assert_eq!(every.len(), 32);
+        for cmd in COMMANDS {
+            let mut argv = Vec::new();
+            for flag in cmd.flags {
+                argv.push(flag.name());
+                if !flag.meta().is_empty() {
+                    argv.push(accepted(*flag));
+                }
+            }
+            let args = Args::parse(cmd.flags, "", &strings(&argv))
+                .unwrap_or_else(|e| panic!("{} {argv:?}: {e}", cmd.name));
+            assert_eq!(args.given.len(), cmd.flags.len(), "{}", cmd.name);
+
+            let valid: Vec<&str> = cmd.flags.iter().map(|f| f.name()).collect();
+            let valid = if valid.is_empty() {
+                "none".into()
+            } else {
+                valid.join(", ")
+            };
+            let others = every
+                .iter()
+                .filter(|f| cmd.flags.iter().all(|g| g.name() != f.name()));
+            for flag in others {
+                let err = Args::parse(cmd.flags, "", &strings(&[flag.name(), "1"])).err();
+                assert_eq!(
+                    err,
+                    Some(format!(
+                        "option {} does not apply to this command (valid here: {valid})",
+                        flag.name()
+                    ))
+                );
+                let argv: Vec<&str> = [cmd.name]
+                    .into_iter()
+                    .chain(cmd.operand.map(|_| "count-to-infinity"))
+                    .chain([flag.name(), "1"])
+                    .collect();
+                assert_eq!(status(&strings(&argv)), 2, "{argv:?}");
+            }
+        }
         assert_eq!(
-            err,
-            format!(
-                "option --seeds does not apply to this command (valid here: {})",
-                SWEEP_OPTS.join(", ")
-            )
+            Args::parse(&[], "", &strings(&["extra"])).err().as_deref(),
+            Some("unknown option \"extra\"")
         );
     }
 
     #[test]
-    fn a_missing_value_names_the_flag_and_what_it_needs() {
-        for (args, allowed, want) in [
-            (&["--jobs"][..], SWEEP_OPTS, "--jobs needs a value"),
-            (&["--json", "--out"][..], RUN_OPTS, "--out needs a value"),
-            (
-                &["--recover"][..],
-                SERVE_OPTS,
-                "--recover needs a directory",
-            ),
-            (
-                &["--crash-at"][..],
-                SERVE_OPTS,
-                "--crash-at needs an event offset",
-            ),
-            (
-                &["--deadline-ms"][..],
-                SERVE_OPTS,
-                "--deadline-ms needs a value (auto|N|0)",
-            ),
-        ] {
-            assert_eq!(parse(args, allowed).err().as_deref(), Some(want));
-        }
+    fn the_readme_carries_the_usage_text() {
+        let readme = include_str!("../../../../README.md");
+        assert!(
+            readme.contains(&format!("```text\n{}```", usage_text())),
+            "README.md's CLI reference must be `scenarios` run with no arguments:\n{}",
+            usage_text()
+        );
     }
 
     #[test]
-    fn a_bad_value_names_the_flag_and_the_parse_error() {
-        for (args, allowed, want) in [
+    fn a_missing_or_bad_value_names_its_flag() {
+        for cmd in COMMANDS {
+            for flag in cmd.flags.iter().filter(|f| !f.meta().is_empty()) {
+                let missing = Args::parse(cmd.flags, "", &strings(&[flag.name()])).err();
+                let want = format!("{} needs a value ({})", flag.name(), flag.meta());
+                assert_eq!(missing, Some(want));
+                if flag.read("-1").is_err() {
+                    let err = Args::parse(cmd.flags, "", &strings(&[flag.name(), "-1"])).err();
+                    let err = err.expect("refused");
+                    assert!(err.starts_with(&format!("bad {}: ", flag.name())), "{err}");
+                }
+            }
+        }
+        // Every value but a file, a directory or a name the library reads
+        // later (topology, algebra) is a number, a list or a deadline.
+        let refusing = every_flag().into_iter().filter(|f| f.read("-1").is_err());
+        assert_eq!(refusing.count(), 32 - 4 - 9);
+        let flags: [&dyn AnyFlag; 8] = [
+            &JOBS,
+            &CHECKPOINT_EVERY,
+            &QUERIES,
+            &SEEDS,
+            &CRASH_AT,
+            &JSON,
+            &OUT,
+            &DEADLINE_MS,
+        ];
+        for (argv, want) in [
             (
                 &["--jobs", "many"][..],
-                SWEEP_OPTS,
                 "bad --jobs: invalid digit found in string",
             ),
             (
-                &["--queries", "-1"][..],
-                GEN_TRACE_OPTS,
-                "bad --queries: invalid digit found in string",
+                &["--checkpoint-every", "0"],
+                "bad --checkpoint-every: must be at least 1",
             ),
             (
-                &["--crash-at", ""][..],
-                SERVE_OPTS,
+                &["--queries", "4294967296"],
+                "bad --queries: number too large to fit in target type",
+            ),
+            (&["--seeds", ","], "bad --seeds: the list is empty"),
+            (
+                &["--seeds", "1,x"],
+                "bad --seeds: seed \"x\": invalid digit found in string",
+            ),
+            (
+                &["--crash-at", ""],
                 "bad --crash-at: cannot parse integer from empty string",
             ),
-            (
-                &["--checkpoint-every", "0"][..],
-                SERVE_OPTS,
-                "--checkpoint-every must be >= 1",
-            ),
+            (&["--json", "--out"], "--out needs a value (FILE)"),
         ] {
-            assert_eq!(parse(args, allowed).err().as_deref(), Some(want));
+            let err = Args::parse(&flags, "", &strings(argv)).err();
+            assert_eq!(err.as_deref(), Some(want));
         }
-        let ok = parse(&["--jobs", "8", "--json", "--out", "f.json"], SWEEP_OPTS).expect("valid");
+        let argv = ["--jobs", "3", "--json", "--out", "f.json", "--jobs", "8"];
+        let ok = Args::parse(&flags, "", &strings(&argv)).expect("valid");
         assert_eq!(
-            (ok.jobs, ok.json, ok.out.as_deref()),
-            (Some(8), true, Some("f.json"))
+            (ok.get(&JOBS), ok.on(&JSON), ok.text(&OUT)),
+            (Some(&8), true, Some("f.json")),
+            "the last of a repeated flag wins"
         );
+        for (text, want) in [
+            ("auto", DeadlineCfg::Auto),
+            ("0", DeadlineCfg::Off),
+            ("00", DeadlineCfg::Millis(0)),
+            ("250", DeadlineCfg::Millis(250)),
+        ] {
+            let ok = Args::parse(&flags, "", &strings(&["--deadline-ms", text])).expect("valid");
+            assert_eq!(ok.get(&DEADLINE_MS), Some(&want), "{text}");
+        }
     }
 }

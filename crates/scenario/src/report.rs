@@ -6,6 +6,7 @@
 //! algebra without the report types being generic.
 
 use dbf_matrix::blocked::Fnv1a;
+use dbf_telemetry::escape_into;
 use std::fmt;
 
 /// A minimal JSON value (the build environment has no serde; this covers
@@ -43,20 +44,6 @@ impl Json {
     }
 }
 
-fn escape_json(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-}
-
 fn write_json(v: &Json, indent: usize, out: &mut String) {
     let pad = "  ".repeat(indent);
     match v {
@@ -72,7 +59,7 @@ fn write_json(v: &Json, indent: usize, out: &mut String) {
         }
         Json::Str(s) => {
             out.push('"');
-            escape_json(s, out);
+            escape_into(out, s);
             out.push('"');
         }
         Json::Arr(items) => {
@@ -102,7 +89,7 @@ fn write_json(v: &Json, indent: usize, out: &mut String) {
             for (i, (k, val)) in fields.iter().enumerate() {
                 out.push_str(&pad);
                 out.push_str("  \"");
-                escape_json(k, out);
+                escape_into(out, k);
                 out.push_str("\": ");
                 write_json(val, indent + 1, out);
                 if i + 1 < fields.len() {
@@ -226,6 +213,43 @@ pub struct EngineRun {
     /// σ-stable), so the differential verdict counts it as a convergence
     /// failure rather than aborting the whole process with it.
     pub error: Option<String>,
+}
+
+/// One engine run's phases summed: what sweeps aggregate, the bench
+/// document records per engine and the bound audit prints.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RunTotals {
+    /// Logical rounds.
+    pub rounds: u64,
+    /// Engine work.
+    pub work: u64,
+    /// Messages sent (phases without a message concept count 0).
+    pub messages: u64,
+    /// Wire bytes (phases without a codec count 0).
+    pub bytes: u64,
+    /// Wall-clock milliseconds.
+    pub wall_ms: f64,
+    /// The worst (largest) [`PhaseOutcome::tightness`], `None` when no
+    /// phase carried a bound.
+    pub tightness: Option<f64>,
+}
+
+impl EngineRun {
+    /// Sum this run's phases.
+    pub fn totals(&self) -> RunTotals {
+        let phases = &self.phases;
+        RunTotals {
+            rounds: phases.iter().map(|p| p.rounds).sum(),
+            work: phases.iter().map(|p| p.work).sum(),
+            messages: phases.iter().map(|p| p.messages.unwrap_or(0)).sum(),
+            bytes: phases.iter().map(|p| p.bytes.unwrap_or(0)).sum(),
+            wall_ms: phases.iter().map(|p| p.wall_ms).sum(),
+            tightness: phases
+                .iter()
+                .filter_map(PhaseOutcome::tightness)
+                .reduce(f64::max),
+        }
+    }
 }
 
 /// The differential verdict across all runs of a scenario.

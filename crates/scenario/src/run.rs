@@ -345,7 +345,9 @@ fn guarded<A: ScenarioAlgebra>(
         Err(payload) => panicked_run(
             engine_label(kind, seed),
             problems,
-            panic_message(payload.as_ref()),
+            panic_message(payload.as_ref())
+                .unwrap_or("<non-string panic payload>")
+                .to_string(),
         ),
     }
 }
@@ -379,15 +381,13 @@ fn panicked_run<A: ScenarioAlgebra>(
     }
 }
 
-/// Best-effort extraction of a panic payload's message.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "<non-string panic payload>".into()
-    }
+/// A panic payload's message, when it carries a string (as `panic!` with
+/// a message does).
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> Option<&str> {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
 }
 
 /// The cross-engine oracle: per phase, every run must be σ-stable and all

@@ -5,6 +5,7 @@ use crate::checkpoint::CheckpointStore;
 use crate::report::Digest;
 use crate::run::build_shape;
 use crate::spec::{ChangeSpec, TopologySpec, WeightRule};
+use dbf_algebra::algebra::SplitMix64;
 use dbf_algebra::prelude::*;
 use dbf_matrix::AdjacencyMatrix;
 use dbf_telemetry::NoopSink;
@@ -175,6 +176,54 @@ fn a_hop_limit_the_carrier_cannot_hold_is_not_a_trace_algebra() {
     let report = replay_trace(&trace, 1, 16, &mut NoopSink).expect("replay");
     assert!(report.failure.is_none());
     assert_eq!(report.stats.worst_flush_bound, u64::MAX);
+}
+
+/// The server's bound is `n · algebra_height`, and so still the formula
+/// it wrote out for itself before: `n·(limit + 2)` and
+/// `n·((n−1)·w_max + 2)`, saturating.
+#[test]
+fn the_flush_bound_is_n_times_the_oracles_height() {
+    let written_out = |rule: BoundRule, n: u64, overrides: &WeightOverrides| match rule {
+        BoundRule::None => None,
+        BoundRule::Hopcount { limit } => Some(n.saturating_mul(limit.saturating_add(2))),
+        BoundRule::Shortest => {
+            let w_max = overrides.values().copied().max().unwrap_or(1).max(1);
+            let height = n.saturating_sub(1).saturating_mul(w_max).saturating_add(2);
+            Some(n.saturating_mul(height))
+        }
+    };
+    let mut rng = SplitMix64::new(31);
+    let draw = |rng: &mut SplitMix64| match rng.next_below(4) {
+        0 => rng.next_below(8),
+        1 => u64::MAX - rng.next_below(3),
+        _ => {
+            let bits = 1 + rng.next_below(63);
+            rng.next_below(1 << bits)
+        }
+    };
+    for _ in 0..2_000 {
+        let n = draw(&mut rng).min(1 << 40) as usize;
+        let limit = draw(&mut rng).min(u64::MAX - 1);
+        let overrides: WeightOverrides = (0..rng.next_below(4))
+            .map(|k| {
+                (
+                    (k as usize, k as usize + 1),
+                    draw(&mut rng).clamp(1, u64::MAX - 1),
+                )
+            })
+            .collect();
+        for rule in [
+            BoundRule::None,
+            BoundRule::Hopcount { limit },
+            BoundRule::Shortest,
+        ] {
+            assert_eq!(
+                rule.rounds(n, &overrides),
+                written_out(rule, n as u64, &overrides),
+                "{rule:?} n={n} {overrides:?}"
+            );
+        }
+    }
 }
 
 #[test]

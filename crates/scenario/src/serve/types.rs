@@ -1,7 +1,8 @@
 //! The server's vocabulary: the options a `RouteServer` is built with and
 //! the outcomes it hands back.
 
-use crate::spec::SpecError;
+use crate::bound::algebra_height;
+use crate::spec::{AlgebraSpec, SpecError, WeightRule};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -29,11 +30,7 @@ impl ServeProblem {
 
     /// A σ round panicked: the panic's own message, when it has one.
     pub(super) fn kernel(payload: &(dyn std::any::Any + Send)) -> ServeProblem {
-        let msg = payload
-            .downcast_ref::<&str>()
-            .map(|s| s.to_string())
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "σ sweep panicked".to_string());
+        let msg = crate::run::panic_message(payload).unwrap_or("σ sweep panicked");
         ServeProblem {
             kind: "kernel",
             message: format!("σ kernel failed: {msg}"),
@@ -89,9 +86,9 @@ pub enum DeadlineCfg {
     Millis(u64),
 }
 
-/// The convergence-bound rule the server audits flushes against
-/// (mirrors `crate::bound::algebra_height` for the serve algebras:
-/// synchronous bound = n·h).
+/// The convergence-bound rule the server audits flushes against: the
+/// synchronous bound `n·h`, with `h` from [`algebra_height`] for the
+/// serve algebra.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BoundRule {
     /// No bound auditing.
@@ -112,16 +109,18 @@ impl BoundRule {
     /// Predicted worst-case σ rounds for an `n`-node flush, if a rule is
     /// in force.
     pub(super) fn rounds(&self, n: usize, overrides: &WeightOverrides) -> Option<u64> {
-        let n = n as u64;
-        match self {
-            BoundRule::None => None,
-            BoundRule::Hopcount { limit } => Some(n.saturating_mul(limit.saturating_add(2))),
+        let alg = match *self {
+            BoundRule::None => return None,
+            BoundRule::Hopcount { limit } => AlgebraSpec::Hopcount { limit },
             BoundRule::Shortest => {
                 let w_max = overrides.values().copied().max().unwrap_or(1).max(1);
-                let height = n.saturating_sub(1).saturating_mul(w_max).saturating_add(2);
-                Some(n.saturating_mul(height))
+                AlgebraSpec::Shortest {
+                    weights: WeightRule::uniform(w_max),
+                }
             }
-        }
+        };
+        let n = n as u64;
+        algebra_height(&alg, n).map(|h| n.saturating_mul(h.height))
     }
 }
 

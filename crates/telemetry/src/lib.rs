@@ -52,4 +52,4 @@ pub use metrics::{
     AggregatingSink, BandStats, MetricsReport, PhaseMetrics, PhaseTiming, SettleSummary,
 };
 pub use sink::{EventClass, MessageCounters, NoopSink, Tee, TelemetrySink};
-pub use trace::{TraceSink, TRACE_SCHEMA_VERSION};
+pub use trace::{escape_into, TraceSink, TRACE_SCHEMA_VERSION};

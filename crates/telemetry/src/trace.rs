@@ -78,7 +78,9 @@ enum Field<'a> {
     Null,
 }
 
-fn escape_into(buf: &mut String, s: &str) {
+/// Append `s` to `buf` escaped as the body of a JSON string: quotes,
+/// backslashes and control characters become escape sequences.
+pub fn escape_into(buf: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => buf.push_str("\\\""),
