@@ -1362,12 +1362,31 @@ mod tests {
     }
 
     #[test]
-    fn a_missing_or_bad_value_names_its_flag() {
+    fn a_missing_value_names_the_flag_and_what_it_needs() {
         for cmd in COMMANDS {
             for flag in cmd.flags.iter().filter(|f| !f.meta().is_empty()) {
                 let missing = Args::parse(cmd.flags, "", &strings(&[flag.name()])).err();
                 let want = format!("{} needs a value ({})", flag.name(), flag.meta());
                 assert_eq!(missing, Some(want));
+            }
+        }
+        let flags: [&dyn AnyFlag; 6] = [&JOBS, &JSON, &OUT, &RECOVER, &CRASH_AT, &DEADLINE_MS];
+        for (argv, want) in [
+            (&["--jobs"][..], "--jobs needs a value (N)"),
+            (&["--json", "--out"], "--out needs a value (FILE)"),
+            (&["--recover"], "--recover needs a value (DIR)"),
+            (&["--crash-at"], "--crash-at needs a value (OFFSET)"),
+            (&["--deadline-ms"], "--deadline-ms needs a value (auto|N|0)"),
+        ] {
+            let err = Args::parse(&flags, "", &strings(argv)).err();
+            assert_eq!(err.as_deref(), Some(want));
+        }
+    }
+
+    #[test]
+    fn a_bad_value_names_the_flag_and_the_parse_error() {
+        for cmd in COMMANDS {
+            for flag in cmd.flags.iter().filter(|f| !f.meta().is_empty()) {
                 if flag.read("-1").is_err() {
                     let err = Args::parse(cmd.flags, "", &strings(&[flag.name(), "-1"])).err();
                     let err = err.expect("refused");
@@ -1411,7 +1430,6 @@ mod tests {
                 &["--crash-at", ""],
                 "bad --crash-at: cannot parse integer from empty string",
             ),
-            (&["--json", "--out"], "--out needs a value (FILE)"),
         ] {
             let err = Args::parse(&flags, "", &strings(argv)).err();
             assert_eq!(err.as_deref(), Some(want));
