@@ -9,6 +9,7 @@
 
 use crate::report::{Json, ScenarioReport};
 use crate::sweep::GridPoint;
+use dbf_telemetry::nearest_rank;
 
 /// Descriptive statistics over the replicate samples of one metric.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -17,7 +18,7 @@ pub struct Stats {
     pub mean: f64,
     /// Median (average of the middle two for even sample counts).
     pub median: f64,
-    /// 95th percentile (nearest-rank).
+    /// 95th percentile ([`nearest_rank`]).
     pub p95: f64,
     /// Smallest sample.
     pub min: f64,
@@ -42,14 +43,10 @@ impl Stats {
         } else {
             (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0
         };
-        // Nearest-rank percentile: the smallest sample with at least 95% of
-        // the distribution at or below it.
-        let rank = ((0.95 * n as f64).ceil() as usize).clamp(1, n);
-        let p95 = sorted[rank - 1];
         Self {
             mean,
             median,
-            p95,
+            p95: sorted[nearest_rank(95, n)],
             min: sorted[0],
             max: sorted[n - 1],
         }
@@ -394,6 +391,23 @@ impl SweepReport {
         }
         out
     }
+}
+
+/// Aggregate a set of sweep reports into the `BENCH_sweeps.json` document.
+///
+/// Each entry is the sweep's full aggregated report *including* the
+/// per-point wall-clock statistics (the whole purpose of the trajectory
+/// file), so unlike the `scenarios sweep --json` output this document is
+/// not byte-stable across machines or runs.
+pub fn bench_sweeps_json(reports: &[SweepReport]) -> Json {
+    Json::Obj(vec![
+        ("suite".into(), Json::str("dbf-scenario sweeps")),
+        ("schema_version".into(), Json::Int(3)),
+        (
+            "sweeps".into(),
+            Json::Arr(reports.iter().map(|r| r.to_json(true)).collect()),
+        ),
+    ])
 }
 
 #[cfg(test)]

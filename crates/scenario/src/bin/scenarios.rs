@@ -13,7 +13,7 @@
 //! failure both print the exact reproduction command.
 
 use dbf_matrix::default_jobs;
-use dbf_scenario::bench::{bench_json, bench_sweeps_json, BenchRecord};
+use dbf_scenario::agg::bench_sweeps_json;
 use dbf_scenario::fuzz::replay_corpus;
 use dbf_scenario::prelude::*;
 use dbf_scenario::telemetry::{AggregatingSink, Tee, TelemetrySink, TraceSink};
@@ -109,8 +109,6 @@ mod tables {
         flag("--trace", "FILE", text, "write a JSONL event trace to FILE");
     pub const METRICS: Flag<()> =
         flag("--metrics", "", switch, "append the deterministic metrics table to the summary");
-    pub const CHECK_BOUNDS: Flag<()> =
-        flag("--check-bounds", "", switch, "fail if a bounded engine lacks or exceeds its bound");
     pub const JOBS: Flag<usize> =
         flag("--jobs", "N", number, "worker threads across runs (default: all cores)");
     pub const TIMING: Flag<()> =
@@ -175,12 +173,10 @@ mod tables {
             &[&ENGINES, &SEEDS, &JSON, &OUT, &THREADS, &TRACE, &METRICS], cmd_run),
         cmd("profile", SCENARIO, "run a scenario and print its per-phase telemetry",
             &[&ENGINES, &SEEDS, &THREADS], cmd_profile),
-        cmd("run-all", None, "run every built-in scenario",
-            &[&ENGINES, &SEEDS, &JSON, &OUT, &THREADS, &CHECK_BOUNDS], cmd_run_all),
+        cmd("run-all", None, "run every built-in scenario and audit its round bounds",
+            &[&ENGINES, &SEEDS, &JSON, &OUT, &THREADS], cmd_run_all),
         cmd("bounds", SCENARIO, "print the predicted round bound of every phase",
             &[&JSON, &OUT], cmd_bounds),
-        cmd("bench", None, "run every builtin, write BENCH_scenarios.json",
-            &[&OUT, &THREADS], cmd_bench),
         cmd("list-sweeps", None, "list the built-in sweeps", &[], cmd_list_sweeps),
         cmd("show-sweep", BUILTIN, "print a built-in sweep as TOML", &[], cmd_show_sweep),
         cmd("sweep", SCENARIO, "expand and run a parameter sweep",
@@ -576,7 +572,7 @@ fn cmd_run(a: &Args) -> Result<bool, String> {
     let cfg = run_config(a);
     let threads = cfg.threads;
     let (report, metrics) = run_traced(&scenario, &cfg, a.text(&TRACE))?;
-    let json = with_telemetry(report.to_json(), &metrics, threads);
+    let json = with_telemetry(report.to_json(), &metrics, Some(threads));
     let mut summary = report.summary();
     if a.on(&METRICS) {
         summary.push('\n');
@@ -859,9 +855,14 @@ fn cmd_bounds(a: &Args) -> Result<bool, String> {
     Ok(true)
 }
 
+/// `scenarios run-all`: every builtin, traced, through the differential
+/// checker and the bound audit.  Its JSON document (`BENCH_scenarios.json`
+/// under `--out`) holds each scenario's `run --json` report without the
+/// `timing` block.
 fn cmd_run_all(a: &Args) -> Result<bool, String> {
     let json_out = a.on(&JSON);
-    let mut reports = Vec::new();
+    let cfg = run_config(a);
+    let mut entries = Vec::new();
     let mut all_met = true;
     for scenario in builtins::all() {
         // An engine-matrix run (`run-all --engines …`) quantifies over the
@@ -894,19 +895,21 @@ fn cmd_run_all(a: &Args) -> Result<bool, String> {
             }
         }
         let scenario = apply_overrides(scenario, a);
-        let cfg = run_config(a);
-        let report =
-            run_scenario_with(&scenario, &cfg).map_err(|e| format!("{}: {e}", scenario.name))?;
+        let (report, metrics) =
+            run_traced(&scenario, &cfg, None).map_err(|e| format!("{}: {e}", scenario.name))?;
         if !json_out {
             println!("{}", report.summary());
         }
         all_met &= report.expectation_met();
-        if a.on(&CHECK_BOUNDS) {
-            all_met &= audit_bounds(&scenario, &report, json_out);
-        }
-        reports.push(report);
+        all_met &= audit_bounds(&scenario, &report, json_out);
+        entries.push(with_telemetry(report.to_json(), &metrics, None));
     }
-    let json = Json::Arr(reports.iter().map(ScenarioReport::to_json).collect());
+    let json = Json::Obj(vec![
+        ("suite".into(), Json::str("dbf-scenario builtins")),
+        ("schema_version".into(), Json::Int(4)),
+        ("threads".into(), Json::uint(cfg.threads as u64)),
+        ("scenarios".into(), Json::Arr(entries)),
+    ]);
     if json_out {
         println!("{json}");
     }
@@ -916,11 +919,11 @@ fn cmd_run_all(a: &Args) -> Result<bool, String> {
     Ok(all_met)
 }
 
-/// The `--check-bounds` audit: a scenario that requests a bounded-rounds
-/// engine on a theorem-covered algebra must actually carry predicted
-/// bounds on those runs and stay within every one of them.  This catches
-/// the annotation silently disappearing, which `expectation_met` alone
-/// (trivially true with no bounds) would not.
+/// The bound audit: a scenario that requests a bounded-rounds engine on a
+/// theorem-covered algebra must actually carry predicted bounds on those
+/// runs and stay within every one of them.  This catches the annotation
+/// silently disappearing, which `expectation_met` alone (trivially true
+/// with no bounds) would not.
 fn audit_bounds(scenario: &Scenario, report: &ScenarioReport, quiet: bool) -> bool {
     let expects_bounds = scenario
         .engines
@@ -955,27 +958,6 @@ fn audit_bounds(scenario: &Scenario, report: &ScenarioReport, quiet: bool) -> bo
         );
     }
     ok
-}
-
-fn cmd_bench(a: &Args) -> Result<bool, String> {
-    let mut records = Vec::new();
-    let mut all_met = true;
-    let cfg = run_config(a);
-    for scenario in builtins::all() {
-        // Bench runs are traced so the BENCH document carries the
-        // deterministic settle summaries alongside the wall times.
-        let (report, metrics) =
-            run_traced(&scenario, &cfg, None).map_err(|e| format!("{}: {e}", scenario.name))?;
-        println!("{}", report.summary());
-        all_met &= report.expectation_met();
-        records.push(BenchRecord {
-            report,
-            metrics: Some(metrics),
-        });
-    }
-    let path = a.text(&OUT).unwrap_or("BENCH_scenarios.json");
-    write_doc(path, &bench_json(&records, cfg.threads))?;
-    Ok(all_met)
 }
 
 /// `scenarios gen-trace`: write a seeded churn trace in the line-oriented
@@ -1306,7 +1288,7 @@ mod tests {
     #[test]
     fn every_command_takes_exactly_the_flags_it_declares() {
         let every = every_flag();
-        assert_eq!(every.len(), 32);
+        assert_eq!(every.len(), 31);
         for cmd in COMMANDS {
             let mut argv = Vec::new();
             for flag in cmd.flags {
@@ -1397,7 +1379,7 @@ mod tests {
         // Every value but a file, a directory or a name the library reads
         // later (topology, algebra) is a number, a list or a deadline.
         let refusing = every_flag().into_iter().filter(|f| f.read("-1").is_err());
-        assert_eq!(refusing.count(), 32 - 4 - 9);
+        assert_eq!(refusing.count(), 31 - 3 - 9);
         let flags: [&dyn AnyFlag; 8] = [
             &JOBS,
             &CHECKPOINT_EVERY,

@@ -667,27 +667,21 @@ impl<A: ScenarioAlgebra> Phase<'_, A> {
         });
         let start = dirty.as_deref().map_or(Start::AllRows, Start::Dirty);
         let mut kernel = FixedPoint::new(adj, state, start);
-        // A full sweep that runs out of budget may have become stable
-        // exactly at the boundary: one uncommitted verifying round decides.
+        // A converged iteration *is* the stability proof (the last round
+        // changed no row; an empty frontier means every row was recomputed
+        // after its inputs last changed).  A run that exhausts its budget
+        // may have become stable exactly at the boundary: one uncommitted
+        // round over the frontier — every row that could still move —
+        // decides, for either start.
         let converged = kernel.run(self.alg, adj, budget, &exec, tel)
-            || (!incremental && kernel.verify(self.alg, adj, &exec, tel));
+            || kernel.verify(self.alg, adj, &exec, tel);
         let (rounds, work) = if incremental {
             (kernel.rounds() as u64, kernel.row_recomputations())
         } else {
             (kernel.iterations() as u64, kernel.iterations() as u64)
         };
         Step {
-            // A converged iteration *is* the stability proof (the last
-            // round changed no row; an empty dirty set means every row was
-            // recomputed after its inputs last changed): re-running σ to
-            // check would cost a full extra round — at n = 10⁴ a large
-            // slice of the phase's run time.  Only a full sweep that
-            // exhausted its budget falls back to the driver's check.
-            stable: if converged || incremental {
-                Some(converged)
-            } else {
-                None
-            },
+            stable: Some(converged),
             state: kernel.finish(tel),
             rounds,
             work,

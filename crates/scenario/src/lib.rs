@@ -35,8 +35,9 @@
 //!   partition-and-heal, adversarial loss, widest-path fabrics, growing
 //!   networks, policy-rich BGP and Gao-Rexford hierarchies;
 //! * [`report`] — machine-readable reports (JSON) with per-phase rounds,
-//!   work, message counts, wall time and state digests, plus the
-//!   `BENCH_scenarios.json` emitter used to track performance across PRs;
+//!   work, message counts, wall time, σ-stability and state digests: the
+//!   one rendering of a run, which `scenarios run --json` prints and
+//!   `scenarios run-all --out BENCH_scenarios.json` collects per builtin;
 //! * [`metrics`] — renders `dbf-telemetry` metrics into the CLI's JSON
 //!   (deterministic `metrics` section, trailing non-deterministic `timing`
 //!   section) and the `--metrics` / `profile` tables; every engine run can
@@ -108,7 +109,7 @@
 //! cargo run -p dbf-scenario --bin scenarios -- profile widest-fabric --threads 2
 //! cargo run -p dbf-scenario --bin scenarios -- run my_experiment.toml --engines sync,sim
 //! cargo run -p dbf-scenario --bin scenarios -- run-all
-//! cargo run -p dbf-scenario --bin scenarios -- bench --out BENCH_scenarios.json
+//! cargo run -p dbf-scenario --bin scenarios -- run-all --threads 1 --out BENCH_scenarios.json
 //! cargo run -p dbf-scenario --bin scenarios -- sweep loss-rate-robustness --jobs 8
 //! cargo run -p dbf-scenario --bin scenarios -- sweep-bench --out BENCH_sweeps.json
 //! cargo run -p dbf-scenario --bin scenarios -- fuzz --cases 200 --seed 1 --jobs 8
@@ -135,7 +136,6 @@
 #![warn(missing_docs)]
 
 pub mod agg;
-pub mod bench;
 pub mod bound;
 pub mod builtins;
 pub mod chaos;

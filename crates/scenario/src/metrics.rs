@@ -17,8 +17,7 @@ use crate::report::Json;
 use dbf_telemetry::{MetricsReport, PhaseMetrics, PhaseTiming, SettleSummary};
 
 /// A percentile summary as JSON (`null` when there were no samples): the
-/// one rendering the metrics section, `BENCH_scenarios.json` and
-/// `BENCH_serve.json` share.
+/// one rendering the metrics section and `BENCH_serve.json` share.
 pub(crate) fn settle_json(s: Option<SettleSummary>) -> Json {
     s.map_or(Json::Null, |s| {
         Json::Obj(vec![
@@ -109,14 +108,17 @@ pub fn timing_json(report: &MetricsReport, threads: usize) -> Json {
 }
 
 /// Append the telemetry sections to a scenario-report JSON object:
-/// `metrics` (deterministic) then `timing` (always the final top-level
-/// key, so a textual strip of the `timing` block recovers the canonical
-/// byte-stable document).
-pub fn with_telemetry(scenario_json: Json, report: &MetricsReport, threads: usize) -> Json {
+/// `metrics` (deterministic) and, given the run's thread count, `timing`
+/// (always the final top-level key, so a textual strip of the `timing`
+/// block recovers the canonical byte-stable document).  Without `timing`
+/// the object is the run's entry in `scenarios run-all`'s document.
+pub fn with_telemetry(scenario_json: Json, report: &MetricsReport, threads: Option<usize>) -> Json {
     match scenario_json {
         Json::Obj(mut fields) => {
             fields.push(("metrics".into(), metrics_json(report)));
-            fields.push(("timing".into(), timing_json(report, threads)));
+            if let Some(threads) = threads {
+                fields.push(("timing".into(), timing_json(report, threads)));
+            }
             Json::Obj(fields)
         }
         other => other,
@@ -233,7 +235,7 @@ mod tests {
     #[test]
     fn with_telemetry_appends_timing_last() {
         let base = Json::Obj(vec![("scenario".into(), Json::str("s"))]);
-        let text = with_telemetry(base, &sample_report(), 1).to_string();
+        let text = with_telemetry(base.clone(), &sample_report(), Some(1)).to_string();
         let metrics_at = text.find("\"metrics\"").expect("metrics present");
         let timing_at = text.find("\"timing\"").expect("timing present");
         assert!(metrics_at < timing_at);
@@ -241,6 +243,8 @@ mod tests {
             text.rfind("\"timing\"") == Some(timing_at),
             "timing is the final top-level key"
         );
+        let untimed = with_telemetry(base, &sample_report(), None).to_string();
+        assert!(untimed.contains("\"metrics\"") && !untimed.contains("\"timing\""));
     }
 
     #[test]

@@ -215,8 +215,8 @@ pub struct EngineRun {
     pub error: Option<String>,
 }
 
-/// One engine run's phases summed: what sweeps aggregate, the bench
-/// document records per engine and the bound audit prints.
+/// One engine run's phases summed: what sweeps aggregate and the bound
+/// audit prints.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunTotals {
     /// Logical rounds.
@@ -225,8 +225,6 @@ pub struct RunTotals {
     pub work: u64,
     /// Messages sent (phases without a message concept count 0).
     pub messages: u64,
-    /// Wire bytes (phases without a codec count 0).
-    pub bytes: u64,
     /// Wall-clock milliseconds.
     pub wall_ms: f64,
     /// The worst (largest) [`PhaseOutcome::tightness`], `None` when no
@@ -242,7 +240,6 @@ impl EngineRun {
             rounds: phases.iter().map(|p| p.rounds).sum(),
             work: phases.iter().map(|p| p.work).sum(),
             messages: phases.iter().map(|p| p.messages.unwrap_or(0)).sum(),
-            bytes: phases.iter().map(|p| p.bytes.unwrap_or(0)).sum(),
             wall_ms: phases.iter().map(|p| p.wall_ms).sum(),
             tightness: phases
                 .iter()

@@ -50,6 +50,25 @@ fn budget_exhausted_phases_report_instability_instead_of_panicking() {
     }
 }
 
+/// A fixed point that lands exactly on the `bound + 1` budget is stable for
+/// both σ engines: a 6-ring needs three rounds, a bound of 2 allows three,
+/// and one uncommitted round over the frontier decides.  The phase then
+/// reads as a bound violation (3 rounds against 2), never as a spurious
+/// convergence failure.
+#[test]
+fn a_fixed_point_on_the_budget_boundary_is_stable_for_both_sigma_engines() {
+    let alg = BoundedHopCount::new(16);
+    for kind in [EngineKind::Sync, EngineKind::Incremental] {
+        let mut run = run_engine(kind, &alg, &ring_problems(Some(2)), 1, 1, &mut NoopSink);
+        run.phases[0].predicted_bound = Some(2);
+        let phase = &run.phases[0];
+        assert!(phase.sigma_stable, "engine {kind:?}");
+        assert_eq!(phase.digest, "f96fea0ef7a43205", "engine {kind:?}");
+        assert_eq!(phase.rounds, 3, "engine {kind:?}");
+        assert!(!phase.within_bound(), "engine {kind:?}");
+    }
+}
+
 /// The checker-facing half of the regression: an unstable truncated phase
 /// combined with a violated annotation fails `within_bound` and renders
 /// as a bound violation, exactly like a differential failure.

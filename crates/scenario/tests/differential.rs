@@ -248,13 +248,16 @@ fn cli_refuses_a_horizon_delta_cannot_hold() {
     assert!(started.elapsed() < std::time::Duration::from_secs(5));
 }
 
+/// `run-all --out` writes the benchmark document: one `run --json` report
+/// per builtin (digests, σ-stability and the metrics section included),
+/// and the bound audit runs on every invocation.
 #[test]
-fn cli_bench_writes_the_benchmark_document() {
+fn cli_run_all_writes_one_run_report_per_builtin() {
     let dir = std::env::temp_dir().join("dbf-scenario-test");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("BENCH_scenarios.json");
     let out = scenarios_bin()
-        .args(["bench", "--out", path.to_str().unwrap()])
+        .args(["run-all", "--out", path.to_str().unwrap()])
         .output()
         .expect("spawn scenarios");
     assert!(
@@ -262,14 +265,40 @@ fn cli_bench_writes_the_benchmark_document() {
         "stderr: {}",
         String::from_utf8_lossy(&out.stderr)
     );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(
+        stdout.matches("  bounds: ").count(),
+        builtins::all().len(),
+        "{stdout}"
+    );
     let doc = std::fs::read_to_string(&path).unwrap();
     assert_balanced_json(&doc);
     assert!(doc.contains("\"suite\": \"dbf-scenario builtins\""));
-    for scenario in builtins::all() {
-        assert!(doc.contains(&format!("\"name\": \"{}\"", scenario.name)));
+    assert!(doc.contains("\"schema_version\": 4"));
+    let entries: Vec<&str> = doc.split("\"scenario\": ").skip(1).collect();
+    assert_eq!(
+        entries.len(),
+        builtins::all().len(),
+        "one entry per builtin"
+    );
+    for (entry, scenario) in entries.iter().zip(builtins::all()) {
+        assert!(
+            entry.starts_with(&format!("\"{}\",", scenario.name)),
+            "{entry}"
+        );
+        for key in ["\"digest\": ", "\"sigma_stable\": ", "\"metrics\": {"] {
+            assert!(entry.contains(key), "{} lacks {key}", scenario.name);
+        }
+        assert!(!entry.contains("\"timing\""), "{}", scenario.name);
     }
-    assert!(doc.contains("\"wall_ms\":"));
-    assert!(doc.contains("\"messages\":"));
+
+    for argv in [&["bench"][..], &["run-all", "--check-bounds"]] {
+        let out = scenarios_bin()
+            .args(argv)
+            .output()
+            .expect("spawn scenarios");
+        assert_eq!(out.status.code(), Some(2), "{argv:?}");
+    }
 }
 
 /// A scenario written by hand in TOML (not via the serializer) parses and

@@ -3,7 +3,7 @@
 //! byte-identical aggregated JSON), the `scenarios sweep` CLI and the
 //! `BENCH_sweeps.json` emitter.
 
-use dbf_scenario::bench::bench_sweeps_json;
+use dbf_scenario::agg::bench_sweeps_json;
 use dbf_scenario::prelude::*;
 use std::process::Command;
 

@@ -49,7 +49,8 @@ mod sink;
 mod trace;
 
 pub use metrics::{
-    AggregatingSink, BandStats, MetricsReport, PhaseMetrics, PhaseTiming, SettleSummary,
+    nearest_rank, AggregatingSink, BandStats, MetricsReport, PhaseMetrics, PhaseTiming,
+    SettleSummary,
 };
 pub use sink::{EventClass, MessageCounters, NoopSink, Tee, TelemetrySink};
 pub use trace::{escape_into, TraceSink, TRACE_SCHEMA_VERSION};

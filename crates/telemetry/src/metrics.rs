@@ -5,8 +5,16 @@
 
 use crate::sink::{MessageCounters, TelemetrySink};
 
-/// Summary of a per-node settle-round histogram (nearest-rank percentiles,
-/// matching the sweep aggregator's convention).
+/// The 0-based position of the `p`-th percentile among `n ≥ 1` sorted
+/// samples, by the nearest-rank rule: the smallest sample with at least
+/// `p` % of the samples at or below it.  The one rule settle summaries and
+/// the sweep aggregator share.
+pub fn nearest_rank(p: u64, n: usize) -> usize {
+    (p * n as u64).div_ceil(100).max(1) as usize - 1
+}
+
+/// Summary of a per-node settle-round histogram ([`nearest_rank`]
+/// percentiles).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SettleSummary {
     /// Number of nodes observed.
@@ -29,10 +37,7 @@ impl SettleSummary {
         }
         let mut sorted = samples.to_vec();
         sorted.sort_unstable();
-        let rank = |p: u64| {
-            let k = (p * sorted.len() as u64).div_ceil(100);
-            sorted[(k.max(1) as usize) - 1]
-        };
+        let rank = |p| sorted[nearest_rank(p, sorted.len())];
         Some(SettleSummary {
             count: sorted.len() as u64,
             p50: rank(50),
@@ -245,6 +250,17 @@ mod tests {
         assert_eq!(SettleSummary::from_samples(&[]), None);
         let one = SettleSummary::from_samples(&[7]).unwrap();
         assert_eq!((one.p50, one.p99, one.max), (7, 7, 7));
+    }
+
+    #[test]
+    fn nearest_rank_is_the_ceiling_of_p_percent_of_n() {
+        assert_eq!(nearest_rank(95, 20), 18, "the 19th of 20");
+        assert_eq!((nearest_rank(50, 1), nearest_rank(99, 1)), (0, 0));
+        // The same rule computed in floating point.
+        for n in 1..=100_000usize {
+            let float = ((0.95 * n as f64).ceil() as usize).clamp(1, n) - 1;
+            assert_eq!(nearest_rank(95, n), float, "n = {n}");
+        }
     }
 
     #[test]
