@@ -36,12 +36,6 @@ impl WidestPaths {
     pub fn edge(&self, c: u64) -> NatInf {
         NatInf::fin(c)
     }
-
-    /// An edge of unbounded capacity (the identity on valid routes).
-    #[inline]
-    pub fn unbounded_edge(&self) -> NatInf {
-        NatInf::INF
-    }
 }
 
 impl RoutingAlgebra for WidestPaths {
@@ -122,10 +116,8 @@ mod tests {
             NatInf::fin(100)
         );
         assert_eq!(alg.extend(&alg.edge(300), &alg.invalid()), alg.invalid());
-        assert_eq!(
-            alg.extend(&alg.unbounded_edge(), &NatInf::fin(7)),
-            NatInf::fin(7)
-        );
+        // An edge of unbounded capacity is the identity on valid routes.
+        assert_eq!(alg.extend(&NatInf::INF, &NatInf::fin(7)), NatInf::fin(7));
     }
 
     #[test]

@@ -104,7 +104,7 @@ pub use kernel::{Executor, FixedPoint, Inline, Start};
 pub use parallel::{par_iterate_to_fixed_point, ParallelAlgebra, Pooled};
 pub use pool::{default_jobs, PoolScope, PoolStats, WorkerPool};
 pub use rib::{EventQueue, RibIn};
-pub use sigma::{sigma, sigma_into, sigma_row_into, sigma_row_into_changed};
+pub use sigma::{sigma, sigma_row_into, sigma_row_into_changed};
 pub use state::RoutingState;
 pub use sync::{
     is_stable, iterate_to_fixed_point, iterate_traced, iterate_with, iteration_budget, SyncOutcome,
@@ -124,7 +124,7 @@ pub mod prelude {
     pub use crate::parallel::{par_iterate_to_fixed_point, ParallelAlgebra, Pooled};
     pub use crate::pool::{PoolScope, PoolStats, WorkerPool};
     pub use crate::rib::{EventQueue, RibIn};
-    pub use crate::sigma::{sigma, sigma_into, sigma_k, sigma_row_into, sigma_row_into_changed};
+    pub use crate::sigma::{sigma, sigma_k, sigma_row_into, sigma_row_into_changed};
     pub use crate::state::RoutingState;
     pub use crate::sync::{
         is_stable, iterate_to_fixed_point, iterate_traced, iterate_with, iteration_budget,

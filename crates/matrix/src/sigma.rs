@@ -5,41 +5,10 @@ use crate::state::RoutingState;
 use dbf_algebra::RoutingAlgebra;
 use dbf_paths::NodeId;
 
-/// One synchronous round `σ(X)`, written into an existing state buffer.
-///
-/// This is the allocation-free work-horse behind [`sigma`], the plain
-/// whole-state σ the fixed-point kernel is tested against.  It sweeps
-/// row-wise: node `i`'s next table is the ⊕-fold of `A_ik` applied pointwise to
-/// neighbour `k`'s *entire current table*, so both the read of `X[k][·]`
-/// and the write of `σ(X)[i][·]` stream over contiguous memory — at
-/// `n = 10⁴` this is the difference between being memory-bandwidth-bound
-/// and being cache-miss-bound.
-///
-/// # Panics
-///
-/// Panics if `adj`, `x` and `out` do not all have the same node count.
-pub fn sigma_into<A: RoutingAlgebra>(
-    alg: &A,
-    adj: &AdjacencyMatrix<A>,
-    x: &RoutingState<A>,
-    out: &mut RoutingState<A>,
-) {
-    let n = adj.node_count();
-    assert_eq!(
-        n,
-        x.node_count(),
-        "adjacency and state dimensions must match"
-    );
-    assert_eq!(n, out.node_count(), "output state dimension must match");
-    for i in 0..n {
-        sigma_row_into(alg, adj, x, i, out.row_mut(i));
-    }
-}
-
 /// Recompute node `i`'s entire next table `σ(X)[i][·]` into `out` (a slice
 /// of length `n`).
 ///
-/// This is one row of [`sigma_into`]; the fixed-point kernel recomputes
+/// This is one row of [`sigma`]; the fixed-point kernel recomputes
 /// rows with the fused, windowed form below.  The write streams over `out`
 /// once per present link, so the cost is `O(deg(i) · n)`.
 ///
@@ -183,18 +152,28 @@ fn commit_row<R: Clone + PartialEq>(
 /// One synchronous round of the Distributed Bellman-Ford computation:
 /// every node simultaneously recomputes its table from its neighbours'
 /// current tables.
+///
+/// This is the plain whole-state σ the fixed-point kernel is tested
+/// against, one [`sigma_row_into`] per node.
+///
+/// # Panics
+///
+/// Panics if `adj` and `x` disagree on the node count.
 pub fn sigma<A: RoutingAlgebra>(
     alg: &A,
     adj: &AdjacencyMatrix<A>,
     x: &RoutingState<A>,
 ) -> RoutingState<A> {
+    let n = adj.node_count();
     assert_eq!(
-        adj.node_count(),
+        n,
         x.node_count(),
         "adjacency and state dimensions must match"
     );
-    let mut out = RoutingState::uniform(x.node_count(), alg.invalid());
-    sigma_into(alg, adj, x, &mut out);
+    let mut out = RoutingState::uniform(n, alg.invalid());
+    for i in 0..n {
+        sigma_row_into(alg, adj, x, i, out.row_mut(i));
+    }
     out
 }
 
@@ -256,17 +235,6 @@ mod tests {
         let b = sigma(&alg, &adj, &sigma(&alg, &adj, &sigma(&alg, &adj, &x0)));
         assert_eq!(a, b);
         assert_eq!(sigma_k(&alg, &adj, &x0, 0), x0);
-    }
-
-    #[test]
-    fn sigma_into_reuses_a_buffer_and_matches_sigma() {
-        let (alg, adj) = line3();
-        let x = RoutingState::<ShortestPaths>::from_fn(3, |i, j| NatInf::fin((2 * i + j) as u64));
-        let fresh = sigma(&alg, &adj, &x);
-        // Start from a garbage buffer to prove every entry is overwritten.
-        let mut buf = RoutingState::<ShortestPaths>::uniform(3, NatInf::fin(77));
-        sigma_into(&alg, &adj, &x, &mut buf);
-        assert_eq!(buf, fresh);
     }
 
     #[test]

@@ -121,38 +121,6 @@ impl<A: RoutingAlgebra> RoutingState<A> {
             .flat_map(|(i, row)| row.iter().enumerate().map(move |(j, r)| (i, j, r)))
     }
 
-    /// The pointwise choice `X ⊕ Y` of two states.
-    pub fn choice(&self, alg: &A, other: &Self) -> Self {
-        assert_eq!(self.n, other.n, "state dimension mismatch");
-        Self::from_fn(self.n, |i, j| alg.choice(self.get(i, j), other.get(i, j)))
-    }
-
-    /// The number of entries on which two states disagree.
-    pub fn disagreements(&self, other: &Self) -> usize {
-        assert_eq!(self.n, other.n, "state dimension mismatch");
-        self.entries
-            .iter()
-            .zip(other.entries.iter())
-            .filter(|(a, b)| a != b)
-            .count()
-    }
-
-    /// Do two states disagree anywhere?  Short-circuits at the first
-    /// differing entry — use this instead of `disagreements() > 0` when
-    /// only the boolean matters.
-    pub fn differs(&self, other: &Self) -> bool {
-        assert_eq!(self.n, other.n, "state dimension mismatch");
-        self.entries
-            .iter()
-            .zip(other.entries.iter())
-            .any(|(a, b)| a != b)
-    }
-
-    /// The number of invalid entries (useful as a crude progress metric).
-    pub fn invalid_count(&self, alg: &A) -> usize {
-        self.entries.iter().filter(|r| alg.is_invalid(r)).count()
-    }
-
     /// Grow the state to `new_n ≥ n` nodes, filling fresh entries with the
     /// identity pattern (trivial on the diagonal, invalid elsewhere).  Used
     /// when a node joins the network (Section 3.2).
@@ -167,14 +135,6 @@ impl<A: RoutingAlgebra> RoutingState<A> {
                 alg.invalid()
             }
         })
-    }
-
-    /// Remove a node's row and column (the node left the network,
-    /// Section 3.2), compacting indices above it.
-    pub fn without_node(&self, v: NodeId) -> Self {
-        assert!(v < self.n, "state index out of range");
-        let expand = |x: NodeId| if x >= v { x + 1 } else { x };
-        Self::from_fn(self.n - 1, |i, j| self.get(expand(i), expand(j)).clone())
     }
 }
 
@@ -214,23 +174,17 @@ mod tests {
                 }
             }
         }
-        assert_eq!(i3.invalid_count(&alg), 6);
     }
 
     #[test]
     fn rows_and_entries() {
-        let alg = ShortestPaths::new();
         let x = RoutingState::<ShortestPaths>::from_fn(2, |i, j| NatInf::fin((i * 10 + j) as u64));
         assert_eq!(x.row(1), &[NatInf::fin(10), NatInf::fin(11)]);
         assert_eq!(x.entries().count(), 4);
-        assert_eq!(x.invalid_count(&alg), 0);
         let mut y = x.clone();
         y.set(0, 1, NatInf::INF);
         assert_eq!(y.get(0, 1), &NatInf::INF);
-        assert_eq!(x.disagreements(&y), 1);
-        assert_eq!(x.disagreements(&x), 0);
-        assert!(x.differs(&y));
-        assert!(!x.differs(&x));
+        assert_ne!(x, y);
     }
 
     #[test]
@@ -246,18 +200,6 @@ mod tests {
     }
 
     #[test]
-    fn pointwise_choice() {
-        let alg = ShortestPaths::new();
-        let x = RoutingState::<ShortestPaths>::uniform(2, NatInf::fin(5));
-        let y = RoutingState::<ShortestPaths>::from_fn(2, |i, _| {
-            NatInf::fin(if i == 0 { 3 } else { 9 })
-        });
-        let z = x.choice(&alg, &y);
-        assert_eq!(z.get(0, 0), &NatInf::fin(3));
-        assert_eq!(z.get(1, 1), &NatInf::fin(5));
-    }
-
-    #[test]
     fn growing_and_shrinking() {
         let alg = ShortestPaths::new();
         let x = RoutingState::<ShortestPaths>::from_fn(2, |i, j| NatInf::fin((i + j) as u64));
@@ -266,10 +208,6 @@ mod tests {
         assert_eq!(g.get(1, 1), x.get(1, 1));
         assert_eq!(g.get(3, 3), &NatInf::fin(0));
         assert_eq!(g.get(2, 3), &NatInf::INF);
-
-        let s = g.without_node(0);
-        assert_eq!(s.node_count(), 3);
-        assert_eq!(s.get(0, 0), x.get(1, 1));
     }
 
     #[test]

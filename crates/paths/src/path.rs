@@ -129,18 +129,12 @@ impl SimplePath {
         self.nodes.windows(2).map(|w| (w[0], w[1]))
     }
 
-    /// Can the path be extended by the edge `(i, j)` without breaking
-    /// contiguity or simplicity?
+    /// Extend the path by prepending the edge `(i, j)` (the paper's
+    /// `(i, j) :: p`), or explain why that is impossible.
     ///
     /// For the empty path any `(i, j)` with `i ≠ j` is a valid extension
     /// (the empty path is the trivial route at `j`, so extending it over
     /// `(i, j)` yields the one-hop path `[i, j]`).
-    pub fn can_extend(&self, i: NodeId, j: NodeId) -> bool {
-        self.try_extend(i, j).is_ok()
-    }
-
-    /// Extend the path by prepending the edge `(i, j)` (the paper's
-    /// `(i, j) :: p`), or explain why that is impossible.
     pub fn try_extend(&self, i: NodeId, j: NodeId) -> Result<SimplePath, PathError> {
         if self.is_empty() {
             if i == j {
@@ -341,8 +335,8 @@ mod tests {
                 actual_source: 1
             })
         );
-        assert!(p.can_extend(0, 1));
-        assert!(!p.can_extend(3, 1));
+        assert!(p.try_extend(0, 1).is_ok());
+        assert!(p.try_extend(3, 1).is_err());
         // self-loop on the empty path
         assert_eq!(
             SimplePath::empty().try_extend(4, 4),

@@ -34,13 +34,13 @@ pub mod wire;
 
 pub use bgp::{BgpConfig, BgpEngine, BgpReport};
 pub use rip::{RipConfig, RipEngine, RipReport, SplitHorizon};
-pub use runtime::{run_threaded, ThreadedConfig, ThreadedReport};
+pub use runtime::{run_threaded, ThreadedReport};
 pub use stats::ProtocolStats;
 
 /// Commonly used items, suitable for a glob import.
 pub mod prelude {
     pub use crate::bgp::{BgpConfig, BgpEngine, BgpReport};
     pub use crate::rip::{RipConfig, RipEngine, RipReport, SplitHorizon};
-    pub use crate::runtime::{run_threaded, ThreadedConfig, ThreadedReport};
+    pub use crate::runtime::{run_threaded, ThreadedReport};
     pub use crate::stats::ProtocolStats;
 }

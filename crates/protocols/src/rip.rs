@@ -5,7 +5,7 @@
 //! algebra:
 //!
 //! * **periodic updates** — every router advertises its full table every
-//!   `update_interval` ticks (with per-router jitter);
+//!   [`UPDATE_INTERVAL`] ticks (with per-router jitter);
 //! * **triggered updates** — a changed entry is advertised immediately;
 //! * **split horizon** — optionally plain or with poisoned reverse;
 //! * **route timeout** — an entry not refreshed within `route_timeout` ticks
@@ -63,19 +63,18 @@ pub enum SplitHorizon {
     PoisonReverse,
 }
 
+/// Ticks between a router's periodic full-table updates (RFC 2453's 30 s).
+pub const UPDATE_INTERVAL: u64 = 30;
+
 /// Configuration of the RIP-like engine.
 #[derive(Debug, Clone, Copy)]
 pub struct RipConfig {
     /// The largest advertisable metric; anything larger is unreachable.
     pub hop_limit: u64,
-    /// Ticks between periodic full-table updates.
-    pub update_interval: u64,
     /// Ticks after which a route that has not been refreshed is dropped.
     pub route_timeout: u64,
     /// Split-horizon behaviour.
     pub split_horizon: SplitHorizon,
-    /// Send triggered updates on table changes.
-    pub triggered_updates: bool,
     /// Probability that an update message is lost.
     pub loss_prob: f64,
     /// Minimum link delay in ticks.
@@ -92,10 +91,8 @@ impl Default for RipConfig {
     fn default() -> Self {
         Self {
             hop_limit: BoundedHopCount::RIP_LIMIT,
-            update_interval: 30,
             route_timeout: 180,
             split_horizon: SplitHorizon::PoisonReverse,
-            triggered_updates: true,
             loss_prob: 0.0,
             min_delay: 1,
             max_delay: 3,
@@ -237,9 +234,7 @@ impl RipEngine {
         };
         // Stagger the first periodic update of each router.
         for i in 0..n {
-            let jitter = engine
-                .rng
-                .gen_range(0..engine.config.update_interval.max(1));
+            let jitter = engine.rng.gen_range(0..UPDATE_INTERVAL);
             engine.queue.push(jitter, Event::Periodic(i));
         }
         engine
@@ -438,13 +433,13 @@ impl RipEngine {
                     self.stats.periodic_rounds += 1;
                     self.expire_routes(i);
                     self.broadcast(i);
-                    let next = self.now + self.config.update_interval.max(1);
-                    self.queue.push(next, Event::Periodic(i));
+                    self.queue
+                        .push(self.now + UPDATE_INTERVAL, Event::Periodic(i));
                 }
                 Event::Delivery { from, to, msg } => {
                     self.stats.updates_processed += 1;
-                    let changed = self.process_advert(from, to, msg);
-                    if changed && self.config.triggered_updates {
+                    // A triggered update: a changed table is advertised at once.
+                    if self.process_advert(from, to, msg) {
                         self.broadcast(to);
                     }
                 }
@@ -570,10 +565,7 @@ mod tests {
     #[test]
     fn split_horizon_reduces_messages_on_a_line() {
         let topo = generators::line(8);
-        let base = RipConfig {
-            triggered_updates: true,
-            ..RipConfig::default()
-        };
+        let base = RipConfig::default();
         let with = RipEngine::new(
             &topo,
             RipConfig {
@@ -598,11 +590,33 @@ mod tests {
     }
 
     #[test]
+    fn bad_news_settles_within_two_update_periods_on_a_line() {
+        // Node 7 has left line(8): nodes 0–5 still hold the routes to it
+        // they learned along the line, and node 6, whose link went down,
+        // holds ∞.  Triggered updates carry the ∞ down the line at message
+        // speed; periodic updates alone wait up to a period at every hop.
+        let mut topo = generators::line(8);
+        topo.remove_link(6, 7);
+        let mut engine = RipEngine::new(&topo, RipConfig::default());
+        for i in 0..6 {
+            engine = engine.with_stale_route(i, 7, NatInf::fin(7 - i as u64), Some(i + 1));
+        }
+        let report = engine.run();
+        assert!(report.converged, "{}", report.stats);
+        assert_eq!(report.final_state, reference(&topo, 15));
+        assert!(
+            report.stats.last_change_time < 2 * UPDATE_INTERVAL,
+            "{}",
+            report.stats
+        );
+    }
+
+    #[test]
     fn report_exposes_statistics() {
         let topo = generators::star(5);
         let report = RipEngine::new(&topo, RipConfig::default()).run();
         assert!(report.stats.finish_time > 0);
-        assert!(report.stats.delivery_ratio() > 0.99);
+        assert_eq!(report.stats.updates_lost, 0);
         assert!(report.stats.messages_sent() >= report.stats.updates_sent);
         // Every update crossed the wire codec, so bytes were counted.
         assert!(report.stats.bytes_sent > 4 * report.stats.updates_sent);

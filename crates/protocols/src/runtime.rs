@@ -32,24 +32,12 @@ use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::mpsc::channel;
 use std::time::Duration;
 
-/// Configuration of the threaded runtime.
-#[derive(Debug, Clone, Copy)]
-pub struct ThreadedConfig {
-    /// How long an idle router waits for a message before re-checking the
-    /// global quiescence condition.
-    pub idle_poll: Duration,
-    /// Hard wall-clock cap on the run.
-    pub wall_clock_limit: Duration,
-}
+/// How long an idle router waits for a message before re-checking the
+/// global quiescence condition.
+const IDLE_POLL: Duration = Duration::from_millis(2);
 
-impl Default for ThreadedConfig {
-    fn default() -> Self {
-        Self {
-            idle_poll: Duration::from_millis(2),
-            wall_clock_limit: Duration::from_secs(20),
-        }
-    }
-}
+/// Hard wall-clock cap on a run.
+const WALL_CLOCK_LIMIT: Duration = Duration::from_secs(20);
 
 /// The outcome of a threaded run.
 #[derive(Debug, Clone)]
@@ -82,7 +70,6 @@ pub fn run_threaded<A>(
     alg: &A,
     adj: &AdjacencyMatrix<A>,
     initial: &RoutingState<A>,
-    config: ThreadedConfig,
 ) -> ThreadedReport<A>
 where
     A: RoutingAlgebra + Sync,
@@ -171,7 +158,7 @@ where
                 let mut has_settled = false;
 
                 loop {
-                    match rx.recv_timeout(config.idle_poll) {
+                    match rx.recv_timeout(IDLE_POLL) {
                         Ok(advert) => {
                             let dest = advert.dest;
                             // A router announces only to those importing
@@ -224,7 +211,7 @@ where
                                 && !dirty
                                 && all_settled
                                 && in_flight.load(Ordering::SeqCst) == 0)
-                                || start.elapsed() > config.wall_clock_limit
+                                || start.elapsed() > WALL_CLOCK_LIMIT
                             {
                                 break;
                             }
@@ -236,7 +223,7 @@ where
         }
         handles.into_iter().map(|h| h.join()).collect()
     });
-    let timed_out = start.elapsed() > config.wall_clock_limit;
+    let timed_out = start.elapsed() > WALL_CLOCK_LIMIT;
     let rows: Vec<Vec<A::Route>> = joined
         .into_iter()
         .map(|row| row.unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
@@ -275,7 +262,7 @@ mod tests {
         let x0 = RoutingState::identity(&alg, 8);
         let reference = iterate_to_fixed_point(&alg, &adj, &x0, 200);
         for _run in 0..3 {
-            let report = run_threaded(&alg, &adj, &x0, ThreadedConfig::default());
+            let report = run_threaded(&alg, &adj, &x0);
             assert!(!report.timed_out);
             assert!(report.sigma_stable);
             assert_eq!(report.final_state, reference.state);
@@ -296,7 +283,7 @@ mod tests {
         let x0 = RoutingState::identity(&alg, n);
         let reference = iterate_to_fixed_point(&alg, &adj, &x0, 200);
         assert!(reference.converged);
-        let report = run_threaded(&alg, &adj, &x0, ThreadedConfig::default());
+        let report = run_threaded(&alg, &adj, &x0);
         assert!(!report.timed_out);
         assert!(report.sigma_stable);
         assert_eq!(report.final_state, reference.state);
@@ -324,15 +311,7 @@ mod tests {
         adj.set(0, 1, None);
         adj.set(1, 0, None);
         for _run in 0..10 {
-            let report = run_threaded(
-                &alg,
-                &adj,
-                &stale.state,
-                ThreadedConfig {
-                    idle_poll: Duration::from_millis(1),
-                    wall_clock_limit: Duration::from_secs(5),
-                },
-            );
+            let report = run_threaded(&alg, &adj, &stale.state);
             assert!(!report.timed_out, "quiescence must not wedge");
             assert!(report.sigma_stable);
             // Router 1 imports from no one: everything except its self-route
@@ -371,7 +350,7 @@ mod tests {
         );
         let x0 = RoutingState::identity(&Exploding, 2);
         let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_threaded(&Exploding, &adj, &x0, ThreadedConfig::default())
+            run_threaded(&Exploding, &adj, &x0)
         }))
         .expect_err("the router panic must reach the caller");
         assert_eq!(payload.downcast_ref::<&str>(), Some(&"extend exploded"));
@@ -391,7 +370,7 @@ mod tests {
                 NatInf::fin(((i + 2 * j) % 9) as u64)
             }
         });
-        let report = run_threaded(&alg, &adj, &stale, ThreadedConfig::default());
+        let report = run_threaded(&alg, &adj, &stale);
         assert!(!report.timed_out);
         assert!(report.sigma_stable);
         assert_eq!(report.final_state, reference);

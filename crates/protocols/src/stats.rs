@@ -32,15 +32,6 @@ impl ProtocolStats {
         self.updates_sent + self.withdrawals_sent
     }
 
-    /// The delivery ratio (1.0 when nothing was lost).
-    pub fn delivery_ratio(&self) -> f64 {
-        if self.updates_sent == 0 {
-            1.0
-        } else {
-            1.0 - self.updates_lost as f64 / self.updates_sent as f64
-        }
-    }
-
     /// The telemetry view of these counters: uniform message-plane
     /// accounting for the `messages` event.  `bytes` is always `Some` —
     /// the protocol engines put their updates through [`crate::wire`].
@@ -86,10 +77,8 @@ mod tests {
             ..ProtocolStats::default()
         };
         assert_eq!(s.messages_sent(), 110);
-        assert!((s.delivery_ratio() - 0.75).abs() < 1e-12);
         let c = s.counters();
         assert_eq!((c.sent, c.dropped, c.bytes), (110, 25, Some(0)));
-        assert_eq!(ProtocolStats::default().delivery_ratio(), 1.0);
         assert!(s.to_string().contains("sent=100"));
     }
 }

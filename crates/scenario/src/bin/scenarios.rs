@@ -193,7 +193,7 @@ mod tables {
             &[&NODES, &M, &SEED, &ALGEBRA, &BLOCK, &JSON, &OUT], cmd_scale_run),
         cmd("serve", None, "replay a churn trace through the route server",
             &[&REPLAY, &THREADS, &BATCH, &JSON, &OUT, &TRACE, &DEADLINE_MS, &CHECKPOINT,
-              &CHECKPOINT_EVERY, &RECOVER, &FAULTS, &CRASH_AT], cmd_serve),
+              &CHECKPOINT_EVERY, &RECOVER, &CRASH_AT], cmd_serve),
         cmd("chaos", None, "run fault plans against the route server and verify recovery",
             &[&REPLAY, &THREADS, &BATCH, &JSON, &OUT, &FAULTS, &CHECKPOINT], cmd_chaos),
     ];
@@ -720,7 +720,7 @@ fn cmd_fuzz(a: &Args) -> Result<bool, String> {
         seed: a.get(&SEED).copied().unwrap_or(1),
         jobs: a.get(&JOBS).copied().unwrap_or_else(default_jobs),
         case: a.get(&CASE).copied(),
-        corpus: Some(PathBuf::from(a.text(&CORPUS).unwrap_or("corpus"))),
+        corpus: PathBuf::from(a.text(&CORPUS).unwrap_or("corpus")),
     };
     let report = run_fuzz(&fuzz_opts).map_err(|e| e.to_string())?;
     emit(a, &report.to_json(), &report.summary())?;
@@ -1134,7 +1134,9 @@ fn cmd_serve(a: &Args) -> Result<bool, String> {
 
 /// Assemble the [`ServeOptions`] of a `serve` invocation from the CLI
 /// flags: deadline policy (`auto` unless overridden), checkpoint store,
-/// recovery, and the fault plan (`--faults FILE` and/or `--crash-at OFFSET`).
+/// recovery, and a one-crash fault plan (`--crash-at OFFSET`).  Fault
+/// plans of every kind run under `chaos`, the one command that applies
+/// their WAL tampering.
 fn serve_options(a: &Args, threads: usize, batch: usize) -> Result<ServeOptions, String> {
     let (recover, checkpoint) = (a.text(&RECOVER), a.text(&CHECKPOINT));
     // A recovered server keeps checkpointing into the store it recovered
@@ -1152,11 +1154,6 @@ fn serve_options(a: &Args, threads: usize, batch: usize) -> Result<ServeOptions,
     if checkpoint_dir.is_none() && every.is_some() {
         return Err("--checkpoint-every needs --checkpoint DIR (or --recover DIR)".into());
     }
-    let mut plan = a.text(&FAULTS).map(read_plan).transpose()?;
-    if let Some(offset) = a.get(&CRASH_AT).copied() {
-        plan.get_or_insert_with(|| FaultPlan::new(0))
-            .push(FaultKind::CrashAtEvent, offset);
-    }
     Ok(ServeOptions {
         threads,
         batch_max: batch,
@@ -1167,7 +1164,9 @@ fn serve_options(a: &Args, threads: usize, batch: usize) -> Result<ServeOptions,
         checkpoint_dir,
         checkpoint_every: every.unwrap_or(64),
         recover: recover.is_some(),
-        faults: plan.map(std::sync::Arc::new),
+        faults: a
+            .get(&CRASH_AT)
+            .map(|&at| std::sync::Arc::new(FaultPlan::new(0).with(FaultKind::CrashAtEvent, at))),
     })
 }
 

@@ -60,7 +60,7 @@ use dbf_matrix::{
 };
 use dbf_protocols::bgp::{BgpConfig, BgpEngine};
 use dbf_protocols::rip::{RipConfig, RipEngine};
-use dbf_protocols::runtime::{run_threaded, ThreadedConfig};
+use dbf_protocols::runtime::run_threaded;
 use dbf_protocols::ProtocolStats;
 use dbf_telemetry::{EventClass, MessageCounters, TelemetrySink};
 use std::any::Any;
@@ -118,13 +118,6 @@ impl<A: RoutingAlgebra> Problem<A> {
             faults,
             round_budget: None,
         }
-    }
-
-    /// Attach the phase's predicted synchronous round bound, from which
-    /// the σ engines derive their iterate budget.
-    pub fn with_round_budget(mut self, bound: Option<u64>) -> Self {
-        self.round_budget = bound;
-        self
     }
 }
 
@@ -777,12 +770,7 @@ impl<A: ScenarioAlgebra> Phase<'_, A> {
     /// markers — anything more would poison the deterministic `metrics`
     /// section (`deterministic_counters: false`).
     fn threaded(&self, _: (), state: RoutingState<A>, _: &mut dyn TelemetrySink) -> Step<A> {
-        let report = run_threaded(
-            self.alg,
-            &self.problem.adj,
-            &state,
-            ThreadedConfig::default(),
-        );
+        let report = run_threaded(self.alg, &self.problem.adj, &state);
         Step {
             state: report.final_state,
             stable: Some(report.sigma_stable && !report.timed_out),
@@ -807,10 +795,8 @@ impl<A: ScenarioAlgebra> Phase<'_, A> {
         let min_delay = faults.min_delay.clamp(1, 10);
         RipConfig {
             hop_limit: downcast::<A, BoundedHopCount>(self.alg).limit(),
-            update_interval: 30,
             route_timeout: 150,
             split_horizon: dbf_protocols::rip::SplitHorizon::PoisonReverse,
-            triggered_updates: true,
             loss_prob: 0.0,
             min_delay,
             max_delay: faults.max_delay.clamp(min_delay, 10),

@@ -26,7 +26,7 @@ use crate::gen::{case_seed, scenario_case, sweep_case};
 use crate::report::{Agreement, Json};
 use crate::run::run_scenario;
 use crate::spec::{FaultSpec, Scenario, ScheduleSpec, SpecError, TopologySpec};
-use crate::sweep::{run_sweep, SweepRunOptions};
+use crate::sweep::{resize_topology, run_sweep, SweepRunOptions};
 use dbf_matrix::WorkerPool;
 use std::path::{Path, PathBuf};
 
@@ -45,20 +45,9 @@ pub struct FuzzOptions {
     pub jobs: usize,
     /// Run only this case index (reproduction mode).
     pub case: Option<usize>,
-    /// Where minimized failures are written (`None` disables writing).
-    pub corpus: Option<PathBuf>,
-}
-
-impl Default for FuzzOptions {
-    fn default() -> Self {
-        Self {
-            cases: 100,
-            seed: 1,
-            jobs: 1,
-            case: None,
-            corpus: Some(PathBuf::from("corpus")),
-        }
-    }
+    /// The directory minimized failures are written to (created on the
+    /// first failure; a green run writes nothing).
+    pub corpus: PathBuf,
 }
 
 /// The outcome of one fuzz case.
@@ -349,31 +338,23 @@ fn record_failure(
     opts: &FuzzOptions,
 ) -> FuzzFailure {
     let toml = minimized.to_toml_string();
-    let (repro, written_to) = match &opts.corpus {
-        Some(dir) => {
-            let path = dir.join(format!("fuzz-{seed:016x}.min.toml"));
-            let repro = format!("scenarios run {}", path.display());
-            let header = format!(
-                "# Minimized failing spec found by `scenarios fuzz --seed {} --cases {} --case {index}`.\n\
-                 # The differential invariant (all engines converge to one fixed point) was violated.\n\
-                 # Reproduce with: {repro}\n",
-                opts.seed, opts.cases
-            );
-            let written = std::fs::create_dir_all(dir)
-                .and_then(|()| std::fs::write(&path, format!("{header}{toml}")))
-                .map(|()| path.display().to_string());
-            match written {
-                Ok(p) => (repro, Some(p)),
-                Err(e) => (
-                    format!("scenarios fuzz --seed {} --cases {} --case {index} (corpus write failed: {e})",
-                        opts.seed, opts.cases),
-                    None,
-                ),
-            }
-        }
-        None => (
+    let dir = &opts.corpus;
+    let path = dir.join(format!("fuzz-{seed:016x}.min.toml"));
+    let repro = format!("scenarios run {}", path.display());
+    let header = format!(
+        "# Minimized failing spec found by `scenarios fuzz --seed {} --cases {} --case {index}`.\n\
+         # The differential invariant (all engines converge to one fixed point) was violated.\n\
+         # Reproduce with: {repro}\n",
+        opts.seed, opts.cases
+    );
+    let written = std::fs::create_dir_all(dir)
+        .and_then(|()| std::fs::write(&path, format!("{header}{toml}")))
+        .map(|()| path.display().to_string());
+    let (repro, written_to) = match written {
+        Ok(p) => (repro, Some(p)),
+        Err(e) => (
             format!(
-                "scenarios fuzz --seed {} --cases {} --case {index}",
+                "scenarios fuzz --seed {} --cases {} --case {index} (corpus write failed: {e})",
                 opts.seed, opts.cases
             ),
             None,
@@ -503,82 +484,25 @@ fn shrink_candidates(s: &Scenario) -> Vec<Scenario> {
     out
 }
 
-/// Topology reductions: halve the size toward the family minimum, then try
-/// collapsing to a plain line.
+/// Topology reductions: halve the node count through
+/// [`resize_topology`] (to the smallest size of at least half that the
+/// family's own size rule accepts), then the moves a node count cannot
+/// express, then a plain line of the same size.
 fn shrink_topology(t: &TopologySpec) -> Vec<TopologySpec> {
-    let mut out = Vec::new();
-    let halved = |n: usize, min: usize| {
-        let h = (n / 2).max(min);
-        (h < n).then_some(h)
-    };
+    let n = t.initial_nodes().unwrap_or(0);
+    let mut out: Vec<TopologySpec> = (n / 2..n)
+        .find_map(|k| resize_topology(t, k).ok())
+        .into_iter()
+        .collect();
     match *t {
-        TopologySpec::Line { n } => {
-            if let Some(h) = halved(n, 2) {
-                out.push(TopologySpec::Line { n: h });
-            }
+        TopologySpec::AsGraph { n, m, seed } if m > 1 => {
+            out.push(TopologySpec::AsGraph { n, m: m / 2, seed });
         }
-        TopologySpec::Ring { n } => {
-            if let Some(h) = halved(n, 3) {
-                out.push(TopologySpec::Ring { n: h });
-            }
-            out.push(TopologySpec::Line { n });
-        }
-        TopologySpec::Star { n } => {
-            if let Some(h) = halved(n, 2) {
-                out.push(TopologySpec::Star { n: h });
-            }
-            out.push(TopologySpec::Line { n });
-        }
-        TopologySpec::Complete { n } => {
-            if let Some(h) = halved(n, 2) {
-                out.push(TopologySpec::Complete { n: h });
-            }
-            out.push(TopologySpec::Line { n });
-        }
-        TopologySpec::Grid { rows, cols } => {
-            if rows > 1 {
-                out.push(TopologySpec::Grid {
-                    rows: rows / 2,
-                    cols,
-                });
-            }
-            if cols > 1 {
-                out.push(TopologySpec::Grid {
-                    rows,
-                    cols: cols / 2,
-                });
-            }
-            out.push(TopologySpec::Line { n: rows * cols });
-        }
-        TopologySpec::ConnectedRandom { n, p, seed } => {
-            if let Some(h) = halved(n, 3) {
-                out.push(TopologySpec::ConnectedRandom { n: h, p, seed });
-            }
-            out.push(TopologySpec::Line { n });
-        }
-        TopologySpec::AsGraph { n, m, seed } => {
-            if let Some(h) = halved(n, m + 1) {
-                out.push(TopologySpec::AsGraph { n: h, m, seed });
-            }
-            if m > 1 {
-                out.push(TopologySpec::AsGraph { n, m: m / 2, seed });
-            }
-            out.push(TopologySpec::Line { n });
-        }
-        TopologySpec::LeafSpine { spines, leaves } => {
-            if leaves > 1 {
-                out.push(TopologySpec::LeafSpine {
-                    spines,
-                    leaves: leaves / 2,
-                });
-            }
-            if spines > 1 {
-                out.push(TopologySpec::LeafSpine {
-                    spines: spines / 2,
-                    leaves,
-                });
-            }
-            out.push(TopologySpec::Line { n: spines + leaves });
+        TopologySpec::LeafSpine { spines, leaves } if spines > 1 => {
+            out.push(TopologySpec::LeafSpine {
+                spines: spines / 2,
+                leaves,
+            });
         }
         TopologySpec::Tiered {
             ref tiers,
@@ -617,7 +541,16 @@ fn shrink_topology(t: &TopologySpec) -> Vec<TopologySpec> {
                 });
             }
         }
-        TopologySpec::Gadget => {}
+        _ => {}
+    }
+    if !matches!(
+        t,
+        TopologySpec::Line { .. }
+            | TopologySpec::Tiered { .. }
+            | TopologySpec::Explicit { .. }
+            | TopologySpec::Gadget
+    ) {
+        out.push(TopologySpec::Line { n });
     }
     out
 }

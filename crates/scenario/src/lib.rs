@@ -172,10 +172,10 @@ pub use metrics::{metrics_json, metrics_table, profile_table, timing_json, with_
 pub use report::{Agreement, EngineRun, Json, PhaseOutcome, ScenarioReport};
 pub use run::{run_scenario, run_scenario_traced, run_scenario_with, RunConfig};
 pub use serve::{
-    generate_trace, replay_trace, replay_trace_opts, serve_json, serve_summary, BoundRule,
-    ChurnTrace, Clock, DeadlineCfg, RecoveryInfo, ReplayReport, RouteServer, ScriptedClock,
-    ServeAlgebra, ServeAnswer, ServeEvent, ServeFailure, ServeOptions, ServeProblem, ServeStats,
-    SystemClock, TraceSpec, WeightOverrides,
+    generate_trace, replay_trace_opts, serve_json, serve_summary, BoundRule, ChurnTrace, Clock,
+    DeadlineCfg, RecoveryInfo, ReplayReport, RouteServer, ScriptedClock, ServeAlgebra, ServeAnswer,
+    ServeEvent, ServeFailure, ServeOptions, ServeProblem, ServeStats, SystemClock, TraceSpec,
+    WeightOverrides,
 };
 pub use spec::{
     AlgebraSpec, ChangeSpec, EngineKind, Expectation, FaultSpec, PhaseSpec, Scenario, ScheduleSpec,
@@ -207,10 +207,10 @@ pub mod prelude {
     pub use crate::report::{Agreement, EngineRun, Json, PhaseOutcome, ScenarioReport};
     pub use crate::run::{run_scenario, run_scenario_traced, run_scenario_with, RunConfig};
     pub use crate::serve::{
-        generate_trace, replay_trace, replay_trace_opts, serve_json, serve_summary, BoundRule,
-        ChurnTrace, Clock, DeadlineCfg, RecoveryInfo, ReplayReport, RouteServer, ScriptedClock,
-        ServeAlgebra, ServeAnswer, ServeEvent, ServeFailure, ServeOptions, ServeProblem,
-        ServeStats, SystemClock, TraceSpec, WeightOverrides,
+        generate_trace, replay_trace_opts, serve_json, serve_summary, BoundRule, ChurnTrace, Clock,
+        DeadlineCfg, RecoveryInfo, ReplayReport, RouteServer, ScriptedClock, ServeAlgebra,
+        ServeAnswer, ServeEvent, ServeFailure, ServeOptions, ServeProblem, ServeStats, SystemClock,
+        TraceSpec, WeightOverrides,
     };
     pub use crate::spec::{
         AlgebraSpec, ChangeSpec, EngineKind, Expectation, FaultSpec, PhaseSpec, Scenario,

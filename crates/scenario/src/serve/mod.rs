@@ -56,7 +56,7 @@
 //! [`ServeProblem`] and parks the flush, as an overrun does: the round is a
 //! pure function of its inputs, so stepping it again would panic again.
 //!
-//! [`replay_trace`] drives a server from a seeded [`ChurnTrace`] — the
+//! [`replay_trace_opts`] drives a server from a seeded [`ChurnTrace`] — the
 //! sustained-churn benchmark behind `scenarios serve --replay` and
 //! `BENCH_serve.json` — and reports throughput, p50/p95/p99 convergence
 //! and query latency, the coalesce ratio, and the pool's utilization
@@ -99,7 +99,7 @@ mod tests;
 
 pub use clock::{Clock, ScriptedClock, SystemClock};
 pub(crate) use replay::replay_clocked;
-pub use replay::{replay_trace, replay_trace_opts, ServeOptions};
+pub use replay::{replay_trace_opts, ServeOptions};
 pub use report::{serve_json, serve_summary, RecoveryInfo, ReplayReport, ServeFailure};
 pub use server::RouteServer;
 pub use trace::{generate_trace, ChurnTrace, ServeAlgebra, ServeEvent, TraceSpec};

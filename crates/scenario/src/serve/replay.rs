@@ -55,27 +55,6 @@ impl Default for ServeOptions {
     }
 }
 
-/// Replay a churn trace through a route server with default options
-/// (no deadline, no checkpoints, no faults).  `batch_max` caps how
-/// many change events coalesce into one reconvergence; `threads` is the
-/// σ sweep's worker budget (results are bit-identical for every value).
-pub fn replay_trace(
-    trace: &ChurnTrace,
-    threads: usize,
-    batch_max: usize,
-    tel: &mut dyn TelemetrySink,
-) -> Result<ReplayReport, SpecError> {
-    replay_trace_opts(
-        trace,
-        &ServeOptions {
-            threads,
-            batch_max,
-            ..ServeOptions::default()
-        },
-        tel,
-    )
-}
-
 /// Replay a churn trace with the full option set: deadlines, a
 /// checkpoint + WAL store, recovery, and an injectable fault plan.
 ///

@@ -150,24 +150,10 @@ where
         }
     }
 
-    /// Bring up a server on `shape` and converge the initial table (a
-    /// full sweep: every row starts dirty; not counted in the stats).
-    pub fn new(
-        alg: A,
-        shape: Topology<()>,
-        rebuild: F,
-        threads: usize,
-        batch_max: usize,
-        tel: &mut dyn TelemetrySink,
-    ) -> Result<Self, SpecError> {
-        let mut s = Self::raw(alg, shape, rebuild, threads, batch_max);
-        s.initial_converge(tel)?;
-        Ok(s)
-    }
-
-    /// Converge the initial table (deadline-exempt: there is no previous
+    /// Converge the initial table (a full sweep: every row starts dirty;
+    /// not counted in the stats).  Deadline-exempt: there is no previous
     /// stable table to serve from, so startup always runs to a fixed
-    /// point).
+    /// point.
     pub fn initial_converge(&mut self, tel: &mut dyn TelemetrySink) -> Result<(), SpecError> {
         let n = self.adj.node_count();
         self.kernel.reseed(Start::Dirty(&vec![true; n]));
@@ -885,8 +871,8 @@ mod tests {
     fn a_restored_server_differs_from_a_fresh_one_only_in_what_the_snapshot_holds() {
         let shape = crate::run::build_shape(&crate::spec::TopologySpec::Ring { n: 8 }).unwrap();
         let alg = BoundedHopCount::new(16);
-        let mut donor =
-            RouteServer::new(alg, shape.clone(), hop_rebuild(), 1, 64, &mut NoopSink).unwrap();
+        let mut donor = RouteServer::raw(alg, shape.clone(), hop_rebuild(), 1, 64);
+        donor.initial_converge(&mut NoopSink).unwrap();
         for change in [
             ChangeSpec::FailLink { a: 0, b: 1 },
             ChangeSpec::SetWeight {

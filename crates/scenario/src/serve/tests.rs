@@ -47,6 +47,38 @@ pub(super) fn hop_rebuild(
     }
 }
 
+/// Replay `trace` with no deadline, store or faults.
+fn replay(
+    trace: &ChurnTrace,
+    threads: usize,
+    batch_max: usize,
+) -> Result<ReplayReport, crate::spec::SpecError> {
+    let opts = ServeOptions {
+        threads,
+        batch_max,
+        ..ServeOptions::default()
+    };
+    replay_trace_opts(trace, &opts, &mut NoopSink)
+}
+
+/// A server on `shape` with its initial table converged, as the replay
+/// driver brings one up.
+fn converged<A, F>(
+    alg: A,
+    shape: Topology<()>,
+    rebuild: F,
+    threads: usize,
+    batch_max: usize,
+) -> RouteServer<A, F>
+where
+    A: crate::engine::ScenarioAlgebra,
+    F: Fn(&Topology<()>, &WeightOverrides) -> AdjacencyMatrix<A>,
+{
+    let mut server = RouteServer::raw(alg, shape, rebuild, threads, batch_max);
+    server.initial_converge(&mut NoopSink).expect("server");
+    server
+}
+
 fn temp_dir(tag: &str) -> std::path::PathBuf {
     let d = std::env::temp_dir().join(format!("dbf-serve-mod-{}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&d);
@@ -168,12 +200,12 @@ fn a_hop_limit_the_carrier_cannot_hold_is_not_a_trace_algebra() {
             algebra,
             events: vec![ServeEvent::Query { from: 0, to: 2 }],
         };
-        assert!(replay_trace(&built, 1, 16, &mut NoopSink).is_err());
+        assert!(replay(&built, 1, 16).is_err());
     }
     // The largest limit is an algebra, and its bound saturates instead
     // of wrapping to a small number.
     let trace = with_limit(u64::MAX - 1).expect("the largest limit parses");
-    let report = replay_trace(&trace, 1, 16, &mut NoopSink).expect("replay");
+    let report = replay(&trace, 1, 16).expect("replay");
     assert!(report.failure.is_none());
     assert_eq!(report.stats.worst_flush_bound, u64::MAX);
 }
@@ -250,10 +282,10 @@ fn flush_bounds_saturate() {
 #[test]
 fn replay_digests_are_thread_count_invariant() {
     let trace = small_trace();
-    let base = replay_trace(&trace, 1, 16, &mut NoopSink).expect("replay");
+    let base = replay(&trace, 1, 16).expect("replay");
     assert!(base.failure.is_none());
     for threads in [2, 8] {
-        let par = replay_trace(&trace, threads, 16, &mut NoopSink).expect("replay");
+        let par = replay(&trace, threads, 16).expect("replay");
         assert_eq!(par.final_digest, base.final_digest, "threads={threads}");
         assert_eq!(par.answers_digest, base.answers_digest, "threads={threads}");
         assert_eq!(par.stats.batches, base.stats.batches);
@@ -267,10 +299,10 @@ fn replay_digests_are_thread_count_invariant() {
 #[test]
 fn weighted_replays_are_thread_count_invariant_too() {
     let trace = weighted_trace();
-    let base = replay_trace(&trace, 1, 16, &mut NoopSink).expect("replay");
+    let base = replay(&trace, 1, 16).expect("replay");
     assert!(base.failure.is_none());
     for threads in [2, 4] {
-        let par = replay_trace(&trace, threads, 16, &mut NoopSink).expect("replay");
+        let par = replay(&trace, threads, 16).expect("replay");
         assert_eq!(par.final_digest, base.final_digest, "threads={threads}");
         assert_eq!(par.answers_digest, base.answers_digest, "threads={threads}");
         assert_eq!(par.stats.rounds, base.stats.rounds);
@@ -283,9 +315,9 @@ fn batched_and_one_at_a_time_replays_converge_identically() {
     // fixed point is unique, so any batching of the same event stream
     // must land on the same table and answer queries identically.
     let trace = small_trace();
-    let one = replay_trace(&trace, 1, 1, &mut NoopSink).expect("replay");
+    let one = replay(&trace, 1, 1).expect("replay");
     for batch in [4, 64, usize::MAX] {
-        let b = replay_trace(&trace, 1, batch, &mut NoopSink).expect("replay");
+        let b = replay(&trace, 1, batch).expect("replay");
         assert_eq!(b.final_digest, one.final_digest, "batch={batch}");
         assert_eq!(b.answers_digest, one.answers_digest, "batch={batch}");
         // Larger batches must never dirty more than one-at-a-time.
@@ -296,15 +328,7 @@ fn batched_and_one_at_a_time_replays_converge_identically() {
 #[test]
 fn mutually_cancelling_changes_coalesce_to_nothing() {
     let shape = build_shape(&TopologySpec::Ring { n: 8 }).unwrap();
-    let mut server = RouteServer::new(
-        BoundedHopCount::new(16),
-        shape,
-        hop_rebuild(),
-        1,
-        64,
-        &mut NoopSink,
-    )
-    .expect("server");
+    let mut server = converged(BoundedHopCount::new(16), shape, hop_rebuild(), 1, 64);
     let before = server.digest();
     server
         .push_change(ChangeSpec::FailLink { a: 0, b: 1 }, &mut NoopSink)
@@ -325,7 +349,7 @@ fn mutually_cancelling_changes_coalesce_to_nothing() {
 fn set_weight_reroutes_shortest_paths() {
     let shape = build_shape(&TopologySpec::Ring { n: 6 }).unwrap();
     let rule = WeightRule::uniform(1);
-    let mut server = RouteServer::new(
+    let mut server = converged(
         ShortestPaths::new(),
         shape,
         move |s: &Topology<()>, w: &WeightOverrides| {
@@ -335,9 +359,7 @@ fn set_weight_reroutes_shortest_paths() {
         },
         1,
         64,
-        &mut NoopSink,
     )
-    .expect("server")
     .restart_on_removal(true);
     let before = server.query(0, 1, &mut NoopSink).unwrap();
     assert_eq!(before.text, "1");
@@ -376,15 +398,8 @@ fn set_weight_reroutes_shortest_paths() {
 #[test]
 fn queries_force_a_flush_and_answer_from_the_converged_table() {
     let shape = build_shape(&TopologySpec::Line { n: 4 }).unwrap();
-    let mut server = RouteServer::new(
-        BoundedHopCount::new(16),
-        shape,
-        hop_rebuild(),
-        1,
-        1024, // the cap alone would never flush this test's two events
-        &mut NoopSink,
-    )
-    .expect("server");
+    // The cap alone would never flush this test's two events.
+    let mut server = converged(BoundedHopCount::new(16), shape, hop_rebuild(), 1, 1024);
     let far = server.query(0, 3, &mut NoopSink).unwrap();
     assert!(!far.stale);
     server
@@ -404,15 +419,7 @@ fn queries_force_a_flush_and_answer_from_the_converged_table() {
 #[test]
 fn node_growth_is_supported_mid_stream() {
     let shape = build_shape(&TopologySpec::Line { n: 3 }).unwrap();
-    let mut server = RouteServer::new(
-        BoundedHopCount::new(16),
-        shape,
-        hop_rebuild(),
-        2,
-        8,
-        &mut NoopSink,
-    )
-    .expect("server");
+    let mut server = converged(BoundedHopCount::new(16), shape, hop_rebuild(), 2, 8);
     server
         .push_change(ChangeSpec::AddNode, &mut NoopSink)
         .unwrap();
@@ -439,7 +446,7 @@ fn out_of_range_events_fail_structurally_with_a_partial_report() {
             ServeEvent::Change(ChangeSpec::SetLink { a: 0, b: 9 }),
         ],
     };
-    let report = replay_trace(&trace, 1, 8, &mut NoopSink).expect("partial report");
+    let report = replay(&trace, 1, 8).expect("partial report");
     let failure = report.failure.expect("out-of-range change must fail");
     assert_eq!(failure.kind, "out_of_range");
     assert_eq!(failure.offset, 1, "the failing event's offset is carried");
@@ -449,7 +456,7 @@ fn out_of_range_events_fail_structurally_with_a_partial_report() {
         algebra: ServeAlgebra::Shortest,
         events: vec![ServeEvent::Query { from: 0, to: 9 }],
     };
-    let report = replay_trace(&trace, 1, 8, &mut NoopSink).expect("partial report");
+    let report = replay(&trace, 1, 8).expect("partial report");
     assert_eq!(report.failure.expect("must fail").kind, "out_of_range");
 }
 
@@ -459,8 +466,8 @@ fn the_shortest_algebra_replays_deterministically_too() {
         algebra: ServeAlgebra::Shortest,
         ..small_trace()
     };
-    let a = replay_trace(&trace, 1, 8, &mut NoopSink).expect("replay");
-    let b = replay_trace(&trace, 4, 8, &mut NoopSink).expect("replay");
+    let a = replay(&trace, 1, 8).expect("replay");
+    let b = replay(&trace, 4, 8).expect("replay");
     assert_eq!(a.final_digest, b.final_digest);
     assert_eq!(a.answers_digest, b.answers_digest);
 }
@@ -468,7 +475,7 @@ fn the_shortest_algebra_replays_deterministically_too() {
 #[test]
 fn crash_recover_matches_the_uninterrupted_run() {
     for (tag, trace) in [("hop", small_trace()), ("wshort", weighted_trace())] {
-        let clean = replay_trace(&trace, 2, 16, &mut NoopSink).expect("clean replay");
+        let clean = replay(&trace, 2, 16).expect("clean replay");
         let dir = temp_dir(tag);
         let crashed = replay_trace_opts(
             &trace,
@@ -591,7 +598,7 @@ fn deadline_overrun_serves_stale_then_reconverges_identically() {
     // test below pins the numbers): an injected 50ms pre-flush delay
     // against a 5ms deadline guarantees the overrun fires.
     let trace = slow_reroute_trace(4);
-    let clean = replay_trace(&trace, 2, 1, &mut NoopSink).expect("clean");
+    let clean = replay(&trace, 2, 1).expect("clean");
     let degraded =
         replay_trace_opts(&trace, &delayed_flush_opts(2), &mut NoopSink).expect("degraded run");
     assert!(degraded.failure.is_none());
@@ -627,7 +634,7 @@ fn recover_without_a_store_is_a_config_error() {
 #[test]
 fn serve_json_separates_deterministic_and_timing_sections() {
     let trace = small_trace();
-    let report = replay_trace(&trace, 2, 16, &mut NoopSink).expect("replay");
+    let report = replay(&trace, 2, 16).expect("replay");
     let json = serve_json(&report, 2, 16).to_string();
     assert!(json.contains("\"suite\": \"dbf-serve\""));
     assert!(json.contains("\"schema_version\": 2"));
@@ -705,7 +712,7 @@ fn on_a_scripted_clock_a_deadline_run_is_a_pure_function_of_its_inputs() {
     // 50 ms of injected delay and 10 µs a reading — two per query, the
     // flush's start, overrun check and commit, the driver's own start.
     assert_eq!(one.wall_ms, 50.36);
-    let clean = replay_trace(&trace, 1, 1, &mut NoopSink).expect("clean");
+    let clean = replay(&trace, 1, 1).expect("clean");
     assert_eq!(one.final_digest, clean.final_digest);
     assert_ne!(one.answers_digest, clean.answers_digest, "stale answers");
 
@@ -816,22 +823,14 @@ fn a_zero_weight_is_not_strictly_increasing_and_is_refused() {
     let mut digests = Vec::new();
     for cuts_first in [false, true] {
         let trace = ChurnTrace::parse(&cut_off_node_0(1, cuts_first)).expect("weight 1");
-        let report = replay_trace(&trace, 1, 64, &mut NoopSink).expect("replay");
+        let report = replay(&trace, 1, 64).expect("replay");
         assert!(report.failure.is_none(), "{:?}", report.failure);
         digests.push(report.final_digest);
     }
     assert_eq!(digests[0], digests[1]);
     let trace = ChurnTrace::parse(&cut_off_node_0(1, false)).unwrap();
     let shape = build_shape(&trace.topology).unwrap();
-    let mut server = RouteServer::new(
-        BoundedHopCount::new(16),
-        shape,
-        hop_rebuild(),
-        1,
-        64,
-        &mut NoopSink,
-    )
-    .expect("server");
+    let mut server = converged(BoundedHopCount::new(16), shape, hop_rebuild(), 1, 64);
     let mut last = None;
     for event in &trace.events {
         last = server.submit(event, &mut NoopSink).expect("in range");
@@ -897,7 +896,7 @@ fn a_node_count_the_server_cannot_hold_is_refused_before_anything_is_built() {
         algebra: ServeAlgebra::Shortest,
         events: vec![],
     };
-    assert!(replay_trace(&built, 1, 16, &mut NoopSink).is_err());
+    assert!(replay(&built, 1, 16).is_err());
     // ... and so does growth: the node past the cap is an out-of-range event
     let at_cap = ChurnTrace::parse(&format!(
         "{TRACE_HEADER}\ntopology line {MAX_NODES}\nalgebra hopcount 4\nadd_node\n"

@@ -2,7 +2,7 @@
 //!
 //! The σ engines no longer run on a hard-coded `4n² + 64` horizon when the
 //! spec admits a convergence theorem: `run.rs` attaches the phase's
-//! predicted synchronous bound as [`Problem::with_round_budget`] and the
+//! predicted synchronous bound as [`Problem::round_budget`] and the
 //! engines iterate at most `bound + 1` times.  The failure mode this
 //! pins down: a budget too small to reach the fixed point must surface as
 //! `sigma_stable = false` in the phase outcome (which the checker then
@@ -18,12 +18,13 @@ use dbf_topology::generators;
 
 fn ring_problems(budget: Option<u64>) -> Vec<Problem<BoundedHopCount>> {
     let topo = generators::ring(6).with_weights(|_, _| 1u64);
-    vec![Problem::new(
+    let mut problem = Problem::new(
         "ring",
         AdjacencyMatrix::from_topology(&topo),
         FaultSpec::default(),
-    )
-    .with_round_budget(budget)]
+    );
+    problem.round_budget = budget;
+    vec![problem]
 }
 
 #[test]

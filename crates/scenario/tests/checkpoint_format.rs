@@ -78,7 +78,12 @@ fn the_fixture_snapshot_round_trips_through_parse() {
 #[test]
 fn recovery_from_the_fixture_lands_on_the_uninterrupted_digests() {
     let trace = ChurnTrace::parse(TRACE).expect("fixture trace parses");
-    let clean = replay_trace(&trace, 1, 16, &mut NoopSink).expect("clean replay");
+    let plain = ServeOptions {
+        threads: 1,
+        batch_max: 16,
+        ..ServeOptions::default()
+    };
+    let clean = replay_trace_opts(&trace, &plain, &mut NoopSink).expect("clean replay");
     let dir = temp_dir("recover");
     std::fs::write(dir.join("snapshot.ckpt"), SNAPSHOT).expect("copy snapshot");
     std::fs::write(dir.join("events.wal"), WAL).expect("copy WAL");

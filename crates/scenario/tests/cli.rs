@@ -1,5 +1,6 @@
 //! The command line as a user meets it: every command refuses an argument
-//! it does not take, and `serve` refuses two different stores.
+//! it does not take, and `serve` refuses two different stores and a fault
+//! plan.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -82,5 +83,42 @@ fn serve_refuses_a_checkpoint_and_a_recover_store_that_differ() {
     let out = serve(&b, &b);
     assert_eq!(out.status.code(), Some(0));
     assert!(b.exists());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `chaos` is the one command that runs fault plans: it is the one that
+/// applies a plan's WAL tampering.  `serve` keeps only `--crash-at`, and a
+/// plan handed to it is refused before anything runs.
+#[test]
+fn serve_refuses_a_fault_plan_and_writes_no_store() {
+    let dir = temp_dir("faults");
+    let trace = dir.join("t.trace");
+    std::fs::write(
+        &trace,
+        "# dbf-churn-trace v1\ntopology ring 4\nalgebra hopcount 8\n\
+         query 0 1\nquery 0 2\nquery 0 3\nquery 1 2\n",
+    )
+    .unwrap();
+    let plan = dir.join("plan.toml");
+    std::fs::write(
+        &plan,
+        "seed = 1\n\n[[fault]]\nkind = \"crash\"\nat = 2\n\n\
+         [[fault]]\nkind = \"truncate_wal\"\nbytes = 7\n",
+    )
+    .unwrap();
+    let store = dir.join("store");
+    let out = scenarios_bin()
+        .args(["serve", "--threads", "1", "--replay"])
+        .arg(&trace)
+        .arg("--checkpoint")
+        .arg(&store)
+        .arg("--faults")
+        .arg(&plan)
+        .output()
+        .expect("spawn scenarios");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--faults"), "{stderr}");
+    assert!(!store.exists(), "a refused run writes no store");
     std::fs::remove_dir_all(&dir).ok();
 }

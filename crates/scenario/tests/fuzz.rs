@@ -18,6 +18,12 @@ fn temp_dir(name: &str) -> std::path::PathBuf {
     dir
 }
 
+/// A corpus directory for green runs, which write nothing: it is never
+/// created.
+fn unwritten_corpus() -> std::path::PathBuf {
+    std::env::temp_dir().join(format!("dbf-fuzz-test-unwritten-{}", std::process::id()))
+}
+
 /// The acceptance test: a fuzz run over the generated case stream is
 /// green — every strictly-increasing random spec agrees across all engines
 /// — and the report is byte-identical for any worker count.
@@ -28,7 +34,7 @@ fn fuzz_runs_are_green_and_deterministic_across_job_counts() {
         seed: 20260728,
         jobs: 1,
         case: None,
-        corpus: None,
+        corpus: unwritten_corpus(),
     })
     .unwrap();
     assert!(report_j1.ok(), "{}", report_j1.summary());
@@ -37,7 +43,7 @@ fn fuzz_runs_are_green_and_deterministic_across_job_counts() {
         seed: 20260728,
         jobs: 8,
         case: None,
-        corpus: None,
+        corpus: unwritten_corpus(),
     })
     .unwrap();
     assert_eq!(
@@ -45,6 +51,7 @@ fn fuzz_runs_are_green_and_deterministic_across_job_counts() {
         report_j8.to_json().to_string(),
         "fuzz reports must be byte-identical across job counts"
     );
+    assert!(!unwritten_corpus().exists(), "a green run writes no corpus");
     // The stream mixes scenario and sweep cases.
     assert!(report_j1.results.iter().any(|r| r.kind == "sweep"));
     assert!(report_j1.results.iter().any(|r| r.kind == "scenario"));
@@ -57,7 +64,7 @@ fn single_case_reproduction_runs_exactly_one_case() {
         seed: 20260728,
         jobs: 1,
         case: Some(5),
-        corpus: None,
+        corpus: unwritten_corpus(),
     })
     .unwrap();
     assert_eq!(report.results.len(), 1);
@@ -68,7 +75,7 @@ fn single_case_reproduction_runs_exactly_one_case() {
         seed: 1,
         jobs: 1,
         case: Some(10),
-        corpus: None,
+        corpus: unwritten_corpus(),
     })
     .is_err());
 }

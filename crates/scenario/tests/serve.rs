@@ -34,6 +34,16 @@ fn ring_trace(algebra: ServeAlgebra, events: usize) -> ChurnTrace {
     .expect("generator accepts the spec")
 }
 
+/// Replay `trace` with no deadline, store or faults.
+fn replay(trace: &ChurnTrace, threads: usize, batch_max: usize) -> Result<ReplayReport, SpecError> {
+    let opts = ServeOptions {
+        threads,
+        batch_max,
+        ..ServeOptions::default()
+    };
+    replay_trace_opts(trace, &opts, &mut NoopSink)
+}
+
 /// Drop the `timing` block and the `threads` field — the only parts of
 /// `BENCH_serve.json` allowed to differ across thread counts.  This is
 /// the same stripping the CI determinism gate applies.
@@ -126,9 +136,9 @@ fn serve_cli_replay_is_byte_identical_across_thread_counts() {
 fn coalescing_lands_on_the_same_fixed_point_for_every_batch_size() {
     for algebra in [ServeAlgebra::Hopcount { limit: 32 }, ServeAlgebra::Shortest] {
         let trace = ring_trace(algebra, 400);
-        let one = replay_trace(&trace, 1, 1, &mut NoopSink).expect("replay");
+        let one = replay(&trace, 1, 1).expect("replay");
         for batch in [7, 64, usize::MAX] {
-            let b = replay_trace(&trace, 2, batch, &mut NoopSink).expect("replay");
+            let b = replay(&trace, 2, batch).expect("replay");
             assert_eq!(
                 b.final_digest, one.final_digest,
                 "{algebra:?} batch={batch}: tables diverged"
@@ -175,10 +185,10 @@ fn growth_trace(algebra: &str) -> ChurnTrace {
 fn a_batch_that_grows_the_network_lands_where_one_event_at_a_time_does() {
     for algebra in ["hopcount 32", "shortest"] {
         let trace = growth_trace(algebra);
-        let one = replay_trace(&trace, 1, 1, &mut NoopSink).expect("replay");
+        let one = replay(&trace, 1, 1).expect("replay");
         assert_eq!(one.nodes, 10);
         for batch in [2, 64] {
-            let b = replay_trace(&trace, 2, batch, &mut NoopSink).expect("replay");
+            let b = replay(&trace, 2, batch).expect("replay");
             assert_eq!(b.final_digest, one.final_digest, "{algebra} batch={batch}");
             assert_eq!(
                 b.answers_digest, one.answers_digest,
@@ -195,7 +205,7 @@ fn a_batch_that_grows_the_network_lands_where_one_event_at_a_time_does() {
 fn a_kill_mid_growth_batch_recovers_with_its_pending_add_nodes() {
     for algebra in ["hopcount 32", "shortest"] {
         let trace = growth_trace(algebra);
-        let clean = replay_trace(&trace, 1, 64, &mut NoopSink).expect("clean replay");
+        let clean = replay(&trace, 1, 64).expect("clean replay");
         // Snapshots land after events 4 and 8, both inside the growth
         // batch; the WAL tail then holds an event that names a node only a
         // *persisted* pending `add_node` makes addressable.
@@ -410,7 +420,7 @@ fn the_trace_parser_and_the_server_survive_mutated_traces() {
         // What parses replays to a report — a shape the family refuses
         // (`ring 2`) is the one configuration error left — and a replay
         // that stops early says why in a known vocabulary.
-        match replay_trace(&trace, 1, 4, &mut NoopSink) {
+        match replay(&trace, 1, 4) {
             Ok(report) => {
                 replayed += 1;
                 if let Some(f) = &report.failure {
@@ -444,7 +454,7 @@ fn queries_after_convergence_are_stable_until_the_next_change() {
     let shape = dbf_scenario::run::build_shape(&trace.topology).unwrap();
     let rule = WeightRule::uniform(1);
     let mut server =
-        RouteServer::new(
+        RouteServer::raw(
             dbf_algebra::prelude::BoundedHopCount::new(32),
             shape,
             move |s: &dbf_topology::Topology<()>, w: &WeightOverrides| {
@@ -454,9 +464,8 @@ fn queries_after_convergence_are_stable_until_the_next_change() {
             },
             2,
             16,
-            &mut NoopSink,
-        )
-        .expect("server");
+        );
+    server.initial_converge(&mut NoopSink).expect("server");
     for ev in &trace.events {
         server.submit(ev, &mut NoopSink).expect("in-bounds event");
     }

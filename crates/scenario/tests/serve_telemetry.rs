@@ -60,7 +60,12 @@ fn shortest_with_restarts() -> ChurnTrace {
 fn stripped_stream(trace: &ChurnTrace, batch: usize) -> String {
     let mut buf = Vec::new();
     let mut sink = TraceSink::new(&mut buf);
-    let report = replay_trace(trace, 1, batch, &mut sink).expect("replay");
+    let opts = ServeOptions {
+        threads: 1,
+        batch_max: batch,
+        ..ServeOptions::default()
+    };
+    let report = replay_trace_opts(trace, &opts, &mut sink).expect("replay");
     sink.finish().expect("in-memory trace");
     assert!(report.failure.is_none(), "{:?}", report.failure);
     let text = String::from_utf8(buf).expect("utf-8 trace");

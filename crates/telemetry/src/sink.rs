@@ -49,11 +49,6 @@ pub enum EventClass {
     Messages,
     /// Parallel band profiling: `band_sweep`.
     Bands,
-    /// Fault-plane injections: `fault_injected`.
-    Faults,
-    /// Robustness health events: `serve_degraded`, `serve_restored`,
-    /// `serve_recovery`.
-    Health,
 }
 
 impl EventClass {
@@ -64,8 +59,6 @@ impl EventClass {
             EventClass::Settle => "settle",
             EventClass::Messages => "messages",
             EventClass::Bands => "bands",
-            EventClass::Faults => "faults",
-            EventClass::Health => "health",
         }
     }
 }

@@ -6,8 +6,8 @@
 //!
 //! The shapes cover the topology classes invoked by the paper's narrative:
 //! simple reference graphs for unit tests (lines, rings, stars, complete
-//! graphs, grids, trees), Gilbert random graphs for convergence sweeps,
-//! Clos/fat-tree fabrics for the data-center discussion of Section 8.3 and
+//! graphs, grids), Gilbert random graphs for convergence sweeps, Clos
+//! (leaf–spine) fabrics for the data-center discussion of Section 8.3 and
 //! tiered provider/customer hierarchies for the Gao-Rexford experiments.
 
 use crate::graph::{NodeId, Topology};
@@ -66,17 +66,6 @@ pub fn grid(rows: usize, cols: usize) -> Topology<()> {
                 t.set_link(id(r, c), id(r + 1, c), ());
             }
         }
-    }
-    t
-}
-
-/// A complete binary tree of the given depth (depth 0 is a single root).
-pub fn binary_tree(depth: u32) -> Topology<()> {
-    let n = (1usize << (depth + 1)) - 1;
-    let mut t = Topology::new(n);
-    for v in 1..n {
-        let parent = (v - 1) / 2;
-        t.set_link(parent, v, ());
     }
     t
 }
@@ -220,32 +209,6 @@ pub fn leaf_spine(spines: usize, leaves: usize) -> Topology<()> {
     t
 }
 
-/// A (simplified) three-tier fat-tree fabric parameterised by `k` pods:
-/// `k` core nodes, `k` aggregation nodes per pod... this implementation
-/// follows the common simplification of one aggregation and one edge switch
-/// per pod pair, giving `k + k + k` nodes for benchmark purposes rather than
-/// the full `k³/4`-host fabric.
-pub fn fat_tree(k: usize) -> Topology<()> {
-    assert!(k >= 2, "fat_tree needs k >= 2");
-    // nodes: [0, k) core, [k, 2k) aggregation, [2k, 3k) edge
-    let mut t = Topology::new(3 * k);
-    for core in 0..k {
-        for agg in 0..k {
-            t.set_link(core, k + agg, ());
-        }
-    }
-    for agg in 0..k {
-        for edge in 0..k {
-            // each aggregation switch connects to half the edge switches,
-            // staggered so the fabric is connected but not complete
-            if (agg + edge) % 2 == 0 {
-                t.set_link(k + agg, 2 * k + edge, ());
-            }
-        }
-    }
-    t
-}
-
 /// The relationship attached to a directed edge of a tiered AS hierarchy.
 ///
 /// The edge `i → j` is labelled with the relationship of `j` *as seen by*
@@ -361,15 +324,6 @@ mod tests {
     }
 
     #[test]
-    fn tree_shape() {
-        let t = binary_tree(3);
-        assert_eq!(t.node_count(), 15);
-        assert_eq!(t.edge_count(), 2 * 14);
-        assert!(t.is_weakly_connected());
-        assert!(t.is_symmetric());
-    }
-
-    #[test]
     fn random_graphs_are_deterministic_in_the_seed() {
         let a = random_gnp(20, 0.3, 7);
         let b = random_gnp(20, 0.3, 7);
@@ -424,10 +378,6 @@ mod tests {
         assert_eq!(ls.node_count(), 12);
         assert_eq!(ls.edge_count(), 2 * 4 * 8);
         assert!(ls.is_weakly_connected());
-
-        let ft = fat_tree(4);
-        assert_eq!(ft.node_count(), 12);
-        assert!(ft.is_weakly_connected());
     }
 
     #[test]

@@ -134,33 +134,6 @@ impl<W> Topology<W> {
         self.edges().all(|(i, j, _)| self.has_edge(j, i))
     }
 
-    /// Remove a node (and every edge incident to it), compacting the
-    /// identifiers of the nodes above it.  Returns the new topology — the
-    /// paper's dynamic-network model treats this as starting a fresh problem
-    /// instance with the corresponding row and column deleted.
-    pub fn without_node(&self, v: NodeId) -> Topology<W>
-    where
-        W: Clone,
-    {
-        assert!(v < self.rows.len(), "node out of range");
-        // relabelling is monotone, so every row stays sorted
-        let remap = |x: NodeId| if x > v { x - 1 } else { x };
-        let rows: Vec<Vec<(NodeId, W)>> = self
-            .rows
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| i != v)
-            .map(|(_, row)| {
-                row.iter()
-                    .filter(|&&(j, _)| j != v)
-                    .map(|(j, w)| (remap(*j), w.clone()))
-                    .collect()
-            })
-            .collect();
-        let edges = rows.iter().map(Vec::len).sum();
-        Topology { rows, edges }
-    }
-
     /// Map every edge weight, preserving the shape.
     pub fn map_weights<W2>(&self, mut f: impl FnMut(NodeId, NodeId, &W) -> W2) -> Topology<W2> {
         let rows = self
@@ -301,17 +274,8 @@ mod tests {
         assert_eq!(v, 3);
         assert_eq!(t.node_count(), 4);
         t.set_edge(3, 0, 9);
-
-        let without1 = t.without_node(1);
-        assert_eq!(without1.node_count(), 3);
-        // old node 2 becomes 1, old node 3 becomes 2
-        assert!(without1.has_edge(0, 1)); // was 0 → 2
-        assert!(without1.has_edge(2, 0)); // was 3 → 0
-        assert!(!without1.has_edge(0, 2));
-        assert_eq!(
-            without1.edge_count(),
-            t.edges().filter(|&(i, j, _)| i != 1 && j != 1).count()
-        );
+        assert!(t.has_edge(3, 0));
+        assert_eq!(t.edge_count(), 7);
     }
 
     #[test]

@@ -5,12 +5,12 @@
 //! edge set `F`.  This crate provides:
 //!
 //! * [`graph::Topology`] — a directed, weighted graph with dense node
-//!   indices `0..n`, supporting the edge/node additions and removals that
-//!   the paper's dynamic-network model (Section 3.2) requires;
+//!   indices `0..n`, supporting the edge additions and removals and the
+//!   node additions of the paper's dynamic-network model (Section 3.2);
 //! * [`generators`] — reference topology shapes (line, ring, star, complete,
-//!   grid, trees, Clos/fat-tree data-center fabrics, Gilbert random graphs
-//!   and tiered provider/customer hierarchies) used by the tests, examples
-//!   and experiments;
+//!   grid, leaf–spine data-center fabrics, Gilbert and preferential-
+//!   attachment random graphs and tiered provider/customer hierarchies)
+//!   used by the tests, examples and experiments;
 //! * [`change::TopologyChange`] — a small vocabulary of topology events used
 //!   by the dynamic-network experiments to model link failures, policy
 //!   changes and node churn.

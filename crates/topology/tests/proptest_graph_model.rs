@@ -39,19 +39,6 @@ impl Model {
             .collect()
     }
 
-    fn without_node(&self, v: NodeId) -> Model {
-        let remap = |x: NodeId| if x > v { x - 1 } else { x };
-        Model {
-            nodes: self.nodes - 1,
-            edges: self
-                .edges
-                .iter()
-                .filter(|(&(i, j), _)| i != v && j != v)
-                .map(|(&(i, j), &w)| ((remap(i), remap(j)), w))
-                .collect(),
-        }
-    }
-
     /// The old check: rescan every edge for every popped vertex.
     fn is_weakly_connected(&self) -> bool {
         if self.nodes == 0 {
@@ -162,10 +149,6 @@ proptest! {
                 5 => {
                     prop_assert_eq!(t.add_node(), m.nodes);
                     m.nodes += 1;
-                }
-                6 if nodes > 2 => {
-                    t = t.without_node(a);
-                    m = m.without_node(a);
                 }
                 _ => prop_assert_eq!(t.remove_edge(nodes + a, b), None),
             }

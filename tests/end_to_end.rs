@@ -38,7 +38,7 @@ fn all_execution_models_agree_on_widest_paths() {
     assert_eq!(sim.final_state, reference.state);
 
     // genuinely concurrent threaded runtime
-    let threaded = run_threaded(&alg, &adj, &clean, ThreadedConfig::default());
+    let threaded = run_threaded(&alg, &adj, &clean);
     assert!(threaded.sigma_stable);
     assert_eq!(threaded.final_state, reference.state);
 }
