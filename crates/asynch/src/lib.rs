@@ -21,7 +21,9 @@
 //!   duplication, reordering and bounded delay.  Every execution of the
 //!   simulator corresponds to *some* schedule `(α, β)`, so the convergence
 //!   theorems apply to it directly; it is the bridge between the algebraic
-//!   model and the protocol engines in `dbf-protocols`.
+//!   model and the protocol engines in `dbf-protocols`, and like them it
+//!   returns a [`dbf_matrix::MessageRun`] — tables and counters, judged by
+//!   the caller.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,7 +36,7 @@ pub mod sim;
 pub use convergence::{check_absolute_convergence, AbsoluteConvergence, ConvergenceFailure};
 pub use delta::{run_delta, run_delta_traced, DeltaOutcome, DeltaRun};
 pub use schedule::{AxiomViolation, Schedule, ScheduleParams};
-pub use sim::{EventSim, SimConfig, SimOutcome, SimStats};
+pub use sim::{EventSim, SimConfig};
 
 /// Commonly used items, suitable for a glob import.
 pub mod prelude {
@@ -43,5 +45,5 @@ pub mod prelude {
     };
     pub use crate::delta::{run_delta, run_delta_traced, DeltaOutcome, DeltaRun};
     pub use crate::schedule::{AxiomViolation, Schedule, ScheduleParams};
-    pub use crate::sim::{EventSim, SimConfig, SimOutcome, SimStats};
+    pub use crate::sim::{EventSim, SimConfig};
 }

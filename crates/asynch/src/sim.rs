@@ -27,9 +27,15 @@
 //! and destinations — the asynchrony the theorems quantify over — but an
 //! overtaken stale advert cannot masquerade as current information forever,
 //! which is what schedule axiom S3 rules out.
+//!
+//! A run ends in a [`MessageRun`] and judges nothing: whether its tables are
+//! σ's fixed point is the caller's question.  The one stability test here is
+//! the refresh timer's (see [`EventSim::run`]).
 
 use dbf_algebra::RoutingAlgebra;
-use dbf_matrix::{is_stable, AdjacencyMatrix, EventQueue, RibIn, RoutingState};
+use dbf_matrix::{
+    is_stable, AdjacencyMatrix, EventQueue, MessageRun, MessageStats, RibIn, RoutingState,
+};
 use dbf_paths::NodeId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -92,47 +98,6 @@ impl SimConfig {
     }
 }
 
-/// Counters describing a finished simulation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SimStats {
-    /// Messages handed to the network layer.
-    pub sent: u64,
-    /// Messages dropped by fault injection.
-    pub lost: u64,
-    /// Extra copies injected by duplication.
-    pub duplicated: u64,
-    /// Messages actually processed by their recipient.
-    pub delivered: u64,
-    /// Table-entry changes across all nodes.
-    pub table_changes: u64,
-    /// The simulated time of the last table change.
-    pub last_change_time: u64,
-    /// The simulated time at which the event queue drained.
-    pub finish_time: u64,
-    /// Periodic full-table refresh rounds that were needed (non-zero only
-    /// when fault injection or message reordering withheld information past
-    /// a refresh period).
-    pub refreshes: u64,
-}
-
-/// The outcome of a simulation run.
-#[derive(Clone, Debug)]
-pub struct SimOutcome<A: RoutingAlgebra> {
-    /// The final global routing state (row `i` = node `i`'s table).
-    pub final_state: RoutingState<A>,
-    /// Whether the final state is a fixed point of the synchronous `σ`.
-    pub sigma_stable: bool,
-    /// Run statistics.
-    pub stats: SimStats,
-    /// True if the run stopped because `max_events` was hit rather than
-    /// because the network quiesced.
-    pub truncated: bool,
-    /// Per-node settle times: `node_last_change[i]` is the simulated time
-    /// at which node `i`'s table last changed (0 if it never did) — the
-    /// asynchronous convergence frontier, deterministic in the seed.
-    pub node_last_change: Vec<u64>,
-}
-
 #[derive(Debug)]
 struct Message<R> {
     /// Per-`(from, dest)` send generation.  Receivers discard a message
@@ -162,8 +127,8 @@ pub struct EventSim<'a, A: RoutingAlgebra> {
     rng: StdRng,
     now: u64,
     queue: EventQueue<Message<A::Route>>,
-    /// `tables[i][j]`: node `i`'s current best route to `j`.
-    tables: Vec<Vec<A::Route>>,
+    /// `tables.get(i, j)`: node `i`'s current best route to `j`.
+    tables: RoutingState<A>,
     /// `ribs[i]`: what node `i` has heard, as imported — per link `k` and
     /// destination `j`, `A_ik` of the last route `k` advertised for `j`.
     ribs: Vec<RibIn<A>>,
@@ -174,7 +139,7 @@ pub struct EventSim<'a, A: RoutingAlgebra> {
     /// `i` has accepted from neighbour `k` for destination `j`; older
     /// arrivals are superseded and ignored.
     seen_gen: Vec<Vec<u64>>,
-    stats: SimStats,
+    stats: MessageStats,
     /// Simulated time of each node's last table change (settle tracking).
     node_last_change: Vec<u64>,
 }
@@ -199,7 +164,6 @@ impl<'a, A: RoutingAlgebra> EventSim<'a, A> {
     ) -> Self {
         let n = adj.node_count();
         assert_eq!(n, initial.node_count(), "initial state dimension mismatch");
-        let tables: Vec<Vec<A::Route>> = (0..n).map(|i| initial.row(i).to_vec()).collect();
         let ribs: Vec<RibIn<A>> = (0..n).map(|i| RibIn::new(alg, i, adj.row(i), n)).collect();
         let seen_gen = ribs.iter().map(|rib| vec![0; rib.slot_count()]).collect();
         let mut sim = Self {
@@ -210,11 +174,11 @@ impl<'a, A: RoutingAlgebra> EventSim<'a, A> {
             rng: StdRng::seed_from_u64(config.seed),
             now: 0,
             queue: EventQueue::default(),
-            tables,
+            tables: initial.clone(),
             ribs,
             send_gen: vec![vec![0; n]; n],
             seen_gen,
-            stats: SimStats::default(),
+            stats: MessageStats::default(),
             node_last_change: vec![0; n],
         };
         // Every node initially advertises its whole table to its neighbours
@@ -228,7 +192,7 @@ impl<'a, A: RoutingAlgebra> EventSim<'a, A> {
     fn advertise_full_table(&mut self, i: NodeId) {
         let n = self.adj.node_count();
         for dest in 0..n {
-            let route = self.tables[i][dest].clone();
+            let route = self.tables.get(i, dest).clone();
             self.send_advert(i, dest, route);
         }
     }
@@ -243,16 +207,16 @@ impl<'a, A: RoutingAlgebra> EventSim<'a, A> {
         let route = Rc::new(route);
         for idx in 0..self.exports[from].len() {
             let to = self.exports[from][idx];
-            self.stats.sent += 1;
+            self.stats.counters.sent += 1;
             if self.rng.gen_bool(self.config.loss_prob.clamp(0.0, 1.0)) {
-                self.stats.lost += 1;
+                self.stats.counters.dropped += 1;
                 continue;
             }
             let copies = if self
                 .rng
                 .gen_bool(self.config.duplicate_prob.clamp(0.0, 1.0))
             {
-                self.stats.duplicated += 1;
+                self.stats.counters.duplicated += 1;
                 2
             } else {
                 1
@@ -275,29 +239,24 @@ impl<'a, A: RoutingAlgebra> EventSim<'a, A> {
         }
     }
 
-    fn recompute_entry(&mut self, i: NodeId, dest: NodeId) -> bool {
-        self.recompute_entry_impl(i, dest, true)
-    }
-
     /// Re-run node `i`'s selection for `dest`.  With `advertise` false the
     /// table still updates (and the change is counted) but no advert is
     /// sent — used by the refresh rounds, whose full-table advertisement
     /// immediately follows and would otherwise duplicate every changed
     /// entry on the wire.
-    fn recompute_entry_impl(&mut self, i: NodeId, dest: NodeId, advertise: bool) -> bool {
+    fn recompute_entry(&mut self, i: NodeId, dest: NodeId, advertise: bool) {
         let best = self.ribs[i].best(self.alg, dest);
-        if *best == self.tables[i][dest] {
-            return false;
+        if best == self.tables.get(i, dest) {
+            return;
         }
         let new_route = best.clone();
-        self.tables[i][dest] = new_route.clone();
+        self.tables.set(i, dest, new_route.clone());
         self.stats.table_changes += 1;
         self.stats.last_change_time = self.now;
         self.node_last_change[i] = self.now;
         if advertise {
             self.send_advert(i, dest, new_route);
         }
-        true
     }
 
     /// Deliver queued messages until the queue drains, the total delivery
@@ -305,15 +264,16 @@ impl<'a, A: RoutingAlgebra> EventSim<'a, A> {
     /// Returns `true` if the budget was hit.
     fn drain(&mut self, slice_end: Option<usize>) -> bool {
         while !self.queue.is_empty() {
-            if self.stats.delivered as usize >= self.config.max_events {
+            let delivered = self.stats.counters.delivered as usize;
+            if delivered >= self.config.max_events {
                 return true;
             }
-            if slice_end.is_some_and(|e| self.stats.delivered as usize >= e) {
+            if slice_end.is_some_and(|e| delivered >= e) {
                 return false;
             }
             let (at, msg) = self.queue.pop().expect("queue is non-empty");
             self.now = at;
-            self.stats.delivered += 1;
+            self.stats.counters.delivered += 1;
             let imports = self.adj.row(msg.to);
             let rib = &mut self.ribs[msg.to];
             let Some(link) = rib.link(imports, msg.from) else {
@@ -330,13 +290,9 @@ impl<'a, A: RoutingAlgebra> EventSim<'a, A> {
             *seen = msg.gen;
             // Import the advertisement and recompute the affected entry.
             rib.import(self.alg, imports, link, msg.dest, &msg.route);
-            self.recompute_entry(msg.to, msg.dest);
+            self.recompute_entry(msg.to, msg.dest, true);
         }
         false
-    }
-
-    fn current_state(&self) -> RoutingState<A> {
-        RoutingState::from_fn(self.adj.node_count(), |i, j| self.tables[i][j].clone())
     }
 
     /// Run the simulation: deliver messages until the network quiesces; if
@@ -359,7 +315,9 @@ impl<'a, A: RoutingAlgebra> EventSim<'a, A> {
     /// livelocked network can pack millions of deliveries into a few ticks
     /// of simulated time, burning the whole event budget before any clock
     /// deadline arrives.
-    pub fn run(mut self) -> SimOutcome<A> {
+    ///
+    /// The run is truncated when it spent `max_events` before going quiet.
+    pub fn run(mut self) -> MessageRun<A> {
         // Generous relative to a healthy cold start (O(n·|E|) ≤ O(n³)
         // deliveries for bounded metrics), so fast convergences drain
         // inside the first slice and see zero refresh overhead, while
@@ -373,13 +331,12 @@ impl<'a, A: RoutingAlgebra> EventSim<'a, A> {
             // the refresh can interrupt sustained churn; once the refresh
             // budget is spent, drain to quiescence (the event budget is the
             // backstop for genuinely diverging runs).
-            let slice_end = can_refresh.then(|| self.stats.delivered as usize + slice);
+            let slice_end = can_refresh.then(|| self.stats.counters.delivered as usize + slice);
             if self.drain(slice_end) {
                 truncated = true;
                 break;
             }
-            let state = self.current_state();
-            let stable = is_stable(self.alg, self.adj, &state);
+            let stable = is_stable(self.alg, self.adj, &self.tables);
             if self.queue.is_empty() && (stable || !can_refresh) {
                 break;
             }
@@ -400,17 +357,14 @@ impl<'a, A: RoutingAlgebra> EventSim<'a, A> {
                 for dest in 0..self.adj.node_count() {
                     // No per-entry advert: the full-table advertisement
                     // below covers every destination.
-                    self.recompute_entry_impl(i, dest, false);
+                    self.recompute_entry(i, dest, false);
                 }
                 self.advertise_full_table(i);
             }
         }
         self.stats.finish_time = self.now;
-        let final_state = self.current_state();
-        let sigma_stable = is_stable(self.alg, self.adj, &final_state);
-        SimOutcome {
-            final_state,
-            sigma_stable,
+        MessageRun {
+            final_state: self.tables,
             stats: self.stats,
             truncated,
             node_last_change: self.node_last_change,
@@ -434,11 +388,11 @@ mod tests {
         let adj = AdjacencyMatrix::from_topology(&topo);
         let out = EventSim::new(&alg, &adj, SimConfig::default()).run();
         assert!(!out.truncated);
-        assert!(out.sigma_stable);
+        assert!(is_stable(&alg, &adj, &out.final_state));
         let reference = iterate_to_fixed_point(&alg, &adj, &RoutingState::identity(&alg, 8), 200);
         assert_eq!(out.final_state, reference.state);
-        assert!(out.stats.delivered > 0);
-        assert_eq!(out.stats.lost, 0);
+        assert!(out.stats.counters.delivered > 0);
+        assert_eq!(out.stats.counters.dropped, 0);
     }
 
     #[test]
@@ -456,13 +410,16 @@ mod tests {
         for seed in 0..10 {
             let out = EventSim::new(&alg, &adj, SimConfig::adversarial(seed)).run();
             assert!(!out.truncated, "seed {seed} exhausted its event budget");
-            assert!(out.sigma_stable, "seed {seed} did not stabilise");
+            assert!(
+                is_stable(&alg, &adj, &out.final_state),
+                "seed {seed} did not stabilise"
+            );
             assert_eq!(
                 out.final_state, reference.state,
                 "seed {seed} stabilised on a different state"
             );
             assert!(
-                out.stats.lost > 0 || out.stats.duplicated > 0,
+                out.stats.counters.dropped > 0 || out.stats.counters.duplicated > 0,
                 "faults were injected"
             );
         }
@@ -485,7 +442,7 @@ mod tests {
         });
         let out = EventSim::with_initial_state(&pv, &adj, SimConfig::adversarial(7), &stale).run();
         assert!(!out.truncated);
-        assert!(out.sigma_stable);
+        assert!(is_stable(&pv, &adj, &out.final_state));
         let reference = iterate_to_fixed_point(&pv, &adj, &RoutingState::identity(&pv, 5), 200);
         assert_eq!(out.final_state, reference.state);
         assert!(out.stats.table_changes > 0);
@@ -505,14 +462,14 @@ mod tests {
             },
         )
         .run();
-        let s = out.stats;
-        assert_eq!(s.lost, 0);
+        let s = out.stats.counters;
+        assert_eq!(s.dropped, 0);
         assert!(
-            s.delivered >= s.sent - s.lost,
+            s.delivered >= s.sent - s.dropped,
             "duplication can only add deliveries"
         );
-        assert!(s.finish_time >= s.last_change_time);
-        assert!(s.table_changes > 0);
+        assert!(out.stats.finish_time >= out.stats.last_change_time);
+        assert!(out.stats.table_changes > 0);
     }
 
     #[test]
@@ -526,7 +483,7 @@ mod tests {
         };
         let out = EventSim::new(&alg, &adj, cfg).run();
         assert!(out.truncated);
-        assert_eq!(out.stats.delivered, 10);
+        assert_eq!(out.stats.counters.delivered, 10);
     }
 
     #[test]
@@ -537,7 +494,7 @@ mod tests {
         topo.set_link(2, 3, NatInf::fin(1));
         let adj = AdjacencyMatrix::from_topology(&topo);
         let out = EventSim::new(&alg, &adj, SimConfig::default()).run();
-        assert!(out.sigma_stable);
+        assert!(is_stable(&alg, &adj, &out.final_state));
         assert_eq!(out.final_state.get(0, 2), &NatInf::INF);
         assert_eq!(out.final_state.get(0, 1), &NatInf::fin(1));
     }

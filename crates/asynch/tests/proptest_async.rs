@@ -107,9 +107,10 @@ proptest! {
         };
         let out = EventSim::new(&alg, &adj, cfg).run();
         prop_assert!(!out.truncated);
-        prop_assert!(out.sigma_stable);
+        prop_assert!(is_stable(&alg, &adj, &out.final_state));
         prop_assert_eq!(out.final_state, reference.state);
-        prop_assert!(out.stats.delivered <= out.stats.sent + out.stats.duplicated);
+        let c = out.stats.counters;
+        prop_assert!(c.delivered <= c.sent + c.duplicated);
     }
 }
 

@@ -114,10 +114,10 @@ fn engines(out: &mut String) -> fmt::Result {
             format!("sim, n={n} (20 % loss and duplication)"),
             format!(
                 "delivered={} sent={} {} ns per delivered message, on σ's fixed point = {}",
-                out.stats.delivered,
-                out.stats.sent,
-                ns / out.stats.delivered,
-                out.sigma_stable && out.final_state == reference.state
+                out.stats.counters.delivered,
+                out.stats.counters.sent,
+                ns / out.stats.counters.delivered,
+                reference.converged && out.final_state == reference.state
             ),
         ));
 
@@ -135,11 +135,11 @@ fn engines(out: &mut String) -> fmt::Result {
             format!("bgp, n={n} (2 session resets)"),
             format!(
                 "delivered={} sent={} bytes={} {} ns per delivered message, on σ's fixed point = {}",
-                report.stats.updates_processed,
-                report.stats.messages_sent(),
-                report.stats.bytes_sent,
-                ns / report.stats.updates_processed,
-                report.converged && report.final_state == reference.state
+                report.stats.counters.delivered,
+                report.stats.counters.sent,
+                report.stats.counters.bytes.unwrap_or(0),
+                ns / report.stats.counters.delivered,
+                reference.converged && report.final_state == reference.state
             ),
         ));
     }

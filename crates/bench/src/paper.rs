@@ -50,6 +50,19 @@ const RELIABILITIES: WeightRule = WeightRule {
     base: 0,
 };
 
+/// Did a message engine's run end on σ's fixed point?  The engines report
+/// their tables; the verdict is the caller's.
+fn on_fixed_point<A: RoutingAlgebra>(
+    alg: &A,
+    adj: &AdjacencyMatrix<A>,
+    state: &RoutingState<A>,
+) -> bool {
+    let n = adj.node_count();
+    let x0 = RoutingState::identity(alg, n);
+    let reference = iterate_to_fixed_point(alg, adj, &x0, iteration_budget(n, None));
+    reference.converged && *state == reference.state
+}
+
 /// T1 — Table 1: the algebraic property matrix of every bundled algebra.
 fn table1(out: &mut String) -> fmt::Result {
     writeln!(
@@ -402,6 +415,8 @@ fn count_to_infinity(out: &mut String) -> fmt::Result {
     .with_stale_route(0, 2, NatInf::fin(5), Some(1))
     .with_stale_route(1, 2, NatInf::fin(5), Some(0))
     .run();
+    let rip_adj = AdjacencyMatrix::from_topology(&shape.with_weights(|_, _| 1u64));
+    let rip_converged = on_fixed_point(&BoundedHopCount::rip(), &rip_adj, &rip.final_state);
 
     // path-vector cure
     let pv = PathVector::new(ShortestPaths::new(), 3);
@@ -440,7 +455,7 @@ fn count_to_infinity(out: &mut String) -> fmt::Result {
                 format!(
                     "metric(0→2) = {:?}, converged = {}, table changes = {}",
                     rip.final_state.get(0, 2),
-                    rip.converged,
+                    rip_converged,
                     rip.stats.table_changes
                 ),
             ),
@@ -527,9 +542,9 @@ fn section7(out: &mut String) -> fmt::Result {
             format!("random policies (seed {seed}), n={n}"),
             format!(
                 "δ absolute convergence = {delta_ok}; engine converged = {} ({} updates, {} withdrawals)",
-                engine.converged,
-                engine.stats.updates_sent,
-                engine.stats.withdrawals_sent
+                on_fixed_point(&alg, &adj, &engine.final_state),
+                engine.stats.counters.sent - engine.stats.withdrawals,
+                engine.stats.withdrawals
             ),
         ));
     }
@@ -736,8 +751,8 @@ fn rate(out: &mut String) -> fmt::Result {
             format!("full mesh n={n}"),
             format!(
                 "updates={} withdrawals={} table changes={}",
-                baseline.stats.updates_sent,
-                baseline.stats.withdrawals_sent,
+                baseline.stats.counters.sent - baseline.stats.withdrawals,
+                baseline.stats.withdrawals,
                 baseline.stats.table_changes
             ),
         ));
@@ -770,10 +785,10 @@ fn robustness(out: &mut String) -> fmt::Result {
                 ..SimConfig::default()
             };
             let sim = EventSim::new(&alg, &adj, cfg).run();
-            if sim.sigma_stable && sim.final_state == reference.state {
+            if is_stable(&alg, &adj, &sim.final_state) && sim.final_state == reference.state {
                 agree += 1;
             }
-            messages += sim.stats.sent;
+            messages += sim.stats.counters.sent;
         }
         rows.push((
             format!("loss={loss:.1} duplication={:.2}", loss / 2.0),

@@ -66,7 +66,10 @@ fn section7_algebra_survives_the_message_level_simulator() {
     for seed in 0..4 {
         let out = EventSim::new(&alg, &adj, SimConfig::adversarial(seed)).run();
         assert!(!out.truncated, "seed {seed} exhausted its event budget");
-        assert!(out.sigma_stable, "seed {seed} failed to stabilise");
+        assert!(
+            is_stable(&alg, &adj, &out.final_state),
+            "seed {seed} failed to stabilise"
+        );
         assert_eq!(out.final_state, reference.state, "seed {seed} diverged");
     }
     // Faults only ever cost messages: up to every second one lost and every
@@ -81,7 +84,10 @@ fn section7_algebra_survives_the_message_level_simulator() {
             ..SimConfig::default()
         };
         let out = EventSim::new(&alg, &adj, cfg).run();
-        assert!(out.sigma_stable && !out.truncated, "loss {loss}");
+        assert!(
+            is_stable(&alg, &adj, &out.final_state) && !out.truncated,
+            "loss {loss}"
+        );
         assert_eq!(out.final_state, reference.state, "loss {loss}");
     }
 }

@@ -13,11 +13,57 @@
 //! [`EventQueue`] is the other thing those engines share: simulated time.
 //! The event simulator and the RIP and BGP engines each deliver what they
 //! scheduled earliest-first, ties in the order scheduled.
+//!
+//! And every message engine — those three and the threaded runtime — ends
+//! the same way, in a [`MessageRun`]: the tables it left and what it cost
+//! ([`MessageStats`]), with no verdict.  Whether the tables are σ's fixed
+//! point is the caller's question, answered once by
+//! [`is_stable`](crate::is_stable).
 
+use crate::state::RoutingState;
 use dbf_algebra::RoutingAlgebra;
 use dbf_paths::NodeId;
+use dbf_telemetry::MessageCounters;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+
+/// How a message-level engine's run ended: its routers' tables and what
+/// the run cost.  It carries no verdict; the caller judges `final_state`.
+#[derive(Clone, Debug)]
+pub struct MessageRun<A: RoutingAlgebra> {
+    /// The final tables (row `i` is router `i`'s).
+    pub final_state: RoutingState<A>,
+    /// The run's counters.
+    pub stats: MessageStats,
+    /// The run hit its safety budget — the simulator's event cap, the
+    /// threaded runtime's wall clock, BGP's end time with messages still
+    /// queued — instead of going quiet.
+    pub truncated: bool,
+    /// Per node, the simulated time its table last changed (0 if it never
+    /// did): the asynchronous convergence frontier.  Only the event
+    /// simulator records it; the other engines leave it empty.
+    pub node_last_change: Vec<u64>,
+}
+
+/// The counters of one message-level run.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MessageStats {
+    /// Messages sent (withdrawals included), delivered, dropped and
+    /// duplicated, and wire bytes for the engines that encode their
+    /// updates: what the `messages` telemetry event carries.
+    pub counters: MessageCounters,
+    /// How many of the messages sent were withdrawals (BGP only).
+    pub withdrawals: u64,
+    /// Routing-table entry changes across all routers.
+    pub table_changes: u64,
+    /// The simulated time of the last table change.
+    pub last_change_time: u64,
+    /// The simulated time at which the run finished.
+    pub finish_time: u64,
+    /// Full-table rounds: the simulator's refreshes, RIP's periodic
+    /// updates.
+    pub refreshes: u64,
+}
 
 /// A discrete-event queue: items come out by ascending time, and items
 /// scheduled for the same time in the order they were pushed — so a run is

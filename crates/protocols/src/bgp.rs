@@ -23,14 +23,12 @@
 //! engine converges to the unique fixed point no matter the policies,
 //! delays or session resets — which is what the tests verify.
 
-use crate::stats::ProtocolStats;
 use crate::wire::{BgpUpdate, MAX_NODES};
-use dbf_algebra::RoutingAlgebra;
 use dbf_bgp::algebra::BgpAlgebra;
 use dbf_bgp::policy::Policy;
-use dbf_bgp::route::BgpRoute;
-use dbf_matrix::{is_stable, AdjacencyMatrix, EventQueue, RibIn, RoutingState};
+use dbf_matrix::{AdjacencyMatrix, EventQueue, MessageRun, MessageStats, RibIn, RoutingState};
 use dbf_paths::NodeId;
+use dbf_telemetry::MessageCounters;
 use dbf_topology::Topology;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -62,18 +60,6 @@ impl Default for BgpConfig {
             seed: 0,
         }
     }
-}
-
-/// The outcome of a BGP-like run.
-#[derive(Debug, Clone)]
-pub struct BgpReport {
-    /// The final loc-RIBs as a routing state over the Section 7 algebra.
-    pub final_state: RoutingState<BgpAlgebra>,
-    /// Whether the final state is the σ-fixed point for the configured
-    /// policies.
-    pub converged: bool,
-    /// Traffic statistics.
-    pub stats: ProtocolStats,
 }
 
 #[derive(Debug, Clone)]
@@ -113,9 +99,9 @@ pub struct BgpEngine {
     /// adj-RIB-in: `rib_in[i]` holds, per neighbour `k` and `dest`, the
     /// last route `k` announced to `i` for `dest`, as imported by `A_ik`.
     rib_in: Vec<RibIn<BgpAlgebra>>,
-    /// loc-RIB: `loc_rib[i][dest]` = node `i`'s selected route.
-    loc_rib: Vec<Vec<BgpRoute>>,
-    stats: ProtocolStats,
+    /// loc-RIB: `loc_rib.get(i, dest)` = node `i`'s selected route.
+    loc_rib: RoutingState<BgpAlgebra>,
+    stats: MessageStats,
 }
 
 impl BgpEngine {
@@ -146,13 +132,7 @@ impl BgpEngine {
             n <= MAX_NODES,
             "{n} nodes do not fit the u16 wire fields (at most {MAX_NODES})"
         );
-        let loc_rib: Vec<Vec<BgpRoute>> = (0..n)
-            .map(|i| {
-                (0..n)
-                    .map(|j| if i == j { alg.trivial() } else { alg.invalid() })
-                    .collect()
-            })
-            .collect();
+        let loc_rib = RoutingState::identity(&alg, n);
         let rib_in = (0..n).map(|i| RibIn::new(&alg, i, adj.row(i), n)).collect();
         let mut engine = Self {
             alg,
@@ -166,7 +146,13 @@ impl BgpEngine {
             session_clock: vec![vec![0; n]; n],
             rib_in,
             loc_rib,
-            stats: ProtocolStats::default(),
+            stats: MessageStats {
+                counters: MessageCounters {
+                    bytes: Some(0),
+                    ..MessageCounters::default()
+                },
+                ..MessageStats::default()
+            },
         };
         // Session establishment: everyone announces its own prefix.
         for i in 0..n {
@@ -205,12 +191,11 @@ impl BgpEngine {
             .gen_range(self.config.min_delay..=self.config.max_delay.max(self.config.min_delay));
         let at = (self.now + delay).max(self.session_clock[from][to] + 1);
         self.session_clock[from][to] = at;
+        self.stats.counters.sent += 1;
         if withdrawal {
-            self.stats.withdrawals_sent += 1;
-        } else {
-            self.stats.updates_sent += 1;
+            self.stats.withdrawals += 1;
         }
-        self.stats.bytes_sent += encoded.len() as u64;
+        *self.stats.counters.bytes.get_or_insert(0) += encoded.len() as u64;
         self.queue.push(
             at,
             Scheduled {
@@ -224,7 +209,7 @@ impl BgpEngine {
     /// Node `i`'s loc-RIB entry for `dest` on the wire, and whether it is a
     /// withdrawal.
     fn encode(&self, i: NodeId, dest: NodeId) -> (bool, Rc<[u8]>) {
-        let route = &self.loc_rib[i][dest];
+        let route = self.loc_rib.get(i, dest);
         let encoded = BgpUpdate::from_route(i, dest, route).encode();
         (route.is_invalid(), encoded.into())
     }
@@ -241,8 +226,8 @@ impl BgpEngine {
     /// returns whether the loc-RIB changed.
     fn decide(&mut self, i: NodeId, dest: NodeId) -> bool {
         let best = self.rib_in[i].best(&self.alg, dest);
-        if *best != self.loc_rib[i][dest] {
-            self.loc_rib[i][dest] = best.clone();
+        if best != self.loc_rib.get(i, dest) {
+            self.loc_rib.set(i, dest, best.clone());
             self.stats.table_changes += 1;
             self.stats.last_change_time = self.now;
             true
@@ -267,16 +252,19 @@ impl BgpEngine {
         }
     }
 
-    /// Run the engine and report.
-    pub fn run(mut self) -> BgpReport {
+    /// Run the engine until no message is left, or to `max_time`: a run
+    /// cut there with messages still queued is truncated.
+    pub fn run(mut self) -> MessageRun<BgpAlgebra> {
+        let mut truncated = false;
         while let Some((at, msg)) = self.queue.pop() {
             if at > self.config.max_time {
+                truncated = true;
                 break;
             }
             self.now = at;
             match msg.payload {
                 Payload::Update(bytes) => {
-                    self.stats.updates_processed += 1;
+                    self.stats.counters.delivered += 1;
                     let update = BgpUpdate::decode(&bytes)
                         .expect("the engine only delivers messages it encoded");
                     let route = update
@@ -318,20 +306,11 @@ impl BgpEngine {
             }
         }
         self.stats.finish_time = self.now;
-        let final_state = RoutingState::from_fn(self.n, |i, j| self.loc_rib[i][j].clone());
-        let reference = dbf_matrix::iterate_to_fixed_point(
-            &self.alg,
-            &self.adj,
-            &RoutingState::identity(&self.alg, self.n),
-            2 * self.n * self.n + 16,
-        );
-        let converged = is_stable(&self.alg, &self.adj, &final_state)
-            && reference.converged
-            && final_state == reference.state;
-        BgpReport {
-            final_state,
-            converged,
+        MessageRun {
+            final_state: self.loc_rib,
             stats: self.stats,
+            truncated,
+            node_last_change: Vec::new(),
         }
     }
 }
@@ -348,18 +327,29 @@ mod tests {
     use dbf_algebra::algebra::SplitMix64;
     use dbf_bgp::algebra::random_policy;
     use dbf_bgp::policy::Condition;
+    use dbf_matrix::iterate_to_fixed_point;
     use dbf_topology::generators;
+
+    /// Did the run end on σ's fixed point for `topo`'s policies?
+    fn converged(topo: &Topology<Policy>, run: &MessageRun<BgpAlgebra>) -> bool {
+        let n = topo.node_count();
+        let alg = BgpAlgebra::new(n);
+        let adj = alg.adjacency_from_topology(topo);
+        let x0 = RoutingState::identity(&alg, n);
+        let reference = iterate_to_fixed_point(&alg, &adj, &x0, 2 * n * n + 16);
+        reference.converged && run.final_state == reference.state
+    }
 
     #[test]
     fn plain_policies_converge_to_shortest_as_paths() {
         let shape = generators::ring(6);
         let topo = uniform_policies(&shape, Policy::identity());
         let report = BgpEngine::new(&topo, BgpConfig::default()).run();
-        assert!(report.converged);
+        assert!(converged(&topo, &report));
         // ring: the AS path to the node two hops away has two edges
         let r = report.final_state.get(0, 2);
         assert_eq!(r.simple_path().unwrap().len(), 2);
-        assert!(report.stats.updates_sent > 0);
+        assert!(report.stats.counters.sent > 0);
     }
 
     #[test]
@@ -373,7 +363,7 @@ mod tests {
                 ..BgpConfig::default()
             };
             let report = BgpEngine::new(&topo, cfg).run();
-            assert!(report.converged, "seed {seed} failed to converge");
+            assert!(converged(&topo, &report), "seed {seed} failed to converge");
         }
     }
 
@@ -399,9 +389,9 @@ mod tests {
             },
         )
         .run();
-        assert!(calm.converged && stormy.converged);
+        assert!(converged(&topo, &calm) && converged(&topo, &stormy));
         assert_eq!(calm.final_state, stormy.final_state);
-        assert!(stormy.stats.messages_sent() > calm.stats.messages_sent());
+        assert!(stormy.stats.counters.sent > calm.stats.counters.sent);
     }
 
     #[test]
@@ -424,13 +414,13 @@ mod tests {
             BgpEngine::new(&topo, cfg).run()
         };
         let (calm, stormy) = (run(1, 0), run(2, 8));
-        assert!(calm.converged && stormy.converged);
+        assert!(converged(&topo, &calm) && converged(&topo, &stormy));
         assert_eq!(calm.final_state, stormy.final_state);
         let r = stormy.final_state.get(0, 3);
         assert_eq!(r.simple_path().unwrap().nodes(), &[0, 1, 2, 3]);
         // Each reset re-advertises a full table in both directions.
         assert!(
-            stormy.stats.updates_processed >= calm.stats.updates_processed + 8 * 2 * n as u64,
+            stormy.stats.counters.delivered >= calm.stats.counters.delivered + 8 * 2 * n as u64,
             "{:?} vs {:?}",
             stormy.stats,
             calm.stats
@@ -448,13 +438,13 @@ mod tests {
         let mut topo = uniform_policies(&shape, Policy::identity());
         topo.set_edge(0, 1, Policy::when(Condition::InComm(7), Policy::Reject));
         let report = BgpEngine::new(&topo, BgpConfig::default()).run();
-        assert!(report.converged);
+        assert!(converged(&topo, &report));
         assert!(!report.final_state.get(0, 3).is_invalid());
 
         let mut topo2 = uniform_policies(&shape, Policy::identity());
         topo2.set_edge(0, 1, Policy::Reject);
         let report2 = BgpEngine::new(&topo2, BgpConfig::default()).run();
-        assert!(report2.converged);
+        assert!(converged(&topo2, &report2));
         assert!(report2.final_state.get(0, 1).is_invalid());
         assert!(report2.final_state.get(0, 3).is_invalid());
         // the rest of the line is unaffected
@@ -479,7 +469,7 @@ mod tests {
             Policy::AddComm(5).then(Policy::when(Condition::InComm(5), Policy::IncrPrefBy(10))),
         );
         let report = BgpEngine::new(&topo, BgpConfig::default()).run();
-        assert!(report.converged);
+        assert!(converged(&topo, &report));
         // 0 reaches 3 via 1 (untagged, level 0) rather than via 2 (level 10)
         let r = report.final_state.get(0, 3);
         assert_eq!(r.simple_path().unwrap().nodes(), &[0, 1, 3]);
@@ -504,13 +494,27 @@ mod tests {
             },
         )
         .run();
-        assert!(report.converged);
-        assert!(report.stats.updates_processed > 0);
+        assert!(converged(&topo, &report));
+        assert!(!report.truncated);
+        let c = report.stats.counters;
+        assert!(c.delivered > 0);
         assert!(report.stats.finish_time >= report.stats.last_change_time);
-        assert_eq!(report.stats.updates_lost, 0, "sessions are reliable");
+        assert_eq!(c.dropped, 0, "sessions are reliable");
         // Every session message crossed the wire codec (a withdrawal is the
         // 5-byte minimum).
-        assert!(report.stats.bytes_sent >= 5 * report.stats.messages_sent());
+        assert!(c.bytes.unwrap() >= 5 * c.sent);
+    }
+
+    #[test]
+    fn a_run_cut_at_max_time_with_messages_queued_is_truncated() {
+        let topo = uniform_policies(&generators::ring(6), Policy::identity());
+        let cfg = BgpConfig {
+            max_time: 3,
+            ..BgpConfig::default()
+        };
+        let cut = BgpEngine::new(&topo, cfg).run();
+        assert!(cut.truncated && !converged(&topo, &cut));
+        assert!(cut.stats.finish_time <= 3);
     }
 
     #[test]
@@ -537,8 +541,8 @@ mod tests {
         };
         let a = BgpEngine::new(&topo, cfg).run();
         let b = BgpEngine::from_parts(alg, adj, cfg).run();
-        assert!(a.converged && b.converged);
+        assert!(converged(&topo, &a) && converged(&topo, &b));
         assert_eq!(a.final_state, b.final_state);
-        assert_eq!(a.stats.bytes_sent, b.stats.bytes_sent);
+        assert_eq!(a.stats, b.stats);
     }
 }

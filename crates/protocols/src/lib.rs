@@ -20,8 +20,11 @@
 //!   the convergence results are not an artefact of the simulators'
 //!   determinism;
 //! * [`wire`] — a compact binary wire format for the update messages of
-//!   both engines, pinned byte-for-byte by golden vectors;
-//! * [`stats`] — shared convergence/traffic statistics.
+//!   both engines, pinned byte-for-byte by golden vectors.
+//!
+//! Every engine here returns a [`dbf_matrix::MessageRun`]: the final tables
+//! and a [`dbf_matrix::MessageStats`], with no verdict.  Whether the tables
+//! are σ's fixed point is for the caller to judge, so no engine solves σ.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,18 +32,15 @@
 pub mod bgp;
 pub mod rip;
 pub mod runtime;
-pub mod stats;
 pub mod wire;
 
-pub use bgp::{BgpConfig, BgpEngine, BgpReport};
-pub use rip::{RipConfig, RipEngine, RipReport, SplitHorizon};
-pub use runtime::{run_threaded, ThreadedReport};
-pub use stats::ProtocolStats;
+pub use bgp::{BgpConfig, BgpEngine};
+pub use rip::{RipConfig, RipEngine, SplitHorizon};
+pub use runtime::run_threaded;
 
 /// Commonly used items, suitable for a glob import.
 pub mod prelude {
-    pub use crate::bgp::{BgpConfig, BgpEngine, BgpReport};
-    pub use crate::rip::{RipConfig, RipEngine, RipReport, SplitHorizon};
-    pub use crate::runtime::{run_threaded, ThreadedReport};
-    pub use crate::stats::ProtocolStats;
+    pub use crate::bgp::{BgpConfig, BgpEngine};
+    pub use crate::rip::{RipConfig, RipEngine, SplitHorizon};
+    pub use crate::runtime::run_threaded;
 }

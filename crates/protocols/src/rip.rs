@@ -20,12 +20,12 @@
 //! starting state under any of these conditions — the engine's tests check
 //! exactly that against the synchronous fixed point.
 
-use crate::stats::ProtocolStats;
 use crate::wire::{RipUpdate, MAX_NODES, WIRE_INFINITY};
 use dbf_algebra::instances::hopcount::BoundedHopCount;
 use dbf_algebra::instances::nat_inf::NatInf;
-use dbf_matrix::{is_stable, AdjacencyMatrix, EventQueue, RoutingState};
+use dbf_matrix::{AdjacencyMatrix, EventQueue, MessageRun, MessageStats, RoutingState};
 use dbf_paths::NodeId;
+use dbf_telemetry::MessageCounters;
 use dbf_topology::Topology;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -115,19 +115,6 @@ impl RipConfig {
     }
 }
 
-/// The outcome of a RIP run.
-#[derive(Debug, Clone)]
-pub struct RipReport {
-    /// The final tables as a routing state over the bounded hop-count
-    /// algebra (entry `(i, j)` is node `i`'s metric to `j`).
-    pub final_state: RoutingState<BoundedHopCount>,
-    /// Whether the final state is the σ-fixed point of the hop-count
-    /// algebra on this topology.
-    pub converged: bool,
-    /// Traffic and convergence statistics.
-    pub stats: ProtocolStats,
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Event {
     /// A periodic update timer fires at a router.
@@ -167,7 +154,7 @@ pub struct RipEngine {
     /// encode/decode path of [`crate::wire`] runs on every message.
     messages: Vec<Vec<u8>>,
     tables: Vec<Vec<TableEntry>>,
-    stats: ProtocolStats,
+    stats: MessageStats,
 }
 
 impl RipEngine {
@@ -230,7 +217,13 @@ impl RipEngine {
             queue: EventQueue::default(),
             messages: Vec::new(),
             tables,
-            stats: ProtocolStats::default(),
+            stats: MessageStats {
+                counters: MessageCounters {
+                    bytes: Some(0),
+                    ..MessageCounters::default()
+                },
+                ..MessageStats::default()
+            },
         };
         // Stagger the first periodic update of each router.
         for i in 0..n {
@@ -324,10 +317,10 @@ impl RipEngine {
                 .collect(),
         };
         let encoded = update.encode();
-        self.stats.updates_sent += 1;
-        self.stats.bytes_sent += encoded.len() as u64;
+        self.stats.counters.sent += 1;
+        *self.stats.counters.bytes.get_or_insert(0) += encoded.len() as u64;
         if self.rng.gen_bool(self.config.loss_prob.clamp(0.0, 1.0)) {
-            self.stats.updates_lost += 1;
+            self.stats.counters.dropped += 1;
             return;
         }
         let delay = self
@@ -421,8 +414,9 @@ impl RipEngine {
         changed
     }
 
-    /// Run the engine to `max_time` and report.
-    pub fn run(mut self) -> RipReport {
+    /// Run the engine to `max_time`.  That is the end of a run, not a
+    /// budget — periodic updates never stop — so a run is never truncated.
+    pub fn run(mut self) -> MessageRun<BoundedHopCount> {
         while let Some((at, event)) = self.queue.pop() {
             if at > self.config.max_time {
                 break;
@@ -430,14 +424,14 @@ impl RipEngine {
             self.now = at;
             match event {
                 Event::Periodic(i) => {
-                    self.stats.periodic_rounds += 1;
+                    self.stats.refreshes += 1;
                     self.expire_routes(i);
                     self.broadcast(i);
                     self.queue
                         .push(self.now + UPDATE_INTERVAL, Event::Periodic(i));
                 }
                 Event::Delivery { from, to, msg } => {
-                    self.stats.updates_processed += 1;
+                    self.stats.counters.delivered += 1;
                     // A triggered update: a changed table is advertised at once.
                     if self.process_advert(from, to, msg) {
                         self.broadcast(to);
@@ -446,24 +440,11 @@ impl RipEngine {
             }
         }
         self.stats.finish_time = self.now;
-
-        let alg = BoundedHopCount::new(self.config.hop_limit);
-        let final_state =
-            RoutingState::<BoundedHopCount>::from_fn(self.n, |i, j| self.tables[i][j].metric);
-        let converged = is_stable(&alg, &self.adj, &final_state)
-            && final_state == {
-                let from_clean = dbf_matrix::iterate_to_fixed_point(
-                    &alg,
-                    &self.adj,
-                    &RoutingState::identity(&alg, self.n),
-                    4 * self.n + 8,
-                );
-                from_clean.state
-            };
-        RipReport {
-            final_state,
-            converged,
+        MessageRun {
+            final_state: RoutingState::from_fn(self.n, |i, j| self.tables[i][j].metric),
             stats: self.stats,
+            truncated: false,
+            node_last_change: Vec::new(),
         }
     }
 }
@@ -474,6 +455,8 @@ mod tests {
     use dbf_matrix::iterate_to_fixed_point;
     use dbf_topology::generators;
 
+    /// σ's fixed point of the hop-count algebra on `topo`, which a run
+    /// must end on to have converged.
     fn reference(topo: &Topology<()>, limit: u64) -> RoutingState<BoundedHopCount> {
         let alg = BoundedHopCount::new(limit);
         let adj = AdjacencyMatrix::<BoundedHopCount>::from_fn(topo.node_count(), |i, j| {
@@ -483,24 +466,24 @@ mod tests {
                 None
             }
         });
-        iterate_to_fixed_point(
+        let out = iterate_to_fixed_point(
             &alg,
             &adj,
             &RoutingState::identity(&alg, topo.node_count()),
             200,
-        )
-        .state
+        );
+        assert!(out.converged);
+        out.state
     }
 
     #[test]
     fn reliable_network_converges_to_hop_distances() {
         let topo = generators::ring(6);
         let report = RipEngine::new(&topo, RipConfig::default()).run();
-        assert!(report.converged);
         assert_eq!(report.final_state, reference(&topo, 15));
-        assert!(report.stats.updates_sent > 0);
-        assert_eq!(report.stats.updates_lost, 0);
-        assert!(report.stats.periodic_rounds > 0);
+        assert!(report.stats.counters.sent > 0);
+        assert_eq!(report.stats.counters.dropped, 0);
+        assert!(report.stats.refreshes > 0);
     }
 
     #[test]
@@ -508,9 +491,11 @@ mod tests {
         let topo = generators::connected_random(8, 0.3, 3);
         for seed in 0..3 {
             let report = RipEngine::new(&topo, RipConfig::lossy(seed, 0.25)).run();
-            assert!(report.converged, "seed {seed} did not converge");
             assert_eq!(report.final_state, reference(&topo, 15), "seed {seed}");
-            assert!(report.stats.updates_lost > 0, "seed {seed} lost nothing");
+            assert!(
+                report.stats.counters.dropped > 0,
+                "seed {seed} lost nothing"
+            );
         }
     }
 
@@ -527,7 +512,6 @@ mod tests {
                 ..RipConfig::default()
             };
             let report = RipEngine::new(&topo, cfg).run();
-            assert!(report.converged, "{mode:?} failed to converge");
             assert_eq!(report.final_state, reference(&topo, 15), "{mode:?}");
         }
     }
@@ -552,8 +536,9 @@ mod tests {
             .with_stale_route(0, 2, NatInf::fin(3), Some(1))
             .with_stale_route(1, 2, NatInf::fin(3), Some(0))
             .run();
-        assert!(
-            report.converged,
+        assert_eq!(
+            report.final_state,
+            reference(&topo, 15),
             "the hop limit must eventually cure count-to-infinity"
         );
         assert_eq!(report.final_state.get(0, 2), &NatInf::INF);
@@ -582,7 +567,8 @@ mod tests {
             },
         )
         .run();
-        assert!(with.converged && without.converged);
+        let fixed = reference(&topo, 15);
+        assert!(with.final_state == fixed && without.final_state == fixed);
         assert!(
             with.stats.table_changes <= without.stats.table_changes,
             "split horizon should not increase table churn"
@@ -602,11 +588,10 @@ mod tests {
             engine = engine.with_stale_route(i, 7, NatInf::fin(7 - i as u64), Some(i + 1));
         }
         let report = engine.run();
-        assert!(report.converged, "{}", report.stats);
         assert_eq!(report.final_state, reference(&topo, 15));
         assert!(
             report.stats.last_change_time < 2 * UPDATE_INTERVAL,
-            "{}",
+            "{:?}",
             report.stats
         );
     }
@@ -616,10 +601,11 @@ mod tests {
         let topo = generators::star(5);
         let report = RipEngine::new(&topo, RipConfig::default()).run();
         assert!(report.stats.finish_time > 0);
-        assert_eq!(report.stats.updates_lost, 0);
-        assert!(report.stats.messages_sent() >= report.stats.updates_sent);
+        assert_eq!(report.stats.counters.dropped, 0);
+        assert_eq!(report.stats.withdrawals, 0, "RIP withdraws nothing");
         // Every update crossed the wire codec, so bytes were counted.
-        assert!(report.stats.bytes_sent > 4 * report.stats.updates_sent);
+        let c = report.stats.counters;
+        assert!(c.bytes.unwrap() > 4 * c.sent);
     }
 
     #[test]
@@ -628,19 +614,16 @@ mod tests {
         // running from the stale tables.  Ownerless carried entries must be
         // claimed (when still correct) or timed out (when the change made
         // them too good), and the final tables must be the new fixed point.
-        let alg = BoundedHopCount::new(15);
         let ring = generators::ring(6);
         let before = RipEngine::new(&ring, RipConfig::default()).run();
-        assert!(before.converged);
+        assert_eq!(before.final_state, reference(&ring, 15));
 
         let mut cut = ring.clone();
         cut.remove_link(0, 5);
         let report = RipEngine::new(&cut, RipConfig::default())
             .with_initial_state(&before.final_state)
             .run();
-        assert!(report.converged, "{}", report.stats);
         assert_eq!(report.final_state, reference(&cut, 15));
-        let _ = alg;
     }
 
     #[test]
@@ -660,7 +643,6 @@ mod tests {
         adj.set(2, 1, Some(1));
         adj.set(1, 2, Some(1));
         let report = RipEngine::from_adjacency(adj.clone(), RipConfig::default()).run();
-        assert!(report.converged);
         let alg = BoundedHopCount::new(15);
         let reference =
             dbf_matrix::iterate_to_fixed_point(&alg, &adj, &RoutingState::identity(&alg, 3), 50);

@@ -24,10 +24,10 @@
 //! in-edge made the other routers exit before the isolated router's first
 //! recomputation announced its wiped table.)
 
-use crate::stats::ProtocolStats;
 use dbf_algebra::RoutingAlgebra;
-use dbf_matrix::{is_stable, AdjacencyMatrix, RibIn, RoutingState};
+use dbf_matrix::{AdjacencyMatrix, MessageRun, MessageStats, RibIn, RoutingState};
 use dbf_paths::NodeId;
+use dbf_telemetry::MessageCounters;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::mpsc::channel;
 use std::time::Duration;
@@ -39,19 +39,6 @@ const IDLE_POLL: Duration = Duration::from_millis(2);
 /// Hard wall-clock cap on a run.
 const WALL_CLOCK_LIMIT: Duration = Duration::from_secs(20);
 
-/// The outcome of a threaded run.
-#[derive(Debug, Clone)]
-pub struct ThreadedReport<A: RoutingAlgebra> {
-    /// The final global routing state.
-    pub final_state: RoutingState<A>,
-    /// Whether the final state is σ-stable.
-    pub sigma_stable: bool,
-    /// Aggregate statistics.
-    pub stats: ProtocolStats,
-    /// True if the wall-clock limit was hit before quiescence.
-    pub timed_out: bool,
-}
-
 struct Advert<R> {
     from: NodeId,
     dest: NodeId,
@@ -59,7 +46,9 @@ struct Advert<R> {
 }
 
 /// Run one genuinely concurrent DBF computation over the given adjacency,
-/// starting from `initial` (row `i` is handed to router `i`).
+/// starting from `initial` (row `i` is handed to router `i`).  The run is
+/// truncated when it hit the wall-clock cap before quiescence; its counters
+/// are the messages sent and delivered and the table changes.
 ///
 /// # Panics
 ///
@@ -70,7 +59,7 @@ pub fn run_threaded<A>(
     alg: &A,
     adj: &AdjacencyMatrix<A>,
     initial: &RoutingState<A>,
-) -> ThreadedReport<A>
+) -> MessageRun<A>
 where
     A: RoutingAlgebra + Sync,
     A::Route: Send,
@@ -223,25 +212,25 @@ where
         }
         handles.into_iter().map(|h| h.join()).collect()
     });
-    let timed_out = start.elapsed() > WALL_CLOCK_LIMIT;
+    let truncated = start.elapsed() > WALL_CLOCK_LIMIT;
     let rows: Vec<Vec<A::Route>> = joined
         .into_iter()
         .map(|row| row.unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
         .collect();
-    let final_state = RoutingState::from_fn(n, |i, j| rows[i][j].clone());
-    let sigma_stable = is_stable(alg, adj, &final_state);
-    let stats = ProtocolStats {
-        updates_sent: messages_sent.load(Ordering::SeqCst),
-        updates_processed: messages_sent.load(Ordering::SeqCst)
-            - in_flight.load(Ordering::SeqCst).max(0) as u64,
-        table_changes: table_changes.load(Ordering::SeqCst),
-        ..ProtocolStats::default()
-    };
-    ThreadedReport {
-        final_state,
-        sigma_stable,
-        stats,
-        timed_out,
+    let sent = messages_sent.load(Ordering::SeqCst);
+    MessageRun {
+        final_state: RoutingState::from_fn(n, |i, j| rows[i][j].clone()),
+        stats: MessageStats {
+            counters: MessageCounters {
+                sent,
+                delivered: sent - in_flight.load(Ordering::SeqCst).max(0) as u64,
+                ..MessageCounters::default()
+            },
+            table_changes: table_changes.load(Ordering::SeqCst),
+            ..MessageStats::default()
+        },
+        truncated,
+        node_last_change: Vec::new(),
     }
 }
 
@@ -263,10 +252,10 @@ mod tests {
         let reference = iterate_to_fixed_point(&alg, &adj, &x0, 200);
         for _run in 0..3 {
             let report = run_threaded(&alg, &adj, &x0);
-            assert!(!report.timed_out);
-            assert!(report.sigma_stable);
+            assert!(!report.truncated);
+            assert!(is_stable(&alg, &adj, &report.final_state));
             assert_eq!(report.final_state, reference.state);
-            assert!(report.stats.updates_sent > 0);
+            assert!(report.stats.counters.sent > 0);
         }
     }
 
@@ -284,8 +273,8 @@ mod tests {
         let reference = iterate_to_fixed_point(&alg, &adj, &x0, 200);
         assert!(reference.converged);
         let report = run_threaded(&alg, &adj, &x0);
-        assert!(!report.timed_out);
-        assert!(report.sigma_stable);
+        assert!(!report.truncated);
+        assert!(is_stable(&alg, &adj, &report.final_state));
         assert_eq!(report.final_state, reference.state);
     }
 
@@ -312,8 +301,8 @@ mod tests {
         adj.set(1, 0, None);
         for _run in 0..10 {
             let report = run_threaded(&alg, &adj, &stale.state);
-            assert!(!report.timed_out, "quiescence must not wedge");
-            assert!(report.sigma_stable);
+            assert!(!report.truncated, "quiescence must not wedge");
+            assert!(is_stable(&alg, &adj, &report.final_state));
             // Router 1 imports from no one: everything except its self-route
             // must have been dropped.
             assert_eq!(report.final_state.get(1, 1), &alg.trivial());
@@ -371,8 +360,8 @@ mod tests {
             }
         });
         let report = run_threaded(&alg, &adj, &stale);
-        assert!(!report.timed_out);
-        assert!(report.sigma_stable);
+        assert!(!report.truncated);
+        assert!(is_stable(&alg, &adj, &report.final_state));
         assert_eq!(report.final_state, reference);
     }
 }

@@ -56,12 +56,12 @@ use dbf_async::{run_delta, run_delta_traced};
 use dbf_bgp::algebra::BgpAlgebra;
 use dbf_matrix::blocked::fold_entry_text;
 use dbf_matrix::{
-    dirty_rows_after_change, is_stable, AdjacencyMatrix, FixedPoint, Pooled, RoutingState, Start,
+    dirty_rows_after_change, is_stable, AdjacencyMatrix, FixedPoint, MessageRun, Pooled,
+    RoutingState, Start,
 };
 use dbf_protocols::bgp::{BgpConfig, BgpEngine};
 use dbf_protocols::rip::{RipConfig, RipEngine};
 use dbf_protocols::runtime::run_threaded;
-use dbf_protocols::ProtocolStats;
 use dbf_telemetry::{EventClass, MessageCounters, TelemetrySink};
 use std::any::Any;
 use std::time::Instant;
@@ -499,15 +499,15 @@ struct Phase<'a, A: RoutingAlgebra> {
 struct Step<A: RoutingAlgebra> {
     state: RoutingState<A>,
     /// Is `state` σ-stable on the phase's adjacency?  `None` leaves the
-    /// answer to the driver's [`is_stable`] sweep, which runs after the
-    /// clock has stopped so that `wall_ms` entries stay comparable across
-    /// the benchmark trajectory.
+    /// answer to the phase loop's [`is_stable`] sweep — the one judge of every
+    /// message engine — which runs after the clock has stopped so that
+    /// `wall_ms` entries stay comparable across the benchmark trajectory.
     stable: Option<bool>,
     rounds: u64,
     work: u64,
-    messages: Option<u64>,
-    bytes: Option<u64>,
-    /// The message plane's counters, for the `messages` telemetry event.
+    /// A message engine's counters: the phase's `messages` and `bytes`,
+    /// and the `messages` telemetry event (sent only when the engine's
+    /// descriptor lists that event class).
     counters: Option<MessageCounters>,
     /// Per node, when its table row last changed — for an engine that
     /// learns settle times only from its finished run (the σ kernel and δ
@@ -526,7 +526,9 @@ impl<'a, A: ScenarioAlgebra> Run<'a, A> {
         step: impl Fn(&Phase<'a, A>, C, RoutingState<A>, &mut dyn TelemetrySink) -> Step<A>,
     ) -> EngineRun {
         let label = engine_label(self.kind, self.seed);
-        tel.run_start(&label, descriptor(self.kind).name);
+        let info = descriptor(self.kind);
+        let sends_messages = info.events.contains(&EventClass::Messages);
+        tel.run_start(&label, info.name);
         let mut state = RoutingState::identity(self.alg, self.problems[0].adj.node_count());
         let mut phases: Vec<PhaseOutcome> = Vec::with_capacity(self.problems.len());
         for (index, problem) in self.problems.iter().enumerate() {
@@ -553,7 +555,7 @@ impl<'a, A: ScenarioAlgebra> Run<'a, A> {
             let out = step(&phase, config, state, &mut *tel);
             let wall_ms = start.elapsed().as_secs_f64() * 1e3;
             if tel.enabled() {
-                if let Some(counters) = &out.counters {
+                if let Some(counters) = out.counters.as_ref().filter(|_| sends_messages) {
                     tel.messages(counters);
                 }
                 for (node, &t) in out.settled.iter().enumerate() {
@@ -570,8 +572,8 @@ impl<'a, A: ScenarioAlgebra> Run<'a, A> {
                 rounds: out.rounds,
                 predicted_bound: None,
                 work: out.work,
-                messages: out.messages,
-                bytes: out.bytes,
+                messages: out.counters.map(|c| c.sent),
+                bytes: out.counters.and_then(|c| c.bytes),
                 wall_ms,
                 digest: state_digest(&state),
             });
@@ -593,7 +595,7 @@ fn downcast<Src: Any, Dst: Any>(value: &Src) -> &Dst {
     (value as &dyn Any).downcast_ref().expect(GATED)
 }
 
-/// [`downcast`] by value, for the state a protocol adapter hands back.
+/// [`downcast`] by value, for the run a protocol adapter hands back.
 fn downcast_owned<Src: Any, Dst: Any>(value: Src) -> Dst {
     *(Box::new(value) as Box<dyn Any>).downcast().expect(GATED)
 }
@@ -678,8 +680,6 @@ impl<A: ScenarioAlgebra> Phase<'_, A> {
             state: kernel.finish(tel),
             rounds,
             work,
-            messages: None,
-            bytes: None,
             counters: None,
             settled: Vec::new(),
         }
@@ -721,8 +721,6 @@ impl<A: ScenarioAlgebra> Phase<'_, A> {
             // changing (the full horizon if it never settled).
             rounds: out.quiescent_from.unwrap_or(sched.horizon()) as u64,
             work: out.activations as u64,
-            messages: None,
-            bytes: None,
             counters: None,
             settled: Vec::new(),
         }
@@ -745,42 +743,16 @@ impl<A: ScenarioAlgebra> Phase<'_, A> {
     /// (`dbf-async`).  Settle times are in simulated time: when each
     /// node's table row last changed (deterministic in the seed).
     fn sim(&self, cfg: SimConfig, state: RoutingState<A>, _: &mut dyn TelemetrySink) -> Step<A> {
-        let out = EventSim::with_initial_state(self.alg, &self.problem.adj, cfg, &state).run();
-        Step {
-            state: out.final_state,
-            stable: Some(out.sigma_stable && !out.truncated),
-            rounds: out.stats.last_change_time,
-            work: out.stats.delivered,
-            messages: Some(out.stats.sent),
-            bytes: None,
-            counters: Some(MessageCounters {
-                sent: out.stats.sent,
-                delivered: out.stats.delivered,
-                dropped: out.stats.lost,
-                duplicated: out.stats.duplicated,
-                bytes: None,
-            }),
-            settled: out.node_last_change,
-        }
+        self.messages(EventSim::with_initial_state(self.alg, &self.problem.adj, cfg, &state).run())
     }
 
     /// Engine 5, the genuinely concurrent one-thread-per-router runtime
-    /// (`dbf-protocols`).  OS scheduling decides every counter here, so the
-    /// engine reports nothing to the sink beyond the driver's run/phase
-    /// markers — anything more would poison the deterministic `metrics`
-    /// section (`deterministic_counters: false`).
+    /// (`dbf-protocols`).  OS scheduling decides every counter here, so its
+    /// descriptor lists no event class and the sink hears nothing beyond
+    /// the phase loop's run/phase markers — anything more would poison the
+    /// deterministic `metrics` section (`deterministic_counters: false`).
     fn threaded(&self, _: (), state: RoutingState<A>, _: &mut dyn TelemetrySink) -> Step<A> {
-        let report = run_threaded(self.alg, &self.problem.adj, &state);
-        Step {
-            state: report.final_state,
-            stable: Some(report.sigma_stable && !report.timed_out),
-            rounds: 0,
-            work: report.stats.table_changes,
-            messages: Some(report.stats.updates_sent),
-            bytes: None,
-            counters: None,
-            settled: Vec::new(),
-        }
+        self.messages(run_threaded(self.alg, &self.problem.adj, &state))
     }
 
     /// The adapter keeps the oracle sound by not forwarding the simulator's
@@ -814,10 +786,10 @@ impl<A: ScenarioAlgebra> Phase<'_, A> {
     /// back into a [`RoutingState`] for the differential oracle.
     fn rip(&self, cfg: RipConfig, state: RoutingState<A>, _: &mut dyn TelemetrySink) -> Step<A> {
         let adj: &AdjacencyMatrix<BoundedHopCount> = downcast(&self.problem.adj);
-        let report = RipEngine::from_adjacency(adj.clone(), cfg)
+        let run = RipEngine::from_adjacency(adj.clone(), cfg)
             .with_initial_state(downcast(&state))
             .run();
-        Step::of_protocol(downcast_owned(report.final_state), &report.stats)
+        self.messages(downcast_owned(run))
     }
 
     fn bgp_config(&self) -> BgpConfig {
@@ -852,23 +824,29 @@ impl<A: ScenarioAlgebra> Phase<'_, A> {
     fn bgp(&self, cfg: BgpConfig, _: RoutingState<A>, _: &mut dyn TelemetrySink) -> Step<A> {
         let alg: &BgpAlgebra = downcast(self.alg);
         let adj: &AdjacencyMatrix<BgpAlgebra> = downcast(&self.problem.adj);
-        let report = BgpEngine::from_parts(*alg, adj.clone(), cfg).run();
-        Step::of_protocol(downcast_owned(report.final_state), &report.stats)
+        let run = BgpEngine::from_parts(*alg, adj.clone(), cfg).run();
+        self.messages(downcast_owned(run))
     }
-}
 
-impl<A: RoutingAlgebra> Step<A> {
-    /// The readings of a wire-protocol run.
-    fn of_protocol(state: RoutingState<A>, stats: &ProtocolStats) -> Self {
+    /// The readings of a message engine's run (sim, threaded, rip, bgp),
+    /// which judges nothing itself: a run cut at its safety budget is
+    /// unstable, and any other is left to the phase loop's [`is_stable`]
+    /// sweep.  `rounds` is the simulated time of the last table change and
+    /// `work` the deliveries — except for threaded, whose deliveries the
+    /// OS scheduler decides: its work is its table changes.
+    fn messages(&self, run: MessageRun<A>) -> Step<A> {
+        let stats = run.stats;
         Step {
-            state,
-            stable: None,
+            state: run.final_state,
+            stable: run.truncated.then_some(false),
             rounds: stats.last_change_time,
-            work: stats.updates_processed,
-            messages: Some(stats.messages_sent()),
-            bytes: Some(stats.bytes_sent),
-            counters: Some(stats.counters()),
-            settled: Vec::new(),
+            work: if self.kind == EngineKind::Threaded {
+                stats.table_changes
+            } else {
+                stats.counters.delivered
+            },
+            counters: Some(stats.counters),
+            settled: run.node_last_change,
         }
     }
 }

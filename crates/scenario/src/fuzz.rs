@@ -433,8 +433,7 @@ fn shrink_candidates(s: &Scenario) -> Vec<Scenario> {
             }
         }
     }
-    // 3. Shrink the topology: halve toward the family minimum, and try the
-    //    simplest family outright.
+    // 3. Shrink the topology: halve toward the family minimum.
     for t in shrink_topology(&s.topology) {
         let mut c = s.clone();
         c.topology = t;
@@ -487,7 +486,8 @@ fn shrink_candidates(s: &Scenario) -> Vec<Scenario> {
 /// Topology reductions: halve the node count through
 /// [`resize_topology`] (to the smallest size of at least half that the
 /// family's own size rule accepts), then the moves a node count cannot
-/// express, then a plain line of the same size.
+/// express.  Each drops nodes: [`spec_size`] weighs a topology by its node
+/// count alone, so a move that keeps it could never be accepted.
 fn shrink_topology(t: &TopologySpec) -> Vec<TopologySpec> {
     let n = t.initial_nodes().unwrap_or(0);
     let mut out: Vec<TopologySpec> = (n / 2..n)
@@ -495,9 +495,6 @@ fn shrink_topology(t: &TopologySpec) -> Vec<TopologySpec> {
         .into_iter()
         .collect();
     match *t {
-        TopologySpec::AsGraph { n, m, seed } if m > 1 => {
-            out.push(TopologySpec::AsGraph { n, m: m / 2, seed });
-        }
         TopologySpec::LeafSpine { spines, leaves } if spines > 1 => {
             out.push(TopologySpec::LeafSpine {
                 spines: spines / 2,
@@ -531,26 +528,7 @@ fn shrink_topology(t: &TopologySpec) -> Vec<TopologySpec> {
                 });
             }
         }
-        TopologySpec::Explicit { nodes, ref links } => {
-            for k in 0..links.len() {
-                let mut fewer = links.clone();
-                fewer.remove(k);
-                out.push(TopologySpec::Explicit {
-                    nodes,
-                    links: fewer,
-                });
-            }
-        }
         _ => {}
-    }
-    if !matches!(
-        t,
-        TopologySpec::Line { .. }
-            | TopologySpec::Tiered { .. }
-            | TopologySpec::Explicit { .. }
-            | TopologySpec::Gadget
-    ) {
-        out.push(TopologySpec::Line { n });
     }
     out
 }
@@ -746,6 +724,50 @@ mod tests {
         // file and replayed with `scenarios run`.
         let back = Scenario::from_toml_str(&min.to_toml_string()).unwrap();
         assert_eq!(min, back);
+    }
+
+    /// `spec_size` weighs a topology by its node count alone, so a
+    /// candidate that keeps the count can never be accepted.
+    #[test]
+    fn every_topology_candidate_has_fewer_nodes() {
+        let families = [
+            TopologySpec::Line { n: 8 },
+            TopologySpec::Ring { n: 8 },
+            TopologySpec::Star { n: 8 },
+            TopologySpec::Complete { n: 8 },
+            TopologySpec::Grid { rows: 3, cols: 4 },
+            TopologySpec::ConnectedRandom {
+                n: 12,
+                p: 0.3,
+                seed: 1,
+            },
+            TopologySpec::AsGraph {
+                n: 12,
+                m: 4,
+                seed: 1,
+            },
+            TopologySpec::LeafSpine {
+                spines: 4,
+                leaves: 8,
+            },
+            TopologySpec::Tiered {
+                tiers: vec![2, 4, 8],
+                p_peer: 0.2,
+                p_extra: 0.3,
+                seed: 1,
+            },
+            TopologySpec::Explicit {
+                nodes: 4,
+                links: vec![(0, 1), (1, 2), (2, 3), (0, 2)],
+            },
+            TopologySpec::Gadget,
+        ];
+        for t in families {
+            let n = t.initial_nodes();
+            for c in shrink_topology(&t) {
+                assert!(c.initial_nodes() < n, "{t:?} shrinks to {c:?}");
+            }
+        }
     }
 
     #[test]

@@ -17,6 +17,7 @@ use dbf_topology::{generators, Topology};
 
 /// Every counter a message engine keeps, in one printable record.
 #[derive(Debug)]
+#[allow(dead_code)] // the fields are read through `Debug`
 struct Counters {
     sent: u64,
     delivered: u64,
@@ -30,36 +31,19 @@ struct Counters {
     rounds: u64,
 }
 
-impl From<&SimStats> for Counters {
-    fn from(s: &SimStats) -> Self {
+impl From<&MessageStats> for Counters {
+    fn from(s: &MessageStats) -> Self {
         Counters {
-            sent: s.sent,
-            delivered: s.delivered,
-            lost: s.lost,
-            duplicated: s.duplicated,
-            bytes: None,
-            withdrawals: 0,
+            sent: s.counters.sent,
+            delivered: s.counters.delivered,
+            lost: s.counters.dropped,
+            duplicated: s.counters.duplicated,
+            bytes: s.counters.bytes,
+            withdrawals: s.withdrawals,
             table_changes: s.table_changes,
             last_change_time: s.last_change_time,
             finish_time: s.finish_time,
             rounds: s.refreshes,
-        }
-    }
-}
-
-impl From<&ProtocolStats> for Counters {
-    fn from(s: &ProtocolStats) -> Self {
-        Counters {
-            sent: s.messages_sent(),
-            delivered: s.updates_processed,
-            lost: s.updates_lost,
-            duplicated: 0,
-            bytes: Some(s.bytes_sent),
-            withdrawals: s.withdrawals_sent,
-            table_changes: s.table_changes,
-            last_change_time: s.last_change_time,
-            finish_time: s.finish_time,
-            rounds: s.periodic_rounds,
         }
     }
 }
@@ -145,12 +129,13 @@ fn sim_and_bgp_land_on_sigmas_fixed_point_at_the_benchmark_size_and_twice_it() {
             ..SimConfig::default()
         };
         let out = EventSim::new(&alg, &adj, cfg).run();
-        assert!(out.sigma_stable && !out.truncated, "sim at n = {n}");
+        let stable = is_stable(&alg, &adj, &out.final_state);
+        assert!(stable && !out.truncated, "sim at n = {n}");
         assert!(
             out.final_state == reference.state,
             "sim missed σ's fixed point at n = {n}"
         );
-        assert!(out.stats.lost > 0 && out.stats.duplicated > 0);
+        assert!(out.stats.counters.dropped > 0 && out.stats.counters.duplicated > 0);
 
         let cfg = BgpConfig {
             max_delay: 5,
@@ -160,7 +145,7 @@ fn sim_and_bgp_land_on_sigmas_fixed_point_at_the_benchmark_size_and_twice_it() {
             ..BgpConfig::default()
         };
         let report = BgpEngine::from_parts(alg, adj, cfg).run();
-        assert!(report.converged, "bgp did not converge at n = {n}");
+        assert!(!report.truncated, "bgp ran out of time at n = {n}");
         assert!(
             report.final_state == reference.state,
             "bgp missed σ's fixed point at n = {n}"

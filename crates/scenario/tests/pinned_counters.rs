@@ -46,7 +46,7 @@ fn policy_rich_at_20() -> Scenario {
 }
 
 /// Collects every `node_settled` event as one line per run and phase: for
-/// `sim` these are `SimOutcome::node_last_change`, in simulated time.
+/// `sim` these are `MessageRun::node_last_change`, in simulated time.
 #[derive(Default)]
 struct SettleLines {
     name: String,

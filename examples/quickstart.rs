@@ -41,9 +41,9 @@ fn main() {
     let sim = EventSim::new(&alg, &adj, SimConfig::adversarial(7)).run();
     println!(
         "simulator:    {} messages ({} lost, {} duplicated), same answer = {}",
-        sim.stats.sent,
-        sim.stats.lost,
-        sim.stats.duplicated,
+        sim.stats.counters.sent,
+        sim.stats.counters.dropped,
+        sim.stats.counters.duplicated,
         sim.final_state == sync.state
     );
 
