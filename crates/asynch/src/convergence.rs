@@ -18,7 +18,7 @@
 use crate::delta::run_delta;
 use crate::schedule::Schedule;
 use dbf_algebra::RoutingAlgebra;
-use dbf_matrix::{AdjacencyMatrix, RoutingState};
+use dbf_matrix::{is_stable, AdjacencyMatrix, RoutingState};
 use std::fmt;
 
 /// A successful absolute-convergence check.
@@ -95,7 +95,7 @@ pub fn check_absolute_convergence<A: RoutingAlgebra>(
         for (ci, sched) in schedules.iter().enumerate() {
             runs += 1;
             let out = run_delta(alg, adj, x0, sched);
-            if !out.sigma_stable {
+            if !is_stable(alg, adj, &out.final_state) {
                 return Err(ConvergenceFailure::NotStable {
                     state_index: si,
                     schedule_index: ci,
@@ -203,7 +203,7 @@ mod tests {
             let garbage = &state_ensemble(&alg, n, &alg.sample_routes(53, 64), 1, 53)[1];
             let harsh = Schedule::random(n, 300, ScheduleParams::harsh(), 55);
             let out = run_delta(&alg, &adj, garbage, &harsh);
-            assert!(out.sigma_stable, "n = {n}");
+            assert!(is_stable(&alg, &adj, &out.final_state), "n = {n}");
             let sync = iterate_to_fixed_point(&alg, &adj, &RoutingState::identity(&alg, n), 100);
             assert_eq!(out.final_state, sync.state, "n = {n}");
         }
@@ -234,7 +234,7 @@ mod tests {
             let stale = &state_ensemble(&pv, n, &pv.sample_routes(63, 64), 1, 63)[1];
             let harsh = Schedule::random(n, 300, ScheduleParams::harsh(), 65);
             let out = run_delta(&pv, &adj, stale, &harsh);
-            assert!(out.sigma_stable, "n = {n}");
+            assert!(is_stable(&pv, &adj, &out.final_state), "n = {n}");
             let sync = iterate_to_fixed_point(&pv, &adj, &RoutingState::identity(&pv, n), 100);
             assert_eq!(out.final_state, sync.state, "n = {n}");
         }

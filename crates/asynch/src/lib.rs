@@ -13,10 +13,13 @@
 //!   strengthenings of the axioms **S1–S3** against the `(w, ℓ)` the
 //!   convergence bounds use, with an explicit witness on violation;
 //! * [`delta`] — the asynchronous iterate `δ` defined from a schedule, with
-//!   convergence detection (Definitions 6–8);
+//!   quiescence detection (Definitions 6–8).  A run reports its final
+//!   state and counters and judges nothing: whether that state is σ-stable
+//!   is the caller's [`dbf_matrix::is_stable`] question (the scenario
+//!   driver's sweep, or the caller's own reference);
 //! * [`convergence`] — absolute-convergence testing across ensembles of
 //!   starting states and schedules: every run must reach the *same*
-//!   σ-stable state;
+//!   σ-stable state, which it checks itself;
 //! * [`sim`] — a message-level discrete-event simulator with loss,
 //!   duplication, reordering and bounded delay.  Every execution of the
 //!   simulator corresponds to *some* schedule `(α, β)`, so the convergence

@@ -175,7 +175,10 @@ fn lands_on_sigmas_fixed_point_mostly_idle<A: RoutingAlgebra>(
     let schedule = Schedule::random(n, 400, ScheduleParams::default(), 1);
     let whole = run_delta(alg, adj, &x0, &schedule);
     let reference = iterate_to_fixed_point(alg, adj, &x0, 4 * n);
-    assert!(reference.converged && whole.sigma_stable, "{label}");
+    assert!(
+        reference.converged && is_stable(alg, adj, &whole.final_state),
+        "{label}"
+    );
     assert!(
         whole.final_state == reference.state,
         "{label}: δ missed σ's fixed point"
@@ -225,18 +228,25 @@ fn delta_lands_on_sigmas_fixed_point_and_then_costs_nothing() {
 
 /// Section 3.2's dynamic network, written out: each epoch is a fresh δ run
 /// on the epoch's adjacency from the state the previous epoch ended in.
-fn run_epochs(
-    alg: &BoundedHopCount,
-    epochs: &[(&Topology<u64>, Schedule)],
-) -> Vec<DeltaOutcome<BoundedHopCount>> {
+fn run_epochs(alg: &BoundedHopCount, epochs: &[(&Topology<u64>, Schedule)]) -> Vec<Epoch> {
     let mut state = RoutingState::identity(alg, epochs[0].0.node_count());
     let mut outcomes = Vec::new();
     for (topo, schedule) in epochs {
-        let out = run_delta(alg, &AdjacencyMatrix::from_topology(topo), &state, schedule);
-        state = out.final_state.clone();
-        outcomes.push(out);
+        let adj = AdjacencyMatrix::from_topology(topo);
+        state = run_delta(alg, &adj, &state, schedule).final_state;
+        outcomes.push(Epoch {
+            stable: is_stable(alg, &adj, &state),
+            state: state.clone(),
+        });
     }
     outcomes
+}
+
+/// Where an epoch's δ run ended, and whether that is σ-stable on the
+/// epoch's adjacency.
+struct Epoch {
+    state: RoutingState<BoundedHopCount>,
+    stable: bool,
 }
 
 #[test]
@@ -256,8 +266,8 @@ fn reconvergence_after_a_link_failure() {
             (&line, Schedule::random(6, 400, ScheduleParams::harsh(), 2)),
         ],
     );
-    assert!(outcomes[0].sigma_stable, "ring epoch converged");
-    assert!(outcomes[1].sigma_stable, "post-failure epoch reconverged");
+    assert!(outcomes[0].stable, "ring epoch converged");
+    assert!(outcomes[1].stable, "post-failure epoch reconverged");
 
     // After the failure the network is a line: hop distance = |i - j|.
     let reference = iterate_to_fixed_point(
@@ -266,10 +276,10 @@ fn reconvergence_after_a_link_failure() {
         &RoutingState::identity(&alg, 6),
         100,
     );
-    assert_eq!(outcomes[1].final_state, reference.state);
+    assert_eq!(outcomes[1].state, reference.state);
     // and the distances really did change: 0→5 is now 5 hops, not 1
-    assert_eq!(outcomes[0].final_state.get(0, 5), &NatInf::fin(1));
-    assert_eq!(outcomes[1].final_state.get(0, 5), &NatInf::fin(5));
+    assert_eq!(outcomes[0].state.get(0, 5), &NatInf::fin(1));
+    assert_eq!(outcomes[1].state.get(0, 5), &NatInf::fin(5));
 }
 
 #[test]
@@ -291,10 +301,10 @@ fn reconvergence_after_adding_a_shortcut() {
             ),
         ],
     );
-    assert!(outcomes[1].sigma_stable);
-    assert_eq!(outcomes[0].final_state.get(0, 6), &NatInf::fin(6));
-    assert_eq!(outcomes[1].final_state.get(0, 6), &NatInf::fin(1));
-    assert_eq!(outcomes[1].final_state.get(1, 6), &NatInf::fin(2));
+    assert!(outcomes[1].stable);
+    assert_eq!(outcomes[0].state.get(0, 6), &NatInf::fin(6));
+    assert_eq!(outcomes[1].state.get(0, 6), &NatInf::fin(1));
+    assert_eq!(outcomes[1].state.get(1, 6), &NatInf::fin(2));
 }
 
 #[test]
@@ -316,8 +326,8 @@ fn a_partition_leaves_unreachable_destinations_invalid() {
             (&cut, Schedule::random(4, 400, ScheduleParams::default(), 8)),
         ],
     );
-    let final_state = &outcomes[1].final_state;
-    assert!(outcomes[1].sigma_stable);
+    let final_state = &outcomes[1].state;
+    assert!(outcomes[1].stable);
     assert_eq!(
         final_state.get(0, 2),
         &NatInf::INF,

@@ -57,7 +57,10 @@ proptest! {
         });
         let sched = Schedule::random(n, 400, p, seed ^ 0xA5);
         let out = run_delta(&alg, &adj, &garbage, &sched);
-        prop_assert!(out.sigma_stable, "schedule params {p:?} broke convergence");
+        prop_assert!(
+            is_stable(&alg, &adj, &out.final_state),
+            "schedule params {p:?} broke convergence"
+        );
         prop_assert_eq!(out.final_state, reference.state);
     }
 

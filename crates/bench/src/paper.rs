@@ -447,7 +447,7 @@ fn count_to_infinity(out: &mut String) -> fmt::Result {
                 format!(
                     "after 300 rounds metric(0→2) = {:?}, stable = {}",
                     unbounded.final_state.get(0, 2),
-                    unbounded.sigma_stable
+                    is_stable(&alg, &adj, &unbounded.final_state)
                 ),
             ),
             (
@@ -464,7 +464,7 @@ fn count_to_infinity(out: &mut String) -> fmt::Result {
                 format!(
                     "route(0→2) = {:?}, stable = {}, quiescent from step {:?}",
                     pv_out.final_state.get(0, 2),
-                    pv_out.sigma_stable,
+                    is_stable(&pv, &adj_pv, &pv_out.final_state),
                     pv_out.quiescent_from
                 ),
             ),
@@ -565,9 +565,12 @@ fn gadgets(out: &mut String) -> fmt::Result {
     let both = |alg: &SppAlgebra| {
         let x0 = RoutingState::identity(alg, 3);
         let adj = alg.adjacency();
-        [&node1_first, &node2_first].map(|s| run_delta(alg, &adj, &x0, s))
+        [&node1_first, &node2_first].map(|s| {
+            let out = run_delta(alg, &adj, &x0, s).final_state;
+            (is_stable(alg, &adj, &out), out)
+        })
     };
-    let [wedge_a, wedge_b] = both(&SppAlgebra::disagree());
+    let [(wedge_a_stable, wedge_a), (wedge_b_stable, wedge_b)] = both(&SppAlgebra::disagree());
     let increasing = SppAlgebra::new(
         3,
         0,
@@ -578,7 +581,7 @@ fn gadgets(out: &mut String) -> fmt::Result {
             ((2, vec![2, 1, 0]), 1),
         ]),
     );
-    let [cured_a, cured_b] = both(&increasing);
+    let [(cured_a_stable, cured_a), (cured_b_stable, cured_b)] = both(&increasing);
 
     let bad = SppAlgebra::bad_gadget();
     let bad_out = iterate_to_fixed_point(
@@ -602,22 +605,22 @@ fn gadgets(out: &mut String) -> fmt::Result {
         &[
             (
                 "DISAGREE, node 1 first".into(),
-                format!("stable={}, 2→0 via {:?}", wedge_a.sigma_stable, wedge_a.final_state.get(2, 0).simple_path().unwrap()),
+                format!("stable={wedge_a_stable}, 2→0 via {:?}", wedge_a.get(2, 0).simple_path().unwrap()),
             ),
             (
                 "DISAGREE, node 2 first".into(),
-                format!("stable={}, 2→0 via {:?}", wedge_b.sigma_stable, wedge_b.final_state.get(2, 0).simple_path().unwrap()),
+                format!("stable={wedge_b_stable}, 2→0 via {:?}", wedge_b.get(2, 0).simple_path().unwrap()),
             ),
             (
                 "DISAGREE verdict".into(),
-                format!("two distinct stable states (wedgie) = {}", wedge_a.final_state != wedge_b.final_state),
+                format!("two distinct stable states (wedgie) = {}", wedge_a != wedge_b),
             ),
             (
                 "DISAGREE, increasing preferences".into(),
                 format!(
                     "stable={}, one state under both schedules = {}",
-                    cured_a.sigma_stable && cured_b.sigma_stable,
-                    cured_a.final_state == cured_b.final_state
+                    cured_a_stable && cured_b_stable,
+                    cured_a == cured_b
                 ),
             ),
             (

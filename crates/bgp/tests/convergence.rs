@@ -52,7 +52,7 @@ fn section7_algebra_converges_absolutely_under_arbitrary_policies() {
         let stale = &state_ensemble(&alg, n, &alg.sample_routes(69, 64), 1, 69)[1];
         let harsh = Schedule::random(n, 300, ScheduleParams::harsh(), 65);
         let out = run_delta(&alg, &adj, stale, &harsh);
-        assert!(out.sigma_stable, "n = {n}");
+        assert!(is_stable(&alg, &adj, &out.final_state), "n = {n}");
         let sync = iterate_to_fixed_point(&alg, &adj, &RoutingState::identity(&alg, n), 200);
         assert_eq!(out.final_state, sync.state, "n = {n}");
     }
@@ -135,8 +135,14 @@ fn disagree_is_a_wedgie_under_different_schedules() {
 
     let out_a = run_delta(&alg, &adj, &x0, &sched_a);
     let out_b = run_delta(&alg, &adj, &x0, &sched_b);
-    assert!(out_a.sigma_stable, "schedule A must stabilise");
-    assert!(out_b.sigma_stable, "schedule B must stabilise");
+    assert!(
+        is_stable(&alg, &adj, &out_a.final_state),
+        "schedule A must stabilise"
+    );
+    assert!(
+        is_stable(&alg, &adj, &out_b.final_state),
+        "schedule B must stabilise"
+    );
     assert_ne!(
         out_a.final_state, out_b.final_state,
         "DISAGREE reaches different stable states depending on timing (a wedgie)"
@@ -175,7 +181,7 @@ fn bad_gadget_never_stabilises() {
     ] {
         let out = run_delta(&alg, &adj, &x0, &sched);
         assert!(
-            !out.sigma_stable,
+            !is_stable(&alg, &adj, &out.final_state),
             "{label}: BAD GADGET must not reach a stable state"
         );
     }

@@ -181,7 +181,8 @@ pub fn fold_entry_text<R: fmt::Debug + Eq>(
 /// Iterate σ to the fixed point over destination blocks of width `block`,
 /// digesting each block's converged slab instead of keeping it.
 ///
-/// `max_rounds` is the per-block round budget; a block that exhausts it
+/// `max_rounds` is the per-block round budget, under the kernel's one
+/// budget rule ([`FixedPoint::solve`]); a block that ends it unconverged
 /// clears `converged` but the remaining blocks still run (the digest then
 /// covers the states `max_rounds` rounds left, exactly like a non-converged
 /// square iteration).  Progress can be observed via `on_block`, called
@@ -213,8 +214,7 @@ pub fn blocked_fixed_point<A: RoutingAlgebra>(
     let mut kernel = FixedPoint::identity_slab(alg, adj, j0, block.min(n));
     loop {
         let w = kernel.width();
-        let block_converged = kernel.run(alg, adj, max_rounds, &Inline, &mut NoopSink)
-            || kernel.verify(alg, adj, &Inline, &mut NoopSink);
+        let block_converged = kernel.solve(alg, adj, max_rounds, &Inline, &mut NoopSink);
 
         // Digest column by column: each destination's column is complete
         // inside this block, so hashing columns independently and folding

@@ -23,27 +23,15 @@
 //! `O(perturbed region)` instead of `O(n · |E|)` per round.
 
 use crate::adjacency::AdjacencyMatrix;
-use crate::kernel::{FixedPoint, Inline, Start};
+use crate::kernel::{Inline, Start};
 use crate::state::RoutingState;
+use crate::sync::{iterate_with, SyncOutcome};
 use dbf_algebra::RoutingAlgebra;
 use dbf_telemetry::{NoopSink, TelemetrySink};
 
-/// The outcome of an incremental iteration run.
-#[derive(Clone, Debug)]
-pub struct IncrementalOutcome<A: RoutingAlgebra> {
-    /// The final state (a fixed point when `converged` is true).
-    pub state: RoutingState<A>,
-    /// Rounds performed (a round recomputes the currently dirty rows).
-    pub rounds: usize,
-    /// Total row recomputations across all rounds.  A full synchronous
-    /// round costs `n` of these, so `row_recomputations / n` is directly
-    /// comparable to [`crate::sync::SyncOutcome::iterations`].
-    pub row_recomputations: u64,
-    /// Whether the dirty set emptied (a fixed point was reached) within the
-    /// round budget.  A caller that wants to resume an exhausted iteration
-    /// holds the [`FixedPoint`] stepper itself instead of this outcome.
-    pub converged: bool,
-}
+/// The outcome of an incremental iteration run: the one σ outcome,
+/// under the name `benchmark/` still uses.
+pub type IncrementalOutcome<A> = SyncOutcome<A>;
 
 /// The rows a topology change can perturb directly: every row whose import
 /// neighbourhood (its adjacency row) differs between `old` and `new`, plus
@@ -64,7 +52,9 @@ where
 }
 
 /// Iterate `σ` from `x0`, recomputing only dirty rows, until no row is
-/// dirty or `max_rounds` rounds have been performed.
+/// dirty or `max_rounds` rounds have been performed; a run that stops on
+/// the budget is decided by one uncommitted round over the dirty rows
+/// ([`crate::kernel::FixedPoint::solve`]).
 ///
 /// `dirty0` marks the rows that must be recomputed at least once: pass
 /// all-`true` for a fresh start (the result then equals
@@ -90,8 +80,8 @@ pub fn iterate_dirty_to_fixed_point<A: RoutingAlgebra>(
 /// list is exactly the dirty rows), and per-node `node_settled` events once
 /// the loop stops.  The outcome is identical to the untraced iteration for
 /// every sink; with [`NoopSink`] the instrumentation compiles out.  A
-/// caller that shards rounds over a worker pool drives the [`FixedPoint`]
-/// stepper with a [`crate::parallel::Pooled`] executor itself.
+/// caller that shards rounds over a worker pool calls [`iterate_with`]
+/// with [`Start::Dirty`] and a [`crate::parallel::Pooled`] executor.
 ///
 /// # Panics
 ///
@@ -108,14 +98,8 @@ where
     A: RoutingAlgebra,
     S: TelemetrySink + ?Sized,
 {
-    let mut kernel = FixedPoint::new(adj, x0.clone(), Start::Dirty(dirty0));
-    let converged = kernel.run(alg, adj, max_rounds, &Inline, tel);
-    IncrementalOutcome {
-        rounds: kernel.rounds(),
-        row_recomputations: kernel.row_recomputations(),
-        converged,
-        state: kernel.finish(tel),
-    }
+    let start = Start::Dirty(dirty0);
+    iterate_with(alg, adj, x0.clone(), start, max_rounds, &Inline, tel)
 }
 
 #[cfg(test)]
@@ -244,14 +228,8 @@ mod tests {
         let x0 = RoutingState::identity(&alg, 23);
         let sharded =
             |adj: &AdjacencyMatrix<ShortestPaths>, x0: &RoutingState<_>, dirty: &[bool], t| {
-                let mut kernel = FixedPoint::new(adj, x0.clone(), Start::Dirty(dirty));
-                let converged = kernel.run(&alg, adj, 300, &Pooled::shared(t), &mut NoopSink);
-                IncrementalOutcome {
-                    rounds: kernel.rounds(),
-                    row_recomputations: kernel.row_recomputations(),
-                    converged,
-                    state: kernel.finish(&mut NoopSink),
-                }
+                let (x0, start) = (x0.clone(), Start::Dirty(dirty));
+                iterate_with(&alg, adj, x0, start, 300, &Pooled::shared(t), &mut NoopSink)
             };
         let seq = iterate_dirty_to_fixed_point(&alg, &adj, &x0, &[true; 23], 300);
         for threads in [2, 3, 8] {

@@ -31,6 +31,11 @@
 //!   the telemetry-only work sits behind `tel.enabled()`, so the
 //!   [`dbf_telemetry::NoopSink`] monomorphisation is the plain loop.
 //!
+//! [`FixedPoint::solve`] is the one budget rule of every σ entry point: a
+//! run that reaches its budget unconverged is decided by one uncommitted
+//! round, so a fixed point landing exactly on the budget reads as
+//! converged.  Only the route server steps in deadline chunks instead.
+//!
 //! Rows are *staged*: a round writes the recomputed work list into a
 //! buffer reused across rounds and only then applies the rows that
 //! changed, so every recomputation reads the previous round's values
@@ -57,20 +62,28 @@ use dbf_telemetry::TelemetrySink;
 use std::ops::Range;
 use std::time::Instant;
 
-/// The rows the first round recomputes — and with them the convergence
-/// contract the counters of the two outcome types are pinned to.
+/// The rows the first round recomputes — and with them what certifies the
+/// fixed point.  Either way [`crate::sync::iterate_with`] reports the run
+/// as one [`crate::sync::SyncOutcome`].
 #[derive(Clone, Copy, Debug)]
 pub enum Start<'a> {
     /// Every row: the start state is arbitrary.  The iteration is
     /// converged once a round changes nothing — even when that verifying
     /// round runs over an empty frontier — and `round_start` reports all
-    /// `n` rows as scheduled ([`crate::sync::SyncOutcome`]).
+    /// `n` rows as scheduled.
     AllRows,
     /// The rows marked `true`: every other row is promised to satisfy
     /// `σ(X)[i] = X[i]` already.  The iteration is converged once the
     /// frontier is empty, and `round_start` reports the frontier as
-    /// scheduled ([`crate::incremental::IncrementalOutcome`]).
+    /// scheduled.
     Dirty(&'a [bool]),
+}
+
+/// A dirty mask, or every row when there is none.
+impl<'a> From<Option<&'a [bool]>> for Start<'a> {
+    fn from(mask: Option<&'a [bool]>) -> Self {
+        mask.map_or(Start::AllRows, Start::Dirty)
+    }
 }
 
 /// One round's read-only inputs, as an [`Executor`] sees them: recompute
@@ -139,9 +152,10 @@ impl<A: RoutingAlgebra> Executor<A> for Inline {
 
 /// A resumable Jacobi iteration of σ: the row store, the frontier pair,
 /// the staging buffers and the counters of one run.  [`FixedPoint::step`]
-/// advances one round, [`FixedPoint::run`] loops it up to a round budget;
-/// a caller that stops calling — a deadline, a budget — can resume later
-/// and reproduces the uninterrupted trajectory, event for event.
+/// advances one round, [`FixedPoint::run`] loops it up to a round budget
+/// and [`FixedPoint::solve`] adds the budget-boundary check; a caller that
+/// stops calling — a deadline, a budget — can resume later and reproduces
+/// the uninterrupted trajectory, event for event.
 ///
 /// The algebra, adjacency, executor and sink are arguments of every call
 /// rather than fields, so the stepper can be parked next to the adjacency
@@ -417,6 +431,24 @@ impl<A: RoutingAlgebra> FixedPoint<A> {
         self.is_converged()
     }
 
+    /// [`FixedPoint::run`] to `budget`; a run that stops there unconverged
+    /// is decided by one uncommitted [`FixedPoint::verify`] round over the
+    /// frontier, for either [`Start`].  Returns whether the state is stable.
+    pub fn solve<E, S>(
+        &mut self,
+        alg: &A,
+        adj: &AdjacencyMatrix<A>,
+        budget: usize,
+        exec: &E,
+        tel: &mut S,
+    ) -> bool
+    where
+        E: Executor<A>,
+        S: TelemetrySink + ?Sized,
+    {
+        self.run(alg, adj, budget, exec, tel) || self.verify(alg, adj, exec, tel)
+    }
+
     /// One Jacobi round: recompute the frontier from the current rows,
     /// apply the rows that changed and make their dependants the next
     /// frontier.  Returns the number of rows that changed.
@@ -430,9 +462,10 @@ impl<A: RoutingAlgebra> FixedPoint<A> {
 
     /// One *uncommitted* round: sweep the frontier and emit the round's
     /// events exactly like [`FixedPoint::step`], but leave the rows, the
-    /// frontier and the round count alone.  Returns whether nothing would
-    /// have changed — what a full sweep that ran out of budget uses to
-    /// report a state that became stable exactly at the boundary.
+    /// frontier and the round count alone (its rows still count in
+    /// [`FixedPoint::row_recomputations`]).  Returns whether nothing would
+    /// have changed — what [`FixedPoint::solve`] uses at the budget
+    /// boundary.
     pub fn verify<E, S>(&mut self, alg: &A, adj: &AdjacencyMatrix<A>, exec: &E, tel: &mut S) -> bool
     where
         E: Executor<A>,

@@ -23,11 +23,13 @@
 //! * [`kernel`] — the one fixed-point loop: a resumable Jacobi stepper
 //!   ([`FixedPoint`]) parameterised by *initial frontier* (all rows | a
 //!   dirty mask), *executor* (inline | a worker pool), *column window*
-//!   (whole row | a slab) and telemetry *sink*; every engine below is a
-//!   short forward to it;
-//! * [`sync`] — full-sweep iteration to a fixed point, stability testing
-//!   (Definition 4), iteration counting (the quantity studied in
-//!   Section 8.1) and the iteration budget;
+//!   (whole row | a slab) and telemetry *sink*, whose
+//!   [`FixedPoint::solve`] owns the one budget rule every engine below
+//!   shares;
+//! * [`sync`] — stability testing (Definition 4), the iteration budget and
+//!   [`iterate_with`], the one σ iteration every whole-state entry point
+//!   forwards to, reporting one [`SyncOutcome`] (iteration counts are the
+//!   quantity studied in Section 8.1);
 //! * [`incremental`] — dirty-row iteration: the kernel started from the
 //!   rows a topology change perturbs, making reconvergence proportional to
 //!   the perturbed region rather than to the whole network;

@@ -30,7 +30,7 @@
 //! `kernel` problem).
 
 use crate::adjacency::AdjacencyMatrix;
-use crate::kernel::{Executor, Inline, Sweep};
+use crate::kernel::{Executor, Inline, Start, Sweep};
 use crate::pool::WorkerPool;
 use crate::state::RoutingState;
 use crate::sync::{iterate_with, SyncOutcome};
@@ -208,14 +208,14 @@ where
     A::Route: Send + Sync,
     A::Edge: Sync,
 {
-    let exec = Pooled::shared(threads);
-    iterate_with(alg, adj, x0, max_iterations, &exec, &mut NoopSink)
+    let (exec, x0, start) = (Pooled::shared(threads), x0.clone(), Start::AllRows);
+    iterate_with(alg, adj, x0, start, max_iterations, &exec, &mut NoopSink)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::{FixedPoint, Start};
+    use crate::kernel::FixedPoint;
     use crate::sigma::sigma;
     use crate::sync::iterate_to_fixed_point;
     use dbf_algebra::prelude::*;
@@ -324,7 +324,8 @@ mod tests {
         let mut deterministic_sides = Vec::new();
         for threads in [1usize, 2, 8] {
             let mut sink = AggregatingSink::new();
-            let out = iterate_with(&alg, &adj, &x0, 500, &Pooled::shared(threads), &mut sink);
+            let (exec, x0, start) = (Pooled::shared(threads), x0.clone(), Start::AllRows);
+            let out = iterate_with(&alg, &adj, x0, start, 500, &exec, &mut sink);
             assert_eq!(out.state, untraced.state, "threads={threads}");
             assert_eq!(out.iterations, untraced.iterations, "threads={threads}");
             let report = sink.finish();

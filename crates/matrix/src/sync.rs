@@ -8,14 +8,20 @@ use crate::state::RoutingState;
 use dbf_algebra::RoutingAlgebra;
 use dbf_telemetry::{NoopSink, TelemetrySink};
 
-/// The outcome of a synchronous iteration run.
+/// The outcome of a σ iteration run from either [`Start`].
 #[derive(Clone, Debug)]
 pub struct SyncOutcome<A: RoutingAlgebra> {
     /// The final state (a fixed point when `converged` is true).
     pub state: RoutingState<A>,
     /// The number of applications of `σ` that changed the state.
     pub iterations: usize,
-    /// Whether a fixed point was reached within the iteration budget.
+    /// Rounds committed; a round recomputes the current frontier.
+    pub rounds: usize,
+    /// Rows recomputed across all rounds, the budget-boundary check
+    /// included.  A full synchronous round costs `n` of these, so
+    /// `row_recomputations / n` is comparable to `iterations`.
+    pub row_recomputations: u64,
+    /// Whether the final state is a fixed point ([`FixedPoint::solve`]).
     pub converged: bool,
 }
 
@@ -100,24 +106,26 @@ where
     A: RoutingAlgebra,
     S: TelemetrySink + ?Sized,
 {
-    iterate_with(alg, adj, x0, max_iterations, &Inline, tel)
+    let (x0, start) = (x0.clone(), Start::AllRows);
+    iterate_with(alg, adj, x0, start, max_iterations, &Inline, tel)
 }
 
-/// The full-sweep iteration on the fixed-point kernel, with the executor
-/// as an argument: [`Inline`] is the sequential iteration,
-/// [`crate::parallel::Pooled`] shards every round over a worker pool, and
-/// the outcome — and every deterministic event — is identical for both.
+/// The one σ iteration behind every entry point: the kernel from `x0`
+/// (taken over, not copied) over the rows `start` names, solved within
+/// `budget` rounds ([`FixedPoint::solve`]) by `exec` — [`Inline`], or
+/// [`crate::parallel::Pooled`] with the same outcome and deterministic
+/// events.  From [`Start::AllRows`] a round that changes nothing certifies
+/// the fixed point, so `iterations` counts the rounds before it.
 ///
-/// Round 1 sweeps every row (`x0` is arbitrary); later rounds recompute
-/// only the dependants of the rows that changed.  A round that changes
-/// nothing certifies the fixed point, so `iterations` counts the rounds
-/// before it; at the budget boundary one uncommitted verifying sweep
-/// decides whether the state became stable exactly there.
+/// # Panics
+///
+/// Panics if `adj`, `x0` and a [`Start::Dirty`] mask disagree on `n`.
 pub fn iterate_with<A, E, S>(
     alg: &A,
     adj: &AdjacencyMatrix<A>,
-    x0: &RoutingState<A>,
-    max_iterations: usize,
+    x0: RoutingState<A>,
+    start: Start<'_>,
+    budget: usize,
     exec: &E,
     tel: &mut S,
 ) -> SyncOutcome<A>
@@ -126,11 +134,12 @@ where
     E: Executor<A>,
     S: TelemetrySink + ?Sized,
 {
-    let mut kernel = FixedPoint::new(adj, x0.clone(), Start::AllRows);
-    let converged =
-        kernel.run(alg, adj, max_iterations, exec, tel) || kernel.verify(alg, adj, exec, tel);
+    let mut kernel = FixedPoint::new(adj, x0, start);
+    let converged = kernel.solve(alg, adj, budget, exec, tel);
     SyncOutcome {
         iterations: kernel.iterations(),
+        rounds: kernel.rounds(),
+        row_recomputations: kernel.row_recomputations(),
         converged,
         state: kernel.finish(tel),
     }

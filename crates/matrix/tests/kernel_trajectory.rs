@@ -3,12 +3,13 @@
 //! One table: executor {inline, pool × 2/3/8 threads} × initial frontier
 //! {all rows, `dirty_rows_after_change`} × column window {whole, slabs of
 //! 1, 3, n} × driving {`run`, `step` by `step`, stop-and-resume at every
-//! round} × every round budget from zero past convergence.  Each cell must
-//! reproduce — state, `rounds`/`iterations`, `row_recomputations`,
-//! convergence flag and the deterministic event stream — a reference kept
-//! here that knows nothing about frontiers' storage, staging or pools: it
-//! applies the whole-state `sigma` until stable and derives the counters
-//! from the definitions.
+//! round, `solve`} × every round budget from zero past convergence.  Each
+//! cell must reproduce — state, `rounds`/`iterations`,
+//! `row_recomputations`, convergence flag and the deterministic event
+//! stream — a reference kept here that knows nothing about frontiers'
+//! storage, staging or pools: it applies the whole-state `sigma` until
+//! stable and derives the counters from the definitions.  `solve`'s
+//! reference also verifies at the budget boundary under the dirty start.
 
 use dbf_algebra::prelude::*;
 use dbf_matrix::prelude::*;
@@ -180,11 +181,49 @@ fn reference<A: RoutingAlgebra>(
     }
 }
 
+/// [`reference`] under `FixedPoint::solve`'s budget rule, which decides
+/// an unconverged stop by one uncommitted round for either start.  The
+/// full-sweep reference already verifies at the boundary; a dirty start
+/// that stops unconverged gets round `budget + 1` of the reference —
+/// its events, settle rounds and recomputations — but keeps the state,
+/// rounds and iterations it stopped with, and is converged iff that round
+/// changes no row.
+fn solve_reference<A: RoutingAlgebra>(
+    alg: &A,
+    adj: &AdjacencyMatrix<A>,
+    x0: &RoutingState<A>,
+    mask: Option<&[bool]>,
+    win: (usize, usize),
+    budget: usize,
+) -> Trajectory<A::Route> {
+    let stop = reference(alg, adj, x0, mask, win, budget);
+    if stop.converged || mask.is_none() {
+        return stop;
+    }
+    let next = reference(alg, adj, x0, mask, win, budget + 1);
+    let boundary = budget as u64 + 1;
+    let changed = next
+        .events
+        .iter()
+        .find_map(|e| match *e {
+            Event::RoundEnd { round, changed, .. } if round == boundary => Some(changed),
+            _ => None,
+        })
+        .expect("an unconverged stop leaves a frontier to sweep");
+    Trajectory {
+        row_recomputations: next.row_recomputations,
+        converged: changed == 0,
+        events: next.events,
+        ..stop
+    }
+}
+
 #[derive(Clone, Copy, Debug)]
 enum Drive {
     Run,
     StepByStep,
     ResumeEveryRound,
+    Solve,
 }
 
 /// Drive a freshly built kernel to `budget` the given way and collect what
@@ -212,8 +251,9 @@ where
             kernel.is_converged()
         }
         Drive::ResumeEveryRound => (0..=budget).any(|b| kernel.run(alg, adj, b, exec, &mut tel)),
+        Drive::Solve => kernel.solve(alg, adj, budget, exec, &mut tel),
     };
-    if full && !converged {
+    if full && !converged && !matches!(how, Drive::Solve) {
         converged = kernel.verify(alg, adj, exec, &mut tel);
     }
     let (rounds, iterations) = (kernel.rounds(), kernel.iterations());
@@ -261,16 +301,27 @@ where
     let settled = reference(alg, adj, x0, mask, win, usize::MAX);
     assert!(settled.converged, "{label}: the reference must converge");
     for budget in 0..=settled.rounds + 2 {
-        let expected = reference(alg, adj, x0, mask, win, budget);
-        for how in [Drive::Run, Drive::StepByStep, Drive::ResumeEveryRound] {
+        let plain = reference(alg, adj, x0, mask, win, budget);
+        let solved = solve_reference(alg, adj, x0, mask, win, budget);
+        for how in [
+            Drive::Run,
+            Drive::StepByStep,
+            Drive::ResumeEveryRound,
+            Drive::Solve,
+        ] {
+            let expected = if matches!(how, Drive::Solve) {
+                &solved
+            } else {
+                &plain
+            };
             let cell = |exec: &str| format!("{label} budget={budget} {how:?} {exec}");
             let full = mask.is_none();
             let got = drive(alg, adj, build(), full, budget, how, &Inline);
-            assert_eq!(got, expected, "{}", cell("inline"));
+            assert_eq!(got, *expected, "{}", cell("inline"));
             for threads in [2, 3, 8] {
                 let exec = Pooled::shared(threads);
                 let got = drive(alg, adj, build(), full, budget, how, &exec);
-                assert_eq!(got, expected, "{}", cell(&format!("pool×{threads}")));
+                assert_eq!(got, *expected, "{}", cell(&format!("pool×{threads}")));
             }
         }
     }

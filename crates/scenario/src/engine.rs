@@ -50,14 +50,14 @@ use crate::report::{Digest, EngineRun, PhaseOutcome};
 use crate::spec::{AlgebraSpec, EngineKind, FaultSpec, Scenario, ScheduleSpec, SpecError};
 use dbf_algebra::prelude::BoundedHopCount;
 use dbf_algebra::RoutingAlgebra;
+use dbf_async::run_delta_traced;
 use dbf_async::schedule::{Schedule, ScheduleParams};
 use dbf_async::sim::{EventSim, SimConfig};
-use dbf_async::{run_delta, run_delta_traced};
 use dbf_bgp::algebra::BgpAlgebra;
 use dbf_matrix::blocked::fold_entry_text;
 use dbf_matrix::{
-    dirty_rows_after_change, is_stable, AdjacencyMatrix, FixedPoint, MessageRun, Pooled,
-    RoutingState, Start,
+    dirty_rows_after_change, is_stable, iterate_with, AdjacencyMatrix, MessageRun, Pooled,
+    RoutingState,
 };
 use dbf_protocols::bgp::{BgpConfig, BgpEngine};
 use dbf_protocols::rip::{RipConfig, RipEngine};
@@ -498,10 +498,11 @@ struct Phase<'a, A: RoutingAlgebra> {
 /// What a step hands back: the state to carry on and the phase's readings.
 struct Step<A: RoutingAlgebra> {
     state: RoutingState<A>,
-    /// Is `state` σ-stable on the phase's adjacency?  `None` leaves the
-    /// answer to the phase loop's [`is_stable`] sweep — the one judge of every
-    /// message engine — which runs after the clock has stopped so that
-    /// `wall_ms` entries stay comparable across the benchmark trajectory.
+    /// Is `state` σ-stable on the phase's adjacency?  Only the σ kernel's
+    /// own proof answers here; `None` leaves the answer to the phase loop's
+    /// [`is_stable`] sweep — the one judge of δ and every message engine —
+    /// which runs after the clock has stopped so that `wall_ms` entries
+    /// stay comparable across the benchmark trajectory.
     stable: Option<bool>,
     rounds: u64,
     work: u64,
@@ -660,24 +661,18 @@ impl<A: ScenarioAlgebra> Phase<'_, A> {
             Some(old) => dirty_rows_after_change(old, adj),
             None => vec![true; n],
         });
-        let start = dirty.as_deref().map_or(Start::AllRows, Start::Dirty);
-        let mut kernel = FixedPoint::new(adj, state, start);
-        // A converged iteration *is* the stability proof (the last round
-        // changed no row; an empty frontier means every row was recomputed
-        // after its inputs last changed).  A run that exhausts its budget
-        // may have become stable exactly at the boundary: one uncommitted
-        // round over the frontier — every row that could still move —
-        // decides, for either start.
-        let converged = kernel.run(self.alg, adj, budget, &exec, tel)
-            || kernel.verify(self.alg, adj, &exec, tel);
+        // A converged iteration *is* the stability proof, and a run that
+        // exhausts its budget is decided by the kernel's boundary check.
+        let start = dirty.as_deref().into();
+        let out = iterate_with(self.alg, adj, state, start, budget, &exec, tel);
         let (rounds, work) = if incremental {
-            (kernel.rounds() as u64, kernel.row_recomputations())
+            (out.rounds as u64, out.row_recomputations)
         } else {
-            (kernel.iterations() as u64, kernel.iterations() as u64)
+            (out.iterations as u64, out.iterations as u64)
         };
         Step {
-            stable: Some(converged),
-            state: kernel.finish(tel),
+            stable: Some(out.converged),
+            state: out.state,
             rounds,
             work,
             counters: None,
@@ -701,22 +696,18 @@ impl<A: ScenarioAlgebra> Phase<'_, A> {
     }
 
     /// Engine 3, the asynchronous iterate δ under seeded random (or
-    /// worst-case adversarial-staleness) schedules (`dbf-async`).
+    /// worst-case adversarial-staleness) schedules (`dbf-async`).  δ only
+    /// runs its schedule; the phase loop's [`is_stable`] sweep judges it.
     fn delta(
         &self,
         sched: Schedule,
         state: RoutingState<A>,
         tel: &mut dyn TelemetrySink,
     ) -> Step<A> {
-        let adj = &self.problem.adj;
-        let out = if tel.enabled() {
-            run_delta_traced(self.alg, adj, &state, &sched, tel)
-        } else {
-            run_delta(self.alg, adj, &state, &sched)
-        };
+        let out = run_delta_traced(self.alg, &self.problem.adj, &state, &sched, tel);
         Step {
             state: out.final_state,
-            stable: Some(out.sigma_stable),
+            stable: None,
             // Quiescence time: how deep into the schedule the state kept
             // changing (the full horizon if it never settled).
             rounds: out.quiescent_from.unwrap_or(sched.horizon()) as u64,

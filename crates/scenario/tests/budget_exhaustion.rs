@@ -11,7 +11,7 @@
 
 use dbf_algebra::prelude::*;
 use dbf_matrix::AdjacencyMatrix;
-use dbf_scenario::engine::{run_engine, Problem};
+use dbf_scenario::engine::{descriptor, run_engine, Problem};
 use dbf_scenario::prelude::*;
 use dbf_telemetry::NoopSink;
 use dbf_topology::generators;
@@ -89,4 +89,53 @@ fn truncated_outcomes_fail_the_bound_check_downstream() {
     let phase = &run.phases[0];
     assert!(!phase.within_bound(), "{} rounds vs bound 0", phase.rounds);
     assert!(phase.tightness().is_none(), "a zero bound has no ratio");
+}
+
+/// Every σ entry point follows one budget rule: at each budget from 0 to
+/// two rounds past the 6-ring's fixed point (three changing rounds), the
+/// library's whole-state, pooled, dirty-row and blocked iterations and the
+/// driver's two σ engines report the same `converged`, and wherever a
+/// state comes back the flag is what `is_stable` says of it.  A fixed point
+/// that lands exactly on the budget (budget 3) is converged for all of
+/// them.  The driver's budget is `bound + 1`, so it starts at 1.
+#[test]
+fn every_sigma_entry_point_reports_one_verdict_at_every_budget() {
+    use dbf_matrix::prelude::*;
+    let alg = BoundedHopCount::new(16);
+    let adj = ring_problems(None).remove(0).adj;
+    let x0 = RoutingState::identity(&alg, 6);
+    for budget in 0..=5usize {
+        let sync = iterate_to_fixed_point(&alg, &adj, &x0, budget);
+        let par = par_iterate_to_fixed_point(&alg, &adj, &x0, budget, 2);
+        let dirty = iterate_dirty_to_fixed_point(&alg, &adj, &x0, &[true; 6], budget);
+        let mut verdicts = Vec::new();
+        for (name, converged, state) in [
+            ("sync", sync.converged, &sync.state),
+            ("par2", par.converged, &par.state),
+            ("dirty", dirty.converged, &dirty.state),
+        ] {
+            assert_eq!(
+                converged,
+                is_stable(&alg, &adj, state),
+                "budget {budget}: {name}'s flag is not is_stable on its state"
+            );
+            verdicts.push((name, converged));
+        }
+        for width in [1, 3, 6] {
+            let blocked = blocked_fixed_point(&alg, &adj, width, budget, |_, _, _| {});
+            verdicts.push(("blocked", blocked.converged));
+        }
+        if let Some(bound) = budget.checked_sub(1) {
+            for kind in [EngineKind::Sync, EngineKind::Incremental] {
+                let problems = ring_problems(Some(bound as u64));
+                let run = run_engine(kind, &alg, &problems, 1, 1, &mut NoopSink);
+                verdicts.push((descriptor(kind).name, run.phases[0].sigma_stable));
+            }
+        }
+        assert!(
+            verdicts.iter().all(|&(_, v)| v == sync.converged),
+            "budget {budget}: {verdicts:?}"
+        );
+        assert_eq!(sync.converged, budget >= 3, "budget {budget}");
+    }
 }

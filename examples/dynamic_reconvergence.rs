@@ -47,7 +47,8 @@ fn main() {
         let outcome = run_delta(&alg, adj, &after, schedule);
         println!(
             "epoch '{label}': σ-stable = {}, activations = {}",
-            outcome.sigma_stable, outcome.activations
+            is_stable(&alg, adj, &outcome.final_state),
+            outcome.activations
         );
         after = outcome.final_state;
     }

@@ -33,7 +33,7 @@ fn main() {
     println!(
         "asynchronous: {} activations, σ-stable = {}, same answer = {}",
         asynchronous.activations,
-        asynchronous.sigma_stable,
+        is_stable(&alg, &adj, &asynchronous.final_state),
         asynchronous.final_state == sync.state
     );
 

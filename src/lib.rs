@@ -40,7 +40,7 @@
 //! // adversarial schedule with delays, duplication and reordering.
 //! let sched = Schedule::random(5, 300, ScheduleParams::harsh(), 42);
 //! let async_run = run_delta(&alg, &adj, &RoutingState::identity(&alg, 5), &sched);
-//! assert!(async_run.sigma_stable);
+//! assert!(is_stable(&alg, &adj, &async_run.final_state));
 //! assert_eq!(async_run.final_state, sync.state);
 //! ```
 

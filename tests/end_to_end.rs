@@ -28,7 +28,7 @@ fn all_execution_models_agree_on_widest_paths() {
     for seed in 0..3 {
         let sched = Schedule::random(7, 400, ScheduleParams::harsh(), seed);
         let out = run_delta(&alg, &adj, &clean, &sched);
-        assert!(out.sigma_stable);
+        assert!(is_stable(&alg, &adj, &out.final_state));
         assert_eq!(out.final_state, reference.state);
     }
 
@@ -146,8 +146,12 @@ fn dynamic_policy_and_topology_changes_reconverge() {
     ];
     let mut last = RoutingState::identity(&alg, n);
     for (label, topo, schedule) in &epochs {
-        let outcome = run_delta(&alg, &alg.adjacency_from_topology(topo), &last, schedule);
-        assert!(outcome.sigma_stable, "epoch '{label}' must reconverge");
+        let adj = alg.adjacency_from_topology(topo);
+        let outcome = run_delta(&alg, &adj, &last, schedule);
+        assert!(
+            is_stable(&alg, &adj, &outcome.final_state),
+            "epoch '{label}' must reconverge"
+        );
         last = outcome.final_state;
     }
     let reference = iterate_to_fixed_point(
