@@ -7,8 +7,8 @@
 //! invalid route probability `0`.
 //!
 //! With link reliabilities strictly below `1` the algebra is strictly
-//! increasing (every hop strictly reduces the probability) and it is
-//! distributive.
+//! increasing (every hop strictly reduces the probability, see
+//! [`MostReliablePaths`]'s `extend`) and it is distributive.
 
 use crate::algebra::{
     Distributive, Increasing, RoutingAlgebra, SampleableAlgebra, SplitMix64, StrictlyIncreasing,
@@ -103,8 +103,31 @@ impl RoutingAlgebra for MostReliablePaths {
         *a.max(b)
     }
 
+    /// The product `f · r`, flushed to [`Reliability::ZERO`] once it is no
+    /// greater than `f64::MIN_POSITIVE`.
+    ///
+    /// The flush is what makes the carrier strictly increasing.  Take a
+    /// valid `r > 0` and a link `f < 1`, so `f ≤ 1 − 2⁻⁵³`:
+    /// - if the rounded product is at most `MIN_POSITIVE` it becomes 0,
+    ///   which is worse than every valid `r`;
+    /// - otherwise `r > MIN_POSITIVE` is normal, and the exact product
+    ///   `r − r·(1 − f)` lies at least `r · 2⁻⁵³` below `r`.  That is more
+    ///   than half the gap to `r`'s lower neighbour, or, when `r` is a
+    ///   power of two, the whole gap.  Round-to-nearest therefore lands
+    ///   strictly below `r`.
+    ///
+    /// Without it, a subnormal route is its own extension (0.95 × 5e-324
+    /// rounds back to 5e-324), σ can settle on such a ghost route instead
+    /// of the invalid one, and the fixed point is no longer unique.  The
+    /// bound is inclusive because `MIN_POSITIVE · (1 − 2⁻⁵³)` is a tie that
+    /// rounds back up to `MIN_POSITIVE`.
     fn extend(&self, f: &Reliability, r: &Reliability) -> Reliability {
-        Reliability::new(f.0 * r.0)
+        let p = f.0 * r.0;
+        if p <= f64::MIN_POSITIVE {
+            Reliability::ZERO
+        } else {
+            Reliability(p)
+        }
     }
 
     fn trivial(&self) -> Reliability {
@@ -189,6 +212,31 @@ mod tests {
         let alg = MostReliablePaths::new();
         let routes = alg.sample_routes(29, 64);
         let edges = alg.sample_edges(29, 16);
+        properties::check_strictly_increasing(&alg, &edges, &routes).unwrap();
+    }
+
+    #[test]
+    fn strictly_increasing_at_the_bottom_of_the_carrier() {
+        let alg = MostReliablePaths::new();
+        let tiny = 5e-324; // the smallest subnormal
+        let routes: Vec<Reliability> = [
+            tiny,
+            2.0 * tiny,
+            9.0 * tiny,
+            f64::MIN_POSITIVE / 2.0,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE * 1.5,
+            2.0 * f64::MIN_POSITIVE,
+        ]
+        .into_iter()
+        .map(Reliability::new)
+        .collect();
+        // The largest double below 1 as well: MIN_POSITIVE times it is a
+        // tie that rounds back up to MIN_POSITIVE.
+        let edges: Vec<Reliability> = [0.05, 0.5, 0.6, 0.95, 1.0 - f64::EPSILON / 2.0]
+            .into_iter()
+            .map(|p| alg.edge(p))
+            .collect();
         properties::check_strictly_increasing(&alg, &edges, &routes).unwrap();
     }
 

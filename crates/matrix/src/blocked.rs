@@ -17,6 +17,20 @@
 //! exactly what the square iteration would produce for those columns —
 //! blocking changes memory traffic, never results.
 //!
+//! Blocks are independent, so they run across the shared
+//! [`WorkerPool`] in **waves**: one lane per thread ([`default_jobs`],
+//! the rule that sizes the pool), the caller being lane 0.  A lane owns
+//! one stepper, reused from wave to wave, and solves one block a wave with
+//! [`Inline`] rounds.  Slab memory is therefore lanes × 2 × `n` × `w`
+//! routes: at `n = 10⁵` and `w = 1024` ≈ 3.2 GB on two lanes, and a
+//! 512-wide block keeps the one-lane footprint.  After each wave's join
+//! the caller folds the lanes' column digests and counters in block order
+//! and calls `on_block` once per block, in block order, on its own thread.
+//! Fixed waves, rather than lanes that claim the next free block, keep the
+//! time between two `on_block` calls the same from run to run: a wave,
+//! then nothing until the next wave.  The block width stays the caller's,
+//! so the block count and every counter are independent of the lanes.
+//!
 //! Results are digested, not materialised: the [`BlockedOutcome`] carries
 //! an FNV-1a digest of the per-destination column digests in destination
 //! order, where column `j`'s digest is FNV-1a over the entry text `(i,j)=r;`
@@ -35,9 +49,12 @@
 
 use crate::adjacency::AdjacencyMatrix;
 use crate::kernel::{FixedPoint, Inline};
+use crate::parallel::ParallelAlgebra;
+use crate::pool::{default_jobs, WorkerPool};
 use dbf_algebra::RoutingAlgebra;
 use dbf_telemetry::NoopSink;
 use std::fmt::{self, Write as _};
+use std::panic::resume_unwind;
 
 /// The outcome of a destination-blocked fixed-point computation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -181,72 +198,162 @@ pub fn fold_entry_text<R: fmt::Debug + Eq>(
 /// Iterate σ to the fixed point over destination blocks of width `block`,
 /// digesting each block's converged slab instead of keeping it.
 ///
+/// Blocks run in waves of [`default_jobs`] — the rule that sizes the
+/// shared pool — one block per lane, on the calling thread and the workers
+/// of [`WorkerPool::shared`] (see the module docs); with one job every
+/// block runs inline and no epoch opens.  The outcome does not depend on
+/// the lane count.
+///
 /// `max_rounds` is the per-block round budget, under the kernel's one
 /// budget rule ([`FixedPoint::solve`]); a block that ends it unconverged
 /// clears `converged` but the remaining blocks still run (the digest then
 /// covers the states `max_rounds` rounds left, exactly like a non-converged
-/// square iteration).  Progress can be observed via `on_block`, called
-/// after each block with `(block_index, rounds, row_recomputations)`.
+/// square iteration).  Progress can be observed via `on_block`, called with
+/// `(block_index, rounds, row_recomputations)` once per block, in block
+/// order, on the calling thread, after the wave holding the block ends.
 ///
 /// # Panics
 ///
-/// Panics if `block` is zero or the adjacency is empty.
-pub fn blocked_fixed_point<A: RoutingAlgebra>(
+/// Panics if `block` is zero or the adjacency is empty.  A panic inside a
+/// block (an algebra's `extend`, say) is raised again on the caller with
+/// its own payload once its wave has ended; the shared pool survives it.
+pub fn blocked_fixed_point<A>(
     alg: &A,
     adj: &AdjacencyMatrix<A>,
     block: usize,
     max_rounds: usize,
+    on_block: impl FnMut(usize, usize, u64),
+) -> BlockedOutcome
+where
+    A: ParallelAlgebra,
+    A::Route: Send + Sync,
+    A::Edge: Sync,
+{
+    blocked_with(alg, adj, block, max_rounds, default_jobs(), on_block)
+}
+
+/// [`blocked_fixed_point`] in waves of `jobs` lanes.
+pub(crate) fn blocked_with<A>(
+    alg: &A,
+    adj: &AdjacencyMatrix<A>,
+    block: usize,
+    max_rounds: usize,
+    jobs: usize,
     mut on_block: impl FnMut(usize, usize, u64),
-) -> BlockedOutcome {
+) -> BlockedOutcome
+where
+    A: ParallelAlgebra,
+    A::Route: Send + Sync,
+    A::Edge: Sync,
+{
     let n = adj.node_count();
     assert!(block > 0, "block width must be positive");
     assert!(n > 0, "blocked iteration needs at least one node");
+    let width = block.min(n);
+    let blocks = n.div_ceil(width);
+    let mut out = BlockedOutcome {
+        digest: String::new(),
+        blocks,
+        rounds_total: 0,
+        rounds_max: 0,
+        row_recomputations: 0,
+        converged: true,
+    };
     let mut digest = ColumnHash::default();
-    let mut blocks = 0usize;
-    let mut rounds_total = 0u64;
-    let mut rounds_max = 0usize;
-    let mut work = 0u64;
-    let mut converged = true;
+    let mut lanes: Vec<Lane<A>> = (0..jobs.clamp(1, blocks))
+        .map(|_| Lane::new(alg, adj, width))
+        .collect();
+    for first in (0..blocks).step_by(lanes.len()) {
+        let wave = lanes.len().min(blocks - first);
+        let wave = &mut lanes[..wave];
+        run_wave(alg, adj, wave, first * width, width, max_rounds);
+        // Each destination's column is complete inside its block, so the
+        // column digests folded in destination order make the digest
+        // invariant under the block width and the lane count.  (Writing
+        // into an `Fnv1a` cannot fail.)
+        for (b, lane) in (first..).zip(wave.iter()) {
+            for col in &lane.cols {
+                let _ = write!(digest, "{:016x}", col.value());
+            }
+            let (rounds, rows) = (lane.kernel.iterations(), lane.kernel.row_recomputations());
+            out.rounds_total += rounds as u64;
+            out.rounds_max = out.rounds_max.max(rounds);
+            out.row_recomputations += rows;
+            out.converged &= lane.converged;
+            on_block(b, rounds, rows);
+        }
+    }
+    out.digest = format!("{:016x}", digest.value());
+    out
+}
 
-    // One stepper for all blocks: its buffers are reused and only
-    // reallocate when the final ragged block shrinks the window.
-    let mut j0 = 0usize;
-    let mut kernel = FixedPoint::identity_slab(alg, adj, j0, block.min(n));
-    loop {
-        let w = kernel.width();
-        let block_converged = kernel.solve(alg, adj, max_rounds, &Inline, &mut NoopSink);
+/// Solve one block per lane, lane `l` on destinations from
+/// `j0 + l · width`: lane 0 on the calling thread, the others on the
+/// shared pool.  A wave of one lane opens no epoch.
+fn run_wave<A>(
+    alg: &A,
+    adj: &AdjacencyMatrix<A>,
+    lanes: &mut [Lane<A>],
+    j0: usize,
+    width: usize,
+    max_rounds: usize,
+) where
+    A: ParallelAlgebra,
+    A::Route: Send + Sync,
+    A::Edge: Sync,
+{
+    let n = adj.node_count();
+    let solve = |l: usize, lane: &mut Lane<A>| {
+        let j0 = j0 + l * width;
+        lane.solve(alg, adj, j0, width.min(n - j0), max_rounds);
+    };
+    let (head, rest) = lanes.split_first_mut().expect("a wave has a lane");
+    if rest.is_empty() {
+        return solve(0, head);
+    }
+    let outcome = WorkerPool::shared().scoped(|scope| {
+        for (l, lane) in (1..).zip(rest) {
+            scope.execute(move || solve(l, lane));
+        }
+        solve(0, head);
+    });
+    if let Err(payload) = outcome {
+        resume_unwind(payload);
+    }
+}
 
-        // Digest column by column: each destination's column is complete
-        // inside this block, so hashing columns independently and folding
-        // them in destination order makes the digest block-width-invariant.
-        // (Writing into an `Fnv1a` cannot fail.)
-        let mut cols = vec![ColumnHash::default(); w];
+/// One thread's share of a wave: a stepper reused from wave to wave, and
+/// what its last block leaves for the caller to fold.
+struct Lane<A: RoutingAlgebra> {
+    kernel: FixedPoint<A>,
+    /// Column `j0 + jl`'s digest at `cols[jl]`.
+    cols: Vec<ColumnHash>,
+    converged: bool,
+}
+
+impl<A: RoutingAlgebra> Lane<A> {
+    /// A lane for blocks up to `width` wide.  Built on the calling thread,
+    /// so the slab comes from the caller's heap, not a worker's.
+    fn new(alg: &A, adj: &AdjacencyMatrix<A>, width: usize) -> Self {
+        Lane {
+            kernel: FixedPoint::identity_slab(alg, adj, 0, width),
+            cols: Vec::with_capacity(width),
+            converged: false,
+        }
+    }
+
+    /// Solve destinations `j0..j0 + w` from the identity and digest their
+    /// columns.
+    fn solve(&mut self, alg: &A, adj: &AdjacencyMatrix<A>, j0: usize, w: usize, max_rounds: usize) {
+        let kernel = &mut self.kernel;
+        kernel.reset_slab(alg, j0, w);
+        self.converged = kernel.solve(alg, adj, max_rounds, &Inline, &mut NoopSink);
+        let cols = &mut self.cols;
+        cols.clear();
+        cols.resize(w, ColumnHash::default());
         fold_entry_text(kernel.rows(), j0, w, |jl, text| {
             cols[jl].update(text.as_bytes())
         });
-        for col in &cols {
-            let _ = write!(digest, "{:016x}", col.value());
-        }
-        blocks += 1;
-        rounds_total += kernel.iterations() as u64;
-        rounds_max = rounds_max.max(kernel.iterations());
-        work += kernel.row_recomputations();
-        converged &= block_converged;
-        on_block(blocks - 1, kernel.iterations(), kernel.row_recomputations());
-        j0 += w;
-        if j0 == n {
-            break;
-        }
-        kernel.reset_slab(alg, j0, block.min(n - j0));
-    }
-
-    BlockedOutcome {
-        digest: format!("{:016x}", digest.value()),
-        blocks,
-        rounds_total,
-        rounds_max,
-        row_recomputations: work,
-        converged,
     }
 }
 
@@ -257,6 +364,8 @@ mod tests {
     use crate::sync::iterate_to_fixed_point;
     use dbf_algebra::prelude::*;
     use dbf_topology::generators;
+    use std::panic::AssertUnwindSafe;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn ring_adj(n: usize) -> (BoundedHopCount, AdjacencyMatrix<BoundedHopCount>) {
         let topo = generators::ring(n).with_weights(|_, _| 1u64);
@@ -337,18 +446,131 @@ mod tests {
         assert_eq!(h.value(), 0xaf63_dc4c_8601_ec8c);
     }
 
+    fn as_graph_shortest(n: usize) -> (ShortestPaths, AdjacencyMatrix<ShortestPaths>) {
+        let topo = generators::as_graph(n, 2, 3)
+            .with_weights(|i, j| NatInf::fin(((i * 7 + j * 3) % 11 + 1) as u64));
+        (ShortestPaths::new(), AdjacencyMatrix::from_topology(&topo))
+    }
+
     #[test]
     fn blocked_shortest_paths_agree_too() {
         let n = 12;
-        let topo = generators::as_graph(n, 2, 3)
-            .with_weights(|i, j| NatInf::fin(((i * 7 + j * 3) % 11 + 1) as u64));
-        let alg = ShortestPaths::new();
-        let adj = AdjacencyMatrix::from_topology(&topo);
+        let (alg, adj) = as_graph_shortest(n);
         let square = iterate_to_fixed_point(&alg, &adj, &RoutingState::identity(&alg, n), 200);
         assert!(square.converged);
         let out = blocked_fixed_point(&alg, &adj, 5, 200, |_, _, _| {});
         assert!(out.converged);
         assert_eq!(out.digest, square_digest(&square.state));
+    }
+
+    /// Every `on_block` call, in call order.
+    type Calls = Vec<(usize, usize, u64)>;
+
+    /// `blocked_with` at `jobs` lanes, and the `on_block` calls it made.
+    fn run_with<A: ParallelAlgebra>(
+        alg: &A,
+        adj: &AdjacencyMatrix<A>,
+        block: usize,
+        max_rounds: usize,
+        jobs: usize,
+    ) -> (BlockedOutcome, Calls)
+    where
+        A::Route: Send + Sync,
+        A::Edge: Sync,
+    {
+        let mut calls = Vec::new();
+        let out = blocked_with(alg, adj, block, max_rounds, jobs, |b, rounds, rows| {
+            calls.push((b, rounds, rows))
+        });
+        (out, calls)
+    }
+
+    /// The outcome and the `on_block` sequence at `jobs` lanes equal the
+    /// one-lane run's, at every block width and budget.
+    fn assert_lane_invariant<A: ParallelAlgebra>(alg: &A, adj: &AdjacencyMatrix<A>)
+    where
+        A::Route: Send + Sync,
+        A::Edge: Sync,
+    {
+        for block in [1usize, 4, 7, 16, 17, 64] {
+            for max_rounds in [1, 200] {
+                let (one, one_calls) = run_with(alg, adj, block, max_rounds, 1);
+                let order: Vec<usize> = one_calls.iter().map(|c| c.0).collect();
+                assert_eq!(order, (0..one.blocks).collect::<Vec<_>>());
+                for jobs in [2usize, 3, 7] {
+                    let (out, calls) = run_with(alg, adj, block, max_rounds, jobs);
+                    let at = format!("block={block} max_rounds={max_rounds} jobs={jobs}");
+                    assert_eq!(out, one, "{at}");
+                    assert_eq!(calls, one_calls, "{at}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lanes_change_neither_the_outcome_nor_the_block_sequence() {
+        let (alg, adj) = ring_adj(17);
+        assert_lane_invariant(&alg, &adj);
+        let (alg, adj) = as_graph_shortest(12);
+        assert_lane_invariant(&alg, &adj);
+    }
+
+    /// Hop count whose `extend` panics on its `k`-th call.
+    struct PanicsOnCall {
+        hops: BoundedHopCount,
+        calls: AtomicUsize,
+        k: usize,
+    }
+
+    impl RoutingAlgebra for PanicsOnCall {
+        type Route = NatInf;
+        type Edge = u64;
+        fn choice(&self, a: &NatInf, b: &NatInf) -> NatInf {
+            self.hops.choice(a, b)
+        }
+        fn extend(&self, f: &u64, r: &NatInf) -> NatInf {
+            let call = self.calls.fetch_add(1, Ordering::Relaxed) + 1;
+            if call == self.k {
+                panic!("extend call {call} of this algebra");
+            }
+            self.hops.extend(f, r)
+        }
+        fn trivial(&self) -> NatInf {
+            self.hops.trivial()
+        }
+        fn invalid(&self) -> NatInf {
+            self.hops.invalid()
+        }
+    }
+
+    #[test]
+    fn a_lane_panic_comes_back_with_its_own_payload() {
+        let (hops, adj) = ring_adj(17);
+        let expected = blocked_fixed_point(&hops, &adj, 4, 200, |_, _, _| {}).digest;
+        let ring = generators::ring(17).with_weights(|_, _| 1u64);
+        let panicky = AdjacencyMatrix::from_topology(&ring);
+        for jobs in [1usize, 2, 3] {
+            // A ring(17) block of width 4 costs 17 · 2 · 4 = 136 extends in
+            // its first round alone, so the 500th comes within the first
+            // few blocks, on whichever lane makes it.
+            let alg = PanicsOnCall {
+                hops,
+                calls: AtomicUsize::new(0),
+                k: 500,
+            };
+            let payload = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                blocked_with(&alg, &panicky, 4, 200, jobs, |_, _, _| {})
+            }))
+            .expect_err("the 500th extend panics");
+            assert_eq!(
+                payload.downcast_ref::<String>().map(String::as_str),
+                Some("extend call 500 of this algebra"),
+                "jobs={jobs}"
+            );
+            // The shared pool survives the panic.
+            let again = blocked_fixed_point(&hops, &adj, 4, 200, |_, _, _| {});
+            assert_eq!(again.digest, expected, "jobs={jobs}");
+        }
     }
 
     #[test]

@@ -999,7 +999,9 @@ fn cmd_gen_trace(a: &Args) -> Result<bool, String> {
 ///
 /// This is the path to fabrics whose square routing state does not fit in
 /// memory: at the default `--nodes 100000` a square state would need
-/// ~80 GB, while a 1024-wide destination slab streams through ~1.6 GB.
+/// ~80 GB, while a 1024-wide destination slab streams through ~1.6 GB per
+/// lane.  Blocks run one per lane, as many lanes as the machine has
+/// hardware threads (two lanes: ~3.2 GB; `--block 512` halves it).
 /// The emitted record (printed, and written via `--out`) is what
 /// `BENCH_sweeps.json` carries under `scale_runs`.
 fn cmd_scale_run(a: &Args) -> Result<bool, String> {
@@ -1016,9 +1018,15 @@ fn cmd_scale_run(a: &Args) -> Result<bool, String> {
     let shape = dbf_scenario::run::build_shape(&fabric).map_err(|e| e.to_string())?;
     let links = shape.edge_count();
     let blocks_expected = n.div_ceil(block);
+    // Blocks run in waves, one per lane; each lane iterates two n × w slab
+    // buffers of one route each (both carriers' routes are a `NatInf`).
+    let lanes = dbf_matrix::default_jobs().min(blocks_expected);
+    let slab_bytes = lanes * 2 * n * block.min(n) * std::mem::size_of::<NatInf>();
     eprintln!(
         "scale-run: as_graph(n={n}, m={m}, seed={seed}) has {links} directed edges; \
-         {blocks_expected} destination blocks of width <= {block}"
+         {blocks_expected} destination blocks of width <= {block}, {lanes} lane(s) at a time; \
+         slabs {slab_bytes} bytes ({:.1} MiB)",
+        slab_bytes as f64 / (1024.0 * 1024.0)
     );
     let progress = |b: usize, rounds: usize, rows: u64| {
         eprintln!(
