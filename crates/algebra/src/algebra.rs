@@ -22,9 +22,16 @@ use std::fmt::Debug;
 /// These laws are *checked*, not assumed: see [`crate::properties`], which
 /// provides exhaustive checkers for finite carriers and sampling checkers
 /// for infinite ones.
-pub trait RoutingAlgebra {
+///
+/// # Thread safety
+///
+/// An algebra, its routes and its edges are `Send + Sync`: σ rows of one
+/// round are independent, so the σ engines share the algebra and the
+/// adjacency read-only across worker threads and each worker writes the
+/// routes of its own rows.
+pub trait RoutingAlgebra: Send + Sync {
     /// The set of routes `S`.
-    type Route: Clone + Eq + Debug;
+    type Route: Clone + Eq + Debug + Send + Sync;
 
     /// The representation of edge functions (policies) `f ∈ F`.
     ///
@@ -32,7 +39,7 @@ pub trait RoutingAlgebra {
     /// [`extend`](Self::extend).  Missing links are *not* represented here:
     /// adjacency structures use `Option<Edge>` and treat `None` as the
     /// constant-∞̄ function, exactly as the paper represents missing edges.
-    type Edge: Clone + Debug;
+    type Edge: Clone + Debug + Send + Sync;
 
     /// The choice operator `⊕`: returns the preferred of the two routes.
     fn choice(&self, a: &Self::Route, b: &Self::Route) -> Self::Route;

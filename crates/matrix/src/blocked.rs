@@ -49,7 +49,6 @@
 
 use crate::adjacency::AdjacencyMatrix;
 use crate::kernel::{FixedPoint, Inline};
-use crate::parallel::ParallelAlgebra;
 use crate::pool::{default_jobs, WorkerPool};
 use dbf_algebra::RoutingAlgebra;
 use dbf_telemetry::NoopSink;
@@ -217,35 +216,25 @@ pub fn fold_entry_text<R: fmt::Debug + Eq>(
 /// Panics if `block` is zero or the adjacency is empty.  A panic inside a
 /// block (an algebra's `extend`, say) is raised again on the caller with
 /// its own payload once its wave has ended; the shared pool survives it.
-pub fn blocked_fixed_point<A>(
+pub fn blocked_fixed_point<A: RoutingAlgebra>(
     alg: &A,
     adj: &AdjacencyMatrix<A>,
     block: usize,
     max_rounds: usize,
     on_block: impl FnMut(usize, usize, u64),
-) -> BlockedOutcome
-where
-    A: ParallelAlgebra,
-    A::Route: Send + Sync,
-    A::Edge: Sync,
-{
+) -> BlockedOutcome {
     blocked_with(alg, adj, block, max_rounds, default_jobs(), on_block)
 }
 
 /// [`blocked_fixed_point`] in waves of `jobs` lanes.
-pub(crate) fn blocked_with<A>(
+pub(crate) fn blocked_with<A: RoutingAlgebra>(
     alg: &A,
     adj: &AdjacencyMatrix<A>,
     block: usize,
     max_rounds: usize,
     jobs: usize,
     mut on_block: impl FnMut(usize, usize, u64),
-) -> BlockedOutcome
-where
-    A: ParallelAlgebra,
-    A::Route: Send + Sync,
-    A::Edge: Sync,
-{
+) -> BlockedOutcome {
     let n = adj.node_count();
     assert!(block > 0, "block width must be positive");
     assert!(n > 0, "blocked iteration needs at least one node");
@@ -290,18 +279,14 @@ where
 /// Solve one block per lane, lane `l` on destinations from
 /// `j0 + l · width`: lane 0 on the calling thread, the others on the
 /// shared pool.  A wave of one lane opens no epoch.
-fn run_wave<A>(
+fn run_wave<A: RoutingAlgebra>(
     alg: &A,
     adj: &AdjacencyMatrix<A>,
     lanes: &mut [Lane<A>],
     j0: usize,
     width: usize,
     max_rounds: usize,
-) where
-    A: ParallelAlgebra,
-    A::Route: Send + Sync,
-    A::Edge: Sync,
-{
+) {
     let n = adj.node_count();
     let solve = |l: usize, lane: &mut Lane<A>| {
         let j0 = j0 + l * width;
@@ -467,17 +452,13 @@ mod tests {
     type Calls = Vec<(usize, usize, u64)>;
 
     /// `blocked_with` at `jobs` lanes, and the `on_block` calls it made.
-    fn run_with<A: ParallelAlgebra>(
+    fn run_with<A: RoutingAlgebra>(
         alg: &A,
         adj: &AdjacencyMatrix<A>,
         block: usize,
         max_rounds: usize,
         jobs: usize,
-    ) -> (BlockedOutcome, Calls)
-    where
-        A::Route: Send + Sync,
-        A::Edge: Sync,
-    {
+    ) -> (BlockedOutcome, Calls) {
         let mut calls = Vec::new();
         let out = blocked_with(alg, adj, block, max_rounds, jobs, |b, rounds, rows| {
             calls.push((b, rounds, rows))
@@ -487,11 +468,7 @@ mod tests {
 
     /// The outcome and the `on_block` sequence at `jobs` lanes equal the
     /// one-lane run's, at every block width and budget.
-    fn assert_lane_invariant<A: ParallelAlgebra>(alg: &A, adj: &AdjacencyMatrix<A>)
-    where
-        A::Route: Send + Sync,
-        A::Edge: Sync,
-    {
+    fn assert_lane_invariant<A: RoutingAlgebra>(alg: &A, adj: &AdjacencyMatrix<A>) {
         for block in [1usize, 4, 7, 16, 17, 64] {
             for max_rounds in [1, 200] {
                 let (one, one_calls) = run_with(alg, adj, block, max_rounds, 1);

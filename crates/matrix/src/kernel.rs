@@ -21,7 +21,10 @@
 //!   worker from the previous round's values and applied afterwards in
 //!   ascending row order by the calling thread, so the trajectory is a
 //!   pure function of the problem — thread-count-invariant by
-//!   construction.
+//!   construction.  The cold solve ([`crate::sync::iterate_traced`]) is
+//!   pooled on every core, the scenario engines and the route server at
+//!   their thread count; reconvergence ([`crate::incremental`]) and each
+//!   block of [`crate::blocked`] run inline.
 //! * **column window** — σ is column-separable, so the row store may hold
 //!   all `n` destination columns (a [`RoutingState`]) or an `n × w` slab
 //!   of columns `j0..j0+w` ([`FixedPoint::identity_slab`], the memory

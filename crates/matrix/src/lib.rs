@@ -104,7 +104,7 @@ pub use incremental::{
     dirty_rows_after_change, iterate_dirty_to_fixed_point, iterate_dirty_traced, IncrementalOutcome,
 };
 pub use kernel::{Executor, FixedPoint, Inline, Start};
-pub use parallel::{par_iterate_to_fixed_point, ParallelAlgebra, Pooled};
+pub use parallel::{par_iterate_to_fixed_point, Pooled};
 pub use pool::{default_jobs, PoolScope, PoolStats, WorkerPool};
 pub use rib::{EventQueue, MessageRun, MessageStats, RibIn};
 pub use sigma::{sigma, sigma_row_into, sigma_row_into_changed};
@@ -124,7 +124,7 @@ pub mod prelude {
     };
     pub use crate::kernel::{Executor, FixedPoint, Inline, Start};
     pub use crate::oracle::exhaustive_path_optimum;
-    pub use crate::parallel::{par_iterate_to_fixed_point, ParallelAlgebra, Pooled};
+    pub use crate::parallel::{par_iterate_to_fixed_point, Pooled};
     pub use crate::pool::{PoolScope, PoolStats, WorkerPool};
     pub use crate::rib::{EventQueue, MessageRun, MessageStats, RibIn};
     pub use crate::sigma::{sigma, sigma_k, sigma_row_into, sigma_row_into_changed};

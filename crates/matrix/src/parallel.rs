@@ -13,6 +13,15 @@
 //! ([`crate::kernel`]); the differential checker treats a pooled run
 //! exactly like an inline one: same digests, same counts, same JSON.
 //!
+//! The cold whole-state solve ([`crate::sync::iterate_traced`], and so
+//! [`crate::sync::iterate_to_fixed_point`]) runs `Pooled` on
+//! [`crate::pool::default_jobs`] threads, the rule that sizes the shared
+//! pool; [`par_iterate_to_fixed_point`] names the thread count instead,
+//! and the scenario engines and the route server pass their `--threads`.
+//! The [`crate::incremental`] entry points stay [`Inline`]: a
+//! reconvergence's frontiers are a few rows, less work than a pool epoch
+//! per round costs.
+//!
 //! Bands are balanced by *work*, not by row count: one row of `σ(X)` costs
 //! `O(deg(i) · n)`, and real fabrics are skewed (a leaf–spine spine imports
 //! from thousands of leaves while a leaf imports from four spines), so
@@ -38,24 +47,6 @@ use dbf_algebra::RoutingAlgebra;
 use dbf_telemetry::{NoopSink, TelemetrySink};
 use std::ops::Range;
 use std::time::Instant;
-
-/// The algebra bounds of the parallel sweep: the algebra and adjacency are
-/// shared read-only across workers and each worker writes `Route`s into its
-/// own band.
-pub trait ParallelAlgebra: RoutingAlgebra + Sync
-where
-    Self::Route: Send + Sync,
-    Self::Edge: Sync,
-{
-}
-
-impl<A> ParallelAlgebra for A
-where
-    A: RoutingAlgebra + Sync,
-    A::Route: Send + Sync,
-    A::Edge: Sync,
-{
-}
 
 /// Partition `0..len` into at most `parts` non-empty contiguous ranges of
 /// approximately equal total `weight`.  Cuts fall where the cumulative
@@ -114,12 +105,7 @@ impl Pooled {
     }
 }
 
-impl<A> Executor<A> for Pooled
-where
-    A: ParallelAlgebra,
-    A::Route: Send + Sync,
-    A::Edge: Sync,
-{
+impl<A: RoutingAlgebra> Executor<A> for Pooled {
     /// Each worker owns one contiguous, degree-weighted segment of the
     /// work list and writes its disjoint slice of `staging`/`changed`, so
     /// the staged rows are independent of the thread count by
@@ -189,25 +175,18 @@ where
     }
 }
 
-/// Iterate `σ` to a fixed point exactly like
-/// [`crate::sync::iterate_to_fixed_point`], but with every round's row
-/// sweep sharded across up to `threads` workers of the shared pool.
+/// [`crate::sync::iterate_traced`] with an explicit thread count instead
+/// of [`crate::pool::default_jobs`], and no sink.
 ///
-/// The returned outcome — state, iteration count and convergence flag — is
-/// identical to the sequential iteration for every thread count (see
+/// The returned outcome is identical for every thread count (see
 /// [`Pooled`]).
-pub fn par_iterate_to_fixed_point<A>(
+pub fn par_iterate_to_fixed_point<A: RoutingAlgebra>(
     alg: &A,
     adj: &AdjacencyMatrix<A>,
     x0: &RoutingState<A>,
     max_iterations: usize,
     threads: usize,
-) -> SyncOutcome<A>
-where
-    A: ParallelAlgebra,
-    A::Route: Send + Sync,
-    A::Edge: Sync,
-{
+) -> SyncOutcome<A> {
     let (exec, x0, start) = (Pooled::shared(threads), x0.clone(), Start::AllRows);
     iterate_with(alg, adj, x0, start, max_iterations, &exec, &mut NoopSink)
 }
@@ -217,7 +196,6 @@ mod tests {
     use super::*;
     use crate::kernel::FixedPoint;
     use crate::sigma::sigma;
-    use crate::sync::iterate_to_fixed_point;
     use dbf_algebra::prelude::*;
     use dbf_topology::generators;
 
@@ -292,7 +270,7 @@ mod tests {
             .with_weights(|i, j| NatInf::fin(((i * 7 + j * 13) % 9 + 1) as u64));
         let adj = AdjacencyMatrix::from_topology(&topo);
         let x0 = RoutingState::identity(&alg, 37);
-        let seq = iterate_to_fixed_point(&alg, &adj, &x0, 500);
+        let seq = par_iterate_to_fixed_point(&alg, &adj, &x0, 500, 1);
         for threads in [2, 4, 8] {
             let par = par_iterate_to_fixed_point(&alg, &adj, &x0, 500, threads);
             assert_eq!(par.state, seq.state, "threads={threads}");
@@ -306,7 +284,7 @@ mod tests {
         let (alg, adj) = widest_fabric(3, 13);
         let x0 = RoutingState::identity(&alg, 16);
         for budget in 0..6 {
-            let seq = iterate_to_fixed_point(&alg, &adj, &x0, budget);
+            let seq = par_iterate_to_fixed_point(&alg, &adj, &x0, budget, 1);
             let par = par_iterate_to_fixed_point(&alg, &adj, &x0, budget, 4);
             assert_eq!(par.state, seq.state, "budget={budget}");
             assert_eq!(par.iterations, seq.iterations, "budget={budget}");

@@ -125,8 +125,12 @@ impl PoolStats {
 }
 
 /// The default fan-out width: one job per available hardware thread.
+///
+/// Read once per process: `available_parallelism` reads the cgroup quota
+/// files on every call, and every cold σ solve and blocked σ run asks.
 pub fn default_jobs() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+    static JOBS: OnceLock<usize> = OnceLock::new();
+    *JOBS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// A persistent pool of parked worker threads executing epoch-stamped job

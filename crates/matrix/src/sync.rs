@@ -1,8 +1,15 @@
 //! Synchronous fixed-point iteration (Section 2.3) and stability testing
 //! (Definition 4).
+//!
+//! [`iterate_with`] is the one σ iteration behind every entry point.  The
+//! cold solve ([`iterate_to_fixed_point`], [`iterate_traced`]) shards its
+//! rounds over the shared pool on every core, with the outcome and the
+//! deterministic events of a one-thread run.
 
 use crate::adjacency::AdjacencyMatrix;
-use crate::kernel::{Executor, FixedPoint, Inline, Start};
+use crate::kernel::{Executor, FixedPoint, Start};
+use crate::parallel::Pooled;
+use crate::pool::default_jobs;
 use crate::sigma::sigma_row_into_changed;
 use crate::state::RoutingState;
 use dbf_algebra::RoutingAlgebra;
@@ -91,10 +98,11 @@ pub fn iterate_to_fixed_point<A: RoutingAlgebra>(
 /// and, once the loop stops, a `node_settled` event per node carrying the
 /// last round in which its row changed.
 ///
-/// The returned outcome is identical to the untraced iteration for every
-/// sink — instrumentation never alters the trajectory.  With
-/// [`NoopSink`] the instrumentation compiles out entirely (this *is* the
-/// untraced implementation: [`iterate_to_fixed_point`] forwards here).
+/// Rounds are sharded over [`default_jobs`] threads ([`Pooled`], which
+/// adds a `band_sweep` per band to a live sink).  The outcome is identical
+/// for every thread count and every sink — instrumentation never alters
+/// the trajectory — and with [`NoopSink`] the instrumentation compiles
+/// out ([`iterate_to_fixed_point`] forwards here).
 pub fn iterate_traced<A, S>(
     alg: &A,
     adj: &AdjacencyMatrix<A>,
@@ -106,16 +114,17 @@ where
     A: RoutingAlgebra,
     S: TelemetrySink + ?Sized,
 {
-    let (x0, start) = (x0.clone(), Start::AllRows);
-    iterate_with(alg, adj, x0, start, max_iterations, &Inline, tel)
+    let (exec, x0, start) = (Pooled::shared(default_jobs()), x0.clone(), Start::AllRows);
+    iterate_with(alg, adj, x0, start, max_iterations, &exec, tel)
 }
 
 /// The one σ iteration behind every entry point: the kernel from `x0`
 /// (taken over, not copied) over the rows `start` names, solved within
-/// `budget` rounds ([`FixedPoint::solve`]) by `exec` — [`Inline`], or
-/// [`crate::parallel::Pooled`] with the same outcome and deterministic
-/// events.  From [`Start::AllRows`] a round that changes nothing certifies
-/// the fixed point, so `iterations` counts the rounds before it.
+/// `budget` rounds ([`FixedPoint::solve`]) by `exec` —
+/// [`crate::kernel::Inline`], or [`Pooled`] with the same outcome and
+/// deterministic events.  From [`Start::AllRows`] a round that changes
+/// nothing certifies the fixed point, so `iterations` counts the rounds
+/// before it.
 ///
 /// # Panics
 ///

@@ -276,19 +276,14 @@ where
 /// Every executor × driving mode × budget for one (problem, frontier,
 /// window) row of the table.  Returns the round count of the converged
 /// reference so callers can pin the shape of the case.
-fn check_cell<A>(
+fn check_cell<A: RoutingAlgebra>(
     alg: &A,
     adj: &AdjacencyMatrix<A>,
     x0: &RoutingState<A>,
     mask: Option<&[bool]>,
     win: (usize, usize),
     label: &str,
-) -> Trajectory<A::Route>
-where
-    A: ParallelAlgebra,
-    A::Route: Send + Sync + std::fmt::Debug,
-    A::Edge: Sync,
-{
+) -> Trajectory<A::Route> {
     let n = adj.node_count();
     let build = || {
         if win == (0, n) {

@@ -37,18 +37,14 @@ where
 }
 
 /// One problem's lines: every entry point at every budget.
-fn lines<A>(
+fn lines<A: RoutingAlgebra>(
     name: &str,
     alg: &A,
     adj: &AdjacencyMatrix<A>,
     x0: &RoutingState<A>,
     dirty: &[bool],
     out: &mut String,
-) where
-    A: ParallelAlgebra,
-    A::Route: Send + Sync + Debug,
-    A::Edge: Sync,
-{
+) {
     let n = adj.node_count();
     let unlimited = iteration_budget(n, None);
     let settle = iterate_to_fixed_point(alg, adj, x0, unlimited).iterations + 1;

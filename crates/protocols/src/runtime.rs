@@ -55,16 +55,11 @@ struct Advert<R> {
 /// A panic on a router thread (an algebra's `extend`/`choice` panicking,
 /// say) is re-raised here with its own payload once every thread has been
 /// joined; the surviving routers halt at the wall-clock limit at the latest.
-pub fn run_threaded<A>(
+pub fn run_threaded<A: RoutingAlgebra>(
     alg: &A,
     adj: &AdjacencyMatrix<A>,
     initial: &RoutingState<A>,
-) -> MessageRun<A>
-where
-    A: RoutingAlgebra + Sync,
-    A::Route: Send,
-    A::Edge: Sync,
-{
+) -> MessageRun<A> {
     let n = adj.node_count();
     assert_eq!(n, initial.node_count(), "initial state dimension mismatch");
 

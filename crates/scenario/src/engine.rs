@@ -66,28 +66,18 @@ use dbf_telemetry::{EventClass, MessageCounters, TelemetrySink};
 use std::any::Any;
 use std::time::Instant;
 
-/// The algebra bounds every engine can rely on: the threaded runtime shares
-/// the algebra between router threads and sends routes across them (`Sync`,
-/// `Route: Send`), the parallel σ row sweep shares routes across
-/// workers (`Route: Sync`), the incremental engine compares adjacency rows
-/// (`Edge: PartialEq`), and the protocol adapters downcast the algebra and
-/// adjacency (`'static`).  Blanket-implemented for every qualifying
-/// [`RoutingAlgebra`].
+/// The algebra bounds every engine can rely on beyond [`RoutingAlgebra`]'s
+/// own (which is `Send + Sync`, routes and edges too): the incremental
+/// engine compares adjacency rows (`Edge: PartialEq`), and the protocol
+/// adapters downcast the algebra and adjacency (`'static`).
+/// Blanket-implemented for every qualifying [`RoutingAlgebra`].
 pub trait ScenarioAlgebra:
-    RoutingAlgebra<Route: Send + Sync + 'static, Edge: PartialEq + Send + Sync + 'static>
-    + Clone
-    + Send
-    + Sync
-    + 'static
+    RoutingAlgebra<Route: 'static, Edge: PartialEq + 'static> + Clone + 'static
 {
 }
 
 impl<A> ScenarioAlgebra for A where
-    A: RoutingAlgebra<Route: Send + Sync + 'static, Edge: PartialEq + Send + Sync + 'static>
-        + Clone
-        + Send
-        + Sync
-        + 'static
+    A: RoutingAlgebra<Route: 'static, Edge: PartialEq + 'static> + Clone + 'static
 {
 }
 
