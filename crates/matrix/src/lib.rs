@@ -78,9 +78,11 @@
 //! assert_eq!(out.state.get(0, 5), &NatInf::fin(1));
 //! ```
 
-// `deny` rather than `forbid`: the pool module contains one audited
-// lifetime-erasure transmute (see `pool::PoolScope::execute`) behind a
-// local `allow`; everything else in the crate remains unsafe-free.
+// `deny` rather than `forbid`: two audited sites sit behind a local
+// `allow` — the pool's lifetime-erasure transmute (see
+// `pool::PoolScope::execute`) and the call into the σ row kernel built for
+// a CPU feature level the process detected (`sigma::row_window_at`);
+// everything else in the crate remains unsafe-free.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -107,7 +109,7 @@ pub use kernel::{Executor, FixedPoint, Inline, Start};
 pub use parallel::{par_iterate_to_fixed_point, Pooled};
 pub use pool::{default_jobs, PoolScope, PoolStats, WorkerPool};
 pub use rib::{EventQueue, MessageRun, MessageStats, RibIn};
-pub use sigma::{sigma, sigma_row_into, sigma_row_into_changed};
+pub use sigma::{row_kernel, sigma, sigma_row_into, sigma_row_into_changed};
 pub use state::RoutingState;
 pub use sync::{
     is_stable, iterate_to_fixed_point, iterate_traced, iterate_with, iteration_budget, SyncOutcome,

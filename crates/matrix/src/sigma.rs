@@ -1,9 +1,23 @@
 //! The synchronous iteration operator `σ(X) = A(X) ⊕ I` (Section 2.2).
+//!
+//! [`sigma`] and [`sigma_row_into`] are the plain reference.  Every engine
+//! path — cold, blocked, incremental, the route server, [`crate::is_stable`]
+//! — recomputes rows through one fused row kernel instead.  Its body is
+//! generic and compiled up to three times: for the target's baseline, for
+//! AVX2 and for AVX-512 (F and VL).  The widest build the CPU reports is
+//! picked once per process ([`row_kernel`] names it).  There are no
+//! intrinsics and no per-algebra code: the algebras' `#[inline]` leaf ops
+//! are inlined into each build, and LLVM vectorizes what it can — the
+//! `u64` min/max and saturating adds of the integer carriers, which
+//! baseline x86-64 (SSE2) runs one entry at a time.  Every build computes
+//! the same rows and the same change flags, so digests and counts do not
+//! depend on the machine.
 
 use crate::adjacency::AdjacencyMatrix;
 use crate::state::RoutingState;
 use dbf_algebra::RoutingAlgebra;
 use dbf_paths::NodeId;
+use std::sync::OnceLock;
 
 /// Recompute node `i`'s entire next table `σ(X)[i][·]` into `out` (a slice
 /// of length `n`).
@@ -77,7 +91,132 @@ pub fn sigma_row_into_changed<A: RoutingAlgebra>(
 /// state (σ is column-separable, so a column window iterates on its own —
 /// see [`crate::blocked`]).  The square state is the window `(0, n)`.  The
 /// diagonal override applies when `i` lies inside the window.
+///
+/// Runs the body compiled for the widest [`row_kernel`] level this host
+/// has; every level computes the same row and the same flag.
 pub(crate) fn sigma_row_window_changed<A: RoutingAlgebra>(
+    alg: &A,
+    adj: &AdjacencyMatrix<A>,
+    cur: &[A::Route],
+    w: usize,
+    j0: usize,
+    i: NodeId,
+    out: &mut [A::Route],
+) -> bool {
+    row_window_at(level(), alg, adj, cur, w, j0, i, out)
+}
+
+/// The vector widths the fused row kernel is compiled for, narrowest
+/// first.  A level implies every level before it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Level {
+    /// The target's baseline (SSE2 on x86-64: no 64-bit unsigned compare,
+    /// so `u64` min/max and saturating adds run one entry at a time).
+    Portable,
+    /// 256-bit AVX2.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+    /// AVX2 plus AVX-512F/VL (unsigned 64-bit min/max, mask compares).
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
+}
+
+impl Level {
+    fn name(self) -> &'static str {
+        match self {
+            Level::Portable => "portable",
+            #[cfg(target_arch = "x86_64")]
+            Level::Avx2 => "avx2",
+            #[cfg(target_arch = "x86_64")]
+            Level::Avx512 => "avx512",
+        }
+    }
+}
+
+/// The widest level this host runs, detected once per process.
+fn level() -> Level {
+    static LEVEL: OnceLock<Level> = OnceLock::new();
+    *LEVEL.get_or_init(|| {
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") {
+            return if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512vl") {
+                Level::Avx512
+            } else {
+                Level::Avx2
+            };
+        }
+        Level::Portable
+    })
+}
+
+/// Which build of the fused row kernel σ runs in this process:
+/// `"avx512"`, `"avx2"` or `"portable"`.  Chosen once, from what the CPU
+/// reports; every build gives the same rows, digests and counts.
+pub fn row_kernel() -> &'static str {
+    level().name()
+}
+
+/// The row kernel at level `want`, capped at [`level`].
+#[allow(clippy::too_many_arguments)]
+#[allow(unsafe_code)]
+fn row_window_at<A: RoutingAlgebra>(
+    want: Level,
+    alg: &A,
+    adj: &AdjacencyMatrix<A>,
+    cur: &[A::Route],
+    w: usize,
+    j0: usize,
+    i: NodeId,
+    out: &mut [A::Route],
+) -> bool {
+    match want.min(level()) {
+        Level::Portable => row_window(alg, adj, cur, w, j0, i, out),
+        // SAFETY: the level is at most `level()`, which is `Avx2` only if
+        // `is_x86_feature_detected!` reported avx2 and `Avx512` only if it
+        // also reported avx512f and avx512vl — every feature the wrapper
+        // enables is present on this CPU.
+        #[cfg(target_arch = "x86_64")]
+        Level::Avx2 => unsafe { row_window_avx2(alg, adj, cur, w, j0, i, out) },
+        #[cfg(target_arch = "x86_64")]
+        Level::Avx512 => unsafe { row_window_avx512(alg, adj, cur, w, j0, i, out) },
+    }
+}
+
+/// [`row_window`] compiled for AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn row_window_avx2<A: RoutingAlgebra>(
+    alg: &A,
+    adj: &AdjacencyMatrix<A>,
+    cur: &[A::Route],
+    w: usize,
+    j0: usize,
+    i: NodeId,
+    out: &mut [A::Route],
+) -> bool {
+    row_window(alg, adj, cur, w, j0, i, out)
+}
+
+/// [`row_window`] compiled for AVX-512 (F and VL, on top of AVX2).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,avx512f,avx512vl")]
+fn row_window_avx512<A: RoutingAlgebra>(
+    alg: &A,
+    adj: &AdjacencyMatrix<A>,
+    cur: &[A::Route],
+    w: usize,
+    j0: usize,
+    i: NodeId,
+    out: &mut [A::Route],
+) -> bool {
+    row_window(alg, adj, cur, w, j0, i, out)
+}
+
+/// The row kernel's one body.  It is `inline(always)`, and so is
+/// [`commit_row`], so that each wrapper above compiles all of it — and the
+/// algebra's `#[inline]` leaf ops — for its own vector width.
+#[inline(always)]
+fn row_window<A: RoutingAlgebra>(
     alg: &A,
     adj: &AdjacencyMatrix<A>,
     cur: &[A::Route],
@@ -127,7 +266,7 @@ pub(crate) fn sigma_row_window_changed<A: RoutingAlgebra>(
 /// The write-out-and-compare pass of the row kernel: `out[j]` becomes
 /// `value(out[j], src[j])` (`0̄` at the window-local diagonal `diag`), and
 /// the result says whether the finished row differs from `old`.
-#[inline]
+#[inline(always)]
 fn commit_row<R: Clone + PartialEq>(
     out: &mut [R],
     src: &[R],
@@ -194,6 +333,7 @@ pub fn sigma_k<A: RoutingAlgebra>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dbf_algebra::algebra::SplitMix64;
     use dbf_algebra::prelude::*;
     use dbf_topology::generators;
 
@@ -259,6 +399,172 @@ mod tests {
         assert_eq!(out, vec![NatInf::fin(0), NatInf::INF]);
         let garbage = RoutingState::<ShortestPaths>::uniform(2, NatInf::fin(9));
         assert!(sigma_row_into_changed(&alg, &lonely, &garbage, 0, &mut out));
+    }
+
+    /// Every row-kernel level this host runs, portable first.
+    fn host_levels() -> Vec<Level> {
+        let mut levels = vec![Level::Portable];
+        #[cfg(target_arch = "x86_64")]
+        levels.extend(
+            [Level::Avx2, Level::Avx512]
+                .into_iter()
+                .filter(|&l| l <= level()),
+        );
+        levels
+    }
+
+    /// Row `i` of the window `(j0, w)` of `x` at every host level, against
+    /// [`sigma_row_into`]'s row: once on `x` as given and once with the row
+    /// already at its σ value, so the change flag is exercised both ways.
+    /// `out` starts as `garbage`: every entry must be overwritten.
+    fn levels_agree<A: RoutingAlgebra>(
+        alg: &A,
+        adj: &AdjacencyMatrix<A>,
+        x: &mut RoutingState<A>,
+        (i, j0, w): (NodeId, usize, usize),
+        garbage: &A::Route,
+    ) {
+        let n = adj.node_count();
+        let mut plain = vec![alg.invalid(); n];
+        sigma_row_into(alg, adj, x, i, &mut plain);
+        let want = &plain[j0..j0 + w];
+        for pass in 0..2 {
+            let window: Vec<A::Route> = (0..n)
+                .flat_map(|k| x.row(k)[j0..j0 + w].iter().cloned())
+                .collect();
+            let changed = want != &x.row(i)[j0..j0 + w];
+            for level in host_levels() {
+                let mut out = vec![garbage.clone(); w];
+                let flag = row_window_at(level, alg, adj, &window, w, j0, i, &mut out);
+                let at = format!(
+                    "{} row {i} of window ({j0}, {w}) on pass {pass}",
+                    level.name()
+                );
+                assert_eq!(out, want, "{at}: values");
+                assert_eq!(flag, changed, "{at}: change flag");
+            }
+            x.row_mut(i)[j0..j0 + w].clone_from_slice(want);
+        }
+    }
+
+    /// Hold every host level to the portable row on seeded garbage states
+    /// drawn from `routes`, at every width that leaves a different
+    /// remainder of a 2-, 4- or 8-lane loop and on both sides of 64; with
+    /// 0, 1, 2 and 9 or more imports; with the diagonal before, on the left
+    /// edge of, inside, on the right edge of and after the window, and in
+    /// the square window.
+    fn all_levels_agree<A: RoutingAlgebra>(
+        alg: &A,
+        routes: &[A::Route],
+        mut edge: impl FnMut(NodeId, NodeId, &mut SplitMix64) -> A::Edge,
+    ) {
+        let mut rng = SplitMix64::new(0x5167_a0b1);
+        let pick =
+            |rng: &mut SplitMix64| routes[rng.next_below(routes.len() as u64) as usize].clone();
+        for w in (1..=17).chain(63..=65) {
+            let n = w + 12;
+            let mut x = RoutingState::<A>::from_fn(n, |_, _| pick(&mut rng));
+            let spots = [
+                (0, 12, w),
+                (5, 5, w),
+                (2 + w / 2, 2, w),
+                (2 + w, 3, w),
+                (n - 1, 0, w),
+                (n / 2, 0, n),
+            ];
+            for imports in [0, 1, 2, 9, 11] {
+                for spot in spots {
+                    let i = spot.0;
+                    let mut others: Vec<NodeId> = (0..n).filter(|&k| k != i).collect();
+                    for t in 0..imports {
+                        let u = t + rng.next_below((others.len() - t) as u64) as usize;
+                        others.swap(t, u);
+                    }
+                    let from = &others[..imports];
+                    let adj = AdjacencyMatrix::from_fn(n, |a, b| {
+                        (a == i && from.contains(&b)).then(|| edge(a, b, &mut rng))
+                    });
+                    let garbage = pick(&mut rng);
+                    levels_agree(alg, &adj, &mut x, spot, &garbage);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_row_kernel_level_computes_the_portable_row() {
+        let levels: Vec<_> = host_levels().into_iter().map(Level::name).collect();
+        println!("row kernel levels covered: {}", levels.join(", "));
+        assert_eq!(levels.last(), Some(&row_kernel()));
+        let top = u64::MAX - 1;
+
+        // Hop count: the limit compare on both sides of the limit, and the
+        // saturating add at the largest finite value and at ∞.
+        let hops = BoundedHopCount::new(5);
+        let counts: Vec<_> = [0, 1, 3, 4, 5, 6, 7, top]
+            .map(NatInf::fin)
+            .into_iter()
+            .chain([NatInf::INF])
+            .collect();
+        let hop_edges = [1, 1, 2, 4, top, u64::MAX];
+        all_levels_agree(&hops, &counts, |_, _, r| {
+            hop_edges[r.next_below(hop_edges.len() as u64) as usize]
+        });
+
+        // Shortest paths: u64::MAX − 1 plus a positive weight saturates to
+        // ∞, and ∞ absorbs every weight, ∞ included.
+        let sums: Vec<_> = [0, 1, 2, 100, top - 1, top]
+            .map(NatInf::fin)
+            .into_iter()
+            .chain([NatInf::INF])
+            .collect();
+        let weights: Vec<_> = [0, 1, 7, 1, top]
+            .map(NatInf::fin)
+            .into_iter()
+            .chain([NatInf::INF])
+            .collect();
+        all_levels_agree(&ShortestPaths::new(), &sums, |_, _, r| {
+            weights[r.next_below(weights.len() as u64) as usize]
+        });
+
+        // Widest paths: max of mins, with ∞ as the trivial route.
+        let widths: Vec<_> = [0, 1, 50, 9_999, top]
+            .map(NatInf::fin)
+            .into_iter()
+            .chain([NatInf::INF])
+            .collect();
+        all_levels_agree(&WidestPaths::new(), &widths, |_, _, r| {
+            widths[r.next_below(widths.len() as u64) as usize]
+        });
+
+        // Most reliable paths: subnormal routes, and products that land on
+        // or just above MIN_POSITIVE, where `extend` flushes to zero.
+        let tiny = f64::MIN_POSITIVE;
+        let odds: Vec<_> = [
+            0.0,
+            1.0,
+            0.5,
+            5e-324,
+            tiny / 4.0,
+            tiny,
+            tiny * 2.0,
+            tiny / 0.95,
+            1e-300,
+        ]
+        .map(Reliability::new)
+        .to_vec();
+        let links = [0.5, 0.95, 1.0 - f64::EPSILON / 2.0, 0.05].map(Reliability::new);
+        all_levels_agree(&MostReliablePaths::new(), &odds, |_, _, r| {
+            links[r.next_below(links.len() as u64) as usize]
+        });
+
+        // A path algebra: routes own their paths, so nothing vectorizes, but
+        // the wrappers still compile the whole body.
+        let pv = dbf_paths::PathVector::new(ShortestPaths::new(), 80);
+        let paths = pv.sample_routes(7, 24);
+        all_levels_agree(&pv, &paths, |a, b, r| {
+            pv.edge(a, b, NatInf::fin(1 + r.next_below(5)))
+        });
     }
 
     #[test]

@@ -1025,8 +1025,9 @@ fn cmd_scale_run(a: &Args) -> Result<bool, String> {
     eprintln!(
         "scale-run: as_graph(n={n}, m={m}, seed={seed}) has {links} directed edges; \
          {blocks_expected} destination blocks of width <= {block}, {lanes} lane(s) at a time; \
-         slabs {slab_bytes} bytes ({:.1} MiB)",
-        slab_bytes as f64 / (1024.0 * 1024.0)
+         slabs {slab_bytes} bytes ({:.1} MiB); row kernel {}",
+        slab_bytes as f64 / (1024.0 * 1024.0),
+        dbf_matrix::row_kernel()
     );
     let progress = |b: usize, rounds: usize, rows: u64| {
         eprintln!(
