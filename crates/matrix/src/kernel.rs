@@ -58,6 +58,7 @@
 
 use crate::adjacency::AdjacencyMatrix;
 use crate::frontier::Frontier;
+use crate::lines::Lines;
 use crate::sigma::sigma_row_window_changed;
 use crate::state::RoutingState;
 use dbf_algebra::RoutingAlgebra;
@@ -169,9 +170,9 @@ pub struct FixedPoint<A: RoutingAlgebra> {
     w: usize,
     j0: usize,
     /// The `n × w` row store: columns `j0..j0+w` of the current state.
-    rows: Vec<A::Route>,
+    rows: Lines<A::Route>,
     /// One staged row per work-list position; grows to the peak frontier.
-    staging: Vec<A::Route>,
+    staging: Lines<A::Route>,
     changed: Vec<bool>,
     frontier: Frontier,
     next: Frontier,
@@ -215,7 +216,7 @@ impl<A: RoutingAlgebra> FixedPoint<A> {
     ///
     /// Panics if the window does not lie inside `0..n`.
     pub fn identity_slab(alg: &A, adj: &AdjacencyMatrix<A>, j0: usize, w: usize) -> Self {
-        let mut kernel = Self::over(adj, Vec::new(), 0);
+        let mut kernel = Self::over(adj, Lines::default(), 0);
         kernel.reset_slab(alg, j0, w);
         kernel
     }
@@ -254,14 +255,14 @@ impl<A: RoutingAlgebra> FixedPoint<A> {
         (self.j0, self.w) = (j0, w);
     }
 
-    fn over(adj: &AdjacencyMatrix<A>, rows: Vec<A::Route>, w: usize) -> Self {
+    fn over(adj: &AdjacencyMatrix<A>, rows: Lines<A::Route>, w: usize) -> Self {
         let n = adj.node_count();
         FixedPoint {
             n,
             w,
             j0: 0,
             rows,
-            staging: Vec::new(),
+            staging: Lines::default(),
             changed: Vec::new(),
             frontier: Frontier::new(n),
             next: Frontier::new(n),

@@ -91,6 +91,7 @@ pub mod blocked;
 pub mod frontier;
 pub mod incremental;
 pub mod kernel;
+mod lines;
 pub mod oracle;
 pub mod parallel;
 pub mod pool;

@@ -12,6 +12,13 @@
 //! baseline x86-64 (SSE2) runs one entry at a time.  Every build computes
 //! the same rows and the same change flags, so digests and counts do not
 //! depend on the machine.
+//!
+//! A 64-byte access straddles two cache lines unless its address is a
+//! multiple of 64, and `malloc` only promises 16.  So the state and the
+//! kernel's row buffers start on a line (`lines.rs`): where each row
+//! starts within a line is then a function of its index and width, not of
+//! what the process allocated before, and the wide builds' speed does not
+//! change from one process to the next.
 
 use crate::adjacency::AdjacencyMatrix;
 use crate::state::RoutingState;

@@ -1,5 +1,6 @@
 //! The global routing state `X ∈ 𝕄ₙ(S)` and the identity matrix `I`.
 
+use crate::lines::Lines;
 use dbf_algebra::RoutingAlgebra;
 use dbf_paths::NodeId;
 use std::fmt;
@@ -9,7 +10,7 @@ use std::fmt;
 /// routing table).
 pub struct RoutingState<A: RoutingAlgebra> {
     n: usize,
-    entries: Vec<A::Route>,
+    entries: Lines<A::Route>,
 }
 
 // Manual impls: deriving would add unnecessary `A: Clone / PartialEq` bounds
@@ -26,7 +27,7 @@ impl<A: RoutingAlgebra> Clone for RoutingState<A> {
 
 impl<A: RoutingAlgebra> PartialEq for RoutingState<A> {
     fn eq(&self, other: &Self) -> bool {
-        self.n == other.n && self.entries == other.entries
+        self.n == other.n && self.entries[..] == other.entries[..]
     }
 }
 
@@ -45,18 +46,21 @@ impl<A: RoutingAlgebra> RoutingState<A> {
     pub fn uniform(n: usize, r: A::Route) -> Self {
         Self {
             n,
-            entries: vec![r; n * n],
+            entries: Lines::filled(n * n, r),
         }
     }
 
     /// Build a state from an explicit entry function.
     pub fn from_fn(n: usize, mut f: impl FnMut(NodeId, NodeId) -> A::Route) -> Self {
-        let mut entries = Vec::with_capacity(n * n);
-        for i in 0..n {
-            for j in 0..n {
-                entries.push(f(i, j));
+        let (mut i, mut j) = (0, 0);
+        let entries = Lines::from_fn(n * n, |_| {
+            let r = f(i, j);
+            j += 1;
+            if j == n {
+                (i, j) = (i + 1, 0);
             }
-        }
+            r
+        });
         Self { n, entries }
     }
 
@@ -98,14 +102,15 @@ impl<A: RoutingAlgebra> RoutingState<A> {
     }
 
     /// Give up the row-major backing storage: the fixed-point kernel takes
-    /// a state over as its row store without copying it.
-    pub(crate) fn into_entries(self) -> Vec<A::Route> {
+    /// a state over as its row store without copying it (or re-aligning
+    /// it: the storage starts on a cache line, see `lines.rs`).
+    pub(crate) fn into_entries(self) -> Lines<A::Route> {
         self.entries
     }
 
     /// Wrap a row-major `n · n` storage back into a state (the inverse of
     /// [`RoutingState::into_entries`]).
-    pub(crate) fn from_entries(n: usize, entries: Vec<A::Route>) -> Self {
+    pub(crate) fn from_entries(n: usize, entries: Lines<A::Route>) -> Self {
         assert_eq!(entries.len(), n * n, "a state holds n · n routes");
         Self { n, entries }
     }

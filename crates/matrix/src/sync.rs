@@ -8,6 +8,7 @@
 
 use crate::adjacency::AdjacencyMatrix;
 use crate::kernel::{Executor, FixedPoint, Start};
+use crate::lines::Lines;
 use crate::parallel::Pooled;
 use crate::pool::default_jobs;
 use crate::sigma::sigma_row_into_changed;
@@ -71,7 +72,7 @@ pub fn is_stable<A: RoutingAlgebra>(
     adj: &AdjacencyMatrix<A>,
     x: &RoutingState<A>,
 ) -> bool {
-    let mut row = vec![alg.invalid(); adj.node_count()];
+    let mut row = Lines::filled(adj.node_count(), alg.invalid());
     (0..adj.node_count()).all(|i| !sigma_row_into_changed(alg, adj, x, i, &mut row))
 }
 
