@@ -243,9 +243,6 @@ pub fn scenario_case(seed: u64) -> Scenario {
         AlgebraSpec::Bgp { .. } if rng.next_bool(0.25) => engines.push(EngineKind::Bgp),
         _ => {}
     }
-    if nodes <= 6 && rng.next_bool(1.0 / 8.0) {
-        engines.push(EngineKind::Threaded);
-    }
     let seeds = if rng.next_bool(0.5) {
         vec![rng.next_below(1 << 32)]
     } else {
@@ -395,14 +392,12 @@ mod tests {
         let mut saw_adversarial = false;
         let mut saw_add_node = false;
         let mut saw_gao = false;
-        let mut saw_threaded = false;
         let mut saw_incremental = false;
         let mut saw_rip = false;
         let mut saw_bgp = false;
         for i in 0..300 {
             let s = scenario_case(case_seed(11, i));
             saw_gao |= matches!(s.algebra, AlgebraSpec::GaoRexford);
-            saw_threaded |= s.engines.contains(&EngineKind::Threaded);
             saw_incremental |= s.engines.contains(&EngineKind::Incremental);
             saw_rip |= s.engines.contains(&EngineKind::Rip);
             saw_bgp |= s.engines.contains(&EngineKind::Bgp);
@@ -415,7 +410,6 @@ mod tests {
         assert!(saw_adversarial, "adversarial schedules are generated");
         assert!(saw_add_node, "growing networks are generated");
         assert!(saw_gao, "gao-rexford specs are generated");
-        assert!(saw_threaded, "the threaded engine is sometimes requested");
         assert!(saw_incremental, "the incremental engine is sampled");
         assert!(saw_rip, "the rip protocol engine is sampled");
         assert!(saw_bgp, "the bgp protocol engine is sampled");

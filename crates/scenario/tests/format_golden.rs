@@ -147,7 +147,7 @@ fn every_variant_writes_the_recorded_toml() {
     check(
         "every-variant TOML",
         &[pin("every-variant", &every_variant())],
-        &[("every-variant", 211485, "911a7a990159acb9")],
+        &[("every-variant", 211355, "adefd1ee5dd3121d")],
     );
 }
 
