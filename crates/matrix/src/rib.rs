@@ -1,8 +1,8 @@
 //! One node's adj-RIB-in: the *imported* candidate per link and destination.
 //!
-//! The message-level engines (the event simulator, the BGP engine, the
-//! threaded runtime) all run the operational form of `σ`: node `i`
-//! remembers the last route each neighbour `k` announced for `j` and holds
+//! The message-level engines (the event simulator and the BGP engine) both
+//! run the operational form of `σ`: node `i` remembers the last route each
+//! neighbour `k` announced for `j` and holds
 //! `table[j] = I_ij ⊕ ⨁_k A_ik(adv[k][j])`.  `A_ik` is a function, so
 //! `A_ik(adv[k][j])` can only change when *that* advert changes: a router
 //! stores the post-import route and pays one `extend` per delivered
@@ -14,11 +14,10 @@
 //! The event simulator and the RIP and BGP engines each deliver what they
 //! scheduled earliest-first, ties in the order scheduled.
 //!
-//! And every message engine — those three and the threaded runtime — ends
-//! the same way, in a [`MessageRun`]: the tables it left and what it cost
-//! ([`MessageStats`]), with no verdict.  Whether the tables are σ's fixed
-//! point is the caller's question, answered once by
-//! [`is_stable`](crate::is_stable).
+//! And every message engine — those three — ends the same way, in a
+//! [`MessageRun`]: the tables it left and what it cost ([`MessageStats`]),
+//! with no verdict.  Whether the tables are σ's fixed point is the caller's
+//! question, answered once by [`is_stable`](crate::is_stable).
 
 use crate::state::RoutingState;
 use dbf_algebra::RoutingAlgebra;
@@ -35,9 +34,9 @@ pub struct MessageRun<A: RoutingAlgebra> {
     pub final_state: RoutingState<A>,
     /// The run's counters.
     pub stats: MessageStats,
-    /// The run hit its safety budget — the simulator's event cap, the
-    /// threaded runtime's wall clock, BGP's end time with messages still
-    /// queued — instead of going quiet.
+    /// The run hit its safety budget — the simulator's event cap, BGP's
+    /// end time with messages still queued — instead of going quiet.  (RIP
+    /// never goes quiet, so its runs are never truncated.)
     pub truncated: bool,
     /// Per node, the simulated time its table last changed (0 if it never
     /// did): the asynchronous convergence frontier.  Only the event

@@ -15,10 +15,6 @@
 //!   adj-RIB-in bookkeeping and import policies written in the Section 7
 //!   policy language.  Because the policy language is safe by design, any
 //!   configuration converges;
-//! * [`runtime`] — a genuinely concurrent runtime: one OS thread per router
-//!   exchanging messages over `std::sync::mpsc` channels, used to show that
-//!   the convergence results are not an artefact of the simulators'
-//!   determinism;
 //! * [`wire`] — a compact binary wire format for the update messages of
 //!   both engines, pinned byte-for-byte by golden vectors.
 //!
@@ -31,16 +27,13 @@
 
 pub mod bgp;
 pub mod rip;
-pub mod runtime;
 pub mod wire;
 
 pub use bgp::{BgpConfig, BgpEngine};
 pub use rip::{RipConfig, RipEngine, SplitHorizon};
-pub use runtime::run_threaded;
 
 /// Commonly used items, suitable for a glob import.
 pub mod prelude {
     pub use crate::bgp::{BgpConfig, BgpEngine};
     pub use crate::rip::{RipConfig, RipEngine, SplitHorizon};
-    pub use crate::runtime::run_threaded;
 }

@@ -72,7 +72,7 @@ pub struct ReplicateMetrics {
     /// The derived seed of the run (for reproduction commands).
     pub seed: u64,
     /// Total engine work across all runs and phases (σ rounds, δ
-    /// activations, simulator deliveries, threaded table changes).
+    /// activations, message deliveries).
     pub work: u64,
     /// Total messages sent across all runs and phases (engines without a
     /// message concept contribute nothing).

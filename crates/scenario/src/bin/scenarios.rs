@@ -523,19 +523,15 @@ fn cmd_list_engines(_: &Args) -> Result<bool, String> {
             .map(|n| n.to_string())
             .unwrap_or_else(|| "-".into());
         let par = if d.parallelizable { "yes" } else { "no" };
-        let events = if d.events.is_empty() {
-            "-".into()
-        } else {
-            d.events
-                .iter()
-                .map(|e| e.name())
-                .collect::<Vec<_>>()
-                .join(",")
-        };
-        let det = if d.deterministic_counters { "" } else { "*" };
+        let events: Vec<_> = d.events.iter().map(|e| e.name()).collect();
         println!(
-            "{:<12} runs={:<8} max_n={:<6} parallel={:<4} events={}{:<22} {}",
-            d.name, runs, max_n, par, det, events, d.summary
+            "{:<12} runs={:<8} max_n={:<6} parallel={:<4} events={:<22} {}",
+            d.name,
+            runs,
+            max_n,
+            par,
+            events.join(","),
+            d.summary
         );
     }
     Ok(true)

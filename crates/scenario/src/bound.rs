@@ -17,10 +17,9 @@
 //! ([`schedule_window`]).  [`bound_for_engine`] then selects the applicable
 //! bound per engine: synchronous-round engines (sync, incremental) get `n·h`,
 //! the schedule-driven δ engine gets the asynchronous bound, and engines
-//! whose round counters are in different units (event simulators, protocol
-//! adapters, the threaded runtime) get none — the registry's
-//! `bounded_rounds` capability gates this, exactly like
-//! `deterministic_counters` gates counter comparison.
+//! whose round counters are in different units (the event simulator and
+//! the protocol adapters) get none — the registry's `bounded_rounds`
+//! capability gates this.
 //!
 //! The checker (`crate::run`) asserts `rounds ≤ bound` for every gated
 //! engine and folds violations into the differential verdict, so a bound
@@ -314,12 +313,7 @@ mod tests {
         assert_eq!(bound_for_engine(EngineKind::Sync, pb), pb.sync_bound);
         assert_eq!(bound_for_engine(EngineKind::Incremental, pb), pb.sync_bound);
         assert_eq!(bound_for_engine(EngineKind::Delta, pb), pb.async_bound);
-        for unbounded in [
-            EngineKind::Sim,
-            EngineKind::Threaded,
-            EngineKind::Rip,
-            EngineKind::Bgp,
-        ] {
+        for unbounded in [EngineKind::Sim, EngineKind::Rip, EngineKind::Bgp] {
             assert_eq!(bound_for_engine(unbounded, pb), None, "{unbounded:?}");
         }
     }

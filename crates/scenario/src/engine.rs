@@ -1,18 +1,18 @@
 //! The engine registry and the one phase loop every engine runs in.
 //!
 //! Every way this repository can execute a routing problem — the
-//! synchronous σ-iteration, the incremental dirty-row σ, the asynchronous
-//! iterate δ, the fault-injecting event simulator, the genuinely concurrent
-//! threaded runtime, and the message-level RIP/BGP protocol engines — is
-//! one [`EngineKind`] handed to [`run_engine`].  Theorems 7 and 11 say all
-//! of them land on one fixed point, so they may differ only in *how one
-//! phase is iterated*: the driver owns the run (label, carried state,
-//! telemetry bracket, clock, digest, [`PhaseOutcome`]) and an engine is a
-//! step function.  The registry turns the engine list into *data*: the
-//! scenario runner, the TOML codec, the sweep deriver, the fuzz generator
-//! and the `scenarios` CLI all consult [`descriptors`] instead of matching
-//! on engine kinds, so adding an engine is one descriptor, one step
-//! function and one arm in [`run_engine`].
+//! synchronous σ-iteration, the incremental dirty-row σ, the
+//! asynchronous iterate δ, the fault-injecting event simulator, and the
+//! message-level RIP/BGP protocol engines — is one [`EngineKind`]
+//! handed to [`run_engine`].  Theorems 7 and 11 say all of them land on
+//! one fixed point, so they may differ only in *how one phase is
+//! iterated*: the driver owns the run (label, carried state, telemetry
+//! bracket, clock, digest, [`PhaseOutcome`]) and an engine is a step
+//! function.  The registry turns the engine list into *data*: the
+//! scenario runner, the TOML codec, the sweep deriver, the fuzz
+//! generator and the `scenarios` CLI all consult [`descriptors`]
+//! instead of matching on engine kinds, so adding an engine is one
+//! descriptor, one step function and one arm in [`run_engine`].
 //!
 //! Running a single engine against a hand-built problem:
 //!
@@ -61,7 +61,6 @@ use dbf_matrix::{
 };
 use dbf_protocols::bgp::{BgpConfig, BgpEngine};
 use dbf_protocols::rip::{RipConfig, RipEngine};
-use dbf_protocols::runtime::run_threaded;
 use dbf_telemetry::{EventClass, MessageCounters, TelemetrySink};
 use std::any::Any;
 use std::time::Instant;
@@ -114,8 +113,7 @@ impl<A: RoutingAlgebra> Problem<A> {
 /// How an engine's outcome depends on the scenario seeds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Determinism {
-    /// A pure function of the problem (or of OS scheduling, which seeds
-    /// cannot influence either): executed once per scenario.
+    /// A pure function of the problem: executed once per scenario.
     Fixed,
     /// Seeded randomness (schedules, delays, jitter): executed once per
     /// scenario seed.
@@ -145,19 +143,13 @@ pub struct EngineInfo {
     /// The telemetry event classes the engine emits when run with an
     /// enabled sink, beyond the universal run/phase markers.
     pub events: &'static [EventClass],
-    /// Whether the engine's counters — `rounds`, `work`, `messages`,
-    /// `bytes` and every telemetry event it emits — are a pure function of
-    /// `(problems, seed)`.  False only for the threaded runtime, whose
-    /// counters depend on OS scheduling; it consequently advertises no
-    /// event classes and its metrics are excluded from determinism checks.
-    pub deterministic_counters: bool,
     /// Whether the engine's `rounds` counter measures deterministic
     /// *logical rounds* that the convergence-rate theorems bound — σ
     /// iterations (arXiv 2106.01184: `rounds ≤ n·h`) or δ schedule time
     /// (arXiv 2507.07263's activation/staleness-parameterized bound).  The
     /// checker asserts `rounds ≤ predicted_bound` exactly for these
     /// engines; the event-driven engines count simulated wall time in
-    /// different units, and the threaded runtime has no logical clock.
+    /// different units.
     pub bounded_rounds: bool,
     /// Capability check: can this engine execute the given scenario?
     /// Engines tied to one algebra (the protocol adapters) reject the rest.
@@ -219,7 +211,7 @@ fn supports_bgp(spec: &Scenario) -> Result<(), SpecError> {
 /// The registered engines, in presentation order.  **This table and the
 /// match in [`run_engine`] are the only places a new engine must be added.**
 pub fn descriptors() -> &'static [EngineInfo] {
-    static DESCRIPTORS: [EngineInfo; 7] = [
+    static DESCRIPTORS: [EngineInfo; 6] = [
         EngineInfo {
             kind: EngineKind::Sync,
             name: "sync",
@@ -228,7 +220,6 @@ pub fn descriptors() -> &'static [EngineInfo] {
             max_recommended_n: None,
             parallelizable: true,
             events: &[EventClass::Rounds, EventClass::Settle, EventClass::Bands],
-            deterministic_counters: true,
             bounded_rounds: true,
             supports: supports_any,
         },
@@ -240,7 +231,6 @@ pub fn descriptors() -> &'static [EngineInfo] {
             max_recommended_n: None,
             parallelizable: true,
             events: &[EventClass::Rounds, EventClass::Settle],
-            deterministic_counters: true,
             bounded_rounds: true,
             supports: supports_any,
         },
@@ -252,7 +242,6 @@ pub fn descriptors() -> &'static [EngineInfo] {
             max_recommended_n: Some(512),
             parallelizable: false,
             events: &[EventClass::Rounds, EventClass::Settle],
-            deterministic_counters: true,
             bounded_rounds: true,
             supports: supports_any,
         },
@@ -264,19 +253,6 @@ pub fn descriptors() -> &'static [EngineInfo] {
             max_recommended_n: Some(512),
             parallelizable: false,
             events: &[EventClass::Settle, EventClass::Messages],
-            deterministic_counters: true,
-            bounded_rounds: false,
-            supports: supports_any,
-        },
-        EngineInfo {
-            kind: EngineKind::Threaded,
-            name: "threaded",
-            summary: "one OS thread per router over channels (genuine concurrency)",
-            determinism: Determinism::Fixed,
-            max_recommended_n: Some(64),
-            parallelizable: false,
-            events: &[],
-            deterministic_counters: false,
             bounded_rounds: false,
             supports: supports_any,
         },
@@ -289,7 +265,6 @@ pub fn descriptors() -> &'static [EngineInfo] {
             max_recommended_n: Some(256),
             parallelizable: false,
             events: &[EventClass::Messages],
-            deterministic_counters: true,
             bounded_rounds: false,
             supports: supports_hopcount,
         },
@@ -302,7 +277,6 @@ pub fn descriptors() -> &'static [EngineInfo] {
             max_recommended_n: Some(64),
             parallelizable: false,
             events: &[EventClass::Messages],
-            deterministic_counters: true,
             bounded_rounds: false,
             supports: supports_bgp,
         },
@@ -432,9 +406,8 @@ pub fn state_digest<A: RoutingAlgebra>(state: &RoutingState<A>) -> String {
 /// * telemetry is honest: exactly one `run_start` carrying the returned
 ///   label, one `phase_start`/`phase_end` pair per problem, in between
 ///   exactly the event classes the engine's [`EngineInfo::events`]
-///   advertises, and (when [`EngineInfo::deterministic_counters`]) every
-///   event except wall-clock durations is a pure function of
-///   `(problems, seed)`.
+///   advertises, and every event except wall-clock durations is a pure
+///   function of `(problems, seed)`.
 pub fn run_engine<A: ScenarioAlgebra>(
     kind: EngineKind,
     alg: &A,
@@ -456,7 +429,6 @@ pub fn run_engine<A: ScenarioAlgebra>(
         EngineKind::Sync | EngineKind::Incremental => run.drive(tel, Phase::executor, Phase::sigma),
         EngineKind::Delta => run.drive(tel, Phase::schedule, Phase::delta),
         EngineKind::Sim => run.drive(tel, Phase::sim_config, Phase::sim),
-        EngineKind::Threaded => run.drive(tel, |_| (), Phase::threaded),
         EngineKind::Rip => run.drive(tel, Phase::rip_config, Phase::rip),
         EngineKind::Bgp => run.drive(tel, Phase::bgp_config, Phase::bgp),
     }
@@ -727,15 +699,6 @@ impl<A: ScenarioAlgebra> Phase<'_, A> {
         self.messages(EventSim::with_initial_state(self.alg, &self.problem.adj, cfg, &state).run())
     }
 
-    /// Engine 5, the genuinely concurrent one-thread-per-router runtime
-    /// (`dbf-protocols`).  OS scheduling decides every counter here, so its
-    /// descriptor lists no event class and the sink hears nothing beyond
-    /// the phase loop's run/phase markers — anything more would poison the
-    /// deterministic `metrics` section (`deterministic_counters: false`).
-    fn threaded(&self, _: (), state: RoutingState<A>, _: &mut dyn TelemetrySink) -> Step<A> {
-        self.messages(run_threaded(self.alg, &self.problem.adj, &state))
-    }
-
     /// The adapter keeps the oracle sound by not forwarding the simulator's
     /// loss probability: RIP cures ghost routes with its route timeout, and
     /// a run whose horizon falls inside a loss-induced expiry/recovery
@@ -760,7 +723,7 @@ impl<A: ScenarioAlgebra> Phase<'_, A> {
         }
     }
 
-    /// Engine 6, the message-level RIP engine (`dbf-protocols::rip`) as a
+    /// Engine 5, the message-level RIP engine (`dbf-protocols::rip`) as a
     /// checker engine: routers exchange wire-encoded periodic and triggered
     /// updates with split horizon and route timeouts, each phase carrying
     /// the previous phase's (stale) tables, and the result is projected
@@ -791,7 +754,7 @@ impl<A: ScenarioAlgebra> Phase<'_, A> {
         }
     }
 
-    /// Engine 7, the message-level BGP engine (`dbf-protocols::bgp`) as a
+    /// Engine 6, the message-level BGP engine (`dbf-protocols::bgp`) as a
     /// checker engine: per-neighbour sessions with reliable in-order
     /// delivery, adj-RIB-in bookkeeping, incremental wire-encoded
     /// announcements and withdrawals, and seeded session resets.
@@ -809,23 +772,18 @@ impl<A: ScenarioAlgebra> Phase<'_, A> {
         self.messages(downcast_owned(run))
     }
 
-    /// The readings of a message engine's run (sim, threaded, rip, bgp),
-    /// which judges nothing itself: a run cut at its safety budget is
-    /// unstable, and any other is left to the phase loop's [`is_stable`]
-    /// sweep.  `rounds` is the simulated time of the last table change and
-    /// `work` the deliveries — except for threaded, whose deliveries the
-    /// OS scheduler decides: its work is its table changes.
+    /// The readings of a message engine's run (sim, rip, bgp), which
+    /// judges nothing itself: a run cut at its safety budget is unstable,
+    /// and any other is left to the phase loop's [`is_stable`] sweep.
+    /// `rounds` is the simulated time of the last table change and `work`
+    /// the deliveries.
     fn messages(&self, run: MessageRun<A>) -> Step<A> {
         let stats = run.stats;
         Step {
             state: run.final_state,
             stable: run.truncated.then_some(false),
             rounds: stats.last_change_time,
-            work: if self.kind == EngineKind::Threaded {
-                stats.table_changes
-            } else {
-                stats.counters.delivered
-            },
+            work: stats.counters.delivered,
             counters: Some(stats.counters),
             settled: run.node_last_change,
         }

@@ -1,18 +1,18 @@
 //! # dbf-scenario — declarative scenarios with cross-engine differential
 //! execution
 //!
-//! The repository has seven independent execution engines for the same
-//! routing problems, all run by the one phase loop [`engine::run_engine`] —
-//! the synchronous σ-iteration and its incremental dirty-row variant
-//! (`dbf-matrix`), the schedule-driven asynchronous iterate δ and the
-//! fault-injecting discrete-event simulator (`dbf-async`), the genuinely
-//! concurrent threaded runtime, and the message-level RIP and BGP
-//! protocol engines with their wire encodings (`dbf-protocols`).  The
-//! central claim of the paper (Daggitt–Gurney–Griffin, SIGCOMM 2018) is
-//! that for strictly-increasing algebras **all of them must agree**:
-//! every schedule, fault pattern and interleaving reaches the same
-//! σ-stable fixed point, and the 2020 follow-up extends this across
-//! topology changes.
+//! The repository has six independent execution engines for the same
+//! routing problems, all run by the one phase loop
+//! [`engine::run_engine`] — the synchronous σ-iteration and its
+//! incremental dirty-row variant (`dbf-matrix`), the schedule-driven
+//! asynchronous iterate δ and the fault-injecting discrete-event
+//! simulator (`dbf-async`), and the message-level RIP and BGP protocol
+//! engines with their wire encodings (`dbf-protocols`).  The central
+//! claim of the paper (Daggitt–Gurney–Griffin, SIGCOMM 2018) is that
+//! for strictly-increasing algebras **all of them must agree**: every
+//! schedule, fault pattern and interleaving reaches the same σ-stable
+//! fixed point, and the 2020 follow-up extends this across topology
+//! changes.
 //!
 //! This crate turns that claim into an executable, declarative oracle:
 //!

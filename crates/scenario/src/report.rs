@@ -156,8 +156,7 @@ pub struct PhaseOutcome {
     /// Rounds of logical time the phase took: σ iterations for the
     /// synchronous engines, worklist rounds for the incremental engine,
     /// the quiescence time for δ, and the simulated time of the last table
-    /// change for the event-driven engines (0 for the threaded runtime,
-    /// whose clock is OS scheduling).
+    /// change for the event-driven engines.
     pub rounds: u64,
     /// The convergence-bound oracle's prediction for this phase: the
     /// maximum number of rounds the theory allows this engine (`n·h` for
@@ -167,8 +166,9 @@ pub struct PhaseOutcome {
     /// is not deterministic logical rounds, or algebras outside the
     /// theorems' hypotheses (the SPP gadgets).
     pub predicted_bound: Option<u64>,
-    /// Engine-specific work metric: σ iterations, δ activations, simulator
-    /// deliveries or threaded messages.
+    /// Engine-specific work metric: σ iterations (row recomputations for
+    /// the incremental engine), δ activations, or a message engine's
+    /// deliveries.
     pub work: u64,
     /// Messages sent; `None` for engines with no message concept (σ/δ),
     /// serialized as JSON `null` so absence is distinguishable from zero.
@@ -200,11 +200,11 @@ impl PhaseOutcome {
     }
 }
 
-/// One engine execution of a scenario (σ and threaded run once; δ and the
-/// simulator once per seed).
+/// One engine execution of a scenario (σ runs once; δ, the simulator and
+/// the protocol engines once per seed).
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineRun {
-    /// Engine label, e.g. `sync`, `delta[3]`, `sim[7]`, `threaded`.
+    /// Engine label, e.g. `sync`, `delta[3]`, `sim[7]`, `bgp[1]`.
     pub engine: String,
     /// Per-phase outcomes, in phase order.
     pub phases: Vec<PhaseOutcome>,

@@ -5,8 +5,8 @@
 //! The differential checker is the executable form of the paper's
 //! absolute-convergence theorems: for strictly-increasing algebras every
 //! engine — synchronous σ-iteration, the schedule-driven asynchronous
-//! iterate δ, the fault-injecting event simulator and the genuinely
-//! concurrent threaded runtime — must end every phase in the *same*
+//! iterate δ, the fault-injecting event simulator and the RIP/BGP
+//! protocol engines — must end every phase in the *same*
 //! σ-stable state (Theorems 7/11); for the non-increasing SPP gadgets it
 //! exhibits exactly the wedgies and oscillation the theorems rule out.
 

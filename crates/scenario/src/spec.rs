@@ -5,8 +5,8 @@
 //! the fault profile), the engines to execute it on, and the expected
 //! differential verdict.  The same spec runs unchanged on the synchronous
 //! σ-iteration, the schedule-driven asynchronous iterate δ, the
-//! fault-injecting discrete-event simulator and the genuinely concurrent
-//! threaded runtime — which is exactly the quantification of the paper's
+//! fault-injecting discrete-event simulator and the RIP/BGP protocol
+//! engines — which is exactly the quantification of the paper's
 //! convergence theorems ("the same fixed point under *every* schedule").
 //!
 //! Specs serialize to TOML via [`Scenario::to_toml_string`] and parse back
@@ -33,8 +33,8 @@ pub struct Scenario {
     pub algebra: AlgebraSpec,
     /// Which engines to execute on.
     pub engines: Vec<EngineKind>,
-    /// Seeds for the stochastic engines (δ schedules and the event
-    /// simulator run once per seed; σ and the threaded runtime once).
+    /// Seeds for the stochastic engines (δ schedules, the event simulator
+    /// and the protocol engines run once per seed; σ once).
     pub seeds: Vec<u64>,
     /// The timed event script: each phase may edit the topology and
     /// switches the fault profile.
@@ -256,9 +256,6 @@ pub enum EngineKind {
     Delta,
     /// The fault-injecting discrete-event message simulator (`dbf-async`).
     Sim,
-    /// The genuinely concurrent one-thread-per-router runtime
-    /// (`dbf-protocols`).
-    Threaded,
     /// The message-level RIP protocol engine (`dbf-protocols::rip`);
     /// requires the hopcount algebra.
     Rip,
@@ -1389,8 +1386,10 @@ mod tests {
             assert_eq!(EngineKind::parse(e.name()).unwrap(), e);
             seen += 1;
         }
-        assert!(seen >= 7, "the registry promises at least seven engines");
-        assert!(EngineKind::parse("warp").is_err());
+        assert_eq!(seen, 6, "the registry holds six engines");
+        for unknown in ["warp", "threaded"] {
+            assert!(EngineKind::parse(unknown).is_err(), "{unknown}");
+        }
     }
 
     #[test]

@@ -746,11 +746,11 @@ mod tests {
             EngineKind::Sync,
             EngineKind::Incremental,
             EngineKind::Sim,
-            EngineKind::Threaded,
+            EngineKind::Rip,
         ];
         sweep.axes = vec![Axis {
             param: AxisParam::N,
-            values: vec![AxisValue::Int(8), AxisValue::Int(100), AxisValue::Int(600)],
+            values: vec![AxisValue::Int(8), AxisValue::Int(300), AxisValue::Int(600)],
         }];
         let grid = sweep.grid();
         let small = sweep.derive_scenario(&grid[0], 0).unwrap();
@@ -759,7 +759,7 @@ mod tests {
         assert_eq!(
             medium.engines,
             vec![EngineKind::Sync, EngineKind::Incremental, EngineKind::Sim],
-            "threaded (max 64) is dropped at n=100"
+            "rip (max 256) is dropped at n=300"
         );
         let large = sweep.derive_scenario(&grid[2], 0).unwrap();
         assert_eq!(
@@ -770,9 +770,9 @@ mod tests {
 
         // An explicit request that nothing survives is kept as written so
         // validation can explain the problem instead of running nothing.
-        sweep.base.engines = vec![EngineKind::Threaded];
+        sweep.base.engines = vec![EngineKind::Rip];
         let kept = sweep.derive_scenario(&grid[2], 0).unwrap();
-        assert_eq!(kept.engines, vec![EngineKind::Threaded]);
+        assert_eq!(kept.engines, vec![EngineKind::Rip]);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The command line as a user meets it: every command refuses an argument
-//! it does not take, and `serve` refuses two different stores and a fault
-//! plan.
+//! it does not take (or an engine the registry does not hold), and `serve`
+//! refuses two different stores and a fault plan.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -21,26 +21,31 @@ fn commands_without_options_refuse_extra_arguments() {
     for (command, extra, named) in [
         (
             &["show", "count-to-infinity"][..],
-            "--json",
+            &["--json"][..],
             "option --json",
         ),
-        (&["list"], "--bogus", "option --bogus"),
-        (&["list-engines"], "extra", "\"extra\""),
-        (&["list-sweeps"], "--json", "option --json"),
-        (&["show-sweep", "smoke"], "smoke", "\"smoke\""),
+        (&["list"], &["--bogus"], "option --bogus"),
+        (&["list-engines"], &["extra"], "\"extra\""),
+        (&["list-sweeps"], &["--json"], "option --json"),
+        (&["show-sweep", "smoke"], &["smoke"], "\"smoke\""),
+        (
+            &["run", "count-to-infinity", "--threads", "1"],
+            &["--engines", "threaded"],
+            "\"threaded\" is not one of sync, incremental, delta, sim, rip, bgp",
+        ),
     ] {
         let out = scenarios_bin()
             .args(command)
-            .arg(extra)
+            .args(extra)
             .output()
             .expect("spawn scenarios");
-        assert_eq!(out.status.code(), Some(2), "{command:?} {extra}");
+        assert_eq!(out.status.code(), Some(2), "{command:?} {extra:?}");
         assert!(
             out.stdout.is_empty(),
-            "{command:?} {extra} printed to stdout"
+            "{command:?} {extra:?} printed to stdout"
         );
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains(named), "{command:?} {extra}: {stderr}");
+        assert!(stderr.contains(named), "{command:?} {extra:?}: {stderr}");
         let out = scenarios_bin()
             .args(command)
             .output()

@@ -132,7 +132,7 @@ fn cli_run_emits_machine_readable_json() {
         "\"scenario\": \"count-to-infinity\"",
         "\"runs\":",
         "\"engine\": \"sync\"",
-        "\"engine\": \"threaded\"",
+        "\"engine\": \"rip[1]\"",
         "\"sigma_stable\": true",
         "\"digest\":",
         "\"verdict\":",
@@ -177,8 +177,28 @@ fn cli_runs_scenarios_from_toml_files() {
         "--seeds must reach the sim engine: {stdout}"
     );
     assert!(
-        !stdout.contains("threaded"),
+        !stdout.contains("delta["),
         "--engines must filter engines: {stdout}"
+    );
+
+    // An engine the registry does not hold is refused, naming the six it does.
+    let text = scenario.to_toml_string();
+    let line = text
+        .lines()
+        .find(|l| l.starts_with("engines = "))
+        .expect("the spec lists its engines");
+    std::fs::write(&path, text.replace(line, "engines = [\"threaded\"]")).unwrap();
+    let out = scenarios_bin()
+        .args(["run", path.to_str().unwrap()])
+        .output()
+        .expect("spawn scenarios");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains(
+            "engines[0]: \"threaded\" is not one of sync, incremental, delta, sim, rip, bgp"
+        ),
+        "{stderr}"
     );
 }
 

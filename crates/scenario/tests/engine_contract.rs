@@ -8,9 +8,7 @@
 //!    engine's per-phase digests equal the synchronous reference's
 //!    (Theorems 7/11 as a per-engine obligation);
 //! 3. **determinism** — two runs with the same seed produce the same
-//!    digests (and, for the single-process engines, the same work and
-//!    message counts; the threaded runtime's counters are legitimately
-//!    scheduling-dependent, but its fixed point is not).
+//!    digests and the same rounds, work, message and byte counts.
 //!
 //! A newly registered engine is picked up automatically: the suite
 //! iterates `EngineKind::all()`, so failing to meet the contract is a test
@@ -123,9 +121,8 @@ fn every_registered_engine_meets_the_contract() {
                 report.summary()
             );
 
-            // 3. Determinism for a fixed seed: identical digests (and
-            //    identical deterministic counters for everything but the
-            //    genuinely concurrent runtime).
+            // 3. Determinism for a fixed seed: identical digests and
+            //    identical counters.
             let again = run_scenario(&spec).unwrap();
             assert_eq!(report.runs.len(), again.runs.len(), "{name}");
             for (a, b) in report.runs.iter().zip(again.runs.iter()) {
@@ -135,24 +132,18 @@ fn every_registered_engine_meets_the_contract() {
                     digests(b),
                     "engine {kind:?} on {name}: digests must be deterministic"
                 );
-                if kind != EngineKind::Threaded {
-                    for (pa, pb) in a.phases.iter().zip(b.phases.iter()) {
-                        assert_eq!(
-                            (pa.rounds, pa.work, pa.messages, pa.bytes),
-                            (pb.rounds, pb.work, pb.messages, pb.bytes),
-                            "engine {kind:?} on {name}: counters must be deterministic"
-                        );
-                    }
+                for (pa, pb) in a.phases.iter().zip(b.phases.iter()) {
+                    assert_eq!(
+                        (pa.rounds, pa.work, pa.messages, pa.bytes),
+                        (pb.rounds, pb.work, pb.messages, pb.bytes),
+                        "engine {kind:?} on {name}: counters must be deterministic"
+                    );
                 }
             }
         }
     }
 }
 
-/// The registry advertises each engine's telemetry coverage honestly:
-/// every engine except the genuinely concurrent threaded runtime promises
-/// deterministic counters, and exactly the message-driven engines
-/// advertise message events.
 #[test]
 fn protocol_engines_reject_networks_wider_than_the_u16_wire_fields() {
     // Decided from the spec alone — nothing this size has to run.
@@ -183,15 +174,13 @@ fn protocol_engines_reject_networks_wider_than_the_u16_wire_fields() {
     }
 }
 
+/// The registry advertises each engine's telemetry coverage honestly:
+/// every engine emits at least one event class, and exactly the
+/// message-driven engines advertise message events.
 #[test]
 fn registry_advertises_telemetry_coverage() {
     for d in descriptors() {
-        assert_eq!(
-            d.deterministic_counters,
-            d.kind != EngineKind::Threaded,
-            "engine {}: deterministic_counters",
-            d.name
-        );
+        assert!(!d.events.is_empty(), "engine {}: no event class", d.name);
         let has_messages = d.events.contains(&telemetry::EventClass::Messages);
         let is_message_engine =
             matches!(d.kind, EngineKind::Sim | EngineKind::Rip | EngineKind::Bgp);
@@ -207,12 +196,6 @@ fn registry_advertises_telemetry_coverage() {
             "engine {}: bounded_rounds must track whether \"rounds\" means σ/δ steps",
             d.name
         );
-        if d.kind == EngineKind::Threaded {
-            assert!(
-                d.events.is_empty(),
-                "the threaded runtime emits only run/phase markers"
-            );
-        }
     }
 }
 

@@ -4,6 +4,10 @@
 //! hand-written encoders, before the writers were derived from the same key
 //! lists as the readers; a mismatch means a writer moved — fix the writer,
 //! never the table (on mismatch the test prints the table it computed).
+//! The builtin and every-variant pins were re-recorded once, when the
+//! `threaded` engine left the registry: each builtin that listed it lost
+//! exactly the 12 bytes of that list element, and the fuzz generator lost
+//! the draw that requested it.
 
 use dbf_scenario::report::Digest;
 use dbf_scenario::{
@@ -43,17 +47,17 @@ fn every_builtin_scenario_writes_the_recorded_toml() {
         "builtin TOML",
         &got,
         &[
-            ("count-to-infinity", 833, "9bd3cd27a637c0f5"),
+            ("count-to-infinity", 821, "7454e9b6885bc7e6"),
             ("bgp-wedgie", 548, "f467760d72ee7e9e"),
             ("bad-gadget", 479, "b48ae485dc635b7e"),
-            ("flapping-link", 1307, "ad5b7344a71a7b04"),
-            ("partition-and-heal", 1066, "93b1e348612907a6"),
-            ("adversarial-loss", 630, "25ceedcc102aeb67"),
-            ("widest-fabric", 776, "74bbfcad4423d093"),
-            ("growing-network", 968, "c6271bfeb4ce9223"),
-            ("as-hierarchy", 846, "203b6f014f222381"),
-            ("policy-rich-bgp", 825, "10a90e7c70d76482"),
-            ("gao-rexford-mesh", 794, "e1cfd57373167c4d"),
+            ("flapping-link", 1295, "cd2e677b5e5601e7"),
+            ("partition-and-heal", 1054, "4f3afaa5d63e9b89"),
+            ("adversarial-loss", 618, "2138023c4760eabc"),
+            ("widest-fabric", 764, "849003222fc7c302"),
+            ("growing-network", 956, "b4aa895fbeb71516"),
+            ("as-hierarchy", 834, "ecb8e74f4e0e37b0"),
+            ("policy-rich-bgp", 813, "668863dfe54af647"),
+            ("gao-rexford-mesh", 782, "e056abbc0b50313e"),
         ],
     );
 }
@@ -147,7 +151,7 @@ fn every_variant_writes_the_recorded_toml() {
     check(
         "every-variant TOML",
         &[pin("every-variant", &every_variant())],
-        &[("every-variant", 211355, "adefd1ee5dd3121d")],
+        &[("every-variant", 211247, "617d80d1670de520")],
     );
 }
 

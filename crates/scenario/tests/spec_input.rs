@@ -48,6 +48,19 @@ fn negative_and_mistyped_values_are_errors_naming_their_key() {
     // -1 used to wrap to u64::MAX; "4" used to fall back to the default 16.
     assert_names(edited("limit = 4", "limit = -1"), "algebra.limit");
     assert_names(edited("limit = 4", "limit = \"4\""), "algebra.limit");
+    // An engine the registry does not hold (here the removed `threaded`)
+    // is refused, and the error lists the six it does.
+    let threaded = || {
+        edited(
+            "name = \"input\"",
+            "name = \"input\"\nengines = [\"threaded\"]",
+        )
+    };
+    assert_names(threaded(), "engines[0]");
+    assert_names(
+        threaded(),
+        "not one of sync, incremental, delta, sim, rip, bgp",
+    );
 }
 
 #[test]

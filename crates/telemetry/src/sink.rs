@@ -6,8 +6,7 @@
 ///
 /// Every message-driven engine reports the same four counts; `bytes` is
 /// `Some` only for engines with a wire encoding (rip/bgp), `None` for
-/// engines whose messages are in-memory events (the simulator, the
-/// threaded runtime).
+/// engines whose messages are in-memory events (the simulator).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MessageCounters {
     /// Messages sent (updates plus withdrawals where the protocol has them).

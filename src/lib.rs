@@ -19,7 +19,7 @@
 //! | [`metric`] | ultrametrics, heights, contraction checkers | §3.3, §4.1, §5.2 |
 //! | [`asynch`] | schedules (S1–S3), the asynchronous iterate `δ`, the event simulator | §3 |
 //! | [`bgp`] | the safe-by-design policy-rich algebra, Gao-Rexford, SPP gadgets | §7 |
-//! | [`protocols`] | RIP-like and BGP-like engines, threaded runtime, wire formats | — |
+//! | [`protocols`] | RIP-like and BGP-like engines, wire formats | — |
 //! | [`telemetry`] | zero-cost-when-off instrumentation: sinks, metrics, JSONL traces | — |
 //!
 //! ## Quick start

@@ -1,7 +1,7 @@
 //! End-to-end integration tests spanning every crate in the workspace:
 //! the same routing problems are solved by the synchronous iterate, the
-//! asynchronous iterate, the message-level simulator, the protocol engines
-//! and the threaded runtime, and all of them must agree.
+//! asynchronous iterate, the message-level simulator and the protocol
+//! engines, and all of them must agree.
 
 use dbf_routing::algebra::algebra::SplitMix64;
 use dbf_routing::asynch::convergence::{schedule_ensemble, state_ensemble};
@@ -36,11 +36,6 @@ fn all_execution_models_agree_on_widest_paths() {
     let sim = EventSim::new(&alg, &adj, SimConfig::adversarial(3)).run();
     assert!(is_stable(&alg, &adj, &sim.final_state));
     assert_eq!(sim.final_state, reference.state);
-
-    // genuinely concurrent threaded runtime
-    let threaded = run_threaded(&alg, &adj, &clean);
-    assert!(is_stable(&alg, &adj, &threaded.final_state));
-    assert_eq!(threaded.final_state, reference.state);
 }
 
 /// The RIP-like engine, the hop-count algebra's δ and the σ fixed point all
