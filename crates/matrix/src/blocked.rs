@@ -140,9 +140,10 @@ pub fn decimal(mut v: u64, buf: &mut [u8; 20]) -> &str {
     std::str::from_utf8(&buf[at..]).expect("ASCII digits")
 }
 
-/// Fold the digest text `(i,j)=r;` of every entry of a row-major
-/// `n × w` window whose first column is destination `j0`: `fold(jl, text)`
-/// is called once per entry, row by row, with `j = j0 + jl`.
+/// Fold the digest text `(i,j)=r;` of every entry of an `n × w` window
+/// whose first column is destination `j0`, given as its rows in order:
+/// `fold(jl, text)` is called once per entry, row by row, with
+/// `j = j0 + jl`.
 ///
 /// The bytes are exactly those of a `write!` per entry.  Each column's
 /// `,{j})=` is rendered once per call and each row's `({i}` once per row,
@@ -150,15 +151,12 @@ pub fn decimal(mut v: u64, buf: &mut [u8; 20]) -> &str {
 /// `==` to the previous entry's (runs of equal routes may cross a row end).
 /// That relies on `==` routes printing the same text, which every route
 /// type in the workspace keeps.
-pub fn fold_entry_text<R: fmt::Debug + Eq>(
-    rows: &[R],
+pub fn fold_entry_text<'r, R: fmt::Debug + Eq + 'r>(
+    rows: impl IntoIterator<Item = &'r [R]>,
     j0: usize,
     w: usize,
     mut fold: impl FnMut(usize, &str),
 ) {
-    if rows.is_empty() {
-        return;
-    }
     let mut digits = [0u8; 20];
     // `,{j})=` of every column back to back; column `jl`'s ends at `ends[jl]`.
     let mut cols = String::with_capacity(8 * w);
@@ -172,7 +170,7 @@ pub fn fold_entry_text<R: fmt::Debug + Eq>(
     let mut route = String::new();
     let mut last: Option<&R> = None;
     let mut entry = String::new();
-    for (i, row) in rows.chunks(w).enumerate() {
+    for (i, row) in rows.into_iter().enumerate() {
         entry.clear();
         entry.push('(');
         entry.push_str(decimal(i as u64, &mut digits));

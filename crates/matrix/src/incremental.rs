@@ -21,6 +21,12 @@
 //! a previous topology, [`dirty_rows_after_change`] computes the only rows
 //! the edit can perturb, which is what makes reconvergence after a change
 //! `O(perturbed region)` instead of `O(n · |E|)` per round.
+//!
+//! The memory follows the same rule.  [`iterate_dirty_traced`] borrows its
+//! start state, and the state it returns shares every row the iteration
+//! did not change with it (a [`RoutingState`] is copy-on-write): a
+//! reconvergence copies the rows it touches and stages its peak frontier,
+//! never the `n²` table.
 
 use crate::adjacency::AdjacencyMatrix;
 use crate::kernel::{Inline, Start};
@@ -98,6 +104,7 @@ where
     A: RoutingAlgebra,
     S: TelemetrySink + ?Sized,
 {
+    // The clone shares x0's rows: only the rows a round changes are copied.
     let start = Start::Dirty(dirty0);
     iterate_with(alg, adj, x0.clone(), start, max_rounds, &Inline, tel)
 }
@@ -253,6 +260,49 @@ mod tests {
         assert_eq!(par2.rounds, seq2.rounds);
         assert_eq!(par2.row_recomputations, seq2.row_recomputations);
         assert!(is_stable(&alg, &cut, &par2.state));
+    }
+
+    /// The rows whose `node_settled` round is not 0: every row a round
+    /// changed.
+    #[derive(Default)]
+    struct Touched(Vec<bool>);
+
+    impl TelemetrySink for Touched {
+        fn node_settled(&mut self, node: usize, round: u64) {
+            self.0.resize(self.0.len().max(node + 1), false);
+            self.0[node] = round > 0;
+        }
+    }
+
+    #[test]
+    fn the_output_shares_every_row_it_did_not_touch_with_its_input() {
+        let alg = WidestPaths::new();
+        let shape = generators::as_graph(64, 2, 1);
+        let topo = shape.with_weights(|i, j| NatInf::fin(((i * 11 + j * 5) % 90 + 10) as u64));
+        let adj = AdjacencyMatrix::from_topology(&topo);
+        let n = adj.node_count();
+        let fixed = iterate_to_fixed_point(&alg, &adj, &RoutingState::identity(&alg, n), 200);
+        let mut moved_somewhere = 0;
+        for (a, b, _) in shape.edges().filter(|&(a, b, _)| a < b).step_by(5) {
+            let mut cut = adj.clone();
+            cut.set(a, b, None);
+            cut.set(b, a, None);
+            let dirty = dirty_rows_after_change(&adj, &cut);
+            let mut touched = Touched::default();
+            let out = iterate_dirty_traced(&alg, &cut, &fixed.state, &dirty, 200, &mut touched);
+            assert!(out.converged);
+            let moved = touched.0.iter().filter(|&&t| t).count();
+            if moved > n / 2 {
+                continue; // the table unshared itself (`table.rs`)
+            }
+            moved_somewhere += usize::from(moved > 0);
+            for i in 0..n {
+                let shared = out.state.table().shares_row(fixed.state.table(), i);
+                assert_eq!(shared, !touched.0[i], "link {a}-{b}, row {i}");
+            }
+            assert_eq!(out.state.table().overlay_rows(), moved);
+        }
+        assert!(moved_somewhere > 2, "{moved_somewhere} cuts moved a row");
     }
 
     #[test]

@@ -45,8 +45,12 @@
 //! (Jacobi order) and a round that panics in a worker leaves the stepper
 //! exactly as it was — the route server parks the flush there.  When a
 //! work list covers all `n` rows the staging buffer *is* `σ(state)`, so
-//! the two buffers are swapped instead of copied; a cold start therefore
-//! costs two `n · w` buffers, a reconvergence one plus its peak frontier.
+//! it replaces the row store instead of being copied into it; a cold
+//! start therefore costs two `n · w` buffers.  A whole-row store is
+//! copy-on-write (`table.rs`): the stepper shares every row with the
+//! state it was started from until a round changes that row, so a
+//! reconvergence from a borrowed fixed point costs the rows it touches
+//! plus its peak frontier of staging — not a copy of the `n²` table.
 //!
 //! A stepper can also stay *resident* across adjacency changes, as the
 //! route server keeps one for its lifetime: [`FixedPoint::grow`] when nodes
@@ -61,6 +65,7 @@ use crate::frontier::Frontier;
 use crate::lines::Lines;
 use crate::sigma::sigma_row_window_changed;
 use crate::state::RoutingState;
+use crate::table::{Rows, Table};
 use dbf_algebra::RoutingAlgebra;
 use dbf_telemetry::TelemetrySink;
 use std::ops::Range;
@@ -96,7 +101,7 @@ impl<'a> From<Option<&'a [bool]>> for Start<'a> {
 pub struct Sweep<'a, A: RoutingAlgebra> {
     pub(crate) alg: &'a A,
     pub(crate) adj: &'a AdjacencyMatrix<A>,
-    pub(crate) rows: &'a [A::Route],
+    pub(crate) rows: Rows<'a, A::Route>,
     pub(crate) w: usize,
     pub(crate) j0: usize,
     pub(crate) worklist: &'a [usize],
@@ -115,8 +120,7 @@ impl<A: RoutingAlgebra> Sweep<'_, A> {
     ) {
         let slots = stage.chunks_mut(self.w.max(1));
         for ((&i, slot), flag) in self.worklist[range].iter().zip(slots).zip(flags) {
-            *flag =
-                sigma_row_window_changed(self.alg, self.adj, self.rows, self.w, self.j0, i, slot);
+            *flag = sigma_row_window_changed(self.alg, self.adj, self.rows, self.j0, i, slot);
         }
     }
 }
@@ -170,7 +174,9 @@ pub struct FixedPoint<A: RoutingAlgebra> {
     w: usize,
     j0: usize,
     /// The `n × w` row store: columns `j0..j0+w` of the current state.
-    rows: Lines<A::Route>,
+    /// Whole rows may share rows with the state the stepper started from
+    /// (`table.rs`); a slab is its own.
+    rows: Table<A::Route>,
     /// One staged row per work-list position; grows to the peak frontier.
     staging: Lines<A::Route>,
     changed: Vec<bool>,
@@ -192,6 +198,8 @@ pub struct FixedPoint<A: RoutingAlgebra> {
 
 impl<A: RoutingAlgebra> FixedPoint<A> {
     /// Iterate the whole-row state `x0` (taken over, not copied) on `adj`.
+    /// Rows `x0` shares with another state stay shared until a round
+    /// changes them.
     ///
     /// # Panics
     ///
@@ -204,7 +212,7 @@ impl<A: RoutingAlgebra> FixedPoint<A> {
             x0.node_count(),
             "adjacency and state dimensions must match"
         );
-        let mut kernel = Self::over(adj, x0.into_entries(), n);
+        let mut kernel = Self::over(adj, x0.into_table(), n);
         kernel.reseed(start);
         kernel
     }
@@ -216,7 +224,7 @@ impl<A: RoutingAlgebra> FixedPoint<A> {
     ///
     /// Panics if the window does not lie inside `0..n`.
     pub fn identity_slab(alg: &A, adj: &AdjacencyMatrix<A>, j0: usize, w: usize) -> Self {
-        let mut kernel = Self::over(adj, Lines::default(), 0);
+        let mut kernel = Self::over(adj, Table::default(), 0);
         kernel.reset_slab(alg, j0, w);
         kernel
     }
@@ -247,15 +255,14 @@ impl<A: RoutingAlgebra> FixedPoint<A> {
 
     fn fill_identity(&mut self, alg: &A, j0: usize, w: usize) {
         assert!(j0 + w <= self.n, "column window out of range");
-        self.rows.clear();
-        self.rows.resize(self.n * w, alg.invalid());
+        let rows = self.rows.refill(self.n, w, alg.invalid());
         for i in j0..j0 + w {
-            self.rows[i * w + (i - j0)] = alg.trivial();
+            rows[i * w + (i - j0)] = alg.trivial();
         }
         (self.j0, self.w) = (j0, w);
     }
 
-    fn over(adj: &AdjacencyMatrix<A>, rows: Lines<A::Route>, w: usize) -> Self {
+    fn over(adj: &AdjacencyMatrix<A>, rows: Table<A::Route>, w: usize) -> Self {
         let n = adj.node_count();
         FixedPoint {
             n,
@@ -324,9 +331,9 @@ impl<A: RoutingAlgebra> FixedPoint<A> {
             return;
         }
         let rows = std::mem::take(&mut self.rows);
-        self.rows = RoutingState::from_entries(old, rows)
+        self.rows = RoutingState::from_table(old, rows)
             .grown(alg, n)
-            .into_entries();
+            .into_table();
         (self.n, self.w) = (n, n);
         self.dependants.resize_with(n, Vec::new);
         for f in [&mut self.frontier, &mut self.next, &mut self.touched] {
@@ -409,9 +416,9 @@ impl<A: RoutingAlgebra> FixedPoint<A> {
         self.w
     }
 
-    /// The current `n × w` row store, row-major.
-    pub fn rows(&self) -> &[A::Route] {
-        &self.rows
+    /// The current `n × w` row store, row by row.
+    pub fn rows(&self) -> impl Iterator<Item = &[A::Route]> + '_ {
+        (0..self.n).map(|i| self.rows.row(i))
     }
 
     /// Step until the fixed point is reached or `budget` rounds have been
@@ -517,7 +524,7 @@ impl<A: RoutingAlgebra> FixedPoint<A> {
         let job = Sweep {
             alg,
             adj,
-            rows: &self.rows,
+            rows: self.rows.view(),
             w,
             j0: self.j0,
             worklist,
@@ -530,7 +537,13 @@ impl<A: RoutingAlgebra> FixedPoint<A> {
         if whole {
             // Every row was staged, so the staging buffer is σ(rows).
             self.staging.truncate(need);
-            std::mem::swap(&mut self.rows, &mut self.staging);
+            self.rows.replace(&mut self.staging);
+        }
+        if commit && !whole {
+            let staged = self.staging.chunks(w.max(1));
+            let moved = worklist.iter().zip(staged).zip(&self.changed);
+            self.rows
+                .set_rows(moved.filter(|&(_, &c)| c).map(|((&i, row), _)| (i, row)));
         }
         let mut changed_rows = 0u64;
         for (pos, &i) in worklist.iter().enumerate() {
@@ -542,10 +555,6 @@ impl<A: RoutingAlgebra> FixedPoint<A> {
                 self.settled[i] = round;
             }
             if commit {
-                if !whole {
-                    self.rows[i * w..(i + 1) * w]
-                        .clone_from_slice(&self.staging[pos * w..(pos + 1) * w]);
-                }
                 self.touched.insert(i);
                 for &d in &self.dependants[i] {
                     self.next.insert(d);
@@ -574,7 +583,7 @@ impl<A: RoutingAlgebra> FixedPoint<A> {
     pub fn finish<S: TelemetrySink + ?Sized>(mut self, tel: &mut S) -> RoutingState<A> {
         self.assert_whole_rows();
         self.emit_settled(tel);
-        RoutingState::from_entries(self.n, self.rows)
+        RoutingState::from_table(self.n, self.rows)
     }
 
     /// [`FixedPoint::finish`] for a stepper that stays resident: emit the
@@ -594,12 +603,8 @@ impl<A: RoutingAlgebra> FixedPoint<A> {
         self.assert_whole_rows();
         assert_eq!(state.node_count(), self.n, "state dimensions must match");
         self.emit_settled(tel);
-        let n = self.n;
-        for &i in self.touched.sorted() {
-            state
-                .row_mut(i)
-                .clone_from_slice(&self.rows[i * n..(i + 1) * n]);
-        }
+        let rows = self.rows.view();
+        state.set_rows(self.touched.sorted().iter().map(|&i| (i, rows.row(i))));
     }
 
     fn emit_settled<S: TelemetrySink + ?Sized>(&mut self, tel: &mut S) {

@@ -99,6 +99,7 @@ pub mod rib;
 pub mod sigma;
 pub mod state;
 pub mod sync;
+mod table;
 
 pub use adjacency::AdjacencyMatrix;
 pub use blocked::{blocked_fixed_point, BlockedOutcome};

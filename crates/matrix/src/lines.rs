@@ -18,7 +18,7 @@ use std::mem::size_of;
 use std::ops::{Deref, DerefMut};
 
 /// The cache line, and the widest vector access, in bytes.
-const LINE: usize = 64;
+pub(crate) const LINE: usize = 64;
 
 /// A growable run of entries whose first entry sits on a [`LINE`]
 /// boundary (for entry sizes dividing the line).  It dereferences to the

@@ -336,7 +336,7 @@ mod tests {
         let job = Sweep {
             alg: &alg,
             adj: &adj,
-            rows: x0.as_slice(),
+            rows: x0.table().view(),
             w: n,
             j0: 0,
             worklist: &worklist,

@@ -22,6 +22,7 @@
 
 use crate::adjacency::AdjacencyMatrix;
 use crate::state::RoutingState;
+use crate::table::Rows;
 use dbf_algebra::RoutingAlgebra;
 use dbf_paths::NodeId;
 use std::sync::OnceLock;
@@ -89,28 +90,29 @@ pub fn sigma_row_into_changed<A: RoutingAlgebra>(
         "adjacency and state dimensions must match"
     );
     assert_eq!(n, out.len(), "output row length must match");
-    sigma_row_window_changed(alg, adj, x.as_slice(), n, 0, i, out)
+    sigma_row_window_changed(alg, adj, x.table().view(), 0, i, out)
 }
 
 /// The one fused row kernel: recompute `σ(cur)[i][j0..j0+w]` into `out`
-/// and report whether it differs from `cur`'s row `i`, where `cur` is a
-/// row-major `n × w` store holding destination columns `j0..j0+w` of the
-/// state (σ is column-separable, so a column window iterates on its own —
-/// see [`crate::blocked`]).  The square state is the window `(0, n)`.  The
-/// diagonal override applies when `i` lies inside the window.
+/// and report whether it differs from `cur`'s row `i`, where `cur` holds
+/// the `n` rows of destination columns `j0..j0+w` of the state (σ is
+/// column-separable, so a column window iterates on its own — see
+/// [`crate::blocked`]).  The square state is the window `(0, n)`.  The
+/// diagonal override applies when `i` lies inside the window.  Every row
+/// is read through [`Rows::row`], so a row the table shares with another
+/// state reads like its own.
 ///
 /// Runs the body compiled for the widest [`row_kernel`] level this host
 /// has; every level computes the same row and the same flag.
 pub(crate) fn sigma_row_window_changed<A: RoutingAlgebra>(
     alg: &A,
     adj: &AdjacencyMatrix<A>,
-    cur: &[A::Route],
-    w: usize,
+    cur: Rows<'_, A::Route>,
     j0: usize,
     i: NodeId,
     out: &mut [A::Route],
 ) -> bool {
-    row_window_at(level(), alg, adj, cur, w, j0, i, out)
+    row_window_at(level(), alg, adj, cur, j0, i, out)
 }
 
 /// The vector widths the fused row kernel is compiled for, narrowest
@@ -164,28 +166,26 @@ pub fn row_kernel() -> &'static str {
 }
 
 /// The row kernel at level `want`, capped at [`level`].
-#[allow(clippy::too_many_arguments)]
 #[allow(unsafe_code)]
 fn row_window_at<A: RoutingAlgebra>(
     want: Level,
     alg: &A,
     adj: &AdjacencyMatrix<A>,
-    cur: &[A::Route],
-    w: usize,
+    cur: Rows<'_, A::Route>,
     j0: usize,
     i: NodeId,
     out: &mut [A::Route],
 ) -> bool {
     match want.min(level()) {
-        Level::Portable => row_window(alg, adj, cur, w, j0, i, out),
+        Level::Portable => row_window(alg, adj, cur, j0, i, out),
         // SAFETY: the level is at most `level()`, which is `Avx2` only if
         // `is_x86_feature_detected!` reported avx2 and `Avx512` only if it
         // also reported avx512f and avx512vl — every feature the wrapper
         // enables is present on this CPU.
         #[cfg(target_arch = "x86_64")]
-        Level::Avx2 => unsafe { row_window_avx2(alg, adj, cur, w, j0, i, out) },
+        Level::Avx2 => unsafe { row_window_avx2(alg, adj, cur, j0, i, out) },
         #[cfg(target_arch = "x86_64")]
-        Level::Avx512 => unsafe { row_window_avx512(alg, adj, cur, w, j0, i, out) },
+        Level::Avx512 => unsafe { row_window_avx512(alg, adj, cur, j0, i, out) },
     }
 }
 
@@ -195,13 +195,12 @@ fn row_window_at<A: RoutingAlgebra>(
 fn row_window_avx2<A: RoutingAlgebra>(
     alg: &A,
     adj: &AdjacencyMatrix<A>,
-    cur: &[A::Route],
-    w: usize,
+    cur: Rows<'_, A::Route>,
     j0: usize,
     i: NodeId,
     out: &mut [A::Route],
 ) -> bool {
-    row_window(alg, adj, cur, w, j0, i, out)
+    row_window(alg, adj, cur, j0, i, out)
 }
 
 /// [`row_window`] compiled for AVX-512 (F and VL, on top of AVX2).
@@ -210,13 +209,12 @@ fn row_window_avx2<A: RoutingAlgebra>(
 fn row_window_avx512<A: RoutingAlgebra>(
     alg: &A,
     adj: &AdjacencyMatrix<A>,
-    cur: &[A::Route],
-    w: usize,
+    cur: Rows<'_, A::Route>,
     j0: usize,
     i: NodeId,
     out: &mut [A::Route],
 ) -> bool {
-    row_window(alg, adj, cur, w, j0, i, out)
+    row_window(alg, adj, cur, j0, i, out)
 }
 
 /// The row kernel's one body.  It is `inline(always)`, and so is
@@ -226,13 +224,12 @@ fn row_window_avx512<A: RoutingAlgebra>(
 fn row_window<A: RoutingAlgebra>(
     alg: &A,
     adj: &AdjacencyMatrix<A>,
-    cur: &[A::Route],
-    w: usize,
+    cur: Rows<'_, A::Route>,
     j0: usize,
     i: NodeId,
     out: &mut [A::Route],
 ) -> bool {
-    let old = &cur[i * w..(i + 1) * w];
+    let old = cur.row(i);
     // Window-local position of the diagonal entry.  For a row outside the
     // window the subtraction wraps (or lands at `>= w`), so it matches no
     // local column and no override happens.
@@ -248,16 +245,15 @@ fn row_window<A: RoutingAlgebra>(
             // as the write-out-and-compare pass (the adjacency row never
             // contains `i`, so `last_k != i` and the diagonal override
             // cannot alias the source row).
-            let row = |k: NodeId| &cur[k * w..(k + 1) * w];
-            let last = row(*last_k);
+            let last = cur.row(*last_k);
             match rest.split_first() {
                 None => commit_row(out, last, old, diag, trivial, |_, s| alg.extend(last_f, s)),
                 Some(((first_k, first_f), middle)) => {
-                    for (d, s) in out.iter_mut().zip(row(*first_k)) {
+                    for (d, s) in out.iter_mut().zip(cur.row(*first_k)) {
                         *d = alg.extend(first_f, s);
                     }
                     for (k, f) in middle {
-                        for (d, s) in out.iter_mut().zip(row(*k)) {
+                        for (d, s) in out.iter_mut().zip(cur.row(*k)) {
                             *d = alg.choice(d, &alg.extend(f, s));
                         }
                     }
@@ -340,6 +336,8 @@ pub fn sigma_k<A: RoutingAlgebra>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lines::Lines;
+    use crate::table::Table;
     use dbf_algebra::algebra::SplitMix64;
     use dbf_algebra::prelude::*;
     use dbf_topology::generators;
@@ -439,10 +437,12 @@ mod tests {
             let window: Vec<A::Route> = (0..n)
                 .flat_map(|k| x.row(k)[j0..j0 + w].iter().cloned())
                 .collect();
+            let window = Table::new(n, w, Lines::from_slice(&window));
+            let window = window.view();
             let changed = want != &x.row(i)[j0..j0 + w];
             for level in host_levels() {
                 let mut out = vec![garbage.clone(); w];
-                let flag = row_window_at(level, alg, adj, &window, w, j0, i, &mut out);
+                let flag = row_window_at(level, alg, adj, window, j0, i, &mut out);
                 let at = format!(
                     "{} row {i} of window ({j0}, {w}) on pass {pass}",
                     level.name()

@@ -1,16 +1,22 @@
 //! The global routing state `X ∈ 𝕄ₙ(S)` and the identity matrix `I`.
+//!
+//! A state's rows are copy-on-write (`table.rs`): a clone shares every row
+//! with its original until one of the two writes a row, and then holds a
+//! copy of that row alone.  A reconvergence from a borrowed fixed point
+//! therefore copies the rows it changes, not the `n²` table.
 
 use crate::lines::Lines;
+use crate::table::Table;
 use dbf_algebra::RoutingAlgebra;
 use dbf_paths::NodeId;
 use std::fmt;
 
 /// The global routing state: an `n × n` matrix of routes where `X[i][j]` is
 /// node `i`'s current best route to destination `j` (row `i` is node `i`'s
-/// routing table).
+/// routing table).  Cloning it is cheap: the clone shares the rows.
 pub struct RoutingState<A: RoutingAlgebra> {
     n: usize,
-    entries: Lines<A::Route>,
+    table: Table<A::Route>,
 }
 
 // Manual impls: deriving would add unnecessary `A: Clone / PartialEq` bounds
@@ -20,14 +26,14 @@ impl<A: RoutingAlgebra> Clone for RoutingState<A> {
     fn clone(&self) -> Self {
         Self {
             n: self.n,
-            entries: self.entries.clone(),
+            table: self.table.clone(),
         }
     }
 }
 
 impl<A: RoutingAlgebra> PartialEq for RoutingState<A> {
     fn eq(&self, other: &Self) -> bool {
-        self.n == other.n && self.entries[..] == other.entries[..]
+        self.n == other.n && self.table == other.table
     }
 }
 
@@ -38,16 +44,17 @@ impl<A: RoutingAlgebra> RoutingState<A> {
     /// invalid route everywhere else.  This is the canonical "clean" start
     /// state of a routing protocol (no node knows anything except how to
     /// reach itself).
+    ///
+    /// It is stored in `O(n)` entries (`table.rs`): a cold start from it
+    /// costs no `n²` table.  Rows written to it are copied out first, as
+    /// for a shared state.
     pub fn identity(alg: &A, n: usize) -> Self {
-        Self::from_fn(n, |i, j| if i == j { alg.trivial() } else { alg.invalid() })
+        Self::from_table(n, Table::identity(n, alg.invalid(), alg.trivial()))
     }
 
     /// A state with every entry equal to `r`.
     pub fn uniform(n: usize, r: A::Route) -> Self {
-        Self {
-            n,
-            entries: Lines::filled(n * n, r),
-        }
+        Self::from_table(n, Table::new(n, n, Lines::filled(n * n, r)))
     }
 
     /// Build a state from an explicit entry function.
@@ -61,7 +68,7 @@ impl<A: RoutingAlgebra> RoutingState<A> {
             }
             r
         });
-        Self { n, entries }
+        Self::from_table(n, Table::new(n, n, entries))
     }
 
     /// The number of nodes.
@@ -72,58 +79,62 @@ impl<A: RoutingAlgebra> RoutingState<A> {
     /// The route `X[i][j]`.
     pub fn get(&self, i: NodeId, j: NodeId) -> &A::Route {
         assert!(i < self.n && j < self.n, "state index out of range");
-        &self.entries[i * self.n + j]
+        &self.table.row(i)[j]
     }
 
     /// Overwrite the route `X[i][j]`.
     pub fn set(&mut self, i: NodeId, j: NodeId, r: A::Route) {
         assert!(i < self.n && j < self.n, "state index out of range");
-        self.entries[i * self.n + j] = r;
+        self.table.row_mut(i)[j] = r;
     }
 
     /// Node `i`'s routing table (row `i`).
     pub fn row(&self, i: NodeId) -> &[A::Route] {
         assert!(i < self.n, "state index out of range");
-        &self.entries[i * self.n..(i + 1) * self.n]
+        self.table.row(i)
     }
 
-    /// Mutable access to node `i`'s routing table (row `i`).  Used by the
-    /// streaming `σ` implementation to write a whole table at once.
+    /// Mutable access to node `i`'s routing table (row `i`).  A row shared
+    /// with another state is copied first, so the write is this state's
+    /// alone.
     pub fn row_mut(&mut self, i: NodeId) -> &mut [A::Route] {
         assert!(i < self.n, "state index out of range");
-        &mut self.entries[i * self.n..(i + 1) * self.n]
+        self.table.row_mut(i)
     }
 
-    /// The row-major backing storage (`n · n` routes, row `i` at
-    /// `[i·n, (i+1)·n)`), as the windowed row kernel and the digests read
-    /// it.
-    pub fn as_slice(&self) -> &[A::Route] {
-        &self.entries
+    /// Overwrite each row `i` of `rows` with its routes, copying no other
+    /// row (the copy a [`RoutingState::row_mut`] of a shared row would
+    /// make first is skipped).
+    pub(crate) fn set_rows<'s>(&mut self, rows: impl IntoIterator<Item = (NodeId, &'s [A::Route])>)
+    where
+        A::Route: 's,
+    {
+        self.table.set_rows(rows);
     }
 
-    /// Give up the row-major backing storage: the fixed-point kernel takes
-    /// a state over as its row store without copying it (or re-aligning
-    /// it: the storage starts on a cache line, see `lines.rs`).
-    pub(crate) fn into_entries(self) -> Lines<A::Route> {
-        self.entries
+    /// The rows, as the row kernel reads them.
+    pub(crate) fn table(&self) -> &Table<A::Route> {
+        &self.table
     }
 
-    /// Wrap a row-major `n · n` storage back into a state (the inverse of
-    /// [`RoutingState::into_entries`]).
-    pub(crate) fn from_entries(n: usize, entries: Lines<A::Route>) -> Self {
-        assert_eq!(entries.len(), n * n, "a state holds n · n routes");
-        Self { n, entries }
+    /// Give up the rows: the fixed-point kernel takes a state over as its
+    /// row store, sharing what the state shared.
+    pub(crate) fn into_table(self) -> Table<A::Route> {
+        self.table
+    }
+
+    /// Wrap `n` rows of `n` routes back into a state (the inverse of
+    /// [`RoutingState::into_table`]).
+    pub(crate) fn from_table(n: usize, table: Table<A::Route>) -> Self {
+        assert_eq!(table.row_count(), n, "a state holds n rows");
+        Self { n, table }
     }
 
     /// Iterate over all entries as `(i, j, &route)`, in row-major order.
-    /// Walks the storage row by row — no per-entry division — so digesting
-    /// a 10⁵-row block costs a pair of counters, not a `div`+`mod` per
-    /// route.
+    /// Walks the rows — no per-entry division — so digesting a 10⁵-row
+    /// block costs a pair of counters, not a `div`+`mod` per route.
     pub fn entries(&self) -> impl Iterator<Item = (NodeId, NodeId, &A::Route)> {
-        self.entries
-            .chunks(self.n.max(1))
-            .enumerate()
-            .flat_map(|(i, row)| row.iter().enumerate().map(move |(j, r)| (i, j, r)))
+        (0..self.n).flat_map(move |i| self.row(i).iter().enumerate().map(move |(j, r)| (i, j, r)))
     }
 
     /// Grow the state to `new_n ≥ n` nodes, filling fresh entries with the

@@ -340,15 +340,20 @@ impl CheckpointStore {
     }
 
     /// Append one event to the WAL and flush it to the OS before the
-    /// event is applied (write-ahead ordering).
+    /// event is applied (write-ahead ordering).  A log that does not yet
+    /// hold a whole header line — new, emptied, or torn inside its header
+    /// by a crash in [`CheckpointStore::write_snapshot`] — holds no record,
+    /// and is started afresh with the header.
     pub fn append_wal(&mut self, offset: u64, line: &str) -> io::Result<()> {
         if self.wal.is_none() {
-            let path = self.wal_path();
-            let fresh = !path.exists();
             let file = fs::OpenOptions::new()
                 .create(true)
                 .append(true)
-                .open(path)?;
+                .open(self.wal_path())?;
+            let fresh = file.metadata()?.len() <= WAL_HEADER.len() as u64;
+            if fresh {
+                file.set_len(0)?;
+            }
             let mut w = io::BufWriter::new(file);
             if fresh {
                 w.write_all(format!("{WAL_HEADER}\n").as_bytes())?;
@@ -362,9 +367,13 @@ impl CheckpointStore {
 
     /// Read the WAL back as `(offset, event line)` records.
     ///
-    /// A missing file is an empty log.  A damaged **final** record is a
-    /// torn write and is dropped (the trace re-supplies that event); a
-    /// damaged interior record is [`WalError::Corrupt`].
+    /// A missing file is an empty log, and so is an empty one or one that
+    /// holds only the start of its header: [`CheckpointStore::write_snapshot`]
+    /// empties the log before it writes the header, and a crash between
+    /// the two leaves that — after a snapshot that subsumes every event
+    /// before it.  A damaged **final** record is a torn write and is
+    /// dropped (the trace re-supplies that event); a damaged interior
+    /// record is [`WalError::Corrupt`].
     pub fn load_wal(&self) -> Result<Vec<(u64, String)>, WalError> {
         let path = self.wal_path();
         let text = match fs::read_to_string(&path) {
@@ -372,6 +381,9 @@ impl CheckpointStore {
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
             Err(e) => return Err(WalError::Io(format!("cannot read {path:?}: {e}"))),
         };
+        if WAL_HEADER.starts_with(&text) {
+            return Ok(Vec::new());
+        }
         let ended_clean = text.ends_with('\n');
         let lines: Vec<&str> = text.lines().collect();
         if lines.is_empty() || lines[0].trim() != WAL_HEADER {
@@ -597,6 +609,48 @@ mod tests {
             vec![(42, "query 0 1".to_string())]
         );
         fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn an_empty_or_torn_header_wal_is_an_empty_log() {
+        let (dir, store) = temp_store("torn-header");
+        for text in ["", "# dbf-w", "# dbf-wal v", WAL_HEADER] {
+            fs::write(store.wal_path(), text).unwrap();
+            assert_eq!(store.load_wal().expect("empty log"), Vec::new(), "{text:?}");
+        }
+        // Not the start of the header: still refused.
+        for text in ["# dbf-wax", "e 0 0 set_link 1 2\n"] {
+            fs::write(store.wal_path(), text).unwrap();
+            match store.load_wal() {
+                Err(WalError::Corrupt { line: 1, .. }) => {}
+                other => panic!("{text:?}: expected a missing header, got {other:?}"),
+            }
+        }
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn an_append_to_an_emptied_or_torn_wal_writes_the_header_first() {
+        for (name, left) in [("emptied", ""), ("torn", "# dbf-w")] {
+            let (dir, mut store) = temp_store(&format!("append-{name}"));
+            fs::write(store.wal_path(), left).unwrap();
+            store.append_wal(7, "set_link 1 2").unwrap();
+            store.append_wal(8, "query 0 3").unwrap();
+            let text = fs::read_to_string(store.wal_path()).unwrap();
+            assert!(
+                text.starts_with(&format!("{WAL_HEADER}\ne 7 ")),
+                "{name}: {text:?}"
+            );
+            assert_eq!(
+                store.load_wal().expect("clean log"),
+                vec![
+                    (7, "set_link 1 2".to_string()),
+                    (8, "query 0 3".to_string())
+                ],
+                "{name}"
+            );
+            fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

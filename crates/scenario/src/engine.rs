@@ -369,9 +369,8 @@ pub(crate) fn engine_label(kind: EngineKind, seed: u64) -> String {
 /// [`fold_entry_text`]) — the currency of the differential checker.
 pub fn state_digest<A: RoutingAlgebra>(state: &RoutingState<A>) -> String {
     let mut d = Digest::default();
-    fold_entry_text(state.as_slice(), 0, state.node_count(), |_, text| {
-        d.update(text)
-    });
+    let rows = (0..state.node_count()).map(|i| state.row(i));
+    fold_entry_text(rows, 0, state.node_count(), |_, text| d.update(text));
     d.finish()
 }
 

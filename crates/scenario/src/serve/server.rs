@@ -580,12 +580,8 @@ where
             return;
         }
         let n = self.adj.node_count();
-        let rows = self.kernel.rows();
-        for i in 0..n {
-            assert!(
-                rows[i * n..(i + 1) * n] == *self.state.row(i),
-                "kernel row {i}"
-            );
+        for (i, row) in self.kernel.rows().enumerate() {
+            assert!(row == self.state.row(i), "kernel row {i}");
         }
         let identity = RoutingState::identity(&self.alg, n);
         let cold = dbf_matrix::iterate_to_fixed_point(

@@ -532,6 +532,52 @@ fn crash_recover_matches_the_uninterrupted_run() {
     }
 }
 
+/// A crash inside `write_snapshot`, between emptying the WAL and writing
+/// its header, leaves the new snapshot beside an empty (or header-torn)
+/// log: recovery restores the snapshot, replays nothing and serves the rest
+/// of the trace to the uninterrupted run's digests.
+#[test]
+fn a_wal_emptied_after_a_snapshot_recovers_to_the_uninterrupted_run() {
+    let trace = small_trace();
+    let clean = replay(&trace, 2, 16).expect("clean replay");
+    for (tag, left) in [("emptied", ""), ("torn-header", "# dbf-w")] {
+        let dir = temp_dir(tag);
+        let opts = |faults, recover| ServeOptions {
+            threads: 2,
+            batch_max: 16,
+            checkpoint_dir: Some(dir.clone()),
+            checkpoint_every: 32,
+            faults,
+            recover,
+            ..ServeOptions::default()
+        };
+        let plan = FaultPlan::new(1).with(FaultKind::CrashAtEvent, 128);
+        let crashed = replay_trace_opts(&trace, &opts(Some(Arc::new(plan)), false), &mut NoopSink)
+            .expect("crash run returns a partial report");
+        assert_eq!(
+            crashed.failure.expect("the crash fault must fire").kind,
+            "crash"
+        );
+        let store = CheckpointStore::open(&dir).expect("store");
+        std::fs::write(store.wal_path(), left).expect("empty the WAL");
+        let recovered =
+            replay_trace_opts(&trace, &opts(None, true), &mut NoopSink).expect("recovery replay");
+        assert!(
+            recovered.failure.is_none(),
+            "{tag}: {:?}",
+            recovered.failure
+        );
+        let info = recovered.recovery.expect("recovery info");
+        assert_eq!(info.snapshot_offset, Some(128), "{tag}");
+        assert_eq!(info.wal_replayed, 0, "{tag}");
+        assert_eq!(recovered.final_digest, clean.final_digest, "{tag}");
+        assert_eq!(recovered.answers_digest, clean.answers_digest, "{tag}");
+        assert_eq!(recovered.stats.batches, clean.stats.batches, "{tag}");
+        assert_eq!(recovered.stats.rounds, clean.stats.rounds, "{tag}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 #[test]
 fn a_corrupted_wal_fails_recovery_cleanly() {
     let trace = small_trace();

@@ -38,7 +38,7 @@ fn check<R: Debug + Eq + Clone>(t: &[R], c: usize, j0: usize, block: usize) -> T
     let reference = |i: usize, jl: usize| format!("({i},{})={:?};", j0 + jl, t[i * c + jl]);
 
     let mut whole = String::new();
-    fold_entry_text(t, j0, c, |_, text| whole.push_str(text));
+    fold_entry_text(t.chunks(c), j0, c, |_, text| whole.push_str(text));
     let want: String = (0..m)
         .flat_map(|i| (0..c).map(move |jl| (i, jl)))
         .map(|(i, jl)| reference(i, jl))
@@ -52,7 +52,9 @@ fn check<R: Debug + Eq + Clone>(t: &[R], c: usize, j0: usize, block: usize) -> T
             .chunks(c)
             .flat_map(|row| row[b0..b0 + w].to_vec())
             .collect();
-        fold_entry_text(&slab, j0 + b0, w, |jl, text| cols[b0 + jl].push_str(text));
+        fold_entry_text(slab.chunks(w), j0 + b0, w, |jl, text| {
+            cols[b0 + jl].push_str(text)
+        });
     }
     for (jl, col) in cols.into_iter().enumerate() {
         let want: String = (0..m).map(|i| reference(i, jl)).collect();
@@ -95,5 +97,5 @@ proptest! {
 /// An empty table folds nothing.
 #[test]
 fn an_empty_table_folds_nothing() {
-    fold_entry_text::<NatInf>(&[], 0, 0, |_, _| panic!("no entries"));
+    fold_entry_text::<NatInf>([], 0, 0, |_, _| panic!("no entries"));
 }
