@@ -119,10 +119,9 @@ struct Message<R> {
 /// The message-level simulator.
 pub struct EventSim<'a, A: RoutingAlgebra> {
     alg: &'a A,
+    /// `adj.dependants(j)`: the nodes that import from `j` (`A_ij`
+    /// present), i.e. the peers `j` announces to, in ascending order.
     adj: &'a AdjacencyMatrix<A>,
-    /// `exports[j]`: the nodes that import from `j` (`A_ij` present), i.e.
-    /// the peers `j` announces to, in ascending order.
-    exports: Vec<Vec<NodeId>>,
     config: SimConfig,
     rng: StdRng,
     now: u64,
@@ -169,7 +168,6 @@ impl<'a, A: RoutingAlgebra> EventSim<'a, A> {
         let mut sim = Self {
             alg,
             adj,
-            exports: adj.dependants(),
             config,
             rng: StdRng::seed_from_u64(config.seed),
             now: 0,
@@ -205,8 +203,8 @@ impl<'a, A: RoutingAlgebra> EventSim<'a, A> {
         self.send_gen[from][dest] += 1;
         let gen = self.send_gen[from][dest];
         let route = Rc::new(route);
-        for idx in 0..self.exports[from].len() {
-            let to = self.exports[from][idx];
+        let adj = self.adj;
+        for &to in adj.dependants(from) {
             self.stats.counters.sent += 1;
             if self.rng.gen_bool(self.config.loss_prob.clamp(0.0, 1.0)) {
                 self.stats.counters.dropped += 1;

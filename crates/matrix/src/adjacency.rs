@@ -13,14 +13,27 @@ use std::fmt;
 /// missing links and behave as the constant-∞̄ function.
 ///
 /// Real topologies are sparse (a router has a handful of neighbours, not
-/// `n`), so the matrix is stored row-compressed: row `i` is the sorted list
-/// of `(j, A_ij)` pairs for the links that exist.  This keeps the memory
-/// footprint `O(n + |E|)` instead of `O(n²)` and lets `σ`/`δ` iterate over a
-/// node's actual neighbours, which is what makes 10⁴-node sweeps feasible.
+/// `n`), so the matrix is stored in compressed sparse rows: one array of
+/// `(j, A_ij)` pairs for every present entry, row by row and each row
+/// sorted by `j`, and an offsets array that cuts it into rows.  Beside it
+/// sits the transpose of the sparsity pattern in the same form — per node
+/// `k`, the ascending rows `i` that import from `k` — built by every
+/// constructor and kept in step by [`AdjacencyMatrix::set`].  Memory is
+/// `O(n + |E|)` instead of `O(n²)`, σ and δ iterate over a node's actual
+/// neighbours (what makes 10⁴-node sweeps feasible), and the dirty-row
+/// engines and the message engines read who is affected by a row straight
+/// from [`AdjacencyMatrix::dependants`].  A matrix is a handful of
+/// allocations, however many nodes it has.
 pub struct AdjacencyMatrix<A: RoutingAlgebra> {
     n: usize,
-    /// `rows[i]` is sorted by neighbour index and never contains `i` itself.
-    rows: Vec<Vec<(NodeId, A::Edge)>>,
+    /// Row `i` is `links[offsets[i]..offsets[i + 1]]`: sorted by
+    /// neighbour, never containing `i` itself.  `offsets.len() == n + 1`.
+    offsets: Vec<usize>,
+    links: Vec<(NodeId, A::Edge)>,
+    /// The readers of node `k` are `readers[reader_offsets[k]..
+    /// reader_offsets[k + 1]]`, ascending: every `i` with `A_ik` present.
+    reader_offsets: Vec<usize>,
+    readers: Vec<NodeId>,
 }
 
 // Manual Clone: deriving would add an unnecessary `A: Clone` bound on the
@@ -30,7 +43,10 @@ impl<A: RoutingAlgebra> Clone for AdjacencyMatrix<A> {
     fn clone(&self) -> Self {
         Self {
             n: self.n,
-            rows: self.rows.clone(),
+            offsets: self.offsets.clone(),
+            links: self.links.clone(),
+            reader_offsets: self.reader_offsets.clone(),
+            readers: self.readers.clone(),
         }
     }
 }
@@ -40,33 +56,85 @@ impl<A: RoutingAlgebra> AdjacencyMatrix<A> {
     pub fn empty(n: usize) -> Self {
         Self {
             n,
-            rows: (0..n).map(|_| Vec::new()).collect(),
+            offsets: vec![0; n + 1],
+            links: Vec::new(),
+            reader_offsets: vec![0; n + 1],
+            readers: Vec::new(),
         }
     }
 
     /// Build an adjacency from an explicit entry function.
     pub fn from_fn(n: usize, mut f: impl FnMut(NodeId, NodeId) -> Option<A::Edge>) -> Self {
-        let mut adj = Self::empty(n);
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut links = Vec::new();
+        let mut reader_counts = vec![0; n + 1];
+        offsets.push(0);
         for i in 0..n {
-            for j in 0..n {
-                if i != j {
-                    if let Some(e) = f(i, j) {
-                        adj.rows[i].push((j, e));
-                    }
+            for j in (0..n).filter(|&j| j != i) {
+                if let Some(e) = f(i, j) {
+                    links.push((j, e));
+                    reader_counts[j] += 1;
                 }
             }
+            offsets.push(links.len());
         }
-        adj
+        Self::with_transpose(offsets, links, reader_counts)
     }
 
     /// Build an adjacency from a topology whose edge weights *are* the
     /// algebra's edge functions: the topology edge `i → j` becomes `A_ij`.
     pub fn from_topology(topo: &Topology<A::Edge>) -> Self {
         let n = topo.node_count();
-        // a topology row is already an adjacency row (sorted by neighbour,
-        // no self loop): one exact-size copy each
-        let rows = (0..n).map(|i| topo.row(i).to_vec()).collect();
-        Self { n, rows }
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut links = Vec::with_capacity(topo.edge_count());
+        let mut reader_counts = vec![0; n + 1];
+        offsets.push(0);
+        for i in 0..n {
+            // a topology row is already an adjacency row (sorted by
+            // neighbour, no self loop): copy it whole, then count its
+            // neighbours' readers
+            let row = topo.row(i);
+            links.extend_from_slice(row);
+            for &(k, _) in row {
+                reader_counts[k] += 1;
+            }
+            offsets.push(links.len());
+        }
+        Self::with_transpose(offsets, links, reader_counts)
+    }
+
+    /// Finish a constructor from its rows and `reader_counts[k]`, how many
+    /// rows import from `k` (the last of its `n + 1` slots is spare).
+    /// Prefix sums turn the counts into the end of each node's reader
+    /// list, and walking the rows backwards fills every list from its end,
+    /// so each one comes out ascending and the counts become the offsets.
+    fn with_transpose(
+        offsets: Vec<usize>,
+        links: Vec<(NodeId, A::Edge)>,
+        reader_counts: Vec<usize>,
+    ) -> Self {
+        let n = offsets.len() - 1;
+        let mut reader_offsets = reader_counts;
+        let mut end = 0;
+        for slot in &mut reader_offsets[..n] {
+            end += *slot;
+            *slot = end;
+        }
+        reader_offsets[n] = end;
+        let mut readers = vec![0; end];
+        for i in (0..n).rev() {
+            for &(k, _) in &links[offsets[i]..offsets[i + 1]] {
+                reader_offsets[k] -= 1;
+                readers[reader_offsets[k]] = i;
+            }
+        }
+        Self {
+            n,
+            offsets,
+            links,
+            reader_offsets,
+            readers,
+        }
     }
 
     /// The number of nodes.
@@ -76,19 +144,21 @@ impl<A: RoutingAlgebra> AdjacencyMatrix<A> {
 
     /// The number of present (non-∞̄) entries.
     pub fn link_count(&self) -> usize {
-        self.rows.iter().map(Vec::len).sum()
+        self.links.len()
     }
 
     /// The entry `A_ij`, if the link exists.
     pub fn get(&self, i: NodeId, j: NodeId) -> Option<&A::Edge> {
         assert!(i < self.n && j < self.n, "adjacency index out of range");
-        self.rows[i]
-            .binary_search_by_key(&j, |&(k, _)| k)
+        let row = self.row(i);
+        row.binary_search_by_key(&j, |&(k, _)| k)
             .ok()
-            .map(|pos| &self.rows[i][pos].1)
+            .map(|pos| &row[pos].1)
     }
 
-    /// Set (or clear) the entry `A_ij`.
+    /// Set (or clear) the entry `A_ij`.  Overwriting a present entry costs
+    /// a binary search; adding or clearing one shifts both the rows and
+    /// the transpose behind it, `O(n + |E|)`.
     ///
     /// # Panics
     ///
@@ -100,13 +170,24 @@ impl<A: RoutingAlgebra> AdjacencyMatrix<A> {
             i, j,
             "the diagonal of A is unused (see the identity matrix I)"
         );
-        let row = &mut self.rows[i];
-        match (row.binary_search_by_key(&j, |&(k, _)| k), e) {
-            (Ok(pos), Some(e)) => row[pos].1 = e,
+        let (lo, hi) = (self.offsets[i], self.offsets[i + 1]);
+        let found = self.links[lo..hi].binary_search_by_key(&j, |&(k, _)| k);
+        let readers = &self.readers[self.reader_offsets[j]..self.reader_offsets[j + 1]];
+        let at = self.reader_offsets[j] + readers.partition_point(|&r| r < i);
+        match (found, e) {
+            (Ok(pos), Some(e)) => self.links[lo + pos].1 = e,
             (Ok(pos), None) => {
-                row.remove(pos);
+                self.links.remove(lo + pos);
+                self.readers.remove(at);
+                shift(&mut self.offsets[i + 1..], false);
+                shift(&mut self.reader_offsets[j + 1..], false);
             }
-            (Err(pos), Some(e)) => row.insert(pos, (j, e)),
+            (Err(pos), Some(e)) => {
+                self.links.insert(lo + pos, (j, e));
+                self.readers.insert(at, i);
+                shift(&mut self.offsets[i + 1..], true);
+                shift(&mut self.reader_offsets[j + 1..], true);
+            }
             (Err(_), None) => {}
         }
     }
@@ -116,7 +197,18 @@ impl<A: RoutingAlgebra> AdjacencyMatrix<A> {
     /// iterates over, giving per-round cost `O(n · |E|)` instead of `O(n³)`.
     pub fn row(&self, i: NodeId) -> &[(NodeId, A::Edge)] {
         assert!(i < self.n, "adjacency index out of range");
-        &self.rows[i]
+        &self.links[self.offsets[i]..self.offsets[i + 1]]
+    }
+
+    /// The rows that import from row `k` (every `i` with `A_ik` present),
+    /// ascending — column `k` of the transpose of the sparsity pattern.
+    /// This is the propagation structure the dirty-row engines walk each
+    /// round (when row `k` changes, exactly these rows can change next
+    /// round) and the list of peers a message engine's node `k` announces
+    /// to.
+    pub fn dependants(&self, k: NodeId) -> &[NodeId] {
+        assert!(k < self.n, "adjacency index out of range");
+        &self.readers[self.reader_offsets[k]..self.reader_offsets[k + 1]]
     }
 
     /// Apply `A_ij` to a route, treating a missing entry as the constant-∞̄
@@ -127,19 +219,17 @@ impl<A: RoutingAlgebra> AdjacencyMatrix<A> {
             None => alg.invalid(),
         }
     }
+}
 
-    /// `dependants[k]` = the rows that import from row `k` (the transpose
-    /// of the sparsity pattern).  This is the propagation structure both
-    /// dirty-row engines and the full-sweep row-skip walk each round: when
-    /// row `k` changes, exactly `dependants[k]` can change next round.
-    pub fn dependants(&self) -> Vec<Vec<NodeId>> {
-        let mut dependants: Vec<Vec<NodeId>> = vec![Vec::new(); self.n];
-        for (i, row) in self.rows.iter().enumerate() {
-            for (k, _) in row {
-                dependants[*k].push(i);
-            }
+/// Move the offsets behind an inserted (or removed) entry one slot up (or
+/// down).
+fn shift(offsets: &mut [usize], inserted: bool) {
+    for o in offsets {
+        if inserted {
+            *o += 1;
+        } else {
+            *o -= 1;
         }
-        dependants
     }
 }
 
@@ -188,6 +278,8 @@ mod tests {
         assert_eq!(adj.link_count(), 1);
         assert_eq!(adj.row(0), &[(1, NatInf::fin(5))]);
         assert!(adj.row(2).is_empty());
+        assert_eq!(adj.dependants(1), &[0], "node 0 imports from node 1");
+        assert!(adj.dependants(0).is_empty());
     }
 
     #[test]

@@ -52,13 +52,15 @@
 //! reconvergence from a borrowed fixed point costs the rows it touches
 //! plus its peak frontier of staging — not a copy of the `n²` table.
 //!
-//! A stepper can also stay *resident* across adjacency changes, as the
-//! route server keeps one for its lifetime: [`FixedPoint::grow`] when nodes
-//! join, [`FixedPoint::rewire`] its cached dependants from the rows whose
-//! import lists changed, then [`FixedPoint::reseed`] the frontier over the
-//! rows it already holds (or [`FixedPoint::restart_from_identity`]) and
-//! step as usual; [`FixedPoint::finish_into`] hands a mirror table exactly
-//! the rows that moved.  Nothing is rebuilt per change but what changed.
+//! The stepper caches nothing derived from the adjacency: a round reads
+//! the next frontier from [`AdjacencyMatrix::dependants`] of the adjacency
+//! it is passed.  So a stepper can stay *resident* across adjacency
+//! changes, as the route server keeps one for its lifetime:
+//! [`FixedPoint::grow`] when nodes join, then [`FixedPoint::reseed`] the
+//! frontier over the rows it already holds (or
+//! [`FixedPoint::restart_from_identity`]) and step on the new adjacency;
+//! [`FixedPoint::finish_into`] hands a mirror table exactly the rows that
+//! moved.  Nothing is rebuilt per change but what changed.
 
 use crate::adjacency::AdjacencyMatrix;
 use crate::frontier::Frontier;
@@ -167,8 +169,9 @@ impl<A: RoutingAlgebra> Executor<A> for Inline {
 ///
 /// The algebra, adjacency, executor and sink are arguments of every call
 /// rather than fields, so the stepper can be parked next to the adjacency
-/// it iterates; passing a different adjacency than the one it was built
-/// from (or last [`FixedPoint::rewire`]d to) is a caller bug.
+/// it iterates.  Switching to another adjacency of the stepper's node
+/// count is a change of problem: [`FixedPoint::reseed`] it with (at
+/// least) the rows whose import lists differ before stepping again.
 pub struct FixedPoint<A: RoutingAlgebra> {
     n: usize,
     w: usize,
@@ -182,8 +185,6 @@ pub struct FixedPoint<A: RoutingAlgebra> {
     changed: Vec<bool>,
     frontier: Frontier,
     next: Frontier,
-    /// `dependants[k]` = the rows that read row `k`.
-    dependants: Vec<Vec<usize>>,
     /// The rows a committed round changed since the iteration began.
     touched: Frontier,
     full_sweep: bool,
@@ -273,7 +274,6 @@ impl<A: RoutingAlgebra> FixedPoint<A> {
             changed: Vec::new(),
             frontier: Frontier::new(n),
             next: Frontier::new(n),
-            dependants: adj.dependants(),
             touched: Frontier::new(n),
             full_sweep: false,
             quiet: false,
@@ -286,8 +286,8 @@ impl<A: RoutingAlgebra> FixedPoint<A> {
     /// Begin a new iteration over the rows the stepper holds: the frontier
     /// becomes `start`, and the counters, the settle record and the set of
     /// changed rows are zeroed.  A resident stepper whose adjacency changed
-    /// is [`FixedPoint::rewire`]d first and reseeded with the rows the
-    /// change can perturb.
+    /// is reseeded with the rows the change can perturb
+    /// ([`crate::incremental::dirty_rows_after_change`]).
     ///
     /// # Panics
     ///
@@ -317,8 +317,8 @@ impl<A: RoutingAlgebra> FixedPoint<A> {
 
     /// Grow a whole-row stepper to `n` nodes: every row gains the new
     /// columns and the new rows join, all with the identity pattern (∞̄,
-    /// 0̄ on the diagonal — what [`RoutingState::grown`] writes); the new
-    /// nodes read and are read by nobody until [`FixedPoint::rewire`].
+    /// 0̄ on the diagonal — what [`RoutingState::grown`] writes).  Step it
+    /// on an adjacency of `n` nodes from here on.
     ///
     /// # Panics
     ///
@@ -335,52 +335,9 @@ impl<A: RoutingAlgebra> FixedPoint<A> {
             .grown(alg, n)
             .into_table();
         (self.n, self.w) = (n, n);
-        self.dependants.resize_with(n, Vec::new);
         for f in [&mut self.frontier, &mut self.next, &mut self.touched] {
             f.grow(n);
         }
-    }
-
-    /// Follow an adjacency change from `old` to `new` (of this stepper's
-    /// node count; `old` may have fewer nodes): for every row `dirty`
-    /// marks — at least every row whose import list changed, as
-    /// [`crate::incremental::dirty_rows_after_change`] returns them — the
-    /// neighbours it stopped importing from lose it as a dependant and the
-    /// ones it started importing from gain it.  The cost grows with the
-    /// dirty rows' degrees, not with `|E|`; the dependants equal
-    /// `new.dependants()` up to order, which no round observes (a frontier
-    /// is sorted).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `new` or `dirty` does not match the node count.
-    pub fn rewire(&mut self, old: &AdjacencyMatrix<A>, new: &AdjacencyMatrix<A>, dirty: &[bool]) {
-        assert_eq!(new.node_count(), self.n, "not this stepper's adjacency");
-        assert_eq!(dirty.len(), self.n, "dirty mask length must match");
-        let reads =
-            |row: &[(usize, A::Edge)], k: usize| row.binary_search_by_key(&k, |e| e.0).is_ok();
-        for i in (0..self.n).filter(|&i| dirty[i]) {
-            let before = if i < old.node_count() {
-                old.row(i)
-            } else {
-                &[]
-            };
-            let after = new.row(i);
-            for &(k, _) in before.iter().filter(|e| !reads(after, e.0)) {
-                let readers = &mut self.dependants[k];
-                let at = readers.iter().position(|&d| d == i);
-                readers.swap_remove(at.expect("a row is a dependant of each of its imports"));
-            }
-            for &(k, _) in after.iter().filter(|e| !reads(before, e.0)) {
-                self.dependants[k].push(i);
-            }
-        }
-    }
-
-    /// `dependants()[k]` = the rows that read row `k`, in no particular
-    /// order.
-    pub fn dependants(&self) -> &[Vec<usize>] {
-        &self.dependants
     }
 
     /// Rounds committed so far.
@@ -556,7 +513,7 @@ impl<A: RoutingAlgebra> FixedPoint<A> {
             }
             if commit {
                 self.touched.insert(i);
-                for &d in &self.dependants[i] {
+                for &d in adj.dependants(i) {
                     self.next.insert(d);
                 }
             }

@@ -539,26 +539,14 @@ fn sigma_is_equivariant_under_relabeling() {
     }
 }
 
-/// `dependants` as a multiset per row, for comparing a rewired stepper's
-/// with a freshly derived one.
-fn sorted_dependants(deps: &[Vec<usize>]) -> Vec<Vec<usize>> {
-    deps.iter()
-        .map(|d| {
-            let mut d = d.clone();
-            d.sort_unstable();
-            d
-        })
-        .collect()
-}
-
 #[test]
 fn a_resident_stepper_walks_what_a_fresh_one_per_change_walks() {
     // One stepper kept alive across 60 random adjacency changes — edges
     // set, cleared and re-weighted, nodes joining, every seventh change a
     // restart from the identity — against a stepper built fresh for each
     // change from the previous fixed point: same events, counters and
-    // rows, the same table handed back, and dependants that are the new
-    // adjacency's.
+    // rows, and the same table handed back.  The resident one is only
+    // grown and reseeded; its rounds read the new adjacency's dependants.
     // A finite carrier: a removal reconverges from the old table without
     // counting to infinity.
     let alg = BoundedHopCount::new(16);
@@ -604,17 +592,11 @@ fn a_resident_stepper_walks_what_a_fresh_one_per_change_walks() {
         };
         let mut fresh = FixedPoint::new(&next, start, Start::Dirty(&dirty));
         resident.grow(&alg, n);
-        resident.rewire(&adj, &next, &dirty);
         if restart {
             resident.restart_from_identity(&alg);
         } else {
             resident.reseed(Start::Dirty(&dirty));
         }
-        assert_eq!(
-            sorted_dependants(resident.dependants()),
-            next.dependants(),
-            "step {step}: rewired dependants"
-        );
         let (mut seen, mut want) = (Recorder::default(), Recorder::default());
         let budget = 4 * n * n + 64;
         assert!(fresh.run(&alg, &next, budget, &Inline, &mut want));

@@ -4,11 +4,16 @@
 //! The fuzzing subsystem's topology-change scripts hammer exactly this
 //! surface — repeated add/remove of the same edge, clearing absent
 //! entries, overwriting in place — so the sparse representation is checked
-//! op-for-op against a `Vec<Vec<Option<_>>>` oracle.
+//! op-for-op against a `Vec<Vec<Option<_>>>` oracle.  The transpose the
+//! matrix carries (`dependants(k)`, the rows that import from `k`) is
+//! checked against the same oracle after every op and for every
+//! constructor and clone.
 
 use dbf_algebra::prelude::*;
 use dbf_matrix::prelude::*;
+use dbf_topology::Topology;
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 const N: usize = 6;
 
@@ -34,10 +39,51 @@ fn op() -> impl Strategy<Value = Op> {
     })
 }
 
+/// Rows and transpose against the dense model, brute force: every row is
+/// strictly sorted and holds exactly the model's entries, for every `k`
+/// `dependants(k)` is the ascending `{i : A_ik present}`, and the
+/// transpose holds one reader per link.
+fn check_rows_and_transpose(
+    adj: &AdjacencyMatrix<ShortestPaths>,
+    dense: &[Vec<Option<NatInf>>],
+) -> Result<(), TestCaseError> {
+    let n = dense.len();
+    prop_assert_eq!(adj.node_count(), n);
+    for (i, dense_row) in dense.iter().enumerate() {
+        let row = adj.row(i);
+        prop_assert!(
+            row.windows(2).all(|w| w[0].0 < w[1].0),
+            "row {} must stay strictly sorted",
+            i
+        );
+        let want: Vec<(usize, NatInf)> = dense_row
+            .iter()
+            .enumerate()
+            .filter_map(|(j, e)| e.map(|e| (j, e)))
+            .collect();
+        prop_assert_eq!(row, &want[..], "row {}", i);
+    }
+    let mut readers: Vec<Vec<usize>> = vec![Vec::new(); n];
+    for (i, dense_row) in dense.iter().enumerate() {
+        for (k, e) in dense_row.iter().enumerate() {
+            if e.is_some() {
+                readers[k].push(i);
+            }
+        }
+    }
+    for (k, want) in readers.iter().enumerate() {
+        prop_assert_eq!(adj.dependants(k), &want[..], "readers of {}", k);
+    }
+    let readers: usize = (0..n).map(|k| adj.dependants(k).len()).sum();
+    prop_assert_eq!(adj.link_count(), readers);
+    Ok(())
+}
+
 /// Apply an op sequence to both representations and compare every
-/// observable: per-entry lookups, link count, row sortedness and the
-/// imported-neighbour sets.
-fn check_against_dense(ops: &[Op]) -> Result<(), proptest::test_runner::TestCaseError> {
+/// observable: per-entry lookups, link count, row sortedness, the
+/// imported-neighbour sets and the transpose — of the matrix and of a
+/// clone taken after each op.
+fn check_against_dense(ops: &[Op]) -> Result<(), TestCaseError> {
     let mut sparse: AdjacencyMatrix<ShortestPaths> = AdjacencyMatrix::empty(N);
     let mut dense: Vec<Vec<Option<NatInf>>> = vec![vec![None; N]; N];
     for op in ops {
@@ -73,8 +119,22 @@ fn check_against_dense(ops: &[Op]) -> Result<(), proptest::test_runner::TestCase
         }
         let dense_links = dense.iter().flatten().filter(|e| e.is_some()).count();
         prop_assert_eq!(sparse.link_count(), dense_links);
+        check_rows_and_transpose(&sparse, &dense)?;
+        check_rows_and_transpose(&sparse.clone(), &dense)?;
     }
     Ok(())
+}
+
+/// A dense `n × n` model from one weight per cell, row-major: 0 (and the
+/// diagonal) is a missing link.
+fn dense_from_cells(n: usize, cells: &[u64]) -> Vec<Vec<Option<NatInf>>> {
+    (0..n)
+        .map(|i| {
+            (0..n)
+                .map(|j| (i != j && cells[i * n + j] > 0).then(|| NatInf::fin(cells[i * n + j])))
+                .collect()
+        })
+        .collect()
 }
 
 proptest! {
@@ -83,6 +143,55 @@ proptest! {
     #[test]
     fn sparse_adjacency_matches_the_dense_model(ops in proptest::collection::vec(op(), 0..60)) {
         check_against_dense(&ops)?;
+    }
+
+    #[test]
+    fn every_constructor_carries_the_transpose(
+        n in 0usize..10,
+        cells in proptest::collection::vec(0u64..4, 100),
+    ) {
+        // About a third of the cells are missing links; `n = 0` and `1`
+        // leave nothing to read.
+        let dense = dense_from_cells(n, &cells);
+        let empty: AdjacencyMatrix<ShortestPaths> = AdjacencyMatrix::empty(n);
+        check_rows_and_transpose(&empty, &vec![vec![None; n]; n])?;
+        check_rows_and_transpose(&empty.clone(), &vec![vec![None; n]; n])?;
+        let from_fn: AdjacencyMatrix<ShortestPaths> =
+            AdjacencyMatrix::from_fn(n, |i, j| dense[i][j]);
+        check_rows_and_transpose(&from_fn, &dense)?;
+        check_rows_and_transpose(&from_fn.clone(), &dense)?;
+        let mut topo = Topology::new(n);
+        for (i, row) in dense.iter().enumerate() {
+            for (j, e) in row.iter().enumerate() {
+                if let Some(e) = e {
+                    topo.set_edge(i, j, *e);
+                }
+            }
+        }
+        let from_topology: AdjacencyMatrix<ShortestPaths> = AdjacencyMatrix::from_topology(&topo);
+        check_rows_and_transpose(&from_topology, &dense)?;
+        check_rows_and_transpose(&from_topology.clone(), &dense)?;
+    }
+
+    #[test]
+    fn set_on_a_built_matrix_keeps_the_transpose(
+        cells in proptest::collection::vec(0u64..4, N * N),
+        ops in proptest::collection::vec(op(), 0..40),
+    ) {
+        // `set` on a matrix some other constructor built, and on a clone
+        // of it: the copy diverges, the original keeps its transpose.
+        let mut dense = dense_from_cells(N, &cells);
+        let original: AdjacencyMatrix<ShortestPaths> =
+            AdjacencyMatrix::from_fn(N, |i, j| dense[i][j]);
+        let before = dense.clone();
+        let mut adj = original.clone();
+        for op in &ops {
+            let value = op.set.map(NatInf::fin);
+            adj.set(op.i, op.j, value);
+            dense[op.i][op.j] = value;
+            check_rows_and_transpose(&adj, &dense)?;
+        }
+        check_rows_and_transpose(&original, &before)?;
     }
 
     #[test]

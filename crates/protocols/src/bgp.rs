@@ -84,10 +84,9 @@ struct Scheduled {
 /// The BGP-like engine.
 pub struct BgpEngine {
     alg: BgpAlgebra,
+    /// `adj.dependants(j)`: the neighbours that import from node `j` (the
+    /// peers `j` announces to), in ascending order.
     adj: AdjacencyMatrix<BgpAlgebra>,
-    /// `listeners[j]`: the neighbours that import from node `j` (the peers
-    /// `j` announces to), in ascending order.
-    listeners: Vec<Vec<NodeId>>,
     config: BgpConfig,
     n: usize,
     rng: StdRng,
@@ -136,7 +135,6 @@ impl BgpEngine {
         let rib_in = (0..n).map(|i| RibIn::new(&alg, i, adj.row(i), n)).collect();
         let mut engine = Self {
             alg,
-            listeners: adj.dependants(),
             adj,
             config,
             n,
@@ -216,8 +214,8 @@ impl BgpEngine {
 
     fn announce_to_neighbors(&mut self, i: NodeId, dest: NodeId) {
         let (withdrawal, encoded) = self.encode(i, dest);
-        for idx in 0..self.listeners[i].len() {
-            let to = self.listeners[i][idx];
+        for idx in 0..self.adj.dependants(i).len() {
+            let to = self.adj.dependants(i)[idx];
             self.send_update(i, to, withdrawal, &encoded);
         }
     }

@@ -141,11 +141,10 @@ struct TableEntry {
 pub struct RipEngine {
     config: RipConfig,
     /// The routing problem: `adj.get(i, j)` is the hop cost node `i` pays to
-    /// import routes announced by `j` (1 for plain topologies).
+    /// import routes announced by `j` (1 for plain topologies), and
+    /// `adj.dependants(i)` the routers that import from `i` (the
+    /// recipients of `i`'s advertisements).
     adj: AdjacencyMatrix<BoundedHopCount>,
-    /// `listeners[i]` = the routers that import from `i` (the recipients of
-    /// `i`'s advertisements).
-    listeners: Vec<Vec<NodeId>>,
     n: usize,
     rng: StdRng,
     now: u64,
@@ -193,8 +192,6 @@ impl RipEngine {
             n <= MAX_NODES,
             "{n} nodes do not fit the u16 wire fields (at most {MAX_NODES})"
         );
-        // i imports from j, so j advertises to i.
-        let listeners = adj.dependants();
         let mut tables = Vec::with_capacity(n);
         for i in 0..n {
             let mut row = Vec::with_capacity(n);
@@ -210,7 +207,6 @@ impl RipEngine {
         let mut engine = Self {
             config,
             adj,
-            listeners,
             n,
             rng: StdRng::seed_from_u64(config.seed),
             now: 0,
@@ -333,7 +329,9 @@ impl RipEngine {
     }
 
     fn broadcast(&mut self, from: NodeId) {
-        for to in self.listeners[from].clone() {
+        // i imports from j, so j advertises to i
+        for idx in 0..self.adj.dependants(from).len() {
+            let to = self.adj.dependants(from)[idx];
             self.send_advert(from, to);
         }
     }

@@ -1,9 +1,8 @@
 //! The resident kernel, differentially: across random traces on both
 //! algebras — nodes joining, restart-on-removal and a scripted-clock
-//! deadline run — after every event the server's
-//! one stepper must hold the adjacency's dependants, and while idle its
-//! rows must be the table and the table a from-scratch solve; a stale
-//! answer must come from the pre-batch table.
+//! deadline run — after every event, while the server is idle, its one
+//! stepper's rows must be the table and the table a from-scratch solve; a
+//! stale answer must come from the pre-batch table.
 
 use super::tests::hop_rebuild;
 use super::*;

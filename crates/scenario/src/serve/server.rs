@@ -10,10 +10,10 @@
 //!
 //! One [`FixedPoint`] stepper lives as long as the server and holds the
 //! table σ iterates; `state` is the answer table beside it.  While idle the
-//! two are equal.  A flush rebuilds the adjacency, diffs it against the
-//! last one, rewires the stepper's dependants from the dirty rows, reseeds
-//! its frontier and iterates; the commit copies the rows that moved into
-//! `state`.  While degraded, `state` is the pre-batch table the stale
+//! two are equal.  A flush rebuilds the adjacency (its transpose, which
+//! the stepper's rounds read, comes with it), diffs it against the last
+//! one, reseeds the stepper's frontier with the dirty rows and iterates;
+//! the commit copies the rows that moved into `state`.  While degraded, `state` is the pre-batch table the stale
 //! answers come from.
 
 use super::clock::{Clock, SystemClock};
@@ -365,7 +365,6 @@ where
             )
         });
         self.kernel.grow(&self.alg, n);
-        self.kernel.rewire(&self.adj, &new_adj, &dirty);
         self.adj = new_adj;
         // On an infinite carrier a removal (or a weight increase) can
         // leave the cached table unreachably optimistic
@@ -568,14 +567,10 @@ where
         &self.state
     }
 
-    /// The resident kernel's invariants: its dependants are the
-    /// adjacency's (as multisets) at all times, and while idle its rows
-    /// are the table and the table is σ's fixed point on the adjacency,
-    /// solved from scratch.
+    /// The resident kernel's invariants: while idle its rows are the
+    /// table and the table is σ's fixed point on the adjacency, solved
+    /// from scratch.
     pub(super) fn assert_resident(&self) {
-        let mut deps = self.kernel.dependants().to_vec();
-        deps.iter_mut().for_each(|d| d.sort_unstable());
-        assert_eq!(deps, self.adj.dependants(), "rewired dependants");
         if self.is_degraded() {
             return;
         }
