@@ -827,10 +827,9 @@ mod tests {
         )
     }
 
-    /// A ring-12 hop-count server whose first flush is delayed 50 ms on a
-    /// scripted clock against a 5 ms deadline, with one link failure
-    /// pushed and flushed: it is degraded, the failure parked.
-    fn degraded_server() -> RouteServer<
+    /// A converged ring-12 hop-count server whose first flush is delayed
+    /// 50 ms on a scripted clock against a 5 ms deadline.
+    fn delayed_server() -> RouteServer<
         BoundedHopCount,
         impl Fn(&Topology<()>, &WeightOverrides) -> AdjacencyMatrix<BoundedHopCount>,
     > {
@@ -842,8 +841,20 @@ mod tests {
             .with_clock(Arc::new(ScriptedClock::new(Duration::from_micros(10))));
         server.initial_converge(&mut NoopSink).unwrap();
         server
-            .push_change(ChangeSpec::FailLink { a: 0, b: 1 }, &mut NoopSink)
-            .unwrap();
+    }
+
+    /// [`delayed_server`] with `batch` pushed and flushed: it is degraded,
+    /// the batch parked.
+    fn degraded_server(
+        batch: &[ChangeSpec],
+    ) -> RouteServer<
+        BoundedHopCount,
+        impl Fn(&Topology<()>, &WeightOverrides) -> AdjacencyMatrix<BoundedHopCount>,
+    > {
+        let mut server = delayed_server();
+        for &change in batch {
+            server.push_change(change, &mut NoopSink).unwrap();
+        }
         server.flush(&mut NoopSink).unwrap();
         assert!(server.is_degraded());
         server
@@ -855,7 +866,46 @@ mod tests {
         // Its shape is post-batch and its table pre-batch: a server
         // restored from that would answer, as fresh, from a table that is
         // not the fixed point of its shape.
-        degraded_server().snapshot(1, "hopcount 24", &Digest::default());
+        degraded_server(&[ChangeSpec::FailLink { a: 0, b: 1 }]).snapshot(
+            1,
+            "hopcount 24",
+            &Digest::default(),
+        );
+    }
+
+    #[test]
+    fn a_parked_batch_that_adds_a_node_is_read_from_the_pre_batch_table() {
+        let batch = [
+            ChangeSpec::FailLink { a: 0, b: 1 },
+            ChangeSpec::AddNode,
+            ChangeSpec::SetLink { a: 6, b: 12 },
+        ];
+        let mut pre = delayed_server();
+        let before = pre.digest();
+        let row: Vec<String> = (0..12)
+            .map(|to| pre.query(0, to, &mut NoopSink).unwrap().text)
+            .collect();
+        let mut server = degraded_server(&batch);
+        assert_eq!(server.node_count(), 12, "the pre-batch node count");
+        assert_eq!(server.digest(), before, "the pre-batch digest");
+        let answer = server.query(0, 7, &mut NoopSink).unwrap();
+        assert!(answer.stale && server.is_degraded());
+        assert_eq!(answer.text, row[7], "the pre-batch table answers");
+        assert_eq!(server.digest(), before);
+
+        let answer = server.query(0, 12, &mut NoopSink).unwrap();
+        assert!(!answer.stale, "a query to the new node completes the flush");
+        assert!(!server.is_degraded());
+        assert_eq!(server.node_count(), 13);
+        let mut shape =
+            crate::run::build_shape(&crate::spec::TopologySpec::Ring { n: 12 }).unwrap();
+        batch
+            .iter()
+            .for_each(|c| crate::run::apply_change(c, &mut shape));
+        let mut cold = RouteServer::raw(BoundedHopCount::new(24), shape, hop_rebuild(), 1, 64);
+        cold.initial_converge(&mut NoopSink).unwrap();
+        assert_eq!(server.digest(), cold.digest(), "a cold solve's table");
+        assert_eq!(answer.text, cold.query(0, 12, &mut NoopSink).unwrap().text);
     }
 
     #[test]
