@@ -701,11 +701,19 @@ where
             }
             shape.set_edge(a, b, ());
         }
-        let overrides: WeightOverrides = snap
-            .overrides
-            .iter()
-            .map(|&(a, b, w)| ((a, b), w))
-            .collect();
+        // An override is a `set_weight` a live server admitted: refused
+        // where that would have been, so a forged one cannot round-trip.
+        let mut overrides = WeightOverrides::new();
+        for &(a, b, w) in &snap.overrides {
+            let change = ChangeSpec::SetWeight {
+                from: a,
+                to: b,
+                weight: w,
+            };
+            admit(&change, n)
+                .map_err(|p| format!("snapshot override {a} {b} {w}: {}", p.message))?;
+            overrides.insert((a, b), w);
+        }
         // every token is at least a byte and its separator
         let mut table: Vec<A::Route> = Vec::with_capacity(snap.rows.len() / 2);
         let mut rows = 0;

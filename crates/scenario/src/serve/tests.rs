@@ -955,3 +955,31 @@ fn a_node_count_the_server_cannot_hold_is_refused_before_anything_is_built() {
         .expect_err("one node too many");
     assert_eq!(problem.kind, "out_of_range");
 }
+
+#[test]
+fn a_snapshot_override_off_the_nodes_or_on_the_diagonal_is_refused() {
+    let shortest = |s: &Topology<()>, w: &WeightOverrides| {
+        AdjacencyMatrix::from_topology(
+            &s.with_weights(|i, j| NatInf::fin(w.get(&(i, j)).copied().unwrap_or(1))),
+        )
+    };
+    let shape = build_shape(&TopologySpec::Ring { n: 10 }).unwrap();
+    let mut server = RouteServer::raw(ShortestPaths::new(), shape, shortest, 1, 64);
+    server.initial_converge(&mut NoopSink).unwrap();
+    let snap = server.snapshot(0, "shortest", &Digest::default());
+    for (a, b, w) in [(0, 99, 1000), (3, 3, 5)] {
+        let mut forged = snap.clone();
+        forged.overrides = vec![(a, b, w)];
+        let err = RouteServer::restore(ShortestPaths::new(), shortest, &forged, 1, 64)
+            .err()
+            .unwrap_or_else(|| panic!("override {a} {b} {w} restored"));
+        assert!(err.contains(&format!("override {a} {b} {w}")), "{err}");
+    }
+    // `set_weight` on a non-edge is admitted live, so a snapshot may hold
+    // one
+    let mut kept = snap;
+    kept.overrides = vec![(0, 5, 7)];
+    let restored = RouteServer::restore(ShortestPaths::new(), shortest, &kept, 1, 64)
+        .expect("an override on a non-edge");
+    assert_eq!(restored.snapshot(0, "shortest", &Digest::default()), kept);
+}
