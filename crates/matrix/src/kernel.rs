@@ -58,9 +58,11 @@
 //! changes, as the route server keeps one for its lifetime:
 //! [`FixedPoint::grow`] when nodes join, then [`FixedPoint::reseed`] the
 //! frontier over the rows it already holds (or
-//! [`FixedPoint::restart_from_identity`]) and step on the new adjacency;
-//! [`FixedPoint::finish_into`] hands a mirror table exactly the rows that
-//! moved.  Nothing is rebuilt per change but what changed.
+//! [`FixedPoint::restart_from_identity`]) and step on the new adjacency.
+//! Its rows are then the only table there is: [`FixedPoint::share`] hands
+//! out a copy that costs a pointer, which holds the rows as they were
+//! while later rounds write the stepper's own.  Nothing is rebuilt per
+//! change but what changed.
 
 use crate::adjacency::AdjacencyMatrix;
 use crate::frontier::Frontier;
@@ -185,8 +187,6 @@ pub struct FixedPoint<A: RoutingAlgebra> {
     changed: Vec<bool>,
     frontier: Frontier,
     next: Frontier,
-    /// The rows a committed round changed since the iteration began.
-    touched: Frontier,
     full_sweep: bool,
     /// The last committed round changed no row.
     quiet: bool,
@@ -240,7 +240,7 @@ impl<A: RoutingAlgebra> FixedPoint<A> {
     /// Start over from the identity in place: every row is reset to its
     /// identity row and recomputed in the first round, and — as under
     /// [`Start::Dirty`] — the iteration is converged once the frontier
-    /// empties.  Every row counts as changed ([`FixedPoint::finish_into`]).
+    /// empties.
     ///
     /// # Panics
     ///
@@ -249,9 +249,6 @@ impl<A: RoutingAlgebra> FixedPoint<A> {
         self.assert_whole_rows();
         self.fill_identity(alg, 0, self.n);
         self.seed(false, |_| true);
-        for i in 0..self.n {
-            self.touched.insert(i);
-        }
     }
 
     fn fill_identity(&mut self, alg: &A, j0: usize, w: usize) {
@@ -274,7 +271,6 @@ impl<A: RoutingAlgebra> FixedPoint<A> {
             changed: Vec::new(),
             frontier: Frontier::new(n),
             next: Frontier::new(n),
-            touched: Frontier::new(n),
             full_sweep: false,
             quiet: false,
             rounds: 0,
@@ -284,8 +280,7 @@ impl<A: RoutingAlgebra> FixedPoint<A> {
     }
 
     /// Begin a new iteration over the rows the stepper holds: the frontier
-    /// becomes `start`, and the counters, the settle record and the set of
-    /// changed rows are zeroed.  A resident stepper whose adjacency changed
+    /// becomes `start`, and the counters and the settle record are zeroed.  A resident stepper whose adjacency changed
     /// is reseeded with the rows the change can perturb
     /// ([`crate::incremental::dirty_rows_after_change`]).
     ///
@@ -312,7 +307,6 @@ impl<A: RoutingAlgebra> FixedPoint<A> {
         self.rounds = 0;
         self.row_recomputations = 0;
         self.settled.clear();
-        self.touched.clear();
     }
 
     /// Grow a whole-row stepper to `n` nodes: every row gains the new
@@ -335,9 +329,8 @@ impl<A: RoutingAlgebra> FixedPoint<A> {
             .grown(alg, n)
             .into_table();
         (self.n, self.w) = (n, n);
-        for f in [&mut self.frontier, &mut self.next, &mut self.touched] {
-            f.grow(n);
-        }
+        self.frontier.grow(n);
+        self.next.grow(n);
     }
 
     /// Rounds committed so far.
@@ -371,6 +364,17 @@ impl<A: RoutingAlgebra> FixedPoint<A> {
     /// The width `w` of the column window.
     pub fn width(&self) -> usize {
         self.w
+    }
+
+    /// The number of rows `n`.
+    pub fn node_count(&self) -> usize {
+        self.n
+    }
+
+    /// Row `i` of the current `n × w` row store.
+    pub fn row(&self, i: usize) -> &[A::Route] {
+        assert!(i < self.n, "row index out of range");
+        self.rows.row(i)
     }
 
     /// The current `n × w` row store, row by row.
@@ -512,7 +516,6 @@ impl<A: RoutingAlgebra> FixedPoint<A> {
                 self.settled[i] = round;
             }
             if commit {
-                self.touched.insert(i);
                 for &d in adj.dependants(i) {
                     self.next.insert(d);
                 }
@@ -543,28 +546,25 @@ impl<A: RoutingAlgebra> FixedPoint<A> {
         RoutingState::from_table(self.n, self.rows)
     }
 
-    /// [`FixedPoint::finish`] for a stepper that stays resident: emit the
-    /// same `node_settled` events, then copy into `state` — a table that
-    /// held these rows when the iteration began — every row that changed
-    /// since (every row after [`FixedPoint::restart_from_identity`]), so
-    /// that it holds them again.  The stepper is left as it was.
+    /// The whole-row state as it stands, as a state that shares every row
+    /// with the stepper: the rows written since the stepper's rows were
+    /// last shared are folded back into them first, so the copy costs a
+    /// pointer.  Later rounds write to the stepper alone; the copy keeps
+    /// the rows it was handed.
     ///
     /// # Panics
     ///
-    /// Panics on a slab or if `state` does not have this node count.
-    pub fn finish_into<S: TelemetrySink + ?Sized>(
-        &mut self,
-        state: &mut RoutingState<A>,
-        tel: &mut S,
-    ) {
+    /// Panics on a slab.
+    pub fn share(&mut self) -> RoutingState<A> {
         self.assert_whole_rows();
-        assert_eq!(state.node_count(), self.n, "state dimensions must match");
-        self.emit_settled(tel);
-        let rows = self.rows.view();
-        state.set_rows(self.touched.sorted().iter().map(|&i| (i, rows.row(i))));
+        self.rows.fold();
+        RoutingState::from_table(self.n, self.rows.clone())
     }
 
-    fn emit_settled<S: TelemetrySink + ?Sized>(&mut self, tel: &mut S) {
+    /// Emit what [`FixedPoint::finish`] emits — `node_settled` for every
+    /// node, in node order — and keep stepping from here: how a resident
+    /// stepper ends an iteration.
+    pub fn emit_settled<S: TelemetrySink + ?Sized>(&mut self, tel: &mut S) {
         if tel.enabled() {
             self.settled.resize(self.n, 0);
             for (node, &round) in self.settled.iter().enumerate() {
@@ -578,5 +578,48 @@ impl<A: RoutingAlgebra> FixedPoint<A> {
             self.j0 == 0 && self.w == self.n,
             "only a whole-row kernel holds a RoutingState"
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::incremental::dirty_rows_after_change;
+    use crate::sync::iterate_to_fixed_point;
+    use dbf_algebra::prelude::*;
+    use dbf_telemetry::NoopSink;
+    use dbf_topology::generators;
+
+    #[test]
+    fn a_shared_copy_of_a_resident_stepper_costs_a_pointer_cycle_after_cycle() {
+        // Flush-shaped cycles: take a copy, reconverge after a link cut
+        // (the rounds write rows), drop the copy, take the next one.
+        let alg = BoundedHopCount::new(32);
+        let shape = generators::as_graph(64, 2, 1);
+        let full = AdjacencyMatrix::from_topology(&shape.with_weights(|_, _| 1));
+        let n = full.node_count();
+        let fixed = iterate_to_fixed_point(&alg, &full, &RoutingState::identity(&alg, n), 200);
+        let mut stepper = FixedPoint::new(&full, fixed.state, Start::Dirty(&vec![false; n]));
+        let mut adj = full.clone();
+        let mut overlaid = 0;
+        for (a, b, _) in shape.edges().filter(|&(a, b, _)| a < b).step_by(5) {
+            let copy = stepper.share();
+            assert_eq!(copy.table().overlay_rows(), 0, "cut {a}-{b}");
+            assert!((0..n).all(|i| copy.table().shares_row(&stepper.rows, i)));
+            let pre: Vec<Vec<_>> = stepper.rows().map(<[_]>::to_vec).collect();
+            let mut next = full.clone();
+            next.set(a, b, None);
+            next.set(b, a, None);
+            stepper.reseed(Start::Dirty(&dirty_rows_after_change(&adj, &next)));
+            assert!(stepper.run(&alg, &next, 200, &Inline, &mut NoopSink));
+            assert!(
+                (0..n).all(|i| copy.row(i) == pre[i]),
+                "cut {a}-{b}: the copy holds the rows from before the cycle"
+            );
+            drop(copy);
+            overlaid += usize::from(stepper.rows.overlay_rows() > 0);
+            adj = next;
+        }
+        assert!(overlaid > 2, "{overlaid} cycles left rows in the overlay");
     }
 }

@@ -102,16 +102,6 @@ impl<A: RoutingAlgebra> RoutingState<A> {
         self.table.row_mut(i)
     }
 
-    /// Overwrite each row `i` of `rows` with its routes, copying no other
-    /// row (the copy a [`RoutingState::row_mut`] of a shared row would
-    /// make first is skipped).
-    pub(crate) fn set_rows<'s>(&mut self, rows: impl IntoIterator<Item = (NodeId, &'s [A::Route])>)
-    where
-        A::Route: 's,
-    {
-        self.table.set_rows(rows);
-    }
-
     /// The rows, as the row kernel reads them.
     pub(crate) fn table(&self) -> &Table<A::Route> {
         &self.table

@@ -17,7 +17,9 @@
 //!   That bounds a table at one and a half copies of its rows, and a
 //!   long-lived table — the route server's resident stepper — settles
 //!   back to in-place writes.  A write that finds the base unshared again
-//!   (every other owner dropped it) folds the overlay back in.
+//!   (every other owner dropped it) folds the overlay back in, and so does
+//!   [`Table::fold`], which an owner calls before it clones: the clone of a
+//!   folded table copies no row.
 //!
 //! A base is row-major or, for the identity matrix a cold solve starts
 //! from, a *band*: every row of the identity is a window of one run
@@ -256,9 +258,7 @@ impl<R: Clone> Table<R> {
     where
         R: 's,
     {
-        if self.copied > 0 && self.own_row_major().is_some() {
-            self.own_base();
-        }
+        self.fold();
         let (n, w) = (self.rows, self.width);
         match self.own_row_major() {
             Some(base) => {
@@ -306,6 +306,15 @@ impl<R: Clone> Table<R> {
         base
     }
 
+    /// Fold the overlay back into the base, if the base is row-major and
+    /// this table's alone again (every other owner dropped it): a clone
+    /// then shares every row and copies none.
+    pub(crate) fn fold(&mut self) {
+        if self.copied > 0 && self.own_row_major().is_some() {
+            self.own_base();
+        }
+    }
+
     /// The base, if it is row-major and this table's alone.
     fn own_row_major(&mut self) -> Option<&mut Lines<R>> {
         match self.layout {
@@ -319,10 +328,8 @@ impl<R: Clone> Table<R> {
     /// would pass half the rows.
     fn place(&mut self, i: usize) -> Place {
         assert!(i < self.rows, "table row out of range");
+        self.fold();
         if self.own_row_major().is_some() {
-            if self.copied > 0 {
-                self.own_base();
-            }
             return Place::Base;
         }
         if matches!(self.overlay.get(i), Some(Some(_))) {

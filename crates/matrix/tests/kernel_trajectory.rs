@@ -545,8 +545,9 @@ fn a_resident_stepper_walks_what_a_fresh_one_per_change_walks() {
     // set, cleared and re-weighted, nodes joining, every seventh change a
     // restart from the identity — against a stepper built fresh for each
     // change from the previous fixed point: same events, counters and
-    // rows, and the same table handed back.  The resident one is only
-    // grown and reseeded; its rounds read the new adjacency's dependants.
+    // rows, and its table the one the fresh stepper hands back.  The
+    // resident one is only grown and reseeded; its rounds read the new
+    // adjacency's dependants.
     // A finite carrier: a removal reconverges from the old table without
     // counting to infinity.
     let alg = BoundedHopCount::new(16);
@@ -557,7 +558,7 @@ fn a_resident_stepper_walks_what_a_fresh_one_per_change_walks() {
         RoutingState::identity(&alg, 7),
         Start::Dirty(&[true; 7]),
     );
-    let mut table = RoutingState::identity(&alg, 7);
+    let mut solved = RoutingState::identity(&alg, 7);
     let mut seed = 0x2545_f491_4f6c_dd1du64;
     let mut draw = |below: usize| {
         seed ^= seed << 13;
@@ -588,7 +589,7 @@ fn a_resident_stepper_walks_what_a_fresh_one_per_change_walks() {
             dirty.fill(true);
             RoutingState::identity(&alg, n)
         } else {
-            table.grown(&alg, n)
+            solved.grown(&alg, n)
         };
         let mut fresh = FixedPoint::new(&next, start, Start::Dirty(&dirty));
         resident.grow(&alg, n);
@@ -608,11 +609,14 @@ fn a_resident_stepper_walks_what_a_fresh_one_per_change_walks() {
             "step {step}"
         );
         assert!(resident.rows().eq(fresh.rows()), "step {step}");
-        table = table.grown(&alg, n);
-        resident.finish_into(&mut table, &mut seen);
-        let solved = fresh.finish(&mut want);
+        resident.emit_settled(&mut seen);
+        solved = fresh.finish(&mut want);
         assert_eq!(seen.events, want.events, "step {step}: event stream");
-        assert_eq!(table, solved, "step {step}: the table is the fresh one");
+        assert_eq!(
+            resident.share(),
+            solved,
+            "step {step}: the table is the fresh one"
+        );
         adj = next;
     }
     assert!(adj.node_count() > 7, "some node joined");

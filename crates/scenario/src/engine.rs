@@ -368,9 +368,17 @@ pub(crate) fn engine_label(kind: EngineKind, seed: u64) -> String {
 /// `(i,j)=r;` of every entry in row-major order, rendered by
 /// [`fold_entry_text`]) — the currency of the differential checker.
 pub fn state_digest<A: RoutingAlgebra>(state: &RoutingState<A>) -> String {
+    let n = state.node_count();
+    rows_digest(n, (0..n).map(|i| state.row(i)))
+}
+
+/// [`state_digest`] of the `n × n` table whose rows are `rows`, in order.
+pub(crate) fn rows_digest<'r, R: std::fmt::Debug + Eq + 'r>(
+    n: usize,
+    rows: impl IntoIterator<Item = &'r [R]>,
+) -> String {
     let mut d = Digest::default();
-    let rows = (0..state.node_count()).map(|i| state.row(i));
-    fold_entry_text(rows, 0, state.node_count(), |_, text| d.update(text));
+    fold_entry_text(rows, 0, n, |_, text| d.update(text));
     d.finish()
 }
 

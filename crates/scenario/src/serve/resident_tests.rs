@@ -1,8 +1,9 @@
 //! The resident kernel, differentially: across random traces on both
 //! algebras — nodes joining, restart-on-removal and a scripted-clock
 //! deadline run — after every event, while the server is idle, its one
-//! stepper's rows must be the table and the table a from-scratch solve; a
-//! stale answer must come from the pre-batch table.
+//! stepper's rows must be a from-scratch solve; a stale answer must come
+//! from the pre-batch table, which shares with the stepper every row the
+//! parked flush has left alone.
 
 use super::tests::hop_rebuild;
 use super::*;
@@ -83,18 +84,21 @@ where
 }
 
 /// Serve `trace`, checking the resident invariants after every event and
-/// every stale answer against the table from before its batch.
-fn serve_checked<A, F>(mut server: RouteServer<A, F>, trace: &ChurnTrace) -> ServeStats
+/// every stale answer against the table from before its batch.  Returns
+/// the stats and how many times a parked flush's stepper was seen still
+/// sharing rows with its pre-batch table.
+fn serve_checked<A, F>(mut server: RouteServer<A, F>, trace: &ChurnTrace) -> (ServeStats, usize)
 where
     A: ScenarioAlgebra,
     F: Fn(&Topology<()>, &WeightOverrides) -> AdjacencyMatrix<A>,
 {
     server.initial_converge(&mut NoopSink).expect("converges");
     server.assert_resident();
-    let mut pre_batch = server.table().clone();
+    let mut pre_batch = server.table();
+    let mut sharing = 0;
     for event in &trace.events {
         if !server.is_degraded() {
-            pre_batch = server.table().clone();
+            pre_batch = server.table();
         }
         let answer = server.submit(event, &mut NoopSink).expect("in range");
         if let (Some(answer), ServeEvent::Query { from, to }) = (answer, event) {
@@ -102,15 +106,28 @@ where
                 assert_eq!(answer.text, format!("{:?}", pre_batch.get(*from, *to)));
             }
         }
+        // Every row the parked flush has left as it was is the same memory
+        // in its pre-batch table and in the stepper — unless the stepper
+        // holds none of that memory: it grew, restarted from the identity,
+        // swept every row or wrote more than half of them (`table.rs`).
+        if let Some(rows) = server
+            .pre_batch_rows()
+            .filter(|r| r.iter().any(|&(same, _)| same))
+        {
+            for (i, &(same_memory, same_routes)) in rows.iter().enumerate() {
+                assert!(same_memory || !same_routes, "row {i} was copied");
+            }
+            sharing += 1;
+        }
         server.assert_resident();
     }
     server.finish(&mut NoopSink).expect("finishes");
     server.assert_resident();
     assert_eq!(server.node_count(), 12);
-    server.stats().clone()
+    (server.stats().clone(), sharing)
 }
 
-fn check_both_algebras(setting: Setting) -> Vec<ServeStats> {
+fn check_both_algebras(setting: Setting) -> Vec<(ServeStats, usize)> {
     let mut stats = Vec::new();
     for seed in 1..=3 {
         let trace = churn(ServeAlgebra::Hopcount { limit: 24 }, seed);
@@ -130,14 +147,23 @@ fn check_both_algebras(setting: Setting) -> Vec<ServeStats> {
 #[test]
 fn the_resident_kernel_is_a_fresh_solve_after_every_event() {
     let stats = check_both_algebras(Setting::Plain);
-    assert!(stats.iter().all(|s| s.batches > 20 && s.stale_answers == 0));
+    assert!(stats
+        .iter()
+        .all(|(s, _)| s.batches > 20 && s.stale_answers == 0));
 }
 
 #[test]
 fn a_deadline_run_answers_stale_from_the_pre_batch_table() {
     let stats = check_both_algebras(Setting::Deadline);
-    for s in &stats {
+    for (s, _) in &stats {
         assert!(s.deadline_overruns >= 1, "{s:?}");
     }
-    assert!(stats.iter().any(|s| s.stale_answers > 0));
+    assert!(stats.iter().any(|(s, _)| s.stale_answers > 0));
+    // hop count and shortest paths alternate; a shortest-paths run may
+    // restart every flush it parks
+    let sharing: Vec<usize> = stats.iter().map(|&(_, sharing)| sharing).collect();
+    for algebra in 0..2 {
+        let seen = sharing.iter().skip(algebra).step_by(2).sum::<usize>();
+        assert!(seen > 0, "{sharing:?}");
+    }
 }

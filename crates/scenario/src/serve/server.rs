@@ -8,13 +8,15 @@
 //! the clock and every wait goes through its [`Clock`], and nothing here
 //! opens a file (snapshots are values; the replay driver stores them).
 //!
-//! One [`FixedPoint`] stepper lives as long as the server and holds the
-//! table σ iterates; `state` is the answer table beside it.  While idle the
-//! two are equal.  A flush rebuilds the adjacency (its transpose, which
-//! the stepper's rounds read, comes with it), diffs it against the last
-//! one, reseeds the stepper's frontier with the dirty rows and iterates;
-//! the commit copies the rows that moved into `state`.  While degraded, `state` is the pre-batch table the stale
-//! answers come from.
+//! One [`FixedPoint`] stepper lives as long as the server, and its rows are
+//! the server's one routing table: σ's fixed point on the adjacency while
+//! idle.  A flush first takes a copy of those rows that costs a pointer —
+//! the pre-batch table, kept in the [`Flush`] — then rebuilds the adjacency
+//! (its transpose, which the stepper's rounds read, comes with it), diffs
+//! it against the last one, reseeds the stepper's frontier with the dirty
+//! rows and iterates; the rounds write the stepper's rows alone.  While
+//! degraded, readers answer stale from the pre-batch copy; the commit
+//! drops it.
 
 use super::clock::{Clock, SystemClock};
 use super::trace::{admit, check_node_count, parse_event_line, ServeEvent};
@@ -23,10 +25,11 @@ use super::types::{
 };
 use crate::chaos::{FaultKind, FaultPlan};
 use crate::checkpoint::{PersistRoute, Snapshot};
-use crate::engine::{state_digest, ScenarioAlgebra};
+use crate::engine::{rows_digest, ScenarioAlgebra};
 use crate::fields::Keys;
 use crate::report::Digest;
 use crate::spec::{ChangeSpec, SpecError};
+use dbf_algebra::RoutingAlgebra;
 use dbf_matrix::{
     dirty_rows_after_change, iteration_budget, sigma_row_into_changed, AdjacencyMatrix, FixedPoint,
     Pooled, RoutingState, Start,
@@ -37,13 +40,16 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// The accounting of a flush in progress — parked in `RouteServer::parked`
-/// when the server went over its deadline (or its kernel failed), kept the
-/// old stable table for queries, and resumes the work incrementally.  The
-/// work itself is the server's resident stepper, so resuming costs
-/// nothing per round and the chunked trajectory is the uninterrupted
-/// trajectory.
-struct Flush {
+/// A flush in progress: the table from before its batch and its
+/// accounting — parked in `RouteServer::parked` when the server went over
+/// its deadline (or its kernel failed), where its table answers queries,
+/// and resumed incrementally.  The work itself is the server's resident
+/// stepper, so resuming costs nothing per round and the chunked trajectory
+/// is the uninterrupted trajectory.
+struct Flush<A: RoutingAlgebra> {
+    /// The stepper's rows when the flush began, sharing every row the
+    /// flush has not written.
+    before: RoutingState<A>,
     naive_dirty: u64,
     batch_dirty: u64,
     batch_len: u64,
@@ -76,12 +82,10 @@ where
     /// The adjacency of `shape` as of the last flush — the one `kernel`
     /// iterates.
     adj: AdjacencyMatrix<A>,
-    /// The resident stepper: its rows are `state` whenever the server is
-    /// idle, and a flush's iteration in between.
+    /// The resident stepper: its rows are the routing table — σ's fixed
+    /// point on `adj` whenever the server is idle, and a flush's iteration
+    /// in between.
     kernel: FixedPoint<A>,
-    /// The answer table: σ's fixed point on `adj` while idle, the
-    /// pre-batch table while degraded.
-    state: RoutingState<A>,
     threads: usize,
     batch_max: usize,
     removal_restart: bool,
@@ -94,7 +98,7 @@ where
     bound: BoundRule,
     faults: Option<Arc<FaultPlan>>,
     /// The flush that overran its deadline, if one is still in flight.
-    parked: Option<Flush>,
+    parked: Option<Flush<A>>,
     ema_us_per_round: f64,
     clock: Arc<dyn Clock>,
 }
@@ -104,7 +108,7 @@ where
     A: ScenarioAlgebra,
     F: Fn(&Topology<()>, &WeightOverrides) -> AdjacencyMatrix<A>,
 {
-    /// Build a server without converging it (state = identity).  Chain
+    /// Build a server without converging it (table = identity).  Chain
     /// the builders, then call [`RouteServer::initial_converge`].
     pub fn raw(alg: A, shape: Topology<()>, rebuild: F, threads: usize, batch_max: usize) -> Self {
         let overrides = WeightOverrides::new();
@@ -112,8 +116,9 @@ where
     }
 
     /// The one place the field list is written: a server on `shape` and
-    /// `overrides` holding `state` (the identity when `None`), with
-    /// nothing pending, zeroed counters and every builder at its default.
+    /// `overrides` whose stepper starts from `state` (the identity when
+    /// `None`), with nothing pending, zeroed counters and every builder at
+    /// its default.
     fn assemble(
         alg: A,
         shape: Topology<()>,
@@ -126,7 +131,7 @@ where
         let adj = rebuild(&shape, &overrides);
         let n = adj.node_count();
         let state = state.unwrap_or_else(|| RoutingState::identity(&alg, n));
-        let kernel = FixedPoint::new(&adj, state.clone(), Start::Dirty(&vec![false; n]));
+        let kernel = FixedPoint::new(&adj, state, Start::Dirty(&vec![false; n]));
         Self {
             alg,
             shape,
@@ -134,7 +139,6 @@ where
             rebuild,
             adj,
             kernel,
-            state,
             threads: threads.max(1),
             batch_max: batch_max.max(1),
             removal_restart: false,
@@ -165,7 +169,7 @@ where
                 "initial convergence exhausted its iteration budget",
             ));
         }
-        self.kernel.finish_into(&mut self.state, tel);
+        self.kernel.emit_settled(tel);
         Ok(())
     }
 
@@ -215,7 +219,7 @@ where
 
     /// Current network size (of the table queries are answered from).
     pub fn node_count(&self) -> usize {
-        self.state.node_count()
+        self.answers().node_count()
     }
 
     /// Lifetime counters.
@@ -232,7 +236,18 @@ where
     /// The digest of the converged table.  Flush before calling this when
     /// comparing replays (the digest ignores pending events).
     pub fn digest(&self) -> String {
-        state_digest(&self.state)
+        let table = self.answers();
+        let n = table.node_count();
+        rows_digest(n, (0..n).map(|i| table.row(i)))
+    }
+
+    /// The table every reader answers from: a parked flush's pre-batch
+    /// copy while degraded, the stepper's rows otherwise.
+    fn answers(&self) -> Answers<'_, A> {
+        match &self.parked {
+            Some(work) => Answers::PreBatch(&work.before),
+            None => Answers::Resident(&self.kernel),
+        }
     }
 
     /// Ingest one event.  Changes are buffered (flushing when the batch
@@ -288,7 +303,7 @@ where
             None => self.flush(tel)?,
         }
         let stale = self.parked.is_some();
-        let n = self.state.node_count();
+        let n = self.answers().node_count();
         if from >= n || to >= n {
             if stale {
                 // The in-flight batch may be growing the network; finish
@@ -300,7 +315,7 @@ where
                 "query ({from}, {to}) is out of range for a {n}-node topology"
             )));
         }
-        let text = format!("{:?}", self.state.get(from, to));
+        let text = format!("{:?}", self.answers().row(from)[to]);
         if stale {
             self.stats.stale_answers += 1;
             if let Some(w) = self.parked.as_mut() {
@@ -364,6 +379,7 @@ where
                     | ChangeSpec::SetWeight { .. }
             )
         });
+        let before = self.kernel.share();
         self.kernel.grow(&self.alg, n);
         self.adj = new_adj;
         // On an infinite carrier a removal (or a weight increase) can
@@ -376,6 +392,7 @@ where
             self.kernel.reseed(Start::Dirty(&dirty));
         }
         let work = Flush {
+            before,
             budget: iteration_budget(n, None),
             bound: self.bound.rounds(n, &self.overrides),
             naive_dirty,
@@ -403,7 +420,7 @@ where
     /// so deterministic counters are unaffected by the chunk size.
     fn drive(
         &mut self,
-        mut work: Flush,
+        mut work: Flush<A>,
         parked: Option<usize>,
         tel: &mut dyn TelemetrySink,
     ) -> Result<(), ServeProblem> {
@@ -412,7 +429,7 @@ where
             return Err(problem);
         }
         let deadline = match parked {
-            None => self.deadline_duration(),
+            None => self.deadline_duration(work.before.node_count()),
             Some(_) => None,
         };
         let chunk = parked.unwrap_or(if deadline.is_some() { 1 } else { work.budget });
@@ -454,8 +471,8 @@ where
 
     /// Adopt a converged flush: fold its counters into the stats (they
     /// saturate: a restored server's come from a file), audit the bound,
-    /// update the per-round cost EMA, and copy the changed rows.
-    fn commit(&mut self, work: Flush, tel: &mut dyn TelemetrySink) {
+    /// update the per-round cost EMA, and drop the pre-batch table.
+    fn commit(&mut self, work: Flush<A>, tel: &mut dyn TelemetrySink) {
         let rounds = self.kernel.rounds() as u64;
         let rows = self.kernel.row_recomputations();
         let s = &mut self.stats;
@@ -473,11 +490,7 @@ where
                 self.stats.bound_ok = self.stats.bound_ok.saturating_add(1);
             }
         }
-        let n = self.adj.node_count();
-        if self.state.node_count() < n {
-            self.state = self.state.grown(&self.alg, n);
-        }
-        self.kernel.finish_into(&mut self.state, tel);
+        self.kernel.emit_settled(tel);
         tel.serve_batch(
             self.stats.batches - 1,
             work.batch_len,
@@ -531,13 +544,13 @@ where
         .map_err(|payload| ServeProblem::kernel(&*payload))
     }
 
-    /// The effective deadline for the next flush, if any.
-    fn deadline_duration(&self) -> Option<Duration> {
+    /// The effective deadline for a flush whose pre-batch table has `n`
+    /// nodes, if any.
+    fn deadline_duration(&self, n: usize) -> Option<Duration> {
         match self.deadline {
             DeadlineCfg::Off => None,
             DeadlineCfg::Millis(ms) => Some(Duration::from_millis(ms.max(1))),
             DeadlineCfg::Auto => {
-                let n = self.state.node_count();
                 let bound = self
                     .bound
                     .rounds(n, &self.overrides)
@@ -562,22 +575,32 @@ where
     A: ScenarioAlgebra,
     F: Fn(&Topology<()>, &WeightOverrides) -> AdjacencyMatrix<A>,
 {
-    /// The answer table (the pre-batch one while degraded).
-    pub(super) fn table(&self) -> &RoutingState<A> {
-        &self.state
+    /// The table readers answer from (the pre-batch one while degraded),
+    /// copied out.
+    pub(super) fn table(&self) -> RoutingState<A> {
+        let table = self.answers();
+        RoutingState::from_fn(table.node_count(), |i, j| table.row(i)[j].clone())
     }
 
-    /// The resident kernel's invariants: while idle its rows are the
-    /// table and the table is σ's fixed point on the adjacency, solved
-    /// from scratch.
+    /// While a flush is parked: for each row of its pre-batch table,
+    /// whether the stepper holds that row's memory and whether it holds
+    /// its routes.
+    pub(super) fn pre_batch_rows(&self) -> Option<Vec<(bool, bool)>> {
+        let before = &self.parked.as_ref()?.before;
+        let rows = (0..before.node_count()).map(|i| {
+            let (old, now) = (before.row(i), self.kernel.row(i));
+            (std::ptr::eq(old, now), old == now)
+        });
+        Some(rows.collect())
+    }
+
+    /// The resident kernel's invariant: while idle its rows are σ's fixed
+    /// point on the adjacency, solved from scratch.
     pub(super) fn assert_resident(&self) {
         if self.is_degraded() {
             return;
         }
         let n = self.adj.node_count();
-        for (i, row) in self.kernel.rows().enumerate() {
-            assert!(row == self.state.row(i), "kernel row {i}");
-        }
         let identity = RoutingState::identity(&self.alg, n);
         let cold = dbf_matrix::iterate_to_fixed_point(
             &self.alg,
@@ -586,7 +609,34 @@ where
             iteration_budget(n, None),
         );
         assert!(cold.converged);
-        assert!(cold.state == self.state, "the table is not σ's fixed point");
+        assert!(
+            cold.state == self.table(),
+            "the table is not σ's fixed point"
+        );
+    }
+}
+
+/// A table readers answer from (see [`RouteServer::answers`]).
+enum Answers<'a, A: RoutingAlgebra> {
+    /// The resident stepper's rows.
+    Resident(&'a FixedPoint<A>),
+    /// A parked flush's table from before its batch.
+    PreBatch(&'a RoutingState<A>),
+}
+
+impl<'a, A: RoutingAlgebra> Answers<'a, A> {
+    fn node_count(&self) -> usize {
+        match self {
+            Answers::Resident(kernel) => kernel.node_count(),
+            Answers::PreBatch(state) => state.node_count(),
+        }
+    }
+
+    fn row(&self, i: usize) -> &'a [A::Route] {
+        match *self {
+            Answers::Resident(kernel) => kernel.row(i),
+            Answers::PreBatch(state) => state.row(i),
+        }
     }
 }
 
@@ -636,13 +686,14 @@ where
         );
         // `Topology::edges` iterates in sorted `(i, j)` order already
         let edges: Vec<(usize, usize)> = self.shape.edges().map(|(i, j, _)| (i, j)).collect();
-        let n = self.state.node_count();
+        let table = self.answers();
+        let n = table.node_count();
         // ≈ 3 bytes a token at the serve sizes (`inf`, or a small decimal
         // and its space)
         let mut rows = String::with_capacity(n * (3 * n + 8));
         for i in 0..n {
             let _ = write!(rows, "row {i}");
-            for r in self.state.row(i) {
+            for r in table.row(i) {
                 rows.push(' ');
                 r.encode_into(&mut rows);
             }
@@ -775,9 +826,10 @@ where
         if server.adj.node_count() != n {
             return Err("snapshot adjacency does not match its node count".to_string());
         }
+        let table = server.kernel.share();
         let mut row = vec![server.alg.invalid(); n];
-        let (alg, adj, table) = (&server.alg, &server.adj, &server.state);
-        if let Some(i) = (0..n).find(|&i| sigma_row_into_changed(alg, adj, table, i, &mut row)) {
+        let (alg, adj) = (&server.alg, &server.adj);
+        if let Some(i) = (0..n).find(|&i| sigma_row_into_changed(alg, adj, &table, i, &mut row)) {
             return Err(format!("snapshot row {i} is not its shape's fixed point"));
         }
         server.pending_adds = adds;
@@ -812,7 +864,6 @@ mod tests {
             overrides: _,
             adj: _,
             kernel: _,
-            state: _,
             pending: _,
             pending_adds: _,
             stats: _,
