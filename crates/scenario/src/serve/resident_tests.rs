@@ -3,7 +3,8 @@
 //! deadline run — after every event, while the server is idle, its one
 //! stepper's rows must be a from-scratch solve; a stale answer must come
 //! from the pre-batch table, which shares with the stepper every row the
-//! parked flush has left alone.
+//! parked flush has left alone.  And on a scripted clock: what a degraded
+//! server reads while its parked batch adds a node.
 
 use super::tests::hop_rebuild;
 use super::*;
@@ -166,4 +167,71 @@ fn a_deadline_run_answers_stale_from_the_pre_batch_table() {
         let seen = sharing.iter().skip(algebra).step_by(2).sum::<usize>();
         assert!(seen > 0, "{sharing:?}");
     }
+}
+
+/// A converged ring-12 hop-count server whose first flush is delayed
+/// 50 ms on a scripted clock against a 5 ms deadline.
+fn delayed_server() -> RouteServer<
+    BoundedHopCount,
+    impl Fn(&Topology<()>, &WeightOverrides) -> AdjacencyMatrix<BoundedHopCount>,
+> {
+    let shape = crate::run::build_shape(&TopologySpec::Ring { n: 12 }).unwrap();
+    let plan = FaultPlan::new(3).with(FaultKind::DelayFlush { millis: 50 }, 0);
+    let mut server = RouteServer::raw(BoundedHopCount::new(24), shape, hop_rebuild(), 1, 64)
+        .with_deadline(DeadlineCfg::Millis(5))
+        .with_faults(Some(Arc::new(plan)))
+        .with_clock(Arc::new(ScriptedClock::new(Duration::from_micros(10))));
+    server.initial_converge(&mut NoopSink).unwrap();
+    server
+}
+
+/// [`delayed_server`] with `batch` pushed and flushed: it is degraded,
+/// the batch parked.
+pub(super) fn degraded_server(
+    batch: &[ChangeSpec],
+) -> RouteServer<
+    BoundedHopCount,
+    impl Fn(&Topology<()>, &WeightOverrides) -> AdjacencyMatrix<BoundedHopCount>,
+> {
+    let mut server = delayed_server();
+    for &change in batch {
+        server.push_change(change, &mut NoopSink).unwrap();
+    }
+    server.flush(&mut NoopSink).unwrap();
+    assert!(server.is_degraded());
+    server
+}
+
+#[test]
+fn a_parked_batch_that_adds_a_node_is_read_from_the_pre_batch_table() {
+    let batch = [
+        ChangeSpec::FailLink { a: 0, b: 1 },
+        ChangeSpec::AddNode,
+        ChangeSpec::SetLink { a: 6, b: 12 },
+    ];
+    let mut pre = delayed_server();
+    let before = pre.digest();
+    let row: Vec<String> = (0..12)
+        .map(|to| pre.query(0, to, &mut NoopSink).unwrap().text)
+        .collect();
+    let mut server = degraded_server(&batch);
+    assert_eq!(server.node_count(), 12, "the pre-batch node count");
+    assert_eq!(server.digest(), before, "the pre-batch digest");
+    let answer = server.query(0, 7, &mut NoopSink).unwrap();
+    assert!(answer.stale && server.is_degraded());
+    assert_eq!(answer.text, row[7], "the pre-batch table answers");
+    assert_eq!(server.digest(), before);
+
+    let answer = server.query(0, 12, &mut NoopSink).unwrap();
+    assert!(!answer.stale, "a query to the new node completes the flush");
+    assert!(!server.is_degraded());
+    assert_eq!(server.node_count(), 13);
+    let mut shape = crate::run::build_shape(&TopologySpec::Ring { n: 12 }).unwrap();
+    batch
+        .iter()
+        .for_each(|c| crate::run::apply_change(c, &mut shape));
+    let mut cold = RouteServer::raw(BoundedHopCount::new(24), shape, hop_rebuild(), 1, 64);
+    cold.initial_converge(&mut NoopSink).unwrap();
+    assert_eq!(server.digest(), cold.digest(), "a cold solve's table");
+    assert_eq!(answer.text, cold.query(0, 12, &mut NoopSink).unwrap().text);
 }

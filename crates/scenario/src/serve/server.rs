@@ -826,10 +826,11 @@ where
         if server.adj.node_count() != n {
             return Err("snapshot adjacency does not match its node count".to_string());
         }
-        let table = server.kernel.share();
+        let restored = server.kernel.share();
         let mut row = vec![server.alg.invalid(); n];
         let (alg, adj) = (&server.alg, &server.adj);
-        if let Some(i) = (0..n).find(|&i| sigma_row_into_changed(alg, adj, &table, i, &mut row)) {
+        if let Some(i) = (0..n).find(|&i| sigma_row_into_changed(alg, adj, &restored, i, &mut row))
+        {
             return Err(format!("snapshot row {i} is not its shape's fixed point"));
         }
         server.pending_adds = adds;
@@ -842,6 +843,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::serve::resident_tests::degraded_server;
     use crate::serve::tests::hop_rebuild;
     use crate::serve::ScriptedClock;
     use dbf_algebra::prelude::BoundedHopCount;
@@ -886,39 +888,6 @@ mod tests {
         )
     }
 
-    /// A converged ring-12 hop-count server whose first flush is delayed
-    /// 50 ms on a scripted clock against a 5 ms deadline.
-    fn delayed_server() -> RouteServer<
-        BoundedHopCount,
-        impl Fn(&Topology<()>, &WeightOverrides) -> AdjacencyMatrix<BoundedHopCount>,
-    > {
-        let shape = crate::run::build_shape(&crate::spec::TopologySpec::Ring { n: 12 }).unwrap();
-        let plan = FaultPlan::new(3).with(FaultKind::DelayFlush { millis: 50 }, 0);
-        let mut server = RouteServer::raw(BoundedHopCount::new(24), shape, hop_rebuild(), 1, 64)
-            .with_deadline(DeadlineCfg::Millis(5))
-            .with_faults(Some(Arc::new(plan)))
-            .with_clock(Arc::new(ScriptedClock::new(Duration::from_micros(10))));
-        server.initial_converge(&mut NoopSink).unwrap();
-        server
-    }
-
-    /// [`delayed_server`] with `batch` pushed and flushed: it is degraded,
-    /// the batch parked.
-    fn degraded_server(
-        batch: &[ChangeSpec],
-    ) -> RouteServer<
-        BoundedHopCount,
-        impl Fn(&Topology<()>, &WeightOverrides) -> AdjacencyMatrix<BoundedHopCount>,
-    > {
-        let mut server = delayed_server();
-        for &change in batch {
-            server.push_change(change, &mut NoopSink).unwrap();
-        }
-        server.flush(&mut NoopSink).unwrap();
-        assert!(server.is_degraded());
-        server
-    }
-
     #[test]
     #[should_panic(expected = "snapshot of a degraded server")]
     fn a_degraded_server_refuses_to_snapshot() {
@@ -930,41 +899,6 @@ mod tests {
             "hopcount 24",
             &Digest::default(),
         );
-    }
-
-    #[test]
-    fn a_parked_batch_that_adds_a_node_is_read_from_the_pre_batch_table() {
-        let batch = [
-            ChangeSpec::FailLink { a: 0, b: 1 },
-            ChangeSpec::AddNode,
-            ChangeSpec::SetLink { a: 6, b: 12 },
-        ];
-        let mut pre = delayed_server();
-        let before = pre.digest();
-        let row: Vec<String> = (0..12)
-            .map(|to| pre.query(0, to, &mut NoopSink).unwrap().text)
-            .collect();
-        let mut server = degraded_server(&batch);
-        assert_eq!(server.node_count(), 12, "the pre-batch node count");
-        assert_eq!(server.digest(), before, "the pre-batch digest");
-        let answer = server.query(0, 7, &mut NoopSink).unwrap();
-        assert!(answer.stale && server.is_degraded());
-        assert_eq!(answer.text, row[7], "the pre-batch table answers");
-        assert_eq!(server.digest(), before);
-
-        let answer = server.query(0, 12, &mut NoopSink).unwrap();
-        assert!(!answer.stale, "a query to the new node completes the flush");
-        assert!(!server.is_degraded());
-        assert_eq!(server.node_count(), 13);
-        let mut shape =
-            crate::run::build_shape(&crate::spec::TopologySpec::Ring { n: 12 }).unwrap();
-        batch
-            .iter()
-            .for_each(|c| crate::run::apply_change(c, &mut shape));
-        let mut cold = RouteServer::raw(BoundedHopCount::new(24), shape, hop_rebuild(), 1, 64);
-        cold.initial_converge(&mut NoopSink).unwrap();
-        assert_eq!(server.digest(), cold.digest(), "a cold solve's table");
-        assert_eq!(answer.text, cold.query(0, 12, &mut NoopSink).unwrap().text);
     }
 
     #[test]

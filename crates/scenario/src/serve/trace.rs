@@ -113,10 +113,12 @@ pub struct ChurnTrace {
     pub events: Vec<ServeEvent>,
 }
 
-/// The most nodes a served network may have.  A server keeps the dense
-/// `n × n` table twice — the committed one and the working copy of the
-/// flush in progress — so memory grows as n² (2¹² nodes: 2 × 128 MiB of
-/// 8-byte routes) and a `complete` shape holds n² edges besides.  A node
+/// The most nodes a served network may have.  A server keeps one dense
+/// `n × n` table, and a flush that grows the network, restarts from the
+/// identity or rewrites more than half the rows builds a second beside
+/// the pre-batch one until it commits, so memory grows as n² (2¹² nodes:
+/// 128 MiB of 8-byte routes, twice that during such a flush) and a
+/// `complete` shape holds n² edges besides.  A node
 /// count is outside input (a trace header, `gen-trace --nodes`, a run of
 /// `add_node` events): past this it is refused before anything of that
 /// size is built.
@@ -127,7 +129,7 @@ pub(super) fn check_node_count(n: usize) -> Result<(), SpecError> {
     if n > MAX_NODES {
         return Err(SpecError::new(format!(
             "{n} nodes is more than a route server holds (at most {MAX_NODES}: \
-             it keeps the dense n × n table twice)"
+             its dense n × n table grows as n²)"
         )));
     }
     Ok(())
