@@ -58,11 +58,9 @@
 //! changes, as the route server keeps one for its lifetime:
 //! [`FixedPoint::grow`] when nodes join, then [`FixedPoint::reseed`] the
 //! frontier over the rows it already holds (or
-//! [`FixedPoint::restart_from_identity`]) and step on the new adjacency.
-//! Its rows are then the only table there is: [`FixedPoint::share`] hands
-//! out a copy that costs a pointer, which holds the rows as they were
-//! while later rounds write the stepper's own.  Nothing is rebuilt per
-//! change but what changed.
+//! [`FixedPoint::restart_from_identity`]) and step on the new adjacency;
+//! [`FixedPoint::share`] hands out a copy of its rows that costs a pointer.
+//! Nothing is rebuilt per change but what changed.
 
 use crate::adjacency::AdjacencyMatrix;
 use crate::frontier::Frontier;
@@ -280,7 +278,8 @@ impl<A: RoutingAlgebra> FixedPoint<A> {
     }
 
     /// Begin a new iteration over the rows the stepper holds: the frontier
-    /// becomes `start`, and the counters and the settle record are zeroed.  A resident stepper whose adjacency changed
+    /// becomes `start`, and the counters and the settle record are zeroed.
+    /// A resident stepper whose adjacency changed
     /// is reseeded with the rows the change can perturb
     /// ([`crate::incremental::dirty_rows_after_change`]).
     ///
@@ -546,11 +545,9 @@ impl<A: RoutingAlgebra> FixedPoint<A> {
         RoutingState::from_table(self.n, self.rows)
     }
 
-    /// The whole-row state as it stands, as a state that shares every row
-    /// with the stepper: the rows written since the stepper's rows were
-    /// last shared are folded back into them first, so the copy costs a
-    /// pointer.  Later rounds write to the stepper alone; the copy keeps
-    /// the rows it was handed.
+    /// A copy of the whole-row state that shares every row with the stepper
+    /// (its overlay is folded in first, so the copy costs a pointer); later
+    /// rounds write to the stepper alone.
     ///
     /// # Panics
     ///
@@ -561,9 +558,8 @@ impl<A: RoutingAlgebra> FixedPoint<A> {
         RoutingState::from_table(self.n, self.rows.clone())
     }
 
-    /// Emit what [`FixedPoint::finish`] emits — `node_settled` for every
-    /// node, in node order — and keep stepping from here: how a resident
-    /// stepper ends an iteration.
+    /// Emit [`FixedPoint::finish`]'s `node_settled` events without stopping:
+    /// how a resident stepper ends an iteration.
     pub fn emit_settled<S: TelemetrySink + ?Sized>(&mut self, tel: &mut S) {
         if tel.enabled() {
             self.settled.resize(self.n, 0);

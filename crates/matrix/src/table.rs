@@ -17,9 +17,8 @@
 //!   That bounds a table at one and a half copies of its rows, and a
 //!   long-lived table — the route server's resident stepper — settles
 //!   back to in-place writes.  A write that finds the base unshared again
-//!   (every other owner dropped it) folds the overlay back in, and so does
-//!   [`Table::fold`], which an owner calls before it clones: the clone of a
-//!   folded table copies no row.
+//!   (every other owner dropped it) folds the overlay back in, as
+//!   [`Table::fold`] does before a clone that should copy no row.
 //!
 //! A base is row-major or, for the identity matrix a cold solve starts
 //! from, a *band*: every row of the identity is a window of one run
@@ -306,9 +305,8 @@ impl<R: Clone> Table<R> {
         base
     }
 
-    /// Fold the overlay back into the base, if the base is row-major and
-    /// this table's alone again (every other owner dropped it): a clone
-    /// then shares every row and copies none.
+    /// Fold the overlay back into a row-major base that is this table's
+    /// alone again, so that a clone copies no row.
     pub(crate) fn fold(&mut self) {
         if self.copied > 0 && self.own_row_major().is_some() {
             self.own_base();

@@ -9,14 +9,12 @@
 //! opens a file (snapshots are values; the replay driver stores them).
 //!
 //! One [`FixedPoint`] stepper lives as long as the server, and its rows are
-//! the server's one routing table: σ's fixed point on the adjacency while
-//! idle.  A flush first takes a copy of those rows that costs a pointer —
-//! the pre-batch table, kept in the [`Flush`] — then rebuilds the adjacency
+//! the one routing table.  A flush keeps a copy of them that costs a
+//! pointer (the pre-batch table, in the [`Flush`]), rebuilds the adjacency
 //! (its transpose, which the stepper's rounds read, comes with it), diffs
 //! it against the last one, reseeds the stepper's frontier with the dirty
-//! rows and iterates; the rounds write the stepper's rows alone.  While
-//! degraded, readers answer stale from the pre-batch copy; the commit
-//! drops it.
+//! rows and iterates.  While degraded, stale answers come from the
+//! pre-batch table; the commit drops it.
 
 use super::clock::{Clock, SystemClock};
 use super::trace::{admit, check_node_count, parse_event_line, ServeEvent};
@@ -47,8 +45,7 @@ use std::time::Duration;
 /// stepper, so resuming costs nothing per round and the chunked trajectory
 /// is the uninterrupted trajectory.
 struct Flush<A: RoutingAlgebra> {
-    /// The stepper's rows when the flush began, sharing every row the
-    /// flush has not written.
+    /// The stepper's rows when the flush began.
     before: RoutingState<A>,
     naive_dirty: u64,
     batch_dirty: u64,
@@ -219,7 +216,7 @@ where
 
     /// Current network size (of the table queries are answered from).
     pub fn node_count(&self) -> usize {
-        self.answers().node_count()
+        self.answers().0
     }
 
     /// Lifetime counters.
@@ -236,18 +233,18 @@ where
     /// The digest of the converged table.  Flush before calling this when
     /// comparing replays (the digest ignores pending events).
     pub fn digest(&self) -> String {
-        let table = self.answers();
-        let n = table.node_count();
-        rows_digest(n, (0..n).map(|i| table.row(i)))
+        let (n, row) = self.answers();
+        rows_digest(n, (0..n).map(row))
     }
 
-    /// The table every reader answers from: a parked flush's pre-batch
-    /// copy while degraded, the stepper's rows otherwise.
-    fn answers(&self) -> Answers<'_, A> {
-        match &self.parked {
-            Some(work) => Answers::PreBatch(&work.before),
-            None => Answers::Resident(&self.kernel),
-        }
+    /// The node count and rows every reader answers from: a parked flush's
+    /// pre-batch table while degraded, the stepper's rows otherwise.
+    fn answers<'a>(&'a self) -> (usize, impl Fn(usize) -> &'a [A::Route] + Copy + 'a) {
+        let before = self.parked.as_ref().map(|work| &work.before);
+        let n = before.map_or_else(|| self.kernel.node_count(), RoutingState::node_count);
+        (n, move |i| {
+            before.map_or_else(|| self.kernel.row(i), |t| t.row(i))
+        })
     }
 
     /// Ingest one event.  Changes are buffered (flushing when the batch
@@ -303,7 +300,7 @@ where
             None => self.flush(tel)?,
         }
         let stale = self.parked.is_some();
-        let n = self.answers().node_count();
+        let (n, row) = self.answers();
         if from >= n || to >= n {
             if stale {
                 // The in-flight batch may be growing the network; finish
@@ -315,7 +312,7 @@ where
                 "query ({from}, {to}) is out of range for a {n}-node topology"
             )));
         }
-        let text = format!("{:?}", self.answers().row(from)[to]);
+        let text = format!("{:?}", row(from)[to]);
         if stale {
             self.stats.stale_answers += 1;
             if let Some(w) = self.parked.as_mut() {
@@ -578,8 +575,8 @@ where
     /// The table readers answer from (the pre-batch one while degraded),
     /// copied out.
     pub(super) fn table(&self) -> RoutingState<A> {
-        let table = self.answers();
-        RoutingState::from_fn(table.node_count(), |i, j| table.row(i)[j].clone())
+        let (n, row) = self.answers();
+        RoutingState::from_fn(n, |i, j| row(i)[j].clone())
     }
 
     /// While a flush is parked: for each row of its pre-batch table,
@@ -613,30 +610,6 @@ where
             cold.state == self.table(),
             "the table is not σ's fixed point"
         );
-    }
-}
-
-/// A table readers answer from (see [`RouteServer::answers`]).
-enum Answers<'a, A: RoutingAlgebra> {
-    /// The resident stepper's rows.
-    Resident(&'a FixedPoint<A>),
-    /// A parked flush's table from before its batch.
-    PreBatch(&'a RoutingState<A>),
-}
-
-impl<'a, A: RoutingAlgebra> Answers<'a, A> {
-    fn node_count(&self) -> usize {
-        match self {
-            Answers::Resident(kernel) => kernel.node_count(),
-            Answers::PreBatch(state) => state.node_count(),
-        }
-    }
-
-    fn row(&self, i: usize) -> &'a [A::Route] {
-        match *self {
-            Answers::Resident(kernel) => kernel.row(i),
-            Answers::PreBatch(state) => state.row(i),
-        }
     }
 }
 
@@ -686,14 +659,13 @@ where
         );
         // `Topology::edges` iterates in sorted `(i, j)` order already
         let edges: Vec<(usize, usize)> = self.shape.edges().map(|(i, j, _)| (i, j)).collect();
-        let table = self.answers();
-        let n = table.node_count();
+        let (n, row) = self.answers();
         // ≈ 3 bytes a token at the serve sizes (`inf`, or a small decimal
         // and its space)
         let mut rows = String::with_capacity(n * (3 * n + 8));
         for i in 0..n {
             let _ = write!(rows, "row {i}");
-            for r in table.row(i) {
+            for r in row(i) {
                 rows.push(' ');
                 r.encode_into(&mut rows);
             }
@@ -752,18 +724,12 @@ where
             }
             shape.set_edge(a, b, ());
         }
-        // An override is a `set_weight` a live server admitted: refused
-        // where that would have been, so a forged one cannot round-trip.
+        // refused where a live `set_weight` is, so a forged one cannot round-trip
         let mut overrides = WeightOverrides::new();
-        for &(a, b, w) in &snap.overrides {
-            let change = ChangeSpec::SetWeight {
-                from: a,
-                to: b,
-                weight: w,
-            };
-            admit(&change, n)
-                .map_err(|p| format!("snapshot override {a} {b} {w}: {}", p.message))?;
-            overrides.insert((a, b), w);
+        for &(from, to, weight) in &snap.overrides {
+            admit(&ChangeSpec::SetWeight { from, to, weight }, n)
+                .map_err(|p| format!("snapshot override {from} {to} {weight}: {}", p.message))?;
+            overrides.insert((from, to), weight);
         }
         // every token is at least a byte and its separator
         let mut table: Vec<A::Route> = Vec::with_capacity(snap.rows.len() / 2);
