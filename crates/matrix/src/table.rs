@@ -110,40 +110,29 @@ impl<R> Table<R> {
     /// The rows, borrowed for reading: what the row kernel reads a round's
     /// import rows through.
     pub(crate) fn view(&self) -> Rows<'_, R> {
-        let plain = self.layout == Layout::RowMajor && self.copied == 0;
         Rows {
             flat: &self.base,
             width: self.width,
-            table: (!plain).then_some(self),
+            overlay: &self.overlay,
+            band: match self.layout {
+                Layout::RowMajor => None,
+                Layout::Band { copies, region } => Some((copies, region)),
+            },
         }
-    }
-
-    /// Row `k` of an overlaid or banded table.
-    fn shadowed_row(&self, k: usize) -> &[R] {
-        if let Some(Some(row)) = self.overlay.get(k) {
-            return row;
-        }
-        let start = match self.layout {
-            Layout::RowMajor => k * self.width,
-            Layout::Band { copies, region } => {
-                let lead = self.width - 1 - k;
-                let c = (copies - lead % copies) % copies;
-                c * region + c + lead
-            }
-        };
-        &self.base[start..start + self.width]
     }
 }
 
-/// A [`Table`]'s rows, borrowed once: reading a row of a row-major table
-/// without an overlay — a slab of [`crate::blocked`], a table nothing
-/// shares — costs one well-predicted test more than indexing a flat
-/// row-major slice.
+/// A [`Table`]'s rows, borrowed once.  Reading a row costs a test of the
+/// overlay slot and of the layout more than indexing a flat row-major
+/// slice, all inline: a round reads every import row through here, also
+/// while a resident stepper's pre-batch copy keeps its writes in the
+/// overlay.
 pub(crate) struct Rows<'a, R> {
     flat: &'a [R],
     width: usize,
-    /// The table, when its rows are not all in `flat`, row-major.
-    table: Option<&'a Table<R>>,
+    overlay: &'a [Option<Lines<R>>],
+    /// `copies` and `region` of a band base.
+    band: Option<(usize, usize)>,
 }
 
 impl<R> Clone for Rows<'_, R> {
@@ -158,10 +147,18 @@ impl<'a, R> Rows<'a, R> {
     /// Row `k`.
     #[inline]
     pub(crate) fn row(self, k: usize) -> &'a [R] {
-        match self.table {
-            None => &self.flat[k * self.width..(k + 1) * self.width],
-            Some(table) => table.shadowed_row(k),
+        if let Some(Some(row)) = self.overlay.get(k) {
+            return row;
         }
+        let start = match self.band {
+            None => k * self.width,
+            Some((copies, region)) => {
+                let lead = self.width - 1 - k;
+                let c = (copies - lead % copies) % copies;
+                c * region + c + lead
+            }
+        };
+        &self.flat[start..start + self.width]
     }
 }
 

@@ -27,7 +27,6 @@ use crate::engine::{rows_digest, ScenarioAlgebra};
 use crate::fields::Keys;
 use crate::report::Digest;
 use crate::spec::{ChangeSpec, SpecError};
-use dbf_algebra::RoutingAlgebra;
 use dbf_matrix::{
     dirty_rows_after_change, iteration_budget, sigma_row_into_changed, AdjacencyMatrix, FixedPoint,
     Pooled, RoutingState, Start,
@@ -44,8 +43,7 @@ use std::time::Duration;
 /// and resumed incrementally.  The work itself is the server's resident
 /// stepper, so resuming costs nothing per round and the chunked trajectory
 /// is the uninterrupted trajectory.
-struct Flush<A: RoutingAlgebra> {
-    /// The stepper's rows when the flush began.
+struct Flush<A: ScenarioAlgebra> {
     before: RoutingState<A>,
     naive_dirty: u64,
     batch_dirty: u64,
@@ -79,9 +77,8 @@ where
     /// The adjacency of `shape` as of the last flush — the one `kernel`
     /// iterates.
     adj: AdjacencyMatrix<A>,
-    /// The resident stepper: its rows are the routing table — σ's fixed
-    /// point on `adj` whenever the server is idle, and a flush's iteration
-    /// in between.
+    /// The resident stepper, whose rows are the routing table: σ's fixed
+    /// point on `adj` while idle, a flush's iteration in between.
     kernel: FixedPoint<A>,
     threads: usize,
     batch_max: usize,
@@ -113,9 +110,8 @@ where
     }
 
     /// The one place the field list is written: a server on `shape` and
-    /// `overrides` whose stepper starts from `state` (the identity when
-    /// `None`), with nothing pending, zeroed counters and every builder at
-    /// its default.
+    /// `overrides` stepping from `state` (the identity when `None`), with
+    /// nothing pending, zeroed counters and every builder at its default.
     fn assemble(
         alg: A,
         shape: Topology<()>,
@@ -242,9 +238,8 @@ where
     fn answers<'a>(&'a self) -> (usize, impl Fn(usize) -> &'a [A::Route] + Copy + 'a) {
         let before = self.parked.as_ref().map(|work| &work.before);
         let n = before.map_or_else(|| self.kernel.node_count(), RoutingState::node_count);
-        (n, move |i| {
-            before.map_or_else(|| self.kernel.row(i), |t| t.row(i))
-        })
+        let row = move |i| before.map_or_else(|| self.kernel.row(i), |t| t.row(i));
+        (n, row)
     }
 
     /// Ingest one event.  Changes are buffered (flushing when the batch
@@ -541,8 +536,7 @@ where
         .map_err(|payload| ServeProblem::kernel(&*payload))
     }
 
-    /// The effective deadline for a flush whose pre-batch table has `n`
-    /// nodes, if any.
+    /// The effective deadline for a flush from an `n`-node table, if any.
     fn deadline_duration(&self, n: usize) -> Option<Duration> {
         match self.deadline {
             DeadlineCfg::Off => None,

@@ -114,14 +114,12 @@ pub struct ChurnTrace {
 }
 
 /// The most nodes a served network may have.  A server keeps one dense
-/// `n × n` table, and a flush that grows the network, restarts from the
-/// identity or rewrites more than half the rows builds a second beside
-/// the pre-batch one until it commits, so memory grows as n² (2¹² nodes:
-/// 128 MiB of 8-byte routes, twice that during such a flush) and a
-/// `complete` shape holds n² edges besides.  A node
-/// count is outside input (a trace header, `gen-trace --nodes`, a run of
-/// `add_node` events): past this it is refused before anything of that
-/// size is built.
+/// `n × n` table, and a second while a flush that grows, restarts or
+/// rewrites over half the rows runs, so memory grows as n² (2¹² nodes:
+/// 128 MiB of 8-byte routes, twice that in such a flush) and a `complete`
+/// shape holds n² edges besides.  A node count is outside input (a trace
+/// header, `gen-trace --nodes`, a run of `add_node` events): past this it
+/// is refused before anything of that size is built.
 pub(super) const MAX_NODES: usize = 1 << 12;
 
 /// Refuse a node count the server cannot hold (see [`MAX_NODES`]).
