@@ -48,9 +48,10 @@
 //! it replaces the row store instead of being copied into it; a cold
 //! start therefore costs two `n · w` buffers.  A whole-row store is
 //! copy-on-write (`table.rs`): the stepper shares every row with the
-//! state it was started from until a round changes that row, so a
-//! reconvergence from a borrowed fixed point costs the rows it touches
-//! plus its peak frontier of staging — not a copy of the `n²` table.
+//! state it was started from until a round changes that row (a round over
+//! half the rows copies the table first), so a reconvergence from a
+//! borrowed fixed point costs the rows it touches plus its peak frontier
+//! of staging.
 //!
 //! The stepper caches nothing derived from the adjacency: a round reads
 //! the next frontier from [`AdjacencyMatrix::dependants`] of the adjacency
@@ -365,11 +366,6 @@ impl<A: RoutingAlgebra> FixedPoint<A> {
         self.w
     }
 
-    /// The number of rows `n`.
-    pub fn node_count(&self) -> usize {
-        self.n
-    }
-
     /// Row `i` of the current `n × w` row store.
     pub fn row(&self, i: usize) -> &[A::Route] {
         assert!(i < self.n, "row index out of range");
@@ -475,6 +471,11 @@ impl<A: RoutingAlgebra> FixedPoint<A> {
         let len = worklist.len();
         let scheduled = if self.full_sweep { n } else { len };
         tel.round_start(round, scheduled as u64, len as u64);
+        // A round over half the rows reads most of them: one copy of a
+        // shared base costs less than reading them around an overlay.
+        if commit && 2 * len >= n {
+            self.rows.unshare();
+        }
         let need = len * w;
         if self.staging.len() < need {
             self.staging.resize(need, alg.invalid());

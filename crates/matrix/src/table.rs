@@ -13,12 +13,12 @@
 //! * [`Table::replace`] (a full sweep's swap) replaces base and overlay
 //!   together.
 //! * A write that would take the overlay past half the rows unshares the
-//!   table once: base and overlay are copied into a fresh base of its own.
-//!   That bounds a table at one and a half copies of its rows, and a
-//!   long-lived table — the route server's resident stepper — settles
-//!   back to in-place writes.  A write that finds the base unshared again
-//!   (every other owner dropped it) folds the overlay back in, as
-//!   [`Table::fold`] does before a clone that should copy no row.
+//!   table once (so does [`Table::unshare`], before a stepper's round over
+//!   half the rows): base and overlay are copied into a fresh base of its
+//!   own.  That bounds a table at one and a half copies of its rows.  A
+//!   write that finds the base unshared again (every other owner dropped
+//!   it) folds the overlay back in, as [`Table::fold`] does before a clone
+//!   that should copy no row.
 //!
 //! A base is row-major or, for the identity matrix a cold solve starts
 //! from, a *band*: every row of the identity is a window of one run
@@ -114,25 +114,19 @@ impl<R> Table<R> {
             flat: &self.base,
             width: self.width,
             overlay: &self.overlay,
-            band: match self.layout {
-                Layout::RowMajor => None,
-                Layout::Band { copies, region } => Some((copies, region)),
-            },
+            layout: self.layout,
         }
     }
 }
 
-/// A [`Table`]'s rows, borrowed once.  Reading a row costs a test of the
-/// overlay slot and of the layout more than indexing a flat row-major
-/// slice, all inline: a round reads every import row through here, also
-/// while a resident stepper's pre-batch copy keeps its writes in the
-/// overlay.
+/// A [`Table`]'s rows, borrowed once.  Reading a row costs an inline test
+/// of its overlay slot and of the layout more than indexing a flat
+/// row-major slice: a round reads every import row through here.
 pub(crate) struct Rows<'a, R> {
     flat: &'a [R],
     width: usize,
     overlay: &'a [Option<Lines<R>>],
-    /// `copies` and `region` of a band base.
-    band: Option<(usize, usize)>,
+    layout: Layout,
 }
 
 impl<R> Clone for Rows<'_, R> {
@@ -150,9 +144,9 @@ impl<'a, R> Rows<'a, R> {
         if let Some(Some(row)) = self.overlay.get(k) {
             return row;
         }
-        let start = match self.band {
-            None => k * self.width,
-            Some((copies, region)) => {
+        let start = match self.layout {
+            Layout::RowMajor => k * self.width,
+            Layout::Band { copies, region } => {
                 let lead = self.width - 1 - k;
                 let c = (copies - lead % copies) % copies;
                 c * region + c + lead
@@ -306,6 +300,14 @@ impl<R: Clone> Table<R> {
     /// alone again, so that a clone copies no row.
     pub(crate) fn fold(&mut self) {
         if self.copied > 0 && self.own_row_major().is_some() {
+            self.own_base();
+        }
+    }
+
+    /// Make a row-major base another table still shares this table's own
+    /// (a copy, the overlay folded in).  A band stays a band.
+    pub(crate) fn unshare(&mut self) {
+        if self.layout == Layout::RowMajor && self.own_row_major().is_none() {
             self.own_base();
         }
     }

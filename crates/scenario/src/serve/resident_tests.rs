@@ -110,7 +110,8 @@ where
         // Every row the parked flush has left as it was is the same memory
         // in its pre-batch table and in the stepper — unless the stepper
         // holds none of that memory: it grew, restarted from the identity,
-        // swept every row or wrote more than half of them (`table.rs`).
+        // ran a round over half the rows or wrote more than half of them
+        // (`table.rs`).
         if let Some(rows) = server
             .pre_batch_rows()
             .filter(|r| r.iter().any(|&(same, _)| same))

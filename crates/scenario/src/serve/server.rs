@@ -38,11 +38,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// A flush in progress: the table from before its batch and its
-/// accounting — parked in `RouteServer::parked` when the server went over
-/// its deadline (or its kernel failed), where its table answers queries,
-/// and resumed incrementally.  The work itself is the server's resident
-/// stepper, so resuming costs nothing per round and the chunked trajectory
-/// is the uninterrupted trajectory.
+/// accounting.  Parked in `RouteServer::parked` when the server went over
+/// its deadline (or its kernel failed), where its table answers queries;
+/// the work itself is the resident stepper, so resuming costs nothing per
+/// round and the chunked trajectory is the uninterrupted trajectory.
 struct Flush<A: ScenarioAlgebra> {
     before: RoutingState<A>,
     naive_dirty: u64,
@@ -237,7 +236,7 @@ where
     /// pre-batch table while degraded, the stepper's rows otherwise.
     fn answers<'a>(&'a self) -> (usize, impl Fn(usize) -> &'a [A::Route] + Copy + 'a) {
         let before = self.parked.as_ref().map(|work| &work.before);
-        let n = before.map_or_else(|| self.kernel.node_count(), RoutingState::node_count);
+        let n = before.map_or_else(|| self.adj.node_count(), RoutingState::node_count);
         let row = move |i| before.map_or_else(|| self.kernel.row(i), |t| t.row(i));
         (n, row)
     }

@@ -115,7 +115,7 @@ pub struct ChurnTrace {
 
 /// The most nodes a served network may have.  A server keeps one dense
 /// `n × n` table, and a second while a flush that grows, restarts or
-/// rewrites over half the rows runs, so memory grows as n² (2¹² nodes:
+/// recomputes half the rows runs, so memory grows as n² (2¹² nodes:
 /// 128 MiB of 8-byte routes, twice that in such a flush) and a `complete`
 /// shape holds n² edges besides.  A node count is outside input (a trace
 /// header, `gen-trace --nodes`, a run of `add_node` events): past this it
