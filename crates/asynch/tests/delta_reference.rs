@@ -7,6 +7,11 @@
 //! `k`.  The evaluator under test keeps per-row versions, folds over the
 //! links that exist and skips an activation whose inputs are the versions
 //! it read last time — none of which may be observable.
+//!
+//! Which activations an evaluation skips is observable only through the
+//! work counters, and it depends on which rows the evaluator staged as
+//! changed.  So every case's `activations`, `recomputations` and
+//! `quiescent_from` are pinned exactly, in `fixtures/delta_counters.txt`.
 
 mod common;
 
@@ -23,6 +28,29 @@ use dbf_telemetry::NoopSink;
 use dbf_topology::{generators, Topology, TopologyChange};
 
 const N: usize = 6;
+
+/// One line per case: `<case>: activations=A recomputations=R
+/// quiescent_from=Q`.  On a mismatch the test prints the lines the run
+/// produced; a diff here means δ evaluates a different set of rows.
+const COUNTERS: &str = include_str!("fixtures/delta_counters.txt");
+
+/// A case's pinned line.
+fn counters<A: RoutingAlgebra>(case: &str, out: &DeltaOutcome<A>) -> String {
+    format!(
+        "{case}: activations={} recomputations={} quiescent_from={:?}",
+        out.activations, out.recomputations, out.quiescent_from
+    )
+}
+
+/// `got` must be exactly the pinned lines that start with `prefix`.
+fn assert_pinned(prefix: &str, got: &[String]) {
+    let want: Vec<&str> = COUNTERS.lines().filter(|l| l.starts_with(prefix)).collect();
+    assert!(
+        want == got,
+        "δ's counters under {prefix:?} moved; this run produced:\n{}",
+        got.join("\n")
+    );
+}
 
 /// A 6-ring with two chords, made awkward: node 5 imports from nobody
 /// (its row of `A` is empty, though 0 and 4 import from it) and the link
@@ -79,6 +107,7 @@ fn hold_to_oracle<A: RoutingAlgebra>(
 ) {
     let starts = state_ensemble(alg, N, pool, 1, 0xD1CE);
     assert_eq!(starts.len(), 2, "identity and one garbage state");
+    let mut pinned = Vec::new();
     for (name, schedule) in schedules() {
         for (s, x0) in starts.iter().enumerate() {
             let case = format!("{what}, {name}, start #{s}");
@@ -94,8 +123,10 @@ fn hold_to_oracle<A: RoutingAlgebra>(
             let plain = run_delta(alg, adj, x0, &schedule);
             assert!(plain.final_state == got.final_state, "{case}: untraced");
             assert_eq!(plain.recomputations, got.recomputations, "{case}");
+            pinned.push(counters(&case, &got));
         }
     }
+    assert_pinned(&format!("{what}, "), &pinned);
 }
 
 #[test]
@@ -189,6 +220,8 @@ fn lands_on_sigmas_fixed_point_mostly_idle<A: RoutingAlgebra>(
         whole.recomputations,
         whole.activations
     );
+
+    assert_pinned(&format!("{label}: "), &[counters(label, &whole)]);
 
     let quiet_from = whole.quiescent_from.expect("a 400-step horizon is enough");
     let settled = quiet_from + schedule.max_lag();
