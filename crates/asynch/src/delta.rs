@@ -11,10 +11,17 @@
 //!
 //! Setting `α(t) = {0, …, n−1}` and `β(t, i, j) = t − 1` recovers the
 //! synchronous iterate `σ` exactly (verified by a test below).
+//!
+//! An activated row is σ's row rule with each import read at its own
+//! version, so [`DeltaRun`] computes it with the row kernel every σ engine
+//! path runs ([`dbf_matrix::sigma_row_from_changed`]): the same vector
+//! builds for the integer carriers, and the in-place fold for routes that
+//! own heap data.  It keeps only what is δ's own: the versions, which of
+//! them each activation reads, and the activations it may skip.
 
 use crate::schedule::Schedule;
 use dbf_algebra::RoutingAlgebra;
-use dbf_matrix::{AdjacencyMatrix, RoutingState};
+use dbf_matrix::{sigma_row_from_changed, AdjacencyMatrix, RoutingState};
 use dbf_paths::NodeId;
 use dbf_telemetry::{NoopSink, TelemetrySink};
 use std::collections::VecDeque;
@@ -219,14 +226,14 @@ impl<'a, A: RoutingAlgebra> DeltaRun<'a, A> {
             let imports = self.adj.row(i);
             let lags = self.schedule.lags(t, i);
             self.picks.clear();
-            self.picks.extend(imports.iter().map(|(k, _)| {
+            for (k, _) in imports {
                 let lag = lags[*k] as usize;
                 assert!(
                     (1..=t).contains(&lag),
                     "S2 violated: β({t}, {i}, {k}) ≥ {t}"
                 );
-                live_at(&self.history[*k], t - lag)
-            }));
+                self.picks.push(live_at(&self.history[*k], t - lag));
+            }
             let read = || {
                 imports
                     .iter()
@@ -243,27 +250,23 @@ impl<'a, A: RoutingAlgebra> DeltaRun<'a, A> {
             }
             let last = self.last_read[i].get_or_insert_with(Vec::new);
             last.clear();
-            last.extend(read());
+            for written in read() {
+                last.push(written);
+            }
             self.recomputations += 1;
 
-            let out = &mut self.scratch;
-            for r in out.iter_mut() {
-                *r = self.alg.invalid();
-            }
-            for ((k, f), &p) in imports.iter().zip(&self.picks) {
-                let src = &self.history[*k][p].row;
-                for (d, s) in out.iter_mut().zip(src) {
-                    // `*d = d ⊕ f(s)` without cloning the winner.
-                    let c = self.alg.extend(f, s);
-                    if !self.alg.route_le(d, &c) {
-                        *d = c;
-                    }
-                }
-            }
-            out[i] = self.alg.trivial();
-
-            let current = &self.history[i].back().expect("never empty").row;
-            if out != current {
+            let history = &self.history;
+            let picks = &self.picks;
+            let current = &history[i].back().expect("never empty").row;
+            let changed = sigma_row_from_changed(
+                self.alg,
+                self.adj,
+                i,
+                |p, k| &history[k][picks[p]].row,
+                current,
+                &mut self.scratch,
+            );
+            if changed {
                 let next = self
                     .spare
                     .pop()

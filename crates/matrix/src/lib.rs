@@ -111,7 +111,9 @@ pub use kernel::{Executor, FixedPoint, Inline, Start};
 pub use parallel::{par_iterate_to_fixed_point, Pooled};
 pub use pool::{default_jobs, PoolScope, PoolStats, WorkerPool};
 pub use rib::{EventQueue, MessageRun, MessageStats, RibIn};
-pub use sigma::{row_kernel, sigma, sigma_row_into, sigma_row_into_changed};
+pub use sigma::{
+    row_kernel, sigma, sigma_row_from_changed, sigma_row_into, sigma_row_into_changed,
+};
 pub use state::RoutingState;
 pub use sync::{
     is_stable, iterate_to_fixed_point, iterate_traced, iterate_with, iteration_budget, SyncOutcome,

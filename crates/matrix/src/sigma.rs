@@ -2,16 +2,25 @@
 //!
 //! [`sigma`] and [`sigma_row_into`] are the plain reference.  Every engine
 //! path — cold, blocked, incremental, the route server, [`crate::is_stable`]
-//! — recomputes rows through one fused row kernel instead.  Its body is
-//! generic and compiled up to three times: for the target's baseline, for
-//! AVX2 and for AVX-512 (F and VL).  The widest build the CPU reports is
-//! picked once per process ([`row_kernel`] names it).  There are no
-//! intrinsics and no per-algebra code: the algebras' `#[inline]` leaf ops
-//! are inlined into each build, and LLVM vectorizes what it can — the
-//! `u64` min/max and saturating adds of the integer carriers, which
-//! baseline x86-64 (SSE2) runs one entry at a time.  Every build computes
-//! the same rows and the same change flags, so digests and counts do not
-//! depend on the machine.
+//! and the asynchronous iterate δ of `dbf-async` — recomputes rows through
+//! one fused row kernel instead.  The kernel reads each import's row
+//! through an accessor given the import's position and node, so σ passes
+//! the current rows and δ passes the version of each row that the import
+//! reads ([`sigma_row_from_changed`]).  Its body is generic and compiled up
+//! to three times: for the target's baseline, for AVX2 and for AVX-512 (F
+//! and VL).  The widest build the CPU reports is picked once per process
+//! ([`row_kernel`] names it).  There are no intrinsics and no per-algebra
+//! code: the algebras' `#[inline]` leaf ops are inlined into each build,
+//! and LLVM vectorizes what it can — the `u64` min/max and saturating adds
+//! of the integer carriers, which baseline x86-64 (SSE2) runs one entry at
+//! a time.  Every build computes the same rows and the same change flags,
+//! so digests and counts do not depend on the machine.
+//!
+//! The fold `d ← d ⊕ c` is chosen by the route type.  A route that owns
+//! heap data (path-vector, BGP, Gao-Rexford and SPP routes) keeps `d`
+//! unless `c` beats it, in place, so no winner is cloned; every other route
+//! folds through `choice`, which vectorizes.  The two are the same value
+//! because ⊕ is selective (`d ⊕ c ∈ {d, c}`, a law of [`RoutingAlgebra`]).
 //!
 //! A 64-byte access straddles two cache lines unless its address is a
 //! multiple of 64, and `malloc` only promises 16.  So the state and the
@@ -93,17 +102,47 @@ pub fn sigma_row_into_changed<A: RoutingAlgebra>(
     sigma_row_window_changed(alg, adj, x.table().view(), 0, i, out)
 }
 
-/// The one fused row kernel: recompute `σ(cur)[i][j0..j0+w]` into `out`
-/// and report whether it differs from `cur`'s row `i`, where `cur` holds
-/// the `n` rows of destination columns `j0..j0+w` of the state (σ is
-/// column-separable, so a column window iterates on its own — see
-/// [`crate::blocked`]).  The square state is the window `(0, n)`.  The
-/// diagonal override applies when `i` lies inside the window.  Every row
-/// is read through [`Rows::row`], so a row the table shares with another
-/// state reads like its own.
+/// σ's row rule with each import read from a row of the caller's choice:
+/// recompute `⨁ₖ A_ik(src(p, k)) ⊕ Iᵢ` into `out`, where `k` is the
+/// import at position `p` of `adj.row(i)`, and report whether the row
+/// differs from `old`.  With `src(p, k)` the version of row `k` that `i`
+/// reads at time `t`, this is one row of the asynchronous iterate δ
+/// (Section 3.1); with `src(_, k) = X[k]` it is [`sigma_row_into_changed`].
+/// It runs the same kernel builds as every σ engine path.
 ///
-/// Runs the body compiled for the widest [`row_kernel`] level this host
-/// has; every level computes the same row and the same flag.
+/// # Panics
+///
+/// Panics if `old`, `out` or a source row is not exactly `n` entries long.
+pub fn sigma_row_from_changed<'r, A: RoutingAlgebra>(
+    alg: &A,
+    adj: &AdjacencyMatrix<A>,
+    i: NodeId,
+    src: impl Fn(usize, NodeId) -> &'r [A::Route],
+    old: &[A::Route],
+    out: &mut [A::Route],
+) -> bool
+where
+    A::Route: 'r,
+{
+    let n = adj.node_count();
+    assert_eq!(n, old.len(), "current row length must match");
+    assert_eq!(n, out.len(), "output row length must match");
+    let src = |p, k| {
+        let row = src(p, k);
+        assert_eq!(n, row.len(), "source row length must match");
+        row
+    };
+    row_window_at(level(), alg, adj, src, old, 0, i, out)
+}
+
+/// The windowed form of the row kernel that every σ engine path runs:
+/// recompute `σ(cur)[i][j0..j0+w]` into `out` and report whether it
+/// differs from `cur`'s row `i`, where `cur` holds the `n` rows of
+/// destination columns `j0..j0+w` of the state (σ is column-separable, so
+/// a column window iterates on its own — see [`crate::blocked`]).  The
+/// square state is the window `(0, n)`.  Every row is read through
+/// [`Rows::row`], so a row the table shares with another state reads like
+/// its own.
 pub(crate) fn sigma_row_window_changed<A: RoutingAlgebra>(
     alg: &A,
     adj: &AdjacencyMatrix<A>,
@@ -112,7 +151,7 @@ pub(crate) fn sigma_row_window_changed<A: RoutingAlgebra>(
     i: NodeId,
     out: &mut [A::Route],
 ) -> bool {
-    row_window_at(level(), alg, adj, cur, j0, i, out)
+    row_window_at(level(), alg, adj, |_, k| cur.row(k), cur.row(i), j0, i, out)
 }
 
 /// The vector widths the fused row kernel is compiled for, narrowest
@@ -158,86 +197,105 @@ fn level() -> Level {
     })
 }
 
-/// Which build of the fused row kernel σ runs in this process:
+/// Which build of the fused row kernel σ and δ run in this process:
 /// `"avx512"`, `"avx2"` or `"portable"`.  Chosen once, from what the CPU
 /// reports; every build gives the same rows, digests and counts.
 pub fn row_kernel() -> &'static str {
     level().name()
 }
 
-/// The row kernel at level `want`, capped at [`level`].
-#[allow(unsafe_code)]
-fn row_window_at<A: RoutingAlgebra>(
+/// The row kernel at level `want`, capped at [`level`].  Every level
+/// computes the same row and the same flag.
+#[allow(unsafe_code, clippy::too_many_arguments)]
+fn row_window_at<'r, A: RoutingAlgebra>(
     want: Level,
     alg: &A,
     adj: &AdjacencyMatrix<A>,
-    cur: Rows<'_, A::Route>,
+    src: impl Fn(usize, NodeId) -> &'r [A::Route],
+    old: &[A::Route],
     j0: usize,
     i: NodeId,
     out: &mut [A::Route],
-) -> bool {
+) -> bool
+where
+    A::Route: 'r,
+{
     match want.min(level()) {
-        Level::Portable => row_window(alg, adj, cur, j0, i, out),
+        Level::Portable => row_window(alg, adj, src, old, j0, i, out),
         // SAFETY: the level is at most `level()`, which is `Avx2` only if
         // `is_x86_feature_detected!` reported avx2 and `Avx512` only if it
         // also reported avx512f and avx512vl — every feature the wrapper
         // enables is present on this CPU.
         #[cfg(target_arch = "x86_64")]
-        Level::Avx2 => unsafe { row_window_avx2(alg, adj, cur, j0, i, out) },
+        Level::Avx2 => unsafe { row_window_avx2(alg, adj, src, old, j0, i, out) },
         #[cfg(target_arch = "x86_64")]
-        Level::Avx512 => unsafe { row_window_avx512(alg, adj, cur, j0, i, out) },
+        Level::Avx512 => unsafe { row_window_avx512(alg, adj, src, old, j0, i, out) },
     }
 }
 
 /// [`row_window`] compiled for AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn row_window_avx2<A: RoutingAlgebra>(
+fn row_window_avx2<'r, A: RoutingAlgebra>(
     alg: &A,
     adj: &AdjacencyMatrix<A>,
-    cur: Rows<'_, A::Route>,
+    src: impl Fn(usize, NodeId) -> &'r [A::Route],
+    old: &[A::Route],
     j0: usize,
     i: NodeId,
     out: &mut [A::Route],
-) -> bool {
-    row_window(alg, adj, cur, j0, i, out)
+) -> bool
+where
+    A::Route: 'r,
+{
+    row_window(alg, adj, src, old, j0, i, out)
 }
 
 /// [`row_window`] compiled for AVX-512 (F and VL, on top of AVX2).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,avx512f,avx512vl")]
-fn row_window_avx512<A: RoutingAlgebra>(
+fn row_window_avx512<'r, A: RoutingAlgebra>(
     alg: &A,
     adj: &AdjacencyMatrix<A>,
-    cur: Rows<'_, A::Route>,
+    src: impl Fn(usize, NodeId) -> &'r [A::Route],
+    old: &[A::Route],
     j0: usize,
     i: NodeId,
     out: &mut [A::Route],
-) -> bool {
-    row_window(alg, adj, cur, j0, i, out)
+) -> bool
+where
+    A::Route: 'r,
+{
+    row_window(alg, adj, src, old, j0, i, out)
 }
 
-/// The row kernel's one body.  It is `inline(always)`, and so is
+/// The row kernel's one body: `out = ⨁ₚ A_ik(src(p, k)) ⊕ Iᵢ` over the
+/// imports `(k, A_ik)` at positions `p` of `adj.row(i)`, and whether `out`
+/// differs from `old`.  It is `inline(always)`, and so are [`fold`] and
 /// [`commit_row`], so that each wrapper above compiles all of it — and the
 /// algebra's `#[inline]` leaf ops — for its own vector width.
 #[inline(always)]
-fn row_window<A: RoutingAlgebra>(
+fn row_window<'r, A: RoutingAlgebra>(
     alg: &A,
     adj: &AdjacencyMatrix<A>,
-    cur: Rows<'_, A::Route>,
+    src: impl Fn(usize, NodeId) -> &'r [A::Route],
+    old: &[A::Route],
     j0: usize,
     i: NodeId,
     out: &mut [A::Route],
-) -> bool {
-    let old = cur.row(i);
+) -> bool
+where
+    A::Route: 'r,
+{
     // Window-local position of the diagonal entry.  For a row outside the
     // window the subtraction wraps (or lands at `>= w`), so it matches no
     // local column and no override happens.
     let diag = i.wrapping_sub(j0);
     let trivial = alg.trivial();
-    match adj.row(i).split_last() {
+    let imports = adj.row(i);
+    match imports.split_last() {
         // No imports: the row is ∞̄ everywhere except the diagonal.
-        None => commit_row(out, old, old, diag, trivial, |_, _| alg.invalid()),
+        None => commit_row(out, old, old, diag, trivial, |d, _| *d = alg.invalid()),
         Some(((last_k, last_f), rest)) => {
             // The first import *writes* `out` rather than folding into a
             // row pre-filled with ∞̄ (`∞̄ ⊕ x = x` is a required law), the
@@ -245,20 +303,22 @@ fn row_window<A: RoutingAlgebra>(
             // as the write-out-and-compare pass (the adjacency row never
             // contains `i`, so `last_k != i` and the diagonal override
             // cannot alias the source row).
-            let last = cur.row(*last_k);
+            let last = src(rest.len(), *last_k);
             match rest.split_first() {
-                None => commit_row(out, last, old, diag, trivial, |_, s| alg.extend(last_f, s)),
+                None => commit_row(out, last, old, diag, trivial, |d, s| {
+                    *d = alg.extend(last_f, s)
+                }),
                 Some(((first_k, first_f), middle)) => {
-                    for (d, s) in out.iter_mut().zip(cur.row(*first_k)) {
+                    for (d, s) in out.iter_mut().zip(src(0, *first_k)) {
                         *d = alg.extend(first_f, s);
                     }
-                    for (k, f) in middle {
-                        for (d, s) in out.iter_mut().zip(cur.row(*k)) {
-                            *d = alg.choice(d, &alg.extend(f, s));
+                    for (p, (k, f)) in middle.iter().enumerate() {
+                        for (d, s) in out.iter_mut().zip(src(p + 1, *k)) {
+                            fold(alg, d, alg.extend(f, s));
                         }
                     }
                     commit_row(out, last, old, diag, trivial, |d, s| {
-                        alg.choice(d, &alg.extend(last_f, s))
+                        fold(alg, d, alg.extend(last_f, s))
                     })
                 }
             }
@@ -266,9 +326,28 @@ fn row_window<A: RoutingAlgebra>(
     }
 }
 
-/// The write-out-and-compare pass of the row kernel: `out[j]` becomes
-/// `value(out[j], src[j])` (`0̄` at the window-local diagonal `diag`), and
-/// the result says whether the finished row differs from `old`.
+/// `*d = d ⊕ c`.  A route that owns heap data (a path, a BGP route) is
+/// kept unless `c` beats it, so the winner is never cloned: ⊕ is selective
+/// (`d ⊕ c ∈ {d, c}`, a law of [`RoutingAlgebra`]), so `d ⊕ c = d` exactly
+/// when `d ≤ c`, and both forms give the same value.  Every other route —
+/// the integer and reliability carriers — keeps `choice`, which LLVM
+/// vectorizes.  `needs_drop` is a constant for each route type, so each
+/// build compiles one of the two.
+#[inline(always)]
+fn fold<A: RoutingAlgebra>(alg: &A, d: &mut A::Route, c: A::Route) {
+    if std::mem::needs_drop::<A::Route>() {
+        if !alg.route_le(d, &c) {
+            *d = c;
+        }
+    } else {
+        *d = alg.choice(d, &c);
+    }
+}
+
+/// The write-out-and-compare pass of the row kernel: `step(&mut out[j],
+/// &src[j])` updates `out[j]` in place (`0̄` at the window-local diagonal
+/// `diag`), and the result says whether the finished row differs from
+/// `old`.
 #[inline(always)]
 fn commit_row<R: Clone + PartialEq>(
     out: &mut [R],
@@ -276,17 +355,16 @@ fn commit_row<R: Clone + PartialEq>(
     old: &[R],
     diag: usize,
     trivial: R,
-    value: impl Fn(&R, &R) -> R,
+    step: impl Fn(&mut R, &R),
 ) -> bool {
     let mut changed = false;
     for (j, ((d, s), o)) in out.iter_mut().zip(src).zip(old).enumerate() {
-        let v = if j == diag {
-            trivial.clone()
+        if j == diag {
+            *d = trivial.clone();
         } else {
-            value(d, s)
-        };
-        changed |= v != *o;
-        *d = v;
+            step(d, s);
+        }
+        changed |= *d != *o;
     }
     changed
 }
@@ -418,20 +496,34 @@ mod tests {
         levels
     }
 
-    /// Row `i` of the window `(j0, w)` of `x` at every host level, against
-    /// [`sigma_row_into`]'s row: once on `x` as given and once with the row
-    /// already at its σ value, so the change flag is exercised both ways.
-    /// `out` starts as `garbage`: every entry must be overwritten.
+    /// Row `i` of the window `(j0, w)` at every host level, against a plain
+    /// fold of the same import rows: once with the current row as in `x`
+    /// and once with it already at its new value, so the change flag is
+    /// exercised both ways.  Import `p` reads row `k` of `x` (σ's shape) or,
+    /// given `sources`, its own garbage row `sources[p]` (δ's shape, where
+    /// each import is read at its own version).  `out` starts as `garbage`:
+    /// every entry must be overwritten.
     fn levels_agree<A: RoutingAlgebra>(
         alg: &A,
         adj: &AdjacencyMatrix<A>,
         x: &mut RoutingState<A>,
+        sources: &[Vec<A::Route>],
         (i, j0, w): (NodeId, usize, usize),
         garbage: &A::Route,
     ) {
         let n = adj.node_count();
+        let imports = adj.row(i);
         let mut plain = vec![alg.invalid(); n];
-        sigma_row_into(alg, adj, x, i, &mut plain);
+        if sources.is_empty() {
+            sigma_row_into(alg, adj, x, i, &mut plain);
+        } else {
+            for ((_, f), row) in imports.iter().zip(sources) {
+                for (d, s) in plain.iter_mut().zip(row) {
+                    *d = alg.choice(d, &alg.extend(f, s));
+                }
+            }
+            plain[i] = alg.trivial();
+        }
         let want = &plain[j0..j0 + w];
         for pass in 0..2 {
             let window: Vec<A::Route> = (0..n)
@@ -439,10 +531,18 @@ mod tests {
                 .collect();
             let window = Table::new(n, w, Lines::from_slice(&window));
             let window = window.view();
-            let changed = want != &x.row(i)[j0..j0 + w];
+            let read = |p: usize, k: NodeId| match sources.get(p) {
+                Some(row) => {
+                    assert_eq!(k, imports[p].0, "import {p} is node {}", imports[p].0);
+                    &row[j0..j0 + w]
+                }
+                None => window.row(k),
+            };
+            let old = window.row(i);
+            let changed = want != old;
             for level in host_levels() {
                 let mut out = vec![garbage.clone(); w];
-                let flag = row_window_at(level, alg, adj, window, j0, i, &mut out);
+                let flag = row_window_at(level, alg, adj, read, old, j0, i, &mut out);
                 let at = format!(
                     "{} row {i} of window ({j0}, {w}) on pass {pass}",
                     level.name()
@@ -459,13 +559,17 @@ mod tests {
     /// remainder of a 2-, 4- or 8-lane loop and on both sides of 64; with
     /// 0, 1, 2 and 9 or more imports; with the diagonal before, on the left
     /// edge of, inside, on the right edge of and after the window, and in
-    /// the square window.
+    /// the square window.  With `per_import`, each import reads its own
+    /// garbage row, drawn from a second stream so that the states, links
+    /// and spots are the same either way.
     fn all_levels_agree<A: RoutingAlgebra>(
         alg: &A,
         routes: &[A::Route],
+        per_import: bool,
         mut edge: impl FnMut(NodeId, NodeId, &mut SplitMix64) -> A::Edge,
     ) {
         let mut rng = SplitMix64::new(0x5167_a0b1);
+        let mut own = SplitMix64::new(0xde17a);
         let pick =
             |rng: &mut SplitMix64| routes[rng.next_below(routes.len() as u64) as usize].clone();
         for w in (1..=17).chain(63..=65) {
@@ -492,14 +596,23 @@ mod tests {
                         (a == i && from.contains(&b)).then(|| edge(a, b, &mut rng))
                     });
                     let garbage = pick(&mut rng);
-                    levels_agree(alg, &adj, &mut x, spot, &garbage);
+                    let sources: Vec<Vec<A::Route>> = if per_import {
+                        (0..imports)
+                            .map(|_| (0..n).map(|_| pick(&mut own)).collect())
+                            .collect()
+                    } else {
+                        Vec::new()
+                    };
+                    levels_agree(alg, &adj, &mut x, &sources, spot, &garbage);
                 }
             }
         }
     }
 
-    #[test]
-    fn every_row_kernel_level_computes_the_portable_row() {
+    /// [`all_levels_agree`] on integer, reliability and path routes, so
+    /// that both folds (`choice`, and in place for routes that own heap
+    /// data) run at every level.
+    fn every_route_set_agrees(per_import: bool) {
         let levels: Vec<_> = host_levels().into_iter().map(Level::name).collect();
         println!("row kernel levels covered: {}", levels.join(", "));
         assert_eq!(levels.last(), Some(&row_kernel()));
@@ -514,7 +627,7 @@ mod tests {
             .chain([NatInf::INF])
             .collect();
         let hop_edges = [1, 1, 2, 4, top, u64::MAX];
-        all_levels_agree(&hops, &counts, |_, _, r| {
+        all_levels_agree(&hops, &counts, per_import, |_, _, r| {
             hop_edges[r.next_below(hop_edges.len() as u64) as usize]
         });
 
@@ -530,7 +643,7 @@ mod tests {
             .into_iter()
             .chain([NatInf::INF])
             .collect();
-        all_levels_agree(&ShortestPaths::new(), &sums, |_, _, r| {
+        all_levels_agree(&ShortestPaths::new(), &sums, per_import, |_, _, r| {
             weights[r.next_below(weights.len() as u64) as usize]
         });
 
@@ -540,7 +653,7 @@ mod tests {
             .into_iter()
             .chain([NatInf::INF])
             .collect();
-        all_levels_agree(&WidestPaths::new(), &widths, |_, _, r| {
+        all_levels_agree(&WidestPaths::new(), &widths, per_import, |_, _, r| {
             widths[r.next_below(widths.len() as u64) as usize]
         });
 
@@ -561,17 +674,30 @@ mod tests {
         .map(Reliability::new)
         .to_vec();
         let links = [0.5, 0.95, 1.0 - f64::EPSILON / 2.0, 0.05].map(Reliability::new);
-        all_levels_agree(&MostReliablePaths::new(), &odds, |_, _, r| {
+        all_levels_agree(&MostReliablePaths::new(), &odds, per_import, |_, _, r| {
             links[r.next_below(links.len() as u64) as usize]
         });
 
-        // A path algebra: routes own their paths, so nothing vectorizes, but
-        // the wrappers still compile the whole body.
+        // A path algebra: routes own their paths, so nothing vectorizes and
+        // the fold keeps the current route unless the candidate beats it,
+        // but the wrappers still compile the whole body.
         let pv = dbf_paths::PathVector::new(ShortestPaths::new(), 80);
         let paths = pv.sample_routes(7, 24);
-        all_levels_agree(&pv, &paths, |a, b, r| {
+        all_levels_agree(&pv, &paths, per_import, |a, b, r| {
             pv.edge(a, b, NatInf::fin(1 + r.next_below(5)))
         });
+    }
+
+    #[test]
+    fn every_row_kernel_level_computes_the_portable_row() {
+        every_route_set_agrees(false);
+    }
+
+    /// δ's input shape: import `p` is read through the accessor at its
+    /// position, from a row no other import reads.
+    #[test]
+    fn every_row_kernel_level_reads_each_import_from_its_own_row() {
+        every_route_set_agrees(true);
     }
 
     #[test]
