@@ -39,6 +39,12 @@
 //! round, so a fixed point landing exactly on the budget reads as
 //! converged.  Only the route server steps in deadline chunks instead.
 //!
+//! Each row is recomputed by the fused row kernel of `sigma.rs`, the one
+//! every engine path runs, δ's included.  It folds routes that own heap
+//! data in place, keeping the current route unless a candidate beats it,
+//! and every other route through `choice`; ⊕ is selective, so both give
+//! the same row.
+//!
 //! Rows are *staged*: a round writes the recomputed work list into a
 //! buffer reused across rounds and only then applies the rows that
 //! changed, so every recomputation reads the previous round's values
@@ -51,7 +57,10 @@
 //! state it was started from until a round changes that row (a round over
 //! half the rows copies the table first), so a reconvergence from a
 //! borrowed fixed point costs the rows it touches plus its peak frontier
-//! of staging.
+//! of staging.  A whole-row stepper that converges drops a staging buffer
+//! that holds a whole table (after a whole-row round, the base it swapped
+//! out), so a resident stepper holds one table between iterations; a slab
+//! keeps its buffer for the next block.
 //!
 //! The stepper caches nothing derived from the adjacency: a round reads
 //! the next frontier from [`AdjacencyMatrix::dependants`] of the adjacency
@@ -527,6 +536,14 @@ impl<A: RoutingAlgebra> FixedPoint<A> {
             self.quiet = changed_rows == 0;
             std::mem::swap(&mut self.frontier, &mut self.next);
             self.next.clear();
+            // A converged whole-row stepper may stay resident for good (the
+            // route server's does), so it keeps no whole table of staging —
+            // the base a whole-row round swapped out.  The next whole-row
+            // round allocates its own; a slab keeps its buffer for the next
+            // block.
+            if self.is_converged() && self.j0 == 0 && w == n && self.staging.len() == n * w {
+                self.staging = Lines::default();
+            }
         }
         let wall_ns = t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
         tel.round_end(round, len as u64, changed_rows, wall_ns);
@@ -568,6 +585,12 @@ impl<A: RoutingAlgebra> FixedPoint<A> {
                 tel.node_settled(node, round);
             }
         }
+    }
+
+    /// The entries the staging buffer holds.
+    #[cfg(test)]
+    fn staging_len(&self) -> usize {
+        self.staging.len()
     }
 
     fn assert_whole_rows(&self) {
@@ -618,5 +641,39 @@ mod tests {
             adj = next;
         }
         assert!(overlaid > 2, "{overlaid} cycles left rows in the overlay");
+    }
+
+    #[test]
+    fn a_converged_whole_row_stepper_holds_no_whole_table_of_staging() {
+        let alg = BoundedHopCount::new(32);
+        let shape = generators::as_graph(64, 2, 1);
+        let full = AdjacencyMatrix::from_topology(&shape.with_weights(|_, _| 1));
+        let n = full.node_count();
+        let cold = |adj: &AdjacencyMatrix<BoundedHopCount>| {
+            iterate_to_fixed_point(&alg, adj, &RoutingState::identity(&alg, n), 200).state
+        };
+        let mut stepper = FixedPoint::new(&full, RoutingState::identity(&alg, n), Start::AllRows);
+        assert!(stepper.run(&alg, &full, 200, &Inline, &mut NoopSink));
+        assert!(stepper.rounds() > 2, "the solve ran whole-row rounds");
+        assert!(stepper.staging_len() < n * n, "converged from the identity");
+
+        // Reseeded after a link cut, and then over every row: each
+        // reconvergence lands on the cold solve and lets its staging go.
+        let (a, b, _) = shape.edges().next().expect("a link");
+        let mut cut = full.clone();
+        cut.set(a, b, None);
+        cut.set(b, a, None);
+        stepper.reseed(Start::Dirty(&dirty_rows_after_change(&full, &cut)));
+        assert!(stepper.run(&alg, &cut, 200, &Inline, &mut NoopSink));
+        assert_eq!(stepper.share(), cold(&cut), "after the cut");
+        stepper.reseed(Start::AllRows);
+        assert!(stepper.run(&alg, &full, 200, &Inline, &mut NoopSink));
+        assert_eq!(stepper.share(), cold(&full), "after a whole-row reseed");
+        assert!(stepper.staging_len() < n * n, "after a whole-row reseed");
+
+        // A slab keeps its buffer for the next block.
+        let mut slab = FixedPoint::identity_slab(&alg, &full, 0, n / 2);
+        assert!(slab.run(&alg, &full, 200, &Inline, &mut NoopSink));
+        assert_eq!(slab.staging_len(), n * (n / 2));
     }
 }
