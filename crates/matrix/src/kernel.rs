@@ -487,6 +487,9 @@ impl<A: RoutingAlgebra> FixedPoint<A> {
         }
         let need = len * w;
         if self.staging.len() < need {
+            // Staged rows are dead between rounds: the old buffer goes
+            // before a larger one is filled, so growth never holds both.
+            self.staging.clear();
             self.staging.resize(need, alg.invalid());
         }
         self.changed.clear();
