@@ -58,9 +58,9 @@
 //! half the rows copies the table first), so a reconvergence from a
 //! borrowed fixed point costs the rows it touches plus its peak frontier
 //! of staging.  A whole-row stepper that converges drops a staging buffer
-//! that holds a whole table (after a whole-row round, the base it swapped
-//! out), so a resident stepper holds one table between iterations; a slab
-//! keeps its buffer for the next block.
+//! that holds a whole table of 32 MiB or more (after a whole-row round,
+//! the base it swapped out), so a large resident stepper holds one table
+//! between iterations; a slab keeps its buffer for the next block.
 //!
 //! The stepper caches nothing derived from the adjacency: a round reads
 //! the next frontier from [`AdjacencyMatrix::dependants`] of the adjacency
@@ -80,8 +80,17 @@ use crate::state::RoutingState;
 use crate::table::{Rows, Table};
 use dbf_algebra::RoutingAlgebra;
 use dbf_telemetry::TelemetrySink;
+use std::mem::size_of;
 use std::ops::Range;
 use std::time::Instant;
+
+/// The size from which a converged whole-row stepper releases a whole
+/// table of staging.  A smaller buffer is not worth releasing: glibc keeps
+/// a freed buffer below 32 MiB (its largest mmap threshold) in the heap,
+/// so the resident size would not fall, and a resident stepper's next
+/// round over every row would allocate and fill it again — on the 64-node
+/// serve probes that cost +10 % `query_p99_us`.
+const RELEASE_STAGING_BYTES: usize = 32 << 20;
 
 /// The rows the first round recomputes — and with them what certifies the
 /// fixed point.  Either way [`crate::sync::iterate_with`] reports the run
@@ -540,11 +549,12 @@ impl<A: RoutingAlgebra> FixedPoint<A> {
             std::mem::swap(&mut self.frontier, &mut self.next);
             self.next.clear();
             // A converged whole-row stepper may stay resident for good (the
-            // route server's does), so it keeps no whole table of staging —
-            // the base a whole-row round swapped out.  The next whole-row
-            // round allocates its own; a slab keeps its buffer for the next
-            // block.
-            if self.is_converged() && self.j0 == 0 && w == n && self.staging.len() == n * w {
+            // route server's does): it keeps no large whole table of staging.
+            let whole_table = self.j0 == 0 && w == n && self.staging.len() == n * w;
+            if self.is_converged()
+                && whole_table
+                && n * w * size_of::<A::Route>() >= RELEASE_STAGING_BYTES
+            {
                 self.staging = Lines::default();
             }
         }
@@ -588,12 +598,6 @@ impl<A: RoutingAlgebra> FixedPoint<A> {
                 tel.node_settled(node, round);
             }
         }
-    }
-
-    /// The entries the staging buffer holds.
-    #[cfg(test)]
-    fn staging_len(&self) -> usize {
-        self.staging.len()
     }
 
     fn assert_whole_rows(&self) {
@@ -647,36 +651,36 @@ mod tests {
     }
 
     #[test]
-    fn a_converged_whole_row_stepper_holds_no_whole_table_of_staging() {
-        let alg = BoundedHopCount::new(32);
-        let shape = generators::as_graph(64, 2, 1);
+    fn a_converged_whole_row_stepper_holds_no_large_whole_table_of_staging() {
+        // A 2048-node star on hop counts: a table is 32 MiB, the release
+        // size, and the star settles in a few whole-row rounds.
+        let alg = BoundedHopCount::new(4);
+        let shape = generators::star(2048);
         let full = AdjacencyMatrix::from_topology(&shape.with_weights(|_, _| 1));
         let n = full.node_count();
+        assert_eq!(n * n * size_of::<NatInf>(), RELEASE_STAGING_BYTES);
         let cold = |adj: &AdjacencyMatrix<BoundedHopCount>| {
-            iterate_to_fixed_point(&alg, adj, &RoutingState::identity(&alg, n), 200).state
+            iterate_to_fixed_point(&alg, adj, &RoutingState::identity(&alg, n), 20).state
         };
         let mut stepper = FixedPoint::new(&full, RoutingState::identity(&alg, n), Start::AllRows);
-        assert!(stepper.run(&alg, &full, 200, &Inline, &mut NoopSink));
+        assert!(stepper.run(&alg, &full, 20, &Inline, &mut NoopSink));
         assert!(stepper.rounds() > 2, "the solve ran whole-row rounds");
-        assert!(stepper.staging_len() < n * n, "converged from the identity");
+        assert!(stepper.staging.len() < n * n, "converged from the identity");
 
-        // Reseeded after a link cut, and then over every row: each
-        // reconvergence lands on the cold solve and lets its staging go.
-        let (a, b, _) = shape.edges().next().expect("a link");
+        // Reseeded after a link cut: the reconvergence lands on the cold
+        // solve, and lets its staging go again.
         let mut cut = full.clone();
-        cut.set(a, b, None);
-        cut.set(b, a, None);
+        cut.set(0, 1, None);
+        cut.set(1, 0, None);
         stepper.reseed(Start::Dirty(&dirty_rows_after_change(&full, &cut)));
-        assert!(stepper.run(&alg, &cut, 200, &Inline, &mut NoopSink));
-        assert_eq!(stepper.share(), cold(&cut), "after the cut");
-        stepper.reseed(Start::AllRows);
-        assert!(stepper.run(&alg, &full, 200, &Inline, &mut NoopSink));
-        assert_eq!(stepper.share(), cold(&full), "after a whole-row reseed");
-        assert!(stepper.staging_len() < n * n, "after a whole-row reseed");
+        assert!(stepper.run(&alg, &cut, 20, &Inline, &mut NoopSink));
+        assert!(stepper.share() == cold(&cut), "after the cut");
+        assert!(stepper.staging.len() < n * n, "after the cut");
 
-        // A slab keeps its buffer for the next block.
-        let mut slab = FixedPoint::identity_slab(&alg, &full, 0, n / 2);
-        assert!(slab.run(&alg, &full, 200, &Inline, &mut NoopSink));
-        assert_eq!(slab.staging_len(), n * (n / 2));
+        // A small table's staging stays for the next round over every row.
+        let small = AdjacencyMatrix::from_topology(&generators::star(64).with_weights(|_, _| 1));
+        let mut stepper = FixedPoint::new(&small, RoutingState::identity(&alg, 64), Start::AllRows);
+        assert!(stepper.run(&alg, &small, 20, &Inline, &mut NoopSink));
+        assert_eq!(stepper.staging.len(), 64 * 64);
     }
 }
