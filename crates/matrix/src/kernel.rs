@@ -58,9 +58,10 @@
 //! half the rows copies the table first), so a reconvergence from a
 //! borrowed fixed point costs the rows it touches plus its peak frontier
 //! of staging.  A whole-row stepper that converges drops a staging buffer
-//! that holds a whole table of 32 MiB or more (after a whole-row round,
-//! the base it swapped out), so a large resident stepper holds one table
-//! between iterations; a slab keeps its buffer for the next block.
+//! of 32 MiB or more — a whole table after a whole-row round (the base it
+//! swapped out), or the staging of a frontier that covered almost every
+//! row — so a large resident stepper holds one table between iterations;
+//! a slab keeps its buffer for the next block.
 //!
 //! The stepper caches nothing derived from the adjacency: a round reads
 //! the next frontier from [`AdjacencyMatrix::dependants`] of the adjacency
@@ -84,8 +85,8 @@ use std::mem::size_of;
 use std::ops::Range;
 use std::time::Instant;
 
-/// The size from which a converged whole-row stepper releases a whole
-/// table of staging.  A smaller buffer is not worth releasing: glibc keeps
+/// The size from which a converged whole-row stepper releases its
+/// staging buffer.  A smaller buffer is not worth releasing: glibc keeps
 /// a freed buffer below 32 MiB (its largest mmap threshold) in the heap,
 /// so the resident size would not fall, and a resident stepper's next
 /// round over every row would allocate and fill it again — on the 64-node
@@ -549,11 +550,13 @@ impl<A: RoutingAlgebra> FixedPoint<A> {
             std::mem::swap(&mut self.frontier, &mut self.next);
             self.next.clear();
             // A converged whole-row stepper may stay resident for good (the
-            // route server's does): it keeps no large whole table of staging.
-            let whole_table = self.j0 == 0 && w == n && self.staging.len() == n * w;
+            // route server's does): it keeps no large staging buffer, be it
+            // a whole table or a wide frontier's.  A slab keeps its buffer
+            // for the next block.
+            let whole_rows = self.j0 == 0 && w == n;
             if self.is_converged()
-                && whole_table
-                && n * w * size_of::<A::Route>() >= RELEASE_STAGING_BYTES
+                && whole_rows
+                && self.staging.len() * size_of::<A::Route>() >= RELEASE_STAGING_BYTES
             {
                 self.staging = Lines::default();
             }
@@ -652,13 +655,15 @@ mod tests {
 
     #[test]
     fn a_converged_whole_row_stepper_holds_no_large_whole_table_of_staging() {
-        // A 2048-node star on hop counts: a table is 32 MiB, the release
-        // size, and the star settles in a few whole-row rounds.
+        // A 2049-node star on hop counts: the staging of a round over
+        // n − 1 rows is the release size, a round over n − 2 rows is just
+        // under it, and the star settles in a few whole-row rounds.
         let alg = BoundedHopCount::new(4);
-        let shape = generators::star(2048);
+        let shape = generators::star(2049);
         let full = AdjacencyMatrix::from_topology(&shape.with_weights(|_, _| 1));
         let n = full.node_count();
-        assert_eq!(n * n * size_of::<NatInf>(), RELEASE_STAGING_BYTES);
+        let bytes = |rows: usize| rows * n * size_of::<NatInf>();
+        assert!(bytes(n - 2) < RELEASE_STAGING_BYTES && RELEASE_STAGING_BYTES <= bytes(n - 1));
         let cold = |adj: &AdjacencyMatrix<BoundedHopCount>| {
             iterate_to_fixed_point(&alg, adj, &RoutingState::identity(&alg, n), 20).state
         };
@@ -676,6 +681,18 @@ mod tests {
         assert!(stepper.run(&alg, &cut, 20, &Inline, &mut NoopSink));
         assert!(stepper.share() == cold(&cut), "after the cut");
         assert!(stepper.staging.len() < n * n, "after the cut");
+
+        // The hub stops importing from leaf 1, which still imports from
+        // the hub: the hub's row changes, then every leaf's but one is
+        // recomputed — a round over n − 1 rows, nearly a whole table of
+        // staging, which goes too.
+        let mut one_way = full.clone();
+        one_way.set(0, 1, None);
+        let dirty = dirty_rows_after_change(&full, &one_way);
+        let mut stepper = FixedPoint::new(&full, cold(&full), Start::Dirty(&dirty));
+        assert!(stepper.run(&alg, &one_way, 20, &Inline, &mut NoopSink));
+        assert!(stepper.share() == cold(&one_way), "one way");
+        assert!(stepper.staging.is_empty(), "a round over n − 1 rows");
 
         // A small table's staging stays for the next round over every row.
         let small = AdjacencyMatrix::from_topology(&generators::star(64).with_weights(|_, _| 1));
