@@ -3,14 +3,17 @@
 //!
 //! The durability contract mirrors a classic redo log.  Every churn event
 //! is appended to the WAL *before* it is applied, and every `N` events the
-//! server writes a full snapshot (the converged table, the topology shape,
-//! the weight overrides, the still-pending batch, the lifetime counters
-//! and the answers-digest state) and truncates the WAL.  Recovery loads
-//! the snapshot, replays the WAL tail through the *normal* submit path,
-//! and resumes the trace at `snapshot.offset + wal.len()` — because the
-//! serve algebras are strictly increasing the fixed point is unique, so a
-//! recovered replay lands on byte-identical digests (`BENCH_serve.json`
-//! minus `timing`) no matter where the process died.
+//! server writes a snapshot (the topology shape, the weight overrides, the
+//! still-pending batch, the lifetime counters and the answers-digest
+//! state) and truncates the WAL.  A snapshot holds the network, not its
+//! routing table: the serve algebras are strictly increasing, so the table
+//! is the unique fixed point of the shape and the overrides, and σ reaches
+//! it from any start.  Recovery loads the snapshot, converges the table
+//! once from the identity (as a fresh server does), replays the WAL tail
+//! through the *normal* submit path, and resumes the trace at
+//! `snapshot.offset + wal.len()` — so a recovered replay lands on
+//! byte-identical digests (`BENCH_serve.json` minus `timing`) no matter
+//! where the process died.
 //!
 //! Integrity is enforced at both granularities:
 //!
@@ -22,16 +25,17 @@
 //!   record means silent history loss, so recovery fails with a
 //!   structured error instead of diverging.
 //!
-//! Formats are versioned line-oriented text (`# dbf-checkpoint v1`,
+//! Formats are versioned line-oriented text (`# dbf-checkpoint v2`,
 //! `# dbf-wal v1`), written atomically (temp file + rename) for the
-//! snapshot and append-plus-flush for the WAL.  "Flush" is to the OS:
+//! snapshot and append-plus-flush for the WAL.  A `v1` snapshot, written
+//! by older builds, also carried the table as `row` records; the reader
+//! still accepts it and skips them as derived data.  "Flush" is to the OS:
 //! nothing here calls `fsync`, so the store is **process-crash safe, not
 //! power-loss safe** — a killed process loses nothing the OS had
 //! accepted, a machine that loses power may lose the page cache.
 
 use crate::report::Digest;
 use crate::spec::finite_weight;
-use dbf_algebra::prelude::NatInf;
 use dbf_matrix::blocked::decimal;
 use std::fmt::Write as _;
 use std::fs;
@@ -39,7 +43,10 @@ use std::io::{self, Seek, Write};
 use std::path::{Path, PathBuf};
 
 /// Header line (and version gate) of the snapshot file.
-const SNAPSHOT_HEADER: &str = "# dbf-checkpoint v1";
+const SNAPSHOT_HEADER: &str = "# dbf-checkpoint v2";
+/// Header of the snapshots older builds wrote: the same records plus the
+/// routing table's `row` records, which the reader skips.
+const SNAPSHOT_HEADER_V1: &str = "# dbf-checkpoint v1";
 /// Header line (and version gate) of the write-ahead log.
 const WAL_HEADER: &str = "# dbf-wal v1";
 /// Snapshot file name inside the checkpoint directory.
@@ -47,48 +54,13 @@ const SNAPSHOT_FILE: &str = "snapshot.ckpt";
 /// WAL file name inside the checkpoint directory.
 const WAL_FILE: &str = "events.wal";
 
-/// Route types the snapshot can persist: a whitespace-free text codec
-/// whose round trip is exact (`decode(encode(r)) == r`).
-pub trait PersistRoute: Sized {
-    /// Append the route to `out` as a single whitespace-free token (the
-    /// form the snapshot encoder streams a whole table through).
-    fn encode_into(&self, out: &mut String);
-    /// Render the route as a single whitespace-free token.
-    fn encode(&self) -> String {
-        let mut out = String::new();
-        self.encode_into(&mut out);
-        out
-    }
-    /// Parse a token produced by [`PersistRoute::encode`].
-    fn decode(s: &str) -> Option<Self>;
-}
-
-/// Both serve algebras (bounded hop count, shortest paths) route over
-/// `ℕ∞`: finite values are decimal, infinity is `inf`.  A snapshot is
-/// thousands of such numbers, so they skip `core::fmt`.
-impl PersistRoute for NatInf {
-    fn encode_into(&self, out: &mut String) {
-        match self.as_fin() {
-            Some(v) => out.push_str(decimal(v, &mut [0; 20])),
-            None => out.push_str("inf"),
-        }
-    }
-    fn decode(s: &str) -> Option<Self> {
-        if s == "inf" {
-            Some(NatInf::INF)
-        } else {
-            s.parse::<u64>().ok().and_then(NatInf::try_fin)
-        }
-    }
-}
-
 /// Everything a route server needs to resume exactly where it stopped.
 ///
-/// The routing table is kept as its encoded `row` lines so the document
-/// stays algebra-agnostic; [`PersistRoute`] does the typed round trip at
-/// the serve layer.  Note the *pending* batch is persisted rather than
-/// force-flushed: batching alignment (and hence `stats.batches`) stays
-/// identical to an uninterrupted run.
+/// There is no routing table here: it is the unique fixed point of the
+/// shape and the overrides, which a restored server converges to.  Note
+/// the *pending* batch is persisted rather than force-flushed: batching
+/// alignment (and hence `stats.batches`) stays identical to an
+/// uninterrupted run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
     /// The next trace event index to process.
@@ -112,19 +84,13 @@ pub struct Snapshot {
     pub stats: [u64; 10],
     /// The FNV state of the answers digest at `offset`.
     pub answers_state: u64,
-    /// The converged routing table as the document's own
-    /// `row <i> <token> … <token>\n` lines, in row order, one
-    /// single-space-separated [`PersistRoute`] token per destination —
-    /// one buffer the encoder streams into and [`Snapshot::to_text`]
-    /// copies out whole.
-    pub rows: String,
 }
 
 impl Snapshot {
     /// Render the full document: body plus trailing integrity digest.
     pub fn to_text(&self) -> String {
         let lines = self.edges.len() + self.overrides.len() + self.pending.len();
-        let mut out = String::with_capacity(self.rows.len() + 24 * lines + 256);
+        let mut out = String::with_capacity(24 * lines + 256);
         out.push_str(SNAPSHOT_HEADER);
         out.push('\n');
         let _ = writeln!(out, "offset {}", self.offset);
@@ -150,7 +116,6 @@ impl Snapshot {
         for line in &self.pending {
             let _ = writeln!(out, "pending {line}");
         }
-        out.push_str(&self.rows);
         // the digest covers everything before its own line
         let mut d = Digest::default();
         d.update(&out);
@@ -177,10 +142,11 @@ impl Snapshot {
             ));
         }
         let mut lines = body.lines();
-        match lines.next() {
-            Some(l) if l.trim() == SNAPSHOT_HEADER => {}
+        let v1 = match lines.next().map(str::trim) {
+            Some(SNAPSHOT_HEADER) => false,
+            Some(SNAPSHOT_HEADER_V1) => true,
             other => return Err(format!("not a checkpoint (header {other:?})")),
-        }
+        };
         let mut offset = None;
         let mut algebra = None;
         let mut nodes = None;
@@ -189,9 +155,6 @@ impl Snapshot {
         let mut edges = Vec::new();
         let mut overrides = Vec::new();
         let mut pending = Vec::new();
-        let mut rows = String::new();
-        let mut row_count = 0usize;
-        let mut rows_in_order = true;
         for (k, raw) in lines.enumerate() {
             let line = raw.trim();
             if line.is_empty() {
@@ -225,32 +188,20 @@ impl Snapshot {
                     overrides.push((num(1)? as usize, num(2)? as usize, weight));
                 }
                 "pending" => pending.push(toks[1..].join(" ")),
-                "row" => {
-                    rows_in_order &= num(1)? as usize == row_count;
-                    row_count += 1;
-                    rows.push_str(&toks.join(" "));
-                    rows.push('\n');
-                }
+                // a v1 snapshot's routing table: derived data
+                "row" if v1 => {}
                 other => return Err(bad(&format!("unknown record {other:?}"))),
             }
-        }
-        let nodes = nodes.ok_or("checkpoint has no nodes line")?;
-        if row_count != nodes || !rows_in_order {
-            return Err("checkpoint rows are missing or out of order".into());
-        }
-        if rows.lines().any(|l| l.split(' ').count() != nodes + 2) {
-            return Err("checkpoint row width disagrees with the node count".into());
         }
         Ok(Snapshot {
             offset: offset.ok_or("checkpoint has no offset line")?,
             algebra: algebra.ok_or("checkpoint has no algebra line")?,
-            nodes,
+            nodes: nodes.ok_or("checkpoint has no nodes line")?,
             edges,
             overrides,
             pending,
             stats: stats.ok_or("checkpoint has no stats line")?,
             answers_state: answers.ok_or("checkpoint has no answers line")?,
-            rows,
         })
     }
 }
@@ -497,34 +448,37 @@ mod tests {
             pending: vec!["set_link 0 1".into()],
             stats: [5, 2, 1, 10, 4, 7, 30, 7, 100, 1],
             answers_state: 0xdead_beef,
-            rows: "row 0 0 1\nrow 1 1 0\n".into(),
         }
     }
 
+    /// `body` sealed with a `digest` line over it.
+    fn reseal(body: &str) -> String {
+        let mut d = Digest::default();
+        d.update(body);
+        format!("{body}digest {}\n", d.finish())
+    }
+
     #[test]
-    fn route_tokens_round_trip_in_both_forms() {
-        for r in [
-            NatInf::fin(0),
-            NatInf::fin(907),
-            NatInf::fin(u64::MAX - 1),
-            NatInf::INF,
-        ] {
-            let mut streamed = String::from("row 3 ");
-            r.encode_into(&mut streamed);
-            assert_eq!(
-                streamed,
-                format!("row 3 {}", r.encode()),
-                "appends, never clears"
-            );
-            assert_eq!(NatInf::decode(&r.encode()), Some(r));
+    fn a_v1_snapshots_rows_are_skipped_and_a_v2_row_is_refused() {
+        let snap = sample_snapshot();
+        let text = snap.to_text();
+        let body = &text[..text.rfind("digest ").unwrap()];
+        assert!(body.starts_with("# dbf-checkpoint v2\n"), "{body}");
+        assert!(!body.contains("row "), "{body}");
+        // what an older build wrote: the v1 header and the table's rows
+        let v1 = body.replacen("v2", "v1", 1) + "row 0 0 1\nrow 1 1 inf\n";
+        assert_eq!(Snapshot::parse(&reseal(&v1)).expect("v1 parses"), snap);
+        // the rows are not read at all: a width no table has still parses
+        let odd = body.replacen("v2", "v1", 1) + "row 7 x\n";
+        assert_eq!(Snapshot::parse(&reseal(&odd)).expect("v1 parses"), snap);
+        let v2 = body.to_string() + "row 0 0 1\n";
+        let err = Snapshot::parse(&reseal(&v2)).expect_err("v2 has no rows");
+        assert!(err.contains("unknown record \"row\""), "{err}");
+        for header in ["# dbf-checkpoint v0", "# dbf-checkpoint v3"] {
+            let other = body.replacen("# dbf-checkpoint v2", header, 1);
+            let err = Snapshot::parse(&reseal(&other)).expect_err("unknown version");
+            assert!(err.starts_with("not a checkpoint"), "{err}");
         }
-        assert_eq!(NatInf::INF.encode(), "inf");
-        assert_eq!(
-            NatInf::fin(u64::MAX - 1).encode(),
-            (u64::MAX - 1).to_string()
-        );
-        // the ∞ sentinel is not a finite route: only `inf` decodes to ∞
-        assert_eq!(NatInf::decode(&u64::MAX.to_string()), None);
     }
 
     #[test]

@@ -162,7 +162,7 @@ pub use chaos::{
     builtin_plan, builtin_plan_names, chaos_json, load_plan, run_chaos, ChaosOutcome, FaultKind,
     FaultPlan,
 };
-pub use checkpoint::{CheckpointStore, PersistRoute, Snapshot, WalError};
+pub use checkpoint::{CheckpointStore, Snapshot, WalError};
 pub use engine::{
     descriptor, descriptors, engine_seeds, planned_runs, run_engine, Determinism, EngineInfo,
     Problem, ScenarioAlgebra,
@@ -194,7 +194,7 @@ pub mod prelude {
         builtin_plan, builtin_plan_names, chaos_json, load_plan, run_chaos, ChaosOutcome,
         FaultKind, FaultPlan,
     };
-    pub use crate::checkpoint::{CheckpointStore, PersistRoute, Snapshot, WalError};
+    pub use crate::checkpoint::{CheckpointStore, Snapshot, WalError};
     pub use crate::engine::{
         descriptor, descriptors, engine_seeds, planned_runs, run_engine, Determinism, EngineInfo,
         Problem, ScenarioAlgebra,

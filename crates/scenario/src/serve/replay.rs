@@ -8,7 +8,7 @@ use super::server::RouteServer;
 use super::trace::{event_to_line, serve_shape, ChurnTrace, ServeAlgebra, ServeEvent};
 use super::types::{BoundRule, DeadlineCfg, ServeStats, WeightOverrides};
 use crate::chaos::{FaultKind, FaultPlan};
-use crate::checkpoint::{CheckpointStore, PersistRoute, Snapshot, WalError};
+use crate::checkpoint::{CheckpointStore, Snapshot, WalError};
 use crate::engine::ScenarioAlgebra;
 use crate::report::Digest;
 use crate::spec::{SpecError, WeightRule};
@@ -157,10 +157,9 @@ impl Progress {
         }
     }
 
-    /// Stand the server up.  A recovering run reads the store back first:
-    /// `make` is handed the snapshot to restore from (or `None` — then the
-    /// server it returns has still to converge), and what was read comes
-    /// back with the server.
+    /// Stand the server up, not yet converged.  A recovering run reads the
+    /// store back first: `make` is handed the snapshot to restore from (or
+    /// `None`), and what was read comes back with the server.
     fn boot<S>(
         &mut self,
         store: Option<&CheckpointStore>,
@@ -248,7 +247,6 @@ impl Progress {
     ) -> Result<(), ServeFailure>
     where
         A: ScenarioAlgebra,
-        A::Route: PersistRoute,
         F: Fn(&Topology<()>, &WeightOverrides) -> AdjacencyMatrix<A>,
     {
         if opts.recover {
@@ -356,7 +354,6 @@ fn replay_with<A, F>(
 ) -> Result<ReplayReport, SpecError>
 where
     A: ScenarioAlgebra,
-    A::Route: PersistRoute,
     F: Fn(&Topology<()>, &WeightOverrides) -> AdjacencyMatrix<A>,
 {
     let threads = opts.threads.max(1);
@@ -393,9 +390,7 @@ where
         Err(failure) => Some(failure),
         Ok((booted, read_back)) => {
             let server = server.insert(booted);
-            if read_back.snapshot_offset.is_none() {
-                server.initial_converge(tel)?;
-            }
+            server.initial_converge(tel)?;
             run.serve(server, store.as_mut(), &read_back, trace, opts, tel)
                 .err()
         }

@@ -22,18 +22,17 @@ use super::types::{
     BoundRule, DeadlineCfg, ServeAnswer, ServeProblem, ServeStats, WeightOverrides,
 };
 use crate::chaos::{FaultKind, FaultPlan};
-use crate::checkpoint::{PersistRoute, Snapshot};
+use crate::checkpoint::Snapshot;
 use crate::engine::{rows_digest, ScenarioAlgebra};
 use crate::fields::Keys;
 use crate::report::Digest;
 use crate::spec::{ChangeSpec, SpecError};
 use dbf_matrix::{
-    dirty_rows_after_change, iteration_budget, sigma_row_into_changed, AdjacencyMatrix, FixedPoint,
-    Pooled, RoutingState, Start,
+    dirty_rows_after_change, iteration_budget, AdjacencyMatrix, FixedPoint, Pooled, RoutingState,
+    Start,
 };
 use dbf_telemetry::TelemetrySink;
 use dbf_topology::Topology;
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -105,24 +104,23 @@ where
     /// the builders, then call [`RouteServer::initial_converge`].
     pub fn raw(alg: A, shape: Topology<()>, rebuild: F, threads: usize, batch_max: usize) -> Self {
         let overrides = WeightOverrides::new();
-        Self::assemble(alg, shape, overrides, rebuild, None, threads, batch_max)
+        Self::assemble(alg, shape, overrides, rebuild, threads, batch_max)
     }
 
     /// The one place the field list is written: a server on `shape` and
-    /// `overrides` stepping from `state` (the identity when `None`), with
-    /// nothing pending, zeroed counters and every builder at its default.
+    /// `overrides` stepping from the identity, with nothing pending,
+    /// zeroed counters and every builder at its default.
     fn assemble(
         alg: A,
         shape: Topology<()>,
         overrides: WeightOverrides,
         rebuild: F,
-        state: Option<RoutingState<A>>,
         threads: usize,
         batch_max: usize,
     ) -> Self {
         let adj = rebuild(&shape, &overrides);
         let n = adj.node_count();
-        let state = state.unwrap_or_else(|| RoutingState::identity(&alg, n));
+        let state = RoutingState::identity(&alg, n);
         let kernel = FixedPoint::new(&adj, state, Start::Dirty(&vec![false; n]));
         Self {
             alg,
@@ -149,7 +147,8 @@ where
     /// Converge the initial table (a full sweep: every row starts dirty;
     /// not counted in the stats).  Deadline-exempt: there is no previous
     /// stable table to serve from, so startup always runs to a fixed
-    /// point.
+    /// point.  A server from [`RouteServer::restore`] needs it as much as
+    /// one from [`RouteServer::raw`]: a snapshot holds no table.
     pub fn initial_converge(&mut self, tel: &mut dyn TelemetrySink) -> Result<(), SpecError> {
         let n = self.adj.node_count();
         self.kernel.reseed(Start::Dirty(&vec![true; n]));
@@ -627,43 +626,32 @@ fn rows_touched(c: &ChangeSpec) -> u64 {
 impl<A, F> RouteServer<A, F>
 where
     A: ScenarioAlgebra,
-    A::Route: PersistRoute,
     F: Fn(&Topology<()>, &WeightOverrides) -> AdjacencyMatrix<A>,
 {
     /// Capture the server as a checkpoint snapshot at trace offset
-    /// `offset`.  The *pending* batch is persisted as-is (never
-    /// force-flushed) so that batching alignment — and hence every
-    /// deterministic counter — is identical to an uninterrupted run.
+    /// `offset`: the network (shape and weight overrides), not its
+    /// routing table, which is their unique fixed point.  The *pending*
+    /// batch is persisted as-is (never force-flushed) so that batching
+    /// alignment — and hence every deterministic counter — is identical to
+    /// an uninterrupted run.
     ///
     /// # Panics
     ///
     /// Panics on a degraded server ([`RouteServer::is_degraded`]): its
-    /// shape is already post-batch while its table is still the pre-batch
-    /// one, and the parked batch is in neither `pending` nor the table, so
-    /// a server restored from the pair would answer, as fresh, from a table
-    /// that is not the fixed point of its shape.  Snapshot an idle server —
-    /// the replay driver skips the cadence while degraded; elsewhere call
-    /// [`RouteServer::complete_degraded`] first.
+    /// shape is already post-batch, but the parked flush's batch is no
+    /// longer in `pending` and its counters are not yet in the stats, so a
+    /// server restored from the snapshot would count that batch in none of
+    /// its counters and drift from an uninterrupted run.  Snapshot an idle
+    /// server — the replay driver skips the cadence while degraded;
+    /// elsewhere call [`RouteServer::complete_degraded`] first.
     pub fn snapshot(&self, offset: u64, algebra: &str, answers: &Digest) -> Snapshot {
         assert!(
             !self.is_degraded(),
-            "snapshot of a degraded server: its table is not the fixed point of its shape \
-             (complete_degraded first)"
+            "snapshot of a degraded server: its parked batch is in neither the pending \
+             batch nor the counters (complete_degraded first)"
         );
         // `Topology::edges` iterates in sorted `(i, j)` order already
         let edges: Vec<(usize, usize)> = self.shape.edges().map(|(i, j, _)| (i, j)).collect();
-        let (n, row) = self.answers();
-        // ≈ 3 bytes a token at the serve sizes (`inf`, or a small decimal
-        // and its space)
-        let mut rows = String::with_capacity(n * (3 * n + 8));
-        for i in 0..n {
-            let _ = write!(rows, "row {i}");
-            for r in row(i) {
-                rows.push(' ');
-                r.encode_into(&mut rows);
-            }
-            rows.push('\n');
-        }
         let s = &self.stats;
         Snapshot {
             offset,
@@ -689,18 +677,16 @@ where
                 s.bound_ok,
             ],
             answers_state: answers.value(),
-            rows,
         }
     }
 
-    /// Rebuild a server from a checkpoint snapshot: shape, weight
-    /// overrides, the converged table, the pending batch, and the
-    /// deterministic counters.  Nothing reconverges, but the table is
-    /// checked: one σ sweep over the rebuilt adjacency must leave it as it
-    /// is.  Both serve algebras are strictly increasing, so a σ-stable
-    /// table is the unique fixed point, and a stale or forged one is
-    /// refused, naming the first row σ would change.  Chain the builders
-    /// afterwards.
+    /// Rebuild a server from a checkpoint snapshot: what
+    /// [`RouteServer::raw`] builds on the snapshot's shape and weight
+    /// overrides, plus its pending batch and its deterministic counters.
+    /// The table is the identity until [`RouteServer::initial_converge`]
+    /// runs, as on a fresh server: both serve algebras are strictly
+    /// increasing, so it converges to the one fixed point the snapshotted
+    /// server held.  Chain the builders afterwards.
     pub fn restore(
         alg: A,
         rebuild: F,
@@ -724,26 +710,6 @@ where
                 .map_err(|p| format!("snapshot override {from} {to} {weight}: {}", p.message))?;
             overrides.insert((from, to), weight);
         }
-        // every token is at least a byte and its separator
-        let mut table: Vec<A::Route> = Vec::with_capacity(snap.rows.len() / 2);
-        let mut rows = 0;
-        for line in snap.rows.lines() {
-            // skip the line's own `row <i>` prefix
-            for tok in line.split_whitespace().skip(2) {
-                table.push(
-                    A::Route::decode(tok)
-                        .ok_or_else(|| format!("snapshot row {rows}: bad route token {tok:?}"))?,
-                );
-            }
-            rows += 1;
-            if table.len() != rows * n {
-                return Err(format!("snapshot row {} has the wrong width", rows - 1));
-            }
-        }
-        if rows != n {
-            return Err("snapshot table does not match its node count".to_string());
-        }
-        let state = RoutingState::from_fn(n, |i, j| table[i * n + j].clone());
         let mut pending = Vec::with_capacity(snap.pending.len());
         let mut adds = 0;
         for line in &snap.pending {
@@ -773,24 +739,9 @@ where
             bound_ok: st[9],
             ..ServeStats::default()
         };
-        let mut server = Self::assemble(
-            alg,
-            shape,
-            overrides,
-            rebuild,
-            Some(state),
-            threads,
-            batch_max,
-        );
+        let mut server = Self::assemble(alg, shape, overrides, rebuild, threads, batch_max);
         if server.adj.node_count() != n {
             return Err("snapshot adjacency does not match its node count".to_string());
-        }
-        let restored = server.kernel.share();
-        let mut row = vec![server.alg.invalid(); n];
-        let (alg, adj) = (&server.alg, &server.adj);
-        if let Some(i) = (0..n).find(|&i| sigma_row_into_changed(alg, adj, &restored, i, &mut row))
-        {
-            return Err(format!("snapshot row {i} is not its shape's fixed point"));
         }
         server.pending_adds = adds;
         server.pending = pending;

@@ -213,77 +213,6 @@ fn a_corrupted_wal_is_a_clean_structured_failure_not_a_wrong_answer() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The final and answers digests a `serve` report carries.
-fn digests(report: &str) -> (String, String) {
-    let field = |key: &str| {
-        let at = report.find(&format!("\"{key}\": \"")).expect(key) + key.len() + 5;
-        report[at..at + 16].to_string()
-    };
-    (field("final_digest"), field("answers_digest"))
-}
-
-#[test]
-fn a_resealed_snapshot_whose_table_is_not_the_fixed_point_is_refused() {
-    // A snapshot whose integrity digest holds but whose table is not σ's
-    // fixed point of its shape used to be served as-is: recovery exited 0
-    // with digests no clean run produces.
-    let dir = temp_dir("forged");
-    let trace = dir.join("h.trace");
-    let mut text = "# dbf-churn-trace v1\ntopology ring 8\nalgebra hopcount 8\n".to_string();
-    text += &"query 0 1\n".repeat(64);
-    text += &"query 0 2\n".repeat(4);
-    std::fs::write(&trace, text).unwrap();
-    let run = |out: &str, extra: &[&str]| {
-        let mut args = vec!["serve", "--replay", trace.to_str().unwrap()];
-        args.extend_from_slice(&["--threads", "1", "--deadline-ms", "0", "--out"]);
-        let out = dir.join(out);
-        args.push(out.to_str().unwrap());
-        args.extend_from_slice(extra);
-        let status = scenarios_bin()
-            .args(args)
-            .output()
-            .expect("run serve")
-            .status;
-        (
-            status,
-            std::fs::read_to_string(out).expect("report written"),
-        )
-    };
-    let (status, clean) = run("clean.json", &[]);
-    assert!(status.success());
-    let want = (
-        "bd19c75f561d6e0d".to_string(),
-        "6f37377c132ce05d".to_string(),
-    );
-    assert_eq!(digests(&clean), want);
-
-    let store = dir.join("ck");
-    let store_arg = store.to_str().unwrap();
-    let (status, _) = run(
-        "crash.json",
-        &["--checkpoint", store_arg, "--crash-at", "64"],
-    );
-    assert!(!status.success(), "the crash fault fires");
-    let honest = std::fs::read_to_string(store.join("snapshot.ckpt")).expect("snapshot");
-    let (status, recovered) = run("honest.json", &["--recover", store_arg]);
-    assert!(status.success(), "the honest store recovers");
-    assert_eq!(digests(&recovered), want);
-
-    // Shorten one route of row 0, then reseal the digest over the body.
-    let (row, forged_row) = ("row 0 0 1 2 3 4 3 2 1\n", "row 0 0 1 1 3 4 3 2 1\n");
-    assert!(honest.contains(row), "{honest}");
-    let body = honest[..honest.rfind("digest ").unwrap()].replacen(row, forged_row, 1);
-    let mut seal = dbf_scenario::report::Digest::default();
-    seal.update(&body);
-    let forged = format!("{body}digest {}\n", seal.finish());
-    std::fs::write(store.join("snapshot.ckpt"), forged).unwrap();
-    let (status, refused) = run("forged.json", &["--recover", store_arg]);
-    assert!(!status.success(), "a forged table must not be served");
-    assert!(refused.contains("\"kind\": \"checkpoint\""), "{refused}");
-    assert!(refused.contains("row 0"), "{refused}");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
 #[test]
 fn recovery_from_an_empty_store_replays_from_the_start() {
     let dir = temp_dir("no-store");

@@ -6,8 +6,8 @@
 //! nobody checked.  A mutant whose seals are broken fails with a
 //! `checkpoint` or `wal` failure, or (a torn final record, a change no
 //! parser can see) recovers to the clean run's table; a resealed one fails
-//! with a structured error or restores a server whose table is σ's fixed
-//! point of its shape.
+//! with a structured error or restores a server that converges to σ's
+//! fixed point of its shape.
 
 use dbf_algebra::algebra::SplitMix64;
 use dbf_algebra::prelude::{BoundedHopCount, NatInf, ShortestPaths};
@@ -16,8 +16,8 @@ use dbf_scenario::engine::{state_digest, ScenarioAlgebra};
 use dbf_scenario::report::Digest;
 use dbf_scenario::telemetry::NoopSink;
 use dbf_scenario::{
-    generate_trace, replay_trace_opts, ChurnTrace, PersistRoute, RouteServer, ServeAlgebra,
-    ServeOptions, Snapshot, TopologySpec, TraceSpec, WeightOverrides,
+    generate_trace, replay_trace_opts, ChurnTrace, RouteServer, ServeAlgebra, ServeOptions,
+    Snapshot, TopologySpec, TraceSpec, WeightOverrides,
 };
 use dbf_scenario::{FaultKind, FaultPlan};
 use dbf_topology::Topology;
@@ -219,17 +219,19 @@ fn rebuild<A: ScenarioAlgebra>(
     }
 }
 
-/// If `snap` restores, the restored table is σ's fixed point of the
-/// restored shape, solved from scratch: the idle half of the server's
-/// resident invariant, through the public API.
+/// If `snap` restores, the restored server converges to σ's fixed point
+/// of the restored shape, solved from scratch: the idle half of the
+/// server's resident invariant, through the public API.
 fn restores_to_a_fixed_point<A>(alg: A, edge: fn(u64) -> A::Edge, snap: &Snapshot)
 where
     A: ScenarioAlgebra + Clone,
-    A::Route: PersistRoute,
 {
-    let Ok(server) = RouteServer::restore(alg.clone(), rebuild(edge), snap, 1, 8) else {
+    let Ok(mut server) = RouteServer::restore(alg.clone(), rebuild(edge), snap, 1, 8) else {
         return;
     };
+    server
+        .initial_converge(&mut NoopSink)
+        .expect("a restored server converges");
     let back = server.snapshot(snap.offset, &snap.algebra, &Digest::default());
     let mut shape = Topology::new(back.nodes);
     for &(a, b) in &back.edges {
