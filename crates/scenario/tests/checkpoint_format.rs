@@ -61,7 +61,10 @@ fn body(snapshot: &str) -> &str {
 }
 
 #[test]
-fn the_encoder_writes_the_v2_fixture_byte_for_byte() {
+fn the_encoder_reproduces_the_parent_encoders_files_byte_for_byte() {
+    // The WAL is the v1 encoder's file byte for byte; the snapshot is the
+    // v2 fixture, which `the_v2_fixture_is_the_v1_fixture_without_its_table`
+    // holds to the v1 encoder's file with only its table taken out.
     let trace = ChurnTrace::parse(TRACE).expect("fixture trace parses");
     let dir = temp_dir("encode");
     let crashed = replay_trace_opts(
@@ -81,6 +84,7 @@ fn the_encoder_writes_the_v2_fixture_byte_for_byte() {
     let wal = std::fs::read_to_string(store.wal_path()).expect("WAL written");
     assert_eq!(snapshot, SNAPSHOT_V2, "snapshot.ckpt moved");
     assert_eq!(wal, WAL_V2, "events.wal moved");
+    assert_eq!(wal, WAL_V1, "events.wal moved from the v1 encoder's");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -101,7 +105,7 @@ fn the_v2_fixture_is_the_v1_fixture_without_its_table() {
 }
 
 #[test]
-fn the_fixture_snapshots_round_trip_through_parse() {
+fn the_fixture_snapshot_round_trips_through_parse() {
     // dense enough to exercise every record kind
     for record in ["override ", "pending add_node", "edge "] {
         for (version, snapshot, _) in STORES {
@@ -163,10 +167,15 @@ fn recovers_to_the_uninterrupted_run(name: &str, snapshot: &str, wal: &str) {
 }
 
 #[test]
-fn recovery_from_either_fixture_lands_on_the_uninterrupted_digests() {
-    for (version, snapshot, wal) in STORES {
-        recovers_to_the_uninterrupted_run(&format!("recover-{version}"), snapshot, wal);
-    }
+fn recovery_from_the_fixture_lands_on_the_uninterrupted_digests() {
+    // The v1 fixture is the reader's pin: stores written by older builds
+    // keep recovering.
+    recovers_to_the_uninterrupted_run("recover-v1", SNAPSHOT_V1, WAL_V1);
+}
+
+#[test]
+fn recovery_from_the_v2_fixture_lands_on_the_uninterrupted_digests() {
+    recovers_to_the_uninterrupted_run("recover-v2", SNAPSHOT_V2, WAL_V2);
 }
 
 #[test]
