@@ -1,7 +1,7 @@
 //! Time as an input.  The server core never asks the machine what time
 //! it is or waits on it: it asks its [`Clock`].  Under [`SystemClock`]
 //! that is the wall clock; under [`ScriptedClock`] a deadline run —
-//! overruns, stale answers, the `Auto` EMA, retry backoff — is a pure
+//! overruns, stale answers, the `Auto` EMA, a delayed flush — is a pure
 //! function of (trace, options, script).
 
 use std::sync::atomic::{AtomicU64, Ordering};

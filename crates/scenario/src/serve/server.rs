@@ -851,4 +851,46 @@ mod tests {
         assert_eq!(restored.snapshot(3, "hopcount 16", &answers), snap);
         assert_eq!(restored.pending_adds, 1);
     }
+
+    #[test]
+    fn the_auto_deadline_is_four_bound_rounds_at_the_measured_round_cost() {
+        // max(bound × per-round EMA × 4, 1 ms) on an 8-ring under hop
+        // count 16, whose bound is n · h = 8 · (16 + 2) = 144 rounds.
+        let shape = crate::run::build_shape(&crate::spec::TopologySpec::Ring { n: 8 }).unwrap();
+        let alg = BoundedHopCount::new(16);
+        let server = |bound, tick| {
+            let clock: Arc<dyn Clock> = Arc::new(ScriptedClock::new(tick));
+            let mut server = RouteServer::raw(alg, shape.clone(), hop_rebuild(), 1, 64)
+                .with_bound(bound)
+                .with_deadline(DeadlineCfg::Auto)
+                .with_clock(clock);
+            server.initial_converge(&mut NoopSink).unwrap();
+            server
+        };
+        let hop = BoundRule::Hopcount { limit: 16 };
+        let micros = |us| Some(Duration::from_micros(us));
+
+        // Before a flush has measured a round, 50 µs stands in.
+        assert_eq!(
+            server(hop, Duration::ZERO).deadline_duration(8),
+            micros(144 * 50 * 4)
+        );
+        // With no bound rule, the iteration budget 4n² + 64 stands in.
+        let unbounded = server(BoundRule::None, Duration::ZERO);
+        assert_eq!(unbounded.deadline_duration(8), micros(320 * 50 * 4));
+
+        // A flush of r rounds reads the clock r + 1 times (at its start,
+        // after each round that did not converge, at its commit), so each
+        // reading's tick is the measured cost of a round.
+        for (tick_us, deadline_us) in [(10, 144 * 10 * 4), (1, 1_000)] {
+            let mut measured = server(hop, Duration::from_micros(tick_us));
+            measured
+                .push_change(ChangeSpec::FailLink { a: 0, b: 1 }, &mut NoopSink)
+                .unwrap();
+            measured.flush(&mut NoopSink).unwrap();
+            assert!(measured.stats.rounds > 1);
+            assert_eq!(measured.ema_us_per_round, tick_us as f64);
+            assert_eq!(measured.deadline_duration(8), micros(deadline_us));
+        }
+    }
 }
