@@ -48,6 +48,10 @@ struct Flush<A: ScenarioAlgebra> {
     batch_len: u64,
     budget: usize,
     bound: Option<u64>,
+    /// How long the flush may run before it is parked (none: until it
+    /// converges), for the same post-batch network as `budget` and
+    /// `bound`.
+    deadline: Option<Duration>,
     stale_served: u64,
     /// The clock's reading when the flush began.
     started: Duration,
@@ -385,6 +389,7 @@ where
             before,
             budget: iteration_budget(n, None),
             bound: self.bound.rounds(n, &self.overrides),
+            deadline: self.deadline_duration(n),
             naive_dirty,
             batch_dirty,
             batch_len: batch.len() as u64,
@@ -419,7 +424,7 @@ where
             return Err(problem);
         }
         let deadline = match parked {
-            None => self.deadline_duration(work.before.node_count()),
+            None => work.deadline,
             Some(_) => None,
         };
         let chunk = parked.unwrap_or(if deadline.is_some() { 1 } else { work.budget });
@@ -534,7 +539,8 @@ where
         .map_err(|payload| ServeProblem::kernel(&*payload))
     }
 
-    /// The effective deadline for a flush from an `n`-node table, if any.
+    /// The effective deadline for a flush whose post-batch network has `n`
+    /// nodes, if any.
     fn deadline_duration(&self, n: usize) -> Option<Duration> {
         match self.deadline {
             DeadlineCfg::Off => None,
@@ -658,11 +664,7 @@ where
             algebra: algebra.to_string(),
             nodes: self.shape.node_count(),
             edges,
-            overrides: self
-                .overrides
-                .iter()
-                .map(|(&(a, b), &w)| (a, b, w))
-                .collect(),
+            overrides: self.overrides.iter().collect(),
             pending: self.pending.iter().map(Keys::to_line).collect(),
             stats: [
                 s.changes,
@@ -892,5 +894,31 @@ mod tests {
             assert_eq!(measured.ema_us_per_round, tick_us as f64);
             assert_eq!(measured.deadline_duration(8), micros(deadline_us));
         }
+    }
+
+    #[test]
+    fn a_flush_that_grows_the_network_gets_the_grown_networks_deadline() {
+        // An 8-ring under hop count 16 that takes a ninth node and a link
+        // to it: the flush's bound is 9 · 18 = 162 rounds, not the
+        // pre-batch table's 8 · 18 = 144, and so is its deadline's —
+        // 162 × 50 µs × 4 = 32.4 ms, not 28.8 ms.
+        let shape = crate::run::build_shape(&crate::spec::TopologySpec::Ring { n: 8 }).unwrap();
+        // 30 ms a round falls between the two: one round is within the
+        // grown network's deadline and over the smaller one's.
+        let clock: Arc<dyn Clock> = Arc::new(ScriptedClock::new(Duration::from_millis(30)));
+        let mut server = RouteServer::raw(BoundedHopCount::new(16), shape, hop_rebuild(), 1, 64)
+            .with_bound(BoundRule::Hopcount { limit: 16 })
+            .with_deadline(DeadlineCfg::Auto)
+            .with_clock(clock);
+        server.initial_converge(&mut NoopSink).unwrap();
+        for change in [ChangeSpec::AddNode, ChangeSpec::SetLink { a: 7, b: 8 }] {
+            server.push_change(change, &mut NoopSink).unwrap();
+        }
+        server.flush(&mut NoopSink).unwrap();
+        let work = server.parked.as_ref().expect("the flush parked");
+        assert_eq!(work.bound, Some(162));
+        let deadline = (162.0_f64 * 50.0 * 4.0).max(1_000.0) as u64;
+        assert_eq!(work.deadline, Some(Duration::from_micros(deadline)));
+        assert_eq!(server.kernel.rounds(), 2, "parked after its second round");
     }
 }

@@ -3,7 +3,7 @@
 
 use crate::bound::algebra_height;
 use crate::spec::{AlgebraSpec, SpecError, WeightRule};
-use std::collections::BTreeMap;
+use dbf_topology::Topology;
 use std::fmt;
 
 /// A structured, classified failure from a [`RouteServer`](super::RouteServer)
@@ -127,7 +127,102 @@ impl BoundRule {
 /// Per-edge weight overrides installed by `set_weight` events, keyed by
 /// directed edge.  Threaded into the rebuild closure so weight policy
 /// survives arbitrary topology churn and checkpoint/restore.
-pub type WeightOverrides = BTreeMap<(usize, usize), u64>;
+///
+/// The layout is the shape's own: a [`Topology<u64>`], one row per node
+/// of `(to, weight)` pairs sorted by `to`.  A rebuild looks up every edge
+/// of the shape once, and here that lookup is a binary search in one
+/// short row rather than a walk down a B-tree of every override, which
+/// on a 64-node `serve-ingest` network was most of the rebuild.  The
+/// rows grow on `insert` to cover both endpoints and never shrink;
+/// equality and the `Debug` text see only the overrides, in `(i, j)`
+/// order, and read as a map's (`{(0, 1): 9}`).
+#[derive(Clone)]
+pub struct WeightOverrides(Topology<u64>);
+
+impl WeightOverrides {
+    /// No overrides.
+    pub fn new() -> Self {
+        WeightOverrides(Topology::new(0))
+    }
+
+    /// The override on `i → j`, if any (never panics: a key out of range
+    /// or on the diagonal has none).
+    #[inline]
+    pub fn get(&self, &(i, j): &(usize, usize)) -> Option<&u64> {
+        self.0.edge(i, j)
+    }
+
+    /// Override `i → j` with `weight`, returning the override it
+    /// replaced.  The rows grow to `max(i, j) + 1`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i == j`: a self loop carries no weight, and `admit`
+    /// refuses a `set_weight` on the diagonal.
+    #[inline]
+    pub fn insert(&mut self, (i, j): (usize, usize), weight: u64) -> Option<u64> {
+        while self.0.node_count() <= i.max(j) {
+            self.0.add_node();
+        }
+        let old = self.0.edge(i, j).copied();
+        self.0.set_edge(i, j, weight);
+        old
+    }
+
+    /// Drop the override on `i → j`, returning it (never panics).
+    #[inline]
+    pub fn remove(&mut self, &(i, j): &(usize, usize)) -> Option<u64> {
+        self.0.remove_edge(i, j)
+    }
+
+    /// Every override `(i, j, weight)`, in `(i, j)` order.
+    pub fn iter(&self) -> impl Iterator<Item = (usize, usize, u64)> + '_ {
+        self.0.edges().map(|(i, j, &w)| (i, j, w))
+    }
+
+    /// The override weights, in `(i, j)` order.
+    pub fn values(&self) -> impl Iterator<Item = &u64> {
+        self.0.edges().map(|(_, _, w)| w)
+    }
+}
+
+impl Default for WeightOverrides {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl PartialEq for WeightOverrides {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.edge_count() == other.0.edge_count() && self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for WeightOverrides {}
+
+impl fmt::Debug for WeightOverrides {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map()
+            .entries(self.0.edges().map(|(i, j, w)| ((i, j), w)))
+            .finish()
+    }
+}
+
+impl FromIterator<((usize, usize), u64)> for WeightOverrides {
+    fn from_iter<T: IntoIterator<Item = ((usize, usize), u64)>>(iter: T) -> Self {
+        let mut overrides = Self::new();
+        for (key, weight) in iter {
+            overrides.insert(key, weight);
+        }
+        overrides
+    }
+}
+
+impl<const N: usize> From<[((usize, usize), u64); N]> for WeightOverrides {
+    fn from(entries: [((usize, usize), u64); N]) -> Self {
+        entries.into_iter().collect()
+    }
+}
 
 /// Lifetime counters of a [`RouteServer`](super::RouteServer).
 ///

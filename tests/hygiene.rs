@@ -267,10 +267,13 @@ static RULES: &[Rule] = &[
         name: "a resident serve kernel over a topology of sorted rows",
         // A flush costs its frontier: the route server keeps one resident
         // stepper and builds no stepper or table per flush, and a topology
-        // is stored as sorted rows, not as a map of edges.
+        // is stored as sorted rows, not as a map of edges — nor are the
+        // weight overrides the rebuild looks up once per edge.
         checks: &[
-            check(&["crates/topology/src/graph.rs"], any(&["BTreeMap"]),
-                "Topology stores sorted rows: an edge map is back in graph.rs"),
+            check(&["crates/topology/src/graph.rs", "crates/scenario/src/serve/types.rs"],
+                any(&["BTreeMap"]),
+                "Topology and WeightOverrides store sorted rows: an edge map is back in \
+                 topology/src/graph.rs or scenario/src/serve/types.rs"),
             check(SERVER_ONLY, Find::Count(Pat::Lit(&["fn flush(", "fn commit("]), 2, 2),
                 "RouteServer::flush and ::commit not found in server.rs: update this check")
                 .within(Scope::Bodies(&["flush", "commit"])),
