@@ -917,8 +917,7 @@ mod tests {
         server.flush(&mut NoopSink).unwrap();
         let work = server.parked.as_ref().expect("the flush parked");
         assert_eq!(work.bound, Some(162));
-        let deadline = (162.0_f64 * 50.0 * 4.0).max(1_000.0) as u64;
-        assert_eq!(work.deadline, Some(Duration::from_micros(deadline)));
+        assert_eq!(work.deadline, Some(Duration::from_micros(162 * 50 * 4)));
         assert_eq!(server.kernel.rounds(), 2, "parked after its second round");
     }
 }

@@ -194,7 +194,7 @@ impl Default for WeightOverrides {
 
 impl PartialEq for WeightOverrides {
     fn eq(&self, other: &Self) -> bool {
-        self.0.edge_count() == other.0.edge_count() && self.iter().eq(other.iter())
+        self.iter().eq(other.iter())
     }
 }
 
