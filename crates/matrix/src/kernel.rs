@@ -75,6 +75,7 @@
 
 use crate::adjacency::AdjacencyMatrix;
 use crate::frontier::Frontier;
+use crate::incremental::dirty_rows_after_change;
 use crate::lines::Lines;
 use crate::sigma::sigma_row_window_changed;
 use crate::state::RoutingState;
@@ -314,6 +315,78 @@ impl<A: RoutingAlgebra> FixedPoint<A> {
                 self.seed(false, |i| mask[i]);
             }
         }
+    }
+
+    /// Start a resident whole-row stepper on `new` from the rows it holds —
+    /// σ's fixed point on `old`, [`FixedPoint::grow`]n to `new`'s node
+    /// count — after invalidating every entry the change left without
+    /// support.  Returns the number of rows the change dirtied
+    /// ([`crate::incremental::dirty_rows_after_change`]).
+    ///
+    /// An entry `X_ij` is supported when `i = j`, when it is invalid, or
+    /// when some link of `i`'s new row has `A′_ik(X_kj) ⪯ X_ij` with
+    /// `(k, j)` supported.  On a distributive, strictly increasing algebra
+    /// (the hypothesis; it is not a bound) every supported entry is then
+    /// at least the weight of a path in `new`, so the table is an upper
+    /// bound of `new`'s fixed point and σ only descends from it.  Only an
+    /// entry an old link that `new` drops or re-weights achieved can lose
+    /// its support, and after that only the entries that read one that
+    /// lost it; each is checked against the new row and set to ∞̄ when
+    /// nothing supports it.  The cost is the changed links × n, plus the
+    /// invalidated entries × their readers × a row.
+    ///
+    /// The frontier is the dirty rows and every row with an invalidated
+    /// entry.  Any other row `i` imports as before and from entries no
+    /// lower than before, so `σ(X)_i ⪰ X_i`; and every entry of it is
+    /// supported, so `σ(X)_i ⪯ X_i`: it keeps [`Start::Dirty`]'s promise.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a slab, or if the stepper does not hold `new`'s node
+    /// count.
+    pub fn reseed_from_above(
+        &mut self,
+        alg: &A,
+        old: &AdjacencyMatrix<A>,
+        new: &AdjacencyMatrix<A>,
+    ) -> usize
+    where
+        A::Edge: PartialEq,
+    {
+        self.assert_whole_rows();
+        assert_eq!(self.n, new.node_count(), "grow the stepper first");
+        let mut seeds = dirty_rows_after_change(old, new);
+        let dirty = seeds.iter().filter(|&&d| d).count();
+        let x = &self.rows;
+        let mut suspects = Vec::new();
+        for i in (0..old.node_count()).filter(|&i| seeds[i]) {
+            for (k, e) in old.row(i).iter().filter(|(k, e)| new.get(i, *k) != Some(e)) {
+                let (row, via) = (x.row(i), x.row(*k));
+                let lost = (0..self.n).filter(|&j| {
+                    j != i && !alg.is_invalid(&row[j]) && alg.extend(e, &via[j]) == row[j]
+                });
+                suspects.extend(lost.map(|j| (i, j)));
+            }
+        }
+        while let Some((i, j)) = suspects.pop() {
+            let x = &self.rows;
+            let v = &x.row(i)[j];
+            let supported = alg.is_invalid(v)
+                || (new.row(i).iter()).any(|(k, e)| alg.route_le(&alg.extend(e, &x.row(*k)[j]), v));
+            if supported {
+                continue;
+            }
+            let v = std::mem::replace(&mut self.rows.row_mut(i)[j], alg.invalid());
+            seeds[i] = true;
+            let readers = new.dependants(i).iter().filter(|&&r| r != j);
+            for &r in readers {
+                if alg.route_le(&new.apply(alg, r, i, &v), &self.rows.row(r)[j]) {
+                    suspects.push((r, j));
+                }
+            }
+        }
+        self.seed(false, |i| seeds[i]);
+        dirty
     }
 
     fn seed(&mut self, full_sweep: bool, dirty: impl Fn(usize) -> bool) {

@@ -13,7 +13,7 @@ use crate::engine::ScenarioAlgebra;
 use crate::spec::{ChangeSpec, TopologySpec, WeightRule};
 use dbf_algebra::prelude::*;
 use dbf_matrix::AdjacencyMatrix;
-use dbf_telemetry::NoopSink;
+use dbf_telemetry::{NoopSink, TelemetrySink};
 use dbf_topology::Topology;
 use std::sync::Arc;
 use std::time::Duration;
@@ -84,10 +84,27 @@ where
     }
 }
 
+/// The rounds of each batch the server commits, from `serve_batch`.
+#[derive(Default)]
+struct Batches(Vec<u64>);
+
+impl TelemetrySink for Batches {
+    fn serve_batch(&mut self, _batch: u64, _len: u64, _naive: u64, _dirty: u64, rounds: u64) {
+        self.0.push(rounds);
+    }
+}
+
 /// Serve `trace`, checking the resident invariants after every event and
 /// every stale answer against the table from before its batch.  Returns
 /// the stats and how many times a parked flush's stepper was seen still
 /// sharing rows with its pre-batch table.
+///
+/// And the bounds: a stale answer is no better than its batch's final
+/// answer (the fixed point of the adjacency the parked flush iterates),
+/// and no batch takes more rounds than a restart from the identity on its
+/// adjacency.  A submission commits at most the parked batch, whose
+/// adjacency the server holds before it, and then a batch of its own,
+/// whose adjacency it holds after.
 fn serve_checked<A, F>(mut server: RouteServer<A, F>, trace: &ChurnTrace) -> (ServeStats, usize)
 where
     A: ScenarioAlgebra,
@@ -97,14 +114,34 @@ where
     server.assert_resident();
     let mut pre_batch = server.table();
     let mut sharing = 0;
-    for event in &trace.events {
+    let alg = server.algebra();
+    for (at, event) in trace.events.iter().enumerate() {
         if !server.is_degraded() {
             pre_batch = server.table();
         }
-        let answer = server.submit(event, &mut NoopSink).expect("in range");
+        let parked_restart = server.is_degraded().then(|| server.restart_rounds());
+        let mut batches = Batches::default();
+        let answer = server.submit(event, &mut batches).expect("in range");
+        let mut restarts = parked_restart.into_iter().chain([server.restart_rounds()]);
+        for rounds in batches.0 {
+            let restart = restarts.next().expect("at most two commits an event");
+            assert!(
+                rounds <= restart as u64,
+                "event {at}: a batch took {rounds} rounds, a restart {restart}"
+            );
+        }
         if let (Some(answer), ServeEvent::Query { from, to }) = (answer, event) {
             if answer.stale {
                 assert_eq!(answer.text, format!("{:?}", pre_batch.get(*from, *to)));
+                let last = server.final_table();
+                let read = server.table();
+                assert_eq!(answer.text, format!("{:?}", read.get(*from, *to)));
+                assert!(
+                    alg.route_le(last.get(*from, *to), read.get(*from, *to)),
+                    "event {at}: stale {} beats the final {:?}",
+                    answer.text,
+                    last.get(*from, *to)
+                );
             }
         }
         // Every row the parked flush has left as it was is the same memory

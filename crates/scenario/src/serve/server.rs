@@ -589,12 +589,14 @@ where
         Some(rows.collect())
     }
 
-    /// The resident kernel's invariant: while idle its rows are σ's fixed
-    /// point on the adjacency, solved from scratch.
-    pub(super) fn assert_resident(&self) {
-        if self.is_degraded() {
-            return;
-        }
+    /// The server's algebra.
+    pub(super) fn algebra(&self) -> A {
+        self.alg.clone()
+    }
+
+    /// σ's fixed point on the adjacency, solved from scratch: the table
+    /// once the flush in progress, if any, commits.
+    pub(super) fn final_table(&self) -> RoutingState<A> {
         let n = self.adj.node_count();
         let identity = RoutingState::identity(&self.alg, n);
         let cold = dbf_matrix::iterate_to_fixed_point(
@@ -604,8 +606,29 @@ where
             iteration_budget(n, None),
         );
         assert!(cold.converged);
+        cold.state
+    }
+
+    /// The rounds a flush onto the adjacency takes when it restarts from
+    /// the identity with every row dirty.
+    pub(super) fn restart_rounds(&self) -> usize {
+        let n = self.adj.node_count();
+        let identity = RoutingState::identity(&self.alg, n);
+        let mut restart = FixedPoint::new(&self.adj, identity, Start::Dirty(&vec![true; n]));
+        let budget = iteration_budget(n, None);
+        let (exec, tel) = (&dbf_matrix::Inline, &mut dbf_telemetry::NoopSink);
+        assert!(restart.run(&self.alg, &self.adj, budget, exec, tel));
+        restart.rounds()
+    }
+
+    /// The resident kernel's invariant: while idle its rows are σ's fixed
+    /// point on the adjacency, solved from scratch.
+    pub(super) fn assert_resident(&self) {
+        if self.is_degraded() {
+            return;
+        }
         assert!(
-            cold.state == self.table(),
+            self.final_table() == self.table(),
             "the table is not σ's fixed point"
         );
     }
