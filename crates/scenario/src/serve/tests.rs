@@ -746,14 +746,14 @@ fn on_a_scripted_clock_a_deadline_run_is_a_pure_function_of_its_inputs() {
     let one = run(1);
     assert!(one.failure.is_none());
     // Exact, where the wall-clock run can only say `>= 1`: the delayed
-    // flush is the one overrun, and the reroute's 10 rounds are the one
-    // before it was parked, one per stale query, and the one the ninth
+    // flush is the one overrun, and the reroute's 6 rounds are the one
+    // before it was parked, one per stale query, and the one the fifth
     // query converges on (so that query is answered from the new table).
     assert_eq!(one.stats.deadline_overruns, 1);
-    assert_eq!(one.stats.stale_answers, 8);
-    assert_eq!(one.stats.rounds, 10);
+    assert_eq!(one.stats.stale_answers, 4);
+    assert_eq!(one.stats.rounds, 6);
     assert_eq!(one.stats.queries, 16);
-    assert_eq!(one.stats.query_us[8], 20, "two readings and the commit's");
+    assert_eq!(one.stats.query_us[4], 20, "two readings and the commit's");
     // 50 ms of injected delay and 10 µs a reading — two per query, the
     // flush's start, overrun check and commit, the driver's own start.
     assert_eq!(one.wall_ms, 50.36);
@@ -762,7 +762,7 @@ fn on_a_scripted_clock_a_deadline_run_is_a_pure_function_of_its_inputs() {
     assert_ne!(one.answers_digest, clean.answers_digest, "stale answers");
 
     let json = without_pool_block(&one);
-    assert!(json.contains("\"stale_answers\": 8") && json.contains("\"wall_ms\": 50.36"));
+    assert!(json.contains("\"stale_answers\": 4") && json.contains("\"wall_ms\": 50.36"));
     assert_eq!(without_pool_block(&run(1)), json, "two runs");
     assert_eq!(without_pool_block(&run(4)), json, "threads 1 vs 4");
 }
