@@ -67,10 +67,13 @@
 //! the next frontier from [`AdjacencyMatrix::dependants`] of the adjacency
 //! it is passed.  So a stepper can stay *resident* across adjacency
 //! changes, as the route server keeps one for its lifetime:
-//! [`FixedPoint::grow`] when nodes join, then
-//! [`FixedPoint::reseed_from_above`] — invalidate the entries the change
-//! left without support and seed the frontier — and step on the new
-//! adjacency.  Nothing is rebuilt per change but what changed.
+//! [`FixedPoint::grow`] when nodes join, then [`FixedPoint::reseed`] the
+//! frontier over the rows it already holds (or
+//! [`FixedPoint::restart_from_identity`], or
+//! [`FixedPoint::reseed_from_above`], which first invalidates the entries
+//! the change left without support) and step on the new adjacency;
+//! [`FixedPoint::share`] hands out a copy of its rows that costs a pointer.
+//! Nothing is rebuilt per change but what changed.
 
 use crate::adjacency::AdjacencyMatrix;
 use crate::frontier::Frontier;
@@ -255,6 +258,20 @@ impl<A: RoutingAlgebra> FixedPoint<A> {
         self.reseed(Start::AllRows);
     }
 
+    /// Start over from the identity in place: every row is reset to its
+    /// identity row and recomputed in the first round, and — as under
+    /// [`Start::Dirty`] — the iteration is converged once the frontier
+    /// empties.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a slab.
+    pub fn restart_from_identity(&mut self, alg: &A) {
+        self.assert_whole_rows();
+        self.fill_identity(alg, 0, self.n);
+        self.seed(false, |_| true);
+    }
+
     fn fill_identity(&mut self, alg: &A, j0: usize, w: usize) {
         assert!(j0 + w <= self.n, "column window out of range");
         let rows = self.rows.refill(self.n, w, alg.invalid());
@@ -285,9 +302,9 @@ impl<A: RoutingAlgebra> FixedPoint<A> {
 
     /// Begin a new iteration over the rows the stepper holds: the frontier
     /// becomes `start`, and the counters and the settle record are zeroed.
-    /// A stepper whose adjacency changed is reseeded with the rows the
-    /// change can perturb ([`crate::incremental::dirty_rows_after_change`]),
-    /// or started from above by [`FixedPoint::reseed_from_above`].
+    /// A resident stepper whose adjacency changed
+    /// is reseeded with the rows the change can perturb
+    /// ([`crate::incremental::dirty_rows_after_change`]).
     ///
     /// # Panics
     ///
@@ -637,6 +654,19 @@ impl<A: RoutingAlgebra> FixedPoint<A> {
         RoutingState::from_table(self.n, self.rows)
     }
 
+    /// A copy of the whole-row state that shares every row with the stepper
+    /// (its overlay is folded in first, so the copy costs a pointer); later
+    /// rounds write to the stepper alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a slab.
+    pub fn share(&mut self) -> RoutingState<A> {
+        self.assert_whole_rows();
+        self.rows.fold();
+        RoutingState::from_table(self.n, self.rows.clone())
+    }
+
     /// Emit [`FixedPoint::finish`]'s `node_settled` events without stopping:
     /// how a resident stepper ends an iteration.
     pub fn emit_settled<S: TelemetrySink + ?Sized>(&mut self, tel: &mut S) {
@@ -659,10 +689,44 @@ impl<A: RoutingAlgebra> FixedPoint<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::incremental::dirty_rows_after_change;
     use crate::sync::iterate_to_fixed_point;
     use dbf_algebra::prelude::*;
     use dbf_telemetry::NoopSink;
     use dbf_topology::generators;
+
+    #[test]
+    fn a_shared_copy_of_a_resident_stepper_costs_a_pointer_cycle_after_cycle() {
+        // Flush-shaped cycles: take a copy, reconverge after a link cut
+        // (the rounds write rows), drop the copy, take the next one.
+        let alg = BoundedHopCount::new(32);
+        let shape = generators::as_graph(64, 2, 1);
+        let full = AdjacencyMatrix::from_topology(&shape.with_weights(|_, _| 1));
+        let n = full.node_count();
+        let fixed = iterate_to_fixed_point(&alg, &full, &RoutingState::identity(&alg, n), 200);
+        let mut stepper = FixedPoint::new(&full, fixed.state, Start::Dirty(&vec![false; n]));
+        let mut adj = full.clone();
+        let mut overlaid = 0;
+        for (a, b, _) in shape.edges().filter(|&(a, b, _)| a < b).step_by(5) {
+            let copy = stepper.share();
+            assert_eq!(copy.table().overlay_rows(), 0, "cut {a}-{b}");
+            assert!((0..n).all(|i| copy.table().shares_row(&stepper.rows, i)));
+            let pre: Vec<Vec<_>> = stepper.rows().map(<[_]>::to_vec).collect();
+            let mut next = full.clone();
+            next.set(a, b, None);
+            next.set(b, a, None);
+            stepper.reseed(Start::Dirty(&dirty_rows_after_change(&adj, &next)));
+            assert!(stepper.run(&alg, &next, 200, &Inline, &mut NoopSink));
+            assert!(
+                (0..n).all(|i| copy.row(i) == pre[i]),
+                "cut {a}-{b}: the copy holds the rows from before the cycle"
+            );
+            drop(copy);
+            overlaid += usize::from(stepper.rows.overlay_rows() > 0);
+            adj = next;
+        }
+        assert!(overlaid > 2, "{overlaid} cycles left rows in the overlay");
+    }
 
     #[test]
     fn a_converged_whole_row_stepper_holds_no_large_whole_table_of_staging() {
@@ -678,7 +742,6 @@ mod tests {
         let cold = |adj: &AdjacencyMatrix<BoundedHopCount>| {
             iterate_to_fixed_point(&alg, adj, &RoutingState::identity(&alg, n), 20).state
         };
-        let table = |s: &FixedPoint<BoundedHopCount>| RoutingState::from_fn(n, |i, j| s.row(i)[j]);
         let mut stepper = FixedPoint::new(&full, RoutingState::identity(&alg, n), Start::AllRows);
         assert!(stepper.run(&alg, &full, 20, &Inline, &mut NoopSink));
         assert!(stepper.rounds() > 2, "the solve ran whole-row rounds");
@@ -691,7 +754,7 @@ mod tests {
         cut.set(1, 0, None);
         stepper.reseed(Start::Dirty(&dirty_rows_after_change(&full, &cut)));
         assert!(stepper.run(&alg, &cut, 20, &Inline, &mut NoopSink));
-        assert!(table(&stepper) == cold(&cut), "after the cut");
+        assert!(stepper.share() == cold(&cut), "after the cut");
         assert!(stepper.staging.len() < n * n, "after the cut");
 
         // The hub stops importing from leaf 1, which still imports from
@@ -703,7 +766,7 @@ mod tests {
         let dirty = dirty_rows_after_change(&full, &one_way);
         let mut stepper = FixedPoint::new(&full, cold(&full), Start::Dirty(&dirty));
         assert!(stepper.run(&alg, &one_way, 20, &Inline, &mut NoopSink));
-        assert!(table(&stepper) == cold(&one_way), "one way");
+        assert!(stepper.share() == cold(&one_way), "one way");
         assert!(stepper.staging.is_empty(), "a round over n − 1 rows");
 
         // A small table's staging stays for the next round over every row.

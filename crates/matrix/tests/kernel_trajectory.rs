@@ -542,13 +542,14 @@ fn sigma_is_equivariant_under_relabeling() {
 #[test]
 fn a_resident_stepper_walks_what_a_fresh_one_per_change_walks() {
     // One stepper kept alive across 60 random adjacency changes — edges
-    // set, cleared and re-weighted, nodes joining, every seventh change
-    // started from above (the entries it left without support
-    // invalidated) — against a stepper built fresh for each change from
-    // the previous fixed point and started the same way: same events,
-    // counters and rows, and its table the one the fresh stepper hands
-    // back.  The resident one is only grown and reseeded; its rounds read
-    // the new adjacency's dependants.
+    // set, cleared and re-weighted, nodes joining, every seventh change a
+    // restart from the identity and another started from above (the
+    // entries it left without support invalidated) — against a stepper
+    // built fresh for each change from the previous fixed point and
+    // started the same way: same events, counters and rows, and its table
+    // the one the fresh stepper hands back.  The
+    // resident one is only grown and reseeded; its rounds read the new
+    // adjacency's dependants.
     // A finite carrier: a removal reconverges from the old table without
     // counting to infinity.
     let alg = BoundedHopCount::new(16);
@@ -584,10 +585,19 @@ fn a_resident_stepper_walks_what_a_fresh_one_per_change_walks() {
                 next.set(i, j, (w > 0).then_some(w));
             }
         }
-        let dirty = dirty_rows_after_change(&adj, &next);
-        let mut fresh = FixedPoint::new(&next, solved.grown(&alg, n), Start::Dirty(&dirty));
+        let mut dirty = dirty_rows_after_change(&adj, &next);
+        let restart = step % 7 == 6;
+        let start = if restart {
+            dirty.fill(true);
+            RoutingState::identity(&alg, n)
+        } else {
+            solved.grown(&alg, n)
+        };
+        let mut fresh = FixedPoint::new(&next, start, Start::Dirty(&dirty));
         resident.grow(&alg, n);
-        if step % 7 == 6 {
+        if restart {
+            resident.restart_from_identity(&alg);
+        } else if step % 7 == 3 {
             let dirtied = fresh.reseed_from_above(&alg, &adj, &next);
             assert_eq!(resident.reseed_from_above(&alg, &adj, &next), dirtied);
         } else {
@@ -607,8 +617,9 @@ fn a_resident_stepper_walks_what_a_fresh_one_per_change_walks() {
         resident.emit_settled(&mut seen);
         solved = fresh.finish(&mut want);
         assert_eq!(seen.events, want.events, "step {step}: event stream");
-        assert!(
-            resident.rows().eq((0..n).map(|i| solved.row(i))),
+        assert_eq!(
+            resident.share(),
+            solved,
             "step {step}: the table is the fresh one"
         );
         adj = next;

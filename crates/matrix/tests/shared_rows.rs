@@ -4,9 +4,8 @@
 //! them writes a row, and the fixed-point kernel iterates a state that may
 //! share rows with the one it was started from.  Random sequences of
 //! clones, entry and row writes, kernel runs (`FixedPoint::new` + `finish`,
-//! partial or complete, from a dirty mask, from every row or started from
-//! above across the other adjacency, which writes ∞̄ into entries) and
-//! dirty-row
+//! partial or complete, from a dirty mask, from every row or restarted
+//! from the identity) and dirty-row
 //! reconvergences run over a pool of states that share rows in every
 //! pattern, beside a `Vec<Vec<_>>` model of each.  After every operation:
 //!
@@ -105,20 +104,19 @@ fn run(seed: u64, ops: usize) -> TestCaseResult {
             }
             4 => {
                 // A kernel run, stopped after a few rounds or at the end,
-                // sometimes started from above across the other adjacency
-                // first.
+                // sometimes restarted from the identity first.
                 let dirty = mask(&mut rng);
                 let start = if rng.next_below(3) == 0 {
                     Start::AllRows
                 } else {
                     Start::Dirty(&dirty)
                 };
-                let from = (rng.next_below(4) == 0).then(|| &adjs[rng.next_below(2) as usize]);
+                let restart = rng.next_below(4) == 0;
                 let budget = rng.next_below(6) as usize;
                 let solve = |x: State| {
                     let mut kernel = FixedPoint::new(adj, x, start);
-                    if let Some(old) = from {
-                        kernel.reseed_from_above(&alg, old, adj);
+                    if restart {
+                        kernel.restart_from_identity(&alg);
                     }
                     kernel.run(&alg, adj, budget, &Inline, &mut NoopSink);
                     let counters = (kernel.rounds(), kernel.row_recomputations());

@@ -44,9 +44,8 @@
 //!
 //! A [`DeadlineCfg`] bounds how long one flush may reconverge.  On
 //! overrun the server parks the half-converged work ([`is_degraded`]),
-//! keeps answering queries from the stepper's rows — each an upper bound
-//! of the answer the flush converges to, flagged [`ServeAnswer::stale`] —
-//! and advances the parked
+//! keeps answering queries from the last stable table (answers are
+//! flagged [`ServeAnswer::stale`]), and advances the parked
 //! reconvergence a round at a time as queries arrive — the clock only
 //! decides *when* the new table is adopted, never *what* it contains,
 //! so the deterministic counters and digests are unaffected.  The server

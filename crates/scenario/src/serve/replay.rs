@@ -96,6 +96,8 @@ pub(crate) fn replay_clocked(
                     }))
                 },
                 BoundRule::Hopcount { limit },
+                // Finite carrier: Theorem 7 applies, incremental always.
+                false,
                 trace,
                 opts,
                 clock,
@@ -113,6 +115,8 @@ pub(crate) fn replay_clocked(
                     }))
                 },
                 BoundRule::Shortest,
+                // Infinite carrier: removals would count to infinity.
+                true,
                 trace,
                 opts,
                 clock,
@@ -342,6 +346,7 @@ fn replay_with<A, F>(
     shape: Topology<()>,
     rebuild: F,
     bound: BoundRule,
+    removal_restart: bool,
     trace: &ChurnTrace,
     opts: &ServeOptions,
     clock: Arc<dyn Clock>,
@@ -372,6 +377,7 @@ where
             None => RouteServer::raw(alg, shape, rebuild, threads, opts.batch_max),
         };
         Ok(server
+            .restart_on_removal(removal_restart)
             .with_bound(bound)
             .with_deadline(opts.deadline)
             .with_faults(opts.faults.clone())

@@ -2,20 +2,19 @@
 //!
 //! It is in one of two states — *idle* (a converged table and a pending
 //! batch) or *degraded* (the same, plus one parked [`Flush`] whose
-//! deadline passed; queries answer stale from the flush's rows) — and
+//! deadline passed; queries answer stale from the old table) — and
 //! *converging* is the transient in between, inside [`RouteServer::flush`].
 //! Its inputs are changes, queries, `finish`, and time: every reading of
 //! the clock and every wait goes through its [`Clock`], and nothing here
 //! opens a file (snapshots are values; the replay driver stores them).
 //!
 //! One [`FixedPoint`] stepper lives as long as the server, and its rows are
-//! the one routing table.  A flush applies its batch to the shape,
-//! rebuilds the adjacency (its transpose, which the stepper's rounds read,
-//! comes with it), grows the stepper, invalidates the entries the batch
-//! left without support ([`FixedPoint::reseed_from_above`]) and drives σ
-//! down from there.  Every row read while a flush is in flight is an upper
-//! bound of its final answer, so a degraded server answers stale from the
-//! stepper's rows.
+//! the one routing table.  A flush keeps a copy of them that costs a
+//! pointer (the pre-batch table, in the [`Flush`]), rebuilds the adjacency
+//! (its transpose, which the stepper's rounds read, comes with it), diffs
+//! it against the last one, reseeds the stepper's frontier with the dirty
+//! rows and iterates.  While degraded, stale answers come from the
+//! pre-batch table; the commit drops it.
 
 use super::clock::{Clock, SystemClock};
 use super::trace::{admit, check_node_count, parse_event_line, ServeEvent};
@@ -28,17 +27,22 @@ use crate::engine::{rows_digest, ScenarioAlgebra};
 use crate::fields::Keys;
 use crate::report::Digest;
 use crate::spec::{ChangeSpec, SpecError};
-use dbf_matrix::{iteration_budget, AdjacencyMatrix, FixedPoint, Pooled, RoutingState, Start};
+use dbf_matrix::{
+    dirty_rows_after_change, iteration_budget, AdjacencyMatrix, FixedPoint, Pooled, RoutingState,
+    Start,
+};
 use dbf_telemetry::TelemetrySink;
 use dbf_topology::Topology;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// A flush in progress: its accounting.  Parked in `RouteServer::parked`
-/// when the server went over its deadline (or its kernel failed); the
-/// work itself is the resident stepper, so resuming costs nothing per
+/// A flush in progress: the table from before its batch and its
+/// accounting.  Parked in `RouteServer::parked` when the server went over
+/// its deadline (or its kernel failed), where its table answers queries;
+/// the work itself is the resident stepper, so resuming costs nothing per
 /// round and the chunked trajectory is the uninterrupted trajectory.
-struct Flush {
+struct Flush<A: ScenarioAlgebra> {
+    before: RoutingState<A>,
     naive_dirty: u64,
     batch_dirty: u64,
     batch_len: u64,
@@ -80,6 +84,7 @@ where
     kernel: FixedPoint<A>,
     threads: usize,
     batch_max: usize,
+    removal_restart: bool,
     pending: Vec<ChangeSpec>,
     /// How many of `pending` are `add_node` (kept beside the batch so the
     /// per-event bounds check never rescans it).
@@ -89,7 +94,7 @@ where
     bound: BoundRule,
     faults: Option<Arc<FaultPlan>>,
     /// The flush that overran its deadline, if one is still in flight.
-    parked: Option<Flush>,
+    parked: Option<Flush<A>>,
     ema_us_per_round: f64,
     clock: Arc<dyn Clock>,
 }
@@ -130,6 +135,7 @@ where
             kernel,
             threads: threads.max(1),
             batch_max: batch_max.max(1),
+            removal_restart: false,
             pending: Vec::new(),
             pending_adds: 0,
             stats: ServeStats::default(),
@@ -162,13 +168,21 @@ where
         Ok(())
     }
 
-    /// Ignored.  Every flush descends from the table it holds, with the
-    /// entries its batch left without support invalidated, on a finite
-    /// carrier and an infinite one alike: no flush restarts from the
-    /// identity.  Kept only because `benchmark/src/serve.rs` still calls
-    /// it; the next change to the benchmark deletes that call, and then
-    /// this method.
-    pub fn restart_on_removal(self, _: bool) -> Self {
+    /// Reconverge from scratch (identity state, every row dirty) on any
+    /// batch containing a route-worsening event (`remove_edge` /
+    /// `fail_link` / `set_weight`), instead of incrementally from the
+    /// cached table.
+    ///
+    /// This is required for algebras with an *infinite* carrier, such as
+    /// plain shortest paths over ℕ∞: Theorem 7's termination guarantee
+    /// needs a finite carrier, and reconverging from the old fixed point
+    /// after a disconnection counts to infinity (the paper's Section 5) —
+    /// route values climb one round at a time and never reach ∞, so the
+    /// iteration budget exhausts.  Additions only improve routes, so
+    /// addition-only batches stay incremental either way; the classic
+    /// route-withdrawal full recomputation applies only where it must.
+    pub fn restart_on_removal(mut self, on: bool) -> Self {
+        self.removal_restart = on;
         self
     }
 
@@ -198,10 +212,9 @@ where
         self
     }
 
-    /// Current network size: the post-batch one while a flush is in
-    /// flight.
+    /// Current network size (of the table queries are answered from).
     pub fn node_count(&self) -> usize {
-        self.adj.node_count()
+        self.answers().0
     }
 
     /// Lifetime counters.
@@ -215,17 +228,25 @@ where
         self.parked.is_some()
     }
 
-    /// The digest of the stepper's rows: the converged table, or while
-    /// degraded the rows a query reads.  Flush before calling this when
+    /// The digest of the converged table.  Flush before calling this when
     /// comparing replays (the digest ignores pending events).
     pub fn digest(&self) -> String {
-        let n = self.adj.node_count();
-        rows_digest(n, (0..n).map(|i| self.kernel.row(i)))
+        let (n, row) = self.answers();
+        rows_digest(n, (0..n).map(row))
+    }
+
+    /// The node count and rows every reader answers from: a parked flush's
+    /// pre-batch table while degraded, the stepper's rows otherwise.
+    fn answers<'a>(&'a self) -> (usize, impl Fn(usize) -> &'a [A::Route] + Copy + 'a) {
+        let before = self.parked.as_ref().map(|work| &work.before);
+        let n = before.map_or_else(|| self.adj.node_count(), RoutingState::node_count);
+        let row = move |i| before.map_or_else(|| self.kernel.row(i), |t| t.row(i));
+        (n, row)
     }
 
     /// Ingest one event.  Changes are buffered (flushing when the batch
-    /// cap is hit); queries answer from the converged table — or, flagged
-    /// stale, from the rows of the flush in flight while degraded.
+    /// cap is hit); queries answer from the converged table — or from
+    /// the last stable table, flagged stale, while degraded.
     pub fn submit(
         &mut self,
         event: &ServeEvent,
@@ -260,9 +281,8 @@ where
 
     /// Answer a route query.  Normal operation flushes first and answers
     /// from the converged table; degraded operation advances the parked
-    /// reconvergence one round, then answers from the stepper's rows with
-    /// [`ServeAnswer::stale`] set: a route no better than the one the
-    /// flush converges to.
+    /// reconvergence one round, then answers from the last stable table
+    /// with [`ServeAnswer::stale`] set.
     pub fn query(
         &mut self,
         from: usize,
@@ -277,13 +297,19 @@ where
             None => self.flush(tel)?,
         }
         let stale = self.parked.is_some();
-        let n = self.adj.node_count();
+        let (n, row) = self.answers();
         if from >= n || to >= n {
+            if stale {
+                // The in-flight batch may be growing the network; finish
+                // it and re-check against the new table.
+                self.complete_degraded(tel)?;
+                return self.query(from, to, tel);
+            }
             return Err(ServeProblem::out_of_range(format!(
                 "query ({from}, {to}) is out of range for a {n}-node topology"
             )));
         }
-        let text = format!("{:?}", self.kernel.row(from)[to]);
+        let text = format!("{:?}", row(from)[to]);
         if stale {
             self.stats.stale_answers += 1;
             if let Some(w) = self.parked.as_mut() {
@@ -337,20 +363,39 @@ where
         }
         let new_adj = (self.rebuild)(&self.shape, &self.overrides);
         let n = new_adj.node_count();
-        let old_adj = std::mem::replace(&mut self.adj, new_adj);
+        let dirty = dirty_rows_after_change(&self.adj, &new_adj);
+        let batch_dirty = dirty.iter().filter(|&&d| d).count() as u64;
+        let worsened = batch.iter().any(|c| {
+            matches!(
+                c,
+                ChangeSpec::RemoveEdge { .. }
+                    | ChangeSpec::FailLink { .. }
+                    | ChangeSpec::SetWeight { .. }
+            )
+        });
+        let before = self.kernel.share();
         self.kernel.grow(&self.alg, n);
-        // The step reads `extend`, so it fails as a round does.
-        let step = self.guarded(|alg, adj, kernel| kernel.reseed_from_above(alg, &old_adj, adj));
+        self.adj = new_adj;
+        // On an infinite carrier a removal (or a weight increase) can
+        // leave the cached table unreachably optimistic
+        // (count-to-infinity); restart from the identity unless the
+        // batch coalesced to no adjacency change.
+        if self.removal_restart && worsened && batch_dirty > 0 {
+            self.kernel.restart_from_identity(&self.alg);
+        } else {
+            self.kernel.reseed(Start::Dirty(&dirty));
+        }
         let work = Flush {
+            before,
             budget: iteration_budget(n, None),
             bound: self.bound.rounds(n, &self.overrides),
             deadline: self.deadline_duration(n),
             naive_dirty,
-            batch_dirty: step.as_ref().map_or(0, |&dirty| dirty as u64),
+            batch_dirty,
             batch_len: batch.len() as u64,
             stale_served: 0,
             started: t0,
-            failed: step.err(),
+            failed: None,
         };
         self.drive(work, None, tel)
     }
@@ -360,8 +405,8 @@ where
     /// overruns its deadline and is parked; a parked one (`Some(k)`)
     /// advances at most `k` rounds and is parked again unless it
     /// converged.  A flush that fails (its kernel, or its budget) is parked
-    /// with its problem: queries answer stale from the stepper's rows, which
-    /// then carry no bound, and every later call reports the same problem
+    /// with its problem: the table stays the last converged one, queries
+    /// answer stale from it, and every later call reports the same problem
     /// without stepping again.
     ///
     /// With a deadline in force the stepper advances one round per call
@@ -370,7 +415,7 @@ where
     /// so deterministic counters are unaffected by the chunk size.
     fn drive(
         &mut self,
-        mut work: Flush,
+        mut work: Flush<A>,
         parked: Option<usize>,
         tel: &mut dyn TelemetrySink,
     ) -> Result<(), ServeProblem> {
@@ -421,8 +466,8 @@ where
 
     /// Adopt a converged flush: fold its counters into the stats (they
     /// saturate: a restored server's come from a file), audit the bound,
-    /// and update the per-round cost EMA.
-    fn commit(&mut self, work: Flush, tel: &mut dyn TelemetrySink) {
+    /// update the per-round cost EMA, and drop the pre-batch table.
+    fn commit(&mut self, work: Flush<A>, tel: &mut dyn TelemetrySink) {
         let rounds = self.kernel.rounds() as u64;
         let rows = self.kernel.row_recomputations();
         let s = &mut self.stats;
@@ -487,18 +532,11 @@ where
         tel: &mut dyn TelemetrySink,
     ) -> Result<bool, ServeProblem> {
         let exec = Pooled::shared(self.threads);
-        self.guarded(|alg, adj, kernel| kernel.run(alg, adj, until, &exec, tel))
-    }
-
-    /// Call `f` on the resident stepper, its algebra and adjacency; a
-    /// panic (an algebra whose `extend` panics) becomes a `kernel` problem.
-    fn guarded<T>(
-        &mut self,
-        f: impl FnOnce(&A, &AdjacencyMatrix<A>, &mut FixedPoint<A>) -> T,
-    ) -> Result<T, ServeProblem> {
         let (alg, adj, kernel) = (&self.alg, &self.adj, &mut self.kernel);
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(alg, adj, kernel)))
-            .map_err(|payload| ServeProblem::kernel(&*payload))
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            kernel.run(alg, adj, until, &exec, tel)
+        }))
+        .map_err(|payload| ServeProblem::kernel(&*payload))
     }
 
     /// The effective deadline for a flush whose post-batch network has `n`
@@ -532,20 +570,31 @@ where
     A: ScenarioAlgebra,
     F: Fn(&Topology<()>, &WeightOverrides) -> AdjacencyMatrix<A>,
 {
-    /// The stepper's rows, which every reader answers from, copied out.
+    /// The table readers answer from (the pre-batch one while degraded),
+    /// copied out.
     pub(super) fn table(&self) -> RoutingState<A> {
-        let n = self.adj.node_count();
-        RoutingState::from_fn(n, |i, j| self.kernel.row(i)[j].clone())
+        let (n, row) = self.answers();
+        RoutingState::from_fn(n, |i, j| row(i)[j].clone())
     }
 
-    /// The server's algebra.
-    pub(super) fn algebra(&self) -> A {
-        self.alg.clone()
+    /// While a flush is parked: for each row of its pre-batch table,
+    /// whether the stepper holds that row's memory and whether it holds
+    /// its routes.
+    pub(super) fn pre_batch_rows(&self) -> Option<Vec<(bool, bool)>> {
+        let before = &self.parked.as_ref()?.before;
+        let rows = (0..before.node_count()).map(|i| {
+            let (old, now) = (before.row(i), self.kernel.row(i));
+            (std::ptr::eq(old, now), old == now)
+        });
+        Some(rows.collect())
     }
 
-    /// σ's fixed point on the adjacency, solved from scratch: the table
-    /// once the flush in progress, if any, commits.
-    pub(super) fn final_table(&self) -> RoutingState<A> {
+    /// The resident kernel's invariant: while idle its rows are σ's fixed
+    /// point on the adjacency, solved from scratch.
+    pub(super) fn assert_resident(&self) {
+        if self.is_degraded() {
+            return;
+        }
         let n = self.adj.node_count();
         let identity = RoutingState::identity(&self.alg, n);
         let cold = dbf_matrix::iterate_to_fixed_point(
@@ -555,29 +604,8 @@ where
             iteration_budget(n, None),
         );
         assert!(cold.converged);
-        cold.state
-    }
-
-    /// The rounds a flush onto the adjacency takes when it restarts from
-    /// the identity with every row dirty.
-    pub(super) fn restart_rounds(&self) -> usize {
-        let n = self.adj.node_count();
-        let identity = RoutingState::identity(&self.alg, n);
-        let mut restart = FixedPoint::new(&self.adj, identity, Start::Dirty(&vec![true; n]));
-        let budget = iteration_budget(n, None);
-        let (exec, tel) = (&dbf_matrix::Inline, &mut dbf_telemetry::NoopSink);
-        assert!(restart.run(&self.alg, &self.adj, budget, exec, tel));
-        restart.rounds()
-    }
-
-    /// The resident kernel's invariant: while idle its rows are σ's fixed
-    /// point on the adjacency, solved from scratch.
-    pub(super) fn assert_resident(&self) {
-        if self.is_degraded() {
-            return;
-        }
         assert!(
-            self.final_table() == self.table(),
+            cold.state == self.table(),
             "the table is not σ's fixed point"
         );
     }
@@ -756,6 +784,7 @@ mod tests {
             // not in a snapshot
             threads,
             batch_max,
+            removal_restart,
             deadline,
             bound,
             faults,
@@ -764,7 +793,7 @@ mod tests {
             clock,
         } = server;
         (
-            (*threads, *batch_max),
+            (*threads, *batch_max, *removal_restart),
             (*deadline, *bound, faults.as_ref().map(Arc::as_ptr)),
             (parked.is_none(), *ema_us_per_round),
             Arc::as_ptr(clock).cast::<()>(),
@@ -812,7 +841,8 @@ mod tests {
         let fresh = RouteServer::raw(alg, shape, hop_rebuild(), 3, 5);
         let restored = RouteServer::restore(alg, hop_rebuild(), &snap, 3, 5).expect("restores");
         let build = |s: RouteServer<_, _>| {
-            s.with_bound(BoundRule::Hopcount { limit: 16 })
+            s.restart_on_removal(true)
+                .with_bound(BoundRule::Hopcount { limit: 16 })
                 .with_deadline(DeadlineCfg::Millis(7))
                 .with_faults(faults.clone())
                 .with_clock(clock.clone())

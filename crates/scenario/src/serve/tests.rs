@@ -359,7 +359,8 @@ fn set_weight_reroutes_shortest_paths() {
         },
         1,
         64,
-    );
+    )
+    .restart_on_removal(true);
     let before = server.query(0, 1, &mut NoopSink).unwrap();
     assert_eq!(before.text, "1");
     // Make the direct hop expensive: the 5-hop way round (cost 5)
@@ -746,14 +747,14 @@ fn on_a_scripted_clock_a_deadline_run_is_a_pure_function_of_its_inputs() {
     let one = run(1);
     assert!(one.failure.is_none());
     // Exact, where the wall-clock run can only say `>= 1`: the delayed
-    // flush is the one overrun, and the reroute's 6 rounds are the one
-    // before it was parked, one per stale query, and the one the fifth
+    // flush is the one overrun, and the reroute's 10 rounds are the one
+    // before it was parked, one per stale query, and the one the ninth
     // query converges on (so that query is answered from the new table).
     assert_eq!(one.stats.deadline_overruns, 1);
-    assert_eq!(one.stats.stale_answers, 4);
-    assert_eq!(one.stats.rounds, 6);
+    assert_eq!(one.stats.stale_answers, 8);
+    assert_eq!(one.stats.rounds, 10);
     assert_eq!(one.stats.queries, 16);
-    assert_eq!(one.stats.query_us[4], 20, "two readings and the commit's");
+    assert_eq!(one.stats.query_us[8], 20, "two readings and the commit's");
     // 50 ms of injected delay and 10 µs a reading — two per query, the
     // flush's start, overrun check and commit, the driver's own start.
     assert_eq!(one.wall_ms, 50.36);
@@ -762,7 +763,7 @@ fn on_a_scripted_clock_a_deadline_run_is_a_pure_function_of_its_inputs() {
     assert_ne!(one.answers_digest, clean.answers_digest, "stale answers");
 
     let json = without_pool_block(&one);
-    assert!(json.contains("\"stale_answers\": 4") && json.contains("\"wall_ms\": 50.36"));
+    assert!(json.contains("\"stale_answers\": 8") && json.contains("\"wall_ms\": 50.36"));
     assert_eq!(without_pool_block(&run(1)), json, "two runs");
     assert_eq!(without_pool_block(&run(4)), json, "threads 1 vs 4");
 }
@@ -829,14 +830,10 @@ fn a_panicking_round_fails_its_flush_at_once_and_parks_it() {
         assert!(problem.message.contains("broken edge"), "{problem}");
         assert_eq!(clock.now(), Duration::ZERO, "no backoff, no second attempt");
         assert!(server.is_degraded());
-        // Stale answers come from the stepper's rows, which a failed flush
-        // leaves with no bound; this one failed at the step's first
-        // support check, A′_34 = 13 on 3's route to 4, before it wrote an
-        // entry, so they hold the pre-batch routes.
         for (to, text) in table.iter().enumerate() {
             let answer = server.query(0, to, &mut NoopSink).expect("answered");
             assert!(answer.stale, "0 → {to}");
-            assert_eq!(&answer.text, text, "the unwritten rows answer");
+            assert_eq!(&answer.text, text, "the pre-batch table answers");
         }
         assert_eq!(server.digest(), before);
         assert_eq!(server.finish(&mut NoopSink), Err(problem));

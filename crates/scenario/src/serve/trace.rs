@@ -35,13 +35,13 @@ pub enum ServeEvent {
 /// increasing, so the fixed point is unique and replay digests are
 /// comparable across thread counts *and* batch sizes.
 ///
-/// The carriers differ — the hop-count one is finite, plain shortest
-/// paths' infinite (the paper's Section 5 count-to-infinity example) —
-/// but the server treats them alike.  Both algebras are also
-/// distributive, so a flush invalidates the entries its batch left
-/// without support and descends from the old table, which is then an
-/// upper bound of the new fixed point: no route climbs, on either carrier
-/// ([`dbf_matrix::FixedPoint::reseed_from_above`]).
+/// The difference is the carrier: the hop-count carrier is *finite*, so
+/// Theorem 7 guarantees reconvergence from any state and batches always
+/// reconverge incrementally from the cached table.  Plain shortest paths
+/// has an infinite carrier (the paper's Section 5 count-to-infinity
+/// example), so the server falls back to a from-scratch reconvergence on
+/// batches that worsen routes — see
+/// [`RouteServer::restart_on_removal`](super::RouteServer::restart_on_removal).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServeAlgebra {
     /// Bounded hop count with the given limit (uniform weight 1 unless
@@ -114,11 +114,10 @@ pub struct ChurnTrace {
 }
 
 /// The most nodes a served network may have.  A server keeps one dense
-/// `n × n` table — a flush holds no second one, apart from the copy a
-/// batch that adds nodes grows into and the staging of a round over many
-/// rows — so memory grows as n² (2¹² nodes: 128 MiB of 8-byte routes,
-/// twice that in such a flush) and a `complete` shape holds n² edges
-/// besides.  A node count is outside input (a trace
+/// `n × n` table, and a second while a flush that grows, restarts or
+/// recomputes half the rows runs, so memory grows as n² (2¹² nodes:
+/// 128 MiB of 8-byte routes, twice that in such a flush) and a `complete`
+/// shape holds n² edges besides.  A node count is outside input (a trace
 /// header, `gen-trace --nodes`, a run of `add_node` events): past this it
 /// is refused before anything of that size is built.
 pub(super) const MAX_NODES: usize = 1 << 12;

@@ -59,16 +59,15 @@ impl From<ServeProblem> for SpecError {
     }
 }
 
-/// A query answer: the rendered route plus whether it was read while a
-/// flush was still in flight (after a deadline overrun).
+/// A query answer: the rendered route plus whether it was served from a
+/// stale (pre-deadline-overrun) table while reconvergence continues in
+/// the background.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeAnswer {
     /// The rendered route value.
     pub text: String,
-    /// `true` when read mid-flush during degraded operation: the route is
-    /// no better than the one the flush converges to (an upper bound of
-    /// it), unless the flush failed.  The name stays from when such an
-    /// answer came from the table before the batch.
+    /// `true` when answered from the last stable table during degraded
+    /// operation.
     pub stale: bool,
 }
 
@@ -255,9 +254,8 @@ pub struct ServeStats {
     pub worst_flush_bound: u64,
     /// Flushes whose measured rounds respected the predicted bound.
     pub bound_ok: u64,
-    /// Queries answered mid-flush during degraded operation, each no
-    /// better than its flush's final answer ([`ServeAnswer::stale`];
-    /// wall-clock dependent).
+    /// Queries answered from a stale table during degraded operation
+    /// (wall-clock dependent).
     pub stale_answers: u64,
     /// Flushes that overran their deadline and went degraded
     /// (wall-clock dependent).

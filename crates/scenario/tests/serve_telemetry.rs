@@ -3,24 +3,19 @@
 //! A flush emits `round_start`/`round_end` per σ round, `node_settled` per
 //! node once it converges and `serve_batch` per batch; a change to how the
 //! server holds its kernel must emit exactly the same stream.  The digests
-//! below were recorded from the server whose every flush descends from the
-//! old table with the entries its batch left without support invalidated
-//! (`FixedPoint::reseed_from_above`), with the two fields a replay cannot
-//! reproduce taken out: every `wall_ns`, and the
+//! below were recorded from the server that built a fresh `FixedPoint` per
+//! flush (the commit before the resident kernel), with the two fields a
+//! replay cannot reproduce taken out: every `wall_ns`, and the
 //! `pool_utilization`/`pool_health` lines (the shared pool's counters are
-//! process-wide).  The streams before it — the hop-count flushes climbing
-//! from the old table, the shortest-path ones restarting from the
-//! identity — read `(1131, "b858c2427e2a258f")` and
-//! `(764, "2ce3c485074f6fc7")`.  On a mismatch the test prints the stream
-//! it saw.
+//! process-wide).  On a mismatch the test prints the stream it saw.
 
 use dbf_scenario::prelude::*;
 use dbf_scenario::report::Digest;
 use dbf_scenario::telemetry::TraceSink;
 
 /// `(lines, FNV-1a digest)` of the stripped stream.
-const HOPCOUNT_WITH_GROWTH: (usize, &str) = (1067, "04d07adf0d240307");
-const SHORTEST_WITH_WEIGHTS: (usize, &str) = (632, "eec40d67cbdf8317");
+const HOPCOUNT_WITH_GROWTH: (usize, &str) = (1131, "b858c2427e2a258f");
+const SHORTEST_WITH_RESTARTS: (usize, &str) = (764, "2ce3c485074f6fc7");
 
 /// A ring-12 hop-count trace with two nodes joining mid-stream: each
 /// `add_node` is followed by links to the new node and queries to it.
@@ -47,9 +42,9 @@ fn hopcount_with_growth() -> ChurnTrace {
     trace
 }
 
-/// A ring-10 shortest-path trace with `set_weight` churn: removals and
-/// weight changes, which used to restart a flush from the identity.
-fn shortest_with_weights() -> ChurnTrace {
+/// A ring-10 shortest-path trace with `set_weight` churn: its removals and
+/// weight changes restart the flush from the identity.
+fn shortest_with_restarts() -> ChurnTrace {
     generate_trace(&TraceSpec {
         topology: TopologySpec::Ring { n: 10 },
         algebra: ServeAlgebra::Shortest,
@@ -116,10 +111,10 @@ fn the_hopcount_stream_with_node_growth_is_pinned() {
 
 #[test]
 fn the_shortest_stream_with_weights_and_restarts_is_pinned() {
-    let trace = shortest_with_weights();
+    let trace = shortest_with_restarts();
     assert!(trace
         .events
         .iter()
         .any(|e| matches!(e, ServeEvent::Change(ChangeSpec::SetWeight { .. }))));
-    check("shortest", &trace, 8, SHORTEST_WITH_WEIGHTS);
+    check("shortest", &trace, 8, SHORTEST_WITH_RESTARTS);
 }

@@ -281,8 +281,8 @@ static RULES: &[Rule] = &[
                 "a flush reseeds the resident stepper: no stepper or table is built per flush")
                 .within(Scope::Bodies(&["flush", "commit"])),
         ],
-        plant: plant(SERVER, "let old_adj = std::mem::replace(&mut self.adj, new_adj);",
-            "        let fresh = FixedPoint::new(&self.adj, state, Start::Dirty(&dirty));"),
+        plant: plant(SERVER, "let before = self.kernel.share();",
+            "        let fresh = FixedPoint::new(&new_adj, state, Start::Dirty(&dirty));"),
     },
     Rule {
         name: "one spec reader",
@@ -538,27 +538,17 @@ static RULES: &[Rule] = &[
     },
     Rule {
         name: "one routing table in the route server",
-        // The resident stepper's rows are the table, also while a flush is
-        // in flight: a flush starts from above, so every row it holds is
-        // an upper bound of its answer.  A mirror the commit copies rows
-        // into, a pre-batch copy of the stepper, or a restart from the
-        // identity (the second flush start) would bring a second table or
-        // a second start back.
+        // The resident stepper's rows are the table, and the table from
+        // before a batch is a copy the flush in progress holds; a mirror
+        // the commit copies rows into would keep the n × n table twice.
         checks: &[
             check(CODE, any(&["finish_into"]),
-                "the server reads the stepper's rows, in flight or not"),
-            check(&["crates"], any(&["restart_from_identity", "fn share(", ".share()"]),
-                "a flush starts from above (FixedPoint::reseed_from_above): no restart from \
-                 the identity, no copy of the stepper's rows"),
-            check(&["crates"], any(&["restart_on_removal("]),
-                "RouteServer::restart_on_removal is ignored: only benchmark/src/serve.rs may \
-                 call it")
-                .allowing(SERVER_ONLY),
-            check(SERVER_ONLY, Find::Count(Pat::Lit(&["restart_on_removal("]), 1, 1),
-                "server.rs names restart_on_removal at its definition alone"),
+                "the server reads the stepper's rows; the pre-batch table lives in the flush in \
+                 progress"),
         ],
-        plant: plant(SERVER, "self.kernel.grow(&self.alg, n);",
-            "        self.kernel.restart_from_identity(&self.alg);"),
+        plant: plant(SERVER,
+            "fn commit(&mut self, work: Flush<A>, tel: &mut dyn TelemetrySink) {",
+            "        self.kernel.finish_into(&mut self.table);"),
     },
     Rule {
         name: "one row kernel for σ and δ",
