@@ -328,13 +328,13 @@ impl<A: RoutingAlgebra> FixedPoint<A> {
     /// An entry `X_ij` is supported when `i = j`, when it is invalid, or
     /// when some link of `i`'s new row has `A′_ik(X_kj) ⪯ X_ij` with
     /// `(k, j)` supported.  On a distributive, strictly increasing algebra
-    /// (the hypothesis, stated here and not as a trait bound) every supported entry is then
-    /// at least the weight of a path in `new`, so the table is an upper
-    /// bound of `new`'s fixed point and σ only descends from it.  Only an
-    /// entry an old link that `new` drops or re-weights achieved can lose
-    /// its support, and after that only the entries that read one that
-    /// lost it; each is checked against the new row and set to ∞̄ when
-    /// nothing supports it.  The cost is the changed links × n, plus the
+    /// (the hypothesis, stated here and not as a trait bound) every
+    /// supported entry is then at least the weight of a path in `new`, so
+    /// the table is an upper bound of `new`'s fixed point and σ only
+    /// descends from it.  Only an entry an old link that `new` drops or
+    /// re-weights achieved can lose its support, and after that only the
+    /// entries that read one that lost it; each is checked against the new
+    /// row and set to ∞̄ when nothing supports it.  The cost is the changed links × n, plus the
     /// invalidated entries × their readers × a row.
     ///
     /// The frontier is the dirty rows and every row with an invalidated
