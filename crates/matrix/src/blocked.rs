@@ -12,7 +12,7 @@
 //!
 //! Each block is the fixed-point kernel ([`crate::kernel`]) over a column
 //! window instead of the whole row — the same stepper, the same windowed
-//! row kernel and the same full-sweep contract as
+//! row kernel and the same all-rows first frontier as
 //! [`crate::sync::iterate_traced`].  The per-block trajectory is therefore
 //! exactly what the square iteration would produce for those columns —
 //! blocking changes memory traffic, never results.
@@ -20,8 +20,8 @@
 //! Blocks are independent, so they run across the shared
 //! [`WorkerPool`] in **waves**: one lane per thread ([`default_jobs`],
 //! the rule that sizes the pool), the caller being lane 0.  A lane owns
-//! one stepper, reused from wave to wave, and solves one block a wave with
-//! [`Inline`] rounds.  Slab memory is therefore lanes × 2 × `n` × `w`
+//! one stepper, reused from wave to wave, and solves one block a wave on
+//! its own thread.  Slab memory is therefore lanes × 2 × `n` × `w`
 //! routes: at `n = 10⁵` and `w = 1024` ≈ 3.2 GB on two lanes, and a
 //! 512-wide block keeps the one-lane footprint.  After each wave's join
 //! the caller folds the lanes' column digests and counters in block order
@@ -48,7 +48,7 @@
 //! recorded digest holds.
 
 use crate::adjacency::AdjacencyMatrix;
-use crate::kernel::{FixedPoint, Inline};
+use crate::kernel::FixedPoint;
 use crate::pool::{default_jobs, WorkerPool};
 use dbf_algebra::RoutingAlgebra;
 use dbf_telemetry::NoopSink;
@@ -329,8 +329,8 @@ impl<A: RoutingAlgebra> Lane<A> {
     /// columns.
     fn solve(&mut self, alg: &A, adj: &AdjacencyMatrix<A>, j0: usize, w: usize, max_rounds: usize) {
         let kernel = &mut self.kernel;
-        kernel.reset_slab(alg, j0, w);
-        self.converged = kernel.solve(alg, adj, max_rounds, &Inline, &mut NoopSink);
+        kernel.restart(alg, j0, w);
+        self.converged = kernel.solve(alg, adj, max_rounds, 1, &mut NoopSink);
         let cols = &mut self.cols;
         cols.clear();
         cols.resize(w, ColumnHash::default());

@@ -29,7 +29,6 @@
 //! never the `n²` table.
 
 use crate::adjacency::AdjacencyMatrix;
-use crate::kernel::{Inline, Start};
 use crate::state::RoutingState;
 use crate::sync::{iterate_with, SyncOutcome};
 use dbf_algebra::RoutingAlgebra;
@@ -87,7 +86,7 @@ pub fn iterate_dirty_to_fixed_point<A: RoutingAlgebra>(
 /// the loop stops.  The outcome is identical to the untraced iteration for
 /// every sink; with [`NoopSink`] the instrumentation compiles out.  A
 /// caller that shards rounds over a worker pool calls [`iterate_with`]
-/// with [`Start::Dirty`] and a [`crate::parallel::Pooled`] executor.
+/// with its thread count.
 ///
 /// # Panics
 ///
@@ -105,14 +104,12 @@ where
     S: TelemetrySink + ?Sized,
 {
     // The clone shares x0's rows: only the rows a round changes are copied.
-    let start = Start::Dirty(dirty0);
-    iterate_with(alg, adj, x0.clone(), start, max_rounds, &Inline, tel)
+    iterate_with(alg, adj, x0.clone(), dirty0, max_rounds, 1, tel)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parallel::Pooled;
     use crate::sync::{is_stable, iterate_to_fixed_point};
     use dbf_algebra::prelude::*;
     use dbf_topology::generators;
@@ -132,11 +129,10 @@ mod tests {
         let inc = iterate_dirty_to_fixed_point(&alg, &adj, &x0, &[true; 9], 200);
         assert!(full.converged && inc.converged);
         assert_eq!(inc.state, full.state);
-        // The dirty engine detects the fixed point one round earlier than
-        // the full iteration's equality test (an empty dirty set *is* the
-        // stability proof), but never later.
-        assert!(inc.rounds <= full.iterations + 1);
-        assert!(inc.row_recomputations <= (full.iterations as u64 + 1) * 9);
+        // An all-true mask is the cold solve: one certificate (an empty
+        // frontier), so the same rounds and the same rows recomputed.
+        assert_eq!(inc.rounds, full.rounds);
+        assert_eq!(inc.row_recomputations, full.row_recomputations);
     }
 
     #[test]
@@ -235,8 +231,7 @@ mod tests {
         let x0 = RoutingState::identity(&alg, 23);
         let sharded =
             |adj: &AdjacencyMatrix<ShortestPaths>, x0: &RoutingState<_>, dirty: &[bool], t| {
-                let (x0, start) = (x0.clone(), Start::Dirty(dirty));
-                iterate_with(&alg, adj, x0, start, 300, &Pooled::shared(t), &mut NoopSink)
+                iterate_with(&alg, adj, x0.clone(), dirty, 300, t, &mut NoopSink)
             };
         let seq = iterate_dirty_to_fixed_point(&alg, &adj, &x0, &[true; 23], 300);
         for threads in [2, 3, 8] {

@@ -2,29 +2,31 @@
 //! engine in this crate.
 //!
 //! The paper has exactly one synchronous operator, `σ(X) = A(X) ⊕ I`
-//! (Section 2.2), and iterating it is one loop.  What varies between the
-//! engines is only *which rows* a round recomputes, *who* recomputes them,
+//! (Section 2.2), and one fixed-point test, `σ(X) = X` (Definition 4).
+//! Iterating σ is one loop.  What varies between the engines is only
+//! *which rows* a round recomputes, *how many threads* recompute them,
 //! *which columns* the rows hold and *who watches* — four independent
 //! arguments of [`FixedPoint`], not four families of functions:
 //!
-//! * **frontier** ([`Start`]) — row `i` of `σ(X)` reads only the rows `k`
-//!   with `A_ik` present, so a row none of whose imports changed last
-//!   round provably satisfies `σ(X)[i] = X[i]`.  A round therefore
-//!   recomputes exactly the current [`Frontier`] and the next frontier is
-//!   the dependants of the rows that changed ("Dynamic Asynchronous
-//!   Iterations", arXiv 2012.01686).  A full sweep is the frontier of
-//!   every row; reconvergence after a topology change starts from
-//!   [`crate::incremental::dirty_rows_after_change`].
-//! * **executor** ([`Executor`]) — a round's work list is recomputed
-//!   [`Inline`] or sharded over a worker pool
-//!   ([`crate::parallel::Pooled`]).  Every row is staged by exactly one
-//!   worker from the previous round's values and applied afterwards in
-//!   ascending row order by the calling thread, so the trajectory is a
+//! * **dirty mask** — row `i` of `σ(X)` reads only the rows `k` with
+//!   `A_ik` present, so a row none of whose imports changed last round
+//!   provably satisfies `σ(X)[i] = X[i]`.  A round therefore recomputes
+//!   exactly the current [`Frontier`] and the next frontier is the
+//!   dependants of the rows that changed ("Dynamic Asynchronous
+//!   Iterations", arXiv 2012.01686).  The first frontier is the mask the
+//!   caller passes: every row for a cold solve from an arbitrary state,
+//!   [`crate::incremental::dirty_rows_after_change`] for a reconvergence
+//!   from a fixed point of the previous adjacency.
+//! * **thread count** — a round's work list is recomputed by the calling
+//!   thread, or at more than one thread sharded into bands over the
+//!   shared worker pool (`parallel.rs`).  Every row is staged by exactly
+//!   one thread from the previous round's values and applied afterwards
+//!   in ascending row order by the calling thread, so the trajectory is a
 //!   pure function of the problem — thread-count-invariant by
-//!   construction.  The cold solve ([`crate::sync::iterate_traced`]) is
-//!   pooled on every core, the scenario engines and the route server at
-//!   their thread count; reconvergence ([`crate::incremental`]) and each
-//!   block of [`crate::blocked`] run inline.
+//!   construction.  The cold solve ([`crate::sync::iterate_traced`]) runs
+//!   on every core, the scenario engines and the route server at their
+//!   thread count; reconvergence ([`crate::incremental`]) and each block
+//!   of [`crate::blocked`] on one.
 //! * **column window** — σ is column-separable, so the row store may hold
 //!   all `n` destination columns (a [`RoutingState`]) or an `n × w` slab
 //!   of columns `j0..j0+w` ([`FixedPoint::identity_slab`], the memory
@@ -33,6 +35,19 @@
 //!   parallel band and `node_settled` per node at [`FixedPoint::finish`];
 //!   the telemetry-only work sits behind `tel.enabled()`, so the
 //!   [`dbf_telemetry::NoopSink`] monomorphisation is the plain loop.
+//!
+//! **One certificate.**  The iteration has reached its fixed point when
+//! the frontier is empty, from any start.  The mask promises that every
+//! row outside it already satisfies `σ(X)[i] = X[i]`; a round keeps that
+//! promise for the next frontier, because a row outside it had no import
+//! change and was either recomputed this round or kept the promise
+//! before.  So an empty frontier means every row satisfies it: `σ(X) =
+//! X`.  An all-true mask promises nothing, and the argument needs no
+//! verifying round over every row after the last one that changed.
+//! [`FixedPoint::iterations`] counts the rounds that changed a row; the
+//! round over the dependants of the last changes is quiet and not
+//! counted.  Only a changed row without dependants — a sink row, which
+//! only a directed graph has — ends the iteration on a changing round.
 //!
 //! [`FixedPoint::solve`] is the one budget rule of every σ entry point: a
 //! run that reaches its budget unconverged is decided by one uncommitted
@@ -68,12 +83,11 @@
 //! it is passed.  So a stepper can stay *resident* across adjacency
 //! changes, as the route server keeps one for its lifetime:
 //! [`FixedPoint::grow`] when nodes join, then [`FixedPoint::reseed`] the
-//! frontier over the rows it already holds (or
-//! [`FixedPoint::restart_from_identity`], or
-//! [`FixedPoint::reseed_from_above`], which first invalidates the entries
-//! the change left without support) and step on the new adjacency;
-//! [`FixedPoint::share`] hands out a copy of its rows that costs a pointer.
-//! Nothing is rebuilt per change but what changed.
+//! frontier over the rows it already holds (or [`FixedPoint::restart`]
+//! from the identity, or [`FixedPoint::reseed_from_above`], which first
+//! invalidates the entries the change left without support) and step on
+//! the new adjacency; [`FixedPoint::share`] hands out a copy of its rows
+//! that costs a pointer.  Nothing is rebuilt per change but what changed.
 
 use crate::adjacency::AdjacencyMatrix;
 use crate::frontier::Frontier;
@@ -96,34 +110,10 @@ use std::time::Instant;
 /// serve probes that cost +10 % `query_p99_us`.
 const RELEASE_STAGING_BYTES: usize = 32 << 20;
 
-/// The rows the first round recomputes — and with them what certifies the
-/// fixed point.  Either way [`crate::sync::iterate_with`] reports the run
-/// as one [`crate::sync::SyncOutcome`].
-#[derive(Clone, Copy, Debug)]
-pub enum Start<'a> {
-    /// Every row: the start state is arbitrary.  The iteration is
-    /// converged once a round changes nothing — even when that verifying
-    /// round runs over an empty frontier — and `round_start` reports all
-    /// `n` rows as scheduled.
-    AllRows,
-    /// The rows marked `true`: every other row is promised to satisfy
-    /// `σ(X)[i] = X[i]` already.  The iteration is converged once the
-    /// frontier is empty, and `round_start` reports the frontier as
-    /// scheduled.
-    Dirty(&'a [bool]),
-}
-
-/// A dirty mask, or every row when there is none.
-impl<'a> From<Option<&'a [bool]>> for Start<'a> {
-    fn from(mask: Option<&'a [bool]>) -> Self {
-        mask.map_or(Start::AllRows, Start::Dirty)
-    }
-}
-
-/// One round's read-only inputs, as an [`Executor`] sees them: recompute
-/// the rows of `worklist` (ascending, deduplicated) of the `n × w` row
-/// store `rows`.
-pub struct Sweep<'a, A: RoutingAlgebra> {
+/// One round's read-only inputs: recompute the rows of `worklist`
+/// (ascending, deduplicated) of the `n × w` row store `rows`, on the
+/// calling thread or sharded over the pool (`parallel.rs`).
+pub(crate) struct Sweep<'a, A: RoutingAlgebra> {
     pub(crate) alg: &'a A,
     pub(crate) adj: &'a AdjacencyMatrix<A>,
     pub(crate) rows: Rows<'a, A::Route>,
@@ -150,39 +140,6 @@ impl<A: RoutingAlgebra> Sweep<'_, A> {
     }
 }
 
-/// How a round's work list is recomputed: the executor fills
-/// `staging[pos·w .. (pos+1)·w]` with the new row `worklist[pos]` and
-/// `changed[pos]` with whether it differs from the current one, and may
-/// report its band geometry to the timing side of `tel`.  The two
-/// executors are [`Inline`] and [`crate::parallel::Pooled`]; a [`Sweep`]
-/// is opaque outside this crate.
-pub trait Executor<A: RoutingAlgebra> {
-    /// Recompute every row of `job` into `staging` / `changed`.
-    fn sweep<S: TelemetrySink + ?Sized>(
-        &self,
-        job: &Sweep<'_, A>,
-        staging: &mut [A::Route],
-        changed: &mut [bool],
-        tel: &mut S,
-    );
-}
-
-/// The calling thread recomputes the whole work list itself.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Inline;
-
-impl<A: RoutingAlgebra> Executor<A> for Inline {
-    fn sweep<S: TelemetrySink + ?Sized>(
-        &self,
-        job: &Sweep<'_, A>,
-        staging: &mut [A::Route],
-        changed: &mut [bool],
-        _tel: &mut S,
-    ) {
-        job.recompute(0..job.worklist.len(), staging, changed);
-    }
-}
-
 /// A resumable Jacobi iteration of σ: the row store, the frontier pair,
 /// the staging buffers and the counters of one run.  [`FixedPoint::step`]
 /// advances one round, [`FixedPoint::run`] loops it up to a round budget
@@ -190,10 +147,10 @@ impl<A: RoutingAlgebra> Executor<A> for Inline {
 /// stops calling — a deadline, a budget — can resume later and reproduces
 /// the uninterrupted trajectory, event for event.
 ///
-/// The algebra, adjacency, executor and sink are arguments of every call
-/// rather than fields, so the stepper can be parked next to the adjacency
-/// it iterates.  Switching to another adjacency of the stepper's node
-/// count is a change of problem: [`FixedPoint::reseed`] it with (at
+/// The algebra, adjacency, thread count and sink are arguments of every
+/// call rather than fields, so the stepper can be parked next to the
+/// adjacency it iterates.  Switching to another adjacency of the stepper's
+/// node count is a change of problem: [`FixedPoint::reseed`] it with (at
 /// least) the rows whose import lists differ before stepping again.
 pub struct FixedPoint<A: RoutingAlgebra> {
     n: usize,
@@ -208,7 +165,6 @@ pub struct FixedPoint<A: RoutingAlgebra> {
     changed: Vec<bool>,
     frontier: Frontier,
     next: Frontier,
-    full_sweep: bool,
     /// The last committed round changed no row.
     quiet: bool,
     rounds: usize,
@@ -219,15 +175,15 @@ pub struct FixedPoint<A: RoutingAlgebra> {
 }
 
 impl<A: RoutingAlgebra> FixedPoint<A> {
-    /// Iterate the whole-row state `x0` (taken over, not copied) on `adj`.
+    /// Iterate the whole-row state `x0` (taken over, not copied) on `adj`,
+    /// starting from the rows `dirty` marks ([`FixedPoint::reseed`]).
     /// Rows `x0` shares with another state stay shared until a round
     /// changes them.
     ///
     /// # Panics
     ///
-    /// Panics if `adj`, `x0` and a [`Start::Dirty`] mask do not agree on
-    /// the node count.
-    pub fn new(adj: &AdjacencyMatrix<A>, x0: RoutingState<A>, start: Start<'_>) -> Self {
+    /// Panics if `adj`, `x0` and `dirty` do not agree on the node count.
+    pub fn new(adj: &AdjacencyMatrix<A>, x0: RoutingState<A>, dirty: &[bool]) -> Self {
         let n = adj.node_count();
         assert_eq!(
             n,
@@ -235,50 +191,40 @@ impl<A: RoutingAlgebra> FixedPoint<A> {
             "adjacency and state dimensions must match"
         );
         let mut kernel = Self::over(adj, x0.into_table(), n);
-        kernel.reseed(start);
+        kernel.reseed(dirty);
         kernel
     }
 
-    /// Iterate destination columns `j0..j0+w` from the identity: ∞̄
-    /// everywhere, 0̄ where a row owns one of the window's destinations.
+    /// Iterate destination columns `j0..j0+w` from the identity
+    /// ([`FixedPoint::restart`]).
     ///
     /// # Panics
     ///
     /// Panics if the window does not lie inside `0..n`.
     pub fn identity_slab(alg: &A, adj: &AdjacencyMatrix<A>, j0: usize, w: usize) -> Self {
         let mut kernel = Self::over(adj, Table::default(), 0);
-        kernel.reset_slab(alg, j0, w);
+        kernel.restart(alg, j0, w);
         kernel
     }
 
-    /// Start over on another identity slab, reusing every buffer (they
-    /// only reallocate when the window widens).
-    pub fn reset_slab(&mut self, alg: &A, j0: usize, w: usize) {
-        self.fill_identity(alg, j0, w);
-        self.reseed(Start::AllRows);
-    }
-
-    /// Start over from the identity in place: every row is reset to its
-    /// identity row and recomputed in the first round, and — as under
-    /// [`Start::Dirty`] — the iteration is converged once the frontier
-    /// empties.
+    /// Start over from the identity on destination columns `j0..j0+w`: ∞̄
+    /// everywhere, 0̄ where a row owns one of the window's destinations,
+    /// and every row on the first frontier.  Every buffer is reused (they
+    /// only reallocate when the window widens).  A whole-row stepper
+    /// restarts in place with the window `(0, n)`; any other window makes
+    /// it a slab.
     ///
     /// # Panics
     ///
-    /// Panics on a slab.
-    pub fn restart_from_identity(&mut self, alg: &A) {
-        self.assert_whole_rows();
-        self.fill_identity(alg, 0, self.n);
-        self.seed(false, |_| true);
-    }
-
-    fn fill_identity(&mut self, alg: &A, j0: usize, w: usize) {
+    /// Panics if the window does not lie inside `0..n`.
+    pub fn restart(&mut self, alg: &A, j0: usize, w: usize) {
         assert!(j0 + w <= self.n, "column window out of range");
         let rows = self.rows.refill(self.n, w, alg.invalid());
         for i in j0..j0 + w {
             rows[i * w + (i - j0)] = alg.trivial();
         }
         (self.j0, self.w) = (j0, w);
+        self.seed(|_| true);
     }
 
     fn over(adj: &AdjacencyMatrix<A>, rows: Table<A::Route>, w: usize) -> Self {
@@ -292,7 +238,6 @@ impl<A: RoutingAlgebra> FixedPoint<A> {
             changed: Vec::new(),
             frontier: Frontier::new(n),
             next: Frontier::new(n),
-            full_sweep: false,
             quiet: false,
             rounds: 0,
             row_recomputations: 0,
@@ -301,22 +246,19 @@ impl<A: RoutingAlgebra> FixedPoint<A> {
     }
 
     /// Begin a new iteration over the rows the stepper holds: the frontier
-    /// becomes `start`, and the counters and the settle record are zeroed.
-    /// A resident stepper whose adjacency changed
-    /// is reseeded with the rows the change can perturb
-    /// ([`crate::incremental::dirty_rows_after_change`]).
+    /// becomes the rows `dirty` marks, and the counters and the settle
+    /// record are zeroed.  Every unmarked row must already satisfy
+    /// `σ(X)[i] = X[i]` (the module doc's certificate): an all-true mask
+    /// for an arbitrary state, the rows a change can perturb
+    /// ([`crate::incremental::dirty_rows_after_change`]) for a resident
+    /// stepper whose adjacency changed.
     ///
     /// # Panics
     ///
-    /// Panics if a [`Start::Dirty`] mask is not one flag per node.
-    pub fn reseed(&mut self, start: Start<'_>) {
-        match start {
-            Start::AllRows => self.seed(true, |_| true),
-            Start::Dirty(mask) => {
-                assert_eq!(self.n, mask.len(), "dirty mask length must match");
-                self.seed(false, |i| mask[i]);
-            }
-        }
+    /// Panics if `dirty` is not one flag per node.
+    pub fn reseed(&mut self, dirty: &[bool]) {
+        assert_eq!(self.n, dirty.len(), "dirty mask length must match");
+        self.seed(|i| dirty[i]);
     }
 
     /// Start a resident whole-row stepper on `new` from the rows it holds —
@@ -334,13 +276,15 @@ impl<A: RoutingAlgebra> FixedPoint<A> {
     /// descends from it.  Only an entry an old link that `new` drops or
     /// re-weights achieved can lose its support, and after that only the
     /// entries that read one that lost it; each is checked against the new
-    /// row and set to ∞̄ when nothing supports it.  The cost is the changed links × n, plus the
-    /// invalidated entries × their readers × a row.
+    /// row and set to ∞̄ when nothing supports it.  The cost is the
+    /// changed links × n, plus the invalidated entries × their readers × a
+    /// row.
     ///
     /// The frontier is the dirty rows and every row with an invalidated
     /// entry.  Any other row `i` imports as before and from entries no
     /// lower than before, so `σ(X)_i ⪰ X_i`; and every entry of it is
-    /// supported, so `σ(X)_i ⪯ X_i`: it keeps [`Start::Dirty`]'s promise.
+    /// supported, so `σ(X)_i ⪯ X_i`: it keeps the promise of
+    /// [`FixedPoint::reseed`]'s mask.
     ///
     /// # Panics
     ///
@@ -387,16 +331,15 @@ impl<A: RoutingAlgebra> FixedPoint<A> {
                 }
             }
         }
-        self.seed(false, |i| seeds[i]);
+        self.seed(|i| seeds[i]);
         dirty
     }
 
-    fn seed(&mut self, full_sweep: bool, dirty: impl Fn(usize) -> bool) {
+    fn seed(&mut self, dirty: impl Fn(usize) -> bool) {
         self.frontier.clear();
         for i in (0..self.n).filter(|&i| dirty(i)) {
             self.frontier.insert(i);
         }
-        self.full_sweep = full_sweep;
         self.quiet = false;
         self.rounds = 0;
         self.row_recomputations = 0;
@@ -439,20 +382,16 @@ impl<A: RoutingAlgebra> FixedPoint<A> {
         self.rounds - usize::from(self.quiet)
     }
 
-    /// Rows recomputed so far, verifying sweeps included.  A full
-    /// synchronous round costs `n` of these.
+    /// Rows recomputed so far, the budget-boundary check included.  A
+    /// full synchronous round costs `n` of these.
     pub fn row_recomputations(&self) -> u64 {
         self.row_recomputations
     }
 
-    /// Has the iteration reached its fixed point (see [`Start`] for what
-    /// certifies that)?
+    /// Has the iteration reached its fixed point?  It has when the
+    /// frontier is empty (the module doc's certificate).
     pub fn is_converged(&self) -> bool {
-        if self.full_sweep {
-            self.quiet
-        } else {
-            self.frontier.is_empty()
-        }
+        self.frontier.is_empty()
     }
 
     /// The width `w` of the column window.
@@ -472,53 +411,52 @@ impl<A: RoutingAlgebra> FixedPoint<A> {
     }
 
     /// Step until the fixed point is reached or `budget` rounds have been
-    /// committed in total; returns [`FixedPoint::is_converged`].  Calling
-    /// it again with a larger budget resumes where it stopped.
-    pub fn run<E, S>(
+    /// committed in total, on up to `threads` threads; returns
+    /// [`FixedPoint::is_converged`].  Calling it again with a larger budget
+    /// resumes where it stopped.
+    pub fn run<S>(
         &mut self,
         alg: &A,
         adj: &AdjacencyMatrix<A>,
         budget: usize,
-        exec: &E,
+        threads: usize,
         tel: &mut S,
     ) -> bool
     where
-        E: Executor<A>,
         S: TelemetrySink + ?Sized,
     {
         while !self.is_converged() && self.rounds < budget {
-            self.step(alg, adj, exec, tel);
+            self.step(alg, adj, threads, tel);
         }
         self.is_converged()
     }
 
     /// [`FixedPoint::run`] to `budget`; a run that stops there unconverged
     /// is decided by one uncommitted [`FixedPoint::verify`] round over the
-    /// frontier, for either [`Start`].  Returns whether the state is stable.
-    pub fn solve<E, S>(
+    /// frontier.  Returns whether the state is stable.
+    pub fn solve<S>(
         &mut self,
         alg: &A,
         adj: &AdjacencyMatrix<A>,
         budget: usize,
-        exec: &E,
+        threads: usize,
         tel: &mut S,
     ) -> bool
     where
-        E: Executor<A>,
         S: TelemetrySink + ?Sized,
     {
-        self.run(alg, adj, budget, exec, tel) || self.verify(alg, adj, exec, tel)
+        self.run(alg, adj, budget, threads, tel) || self.verify(alg, adj, threads, tel)
     }
 
-    /// One Jacobi round: recompute the frontier from the current rows,
-    /// apply the rows that changed and make their dependants the next
-    /// frontier.  Returns the number of rows that changed.
-    pub fn step<E, S>(&mut self, alg: &A, adj: &AdjacencyMatrix<A>, exec: &E, tel: &mut S) -> u64
+    /// One Jacobi round on up to `threads` threads: recompute the frontier
+    /// from the current rows, apply the rows that changed and make their
+    /// dependants the next frontier.  Returns the number of rows that
+    /// changed.
+    pub fn step<S>(&mut self, alg: &A, adj: &AdjacencyMatrix<A>, threads: usize, tel: &mut S) -> u64
     where
-        E: Executor<A>,
         S: TelemetrySink + ?Sized,
     {
-        self.round(alg, adj, exec, tel, true)
+        self.round(alg, adj, threads, tel, true)
     }
 
     /// One *uncommitted* round: sweep the frontier and emit the round's
@@ -527,24 +465,28 @@ impl<A: RoutingAlgebra> FixedPoint<A> {
     /// [`FixedPoint::row_recomputations`]).  Returns whether nothing would
     /// have changed — what [`FixedPoint::solve`] uses at the budget
     /// boundary.
-    pub fn verify<E, S>(&mut self, alg: &A, adj: &AdjacencyMatrix<A>, exec: &E, tel: &mut S) -> bool
-    where
-        E: Executor<A>,
-        S: TelemetrySink + ?Sized,
-    {
-        self.round(alg, adj, exec, tel, false) == 0
-    }
-
-    fn round<E, S>(
+    pub fn verify<S>(
         &mut self,
         alg: &A,
         adj: &AdjacencyMatrix<A>,
-        exec: &E,
+        threads: usize,
+        tel: &mut S,
+    ) -> bool
+    where
+        S: TelemetrySink + ?Sized,
+    {
+        self.round(alg, adj, threads, tel, false) == 0
+    }
+
+    fn round<S>(
+        &mut self,
+        alg: &A,
+        adj: &AdjacencyMatrix<A>,
+        threads: usize,
         tel: &mut S,
         commit: bool,
     ) -> u64
     where
-        E: Executor<A>,
         S: TelemetrySink + ?Sized,
     {
         debug_assert_eq!(
@@ -563,8 +505,7 @@ impl<A: RoutingAlgebra> FixedPoint<A> {
         // rows are applied in — are a pure function of the dirty set.
         let worklist = self.frontier.sorted();
         let len = worklist.len();
-        let scheduled = if self.full_sweep { n } else { len };
-        tel.round_start(round, scheduled as u64, len as u64);
+        tel.round_start(round, len as u64, len as u64);
         // A round over half the rows reads most of them: one copy of a
         // shared base costs less than reading them around an overlay.
         if commit && 2 * len >= n {
@@ -588,7 +529,7 @@ impl<A: RoutingAlgebra> FixedPoint<A> {
             worklist,
             round,
         };
-        exec.sweep(&job, &mut self.staging[..need], &mut self.changed, tel);
+        job.run(threads, &mut self.staging[..need], &mut self.changed, tel);
         // Nothing above this line moved the iteration: a sweep that
         // unwinds out of a worker can simply be stepped again.
         let whole = commit && len == n;
@@ -704,7 +645,7 @@ mod tests {
         let full = AdjacencyMatrix::from_topology(&shape.with_weights(|_, _| 1));
         let n = full.node_count();
         let fixed = iterate_to_fixed_point(&alg, &full, &RoutingState::identity(&alg, n), 200);
-        let mut stepper = FixedPoint::new(&full, fixed.state, Start::Dirty(&vec![false; n]));
+        let mut stepper = FixedPoint::new(&full, fixed.state, &vec![false; n]);
         let mut adj = full.clone();
         let mut overlaid = 0;
         for (a, b, _) in shape.edges().filter(|&(a, b, _)| a < b).step_by(5) {
@@ -715,8 +656,8 @@ mod tests {
             let mut next = full.clone();
             next.set(a, b, None);
             next.set(b, a, None);
-            stepper.reseed(Start::Dirty(&dirty_rows_after_change(&adj, &next)));
-            assert!(stepper.run(&alg, &next, 200, &Inline, &mut NoopSink));
+            stepper.reseed(&dirty_rows_after_change(&adj, &next));
+            assert!(stepper.run(&alg, &next, 200, 1, &mut NoopSink));
             assert!(
                 (0..n).all(|i| copy.row(i) == pre[i]),
                 "cut {a}-{b}: the copy holds the rows from before the cycle"
@@ -742,8 +683,8 @@ mod tests {
         let cold = |adj: &AdjacencyMatrix<BoundedHopCount>| {
             iterate_to_fixed_point(&alg, adj, &RoutingState::identity(&alg, n), 20).state
         };
-        let mut stepper = FixedPoint::new(&full, RoutingState::identity(&alg, n), Start::AllRows);
-        assert!(stepper.run(&alg, &full, 20, &Inline, &mut NoopSink));
+        let mut stepper = FixedPoint::new(&full, RoutingState::identity(&alg, n), &vec![true; n]);
+        assert!(stepper.run(&alg, &full, 20, 1, &mut NoopSink));
         assert!(stepper.rounds() > 2, "the solve ran whole-row rounds");
         assert!(stepper.staging.len() < n * n, "converged from the identity");
 
@@ -752,8 +693,8 @@ mod tests {
         let mut cut = full.clone();
         cut.set(0, 1, None);
         cut.set(1, 0, None);
-        stepper.reseed(Start::Dirty(&dirty_rows_after_change(&full, &cut)));
-        assert!(stepper.run(&alg, &cut, 20, &Inline, &mut NoopSink));
+        stepper.reseed(&dirty_rows_after_change(&full, &cut));
+        assert!(stepper.run(&alg, &cut, 20, 1, &mut NoopSink));
         assert!(stepper.share() == cold(&cut), "after the cut");
         assert!(stepper.staging.len() < n * n, "after the cut");
 
@@ -764,15 +705,15 @@ mod tests {
         let mut one_way = full.clone();
         one_way.set(0, 1, None);
         let dirty = dirty_rows_after_change(&full, &one_way);
-        let mut stepper = FixedPoint::new(&full, cold(&full), Start::Dirty(&dirty));
-        assert!(stepper.run(&alg, &one_way, 20, &Inline, &mut NoopSink));
+        let mut stepper = FixedPoint::new(&full, cold(&full), &dirty);
+        assert!(stepper.run(&alg, &one_way, 20, 1, &mut NoopSink));
         assert!(stepper.share() == cold(&one_way), "one way");
         assert!(stepper.staging.is_empty(), "a round over n − 1 rows");
 
         // A small table's staging stays for the next round over every row.
         let small = AdjacencyMatrix::from_topology(&generators::star(64).with_weights(|_, _| 1));
-        let mut stepper = FixedPoint::new(&small, RoutingState::identity(&alg, 64), Start::AllRows);
-        assert!(stepper.run(&alg, &small, 20, &Inline, &mut NoopSink));
+        let mut stepper = FixedPoint::new(&small, RoutingState::identity(&alg, 64), &[true; 64]);
+        assert!(stepper.run(&alg, &small, 20, 1, &mut NoopSink));
         assert_eq!(stepper.staging.len(), 64 * 64);
     }
 }

@@ -21,9 +21,9 @@
 //! * [`sigma`](mod@crate::sigma) — one synchronous round
 //!   `σ(X) = A(X) ⊕ I` (Equation 5), whole and row by row;
 //! * [`kernel`] — the one fixed-point loop: a resumable Jacobi stepper
-//!   ([`FixedPoint`]) parameterised by *initial frontier* (all rows | a
-//!   dirty mask), *executor* (inline | a worker pool), *column window*
-//!   (whole row | a slab) and telemetry *sink*, whose
+//!   ([`FixedPoint`]) parameterised by a *dirty mask* (its first
+//!   frontier), a *thread count*, a *column window* (whole row | a slab)
+//!   and a telemetry *sink*, whose
 //!   [`FixedPoint::solve`] owns the one budget rule every engine below
 //!   shares;
 //! * [`sync`] — stability testing (Definition 4), the iteration budget and
@@ -38,9 +38,9 @@
 //! * [`frontier`] — the epoch-stamped work queue the kernel drains: O(1)
 //!   dedup-insert, O(|frontier|) drain, and clearing by generation bump
 //!   instead of an O(n) scan per round;
-//! * [`parallel`] — the pooled executor: a round's work list cut into
+//! * [`parallel`] — the band dispatcher: a round's work list cut into
 //!   degree-balanced bands computed by a worker pool, **bit-identical** to
-//!   the inline sweep at any thread count;
+//!   the one-thread sweep at any thread count;
 //! * [`pool`] — the persistent worker pool behind those sweeps: parked
 //!   workers and epoch-stamped band work lists replace per-round thread
 //!   spawning, and job panics surface as recoverable errors instead of
@@ -107,8 +107,8 @@ pub use frontier::Frontier;
 pub use incremental::{
     dirty_rows_after_change, iterate_dirty_to_fixed_point, iterate_dirty_traced, IncrementalOutcome,
 };
-pub use kernel::{Executor, FixedPoint, Inline, Start};
-pub use parallel::{par_iterate_to_fixed_point, Pooled};
+pub use kernel::FixedPoint;
+pub use parallel::par_iterate_to_fixed_point;
 pub use pool::{default_jobs, PoolScope, PoolStats, WorkerPool};
 pub use rib::{EventQueue, MessageRun, MessageStats, RibIn};
 pub use sigma::{
@@ -128,9 +128,9 @@ pub mod prelude {
         dirty_rows_after_change, iterate_dirty_to_fixed_point, iterate_dirty_traced,
         IncrementalOutcome,
     };
-    pub use crate::kernel::{Executor, FixedPoint, Inline, Start};
+    pub use crate::kernel::FixedPoint;
     pub use crate::oracle::exhaustive_path_optimum;
-    pub use crate::parallel::{par_iterate_to_fixed_point, Pooled};
+    pub use crate::parallel::par_iterate_to_fixed_point;
     pub use crate::pool::{PoolScope, PoolStats, WorkerPool};
     pub use crate::rib::{EventQueue, MessageRun, MessageStats, RibIn};
     pub use crate::sigma::{sigma, sigma_k, sigma_row_into, sigma_row_into_changed};

@@ -8,17 +8,17 @@
 //! kernel's staging buffer, and the calling thread applies the changed
 //! rows afterwards — the result is **bit-identical** to the sequential
 //! sweep for every thread count: no reduction order, no scheduling
-//! dependence, nothing for a thread to race on.  [`Pooled`] is that band
-//! dispatcher, as an [`Executor`] of the fixed-point kernel
-//! ([`crate::kernel`]); the differential checker treats a pooled run
-//! exactly like an inline one: same digests, same counts, same JSON.
+//! dependence, nothing for a thread to race on.  This module is that band
+//! dispatcher, the one the fixed-point kernel ([`crate::kernel`]) runs at
+//! more than one thread; the differential checker treats a pooled run
+//! exactly like a one-thread one: same digests, same counts, same JSON.
 //!
 //! The cold whole-state solve ([`crate::sync::iterate_traced`], and so
-//! [`crate::sync::iterate_to_fixed_point`]) runs `Pooled` on
+//! [`crate::sync::iterate_to_fixed_point`]) runs on
 //! [`crate::pool::default_jobs`] threads, the rule that sizes the shared
 //! pool; [`par_iterate_to_fixed_point`] names the thread count instead,
 //! and the scenario engines and the route server pass their `--threads`.
-//! The [`crate::incremental`] entry points stay [`Inline`]: a
+//! The [`crate::incremental`] entry points run on one thread: a
 //! reconvergence's frontiers are a few rows, less work than a pool epoch
 //! per round costs.
 //!
@@ -39,7 +39,7 @@
 //! `kernel` problem).
 
 use crate::adjacency::AdjacencyMatrix;
-use crate::kernel::{Executor, Inline, Start, Sweep};
+use crate::kernel::Sweep;
 use crate::pool::WorkerPool;
 use crate::state::RoutingState;
 use crate::sync::{iterate_with, SyncOutcome};
@@ -86,52 +86,39 @@ pub(crate) fn balanced_chunks(
     bounds.windows(2).map(|w| w[0]..w[1]).collect()
 }
 
-/// Shard every round over up to `threads` threads: the calling thread and
-/// workers of the process-wide [`WorkerPool::shared`].  `threads <= 1`, or
-/// a work list of fewer than two rows, runs [`Inline`] without waking the
-/// pool.
-#[derive(Clone, Copy, Debug)]
-pub struct Pooled {
-    threads: usize,
-}
-
-impl Pooled {
-    /// Up to `threads` threads a round.  Starts the shared pool if nothing
-    /// has yet, so a caller that builds its executor before its clock
-    /// starts does not time the spawn.
-    pub fn shared(threads: usize) -> Self {
-        WorkerPool::shared();
-        Pooled { threads }
-    }
-}
-
-impl<A: RoutingAlgebra> Executor<A> for Pooled {
-    /// Each worker owns one contiguous, degree-weighted segment of the
+impl<A: RoutingAlgebra> Sweep<'_, A> {
+    /// Recompute the whole work list on up to `threads` threads: the
+    /// calling thread and workers of the process-wide
+    /// [`WorkerPool::shared`], which the first sharded round starts.
+    /// `threads <= 1`, or a work list of fewer than two rows, runs on the
+    /// calling thread without waking the pool.
+    ///
+    /// Each thread owns one contiguous, degree-weighted segment of the
     /// work list and writes its disjoint slice of `staging`/`changed`, so
     /// the staged rows are independent of the thread count by
     /// construction.  With a live sink every band also times itself into
     /// its own slot and, after the join, the *coordinating* thread emits
     /// one `band_sweep` per band in band order — workers never touch the
     /// sink, so trace ordering is deterministic.
-    fn sweep<S: TelemetrySink + ?Sized>(
+    pub(crate) fn run<S: TelemetrySink + ?Sized>(
         &self,
-        job: &Sweep<'_, A>,
+        threads: usize,
         staging: &mut [A::Route],
         changed: &mut [bool],
         tel: &mut S,
     ) {
-        let len = job.worklist.len();
-        if self.threads <= 1 || len < 2 {
-            return Inline.sweep(job, staging, changed, tel);
+        let len = self.worklist.len();
+        if threads <= 1 || len < 2 {
+            return self.recompute(0..len, staging, changed);
         }
-        let weight = |pos: usize| job.adj.row(job.worklist[pos]).len() as u64 + 1;
-        let chunks = balanced_chunks(len, self.threads, weight);
+        let weight = |pos: usize| self.adj.row(self.worklist[pos]).len() as u64 + 1;
+        let chunks = balanced_chunks(len, threads, weight);
         let on = tel.enabled();
         let mut walls = vec![0u64; chunks.len()];
         let band =
             |range: Range<usize>, stage: &mut [A::Route], flags: &mut [bool], wall: &mut u64| {
                 let t0 = on.then(Instant::now);
-                job.recompute(range, stage, flags);
+                self.recompute(range, stage, flags);
                 *wall = t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
             };
         let (mut stage_rest, mut flag_rest) = (staging, changed);
@@ -140,7 +127,7 @@ impl<A: RoutingAlgebra> Executor<A> for Pooled {
         let outcome = WorkerPool::shared().scoped(|scope| {
             for range in chunks.iter().cloned() {
                 let (stage, tail) =
-                    std::mem::take(&mut stage_rest).split_at_mut(range.len() * job.w);
+                    std::mem::take(&mut stage_rest).split_at_mut(range.len() * self.w);
                 stage_rest = tail;
                 let (flags, tail) = std::mem::take(&mut flag_rest).split_at_mut(range.len());
                 flag_rest = tail;
@@ -169,7 +156,7 @@ impl<A: RoutingAlgebra> Executor<A> for Pooled {
         if on {
             for (b, range) in chunks.iter().enumerate() {
                 let weight = range.clone().map(weight).sum();
-                tel.band_sweep(job.round, b as u64, range.len() as u64, weight, walls[b]);
+                tel.band_sweep(self.round, b as u64, range.len() as u64, weight, walls[b]);
             }
         }
     }
@@ -179,7 +166,7 @@ impl<A: RoutingAlgebra> Executor<A> for Pooled {
 /// of [`crate::pool::default_jobs`], and no sink.
 ///
 /// The returned outcome is identical for every thread count (see
-/// [`Pooled`]).
+/// [`crate::kernel`]).
 pub fn par_iterate_to_fixed_point<A: RoutingAlgebra>(
     alg: &A,
     adj: &AdjacencyMatrix<A>,
@@ -187,8 +174,16 @@ pub fn par_iterate_to_fixed_point<A: RoutingAlgebra>(
     max_iterations: usize,
     threads: usize,
 ) -> SyncOutcome<A> {
-    let (exec, x0, start) = (Pooled::shared(threads), x0.clone(), Start::AllRows);
-    iterate_with(alg, adj, x0, start, max_iterations, &exec, &mut NoopSink)
+    let all = vec![true; adj.node_count()];
+    iterate_with(
+        alg,
+        adj,
+        x0.clone(),
+        &all,
+        max_iterations,
+        threads,
+        &mut NoopSink,
+    )
 }
 
 #[cfg(test)]
@@ -257,8 +252,8 @@ mod tests {
             RoutingState::<WidestPaths>::from_fn(n, |i, j| NatInf::fin(((i * 3 + j) % 40) as u64));
         let expected = sigma(&alg, &adj, &x);
         for threads in [1, 2, 3, 5, 8] {
-            let mut kernel = FixedPoint::new(&adj, x.clone(), Start::AllRows);
-            kernel.step(&alg, &adj, &Pooled::shared(threads), &mut NoopSink);
+            let mut kernel = FixedPoint::new(&adj, x.clone(), &vec![true; n]);
+            kernel.step(&alg, &adj, threads, &mut NoopSink);
             assert_eq!(kernel.finish(&mut NoopSink), expected, "threads={threads}");
         }
     }
@@ -302,8 +297,8 @@ mod tests {
         let mut deterministic_sides = Vec::new();
         for threads in [1usize, 2, 8] {
             let mut sink = AggregatingSink::new();
-            let (exec, x0, start) = (Pooled::shared(threads), x0.clone(), Start::AllRows);
-            let out = iterate_with(&alg, &adj, x0, start, 500, &exec, &mut sink);
+            let (x0, all) = (x0.clone(), vec![true; n]);
+            let out = iterate_with(&alg, &adj, x0, &all, 500, threads, &mut sink);
             assert_eq!(out.state, untraced.state, "threads={threads}");
             assert_eq!(out.iterations, untraced.iterations, "threads={threads}");
             let report = sink.finish();
@@ -345,7 +340,7 @@ mod tests {
         let sweep = |threads: usize| {
             let mut stage = vec![alg.invalid(); n * n];
             let mut flags = vec![false; n];
-            Pooled::shared(threads).sweep(&job, &mut stage, &mut flags, &mut NoopSink);
+            job.run(threads, &mut stage, &mut flags, &mut NoopSink);
             (stage, flags)
         };
         let (seq_stage, seq_flags) = sweep(1);

@@ -210,8 +210,8 @@ impl WorkerPool {
     /// The process-wide shared pool, created on first use with one worker
     /// per available hardware thread beyond the coordinator (and at least
     /// one, so the cross-thread paths are exercised even on a single
-    /// core).  The kernel's [`Pooled`](crate::parallel::Pooled) executor
-    /// and the scenario sweep/fuzz executors share this instance;
+    /// core).  The kernel's sharded rounds (`parallel.rs`) and the
+    /// scenario sweep/fuzz executors share this instance;
     /// requesting more bands than there are workers is fine — the surplus
     /// jobs queue and the coordinator helps drain them.
     pub fn shared() -> &'static WorkerPool {
@@ -783,7 +783,7 @@ mod tests {
     fn a_map_task_can_fan_out_on_the_same_pool() {
         // The sweep-inside-jobs nesting: every outer task opens its own
         // epochs on the pool its loop is running on — a nested `map`, and a
-        // σ iteration whose rounds are `Pooled` sweeps — while the workers
+        // σ iteration whose rounds are sharded sweeps — while the workers
         // are all busy with outer loops.  Each nested coordinator steals its
         // own jobs back, so this completes on any worker count.
         use crate::parallel::par_iterate_to_fixed_point;

@@ -7,16 +7,15 @@
 //! deterministic events of a one-thread run.
 
 use crate::adjacency::AdjacencyMatrix;
-use crate::kernel::{Executor, FixedPoint, Start};
+use crate::kernel::FixedPoint;
 use crate::lines::Lines;
-use crate::parallel::Pooled;
 use crate::pool::default_jobs;
 use crate::sigma::sigma_row_into_changed;
 use crate::state::RoutingState;
 use dbf_algebra::RoutingAlgebra;
 use dbf_telemetry::{NoopSink, TelemetrySink};
 
-/// The outcome of a σ iteration run from either [`Start`].
+/// The outcome of a σ iteration ([`iterate_with`]).
 #[derive(Clone, Debug)]
 pub struct SyncOutcome<A: RoutingAlgebra> {
     /// The final state (a fixed point when `converged` is true).
@@ -99,8 +98,8 @@ pub fn iterate_to_fixed_point<A: RoutingAlgebra>(
 /// and, once the loop stops, a `node_settled` event per node carrying the
 /// last round in which its row changed.
 ///
-/// Rounds are sharded over [`default_jobs`] threads ([`Pooled`], which
-/// adds a `band_sweep` per band to a live sink).  The outcome is identical
+/// Rounds are sharded over [`default_jobs`] threads (which adds a
+/// `band_sweep` per band to a live sink).  The outcome is identical
 /// for every thread count and every sink — instrumentation never alters
 /// the trajectory — and with [`NoopSink`] the instrumentation compiles
 /// out ([`iterate_to_fixed_point`] forwards here).
@@ -115,37 +114,35 @@ where
     A: RoutingAlgebra,
     S: TelemetrySink + ?Sized,
 {
-    let (exec, x0, start) = (Pooled::shared(default_jobs()), x0.clone(), Start::AllRows);
-    iterate_with(alg, adj, x0, start, max_iterations, &exec, tel)
+    let (x0, all) = (x0.clone(), vec![true; adj.node_count()]);
+    iterate_with(alg, adj, x0, &all, max_iterations, default_jobs(), tel)
 }
 
 /// The one σ iteration behind every entry point: the kernel from `x0`
-/// (taken over, not copied) over the rows `start` names, solved within
-/// `budget` rounds ([`FixedPoint::solve`]) by `exec` —
-/// [`crate::kernel::Inline`], or [`Pooled`] with the same outcome and
-/// deterministic events.  From [`Start::AllRows`] a round that changes
-/// nothing certifies the fixed point, so `iterations` counts the rounds
-/// before it.
+/// (taken over, not copied) over the rows `dirty` marks — all of them for
+/// a cold solve — solved within `budget` rounds ([`FixedPoint::solve`]) on
+/// up to `threads` threads, with the same outcome and deterministic events
+/// at every thread count.  An empty frontier certifies the fixed point, so
+/// `iterations` counts the rounds that changed a row.
 ///
 /// # Panics
 ///
-/// Panics if `adj`, `x0` and a [`Start::Dirty`] mask disagree on `n`.
-pub fn iterate_with<A, E, S>(
+/// Panics if `adj`, `x0` and `dirty` disagree on `n`.
+pub fn iterate_with<A, S>(
     alg: &A,
     adj: &AdjacencyMatrix<A>,
     x0: RoutingState<A>,
-    start: Start<'_>,
+    dirty: &[bool],
     budget: usize,
-    exec: &E,
+    threads: usize,
     tel: &mut S,
 ) -> SyncOutcome<A>
 where
     A: RoutingAlgebra,
-    E: Executor<A>,
     S: TelemetrySink + ?Sized,
 {
-    let mut kernel = FixedPoint::new(adj, x0, start);
-    let converged = kernel.solve(alg, adj, budget, exec, tel);
+    let mut kernel = FixedPoint::new(adj, x0, dirty);
+    let converged = kernel.solve(alg, adj, budget, threads, tel);
     SyncOutcome {
         iterations: kernel.iterations(),
         rounds: kernel.rounds(),

@@ -3,11 +3,12 @@
 //! `iterate_traced` (and `iterate_to_fixed_point`, which forwards to it)
 //! shards every round over `default_jobs()` threads.  Each cell here runs
 //! one problem at one round budget through `iterate_traced`, the untraced
-//! entry point and `Pooled::shared(t)` for t ∈ {1, 2, 3, 7}, and holds
+//! entry point and `iterate_with` on t ∈ {1, 2, 3, 7} threads, and holds
 //! every outcome — state, `iterations`, `rounds`, `row_recomputations`,
-//! `converged` — and the aggregated deterministic metrics to an `Inline`
-//! run on the calling thread.  Band geometry is timing-side and may differ;
-//! the test checks only that more than one lane really cut the rounds.
+//! `converged` — and the aggregated deterministic metrics to a one-thread
+//! `iterate_with` run on the calling thread.  Band geometry is timing-side
+//! and may differ; the test checks only that more than one lane really
+//! cut the rounds.
 
 use dbf_algebra::prelude::*;
 use dbf_matrix::prelude::*;
@@ -49,13 +50,14 @@ fn assert_thread_invariant<A: RoutingAlgebra>(
 ) -> usize {
     let n = adj.node_count();
     let unlimited = iteration_budget(n, None);
-    let inline = |budget: usize| {
-        traced(|tel| iterate_with(alg, adj, x0.clone(), Start::AllRows, budget, &Inline, tel))
+    let all = vec![true; n];
+    let on = |lanes: usize, budget: usize| {
+        traced(|tel| iterate_with(alg, adj, x0.clone(), &all, budget, lanes, tel))
     };
-    let ((_, settle, ..), _) = inline(unlimited);
+    let ((_, settle, ..), _) = on(1, unlimited);
     assert!(settle >= 3, "{label}: the problem must take a few rounds");
     for budget in [0, 1, settle - 1, settle, unlimited] {
-        let (want, want_report) = inline(budget);
+        let (want, want_report) = on(1, budget);
         let cell = format!("{label} budget={budget}");
         assert_eq!(want.4, budget >= settle, "{cell}: converged");
         let (got, report) = traced(|tel| iterate_traced(alg, adj, x0, budget, tel));
@@ -64,15 +66,12 @@ fn assert_thread_invariant<A: RoutingAlgebra>(
         let untraced = iterate_to_fixed_point(alg, adj, x0, budget);
         assert_eq!(summary(untraced), want, "{cell}: iterate_to_fixed_point");
         for lanes in LANES {
-            let exec = Pooled::shared(lanes);
-            let (got, report) = traced(|tel| {
-                iterate_with(alg, adj, x0.clone(), Start::AllRows, budget, &exec, tel)
-            });
+            let (got, report) = on(lanes, budget);
             assert_eq!(got, want, "{cell} lanes={lanes}");
             assert_eq!(report.phases, want_report.phases, "{cell} lanes={lanes}");
             let bands = report.timing[0].bands.len();
             if lanes == 1 {
-                assert_eq!(bands, 0, "{cell}: one lane sweeps inline");
+                assert_eq!(bands, 0, "{cell}: one lane sweeps on the calling thread");
             } else {
                 assert!(bands > 1, "{cell} lanes={lanes}: the rounds were not cut");
             }

@@ -1,15 +1,15 @@
 //! The fixed-point kernel walks the naive σ trajectory, whatever drives it.
 //!
-//! One table: executor {inline, pool × 2/3/8 threads} × initial frontier
-//! {all rows, `dirty_rows_after_change`} × column window {whole, slabs of
-//! 1, 3, n} × driving {`run`, `step` by `step`, stop-and-resume at every
-//! round, `solve`} × every round budget from zero past convergence.  Each
-//! cell must reproduce — state, `rounds`/`iterations`,
-//! `row_recomputations`, convergence flag and the deterministic event
-//! stream — a reference kept here that knows nothing about frontiers'
-//! storage, staging or pools: it applies the whole-state `sigma` until
-//! stable and derives the counters from the definitions.  `solve`'s
-//! reference also verifies at the budget boundary under the dirty start.
+//! One table: thread count {1, 2, 3, 8} × dirty mask {all rows,
+//! `dirty_rows_after_change`} × column window {whole, slabs of 1, 3, n} ×
+//! driving {`run`, `step` by `step`, stop-and-resume at every round,
+//! `solve`} × every round budget from zero past convergence.  Each cell
+//! must reproduce — state, `rounds`/`iterations`, `row_recomputations`,
+//! convergence flag and the deterministic event stream — a reference kept
+//! here that knows nothing about frontiers' storage, staging or pools: it
+//! applies the whole-state `sigma` until the frontier is empty and derives
+//! the counters from the definitions.  `solve`'s reference also verifies
+//! at the budget boundary.
 
 use dbf_algebra::prelude::*;
 use dbf_matrix::prelude::*;
@@ -37,7 +37,7 @@ enum Event {
 }
 
 /// Records the deterministic events, and per round the rows its bands
-/// covered (band geometry itself is timing-side and executor-dependent).
+/// covered (band geometry itself is timing-side and thread-count-dependent).
 #[derive(Default)]
 struct Recorder {
     events: Vec<Event>,
@@ -95,36 +95,32 @@ fn window<A: RoutingAlgebra>(x: &RoutingState<A>, (j0, w): (usize, usize)) -> Ve
         .collect()
 }
 
-/// The reference: whole-state `sigma` until stable.  `mask` is the initial
-/// frontier (`None` = all rows, with the full-sweep convergence contract);
-/// the window only selects which columns count as a row having changed —
-/// σ is column-separable, so columns `j0..j0+w` of `σʳ(x0)` are what a slab
-/// holds after `r` rounds.
+/// The reference: whole-state `sigma` until the frontier is empty.
+/// `mask` is the initial frontier; the window only selects which columns
+/// count as a row having changed — σ is column-separable, so columns
+/// `j0..j0+w` of `σʳ(x0)` are what a slab holds after `r` rounds.
 fn reference<A: RoutingAlgebra>(
     alg: &A,
     adj: &AdjacencyMatrix<A>,
     x0: &RoutingState<A>,
-    mask: Option<&[bool]>,
+    mask: &[bool],
     win: (usize, usize),
     budget: usize,
 ) -> Trajectory<A::Route> {
     let n = adj.node_count();
-    let full = mask.is_none();
     let mut x = x0.clone();
-    let mut frontier: BTreeSet<usize> = (0..n).filter(|&i| mask.is_none_or(|m| m[i])).collect();
+    let mut frontier: BTreeSet<usize> = (0..n).filter(|&i| mask[i]).collect();
     let mut events = Vec::new();
     let mut settled = vec![0u64; n];
     let (mut rounds, mut row_recomputations, mut quiet) = (0usize, 0u64, false);
-
-    // One naive round over `frontier`: the next state and the rows whose
-    // window changed.
-    let mut sweep = |x: &RoutingState<A>, frontier: &BTreeSet<usize>, round: u64| {
+    while !frontier.is_empty() && rounds < budget {
+        let round = rounds as u64 + 1;
         events.push(Event::RoundStart {
             round,
-            scheduled: if full { n } else { frontier.len() } as u64,
+            scheduled: frontier.len() as u64,
             frontier: frontier.len() as u64,
         });
-        let y = sigma(alg, adj, x);
+        let y = sigma(alg, adj, &x);
         let (j0, w) = win;
         let changed: Vec<usize> = (0..n)
             .filter(|&i| y.row(i)[j0..j0 + w] != x.row(i)[j0..j0 + w])
@@ -141,13 +137,6 @@ fn reference<A: RoutingAlgebra>(
             recomputed: frontier.len() as u64,
             changed: changed.len() as u64,
         });
-        (y, changed)
-    };
-
-    let done =
-        |quiet: bool, frontier: &BTreeSet<usize>| if full { quiet } else { frontier.is_empty() };
-    while !done(quiet, &frontier) && rounds < budget {
-        let (y, changed) = sweep(&x, &frontier, rounds as u64 + 1);
         row_recomputations += frontier.len() as u64;
         rounds += 1;
         quiet = changed.is_empty();
@@ -155,13 +144,6 @@ fn reference<A: RoutingAlgebra>(
             .filter(|&d| changed.iter().any(|&k| adj.get(d, k).is_some()))
             .collect();
         x = y;
-    }
-    let mut converged = done(quiet, &frontier);
-    if full && !converged {
-        // The budget-boundary check: one more sweep, not applied.
-        let (_, changed) = sweep(&x, &frontier, rounds as u64 + 1);
-        row_recomputations += frontier.len() as u64;
-        converged = changed.is_empty();
     }
     if win == (0, n) {
         events.extend(
@@ -176,28 +158,27 @@ fn reference<A: RoutingAlgebra>(
         rounds,
         iterations: rounds - usize::from(quiet),
         row_recomputations,
-        converged,
+        converged: frontier.is_empty(),
         events,
     }
 }
 
 /// [`reference`] under `FixedPoint::solve`'s budget rule, which decides
-/// an unconverged stop by one uncommitted round for either start.  The
-/// full-sweep reference already verifies at the boundary; a dirty start
-/// that stops unconverged gets round `budget + 1` of the reference —
-/// its events, settle rounds and recomputations — but keeps the state,
-/// rounds and iterations it stopped with, and is converged iff that round
-/// changes no row.
+/// an unconverged stop by one uncommitted round: a run that stops
+/// unconverged gets round `budget + 1` of the reference — its events,
+/// settle rounds and recomputations — but keeps the state, rounds and
+/// iterations it stopped with, and is converged iff that round changes no
+/// row.
 fn solve_reference<A: RoutingAlgebra>(
     alg: &A,
     adj: &AdjacencyMatrix<A>,
     x0: &RoutingState<A>,
-    mask: Option<&[bool]>,
+    mask: &[bool],
     win: (usize, usize),
     budget: usize,
 ) -> Trajectory<A::Route> {
     let stop = reference(alg, adj, x0, mask, win, budget);
-    if stop.converged || mask.is_none() {
+    if stop.converged {
         return stop;
     }
     let next = reference(alg, adj, x0, mask, win, budget + 1);
@@ -226,36 +207,28 @@ enum Drive {
     Solve,
 }
 
-/// Drive a freshly built kernel to `budget` the given way and collect what
-/// the reference collects.
-fn drive<A, E>(
+/// Drive a freshly built kernel to `budget` the given way on `threads`
+/// threads and collect what the reference collects.
+fn drive<A: RoutingAlgebra>(
     alg: &A,
     adj: &AdjacencyMatrix<A>,
     mut kernel: FixedPoint<A>,
-    full: bool,
     budget: usize,
     how: Drive,
-    exec: &E,
-) -> Trajectory<A::Route>
-where
-    A: RoutingAlgebra,
-    E: Executor<A>,
-{
+    threads: usize,
+) -> Trajectory<A::Route> {
     let mut tel = Recorder::default();
-    let mut converged = match how {
-        Drive::Run => kernel.run(alg, adj, budget, exec, &mut tel),
+    let converged = match how {
+        Drive::Run => kernel.run(alg, adj, budget, threads, &mut tel),
         Drive::StepByStep => {
             while !kernel.is_converged() && kernel.rounds() < budget {
-                kernel.step(alg, adj, exec, &mut tel);
+                kernel.step(alg, adj, threads, &mut tel);
             }
             kernel.is_converged()
         }
-        Drive::ResumeEveryRound => (0..=budget).any(|b| kernel.run(alg, adj, b, exec, &mut tel)),
-        Drive::Solve => kernel.solve(alg, adj, budget, exec, &mut tel),
+        Drive::ResumeEveryRound => (0..=budget).any(|b| kernel.run(alg, adj, b, threads, &mut tel)),
+        Drive::Solve => kernel.solve(alg, adj, budget, threads, &mut tel),
     };
-    if full && !converged && !matches!(how, Drive::Solve) {
-        converged = kernel.verify(alg, adj, exec, &mut tel);
-    }
     let (rounds, iterations) = (kernel.rounds(), kernel.iterations());
     let row_recomputations = kernel.row_recomputations();
     let rows = if kernel.width() == adj.node_count() {
@@ -273,23 +246,26 @@ where
     }
 }
 
-/// Every executor × driving mode × budget for one (problem, frontier,
-/// window) row of the table.  Returns the round count of the converged
-/// reference so callers can pin the shape of the case.
+/// Every thread count × driving mode × budget for one (problem, mask,
+/// window) row of the table.  Returns the converged reference so callers
+/// can pin the shape of the case.
 fn check_cell<A: RoutingAlgebra>(
     alg: &A,
     adj: &AdjacencyMatrix<A>,
     x0: &RoutingState<A>,
-    mask: Option<&[bool]>,
+    mask: &[bool],
     win: (usize, usize),
     label: &str,
 ) -> Trajectory<A::Route> {
     let n = adj.node_count();
     let build = || {
         if win == (0, n) {
-            let start = mask.map_or(Start::AllRows, Start::Dirty);
-            FixedPoint::new(adj, x0.clone(), start)
+            FixedPoint::new(adj, x0.clone(), mask)
         } else {
+            assert!(
+                mask.iter().all(|&d| d),
+                "{label}: a slab starts on every row"
+            );
             FixedPoint::identity_slab(alg, adj, win.0, win.1)
         }
     };
@@ -309,14 +285,12 @@ fn check_cell<A: RoutingAlgebra>(
             } else {
                 &plain
             };
-            let cell = |exec: &str| format!("{label} budget={budget} {how:?} {exec}");
-            let full = mask.is_none();
-            let got = drive(alg, adj, build(), full, budget, how, &Inline);
-            assert_eq!(got, *expected, "{}", cell("inline"));
-            for threads in [2, 3, 8] {
-                let exec = Pooled::shared(threads);
-                let got = drive(alg, adj, build(), full, budget, how, &exec);
-                assert_eq!(got, *expected, "{}", cell(&format!("pool×{threads}")));
+            for threads in [1, 2, 3, 8] {
+                let got = drive(alg, adj, build(), budget, how, threads);
+                assert_eq!(
+                    got, *expected,
+                    "{label} budget={budget} {how:?} threads={threads}"
+                );
             }
         }
     }
@@ -337,31 +311,15 @@ fn every_way_of_driving_the_kernel_walks_the_naive_sigma_trajectory() {
     let n = 10;
     let adj = weighted_ring(n);
     let identity = RoutingState::identity(&alg, n);
-    let cold = check_cell(&alg, &adj, &identity, None, (0, n), "ring/all/whole");
+    let all = vec![true; n];
+    let cold = check_cell(&alg, &adj, &identity, &all, (0, n), "ring/all/whole");
     for w in [1, 3, n] {
         for j0 in (0..n).step_by(w) {
             let win = (j0, w.min(n - j0));
-            check_cell(
-                &alg,
-                &adj,
-                &identity,
-                None,
-                win,
-                &format!("ring/all/{win:?}"),
-            );
+            let label = format!("ring/all/{win:?}");
+            check_cell(&alg, &adj, &identity, &all, win, &label);
         }
     }
-    // The all-true dirty mask walks the same states under the dirty
-    // contract (scheduled = |frontier|, converged on an empty frontier).
-    let all = vec![true; n];
-    check_cell(
-        &alg,
-        &adj,
-        &identity,
-        Some(&all),
-        (0, n),
-        "ring/dirty-all/whole",
-    );
 
     // Reconvergence after a link failure, from the old fixed point.
     let fixed = RoutingState::<ShortestPaths>::from_fn(n, |i, j| cold.rows[i * n + j]);
@@ -374,7 +332,7 @@ fn every_way_of_driving_the_kernel_walks_the_naive_sigma_trajectory() {
         &alg,
         &cut,
         &fixed,
-        Some(&dirty),
+        &dirty,
         (0, n),
         "ring/dirty-after-cut/whole",
     );
@@ -393,7 +351,8 @@ fn every_way_of_driving_the_kernel_walks_the_naive_sigma_trajectory() {
             NatInf::fin(((i * 3 + j) % 40) as u64)
         }
     });
-    check_cell(&alg, &adj, &garbage, None, (0, 11), "fabric/all/whole");
+    let all = vec![true; 11];
+    check_cell(&alg, &adj, &garbage, &all, (0, 11), "fabric/all/whole");
 
     // Shortest paths with weights a third of the way to the ∞ sentinel:
     // two hops still add, the third lands on `u64::MAX` (or past it, on
@@ -404,51 +363,44 @@ fn every_way_of_driving_the_kernel_walks_the_naive_sigma_trajectory() {
     let third = u64::MAX / 3;
     let topo = generators::ring(n).with_weights(|i, _| NatInf::fin(third + (i % 2) as u64));
     let adj = AdjacencyMatrix::from_topology(&topo);
-    let identity = RoutingState::identity(&alg, n);
-    let far = check_cell(&alg, &adj, &identity, None, (0, n), "ring/near-sentinel");
+    let (identity, all) = (RoutingState::identity(&alg, n), vec![true; n]);
+    let far = check_cell(&alg, &adj, &identity, &all, (0, n), "ring/near-sentinel");
     assert_eq!(far.rows[2], NatInf::fin(2 * third + 1), "0 → 1 → 2 adds");
     assert_eq!(far.rows[3], NatInf::INF, "0 → 1 → 2 → 3 saturates");
     assert_eq!(far.iterations, 2);
-    check_cell(
-        &alg,
-        &adj,
-        &identity,
-        None,
-        (2, 3),
-        "ring/near-sentinel/slab",
-    );
+    let label = "ring/near-sentinel/slab";
+    check_cell(&alg, &adj, &identity, &all, (2, 3), label);
 }
 
 #[test]
-fn a_changed_row_without_dependants_still_gets_its_verifying_round() {
+fn a_changed_row_without_dependants_ends_the_iteration_on_the_empty_frontier() {
     // Node 0 imports from node 1 and nobody imports from node 0: round 1
-    // changes row 0 only, so the next frontier is empty.  The full-sweep
-    // contract still runs (and reports) a verifying round over it; the
-    // dirty contract stops on the empty frontier.
+    // changes row 0 only, so the next frontier is empty.  The iteration
+    // stops there, at the naive σ fixed point, with no verifying round:
+    // every round it ran changed a row.
     let alg = ShortestPaths::new();
     let n = 4;
     let mut adj = AdjacencyMatrix::<ShortestPaths>::empty(n);
     adj.set(0, 1, Some(NatInf::fin(2)));
     let identity = RoutingState::identity(&alg, n);
 
-    let full = check_cell(&alg, &adj, &identity, None, (0, n), "sink-row/all");
-    assert_eq!((full.rounds, full.iterations), (2, 1));
-    assert!(full.events.contains(&Event::RoundStart {
-        round: 2,
-        scheduled: n as u64,
-        frontier: 0
-    }));
-    let out = iterate_to_fixed_point(&alg, &adj, &identity, 10);
-    assert_eq!((out.iterations, out.converged), (1, true));
-
     let all = vec![true; n];
-    let dirty = check_cell(&alg, &adj, &identity, Some(&all), (0, n), "sink-row/dirty");
-    assert_eq!((dirty.rounds, dirty.row_recomputations), (1, n as u64));
+    let sink = check_cell(&alg, &adj, &identity, &all, (0, n), "sink-row/all");
+    assert_eq!((sink.rounds, sink.iterations), (1, 1));
+    assert_eq!(sink.row_recomputations, n as u64);
+    let naive = sigma(&alg, &adj, &identity);
+    assert!(
+        is_stable(&alg, &adj, &naive),
+        "one σ round is the fixed point"
+    );
+    assert_eq!(sink.rows, window(&naive, (0, n)));
+    let out = iterate_to_fixed_point(&alg, &adj, &identity, 10);
+    assert_eq!((out.iterations, out.rounds, out.converged), (1, 1, true));
+    assert_eq!(out.state, naive);
 
     // A clean mask is converged before any round, even on a zero budget.
     let clean = vec![false; n];
-    let fixed = RoutingState::<ShortestPaths>::from_fn(n, |i, j| full.rows[i * n + j]);
-    let idle = check_cell(&alg, &adj, &fixed, Some(&clean), (0, n), "sink-row/clean");
+    let idle = check_cell(&alg, &adj, &naive, &clean, (0, n), "sink-row/clean");
     assert_eq!((idle.rounds, idle.converged), (0, true));
 }
 
@@ -474,9 +426,11 @@ fn the_frontier_reconverges_a_large_fabric_like_a_full_scan_at_half_the_rows() {
     let dirty = dirty_rows_after_change(&adj, &changed);
     let budget = 4 * n;
 
-    // The scan baseline is this file's reference: whole-state σ until a
-    // sweep changes nothing, `n` row recomputations per sweep.
-    let scan = reference(&alg, &changed, &baseline.state, None, (0, n), budget);
+    // The scan baseline is this file's reference from every row: the
+    // whole-state σ trajectory, costed at `n` row recomputations per
+    // changing round.
+    let all = vec![true; n];
+    let scan = reference(&alg, &changed, &baseline.state, &all, (0, n), budget);
     let frontier = iterate_dirty_to_fixed_point(&alg, &changed, &baseline.state, &dirty, budget);
     assert!(scan.converged && frontier.converged);
     assert!(
@@ -555,11 +509,7 @@ fn a_resident_stepper_walks_what_a_fresh_one_per_change_walks() {
     let alg = BoundedHopCount::new(16);
     let ring = generators::ring(7).with_weights(|i, j| ((i + j) % 3 + 1) as u64);
     let mut adj = AdjacencyMatrix::<BoundedHopCount>::from_topology(&ring);
-    let mut resident = FixedPoint::new(
-        &adj,
-        RoutingState::identity(&alg, 7),
-        Start::Dirty(&[true; 7]),
-    );
+    let mut resident = FixedPoint::new(&adj, RoutingState::identity(&alg, 7), &[true; 7]);
     let mut solved = RoutingState::identity(&alg, 7);
     let mut seed = 0x2545_f491_4f6c_dd1du64;
     let mut draw = |below: usize| {
@@ -593,20 +543,20 @@ fn a_resident_stepper_walks_what_a_fresh_one_per_change_walks() {
         } else {
             solved.grown(&alg, n)
         };
-        let mut fresh = FixedPoint::new(&next, start, Start::Dirty(&dirty));
+        let mut fresh = FixedPoint::new(&next, start, &dirty);
         resident.grow(&alg, n);
         if restart {
-            resident.restart_from_identity(&alg);
+            resident.restart(&alg, 0, n);
         } else if step % 7 == 3 {
             let dirtied = fresh.reseed_from_above(&alg, &adj, &next);
             assert_eq!(resident.reseed_from_above(&alg, &adj, &next), dirtied);
         } else {
-            resident.reseed(Start::Dirty(&dirty));
+            resident.reseed(&dirty);
         }
         let (mut seen, mut want) = (Recorder::default(), Recorder::default());
         let budget = 4 * n * n + 64;
-        assert!(fresh.run(&alg, &next, budget, &Inline, &mut want));
-        assert!(resident.run(&alg, &next, budget, &Inline, &mut seen));
+        assert!(fresh.run(&alg, &next, budget, 1, &mut want));
+        assert!(resident.run(&alg, &next, budget, 1, &mut seen));
         assert_eq!(resident.rounds(), fresh.rounds(), "step {step}");
         assert_eq!(
             resident.row_recomputations(),

@@ -142,7 +142,7 @@ where
     }
     let build = |w: &Weights| AdjacencyMatrix::from_fn(w.len(), |i, k| w[i][k].map(&edge));
     let mut adj = build(&w);
-    let mut kernel = FixedPoint::new(&adj, cold(alg, &adj), Start::Dirty(&vec![false; n]));
+    let mut kernel = FixedPoint::new(&adj, cold(alg, &adj), &vec![false; n]);
     for batch in 0..batches {
         let improving = change(&mut rng, &mut w);
         let next = build(&w);
@@ -194,7 +194,7 @@ where
         let budget = iteration_budget(n, None);
         let mut rounds = Frontiers::default();
         while !kernel.is_converged() && kernel.rounds() < budget {
-            kernel.step(alg, &next, &Inline, &mut rounds);
+            kernel.step(alg, &next, 1, &mut rounds);
             prop_assert!(
                 above(alg, &table(&kernel), &want),
                 "batch {}: round {} went below X*",
@@ -222,12 +222,8 @@ where
                 batch
             );
         }
-        let mut restart = FixedPoint::new(
-            &next,
-            RoutingState::identity(alg, n),
-            Start::Dirty(&vec![true; n]),
-        );
-        prop_assert!(restart.run(alg, &next, budget, &Inline, &mut NoopSink));
+        let mut restart = FixedPoint::new(&next, RoutingState::identity(alg, n), &vec![true; n]);
+        prop_assert!(restart.run(alg, &next, budget, 1, &mut NoopSink));
         prop_assert!(
             kernel.rounds() <= restart.rounds(),
             "batch {}: {} rounds, a restart takes {}",

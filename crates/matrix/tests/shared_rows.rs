@@ -105,20 +105,18 @@ fn run(seed: u64, ops: usize) -> TestCaseResult {
             4 => {
                 // A kernel run, stopped after a few rounds or at the end,
                 // sometimes restarted from the identity first.
-                let dirty = mask(&mut rng);
-                let start = if rng.next_below(3) == 0 {
-                    Start::AllRows
-                } else {
-                    Start::Dirty(&dirty)
-                };
+                let mut dirty = mask(&mut rng);
+                if rng.next_below(3) == 0 {
+                    dirty.fill(true);
+                }
                 let restart = rng.next_below(4) == 0;
                 let budget = rng.next_below(6) as usize;
                 let solve = |x: State| {
-                    let mut kernel = FixedPoint::new(adj, x, start);
+                    let mut kernel = FixedPoint::new(adj, x, &dirty);
                     if restart {
-                        kernel.restart_from_identity(&alg);
+                        kernel.restart(&alg, 0, N);
                     }
-                    kernel.run(&alg, adj, budget, &Inline, &mut NoopSink);
+                    kernel.run(&alg, adj, budget, 1, &mut NoopSink);
                     let counters = (kernel.rounds(), kernel.row_recomputations());
                     (kernel.finish(&mut NoopSink), counters)
                 };

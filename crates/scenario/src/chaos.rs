@@ -543,9 +543,11 @@ pub fn run_chaos(
     outcome.recovered = true;
     // A run that went degraded partitions the change stream differently
     // (queries answer stale instead of forcing a flush), so its batch
-    // and round totals are wall-clock-dependent; the unique fixed point
-    // is the invariant that survives.  Undegraded runs must match the
-    // full deterministic accounting.
+    // and round totals differ from the clean run's.  They are still
+    // deterministic: only delay plans set a deadline, and they run on a
+    // ScriptedClock.  The unique fixed point is the invariant the verdict
+    // compares; undegraded runs must match the full deterministic
+    // accounting.
     let degraded = final_report.stats.deadline_overruns > 0;
     outcome.digests_match = final_report.final_digest == clean.final_digest
         && (degraded

@@ -56,8 +56,8 @@ use dbf_async::sim::{EventSim, SimConfig};
 use dbf_bgp::algebra::BgpAlgebra;
 use dbf_matrix::blocked::fold_entry_text;
 use dbf_matrix::{
-    dirty_rows_after_change, is_stable, iterate_with, AdjacencyMatrix, MessageRun, Pooled,
-    RoutingState,
+    dirty_rows_after_change, is_stable, iterate_with, AdjacencyMatrix, MessageRun, RoutingState,
+    WorkerPool,
 };
 use dbf_protocols::bgp::{BgpConfig, BgpEngine};
 use dbf_protocols::rip::{RipConfig, RipEngine};
@@ -433,7 +433,7 @@ pub fn run_engine<A: ScenarioAlgebra>(
     // **This match and [`descriptors`] are the only places a new engine
     // must be added.**
     match kind {
-        EngineKind::Sync | EngineKind::Incremental => run.drive(tel, Phase::executor, Phase::sigma),
+        EngineKind::Sync | EngineKind::Incremental => run.drive(tel, Phase::threads, Phase::sigma),
         EngineKind::Delta => run.drive(tel, Phase::schedule, Phase::delta),
         EngineKind::Sim => run.drive(tel, Phase::sim_config, Phase::sim),
         EngineKind::Rip => run.drive(tel, Phase::rip_config, Phase::rip),
@@ -599,22 +599,30 @@ impl<A: ScenarioAlgebra> Phase<'_, A> {
         self.seed.wrapping_add(self.index as u64 * stride)
     }
 
-    /// The σ engines' workers: the run's thread budget on the process-wide
-    /// pool (which the first call starts — before the clock, like every
-    /// other piece of setup).
-    fn executor(&self) -> Pooled {
-        Pooled::shared(self.threads)
+    /// The σ engines' thread count.  More than one thread shards rounds
+    /// over the process-wide pool, which this starts before the clock,
+    /// like every other piece of setup.
+    fn threads(&self) -> usize {
+        if self.threads > 1 {
+            WorkerPool::shared();
+        }
+        self.threads
     }
 
     /// Engines 1 and 2, the synchronous σ-iteration (`dbf-matrix`) — the
     /// reference semantics every other engine is checked against — and its
     /// incremental form, which reproduces the synchronous trajectory
     /// state-for-state while recomputing only the perturbed region after a
-    /// topology change.  One kernel run; the two differ in the first
-    /// frontier, in what certifies the fixed point, and in the two kernel
-    /// counters they report (`work` is σ iterations for sync, row
-    /// recomputations — a full round costs `n` of them — for incremental).
-    fn sigma(&self, exec: Pooled, state: RoutingState<A>, tel: &mut dyn TelemetrySink) -> Step<A> {
+    /// topology change.  One kernel run; the two differ in the dirty mask
+    /// they start from and in the two kernel counters they report (`work`
+    /// is σ iterations for sync, row recomputations — a full round costs
+    /// `n` of them — for incremental).
+    fn sigma(
+        &self,
+        threads: usize,
+        state: RoutingState<A>,
+        tel: &mut dyn TelemetrySink,
+    ) -> Step<A> {
         let adj = &self.problem.adj;
         let n = adj.node_count();
         // `bound + 1` rounds when the bound oracle annotated the problem
@@ -626,14 +634,13 @@ impl<A: ScenarioAlgebra> Phase<'_, A> {
         // The dirty-start optimisation is only sound from a fixed point of
         // the previous phase; a phase that failed to converge (budget
         // exhausted on a non-increasing algebra) poisons it.
-        let dirty = incremental.then(|| match self.settled_on {
+        let dirty = match self.settled_on.filter(|_| incremental) {
             Some(old) => dirty_rows_after_change(old, adj),
             None => vec![true; n],
-        });
+        };
         // A converged iteration *is* the stability proof, and a run that
         // exhausts its budget is decided by the kernel's boundary check.
-        let start = dirty.as_deref().into();
-        let out = iterate_with(self.alg, adj, state, start, budget, &exec, tel);
+        let out = iterate_with(self.alg, adj, state, &dirty, budget, threads, tel);
         let (rounds, work) = if incremental {
             (out.rounds as u64, out.row_recomputations)
         } else {

@@ -28,8 +28,7 @@ use crate::fields::Keys;
 use crate::report::Digest;
 use crate::spec::{ChangeSpec, SpecError};
 use dbf_matrix::{
-    dirty_rows_after_change, iteration_budget, AdjacencyMatrix, FixedPoint, Pooled, RoutingState,
-    Start,
+    dirty_rows_after_change, iteration_budget, AdjacencyMatrix, FixedPoint, RoutingState,
 };
 use dbf_telemetry::TelemetrySink;
 use dbf_topology::Topology;
@@ -125,7 +124,7 @@ where
         let adj = rebuild(&shape, &overrides);
         let n = adj.node_count();
         let state = RoutingState::identity(&alg, n);
-        let kernel = FixedPoint::new(&adj, state, Start::Dirty(&vec![false; n]));
+        let kernel = FixedPoint::new(&adj, state, &vec![false; n]);
         Self {
             alg,
             shape,
@@ -155,7 +154,7 @@ where
     /// one from [`RouteServer::raw`]: a snapshot holds no table.
     pub fn initial_converge(&mut self, tel: &mut dyn TelemetrySink) -> Result<(), SpecError> {
         let n = self.adj.node_count();
-        self.kernel.reseed(Start::Dirty(&vec![true; n]));
+        self.kernel.reseed(&vec![true; n]);
         let converged = self
             .run_kernel(iteration_budget(n, None), tel)
             .map_err(SpecError::from)?;
@@ -381,9 +380,9 @@ where
         // (count-to-infinity); restart from the identity unless the
         // batch coalesced to no adjacency change.
         if self.removal_restart && worsened && batch_dirty > 0 {
-            self.kernel.restart_from_identity(&self.alg);
+            self.kernel.restart(&self.alg, 0, n);
         } else {
-            self.kernel.reseed(Start::Dirty(&dirty));
+            self.kernel.reseed(&dirty);
         }
         let work = Flush {
             before,
@@ -531,10 +530,9 @@ where
         until: usize,
         tel: &mut dyn TelemetrySink,
     ) -> Result<bool, ServeProblem> {
-        let exec = Pooled::shared(self.threads);
-        let (alg, adj, kernel) = (&self.alg, &self.adj, &mut self.kernel);
+        let (alg, adj, kernel, threads) = (&self.alg, &self.adj, &mut self.kernel, self.threads);
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            kernel.run(alg, adj, until, &exec, tel)
+            kernel.run(alg, adj, until, threads, tel)
         }))
         .map_err(|payload| ServeProblem::kernel(&*payload))
     }

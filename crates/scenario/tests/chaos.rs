@@ -90,6 +90,45 @@ fn every_builtin_plan_ends_verified() {
 }
 
 #[test]
+fn the_flush_delay_plan_serves_the_same_stale_answers_at_every_thread_count() {
+    // CI's chaos trace.  The delay plan runs on a scripted clock, so which
+    // flushes overrun their deadline, and how many answers are served
+    // stale meanwhile, is one number on every machine and thread count.
+    let dir = temp_dir("stale-pin");
+    let trace = dir.join("churn-c.trace");
+    let gen = scenarios_bin()
+        .args(["gen-trace", "--out"])
+        .arg(&trace)
+        .args("--nodes 24 --events 2000 --seed 5 --queries 150 --weights 100".split(' '))
+        .output()
+        .expect("run gen-trace");
+    let stderr = String::from_utf8_lossy(&gen.stderr);
+    assert!(gen.status.success(), "{stderr}");
+    for threads in ["2", "4"] {
+        let out = dir.join(format!("chaos-t{threads}.json"));
+        let run = scenarios_bin()
+            .args(["chaos", "--replay"])
+            .arg(&trace)
+            .args(["--threads", threads, "--batch", "32", "--out"])
+            .arg(&out)
+            .output()
+            .expect("run chaos");
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert!(run.status.success(), "threads={threads}:\n{stderr}");
+        let json = std::fs::read_to_string(&out).expect("chaos report");
+        let delay = json
+            .split("\"plan\": ")
+            .find(|entry| entry.starts_with("\"flush-delay\""))
+            .expect("a flush-delay entry");
+        assert!(
+            delay.contains("\"stale_answers\": 5,"),
+            "threads={threads}: {delay}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn a_plan_file_drives_one_verified_run() {
     let dir = temp_dir("plan-file");
     let trace = gen_trace(&dir, "0");

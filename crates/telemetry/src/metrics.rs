@@ -78,10 +78,11 @@ pub struct PhaseMetrics {
     pub rows_recomputed: u64,
     /// Total rows whose recomputation produced a different row.
     pub rows_changed: u64,
-    /// Largest dirty-set size seen at any round start.
+    /// Largest `scheduled` count seen at any round start.  Every emitter
+    /// passes its frontier there, so this equals `peak_frontier`.
     pub max_scheduled: u64,
     /// Largest active-frontier size seen at any round start (rows whose
-    /// inputs changed last round; `≤ max_scheduled`).
+    /// inputs changed last round).
     pub peak_frontier: u64,
     /// Per-node settle-round histogram summary, for engines that emit
     /// `node_settled`.

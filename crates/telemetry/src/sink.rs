@@ -96,12 +96,11 @@ pub trait TelemetrySink {
     /// The current phase ended.
     fn phase_end(&mut self, _label: &str) {}
 
-    /// A σ round (or δ time step) begins; `scheduled` rows are due for
-    /// recomputation (the dirty-set size — `n` for full sweeps), of which
-    /// `frontier` are on the active frontier (rows whose inputs changed
-    /// last round and will actually be σ-recomputed; equal to `scheduled`
-    /// for the dirty-row engines, `≤ scheduled` for full sweeps that
-    /// short-circuit settled rows).
+    /// A σ round (or δ time step) begins with `frontier` rows to recompute:
+    /// a σ round's frontier (the rows whose imports changed last round, the
+    /// dirty mask in round 1) or the nodes a δ step activates.  Every
+    /// emitter passes the same count as `scheduled`; the argument stays for
+    /// the sinks that implement this three-argument signature.
     fn round_start(&mut self, _round: u64, _scheduled: u64, _frontier: u64) {}
 
     /// A round ended: `recomputed` rows were swept, `changed` of them

@@ -3,9 +3,12 @@
 //! The paper handles network dynamics by viewing the computation after a
 //! change as a *new problem instance*: the adjacency matrix is updated and
 //! the current (now possibly stale/inconsistent) routing state becomes the
-//! new starting state.  [`TopologyChange`] is the vocabulary of such events;
-//! the asynchronous simulator applies them mid-run and the convergence
-//! theorems guarantee reconvergence from whatever state results.
+//! new starting state, and the convergence theorems guarantee reconvergence
+//! from whatever state results.  [`TopologyChange`] is a weighted
+//! vocabulary of such events.  Nothing in the library applies it — only
+//! the benchmark harness and tests do; the library's change vocabulary is
+//! `dbf-scenario`'s `ChangeSpec`, which scenarios, churn traces and the
+//! route server apply.
 
 use crate::graph::{NodeId, Topology};
 use std::fmt;

@@ -11,9 +11,11 @@
 //!   grid, leaf–spine data-center fabrics, Gilbert and preferential-
 //!   attachment random graphs and tiered provider/customer hierarchies)
 //!   used by the tests, examples and experiments;
-//! * [`change::TopologyChange`] — a small vocabulary of topology events used
-//!   by the dynamic-network experiments to model link failures, policy
-//!   changes and node churn.
+//! * [`change::TopologyChange`] — a small vocabulary of weighted topology
+//!   events (link failures, policy changes, node churn).  No library crate
+//!   applies it: the benchmark harness and tests do.  The library's change
+//!   vocabulary is `dbf-scenario`'s `ChangeSpec`, which scenarios, churn
+//!   traces and the route server apply.
 //!
 //! Weights are deliberately generic: generators build *shapes*
 //! (`Topology<()>`) and callers attach algebra-specific edge functions with

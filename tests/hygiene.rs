@@ -282,7 +282,7 @@ static RULES: &[Rule] = &[
                 .within(Scope::Bodies(&["flush", "commit"])),
         ],
         plant: plant(SERVER, "let before = self.kernel.share();",
-            "        let fresh = FixedPoint::new(&new_adj, state, Start::Dirty(&dirty));"),
+            "        let fresh = FixedPoint::new(&new_adj, state, &dirty);"),
     },
     Rule {
         name: "one spec reader",
@@ -473,6 +473,20 @@ static RULES: &[Rule] = &[
         plant: plant("crates/asynch/src/delta.rs",
             "let mut run = DeltaRun::new(alg, adj, x0, schedule);",
             "    let settled = is_stable(alg, adj, &run.state());"),
+    },
+    Rule {
+        name: "one σ kernel told its rows by a mask and its threads by a count",
+        // FixedPoint takes a dirty mask and a thread count: an empty
+        // frontier is its one fixed-point certificate from any start, and
+        // one thread is the band dispatcher's own case.
+        checks: &[
+            check(&["crates/matrix/src"],
+                any(&["enum Start\\b", "trait Executor\\b", "struct Inline\\b"]),
+                "the start enum, the executor trait and the inline executor were removed: pass \
+                 FixedPoint a dirty mask and a thread count"),
+        ],
+        plant: plant("crates/matrix/src/kernel.rs", "use std::time::Instant;",
+            "pub struct Inline;"),
     },
     Rule {
         name: "thread safety stated once on RoutingAlgebra",
