@@ -20,19 +20,25 @@
 //! * [`convergence`] — absolute-convergence testing across ensembles of
 //!   starting states and schedules: every run must reach the *same*
 //!   σ-stable state, which it checks itself;
+//! * [`event_loop`] — the one message loop: simulated time, the event
+//!   queue, the seeded RNG, the channel's draws and the counters, generic
+//!   over a [`event_loop::Protocol`] that supplies when a node sends, what
+//!   it sends, its channel and the receiver's rule.  Every message-level
+//!   engine — the simulator here, RIP and BGP in `dbf-protocols` — runs on
+//!   it and returns a [`dbf_matrix::MessageRun`]: tables and counters,
+//!   judged by the caller;
 //! * [`sim`] — a message-level discrete-event simulator with loss,
-//!   duplication, reordering and bounded delay.  Every execution of the
-//!   simulator corresponds to *some* schedule `(α, β)`, so the convergence
-//!   theorems apply to it directly; it is the bridge between the algebraic
-//!   model and the protocol engines in `dbf-protocols`, and like them it
-//!   returns a [`dbf_matrix::MessageRun`] — tables and counters, judged by
-//!   the caller.
+//!   duplication, reordering and bounded delay, as protocol rules over that
+//!   loop.  Every execution of the simulator corresponds to *some* schedule
+//!   `(α, β)`, so the convergence theorems apply to it directly; it is the
+//!   bridge between the algebraic model and the protocol engines.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod convergence;
 pub mod delta;
+pub mod event_loop;
 pub mod schedule;
 pub mod sim;
 

@@ -28,17 +28,15 @@
 //! overtaken stale advert cannot masquerade as current information forever,
 //! which is what schedule axiom S3 rules out.
 //!
-//! A run ends in a [`MessageRun`] and judges nothing: whether its tables are
-//! σ's fixed point is the caller's question.  The one stability test here is
-//! the refresh timer's (see [`EventSim::run`]).
+//! These are protocol rules over the one message loop
+//! ([`crate::event_loop`]); a run ends in its [`MessageRun`] and judges
+//! nothing: whether its tables are σ's fixed point is the caller's question.
+//! The one stability test here is the refresh timer's ([`EventSim::run`]).
 
+use crate::event_loop::{Channel, MessageLoop, Net, Protocol};
 use dbf_algebra::RoutingAlgebra;
-use dbf_matrix::{
-    is_stable, AdjacencyMatrix, EventQueue, MessageRun, MessageStats, RibIn, RoutingState,
-};
+use dbf_matrix::{is_stable, AdjacencyMatrix, MessageRun, RibIn, RoutingState};
 use dbf_paths::NodeId;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::rc::Rc;
 
 /// Fault-injection and scheduling parameters of the simulated network.
@@ -98,9 +96,9 @@ impl SimConfig {
     }
 }
 
-#[derive(Debug)]
-struct Message<R> {
-    /// Per-`(from, dest)` send generation.  Receivers discard a message
+#[derive(Debug, Clone)]
+struct Advert<R> {
+    /// The advert's send generation.  Receivers discard a message
     /// that has been superseded by a newer advert from the same sender for
     /// the same destination — the miniature of BGP's ordered transport and
     /// RIP's freshest-route rule.  Without this, a delayed cold-start
@@ -109,46 +107,94 @@ struct Message<R> {
     /// nothing overwrites it), which `scenarios fuzz` exposed as
     /// count-to-infinity livelocks on plain *trees*.
     gen: u64,
-    from: NodeId,
-    to: NodeId,
     dest: NodeId,
     /// One advert, shared by every listener's copy and duplicate.
     route: Rc<R>,
 }
 
-/// The message-level simulator.
-pub struct EventSim<'a, A: RoutingAlgebra> {
+/// The simulator's protocol rules.
+struct Sim<'a, A: RoutingAlgebra> {
     alg: &'a A,
     /// `adj.dependants(j)`: the nodes that import from `j` (`A_ij`
     /// present), i.e. the peers `j` announces to, in ascending order.
     adj: &'a AdjacencyMatrix<A>,
-    config: SimConfig,
-    rng: StdRng,
-    now: u64,
-    queue: EventQueue<Message<A::Route>>,
     /// `tables.get(i, j)`: node `i`'s current best route to `j`.
     tables: RoutingState<A>,
     /// `ribs[i]`: what node `i` has heard, as imported — per link `k` and
     /// destination `j`, `A_ik` of the last route `k` advertised for `j`.
     ribs: Vec<RibIn<A>>,
-    /// `send_gen[i][j]`: how many adverts node `i` has sent for
-    /// destination `j` (stamped onto outgoing messages).
-    send_gen: Vec<Vec<u64>>,
+    /// How many adverts have been sent, by any node: each advert's
+    /// generation.  Receivers compare only generations of one sender's
+    /// adverts for one destination, which this stamp orders as sent.
+    adverts: u64,
     /// `seen_gen[i][ribs[i].slot(k's link, j)]`: the newest generation node
     /// `i` has accepted from neighbour `k` for destination `j`; older
     /// arrivals are superseded and ignored.
     seen_gen: Vec<Vec<u64>>,
-    stats: MessageStats,
-    /// Simulated time of each node's last table change (settle tracking).
-    node_last_change: Vec<u64>,
+}
+
+impl<A: RoutingAlgebra> Protocol for Sim<'_, A> {
+    type Alg = A;
+    type Msg = Advert<A::Route>;
+    type Timer = std::convert::Infallible;
+
+    fn receive(&mut self, net: &mut Net<Self>, from: NodeId, to: NodeId, msg: Advert<A::Route>) {
+        let imports = self.adj.row(to);
+        let rib = &mut self.ribs[to];
+        let link = rib
+            .link(imports, from)
+            .expect("adverts travel to importers only");
+        let seen = &mut self.seen_gen[to][rib.slot(link, msg.dest)];
+        // A superseded advert (an older generation overtaken in flight)
+        // is discarded; a duplicate of the newest generation is
+        // re-applied, which is idempotent.
+        if msg.gen < *seen {
+            return;
+        }
+        *seen = msg.gen;
+        rib.import(self.alg, imports, link, msg.dest, &msg.route);
+        if net.decide(self.alg, &self.ribs[to], &mut self.tables, to, msg.dest) {
+            self.advertise(net, to, msg.dest);
+        }
+    }
+
+    fn into_state(self) -> RoutingState<A> {
+        self.tables
+    }
+}
+
+impl<A: RoutingAlgebra> Sim<'_, A> {
+    /// Announce `from`'s route for `dest` to everyone importing from it,
+    /// stamped with its next generation.  The channel draws for each
+    /// listener in ascending order.
+    fn advertise(&mut self, net: &mut Net<Self>, from: NodeId, dest: NodeId) {
+        self.adverts += 1;
+        let gen = self.adverts;
+        let route = Rc::new(self.tables.get(from, dest).clone());
+        let msg = Advert { gen, dest, route };
+        for &to in self.adj.dependants(from) {
+            net.send(from, to, msg.clone(), None);
+        }
+    }
+
+    fn advertise_full_table(&mut self, net: &mut Net<Self>, i: NodeId) {
+        for dest in 0..self.adj.node_count() {
+            self.advertise(net, i, dest);
+        }
+    }
+}
+
+/// The message-level simulator.
+pub struct EventSim<'a, A: RoutingAlgebra> {
+    config: SimConfig,
+    run: MessageLoop<Sim<'a, A>>,
 }
 
 impl<'a, A: RoutingAlgebra> EventSim<'a, A> {
     /// Create a simulator over the given network, starting from the clean
     /// state in which every node knows only the trivial route to itself.
     pub fn new(alg: &'a A, adj: &'a AdjacencyMatrix<A>, config: SimConfig) -> Self {
-        let n = adj.node_count();
-        let initial = RoutingState::identity(alg, n);
+        let initial = RoutingState::identity(alg, adj.node_count());
         Self::with_initial_state(alg, adj, config, &initial)
     }
 
@@ -165,132 +211,30 @@ impl<'a, A: RoutingAlgebra> EventSim<'a, A> {
         assert_eq!(n, initial.node_count(), "initial state dimension mismatch");
         let ribs: Vec<RibIn<A>> = (0..n).map(|i| RibIn::new(alg, i, adj.row(i), n)).collect();
         let seen_gen = ribs.iter().map(|rib| vec![0; rib.slot_count()]).collect();
-        let mut sim = Self {
-            alg,
-            adj,
-            config,
-            rng: StdRng::seed_from_u64(config.seed),
-            now: 0,
-            queue: EventQueue::default(),
-            tables: initial.clone(),
-            ribs,
-            send_gen: vec![vec![0; n]; n],
-            seen_gen,
-            stats: MessageStats::default(),
-            node_last_change: vec![0; n],
+        let channel = Channel {
+            loss: Some(config.loss_prob),
+            duplicate: Some(config.duplicate_prob),
+            min_delay: config.min_delay,
+            max_delay: config.max_delay,
         };
+        let mut run = MessageLoop {
+            proto: Sim {
+                alg,
+                adj,
+                tables: initial.clone(),
+                ribs,
+                adverts: 0,
+                seen_gen,
+            },
+            net: Net::new(config.seed, channel),
+        };
+        run.net.settled = vec![0; n];
         // Every node initially advertises its whole table to its neighbours
         // (the protocol's cold-start announcements).
         for i in 0..n {
-            sim.advertise_full_table(i);
+            run.proto.advertise_full_table(&mut run.net, i);
         }
-        sim
-    }
-
-    fn advertise_full_table(&mut self, i: NodeId) {
-        let n = self.adj.node_count();
-        for dest in 0..n {
-            let route = self.tables.get(i, dest).clone();
-            self.send_advert(i, dest, route);
-        }
-    }
-
-    /// Announce `route` to everyone importing from `from`.  The draws —
-    /// loss, duplicate, then each copy's delay, listener by listener in
-    /// ascending order — are what every message count and settle time
-    /// hangs on.
-    fn send_advert(&mut self, from: NodeId, dest: NodeId, route: A::Route) {
-        self.send_gen[from][dest] += 1;
-        let gen = self.send_gen[from][dest];
-        let route = Rc::new(route);
-        let adj = self.adj;
-        for &to in adj.dependants(from) {
-            self.stats.counters.sent += 1;
-            if self.rng.gen_bool(self.config.loss_prob.clamp(0.0, 1.0)) {
-                self.stats.counters.dropped += 1;
-                continue;
-            }
-            let copies = if self
-                .rng
-                .gen_bool(self.config.duplicate_prob.clamp(0.0, 1.0))
-            {
-                self.stats.counters.duplicated += 1;
-                2
-            } else {
-                1
-            };
-            for _ in 0..copies {
-                let delay = self.rng.gen_range(
-                    self.config.min_delay..=self.config.max_delay.max(self.config.min_delay),
-                );
-                self.queue.push(
-                    self.now + delay,
-                    Message {
-                        gen,
-                        from,
-                        to,
-                        dest,
-                        route: Rc::clone(&route),
-                    },
-                );
-            }
-        }
-    }
-
-    /// Re-run node `i`'s selection for `dest`.  With `advertise` false the
-    /// table still updates (and the change is counted) but no advert is
-    /// sent — used by the refresh rounds, whose full-table advertisement
-    /// immediately follows and would otherwise duplicate every changed
-    /// entry on the wire.
-    fn recompute_entry(&mut self, i: NodeId, dest: NodeId, advertise: bool) {
-        let best = self.ribs[i].best(self.alg, dest);
-        if best == self.tables.get(i, dest) {
-            return;
-        }
-        let new_route = best.clone();
-        self.tables.set(i, dest, new_route.clone());
-        self.stats.table_changes += 1;
-        self.stats.last_change_time = self.now;
-        self.node_last_change[i] = self.now;
-        if advertise {
-            self.send_advert(i, dest, new_route);
-        }
-    }
-
-    /// Deliver queued messages until the queue drains, the total delivery
-    /// count reaches `slice_end`, or the event budget is exhausted.
-    /// Returns `true` if the budget was hit.
-    fn drain(&mut self, slice_end: Option<usize>) -> bool {
-        while !self.queue.is_empty() {
-            let delivered = self.stats.counters.delivered as usize;
-            if delivered >= self.config.max_events {
-                return true;
-            }
-            if slice_end.is_some_and(|e| delivered >= e) {
-                return false;
-            }
-            let (at, msg) = self.queue.pop().expect("queue is non-empty");
-            self.now = at;
-            self.stats.counters.delivered += 1;
-            let imports = self.adj.row(msg.to);
-            let rib = &mut self.ribs[msg.to];
-            let Some(link) = rib.link(imports, msg.from) else {
-                // Adverts only travel to nodes that import from the sender.
-                continue;
-            };
-            let seen = &mut self.seen_gen[msg.to][rib.slot(link, msg.dest)];
-            // A superseded advert (an older generation overtaken in flight)
-            // is discarded; a duplicate of the newest generation is
-            // re-applied, which is idempotent.
-            if msg.gen < *seen {
-                continue;
-            }
-            *seen = msg.gen;
-            // Import the advertisement and recompute the affected entry.
-            rib.import(self.alg, imports, link, msg.dest, &msg.route);
-            self.recompute_entry(msg.to, msg.dest, true);
-        }
-        false
+        Self { config, run }
     }
 
     /// Run the simulation: deliver messages until the network quiesces; if
@@ -320,53 +264,50 @@ impl<'a, A: RoutingAlgebra> EventSim<'a, A> {
         // deliveries for bounded metrics), so fast convergences drain
         // inside the first slice and see zero refresh overhead, while
         // sustained churn is interrupted and repaired promptly.
-        let n = self.adj.node_count();
-        let slice = (32 * n * n).max(2048);
-        let mut truncated = false;
-        loop {
-            let can_refresh = (self.stats.refreshes as usize) < self.config.refresh_rounds;
+        let n = self.run.proto.adj.node_count();
+        let slice = (32 * n * n).max(2048) as u64;
+        let max_events = self.config.max_events as u64;
+        let truncated = loop {
+            let stats = &self.run.net.stats;
+            let can_refresh = (stats.refreshes as usize) < self.config.refresh_rounds;
             // While refreshes remain, deliver in bounded event slices so
             // the refresh can interrupt sustained churn; once the refresh
             // budget is spent, drain to quiescence (the event budget is the
             // backstop for genuinely diverging runs).
-            let slice_end = can_refresh.then(|| self.stats.counters.delivered as usize + slice);
-            if self.drain(slice_end) {
-                truncated = true;
-                break;
+            let done = stats.counters.delivered;
+            let pause = if can_refresh { done + slice } else { u64::MAX };
+            let queued = self.run.drain(u64::MAX, pause.min(max_events));
+            if queued && self.run.net.stats.counters.delivered >= max_events {
+                break true;
             }
-            let stable = is_stable(self.alg, self.adj, &self.tables);
-            if self.queue.is_empty() && (stable || !can_refresh) {
-                break;
-            }
-            if stable || !can_refresh {
+            let sim = &self.run.proto;
+            if is_stable(sim.alg, sim.adj, &sim.tables) || !can_refresh {
                 // Stable with messages still in flight (they may yet
                 // destabilise us), or churning with no refreshes left:
                 // keep delivering.
+                if !queued {
+                    break false;
+                }
                 continue;
             }
-            self.stats.refreshes += 1;
+            self.run.net.stats.refreshes += 1;
             // A refresh is an *activation* of every node (the finite form of
             // schedule axiom S1), not just a retransmission: each node
             // re-runs its decision over everything it has heard and then
             // re-advertises.  Without the recomputation, a node that
             // receives no messages at all — newly isolated by a topology
             // change, say — would keep stale routes forever.
-            for i in 0..self.adj.node_count() {
-                for dest in 0..self.adj.node_count() {
+            let MessageLoop { proto: sim, net } = &mut self.run;
+            for i in 0..n {
+                for dest in 0..n {
                     // No per-entry advert: the full-table advertisement
                     // below covers every destination.
-                    self.recompute_entry(i, dest, false);
+                    net.decide(sim.alg, &sim.ribs[i], &mut sim.tables, i, dest);
                 }
-                self.advertise_full_table(i);
+                sim.advertise_full_table(net, i);
             }
-        }
-        self.stats.finish_time = self.now;
-        MessageRun {
-            final_state: self.tables,
-            stats: self.stats,
-            truncated,
-            node_last_change: self.node_last_change,
-        }
+        };
+        self.run.finish(truncated)
     }
 }
 

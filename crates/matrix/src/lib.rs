@@ -15,9 +15,8 @@
 //!   `A_ik(advert)` per link and destination, and the selection fold over
 //!   them — what the message-level engines of `dbf-async` and
 //!   `dbf-protocols` keep instead of re-importing every neighbour's advert
-//!   on every delivery — [`rib::EventQueue`], the earliest-first event
-//!   queue those engines run their simulated time on, and
-//!   [`rib::MessageRun`], the one outcome all of them return;
+//!   on every delivery — and [`rib::MessageRun`], the one outcome all of
+//!   them return;
 //! * [`sigma`](mod@crate::sigma) — one synchronous round
 //!   `σ(X) = A(X) ⊕ I` (Equation 5), whole and row by row;
 //! * [`kernel`] — the one fixed-point loop: a resumable Jacobi stepper
@@ -110,7 +109,7 @@ pub use incremental::{
 pub use kernel::FixedPoint;
 pub use parallel::par_iterate_to_fixed_point;
 pub use pool::{default_jobs, PoolScope, PoolStats, WorkerPool};
-pub use rib::{EventQueue, MessageRun, MessageStats, RibIn};
+pub use rib::{MessageRun, MessageStats, RibIn};
 pub use sigma::{
     row_kernel, sigma, sigma_row_from_changed, sigma_row_into, sigma_row_into_changed,
 };
@@ -132,7 +131,7 @@ pub mod prelude {
     pub use crate::oracle::exhaustive_path_optimum;
     pub use crate::parallel::par_iterate_to_fixed_point;
     pub use crate::pool::{PoolScope, PoolStats, WorkerPool};
-    pub use crate::rib::{EventQueue, MessageRun, MessageStats, RibIn};
+    pub use crate::rib::{MessageRun, MessageStats, RibIn};
     pub use crate::sigma::{sigma, sigma_k, sigma_row_into, sigma_row_into_changed};
     pub use crate::state::RoutingState;
     pub use crate::sync::{

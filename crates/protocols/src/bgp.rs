@@ -1,7 +1,7 @@
 //! A BGP-like path-vector protocol engine over the Section 7 algebra.
 //!
 //! The engine models the operational shape of BGP rather than its exact
-//! wire behaviour:
+//! wire behaviour, as rules over the one message loop:
 //!
 //! * every router originates one destination (itself);
 //! * routers maintain an **adj-RIB-in** per neighbour (the last route each
@@ -24,14 +24,13 @@
 //! delays or session resets — which is what the tests verify.
 
 use crate::wire::{BgpUpdate, MAX_NODES};
+use dbf_async::event_loop::{Channel, MessageLoop, Net, Protocol};
 use dbf_bgp::algebra::BgpAlgebra;
 use dbf_bgp::policy::Policy;
-use dbf_matrix::{AdjacencyMatrix, EventQueue, MessageRun, MessageStats, RibIn, RoutingState};
+use dbf_matrix::{AdjacencyMatrix, MessageRun, RibIn, RoutingState};
 use dbf_paths::NodeId;
-use dbf_telemetry::MessageCounters;
 use dbf_topology::Topology;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use std::rc::Rc;
 
 /// Configuration of the BGP-like engine.
@@ -62,45 +61,88 @@ impl Default for BgpConfig {
     }
 }
 
-#[derive(Debug, Clone)]
-enum Payload {
-    /// A wire-encoded [`BgpUpdate`]: an announcement (route present) or a
-    /// withdrawal (route absent), encoded once per announcement and shared
-    /// by its listeners' messages.  Delivery decodes the bytes again, so
-    /// the decoder of [`crate::wire`] runs on every session message.
-    Update(Rc<[u8]>),
-    /// Tear down and re-establish the session between the two endpoints.
-    ResetSession,
-}
-
-/// One scheduled session event between two endpoints.
-#[derive(Debug)]
-struct Scheduled {
-    from: NodeId,
-    to: NodeId,
-    payload: Payload,
-}
-
-/// The BGP-like engine.
-pub struct BgpEngine {
+/// The BGP-like engine's protocol rules.
+struct Bgp {
     alg: BgpAlgebra,
     /// `adj.dependants(j)`: the neighbours that import from node `j` (the
     /// peers `j` announces to), in ascending order.
     adj: AdjacencyMatrix<BgpAlgebra>,
     config: BgpConfig,
-    n: usize,
-    rng: StdRng,
-    now: u64,
-    queue: EventQueue<Scheduled>,
-    /// In-order delivery: per ordered pair (from, to), the earliest time the
-    /// next message may be delivered.
+    /// In-order delivery: per ordered pair (from, to), the time the last
+    /// message on that session arrives.
     session_clock: Vec<Vec<u64>>,
     /// adj-RIB-in: `rib_in[i]` holds, per neighbour `k` and `dest`, the
     /// last route `k` announced to `i` for `dest`, as imported by `A_ik`.
     rib_in: Vec<RibIn<BgpAlgebra>>,
     /// loc-RIB: `loc_rib.get(i, dest)` = node `i`'s selected route.
     loc_rib: RoutingState<BgpAlgebra>,
-    stats: MessageStats,
+}
+
+/// The BGP-like engine.
+pub struct BgpEngine(MessageLoop<Bgp>);
+
+impl Protocol for Bgp {
+    type Alg = BgpAlgebra;
+    /// A wire-encoded [`BgpUpdate`]: an announcement (route present) or a
+    /// withdrawal (route absent), encoded once per announcement and shared
+    /// by its listeners' messages.  Delivery decodes the bytes again, so
+    /// the decoder of [`crate::wire`] runs on every session message.
+    type Msg = Rc<[u8]>;
+    /// Tear down and re-establish the session between two endpoints.
+    type Timer = (NodeId, NodeId);
+    const ENCODED: bool = true;
+
+    fn wire_size(msg: &Rc<[u8]>) -> usize {
+        msg.len()
+    }
+
+    fn receive(&mut self, net: &mut Net<Self>, from: NodeId, to: NodeId, bytes: Rc<[u8]>) {
+        let update =
+            BgpUpdate::decode(&bytes).expect("the engine only delivers messages it encoded");
+        let route = update
+            .to_route()
+            .expect("the engine only announces simple paths");
+        let (dest, imports) = (update.dest, self.adj.row(to));
+        // An update over a link `to` has no import policy for (a reset
+        // re-advertises in both directions) is processed and dropped: no
+        // decision could read it.
+        if let Some(link) = self.rib_in[to].link(imports, from) {
+            self.rib_in[to].import(&self.alg, imports, link, dest, &route);
+            if net.decide(&self.alg, &self.rib_in[to], &mut self.loc_rib, to, dest) {
+                self.announce(net, to, dest, None);
+            }
+        }
+    }
+
+    /// Clear what each endpoint heard from the other and re-advertise, as
+    /// a BGP session reset does.
+    fn fire(&mut self, net: &mut Net<Self>, (a, b): (NodeId, NodeId)) {
+        // Edges are directed: a reset clears both directions whether or
+        // not the reverse link exists.
+        for (i, k) in [(a, b), (b, a)] {
+            let imports = self.adj.row(i);
+            if let Some(link) = self.rib_in[i].link(imports, k) {
+                self.rib_in[i].withdraw(&self.alg, imports, link);
+            }
+        }
+        let n = self.adj.node_count();
+        for dest in 0..n {
+            for node in [a, b] {
+                if net.decide(&self.alg, &self.rib_in[node], &mut self.loc_rib, node, dest) {
+                    self.announce(net, node, dest, None);
+                }
+            }
+        }
+        for (x, y) in [(a, b), (b, a)] {
+            for dest in 0..n {
+                self.announce(net, x, dest, Some(y));
+            }
+        }
+    }
+
+    fn into_state(self) -> RoutingState<BgpAlgebra> {
+        self.loc_rib
+    }
 }
 
 impl BgpEngine {
@@ -131,184 +173,66 @@ impl BgpEngine {
             n <= MAX_NODES,
             "{n} nodes do not fit the u16 wire fields (at most {MAX_NODES})"
         );
-        let loc_rib = RoutingState::identity(&alg, n);
-        let rib_in = (0..n).map(|i| RibIn::new(&alg, i, adj.row(i), n)).collect();
-        let mut engine = Self {
-            alg,
-            adj,
-            config,
-            n,
-            rng: StdRng::seed_from_u64(config.seed),
-            now: 0,
-            queue: EventQueue::default(),
-            session_clock: vec![vec![0; n]; n],
-            rib_in,
-            loc_rib,
-            stats: MessageStats {
-                counters: MessageCounters {
-                    bytes: Some(0),
-                    ..MessageCounters::default()
-                },
-                ..MessageStats::default()
-            },
+        let channel = Channel {
+            loss: None,
+            duplicate: None,
+            min_delay: config.min_delay,
+            max_delay: config.max_delay,
         };
+        let mut run = MessageLoop {
+            proto: Bgp {
+                loc_rib: RoutingState::identity(&alg, n),
+                rib_in: (0..n).map(|i| RibIn::new(&alg, i, adj.row(i), n)).collect(),
+                alg,
+                adj,
+                config,
+                session_clock: vec![vec![0; n]; n],
+            },
+            net: Net::new(config.seed, channel),
+        };
+        let (bgp, net) = (&mut run.proto, &mut run.net);
         // Session establishment: everyone announces its own prefix.
         for i in 0..n {
-            engine.announce_to_neighbors(i, i);
+            bgp.announce(net, i, i, None);
         }
         // Inject session resets at random times over the first half of the
         // run.
         for _ in 0..config.session_resets {
-            let a = engine.rng.gen_range(0..n);
-            let neighbors = engine.adj.row(a);
+            let a = net.rng.gen_range(0..n);
+            let neighbors = bgp.adj.row(a);
             if neighbors.is_empty() {
                 continue;
             }
-            let b = neighbors[engine.rng.gen_range(0..neighbors.len())].0;
-            let at = engine.rng.gen_range(1..=config.max_time / 2);
-            engine.queue.push(
-                at,
-                Scheduled {
-                    from: a,
-                    to: b,
-                    payload: Payload::ResetSession,
-                },
-            );
+            let b = neighbors[net.rng.gen_range(0..neighbors.len())].0;
+            let at = net.rng.gen_range(1..=config.max_time / 2);
+            net.schedule(at, (a, b));
         }
-        engine
-    }
-
-    /// Enqueue one encoded update (announcement or withdrawal) on the
-    /// reliable, in-order session `from → to`.  One delay is drawn per
-    /// call: the order of calls is the order of the RNG stream.
-    fn send_update(&mut self, from: NodeId, to: NodeId, withdrawal: bool, encoded: &Rc<[u8]>) {
-        // Reliable, in-order per session: the delivery time is monotone per
-        // (from, to) pair.
-        let delay = self
-            .rng
-            .gen_range(self.config.min_delay..=self.config.max_delay.max(self.config.min_delay));
-        let at = (self.now + delay).max(self.session_clock[from][to] + 1);
-        self.session_clock[from][to] = at;
-        self.stats.counters.sent += 1;
-        if withdrawal {
-            self.stats.withdrawals += 1;
-        }
-        *self.stats.counters.bytes.get_or_insert(0) += encoded.len() as u64;
-        self.queue.push(
-            at,
-            Scheduled {
-                from,
-                to,
-                payload: Payload::Update(Rc::clone(encoded)),
-            },
-        );
-    }
-
-    /// Node `i`'s loc-RIB entry for `dest` on the wire, and whether it is a
-    /// withdrawal.
-    fn encode(&self, i: NodeId, dest: NodeId) -> (bool, Rc<[u8]>) {
-        let route = self.loc_rib.get(i, dest);
-        let encoded = BgpUpdate::from_route(i, dest, route).encode();
-        (route.is_invalid(), encoded.into())
-    }
-
-    fn announce_to_neighbors(&mut self, i: NodeId, dest: NodeId) {
-        let (withdrawal, encoded) = self.encode(i, dest);
-        for idx in 0..self.adj.dependants(i).len() {
-            let to = self.adj.dependants(i)[idx];
-            self.send_update(i, to, withdrawal, &encoded);
-        }
-    }
-
-    /// Re-run best-path selection at node `i` for destination `dest`;
-    /// returns whether the loc-RIB changed.
-    fn decide(&mut self, i: NodeId, dest: NodeId) -> bool {
-        let best = self.rib_in[i].best(&self.alg, dest);
-        if best != self.loc_rib.get(i, dest) {
-            self.loc_rib.set(i, dest, best.clone());
-            self.stats.table_changes += 1;
-            self.stats.last_change_time = self.now;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn full_readvertise(&mut self, i: NodeId, to: NodeId) {
-        for dest in 0..self.n {
-            let (withdrawal, encoded) = self.encode(i, dest);
-            self.send_update(i, to, withdrawal, &encoded);
-        }
-    }
-
-    /// Forget what `i` heard from `k`.  Edges are directed: a reset clears
-    /// both directions whether or not the reverse link exists.
-    fn clear_session(&mut self, i: NodeId, k: NodeId) {
-        let imports = self.adj.row(i);
-        if let Some(link) = self.rib_in[i].link(imports, k) {
-            self.rib_in[i].withdraw(&self.alg, imports, link);
-        }
+        Self(run)
     }
 
     /// Run the engine until no message is left, or to `max_time`: a run
     /// cut there with messages still queued is truncated.
     pub fn run(mut self) -> MessageRun<BgpAlgebra> {
-        let mut truncated = false;
-        while let Some((at, msg)) = self.queue.pop() {
-            if at > self.config.max_time {
-                truncated = true;
-                break;
-            }
-            self.now = at;
-            match msg.payload {
-                Payload::Update(bytes) => {
-                    self.stats.counters.delivered += 1;
-                    let update = BgpUpdate::decode(&bytes)
-                        .expect("the engine only delivers messages it encoded");
-                    let route = update
-                        .to_route()
-                        .expect("the engine only announces simple paths");
-                    let dest = update.dest;
-                    let imports = self.adj.row(msg.to);
-                    // An update over a link `msg.to` has no import policy
-                    // for (a reset re-advertises in both directions) is
-                    // processed and dropped: no decision could read it.
-                    if let Some(link) = self.rib_in[msg.to].link(imports, msg.from) {
-                        self.rib_in[msg.to].import(&self.alg, imports, link, dest, &route);
-                        if self.decide(msg.to, dest) {
-                            self.announce_to_neighbors(msg.to, dest);
-                        }
-                    }
-                }
-                Payload::ResetSession => {
-                    // Clear what each endpoint heard from the other and
-                    // re-advertise, as a BGP session reset does.
-                    let (a, b) = (msg.from, msg.to);
-                    self.clear_session(a, b);
-                    self.clear_session(b, a);
-                    let mut changed: Vec<(NodeId, NodeId)> = Vec::new();
-                    for dest in 0..self.n {
-                        if self.decide(a, dest) {
-                            changed.push((a, dest));
-                        }
-                        if self.decide(b, dest) {
-                            changed.push((b, dest));
-                        }
-                    }
-                    for (node, dest) in changed {
-                        self.announce_to_neighbors(node, dest);
-                    }
-                    self.full_readvertise(a, b);
-                    self.full_readvertise(b, a);
-                }
-            }
-        }
-        self.stats.finish_time = self.now;
-        MessageRun {
-            final_state: self.loc_rib,
-            stats: self.stats,
-            truncated,
-            node_last_change: Vec::new(),
+        let truncated = self.0.drain(self.0.proto.config.max_time, u64::MAX);
+        self.0.finish(truncated)
+    }
+}
+
+impl Bgp {
+    /// Send node `i`'s loc-RIB entry for `dest` — an announcement, or a
+    /// withdrawal — to `only`, or else to every peer importing from `i`,
+    /// each on its in-order session.  The update is encoded once.
+    fn announce(&mut self, net: &mut Net<Self>, i: NodeId, dest: NodeId, only: Option<NodeId>) {
+        let route = self.loc_rib.get(i, dest);
+        let encoded: Rc<[u8]> = BgpUpdate::from_route(i, dest, route).encode().into();
+        let withdrawal = route.is_invalid();
+        let peers = only
+            .as_ref()
+            .map_or(self.adj.dependants(i), std::slice::from_ref);
+        for &to in peers {
+            net.stats.withdrawals += u64::from(withdrawal);
+            let session = &mut self.session_clock[i][to];
+            net.send(i, to, Rc::clone(&encoded), Some(session));
         }
     }
 }

@@ -18,9 +18,13 @@
 //! * [`wire`] — a compact binary wire format for the update messages of
 //!   both engines, pinned byte-for-byte by golden vectors.
 //!
-//! Every engine here returns a [`dbf_matrix::MessageRun`]: the final tables
-//! and a [`dbf_matrix::MessageStats`], with no verdict.  Whether the tables
-//! are σ's fixed point is for the caller to judge, so no engine solves σ.
+//! Neither engine has an event loop of its own: each is a
+//! [`dbf_async::event_loop::Protocol`] — its timers, what it sends, its
+//! channel and its receiver's rule — over the one message loop the event
+//! simulator runs on too.  That loop returns a [`dbf_matrix::MessageRun`]:
+//! the final tables and a [`dbf_matrix::MessageStats`], with no verdict.
+//! Whether the tables are σ's fixed point is for the caller to judge, so no
+//! engine solves σ.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,8 +1,8 @@
 //! A RIP-like distance-vector protocol engine.
 //!
-//! The engine is a discrete-event simulation of the protocol machinery RFC
-//! 1058/2453 describe, over the finite strictly-increasing bounded-hop-count
-//! algebra:
+//! The engine runs the protocol machinery RFC 1058/2453 describe, as rules
+//! over the one message loop (`dbf_async::event_loop`), in the finite
+//! strictly-increasing bounded-hop-count algebra:
 //!
 //! * **periodic updates** — every router advertises its full table every
 //!   [`UPDATE_INTERVAL`] ticks (with per-router jitter);
@@ -23,33 +23,11 @@
 use crate::wire::{RipUpdate, MAX_NODES, WIRE_INFINITY};
 use dbf_algebra::instances::hopcount::BoundedHopCount;
 use dbf_algebra::instances::nat_inf::NatInf;
-use dbf_matrix::{AdjacencyMatrix, EventQueue, MessageRun, MessageStats, RoutingState};
+use dbf_async::event_loop::{Channel, MessageLoop, Net, Protocol};
+use dbf_matrix::{AdjacencyMatrix, MessageRun, RoutingState};
 use dbf_paths::NodeId;
-use dbf_telemetry::MessageCounters;
 use dbf_topology::Topology;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
-/// Encode a metric for the wire (`∞` ⇒ [`WIRE_INFINITY`]).
-///
-/// Finite metrics are bounded by the hop limit, which the constructor
-/// asserts fits in a `u32` — so the conversion is lossless, never a clamp
-/// to some *different* finite value.
-fn metric_to_wire(m: NatInf) -> u32 {
-    match m.as_fin() {
-        None => WIRE_INFINITY,
-        Some(v) => u32::try_from(v).expect("hop metrics fit the wire (asserted at construction)"),
-    }
-}
-
-/// Decode a wire metric (`WIRE_INFINITY` ⇒ `∞`).
-fn metric_from_wire(m: u32) -> NatInf {
-    if m == WIRE_INFINITY {
-        NatInf::INF
-    } else {
-        NatInf::fin(m as u64)
-    }
-}
+use rand::Rng;
 
 /// The split-horizon behaviour of the engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -115,21 +93,6 @@ impl RipConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Event {
-    /// A periodic update timer fires at a router.
-    Periodic(NodeId),
-    /// A routing update from `from` arrives at `to`.
-    Delivery {
-        /// The sender.
-        from: NodeId,
-        /// The recipient.
-        to: NodeId,
-        /// Index into the message store.
-        msg: usize,
-    },
-}
-
 #[derive(Debug, Clone)]
 struct TableEntry {
     metric: NatInf,
@@ -137,8 +100,19 @@ struct TableEntry {
     refreshed_at: u64,
 }
 
-/// The RIP-like engine.
-pub struct RipEngine {
+impl TableEntry {
+    /// An entry no neighbour has claimed yet.
+    fn ownerless(metric: NatInf) -> Self {
+        TableEntry {
+            metric,
+            next_hop: None,
+            refreshed_at: 0,
+        }
+    }
+}
+
+/// The RIP-like engine's protocol rules.
+struct Rip {
     config: RipConfig,
     /// The routing problem: `adj.get(i, j)` is the hop cost node `i` pays to
     /// import routes announced by `j` (1 for plain topologies), and
@@ -146,14 +120,97 @@ pub struct RipEngine {
     /// recipients of `i`'s advertisements).
     adj: AdjacencyMatrix<BoundedHopCount>,
     n: usize,
-    rng: StdRng,
-    now: u64,
-    queue: EventQueue<Event>,
-    /// Wire-encoded updates in flight; delivery decodes them again, so the
-    /// encode/decode path of [`crate::wire`] runs on every message.
-    messages: Vec<Vec<u8>>,
     tables: Vec<Vec<TableEntry>>,
-    stats: MessageStats,
+}
+
+/// The RIP-like engine.
+pub struct RipEngine(MessageLoop<Rip>);
+
+impl Protocol for Rip {
+    type Alg = BoundedHopCount;
+    /// A wire-encoded [`RipUpdate`]; delivery decodes it again, so the
+    /// encode/decode path of [`crate::wire`] runs on every message.
+    type Msg = Vec<u8>;
+    /// A router's periodic update timer.
+    type Timer = NodeId;
+    const ENCODED: bool = true;
+
+    fn wire_size(msg: &Vec<u8>) -> usize {
+        msg.len()
+    }
+
+    /// Adopt what the current next hop says, or a better route, per
+    /// destination; a changed table is advertised at once (a triggered
+    /// update).
+    fn receive(&mut self, net: &mut Net<Self>, from: NodeId, to: NodeId, msg: Vec<u8>) {
+        let mut changed = false;
+        let update = RipUpdate::decode(&msg).expect("the engine only delivers messages it encoded");
+        // The hop cost of the link the advert crossed (`A_{to,from}`); the
+        // link exists because `to` listens to `from`.
+        let hops = *self.adj.get(to, from).expect("adverts go to listeners");
+        for (dest, advertised) in update.entries {
+            if dest == to {
+                continue;
+            }
+            // across the link, saturating at the hop limit
+            let candidate = Some(advertised)
+                .filter(|&m| m != WIRE_INFINITY)
+                .map(|m| (m as u64).saturating_add(hops))
+                .filter(|&nm| nm <= self.config.hop_limit)
+                .map_or(NatInf::INF, NatInf::fin);
+            let entry = &mut self.tables[to][dest];
+            let next_hop = if entry.next_hop == Some(from) {
+                // The current next hop re-advertised: always adopt (it may
+                // be worse — that is how bad news propagates).
+                let lost = candidate.is_inf() && candidate != entry.metric;
+                (!lost).then_some(from)
+            } else if candidate < entry.metric
+                || (candidate == entry.metric && entry.next_hop.is_none() && candidate.is_fin())
+            {
+                // A better route, or a carried stale entry whose metric a
+                // live advert confirms: the advertiser claims ownership (and
+                // the refresh timer), so correct carried routes survive
+                // without an expiry flap.
+                Some(from)
+            } else {
+                continue;
+            };
+            entry.next_hop = next_hop;
+            entry.refreshed_at = net.now();
+            if candidate != entry.metric {
+                entry.metric = candidate;
+                changed = true;
+                net.changed(to);
+            }
+        }
+        if changed {
+            self.broadcast(net, to);
+        }
+    }
+
+    /// A periodic update: age out the routes that have not been refreshed,
+    /// then advertise the whole table.  Ownerless entries (seeded from a
+    /// carried stale state) expire too: if no neighbour's advertisements
+    /// ever justified the metric, the route is a ghost.
+    fn fire(&mut self, net: &mut Net<Self>, i: NodeId) {
+        net.stats.refreshes += 1;
+        for (dest, entry) in self.tables[i].iter_mut().enumerate() {
+            if dest != i
+                && entry.metric.is_fin()
+                && net.now().saturating_sub(entry.refreshed_at) > self.config.route_timeout
+            {
+                entry.metric = NatInf::INF;
+                entry.next_hop = None;
+                net.changed(i);
+            }
+        }
+        self.broadcast(net, i);
+        net.schedule(net.now() + UPDATE_INTERVAL, i);
+    }
+
+    fn into_state(self) -> RoutingState<BoundedHopCount> {
+        RoutingState::from_fn(self.n, |i, j| self.tables[i][j].metric)
+    }
 }
 
 impl RipEngine {
@@ -161,11 +218,7 @@ impl RipEngine {
     /// a cost of one hop.
     pub fn new(topo: &Topology<()>, config: RipConfig) -> Self {
         let adj = AdjacencyMatrix::<BoundedHopCount>::from_fn(topo.node_count(), |i, j| {
-            if topo.has_edge(i, j) {
-                Some(1u64)
-            } else {
-                None
-            }
+            topo.has_edge(i, j).then_some(1u64)
         });
         Self::from_adjacency(adj, config)
     }
@@ -192,41 +245,29 @@ impl RipEngine {
             n <= MAX_NODES,
             "{n} nodes do not fit the u16 wire fields (at most {MAX_NODES})"
         );
-        let mut tables = Vec::with_capacity(n);
-        for i in 0..n {
-            let mut row = Vec::with_capacity(n);
-            for j in 0..n {
-                row.push(TableEntry {
-                    metric: if i == j { NatInf::fin(0) } else { NatInf::INF },
-                    next_hop: None,
-                    refreshed_at: 0,
-                });
-            }
-            tables.push(row);
+        let mut tables = vec![vec![TableEntry::ownerless(NatInf::INF); n]; n];
+        for (i, row) in tables.iter_mut().enumerate() {
+            row[i].metric = NatInf::fin(0);
         }
-        let mut engine = Self {
+        let channel = Channel {
+            loss: Some(config.loss_prob),
+            duplicate: None,
+            min_delay: config.min_delay,
+            max_delay: config.max_delay,
+        };
+        let mut net = Net::new(config.seed, channel);
+        // Stagger the first periodic update of each router.
+        for i in 0..n {
+            let jitter = net.rng.gen_range(0..UPDATE_INTERVAL);
+            net.schedule(jitter, i);
+        }
+        let proto = Rip {
             config,
             adj,
             n,
-            rng: StdRng::seed_from_u64(config.seed),
-            now: 0,
-            queue: EventQueue::default(),
-            messages: Vec::new(),
             tables,
-            stats: MessageStats {
-                counters: MessageCounters {
-                    bytes: Some(0),
-                    ..MessageCounters::default()
-                },
-                ..MessageStats::default()
-            },
         };
-        // Stagger the first periodic update of each router.
-        for i in 0..n {
-            let jitter = engine.rng.gen_range(0..UPDATE_INTERVAL);
-            engine.queue.push(jitter, Event::Periodic(i));
-        }
-        engine
+        Self(MessageLoop { proto, net })
     }
 
     /// Seed the engine with a stale routing-table entry (for arbitrary
@@ -239,15 +280,15 @@ impl RipEngine {
         metric: NatInf,
         next_hop: Option<NodeId>,
     ) -> Self {
-        assert!(at < self.n && dest < self.n, "node out of range");
+        let rip = &mut self.0.proto;
+        assert!(at < rip.n && dest < rip.n, "node out of range");
         assert_ne!(
             at, dest,
             "a node's route to itself is always the trivial route"
         );
-        self.tables[at][dest] = TableEntry {
-            metric,
+        rip.tables[at][dest] = TableEntry {
             next_hop,
-            refreshed_at: 0,
+            ..TableEntry::ownerless(metric)
         };
         self
     }
@@ -260,189 +301,44 @@ impl RipEngine {
     /// `route_timeout` — the protocol's own cure for routes that were
     /// better than the new topology allows.
     pub fn with_initial_state(mut self, state: &RoutingState<BoundedHopCount>) -> Self {
-        assert_eq!(state.node_count(), self.n, "state dimension mismatch");
-        for i in 0..self.n {
-            for j in 0..self.n {
-                if i == j {
-                    continue;
-                }
-                self.tables[i][j] = TableEntry {
-                    metric: *state.get(i, j),
-                    next_hop: None,
-                    refreshed_at: 0,
-                };
+        let rip = &mut self.0.proto;
+        assert_eq!(state.node_count(), rip.n, "state dimension mismatch");
+        for (i, row) in rip.tables.iter_mut().enumerate() {
+            for (j, entry) in row.iter_mut().enumerate().filter(|&(j, _)| j != i) {
+                *entry = TableEntry::ownerless(*state.get(i, j));
             }
         }
         self
     }
 
-    /// Build the advertisement `from` sends to `to`, honouring split
-    /// horizon.
-    fn build_advert(&self, from: NodeId, to: NodeId) -> Vec<(NodeId, NatInf)> {
-        let mut entries = Vec::with_capacity(self.n);
-        for dest in 0..self.n {
-            let entry = &self.tables[from][dest];
-            let metric = match self.config.split_horizon {
-                SplitHorizon::Off => entry.metric,
-                SplitHorizon::Simple => {
-                    if entry.next_hop == Some(to) {
-                        continue;
-                    }
-                    entry.metric
-                }
-                SplitHorizon::PoisonReverse => {
-                    if entry.next_hop == Some(to) {
-                        NatInf::INF
-                    } else {
-                        entry.metric
-                    }
-                }
-            };
-            entries.push((dest, metric));
-        }
-        entries
-    }
-
-    fn send_advert(&mut self, from: NodeId, to: NodeId) {
-        let entries = self.build_advert(from, to);
-        let update = RipUpdate {
-            from,
-            entries: entries
-                .into_iter()
-                .map(|(dest, m)| (dest, metric_to_wire(m)))
-                .collect(),
-        };
-        let encoded = update.encode();
-        self.stats.counters.sent += 1;
-        *self.stats.counters.bytes.get_or_insert(0) += encoded.len() as u64;
-        if self.rng.gen_bool(self.config.loss_prob.clamp(0.0, 1.0)) {
-            self.stats.counters.dropped += 1;
-            return;
-        }
-        let delay = self
-            .rng
-            .gen_range(self.config.min_delay..=self.config.max_delay.max(self.config.min_delay));
-        self.messages.push(encoded);
-        let msg = self.messages.len() - 1;
-        self.queue
-            .push(self.now + delay, Event::Delivery { from, to, msg });
-    }
-
-    fn broadcast(&mut self, from: NodeId) {
-        // i imports from j, so j advertises to i
-        for idx in 0..self.adj.dependants(from).len() {
-            let to = self.adj.dependants(from)[idx];
-            self.send_advert(from, to);
-        }
-    }
-
-    /// Age out routes that have not been refreshed.  Ownerless entries
-    /// (seeded from a carried stale state) expire too: if no neighbour's
-    /// advertisements ever justified the metric, the route is a ghost.
-    fn expire_routes(&mut self, i: NodeId) -> bool {
-        let mut changed = false;
-        for dest in 0..self.n {
-            if dest == i {
-                continue;
-            }
-            let entry = &mut self.tables[i][dest];
-            if entry.metric.is_fin()
-                && self.now.saturating_sub(entry.refreshed_at) > self.config.route_timeout
-            {
-                entry.metric = NatInf::INF;
-                entry.next_hop = None;
-                changed = true;
-                self.stats.table_changes += 1;
-                self.stats.last_change_time = self.now;
-            }
-        }
-        changed
-    }
-
-    fn process_advert(&mut self, from: NodeId, to: NodeId, msg: usize) -> bool {
-        let mut changed = false;
-        let update = RipUpdate::decode(&self.messages[msg])
-            .expect("the engine only delivers messages it encoded");
-        // The hop cost of the link the advert crossed (`A_{to,from}`); the
-        // link exists because `to` listens to `from`.
-        let Some(&hops) = self.adj.get(to, from) else {
-            return false;
-        };
-        for (dest, advertised) in update.entries {
-            if dest == to {
-                continue;
-            }
-            // across the link, saturating at the hop limit
-            let candidate = metric_from_wire(advertised)
-                .as_fin()
-                .map(|m| m.saturating_add(hops))
-                .filter(|&nm| nm <= self.config.hop_limit)
-                .map_or(NatInf::INF, NatInf::fin);
-            let entry = &mut self.tables[to][dest];
-            let via_current_next_hop = entry.next_hop == Some(from);
-            if via_current_next_hop {
-                // The current next hop re-advertised: always adopt (it may
-                // be worse — that is how bad news propagates), refresh the
-                // timer.
-                entry.refreshed_at = self.now;
-                if candidate != entry.metric {
-                    entry.metric = candidate;
-                    if candidate.is_inf() {
-                        entry.next_hop = None;
-                    }
-                    changed = true;
-                    self.stats.table_changes += 1;
-                    self.stats.last_change_time = self.now;
-                }
-            } else if candidate < entry.metric {
-                entry.metric = candidate;
-                entry.next_hop = Some(from);
-                entry.refreshed_at = self.now;
-                changed = true;
-                self.stats.table_changes += 1;
-                self.stats.last_change_time = self.now;
-            } else if candidate == entry.metric && entry.next_hop.is_none() && candidate.is_fin() {
-                // A carried stale entry whose metric a live advert confirms:
-                // the advertiser claims ownership (and the refresh timer),
-                // so correct carried routes survive without an expiry flap.
-                entry.next_hop = Some(from);
-                entry.refreshed_at = self.now;
-            }
-        }
-        changed
-    }
-
     /// Run the engine to `max_time`.  That is the end of a run, not a
     /// budget — periodic updates never stop — so a run is never truncated.
     pub fn run(mut self) -> MessageRun<BoundedHopCount> {
-        while let Some((at, event)) = self.queue.pop() {
-            if at > self.config.max_time {
-                break;
+        self.0.drain(self.0.proto.config.max_time, u64::MAX);
+        self.0.finish(false)
+    }
+}
+
+impl Rip {
+    /// Send `from`'s full table to every router importing from it,
+    /// honouring split horizon.
+    fn broadcast(&self, net: &mut Net<Self>, from: NodeId) {
+        for &to in self.adj.dependants(from) {
+            let mut entries = Vec::with_capacity(self.n);
+            for (dest, entry) in self.tables[from].iter().enumerate() {
+                let metric = match (self.config.split_horizon, entry.next_hop == Some(to)) {
+                    (SplitHorizon::Simple, true) => continue,
+                    (SplitHorizon::PoisonReverse, true) => NatInf::INF,
+                    _ => entry.metric,
+                };
+                // Finite metrics are bounded by the hop limit, which fits a
+                // `u32` (asserted at construction): the conversion is lossless.
+                let wire = metric.as_fin().map_or(WIRE_INFINITY, |v| {
+                    u32::try_from(v).expect("hop metrics fit the wire (asserted at construction)")
+                });
+                entries.push((dest, wire));
             }
-            self.now = at;
-            match event {
-                Event::Periodic(i) => {
-                    self.stats.refreshes += 1;
-                    self.expire_routes(i);
-                    self.broadcast(i);
-                    self.queue
-                        .push(self.now + UPDATE_INTERVAL, Event::Periodic(i));
-                }
-                Event::Delivery { from, to, msg } => {
-                    self.stats.counters.delivered += 1;
-                    // A triggered update: a changed table is advertised at once.
-                    if self.process_advert(from, to, msg) {
-                        self.broadcast(to);
-                    }
-                }
-            }
-        }
-        self.stats.finish_time = self.now;
-        MessageRun {
-            final_state: RoutingState::from_fn(self.n, |i, j| self.tables[i][j].metric),
-            stats: self.stats,
-            truncated: false,
-            node_last_change: Vec::new(),
+            net.send(from, to, RipUpdate { from, entries }.encode(), None);
         }
     }
 }

@@ -243,8 +243,8 @@ static RULES: &[Rule] = &[
         name: "one schedule value and one event queue",
         // (α, β) has one representation and S1–S3 one decider:
         // dbf_async::Schedule, two flat vectors, and Schedule::certify.
-        // The message-level engines pop simulated time from one queue
-        // (dbf_matrix::EventQueue), which holds the one reversed ordering.
+        // The message-level engines pop simulated time from one queue, the
+        // message loop's, whose heap orders plain (time, sequence) keys.
         // The S1 window of a random schedule is ScheduleParams::s1_window.
         checks: &[
             check(&["crates", "docs", "README.md"],
@@ -254,14 +254,36 @@ static RULES: &[Rule] = &[
             check(&["crates/asynch/src"], any(&["Vec<Vec<bool>>"]),
                 "a nested activation table: alpha is one flat Vec<bool> beside the flat lags"),
             check(&["crates/asynch/src/sim.rs", "crates/protocols/src/rip.rs",
-                    "crates/protocols/src/bgp.rs"],
+                    "crates/protocols/src/bgp.rs", "crates/asynch/src/event_loop.rs"],
                 Find::Line(Pat::Fn(&[" Ord for"], impl_ord)),
-                "a hand-written heap entry: schedule events on dbf_matrix::EventQueue"),
+                "a hand-written heap entry: schedule events on the message loop (Net::send, \
+                 Net::schedule)"),
             check(&["crates"], Find::Count(Pat::Fn(&[".ceil() as "], s1_window), 0, 1),
                 "the S1 window formula is written out twice: call ScheduleParams::s1_window"),
         ],
         plant: plant("crates/asynch/src/schedule.rs", "impl Schedule {",
             "    pub fn check_s2(&self, lag: usize) -> bool {"),
+    },
+    Rule {
+        name: "one message loop",
+        // sim, rip and bgp are protocol rules over dbf_async::event_loop:
+        // it alone creates and pops the event queue, its Net::send alone
+        // draws for the channel, and its Net::decide is the one decide
+        // step over a RibIn.
+        checks: &[
+            check(&["crates/asynch/src", "crates/protocols/src"],
+                any(&["EventQueue", "BinaryHeap", "queue.pop("]),
+                "an event queue outside the message loop: run the engine as a \
+                 dbf_async::event_loop::Protocol")
+                .allowing(&["crates/asynch/src/event_loop.rs"]),
+            check(&["crates/asynch/src/sim.rs", "crates/protocols/src"],
+                any(&["gen_bool(", "fn decide(", "fn recompute_entry(", ".best("]),
+                "a channel draw or a decide step outside the message loop: call Net::send or \
+                 Net::decide")
+                .within(Scope::NonTest),
+        ],
+        plant: plant("crates/protocols/src/rip.rs", "struct Rip {",
+            "    queue: EventQueue<Event>,"),
     },
     Rule {
         name: "a resident serve kernel over a topology of sorted rows",
