@@ -11,13 +11,14 @@
 //! pops simulated time in one place ([`MessageLoop::drain`]) and draws for
 //! the channel in one function ([`Net::send`]).
 
+mod queue;
+
 use dbf_algebra::RoutingAlgebra;
 use dbf_matrix::{MessageRun, MessageStats, RibIn, RoutingState};
 use dbf_paths::NodeId;
+use queue::EventQueue;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// One engine's protocol rules over the loop.
 pub trait Protocol: Sized {
@@ -72,13 +73,7 @@ enum Event<P: Protocol> {
 /// RNG and the counters.
 pub struct Net<P: Protocol> {
     now: u64,
-    /// Earliest `(time, sequence)` first, ties in the order scheduled; the
-    /// event itself waits in its slot of `events`.
-    queue: BinaryHeap<Reverse<(u64, u64, usize)>>,
-    events: Vec<Option<Event<P>>>,
-    /// The slots of `events` that delivered events have emptied.
-    free: Vec<usize>,
-    scheduled: u64,
+    queue: EventQueue<Event<P>>,
     channel: Channel,
     /// The run's one random stream: the channel's draws and the protocol's
     /// own (timer jitter, reset placement), in the order they are made.
@@ -96,10 +91,7 @@ impl<P: Protocol> Net<P> {
         stats.counters.bytes = P::ENCODED.then_some(0);
         Self {
             now: 0,
-            queue: BinaryHeap::new(),
-            events: Vec::new(),
-            free: Vec::new(),
-            scheduled: 0,
+            queue: EventQueue::default(),
             channel,
             rng: StdRng::seed_from_u64(seed),
             stats,
@@ -114,7 +106,7 @@ impl<P: Protocol> Net<P> {
 
     /// Fire `timer` at time `at`.
     pub fn schedule(&mut self, at: u64, timer: P::Timer) {
-        self.push(at, Event::Timer(timer));
+        self.queue.push(at, Event::Timer(timer));
     }
 
     /// Send `msg` from `from` to `to` across the channel.  With a
@@ -130,31 +122,17 @@ impl<P: Protocol> Net<P> {
             self.stats.counters.dropped += 1;
             return;
         }
-        let copies = if ch.duplicate.is_some_and(|p| self.rng.gen_bool(p)) {
-            self.stats.counters.duplicated += 1;
-            [Some(msg.clone()), Some(msg)]
-        } else {
-            [Some(msg), None]
-        };
+        let twice = ch.duplicate.is_some_and(|p| self.rng.gen_bool(p));
+        self.stats.counters.duplicated += u64::from(twice);
         let delays = ch.min_delay..=ch.max_delay.max(ch.min_delay);
-        for msg in copies.into_iter().flatten() {
+        for msg in std::iter::repeat_n(msg, 1 + usize::from(twice)) {
             let mut at = self.now + self.rng.gen_range(delays.clone());
             if let Some(clock) = session.as_deref_mut() {
                 at = at.max(*clock + 1);
                 *clock = at;
             }
-            self.push(at, Event::Message(from, to, msg));
+            self.queue.push(at, Event::Message(from, to, msg));
         }
-    }
-
-    fn push(&mut self, at: u64, event: Event<P>) {
-        let slot = self.free.pop().unwrap_or(self.events.len());
-        if slot == self.events.len() {
-            self.events.push(None);
-        }
-        self.events[slot] = Some(event);
-        self.scheduled += 1;
-        self.queue.push(Reverse((at, self.scheduled, slot)));
     }
 
     /// Count a change to node `i`'s table, now.
@@ -200,13 +178,10 @@ impl<P: Protocol> MessageLoop<P> {
     /// messages have been delivered.  Returns whether events are left.
     pub fn drain(&mut self, until: u64, deliveries: u64) -> bool {
         let net = &mut self.net;
-        while let Some(&Reverse((at, _, slot))) = net.queue.peek() {
-            if at > until || net.stats.counters.delivered >= deliveries {
+        while net.stats.counters.delivered < deliveries {
+            let Some((at, event)) = net.queue.pop_until(until) else {
                 break;
-            }
-            net.queue.pop();
-            net.free.push(slot);
-            let event = net.events[slot].take().expect("a queued event");
+            };
             net.now = at;
             match event {
                 Event::Message(from, to, msg) => {
