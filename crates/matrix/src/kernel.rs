@@ -82,16 +82,14 @@
 //! the next frontier from [`AdjacencyMatrix::dependants`] of the adjacency
 //! it is passed.  So a stepper can stay *resident* across adjacency
 //! changes, as the route server keeps one for its lifetime:
-//! [`FixedPoint::grow`] when nodes join, then [`FixedPoint::reseed`] the
-//! frontier over the rows it already holds (or [`FixedPoint::restart`]
-//! from the identity, or [`FixedPoint::reseed_from_above`], which first
-//! invalidates the entries the change left without support) and step on
-//! the new adjacency; [`FixedPoint::share`] hands out a copy of its rows
-//! that costs a pointer.  Nothing is rebuilt per change but what changed.
+//! [`FixedPoint::grow`] when nodes join, then one of two starts — the
+//! warm [`FixedPoint::reseed`] of the dirty rows over the rows it holds,
+//! or [`FixedPoint::restart`] from the identity — and step on the new
+//! adjacency; [`FixedPoint::share`] hands out a copy of its rows that
+//! costs a pointer.  Nothing is rebuilt per change but what changed.
 
 use crate::adjacency::AdjacencyMatrix;
 use crate::frontier::Frontier;
-use crate::incremental::dirty_rows_after_change;
 use crate::lines::Lines;
 use crate::sigma::sigma_row_window_changed;
 use crate::state::RoutingState;
@@ -259,80 +257,6 @@ impl<A: RoutingAlgebra> FixedPoint<A> {
     pub fn reseed(&mut self, dirty: &[bool]) {
         assert_eq!(self.n, dirty.len(), "dirty mask length must match");
         self.seed(|i| dirty[i]);
-    }
-
-    /// Start a resident whole-row stepper on `new` from the rows it holds —
-    /// σ's fixed point on `old`, grown to `new`'s node count by
-    /// [`FixedPoint::grow`] — after invalidating every entry the change
-    /// left without support.  Returns the number of rows the change dirtied
-    /// ([`crate::incremental::dirty_rows_after_change`]).
-    ///
-    /// An entry `X_ij` is supported when `i = j`, when it is invalid, or
-    /// when some link of `i`'s new row has `A′_ik(X_kj) ⪯ X_ij` with
-    /// `(k, j)` supported.  On a distributive, strictly increasing algebra
-    /// (the hypothesis, stated here and not as a trait bound) every
-    /// supported entry is then at least the weight of a path in `new`, so
-    /// the table is an upper bound of `new`'s fixed point and σ only
-    /// descends from it.  Only an entry an old link that `new` drops or
-    /// re-weights achieved can lose its support, and after that only the
-    /// entries that read one that lost it; each is checked against the new
-    /// row and set to ∞̄ when nothing supports it.  The cost is the
-    /// changed links × n, plus the invalidated entries × their readers × a
-    /// row.
-    ///
-    /// The frontier is the dirty rows and every row with an invalidated
-    /// entry.  Any other row `i` imports as before and from entries no
-    /// lower than before, so `σ(X)_i ⪰ X_i`; and every entry of it is
-    /// supported, so `σ(X)_i ⪯ X_i`: it keeps the promise of
-    /// [`FixedPoint::reseed`]'s mask.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a slab, or if the stepper does not hold `new`'s node
-    /// count.
-    pub fn reseed_from_above(
-        &mut self,
-        alg: &A,
-        old: &AdjacencyMatrix<A>,
-        new: &AdjacencyMatrix<A>,
-    ) -> usize
-    where
-        A::Edge: PartialEq,
-    {
-        self.assert_whole_rows();
-        assert_eq!(self.n, new.node_count(), "grow the stepper first");
-        let mut seeds = dirty_rows_after_change(old, new);
-        let dirty = seeds.iter().filter(|&&d| d).count();
-        let x = &self.rows;
-        let mut suspects = Vec::new();
-        for i in (0..old.node_count()).filter(|&i| seeds[i]) {
-            for (k, e) in old.row(i).iter().filter(|(k, e)| new.get(i, *k) != Some(e)) {
-                let (row, via) = (x.row(i), x.row(*k));
-                let lost = (0..self.n).filter(|&j| {
-                    j != i && !alg.is_invalid(&row[j]) && alg.extend(e, &via[j]) == row[j]
-                });
-                suspects.extend(lost.map(|j| (i, j)));
-            }
-        }
-        while let Some((i, j)) = suspects.pop() {
-            let x = &self.rows;
-            let v = &x.row(i)[j];
-            let supported = alg.is_invalid(v)
-                || (new.row(i).iter()).any(|(k, e)| alg.route_le(&alg.extend(e, &x.row(*k)[j]), v));
-            if supported {
-                continue;
-            }
-            let v = std::mem::replace(&mut self.rows.row_mut(i)[j], alg.invalid());
-            seeds[i] = true;
-            let readers = new.dependants(i).iter().filter(|&&r| r != j);
-            for &r in readers {
-                if alg.route_le(&new.apply(alg, r, i, &v), &self.rows.row(r)[j]) {
-                    suspects.push((r, j));
-                }
-            }
-        }
-        self.seed(|i| seeds[i]);
-        dirty
     }
 
     fn seed(&mut self, dirty: impl Fn(usize) -> bool) {

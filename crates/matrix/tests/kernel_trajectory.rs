@@ -497,13 +497,11 @@ fn sigma_is_equivariant_under_relabeling() {
 fn a_resident_stepper_walks_what_a_fresh_one_per_change_walks() {
     // One stepper kept alive across 60 random adjacency changes — edges
     // set, cleared and re-weighted, nodes joining, every seventh change a
-    // restart from the identity and another started from above (the
-    // entries it left without support invalidated) — against a stepper
-    // built fresh for each change from the previous fixed point and
-    // started the same way: same events, counters and rows, and its table
-    // the one the fresh stepper hands back.  The
-    // resident one is only grown and reseeded; its rounds read the new
-    // adjacency's dependants.
+    // restart from the identity — against a stepper built fresh for each
+    // change from the previous fixed point and started the same way: same
+    // events, counters and rows, and its table the one the fresh stepper
+    // hands back.  The resident one is only grown and reseeded; its rounds
+    // read the new adjacency's dependants.
     // A finite carrier: a removal reconverges from the old table without
     // counting to infinity.
     let alg = BoundedHopCount::new(16);
@@ -547,9 +545,6 @@ fn a_resident_stepper_walks_what_a_fresh_one_per_change_walks() {
         resident.grow(&alg, n);
         if restart {
             resident.restart(&alg, 0, n);
-        } else if step % 7 == 3 {
-            let dirtied = fresh.reseed_from_above(&alg, &adj, &next);
-            assert_eq!(resident.reseed_from_above(&alg, &adj, &next), dirtied);
         } else {
             resident.reseed(&dirty);
         }

@@ -446,9 +446,10 @@ static RULES: &[Rule] = &[
             check(&["crates/*/src"],
                 any(&["triggered_updates", "update_interval", "ThreadedConfig", "fat_tree",
                       "binary_tree", "sigma_into", "with_round_budget", "EventClass::Faults",
-                      "EventClass::Health", "fn replay_trace\\b"]),
+                      "EventClass::Health", "fn replay_trace\\b", "reseed_from_above"]),
                 "a removed option or unused public item is back: use the constant or the \
-                 remaining entry point"),
+                 remaining entry point (the start from above comes back only with ROADMAP \
+                 22(e)'s cheaper support check and a caller in the route server)"),
         ],
         plant: plant("crates/scenario/src/serve/replay.rs", "use std::sync::Arc;",
             "pub fn replay_trace(trace: &ChurnTrace) -> Result<ReplayReport, SpecError> {"),
